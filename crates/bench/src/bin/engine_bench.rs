@@ -9,6 +9,8 @@
 //! ```text
 //! engine-bench [--steps S] [--fleets N1,N2,...] [--repeats R]
 //!              [--mapcal-d D] [--out PATH] [--obs-gate PCT]
+//!              [--paper-fleets N1,N2,...] [--paper-before PATH]
+//!              [--commit LABEL]
 //! ```
 //!
 //! Defaults: 200 steps, fleet of 800 VMs, 3 repeats (best kept),
@@ -23,6 +25,18 @@
 //! pass/fail check: exit nonzero if the explicit-Noop path is more than
 //! PCT percent slower — a drift alarm for accidental de-monomorphization
 //! or instrumentation leaking out of `if R::ENABLED` guards.
+//!
+//! `--paper-fleets` adds the paper-density rows: a Table-I fleet of `n`
+//! VMs placed by `Consolidator::place` on `n / 4` PMs (d = 16, ≈ 4.4 VMs
+//! per PM — the `plan_classheavy` workload of `BENCHMARK.json`), run
+//! under the QUEUE policy with migrations on for [`PAPER_STEPS`] steps.
+//! Unlike the dense class rows above them these report min/median/max
+//! over at least five repeats, take their rates from the median, and
+//! exit nonzero if any two repeats disagree on the migration count. Rows
+//! carry the commit they were measured at (`--commit`, default `git
+//! describe --always --dirty`); `--paper-before PATH` copies the rows of
+//! an earlier output file in front of this run's, which is how the
+//! checked-in file carries a before/after pair.
 
 use bursty_core::prelude::*;
 use bursty_core::sim::bench_api::{class_occupancy, ClassCoreBench};
@@ -44,6 +58,27 @@ struct EngineRow {
     occupancy: Option<(usize, f64, f64)>,
 }
 
+/// One paper-density measurement (see the module docs).
+struct PaperRow {
+    n: usize,
+    m: usize,
+    pms_used: usize,
+    migrations: usize,
+    repeats: usize,
+    secs_min: f64,
+    secs_median: f64,
+    secs_max: f64,
+    active_pm_steps: f64,
+    kernel_secs: f64,
+}
+
+/// Horizon of the paper-density rows: `plan_classheavy`'s, so the row
+/// and the system benchmark describe the same run.
+const PAPER_STEPS: usize = 200;
+
+/// The paper-density rows never report fewer repeats than this.
+const PAPER_MIN_REPEATS: usize = 5;
+
 struct Args {
     steps: usize,
     fleets: Vec<usize>,
@@ -53,6 +88,17 @@ struct Args {
     out: String,
     obs_gate: Option<f64>,
     class_gate: Option<f64>,
+    paper_fleets: Vec<usize>,
+    paper_before: Option<String>,
+    commit: Option<String>,
+}
+
+/// A comma-separated list of fleet sizes.
+fn parse_sizes(value: &str, flag: &str) -> Vec<usize> {
+    value
+        .split(',')
+        .map(|s| s.trim().parse().expect(flag))
+        .collect()
 }
 
 fn parse_args() -> Args {
@@ -64,6 +110,9 @@ fn parse_args() -> Args {
     let mut out = "BENCH_engine.json".to_string();
     let mut obs_gate: Option<f64> = None;
     let mut class_gate: Option<f64> = None;
+    let mut paper_fleets: Vec<usize> = Vec::new();
+    let mut paper_before: Option<String> = None;
+    let mut commit: Option<String> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
@@ -73,25 +122,16 @@ fn parse_args() -> Args {
         });
         match args[i].as_str() {
             "--steps" => steps = value.parse().expect("--steps"),
-            "--fleets" => {
-                fleets = value
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--fleets"))
-                    .collect()
-            }
-            "--class-fleets" => {
-                class_fleets = Some(
-                    value
-                        .split(',')
-                        .map(|s| s.trim().parse().expect("--class-fleets"))
-                        .collect(),
-                )
-            }
+            "--fleets" => fleets = parse_sizes(value, "--fleets"),
+            "--class-fleets" => class_fleets = Some(parse_sizes(value, "--class-fleets")),
             "--repeats" => repeats = value.parse().expect("--repeats"),
             "--mapcal-d" => mapcal_d = value.parse().expect("--mapcal-d"),
             "--out" => out = value.clone(),
             "--obs-gate" => obs_gate = Some(value.parse().expect("--obs-gate")),
             "--class-gate" => class_gate = Some(value.parse().expect("--class-gate")),
+            "--paper-fleets" => paper_fleets = parse_sizes(value, "--paper-fleets"),
+            "--paper-before" => paper_before = Some(value.clone()),
+            "--commit" => commit = Some(value.clone()),
             other => {
                 eprintln!("unknown flag {other}");
                 std::process::exit(2);
@@ -108,6 +148,9 @@ fn parse_args() -> Args {
         out,
         obs_gate,
         class_gate,
+        paper_fleets,
+        paper_before,
+        commit,
     }
 }
 
@@ -121,6 +164,64 @@ fn best_secs<R>(repeats: usize, mut f: impl FnMut() -> R) -> f64 {
     best
 }
 
+/// One paper-density row at fleet size `n`; exits nonzero when two
+/// repeats of the same seeded run disagree on the migration count.
+fn paper_row(n: usize, repeats: usize) -> PaperRow {
+    let mut gen = FleetGenerator::new(1);
+    let vms = gen.vms_table_i(n, WorkloadPattern::EqualSpike);
+    let pms = gen.pms((n / 4).max(1));
+    let consolidator = Consolidator::new(Scheme::Queue);
+    let placement = consolidator
+        .place(&vms, &pms)
+        .expect("paper-density placement");
+    let cfg = SimConfig {
+        steps: PAPER_STEPS,
+        seed: 1,
+        migrations_enabled: true,
+        rng_layout: RngLayout::ClassAggregated,
+        threads: 1,
+        ..Default::default()
+    };
+    let repeats = repeats.max(PAPER_MIN_REPEATS);
+    let mut secs: Vec<f64> = Vec::with_capacity(repeats);
+    let mut migrations: Vec<usize> = Vec::with_capacity(repeats);
+    let mut active_pm_steps = 0.0;
+    for _ in 0..repeats {
+        let start = Instant::now();
+        let out = consolidator.simulate(&vms, &pms, &placement, cfg);
+        secs.push(start.elapsed().as_secs_f64());
+        migrations.push(out.total_migrations());
+        active_pm_steps = out.pms_used_series.values.iter().sum();
+    }
+    if migrations.iter().any(|&c| c != migrations[0]) {
+        eprintln!("FAIL: paper-density n={n}: repeats disagree on migrations: {migrations:?}");
+        std::process::exit(1);
+    }
+    secs.sort_by(f64::total_cmp);
+    // The cell kernel alone over the same placement and horizon: what is
+    // left of the run is controller, bookkeeping and set-up.
+    let mut kernel = ClassCoreBench::new(&vms, pms.len(), &placement.assignment, 1, 1, true);
+    let kernel_secs = best_secs(repeats, || {
+        let mut acc = 0.0;
+        for _ in 0..PAPER_STEPS {
+            acc += kernel.step();
+        }
+        acc
+    });
+    PaperRow {
+        n,
+        m: pms.len(),
+        pms_used: placement.pms_used(),
+        migrations: migrations[0],
+        repeats,
+        secs_min: secs[0],
+        secs_median: secs[secs.len() / 2],
+        secs_max: secs[secs.len() - 1],
+        active_pm_steps,
+        kernel_secs,
+    }
+}
+
 fn main() {
     let Args {
         steps,
@@ -131,6 +232,9 @@ fn main() {
         out: out_path,
         obs_gate,
         class_gate,
+        paper_fleets,
+        paper_before,
+        commit,
     } = parse_args();
     let class_fleets = class_fleets.unwrap_or_else(|| fleets.clone());
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
@@ -276,6 +380,38 @@ fn main() {
             }
         }
     }
+
+    // Paper-density rows (module docs): the same Table-I mix at d = 16.
+    let commit = commit.unwrap_or_else(|| {
+        std::process::Command::new("git")
+            .args(["describe", "--always", "--dirty"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map_or_else(
+                || "unknown".to_string(),
+                |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
+            )
+    });
+    let paper_rows: Vec<PaperRow> = paper_fleets
+        .iter()
+        .map(|&n| {
+            let r = paper_row(n, repeats);
+            eprintln!(
+                "  paper density n={n} m={}: {} PMs used, {} migrations, \
+                 {:.4}/{:.4}/{:.4}s min/median/max ({:.3e} vm·steps/s, kernel share {:.2})",
+                r.m,
+                r.pms_used,
+                r.migrations,
+                r.secs_min,
+                r.secs_median,
+                r.secs_max,
+                (PAPER_STEPS * n) as f64 / r.secs_median,
+                r.kernel_secs / r.secs_median
+            );
+            r
+        })
+        .collect();
 
     // Raw cell-kernel microbenchmark: the class-aggregated evolution
     // pass alone — controller, policies and demand bookkeeping stripped
@@ -444,6 +580,7 @@ fn main() {
     json.push_str("{\n");
     let _ = writeln!(json, "  \"generated_by\": \"engine-bench\",");
     let _ = writeln!(json, "  \"available_parallelism\": {cores},");
+    let _ = writeln!(json, "  \"commit\": \"{commit}\",");
     let _ = writeln!(
         json,
         "  \"config\": {{\"steps\": {steps}, \"repeats\": {repeats}, \"seed\": 1}},"
@@ -505,6 +642,52 @@ fn main() {
         json.push_str(if i + 1 < all_ns.len() { ",\n" } else { "\n" });
     }
     json.push_str("  },\n");
+    if !paper_rows.is_empty() || paper_before.is_some() {
+        // One row per line, each led by its commit: `--paper-before`
+        // re-reads exactly these lines from an earlier file.
+        let mut lines: Vec<String> = Vec::new();
+        if let Some(path) = &paper_before {
+            let before = std::fs::read_to_string(path).expect("read --paper-before file");
+            lines.extend(
+                before
+                    .lines()
+                    .map(|l| l.trim().trim_end_matches(','))
+                    .filter(|l| l.starts_with("{\"commit\":"))
+                    .map(str::to_string),
+            );
+        }
+        for r in &paper_rows {
+            lines.push(format!(
+                "{{\"commit\": \"{commit}\", \"available_parallelism\": {cores}, \
+                 \"n\": {}, \"m\": {}, \"pms_used\": {}, \"steps\": {PAPER_STEPS}, \
+                 \"migrations\": {}, \"repeats\": {}, \"secs_min\": {:.6}, \
+                 \"secs_median\": {:.6}, \"secs_max\": {:.6}, \"rates_from\": \"secs_median\", \
+                 \"vm_steps_per_sec\": {:.1}, \"ns_per_pm_step\": {:.2}, \
+                 \"kernel_secs\": {:.6}, \"kernel_share\": {:.3}}}",
+                r.n,
+                r.m,
+                r.pms_used,
+                r.migrations,
+                r.repeats,
+                r.secs_min,
+                r.secs_median,
+                r.secs_max,
+                (PAPER_STEPS * r.n) as f64 / r.secs_median,
+                r.secs_median * 1e9 / r.active_pm_steps,
+                r.kernel_secs,
+                r.kernel_secs / r.secs_median
+            ));
+        }
+        json.push_str("  \"paper_density\": [\n");
+        for (i, line) in lines.iter().enumerate() {
+            let _ = writeln!(
+                json,
+                "    {line}{}",
+                if i + 1 < lines.len() { "," } else { "" }
+            );
+        }
+        json.push_str("  ],\n");
+    }
     let _ = writeln!(
         json,
         "  \"cell_kernel\": {{\"n\": {cell_n}, \"m\": {cell_m}, \

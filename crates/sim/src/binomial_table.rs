@@ -22,7 +22,9 @@
 //! absorbed by the running sum *and* the pmf is past its mode, so all
 //! later addends are no larger and absorbed too); past the stored
 //! prefix the walk provably runs to `k == n`, which is what the lookup
-//! returns.
+//! returns. The cache's zero-outcome fast path is covered by the same
+//! contract: it returns 0 exactly when `u < cdf[0]` of a table anchored
+//! at 0, which is the walk's first comparison.
 //!
 //! Tables never go stale: a table is a pure function of `(n, p)`, valid
 //! under any placement, churn, or restored checkpoint. Churn only makes
@@ -175,6 +177,13 @@ struct PSlot {
     p: f64,
     /// `index[n]` = position in `metas`, or [`ABSENT`].
     index: Vec<u32>,
+    /// `zero_cut[n]` = the table's first partial sum `cdf[0]` when the
+    /// table for `n` exists and is anchored at 0, else `-inf` (no table
+    /// yet, or the `q^n`-underflow anchor `start > 0`). Same length as
+    /// `index`. `u < zero_cut[n]` is exactly "the smallest value whose
+    /// partial sum exceeds `u` is 0", so the draw is answered from this
+    /// one load.
+    zero_cut: Vec<f64>,
     metas: Vec<TableMeta>,
     cdf: Vec<f64>,
     guide: Vec<u32>,
@@ -228,6 +237,7 @@ impl TableCache {
                 .map(|&p| PSlot {
                     p,
                     index: Vec::new(),
+                    zero_cut: Vec::new(),
                     metas: Vec::new(),
                     cdf: Vec::new(),
                     guide: Vec::new(),
@@ -244,6 +254,20 @@ impl TableCache {
     /// answered from the memoized table (building it on first use).
     #[inline]
     pub fn draw(&mut self, slot: usize, key: u64, counter: u64, n: u32) -> u32 {
+        self.draw_with(slot, n, || keyed_u01(key, counter))
+    }
+
+    /// [`TableCache::draw`] on an explicit uniform — bit-identical to
+    /// `binomial_from_u01(u, n, p_slot)`. Exposed so the fast path's
+    /// boundary can be differential-tested at chosen `u` values.
+    pub fn draw_u01(&mut self, slot: usize, u: f64, n: u32) -> u32 {
+        self.draw_with(slot, n, || u)
+    }
+
+    /// The draw proper; `u` is only evaluated past the short-circuits,
+    /// so degenerate cells never pay for the hash.
+    #[inline]
+    fn draw_with(&mut self, slot: usize, n: u32, u: impl FnOnce() -> f64) -> u32 {
         let p = self.slots[slot].p;
         // The walk's degenerate short-circuits, verbatim.
         if n == 0 || p <= 0.0 {
@@ -252,9 +276,19 @@ impl TableCache {
         if p >= 1.0 {
             return n;
         }
-        let u = keyed_u01(key, counter);
-        // Hit path: index probe, metadata, guide jump, prefix scan.
+        let u = u();
         let slot_ref = &self.slots[slot];
+        // Zero-outcome hit: the table's own answer for `u` below its
+        // first partial sum, without walking index → metas → guide → cdf.
+        if slot_ref
+            .zero_cut
+            .get(n as usize)
+            .is_some_and(|&cut| u < cut)
+        {
+            self.stats.hits += 1;
+            return 0;
+        }
+        // Hit path: index probe, metadata, guide jump, prefix scan.
         if let Some(&ix) = slot_ref.index.get(n as usize) {
             if ix != ABSENT {
                 self.stats.hits += 1;
@@ -280,9 +314,13 @@ impl TableCache {
         let ni = n as usize;
         if s.index.len() <= ni {
             s.index.resize(ni + 1, ABSENT);
+            s.zero_cut.resize(ni + 1, f64::NEG_INFINITY);
         }
         let ix = s.metas.len() as u32;
         s.index[ni] = ix;
+        if table.start == 0 {
+            s.zero_cut[ni] = table.cdf[0];
+        }
         s.metas.push(TableMeta {
             n: table.n,
             start: table.start,
@@ -301,6 +339,7 @@ impl TableCache {
         for s in &mut self.slots {
             self.stats.evictions += s.metas.len() as u64;
             s.index.clear();
+            s.zero_cut.clear();
             s.metas.clear();
             s.cdf.clear();
             s.guide.clear();

@@ -773,6 +773,8 @@ pub(crate) fn decode_state(
             energy,
             observed,
             next_step,
+            // Derived state: the first target query rebuilds it.
+            finder: None,
         },
         rec_bytes,
     ))

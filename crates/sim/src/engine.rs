@@ -212,45 +212,102 @@ impl FaultState {
     }
 }
 
-/// Per-step headroom indexes over the PM pool for migration target
-/// selection, split into *active* (hosting at least one VM) and *empty*
-/// PMs so [`Simulator::pick_target`] keeps its two-phase first-fit
-/// semantics. Built lazily at the first target query of a step — the
-/// violation trigger fires rarely, so most steps never pay the O(m)
-/// build — and point-updated after each move within the step. Down PMs
-/// carry `NEG_INFINITY` in both indexes and are never probed.
-struct TargetFinder {
+/// Headroom indexes over the PM pool for migration target selection,
+/// split into *active* (hosting at least one VM) and *empty* PMs so
+/// [`Simulator::pick_target`] keeps its two-phase first-fit semantics.
+/// Down PMs carry `NEG_INFINITY` in both indexes and are never probed.
+///
+/// Derived run state: built at the first target query of a run (or of a
+/// resumed run — it is never serialized) and kept from then on. Every
+/// site that changes `loads[j]` or `pm_up[j]` point-updates PM `j`
+/// ([`TargetFinder::refresh`]), which is all a policy whose headroom
+/// reads only the load needs. A policy whose headroom reads
+/// `pm.observed` sees every leaf move each step, so its index is
+/// re-derived in place at the first query of each step
+/// ([`TargetFinder::rebuild`]).
+pub(crate) struct TargetFinder {
     active: HeadroomIndex,
     empty: HeadroomIndex,
+    /// Leaf staging for [`TargetFinder::rebuild`], held only while the
+    /// policy needs a rebuild every step.
+    stage_active: Vec<f64>,
+    stage_empty: Vec<f64>,
+    /// The step whose observed demands the leaves were last derived
+    /// from.
+    step: usize,
 }
 
 impl TargetFinder {
-    fn build(sim: &Simulator<'_>, loads: &[PmLoad], observed: &[f64], pm_up: &[bool]) -> Self {
-        let mut active = vec![f64::NEG_INFINITY; loads.len()];
-        let mut empty = vec![f64::NEG_INFINITY; loads.len()];
-        for j in 0..loads.len() {
-            if !pm_up[j] {
-                continue;
-            }
-            let pm = PmRuntime {
-                load: loads[j],
-                observed: observed[j],
-            };
-            let h = sim.policy.headroom(&pm, sim.pms[j].capacity);
-            if loads[j].is_empty() {
-                empty[j] = h;
-            } else {
-                active[j] = h;
-            }
+    fn new(
+        sim: &Simulator<'_>,
+        step: usize,
+        loads: &[PmLoad],
+        observed: &[f64],
+        pm_up: &[bool],
+    ) -> Self {
+        let mut finder = Self {
+            active: HeadroomIndex::new(&[]),
+            empty: HeadroomIndex::new(&[]),
+            stage_active: Vec::new(),
+            stage_empty: Vec::new(),
+            step,
+        };
+        finder.rebuild(sim, step, loads, observed, pm_up);
+        if !sim.policy.headroom_reads_observed() {
+            // Kept current by point updates from here on.
+            finder.stage_active = Vec::new();
+            finder.stage_empty = Vec::new();
         }
-        Self {
-            active: HeadroomIndex::new(&active),
-            empty: HeadroomIndex::new(&empty),
+        finder
+    }
+
+    /// PM `j`'s `(active, empty)` leaves under the current state.
+    fn leaves(
+        sim: &Simulator<'_>,
+        j: usize,
+        loads: &[PmLoad],
+        observed: &[f64],
+        pm_up: &[bool],
+    ) -> (f64, f64) {
+        if !pm_up[j] {
+            return (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        }
+        let pm = PmRuntime {
+            load: loads[j],
+            observed: observed[j],
+        };
+        let h = sim.policy.headroom(&pm, sim.pms[j].capacity);
+        if loads[j].is_empty() {
+            (f64::NEG_INFINITY, h)
+        } else {
+            (h, f64::NEG_INFINITY)
         }
     }
 
-    /// Re-derives PM `j`'s entries after its load or observed demand
-    /// changed (it may have crossed the active/empty boundary).
+    /// Re-derives every leaf, reusing the trees' allocations.
+    fn rebuild(
+        &mut self,
+        sim: &Simulator<'_>,
+        step: usize,
+        loads: &[PmLoad],
+        observed: &[f64],
+        pm_up: &[bool],
+    ) {
+        self.stage_active.clear();
+        self.stage_empty.clear();
+        for j in 0..loads.len() {
+            let (a, e) = Self::leaves(sim, j, loads, observed, pm_up);
+            self.stage_active.push(a);
+            self.stage_empty.push(e);
+        }
+        self.active.rebuild(&self.stage_active);
+        self.empty.rebuild(&self.stage_empty);
+        self.step = step;
+    }
+
+    /// Re-derives PM `j`'s entries after its load, observed demand or
+    /// up/down state changed (it may have crossed the active/empty
+    /// boundary).
     fn refresh(
         &mut self,
         sim: &Simulator<'_>,
@@ -259,19 +316,7 @@ impl TargetFinder {
         observed: &[f64],
         pm_up: &[bool],
     ) {
-        let (mut a, mut e) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-        if pm_up[j] {
-            let pm = PmRuntime {
-                load: loads[j],
-                observed: observed[j],
-            };
-            let h = sim.policy.headroom(&pm, sim.pms[j].capacity);
-            if loads[j].is_empty() {
-                e = h;
-            } else {
-                a = h;
-            }
-        }
+        let (a, e) = Self::leaves(sim, j, loads, observed, pm_up);
         self.active.update(j, a);
         self.empty.update(j, e);
     }
@@ -339,6 +384,10 @@ pub(crate) struct RunState {
     pub(crate) observed: Vec<f64>,
     /// The next step to execute (== completed steps so far).
     pub(crate) next_step: usize,
+    /// Migration-target index — derived from `loads`, `observed` and
+    /// `fs.pm_up`, never serialized: `None` until the first target query
+    /// (of the run, or after a resume) builds it.
+    pub(crate) finder: Option<TargetFinder>,
 }
 
 /// A callback the engine drives after every completed step — the seam
@@ -501,6 +550,7 @@ impl<'a> Simulator<'a> {
             energy: 0.0,
             observed: vec![0.0f64; m],
             next_step: 0,
+            finder: None,
         }
     }
 
@@ -547,13 +597,9 @@ impl<'a> Simulator<'a> {
             energy,
             observed,
             next_step,
+            finder,
         } = st;
         {
-            // Migration-target headroom indexes, built lazily inside any
-            // step that actually attempts a migration (observed demand —
-            // and with it every headroom — changes each step, so the
-            // indexes cannot carry over).
-            let mut finder: Option<TargetFinder> = None;
             // 0. Fault transitions, then immediate batch evacuation of the
             //    VMs the crashes displaced. Driven by the dedicated fault
             //    RNG stream, so the workload sample paths below are
@@ -575,6 +621,9 @@ impl<'a> Simulator<'a> {
                             let evicted = std::mem::take(&mut hosted[e.pm]);
                             loads[e.pm] = PmLoad::empty();
                             observed[e.pm] = 0.0;
+                            if let Some(f) = finder.as_mut() {
+                                f.refresh(self, e.pm, loads, observed, &fs.pm_up);
+                            }
                             rec.counter_inc(Counter::Crashes);
                             rec.counter_add(Counter::DisplacedVms, evicted.len() as u64);
                             if R::ENABLED {
@@ -603,6 +652,9 @@ impl<'a> Simulator<'a> {
                         FaultKind::Recovery => {
                             fs.recovery.recoveries += 1;
                             fs.pm_up[e.pm] = true;
+                            if let Some(f) = finder.as_mut() {
+                                f.refresh(self, e.pm, loads, observed, &fs.pm_up);
+                            }
                             rec.counter_inc(Counter::Recoveries);
                             if R::ENABLED {
                                 rec.record_event(Event::Recovery {
@@ -636,7 +688,7 @@ impl<'a> Simulator<'a> {
                 if !displaced.is_empty() {
                     rec.record_value(HistId::EvacuationBatchSize, displaced.len() as u64);
                     let unplaced = self.evacuate_displaced(
-                        step, &displaced, core, host, hosted, loads, observed, fs, rec,
+                        step, &displaced, core, host, hosted, loads, observed, fs, finder, rec,
                     );
                     for i in unplaced {
                         let from_pm = fs.crash_records
@@ -748,55 +800,13 @@ impl<'a> Simulator<'a> {
                     };
                     let vm = &self.vms[victim];
                     let vm_demand = vm.demand(core.on[victim]);
-                    match self.pick_target(
-                        &mut finder,
-                        j,
-                        vm,
-                        vm_demand,
-                        loads,
-                        observed,
-                        &fs.pm_up,
-                    ) {
-                        Some(target) => {
-                            // Move the VM.
-                            core.class_move(victim, Some(j), Some(target));
-                            hosted[j].retain(|&i| i != victim);
-                            hosted[target].push(victim);
-                            host[victim] = Some(target);
-                            loads[j] = PmLoad::rebuild(hosted[j].iter().map(|&i| &self.vms[i]));
-                            loads[target].add(vm);
-                            observed[j] -= vm_demand;
-                            observed[target] += vm_demand;
-                            if let Some(f) = finder.as_mut() {
-                                f.refresh(self, j, loads, observed, &fs.pm_up);
-                                f.refresh(self, target, loads, observed, &fs.pm_up);
-                            }
-                            if fs.vm_degraded[victim] {
-                                // Normal admission elsewhere ends the
-                                // degraded occupancy.
-                                fs.vm_degraded[victim] = false;
-                                fs.pm_overflow[j] -= 1;
-                            }
-                            if self.config.dual_count_steps > 0 {
-                                dual.push((j, vm_demand, self.config.dual_count_steps));
-                            }
-                            migrations.push(MigrationEvent {
-                                step,
-                                vm_id: vm.id,
-                                from_pm: j,
-                                to_pm: target,
-                            });
-                            rec.counter_inc(Counter::Migrations);
-                            if R::ENABLED {
-                                rec.record_event(Event::Migration {
-                                    step: step as u64,
-                                    vm: vm.id,
-                                    from: j,
-                                    to: target,
-                                    retried: false,
-                                });
-                            }
-                        }
+                    match self
+                        .pick_target(finder, step, j, vm, vm_demand, loads, observed, &fs.pm_up)
+                    {
+                        Some(target) => self.migrate(
+                            step, victim, j, target, vm_demand, false, core, host, hosted, loads,
+                            observed, fs, dual, migrations, finder, rec,
+                        ),
                         None => {
                             *failed_migrations += 1;
                             rec.counter_inc(Counter::FailedMigrations);
@@ -882,54 +892,15 @@ impl<'a> Simulator<'a> {
                     let vm = &self.vms[e.vm];
                     core.class_sync_pm(j, &hosted[j]);
                     let vm_demand = vm.demand(core.on[e.vm]);
-                    match self.pick_target(
-                        &mut finder,
-                        j,
-                        vm,
-                        vm_demand,
-                        loads,
-                        observed,
-                        &fs.pm_up,
-                    ) {
+                    match self
+                        .pick_target(finder, step, j, vm, vm_demand, loads, observed, &fs.pm_up)
+                    {
                         Some(target) => {
-                            core.class_move(e.vm, Some(j), Some(target));
-                            hosted[j].retain(|&i| i != e.vm);
-                            hosted[target].push(e.vm);
-                            host[e.vm] = Some(target);
-                            loads[j] = PmLoad::rebuild(hosted[j].iter().map(|&i| &self.vms[i]));
-                            loads[target].add(vm);
-                            observed[j] -= vm_demand;
-                            observed[target] += vm_demand;
-                            if let Some(f) = finder.as_mut() {
-                                f.refresh(self, j, loads, observed, &fs.pm_up);
-                                f.refresh(self, target, loads, observed, &fs.pm_up);
-                            }
-                            if fs.vm_degraded[e.vm] {
-                                fs.vm_degraded[e.vm] = false;
-                                fs.pm_overflow[j] -= 1;
-                            }
-                            if self.config.dual_count_steps > 0 {
-                                dual.push((j, vm_demand, self.config.dual_count_steps));
-                            }
-                            migrations.push(MigrationEvent {
-                                step,
-                                vm_id: vm.id,
-                                from_pm: j,
-                                to_pm: target,
-                            });
+                            self.migrate(
+                                step, e.vm, j, target, vm_demand, true, core, host, hosted, loads,
+                                observed, fs, dual, migrations, finder, rec,
+                            );
                             *retried_migrations += 1;
-                            rec.counter_inc(Counter::Migrations);
-                            rec.counter_inc(Counter::RetriedMigrations);
-                            rec.counter_inc(Counter::RetryLandedOverload);
-                            if R::ENABLED {
-                                rec.record_event(Event::Migration {
-                                    step: step as u64,
-                                    vm: vm.id,
-                                    from: j,
-                                    to: target,
-                                    retried: true,
-                                });
-                            }
                         }
                         None => {
                             e.attempts += 1;
@@ -970,7 +941,7 @@ impl<'a> Simulator<'a> {
                     // these VMs were displaced — refresh their flags.
                     core.class_sync_displaced(host);
                     let unplaced = self.evacuate_displaced(
-                        step, &vms_due, core, host, hosted, loads, observed, fs, rec,
+                        step, &vms_due, core, host, hosted, loads, observed, fs, finder, rec,
                     );
                     rec.counter_add(
                         Counter::RetryLandedEvacuation,
@@ -1120,6 +1091,73 @@ impl<'a> Simulator<'a> {
         }
     }
 
+    /// Moves hosted VM `victim` from PM `j` to `target` — the one commit
+    /// site of a live migration, shared by the violation trigger
+    /// (`retried == false`) and the overload-retry path. Every piece of
+    /// state a move touches is updated here, the target index included.
+    #[allow(clippy::too_many_arguments)]
+    fn migrate<R: Recorder>(
+        &self,
+        step: usize,
+        victim: usize,
+        j: usize,
+        target: usize,
+        vm_demand: f64,
+        retried: bool,
+        core: &mut WorkloadCore,
+        host: &mut [Option<usize>],
+        hosted: &mut [Vec<usize>],
+        loads: &mut [PmLoad],
+        observed: &mut [f64],
+        fs: &mut FaultState,
+        dual: &mut Vec<(usize, f64, usize)>,
+        migrations: &mut Vec<MigrationEvent>,
+        finder: &mut Option<TargetFinder>,
+        rec: &mut R,
+    ) {
+        let vm = &self.vms[victim];
+        core.class_move(victim, Some(j), Some(target));
+        hosted[j].retain(|&i| i != victim);
+        hosted[target].push(victim);
+        host[victim] = Some(target);
+        loads[j] = PmLoad::rebuild(hosted[j].iter().map(|&i| &self.vms[i]));
+        loads[target].add(vm);
+        observed[j] -= vm_demand;
+        observed[target] += vm_demand;
+        if let Some(f) = finder.as_mut() {
+            f.refresh(self, j, loads, observed, &fs.pm_up);
+            f.refresh(self, target, loads, observed, &fs.pm_up);
+        }
+        if fs.vm_degraded[victim] {
+            // Normal admission elsewhere ends the degraded occupancy.
+            fs.vm_degraded[victim] = false;
+            fs.pm_overflow[j] -= 1;
+        }
+        if self.config.dual_count_steps > 0 {
+            dual.push((j, vm_demand, self.config.dual_count_steps));
+        }
+        migrations.push(MigrationEvent {
+            step,
+            vm_id: vm.id,
+            from_pm: j,
+            to_pm: target,
+        });
+        rec.counter_inc(Counter::Migrations);
+        if retried {
+            rec.counter_inc(Counter::RetriedMigrations);
+            rec.counter_inc(Counter::RetryLandedOverload);
+        }
+        if R::ENABLED {
+            rec.record_event(Event::Migration {
+                step: step as u64,
+                vm: vm.id,
+                from: j,
+                to: target,
+                retried,
+            });
+        }
+    }
+
     /// Re-places a batch of displaced VMs: one pass under the active
     /// policy, then — for whatever is left — one pass through the
     /// [`DegradedAdmission`] overflow margin. Successful placements emit
@@ -1136,6 +1174,7 @@ impl<'a> Simulator<'a> {
         loads: &mut [PmLoad],
         observed: &mut [f64],
         fs: &mut FaultState,
+        finder: &mut Option<TargetFinder>,
         rec: &mut R,
     ) -> Vec<usize> {
         let leftover = self.evacuate_pass(
@@ -1149,6 +1188,7 @@ impl<'a> Simulator<'a> {
             loads,
             observed,
             fs,
+            finder,
             rec,
         );
         if leftover.is_empty() || self.config.degraded_epsilon <= 0.0 {
@@ -1156,7 +1196,7 @@ impl<'a> Simulator<'a> {
         }
         let degraded = DegradedAdmission::new(self.policy, self.config.degraded_epsilon);
         self.evacuate_pass(
-            step, &leftover, &degraded, true, core, host, hosted, loads, observed, fs, rec,
+            step, &leftover, &degraded, true, core, host, hosted, loads, observed, fs, finder, rec,
         )
     }
 
@@ -1176,6 +1216,7 @@ impl<'a> Simulator<'a> {
         loads: &mut [PmLoad],
         observed: &mut [f64],
         fs: &mut FaultState,
+        finder: &mut Option<TargetFinder>,
         rec: &mut R,
     ) -> Vec<usize> {
         let demands: Vec<f64> = displaced
@@ -1211,6 +1252,9 @@ impl<'a> Simulator<'a> {
             host[i] = Some(j);
             loads[j].add(vm);
             observed[j] += vm_demand;
+            if let Some(f) = finder.as_mut() {
+                f.refresh(self, j, loads, observed, &fs.pm_up);
+            }
             let pm = PmRuntime {
                 load: loads[j],
                 observed: observed[j],
@@ -1303,19 +1347,27 @@ impl<'a> Simulator<'a> {
     /// Target selection: first *active* up PM (other than the source) the
     /// policy admits the VM on, else the first empty up PM in the pool.
     ///
-    /// Candidates come from the per-step [`TargetFinder`] headroom
-    /// indexes rather than a linear scan over all m PMs: a PM whose
-    /// headroom is below `demand_measure(vm)` cannot admit the VM (the
+    /// Candidates come from the run's [`TargetFinder`] headroom indexes
+    /// rather than a linear scan over all m PMs: a PM whose headroom is
+    /// below `demand_measure(vm)` cannot admit the VM (the
     /// [`RuntimePolicy`] headroom contract), so `first_at_least` skips
     /// straight to the next plausible index and the full `admits` check
     /// runs only there. By that contract the result is identical to the
     /// linear scan — certified by the differential test
-    /// `indexed_target_selection_matches_linear_scan` and by the golden
-    /// pins, whose constants predate the index.
+    /// `indexed_target_selection_matches_linear_scan` (in test builds
+    /// every call here re-checks itself against the linear oracle and a
+    /// freshly built index) and by the golden pins, whose constants
+    /// predate the index.
+    ///
+    /// The finder is made current here, before it is read: built on
+    /// first use, and re-derived at the first query of each later step
+    /// when the policy's headroom follows observed demand. Load-only
+    /// policies need nothing — the mutation sites keep it current.
     #[allow(clippy::too_many_arguments)]
     fn pick_target(
         &self,
         finder: &mut Option<TargetFinder>,
+        step: usize,
         source: usize,
         vm: &VmSpec,
         vm_demand: f64,
@@ -1323,7 +1375,15 @@ impl<'a> Simulator<'a> {
         observed: &[f64],
         pm_up: &[bool],
     ) -> Option<usize> {
-        let f = finder.get_or_insert_with(|| TargetFinder::build(self, loads, observed, pm_up));
+        let f = match finder {
+            Some(f) => {
+                if f.step != step && self.policy.headroom_reads_observed() {
+                    f.rebuild(self, step, loads, observed, pm_up);
+                }
+                f
+            }
+            None => finder.insert(TargetFinder::new(self, step, loads, observed, pm_up)),
+        };
         let threshold = self.policy.demand_measure(vm, vm_demand);
         let admit = |j: usize| {
             let pm = PmRuntime {
@@ -1332,16 +1392,39 @@ impl<'a> Simulator<'a> {
             };
             self.policy.admits(vm, vm_demand, &pm, self.pms[j].capacity)
         };
-        for index in [&f.active, &f.empty] {
+        let mut found = None;
+        'search: for index in [&f.active, &f.empty] {
             let mut from = 0;
             while let Some(j) = index.first_at_least(from, threshold) {
                 if j != source && admit(j) {
-                    return Some(j);
+                    found = Some(j);
+                    break 'search;
                 }
                 from = j + 1;
             }
         }
-        None
+        #[cfg(test)]
+        {
+            let fresh = TargetFinder::new(self, step, loads, observed, pm_up);
+            for j in 0..self.pms.len() {
+                assert_eq!(
+                    (f.active.value(j).to_bits(), f.empty.value(j).to_bits()),
+                    (
+                        fresh.active.value(j).to_bits(),
+                        fresh.empty.value(j).to_bits()
+                    ),
+                    "kept index stale at PM {j}, step {step} ({})",
+                    self.policy.name()
+                );
+            }
+            assert_eq!(
+                found,
+                self.pick_target_linear(source, vm, vm_demand, loads, observed, pm_up),
+                "indexed target differs from the linear scan at step {step} ({})",
+                self.policy.name()
+            );
+        }
+        found
     }
 
     /// Reference implementation of [`Self::pick_target`]: the pre-index
@@ -1930,10 +2013,18 @@ mod tests {
 
     #[test]
     fn indexed_target_selection_matches_linear_scan() {
-        // Heterogeneous pool: varying capacities, occupancy, up/down
-        // state, plus source exclusion — swept across two policies and
-        // every VM as the migrant. The indexed path must agree with the
-        // linear oracle exactly, per the RuntimePolicy headroom contract.
+        use crate::config::RngLayout;
+        use crate::policy::PeakPolicy;
+        let rb = ObservedPolicy::rb();
+        let rb_ex = ObservedPolicy::rb_ex(0.2);
+        let queue = QueuePolicy::new(QueueStrategy::build(16, 0.02, 0.08, 0.01));
+        let policies: [&dyn RuntimePolicy; 4] = [&queue, &PeakPolicy, &rb, &rb_ex];
+
+        // Static sweep. Heterogeneous pool: varying capacities,
+        // occupancy, up/down state, plus source exclusion — swept across
+        // the policies and every VM as the migrant. The indexed path
+        // must agree with the linear oracle exactly, per the
+        // RuntimePolicy headroom contract.
         let vms: Vec<VmSpec> = (0..40)
             .map(|i| {
                 VmSpec::new(
@@ -1964,19 +2055,18 @@ mod tests {
             .map(|vs| vs.iter().map(|&i| vms[i].demand(i % 2 == 0)).sum())
             .collect();
         let pm_up: Vec<bool> = (0..pms.len()).map(|j| j % 9 != 4).collect();
-
-        let rb = ObservedPolicy::rb();
-        let queue = QueuePolicy::new(QueueStrategy::build(16, 0.02, 0.08, 0.01));
-        let policies: [&dyn crate::policy::RuntimePolicy; 2] = [&rb, &queue];
         for (p, policy) in policies.iter().enumerate() {
             let sim = Simulator::new(&vms, &pms, *policy, config(10, 1, true));
+            // One finder across the whole sweep: nothing moves, so a
+            // kept index must keep answering like the oracle.
+            let mut finder = None;
             for (i, vm) in vms.iter().enumerate() {
                 for source in [0usize, 7, 23] {
                     for &on in &[false, true] {
                         let demand = vm.demand(on);
-                        let mut finder = None;
                         let fast = sim.pick_target(
                             &mut finder,
+                            0,
                             source,
                             vm,
                             demand,
@@ -1990,6 +2080,71 @@ mod tests {
                     }
                 }
             }
+        }
+
+        // Kept index under a moving fleet. Full engine runs on an
+        // over-tight farm (RB-packed, four spare PMs), so the controller
+        // migrates, runs out of targets, retries, and — with faults on —
+        // crashes, recovers and evacuates through the degraded margin,
+        // under both the per-VM and the class-counter cores. In this
+        // build every `pick_target` call asserts that its answer equals
+        // the linear scan's and that the kept leaves equal a fresh
+        // build's, so the runs finishing is the proof; the tallies below
+        // only certify that each kind of index-mutating event happened.
+        let vms: Vec<VmSpec> = (0..72)
+            .map(|i| VmSpec::new(i, 0.02, 0.08, 7.0 + (i % 4) as f64 * 2.0, 9.0))
+            .collect();
+        let pms = farm(12, 100.0);
+        let placement = first_fit(&vms, &pms, &BaseStrategy).unwrap();
+        assert!(placement.pms_used() + 4 <= pms.len());
+        #[derive(Default, Debug)]
+        struct Tally {
+            migrations: usize,
+            failed: usize,
+            retried: usize,
+            crashes: usize,
+            recoveries: usize,
+            evacuated: usize,
+            degraded: usize,
+        }
+        for policy in policies {
+            let mut tally = Tally::default();
+            for layout in [RngLayout::Shared, RngLayout::ClassAggregated] {
+                for faults in [false, true] {
+                    let cfg = SimConfig {
+                        rng_layout: layout,
+                        retry_base_steps: 1,
+                        degraded_epsilon: 0.3,
+                        faults: faults.then_some(FaultConfig {
+                            mtbf_steps: 60.0,
+                            mttr_steps: 10.0,
+                            ..Default::default()
+                        }),
+                        ..config(400, 17, true)
+                    };
+                    let out = Simulator::new(&vms, &pms, policy, cfg).run(&placement);
+                    tally.migrations += out.total_migrations();
+                    tally.failed += out.failed_migrations;
+                    tally.retried += out.retried_migrations;
+                    tally.crashes += out.recovery.crashes;
+                    tally.recoveries += out.recovery.recoveries;
+                    tally.evacuated += out.evacuations.iter().filter(|e| e.to_pm.is_some()).count();
+                    tally.degraded += out.recovery.degraded_admissions;
+                    if !faults {
+                        assert_eq!(out.recovery, RecoveryStats::default());
+                    }
+                }
+            }
+            let name = policy.name();
+            assert!(tally.migrations > 0, "{name}: {tally:?}");
+            assert!(tally.failed > 0, "{name}: {tally:?}");
+            assert!(tally.retried > 0, "{name}: {tally:?}");
+            assert!(
+                tally.crashes > 0 && tally.recoveries > 0,
+                "{name}: {tally:?}"
+            );
+            assert!(tally.evacuated > 0, "{name}: {tally:?}");
+            assert!(tally.degraded > 0, "{name}: {tally:?}");
         }
     }
 

@@ -52,6 +52,18 @@ pub trait RuntimePolicy: Send + Sync {
     fn demand_measure(&self, _vm: &VmSpec, vm_demand: f64) -> f64 {
         vm_demand
     }
+
+    /// Whether [`RuntimePolicy::headroom`] reads `pm.observed`. The
+    /// default `true` is the safe answer: the engine then re-derives
+    /// every PM's headroom at the first target query of each step,
+    /// because observed demand moves everywhere every step. A policy
+    /// whose headroom is a function of `pm.load` and the capacity only
+    /// may return `false`; the engine then keeps its target index across
+    /// steps and updates only the PMs whose load or up/down state
+    /// changed.
+    fn headroom_reads_observed(&self) -> bool {
+        true
+    }
 }
 
 impl RuntimePolicy for &dyn RuntimePolicy {
@@ -67,6 +79,9 @@ impl RuntimePolicy for &dyn RuntimePolicy {
     fn demand_measure(&self, vm: &VmSpec, vm_demand: f64) -> f64 {
         (**self).demand_measure(vm, vm_demand)
     }
+    fn headroom_reads_observed(&self) -> bool {
+        (**self).headroom_reads_observed()
+    }
 }
 
 impl RuntimePolicy for Box<dyn RuntimePolicy> {
@@ -81,6 +96,9 @@ impl RuntimePolicy for Box<dyn RuntimePolicy> {
     }
     fn demand_measure(&self, vm: &VmSpec, vm_demand: f64) -> f64 {
         (**self).demand_measure(vm, vm_demand)
+    }
+    fn headroom_reads_observed(&self) -> bool {
+        (**self).headroom_reads_observed()
     }
 }
 
@@ -135,6 +153,10 @@ impl<P: RuntimePolicy> RuntimePolicy for DegradedAdmission<P> {
     fn demand_measure(&self, vm: &VmSpec, vm_demand: f64) -> f64 {
         self.inner.demand_measure(vm, vm_demand)
     }
+
+    fn headroom_reads_observed(&self) -> bool {
+        self.inner.headroom_reads_observed()
+    }
 }
 
 /// Spec-aware admission by the paper's Eq. 17 — the QUEUE runtime.
@@ -180,6 +202,10 @@ impl RuntimePolicy for QueuePolicy {
 
     fn demand_measure(&self, vm: &VmSpec, _vm_demand: f64) -> f64 {
         Strategy::demand(&self.strategy, vm)
+    }
+
+    fn headroom_reads_observed(&self) -> bool {
+        false
     }
 }
 
@@ -253,6 +279,10 @@ impl RuntimePolicy for PeakPolicy {
 
     fn demand_measure(&self, vm: &VmSpec, _vm_demand: f64) -> f64 {
         vm.r_p()
+    }
+
+    fn headroom_reads_observed(&self) -> bool {
+        false
     }
 }
 
@@ -386,6 +416,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn load_only_policies_really_ignore_observed_demand() {
+        // The engine keeps its target index across steps for a policy
+        // that says its headroom does not read `pm.observed`; the claim
+        // must be true, and must survive every wrapper.
+        let q = QueuePolicy::new(QueueStrategy::build(16, 0.01, 0.09, 0.01));
+        let hosted: Vec<VmSpec> = (0..5).map(|i| vm(i, 8.0, 6.0)).collect();
+        let load_only: [&dyn RuntimePolicy; 2] = [&q, &PeakPolicy];
+        for policy in load_only {
+            assert!(!policy.headroom_reads_observed(), "{}", policy.name());
+            let degraded = DegradedAdmission::new(policy, 0.2);
+            assert!(!degraded.headroom_reads_observed());
+            for cap in [55.0, 90.0] {
+                let calm = policy.headroom(&runtime(&hosted, 40.0), cap);
+                let spiking = policy.headroom(&runtime(&hosted, 70.0), cap);
+                assert_eq!(calm.to_bits(), spiking.to_bits(), "{}", policy.name());
+                assert_eq!(
+                    degraded.headroom(&runtime(&hosted, 40.0), cap).to_bits(),
+                    degraded.headroom(&runtime(&hosted, 70.0), cap).to_bits()
+                );
+            }
+        }
+        for policy in [ObservedPolicy::rb(), ObservedPolicy::rb_ex(0.3)] {
+            assert!(policy.headroom_reads_observed());
+            assert!(DegradedAdmission::new(policy, 0.2).headroom_reads_observed());
+        }
+        let boxed: [Box<dyn RuntimePolicy>; 2] = [Box::new(PeakPolicy), Box::new(q.clone())];
+        assert!(boxed.iter().all(|b| !b.headroom_reads_observed()));
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! evolving every ON-OFF chain and re-summing every hosted demand into
 //! the per-PM `observed` vector. [`WorkloadCore`] flattens the VM specs
 //! into four `f64` vectors once per run (`p_on`/`p_off`/`demand_off`/
-//! `demand_on`) and fuses both loops into one branch-light pass.
+//! `demand_on`) and fuses both loops into one branch-light pass. (The
+//! class-aggregated layout reads the same parameters per *class*, so it
+//! leaves the per-VM vectors empty.)
 //!
 //! Three layouts, one determinism contract (DESIGN.md §8):
 //!
@@ -167,6 +169,8 @@ pub(crate) enum CoreSnapshot {
 
 /// The engine's per-step hot path in structure-of-arrays form.
 pub(crate) struct WorkloadCore {
+    /// Per-VM chain parameters, read by the `Shared` and `PerVm` arms
+    /// only; empty under `ClassAggregated`.
     p_on: Vec<f64>,
     p_off: Vec<f64>,
     demand_off: Vec<f64>,
@@ -226,36 +230,49 @@ impl WorkloadCore {
                 // their exact bit patterns. Sorting by *content* (never
                 // first-appearance order) is what makes cell streams —
                 // and with them every outcome — invariant under the
-                // order VMs are enumerated in the fleet.
-                let mut keys: Vec<[u64; 4]> = vms.iter().map(|vm| VmClass::of(vm).key()).collect();
-                keys.sort_unstable();
-                keys.dedup();
-                let index: std::collections::HashMap<[u64; 4], u32> = keys
+                // order VMs are enumerated in the fleet. Dedupe first
+                // (ids in first-appearance order, one representative VM
+                // each), then sort only the distinct keys and renumber.
+                let mut seen: std::collections::HashMap<[u64; 4], u32> =
+                    std::collections::HashMap::new();
+                let mut distinct: Vec<([u64; 4], usize)> = Vec::new();
+                let mut class_of: Vec<u32> = vms
                     .iter()
                     .enumerate()
-                    .map(|(c, &k)| (k, c as u32))
-                    .collect();
-                let mut classes: Vec<ClassInfo> = keys
-                    .iter()
-                    .map(|&k| ClassInfo {
-                        p_on: f64::from_bits(k[0]),
-                        p_off: f64::from_bits(k[1]),
-                        demand_off: 0.0,
-                        demand_on: 0.0,
-                        hash: class_hash(k),
-                        slot_off: 0,
-                        slot_on: 0,
+                    .map(|(i, vm)| {
+                        let key = VmClass::of(vm).key();
+                        *seen.entry(key).or_insert_with(|| {
+                            distinct.push((key, i));
+                            (distinct.len() - 1) as u32
+                        })
                     })
                     .collect();
-                let class_of: Vec<u32> =
-                    vms.iter().map(|vm| index[&VmClass::of(vm).key()]).collect();
+                let mut order: Vec<u32> = (0..distinct.len() as u32).collect();
+                order.sort_unstable_by_key(|&c| distinct[c as usize].0);
+                let mut canonical = vec![0u32; distinct.len()];
+                for (rank, &c) in order.iter().enumerate() {
+                    canonical[c as usize] = rank as u32;
+                }
+                for c in &mut class_of {
+                    *c = canonical[*c as usize];
+                }
                 // Demands via the spec's own accessor (bit-identical for
                 // every member of a class, so any representative works).
-                for (i, vm) in vms.iter().enumerate() {
-                    let info = &mut classes[class_of[i] as usize];
-                    info.demand_off = vm.demand(false);
-                    info.demand_on = vm.demand(true);
-                }
+                let mut classes: Vec<ClassInfo> = order
+                    .iter()
+                    .map(|&c| {
+                        let (k, rep) = distinct[c as usize];
+                        ClassInfo {
+                            p_on: f64::from_bits(k[0]),
+                            p_off: f64::from_bits(k[1]),
+                            demand_off: vms[rep].demand(false),
+                            demand_on: vms[rep].demand(true),
+                            hash: class_hash(k),
+                            slot_off: 0,
+                            slot_on: 0,
+                        }
+                    })
+                    .collect();
                 // Registry of distinct switch probabilities: the axis
                 // the sampler caches index tables by (alongside n), so
                 // the hot loop never hashes.
@@ -289,11 +306,19 @@ impl WorkloadCore {
                 }
             }
         };
+        // The class kernel reads chain parameters from its class table,
+        // never per VM: its four flattened vectors stay empty.
+        let per_vm = |f: fn(&VmSpec) -> f64| -> Vec<f64> {
+            match mode {
+                Mode::ClassAggregated { .. } => Vec::new(),
+                _ => vms.iter().map(f).collect(),
+            }
+        };
         Self {
-            p_on: vms.iter().map(|vm| vm.p_on).collect(),
-            p_off: vms.iter().map(|vm| vm.p_off).collect(),
-            demand_off: vms.iter().map(|vm| vm.demand(false)).collect(),
-            demand_on: vms.iter().map(|vm| vm.demand(true)).collect(),
+            p_on: per_vm(|vm| vm.p_on),
+            p_off: per_vm(|vm| vm.p_off),
+            demand_off: per_vm(|vm| vm.demand(false)),
+            demand_on: per_vm(|vm| vm.demand(true)),
             on: vec![false; n],
             mode,
         }
@@ -523,31 +548,47 @@ impl WorkloadCore {
         };
         let locations = offsets.len() - 1;
         let limbo = locations - 1;
-        // Bucket per location first (cheap sorted inserts into short
-        // vectors), then flatten into the CSR arrays once.
-        let mut buckets: Vec<Vec<Cell>> = (0..locations).map(|_| Vec::new()).collect();
+        let loc_of = |h: &Option<usize>| h.unwrap_or(limbo);
+        // Counting pass: group the VMs' class ids by location in one
+        // flat array (`starts` are the per-location write cursors), then
+        // sort each location's short run and emit one cell per distinct
+        // class straight into the CSR arrays.
+        let mut starts = vec![0u32; locations + 1];
+        for h in host {
+            starts[loc_of(h) + 1] += 1;
+        }
+        for loc in 0..locations {
+            starts[loc + 1] += starts[loc];
+        }
+        let mut by_loc = vec![0u32; host.len()];
         for (i, h) in host.iter().enumerate() {
-            let loc = h.unwrap_or(limbo);
-            let c = class_of[i];
-            let cs = &mut buckets[loc];
-            match cs.binary_search_by_key(&c, |cell| cell.class) {
-                Ok(at) => cs[at].count += 1,
-                Err(at) => cs.insert(
-                    at,
-                    Cell {
+            let cursor = &mut starts[loc_of(h)];
+            by_loc[*cursor as usize] = class_of[i];
+            *cursor += 1;
+        }
+        // Every cursor now sits at its location's end, i.e. the next
+        // location's start.
+        cells.clear();
+        offsets[0] = 0;
+        let mut lo = 0usize;
+        for loc in 0..locations {
+            let hi = starts[loc] as usize;
+            let run = &mut by_loc[lo..hi];
+            run.sort_unstable();
+            let first = cells.len();
+            for &c in run.iter() {
+                match cells[first..].last_mut() {
+                    Some(cell) if cell.class == c => cell.count += 1,
+                    _ => cells.push(Cell {
                         class: c,
                         count: 1,
                         n_on: 0,
                         key: class_cell_key(*seed, loc as u64, classes[c as usize].hash),
-                    },
-                ),
+                    }),
+                }
             }
-        }
-        cells.clear();
-        offsets[0] = 0;
-        for (loc, bucket) in buckets.into_iter().enumerate() {
-            cells.extend(bucket);
             offsets[loc + 1] = cells.len() as u32;
+            lo = hi;
         }
     }
 

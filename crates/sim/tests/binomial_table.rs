@@ -103,6 +103,111 @@ fn degenerate_cells_short_circuit_identically() {
     assert_eq!(stats.evictions, 0);
 }
 
+/// The walk's zero boundary: the smallest `u` it does not map to 0
+/// (i.e. its first partial sum), found by bisecting over f64 bit
+/// patterns — or `None` when even `u = 0` maps above 0 (the
+/// `q^n`-underflow regime, anchored at `start > 0`).
+fn zero_boundary(n: u32, p: f64) -> Option<f64> {
+    if binomial_from_u01(0.0, n, p) != 0 {
+        return None;
+    }
+    // Invariant: walk(lo) == 0, walk(hi) != 0; positive f64s order like
+    // their bit patterns.
+    let (mut lo, mut hi) = (0.0f64.to_bits(), 1.0f64.to_bits());
+    if binomial_from_u01(f64::from_bits(hi - 1), n, p) == 0 {
+        return Some(1.0); // every u in [0, 1) maps to 0
+    }
+    hi -= 1;
+    while lo + 1 < hi {
+        let mid = lo + (hi - lo) / 2;
+        if binomial_from_u01(f64::from_bits(mid), n, p) == 0 {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    Some(f64::from_bits(hi))
+}
+
+#[test]
+fn zero_outcome_fast_path_equals_walk_at_its_boundary() {
+    // The fast path answers 0 from one comparison against the table's
+    // first partial sum. Probe exactly there — one ulp below, at, and
+    // one ulp above — plus both ends of [0, 1), first on a cold cache
+    // (miss path builds the table) and again warm (fast path armed).
+    let ps = [0.01, 0.09, 1e-9, 0.5, 1.0 - 1e-9];
+    let top = 1.0 - f64::EPSILON / 2.0; // 1 − 2⁻⁵³
+    for (slot, &p) in ps.iter().enumerate() {
+        let mut cache = TableCache::new(&ps, 1 << 20);
+        for n in 1..=64u32 {
+            let mut us = vec![0.0, top];
+            if let Some(cut) = zero_boundary(n, p).filter(|&c| c < 1.0) {
+                us.extend([
+                    f64::from_bits(cut.to_bits() - 1),
+                    cut,
+                    f64::from_bits(cut.to_bits() + 1),
+                ]);
+                assert_eq!(binomial_from_u01(us[2], n, p), 0);
+                assert_ne!(binomial_from_u01(cut, n, p), 0);
+            }
+            for pass in ["cold", "warm"] {
+                for &u in &us {
+                    assert_eq!(
+                        cache.draw_u01(slot, u, n),
+                        binomial_from_u01(u, n, p),
+                        "{pass}: n={n} p={p} u={u:e}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn tables_anchored_above_zero_never_take_the_fast_path() {
+    // q^n underflows: the walk starts at the lower 12σ edge and can
+    // never return 0, so neither may the cache — not even at u = 0 or
+    // at subnormal u, cold or warm.
+    let (n, p) = (5000u32, 0.5f64);
+    assert!(zero_boundary(n, p).is_none(), "test premise: start > 0");
+    let mut cache = TableCache::new(&[p], 1 << 20);
+    for pass in 0..2 {
+        for &u in &[0.0, f64::from_bits(1), f64::MIN_POSITIVE, 1e-300, 0.25, 0.5] {
+            let x = cache.draw_u01(0, u, n);
+            assert_eq!(x, binomial_from_u01(u, n, p), "pass {pass} u={u:e}");
+            assert!(x > 0, "pass {pass}: fast path fired at u={u:e}");
+        }
+    }
+    assert_eq!(cache.stats().misses, 1);
+}
+
+#[test]
+fn cache_counters_match_the_pre_fast_path_sampler() {
+    // The fast path must count exactly what the full lookup counted: a
+    // hit where the table exists, nothing where it does not. A budget
+    // this small flushes every few builds; a `zero_cut` entry surviving
+    // a flush would turn the next draw's miss into a hit. The pinned
+    // counters were produced by the sampler before the fast path
+    // existed, over this same sequence (runs of 8 draws per n, so hits
+    // and rebuilds interleave).
+    let ps = [0.01, 0.09];
+    let mut cache = TableCache::new(&ps, 160);
+    let key = class_cell_key(3, 1, class_hash([1, 1, 2, 3]));
+    for counter in 0..6_000u64 {
+        let slot = (counter % 2) as usize;
+        let n = 1 + (counter / 8 * 7 % 16) as u32;
+        assert_eq!(
+            cache.draw(slot, key, counter, n),
+            keyed_binomial(key, counter, n, ps[slot])
+        );
+    }
+    let s = cache.stats();
+    assert!(s.evictions > 0, "test premise: flushes must happen");
+    assert_eq!((s.hits, s.misses, s.evictions), PINNED_COUNTERS);
+}
+
+const PINNED_COUNTERS: (u64, u64, u64) = (4365, 1635, 1629);
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -16,9 +16,9 @@
 //!    outcome) or reports a typed error. There is no third outcome:
 //!    a corrupted file can delay recovery, never skew it.
 
-use bursty_obs::durable::{FailingStore, MemStore};
+use bursty_obs::durable::{crc64, FailingStore, MemStore, Store};
 use bursty_obs::{MemoryRecorder, NoopRecorder};
-use bursty_placement::{first_fit, Placement, QueueStrategy};
+use bursty_placement::{first_fit, BaseStrategy, Placement, QueueStrategy};
 use bursty_sim::{
     CheckpointConfig, CheckpointError, FaultConfig, QueuePolicy, RngLayout, SimConfig, SimOutcome,
     Simulator,
@@ -251,3 +251,86 @@ fn all_writes_torn_is_a_typed_error() {
         other => panic!("expected NoUsableCheckpoint, got {other}"),
     }
 }
+
+/// The migration-target index the engine keeps across steps is derived
+/// state: it is not in the snapshot, and a resumed run rebuilds it at its
+/// first target query. An RB-tight packing under the QUEUE policy keeps
+/// the controller migrating for dozens of steps, so the run is cut where
+/// load has already moved *and* more moves follow — the resumed index
+/// must be rebuilt from the moved loads and then kept current, at any
+/// thread count, to the same bits as a run that never stopped. The
+/// snapshot digests are the parent commit's: nothing new is persisted.
+#[test]
+fn kept_target_index_is_rebuilt_on_resume_and_never_persisted() {
+    let vms: Vec<VmSpec> = (0..60)
+        .map(|i| VmSpec::new(i, 0.01, 0.09, 8.0 + (i % 3) as f64 * 2.0, 10.0))
+        .collect();
+    let pms: Vec<PmSpec> = (0..20).map(|j| PmSpec::new(j, 100.0)).collect();
+    let placement = first_fit(&vms, &pms, &BaseStrategy).unwrap();
+    let policy = QueuePolicy::new(QueueStrategy::build(16, 0.01, 0.09, 0.01));
+    let cfg = config(120, 5, false, RngLayout::ClassAggregated, 1);
+    let sim = Simulator::new(&vms, &pms, &policy, cfg);
+
+    let baseline = sim.run(&placement);
+    let cut = 20usize;
+    let moved_before = baseline.migrations.iter().filter(|e| e.step < cut).count();
+    let moved_after = baseline.migrations.len() - moved_before;
+    assert!(
+        moved_before >= 1 && moved_after >= 1,
+        "cut must split the migrations: {moved_before} before, {moved_after} after"
+    );
+
+    let mut store = MemStore::new();
+    let run = sim.run_with_checkpoints(&placement, &knobs(cut, 8), &mut store, &mut NoopRecorder);
+    assert!(run.save_errors.is_empty());
+    assert_bit_identical(&baseline, &run.outcome, "hooked run");
+
+    // Snapshot bytes of this fixed run, digested at the parent commit.
+    let digests: Vec<(String, usize, u64)> = store
+        .list()
+        .unwrap()
+        .into_iter()
+        .map(|name| {
+            let bytes = store.read(&name).unwrap();
+            (name, bytes.len(), crc64(&bytes))
+        })
+        .collect();
+    assert_eq!(digests.len(), PINNED_SNAPSHOTS.len());
+    for ((name, len, crc), (want_name, want_len, want_crc)) in digests.iter().zip(PINNED_SNAPSHOTS)
+    {
+        assert_eq!(
+            (name.as_str(), *len, *crc),
+            (want_name, want_len, want_crc),
+            "snapshot encoding changed"
+        );
+    }
+
+    // Interrupt right after step `cut`: drop every later snapshot.
+    for name in store.list().unwrap() {
+        if name.as_str() > PINNED_SNAPSHOTS[0].0 {
+            store.remove(&name).unwrap();
+        }
+    }
+    for threads in [1usize, 4] {
+        let resumed_sim = Simulator::new(&vms, &pms, &policy, SimConfig { threads, ..cfg });
+        let (resumed, report) = resumed_sim
+            .resume_with_checkpoints(&knobs(cut, 8), store.clone(), &mut NoopRecorder)
+            .unwrap();
+        assert_eq!(report.step, cut);
+        assert_bit_identical(
+            &baseline,
+            &resumed.outcome,
+            &format!("resumed at {threads}t"),
+        );
+    }
+}
+
+/// `(file, length, crc64)` of every snapshot the fixed run above writes,
+/// computed at the commit before the target index outlived a step.
+const PINNED_SNAPSHOTS: [(&str, usize, u64); 5] = [
+    ("ckpt-000000000020", 4658, 12889544743104278725),
+    ("ckpt-000000000040", 5026, 11818450237139452717),
+    ("ckpt-000000000060", 5218, 7864350834240385214),
+    ("ckpt-000000000080", 5486, 8703983961231627676),
+    ("ckpt-000000000100", 5690, 13869767429761421025),
+];
