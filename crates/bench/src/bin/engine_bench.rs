@@ -382,17 +382,7 @@ fn main() {
     }
 
     // Paper-density rows (module docs): the same Table-I mix at d = 16.
-    let commit = commit.unwrap_or_else(|| {
-        std::process::Command::new("git")
-            .args(["describe", "--always", "--dirty"])
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .map_or_else(
-                || "unknown".to_string(),
-                |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
-            )
-    });
+    let commit = bursty_bench::commit_label(commit);
     let paper_rows: Vec<PaperRow> = paper_fleets
         .iter()
         .map(|&n| {
@@ -645,17 +635,10 @@ fn main() {
     if !paper_rows.is_empty() || paper_before.is_some() {
         // One row per line, each led by its commit: `--paper-before`
         // re-reads exactly these lines from an earlier file.
-        let mut lines: Vec<String> = Vec::new();
-        if let Some(path) = &paper_before {
-            let before = std::fs::read_to_string(path).expect("read --paper-before file");
-            lines.extend(
-                before
-                    .lines()
-                    .map(|l| l.trim().trim_end_matches(','))
-                    .filter(|l| l.starts_with("{\"commit\":"))
-                    .map(str::to_string),
-            );
-        }
+        let mut lines: Vec<String> = match &paper_before {
+            Some(path) => bursty_bench::rows_led_by_commit(path),
+            None => Vec::new(),
+        };
         for r in &paper_rows {
             lines.push(format!(
                 "{{\"commit\": \"{commit}\", \"available_parallelism\": {cores}, \

@@ -92,10 +92,10 @@ pub enum Counter {
     BinomialTableMisses,
     /// Memoized CDF tables dropped by cache generation flushes.
     BinomialTableEvictions,
-    /// Requests applied by the placement daemon's serialized apply loop
+    /// Requests the placement daemon served under its engine lock
     /// (every op kind, reads included).
     ServeRequests,
-    /// Requests rejected before reaching the apply loop (malformed HTTP,
+    /// Requests rejected before reaching the engine (malformed HTTP,
     /// bad JSON, invalid parameters, unknown routes).
     ServeBadRequests,
     /// Fleet snapshots written by the daemon.

@@ -33,6 +33,19 @@ impl Response {
     }
 }
 
+/// Renders a request as wire bytes, head and body in one buffer: on a
+/// `TCP_NODELAY` socket every write is a segment of its own, and a
+/// request split in two costs the server a second read.
+fn encode_request(method: &str, path: &str, body: &str) -> Vec<u8> {
+    let mut out = format!(
+        "{method} {path} HTTP/1.1\r\nHost: bursty\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    out.extend_from_slice(body.as_bytes());
+    out
+}
+
 impl Client {
     pub fn connect(addr: SocketAddr) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
@@ -79,15 +92,7 @@ impl Client {
         path: &str,
         body: Option<&str>,
     ) -> io::Result<Response> {
-        let body = body.unwrap_or("");
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: bursty\r\nContent-Length: {}\r\n\r\n",
-            body.len()
-        );
-        self.writer.write_all(head.as_bytes())?;
-        self.writer.write_all(body.as_bytes())?;
-        self.writer.flush()?;
-        self.read_response()
+        self.send_raw(&encode_request(method, path, body.unwrap_or("")))
     }
 
     /// Writes raw bytes and reads one response — for the malformed-input
@@ -152,5 +157,23 @@ impl Client {
         let mut body = vec![0u8; content_length];
         self.reader.read_exact(&mut body)?;
         Ok(Response { status, body })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn request_wire_format_is_exact() {
+        assert_eq!(
+            encode_request("POST", "/v1/depart", r#"{"id":7,"seq":3}"#),
+            b"POST /v1/depart HTTP/1.1\r\nHost: bursty\r\nContent-Length: 16\r\n\r\n{\"id\":7,\"seq\":3}"
+        );
+        // A body-less GET still declares its (zero) length.
+        assert_eq!(
+            encode_request("GET", "/healthz", ""),
+            b"GET /healthz HTTP/1.1\r\nHost: bursty\r\nContent-Length: 0\r\n\r\n"
+        );
     }
 }

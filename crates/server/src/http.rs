@@ -5,7 +5,7 @@
 //! `Content-Length` bodies up to a configured cap, and write fixed
 //! `Content-Length` responses with keep-alive. Anything outside that
 //! subset (chunked encoding, upgrades, multi-line headers) is rejected
-//! with a typed error *before* the request can reach the apply loop.
+//! with a typed error *before* the request can reach the engine.
 
 use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -312,9 +312,8 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Renders a complete fixed-length response as wire bytes — for replies
-/// that are produced in one thread (the apply loop) and written by
-/// another (whichever worker resumes the connection).
+/// Renders a complete fixed-length response as wire bytes: head and
+/// body in one buffer, so a response is one socket write.
 pub fn encode_response(status: u16, content_type: &str, body: &[u8], keep_alive: bool) -> Vec<u8> {
     let head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",

@@ -6,8 +6,9 @@
 //! stream of single and batched arrivals, departures, and periodic
 //! probability recalibrations. This crate turns the PR-8 engine into a
 //! service: a std-only HTTP/1.1 listener (the vendor tree has no
-//! axum/tokio/hyper), a worker pool that parses and validates, and one
-//! serialized apply loop that owns all state.
+//! axum/tokio/hyper) and a worker pool in which the thread that read a
+//! request parses, validates, applies it under the one engine lock that
+//! guards all state, and writes the reply.
 //!
 //! # The transport-equivalence contract
 //!

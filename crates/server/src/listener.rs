@@ -1,36 +1,43 @@
-//! The daemon runtime: accept loop, worker pool, serialized apply loop.
+//! The daemon runtime: accept loop, worker pool, engine behind one lock.
 //!
-//! Three kinds of threads, wired with channels:
+//! Two kinds of threads and one mutex:
 //!
 //! ```text
-//! accept loop ──Conn──▶ worker pool (N threads, shared channel)
-//!                       │  ▲ idle conns requeue; deferred replies resume
-//!                       │  └───────────────────────────────┐
-//!                       │ validated Action (+ conn for seq'd ops)
-//!                       ▼                                  │
-//!              apply loop (1 thread, owns ClusterState) ───┘
+//! accept loop ──Conn──▶ worker pool (N threads, shared queue)
+//!                       │  ▲ idle conns and released parked conns requeue
+//!                       │  └──────────────────────────────────┐
+//!                       │ lock · apply · unlock               │
+//!                       ▼                                     │
+//!            Mutex<Engine> { ClusterState, SeqWindow<Parked>, │
+//!                            snapshot Store }  ── parked Conn ┘
 //! ```
 //!
-//! Workers parse/validate and answer transport-level 4xx on their own;
-//! only validated ops cross into the apply loop, which is the sole
-//! owner of the engine. Given the same op sequence (fixed by client
-//! `seq` numbers when concurrency matters), the daemon's end state is
-//! therefore identical to replaying those ops on a bare `OnlineCluster`.
+//! The worker that read a request serves it to the end: it parses and
+//! validates (answering transport-level 4xx on its own), takes the
+//! engine lock, applies, releases the lock, then renders and writes the
+//! reply itself. Every mutation happens under that one lock, in seq
+//! order when clients stamp `seq` numbers, so the daemon's end state is
+//! identical to replaying the same ops on a bare `OnlineCluster`.
 //!
-//! Workers never block on the apply loop's reorder buffer: a seq'd
-//! mutation hands its *whole connection* to the apply loop, which
-//! renders the response when the op's turn comes and requeues the
-//! connection to the pool. Likewise, a connection with no request in
+//! **Invariant: no socket I/O and no channel wait while the engine lock
+//! is held.** The lock covers engine work only (the snapshot store
+//! write is engine work); replies are rendered and written after it is
+//! released, so a slow or dead client can stall nobody else.
+//!
+//! A seq'd op that arrives early parks its *whole connection* in the
+//! reorder window and its worker goes back to the queue. The worker
+//! whose op closes the gap applies the released run in seq order,
+//! unlocks, writes every reply to its own connection, keeps serving its
+//! own and requeues the rest. Likewise, a connection with no request in
 //! flight is requeued on a read-timeout tick instead of pinning a
 //! worker. Both rules exist for the same reason — connections may
 //! outnumber workers, and progress of the op stream must never depend
 //! on a specific connection holding a worker thread.
 
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -39,14 +46,14 @@ use bursty_workload::{PmSpec, VmSpec};
 use crossbeam::channel;
 
 use crate::error::ServeError;
-use crate::http::{encode_response, read_request, write_response, HttpError};
+use crate::http::{read_request, write_response, HttpError};
 use crate::json::Json;
 use crate::routes::{route, Action};
 use crate::state::{restore_newest, ClusterState, Op, RestoreReason, SeqWindow};
 
-/// Socket read timeout, worker poll interval, and apply-loop tick: the
-/// granularity at which idle connections requeue and the shutdown flag
-/// and pending-seq TTL are observed.
+/// Socket read timeout and worker poll interval: the granularity at
+/// which idle connections requeue and the shutdown flag and pending-seq
+/// TTL are observed.
 const TICK: Duration = Duration::from_millis(25);
 
 /// Everything the daemon needs to start.
@@ -105,7 +112,8 @@ impl ServerConfig {
     }
 }
 
-/// Transport-side tallies, merged into `/metrics` by the apply loop.
+/// Transport-side tallies, merged into `/metrics` by whichever worker
+/// renders the page.
 #[derive(Default)]
 struct TransportStats {
     bad_requests: AtomicU64,
@@ -122,7 +130,7 @@ pub struct RestoreReport {
 }
 
 /// One live connection: a buffered reader plus a writer clone of the
-/// same socket. Travels whole between workers and the apply loop so
+/// same socket. Travels whole between workers and the seq window so
 /// buffered (pipelined) bytes are never lost across a handoff.
 struct Conn {
     reader: BufReader<TcpStream>,
@@ -139,47 +147,99 @@ impl Conn {
     }
 }
 
-/// What flows through the worker-pool channel.
-enum WorkItem {
-    /// A connection ready for its next request (fresh, idle-requeued,
-    /// or resumed after a deferred reply).
-    Serve(Conn),
-    /// A deferred response the apply loop finished: write the
-    /// pre-rendered bytes, then keep serving the connection.
-    Resume {
-        conn: Conn,
-        response: Vec<u8>,
-        keep_alive: bool,
-    },
+/// A connection with a request in flight, and whether it stays open
+/// once that request is answered.
+struct Peer {
+    conn: Conn,
+    keep_alive: bool,
 }
 
-/// How the apply loop answers a mutation.
-enum Reply {
-    /// Synchronous reply; the worker waits. Only used for ops the
-    /// apply loop answers unconditionally (no seq — never buffered),
-    /// so the wait is bounded by the apply queue, not by other clients.
-    Channel(mpsc::Sender<Result<Json, ServeError>>),
-    /// The whole connection; the apply loop owns it until the op is
-    /// applied (or rejected/evicted), then requeues it via `Resume`.
-    Conn { conn: Conn, keep_alive: bool },
+/// A seq'd op waiting in the reorder window for its predecessors,
+/// with the connection that sent it (no thread waits with it) and the
+/// time it arrived.
+type Parked = (Op, Peer, Instant);
+
+/// A reply decided under the engine lock, to be written once the lock
+/// is released.
+type Due = (Peer, Result<Json, ServeError>);
+
+/// Everything a mutation touches, behind the one engine lock.
+struct Engine {
+    state: ClusterState,
+    window: SeqWindow<Parked>,
+    store: Option<Box<dyn Store + Send>>,
+    snapshot_keep: usize,
+    pending_ttl: Duration,
+    last_evict: Instant,
 }
 
-enum ApplyMsg {
-    Mutate {
-        op: Op,
-        seq: Option<u64>,
-        reply: Reply,
-    },
-    Digest {
-        reply: mpsc::Sender<Result<Json, ServeError>>,
-    },
-    Fleet {
-        reply: mpsc::Sender<Result<Json, ServeError>>,
-    },
-    Metrics {
-        transport_bad: u64,
-        reply: mpsc::Sender<Result<String, ServeError>>,
-    },
+impl Engine {
+    /// Applies one op; `next_seq` is what a snapshot op persists.
+    fn apply(&mut self, op: Op, next_seq: u64) -> Result<Json, ServeError> {
+        let store = self.store.as_mut().map(|b| &mut **b as &mut dyn Store);
+        self.state.apply(op, store, self.snapshot_keep, next_seq)
+    }
+
+    /// Offers a seq'd op together with its connection and returns the
+    /// replies now due, in seq order. Empty: the op buffered behind a
+    /// gap and its connection is parked in the window. Otherwise the
+    /// caller's own reply comes first — a window rejection, or the head
+    /// of the run its op released.
+    fn offer(&mut self, seq: u64, op: Op, peer: Peer) -> Vec<Due> {
+        if let Err(e) = self.window.check(seq) {
+            return vec![(peer, Err(e.to_serve_error()))];
+        }
+        // `check` just accepted this seq, so `offer` cannot refuse it.
+        let parked = (op, peer, Instant::now());
+        let ready = self.window.offer(seq, parked).unwrap_or_default();
+        // Each op persists *its own* seq + 1: a snapshot released
+        // mid-run must not claim later ops in the run as applied.
+        ready
+            .into_iter()
+            .map(|(op_seq, (op, peer, _))| (peer, self.apply(op, op_seq + 1)))
+            .collect()
+    }
+
+    /// Evicts buffered ops whose missing predecessors never arrived, at
+    /// most once per [`TICK`]: their clients get a retryable 503 and
+    /// their connections come back to the pool. `next` stays put, so
+    /// the stream stays consistent if the gap ever fills.
+    fn evict_stale(&mut self) -> Vec<Due> {
+        if self.last_evict.elapsed() < TICK || self.window.pending_len() == 0 {
+            return Vec::new();
+        }
+        let now = Instant::now();
+        self.last_evict = now;
+        let ttl = self.pending_ttl;
+        let stale = self
+            .window
+            .evict_where(|(_, _, since)| now.duration_since(*since) >= ttl);
+        let timed_out = |seq| {
+            ServeError::unavailable(
+                "seq_gap_timeout",
+                format!(
+                    "op at seq {seq} was not applied: earlier seqs did not arrive \
+                     within {}ms — safe to retry",
+                    ttl.as_millis()
+                ),
+            )
+        };
+        stale
+            .into_iter()
+            .map(|(seq, (_, peer, _))| (peer, Err(timed_out(seq))))
+            .collect()
+    }
+
+    /// The `/metrics` page: the state's own lines plus the seq window's.
+    fn metrics_text(&mut self, transport_bad: u64) -> String {
+        let mut text = self.state.metrics_text(transport_bad);
+        text.push_str(&format!(
+            "serve_seq_next {}\nserve_seq_pending {}\n",
+            self.window.next_seq(),
+            self.window.pending_len()
+        ));
+        text
+    }
 }
 
 /// A running daemon; dropping the handle does *not* stop it — call
@@ -189,7 +249,6 @@ pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
     accept_join: JoinHandle<()>,
     worker_joins: Vec<JoinHandle<()>>,
-    apply_join: JoinHandle<()>,
     restore_report: Option<RestoreReport>,
 }
 
@@ -220,15 +279,16 @@ impl ServerHandle {
 
     fn join_all(self) {
         let _ = self.accept_join.join();
+        // The last worker out drops the engine, and with it any
+        // connection still parked in the seq window.
         for w in self.worker_joins {
             let _ = w.join();
         }
-        let _ = self.apply_join.join();
     }
 }
 
 /// Builds the state (restoring if asked), warms the initial fleet,
-/// binds the listener, and spawns the thread trio.
+/// binds the listener, and starts the accept loop and worker pool.
 pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
     let ServerConfig {
         addr,
@@ -244,7 +304,7 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
         snapshot_keep,
         seq_window,
         pending_ttl,
-        mut store,
+        store,
         restore,
         initial,
     } = config;
@@ -277,7 +337,7 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
             }
         }
     }
-    let mut state = match state {
+    let state = match state {
         Some(s) => s,
         None => {
             let mut s = ClusterState::new(pms, d, p_on, p_off, rho, epsilon, journal_cap);
@@ -292,105 +352,28 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
             s
         }
     };
+    let engine = Arc::new(Mutex::new(Engine {
+        state,
+        window: SeqWindow::new(next_seq, seq_window),
+        store,
+        snapshot_keep,
+        pending_ttl,
+        last_evict: Instant::now(),
+    }));
 
     let listener = TcpListener::bind(&addr)?;
     let local_addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let stats = Arc::new(TransportStats::default());
+    let (work_tx, work_rx) = channel::unbounded::<Conn>();
 
-    let (work_tx, work_rx) = channel::unbounded::<WorkItem>();
-    let (apply_tx, apply_rx) = channel::unbounded::<ApplyMsg>();
-
-    // Apply loop: sole owner of the engine, applies ops in seq order.
-    // It never blocks on a worker or a socket — deferred replies go
-    // back through the work channel as pre-rendered `Resume` items.
-    let apply_work_tx = work_tx.clone();
-    let apply_join = std::thread::Builder::new()
-        .name("bursty-apply".to_string())
-        .spawn(move || {
-            let mut window: SeqWindow<(Op, Reply, Instant)> = SeqWindow::new(next_seq, seq_window);
-            let mut last_evict = Instant::now();
-            loop {
-                match apply_rx.recv_timeout(TICK) {
-                    Ok(ApplyMsg::Mutate { op, seq, reply }) => match seq {
-                        None => {
-                            let out = state.apply(
-                                op,
-                                store.as_mut().map(|b| &mut **b as &mut dyn Store),
-                                snapshot_keep,
-                                window.next_seq(),
-                            );
-                            respond(reply, out, &apply_work_tx);
-                        }
-                        Some(seq) => match window.check(seq) {
-                            Ok(()) => {
-                                let ready = window
-                                    .offer(seq, (op, reply, Instant::now()))
-                                    .expect("seq was just checked");
-                                for (op_seq, (op, reply, _)) in ready {
-                                    // Each op persists *its own* seq + 1:
-                                    // a snapshot released mid-run must not
-                                    // claim later ops in the run as applied.
-                                    let out = state.apply(
-                                        op,
-                                        store.as_mut().map(|b| &mut **b as &mut dyn Store),
-                                        snapshot_keep,
-                                        op_seq + 1,
-                                    );
-                                    respond(reply, out, &apply_work_tx);
-                                }
-                            }
-                            Err(e) => {
-                                respond(reply, Err(e.to_serve_error()), &apply_work_tx);
-                            }
-                        },
-                    },
-                    Ok(ApplyMsg::Digest { reply }) => {
-                        let _ = reply.send(Ok(state.read_counted(|s| s.digest_json())));
-                    }
-                    Ok(ApplyMsg::Fleet { reply }) => {
-                        let _ = reply.send(Ok(state.read_counted(|s| s.fleet_json())));
-                    }
-                    Ok(ApplyMsg::Metrics {
-                        transport_bad,
-                        reply,
-                    }) => {
-                        let _ = reply.send(Ok(state.metrics_text(transport_bad)));
-                    }
-                    Err(channel::RecvTimeoutError::Timeout) => {}
-                    Err(channel::RecvTimeoutError::Disconnected) => break,
-                }
-                // Evict buffered ops whose missing predecessors never
-                // arrived: their clients get a retryable 503 and their
-                // connections come back to the pool. `next` stays put,
-                // so the stream stays consistent if the gap ever fills.
-                if last_evict.elapsed() >= TICK && window.pending_len() > 0 {
-                    last_evict = Instant::now();
-                    let now = Instant::now();
-                    let stale = window
-                        .evict_where(|(_, _, since)| now.duration_since(*since) >= pending_ttl);
-                    for (seq, (_op, reply, _)) in stale {
-                        let e = ServeError::unavailable(
-                            "seq_gap_timeout",
-                            format!(
-                                "op at seq {seq} was not applied: earlier seqs did not arrive \
-                                 within {}ms — safe to retry",
-                                pending_ttl.as_millis()
-                            ),
-                        );
-                        respond(reply, Err(e), &apply_work_tx);
-                    }
-                }
-            }
-        })?;
-
-    // Worker pool: frame + validate requests, relay ops, write replies.
-    // Workers poll the shared channel with a timeout so the shutdown
+    // Worker pool: each worker serves a connection's requests end to
+    // end. Workers poll the shared queue with a timeout so the shutdown
     // flag is observed even while connections sit idle.
     let mut worker_joins = Vec::with_capacity(workers.max(1));
     for i in 0..workers.max(1) {
         let ctx = WorkerCtx {
-            apply_tx: apply_tx.clone(),
+            engine: Arc::clone(&engine),
             work_tx: work_tx.clone(),
             shutdown: Arc::clone(&shutdown),
             stats: Arc::clone(&stats),
@@ -403,33 +386,20 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
                 .name(format!("bursty-worker-{i}"))
                 .spawn(move || loop {
                     match work_rx.recv_timeout(TICK) {
-                        Ok(WorkItem::Serve(conn)) => serve_conn(conn, &ctx),
-                        Ok(WorkItem::Resume {
-                            mut conn,
-                            response,
-                            keep_alive,
-                        }) => {
-                            let written = conn
-                                .writer
-                                .write_all(&response)
-                                .and_then(|_| conn.writer.flush())
-                                .is_ok();
-                            if written && keep_alive {
-                                serve_conn(conn, &ctx);
-                            }
-                        }
+                        Ok(conn) => serve_conn(conn, &ctx),
                         Err(channel::RecvTimeoutError::Timeout) => {
                             if ctx.shutdown.load(Ordering::SeqCst) {
                                 break;
                             }
+                            ctx.evict_stale();
                         }
                         Err(channel::RecvTimeoutError::Disconnected) => break,
                     }
                 })?,
         );
     }
-    drop(apply_tx);
     drop(work_rx);
+    drop(engine);
 
     // Accept loop: owns the listener and the original work sender.
     let accept_shutdown = Arc::clone(&shutdown);
@@ -453,17 +423,13 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
                             Ok(c) => c,
                             Err(_) => continue,
                         };
-                        if work_tx.send(WorkItem::Serve(conn)).is_err() {
+                        if work_tx.send(conn).is_err() {
                             break;
                         }
                     }
                     Err(_) => continue,
                 }
             }
-            // Shutdown cascade: workers exit on the flag (their channel
-            // stays connected — the apply loop holds a work sender),
-            // which drops the last apply senders, which stops the apply
-            // loop and releases any parked connections.
         })?;
 
     Ok(ServerHandle {
@@ -471,46 +437,90 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
         shutdown,
         accept_join,
         worker_joins,
-        apply_join,
         restore_report,
     })
 }
 
-/// Delivers a mutation outcome: down the worker's channel, or — for a
-/// connection the apply loop owns — rendered to wire bytes and sent
-/// back to the pool as a `Resume` item.
-fn respond(reply: Reply, out: Result<Json, ServeError>, work_tx: &channel::Sender<WorkItem>) {
-    match reply {
-        Reply::Channel(tx) => {
-            let _ = tx.send(out);
-        }
-        Reply::Conn { conn, keep_alive } => {
-            let (status, body) = match &out {
-                Ok(json) => (200, json.encode()),
-                Err(e) => (e.status, e.to_json()),
-            };
-            let response = encode_response(status, "application/json", body.as_bytes(), keep_alive);
-            let _ = work_tx.send(WorkItem::Resume {
-                conn,
-                response,
-                keep_alive,
-            });
-        }
-    }
-}
-
 /// Everything a worker needs to serve connections.
 struct WorkerCtx {
-    apply_tx: channel::Sender<ApplyMsg>,
-    work_tx: channel::Sender<WorkItem>,
+    engine: Arc<Mutex<Engine>>,
+    work_tx: channel::Sender<Conn>,
     shutdown: Arc<AtomicBool>,
     stats: Arc<TransportStats>,
     poke_addr: SocketAddr,
     max_body: usize,
 }
 
+impl WorkerCtx {
+    /// Runs `f` under the engine lock and releases it before returning:
+    /// `f` gets the engine and nothing to do I/O with. A poisoned lock —
+    /// a request panicked inside the engine — is a typed 500, not a
+    /// second panic.
+    fn with_engine<T>(&self, f: impl FnOnce(&mut Engine) -> T) -> Result<T, ServeError> {
+        match self.engine.lock() {
+            Ok(mut engine) => Ok(f(&mut engine)),
+            Err(_) => Err(engine_poisoned()),
+        }
+    }
+
+    /// Writes replies to connections this worker is not serving and
+    /// gives the ones that stay open back to the pool.
+    fn deliver(&self, due: impl IntoIterator<Item = Due>) {
+        for (mut peer, out) in due {
+            if answer(&mut peer.conn, out, peer.keep_alive) {
+                let _ = self.work_tx.send(peer.conn);
+            }
+        }
+    }
+
+    /// The pending-seq TTL backstop, run from the workers' idle ticks.
+    /// `try_lock`: if the engine is busy, some other tick will do it.
+    fn evict_stale(&self) {
+        let stale = match self.engine.try_lock() {
+            Ok(mut engine) => engine.evict_stale(),
+            Err(_) => return,
+        };
+        self.deliver(stale);
+    }
+}
+
+fn engine_poisoned() -> ServeError {
+    ServeError::internal("engine unavailable: an earlier request panicked while holding its lock")
+}
+
+const JSON: &str = "application/json";
+
+/// Writes one response; returns whether the connection can carry
+/// another request.
+fn send(conn: &mut Conn, status: u16, content_type: &str, body: &[u8], keep_alive: bool) -> bool {
+    write_response(&mut conn.writer, status, content_type, body, keep_alive).is_ok() && keep_alive
+}
+
+/// [`send`] for a JSON outcome.
+fn answer(conn: &mut Conn, out: Result<Json, ServeError>, keep_alive: bool) -> bool {
+    let (status, body) = match out {
+        Ok(json) => (200, json.encode()),
+        Err(e) => (e.status, e.to_json()),
+    };
+    send(conn, status, JSON, body.as_bytes(), keep_alive)
+}
+
+/// [`answer`] for an outcome computed under the engine lock (released
+/// before the write); a poisoned lock answers 500 and closes.
+fn answer_locked(
+    conn: &mut Conn,
+    ctx: &WorkerCtx,
+    keep_alive: bool,
+    f: impl FnOnce(&mut Engine) -> Result<Json, ServeError>,
+) -> bool {
+    match ctx.with_engine(f) {
+        Ok(out) => answer(conn, out, keep_alive),
+        Err(poisoned) => answer(conn, Err(poisoned), false),
+    }
+}
+
 /// Serves one connection until it closes, errors, goes idle (requeued),
-/// or hands itself to the apply loop with a seq'd op.
+/// or parks itself in the seq window behind a missing predecessor.
 fn serve_conn(mut conn: Conn, ctx: &WorkerCtx) {
     loop {
         let req = match read_request(&mut conn.reader, ctx.max_body, &ctx.shutdown) {
@@ -519,8 +529,9 @@ fn serve_conn(mut conn: Conn, ctx: &WorkerCtx) {
                 // No request in flight: give the connection back so this
                 // worker can serve others (and drop it at shutdown).
                 if !ctx.shutdown.load(Ordering::SeqCst) {
-                    let _ = ctx.work_tx.send(WorkItem::Serve(conn));
+                    let _ = ctx.work_tx.send(conn);
                 }
+                ctx.evict_stale();
                 return;
             }
             Err(HttpError::Closed) | Err(HttpError::Io(_)) => return,
@@ -529,168 +540,80 @@ fn serve_conn(mut conn: Conn, ctx: &WorkerCtx) {
                 // position is unreliable past a malformed request.
                 ctx.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
                 if let Some(status) = e.status() {
-                    let body = ServeError {
+                    let e = ServeError {
                         status,
                         code: e.code(),
                         message: e.to_string(),
-                    }
-                    .to_json();
-                    let _ = write_response(
-                        &mut conn.writer,
-                        status,
-                        "application/json",
-                        body.as_bytes(),
-                        false,
-                    );
+                    };
+                    answer(&mut conn, Err(e), false);
                 }
                 return;
             }
         };
         let keep_alive = req.keep_alive;
-        match route(&req) {
+        let open = match route(&req) {
             Err(e) => {
                 ctx.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-                let _ = write_response(
-                    &mut conn.writer,
-                    e.status,
-                    "application/json",
-                    e.to_json().as_bytes(),
-                    keep_alive,
-                );
-                if !keep_alive {
-                    return;
-                }
+                answer(&mut conn, Err(e), keep_alive)
             }
-            Ok(Action::Health) => {
-                let _ = write_response(
-                    &mut conn.writer,
-                    200,
-                    "application/json",
-                    b"{\"status\":\"ok\"}",
-                    keep_alive,
-                );
-                if !keep_alive {
-                    return;
-                }
-            }
+            Ok(Action::Health) => send(&mut conn, 200, JSON, b"{\"status\":\"ok\"}", keep_alive),
             Ok(Action::Shutdown) => {
                 ctx.shutdown.store(true, Ordering::SeqCst);
-                let _ = write_response(
-                    &mut conn.writer,
-                    200,
-                    "application/json",
-                    b"{\"status\":\"stopping\"}",
-                    false,
-                );
+                send(&mut conn, 200, JSON, b"{\"status\":\"stopping\"}", false);
                 // Unblock the accept loop so it observes the flag.
                 let _ = TcpStream::connect(ctx.poke_addr);
-                return;
+                false
             }
             Ok(Action::Metrics) => {
-                let (tx, rx) = mpsc::channel();
-                let sent = ctx
-                    .apply_tx
-                    .send(ApplyMsg::Metrics {
-                        transport_bad: ctx.stats.bad_requests.load(Ordering::Relaxed),
-                        reply: tx,
-                    })
-                    .is_ok();
-                let out = if sent { rx.recv().ok() } else { None };
-                match out {
-                    Some(Ok(text)) => {
-                        let _ = write_response(
-                            &mut conn.writer,
-                            200,
-                            "text/plain; charset=utf-8",
-                            text.as_bytes(),
-                            keep_alive,
-                        );
+                let bad = ctx.stats.bad_requests.load(Ordering::Relaxed);
+                match ctx.with_engine(|engine| engine.metrics_text(bad)) {
+                    Ok(text) => {
+                        let plain = "text/plain; charset=utf-8";
+                        send(&mut conn, 200, plain, text.as_bytes(), keep_alive)
                     }
-                    _ => {
-                        let e = ServeError::internal("apply loop unavailable");
-                        let _ = write_response(
-                            &mut conn.writer,
-                            e.status,
-                            "application/json",
-                            e.to_json().as_bytes(),
-                            false,
-                        );
-                        return;
-                    }
+                    Err(poisoned) => answer(&mut conn, Err(poisoned), false),
                 }
-                if !keep_alive {
-                    return;
-                }
+            }
+            Ok(Action::Digest) => answer_locked(&mut conn, ctx, keep_alive, |engine| {
+                Ok(engine.state.read_counted(ClusterState::digest_json))
+            }),
+            Ok(Action::Fleet) => answer_locked(&mut conn, ctx, keep_alive, |engine| {
+                Ok(engine.state.read_counted(ClusterState::fleet_json))
+            }),
+            Ok(Action::Apply { op, seq: None }) => {
+                answer_locked(&mut conn, ctx, keep_alive, |engine| {
+                    let next_seq = engine.window.next_seq();
+                    engine.apply(op, next_seq)
+                })
             }
             Ok(Action::Apply { op, seq: Some(seq) }) => {
-                // Hand the whole connection over: the op may buffer
-                // behind a missing seq, and that seq's connection needs
-                // a free worker to make progress — so this worker must
-                // not wait. The apply loop resumes the connection with
-                // the rendered reply (or a 503 eviction) later.
-                let _ = ctx.apply_tx.send(ApplyMsg::Mutate {
-                    op,
-                    seq: Some(seq),
-                    reply: Reply::Conn { conn, keep_alive },
-                });
-                return;
-            }
-            Ok(action) => {
-                // Reads and unseq'd mutations are answered by the apply
-                // loop unconditionally (never buffered), so a bounded
-                // synchronous wait here cannot wedge the pool.
-                let (tx, rx) = mpsc::channel();
-                let msg = match action {
-                    Action::Apply { op, seq: None } => ApplyMsg::Mutate {
-                        op,
-                        seq: None,
-                        reply: Reply::Channel(tx),
-                    },
-                    Action::Digest => ApplyMsg::Digest { reply: tx },
-                    Action::Fleet => ApplyMsg::Fleet { reply: tx },
-                    // Health/Shutdown/Metrics/seq'd Apply handled above.
-                    _ => unreachable!(),
+                // The connection goes into the window with its op: the
+                // op may buffer behind a missing seq, and that seq's
+                // connection needs a free worker to make progress — so
+                // this worker must not wait for it.
+                let due = match ctx.engine.lock() {
+                    Ok(mut engine) => engine.offer(seq, op, Peer { conn, keep_alive }),
+                    Err(_) => {
+                        let close = Peer {
+                            conn,
+                            keep_alive: false,
+                        };
+                        vec![(close, Err(engine_poisoned()))]
+                    }
                 };
-                let out = if ctx.apply_tx.send(msg).is_ok() {
-                    rx.recv().ok()
-                } else {
-                    None
-                };
-                match out {
-                    Some(Ok(json)) => {
-                        let _ = write_response(
-                            &mut conn.writer,
-                            200,
-                            "application/json",
-                            json.encode().as_bytes(),
-                            keep_alive,
-                        );
-                    }
-                    Some(Err(e)) => {
-                        let _ = write_response(
-                            &mut conn.writer,
-                            e.status,
-                            "application/json",
-                            e.to_json().as_bytes(),
-                            keep_alive,
-                        );
-                    }
-                    None => {
-                        let e = ServeError::internal("apply loop unavailable");
-                        let _ = write_response(
-                            &mut conn.writer,
-                            e.status,
-                            "application/json",
-                            e.to_json().as_bytes(),
-                            false,
-                        );
-                        return;
-                    }
-                }
-                if !keep_alive {
-                    return;
-                }
+                let mut due = due.into_iter();
+                // Lock released. Nothing due: parked, back to the queue.
+                let Some((own, out)) = due.next() else { return };
+                conn = own.conn;
+                let open = answer(&mut conn, out, own.keep_alive);
+                // The rest of a released run belongs to other
+                // connections; whoever is free reads their next request.
+                ctx.deliver(due);
+                open
             }
+        };
+        if !open {
+            return;
         }
     }
 }

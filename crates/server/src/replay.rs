@@ -1,11 +1,11 @@
 //! Seeded churn programs and the two ways to run them: engine-direct
 //! (the oracle) and over HTTP with N concurrent seq-ordered clients.
 //!
-//! The transport-equivalence contract — the whole point of the daemon's
-//! serialized apply loop — is that both runs land on the same
-//! [`StateDigest`]. The integration suite, `serve_bench`, the
-//! `serve-replay` CLI, and the CI smoke job all go through this module
-//! so they are comparing literally the same op stream.
+//! The transport-equivalence contract — the whole point of applying
+//! every op under the daemon's one engine lock — is that both runs land
+//! on the same [`StateDigest`]. The integration suite, `serve_bench`,
+//! the `serve-replay` CLI, and the CI smoke job all go through this
+//! module so they are comparing literally the same op stream.
 
 use std::net::SocketAddr;
 
@@ -212,7 +212,7 @@ pub struct HttpReplayOutcome {
 /// Drives `ops` through the daemon over `clients` concurrent
 /// connections. Op `i` carries seq `seq_base + i` and goes to client
 /// `i % clients`; each client sends its share in ascending-seq order,
-/// which the apply loop's reorder window serializes back into program
+/// which the daemon's reorder window serializes back into program
 /// order. Returns the daemon's end-state digest (read after every
 /// client joined).
 pub fn drive_http(

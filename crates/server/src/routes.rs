@@ -2,8 +2,8 @@
 //!
 //! Everything that can be checked without state access happens here, in
 //! the worker thread: JSON shape, VM parameter ranges, seq extraction.
-//! A request that fails validation is answered 4xx and *never* enters
-//! the apply loop — the malformed-input matrix pins that by digest.
+//! A request that fails validation is answered 4xx and *never* takes
+//! the engine lock — the malformed-input matrix pins that by digest.
 
 use bursty_workload::VmSpec;
 
@@ -15,13 +15,13 @@ use crate::state::Op;
 /// What a framed, validated request asks the daemon to do.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Action {
-    /// A state mutation for the apply loop, optionally ordered by `seq`.
+    /// A state mutation, optionally ordered by `seq`.
     Apply { op: Op, seq: Option<u64> },
-    /// Point-in-time digest read (served by the apply loop).
+    /// Point-in-time digest read (under the engine lock).
     Digest,
-    /// Fleet summary read (served by the apply loop).
+    /// Fleet summary read (under the engine lock).
     Fleet,
-    /// `/metrics` text view (served by the apply loop).
+    /// `/metrics` text view (under the engine lock).
     Metrics,
     /// Liveness probe; answered by the worker, no state access.
     Health,

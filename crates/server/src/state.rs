@@ -1,10 +1,10 @@
 //! The daemon's single source of truth: a live [`OnlineCluster`] plus a
 //! [`MemoryRecorder`], mutated only through [`ClusterState::apply`].
 //!
-//! The transport never touches the engine directly — workers hand
-//! validated [`Op`]s to one apply loop, which calls into this module.
-//! That serialization is what makes the daemon a *deterministic function
-//! of its op sequence*: replaying the same ops through a bare
+//! The transport never touches the engine directly — workers call into
+//! this module with validated [`Op`]s, one at a time under the
+//! listener's engine lock. That serialization is what makes the daemon
+//! a *deterministic function of its op sequence*: replaying the same ops through a bare
 //! `OnlineCluster` must land on the same [`StateDigest`], which the
 //! transport-equivalence suite pins.
 //!
@@ -264,7 +264,7 @@ impl ClusterState {
     /// The `/metrics` text view: one `name value` line per counter and
     /// gauge, plus count/p50/p99 per histogram. `transport_bad` is the
     /// transport-side reject count — those requests never reach the
-    /// apply loop, so the listener tracks them in an atomic and the
+    /// engine, so the listener tracks them in an atomic and the
     /// recorder's own `serve_bad_requests` cell stays at zero.
     pub fn metrics_text(&mut self, transport_bad: u64) -> String {
         self.recorder.counter_inc(Counter::ServeRequests);
@@ -426,10 +426,11 @@ fn decode_snapshot(bytes: &[u8]) -> Result<(ClusterState, u64), FrameError> {
 
 /// Reorder buffer for client-supplied `seq` numbers.
 ///
-/// The apply loop applies seq'd ops in strictly increasing seq order; an
+/// The daemon applies seq'd ops in strictly increasing seq order; an
 /// op arriving early waits here, *without holding a worker thread* —
-/// the listener parks the whole connection with the buffered op and the
-/// apply loop resumes it when the op's turn comes. Liveness therefore
+/// the listener parks the whole connection with the buffered op, and
+/// the worker whose op closes the gap answers it when its turn comes.
+/// Liveness therefore
 /// needs only that each client sends its assigned seqs in ascending
 /// order: the connection carrying the globally smallest unapplied seq
 /// is always free to be picked up by any worker, so its arrival always
