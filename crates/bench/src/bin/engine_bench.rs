@@ -9,8 +9,8 @@
 //! ```text
 //! engine-bench [--steps S] [--fleets N1,N2,...] [--repeats R]
 //!              [--mapcal-d D] [--out PATH] [--obs-gate PCT]
-//!              [--paper-fleets N1,N2,...] [--paper-before PATH]
-//!              [--commit LABEL]
+//!              [--paper-fleets N1,N2,...] [--sweep-steps S]
+//!              [--before PATH] [--commit LABEL]
 //! ```
 //!
 //! Defaults: 200 steps, fleet of 800 VMs, 3 repeats (best kept),
@@ -32,11 +32,23 @@
 //! under the QUEUE policy with migrations on for [`PAPER_STEPS`] steps.
 //! Unlike the dense class rows above them these report min/median/max
 //! over at least five repeats, take their rates from the median, and
-//! exit nonzero if any two repeats disagree on the migration count. Rows
-//! carry the commit they were measured at (`--commit`, default `git
-//! describe --always --dirty`); `--paper-before PATH` copies the rows of
-//! an earlier output file in front of this run's, which is how the
-//! checked-in file carries a before/after pair.
+//! exit nonzero if any two repeats disagree on the migration count.
+//!
+//! The `shared_flip_sweep` rows time the shared layout where its cost
+//! depends on the input: [`SWEEP_VMS`] VMs, four to a PM on a quarter of
+//! the pool, [`SWEEP_POINTS`] from the paper's bursty regime up to a coin
+//! flip per step, `--sweep-steps` steps each (default 20 000; 0 skips the
+//! group). A shared step is `n` draws plus work in proportion to the VMs
+//! that flipped and the PMs hosting them, so each row carries both counts
+//! beside its min/median/max. The binary exits nonzero if two repeats of
+//! a point disagree on the outcome digest.
+//!
+//! Engine, paper-density and sweep rows carry the commit they were
+//! measured at (`--commit`, default `git describe --always --dirty`).
+//! `--before PATH` copies an earlier output file's shared-layout engine
+//! rows, paper-density rows and sweep rows in front of this run's, which
+//! is how the checked-in file carries before/after pairs: this source
+//! builds against the parent commit too (it uses the public API only).
 
 use bursty_core::prelude::*;
 use bursty_core::sim::bench_api::{class_occupancy, ClassCoreBench};
@@ -72,6 +84,31 @@ struct PaperRow {
     kernel_secs: f64,
 }
 
+/// One `shared_flip_sweep` measurement (see the module docs).
+struct SweepRow {
+    p_on: f64,
+    p_off: f64,
+    repeats: usize,
+    secs_min: f64,
+    secs_median: f64,
+    secs_max: f64,
+    flips_per_step: f64,
+    dirty_pms_per_step: f64,
+    /// `(migrations, energy bits, violation steps)`, equal across repeats.
+    digest: (usize, u64, usize),
+}
+
+/// Fleet of the flip sweep: `plan_traces`' size and host density.
+const SWEEP_VMS: usize = 4000;
+const SWEEP_VMS_PER_PM: usize = 4;
+
+/// `(p_on, p_off)` of the sweep: Table I, the top of EXPERIMENTS.md's
+/// range, and two points far outside the bursty regime.
+const SWEEP_POINTS: [(f64, f64); 4] = [(0.01, 0.09), (0.05, 0.09), (0.2, 0.2), (0.5, 0.5)];
+
+/// The sweep never reports fewer repeats than this.
+const SWEEP_MIN_REPEATS: usize = 5;
+
 /// Horizon of the paper-density rows: `plan_classheavy`'s, so the row
 /// and the system benchmark describe the same run.
 const PAPER_STEPS: usize = 200;
@@ -89,7 +126,8 @@ struct Args {
     obs_gate: Option<f64>,
     class_gate: Option<f64>,
     paper_fleets: Vec<usize>,
-    paper_before: Option<String>,
+    sweep_steps: usize,
+    before: Option<String>,
     commit: Option<String>,
 }
 
@@ -111,7 +149,8 @@ fn parse_args() -> Args {
     let mut obs_gate: Option<f64> = None;
     let mut class_gate: Option<f64> = None;
     let mut paper_fleets: Vec<usize> = Vec::new();
-    let mut paper_before: Option<String> = None;
+    let mut sweep_steps = 20_000usize;
+    let mut before: Option<String> = None;
     let mut commit: Option<String> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -130,7 +169,8 @@ fn parse_args() -> Args {
             "--obs-gate" => obs_gate = Some(value.parse().expect("--obs-gate")),
             "--class-gate" => class_gate = Some(value.parse().expect("--class-gate")),
             "--paper-fleets" => paper_fleets = parse_sizes(value, "--paper-fleets"),
-            "--paper-before" => paper_before = Some(value.clone()),
+            "--sweep-steps" => sweep_steps = value.parse().expect("--sweep-steps"),
+            "--before" => before = Some(value.clone()),
             "--commit" => commit = Some(value.clone()),
             other => {
                 eprintln!("unknown flag {other}");
@@ -149,7 +189,8 @@ fn parse_args() -> Args {
         obs_gate,
         class_gate,
         paper_fleets,
-        paper_before,
+        sweep_steps,
+        before,
         commit,
     }
 }
@@ -162,6 +203,12 @@ fn best_secs<R>(repeats: usize, mut f: impl FnMut() -> R) -> f64 {
         best = best.min(start.elapsed().as_secs_f64());
     }
     best
+}
+
+/// `(min, median, max)` of a row's repeat timings.
+fn min_median_max(mut secs: Vec<f64>) -> (f64, f64, f64) {
+    secs.sort_by(f64::total_cmp);
+    (secs[0], secs[secs.len() / 2], secs[secs.len() - 1])
 }
 
 /// One paper-density row at fleet size `n`; exits nonzero when two
@@ -197,7 +244,7 @@ fn paper_row(n: usize, repeats: usize) -> PaperRow {
         eprintln!("FAIL: paper-density n={n}: repeats disagree on migrations: {migrations:?}");
         std::process::exit(1);
     }
-    secs.sort_by(f64::total_cmp);
+    let (secs_min, secs_median, secs_max) = min_median_max(secs);
     // The cell kernel alone over the same placement and horizon: what is
     // left of the run is controller, bookkeeping and set-up.
     let mut kernel = ClassCoreBench::new(&vms, pms.len(), &placement.assignment, 1, 1, true);
@@ -214,11 +261,88 @@ fn paper_row(n: usize, repeats: usize) -> PaperRow {
         pms_used: placement.pms_used(),
         migrations: migrations[0],
         repeats,
-        secs_min: secs[0],
-        secs_median: secs[secs.len() / 2],
-        secs_max: secs[secs.len() - 1],
+        secs_min,
+        secs_median,
+        secs_max,
         active_pm_steps,
         kernel_secs,
+    }
+}
+
+/// One flip-sweep row at `(p_on, p_off)`; exits nonzero when two
+/// repeats of the same seeded run disagree on the outcome digest.
+fn sweep_row(p_on: f64, p_off: f64, steps: usize, repeats: usize) -> SweepRow {
+    let n = SWEEP_VMS;
+    // Demand 10 OFF, 20 ON on capacity 75: a PM violates only with all
+    // four tenants ON, so the violation count moves with the point.
+    let vms: Vec<VmSpec> = (0..n)
+        .map(|i| VmSpec::new(i, p_on, p_off, 10.0, 10.0))
+        .collect();
+    let pms: Vec<PmSpec> = (0..n).map(|j| PmSpec::new(j, 75.0)).collect();
+    let placement = Placement {
+        assignment: (0..n).map(|i| Some(i / SWEEP_VMS_PER_PM)).collect(),
+        n_pms: n,
+    };
+    let consolidator = Consolidator::new(Scheme::Queue);
+    // Migrations off, as in `plan_traces`: the placement stays put, so
+    // the flip and dirty-PM counts below describe every step of the run.
+    let cfg = SimConfig {
+        steps,
+        seed: 1,
+        migrations_enabled: false,
+        rng_layout: RngLayout::Shared,
+        ..Default::default()
+    };
+    let repeats = repeats.max(SWEEP_MIN_REPEATS);
+    let mut secs: Vec<f64> = Vec::with_capacity(repeats);
+    let mut digests: Vec<(usize, u64, usize)> = Vec::with_capacity(repeats);
+    for _ in 0..repeats {
+        let start = Instant::now();
+        let out = consolidator.simulate(&vms, &pms, &placement, cfg);
+        secs.push(start.elapsed().as_secs_f64());
+        digests.push((
+            out.total_migrations(),
+            out.energy_joules.to_bits(),
+            out.total_violation_steps,
+        ));
+    }
+    if digests.iter().any(|d| *d != digests[0]) {
+        eprintln!(
+            "FAIL: flip sweep ({p_on}, {p_off}): repeats disagree on the digest: {digests:?}"
+        );
+        std::process::exit(1);
+    }
+    let (secs_min, secs_median, secs_max) = min_median_max(secs);
+    // The same chains off the same stream (the shared layout draws once
+    // per VM per step, in VM order), counted: VMs that switched state,
+    // and distinct PMs hosting one.
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut on = vec![false; n];
+    let mut last_dirty = vec![usize::MAX; n / SWEEP_VMS_PER_PM];
+    let (mut flips, mut dirty_pms) = (0usize, 0usize);
+    for step in 0..steps {
+        for (i, state) in on.iter_mut().enumerate() {
+            if rng.gen::<f64>() < if *state { p_off } else { p_on } {
+                *state = !*state;
+                flips += 1;
+                let pm = &mut last_dirty[i / SWEEP_VMS_PER_PM];
+                if *pm != step {
+                    *pm = step;
+                    dirty_pms += 1;
+                }
+            }
+        }
+    }
+    SweepRow {
+        p_on,
+        p_off,
+        repeats,
+        secs_min,
+        secs_median,
+        secs_max,
+        flips_per_step: flips as f64 / steps as f64,
+        dirty_pms_per_step: dirty_pms as f64 / steps as f64,
+        digest: digests[0],
     }
 }
 
@@ -233,7 +357,8 @@ fn main() {
         obs_gate,
         class_gate,
         paper_fleets,
-        paper_before,
+        sweep_steps,
+        before,
         commit,
     } = parse_args();
     let class_fleets = class_fleets.unwrap_or_else(|| fleets.clone());
@@ -402,6 +527,28 @@ fn main() {
             r
         })
         .collect();
+
+    let sweep_rows: Vec<SweepRow> = if sweep_steps == 0 {
+        Vec::new()
+    } else {
+        SWEEP_POINTS
+            .iter()
+            .map(|&(p_on, p_off)| {
+                let r = sweep_row(p_on, p_off, sweep_steps, repeats);
+                eprintln!(
+                    "  flip sweep ({p_on}, {p_off}): {:.4}/{:.4}/{:.4}s min/median/max \
+                     ({:.3e} vm·steps/s), {:.1} flips and {:.1} dirty PMs per step",
+                    r.secs_min,
+                    r.secs_median,
+                    r.secs_max,
+                    (sweep_steps * SWEEP_VMS) as f64 / r.secs_median,
+                    r.flips_per_step,
+                    r.dirty_pms_per_step
+                );
+                r
+            })
+            .collect()
+    };
 
     // Raw cell-kernel microbenchmark: the class-aggregated evolution
     // pass alone — controller, policies and demand bookkeeping stripped
@@ -575,25 +722,45 @@ fn main() {
         json,
         "  \"config\": {{\"steps\": {steps}, \"repeats\": {repeats}, \"seed\": 1}},"
     );
-    json.push_str("  \"engine\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"n\": {}, \"layout\": \"{}\", \"threads\": {}, \"secs\": {:.6}, \
-             \"steps_per_sec\": {:.1}, \"vm_steps_per_sec\": {:.1}",
+    // Rows of an earlier file that go in front of this run's, per
+    // section. One row per line, each led by its commit: `--before`
+    // re-reads exactly these lines.
+    let before_rows = |section: &str| match &before {
+        Some(path) => bursty_bench::section_rows_led_by_commit(path, section),
+        None => Vec::new(),
+    };
+    let push_section = |json: &mut String, section: &str, lines: &[String]| {
+        let _ = writeln!(json, "  \"{section}\": [");
+        for (i, line) in lines.iter().enumerate() {
+            let _ = writeln!(
+                json,
+                "    {line}{}",
+                if i + 1 < lines.len() { "," } else { "" }
+            );
+        }
+        json.push_str("  ],\n");
+    };
+    // Of the earlier engine rows only the shared-layout ones are kept:
+    // the before/after pair of the layout every other row is a ratio of.
+    let mut lines = before_rows("engine");
+    lines.retain(|l| l.contains("\"layout\": \"shared"));
+    for r in &rows {
+        let mut line = format!(
+            "{{\"commit\": \"{commit}\", \"n\": {}, \"layout\": \"{}\", \"threads\": {}, \
+             \"secs\": {:.6}, \"steps_per_sec\": {:.1}, \"vm_steps_per_sec\": {:.1}",
             r.n, r.layout, r.threads, r.secs, r.steps_per_sec, r.vm_steps_per_sec
         );
         if let Some((cells, cells_per_step, mean_n)) = r.occupancy {
             let _ = write!(
-                json,
+                line,
                 ", \"occupied_cells\": {cells}, \"cells_per_step\": {cells_per_step:.1}, \
                  \"mean_cell_n\": {mean_n:.2}"
             );
         }
-        json.push('}');
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+        line.push('}');
+        lines.push(line);
     }
-    json.push_str("  ],\n");
+    push_section(&mut json, "engine", &lines);
     json.push_str("  \"speedups\": {\n");
     let mut all_ns: Vec<usize> = fleets.iter().chain(&class_fleets).copied().collect();
     all_ns.sort_unstable();
@@ -632,13 +799,8 @@ fn main() {
         json.push_str(if i + 1 < all_ns.len() { ",\n" } else { "\n" });
     }
     json.push_str("  },\n");
-    if !paper_rows.is_empty() || paper_before.is_some() {
-        // One row per line, each led by its commit: `--paper-before`
-        // re-reads exactly these lines from an earlier file.
-        let mut lines: Vec<String> = match &paper_before {
-            Some(path) => bursty_bench::rows_led_by_commit(path),
-            None => Vec::new(),
-        };
+    let mut lines = before_rows("paper_density");
+    if !paper_rows.is_empty() || !lines.is_empty() {
         for r in &paper_rows {
             lines.push(format!(
                 "{{\"commit\": \"{commit}\", \"available_parallelism\": {cores}, \
@@ -661,15 +823,37 @@ fn main() {
                 r.kernel_secs / r.secs_median
             ));
         }
-        json.push_str("  \"paper_density\": [\n");
-        for (i, line) in lines.iter().enumerate() {
-            let _ = writeln!(
-                json,
-                "    {line}{}",
-                if i + 1 < lines.len() { "," } else { "" }
-            );
+        push_section(&mut json, "paper_density", &lines);
+    }
+    let mut lines = before_rows("shared_flip_sweep");
+    if !sweep_rows.is_empty() || !lines.is_empty() {
+        for r in &sweep_rows {
+            lines.push(format!(
+                "{{\"commit\": \"{commit}\", \"available_parallelism\": {cores}, \
+                 \"n\": {SWEEP_VMS}, \"m\": {SWEEP_VMS}, \"pms_used\": {}, \
+                 \"steps\": {sweep_steps}, \"p_on\": {}, \"p_off\": {}, \"repeats\": {}, \
+                 \"secs_min\": {:.6}, \"secs_median\": {:.6}, \"secs_max\": {:.6}, \
+                 \"rates_from\": \"secs_median\", \"vm_steps_per_sec\": {:.1}, \
+                 \"us_per_step\": {:.3}, \"flips_per_step\": {:.2}, \
+                 \"dirty_pms_per_step\": {:.2}, \"migrations\": {}, \
+                 \"energy_bits\": \"{:016x}\", \"violation_steps\": {}}}",
+                SWEEP_VMS / SWEEP_VMS_PER_PM,
+                r.p_on,
+                r.p_off,
+                r.repeats,
+                r.secs_min,
+                r.secs_median,
+                r.secs_max,
+                (sweep_steps * SWEEP_VMS) as f64 / r.secs_median,
+                r.secs_median * 1e6 / sweep_steps as f64,
+                r.flips_per_step,
+                r.dirty_pms_per_step,
+                r.digest.0,
+                r.digest.1,
+                r.digest.2
+            ));
         }
-        json.push_str("  ],\n");
+        push_section(&mut json, "shared_flip_sweep", &lines);
     }
     let _ = writeln!(
         json,

@@ -21,10 +21,31 @@ pub fn commit_label(explicit: Option<String>) -> String {
 /// emitters write such rows one per line, each led by its commit, and
 /// this re-reads exactly those lines.
 pub fn rows_led_by_commit(path: &str) -> Vec<String> {
-    std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("read before-rows file {path}: {e}"))
-        .lines()
-        .map(|l| l.trim().trim_end_matches(','))
+    commit_led(read_before_file(path).lines().map(str::trim))
+}
+
+/// [`rows_led_by_commit`] restricted to one section of the file — the
+/// lines between `"<section>": [` and its closing `]` — for emitters
+/// that keep before/after rows in more than one array.
+pub fn section_rows_led_by_commit(path: &str, section: &str) -> Vec<String> {
+    let open = format!("\"{section}\": [");
+    commit_led(
+        read_before_file(path)
+            .lines()
+            .map(str::trim)
+            .skip_while(|l| *l != open)
+            .skip(1)
+            .take_while(|l| !l.starts_with(']')),
+    )
+}
+
+fn read_before_file(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read before-rows file {path}: {e}"))
+}
+
+fn commit_led<'a>(lines: impl Iterator<Item = &'a str>) -> Vec<String> {
+    lines
+        .map(|l| l.trim_end_matches(','))
         .filter(|l| l.starts_with("{\"commit\":"))
         .map(str::to_string)
         .collect()

@@ -68,7 +68,9 @@ impl ClassCoreBench {
     /// Advances the kernel one step, returning the first PM's observed
     /// demand (a data dependency that keeps the optimizer honest).
     pub fn step(&mut self) -> f64 {
-        self.core.step(self.next, &self.host, &mut self.observed);
+        // The class arm never reads the per-PM member lists.
+        self.core
+            .step(self.next, &self.host, &[], &mut self.observed);
         self.next += 1;
         self.observed[0]
     }

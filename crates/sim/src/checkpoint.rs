@@ -36,8 +36,8 @@
 
 use crate::config::{CheckpointConfig, RngLayout, VictimPolicy};
 use crate::engine::{
-    CrashRecord, FaultState, RecoveryStats, RetryEntry, RetryKind, RunState, SimOutcome, Simulator,
-    StepHook,
+    CrashRecord, FaultState, PmIndexes, RecoveryStats, RetryEntry, RetryKind, RunState, SimOutcome,
+    Simulator, StepHook,
 };
 use crate::events::{EvacuationEvent, FaultEvent, FaultKind, MigrationEvent};
 use crate::faults::FaultProcess;
@@ -747,7 +747,6 @@ pub(crate) fn decode_state(
             fault_process,
             host,
             hosted,
-            loads,
             fs: FaultState {
                 pm_up,
                 vm_degraded,
@@ -773,8 +772,9 @@ pub(crate) fn decode_state(
             energy,
             observed,
             next_step,
-            // Derived state: the first target query rebuilds it.
-            finder: None,
+            // Derived state, rebuilt from the restored loads.
+            indexes: PmIndexes::new(&loads),
+            loads,
         },
         rec_bytes,
     ))

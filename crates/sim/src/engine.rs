@@ -220,7 +220,7 @@ impl FaultState {
 /// Derived run state: built at the first target query of a run (or of a
 /// resumed run — it is never serialized) and kept from then on. Every
 /// site that changes `loads[j]` or `pm_up[j]` point-updates PM `j`
-/// ([`TargetFinder::refresh`]), which is all a policy whose headroom
+/// ([`PmIndexes::pm_changed`]), which is all a policy whose headroom
 /// reads only the load needs. A policy whose headroom reads
 /// `pm.observed` sees every leaf move each step, so its index is
 /// re-derived in place at the first query of each step
@@ -322,6 +322,91 @@ impl TargetFinder {
     }
 }
 
+/// The PMs hosting at least one VM, `{j : !loads[j].is_empty()}`, as a
+/// bitset: the per-step violation and energy passes walk it in ascending
+/// PM order instead of testing every `loads[j]`, so they cost what the
+/// occupied part of the pool costs.
+pub(crate) struct OccupiedSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl OccupiedSet {
+    fn from_loads(loads: &[PmLoad]) -> Self {
+        let mut set = Self {
+            words: vec![0; loads.len().div_ceil(64)],
+            len: 0,
+        };
+        for (j, load) in loads.iter().enumerate() {
+            set.set(j, !load.is_empty());
+        }
+        set
+    }
+
+    fn set(&mut self, j: usize, occupied: bool) {
+        let (word, bit) = (&mut self.words[j / 64], 1u64 << (j % 64));
+        if (*word & bit != 0) != occupied {
+            *word ^= bit;
+            if occupied {
+                self.len += 1;
+            } else {
+                self.len -= 1;
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The occupied PMs in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let j = w * 64 + rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    j
+                })
+            })
+        })
+    }
+}
+
+/// What the engine keeps indexed over the PM pool. Derived from `loads`,
+/// `observed` and `fs.pm_up`, never serialized: [`PmIndexes::new`] serves
+/// a fresh run and a resumed one alike. Every site that changes
+/// `loads[j]` or `pm_up[j]` reports it through [`PmIndexes::pm_changed`].
+pub(crate) struct PmIndexes {
+    occupied: OccupiedSet,
+    /// `None` until the first migration-target query builds it.
+    finder: Option<TargetFinder>,
+}
+
+impl PmIndexes {
+    pub(crate) fn new(loads: &[PmLoad]) -> Self {
+        Self {
+            occupied: OccupiedSet::from_loads(loads),
+            finder: None,
+        }
+    }
+
+    fn pm_changed(
+        &mut self,
+        sim: &Simulator<'_>,
+        j: usize,
+        loads: &[PmLoad],
+        observed: &[f64],
+        pm_up: &[bool],
+    ) {
+        self.occupied.set(j, !loads[j].is_empty());
+        if let Some(f) = self.finder.as_mut() {
+            f.refresh(sim, j, loads, observed, pm_up);
+        }
+    }
+}
+
 /// A configured simulator, ready to run from an initial placement.
 ///
 /// # Examples
@@ -384,10 +469,8 @@ pub(crate) struct RunState {
     pub(crate) observed: Vec<f64>,
     /// The next step to execute (== completed steps so far).
     pub(crate) next_step: usize,
-    /// Migration-target index — derived from `loads`, `observed` and
-    /// `fs.pm_up`, never serialized: `None` until the first target query
-    /// (of the run, or after a resume) builds it.
-    pub(crate) finder: Option<TargetFinder>,
+    /// Occupied-PM set and migration-target index (derived state).
+    pub(crate) indexes: PmIndexes,
 }
 
 /// A callback the engine drives after every completed step — the seam
@@ -535,7 +618,6 @@ impl<'a> Simulator<'a> {
             fault_process,
             host,
             hosted,
-            loads,
             fs: FaultState::new(n, m),
             dual: Vec::new(),
             vio_steps: vec![0usize; m],
@@ -550,7 +632,8 @@ impl<'a> Simulator<'a> {
             energy: 0.0,
             observed: vec![0.0f64; m],
             next_step: 0,
-            finder: None,
+            indexes: PmIndexes::new(&loads),
+            loads,
         }
     }
 
@@ -575,7 +658,6 @@ impl<'a> Simulator<'a> {
     /// `run_recorded` loop, verbatim (the golden pins certify the
     /// extraction changed no operation order).
     fn step_once<R: Recorder>(&self, st: &mut RunState, rec: &mut R) {
-        let m = self.pms.len();
         let step = st.next_step;
         let RunState {
             core,
@@ -597,7 +679,7 @@ impl<'a> Simulator<'a> {
             energy,
             observed,
             next_step,
-            finder,
+            indexes,
         } = st;
         {
             // 0. Fault transitions, then immediate batch evacuation of the
@@ -614,16 +696,11 @@ impl<'a> Simulator<'a> {
                             fs.pm_up[e.pm] = false;
                             fs.pm_overflow[e.pm] = 0;
                             dual.retain(|d| d.0 != e.pm);
-                            // Class mode: fix the members' ON flags from
-                            // the counters, then merge the PM's cells
-                            // into the limbo pool.
-                            core.class_crash(e.pm, &hosted[e.pm]);
+                            core.pm_crashed(e.pm, &hosted[e.pm]);
                             let evicted = std::mem::take(&mut hosted[e.pm]);
                             loads[e.pm] = PmLoad::empty();
                             observed[e.pm] = 0.0;
-                            if let Some(f) = finder.as_mut() {
-                                f.refresh(self, e.pm, loads, observed, &fs.pm_up);
-                            }
+                            indexes.pm_changed(self, e.pm, loads, observed, &fs.pm_up);
                             rec.counter_inc(Counter::Crashes);
                             rec.counter_add(Counter::DisplacedVms, evicted.len() as u64);
                             if R::ENABLED {
@@ -652,9 +729,7 @@ impl<'a> Simulator<'a> {
                         FaultKind::Recovery => {
                             fs.recovery.recoveries += 1;
                             fs.pm_up[e.pm] = true;
-                            if let Some(f) = finder.as_mut() {
-                                f.refresh(self, e.pm, loads, observed, &fs.pm_up);
-                            }
+                            indexes.pm_changed(self, e.pm, loads, observed, &fs.pm_up);
                             rec.counter_inc(Counter::Recoveries);
                             if R::ENABLED {
                                 rec.record_event(Event::Recovery {
@@ -688,7 +763,7 @@ impl<'a> Simulator<'a> {
                 if !displaced.is_empty() {
                     rec.record_value(HistId::EvacuationBatchSize, displaced.len() as u64);
                     let unplaced = self.evacuate_displaced(
-                        step, &displaced, core, host, hosted, loads, observed, fs, finder, rec,
+                        step, &displaced, core, host, hosted, loads, observed, fs, indexes, rec,
                     );
                     for i in unplaced {
                         let from_pm = fs.crash_records
@@ -738,7 +813,23 @@ impl<'a> Simulator<'a> {
             //    fault and migration decisions. Draw order and summation
             //    order per layout are the core's determinism contract
             //    (DESIGN.md §8).
-            core.step(step as u64, host, observed);
+            core.step(step as u64, host, hosted, observed);
+            #[cfg(test)]
+            {
+                // Every engine test doubles as a differential test of
+                // the derived state: the shared core's per-PM sums
+                // against a from-scratch accumulation, the occupied set
+                // against the scan it replaced.
+                core.assert_observed_is_full_accumulation(host, observed);
+                assert!(
+                    indexes
+                        .occupied
+                        .iter()
+                        .eq((0..loads.len()).filter(|&j| !loads[j].is_empty())),
+                    "occupied set stale at step {step}"
+                );
+                assert_eq!(indexes.occupied.len(), indexes.occupied.iter().count());
+            }
             for &(j, demand, _) in dual.iter() {
                 observed[j] += demand;
             }
@@ -747,10 +838,7 @@ impl<'a> Simulator<'a> {
             //    degraded admission are additionally tagged as
             //    failure-attributable.
             let mut overloaded = Vec::new();
-            for j in 0..m {
-                if loads[j].is_empty() {
-                    continue;
-                }
+            for j in indexes.occupied.iter() {
                 active_steps[j] += 1;
                 if observed[j] > self.pms[j].capacity + CAP_EPS {
                     vio_steps[j] += 1;
@@ -800,12 +888,19 @@ impl<'a> Simulator<'a> {
                     };
                     let vm = &self.vms[victim];
                     let vm_demand = vm.demand(core.on[victim]);
-                    match self
-                        .pick_target(finder, step, j, vm, vm_demand, loads, observed, &fs.pm_up)
-                    {
+                    match self.pick_target(
+                        &mut indexes.finder,
+                        step,
+                        j,
+                        vm,
+                        vm_demand,
+                        loads,
+                        observed,
+                        &fs.pm_up,
+                    ) {
                         Some(target) => self.migrate(
                             step, victim, j, target, vm_demand, false, core, host, hosted, loads,
-                            observed, fs, dual, migrations, finder, rec,
+                            observed, fs, dual, migrations, indexes, rec,
                         ),
                         None => {
                             *failed_migrations += 1;
@@ -892,13 +987,20 @@ impl<'a> Simulator<'a> {
                     let vm = &self.vms[e.vm];
                     core.class_sync_pm(j, &hosted[j]);
                     let vm_demand = vm.demand(core.on[e.vm]);
-                    match self
-                        .pick_target(finder, step, j, vm, vm_demand, loads, observed, &fs.pm_up)
-                    {
+                    match self.pick_target(
+                        &mut indexes.finder,
+                        step,
+                        j,
+                        vm,
+                        vm_demand,
+                        loads,
+                        observed,
+                        &fs.pm_up,
+                    ) {
                         Some(target) => {
                             self.migrate(
                                 step, e.vm, j, target, vm_demand, true, core, host, hosted, loads,
-                                observed, fs, dual, migrations, finder, rec,
+                                observed, fs, dual, migrations, indexes, rec,
                             );
                             *retried_migrations += 1;
                         }
@@ -941,7 +1043,7 @@ impl<'a> Simulator<'a> {
                     // these VMs were displaced — refresh their flags.
                     core.class_sync_displaced(host);
                     let unplaced = self.evacuate_displaced(
-                        step, &vms_due, core, host, hosted, loads, observed, fs, finder, rec,
+                        step, &vms_due, core, host, hosted, loads, observed, fs, indexes, rec,
                     );
                     rec.counter_add(
                         Counter::RetryLandedEvacuation,
@@ -979,16 +1081,12 @@ impl<'a> Simulator<'a> {
             // 6. Bookkeeping.
             dual.iter_mut().for_each(|e| e.2 -= 1);
             dual.retain(|e| e.2 > 0);
-            // Used count and energy in one pass over the PMs (both read
-            // post-migration state, so neither can fold into the
-            // violation loop above).
-            let mut used = 0usize;
-            for j in 0..m {
-                if !loads[j].is_empty() {
-                    used += 1;
-                    let util = observed[j] / self.pms[j].capacity;
-                    *energy += self.power.energy(util, self.config.sigma_secs);
-                }
+            // Energy over the occupied PMs (post-migration state, so it
+            // cannot fold into the violation loop above).
+            let used = indexes.occupied.len();
+            for j in indexes.occupied.iter() {
+                let util = observed[j] / self.pms[j].capacity;
+                *energy += self.power.energy(util, self.config.sigma_secs);
             }
             *peak_pms_used = (*peak_pms_used).max(used);
             pms_used_series.push(used as f64);
@@ -1022,7 +1120,7 @@ impl<'a> Simulator<'a> {
         let m = self.pms.len();
         let RunState {
             core,
-            loads,
+            indexes,
             mut fs,
             vio_steps,
             active_steps,
@@ -1054,10 +1152,7 @@ impl<'a> Simulator<'a> {
                     RetryKind::Evacuation => Counter::RetryResidualEvacuation,
                 });
             }
-            rec.gauge_set(
-                Gauge::FinalPmsUsed,
-                loads.iter().filter(|l| !l.is_empty()).count() as f64,
-            );
+            rec.gauge_set(Gauge::FinalPmsUsed, indexes.occupied.len() as f64);
             rec.gauge_set(Gauge::PeakPmsUsed, peak_pms_used as f64);
             rec.gauge_set(Gauge::EnergyJoules, energy);
             // Class-aggregated sampler-cache counters (zero under the
@@ -1073,7 +1168,7 @@ impl<'a> Simulator<'a> {
             .filter(|&j| active_steps[j] > 0)
             .map(|j| (j, vio_steps[j] as f64 / active_steps[j] as f64))
             .collect();
-        let final_pms_used = loads.iter().filter(|l| !l.is_empty()).count();
+        let final_pms_used = indexes.occupied.len();
         SimOutcome {
             cvr_per_pm,
             migrations,
@@ -1112,11 +1207,11 @@ impl<'a> Simulator<'a> {
         fs: &mut FaultState,
         dual: &mut Vec<(usize, f64, usize)>,
         migrations: &mut Vec<MigrationEvent>,
-        finder: &mut Option<TargetFinder>,
+        indexes: &mut PmIndexes,
         rec: &mut R,
     ) {
         let vm = &self.vms[victim];
-        core.class_move(victim, Some(j), Some(target));
+        core.vm_moved(victim, Some(j), Some(target));
         hosted[j].retain(|&i| i != victim);
         hosted[target].push(victim);
         host[victim] = Some(target);
@@ -1124,10 +1219,8 @@ impl<'a> Simulator<'a> {
         loads[target].add(vm);
         observed[j] -= vm_demand;
         observed[target] += vm_demand;
-        if let Some(f) = finder.as_mut() {
-            f.refresh(self, j, loads, observed, &fs.pm_up);
-            f.refresh(self, target, loads, observed, &fs.pm_up);
-        }
+        indexes.pm_changed(self, j, loads, observed, &fs.pm_up);
+        indexes.pm_changed(self, target, loads, observed, &fs.pm_up);
         if fs.vm_degraded[victim] {
             // Normal admission elsewhere ends the degraded occupancy.
             fs.vm_degraded[victim] = false;
@@ -1174,7 +1267,7 @@ impl<'a> Simulator<'a> {
         loads: &mut [PmLoad],
         observed: &mut [f64],
         fs: &mut FaultState,
-        finder: &mut Option<TargetFinder>,
+        indexes: &mut PmIndexes,
         rec: &mut R,
     ) -> Vec<usize> {
         let leftover = self.evacuate_pass(
@@ -1188,7 +1281,7 @@ impl<'a> Simulator<'a> {
             loads,
             observed,
             fs,
-            finder,
+            indexes,
             rec,
         );
         if leftover.is_empty() || self.config.degraded_epsilon <= 0.0 {
@@ -1196,7 +1289,7 @@ impl<'a> Simulator<'a> {
         }
         let degraded = DegradedAdmission::new(self.policy, self.config.degraded_epsilon);
         self.evacuate_pass(
-            step, &leftover, &degraded, true, core, host, hosted, loads, observed, fs, finder, rec,
+            step, &leftover, &degraded, true, core, host, hosted, loads, observed, fs, indexes, rec,
         )
     }
 
@@ -1216,7 +1309,7 @@ impl<'a> Simulator<'a> {
         loads: &mut [PmLoad],
         observed: &mut [f64],
         fs: &mut FaultState,
-        finder: &mut Option<TargetFinder>,
+        indexes: &mut PmIndexes,
         rec: &mut R,
     ) -> Vec<usize> {
         let demands: Vec<f64> = displaced
@@ -1247,14 +1340,12 @@ impl<'a> Simulator<'a> {
             if !policy.admits(vm, vm_demand, &pm, self.pms[j].capacity) {
                 return None;
             }
-            core.class_move(i, None, Some(j));
+            core.vm_moved(i, None, Some(j));
             hosted[j].push(i);
             host[i] = Some(j);
             loads[j].add(vm);
             observed[j] += vm_demand;
-            if let Some(f) = finder.as_mut() {
-                f.refresh(self, j, loads, observed, &fs.pm_up);
-            }
+            indexes.pm_changed(self, j, loads, observed, &fs.pm_up);
             let pm = PmRuntime {
                 load: loads[j],
                 observed: observed[j],

@@ -1,19 +1,24 @@
 //! Structure-of-arrays fast path for the engine's per-step hot loop.
 //!
-//! [`Simulator::run`] spends almost all of its time in two per-VM loops:
-//! evolving every ON-OFF chain and re-summing every hosted demand into
-//! the per-PM `observed` vector. [`WorkloadCore`] flattens the VM specs
-//! into four `f64` vectors once per run (`p_on`/`p_off`/`demand_off`/
-//! `demand_on`) and fuses both loops into one branch-light pass. (The
-//! class-aggregated layout reads the same parameters per *class*, so it
-//! leaves the per-VM vectors empty.)
+//! [`Simulator::run`] spends almost all of its time on two per-VM jobs:
+//! evolving every ON-OFF chain and keeping the per-PM `observed` vector
+//! equal to the sum of hosted demands. [`WorkloadCore`] flattens the VM
+//! specs once per run, in the form each layout's arm reads: integer
+//! flip thresholds and a demand table under `Shared`, four `f64`
+//! vectors (`p_on`/`p_off`/`demand_off`/`demand_on`) under `PerVm`, a
+//! class table under `ClassAggregated`.
 //!
 //! Three layouts, one determinism contract (DESIGN.md §8):
 //!
 //! * [`RngLayout::Shared`] — one sequential `StdRng`, drawn in VM order,
-//!   demands summed in ascending VM order. This is *exactly* the draw
-//!   and summation order of the pre-SoA engine, so outcomes stay
-//!   bit-identical (frozen by `sim/tests/golden.rs`).
+//!   each PM's demands summed from `0.0` in ascending VM order. These
+//!   are *exactly* the draws and sums of the pre-SoA engine, so outcomes
+//!   stay bit-identical (frozen by `sim/tests/golden.rs`) — but a step
+//!   does `n` draws and then work in proportion to what changed: a flip
+//!   is an integer compare (`flip_threshold`), and a PM's sum is
+//!   re-derived only when one of its VMs flipped or the engine reported
+//!   a membership change (`SharedState`; DESIGN.md §8 has the exactness
+//!   arguments). Bursty VMs flip rarely, so most sums carry over.
 //! * [`RngLayout::PerVm`] — each VM draws from its own counter-based
 //!   stream ([`crate::rng`]), keyed by the VM's spec id. VMs are split
 //!   into fixed chunks of [`PER_VM_CHUNK`] (a function of the fleet
@@ -54,7 +59,7 @@ use crate::rng::{class_cell_key, class_hash, keyed_binomial, keyed_u01, stream_k
 use bursty_workload::classes::VmClass;
 use bursty_workload::VmSpec;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use std::thread;
 
 /// Fixed chunk width of the per-VM layout. Part of the determinism
@@ -106,10 +111,173 @@ struct Cell {
     key: u64,
 }
 
+/// `ceil(p · 2⁵³)`: a switch probability in the integer units of a
+/// shared-stream draw. The draw is `u = k · 2⁻⁵³`, where `k` is the top
+/// 53 bits of `next_u64()`. Both `k · 2⁻⁵³` and `p · 2⁵³` are exact in
+/// `f64` (scaling by a power of two only moves the exponent), so
+/// `u < p` ⇔ `k < p · 2⁵³` ⇔ `k < ceil(p · 2⁵³)`: the same decision
+/// with no convert. The saturating cast sends a `p` that can never fire
+/// (`p ≤ 0`, NaN) to 0 and one that always fires (`p > 1`) past every `k`.
+fn flip_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// A set of PMs with O(1) insert, listed in insertion order.
+struct DirtyPms {
+    marked: Vec<bool>,
+    list: Vec<u32>,
+}
+
+impl DirtyPms {
+    fn mark(&mut self, j: usize) {
+        if !self.marked[j] {
+            self.marked[j] = true;
+            self.list.push(j as u32);
+        }
+    }
+
+    fn clear(&mut self) {
+        for &j in &self.list {
+            self.marked[j as usize] = false;
+        }
+        self.list.clear();
+    }
+}
+
+/// The `Shared` layout: one sequential stream, and per-PM demand kept
+/// as a sum that is only re-derived where it can have changed.
+struct SharedState {
+    rng: StdRng,
+    /// `[flip_threshold(p_on), flip_threshold(p_off)]` and `[demand
+    /// while OFF, demand while ON]` per VM: a VM's `on` flag is the
+    /// index, so reading either takes no branch on the chain's state.
+    thr_by_state: Vec<[u64; 2]>,
+    demand_by_state: Vec<[f64; 2]>,
+    /// Per-PM sum of hosted demands, each entry accumulated from `0.0`
+    /// in ascending VM index. `observed` starts every step as a copy,
+    /// so the engine's own edits to `observed` never reach it. Derived
+    /// from `on` and `host`, never serialized: `primed` is `false` until
+    /// this core's first step builds it in full — at the start of a run
+    /// and after a resume alike.
+    base: Vec<f64>,
+    primed: bool,
+    /// PMs whose `base` entry is stale: a hosted VM flipped, or the
+    /// engine reported a membership change.
+    dirty: DirtyPms,
+    /// Scratch: the VMs that flipped this step, ascending.
+    flips: Vec<u32>,
+    /// Scratch: a migrant-reordered member list, sorted for the re-sum.
+    ascending: Vec<usize>,
+}
+
+impl SharedState {
+    fn new(vms: &[VmSpec], m: usize, seed: u64) -> Self {
+        let n = vms.len();
+        assert!(
+            n <= u32::MAX as usize && m <= u32::MAX as usize,
+            "the shared layout indexes VMs and PMs with u32"
+        );
+        Self {
+            rng: StdRng::seed_from_u64(seed),
+            thr_by_state: vms
+                .iter()
+                .map(|vm| [flip_threshold(vm.p_on), flip_threshold(vm.p_off)])
+                .collect(),
+            demand_by_state: vms
+                .iter()
+                .map(|vm| [vm.demand(false), vm.demand(true)])
+                .collect(),
+            base: vec![0.0; m],
+            primed: false,
+            dirty: DirtyPms {
+                marked: vec![false; m],
+                list: Vec::new(),
+            },
+            flips: vec![0; n],
+            ascending: Vec::new(),
+        }
+    }
+
+    /// One step: `n` draws, then work in proportion to what changed.
+    /// Stream, draw order, decisions and every `f64` are those of one
+    /// evolution pass followed by one ascending-VM accumulation pass
+    /// (the oracle in `shared_layout_matches_legacy_loop_bit_for_bit`).
+    fn step(
+        &mut self,
+        on: &mut [bool],
+        host: &[Option<usize>],
+        hosted: &[Vec<usize>],
+        observed: &mut [f64],
+    ) {
+        let Self {
+            rng,
+            thr_by_state,
+            demand_by_state,
+            base,
+            primed,
+            dirty,
+            flips,
+            ascending,
+        } = self;
+        // The draws. The generator is a local for the loop, so its four
+        // words stay in registers (behind `&mut self` every draw reloads
+        // and stores them: the `flips` store may alias). `flips[count]`
+        // is written unconditionally and kept only when the VM flipped:
+        // no branch on the draw.
+        let flips = flips.as_mut_slice();
+        let mut stream = rng.clone();
+        let mut count = 0usize;
+        for (i, (thr, &state)) in thr_by_state.iter().zip(on.iter()).enumerate() {
+            let k = stream.next_u64() >> 11;
+            flips[count] = i as u32;
+            count += usize::from(k < thr[usize::from(state)]);
+        }
+        *rng = stream;
+
+        for &i in &flips[..count] {
+            let i = i as usize;
+            on[i] = !on[i];
+            if let Some(j) = host[i] {
+                dirty.mark(j);
+            }
+        }
+
+        // Re-derive the stale sums. A PM's entry is `0.0` plus its
+        // members' demands in ascending VM index either way — exactly
+        // what the one-pass accumulation computes for it — so which
+        // branch runs changes no bit. Once the dirty PMs host half the
+        // fleet, the one pass is the bounded way to the same sums: it
+        // reads the VMs in order and needs no member list sorted.
+        let demand = |i: usize| demand_by_state[i][usize::from(on[i])];
+        let stale_vms: usize = dirty.list.iter().map(|&j| hosted[j as usize].len()).sum();
+        if !*primed || 2 * stale_vms >= on.len() {
+            base.fill(0.0);
+            for (i, j) in host.iter().enumerate() {
+                if let Some(j) = *j {
+                    base[j] += demand(i);
+                }
+            }
+            *primed = true;
+        } else {
+            for &j in &dirty.list {
+                // `hosted[j]` keeps arrival order (victim tie-breaking
+                // reads it); a migrant can leave it non-ascending.
+                let mut members = &hosted[j as usize];
+                if !members.is_sorted() {
+                    ascending.clone_from(members);
+                    ascending.sort_unstable();
+                    members = ascending;
+                }
+                base[j as usize] = members.iter().fold(0.0, |sum, &i| sum + demand(i));
+            }
+        }
+        dirty.clear();
+        observed.copy_from_slice(base);
+    }
+}
+
 enum Mode {
-    Shared {
-        rng: StdRng,
-    },
+    Shared(SharedState),
     PerVm {
         /// Pre-mixed stream key per VM (`stream_key(seed, spec id)`).
         keys: Vec<u64>,
@@ -169,8 +337,8 @@ pub(crate) enum CoreSnapshot {
 
 /// The engine's per-step hot path in structure-of-arrays form.
 pub(crate) struct WorkloadCore {
-    /// Per-VM chain parameters, read by the `Shared` and `PerVm` arms
-    /// only; empty under `ClassAggregated`.
+    /// Per-VM chain parameters, read by the `PerVm` arm only (`Shared`
+    /// and `ClassAggregated` carry their own forms); empty otherwise.
     p_on: Vec<f64>,
     p_off: Vec<f64>,
     demand_off: Vec<f64>,
@@ -206,9 +374,7 @@ impl WorkloadCore {
             requested.clamp(1, chunks)
         };
         let mode = match layout {
-            RngLayout::Shared => Mode::Shared {
-                rng: StdRng::seed_from_u64(seed),
-            },
+            RngLayout::Shared => Mode::Shared(SharedState::new(vms, m, seed)),
             RngLayout::PerVm => {
                 let chunks = n.div_ceil(PER_VM_CHUNK).max(1);
                 Mode::PerVm {
@@ -306,12 +472,12 @@ impl WorkloadCore {
                 }
             }
         };
-        // The class kernel reads chain parameters from its class table,
-        // never per VM: its four flattened vectors stay empty.
+        // Only the per-VM arm reads these four; the shared arm and the
+        // class kernel hold the chain parameters in their own tables.
         let per_vm = |f: fn(&VmSpec) -> f64| -> Vec<f64> {
             match mode {
-                Mode::ClassAggregated { .. } => Vec::new(),
-                _ => vms.iter().map(f).collect(),
+                Mode::PerVm { .. } => vms.iter().map(f).collect(),
+                _ => Vec::new(),
             }
         };
         Self {
@@ -324,12 +490,19 @@ impl WorkloadCore {
         }
     }
 
-    /// Advances every chain one step and rebuilds `observed` (zeroed
-    /// first) with the sum of hosted demands per PM. Displaced VMs
-    /// (`host[i] == None`) still evolve — the draw sequence must not
-    /// depend on fault or migration decisions. Copy-overhead dual
-    /// entries stay with the caller.
-    pub(crate) fn step(&mut self, step: u64, host: &[Option<usize>], observed: &mut [f64]) {
+    /// Advances every chain one step and overwrites `observed` with the
+    /// sum of hosted demands per PM. Displaced VMs (`host[i] == None`)
+    /// still evolve — the draw sequence must not depend on fault or
+    /// migration decisions. Copy-overhead dual entries stay with the
+    /// caller. `hosted` is the inverse of `host` (member lists per PM);
+    /// only the `Shared` arm reads it.
+    pub(crate) fn step(
+        &mut self,
+        step: u64,
+        host: &[Option<usize>],
+        hosted: &[Vec<usize>],
+        observed: &mut [f64],
+    ) {
         let Self {
             p_on,
             p_off,
@@ -339,20 +512,8 @@ impl WorkloadCore {
             mode,
         } = self;
         match mode {
-            Mode::Shared { rng } => {
-                // Pre-SoA engine order, verbatim: one full evolution
-                // pass (n sequential draws), then one full accumulation
-                // pass in ascending VM order.
-                for i in 0..on.len() {
-                    let u = rng.gen::<f64>();
-                    on[i] = if on[i] { u >= p_off[i] } else { u < p_on[i] };
-                }
-                observed.iter_mut().for_each(|o| *o = 0.0);
-                for (i, j) in host.iter().enumerate() {
-                    if let Some(j) = *j {
-                        observed[j] += if on[i] { demand_on[i] } else { demand_off[i] };
-                    }
-                }
+            Mode::Shared(shared) => {
+                shared.step(on, host, hosted, observed);
             }
             Mode::PerVm {
                 keys,
@@ -679,23 +840,30 @@ impl WorkloadCore {
         }
     }
 
-    /// Moves VM `i` between locations in the class-aggregated counters
-    /// (`None` = the displaced limbo pool), carrying its current `on`
-    /// flag. The caller must have synced `i`'s source location since the
-    /// last evolution step so the flag matches the source counters; a
-    /// no-op for the other layouts.
-    pub(crate) fn class_move(&mut self, i: usize, from: Option<usize>, to: Option<usize>) {
+    /// The engine moved VM `i` between locations (`None` = displaced).
+    /// `Shared` marks both PMs' demand sums stale. `ClassAggregated`
+    /// moves the VM between the locations' counters, carrying its
+    /// current `on` flag — the caller must have synced `i`'s source
+    /// location since the last evolution step so the flag matches the
+    /// source counters. `PerVm` keeps no per-location state.
+    pub(crate) fn vm_moved(&mut self, i: usize, from: Option<usize>, to: Option<usize>) {
         let Self { on, mode, .. } = self;
-        let Mode::ClassAggregated {
-            classes,
-            class_of,
-            offsets,
-            cells,
-            seed,
-            ..
-        } = mode
-        else {
-            return;
+        let (classes, class_of, offsets, cells, seed) = match mode {
+            Mode::Shared(shared) => {
+                for j in [from, to].into_iter().flatten() {
+                    shared.dirty.mark(j);
+                }
+                return;
+            }
+            Mode::PerVm { .. } => return,
+            Mode::ClassAggregated {
+                classes,
+                class_of,
+                offsets,
+                cells,
+                seed,
+                ..
+            } => (classes, class_of, offsets, cells, seed),
         };
         let limbo = offsets.len() - 2;
         let c = class_of[i];
@@ -741,11 +909,16 @@ impl WorkloadCore {
         }
     }
 
-    /// Crash handling for PM `j`: fixes each member's flag from the
-    /// current counters (the flags displaced VMs carry into evacuation),
-    /// then merges the PM's cells wholesale into the limbo pool. A no-op
-    /// for the other layouts.
-    pub(crate) fn class_crash(&mut self, j: usize, members: &[usize]) {
+    /// PM `j` crashed and is about to lose `members`. `Shared` marks
+    /// its demand sum stale. `ClassAggregated` fixes each member's flag
+    /// from the current counters (the flags displaced VMs carry into
+    /// evacuation), then merges the PM's cells wholesale into the limbo
+    /// pool.
+    pub(crate) fn pm_crashed(&mut self, j: usize, members: &[usize]) {
+        if let Mode::Shared(shared) = &mut self.mode {
+            shared.dirty.mark(j);
+            return;
+        }
         self.class_sync_pm(j, members);
         let Mode::ClassAggregated {
             classes,
@@ -832,10 +1005,38 @@ impl WorkloadCore {
         }
     }
 
+    /// Under `Shared`, asserts that `observed` — fresh out of
+    /// [`WorkloadCore::step`] — is `to_bits`-equal to the one-pass
+    /// accumulation over all VMs that the sparse re-sum replaces. The
+    /// other layouts group their sums differently and are not checked.
+    #[cfg(test)]
+    pub(crate) fn assert_observed_is_full_accumulation(
+        &self,
+        host: &[Option<usize>],
+        observed: &[f64],
+    ) {
+        let Mode::Shared(shared) = &self.mode else {
+            return;
+        };
+        let mut full = vec![0.0f64; observed.len()];
+        for (i, j) in host.iter().enumerate() {
+            if let Some(j) = *j {
+                full[j] += shared.demand_by_state[i][usize::from(self.on[i])];
+            }
+        }
+        for (j, (got, want)) in observed.iter().zip(&full).enumerate() {
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "PM {j}: sparse sum {got} differs from the full accumulation {want}"
+            );
+        }
+    }
+
     /// Captures the mode-specific evolving state for a checkpoint.
     pub(crate) fn snapshot_mode(&self) -> CoreSnapshot {
         match &self.mode {
-            Mode::Shared { rng } => CoreSnapshot::Shared(rng.state()),
+            Mode::Shared(shared) => CoreSnapshot::Shared(shared.rng.state()),
             Mode::PerVm { .. } => CoreSnapshot::PerVm,
             Mode::ClassAggregated { offsets, cells, .. } => CoreSnapshot::ClassAggregated(
                 offsets
@@ -859,8 +1060,8 @@ impl WorkloadCore {
     /// corrupted snapshot can never become a silently wrong run.
     pub(crate) fn restore_mode(&mut self, snap: CoreSnapshot) -> Result<(), String> {
         match (&mut self.mode, snap) {
-            (Mode::Shared { rng }, CoreSnapshot::Shared(words)) => {
-                *rng = StdRng::from_state(words)
+            (Mode::Shared(shared), CoreSnapshot::Shared(words)) => {
+                shared.rng = StdRng::from_state(words)
                     .ok_or_else(|| "shared rng state is the all-zero fixed point".to_string())?;
                 Ok(())
             }
@@ -935,11 +1136,23 @@ mod tests {
             .collect()
     }
 
+    /// The per-PM member lists of `host`, ascending.
+    fn hosted_of(host: &[Option<usize>], m: usize) -> Vec<Vec<usize>> {
+        let mut hosted = vec![Vec::new(); m];
+        for (i, j) in host.iter().enumerate() {
+            if let Some(j) = *j {
+                hosted[j].push(i);
+            }
+        }
+        hosted
+    }
+
     fn run_core(core: &mut WorkloadCore, host: &[Option<usize>], m: usize, steps: u64) -> Vec<f64> {
+        let hosted = hosted_of(host, m);
         let mut observed = vec![0.0; m];
         let mut trace = Vec::new();
         for step in 0..steps {
-            core.step(step, host, &mut observed);
+            core.step(step, host, &hosted, &mut observed);
             trace.extend_from_slice(&observed);
         }
         trace
@@ -947,15 +1160,28 @@ mod tests {
 
     #[test]
     fn shared_layout_matches_legacy_loop_bit_for_bit() {
-        let vms = fleet(133);
-        let m = 9;
-        let host: Vec<Option<usize>> = (0..vms.len()).map(|i| Some(i % m)).collect();
+        // Bursty VMs plus the threshold edge cases: chains that flip on
+        // every draw (p = 1) and chains that never will (p tiny).
+        let mut vms = fleet(133);
+        let n = vms.len();
+        vms.push(VmSpec::new(n, 1.0, 1.0, 3.0, 4.0));
+        vms.push(VmSpec::new(n + 1, 1.0, f64::MIN_POSITIVE, 5.0, 2.5));
+        vms.push(VmSpec::new(n + 2, 2f64.powi(-53), 0.5, 1.5, 7.0));
+        vms.push(VmSpec::new(n + 3, 0.5, 1.0, 2.0, 2.0));
+        // PMs 9 and 10 start empty; every 11th VM is unhosted.
+        let m = 11;
+        let mut host: Vec<Option<usize>> = (0..vms.len())
+            .map(|i| (i % 11 != 5).then_some(i % 9))
+            .collect();
+        let mut hosted = hosted_of(&host, m);
+        let mut core = WorkloadCore::new(&vms, m, 99, RngLayout::Shared, 1);
 
-        // Legacy loop: per-VM chain stepping off one shared StdRng.
+        // Legacy loop: per-VM chain stepping off one shared StdRng, then
+        // a from-zero accumulation in VM order.
         let mut rng = StdRng::seed_from_u64(99);
         let mut on = vec![false; vms.len()];
-        let mut legacy = Vec::new();
-        for _ in 0..50 {
+        let mut observed = vec![0.0; m];
+        for step in 0..60u64 {
             for (i, vm) in vms.iter().enumerate() {
                 let state = if on[i] {
                     bursty_markov::VmState::On
@@ -964,20 +1190,88 @@ mod tests {
                 };
                 on[i] = vm.chain().step(state, &mut rng).is_on();
             }
-            let mut observed = vec![0.0; m];
+            let mut legacy = vec![0.0; m];
             for (i, j) in host.iter().enumerate() {
                 if let Some(j) = *j {
-                    observed[j] += vms[i].demand(on[i]);
+                    legacy[j] += vms[i].demand(on[i]);
                 }
             }
-            legacy.extend_from_slice(&observed);
-        }
+            core.step(step, &host, &hosted, &mut observed);
+            assert_eq!(core.on, on, "flags diverged at step {step}");
+            for (j, (a, b)) in legacy.iter().zip(&observed).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "PM {j} at step {step}");
+            }
+            // The engine edits `observed` between steps; the next step
+            // must not see it.
+            observed[step as usize % m] += 1.0;
 
-        let mut core = WorkloadCore::new(&vms, m, 99, RngLayout::Shared, 1);
-        let soa = run_core(&mut core, &host, m, 50);
-        assert_eq!(legacy.len(), soa.len());
-        for (a, b) in legacy.iter().zip(&soa) {
-            assert_eq!(a.to_bits(), b.to_bits());
+            if step == 20 {
+                // Migrations the way the engine commits them: the
+                // migrant joins the end of the target's list, so PM 9's
+                // and PM 2's lists are no longer ascending.
+                for (i, to) in [(40usize, 9usize), (12, 9), (100, 2), (3, 2)] {
+                    let from = host[i].unwrap();
+                    core.vm_moved(i, Some(from), Some(to));
+                    hosted[from].retain(|&v| v != i);
+                    hosted[to].push(i);
+                    host[i] = Some(to);
+                }
+            }
+            if step == 35 {
+                // A crash empties PM 4; one displaced VM lands on PM 10.
+                core.pm_crashed(4, &hosted[4]);
+                for i in std::mem::take(&mut hosted[4]) {
+                    host[i] = None;
+                }
+                let i = 4;
+                core.vm_moved(i, None, Some(10));
+                hosted[10].push(i);
+                host[i] = Some(10);
+            }
+        }
+        assert!(!hosted[9].is_sorted() && !hosted[2].is_sorted());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// `k < flip_threshold(p)` is the float compare `k · 2⁻⁵³ < p`
+        /// for every draw `k`, at the places a rounding slip would show:
+        /// `p` on the draw grid `g · 2⁻⁵³` and at both neighbouring
+        /// floats, at 1, at the smallest normal and at one grid step;
+        /// `k` at both ends and around the threshold.
+        #[test]
+        fn integer_threshold_decides_like_the_float_compare(
+            anywhere in 0.0f64..1.0,
+            on_grid in 1u64..=(1u64 << 53),
+            pick in 0u8..5,
+            nudge in 0u8..3,
+        ) {
+            let scale = 2f64.powi(-53);
+            let centre = match pick {
+                0 => anywhere,
+                1 => on_grid as f64 * scale,
+                2 => 1.0,
+                3 => f64::MIN_POSITIVE,
+                _ => scale,
+            };
+            let p = match nudge {
+                0 => centre,
+                1 => centre.next_down(),
+                _ => centre.next_up(),
+            };
+            proptest::prop_assume!(p > 0.0 && p <= 1.0);
+            let thr = flip_threshold(p);
+            proptest::prop_assert!(thr <= 1 << 53, "p = {p:e}: threshold {thr}");
+            for k in [0, thr.wrapping_sub(1), thr, thr + 1, (1 << 53) - 1] {
+                if k < 1 << 53 {
+                    proptest::prop_assert_eq!(
+                        (k as f64) * scale < p,
+                        k < thr,
+                        "p = {:e} (threshold {}), k = {}", p, thr, k
+                    );
+                }
+            }
         }
     }
 
@@ -1014,7 +1308,7 @@ mod tests {
         let steps = 4000u64;
         let mut on_steps = 0usize;
         for step in 0..steps {
-            core.step(step, &host, &mut observed);
+            core.step(step, &host, &[], &mut observed);
             on_steps += core.on.iter().filter(|&&b| b).count();
         }
         let frac = on_steps as f64 / (steps as usize * vms.len()) as f64;
@@ -1096,7 +1390,7 @@ mod tests {
         let steps = 6000u64;
         let (mut sum, mut sum_sq) = (0.0, 0.0);
         for step in 0..steps {
-            core.step(step, &host, &mut observed);
+            core.step(step, &host, &[], &mut observed);
             let n_on = observed[0] - k as f64;
             sum += n_on;
             sum_sq += n_on * n_on;
@@ -1128,7 +1422,7 @@ mod tests {
             let mut observed = vec![0.0; m];
             let mut trace = Vec::new();
             for step in 0..60u64 {
-                core.step(step, &host, &mut observed);
+                core.step(step, &host, &[], &mut observed);
                 trace.extend(observed.iter().map(|v| v.to_bits()));
                 if step == 20 {
                     // Move a few hosted VMs to their neighbouring PM.
@@ -1137,7 +1431,7 @@ mod tests {
                             (0..vms.len()).filter(|&v| host[v] == host[i]).collect();
                         core.class_sync_pm(host[i].unwrap(), &members);
                         let to = host[i].map(|j| (j + 1) % m);
-                        core.class_move(i, host[i], to);
+                        core.vm_moved(i, host[i], to);
                         host[i] = to;
                     }
                 }
@@ -1145,7 +1439,7 @@ mod tests {
                     // Crash PM 3: everyone there merges into limbo.
                     let members: Vec<usize> =
                         (0..vms.len()).filter(|&v| host[v] == Some(3)).collect();
-                    core.class_crash(3, &members);
+                    core.pm_crashed(3, &members);
                     for &i in &members {
                         host[i] = None;
                     }
@@ -1176,7 +1470,7 @@ mod tests {
             core.class_init(&host);
             let mut observed = vec![0.0; m];
             for step in 0..10u64 {
-                core.step(step, &host, &mut observed);
+                core.step(step, &host, &[], &mut observed);
             }
             let stats = core.class_cache_stats().unwrap();
             assert!(stats.hits > 0, "steady state must hit the cache");
@@ -1200,7 +1494,7 @@ mod tests {
         core.class_init(&host);
         let mut observed = vec![0.0; m];
         for step in 0..10u64 {
-            core.step(step, &host, &mut observed);
+            core.step(step, &host, &[], &mut observed);
         }
         assert_eq!(
             core.class_cache_stats(),
@@ -1220,7 +1514,7 @@ mod tests {
         core.class_init(&host);
         let mut observed = vec![0.0; m];
         for step in 0..20 {
-            core.step(step, &host, &mut observed);
+            core.step(step, &host, &[], &mut observed);
         }
         let members: Vec<usize> = (0..vms.len()).filter(|i| i % m == 0).collect();
         core.class_sync_pm(0, &members);
@@ -1238,10 +1532,10 @@ mod tests {
         // moves carry) must survive unchanged.
         let on_before: Vec<bool> = members.iter().map(|&i| core.on[i]).collect();
         for &i in &members {
-            core.class_move(i, Some(0), Some(1));
+            core.vm_moved(i, Some(0), Some(1));
         }
         for &i in &members {
-            core.class_move(i, Some(1), Some(0));
+            core.vm_moved(i, Some(1), Some(0));
         }
         core.class_sync_pm(0, &members);
         let on_after: Vec<bool> = members.iter().map(|&i| core.on[i]).collect();
@@ -1255,6 +1549,7 @@ mod tests {
         let host: Vec<Option<usize>> = (0..vms.len())
             .map(|i| (i % 13 != 0).then_some(i % m))
             .collect();
+        let hosted = hosted_of(&host, m);
         for layout in [
             RngLayout::Shared,
             RngLayout::PerVm,
@@ -1264,7 +1559,7 @@ mod tests {
             a.class_init(&host);
             let mut observed = vec![0.0; m];
             for step in 0..40 {
-                a.step(step, &host, &mut observed);
+                a.step(step, &host, &hosted, &mut observed);
             }
             // Rebuild a fresh core from specs, then restore the evolving
             // state — exactly what checkpoint load does.
@@ -1274,8 +1569,8 @@ mod tests {
             b.on.copy_from_slice(&a.on);
             let (mut oa, mut ob) = (vec![0.0; m], vec![0.0; m]);
             for step in 40..70 {
-                a.step(step, &host, &mut oa);
-                b.step(step, &host, &mut ob);
+                a.step(step, &host, &hosted, &mut oa);
+                b.step(step, &host, &hosted, &mut ob);
                 for (x, y) in oa.iter().zip(&ob) {
                     assert_eq!(
                         x.to_bits(),
@@ -1337,7 +1632,7 @@ mod tests {
         let host = vec![None; vms.len()];
         let mut core = WorkloadCore::new(&vms, 3, 1, RngLayout::PerVm, 2);
         let mut observed = vec![1.0; 3];
-        core.step(0, &host, &mut observed);
+        core.step(0, &host, &[], &mut observed);
         assert!(observed.iter().all(|&o| o == 0.0));
         assert!(core.on.iter().any(|&b| b), "chains must still evolve");
     }

@@ -20,8 +20,8 @@ use bursty_obs::durable::{crc64, FailingStore, MemStore, Store};
 use bursty_obs::{MemoryRecorder, NoopRecorder};
 use bursty_placement::{first_fit, BaseStrategy, Placement, QueueStrategy};
 use bursty_sim::{
-    CheckpointConfig, CheckpointError, FaultConfig, QueuePolicy, RngLayout, SimConfig, SimOutcome,
-    Simulator,
+    CheckpointConfig, CheckpointError, FaultConfig, FaultKind, ObservedPolicy, QueuePolicy,
+    RngLayout, SimConfig, SimOutcome, Simulator,
 };
 use bursty_workload::{PmSpec, VmSpec};
 use proptest::prelude::*;
@@ -252,6 +252,29 @@ fn all_writes_torn_is_a_typed_error() {
     }
 }
 
+/// Asserts that `store` holds exactly the snapshots `pinned` lists, as
+/// `(file, length, crc64)` digested at the commit before the derived
+/// state under test existed: nothing new may be persisted.
+fn assert_snapshots_pinned(store: &MemStore, pinned: &[(&str, usize, u64)]) {
+    let digests: Vec<(String, usize, u64)> = store
+        .list()
+        .unwrap()
+        .into_iter()
+        .map(|name| {
+            let bytes = store.read(&name).unwrap();
+            (name, bytes.len(), crc64(&bytes))
+        })
+        .collect();
+    assert_eq!(digests.len(), pinned.len());
+    for ((name, len, crc), &(want_name, want_len, want_crc)) in digests.iter().zip(pinned) {
+        assert_eq!(
+            (name.as_str(), *len, *crc),
+            (want_name, want_len, want_crc),
+            "snapshot encoding changed"
+        );
+    }
+}
+
 /// The migration-target index the engine keeps across steps is derived
 /// state: it is not in the snapshot, and a resumed run rebuilds it at its
 /// first target query. An RB-tight packing under the QUEUE policy keeps
@@ -285,25 +308,7 @@ fn kept_target_index_is_rebuilt_on_resume_and_never_persisted() {
     assert!(run.save_errors.is_empty());
     assert_bit_identical(&baseline, &run.outcome, "hooked run");
 
-    // Snapshot bytes of this fixed run, digested at the parent commit.
-    let digests: Vec<(String, usize, u64)> = store
-        .list()
-        .unwrap()
-        .into_iter()
-        .map(|name| {
-            let bytes = store.read(&name).unwrap();
-            (name, bytes.len(), crc64(&bytes))
-        })
-        .collect();
-    assert_eq!(digests.len(), PINNED_SNAPSHOTS.len());
-    for ((name, len, crc), (want_name, want_len, want_crc)) in digests.iter().zip(PINNED_SNAPSHOTS)
-    {
-        assert_eq!(
-            (name.as_str(), *len, *crc),
-            (want_name, want_len, want_crc),
-            "snapshot encoding changed"
-        );
-    }
+    assert_snapshots_pinned(&store, &PINNED_SNAPSHOTS);
 
     // Interrupt right after step `cut`: drop every later snapshot.
     for name in store.list().unwrap() {
@@ -333,4 +338,76 @@ const PINNED_SNAPSHOTS: [(&str, usize, u64); 5] = [
     ("ckpt-000000000060", 5218, 7864350834240385214),
     ("ckpt-000000000080", 5486, 8703983961231627676),
     ("ckpt-000000000100", 5690, 13869767429761421025),
+];
+
+/// The shared layout's per-PM demand sums and dirty marks, and the
+/// engine's occupied-PM set, are derived state too: a resumed run
+/// rebuilds them from the restored `on` flags, `host` and `loads` at its
+/// first step. An RB-tight farm under the RB policy with faults on keeps
+/// migrating, crashing and evacuating, so the cut lands after membership
+/// has moved both ways (migrant-reordered member lists, emptied and
+/// re-filled PMs) with more of each to come.
+#[test]
+fn shared_layout_sums_and_occupied_set_are_rebuilt_on_resume_and_never_persisted() {
+    let vms: Vec<VmSpec> = (0..60)
+        .map(|i| VmSpec::new(i, 0.01, 0.09, 8.0 + (i % 3) as f64 * 2.0, 10.0))
+        .collect();
+    let pms: Vec<PmSpec> = (0..20).map(|j| PmSpec::new(j, 100.0)).collect();
+    let placement = first_fit(&vms, &pms, &BaseStrategy).unwrap();
+    let policy = ObservedPolicy::rb();
+    let cfg = config(150, 5, true, RngLayout::Shared, 1);
+    let sim = Simulator::new(&vms, &pms, &policy, cfg);
+
+    let baseline = sim.run(&placement);
+    let cut = 50usize;
+    let split = |steps: &mut dyn Iterator<Item = usize>| {
+        let (before, after): (Vec<usize>, Vec<usize>) = steps.partition(|&s| s < cut);
+        (before.len(), after.len())
+    };
+    let moves = split(&mut baseline.migrations.iter().map(|e| e.step));
+    let crashes = split(
+        &mut baseline
+            .fault_events
+            .iter()
+            .filter(|e| e.kind == FaultKind::Crash)
+            .map(|e| e.step),
+    );
+    let landings = split(
+        &mut baseline
+            .evacuations
+            .iter()
+            .filter(|e| e.to_pm.is_some())
+            .map(|e| e.step),
+    );
+    for (what, (before, after)) in [
+        ("migrations", moves),
+        ("crashes", crashes),
+        ("landings", landings),
+    ] {
+        assert!(
+            before >= 1 && after >= 1,
+            "cut must split the {what}: {before} before, {after} after"
+        );
+    }
+
+    let mut store = MemStore::new();
+    let run = sim.run_with_checkpoints(&placement, &knobs(cut, 8), &mut store, &mut NoopRecorder);
+    assert!(run.save_errors.is_empty());
+    assert_bit_identical(&baseline, &run.outcome, "hooked run");
+    assert_snapshots_pinned(&store, &PINNED_SHARED_SNAPSHOTS);
+
+    // Interrupt right after step `cut`: drop the later snapshot.
+    store.remove(PINNED_SHARED_SNAPSHOTS[1].0).unwrap();
+    let (resumed, report) = sim
+        .resume_with_checkpoints(&knobs(cut, 8), store, &mut NoopRecorder)
+        .unwrap();
+    assert_eq!(report.step, cut);
+    assert_bit_identical(&baseline, &resumed.outcome, "resumed");
+}
+
+/// `(file, length, crc64)` of the snapshots the fixed run above writes,
+/// computed at the commit before the shared layout kept per-PM sums.
+const PINNED_SHARED_SNAPSHOTS: [(&str, usize, u64); 2] = [
+    ("ckpt-000000000050", 8056, 10240044588388130596),
+    ("ckpt-000000000100", 12566, 4103400976211420776),
 ];
