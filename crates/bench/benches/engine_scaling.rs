@@ -35,48 +35,6 @@ fn bench_step_throughput_vs_fleet(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_rng_layouts(c: &mut Criterion) {
-    // The SoA hot path under each RNG layout at a fixed fleet size:
-    // shared (serial, bit-compatible with the historical engine), per-VM
-    // serial, and per-VM with all cores. `engine-bench` (the JSON
-    // emitter behind BENCH_engine.json) reports the same quantities for
-    // CI trending; this group is for interactive `cargo bench` digging.
-    let mut group = c.benchmark_group("engine_rng_layouts");
-    const STEPS: usize = 200;
-    const N: usize = 800;
-    let mut gen = FleetGenerator::new(N as u64);
-    let vms = gen.vms(N, WorkloadPattern::EqualSpike);
-    let pms = gen.pms(N);
-    let consolidator = Consolidator::new(Scheme::Queue);
-    let placement = consolidator.place(&vms, &pms).unwrap();
-    group.throughput(Throughput::Elements((STEPS * N) as u64));
-    let cases = [
-        ("shared", RngLayout::Shared, 1usize),
-        ("per_vm_serial", RngLayout::PerVm, 1),
-        ("per_vm_all_cores", RngLayout::PerVm, 0),
-    ];
-    for (label, layout, threads) in cases {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let cfg = SimConfig {
-                    steps: STEPS,
-                    seed: 1,
-                    migrations_enabled: true,
-                    rng_layout: layout,
-                    threads,
-                    ..Default::default()
-                };
-                black_box(
-                    consolidator
-                        .simulate(&vms, &pms, &placement, cfg)
-                        .final_pms_used,
-                )
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_mapcal_stationary(c: &mut Criterion) {
     // Closed-form Binomial stationary vs the retained Gaussian solver,
     // per reservation() call at a production-sized block count.
@@ -128,7 +86,6 @@ fn bench_parallel_replication(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_step_throughput_vs_fleet,
-    bench_rng_layouts,
     bench_mapcal_stationary,
     bench_parallel_replication
 );

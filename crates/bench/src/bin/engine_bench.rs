@@ -1,10 +1,11 @@
 //! Engine-throughput benchmark with machine-readable output.
 //!
-//! Measures the simulator's step throughput under each RNG layout
-//! (shared serial stream, per-VM serial, per-VM with all cores) and the
-//! MapCal stationary-distribution build (closed-form Binomial vs the
-//! retained Gaussian-elimination oracle), then writes the results as
-//! JSON — the `BENCH_engine.json` artifact CI uploads for trending.
+//! Measures the simulator's step throughput under both RNG layouts
+//! (the shared serial stream on distinct and on class-heavy fleets, the
+//! class-aggregated counters on the latter) and the MapCal
+//! stationary-distribution build (closed-form Binomial vs the retained
+//! Gaussian-elimination oracle), then writes the results as JSON — the
+//! `BENCH_engine.json` artifact CI uploads for trending.
 //!
 //! ```text
 //! engine-bench [--steps S] [--fleets N1,N2,...] [--repeats R]
@@ -45,8 +46,9 @@
 //!
 //! Engine, paper-density and sweep rows carry the commit they were
 //! measured at (`--commit`, default `git describe --always --dirty`).
-//! `--before PATH` copies an earlier output file's shared-layout engine
-//! rows, paper-density rows and sweep rows in front of this run's, which
+//! `--before PATH` copies an earlier output file's paper-density rows,
+//! sweep rows and the engine rows of the layouts this run measures in
+//! front of this run's, which
 //! is how the checked-in file carries before/after pairs: this source
 //! builds against the parent commit too (it uses the public API only).
 
@@ -60,7 +62,6 @@ use std::time::Instant;
 struct EngineRow {
     n: usize,
     layout: &'static str,
-    threads: usize,
     secs: f64,
     steps_per_sec: f64,
     vm_steps_per_sec: f64,
@@ -375,39 +376,29 @@ fn main() {
         let pms = gen.pms(n);
         let consolidator = Consolidator::new(Scheme::Queue);
         let placement = consolidator.place(&vms, &pms).expect("placement");
-        let cases: [(&'static str, RngLayout, usize); 3] = [
-            ("shared", RngLayout::Shared, 1),
-            ("per_vm_serial", RngLayout::PerVm, 1),
-            ("per_vm_parallel", RngLayout::PerVm, 0),
-        ];
-        for (layout, rng_layout, threads) in cases {
-            let secs = best_secs(repeats, || {
-                let cfg = SimConfig {
-                    steps,
-                    seed: 1,
-                    migrations_enabled: true,
-                    rng_layout,
-                    threads,
-                    ..Default::default()
-                };
-                consolidator
-                    .simulate(&vms, &pms, &placement, cfg)
-                    .final_pms_used
-            });
-            eprintln!(
-                "  n={n} {layout}: {secs:.4}s ({:.0} steps/s)",
-                steps as f64 / secs
-            );
-            rows.push(EngineRow {
-                n,
-                layout,
-                threads: if threads == 0 { cores } else { threads },
-                secs,
-                steps_per_sec: steps as f64 / secs,
-                vm_steps_per_sec: (steps * n) as f64 / secs,
-                occupancy: None,
-            });
-        }
+        let secs = best_secs(repeats, || {
+            let cfg = SimConfig {
+                steps,
+                seed: 1,
+                migrations_enabled: true,
+                ..Default::default()
+            };
+            consolidator
+                .simulate(&vms, &pms, &placement, cfg)
+                .final_pms_used
+        });
+        eprintln!(
+            "  n={n} shared: {secs:.4}s ({:.0} steps/s)",
+            steps as f64 / secs
+        );
+        rows.push(EngineRow {
+            n,
+            layout: "shared",
+            secs,
+            steps_per_sec: steps as f64 / secs,
+            vm_steps_per_sec: (steps * n) as f64 / secs,
+            occupancy: None,
+        });
     }
 
     // Class-heavy fleets: the Table-I mix (three distinct classes) on a
@@ -418,7 +409,7 @@ fn main() {
     // counter is exactly the shape dense consolidation produces, and
     // these rows pin the resulting ratio against the shared layout on
     // the *same* fleet and placement. A separate fleet list because the
-    // class path scales to fleet sizes (10^6) the per-VM main rows
+    // class path scales to fleet sizes (10^6) the distinct-fleet rows
     // cannot reach in bench time.
     let cell_n = class_fleets.iter().copied().max().unwrap_or(10_000);
     let mut cell_assignment: Vec<Option<usize>> = Vec::new();
@@ -439,70 +430,39 @@ fn main() {
             cell_m = m;
         }
         eprintln!("  n={n} m={m}: {occupied_cells} occupied cells, {mean_cell_n:.1} VMs/cell");
-        // `class_aggregated` keeps the pmf-recurrence walk so the row
-        // stays comparable across reports; `class_aggregated_cached` is
-        // the memoized-table path (the engine default). Both must agree
-        // bitwise — any outcome divergence is a hard failure.
-        let cases: [(&'static str, RngLayout, ClassSampler); 3] = [
-            ("shared_classheavy", RngLayout::Shared, ClassSampler::Walk),
-            (
-                "class_aggregated",
-                RngLayout::ClassAggregated,
-                ClassSampler::Walk,
-            ),
-            (
-                "class_aggregated_cached",
-                RngLayout::ClassAggregated,
-                ClassSampler::Cached,
-            ),
+        // `class_aggregated_cached` is the class layout as the engine
+        // runs it, on the memoized tables; the name is the one earlier
+        // reports used for it.
+        let cases: [(&'static str, RngLayout); 2] = [
+            ("shared_classheavy", RngLayout::Shared),
+            ("class_aggregated_cached", RngLayout::ClassAggregated),
         ];
-        let mut class_outcomes: Vec<(&'static str, (usize, usize, usize))> = Vec::new();
-        for (layout, rng_layout, class_sampler) in cases {
-            let mut outcome = (0usize, 0usize, 0usize);
+        for (layout, rng_layout) in cases {
             let secs = best_secs(repeats, || {
                 let cfg = SimConfig {
                     steps,
                     seed: 1,
                     migrations_enabled: true,
                     rng_layout,
-                    class_sampler,
                     threads: 1,
                     ..Default::default()
                 };
-                let res = consolidator.simulate(&vms, &pms, &placement, cfg);
-                outcome = (
-                    res.final_pms_used,
-                    res.total_violation_steps,
-                    res.migrations.len(),
-                );
-                outcome.0
+                consolidator
+                    .simulate(&vms, &pms, &placement, cfg)
+                    .final_pms_used
             });
             eprintln!(
                 "  n={n} {layout}: {secs:.4}s ({:.0} steps/s)",
                 steps as f64 / secs
             );
-            if rng_layout == RngLayout::ClassAggregated {
-                class_outcomes.push((layout, outcome));
-            }
             rows.push(EngineRow {
                 n,
                 layout,
-                threads: 1,
                 secs,
                 steps_per_sec: steps as f64 / secs,
                 vm_steps_per_sec: (steps * n) as f64 / secs,
                 occupancy,
             });
-        }
-        if let [(_, walk), (_, cached)] = class_outcomes[..] {
-            if walk != cached {
-                eprintln!(
-                    "FAIL: cached sampler diverged from the walk at n={n}: \
-                     walk {walk:?} vs cached {cached:?} \
-                     (final_pms_used, violation_steps, migrations)"
-                );
-                std::process::exit(1);
-            }
         }
     }
 
@@ -568,7 +528,22 @@ fn main() {
         cell_m = (cell_n / 200).max(1);
         cell_assignment = (0..cell_n).map(|i| Some(i % cell_m)).collect();
     }
-    let mut walk_bench = ClassCoreBench::new(&cell_vms, cell_m, &cell_assignment, 1, 1, false);
+    let kernel =
+        |cached: bool| ClassCoreBench::new(&cell_vms, cell_m, &cell_assignment, 1, 1, cached);
+    // The tables memoize the walk: the two kernels must agree to the bit
+    // on every step, or the walk row times a different computation.
+    let (mut walk_bench, mut cached_bench) = (kernel(false), kernel(true));
+    for step in 0..steps {
+        let (walk, cached) = (walk_bench.step(), cached_bench.step());
+        if walk.to_bits() != cached.to_bits() {
+            eprintln!(
+                "FAIL: cached sampler diverged from the walk at n={cell_n}, step {step}: \
+                 PM 0 demand {walk} (walk) vs {cached} (cached)"
+            );
+            std::process::exit(1);
+        }
+    }
+    let mut walk_bench = kernel(false);
     let cell_walk_secs = best_secs(repeats, || {
         let mut acc = 0.0;
         for _ in 0..steps {
@@ -576,7 +551,7 @@ fn main() {
         }
         acc
     });
-    let mut cached_bench = ClassCoreBench::new(&cell_vms, cell_m, &cell_assignment, 1, 1, true);
+    let mut cached_bench = kernel(true);
     let cell_cached_secs = best_secs(repeats, || {
         let mut acc = 0.0;
         for _ in 0..steps {
@@ -595,45 +570,6 @@ fn main() {
          ({cell_cached_vmsps:.3e} vm·steps/s, {:.2}x, hit rate {:.4})",
         cell_walk_secs / cell_cached_secs,
         cache_hit_rate
-    );
-
-    // Hot-loop microbenchmark: the evolution pass alone, the way the
-    // pre-SoA engine ran it (per-VM method indirection, an OnOffChain
-    // constructed per call) vs the flat structure-of-arrays pass the
-    // engine runs now. Both consume the identical shared RNG stream, so
-    // the delta is purely the data-layout effect the tentpole claims.
-    let hot_n = fleets.iter().copied().max().unwrap_or(800);
-    let hot_fleet = {
-        let mut gen = FleetGenerator::new(hot_n as u64);
-        gen.vms(hot_n, WorkloadPattern::EqualSpike)
-    };
-    let hot_legacy = best_secs(repeats, || {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut on = vec![false; hot_n];
-        for _ in 0..steps {
-            for (i, vm) in hot_fleet.iter().enumerate() {
-                let state = if on[i] { VmState::On } else { VmState::Off };
-                on[i] = vm.chain().step(state, &mut rng).is_on();
-            }
-        }
-        on.iter().filter(|&&b| b).count()
-    });
-    let hot_soa = best_secs(repeats, || {
-        let p_on: Vec<f64> = hot_fleet.iter().map(|vm| vm.p_on).collect();
-        let p_off: Vec<f64> = hot_fleet.iter().map(|vm| vm.p_off).collect();
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut on = vec![false; hot_n];
-        for _ in 0..steps {
-            for i in 0..hot_n {
-                let u = rng.gen::<f64>();
-                on[i] = if on[i] { u >= p_off[i] } else { u < p_on[i] };
-            }
-        }
-        on.iter().filter(|&&b| b).count()
-    });
-    eprintln!(
-        "  hot loop n={hot_n}: legacy {hot_legacy:.4}s vs soa {hot_soa:.4}s ({:.2}x)",
-        hot_legacy / hot_soa
     );
 
     // Observability overhead: run() is the NoopRecorder monomorphization,
@@ -740,15 +676,18 @@ fn main() {
         }
         json.push_str("  ],\n");
     };
-    // Of the earlier engine rows only the shared-layout ones are kept:
-    // the before/after pair of the layout every other row is a ratio of.
+    // Of the earlier engine rows, those of a layout this run measures
+    // are kept: each row then has its before/after pair.
     let mut lines = before_rows("engine");
-    lines.retain(|l| l.contains("\"layout\": \"shared"));
+    lines.retain(|l| {
+        rows.iter()
+            .any(|r| l.contains(&format!("\"layout\": \"{}\"", r.layout)))
+    });
     for r in &rows {
         let mut line = format!(
-            "{{\"commit\": \"{commit}\", \"n\": {}, \"layout\": \"{}\", \"threads\": {}, \
+            "{{\"commit\": \"{commit}\", \"n\": {}, \"layout\": \"{}\", \"threads\": 1, \
              \"secs\": {:.6}, \"steps_per_sec\": {:.1}, \"vm_steps_per_sec\": {:.1}",
-            r.n, r.layout, r.threads, r.secs, r.steps_per_sec, r.vm_steps_per_sec
+            r.n, r.layout, r.secs, r.steps_per_sec, r.vm_steps_per_sec
         );
         if let Some((cells, cells_per_step, mean_n)) = r.occupancy {
             let _ = write!(
@@ -762,41 +701,16 @@ fn main() {
     }
     push_section(&mut json, "engine", &lines);
     json.push_str("  \"speedups\": {\n");
-    let mut all_ns: Vec<usize> = fleets.iter().chain(&class_fleets).copied().collect();
-    all_ns.sort_unstable();
-    all_ns.dedup();
-    for (i, &n) in all_ns.iter().enumerate() {
-        let mut pairs: Vec<String> = Vec::new();
-        if fleets.contains(&n) {
-            pairs.push(format!(
-                "\"serial_soa_per_vm_over_shared\": {:.3}",
-                speedup_of(n, "shared", "per_vm_serial")
-            ));
-            pairs.push(format!(
-                "\"parallel_over_shared\": {:.3}",
-                speedup_of(n, "shared", "per_vm_parallel")
-            ));
-            pairs.push(format!(
-                "\"parallel_over_per_vm_serial\": {:.3}",
-                speedup_of(n, "per_vm_serial", "per_vm_parallel")
-            ));
-        }
-        if class_fleets.contains(&n) {
-            pairs.push(format!(
-                "\"class_aggregated_over_shared_classheavy\": {:.3}",
-                speedup_of(n, "shared_classheavy", "class_aggregated")
-            ));
-            pairs.push(format!(
-                "\"class_cached_over_shared_classheavy\": {:.3}",
-                speedup_of(n, "shared_classheavy", "class_aggregated_cached")
-            ));
-            pairs.push(format!(
-                "\"class_cached_over_walk\": {:.3}",
-                speedup_of(n, "class_aggregated", "class_aggregated_cached")
-            ));
-        }
-        let _ = write!(json, "    \"n{n}\": {{{}}}", pairs.join(", "));
-        json.push_str(if i + 1 < all_ns.len() { ",\n" } else { "\n" });
+    let mut class_ns = class_fleets.clone();
+    class_ns.sort_unstable();
+    class_ns.dedup();
+    for (i, &n) in class_ns.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    \"n{n}\": {{\"class_cached_over_shared_classheavy\": {:.3}}}",
+            speedup_of(n, "shared_classheavy", "class_aggregated_cached")
+        );
+        json.push_str(if i + 1 < class_ns.len() { ",\n" } else { "\n" });
     }
     json.push_str("  },\n");
     let mut lines = before_rows("paper_density");
@@ -870,12 +784,6 @@ fn main() {
         cell_walk_secs / cell_cached_secs,
         (steps * cell_occupied) as f64 / cell_walk_secs,
         (steps * cell_occupied) as f64 / cell_cached_secs
-    );
-    let _ = writeln!(
-        json,
-        "  \"hot_loop\": {{\"n\": {hot_n}, \"legacy_secs\": {hot_legacy:.6}, \
-         \"soa_secs\": {hot_soa:.6}, \"speedup\": {:.2}}},",
-        hot_legacy / hot_soa
     );
     let _ = writeln!(
         json,

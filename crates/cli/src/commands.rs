@@ -178,19 +178,14 @@ pub fn plan(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 /// `bursty consolidate --vms N [--pms M] [--pattern equal|small|large]
-/// [--scheme queue|rp|rb|rbex] [--seed S] [--p-on P] [--p-off P] [--rho R]
-/// [--batch | --no-batch]`
+/// [--scheme queue|rp|rb|rbex] [--seed S] [--p-on P] [--p-off P] [--rho R]`
 ///
-/// Generates a seeded synthetic fleet and packs it. `--batch` forces the
-/// class-collapsed batch path, `--no-batch` forces the per-VM path; the
-/// default lets the consolidator pick based on how duplicate-heavy the
-/// fleet is. Both paths produce byte-identical placements — the flags
-/// only trade packing speed.
+/// Generates a seeded synthetic fleet and packs it. The consolidator
+/// takes the class-collapsed batch path when the fleet is
+/// duplicate-heavy and the per-VM path otherwise (the report names the
+/// one taken); both produce byte-identical placements.
 pub fn consolidate(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse_with_switches(args, &["batch", "no-batch"])?;
-    if args.has("batch") && args.has("no-batch") {
-        return Err(err("--batch and --no-batch are mutually exclusive"));
-    }
+    let args = Args::parse(args)?;
     let n = args.require_usize("vms")?;
     if n == 0 {
         return Err(err("--vms must be at least 1"));
@@ -218,13 +213,6 @@ pub fn consolidate(args: &[String], out: &mut dyn Write) -> Result<(), CliError>
     };
     let seed = args.get_usize("seed")?.unwrap_or(42) as u64;
     let (p_on, p_off, rho) = probabilities(&args)?;
-    let batch = if args.has("batch") {
-        BatchMode::Always
-    } else if args.has("no-batch") {
-        BatchMode::Never
-    } else {
-        BatchMode::Auto
-    };
 
     let mut gen = FleetGenerator::new(seed);
     let vms = gen.vms_table_i(n, pattern);
@@ -232,8 +220,7 @@ pub fn consolidate(args: &[String], out: &mut dyn Write) -> Result<(), CliError>
     let pms = gen.pms(n_pms);
     let consolidator = Consolidator::new(scheme)
         .with_probabilities(p_on, p_off)
-        .with_rho(rho)
-        .with_batch(batch);
+        .with_rho(rho);
     let classes = bursty_core::workload::distinct_classes(&vms);
     let path = if consolidator.uses_batch(&vms) {
         "class-collapsed batch"
@@ -293,20 +280,17 @@ pub fn simulate(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     }
     let rng_layout = match args.get_str("rng-layout") {
         None | Some("shared") => RngLayout::Shared,
-        Some("per-vm") | Some("pervm") => RngLayout::PerVm,
         Some("class-aggregated") | Some("classaggregated") => RngLayout::ClassAggregated,
         Some(other) => {
             return Err(err(format!(
-                "unknown --rng-layout '{other}' (expected 'shared', 'per-vm' or 'class-aggregated')"
+                "unknown --rng-layout '{other}' (expected 'shared' or 'class-aggregated')"
             )))
         }
     };
     let threads = args.get_usize("threads")?.unwrap_or(1);
     if threads > 1 && rng_layout == RngLayout::Shared {
-        return Err(err(
-            "--threads requires --rng-layout per-vm or class-aggregated \
-             (the shared stream is sequential)",
-        ));
+        return Err(err("--threads requires --rng-layout class-aggregated \
+             (the shared stream is sequential)"));
     }
     let faults = match args.get_f64("mtbf")? {
         Some(mtbf_steps) => {
@@ -995,21 +979,18 @@ mod tests {
 
     #[test]
     fn consolidate_batch_paths_agree() {
-        let forced = run_cmd(consolidate, &["--vms", "300", "--batch"]).unwrap();
-        let per_vm = run_cmd(consolidate, &["--vms", "300", "--no-batch"]).unwrap();
-        assert!(forced.contains("class-collapsed batch"), "{forced}");
-        assert!(per_vm.contains("per-VM"), "{per_vm}");
-        // Same "packed onto X of Y PMs" regardless of path.
-        let used = |s: &str| {
-            s.split("packed onto")
-                .nth(1)
-                .unwrap()
-                .split_whitespace()
-                .next()
-                .unwrap()
-                .to_string()
-        };
-        assert_eq!(used(&forced), used(&per_vm));
+        // A Table-I fleet collapses, so the command takes the batch
+        // path; the per-VM packer on the same seeded fleet (the command's
+        // defaults: seed 42, as many PMs as VMs) must use as many PMs.
+        let report = run_cmd(consolidate, &["--vms", "300"]).unwrap();
+        assert!(report.contains("class-collapsed batch"), "{report}");
+        let mut gen = FleetGenerator::new(42);
+        let vms = gen.vms_table_i(300, WorkloadPattern::EqualSpike);
+        let pms = gen.pms(300);
+        let strategy = Consolidator::new(Scheme::Queue).strategy();
+        let per_vm = first_fit(&vms, &pms, strategy.as_ref()).unwrap();
+        let expected = format!("packed onto {} of 300 PMs", per_vm.pms_used());
+        assert!(report.contains(&expected), "{report}: want {expected}");
     }
 
     #[test]
@@ -1045,7 +1026,6 @@ mod tests {
     fn consolidate_rejects_bad_args() {
         assert!(run_cmd(consolidate, &[]).is_err());
         assert!(run_cmd(consolidate, &["--vms", "0"]).is_err());
-        assert!(run_cmd(consolidate, &["--vms", "10", "--batch", "--no-batch"]).is_err());
         assert!(run_cmd(consolidate, &["--vms", "10", "--pattern", "wavy"]).is_err());
         assert!(run_cmd(consolidate, &["--vms", "10", "--scheme", "magic"]).is_err());
     }

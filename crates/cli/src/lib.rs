@@ -9,7 +9,7 @@
 //! bursty table   --d 16 [--p-on ..] [--p-off ..] [--rho ..]
 //! bursty fit     <trace.csv>
 //! bursty plan    --traces <dir> --capacity <C> [--pms N] [--rho ..] [--out plan.csv]
-//! bursty consolidate --vms <N> [--batch | --no-batch]
+//! bursty consolidate --vms <N> [--pms M] [--scheme queue|rp|rb|rbex]
 //! bursty online-replay --vms <N> [--ops K] [--trace-out FILE]
 //! bursty serve [--addr A] [--vms N] [--state-dir DIR [--restore]]
 //! bursty serve-replay --addr A [--ops K] [--clients C] [--shutdown]
@@ -88,14 +88,14 @@ USAGE:
       consolidate with QueuingFFD, optionally write the VM→PM plan
   bursty consolidate --vms <N> [--pms M] [--pattern equal|small|large]
                   [--scheme queue|rp|rb|rbex] [--seed S] [--p-on P] [--p-off P]
-                  [--rho R] [--batch | --no-batch]
-      pack a seeded synthetic fleet and report PMs used and packing time;
-      --batch forces the class-collapsed batch path, --no-batch the
-      per-VM path (identical placements, different speed), default picks
-      automatically from the fleet's duplicate ratio
+                  [--rho R]
+      pack a seeded synthetic fleet and report PMs used, packing time
+      and the path taken: the class-collapsed batch packer when the
+      fleet is duplicate-heavy, the per-VM packer otherwise (identical
+      placements, different speed)
   bursty simulate --traces <dir> --capacity <C> [--steps S] [--rho R | --availability PCT]
                   [--mtbf S [--mttr S] [--fault-group G] [--fault-seed N]]
-                  [--rng-layout shared|per-vm|class-aggregated [--threads T]]
+                  [--rng-layout shared|class-aggregated [--threads T]]
                   [--checkpoint-every N --checkpoint-dir DIR [--checkpoint-keep K] [--resume]]
                   [--trace-out FILE]
       plan as above, then simulate the fitted fleet and certify the
@@ -103,13 +103,12 @@ USAGE:
       --mtbf injects PM crashes (mean time between failures / to repair
       in periods, --fault-group PMs failing together) and reports
       recovery metrics and the burstiness/degraded violation split;
-      --rng-layout per-vm gives every VM its own counter-based RNG
-      stream so --threads T (0 = all cores) parallelizes the workload
-      evolution with results identical at any thread count;
       --rng-layout class-aggregated evolves one binomial ON-counter per
-      (PM, class) cell instead of per-VM coins — O(PMs x classes) per
-      step, distributionally equivalent to per-vm (same stationary law,
-      certified CVR/energy), thread-count invariant but not bit-equal;
+      (PM, class) cell instead of per-VM coins off the one shared stream
+      — O(PMs x classes) per step, distributionally equivalent to shared
+      (same stationary law, certified CVR/energy) but not bit-equal, and
+      --threads T (0 = all cores) parallelizes it with results
+      identical at any thread count;
       --trace-out dumps the structured observability trace (counters,
       event journal, per-PM CVR series) as JSONL;
       --checkpoint-every writes a crash-safe snapshot of the full

@@ -193,8 +193,9 @@ fn simulate_accepts_rng_layout_and_threads() {
     let dir = scratch("simulate-rng");
     write_generated_traces(&dir, 4);
     let base = ["simulate", "--traces", dir.to_str().unwrap(), "--capacity"];
-    // Per-VM layout with explicit thread counts runs fine; outcomes are
-    // thread-count invariant, so both reports must match exactly.
+    // The class-aggregated layout with explicit thread counts runs fine;
+    // outcomes are thread-count invariant, so both reports must match
+    // exactly.
     let run_with = |threads: &str| {
         run_ok(&args(
             &[
@@ -204,7 +205,7 @@ fn simulate_accepts_rng_layout_and_threads() {
                     "--steps",
                     "3000",
                     "--rng-layout",
-                    "per-vm",
+                    "class-aggregated",
                     "--threads",
                     threads,
                 ][..],
@@ -223,15 +224,24 @@ fn simulate_accepts_rng_layout_and_threads() {
         &mut buf,
     )
     .unwrap_err();
-    assert!(e.to_string().contains("--rng-layout per-vm"), "{e}");
+    assert_eq!(
+        e.to_string(),
+        "--threads requires --rng-layout class-aggregated (the shared stream is sequential)"
+    );
 
-    // Unknown layout names are rejected up front.
-    let e = run(
-        &args(&[&base[..], &["120", "--rng-layout", "weird"][..]].concat()),
-        &mut buf,
-    )
-    .unwrap_err();
-    assert!(e.to_string().contains("unknown --rng-layout"), "{e}");
+    // Unknown layout names — the retired per-VM layout among them — are
+    // rejected up front with the two that exist.
+    for name in "weird per-vm".split(' ') {
+        let e = run(
+            &args(&[&base[..], &["120", "--rng-layout", name][..]].concat()),
+            &mut buf,
+        )
+        .unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            format!("unknown --rng-layout '{name}' (expected 'shared' or 'class-aggregated')")
+        );
+    }
 }
 
 #[test]

@@ -39,24 +39,6 @@ impl Scheme {
     }
 }
 
-/// How [`Consolidator::place`] chooses between the per-VM packer and the
-/// class-collapsed batch packer ([`bursty_placement::first_fit_batch`]).
-/// Both produce byte-identical placements; the choice is purely about
-/// speed, so the default [`BatchMode::Auto`] is safe everywhere.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchMode {
-    /// Batch when the fleet collapses well (at least two VMs per distinct
-    /// class on average); per-VM otherwise. The collapse census is one
-    /// `O(n)` hashing pass — noise next to the `O(n log n)` ordering.
-    #[default]
-    Auto,
-    /// Always take the batch path (e.g. when the caller knows the fleet is
-    /// duplicate-heavy and wants to skip the census).
-    Always,
-    /// Always take the per-VM path (reference behavior).
-    Never,
-}
-
 /// Configuration + scheme bundle with the paper's defaults
 /// (`ρ = 0.01`, `d = 16`, `p_on = 0.01`, `p_off = 0.09`).
 ///
@@ -74,8 +56,6 @@ pub struct Consolidator {
     pub p_on: f64,
     /// Uniform ON→OFF probability.
     pub p_off: f64,
-    /// Packing-path selection (results are identical either way).
-    pub batch: BatchMode,
 }
 
 impl Consolidator {
@@ -87,14 +67,7 @@ impl Consolidator {
             d: defaults::MAX_VMS_PER_PM,
             p_on: defaults::P_ON,
             p_off: defaults::P_OFF,
-            batch: BatchMode::default(),
         }
-    }
-
-    /// Overrides the packing-path selection (see [`BatchMode`]).
-    pub fn with_batch(mut self, batch: BatchMode) -> Self {
-        self.batch = batch;
-        self
     }
 
     /// Overrides the CVR bound.
@@ -174,20 +147,22 @@ impl Consolidator {
         Box::new(DegradedAdmission::new(self.policy(), epsilon))
     }
 
-    /// Whether [`Consolidator::place`] would take the batch path for this
-    /// fleet under the current [`BatchMode`].
+    /// Whether [`Consolidator::place`] takes the class-collapsed batch
+    /// packer ([`bursty_placement::first_fit_batch`]) for this fleet: it
+    /// does when the fleet collapses well (at least two VMs per distinct
+    /// class on average), and packs per VM otherwise. Both packers
+    /// produce byte-identical placements, so the choice is only about
+    /// speed; the census is one `O(n)` hashing pass — noise next to the
+    /// `O(n log n)` ordering.
     pub fn uses_batch(&self, vms: &[VmSpec]) -> bool {
-        match self.batch {
-            BatchMode::Always => true,
-            BatchMode::Never => false,
-            BatchMode::Auto => 2 * bursty_workload::distinct_classes(vms) <= vms.len(),
-        }
+        2 * bursty_workload::distinct_classes(vms) <= vms.len()
     }
 
     /// Consolidates `vms` onto `pms` (paper Algorithm 2 for
     /// [`Scheme::Queue`], plain FFD otherwise) — through the
     /// class-collapsed batch packer when the fleet collapses (see
-    /// [`BatchMode`]); the result is byte-identical either way.
+    /// [`Consolidator::uses_batch`]); the result is byte-identical
+    /// either way.
     ///
     /// # Errors
     /// [`PackError`] if some VM fits nowhere.
@@ -375,8 +350,9 @@ mod tests {
 
     #[test]
     fn batch_modes_agree_on_placements() {
+        use bursty_placement::{first_fit, first_fit_batch};
         let mut g = FleetGenerator::new(9);
-        // Duplicate-heavy Table-I fleet: Auto must pick the batch path.
+        // Duplicate-heavy Table-I fleet: `place` must pick the batch path.
         let vms = g.vms_table_i(300, WorkloadPattern::EqualSpike);
         let pms = g.pms(250);
         for scheme in [Scheme::Queue, Scheme::Rp, Scheme::Rb, Scheme::RbEx(0.3)] {
@@ -386,11 +362,12 @@ mod tests {
                 "{}: Table-I fleet collapses",
                 c.scheme.label()
             );
-            let auto = c.place(&vms, &pms).unwrap();
-            let never = c.with_batch(BatchMode::Never).place(&vms, &pms).unwrap();
-            let always = c.with_batch(BatchMode::Always).place(&vms, &pms).unwrap();
-            assert_eq!(auto, never, "{}", scheme.label());
-            assert_eq!(auto, always, "{}", scheme.label());
+            let placed = c.place(&vms, &pms).unwrap();
+            let strategy = c.strategy();
+            let per_vm = first_fit(&vms, &pms, strategy.as_ref()).unwrap();
+            let batch = first_fit_batch(&vms, &pms, strategy.as_ref()).unwrap();
+            assert_eq!(placed, per_vm, "{}", scheme.label());
+            assert_eq!(placed, batch, "{}", scheme.label());
         }
     }
 
@@ -399,8 +376,6 @@ mod tests {
         let (vms, _) = fleet(100, 4);
         let c = Consolidator::new(Scheme::Queue);
         assert!(!c.uses_batch(&vms), "uniform draws are all-distinct");
-        assert!(c.with_batch(BatchMode::Always).uses_batch(&vms));
-        assert!(!c.with_batch(BatchMode::Never).uses_batch(&vms));
     }
 
     #[test]

@@ -56,11 +56,11 @@ pub use bursty_workload as workload;
 
 pub mod consolidator;
 
-pub use consolidator::{BatchMode, Consolidator, Scheme};
+pub use consolidator::{Consolidator, Scheme};
 
 /// The convenient single-import surface.
 pub mod prelude {
-    pub use crate::consolidator::{BatchMode, Consolidator, Scheme};
+    pub use crate::consolidator::{Consolidator, Scheme};
     pub use bursty_markov::{
         block_system_metrics, AggregateChain, BlockSystemMetrics, OnOffChain, TransientAnalysis,
         VmState,
@@ -77,7 +77,7 @@ pub mod prelude {
     };
     pub use bursty_sim::{
         detect_stabilization, replicate, run_churn, CheckpointConfig, CheckpointError,
-        CheckpointedRun, ChurnConfig, ChurnOutcome, ClassSampler, ConfigError, DegradedAdmission,
+        CheckpointedRun, ChurnConfig, ChurnOutcome, ConfigError, DegradedAdmission,
         EvacuationEvent, FaultConfig, FaultEvent, FaultKind, FaultProcess, MigrationEvent,
         ObservedPolicy, PeakPolicy, QueuePolicy, RecoveryReport, RecoveryStats, RngLayout,
         RuntimePolicy, SimConfig, SimOutcome, Simulator, Stabilization,

@@ -54,7 +54,7 @@ impl ClassCoreBench {
         cached: bool,
     ) -> Self {
         let mut core = WorkloadCore::new(vms, m, seed, RngLayout::ClassAggregated, threads);
-        core.set_class_sampler(cached);
+        core.set_cached_sampler(cached);
         let host = host.to_vec();
         core.class_init(&host);
         Self {

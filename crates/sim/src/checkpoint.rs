@@ -7,14 +7,14 @@
 //! plus (optionally) the attached recorder's own snapshot. Resuming
 //! reconstructs the `RunState` and re-enters the step loop via
 //! [`Simulator::run_from`]; because every piece of evolving state
-//! travels — all three RNG layouts, the fault process, the retry
+//! travels — both RNG layouts, the fault process, the retry
 //! queue with its backoff exponents, the displaced-VM pools, the
 //! accumulated accounting, and the recorder journal — a resumed run
 //! finishes `f64::to_bits`-identical to one that never stopped
 //! (proptested in `sim/tests/checkpoint_resume.rs`).
 //!
 //! What a snapshot does *not* carry is anything derivable from the
-//! specs: flattened chain parameters, stream keys, the class table,
+//! specs: flattened chain parameters, cell stream keys, the class table,
 //! headroom indexes. Those are rebuilt from the `Simulator`'s own
 //! fleet on load, and a fingerprint over the scientific configuration
 //! (config fields, power model, and the exact spec bit patterns —
@@ -160,11 +160,8 @@ pub struct CheckpointedRun {
 /// the power model, and the exact bit patterns of the fleet specs.
 /// `threads` is deliberately excluded — any thread count produces
 /// `to_bits`-identical results (the core's determinism contract), so a
-/// snapshot may be resumed at a different parallelism. `class_sampler`
-/// is excluded for the same reason: the memoized tables and the walk
-/// draw bit-identical values, so a snapshot may be resumed under
-/// either sampler. The `dyn` runtime policy cannot participate; see
-/// the module docs.
+/// snapshot may be resumed at a different parallelism. The `dyn`
+/// runtime policy cannot participate; see the module docs.
 pub(crate) fn fingerprint(sim: &Simulator<'_>) -> u64 {
     let mut h: u64 = 0x4243_4b50; // "BCKP"
     let mut eat = |w: u64| h = mix64(h ^ w);
@@ -194,9 +191,9 @@ pub(crate) fn fingerprint(sim: &Simulator<'_>) -> u64 {
             eat(fc.seed);
         }
     }
+    // 1 is retired (the per-VM layout); existing snapshots pin 0 and 2.
     eat(match cfg.rng_layout {
         RngLayout::Shared => 0,
-        RngLayout::PerVm => 1,
         RngLayout::ClassAggregated => 2,
     });
     eat(sim.power.idle_watts.to_bits());
@@ -273,7 +270,6 @@ pub(crate) fn encode_state(
                 put_u64(&mut core, word);
             }
         }
-        CoreSnapshot::PerVm => put_u8(&mut core, 1),
         CoreSnapshot::ClassAggregated(locs) => {
             put_u8(&mut core, 2);
             put_usize(&mut core, locs.len());
@@ -488,9 +484,9 @@ pub(crate) fn decode_state(
     // validation of the class-aggregated counters.
     let mut c = Cursor::new(section(SEC_CORE)?);
     let on = read_bool_vec(&mut c, Some(n))?;
+    // Tag 1 is retired with the per-VM layout; it must stay unknown.
     let snap = match c.u8()? {
         0 => CoreSnapshot::Shared([c.u64()?, c.u64()?, c.u64()?, c.u64()?]),
-        1 => CoreSnapshot::PerVm,
         2 => {
             let locs = c.seq_len(8)?;
             let mut all = Vec::with_capacity(locs);
@@ -514,7 +510,6 @@ pub(crate) fn decode_state(
         sim.config.rng_layout,
         sim.config.threads,
     );
-    core.set_class_sampler(sim.config.class_sampler == crate::config::ClassSampler::Cached);
     core.restore_mode(snap).map_err(bad)?;
     core.on.copy_from_slice(&on);
 
@@ -1145,6 +1140,61 @@ mod tests {
         };
         assert_eq!(discarded.len(), 2);
         assert!(discarded[0].1.contains("different experiment"));
+    }
+
+    /// Layout value `1` (the per-VM layout) is retired; `0` and `2`
+    /// must keep the fingerprints they had while it existed, or every
+    /// snapshot written before would be rejected as a different
+    /// experiment. The literals are the parent commit's values.
+    #[test]
+    fn fingerprints_of_both_layouts_are_pinned() {
+        let (vms, pms) = fleet();
+        let policy = QueuePolicy::new(QueueStrategy::build(16, 0.01, 0.09, 0.01));
+        for (layout, want) in [
+            (RngLayout::Shared, 0x624b_dd0b_e2fa_2f79_u64),
+            (RngLayout::ClassAggregated, 0x2200_30b2_9e0f_82cc_u64),
+        ] {
+            let cfg = SimConfig {
+                rng_layout: layout,
+                ..config()
+            };
+            let got = fingerprint(&Simulator::new(&vms, &pms, &policy, cfg));
+            assert_eq!(got, want, "{layout:?}: fingerprint is {got:#018x}");
+        }
+    }
+
+    #[test]
+    fn retired_core_layout_tag_is_a_typed_decode_error() {
+        let (vms, pms) = fleet();
+        let strategy = QueueStrategy::build(16, 0.01, 0.09, 0.01);
+        let placement = first_fit(&vms, &pms, &strategy).unwrap();
+        let policy = QueuePolicy::new(strategy);
+        let sim = Simulator::new(&vms, &pms, &policy, config());
+        let mut store = MemStore::new();
+        sim.run_with_checkpoints(&placement, &knobs(10, 1), &mut store, &mut NoopRecorder);
+        let good = store.file_mut("ckpt-000000000050").unwrap().clone();
+        assert!(decode_state(&sim, &good).is_ok());
+
+        // Re-frame the snapshot (fresh CRCs) with the core section's
+        // layout tag — the byte after the length-prefixed `on` flags —
+        // set to the retired per-VM value.
+        let mut w = FrameWriter::new();
+        for (tag, mut payload) in parse_frames(&good).unwrap() {
+            if tag == SEC_CORE {
+                let at = 8 + vms.len();
+                assert_eq!(payload[at], 0, "shared-layout tag");
+                payload[at] = 1;
+            }
+            w.section(tag, &payload);
+        }
+        let Err(err) = decode_state(&sim, &w.finish()) else {
+            panic!("a tag-1 core section must not decode");
+        };
+        assert!(
+            matches!(&err, CheckpointError::Frame(FrameError::Decode(msg))
+                if msg == "unknown core layout tag 1"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -35,13 +35,6 @@ pub enum RngLayout {
     /// sequential: [`SimConfig::threads`] is ignored.
     #[default]
     Shared,
-    /// One independent counter-based stream per VM, derived from
-    /// `(seed, vm index, step)`. Draws are position-addressable, so the
-    /// per-step evolution is embarrassingly parallel and the outcome is
-    /// `f64::to_bits`-identical for *any* thread count. Sample paths
-    /// differ from [`RngLayout::Shared`] for the same seed (different
-    /// stream pairing), but their distribution is identical.
-    PerVm,
     /// Class-aggregated evolution: one ON-counter per `(PM, VM class)`
     /// cell, stepped with two counter-based binomial draws
     /// (`ON→OFF ~ B(n_on, p_off)`, `OFF→ON ~ B(n_off, p_on)`) keyed on
@@ -51,28 +44,10 @@ pub enum RngLayout {
     /// with the number of occupied cells, not the fleet size. Outcomes
     /// are `f64::to_bits`-identical for any thread count and invariant
     /// under class enumeration order, but individual VMs no longer own
-    /// sample paths: agreement with [`RngLayout::PerVm`] is
+    /// sample paths: agreement with [`RngLayout::Shared`] is
     /// *distributional* (same per-PM ON-count law, CVR and energy within
     /// certified Wilson intervals), never bit-exact.
     ClassAggregated,
-}
-
-/// Which binomial sampler the class-aggregated hot loop inverts its
-/// uniforms through. **Not** part of the scientific configuration: both
-/// samplers produce `to_bits`-identical draws (the memoized tables
-/// store the exact partial sums of the walk — DESIGN.md §8), so this
-/// knob — like [`SimConfig::threads`] — selects throughput, never the
-/// sample path, and is excluded from the checkpoint fingerprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClassSampler {
-    /// Memoized per-`(n, p)` CDF tables with guide-table lookup —
-    /// O(1) expected per draw (the default).
-    #[default]
-    Cached,
-    /// The plain pmf-recurrence inverse-CDF walk — O(E[X] + 1) per
-    /// draw. Kept addressable so the two kernels stay benchable
-    /// against each other.
-    Walk,
 }
 
 /// A structurally invalid [`SimConfig`], [`FaultConfig`], or
@@ -283,21 +258,16 @@ pub struct SimConfig {
     pub faults: Option<FaultConfig>,
     /// How workload RNG streams are laid out across VMs. The default
     /// [`RngLayout::Shared`] preserves the historical serial stream;
-    /// [`RngLayout::PerVm`] enables deterministic parallel evolution;
     /// [`RngLayout::ClassAggregated`] collapses same-class VMs on a PM
     /// into binomial counter cells for class-heavy fleets at scale.
     pub rng_layout: RngLayout,
-    /// Worker threads for the [`RngLayout::PerVm`] and
-    /// [`RngLayout::ClassAggregated`] hot paths. `0` means "use the
-    /// machine's available parallelism". Ignored under
-    /// [`RngLayout::Shared`], and forced to 1 inside
-    /// [`crate::replicate_seeds`] workers (replication-level parallelism
-    /// already owns the cores). Any value yields bit-identical outcomes.
+    /// Worker threads for the [`RngLayout::ClassAggregated`] hot path,
+    /// the only one that threads. `0` means "use the machine's available
+    /// parallelism". Ignored under [`RngLayout::Shared`], and forced to
+    /// 1 inside [`crate::replicate_seeds`] workers (replication-level
+    /// parallelism already owns the cores). Any value yields
+    /// bit-identical outcomes.
     pub threads: usize,
-    /// Binomial sampler of the [`RngLayout::ClassAggregated`] hot loop.
-    /// Like `threads`, purely a throughput knob: both samplers draw
-    /// bit-identical values.
-    pub class_sampler: ClassSampler,
 }
 
 impl Default for SimConfig {
@@ -317,7 +287,6 @@ impl Default for SimConfig {
             faults: None,
             rng_layout: RngLayout::default(),
             threads: 1,
-            class_sampler: ClassSampler::default(),
         }
     }
 }

@@ -594,7 +594,6 @@ impl<'a> Simulator<'a> {
             self.config.rng_layout,
             self.config.threads,
         );
-        core.set_class_sampler(self.config.class_sampler == crate::config::ClassSampler::Cached);
 
         let host: Vec<Option<usize>> = initial
             .assignment
@@ -2177,7 +2176,7 @@ mod tests {
         // over-tight farm (RB-packed, four spare PMs), so the controller
         // migrates, runs out of targets, retries, and — with faults on —
         // crashes, recovers and evacuates through the degraded margin,
-        // under both the per-VM and the class-counter cores. In this
+        // under both the shared-stream and the class-counter cores. In this
         // build every `pick_target` call asserts that its answer equals
         // the linear scan's and that the kept leaves equal a fresh
         // build's, so the runs finishing is the proof; the tallies below
@@ -2237,81 +2236,5 @@ mod tests {
             assert!(tally.evacuated > 0, "{name}: {tally:?}");
             assert!(tally.degraded > 0, "{name}: {tally:?}");
         }
-    }
-
-    #[test]
-    fn pervm_layout_outcomes_are_thread_count_invariant() {
-        use crate::config::RngLayout;
-        // Full engine runs (migrations + faults) must agree to the bit
-        // across thread counts under RngLayout::PerVm, including with a
-        // fleet larger than one chunk.
-        let vms: Vec<VmSpec> = (0..700).map(|i| vm(i, 10.0, 10.0)).collect();
-        let pms = farm(900, 100.0);
-        let placement = first_fit(&vms, &pms, &BaseStrategy).unwrap();
-        let policy = ObservedPolicy::rb();
-        let run = |threads: usize| {
-            let cfg = SimConfig {
-                steps: 120,
-                seed: 13,
-                rng_layout: RngLayout::PerVm,
-                threads,
-                faults: Some(FaultConfig {
-                    mtbf_steps: 200.0,
-                    mttr_steps: 30.0,
-                    ..Default::default()
-                }),
-                ..Default::default()
-            };
-            Simulator::new(&vms, &pms, &policy, cfg).run(&placement)
-        };
-        let base = run(1);
-        assert!(base.total_migrations() > 0, "scenario must be non-trivial");
-        for threads in [2usize, 8] {
-            let other = run(threads);
-            assert_eq!(base.total_migrations(), other.total_migrations());
-            assert_eq!(base.failed_migrations, other.failed_migrations);
-            assert_eq!(base.final_pms_used, other.final_pms_used);
-            assert_eq!(base.total_violation_steps, other.total_violation_steps);
-            assert_eq!(
-                base.energy_joules.to_bits(),
-                other.energy_joules.to_bits(),
-                "energy bits diverged at {threads} threads"
-            );
-            assert_eq!(base.vm_violation_steps, other.vm_violation_steps);
-            assert_eq!(base.fault_events.len(), other.fault_events.len());
-            assert_eq!(base.evacuations.len(), other.evacuations.len());
-        }
-    }
-
-    #[test]
-    fn pervm_layout_differs_from_shared_but_same_law() {
-        use crate::config::RngLayout;
-        // Same seed, different layout: a different sample path (the
-        // pairing of streams to VMs changed) drawn from the same process.
-        let vms: Vec<VmSpec> = (0..48).map(|i| vm(i, 10.0, 10.0)).collect();
-        let pms = farm(48, 100.0);
-        let placement = first_fit(&vms, &pms, &BaseStrategy).unwrap();
-        let policy = ObservedPolicy::rb();
-        let run = |layout: RngLayout| {
-            let cfg = SimConfig {
-                rng_layout: layout,
-                ..config(4_000, 3, false)
-            };
-            Simulator::new(&vms, &pms, &policy, cfg).run(&placement)
-        };
-        let shared = run(RngLayout::Shared);
-        let pervm = run(RngLayout::PerVm);
-        assert_ne!(
-            shared.energy_joules.to_bits(),
-            pervm.energy_joules.to_bits(),
-            "layouts must select different sample paths"
-        );
-        // Identical stationary law: long-run mean CVRs in the same band.
-        assert!(
-            (shared.mean_cvr() - pervm.mean_cvr()).abs() < 0.1 * shared.mean_cvr().max(0.01),
-            "shared {} vs per-vm {}",
-            shared.mean_cvr(),
-            pervm.mean_cvr()
-        );
     }
 }

@@ -39,7 +39,7 @@ pub mod stabilization;
 mod workload_core;
 
 pub use checkpoint::{CheckpointError, CheckpointedRun, Checkpointer, RecoveryReport};
-pub use config::{CheckpointConfig, ClassSampler, ConfigError, RngLayout, SimConfig, VictimPolicy};
+pub use config::{CheckpointConfig, ConfigError, RngLayout, SimConfig, VictimPolicy};
 pub use energy::PowerModel;
 pub use engine::{RecoveryStats, SimOutcome, Simulator};
 pub use events::{EvacuationEvent, FaultEvent, FaultKind, MigrationEvent};

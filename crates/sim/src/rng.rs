@@ -1,22 +1,23 @@
-//! Counter-based per-VM random streams for [`RngLayout::PerVm`].
+//! Counter-based random streams for [`RngLayout::ClassAggregated`].
 //!
 //! The shared layout walks one sequential generator, so draw `i` of step
 //! `t` depends on every draw before it — inherently serial. A *counter-
 //! based* generator instead computes each draw as a pure function of its
 //! coordinates `(seed, stream, counter)`: any thread can produce any
-//! VM's draw for any step without touching shared state, which is what
-//! makes the per-VM hot path embarrassingly parallel *and* bit-
-//! reproducible at every thread count.
+//! `(PM, class)` cell's draw for any step without touching shared state,
+//! which is what makes the class-aggregated hot path embarrassingly
+//! parallel *and* bit-reproducible at every thread count.
 //!
 //! The mixer is the SplitMix64 finalizer (Steele, Lea & Flood 2014) —
 //! the same avalanche function the vendored `StdRng` already uses for
 //! seeding. Two rounds over distinct golden-ratio multiples of the
 //! coordinates decorrelate neighbouring `(stream, counter)` cells far
 //! beyond what a two-state ON-OFF chain can detect; the statistical
-//! tests in this module and the distribution checks in
-//! `sim/tests/determinism.rs` guard that claim.
+//! tests in this module and the chi-square / marginal checks in
+//! `sim/tests/binomial_table.rs` and `sim/tests/class_equivalence.rs`
+//! guard that claim.
 //!
-//! [`RngLayout::PerVm`]: crate::config::RngLayout::PerVm
+//! [`RngLayout::ClassAggregated`]: crate::config::RngLayout::ClassAggregated
 
 #[path = "binomial_table.rs"]
 pub mod binomial_table;
@@ -36,8 +37,8 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The key of one per-VM stream: a mixed combination of the run seed and
-/// the VM's index. Hoisting this out of the per-step call saves one
+/// The key of one stream: a mixed combination of the run seed and the
+/// stream's index. Hoisting this out of the per-step call saves one
 /// `mix64` round in the hot loop.
 #[inline]
 pub(crate) fn stream_key(seed: u64, stream: u64) -> u64 {
@@ -51,16 +52,6 @@ pub(crate) fn stream_key(seed: u64, stream: u64) -> u64 {
 pub(crate) fn keyed_u01(key: u64, counter: u64) -> f64 {
     let z = mix64(key ^ counter.wrapping_mul(GOLDEN));
     (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-/// Uniform `[0, 1)` draw at coordinates `(seed, stream, counter)`.
-///
-/// Pure and stateless: `pervm_u01(s, i, t)` is the same value no matter
-/// which thread computes it or in what order. Stream `i` is the VM's
-/// index in the simulated fleet; `counter` is the step number.
-#[inline]
-pub fn pervm_u01(seed: u64, stream: u64, counter: u64) -> f64 {
-    keyed_u01(stream_key(seed, stream), counter)
 }
 
 /// Content hash of a VM class's exact bit-pattern key (the
@@ -92,7 +83,7 @@ pub fn class_cell_key(seed: u64, pm: u64, class_hash: u64) -> u64 {
 /// one [`keyed_u01`] uniform inverted through the CDF by the standard
 /// pmf-recurrence walk `pmf(k+1) = pmf(k)·(n−k)/(k+1)·p/(1−p)`.
 ///
-/// Pure and stateless like [`pervm_u01`], so any thread can compute any
+/// Pure and stateless like [`keyed_u01`], so any thread can compute any
 /// cell's draw for any step — that is what makes the class-aggregated
 /// layout thread-count invariant. Cost is `O(E[X] + 1)` per draw: the
 /// walk stops at the sampled value, and the chains this samples for keep
@@ -165,12 +156,17 @@ pub fn binomial_from_u01(u: f64, n: u32, p: f64) -> u32 {
 mod tests {
     use super::*;
 
+    /// Uniform `[0, 1)` draw at coordinates `(seed, stream, counter)`.
+    fn u01_at(seed: u64, stream: u64, counter: u64) -> f64 {
+        keyed_u01(stream_key(seed, stream), counter)
+    }
+
     #[test]
     fn draws_are_in_unit_interval() {
         for seed in [0, 1, u64::MAX] {
             for stream in [0, 7, 63, u64::MAX] {
                 for counter in [0, 1, 999, u64::MAX] {
-                    let u = pervm_u01(seed, stream, counter);
+                    let u = u01_at(seed, stream, counter);
                     assert!((0.0..1.0).contains(&u), "u = {u}");
                 }
             }
@@ -179,8 +175,8 @@ mod tests {
 
     #[test]
     fn pure_function_of_coordinates() {
-        let a = pervm_u01(42, 3, 17);
-        let b = pervm_u01(42, 3, 17);
+        let a = u01_at(42, 3, 17);
+        let b = u01_at(42, 3, 17);
         assert_eq!(a.to_bits(), b.to_bits());
     }
 
@@ -191,10 +187,10 @@ mod tests {
         // within one stream, should both look independent.
         let mut same = 0usize;
         for i in 0..1000u64 {
-            if (pervm_u01(1, i, 0) - pervm_u01(1, i + 1, 0)).abs() < 1e-6 {
+            if (u01_at(1, i, 0) - u01_at(1, i + 1, 0)).abs() < 1e-6 {
                 same += 1;
             }
-            if (pervm_u01(1, 0, i) - pervm_u01(1, 0, i + 1)).abs() < 1e-6 {
+            if (u01_at(1, 0, i) - u01_at(1, 0, i + 1)).abs() < 1e-6 {
                 same += 1;
             }
         }
@@ -209,7 +205,7 @@ mod tests {
         let count = 64 * 4096;
         for stream in 0..64u64 {
             for counter in 0..4096u64 {
-                let u = pervm_u01(20130527, stream, counter);
+                let u = u01_at(20130527, stream, counter);
                 sum += u;
                 sum_sq += u * u;
             }
@@ -224,7 +220,7 @@ mod tests {
     fn seed_changes_every_stream() {
         let mut diff = 0usize;
         for stream in 0..256u64 {
-            if pervm_u01(1, stream, 0) != pervm_u01(2, stream, 0) {
+            if u01_at(1, stream, 0) != u01_at(2, stream, 0) {
                 diff += 1;
             }
         }

@@ -14,10 +14,11 @@ use std::thread;
 
 thread_local! {
     /// Set while this thread is a [`replicate_seeds`] worker. The engine's
-    /// per-VM parallel path consults it to resolve its thread count to 1:
-    /// replication-level parallelism already owns every core, and nesting
-    /// a scoped pool per replication would only add spawn churn. Purely a
-    /// scheduling guard — [`crate::config::RngLayout::PerVm`] outcomes are
+    /// class-aggregated path, the only one that threads, consults it to
+    /// resolve its thread count to 1: replication-level parallelism
+    /// already owns every core, and nesting a scoped pool per replication
+    /// would only add spawn churn. Purely a scheduling guard —
+    /// [`crate::config::RngLayout::ClassAggregated`] outcomes are
     /// thread-count invariant, so the clamp cannot change any result.
     static IN_REPLICATION_WORKER: Cell<bool> = const { Cell::new(false) };
 }

@@ -206,10 +206,9 @@ pub fn run_churn(
         // 3. Workload evolution. Under the shared layout the chains draw
         //    from the same sequential stream as the churn control plane
         //    (the historical behaviour, unchanged bit for bit). Under
-        //    RngLayout::PerVm each VM draws from its own counter-based
-        //    stream keyed by its id, so a tenant's spike sample path is
-        //    invariant to the churn around it; arrival, departure, and
-        //    demand-sampling draws always stay on the shared stream.
+        //    the class layout the chains draw from counter-based cell
+        //    streams; arrival, departure, and demand-sampling draws
+        //    always stay on the shared stream.
         match sim.rng_layout {
             RngLayout::Shared => {
                 for (vm, _, on) in live.iter_mut() {
@@ -219,12 +218,6 @@ pub fn run_churn(
                         bursty_markov::VmState::Off
                     };
                     *on = vm.chain().step(state, &mut rng).is_on();
-                }
-            }
-            RngLayout::PerVm => {
-                for (vm, _, on) in live.iter_mut() {
-                    let u = crate::rng::pervm_u01(sim.seed, vm.id as u64, step as u64);
-                    *on = if *on { u >= vm.p_off } else { u < vm.p_on };
                 }
             }
             RngLayout::ClassAggregated => {
@@ -468,7 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn pervm_layout_under_churn_is_deterministic_and_distinct() {
+    fn class_layout_under_churn_is_deterministic_and_distinct() {
         let policy = queue_policy();
         let run = |layout: RngLayout, seed: u64| {
             let cfg = SimConfig {
@@ -491,17 +484,16 @@ mod tests {
             )
         };
         // Reproducible per seed, and a different sample path than the
-        // shared layout under the same seed (the streams re-paired).
-        assert_eq!(run(RngLayout::PerVm, 5), run(RngLayout::PerVm, 5));
-        assert_ne!(run(RngLayout::PerVm, 5), run(RngLayout::Shared, 5));
-        // The class-aggregated layout is deterministic per seed too, and
-        // walks its own sample path (binomial cell draws, not per-VM
-        // coins).
+        // shared layout under the same seed (binomial cell draws, not
+        // one coin per VM).
         assert_eq!(
             run(RngLayout::ClassAggregated, 5),
             run(RngLayout::ClassAggregated, 5)
         );
-        assert_ne!(run(RngLayout::ClassAggregated, 5), run(RngLayout::PerVm, 5));
+        assert_ne!(
+            run(RngLayout::ClassAggregated, 5),
+            run(RngLayout::Shared, 5)
+        );
     }
 
     #[test]

@@ -4,11 +4,10 @@
 //! evolving every ON-OFF chain and keeping the per-PM `observed` vector
 //! equal to the sum of hosted demands. [`WorkloadCore`] flattens the VM
 //! specs once per run, in the form each layout's arm reads: integer
-//! flip thresholds and a demand table under `Shared`, four `f64`
-//! vectors (`p_on`/`p_off`/`demand_off`/`demand_on`) under `PerVm`, a
-//! class table under `ClassAggregated`.
+//! flip thresholds and a demand table under `Shared`, a class table
+//! under `ClassAggregated`.
 //!
-//! Three layouts, one determinism contract (DESIGN.md §8):
+//! Two layouts, one determinism contract (DESIGN.md §8):
 //!
 //! * [`RngLayout::Shared`] — one sequential `StdRng`, drawn in VM order,
 //!   each PM's demands summed from `0.0` in ascending VM order. These
@@ -19,16 +18,6 @@
 //!   re-derived only when one of its VMs flipped or the engine reported
 //!   a membership change (`SharedState`; DESIGN.md §8 has the exactness
 //!   arguments). Bursty VMs flip rarely, so most sums carry over.
-//! * [`RngLayout::PerVm`] — each VM draws from its own counter-based
-//!   stream ([`crate::rng`]), keyed by the VM's spec id. VMs are split
-//!   into fixed chunks of [`PER_VM_CHUNK`] (a function of the fleet
-//!   only, never of the thread count); each chunk accumulates demands
-//!   into its own partial buffer in ascending VM order, and the partials
-//!   are folded into `observed` in ascending chunk order. Both the draw
-//!   values and the floating-point grouping are therefore invariant in
-//!   the thread count: 1, 2, or 64 workers produce `f64::to_bits`-equal
-//!   results. The serial path runs the very same chunked code, so
-//!   `threads: 1` equals `threads: N` by construction, not by accident.
 //! * [`RngLayout::ClassAggregated`] — same-class VMs on a PM share one
 //!   ON-counter cell; a step is two counter-based binomial draws per
 //!   occupied cell (`ON→OFF ~ B(n_on, p_off)`, `OFF→ON ~ B(n_off,
@@ -41,45 +30,32 @@
 //!   the engine re-materializes per-VM ON flags lazily at decision
 //!   points via the `class_sync_*` hooks (canonical rule: lowest VM
 //!   indices of a class at a location are ON first), and agreement with
-//!   `PerVm` is distributional — per-PM ON-count marginals, CVR and
+//!   `Shared` is distributional — per-PM ON-count marginals, CVR and
 //!   energy within certified Wilson intervals — never bit-exact.
 //!
-//! Workers are plain `std::thread::scope` spawns (the workspace vendors
-//! no thread-pool crate), so each step pays a spawn/join round trip —
-//! profitable for large fleets, pure overhead for small ones. The
-//! engine-throughput bench (`BENCH_engine.json`) records the crossover.
+//! The class layout's workers are plain `std::thread::scope` spawns (the
+//! workspace vendors no thread-pool crate), so each step pays a
+//! spawn/join round trip — profitable for large fleets, pure overhead
+//! for small ones.
 //!
 //! [`Simulator::run`]: crate::engine::Simulator::run
 //! [`RngLayout::Shared`]: crate::config::RngLayout::Shared
-//! [`RngLayout::PerVm`]: crate::config::RngLayout::PerVm
+//! [`RngLayout::ClassAggregated`]: crate::config::RngLayout::ClassAggregated
 
 use crate::config::RngLayout;
 use crate::rng::binomial_table::{CacheStats, TableCache, DEFAULT_ENTRY_BUDGET};
-use crate::rng::{class_cell_key, class_hash, keyed_binomial, keyed_u01, stream_key};
+use crate::rng::{class_cell_key, class_hash, keyed_binomial};
 use bursty_workload::classes::VmClass;
 use bursty_workload::VmSpec;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::thread;
 
-/// Fixed chunk width of the per-VM layout. Part of the determinism
-/// contract: chunk boundaries depend only on the fleet size, so the
-/// floating-point reduction tree is identical at every thread count.
-pub(crate) const PER_VM_CHUNK: usize = 512;
-
-/// Fixed PM-chunk width of the class-aggregated layout. Unlike the
-/// per-VM fold, each PM's demand is produced entirely inside one chunk
-/// (cells never span PMs), so any chunking is thread-count invariant;
-/// the fixed width just keeps scheduling deterministic and cache-sized.
+/// Fixed PM-chunk width of the class-aggregated layout. Each PM's
+/// demand is produced entirely inside one chunk (cells never span PMs),
+/// so any chunking is thread-count invariant; the fixed width just
+/// keeps scheduling deterministic and cache-sized.
 pub(crate) const CLASS_PM_CHUNK: usize = 512;
-
-/// Per-chunk demand accumulator: a dense per-PM scratch vector plus the
-/// PM indices this chunk touched, in first-touch order. Folding by
-/// touch list keeps the reduction O(VMs) instead of O(chunks · PMs).
-struct Partial {
-    dense: Vec<f64>,
-    touched: Vec<usize>,
-}
 
 /// Per-class chain parameters of the class-aggregated layout, one entry
 /// per *distinct* VM class in canonical order (sorted by the exact
@@ -278,13 +254,6 @@ impl SharedState {
 
 enum Mode {
     Shared(SharedState),
-    PerVm {
-        /// Pre-mixed stream key per VM (`stream_key(seed, spec id)`).
-        keys: Vec<u64>,
-        /// Resolved worker count (≥ 1). Purely a throughput knob.
-        threads: usize,
-        partials: Vec<Partial>,
-    },
     ClassAggregated {
         /// Canonical class table (sorted by class key bit patterns).
         classes: Vec<ClassInfo>,
@@ -306,10 +275,10 @@ enum Mode {
         /// evolved by exactly one worker per step, so the summed cache
         /// counters are invariant in the thread count.
         caches: Vec<TableCache>,
-        /// `true` (the default): draws go through the memoized tables.
-        /// `false`: every draw re-runs the pmf-recurrence walk — the
-        /// PR-6 kernel, kept addressable for benchmarking because both
-        /// samplers are bit-identical by construction.
+        /// `true` (always, in the engine): draws go through the
+        /// memoized tables. `false`: every draw re-runs the
+        /// pmf-recurrence walk, the reference kernel the tables are
+        /// bit-identical to (`WorkloadCore::set_cached_sampler`).
         cached: bool,
         /// Resolved worker count (≥ 1). Purely a throughput knob.
         threads: usize,
@@ -318,7 +287,7 @@ enum Mode {
 }
 
 /// Mode-specific evolving state captured for a checkpoint. The
-/// flattened spec vectors, stream keys, and class table are pure
+/// flattened spec tables and the class table are pure
 /// functions of the fleet and seed — [`WorkloadCore::new`] rebuilds
 /// them on restore — so only the state that advances step-to-step
 /// travels. The `on` flags live outside [`Mode`] and are snapshotted
@@ -326,9 +295,6 @@ enum Mode {
 pub(crate) enum CoreSnapshot {
     /// The shared `StdRng`'s four xoshiro256++ state words.
     Shared([u64; 4]),
-    /// Counter-based streams are pure functions of `(key, step)`; the
-    /// partial buffers are per-step scratch, zeroed at every boundary.
-    PerVm,
     /// Per-location `(class, count, n_on)` triples in cell order
     /// (locations `0..m` are the PMs, location `m` the limbo pool);
     /// cell keys are rebuilt from the seed and class hashes.
@@ -337,12 +303,6 @@ pub(crate) enum CoreSnapshot {
 
 /// The engine's per-step hot path in structure-of-arrays form.
 pub(crate) struct WorkloadCore {
-    /// Per-VM chain parameters, read by the `PerVm` arm only (`Shared`
-    /// and `ClassAggregated` carry their own forms); empty otherwise.
-    p_on: Vec<f64>,
-    p_off: Vec<f64>,
-    demand_off: Vec<f64>,
-    demand_on: Vec<f64>,
     /// Current ON/OFF state per VM; read freely by the engine between
     /// steps (victim selection, demand queries, evacuation sizing).
     pub(crate) on: Vec<bool>,
@@ -350,11 +310,11 @@ pub(crate) struct WorkloadCore {
 }
 
 impl WorkloadCore {
-    /// Flattens `vms` and prepares the RNG layout. `m` is the PM count
-    /// (the width of each per-chunk partial buffer); `threads` follows
-    /// [`crate::config::SimConfig::threads`] semantics and is resolved
-    /// here: `0` → available parallelism, always `1` inside a
-    /// `replicate_seeds` worker, and capped at the chunk count.
+    /// Flattens `vms` and prepares the RNG layout. `m` is the PM count;
+    /// `threads` follows [`crate::config::SimConfig::threads`] semantics
+    /// and is resolved here for the class layout: `0` → available
+    /// parallelism, always `1` inside a `replicate_seeds` worker, and
+    /// capped at the chunk count.
     pub(crate) fn new(
         vms: &[VmSpec],
         m: usize,
@@ -362,35 +322,8 @@ impl WorkloadCore {
         layout: RngLayout,
         threads: usize,
     ) -> Self {
-        let n = vms.len();
-        let resolve_threads = |chunks: usize| {
-            let requested = if crate::runner::in_replication_worker() {
-                1
-            } else if threads == 0 {
-                thread::available_parallelism().map_or(1, |p| p.get())
-            } else {
-                threads
-            };
-            requested.clamp(1, chunks)
-        };
         let mode = match layout {
             RngLayout::Shared => Mode::Shared(SharedState::new(vms, m, seed)),
-            RngLayout::PerVm => {
-                let chunks = n.div_ceil(PER_VM_CHUNK).max(1);
-                Mode::PerVm {
-                    keys: vms
-                        .iter()
-                        .map(|vm| stream_key(seed, vm.id as u64))
-                        .collect(),
-                    threads: resolve_threads(chunks),
-                    partials: (0..chunks)
-                        .map(|_| Partial {
-                            dense: vec![0.0; m],
-                            touched: Vec::with_capacity(PER_VM_CHUNK.min(n)),
-                        })
-                        .collect(),
-                }
-            }
             RngLayout::ClassAggregated => {
                 // Canonical class table: distinct class keys sorted by
                 // their exact bit patterns. Sorting by *content* (never
@@ -458,6 +391,13 @@ impl WorkloadCore {
                 // One chunk per CLASS_PM_CHUNK locations (the m PMs plus
                 // the limbo pool, which rides in the last chunk).
                 let chunks = (m + 1).div_ceil(CLASS_PM_CHUNK);
+                let requested = if crate::runner::in_replication_worker() {
+                    1
+                } else if threads == 0 {
+                    thread::available_parallelism().map_or(1, |p| p.get())
+                } else {
+                    threads
+                };
                 Mode::ClassAggregated {
                     classes,
                     class_of,
@@ -467,25 +407,13 @@ impl WorkloadCore {
                         .map(|_| TableCache::new(&p_values, DEFAULT_ENTRY_BUDGET))
                         .collect(),
                     cached: true,
-                    threads: resolve_threads(chunks),
+                    threads: requested.clamp(1, chunks),
                     seed,
                 }
             }
         };
-        // Only the per-VM arm reads these four; the shared arm and the
-        // class kernel hold the chain parameters in their own tables.
-        let per_vm = |f: fn(&VmSpec) -> f64| -> Vec<f64> {
-            match mode {
-                Mode::PerVm { .. } => vms.iter().map(f).collect(),
-                _ => Vec::new(),
-            }
-        };
         Self {
-            p_on: per_vm(|vm| vm.p_on),
-            p_off: per_vm(|vm| vm.p_off),
-            demand_off: per_vm(|vm| vm.demand(false)),
-            demand_on: per_vm(|vm| vm.demand(true)),
-            on: vec![false; n],
+            on: vec![false; vms.len()],
             mode,
         }
     }
@@ -503,75 +431,10 @@ impl WorkloadCore {
         hosted: &[Vec<usize>],
         observed: &mut [f64],
     ) {
-        let Self {
-            p_on,
-            p_off,
-            demand_off,
-            demand_on,
-            on,
-            mode,
-        } = self;
+        let Self { on, mode } = self;
         match mode {
             Mode::Shared(shared) => {
                 shared.step(on, host, hosted, observed);
-            }
-            Mode::PerVm {
-                keys,
-                threads,
-                partials,
-            } => {
-                let mut units: Vec<(usize, &mut [bool], &mut Partial)> = on
-                    .chunks_mut(PER_VM_CHUNK)
-                    .zip(partials.iter_mut())
-                    .enumerate()
-                    .map(|(c, (chunk, partial))| (c, chunk, partial))
-                    .collect();
-                let evolve_chunk = |c: usize, chunk: &mut [bool], partial: &mut Partial| {
-                    let base = c * PER_VM_CHUNK;
-                    for (off, on_i) in chunk.iter_mut().enumerate() {
-                        let i = base + off;
-                        let u = keyed_u01(keys[i], step);
-                        *on_i = if *on_i { u >= p_off[i] } else { u < p_on[i] };
-                        if let Some(j) = host[i] {
-                            if partial.dense[j] == 0.0 {
-                                partial.touched.push(j);
-                            }
-                            partial.dense[j] += if *on_i { demand_on[i] } else { demand_off[i] };
-                        }
-                    }
-                };
-                if *threads <= 1 || units.len() <= 1 {
-                    for (c, chunk, partial) in &mut units {
-                        evolve_chunk(*c, chunk, partial);
-                    }
-                } else {
-                    let mut buckets: Vec<Vec<(usize, &mut [bool], &mut Partial)>> =
-                        (0..*threads).map(|_| Vec::new()).collect();
-                    for (slot, unit) in units.into_iter().enumerate() {
-                        buckets[slot % *threads].push(unit);
-                    }
-                    thread::scope(|scope| {
-                        for bucket in &mut buckets {
-                            scope.spawn(|| {
-                                for (c, chunk, partial) in bucket.iter_mut() {
-                                    evolve_chunk(*c, chunk, partial);
-                                }
-                            });
-                        }
-                    });
-                }
-                // Deterministic reduction: ascending chunk order, each
-                // PM's partial added exactly once (a `touched` entry can
-                // repeat only while the partial was still 0.0, and the
-                // first fold resets it, so duplicates add 0.0).
-                observed.iter_mut().for_each(|o| *o = 0.0);
-                for partial in partials.iter_mut() {
-                    for &j in &partial.touched {
-                        observed[j] += partial.dense[j];
-                        partial.dense[j] = 0.0;
-                    }
-                    partial.touched.clear();
-                }
             }
             Mode::ClassAggregated {
                 classes,
@@ -590,7 +453,7 @@ impl WorkloadCore {
                 // any thread can evolve any location, and each PM's
                 // demand is produced entirely by its own cells in
                 // canonical class order: thread-count invariance needs
-                // no reduction tree here. Locations are cut into fixed
+                // no reduction tree. Locations are cut into fixed
                 // CLASS_PM_CHUNK chunks (a function of m only); the
                 // limbo pool is the last location and rides in the last
                 // chunk — displaced VMs keep evolving (the draw sequence
@@ -845,7 +708,7 @@ impl WorkloadCore {
     /// moves the VM between the locations' counters, carrying its
     /// current `on` flag — the caller must have synced `i`'s source
     /// location since the last evolution step so the flag matches the
-    /// source counters. `PerVm` keeps no per-location state.
+    /// source counters.
     pub(crate) fn vm_moved(&mut self, i: usize, from: Option<usize>, to: Option<usize>) {
         let Self { on, mode, .. } = self;
         let (classes, class_of, offsets, cells, seed) = match mode {
@@ -855,7 +718,6 @@ impl WorkloadCore {
                 }
                 return;
             }
-            Mode::PerVm { .. } => return,
             Mode::ClassAggregated {
                 classes,
                 class_of,
@@ -968,11 +830,11 @@ impl WorkloadCore {
     }
 
     /// Selects the class-aggregated binomial sampler: the memoized
-    /// tables (`true`, the default) or the plain pmf-recurrence walk.
-    /// Both produce bit-identical draws — this is purely a throughput
-    /// knob, kept so the two kernels stay benchable against each other.
-    /// A no-op for the other layouts.
-    pub(crate) fn set_class_sampler(&mut self, use_tables: bool) {
+    /// tables (`true`, what the engine always runs) or the plain
+    /// pmf-recurrence walk, the reference the tables are bit-identical
+    /// to. Only the kernel bench (`bench_api`) and this module's tests
+    /// pick the walk. A no-op for the shared layout.
+    pub(crate) fn set_cached_sampler(&mut self, use_tables: bool) {
         if let Mode::ClassAggregated { cached, .. } = &mut self.mode {
             *cached = use_tables;
         }
@@ -1037,7 +899,6 @@ impl WorkloadCore {
     pub(crate) fn snapshot_mode(&self) -> CoreSnapshot {
         match &self.mode {
             Mode::Shared(shared) => CoreSnapshot::Shared(shared.rng.state()),
-            Mode::PerVm { .. } => CoreSnapshot::PerVm,
             Mode::ClassAggregated { offsets, cells, .. } => CoreSnapshot::ClassAggregated(
                 offsets
                     .windows(2)
@@ -1065,7 +926,6 @@ impl WorkloadCore {
                     .ok_or_else(|| "shared rng state is the all-zero fixed point".to_string())?;
                 Ok(())
             }
-            (Mode::PerVm { .. }, CoreSnapshot::PerVm) => Ok(()),
             (
                 Mode::ClassAggregated {
                     classes,
@@ -1275,46 +1135,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pervm_layout_is_thread_count_invariant() {
-        // Fleet large enough for several chunks; some VMs unhosted.
-        let vms = fleet(2 * PER_VM_CHUNK + 77);
-        let m = 13;
-        let host: Vec<Option<usize>> = (0..vms.len())
-            .map(|i| (i % 11 != 0).then_some(i % m))
-            .collect();
-        let mut reference = None;
-        for threads in [1usize, 2, 3, 8] {
-            let mut core = WorkloadCore::new(&vms, m, 5, RngLayout::PerVm, threads);
-            let trace = run_core(&mut core, &host, m, 25);
-            let bits: Vec<u64> = trace.iter().map(|v| v.to_bits()).collect();
-            match &reference {
-                None => reference = Some(bits),
-                Some(r) => assert_eq!(r, &bits, "divergence at {threads} threads"),
-            }
-        }
-    }
-
-    #[test]
-    fn pervm_streams_follow_the_stationary_law() {
-        // Each chain's long-run ON fraction must approach
-        // p_on / (p_on + p_off) under the counter-based streams too.
-        let vms: Vec<VmSpec> = (0..400)
-            .map(|i| VmSpec::new(i, 0.3, 0.2, 1.0, 1.0))
-            .collect();
-        let host: Vec<Option<usize>> = vec![None; vms.len()];
-        let mut core = WorkloadCore::new(&vms, 1, 11, RngLayout::PerVm, 1);
-        let mut observed = vec![0.0; 1];
-        let steps = 4000u64;
-        let mut on_steps = 0usize;
-        for step in 0..steps {
-            core.step(step, &host, &[], &mut observed);
-            on_steps += core.on.iter().filter(|&&b| b).count();
-        }
-        let frac = on_steps as f64 / (steps as usize * vms.len()) as f64;
-        assert!((frac - 0.6).abs() < 0.01, "ON fraction {frac}, want 0.6");
-    }
-
     /// A class-heavy fleet: `n` VMs drawn from 3 distinct classes.
     fn class_fleet(n: usize) -> Vec<VmSpec> {
         (0..n)
@@ -1416,7 +1236,7 @@ mod tests {
             .collect();
         let run = |cached: bool| {
             let mut core = WorkloadCore::new(&vms, m, 13, RngLayout::ClassAggregated, 1);
-            core.set_class_sampler(cached);
+            core.set_cached_sampler(cached);
             core.class_init(&host);
             let mut host = host.clone();
             let mut observed = vec![0.0; m];
@@ -1490,7 +1310,7 @@ mod tests {
         let vms = class_fleet(60);
         let host: Vec<Option<usize>> = (0..vms.len()).map(|i| Some(i % m)).collect();
         let mut core = WorkloadCore::new(&vms, m, 5, RngLayout::ClassAggregated, 1);
-        core.set_class_sampler(false);
+        core.set_cached_sampler(false);
         core.class_init(&host);
         let mut observed = vec![0.0; m];
         for step in 0..10u64 {
@@ -1550,11 +1370,7 @@ mod tests {
             .map(|i| (i % 13 != 0).then_some(i % m))
             .collect();
         let hosted = hosted_of(&host, m);
-        for layout in [
-            RngLayout::Shared,
-            RngLayout::PerVm,
-            RngLayout::ClassAggregated,
-        ] {
+        for layout in [RngLayout::Shared, RngLayout::ClassAggregated] {
             let mut a = WorkloadCore::new(&vms, m, 42, layout, 1);
             a.class_init(&host);
             let mut observed = vec![0.0; m];
@@ -1587,7 +1403,6 @@ mod tests {
         let vms = class_fleet(30);
         let host: Vec<Option<usize>> = (0..vms.len()).map(|i| Some(i % 3)).collect();
         let mut shared = WorkloadCore::new(&vms, 3, 1, RngLayout::Shared, 1);
-        assert!(shared.restore_mode(CoreSnapshot::PerVm).is_err());
         assert!(shared
             .restore_mode(CoreSnapshot::Shared([0, 0, 0, 0]))
             .is_err());
@@ -1596,6 +1411,10 @@ mod tests {
         let CoreSnapshot::ClassAggregated(good) = class.snapshot_mode() else {
             panic!("wrong snapshot variant");
         };
+        // The other layout's snapshot.
+        assert!(shared
+            .restore_mode(CoreSnapshot::ClassAggregated(good.clone()))
+            .is_err());
         // n_on above count.
         let mut bad = good.clone();
         bad[0][0].2 = bad[0][0].1 + 1;
@@ -1630,10 +1449,19 @@ mod tests {
     fn displaced_vms_keep_evolving_without_contributing_demand() {
         let vms = fleet(40);
         let host = vec![None; vms.len()];
-        let mut core = WorkloadCore::new(&vms, 3, 1, RngLayout::PerVm, 2);
-        let mut observed = vec![1.0; 3];
-        core.step(0, &host, &[], &mut observed);
-        assert!(observed.iter().all(|&o| o == 0.0));
-        assert!(core.on.iter().any(|&b| b), "chains must still evolve");
+        for layout in [RngLayout::Shared, RngLayout::ClassAggregated] {
+            let mut core = WorkloadCore::new(&vms, 3, 1, layout, 1);
+            core.class_init(&host);
+            let mut observed = vec![1.0; 3];
+            for step in 0..10 {
+                core.step(step, &host, &[], &mut observed);
+            }
+            core.class_sync_displaced(&host);
+            assert!(observed.iter().all(|&o| o == 0.0));
+            assert!(
+                core.on.iter().any(|&b| b),
+                "{layout:?}: chains must still evolve"
+            );
+        }
     }
 }

@@ -20,6 +20,8 @@ use bursty_markov::binomial::BinomialPmf;
 use bursty_sim::rng::binomial_table::{BinomialTable, TableCache};
 use bursty_sim::rng::{binomial_from_u01, class_cell_key, class_hash, keyed_binomial};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The smallest `n` whose `q^n` underflows to 0.0: below it the walk
 /// anchors at `k = 0`, at and above it the `ln_gamma` log-space anchor
@@ -63,8 +65,9 @@ fn table_equals_walk_at_the_underflow_anchor_boundary() {
             let key = class_cell_key(42, u64::from(n), class_hash([1, 2, 3, 4]));
             let table = BinomialTable::build(n, p);
             let mut cache = TableCache::new(&[p], 1 << 20);
+            let mut uniforms = StdRng::seed_from_u64(42 ^ u64::from(n));
             for counter in 0..2_000u64 {
-                let u = bursty_sim::rng::pervm_u01(42, u64::from(n), counter);
+                let u: f64 = uniforms.gen();
                 assert_eq!(
                     table.sample_u01(u),
                     binomial_from_u01(u, n, p),

@@ -5,7 +5,7 @@
 //!    fault setting, a run interrupted at any checkpoint boundary and
 //!    resumed from the durable snapshot finishes `f64::to_bits`-
 //!    identical to a run that never stopped. The checkpoint must carry
-//!    *everything* that evolves: the workload RNG (all three layouts),
+//!    *everything* that evolves: the workload RNG (both layouts),
 //!    the fault process mid-chain, the retry queue with its backoff
 //!    exponents, the displaced pools, and every accumulated statistic.
 //!
@@ -117,7 +117,7 @@ proptest! {
         let faults = fault_bit == 1;
         let (vms, pms) = fleet(n);
         let (placement, policy) = queue_setup(&vms, &pms);
-        for layout in [RngLayout::Shared, RngLayout::PerVm, RngLayout::ClassAggregated] {
+        for layout in [RngLayout::Shared, RngLayout::ClassAggregated] {
             for threads in [1usize, 2, 8] {
                 if layout == RngLayout::Shared && threads > 1 {
                     continue; // the shared stream is sequential by contract

@@ -1,7 +1,8 @@
 //! Distributional-equivalence harness for [`RngLayout::ClassAggregated`]
 //! (PR 6 tentpole): the class-aggregated layout replaces per-VM coin
 //! flips with two binomial draws per (PM, class) cell, so it can never be
-//! bit-identical to the `PerVm` oracle — the contract is *distributional*
+//! bit-identical to the `Shared` layout, its oracle (one coin per VM off
+//! the golden-pinned serial stream) — the contract is *distributional*
 //! (DESIGN.md §8). This harness pins each clause of that contract:
 //!
 //! 1. per-PM ON-count marginals follow the superposed chain's stationary
@@ -10,8 +11,8 @@
 //! 2. the empirical CVR of exactly-tight PMs stays statistically
 //!    consistent with the analytic `certified_cvr` (Wilson interval at
 //!    the AR(1)-discounted effective sample size) — the same
-//!    certification the `PerVm` oracle passes, run against both layouts
-//!    side by side;
+//!    certification the `Shared` oracle passes, run against both
+//!    layouts side by side;
 //! 3. integrated energy agrees with the oracle to within the long-run
 //!    averaging noise;
 //! 4. outcomes are `to_bits`-identical across thread counts (the layout
@@ -86,15 +87,15 @@ fn class_layout_certifies_the_analytic_cvr() {
 }
 
 #[test]
-fn class_layout_matches_the_pervm_oracle_distributionally() {
+fn class_layout_matches_the_shared_oracle_distributionally() {
     // Same fleet, same seed, both layouts: each must certify against the
     // same analytic CVR, and long-run energy must agree to within the
     // averaging noise of a 40k-step run (the draws themselves differ —
     // the layouts share no sample paths).
     let (.., analytic) = tight_fleet();
-    let oracle = run_layout(RngLayout::PerVm, 1, 2013);
+    let oracle = run_layout(RngLayout::Shared, 1, 2013);
     let class = run_layout(RngLayout::ClassAggregated, 1, 2013);
-    certify_outcome(&oracle, analytic, "per-vm oracle");
+    certify_outcome(&oracle, analytic, "shared oracle");
     certify_outcome(&class, analytic, "class-aggregated");
     let rel = (class.energy_joules - oracle.energy_joules).abs() / oracle.energy_joules;
     assert!(
