@@ -33,7 +33,11 @@
 //! under the QUEUE policy with migrations on for [`PAPER_STEPS`] steps.
 //! Unlike the dense class rows above them these report min/median/max
 //! over at least five repeats, take their rates from the median, and
-//! exit nonzero if any two repeats disagree on the migration count.
+//! exit nonzero if any two repeats disagree on the outcome digest
+//! (migrations, energy bits, violation steps). The cell kernel pays per
+//! cell for two hashes and per *changed* cell for the rest, so each row
+//! also carries the event rate it was measured at: cells whose ON count
+//! moved and distinct PMs hosting one, per step.
 //!
 //! The `shared_flip_sweep` rows time the shared layout where its cost
 //! depends on the input: [`SWEEP_VMS`] VMs, four to a PM on a quarter of
@@ -44,16 +48,18 @@
 //! beside its min/median/max. The binary exits nonzero if two repeats of
 //! a point disagree on the outcome digest.
 //!
-//! Engine, paper-density and sweep rows carry the commit they were
-//! measured at (`--commit`, default `git describe --always --dirty`).
-//! `--before PATH` copies an earlier output file's paper-density rows,
-//! sweep rows and the engine rows of the layouts this run measures in
-//! front of this run's, which
+//! Engine, paper-density, sweep and cell-kernel rows carry the commit they
+//! were measured at (`--commit`, default `git describe --always --dirty`).
+//! `--before PATH` copies an earlier output file's paper-density, sweep
+//! and cell-kernel rows and the engine rows of the layouts this run
+//! measures in front of this run's, which
 //! is how the checked-in file carries before/after pairs: this source
 //! builds against the parent commit too (it uses the public API only).
 
 use bursty_core::prelude::*;
 use bursty_core::sim::bench_api::{class_occupancy, ClassCoreBench};
+use bursty_core::sim::rng::{class_cell_key, class_hash, keyed_binomial};
+use bursty_core::workload::classes::VmClass;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -76,7 +82,10 @@ struct PaperRow {
     n: usize,
     m: usize,
     pms_used: usize,
-    migrations: usize,
+    /// `(migrations, energy bits, violation steps)`, equal across repeats.
+    digest: (usize, u64, usize),
+    changed_cells_per_step: f64,
+    dirty_pms_per_step: f64,
     repeats: usize,
     secs_min: f64,
     secs_median: f64,
@@ -206,14 +215,75 @@ fn best_secs<R>(repeats: usize, mut f: impl FnMut() -> R) -> f64 {
     best
 }
 
+/// `(migrations, energy bits, violation steps)`: what two repeats of one
+/// seeded run must agree on.
+fn outcome_digest(out: &SimOutcome) -> (usize, u64, usize) {
+    (
+        out.total_migrations(),
+        out.energy_joules.to_bits(),
+        out.total_violation_steps,
+    )
+}
+
 /// `(min, median, max)` of a row's repeat timings.
 fn min_median_max(mut secs: Vec<f64>) -> (f64, f64, f64) {
     secs.sort_by(f64::total_cmp);
     (secs[0], secs[secs.len() / 2], secs[secs.len() - 1])
 }
 
+/// `(cells whose ON count moved, distinct PMs hosting one)` per step of
+/// the kernel run: the class layout's cells and draws rebuilt from its
+/// public stream functions (one cell per `(PM, class)`, counters
+/// `2·step` and `2·step + 1` of the cell's keyed stream), counted.
+fn class_event_rates(
+    vms: &[VmSpec],
+    host: &[Option<usize>],
+    seed: u64,
+    steps: usize,
+) -> (f64, f64) {
+    // (pm, class key) → (members, p_on, p_off); a BTreeMap keeps each
+    // PM's cells adjacent, which is all the PM count below needs.
+    let mut members: std::collections::BTreeMap<(usize, [u64; 4]), (u32, f64, f64)> =
+        std::collections::BTreeMap::new();
+    for (vm, pm) in vms.iter().zip(host) {
+        let pm = pm.expect("paper-density placement is complete");
+        members
+            .entry((pm, VmClass::of(vm).key()))
+            .or_insert((0, vm.p_on, vm.p_off))
+            .0 += 1;
+    }
+    // (pm, stream key, members, ON count, p_on, p_off) per cell.
+    let mut cells: Vec<(usize, u64, u32, u32, f64, f64)> = members
+        .into_iter()
+        .map(|((pm, class), (count, p_on, p_off))| {
+            let key = class_cell_key(seed, pm as u64, class_hash(class));
+            (pm, key, count, 0, p_on, p_off)
+        })
+        .collect();
+    let (mut changed, mut dirty_pms) = (0usize, 0usize);
+    for step in 0..steps as u64 {
+        let mut last_dirty = usize::MAX;
+        for (pm, key, count, n_on, p_on, p_off) in &mut cells {
+            let out = keyed_binomial(*key, 2 * step, *n_on, *p_off);
+            let inn = keyed_binomial(*key, 2 * step + 1, *count - *n_on, *p_on);
+            if out != inn {
+                *n_on = *n_on - out + inn;
+                changed += 1;
+                if *pm != last_dirty {
+                    last_dirty = *pm;
+                    dirty_pms += 1;
+                }
+            }
+        }
+    }
+    (
+        changed as f64 / steps as f64,
+        dirty_pms as f64 / steps as f64,
+    )
+}
+
 /// One paper-density row at fleet size `n`; exits nonzero when two
-/// repeats of the same seeded run disagree on the migration count.
+/// repeats of the same seeded run disagree on the outcome digest.
 fn paper_row(n: usize, repeats: usize) -> PaperRow {
     let mut gen = FleetGenerator::new(1);
     let vms = gen.vms_table_i(n, WorkloadPattern::EqualSpike);
@@ -232,17 +302,17 @@ fn paper_row(n: usize, repeats: usize) -> PaperRow {
     };
     let repeats = repeats.max(PAPER_MIN_REPEATS);
     let mut secs: Vec<f64> = Vec::with_capacity(repeats);
-    let mut migrations: Vec<usize> = Vec::with_capacity(repeats);
+    let mut digests: Vec<(usize, u64, usize)> = Vec::with_capacity(repeats);
     let mut active_pm_steps = 0.0;
     for _ in 0..repeats {
         let start = Instant::now();
         let out = consolidator.simulate(&vms, &pms, &placement, cfg);
         secs.push(start.elapsed().as_secs_f64());
-        migrations.push(out.total_migrations());
+        digests.push(outcome_digest(&out));
         active_pm_steps = out.pms_used_series.values.iter().sum();
     }
-    if migrations.iter().any(|&c| c != migrations[0]) {
-        eprintln!("FAIL: paper-density n={n}: repeats disagree on migrations: {migrations:?}");
+    if digests.iter().any(|d| *d != digests[0]) {
+        eprintln!("FAIL: paper-density n={n}: repeats disagree on the digest: {digests:?}");
         std::process::exit(1);
     }
     let (secs_min, secs_median, secs_max) = min_median_max(secs);
@@ -256,11 +326,15 @@ fn paper_row(n: usize, repeats: usize) -> PaperRow {
         }
         acc
     });
+    let (changed_cells_per_step, dirty_pms_per_step) =
+        class_event_rates(&vms, &placement.assignment, 1, PAPER_STEPS);
     PaperRow {
         n,
         m: pms.len(),
         pms_used: placement.pms_used(),
-        migrations: migrations[0],
+        digest: digests[0],
+        changed_cells_per_step,
+        dirty_pms_per_step,
         repeats,
         secs_min,
         secs_median,
@@ -301,11 +375,7 @@ fn sweep_row(p_on: f64, p_off: f64, steps: usize, repeats: usize) -> SweepRow {
         let start = Instant::now();
         let out = consolidator.simulate(&vms, &pms, &placement, cfg);
         secs.push(start.elapsed().as_secs_f64());
-        digests.push((
-            out.total_migrations(),
-            out.energy_joules.to_bits(),
-            out.total_violation_steps,
-        ));
+        digests.push(outcome_digest(&out));
     }
     if digests.iter().any(|d| *d != digests[0]) {
         eprintln!(
@@ -474,15 +544,18 @@ fn main() {
             let r = paper_row(n, repeats);
             eprintln!(
                 "  paper density n={n} m={}: {} PMs used, {} migrations, \
-                 {:.4}/{:.4}/{:.4}s min/median/max ({:.3e} vm·steps/s, kernel share {:.2})",
+                 {:.4}/{:.4}/{:.4}s min/median/max ({:.3e} vm·steps/s, kernel share {:.2}), \
+                 {:.1} changed cells and {:.1} dirty PMs per step",
                 r.m,
                 r.pms_used,
-                r.migrations,
+                r.digest.0,
                 r.secs_min,
                 r.secs_median,
                 r.secs_max,
                 (PAPER_STEPS * n) as f64 / r.secs_median,
-                r.kernel_secs / r.secs_median
+                r.kernel_secs / r.secs_median,
+                r.changed_cells_per_step,
+                r.dirty_pms_per_step
             );
             r
         })
@@ -722,11 +795,13 @@ fn main() {
                  \"migrations\": {}, \"repeats\": {}, \"secs_min\": {:.6}, \
                  \"secs_median\": {:.6}, \"secs_max\": {:.6}, \"rates_from\": \"secs_median\", \
                  \"vm_steps_per_sec\": {:.1}, \"ns_per_pm_step\": {:.2}, \
-                 \"kernel_secs\": {:.6}, \"kernel_share\": {:.3}}}",
+                 \"kernel_secs\": {:.6}, \"kernel_share\": {:.3}, \
+                 \"changed_cells_per_step\": {:.2}, \"dirty_pms_per_step\": {:.2}, \
+                 \"energy_bits\": \"{:016x}\", \"violation_steps\": {}}}",
                 r.n,
                 r.m,
                 r.pms_used,
-                r.migrations,
+                r.digest.0,
                 r.repeats,
                 r.secs_min,
                 r.secs_median,
@@ -734,7 +809,11 @@ fn main() {
                 (PAPER_STEPS * r.n) as f64 / r.secs_median,
                 r.secs_median * 1e9 / r.active_pm_steps,
                 r.kernel_secs,
-                r.kernel_secs / r.secs_median
+                r.kernel_secs / r.secs_median,
+                r.changed_cells_per_step,
+                r.dirty_pms_per_step,
+                r.digest.1,
+                r.digest.2
             ));
         }
         push_section(&mut json, "paper_density", &lines);
@@ -769,9 +848,10 @@ fn main() {
         }
         push_section(&mut json, "shared_flip_sweep", &lines);
     }
-    let _ = writeln!(
-        json,
-        "  \"cell_kernel\": {{\"n\": {cell_n}, \"m\": {cell_m}, \
+    let mut lines = before_rows("cell_kernel");
+    lines.push(format!(
+        "{{\"commit\": \"{commit}\", \"available_parallelism\": {cores}, \
+         \"n\": {cell_n}, \"m\": {cell_m}, \
          \"occupied_cells\": {cell_occupied}, \"steps\": {steps}, \
          \"walk_secs\": {cell_walk_secs:.6}, \"cached_secs\": {cell_cached_secs:.6}, \
          \"speedup\": {:.3}, \
@@ -780,11 +860,12 @@ fn main() {
          \"walk_cell_steps_per_sec\": {:.1}, \
          \"cached_cell_steps_per_sec\": {:.1}, \
          \"cache\": {{\"hits\": {cache_hits}, \"misses\": {cache_misses}, \
-         \"evictions\": {cache_evictions}, \"hit_rate\": {cache_hit_rate:.6}}}}},",
+         \"evictions\": {cache_evictions}, \"hit_rate\": {cache_hit_rate:.6}}}}}",
         cell_walk_secs / cell_cached_secs,
         (steps * cell_occupied) as f64 / cell_walk_secs,
         (steps * cell_occupied) as f64 / cell_cached_secs
-    );
+    ));
+    push_section(&mut json, "cell_kernel", &lines);
     let _ = writeln!(
         json,
         "  \"obs\": {{\"n\": {obs_n}, \"noop_secs\": {obs_noop:.6}, \

@@ -29,7 +29,7 @@ fn probabilities(args: &Args) -> Result<(f64, f64, f64), CliError> {
 
 /// `bursty reserve --k K [--p-on P] [--p-off P] [--rho R]`
 pub fn reserve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(args)?;
+    let args = Args::parse(args, &["k", "p-on", "p-off", "rho"], &[])?;
     let k = args.require_usize("k")?;
     if k == 0 {
         return Err(err("--k must be at least 1"));
@@ -53,7 +53,7 @@ pub fn reserve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
 /// `bursty table --d D [--p-on P] [--p-off P] [--rho R]`
 pub fn table(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(args)?;
+    let args = Args::parse(args, &["d", "p-on", "p-off", "rho"], &[])?;
     let d = args.require_usize("d")?;
     if d == 0 {
         return Err(err("--d must be at least 1"));
@@ -74,7 +74,7 @@ pub fn table(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
 /// `bursty fit <trace.csv>`
 pub fn fit(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(args)?;
+    let args = Args::parse(args, &[], &[])?;
     let [path] = args.positional() else {
         return Err(err("fit expects exactly one trace file"));
     };
@@ -105,7 +105,7 @@ pub fn fit(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
 /// `bursty plan --traces DIR --capacity C [--pms N] [--rho R] [--out F]`
 pub fn plan(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(args)?;
+    let args = Args::parse(args, &["traces", "capacity", "pms", "rho", "out"], &[])?;
     let dir = args
         .get_str("traces")
         .ok_or_else(|| err("missing required flag --traces <dir>"))?;
@@ -185,7 +185,13 @@ pub fn plan(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// duplicate-heavy and the per-VM path otherwise (the report names the
 /// one taken); both produce byte-identical placements.
 pub fn consolidate(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(args)?;
+    let args = Args::parse(
+        args,
+        &[
+            "vms", "pms", "pattern", "scheme", "seed", "p-on", "p-off", "rho",
+        ],
+        &[],
+    )?;
     let n = args.require_usize("vms")?;
     if n == 0 {
         return Err(err("--vms must be at least 1"));
@@ -265,7 +271,28 @@ pub fn simulate(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     use bursty_core::metrics::inference::{certify_bound, BoundVerdict};
     use bursty_core::metrics::slo;
 
-    let args = Args::parse_with_switches(args, &["resume"])?;
+    let args = Args::parse(
+        args,
+        &[
+            "traces",
+            "capacity",
+            "pms",
+            "steps",
+            "rho",
+            "availability",
+            "mtbf",
+            "mttr",
+            "fault-group",
+            "fault-seed",
+            "rng-layout",
+            "threads",
+            "checkpoint-every",
+            "checkpoint-dir",
+            "checkpoint-keep",
+            "trace-out",
+        ],
+        &["resume"],
+    )?;
     let dir = args
         .get_str("traces")
         .ok_or_else(|| err("missing required flag --traces <dir>"))?;
@@ -523,7 +550,7 @@ pub fn simulate(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// CVR-series coverage. Streams the file line-at-a-time, so traces far
 /// larger than memory summarize fine.
 pub fn trace_report(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(args)?;
+    let args = Args::parse(args, &[], &[])?;
     let [path] = args.positional() else {
         return Err(err("trace-report expects exactly one trace file"));
     };
@@ -564,7 +591,26 @@ impl Lcg {
 /// [`Event::Recalibration`] with the op index as `step` — plus the
 /// per-op latency histograms, as JSONL digestible by `trace-report`.
 pub fn online_replay(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(args)?;
+    let args = Args::parse(
+        args,
+        &[
+            "vms",
+            "pms",
+            "ops",
+            "batch-every",
+            "batch-size",
+            "recal-every",
+            "epsilon",
+            "pattern",
+            "d",
+            "seed",
+            "p-on",
+            "p-off",
+            "rho",
+            "trace-out",
+        ],
+        &[],
+    )?;
     let n = args.require_usize("vms")?;
     if n == 0 {
         return Err(err("--vms must be at least 1"));
@@ -771,6 +817,11 @@ struct ServeFleet {
     n: usize,
 }
 
+/// The flags [`serve_fleet`] reads, shared by `serve` and `serve-replay`.
+const SERVE_FLEET_FLAGS: [&str; 9] = [
+    "vms", "pms", "pattern", "d", "seed", "p-on", "p-off", "rho", "epsilon",
+];
+
 fn serve_fleet(args: &Args) -> Result<ServeFleet, CliError> {
     let n = args.get_usize("vms")?.unwrap_or(0);
     let m = args.get_usize("pms")?.unwrap_or(n.max(64));
@@ -812,7 +863,15 @@ fn serve_fleet(args: &Args) -> Result<ServeFleet, CliError> {
 }
 
 pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse_with_switches(args, &["restore"])?;
+    let mut flags = SERVE_FLEET_FLAGS.to_vec();
+    flags.extend([
+        "addr",
+        "workers",
+        "pending-ttl-ms",
+        "state-dir",
+        "snapshot-keep",
+    ]);
+    let args = Args::parse(args, &flags, &["restore"])?;
     let fleet = serve_fleet(&args)?;
     let addr = args.get_str("addr").unwrap_or("127.0.0.1:0");
     let workers = args.get_usize("workers")?.unwrap_or(4);
@@ -871,7 +930,9 @@ pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 pub fn serve_replay(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse_with_switches(args, &["shutdown"])?;
+    let mut flags = SERVE_FLEET_FLAGS.to_vec();
+    flags.extend(["addr", "ops", "clients", "seq-base"]);
+    let args = Args::parse(args, &flags, &["shutdown"])?;
     let addr_s = args
         .get_str("addr")
         .ok_or_else(|| err("--addr is required (where the daemon listens)"))?;

@@ -13,21 +13,14 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses a flat argument list. Every token starting with `--` must be
-    /// followed by a value; everything else is positional.
+    /// Parses a flat argument list against a command's declared flags:
+    /// a `--name` in `options` must be followed by a value, one in
+    /// `switches` takes none (query it with [`Args::has`]), any other
+    /// `--name` is rejected; everything else is positional.
     ///
     /// # Errors
-    /// [`CliError`] for a dangling flag or a duplicated one.
-    pub fn parse(args: &[String]) -> Result<Self, CliError> {
-        Self::parse_with_switches(args, &[])
-    }
-
-    /// Like [`Args::parse`], except flags named in `switches` take no
-    /// value — their presence is queried with [`Args::has`].
-    ///
-    /// # Errors
-    /// [`CliError`] for a dangling value flag or any duplicated flag.
-    pub fn parse_with_switches(args: &[String], switches: &[&str]) -> Result<Self, CliError> {
+    /// [`CliError`] naming the flag: undeclared, dangling, or given twice.
+    pub fn parse(args: &[String], options: &[&str], switches: &[&str]) -> Result<Self, CliError> {
         let mut out = Args::default();
         let mut it = args.iter();
         while let Some(tok) = it.next() {
@@ -38,6 +31,21 @@ impl Args {
                     }
                     out.switches.push(name.to_string());
                     continue;
+                }
+                if !options.contains(&name) {
+                    let accepted: Vec<String> = options
+                        .iter()
+                        .chain(switches)
+                        .map(|f| format!("--{f}"))
+                        .collect();
+                    return Err(err(format!(
+                        "unknown flag --{name} (accepted: {})",
+                        if accepted.is_empty() {
+                            "none".to_string()
+                        } else {
+                            accepted.join(", ")
+                        }
+                    )));
                 }
                 let value = it
                     .next()
@@ -124,7 +132,7 @@ mod tests {
 
     fn parse(toks: &[&str]) -> Result<Args, CliError> {
         let v: Vec<String> = toks.iter().map(|s| s.to_string()).collect();
-        Args::parse(&v)
+        Args::parse(&v, &["k", "rho", "vms"], &["batch", "no-batch"])
     }
 
     #[test]
@@ -162,12 +170,22 @@ mod tests {
     }
 
     #[test]
+    fn undeclared_flag_is_error_naming_it() {
+        let e = parse(&["--k", "1", "--steps", "5"])
+            .unwrap_err()
+            .to_string();
+        assert!(e.contains("unknown flag --steps"), "{e}");
+        assert!(e.contains("--k") && e.contains("--no-batch"), "{e}");
+        // Rejected before its value is looked at, dangling or not.
+        assert!(parse(&["--steps"])
+            .unwrap_err()
+            .to_string()
+            .contains("unknown flag --steps"));
+    }
+
+    #[test]
     fn switches_take_no_value() {
-        let v: Vec<String> = ["--batch", "--vms", "100", "trace.csv"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let a = Args::parse_with_switches(&v, &["batch", "no-batch"]).unwrap();
+        let a = parse(&["--batch", "--vms", "100", "trace.csv"]).unwrap();
         assert!(a.has("batch"));
         assert!(!a.has("no-batch"));
         assert_eq!(a.require_usize("vms").unwrap(), 100);
@@ -176,11 +194,7 @@ mod tests {
 
     #[test]
     fn duplicate_switch_is_error() {
-        let v: Vec<String> = ["--batch", "--batch"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(Args::parse_with_switches(&v, &["batch"])
+        assert!(parse(&["--batch", "--batch"])
             .unwrap_err()
             .to_string()
             .contains("twice"));

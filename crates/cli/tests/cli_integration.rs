@@ -113,6 +113,49 @@ fn plan_rejects_missing_flags() {
 }
 
 #[test]
+fn every_command_rejects_an_undeclared_flag_by_name() {
+    // One row per command: otherwise-valid arguments plus a flag the
+    // command does not declare (`--batch` and `--class-sampler` were
+    // real flags once, and kept "working" as ignored pairs). The parser
+    // rejects before any command work starts, so no row needs its
+    // traces, daemon or trace file to exist.
+    let rows: [&[&str]; 10] = [
+        &["reserve", "--k", "16", "--d", "4"],
+        &["table", "--d", "4", "--k", "16"],
+        &["fit", "trace.csv", "--rho", "0.01"],
+        &["plan", "--traces", "t", "--capacity", "90", "--steps", "10"],
+        &["consolidate", "--vms", "100", "--batch", "x"],
+        &[
+            "simulate",
+            "--traces",
+            "t",
+            "--capacity",
+            "90",
+            "--class-sampler",
+            "walk",
+        ],
+        &["online-replay", "--vms", "100", "--clients", "2"],
+        &["serve", "--vms", "10", "--ops", "5"],
+        &["serve-replay", "--addr", "127.0.0.1:1", "--workers", "2"],
+        &["trace-report", "trace.jsonl", "--top", "3"],
+    ];
+    for row in rows {
+        let undeclared = row[row.len() - 2];
+        let mut buf = Vec::new();
+        let e = run(&args(row), &mut buf).unwrap_err().to_string();
+        assert!(
+            e.starts_with(&format!("unknown flag {undeclared} ")),
+            "{}: {e}",
+            row[0]
+        );
+        assert!(buf.is_empty(), "{}: wrote output before failing", row[0]);
+    }
+    // The same pairs under their own commands still parse.
+    let out = run_ok(&args(&["consolidate", "--vms", "100", "--seed", "3"]));
+    assert!(out.contains("PMs"), "{out}");
+}
+
+#[test]
 fn reserve_and_table_agree() {
     let reserve_out = run_ok(&args(&["reserve", "--k", "12"]));
     let table_out = run_ok(&args(&["table", "--d", "12"]));

@@ -34,7 +34,7 @@
 //! draws that still happen. Hit/miss/evict counts are exposed for the
 //! `obs` layer.
 
-use super::{keyed_u01, walk_anchor};
+use super::{bits_to_u01, flip_threshold, keyed_u01, walk_anchor};
 
 /// Default per-cache budget of live table entries (`cdf` f64s plus
 /// `guide` u32s). Typical steady state is a few hundred tables of a few
@@ -184,6 +184,11 @@ struct PSlot {
     /// partial sum exceeds `u` is 0", so the draw is answered from this
     /// one load.
     zero_cut: Vec<f64>,
+    /// `flip_threshold(zero_cut[n])`, the same test on the 53-bit draw
+    /// itself: `k < zero_thr[n]` ⇔ `k · 2⁻⁵³ < zero_cut[n]`, so it is 0
+    /// wherever `zero_cut` is `-inf`. Index 0 alone is `u64::MAX` (a
+    /// draw over no chains is 0 whatever `k`), and always present.
+    zero_thr: Vec<u64>,
     metas: Vec<TableMeta>,
     cdf: Vec<f64>,
     guide: Vec<u32>,
@@ -238,6 +243,7 @@ impl TableCache {
                     p,
                     index: Vec::new(),
                     zero_cut: Vec::new(),
+                    zero_thr: vec![u64::MAX],
                     metas: Vec::new(),
                     cdf: Vec::new(),
                     guide: Vec::new(),
@@ -255,6 +261,34 @@ impl TableCache {
     #[inline]
     pub fn draw(&mut self, slot: usize, key: u64, counter: u64, n: u32) -> u32 {
         self.draw_with(slot, n, || keyed_u01(key, counter))
+    }
+
+    /// [`TableCache::draw`] on the 53-bit draw `bits` itself, for a
+    /// caller that already hashed the coordinates.
+    #[inline]
+    pub(crate) fn draw_bits(&mut self, slot: usize, bits: u64, n: u32) -> u32 {
+        self.draw_with(slot, n, || bits_to_u01(bits))
+    }
+
+    /// The quiet test: a 53-bit draw `k < zero_threshold(slot, n)` makes
+    /// `draw` return 0 without touching the cache — except that for
+    /// `n ≥ 1` it would have counted one hit, which the caller owes to
+    /// [`TableCache::count_hits`]. 0 (no `k` passes) wherever `draw`
+    /// has to do more: no table for `n` yet, one anchored above zero,
+    /// or a degenerate `p`.
+    #[inline]
+    pub fn zero_threshold(&self, slot: usize, n: u32) -> u64 {
+        self.slots[slot]
+            .zero_thr
+            .get(n as usize)
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Books `hits` draws the caller answered by the quiet test.
+    #[inline]
+    pub(crate) fn count_hits(&mut self, hits: u64) {
+        self.stats.hits += hits;
     }
 
     /// [`TableCache::draw`] on an explicit uniform — bit-identical to
@@ -315,11 +349,13 @@ impl TableCache {
         if s.index.len() <= ni {
             s.index.resize(ni + 1, ABSENT);
             s.zero_cut.resize(ni + 1, f64::NEG_INFINITY);
+            s.zero_thr.resize(ni + 1, 0);
         }
         let ix = s.metas.len() as u32;
         s.index[ni] = ix;
         if table.start == 0 {
             s.zero_cut[ni] = table.cdf[0];
+            s.zero_thr[ni] = flip_threshold(table.cdf[0]);
         }
         s.metas.push(TableMeta {
             n: table.n,
@@ -340,6 +376,7 @@ impl TableCache {
             self.stats.evictions += s.metas.len() as u64;
             s.index.clear();
             s.zero_cut.clear();
+            s.zero_thr.truncate(1);
             s.metas.clear();
             s.cdf.clear();
             s.guide.clear();

@@ -770,6 +770,7 @@ pub(crate) fn decode_state(
             // Derived state, rebuilt from the restored loads.
             indexes: PmIndexes::new(&loads),
             loads,
+            overloaded: Vec::new(),
         },
         rec_bytes,
     ))
@@ -1049,30 +1050,39 @@ mod tests {
         let strategy = QueueStrategy::build(16, 0.01, 0.09, 0.01);
         let placement = first_fit(&vms, &pms, &strategy).unwrap();
         let policy = QueuePolicy::new(strategy);
-        let sim = Simulator::new(&vms, &pms, &policy, config());
+        // Both layouts: in this build every step of the resumed tail
+        // also checks the carried per-PM sums against a full fold.
+        for rng_layout in [RngLayout::Shared, RngLayout::ClassAggregated] {
+            let cfg = SimConfig {
+                rng_layout,
+                ..config()
+            };
+            let sim = Simulator::new(&vms, &pms, &policy, cfg);
 
-        let baseline = sim.run(&placement);
-        let run = sim.run_with_checkpoints(
-            &placement,
-            &knobs(10, 2),
-            MemStore::new(),
-            &mut NoopRecorder,
-        );
-        assert_same_outcome(&baseline, &run.outcome);
-        assert_eq!(run.saves, 5, "steps 10..=50 each snapshot");
-        assert!(run.save_errors.is_empty());
+            let baseline = sim.run(&placement);
+            let run = sim.run_with_checkpoints(
+                &placement,
+                &knobs(10, 2),
+                MemStore::new(),
+                &mut NoopRecorder,
+            );
+            assert_same_outcome(&baseline, &run.outcome);
+            assert_eq!(run.saves, 5, "steps 10..=50 each snapshot");
+            assert!(run.save_errors.is_empty());
 
-        // Re-run keeping the store, then resume from its newest file:
-        // the tail re-executes and the outcome is identical again.
-        let mut store = MemStore::new();
-        sim.run_with_checkpoints(&placement, &knobs(10, 2), &mut store, &mut NoopRecorder);
-        let (resumed, report) = sim
-            .resume_with_checkpoints(&knobs(10, 2), store, &mut NoopRecorder)
-            .unwrap();
-        assert_eq!(report.step, 50);
-        assert_eq!(report.loaded, "ckpt-000000000050");
-        assert!(report.discarded.is_empty());
-        assert_same_outcome(&baseline, &resumed.outcome);
+            // Re-run keeping the store, then resume from its newest
+            // file: the tail re-executes and the outcome is identical
+            // again.
+            let mut store = MemStore::new();
+            sim.run_with_checkpoints(&placement, &knobs(10, 2), &mut store, &mut NoopRecorder);
+            let (resumed, report) = sim
+                .resume_with_checkpoints(&knobs(10, 2), store, &mut NoopRecorder)
+                .unwrap();
+            assert_eq!(report.step, 50);
+            assert_eq!(report.loaded, "ckpt-000000000050");
+            assert!(report.discarded.is_empty());
+            assert_same_outcome(&baseline, &resumed.outcome);
+        }
     }
 
     #[test]

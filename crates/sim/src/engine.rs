@@ -471,6 +471,8 @@ pub(crate) struct RunState {
     pub(crate) next_step: usize,
     /// Occupied-PM set and migration-target index (derived state).
     pub(crate) indexes: PmIndexes,
+    /// Scratch: the PMs in violation this step, refilled by every step.
+    pub(crate) overloaded: Vec<usize>,
 }
 
 /// A callback the engine drives after every completed step — the seam
@@ -633,6 +635,7 @@ impl<'a> Simulator<'a> {
             next_step: 0,
             indexes: PmIndexes::new(&loads),
             loads,
+            overloaded: Vec::new(),
         }
     }
 
@@ -679,6 +682,7 @@ impl<'a> Simulator<'a> {
             observed,
             next_step,
             indexes,
+            overloaded,
         } = st;
         {
             // 0. Fault transitions, then immediate batch evacuation of the
@@ -836,7 +840,7 @@ impl<'a> Simulator<'a> {
             // 3. Violation tracking. Violations on PMs currently hosting a
             //    degraded admission are additionally tagged as
             //    failure-attributable.
-            let mut overloaded = Vec::new();
+            overloaded.clear();
             for j in indexes.occupied.iter() {
                 active_steps[j] += 1;
                 if observed[j] > self.pms[j].capacity + CAP_EPS {
@@ -872,7 +876,7 @@ impl<'a> Simulator<'a> {
             //    startup noise — where a single violation puts the running
             //    ratio above ρ — from evicting VMs off compliant PMs.
             if self.config.migrations_enabled {
-                for &j in &overloaded {
+                for &j in overloaded.iter() {
                     let budget =
                         self.config.rho * active_steps[j] as f64 + self.config.violation_allowance;
                     if vio_steps[j] as f64 <= budget {

@@ -45,13 +45,36 @@ pub(crate) fn stream_key(seed: u64, stream: u64) -> u64 {
     mix64(seed ^ mix64(stream.wrapping_mul(GOLDEN) ^ MIX_B))
 }
 
-/// Draw `counter` of a keyed stream as a uniform `f64` in `[0, 1)`,
-/// using the top 53 bits of the mixed word (the full mantissa width, the
-/// same precision as the vendored `StdRng::gen::<f64>()`).
+/// Draw `counter` of a keyed stream as an integer `k < 2⁵³`: the top 53
+/// bits of the mixed word (the full mantissa width, the same precision
+/// as the vendored `StdRng::gen::<f64>()`).
+#[inline]
+pub(crate) fn keyed_bits(key: u64, counter: u64) -> u64 {
+    mix64(key ^ counter.wrapping_mul(GOLDEN)) >> 11
+}
+
+/// The uniform `u = k · 2⁻⁵³` in `[0, 1)` of a 53-bit draw `k`.
+#[inline]
+pub(crate) fn bits_to_u01(bits: u64) -> f64 {
+    bits as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Draw `counter` of a keyed stream as a uniform `f64` in `[0, 1)`.
 #[inline]
 pub(crate) fn keyed_u01(key: u64, counter: u64) -> f64 {
-    let z = mix64(key ^ counter.wrapping_mul(GOLDEN));
-    (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    bits_to_u01(keyed_bits(key, counter))
+}
+
+/// `ceil(p · 2⁵³)`: a probability in the integer units of a 53-bit draw
+/// `k`, whose uniform is `u = k · 2⁻⁵³`. Both `k · 2⁻⁵³` and `p · 2⁵³`
+/// are exact in `f64` (scaling by a power of two only moves the
+/// exponent), so `u < p` ⇔ `k < p · 2⁵³` ⇔ `k < ceil(p · 2⁵³)`: the same
+/// decision with no convert. The saturating cast sends a `p` that can
+/// never fire (`p ≤ 0`, NaN) to 0 and one that always fires (`p > 1`)
+/// past every `k`.
+#[inline]
+pub(crate) fn flip_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// Content hash of a VM class's exact bit-pattern key (the

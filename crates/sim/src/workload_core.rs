@@ -23,7 +23,8 @@
 //!   occupied cell (`ON→OFF ~ B(n_on, p_off)`, `OFF→ON ~ B(n_off,
 //!   p_on)`) keyed on `(seed, pm, class, step)`, and per-PM demand is
 //!   `counter × class demand`. Cost scales with occupied cells, not
-//!   fleet size. Thread-count invariant (each PM's demand is computed
+//!   fleet size, and past the two hashes per cell with the cells whose
+//!   counter moved (`ClassKernel::evolve_chunk`). Thread-count invariant (each PM's demand is computed
 //!   wholly by one worker from its own cells) and invariant under class
 //!   enumeration order (the class table is sorted by content, cell keys
 //!   hash class *contents*). Individual VMs no longer own sample paths:
@@ -44,7 +45,7 @@
 
 use crate::config::RngLayout;
 use crate::rng::binomial_table::{CacheStats, TableCache, DEFAULT_ENTRY_BUDGET};
-use crate::rng::{class_cell_key, class_hash, keyed_binomial};
+use crate::rng::{class_cell_key, class_hash, flip_threshold, keyed_binomial, keyed_bits};
 use bursty_workload::classes::VmClass;
 use bursty_workload::VmSpec;
 use rand::rngs::StdRng;
@@ -80,22 +81,135 @@ struct ClassInfo {
 /// pre-mixed stream key of the cell's binomial draws. A location is a PM
 /// or the displaced-VM limbo pool; each location's cells stay sorted by
 /// class index so evolution and demand accumulation order are canonical.
+/// `loc` (in what would be padding) is where a cell whose counter moved
+/// reports its PM's demand sum stale.
 struct Cell {
     class: u32,
     count: u32,
     n_on: u32,
+    loc: u32,
     key: u64,
 }
 
-/// `ceil(p · 2⁵³)`: a switch probability in the integer units of a
-/// shared-stream draw. The draw is `u = k · 2⁻⁵³`, where `k` is the top
-/// 53 bits of `next_u64()`. Both `k · 2⁻⁵³` and `p · 2⁵³` are exact in
-/// `f64` (scaling by a power of two only moves the exponent), so
-/// `u < p` ⇔ `k < p · 2⁵³` ⇔ `k < ceil(p · 2⁵³)`: the same decision
-/// with no convert. The saturating cast sends a `p` that can never fire
-/// (`p ≤ 0`, NaN) to 0 and one that always fires (`p > 1`) past every `k`.
-fn flip_threshold(p: f64) -> u64 {
-    (p * (1u64 << 53) as f64).ceil() as u64
+impl Cell {
+    fn new(
+        class: u32,
+        count: u32,
+        n_on: u32,
+        loc: usize,
+        seed: u64,
+        classes: &[ClassInfo],
+    ) -> Self {
+        Self {
+            class,
+            count,
+            n_on,
+            loc: loc as u32,
+            key: class_cell_key(seed, loc as u64, classes[class as usize].hash),
+        }
+    }
+}
+
+/// What one fixed chunk of [`CLASS_PM_CHUNK`] locations owns: each chunk
+/// is evolved by exactly one worker per step, and the chunk partition is
+/// a function of `m` only, so the summed cache counters are invariant
+/// in the thread count.
+struct ClassChunk {
+    /// The chunk's memoized binomial sampler.
+    cache: TableCache,
+    /// The chunk's PMs whose `base` entry is stale: a cell changed
+    /// `n_on` this step, or the engine reported a membership change
+    /// since the last one. Duplicates are harmless (a re-fold is
+    /// idempotent); emptied by every step.
+    dirty: Vec<u32>,
+}
+
+/// One step's read-only view of the class layout, as each worker sees it.
+struct ClassKernel<'a> {
+    classes: &'a [ClassInfo],
+    offsets: &'a [u32],
+    step: u64,
+    cached: bool,
+    primed: bool,
+}
+
+impl ClassKernel<'_> {
+    /// Evolves the chunk whose first location is `lo` one step. `cells`,
+    /// `base` and `obs` are the chunk's own slices of the flat arrays.
+    /// A *quiet* cell — both draws under their zero-outcome thresholds,
+    /// all but a few percent of cells for bursty chains — costs two
+    /// hashes and two integer compares and is left untouched; the rest
+    /// go through the sampler, and only a stale PM's `base` entry is
+    /// folded again (DESIGN.md §8 has both exactness arguments).
+    fn evolve_chunk(
+        &self,
+        lo: usize,
+        cells: &mut [Cell],
+        base: &mut [f64],
+        obs: &mut [f64],
+        chunk: &mut ClassChunk,
+    ) {
+        let ClassChunk { cache, dirty } = chunk;
+        let (out_at, in_at) = (2 * self.step, 2 * self.step + 1);
+        let mut quiet_hits = 0u64;
+        let mut last_dirty = u32::MAX;
+        for cell in cells.iter_mut() {
+            let info = &self.classes[cell.class as usize];
+            let (slot_off, slot_on) = (info.slot_off as usize, info.slot_on as usize);
+            let (n_on, n_off) = (cell.n_on, cell.count - cell.n_on);
+            let (out, inn) = if self.cached {
+                let (k_out, k_in) = (keyed_bits(cell.key, out_at), keyed_bits(cell.key, in_at));
+                if (k_out < cache.zero_threshold(slot_off, n_on))
+                    & (k_in < cache.zero_threshold(slot_on, n_off))
+                {
+                    quiet_hits += u64::from(n_on != 0) + u64::from(n_off != 0);
+                    continue;
+                }
+                (
+                    cache.draw_bits(slot_off, k_out, n_on),
+                    cache.draw_bits(slot_on, k_in, n_off),
+                )
+            } else {
+                (
+                    keyed_binomial(cell.key, out_at, n_on, info.p_off),
+                    keyed_binomial(cell.key, in_at, n_off, info.p_on),
+                )
+            };
+            if out != inn {
+                cell.n_on = n_on - out + inn;
+                if cell.loc != last_dirty {
+                    last_dirty = cell.loc;
+                    dirty.push(cell.loc);
+                }
+            }
+        }
+        cache.count_hits(quiet_hits);
+
+        let cell0 = self.offsets[lo] as usize;
+        let fold = |j: usize| {
+            let range = self.offsets[j] as usize - cell0..self.offsets[j + 1] as usize - cell0;
+            cells[range].iter().fold(0.0, |demand, cell| {
+                let info = &self.classes[cell.class as usize];
+                demand
+                    + (f64::from(cell.n_on) * info.demand_on
+                        + f64::from(cell.count - cell.n_on) * info.demand_off)
+            })
+        };
+        if self.primed {
+            for &j in dirty.iter() {
+                // The limbo pool (the last location) has no entry.
+                if let Some(sum) = base.get_mut(j as usize - lo) {
+                    *sum = fold(j as usize);
+                }
+            }
+        } else {
+            for (at, sum) in base.iter_mut().enumerate() {
+                *sum = fold(lo + at);
+            }
+        }
+        dirty.clear();
+        obs.copy_from_slice(base);
+    }
 }
 
 /// A set of PMs with O(1) insert, listed in insertion order.
@@ -270,11 +384,15 @@ enum Mode {
         /// [`WorkloadCore::class_init`]; the hot loop only mutates
         /// `n_on`, structural edits (moves, crashes) shift the tail.
         cells: Vec<Cell>,
-        /// One memoized binomial-sampler cache per location chunk. The
-        /// chunk partition is a function of `m` only, and each chunk is
-        /// evolved by exactly one worker per step, so the summed cache
-        /// counters are invariant in the thread count.
-        caches: Vec<TableCache>,
+        /// Per-chunk sampler cache and stale-PM list.
+        chunks: Vec<ClassChunk>,
+        /// Per-PM demand, each entry folded from `0.0` over the PM's
+        /// cells in class order. `observed` starts every step as a copy.
+        /// Derived from the cells, never serialized: `primed` is `false`
+        /// until the next step folds every PM — at the start of a run
+        /// and after a restore alike.
+        base: Vec<f64>,
+        primed: bool,
         /// `true` (always, in the engine): draws go through the
         /// memoized tables. `false`: every draw re-runs the
         /// pmf-recurrence walk, the reference kernel the tables are
@@ -398,14 +516,20 @@ impl WorkloadCore {
                 } else {
                     threads
                 };
+                assert!(m < u32::MAX as usize, "cells index locations with u32");
                 Mode::ClassAggregated {
                     classes,
                     class_of,
                     offsets: vec![0; m + 2],
                     cells: Vec::new(),
-                    caches: (0..chunks)
-                        .map(|_| TableCache::new(&p_values, DEFAULT_ENTRY_BUDGET))
+                    chunks: (0..chunks)
+                        .map(|_| ClassChunk {
+                            cache: TableCache::new(&p_values, DEFAULT_ENTRY_BUDGET),
+                            dirty: Vec::new(),
+                        })
                         .collect(),
+                    base: vec![0.0; m],
+                    primed: false,
                     cached: true,
                     threads: requested.clamp(1, chunks),
                     seed,
@@ -440,7 +564,9 @@ impl WorkloadCore {
                 classes,
                 offsets,
                 cells,
-                caches,
+                chunks,
+                base,
+                primed,
                 cached,
                 threads,
                 ..
@@ -457,99 +583,82 @@ impl WorkloadCore {
                 // CLASS_PM_CHUNK chunks (a function of m only); the
                 // limbo pool is the last location and rides in the last
                 // chunk — displaced VMs keep evolving (the draw sequence
-                // must not depend on fault decisions) but write no
-                // demand. Each chunk owns one sampler cache, so cache
-                // state and counters are also thread-count invariant.
+                // must not depend on fault decisions) but have no
+                // demand entry.
                 let m = observed.len();
                 let total_locs = offsets.len() - 1;
-                let classes: &[ClassInfo] = classes;
-                let offsets: &[u32] = offsets;
-                let cached = *cached;
-                let evolve = |c: usize,
-                              chunk: &mut [Cell],
-                              obs: &mut [f64],
-                              cache: &mut TableCache| {
-                    let lo = c * CLASS_PM_CHUNK;
-                    let hi = (lo + CLASS_PM_CHUNK).min(total_locs);
-                    let base = offsets[lo] as usize;
-                    for loc in lo..hi {
-                        let s = offsets[loc] as usize - base;
-                        let e = offsets[loc + 1] as usize - base;
-                        let mut demand = 0.0;
-                        for cell in &mut chunk[s..e] {
-                            let info = &classes[cell.class as usize];
-                            let off_count = cell.count - cell.n_on;
-                            let (out, inn) = if cached {
-                                (
-                                    cache.draw(
-                                        info.slot_off as usize,
-                                        cell.key,
-                                        2 * step,
-                                        cell.n_on,
-                                    ),
-                                    cache.draw(
-                                        info.slot_on as usize,
-                                        cell.key,
-                                        2 * step + 1,
-                                        off_count,
-                                    ),
-                                )
-                            } else {
-                                (
-                                    keyed_binomial(cell.key, 2 * step, cell.n_on, info.p_off),
-                                    keyed_binomial(cell.key, 2 * step + 1, off_count, info.p_on),
-                                )
-                            };
-                            cell.n_on = cell.n_on - out + inn;
-                            demand += f64::from(cell.n_on) * info.demand_on
-                                + f64::from(cell.count - cell.n_on) * info.demand_off;
-                        }
-                        if loc < m {
-                            obs[loc - lo] = demand;
-                        }
+                let kernel = ClassKernel {
+                    classes,
+                    offsets,
+                    step,
+                    cached: *cached,
+                    primed: *primed,
+                };
+                // A worker's share: a run of whole chunks, with the cell,
+                // `base` and `observed` slices cut at its boundaries.
+                let evolve = |first: usize,
+                              share: &mut [ClassChunk],
+                              cells: &mut [Cell],
+                              base: &mut [f64],
+                              obs: &mut [f64]| {
+                    let (cell0, pm0) = (offsets[first] as usize, first.min(m));
+                    let mut lo = first;
+                    for chunk in share {
+                        let hi = (lo + CLASS_PM_CHUNK).min(total_locs);
+                        let pms = lo.min(m) - pm0..hi.min(m) - pm0;
+                        kernel.evolve_chunk(
+                            lo,
+                            &mut cells[offsets[lo] as usize - cell0..offsets[hi] as usize - cell0],
+                            &mut base[pms.clone()],
+                            &mut obs[pms],
+                            chunk,
+                        );
+                        lo = hi;
                     }
                 };
-                // Cut the flat arrays at chunk boundaries; the per-chunk
-                // observed slice stops at m (the limbo location has no
-                // demand entry).
-                let mut units: Vec<(usize, &mut [Cell], &mut [f64], &mut TableCache)> =
-                    Vec::with_capacity(caches.len());
-                let mut cell_rest: &mut [Cell] = cells;
-                let mut obs_rest: &mut [f64] = observed;
-                let mut consumed = 0usize;
-                let mut obs_consumed = 0usize;
-                for (c, cache) in caches.iter_mut().enumerate() {
-                    let hi = ((c + 1) * CLASS_PM_CHUNK).min(total_locs);
-                    let (chunk, rest) = cell_rest.split_at_mut(offsets[hi] as usize - consumed);
-                    consumed = offsets[hi] as usize;
-                    cell_rest = rest;
-                    let (obs, rest) = obs_rest.split_at_mut(hi.min(m) - obs_consumed);
-                    obs_consumed = hi.min(m);
-                    obs_rest = rest;
-                    units.push((c, chunk, obs, cache));
-                }
-                if *threads <= 1 || units.len() <= 1 {
-                    for (c, chunk, obs, cache) in &mut units {
-                        evolve(*c, chunk, obs, cache);
-                    }
+                if *threads <= 1 {
+                    evolve(0, chunks, cells, base, observed);
                 } else {
-                    #[allow(clippy::type_complexity)]
-                    let mut buckets: Vec<
-                        Vec<(usize, &mut [Cell], &mut [f64], &mut TableCache)>,
-                    > = (0..*threads).map(|_| Vec::new()).collect();
-                    for (slot, unit) in units.into_iter().enumerate() {
-                        buckets[slot % *threads].push(unit);
-                    }
+                    // Whole chunks to each worker, cut where the cell
+                    // count crosses the worker's even share.
+                    let cell_total = cells.len();
                     thread::scope(|scope| {
-                        for bucket in &mut buckets {
-                            scope.spawn(|| {
-                                for (c, chunk, obs, cache) in bucket.iter_mut() {
-                                    evolve(*c, chunk, obs, cache);
-                                }
-                            });
+                        let evolve = &evolve;
+                        let (mut chunks, mut cells) = (&mut chunks[..], &mut cells[..]);
+                        let (mut base, mut obs) = (&mut base[..], &mut observed[..]);
+                        let mut first = 0usize;
+                        for t in 1..=*threads {
+                            let start_of = |c: usize| (first + c * CLASS_PM_CHUNK).min(total_locs);
+                            let take = (0..chunks.len())
+                                .find(|&c| {
+                                    t < *threads
+                                        && offsets[start_of(c)] as usize * *threads
+                                            >= cell_total * t
+                                })
+                                .unwrap_or(chunks.len());
+                            let end = start_of(take);
+                            let (n_cells, n_pms) = (
+                                (offsets[end] - offsets[first]) as usize,
+                                end.min(m) - first.min(m),
+                            );
+                            let share = (
+                                chunks.split_off_mut(..take).expect("take <= len"),
+                                cells
+                                    .split_off_mut(..n_cells)
+                                    .expect("offsets are in range"),
+                                base.split_off_mut(..n_pms).expect("end <= locations"),
+                                obs.split_off_mut(..n_pms).expect("end <= locations"),
+                            );
+                            if take > 0 {
+                                scope.spawn(move || {
+                                    evolve(first, share.0, share.1, share.2, share.3)
+                                });
+                            }
+                            first = end;
                         }
                     });
                 }
+                *primed = true;
             }
         }
     }
@@ -564,12 +673,14 @@ impl WorkloadCore {
             class_of,
             offsets,
             cells,
+            primed,
             seed,
             ..
         } = &mut self.mode
         else {
             return;
         };
+        *primed = false;
         let locations = offsets.len() - 1;
         let limbo = locations - 1;
         let loc_of = |h: &Option<usize>| h.unwrap_or(limbo);
@@ -603,12 +714,7 @@ impl WorkloadCore {
             for &c in run.iter() {
                 match cells[first..].last_mut() {
                     Some(cell) if cell.class == c => cell.count += 1,
-                    _ => cells.push(Cell {
-                        class: c,
-                        count: 1,
-                        n_on: 0,
-                        key: class_cell_key(*seed, loc as u64, classes[c as usize].hash),
-                    }),
+                    _ => cells.push(Cell::new(c, 1, 0, loc, *seed, classes)),
                 }
             }
             offsets[loc + 1] = cells.len() as u32;
@@ -711,7 +817,7 @@ impl WorkloadCore {
     /// source counters.
     pub(crate) fn vm_moved(&mut self, i: usize, from: Option<usize>, to: Option<usize>) {
         let Self { on, mode, .. } = self;
-        let (classes, class_of, offsets, cells, seed) = match mode {
+        let (classes, class_of, offsets, cells, chunks, seed) = match mode {
             Mode::Shared(shared) => {
                 for j in [from, to].into_iter().flatten() {
                     shared.dirty.mark(j);
@@ -723,10 +829,14 @@ impl WorkloadCore {
                 class_of,
                 offsets,
                 cells,
+                chunks,
                 seed,
                 ..
-            } => (classes, class_of, offsets, cells, seed),
+            } => (classes, class_of, offsets, cells, chunks, seed),
         };
+        for j in [from, to].into_iter().flatten() {
+            chunks[j / CLASS_PM_CHUNK].dirty.push(j as u32);
+        }
         let limbo = offsets.len() - 2;
         let c = class_of[i];
         let was_on = on[i];
@@ -757,12 +867,7 @@ impl WorkloadCore {
             Err(at) => {
                 cells.insert(
                     range.start + at,
-                    Cell {
-                        class: c,
-                        count: 1,
-                        n_on: u32::from(was_on),
-                        key: class_cell_key(*seed, dst as u64, classes[c as usize].hash),
-                    },
+                    Cell::new(c, 1, u32::from(was_on), dst, *seed, classes),
                 );
                 for o in &mut offsets[dst + 1..] {
                     *o += 1;
@@ -786,12 +891,14 @@ impl WorkloadCore {
             classes,
             offsets,
             cells,
+            chunks,
             seed,
             ..
         } = &mut self.mode
         else {
             return;
         };
+        chunks[j / CLASS_PM_CHUNK].dirty.push(j as u32);
         let limbo = offsets.len() - 2;
         let range = Self::csr_range(offsets, j);
         let moved: Vec<Cell> = cells.drain(range.clone()).collect();
@@ -812,16 +919,7 @@ impl WorkloadCore {
                     // final offset shifts.
                     cells.insert(
                         pool.start + at,
-                        Cell {
-                            class: cell.class,
-                            count: cell.count,
-                            n_on: cell.n_on,
-                            key: class_cell_key(
-                                *seed,
-                                limbo as u64,
-                                classes[cell.class as usize].hash,
-                            ),
-                        },
+                        Cell::new(cell.class, cell.count, cell.n_on, limbo, *seed, classes),
                     );
                     offsets[limbo + 1] += 1;
                 }
@@ -844,11 +942,11 @@ impl WorkloadCore {
     /// (`None` for the other layouts). The chunk partition is a
     /// function of `m` only, so the sums are thread-count invariant.
     pub(crate) fn class_cache_stats(&self) -> Option<CacheStats> {
-        let Mode::ClassAggregated { caches, .. } = &self.mode else {
+        let Mode::ClassAggregated { chunks, .. } = &self.mode else {
             return None;
         };
-        Some(caches.iter().fold(CacheStats::default(), |acc, c| {
-            let s = c.stats();
+        Some(chunks.iter().fold(CacheStats::default(), |acc, c| {
+            let s = c.cache.stats();
             CacheStats {
                 hits: acc.hits + s.hits,
                 misses: acc.misses + s.misses,
@@ -867,30 +965,46 @@ impl WorkloadCore {
         }
     }
 
-    /// Under `Shared`, asserts that `observed` — fresh out of
-    /// [`WorkloadCore::step`] — is `to_bits`-equal to the one-pass
-    /// accumulation over all VMs that the sparse re-sum replaces. The
-    /// other layouts group their sums differently and are not checked.
+    /// Asserts that `observed` — fresh out of [`WorkloadCore::step`] — is
+    /// `to_bits`-equal to the from-scratch accumulation the carried sums
+    /// replace: one pass over all VMs under `Shared`, a fold of every
+    /// PM's cells under `ClassAggregated`.
     #[cfg(test)]
     pub(crate) fn assert_observed_is_full_accumulation(
         &self,
         host: &[Option<usize>],
         observed: &[f64],
     ) {
-        let Mode::Shared(shared) = &self.mode else {
-            return;
-        };
         let mut full = vec![0.0f64; observed.len()];
-        for (i, j) in host.iter().enumerate() {
-            if let Some(j) = *j {
-                full[j] += shared.demand_by_state[i][usize::from(self.on[i])];
+        match &self.mode {
+            Mode::Shared(shared) => {
+                for (i, j) in host.iter().enumerate() {
+                    if let Some(j) = *j {
+                        full[j] += shared.demand_by_state[i][usize::from(self.on[i])];
+                    }
+                }
+            }
+            Mode::ClassAggregated {
+                classes,
+                offsets,
+                cells,
+                ..
+            } => {
+                for (j, sum) in full.iter_mut().enumerate() {
+                    for cell in &cells[Self::csr_range(offsets, j)] {
+                        assert_eq!(cell.loc as usize, j, "cell filed under the wrong PM");
+                        let info = &classes[cell.class as usize];
+                        *sum += f64::from(cell.n_on) * info.demand_on
+                            + f64::from(cell.count - cell.n_on) * info.demand_off;
+                    }
+                }
             }
         }
         for (j, (got, want)) in observed.iter().zip(&full).enumerate() {
             assert_eq!(
                 got.to_bits(),
                 want.to_bits(),
-                "PM {j}: sparse sum {got} differs from the full accumulation {want}"
+                "PM {j}: carried sum {got} differs from the full accumulation {want}"
             );
         }
     }
@@ -931,6 +1045,7 @@ impl WorkloadCore {
                     classes,
                     offsets,
                     cells,
+                    primed,
                     seed,
                     ..
                 },
@@ -968,14 +1083,12 @@ impl WorkloadCore {
                         self.on.len()
                     ));
                 }
+                *primed = false;
                 cells.clear();
                 offsets[0] = 0;
                 for (loc, src) in locs.into_iter().enumerate() {
-                    cells.extend(src.into_iter().map(|(class, count, n_on)| Cell {
-                        class,
-                        count,
-                        n_on,
-                        key: class_cell_key(*seed, loc as u64, classes[class as usize].hash),
+                    cells.extend(src.into_iter().map(|(class, count, n_on)| {
+                        Cell::new(class, count, n_on, loc, *seed, classes)
                     }));
                     offsets[loc + 1] = cells.len() as u32;
                 }
@@ -1013,6 +1126,7 @@ mod tests {
         let mut trace = Vec::new();
         for step in 0..steps {
             core.step(step, host, &hosted, &mut observed);
+            core.assert_observed_is_full_accumulation(host, &observed);
             trace.extend_from_slice(&observed);
         }
         trace
@@ -1243,6 +1357,7 @@ mod tests {
             let mut trace = Vec::new();
             for step in 0..60u64 {
                 core.step(step, &host, &[], &mut observed);
+                core.assert_observed_is_full_accumulation(&host, &observed);
                 trace.extend(observed.iter().map(|v| v.to_bits()));
                 if step == 20 {
                     // Move a few hosted VMs to their neighbouring PM.
@@ -1396,6 +1511,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn carried_sums_do_not_outlive_a_cell_rebuild() {
+        // `restore_mode` and `class_init` replace every cell, on a core
+        // that has stepped as well as on a fresh one: the sums folded
+        // from the old cells must all go.
+        let m = 7;
+        let vms = class_fleet(150);
+        let host: Vec<Option<usize>> = (0..vms.len()).map(|i| Some(i % m)).collect();
+        let mut core = WorkloadCore::new(&vms, m, 42, RngLayout::ClassAggregated, 1);
+        core.class_init(&host);
+        let at_5 = run_core(&mut core, &host, m, 5);
+        let snap = core.snapshot_mode();
+        let mut observed = vec![0.0; m];
+        for step in 5..30 {
+            core.step(step, &host, &[], &mut observed);
+        }
+        core.restore_mode(snap).unwrap();
+        core.step(5, &host, &[], &mut observed);
+        core.assert_observed_is_full_accumulation(&host, &observed);
+
+        let rotated: Vec<Option<usize>> = (0..vms.len()).map(|i| Some((i + 1) % m)).collect();
+        core.class_init(&rotated);
+        assert_eq!(run_core(&mut core, &rotated, m, 5).len(), at_5.len());
     }
 
     #[test]

@@ -17,8 +17,11 @@
 //! engine's cells.
 
 use bursty_markov::binomial::BinomialPmf;
+use bursty_placement::{first_fit, QueueStrategy};
+use bursty_sim::bench_api::ClassCoreBench;
 use bursty_sim::rng::binomial_table::{BinomialTable, TableCache};
 use bursty_sim::rng::{binomial_from_u01, class_cell_key, class_hash, keyed_binomial};
+use bursty_workload::{FleetGenerator, WorkloadPattern};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -210,6 +213,102 @@ fn cache_counters_match_the_pre_fast_path_sampler() {
 }
 
 const PINNED_COUNTERS: (u64, u64, u64) = (4365, 1635, 1629);
+
+/// `2⁻⁵³`: the uniform of a 53-bit draw `k` is `k · DRAW_SCALE`.
+const DRAW_SCALE: f64 = 1.0 / (1u64 << 53) as f64;
+
+#[test]
+fn integer_quiet_test_equals_walk_at_its_boundary() {
+    // The kernel skips a cell when both 53-bit draws are under
+    // `zero_threshold`: that must be the walk's own "this u maps to 0",
+    // at the threshold's neighbours and at both ends of the draw range.
+    // Cold (no table yet) and after a flush the threshold is 0 — no
+    // draw passes, the full path answers.
+    let ps = [1e-9, 0.01, 0.09, 0.5, 1.0 - 1e-9];
+    for (slot, &p) in ps.iter().enumerate() {
+        let mut warm = TableCache::new(&ps, 1 << 20);
+        // Every build overflows this budget, so each drops the last.
+        let mut churned = TableCache::new(&ps, 2);
+        for n in 1..=64u32 {
+            assert_eq!(warm.zero_threshold(slot, n), 0, "cold: n={n} p={p}");
+            for cache in [&mut warm, &mut churned] {
+                cache.draw_u01(slot, 0.5, n);
+                assert_eq!(cache.zero_threshold(slot, 0), u64::MAX);
+            }
+            let thr = warm.zero_threshold(slot, n);
+            assert_eq!(churned.zero_threshold(slot, n), thr, "n={n} p={p}");
+            if n > 1 {
+                assert_eq!(
+                    churned.zero_threshold(slot, n - 1),
+                    0,
+                    "flushed: n={n} p={p}"
+                );
+            }
+            assert!(thr <= 1 << 53);
+            for k in [0, thr.wrapping_sub(1), thr, thr + 1, (1 << 53) - 1] {
+                if k < 1 << 53 {
+                    assert_eq!(
+                        k < thr,
+                        binomial_from_u01(k as f64 * DRAW_SCALE, n, p) == 0,
+                        "n={n} p={p} k={k} (threshold {thr})"
+                    );
+                }
+            }
+        }
+        assert!(churned.stats().evictions > 0, "test premise: flushes");
+    }
+}
+
+#[test]
+fn quiet_test_never_passes_without_a_table_anchored_at_zero() {
+    // A table anchored above zero cannot answer 0, and a degenerate p
+    // builds no table at all: their thresholds stay 0, cold and warm.
+    let ps = [0.5, 0.0, 1.0];
+    let mut cache = TableCache::new(&ps, 1 << 20);
+    assert!(
+        zero_boundary(5000, 0.5).is_none(),
+        "test premise: start > 0"
+    );
+    for pass in 0..2 {
+        for (slot, n) in [(0usize, 5000u32), (1, 1), (1, 40), (2, 1), (2, 40)] {
+            cache.draw_u01(slot, 0.25, n);
+            assert_eq!(
+                cache.zero_threshold(slot, n),
+                0,
+                "pass {pass}: slot {slot} n={n}"
+            );
+        }
+    }
+    assert_eq!(cache.stats().misses, 1);
+}
+
+#[test]
+fn kernel_cache_counters_match_the_per_draw_kernel() {
+    // The quiet test books the hits the two skipped draws would have
+    // counted. The pinned counters are the parent commit's, whose kernel
+    // sent every draw through the cache: a Table-I fleet at paper host
+    // density, 200 steps, at 1 and 4 workers.
+    let n = 20_000;
+    let mut gen = FleetGenerator::new(1);
+    let vms = gen.vms_table_i(n, WorkloadPattern::EqualSpike);
+    let pms = gen.pms(n / 4);
+    let strategy = QueueStrategy::build(16, 0.01, 0.09, 0.01);
+    let placement = first_fit(&vms, &pms, &strategy).unwrap();
+    for threads in [1usize, 4] {
+        let mut kernel =
+            ClassCoreBench::new(&vms, pms.len(), &placement.assignment, 1, threads, true);
+        for _ in 0..200 {
+            kernel.step();
+        }
+        assert_eq!(
+            kernel.cache_stats(),
+            PINNED_KERNEL_COUNTERS,
+            "{threads} threads"
+        );
+    }
+}
+
+const PINNED_KERNEL_COUNTERS: (u64, u64, u64) = (1_930_075, 67, 0);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

@@ -340,22 +340,28 @@ const PINNED_SNAPSHOTS: [(&str, usize, u64); 5] = [
     ("ckpt-000000000100", 5690, 13869767429761421025),
 ];
 
-/// The shared layout's per-PM demand sums and dirty marks, and the
-/// engine's occupied-PM set, are derived state too: a resumed run
-/// rebuilds them from the restored `on` flags, `host` and `loads` at its
-/// first step. An RB-tight farm under the RB policy with faults on keeps
-/// migrating, crashing and evacuating, so the cut lands after membership
-/// has moved both ways (migrant-reordered member lists, emptied and
-/// re-filled PMs) with more of each to come.
-#[test]
-fn shared_layout_sums_and_occupied_set_are_rebuilt_on_resume_and_never_persisted() {
+/// Both layouts carry per-PM demand sums across steps as derived state
+/// (the shared layout with its dirty marks, the class layout with its
+/// per-chunk stale lists), beside the engine's occupied-PM set: none of
+/// it is in the snapshot, and a resumed run rebuilds it from the restored
+/// `on` flags or cell counters, `host` and `loads` at its first step. An
+/// RB-tight farm under the RB policy with faults on keeps migrating,
+/// crashing and evacuating, so the cut lands after membership has moved
+/// both ways (migrant-reordered member lists, emptied and re-filled PMs,
+/// cells merged into the limbo pool and split back out) with more of
+/// each to come.
+fn carried_sums_are_rebuilt_on_resume_and_never_persisted(
+    layout: RngLayout,
+    pinned: &[(&str, usize, u64); 2],
+    resume_threads: &[usize],
+) {
     let vms: Vec<VmSpec> = (0..60)
         .map(|i| VmSpec::new(i, 0.01, 0.09, 8.0 + (i % 3) as f64 * 2.0, 10.0))
         .collect();
     let pms: Vec<PmSpec> = (0..20).map(|j| PmSpec::new(j, 100.0)).collect();
     let placement = first_fit(&vms, &pms, &BaseStrategy).unwrap();
     let policy = ObservedPolicy::rb();
-    let cfg = config(150, 5, true, RngLayout::Shared, 1);
+    let cfg = config(150, 5, true, layout, 1);
     let sim = Simulator::new(&vms, &pms, &policy, cfg);
 
     let baseline = sim.run(&placement);
@@ -394,15 +400,40 @@ fn shared_layout_sums_and_occupied_set_are_rebuilt_on_resume_and_never_persisted
     let run = sim.run_with_checkpoints(&placement, &knobs(cut, 8), &mut store, &mut NoopRecorder);
     assert!(run.save_errors.is_empty());
     assert_bit_identical(&baseline, &run.outcome, "hooked run");
-    assert_snapshots_pinned(&store, &PINNED_SHARED_SNAPSHOTS);
+    assert_snapshots_pinned(&store, pinned);
 
     // Interrupt right after step `cut`: drop the later snapshot.
-    store.remove(PINNED_SHARED_SNAPSHOTS[1].0).unwrap();
-    let (resumed, report) = sim
-        .resume_with_checkpoints(&knobs(cut, 8), store, &mut NoopRecorder)
-        .unwrap();
-    assert_eq!(report.step, cut);
-    assert_bit_identical(&baseline, &resumed.outcome, "resumed");
+    store.remove(pinned[1].0).unwrap();
+    for &threads in resume_threads {
+        let resumed_sim = Simulator::new(&vms, &pms, &policy, SimConfig { threads, ..cfg });
+        let (resumed, report) = resumed_sim
+            .resume_with_checkpoints(&knobs(cut, 8), store.clone(), &mut NoopRecorder)
+            .unwrap();
+        assert_eq!(report.step, cut);
+        assert_bit_identical(
+            &baseline,
+            &resumed.outcome,
+            &format!("resumed at {threads}t"),
+        );
+    }
+}
+
+#[test]
+fn shared_layout_sums_and_occupied_set_are_rebuilt_on_resume_and_never_persisted() {
+    carried_sums_are_rebuilt_on_resume_and_never_persisted(
+        RngLayout::Shared,
+        &PINNED_SHARED_SNAPSHOTS,
+        &[1],
+    );
+}
+
+#[test]
+fn class_layout_sums_are_rebuilt_on_resume_and_never_persisted() {
+    carried_sums_are_rebuilt_on_resume_and_never_persisted(
+        RngLayout::ClassAggregated,
+        &PINNED_CLASS_SNAPSHOTS,
+        &[1, 4],
+    );
 }
 
 /// `(file, length, crc64)` of the snapshots the fixed run above writes,
@@ -410,4 +441,11 @@ fn shared_layout_sums_and_occupied_set_are_rebuilt_on_resume_and_never_persisted
 const PINNED_SHARED_SNAPSHOTS: [(&str, usize, u64); 2] = [
     ("ckpt-000000000050", 8056, 10240044588388130596),
     ("ckpt-000000000100", 12566, 4103400976211420776),
+];
+
+/// The same for the class layout, computed at the commit before it
+/// carried per-PM sums.
+const PINNED_CLASS_SNAPSHOTS: [(&str, usize, u64); 2] = [
+    ("ckpt-000000000050", 8398, 12804485061167281997),
+    ("ckpt-000000000100", 12782, 2467727769681659172),
 ];
