@@ -12,6 +12,7 @@
 //!              [--mapcal-d D] [--out PATH] [--obs-gate PCT]
 //!              [--paper-fleets N1,N2,...] [--sweep-steps S]
 //!              [--before PATH] [--commit LABEL]
+//!              [--pair-against BINARY --pair-label LABEL [--pairs P]]
 //! ```
 //!
 //! Defaults: 200 steps, fleet of 800 VMs, 3 repeats (best kept),
@@ -37,7 +38,10 @@
 //! (migrations, energy bits, violation steps). The cell kernel pays per
 //! cell for two hashes and per *changed* cell for the rest, so each row
 //! also carries the event rate it was measured at: cells whose ON count
-//! moved and distinct PMs hosting one, per step.
+//! moved and distinct PMs hosting one, per step. What the run spends
+//! outside the kernel is `controller_s` (median run − kernel: the
+//! violation walk, migrations, the energy sum and set-up), beside the
+//! PMs over capacity per step that the violation walk visits.
 //!
 //! The `shared_flip_sweep` rows time the shared layout where its cost
 //! depends on the input: [`SWEEP_VMS`] VMs, four to a PM on a quarter of
@@ -55,6 +59,15 @@
 //! measures in front of this run's, which
 //! is how the checked-in file carries before/after pairs: this source
 //! builds against the parent commit too (it uses the public API only).
+//!
+//! `--pair-against BINARY` adds the `paired` section: this binary and
+//! `BINARY` (this source built at another commit, named by
+//! `--pair-label`) run as child processes `--pairs` times (default 10),
+//! alternating which goes first, each child measuring the paper-density
+//! and sweep rows of this invocation. A row of the section compares one
+//! measurement across the pairs: the children's `secs_median` as
+//! quartiles per side, the pairs this side won, and — the binary exits
+//! nonzero otherwise — one outcome digest across all `2·P` children.
 
 use bursty_core::prelude::*;
 use bursty_core::sim::bench_api::{class_occupancy, ClassCoreBench};
@@ -139,6 +152,8 @@ struct Args {
     sweep_steps: usize,
     before: Option<String>,
     commit: Option<String>,
+    /// `(other binary, its commit label, pairs)`.
+    pair: Option<(String, String, usize)>,
 }
 
 /// A comma-separated list of fleet sizes.
@@ -162,6 +177,7 @@ fn parse_args() -> Args {
     let mut sweep_steps = 20_000usize;
     let mut before: Option<String> = None;
     let mut commit: Option<String> = None;
+    let (mut pair_against, mut pair_label, mut pairs) = (None, None, 10usize);
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
@@ -182,6 +198,9 @@ fn parse_args() -> Args {
             "--sweep-steps" => sweep_steps = value.parse().expect("--sweep-steps"),
             "--before" => before = Some(value.clone()),
             "--commit" => commit = Some(value.clone()),
+            "--pair-against" => pair_against = Some(value.clone()),
+            "--pair-label" => pair_label = Some(value.clone()),
+            "--pairs" => pairs = value.parse().expect("--pairs"),
             other => {
                 eprintln!("unknown flag {other}");
                 std::process::exit(2);
@@ -202,6 +221,10 @@ fn parse_args() -> Args {
         sweep_steps,
         before,
         commit,
+        pair: pair_against.map(|bin| {
+            let label = pair_label.expect("--pair-against needs --pair-label");
+            (bin, label, pairs.max(1))
+        }),
     }
 }
 
@@ -417,6 +440,117 @@ fn sweep_row(p_on: f64, p_off: f64, steps: usize, repeats: usize) -> SweepRow {
     }
 }
 
+/// The value of `"name": value` in a one-line JSON row.
+fn field<'a>(row: &'a str, name: &str) -> &'a str {
+    let open = format!("\"{name}\": ");
+    let from = row.find(&open).expect("row has the field") + open.len();
+    let len = row[from..].find([',', '}']).expect("field ends");
+    &row[from..from + len]
+}
+
+/// `(q1, median, q3)` of one side's per-child timings.
+fn quartiles(secs: &[f64]) -> [f64; 3] {
+    let mut sorted = secs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    [1, 2, 3].map(|q| sorted[q * sorted.len() / 4])
+}
+
+/// The `paired` rows (module docs): this binary against `other`,
+/// alternating, one row per paper-density fleet and per sweep point.
+fn paired_rows(
+    commit: &str,
+    (other, other_label, pairs): &(String, String, usize),
+    paper_fleets: &[usize],
+    sweep_steps: usize,
+) -> Vec<String> {
+    let bins = [
+        std::env::current_exe().expect("own path"),
+        other.as_str().into(),
+    ];
+    let tmp = std::env::temp_dir().join(format!("engine-bench-pair-{}.json", std::process::id()));
+    let tmp = tmp.to_str().expect("utf-8 temp path");
+    let mut child_args = format!(
+        "--steps 20 --fleets 800 --class-fleets 2000 --repeats 1 --mapcal-d 20 --commit pair \
+         --sweep-steps {sweep_steps}"
+    );
+    if !paper_fleets.is_empty() {
+        let sizes: Vec<String> = paper_fleets.iter().map(usize::to_string).collect();
+        child_args += &format!(" --paper-fleets {}", sizes.join(","));
+    }
+    // Measurement → (per-side child timings in pair order, digests seen).
+    type Sides = ([Vec<f64>; 2], Vec<String>);
+    let mut measured: std::collections::BTreeMap<String, Sides> = Default::default();
+    for pair in 0..*pairs {
+        for side in if pair % 2 == 0 { [0, 1] } else { [1, 0] } {
+            let status = std::process::Command::new(&bins[side])
+                .args(child_args.split(' '))
+                .args(["--out", tmp])
+                .stderr(std::process::Stdio::null())
+                .status()
+                .expect("spawn the paired binary");
+            assert!(status.success(), "{:?} failed", bins[side]);
+            for section in ["paper_density", "shared_flip_sweep"] {
+                for row in bursty_bench::section_rows_led_by_commit(tmp, section) {
+                    let what = if section == "paper_density" {
+                        format!("\"n\": {}", field(&row, "n"))
+                    } else {
+                        let (p_on, p_off) = (field(&row, "p_on"), field(&row, "p_off"));
+                        format!("\"p_on\": {p_on}, \"p_off\": {p_off}")
+                    };
+                    let entry = measured
+                        .entry(format!("\"section\": \"{section}\", {what}"))
+                        .or_default();
+                    entry.0[side].push(field(&row, "secs_median").parse().expect("seconds"));
+                    entry.1.push(format!(
+                        "{} {} {}",
+                        field(&row, "migrations"),
+                        field(&row, "energy_bits"),
+                        field(&row, "violation_steps")
+                    ));
+                }
+            }
+        }
+        eprintln!("  pair {} of {pairs} against {other_label} done", pair + 1);
+    }
+    let _ = std::fs::remove_file(tmp);
+    measured
+        .into_iter()
+        .map(|(what, ([ours, theirs], digests))| {
+            if digests.iter().any(|d| *d != digests[0]) {
+                eprintln!("FAIL: paired {what}: children disagree on the digest: {digests:?}");
+                std::process::exit(1);
+            }
+            let won = ours.iter().zip(&theirs).filter(|(a, b)| a < b).count();
+            let (q, against_q) = (quartiles(&ours), quartiles(&theirs));
+            eprintln!(
+                "  paired {what}: {:.4} [{:.4}, {:.4}] s against {:.4} [{:.4}, {:.4}] s \
+                 ({:.2}x), {won} of {pairs} pairs",
+                q[1],
+                q[0],
+                q[2],
+                against_q[1],
+                against_q[0],
+                against_q[2],
+                against_q[1] / q[1]
+            );
+            format!(
+                "{{\"commit\": \"{commit}\", \"against\": \"{other_label}\", {what}, \
+                 \"pairs\": {pairs}, \"pairs_won\": {won}, \
+                 \"secs_q1_median_q3\": [{:.6}, {:.6}, {:.6}], \
+                 \"against_secs_q1_median_q3\": [{:.6}, {:.6}, {:.6}], \
+                 \"speedup\": {:.3}, \"digests_identical\": true}}",
+                q[0],
+                q[1],
+                q[2],
+                against_q[0],
+                against_q[1],
+                against_q[2],
+                against_q[1] / q[1]
+            )
+        })
+        .collect()
+}
+
 fn main() {
     let Args {
         steps,
@@ -431,6 +565,7 @@ fn main() {
         sweep_steps,
         before,
         commit,
+        pair,
     } = parse_args();
     let class_fleets = class_fleets.unwrap_or_else(|| fleets.clone());
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
@@ -544,8 +679,9 @@ fn main() {
             let r = paper_row(n, repeats);
             eprintln!(
                 "  paper density n={n} m={}: {} PMs used, {} migrations, \
-                 {:.4}/{:.4}/{:.4}s min/median/max ({:.3e} vm·steps/s, kernel share {:.2}), \
-                 {:.1} changed cells and {:.1} dirty PMs per step",
+                 {:.4}/{:.4}/{:.4}s min/median/max ({:.3e} vm·steps/s, kernel share {:.2}, \
+                 controller {:.4}s), {:.1} changed cells, {:.1} dirty PMs and {:.1} PMs over \
+                 capacity per step",
                 r.m,
                 r.pms_used,
                 r.digest.0,
@@ -554,8 +690,10 @@ fn main() {
                 r.secs_max,
                 (PAPER_STEPS * n) as f64 / r.secs_median,
                 r.kernel_secs / r.secs_median,
+                r.secs_median - r.kernel_secs,
                 r.changed_cells_per_step,
-                r.dirty_pms_per_step
+                r.dirty_pms_per_step,
+                r.digest.2 as f64 / PAPER_STEPS as f64
             );
             r
         })
@@ -795,8 +933,9 @@ fn main() {
                  \"migrations\": {}, \"repeats\": {}, \"secs_min\": {:.6}, \
                  \"secs_median\": {:.6}, \"secs_max\": {:.6}, \"rates_from\": \"secs_median\", \
                  \"vm_steps_per_sec\": {:.1}, \"ns_per_pm_step\": {:.2}, \
-                 \"kernel_secs\": {:.6}, \"kernel_share\": {:.3}, \
+                 \"kernel_secs\": {:.6}, \"kernel_share\": {:.3}, \"controller_s\": {:.6}, \
                  \"changed_cells_per_step\": {:.2}, \"dirty_pms_per_step\": {:.2}, \
+                 \"over_pms_per_step\": {:.2}, \
                  \"energy_bits\": \"{:016x}\", \"violation_steps\": {}}}",
                 r.n,
                 r.m,
@@ -810,8 +949,10 @@ fn main() {
                 r.secs_median * 1e9 / r.active_pm_steps,
                 r.kernel_secs,
                 r.kernel_secs / r.secs_median,
+                r.secs_median - r.kernel_secs,
                 r.changed_cells_per_step,
                 r.dirty_pms_per_step,
+                r.digest.2 as f64 / PAPER_STEPS as f64,
                 r.digest.1,
                 r.digest.2
             ));
@@ -847,6 +988,13 @@ fn main() {
             ));
         }
         push_section(&mut json, "shared_flip_sweep", &lines);
+    }
+    let mut lines = before_rows("paired");
+    if let Some(pair) = &pair {
+        lines.extend(paired_rows(&commit, pair, &paper_fleets, sweep_steps));
+    }
+    if !lines.is_empty() {
+        push_section(&mut json, "paired", &lines);
     }
     let mut lines = before_rows("cell_kernel");
     lines.push(format!(

@@ -376,7 +376,7 @@ pub(crate) fn encode_state(
 
     let mut acct = Vec::new();
     put_usize_slice(&mut acct, &st.vio_steps);
-    put_usize_slice(&mut acct, &st.active_steps);
+    put_usize_slice(&mut acct, &st.indexes.active_steps());
     put_usize(&mut acct, st.migrations.len());
     for e in &st.migrations {
         put_usize(&mut acct, e.step);
@@ -736,6 +736,7 @@ pub(crate) fn decode_state(
         }
     };
 
+    let stranded = host.iter().filter(|h| h.is_none()).count();
     Ok((
         RunState {
             core,
@@ -750,13 +751,13 @@ pub(crate) fn decode_state(
                 crash_records,
                 retry_queue,
                 in_retry,
+                stranded,
                 fault_events,
                 evacuations,
                 recovery,
             },
             dual,
             vio_steps,
-            active_steps,
             migrations,
             failed_migrations,
             retried_migrations,
@@ -767,8 +768,9 @@ pub(crate) fn decode_state(
             energy,
             observed,
             next_step,
-            // Derived state, rebuilt from the restored loads.
-            indexes: PmIndexes::new(&loads),
+            // Derived state, rebuilt from the restored loads; the lazy
+            // active-step counts restart from the materialised ones.
+            indexes: PmIndexes::new(&loads, active_steps, next_step),
             loads,
             overloaded: Vec::new(),
         },

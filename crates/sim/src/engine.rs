@@ -176,6 +176,9 @@ pub(crate) struct FaultState {
     /// on push, and a displaced VM's overload entry is dropped before
     /// its evacuation entry is queued).
     pub(crate) in_retry: Vec<bool>,
+    /// Displaced VMs not yet re-placed, `|{i : host[i] == None}|`: moved
+    /// where a crash displaces and where an evacuation lands.
+    pub(crate) stranded: usize,
     pub(crate) fault_events: Vec<FaultEvent>,
     pub(crate) evacuations: Vec<EvacuationEvent>,
     pub(crate) recovery: RecoveryStats,
@@ -191,6 +194,7 @@ impl FaultState {
             crash_records: Vec::new(),
             retry_queue: Vec::new(),
             in_retry: vec![false; n],
+            stranded: 0,
             fault_events: Vec::new(),
             evacuations: Vec::new(),
             recovery: RecoveryStats::default(),
@@ -322,72 +326,125 @@ impl TargetFinder {
     }
 }
 
-/// The PMs hosting at least one VM, `{j : !loads[j].is_empty()}`, as a
-/// bitset: the per-step violation and energy passes walk it in ascending
-/// PM order instead of testing every `loads[j]`, so they cost what the
-/// occupied part of the pool costs.
-pub(crate) struct OccupiedSet {
+/// A set of PMs as a bitset, walked in ascending PM order: what the
+/// per-step passes iterate instead of testing every PM of the pool.
+pub(crate) struct PmSet {
     words: Vec<u64>,
     len: usize,
 }
 
-impl OccupiedSet {
-    fn from_loads(loads: &[PmLoad]) -> Self {
-        let mut set = Self {
-            words: vec![0; loads.len().div_ceil(64)],
+impl PmSet {
+    fn new(m: usize) -> Self {
+        Self {
+            words: vec![0; m.div_ceil(64)],
             len: 0,
-        };
-        for (j, load) in loads.iter().enumerate() {
-            set.set(j, !load.is_empty());
         }
-        set
     }
 
-    fn set(&mut self, j: usize, occupied: bool) {
-        let (word, bit) = (&mut self.words[j / 64], 1u64 << (j % 64));
-        if (*word & bit != 0) != occupied {
-            *word ^= bit;
-            if occupied {
+    fn contains(&self, j: usize) -> bool {
+        self.words[j / 64] & (1u64 << (j % 64)) != 0
+    }
+
+    /// Puts `j` in or out of the set; returns whether that changed it.
+    fn set(&mut self, j: usize, member: bool) -> bool {
+        let flipped = self.contains(j) != member;
+        if flipped {
+            self.words[j / 64] ^= 1u64 << (j % 64);
+            if member {
                 self.len += 1;
             } else {
                 self.len -= 1;
             }
         }
+        flipped
     }
 
     fn len(&self) -> usize {
         self.len
     }
 
-    /// The occupied PMs in ascending order.
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            let mut rest = word;
-            std::iter::from_fn(move || {
-                (rest != 0).then(|| {
-                    let j = w * 64 + rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    j
-                })
+    /// The members of one word, ascending.
+    fn members_of(w: usize, word: u64) -> impl Iterator<Item = usize> {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let j = w * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                j
             })
         })
     }
+
+    /// The members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| Self::members_of(w, word))
+    }
 }
 
-/// What the engine keeps indexed over the PM pool. Derived from `loads`,
-/// `observed` and `fs.pm_up`, never serialized: [`PmIndexes::new`] serves
-/// a fresh run and a resumed one alike. Every site that changes
-/// `loads[j]` or `pm_up[j]` reports it through [`PmIndexes::pm_changed`].
+/// What the engine keeps per PM so that a step costs what changed, not
+/// what exists. All of it is derived from `loads`, `observed` and
+/// `fs.pm_up` and never serialized, except the active-step counts, which
+/// the checkpoint writes materialised ([`PmIndexes::active_steps`]) and
+/// [`PmIndexes::new`] takes back: a fresh run and a resumed one are
+/// built alike, and the first step — which re-derives every PM's
+/// `observed` — fills the ledger. The feeds that keep it exact
+/// (DESIGN.md §8):
+///
+/// * every site that changes `loads[j]` or `pm_up[j]` reports it through
+///   [`PmIndexes::pm_changed`];
+/// * every write to `observed[j]` before the violation pass reaches
+///   [`PmIndexes::observed_changed`], because the core re-derives — and
+///   lists — exactly the entries that were written.
 pub(crate) struct PmIndexes {
-    occupied: OccupiedSet,
+    /// The PMs hosting at least one VM, `{j : !loads[j].is_empty()}`.
+    occupied: PmSet,
+    /// `{j occupied : observed[j] > C_j + CAP_EPS}` as of the last
+    /// ledger update: the violation pass is a walk of this set.
+    over: PmSet,
+    /// Per PM, `power.energy(observed[j] / C_j, σ)`: what the PM adds to
+    /// the run's energy each step it is occupied. Current at the energy
+    /// sum for every occupied PM.
+    term: Vec<f64>,
+    /// PMs handed to [`PmIndexes::pm_changed`] since the last energy
+    /// sum: the commit sites edit `observed[j]` after the ledger update,
+    /// so these terms are derived once more before they are added.
+    touched: Vec<u32>,
+    /// Violation passes run so far (one per completed step).
+    passes: usize,
+    /// Lazy active-step counts: `active[j]` is PM `j`'s count of passes
+    /// it was occupied in, up to pass `since[j]`; while it stays occupied
+    /// every later pass counts too. Credited when occupancy flips.
+    active: Vec<usize>,
+    since: Vec<usize>,
+    /// The per-step counter the lazy counts replace.
+    #[cfg(test)]
+    dense_active: Vec<usize>,
     /// `None` until the first migration-target query builds it.
     finder: Option<TargetFinder>,
 }
 
 impl PmIndexes {
-    pub(crate) fn new(loads: &[PmLoad]) -> Self {
+    /// The indexes of a run about to execute step `next_step`, whose PMs
+    /// have been active for `active_steps` passes so far.
+    pub(crate) fn new(loads: &[PmLoad], active_steps: Vec<usize>, next_step: usize) -> Self {
+        let m = loads.len();
+        let mut occupied = PmSet::new(m);
+        for (j, load) in loads.iter().enumerate() {
+            occupied.set(j, !load.is_empty());
+        }
         Self {
-            occupied: OccupiedSet::from_loads(loads),
+            occupied,
+            over: PmSet::new(m),
+            term: vec![0.0; m],
+            touched: Vec::new(),
+            passes: next_step,
+            #[cfg(test)]
+            dense_active: active_steps.clone(),
+            active: active_steps,
+            since: vec![next_step; m],
             finder: None,
         }
     }
@@ -400,10 +457,124 @@ impl PmIndexes {
         observed: &[f64],
         pm_up: &[bool],
     ) {
-        self.occupied.set(j, !loads[j].is_empty());
+        let occupied = !loads[j].is_empty();
+        if self.occupied.set(j, occupied) {
+            if occupied {
+                self.since[j] = self.passes;
+            } else {
+                self.active[j] += self.passes - self.since[j];
+                self.over.set(j, false);
+            }
+        }
+        self.touched.push(j as u32);
         if let Some(f) = self.finder.as_mut() {
             f.refresh(sim, j, loads, observed, pm_up);
         }
+    }
+
+    /// The ledger update: `observed[j]` was written since the last one.
+    #[inline]
+    fn observed_changed(&mut self, sim: &Simulator<'_>, j: usize, observed: &[f64]) {
+        // Occupied: a PM its last tenant just left is still charged the
+        // copy, and was never walked by the pass this set replaces.
+        let over = self.occupied.contains(j) && sim.is_over(j, observed[j]);
+        self.over.set(j, over);
+        self.term[j] = sim.energy_term(j, observed[j]);
+    }
+
+    /// The ledger update after the core re-derived every entry: a walk
+    /// of the occupied PMs, which is where `over` (emptied PMs leave it
+    /// in [`PmIndexes::pm_changed`]) and the terms that are read live.
+    fn every_observed_changed(&mut self, sim: &Simulator<'_>, observed: &[f64]) {
+        for w in 0..self.occupied.words.len() {
+            for j in PmSet::members_of(w, self.occupied.words[w]) {
+                self.observed_changed(sim, j, observed);
+            }
+        }
+    }
+
+    /// Books one violation pass: every occupied PM was active in it.
+    fn count_pass(&mut self) {
+        self.passes += 1;
+        #[cfg(test)]
+        for j in self.occupied.iter() {
+            self.dense_active[j] += 1;
+        }
+    }
+
+    /// How many passes PM `j` has been occupied in.
+    fn active_steps_of(&self, j: usize) -> usize {
+        if self.occupied.contains(j) {
+            self.active[j] + (self.passes - self.since[j])
+        } else {
+            self.active[j]
+        }
+    }
+
+    /// [`PmIndexes::active_steps_of`] for the whole pool.
+    pub(crate) fn active_steps(&self) -> Vec<usize> {
+        (0..self.active.len())
+            .map(|j| self.active_steps_of(j))
+            .collect()
+    }
+
+    /// `energy` plus this step's term of every occupied PM, added one by
+    /// one in ascending PM order — the additions of the pass that
+    /// recomputed each term, so the running sum keeps its bits.
+    fn add_energy(&mut self, sim: &Simulator<'_>, observed: &[f64], mut energy: f64) -> f64 {
+        for j in self.touched.drain(..) {
+            self.term[j as usize] = sim.energy_term(j as usize, observed[j as usize]);
+        }
+        #[cfg(test)]
+        self.assert_terms_are_current(sim, observed);
+        for (w, &word) in self.occupied.words.iter().enumerate() {
+            if word == u64::MAX {
+                for term in &self.term[w * 64..(w + 1) * 64] {
+                    energy += term;
+                }
+            } else {
+                for j in PmSet::members_of(w, word) {
+                    energy += self.term[j];
+                }
+            }
+        }
+        energy
+    }
+}
+
+/// The differential checks every engine test runs on the ledger: each
+/// carried quantity against the per-step pass it replaced.
+#[cfg(test)]
+impl PmIndexes {
+    fn assert_over_is_the_scan(&self, sim: &Simulator<'_>, loads: &[PmLoad], observed: &[f64]) {
+        let scan =
+            (0..loads.len()).filter(|&j| !loads[j].is_empty() && sim.is_over(j, observed[j]));
+        assert!(
+            self.over.iter().eq(scan),
+            "over-capacity set stale at pass {}",
+            self.passes
+        );
+        assert_eq!(self.over.len(), self.over.iter().count());
+    }
+
+    fn assert_terms_are_current(&self, sim: &Simulator<'_>, observed: &[f64]) {
+        for j in self.occupied.iter() {
+            assert_eq!(
+                self.term[j].to_bits(),
+                sim.energy_term(j, observed[j]).to_bits(),
+                "PM {j}: carried energy term stale after pass {}",
+                self.passes
+            );
+        }
+    }
+
+    fn assert_active_steps_are_the_dense_count(&self) {
+        assert_eq!(
+            self.active_steps(),
+            self.dense_active,
+            "lazy active-step counts drifted by pass {}",
+            self.passes
+        );
     }
 }
 
@@ -454,7 +625,6 @@ pub(crate) struct RunState {
     /// that keep charging the source PM.
     pub(crate) dual: Vec<(usize, f64, usize)>,
     pub(crate) vio_steps: Vec<usize>,
-    pub(crate) active_steps: Vec<usize>,
     pub(crate) migrations: Vec<MigrationEvent>,
     pub(crate) failed_migrations: usize,
     pub(crate) retried_migrations: usize,
@@ -465,11 +635,14 @@ pub(crate) struct RunState {
     pub(crate) energy: f64,
     /// Per-PM observed demand of the *last completed* step. Read by the
     /// next step's fault/evacuation phase before the workload evolves,
-    /// so it is genuine run state, not scratch.
+    /// and carried through it: the core re-derives only the entries
+    /// that were written since (`workload_core` module docs), so every
+    /// engine-side write is reported to it.
     pub(crate) observed: Vec<f64>,
     /// The next step to execute (== completed steps so far).
     pub(crate) next_step: usize,
-    /// Occupied-PM set and migration-target index (derived state).
+    /// Occupied and over-capacity sets, per-PM energy terms and active
+    /// steps, migration-target index.
     pub(crate) indexes: PmIndexes,
     /// Scratch: the PMs in violation this step, refilled by every step.
     pub(crate) overloaded: Vec<usize>,
@@ -524,6 +697,19 @@ impl<'a> Simulator<'a> {
     pub fn with_power_model(mut self, power: PowerModel) -> Self {
         self.power = power;
         self
+    }
+
+    /// Whether demand `observed` violates PM `j`'s capacity.
+    #[inline]
+    fn is_over(&self, j: usize, observed: f64) -> bool {
+        observed > self.pms[j].capacity + CAP_EPS
+    }
+
+    /// Energy PM `j` consumes over one step at demand `observed`.
+    #[inline]
+    fn energy_term(&self, j: usize, observed: f64) -> f64 {
+        let util = observed / self.pms[j].capacity;
+        self.power.energy(util, self.config.sigma_secs)
     }
 
     /// Backoff delay before re-attempt number `attempts + 1`:
@@ -622,7 +808,6 @@ impl<'a> Simulator<'a> {
             fs: FaultState::new(n, m),
             dual: Vec::new(),
             vio_steps: vec![0usize; m],
-            active_steps: vec![0usize; m],
             migrations: Vec::new(),
             failed_migrations: 0,
             retried_migrations: 0,
@@ -633,7 +818,7 @@ impl<'a> Simulator<'a> {
             energy: 0.0,
             observed: vec![0.0f64; m],
             next_step: 0,
-            indexes: PmIndexes::new(&loads),
+            indexes: PmIndexes::new(&loads, vec![0usize; m], 0),
             loads,
             overloaded: Vec::new(),
         }
@@ -670,7 +855,6 @@ impl<'a> Simulator<'a> {
             fs,
             dual,
             vio_steps,
-            active_steps,
             migrations,
             failed_migrations,
             retried_migrations,
@@ -722,6 +906,7 @@ impl<'a> Simulator<'a> {
                                 step,
                                 pending: evicted.len(),
                             });
+                            fs.stranded += evicted.len();
                             for &i in &evicted {
                                 host[i] = None;
                                 fs.crash_of_vm[i] = Some(record);
@@ -833,37 +1018,49 @@ impl<'a> Simulator<'a> {
                 );
                 assert_eq!(indexes.occupied.len(), indexes.occupied.iter().count());
             }
+            // The copy overhead is the one engine write to `observed`
+            // that no membership change reports to the core.
             for &(j, demand, _) in dual.iter() {
                 observed[j] += demand;
+                core.pm_stale(j);
             }
+            // The ledger follows `observed`: the core wrote exactly the
+            // entries that anyone has written since the last update (a
+            // PM charged above was reported stale by the step that
+            // charged or vacated it).
+            if core.rederived_all() {
+                indexes.every_observed_changed(self, observed);
+            } else {
+                core.for_each_rederived(|j| indexes.observed_changed(self, j, observed));
+            }
+            #[cfg(test)]
+            indexes.assert_over_is_the_scan(self, loads, observed);
 
-            // 3. Violation tracking. Violations on PMs currently hosting a
-            //    degraded admission are additionally tagged as
-            //    failure-attributable.
+            // 3. Violation tracking: the over-capacity PMs, ascending.
+            //    Violations on PMs currently hosting a degraded admission
+            //    are additionally tagged as failure-attributable.
             overloaded.clear();
-            for j in indexes.occupied.iter() {
-                active_steps[j] += 1;
-                if observed[j] > self.pms[j].capacity + CAP_EPS {
-                    vio_steps[j] += 1;
-                    *total_violation_steps += 1;
-                    rec.counter_inc(Counter::ViolationSteps);
-                    if fs.pm_overflow[j] > 0 {
-                        fs.recovery.degraded_violation_steps += 1;
-                        rec.counter_inc(Counter::DegradedViolationSteps);
-                    }
-                    if R::ENABLED {
-                        rec.record_event(Event::Violation {
-                            step: step as u64,
-                            pm: j,
-                            observed: observed[j],
-                            capacity: self.pms[j].capacity,
-                            degraded: fs.pm_overflow[j] > 0,
-                        });
-                    }
-                    for &i in &hosted[j] {
-                        vm_violation_steps[i] += 1;
-                    }
-                    overloaded.push(j);
+            overloaded.extend(indexes.over.iter());
+            indexes.count_pass();
+            for &j in overloaded.iter() {
+                vio_steps[j] += 1;
+                *total_violation_steps += 1;
+                rec.counter_inc(Counter::ViolationSteps);
+                if fs.pm_overflow[j] > 0 {
+                    fs.recovery.degraded_violation_steps += 1;
+                    rec.counter_inc(Counter::DegradedViolationSteps);
+                }
+                if R::ENABLED {
+                    rec.record_event(Event::Violation {
+                        step: step as u64,
+                        pm: j,
+                        observed: observed[j],
+                        capacity: self.pms[j].capacity,
+                        degraded: fs.pm_overflow[j] > 0,
+                    });
+                }
+                for &i in &hosted[j] {
+                    vm_violation_steps[i] += 1;
                 }
             }
             if R::ENABLED && !overloaded.is_empty() {
@@ -877,8 +1074,8 @@ impl<'a> Simulator<'a> {
             //    ratio above ρ — from evicting VMs off compliant PMs.
             if self.config.migrations_enabled {
                 for &j in overloaded.iter() {
-                    let budget =
-                        self.config.rho * active_steps[j] as f64 + self.config.violation_allowance;
+                    let budget = self.config.rho * indexes.active_steps_of(j) as f64
+                        + self.config.violation_allowance;
                     if vio_steps[j] as f64 <= budget {
                         continue; // tolerated fluctuation
                     }
@@ -975,8 +1172,8 @@ impl<'a> Simulator<'a> {
                         }
                         continue;
                     };
-                    let budget =
-                        self.config.rho * active_steps[j] as f64 + self.config.violation_allowance;
+                    let budget = self.config.rho * indexes.active_steps_of(j) as f64
+                        + self.config.violation_allowance;
                     if vio_steps[j] as f64 <= budget {
                         rec.counter_inc(Counter::RetryCancelled);
                         if R::ENABLED {
@@ -1087,17 +1284,16 @@ impl<'a> Simulator<'a> {
             // Energy over the occupied PMs (post-migration state, so it
             // cannot fold into the violation loop above).
             let used = indexes.occupied.len();
-            for j in indexes.occupied.iter() {
-                let util = observed[j] / self.pms[j].capacity;
-                *energy += self.power.energy(util, self.config.sigma_secs);
-            }
+            *energy = indexes.add_energy(self, observed, *energy);
             *peak_pms_used = (*peak_pms_used).max(used);
             pms_used_series.push(used as f64);
             if fault_process.is_some() {
-                let stranded = host.iter().filter(|h| h.is_none()).count();
-                fs.recovery.stranded_vm_steps += stranded;
-                rec.counter_add(Counter::StrandedVmSteps, stranded as u64);
+                debug_assert_eq!(fs.stranded, host.iter().filter(|h| h.is_none()).count());
+                fs.recovery.stranded_vm_steps += fs.stranded;
+                rec.counter_add(Counter::StrandedVmSteps, fs.stranded as u64);
             }
+            #[cfg(test)]
+            indexes.assert_active_steps_are_the_dense_count();
             rec.counter_inc(Counter::Steps);
             if R::ENABLED {
                 if rec.wants_step_events() {
@@ -1109,7 +1305,7 @@ impl<'a> Simulator<'a> {
                 }
                 if let Some(every) = rec.cvr_sample_interval() {
                     if (step + 1).is_multiple_of(every) {
-                        rec.sample_cvr(step as u64, vio_steps, active_steps);
+                        rec.sample_cvr(step as u64, vio_steps, &indexes.active_steps());
                     }
                 }
             }
@@ -1126,7 +1322,6 @@ impl<'a> Simulator<'a> {
             indexes,
             mut fs,
             vio_steps,
-            active_steps,
             migrations,
             failed_migrations,
             retried_migrations,
@@ -1146,7 +1341,11 @@ impl<'a> Simulator<'a> {
             // depths, and the end-of-run gauges.
             if let Some(every) = rec.cvr_sample_interval() {
                 if self.config.steps > 0 && !self.config.steps.is_multiple_of(every) {
-                    rec.sample_cvr((self.config.steps - 1) as u64, &vio_steps, &active_steps);
+                    rec.sample_cvr(
+                        (self.config.steps - 1) as u64,
+                        &vio_steps,
+                        &indexes.active_steps(),
+                    );
                 }
             }
             for e in &fs.retry_queue {
@@ -1168,8 +1367,9 @@ impl<'a> Simulator<'a> {
         }
 
         let cvr_per_pm = (0..m)
-            .filter(|&j| active_steps[j] > 0)
-            .map(|j| (j, vio_steps[j] as f64 / active_steps[j] as f64))
+            .map(|j| (j, indexes.active_steps_of(j)))
+            .filter(|&(_, active)| active > 0)
+            .map(|(j, active)| (j, vio_steps[j] as f64 / active as f64))
             .collect();
         let final_pms_used = indexes.occupied.len();
         SimOutcome {
@@ -1355,6 +1555,7 @@ impl<'a> Simulator<'a> {
             };
             Some(policy.headroom(&pm, self.pms[j].capacity))
         });
+        fs.stranded -= out.placed.len();
         for &(slot, j) in &out.placed {
             let i = displaced[slot];
             let record = fs.crash_of_vm[i]
@@ -1553,6 +1754,7 @@ impl<'a> Simulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RngLayout;
     use crate::faults::FaultConfig;
     use crate::policy::{ObservedPolicy, QueuePolicy};
     use bursty_placement::{first_fit, BaseStrategy, QueueStrategy};
@@ -2107,7 +2309,6 @@ mod tests {
 
     #[test]
     fn indexed_target_selection_matches_linear_scan() {
-        use crate::config::RngLayout;
         use crate::policy::PeakPolicy;
         let rb = ObservedPolicy::rb();
         let rb_ex = ObservedPolicy::rb_ex(0.2);
@@ -2241,4 +2442,198 @@ mod tests {
             assert!(tally.degraded > 0, "{name}: {tally:?}");
         }
     }
+
+    // ---- ledger sites no other test reaches ----
+
+    /// What the ledger tests pin: `(migrations, energy bits, violation
+    /// steps, crc64 over cvr_per_pm and vm_violation_steps)`.
+    fn outcome_pin(out: &SimOutcome) -> (usize, u64, usize, u64) {
+        let mut bytes = Vec::new();
+        for &(j, cvr) in &out.cvr_per_pm {
+            bytes.extend_from_slice(&(j as u64).to_le_bytes());
+            bytes.extend_from_slice(&cvr.to_bits().to_le_bytes());
+        }
+        for &v in &out.vm_violation_steps {
+            bytes.extend_from_slice(&(v as u64).to_le_bytes());
+        }
+        (
+            out.total_migrations(),
+            out.energy_joules.to_bits(),
+            out.total_violation_steps,
+            bursty_obs::durable::crc64(&bytes),
+        )
+    }
+
+    /// `(step, from, to)` of every migration, in order.
+    fn moves(out: &SimOutcome) -> Vec<(usize, usize, usize)> {
+        out.migrations
+            .iter()
+            .map(|e| (e.step, e.from_pm, e.to_pm))
+            .collect()
+    }
+
+    /// Five bursty tenants that fill a 100-capacity PM to 90–100: never
+    /// over, never admitting a migrant, but flipping all the time, so
+    /// the runs below carry energy terms that move.
+    fn fillers(first_id: usize) -> Vec<VmSpec> {
+        (first_id..first_id + 5)
+            .map(|i| VmSpec::new(i, 0.1, 0.3, 18.0, 2.0))
+            .collect()
+    }
+
+    const LAYOUTS: [RngLayout; 2] = [RngLayout::Shared, RngLayout::ClassAggregated];
+
+    #[test]
+    fn an_expiring_dual_entry_takes_its_pm_out_of_the_over_set_without_a_flip() {
+        // PM 0's four tenants switch ON at step 0 (120 on 100) and never
+        // flip again. It sheds one 30-demand tenant per violating step,
+        // and each copy keeps charging it for three steps: 90 + 30,
+        // 60 + 60, 30 + 90 — then, at step 3, the first charge has expired
+        // and 30 + 60 fits. Nothing on PM 0 flipped, no VM moved at step
+        // 3: only the engine's own report of the add-on makes the core
+        // re-derive the entry, the PM leave the over set and its energy
+        // term drop, here and again at steps 4 and 5.
+        let mut vms: Vec<VmSpec> = (0..4).map(|i| pinned_on(i, 10.0, 20.0)).collect();
+        vms.extend(fillers(4));
+        vms.extend(fillers(9));
+        let pms = farm(6, 100.0);
+        let placement = Placement {
+            assignment: (0..14)
+                .map(|i| Some(if i < 4 { 0 } else { 4 + (i - 4) / 5 }))
+                .collect(),
+            n_pms: 6,
+        };
+        let policy = ObservedPolicy::rb();
+        for (layout, pin) in LAYOUTS.into_iter().zip(DUAL_EXPIRY_PINS) {
+            let cfg = SimConfig {
+                dual_count_steps: 3,
+                violation_allowance: 0.0,
+                rng_layout: layout,
+                ..config(40, 3, true)
+            };
+            let out = Simulator::new(&vms, &pms, &policy, cfg).run(&placement);
+            assert_eq!(moves(&out), [(0, 0, 1), (1, 0, 1), (2, 0, 1)], "{layout:?}");
+            assert_eq!(out.total_violation_steps, 3, "{layout:?}: over past step 2");
+            assert_eq!(outcome_pin(&out), pin, "{layout:?}");
+        }
+    }
+
+    /// The run above at the commit before the ledger, per layout.
+    const DUAL_EXPIRY_PINS: [(usize, u64, usize, u64); 2] = [
+        (3, 4697442204497477632, 3, 13613119959325014337),
+        (3, 4697438596724948992, 3, 13613119959325014337),
+    ];
+
+    #[test]
+    fn a_pm_emptied_by_migration_and_refilled_keeps_its_cvr_denominator() {
+        // PM 0's only tenant overloads it alone (120 on 100); PM 2 is two
+        // tenants over (140 on 100). Both run out of allowance at step 5:
+        // PM 0 sheds its tenant to the empty PM 1 (capacity 140) and is
+        // empty itself, PM 2 tops PM 1 up to 140; at step 6 PM 2 sheds
+        // again, no active PM admits, and the first empty one is PM 0.
+        // PM 0 was active for passes 0–5 and from pass 7 on: its six
+        // violations are over 29 active steps of 30, not 30 and not 23.
+        let mut vms = vec![pinned_on(0, 50.0, 70.0)];
+        vms.extend((1..8).map(|i| pinned_on(i, 10.0, 10.0)));
+        vms.extend(fillers(8));
+        vms.extend(fillers(13));
+        let pms: Vec<PmSpec> = [100.0, 140.0, 100.0, 100.0, 100.0]
+            .into_iter()
+            .enumerate()
+            .map(|(j, cap)| PmSpec::new(j, cap))
+            .collect();
+        let placement = Placement {
+            assignment: (0..18)
+                .map(|i| {
+                    Some(match i {
+                        0 => 0,
+                        1..=7 => 2,
+                        _ => 3 + (i - 8) / 5,
+                    })
+                })
+                .collect(),
+            n_pms: 5,
+        };
+        let policy = ObservedPolicy::rb();
+        for (layout, pin) in LAYOUTS.into_iter().zip(REFILL_PINS) {
+            let cfg = SimConfig {
+                rng_layout: layout,
+                ..config(30, 3, true)
+            };
+            let out = Simulator::new(&vms, &pms, &policy, cfg).run(&placement);
+            assert_eq!(moves(&out), [(5, 0, 1), (5, 2, 1), (6, 2, 0)], "{layout:?}");
+            assert_eq!(out.cvr_per_pm[0], (0, 6.0 / 29.0), "{layout:?}");
+            assert_eq!(outcome_pin(&out), pin, "{layout:?}");
+        }
+    }
+
+    /// The run above at the commit before the ledger, per layout.
+    const REFILL_PINS: [(usize, u64, usize, u64); 2] = [
+        (3, 4696924420420141056, 13, 9817093670488479483),
+        (3, 4696909473933950976, 13, 9817093670488479483),
+    ];
+
+    #[test]
+    fn crash_limbo_landing_and_recovery_keep_the_ledger_exact() {
+        // Three PMs, each two thirds full of bursty tenants, crashing
+        // every ~40 steps with no degraded margin: a crash empties a PM
+        // (credit its active steps, drop it from the over set), its
+        // tenants land at once or wait in limbo, still evolving, until a
+        // survivor has room or the PM recovers and refills.
+        let vms: Vec<VmSpec> = (0..9)
+            .map(|i| VmSpec::new(i, 0.2, 0.3, 15.0, 20.0))
+            .collect();
+        let pms = farm(3, 100.0);
+        let placement = Placement {
+            assignment: (0..9).map(|i| Some(i / 3)).collect(),
+            n_pms: 3,
+        };
+        let policy = ObservedPolicy::rb();
+        for (layout, pin) in LAYOUTS.into_iter().zip(FAULT_PINS) {
+            let cfg = SimConfig {
+                degraded_epsilon: 0.0,
+                rng_layout: layout,
+                faults: Some(FaultConfig {
+                    mtbf_steps: 40.0,
+                    mttr_steps: 10.0,
+                    seed: FAULT_SEED,
+                    ..Default::default()
+                }),
+                ..config(300, 3, true)
+            };
+            let out = Simulator::new(&vms, &pms, &policy, cfg).run(&placement);
+            let queued = out.evacuations.iter().filter(|e| e.to_pm.is_none()).count();
+            let landed_late = out
+                .evacuations
+                .iter()
+                .filter(|e| e.to_pm.is_some())
+                .filter(|e| {
+                    out.evacuations
+                        .iter()
+                        .any(|q| q.vm_id == e.vm_id && q.to_pm.is_none() && q.step < e.step)
+                })
+                .count();
+            assert!(out.recovery.crashes > 0, "{layout:?}");
+            assert!(out.recovery.recoveries > 0, "{layout:?}");
+            assert!(
+                queued > 0 && landed_late > 0,
+                "{layout:?}: {queued}, {landed_late}"
+            );
+            assert!(out.recovery.stranded_vm_steps > 0, "{layout:?}");
+            assert!(out.total_migrations() > 0, "{layout:?}");
+            assert_eq!(
+                (outcome_pin(&out), out.recovery.stranded_vm_steps),
+                pin,
+                "{layout:?}"
+            );
+        }
+    }
+
+    const FAULT_SEED: u64 = 0;
+    /// The run above at the commit before the ledger, per layout, with
+    /// its stranded VM-steps.
+    const FAULT_PINS: [((usize, u64, usize, u64), usize); 2] = [
+        ((51, 4706772814789607424, 119, 10708632136524856606), 257),
+        ((50, 4706793591693901824, 148, 14388013934913132270), 166),
+    ];
 }

@@ -39,6 +39,22 @@
 //! spawn/join round trip — profitable for large fleets, pure overhead
 //! for small ones.
 //!
+//! **The `observed` buffer is the carried state.** Neither layout keeps
+//! a private copy of the per-PM sums: [`WorkloadCore::step`] re-derives
+//! `observed[j]` in place (the same fold, from `0.0`, in the same
+//! order) only for PMs it knows to be stale, and leaves every other
+//! entry as the previous step left it. So the caller hands in the *same*
+//! buffer on every step and reports every write of its own:
+//! [`WorkloadCore::vm_moved`] and [`WorkloadCore::pm_crashed`] mark the
+//! PMs whose membership changed, [`WorkloadCore::pm_stale`] any other PM
+//! whose entry the caller edited. The first step of a fresh core, and
+//! the first after [`WorkloadCore::class_init`] or
+//! [`WorkloadCore::restore_mode`], re-derives every PM from whatever the
+//! buffer holds. [`WorkloadCore::rederived_all`] and
+//! [`WorkloadCore::for_each_rederived`] say which entries the last step
+//! wrote, which is what lets the engine keep its own per-PM derived
+//! state without a pass over the pool.
+//!
 //! [`Simulator::run`]: crate::engine::Simulator::run
 //! [`RngLayout::Shared`]: crate::config::RngLayout::Shared
 //! [`RngLayout::ClassAggregated`]: crate::config::RngLayout::ClassAggregated
@@ -110,46 +126,111 @@ impl Cell {
     }
 }
 
-/// What one fixed chunk of [`CLASS_PM_CHUNK`] locations owns: each chunk
-/// is evolved by exactly one worker per step, and the chunk partition is
-/// a function of `m` only, so the summed cache counters are invariant
-/// in the thread count.
+/// What one fixed chunk of [`CLASS_PM_CHUNK`] locations owns: its cells,
+/// its sampler and its stale-PM lists. Each chunk is evolved by exactly
+/// one worker per step, and the chunk partition is a function of `m`
+/// only, so the summed cache counters are invariant in the thread count
+/// — and a structural edit (a move, a crash) shifts one chunk's arrays,
+/// never the fleet's.
 struct ClassChunk {
+    /// The chunk's cells, location by location, sorted by class within
+    /// each location. The hot loop only mutates `n_on`.
+    cells: Vec<Cell>,
+    /// CSR offsets over `cells`, local to the chunk: the location `l`
+    /// places past the chunk's first owns
+    /// `cells[offsets[l] as usize..offsets[l + 1] as usize]`.
+    offsets: Vec<u32>,
     /// The chunk's memoized binomial sampler.
     cache: TableCache,
-    /// The chunk's PMs whose `base` entry is stale: a cell changed
-    /// `n_on` this step, or the engine reported a membership change
-    /// since the last one. Duplicates are harmless (a re-fold is
-    /// idempotent); emptied by every step.
+    /// The chunk's PMs whose `observed` entry is stale: a cell changed
+    /// `n_on` this step, or the engine reported a write since the last
+    /// one. Duplicates are harmless (a re-fold is idempotent); handed to
+    /// `refolded` by every step.
     dirty: Vec<u32>,
+    /// The locations the last step folded again (the limbo pool, which
+    /// has no `observed` entry, may be listed).
+    refolded: Vec<u32>,
+}
+
+impl ClassChunk {
+    fn new(locations: usize, p_values: &[f64]) -> Self {
+        Self {
+            cells: Vec::new(),
+            offsets: vec![0; locations + 1],
+            cache: TableCache::new(p_values, DEFAULT_ENTRY_BUDGET),
+            dirty: Vec::new(),
+            refolded: Vec::new(),
+        }
+    }
+
+    /// The cell range of the chunk's `l`-th location.
+    #[inline]
+    fn range(&self, l: usize) -> std::ops::Range<usize> {
+        self.offsets[l] as usize..self.offsets[l + 1] as usize
+    }
+
+    /// Takes one VM of `class`, ON iff `was_on`, out of location `l`.
+    fn take_vm(&mut self, l: usize, class: u32, was_on: bool) {
+        let range = self.range(l);
+        let at = range.start
+            + self.cells[range]
+                .binary_search_by_key(&class, |cell| cell.class)
+                .expect("moving VM has a source cell");
+        let cell = &mut self.cells[at];
+        cell.count -= 1;
+        cell.n_on -= u32::from(was_on);
+        if cell.count == 0 {
+            self.cells.remove(at);
+            for o in &mut self.offsets[l + 1..] {
+                *o -= 1;
+            }
+        }
+    }
+
+    /// Adds the residents of `cell` to its class's counter at location
+    /// `l`, inserting the cell where none exists yet.
+    fn put(&mut self, l: usize, cell: Cell) {
+        let range = self.range(l);
+        match self.cells[range.clone()].binary_search_by_key(&cell.class, |c| c.class) {
+            Ok(at) => {
+                let into = &mut self.cells[range.start + at];
+                into.count += cell.count;
+                into.n_on += cell.n_on;
+            }
+            Err(at) => {
+                self.cells.insert(range.start + at, cell);
+                for o in &mut self.offsets[l + 1..] {
+                    *o += 1;
+                }
+            }
+        }
+    }
 }
 
 /// One step's read-only view of the class layout, as each worker sees it.
 struct ClassKernel<'a> {
     classes: &'a [ClassInfo],
-    offsets: &'a [u32],
     step: u64,
     cached: bool,
     primed: bool,
 }
 
 impl ClassKernel<'_> {
-    /// Evolves the chunk whose first location is `lo` one step. `cells`,
-    /// `base` and `obs` are the chunk's own slices of the flat arrays.
-    /// A *quiet* cell — both draws under their zero-outcome thresholds,
-    /// all but a few percent of cells for bursty chains — costs two
-    /// hashes and two integer compares and is left untouched; the rest
-    /// go through the sampler, and only a stale PM's `base` entry is
+    /// Evolves `chunk`, whose first location is `lo`, one step; `obs` is
+    /// the chunk's own slice of `observed` (the limbo pool has no
+    /// entry). A *quiet* cell — both draws under their zero-outcome
+    /// thresholds, all but a few percent of cells for bursty chains —
+    /// costs two hashes and two integer compares and is left untouched;
+    /// the rest go through the sampler, and only a stale PM's entry is
     /// folded again (DESIGN.md §8 has both exactness arguments).
-    fn evolve_chunk(
-        &self,
-        lo: usize,
-        cells: &mut [Cell],
-        base: &mut [f64],
-        obs: &mut [f64],
-        chunk: &mut ClassChunk,
-    ) {
-        let ClassChunk { cache, dirty } = chunk;
+    fn evolve_chunk(&self, lo: usize, chunk: &mut ClassChunk, obs: &mut [f64]) {
+        let ClassChunk {
+            cells,
+            offsets,
+            cache,
+            dirty,
+            refolded,
+        } = chunk;
         let (out_at, in_at) = (2 * self.step, 2 * self.step + 1);
         let mut quiet_hits = 0u64;
         let mut last_dirty = u32::MAX;
@@ -185,31 +266,50 @@ impl ClassKernel<'_> {
         }
         cache.count_hits(quiet_hits);
 
-        let cell0 = self.offsets[lo] as usize;
-        let fold = |j: usize| {
-            let range = self.offsets[j] as usize - cell0..self.offsets[j + 1] as usize - cell0;
-            cells[range].iter().fold(0.0, |demand, cell| {
-                let info = &self.classes[cell.class as usize];
-                demand
-                    + (f64::from(cell.n_on) * info.demand_on
-                        + f64::from(cell.count - cell.n_on) * info.demand_off)
-            })
+        let fold = |l: usize| {
+            cells[offsets[l] as usize..offsets[l + 1] as usize]
+                .iter()
+                .fold(0.0, |demand, cell| {
+                    let info = &self.classes[cell.class as usize];
+                    demand
+                        + (f64::from(cell.n_on) * info.demand_on
+                            + f64::from(cell.count - cell.n_on) * info.demand_off)
+                })
         };
         if self.primed {
             for &j in dirty.iter() {
                 // The limbo pool (the last location) has no entry.
-                if let Some(sum) = base.get_mut(j as usize - lo) {
-                    *sum = fold(j as usize);
+                let l = j as usize - lo;
+                if let Some(sum) = obs.get_mut(l) {
+                    *sum = fold(l);
                 }
             }
         } else {
-            for (at, sum) in base.iter_mut().enumerate() {
-                *sum = fold(lo + at);
+            for (l, sum) in obs.iter_mut().enumerate() {
+                *sum = fold(l);
             }
         }
-        dirty.clear();
-        obs.copy_from_slice(base);
+        refolded.clear();
+        std::mem::swap(dirty, refolded);
     }
+}
+
+/// Every chunk with its first location and its own slice of `observed`.
+/// The limbo pool has no entry: alone in the last chunk (`m` a multiple
+/// of the chunk width), it gets an empty slice.
+fn chunk_shares<'a>(
+    chunks: &'a mut [ClassChunk],
+    observed: &'a mut [f64],
+) -> impl Iterator<Item = (usize, &'a mut ClassChunk, &'a mut [f64])> {
+    let no_pms: &mut [f64] = &mut [];
+    let slices = observed
+        .chunks_mut(CLASS_PM_CHUNK)
+        .chain(std::iter::once(no_pms));
+    chunks
+        .iter_mut()
+        .zip(slices)
+        .enumerate()
+        .map(|(c, (chunk, obs))| (c * CLASS_PM_CHUNK, chunk, obs))
 }
 
 /// A set of PMs with O(1) insert, listed in insertion order.
@@ -226,16 +326,18 @@ impl DirtyPms {
         }
     }
 
-    fn clear(&mut self) {
+    /// Empties the set, leaving what it listed in `out`.
+    fn drain_into(&mut self, out: &mut Vec<u32>) {
         for &j in &self.list {
             self.marked[j as usize] = false;
         }
-        self.list.clear();
+        out.clear();
+        std::mem::swap(&mut self.list, out);
     }
 }
 
-/// The `Shared` layout: one sequential stream, and per-PM demand kept
-/// as a sum that is only re-derived where it can have changed.
+/// The `Shared` layout: one sequential stream, and per-PM demand
+/// re-derived in `observed` only where it can have changed.
 struct SharedState {
     rng: StdRng,
     /// `[flip_threshold(p_on), flip_threshold(p_off)]` and `[demand
@@ -243,17 +345,12 @@ struct SharedState {
     /// index, so reading either takes no branch on the chain's state.
     thr_by_state: Vec<[u64; 2]>,
     demand_by_state: Vec<[f64; 2]>,
-    /// Per-PM sum of hosted demands, each entry accumulated from `0.0`
-    /// in ascending VM index. `observed` starts every step as a copy,
-    /// so the engine's own edits to `observed` never reach it. Derived
-    /// from `on` and `host`, never serialized: `primed` is `false` until
-    /// this core's first step builds it in full — at the start of a run
-    /// and after a resume alike.
-    base: Vec<f64>,
-    primed: bool,
-    /// PMs whose `base` entry is stale: a hosted VM flipped, or the
-    /// engine reported a membership change.
+    /// PMs whose `observed` entry is stale: a hosted VM flipped, or the
+    /// engine reported a write of its own.
     dirty: DirtyPms,
+    /// The PMs the last step re-derived one by one (it may instead have
+    /// re-derived all of them; the step says which).
+    rederived: Vec<u32>,
     /// Scratch: the VMs that flipped this step, ascending.
     flips: Vec<u32>,
     /// Scratch: a migrant-reordered member list, sorted for the re-sum.
@@ -277,12 +374,11 @@ impl SharedState {
                 .iter()
                 .map(|vm| [vm.demand(false), vm.demand(true)])
                 .collect(),
-            base: vec![0.0; m],
-            primed: false,
             dirty: DirtyPms {
                 marked: vec![false; m],
                 list: Vec::new(),
             },
+            rederived: Vec::new(),
             flips: vec![0; n],
             ascending: Vec::new(),
         }
@@ -292,20 +388,23 @@ impl SharedState {
     /// Stream, draw order, decisions and every `f64` are those of one
     /// evolution pass followed by one ascending-VM accumulation pass
     /// (the oracle in `shared_layout_matches_legacy_loop_bit_for_bit`).
+    /// `primed` says the entries of `observed` not marked stale are
+    /// current; returns whether every PM was re-derived (else the ones
+    /// in `rederived` were).
     fn step(
         &mut self,
+        primed: bool,
         on: &mut [bool],
         host: &[Option<usize>],
         hosted: &[Vec<usize>],
         observed: &mut [f64],
-    ) {
+    ) -> bool {
         let Self {
             rng,
             thr_by_state,
             demand_by_state,
-            base,
-            primed,
             dirty,
+            rederived,
             flips,
             ascending,
         } = self;
@@ -340,14 +439,14 @@ impl SharedState {
         // reads the VMs in order and needs no member list sorted.
         let demand = |i: usize| demand_by_state[i][usize::from(on[i])];
         let stale_vms: usize = dirty.list.iter().map(|&j| hosted[j as usize].len()).sum();
-        if !*primed || 2 * stale_vms >= on.len() {
-            base.fill(0.0);
+        let all = !primed || 2 * stale_vms >= on.len();
+        if all {
+            observed.fill(0.0);
             for (i, j) in host.iter().enumerate() {
                 if let Some(j) = *j {
-                    base[j] += demand(i);
+                    observed[j] += demand(i);
                 }
             }
-            *primed = true;
         } else {
             for &j in &dirty.list {
                 // `hosted[j]` keeps arrival order (victim tie-breaking
@@ -358,11 +457,11 @@ impl SharedState {
                     ascending.sort_unstable();
                     members = ascending;
                 }
-                base[j as usize] = members.iter().fold(0.0, |sum, &i| sum + demand(i));
+                observed[j as usize] = members.iter().fold(0.0, |sum, &i| sum + demand(i));
             }
         }
-        dirty.clear();
-        observed.copy_from_slice(base);
+        dirty.drain_into(rederived);
+        all
     }
 }
 
@@ -373,26 +472,14 @@ enum Mode {
         classes: Vec<ClassInfo>,
         /// Canonical class index per VM.
         class_of: Vec<u32>,
-        /// CSR offsets over `cells`: location `loc`'s cells live at
-        /// `cells[offsets[loc] as usize..offsets[loc + 1] as usize]`.
+        /// The cells, in chunks of [`CLASS_PM_CHUNK`] locations.
         /// Locations `0..m` are the PMs, location `m` the limbo pool of
-        /// displaced VMs (which evolve but contribute no demand), so
-        /// `offsets.len() == m + 2`.
-        offsets: Vec<u32>,
-        /// All locations' cells in one flat array, sorted by class
-        /// within each location. Populated by
-        /// [`WorkloadCore::class_init`]; the hot loop only mutates
-        /// `n_on`, structural edits (moves, crashes) shift the tail.
-        cells: Vec<Cell>,
-        /// Per-chunk sampler cache and stale-PM list.
+        /// displaced VMs (which evolve but contribute no demand): it
+        /// rides in the last chunk. Populated by
+        /// [`WorkloadCore::class_init`].
         chunks: Vec<ClassChunk>,
-        /// Per-PM demand, each entry folded from `0.0` over the PM's
-        /// cells in class order. `observed` starts every step as a copy.
-        /// Derived from the cells, never serialized: `primed` is `false`
-        /// until the next step folds every PM — at the start of a run
-        /// and after a restore alike.
-        base: Vec<f64>,
-        primed: bool,
+        /// The limbo pool's location, `m`.
+        limbo: usize,
         /// `true` (always, in the engine): draws go through the
         /// memoized tables. `false`: every draw re-runs the
         /// pmf-recurrence walk, the reference kernel the tables are
@@ -425,6 +512,14 @@ pub(crate) struct WorkloadCore {
     /// steps (victim selection, demand queries, evacuation sizing).
     pub(crate) on: Vec<bool>,
     mode: Mode,
+    /// Whether the caller's `observed` holds this core's sums wherever no
+    /// PM is marked stale. `false` until the first step derives every
+    /// entry — at the start of a run and after a cell rebuild or a
+    /// restore alike: the sums are derived state, never serialized.
+    primed: bool,
+    /// Whether the last step re-derived every PM, or only the ones its
+    /// layout lists.
+    rederived_all: bool,
 }
 
 impl WorkloadCore {
@@ -520,16 +615,13 @@ impl WorkloadCore {
                 Mode::ClassAggregated {
                     classes,
                     class_of,
-                    offsets: vec![0; m + 2],
-                    cells: Vec::new(),
                     chunks: (0..chunks)
-                        .map(|_| ClassChunk {
-                            cache: TableCache::new(&p_values, DEFAULT_ENTRY_BUDGET),
-                            dirty: Vec::new(),
+                        .map(|c| {
+                            let locations = (m + 1 - c * CLASS_PM_CHUNK).min(CLASS_PM_CHUNK);
+                            ClassChunk::new(locations, &p_values)
                         })
                         .collect(),
-                    base: vec![0.0; m],
-                    primed: false,
+                    limbo: m,
                     cached: true,
                     threads: requested.clamp(1, chunks),
                     seed,
@@ -539,15 +631,19 @@ impl WorkloadCore {
         Self {
             on: vec![false; vms.len()],
             mode,
+            primed: false,
+            rederived_all: false,
         }
     }
 
-    /// Advances every chain one step and overwrites `observed` with the
-    /// sum of hosted demands per PM. Displaced VMs (`host[i] == None`)
-    /// still evolve — the draw sequence must not depend on fault or
-    /// migration decisions. Copy-overhead dual entries stay with the
-    /// caller. `hosted` is the inverse of `host` (member lists per PM);
-    /// only the `Shared` arm reads it.
+    /// Advances every chain one step and brings `observed` up to the sum
+    /// of hosted demands per PM. `observed` must be the buffer the
+    /// previous step wrote, every caller-side write to it reported since
+    /// (module docs): only stale entries are re-derived. Displaced VMs
+    /// (`host[i] == None`) still evolve — the draw sequence must not
+    /// depend on fault or migration decisions. Copy-overhead dual
+    /// entries stay with the caller. `hosted` is the inverse of `host`
+    /// (member lists per PM); only the `Shared` arm reads it.
     pub(crate) fn step(
         &mut self,
         step: u64,
@@ -555,18 +651,19 @@ impl WorkloadCore {
         hosted: &[Vec<usize>],
         observed: &mut [f64],
     ) {
-        let Self { on, mode } = self;
+        let Self {
+            on,
+            mode,
+            primed,
+            rederived_all,
+        } = self;
         match mode {
             Mode::Shared(shared) => {
-                shared.step(on, host, hosted, observed);
+                *rederived_all = shared.step(*primed, on, host, hosted, observed);
             }
             Mode::ClassAggregated {
                 classes,
-                offsets,
-                cells,
                 chunks,
-                base,
-                primed,
                 cached,
                 threads,
                 ..
@@ -585,81 +682,81 @@ impl WorkloadCore {
                 // chunk — displaced VMs keep evolving (the draw sequence
                 // must not depend on fault decisions) but have no
                 // demand entry.
-                let m = observed.len();
-                let total_locs = offsets.len() - 1;
                 let kernel = ClassKernel {
                     classes,
-                    offsets,
                     step,
                     cached: *cached,
                     primed: *primed,
                 };
-                // A worker's share: a run of whole chunks, with the cell,
-                // `base` and `observed` slices cut at its boundaries.
-                let evolve = |first: usize,
-                              share: &mut [ClassChunk],
-                              cells: &mut [Cell],
-                              base: &mut [f64],
-                              obs: &mut [f64]| {
-                    let (cell0, pm0) = (offsets[first] as usize, first.min(m));
-                    let mut lo = first;
-                    for chunk in share {
-                        let hi = (lo + CLASS_PM_CHUNK).min(total_locs);
-                        let pms = lo.min(m) - pm0..hi.min(m) - pm0;
-                        kernel.evolve_chunk(
-                            lo,
-                            &mut cells[offsets[lo] as usize - cell0..offsets[hi] as usize - cell0],
-                            &mut base[pms.clone()],
-                            &mut obs[pms],
-                            chunk,
-                        );
-                        lo = hi;
-                    }
-                };
                 if *threads <= 1 {
-                    evolve(0, chunks, cells, base, observed);
+                    for (lo, chunk, obs) in chunk_shares(chunks, observed) {
+                        kernel.evolve_chunk(lo, chunk, obs);
+                    }
                 } else {
                     // Whole chunks to each worker, cut where the cell
                     // count crosses the worker's even share.
-                    let cell_total = cells.len();
+                    let cell_total: usize = chunks.iter().map(|c| c.cells.len()).sum();
+                    let mut takes = vec![0usize; *threads];
+                    let (mut t, mut before) = (0usize, 0usize);
+                    for chunk in chunks.iter() {
+                        while t + 1 < *threads && before * *threads >= cell_total * (t + 1) {
+                            t += 1;
+                        }
+                        takes[t] += 1;
+                        before += chunk.cells.len();
+                    }
+                    let mut shares = chunk_shares(chunks, observed);
                     thread::scope(|scope| {
-                        let evolve = &evolve;
-                        let (mut chunks, mut cells) = (&mut chunks[..], &mut cells[..]);
-                        let (mut base, mut obs) = (&mut base[..], &mut observed[..]);
-                        let mut first = 0usize;
-                        for t in 1..=*threads {
-                            let start_of = |c: usize| (first + c * CLASS_PM_CHUNK).min(total_locs);
-                            let take = (0..chunks.len())
-                                .find(|&c| {
-                                    t < *threads
-                                        && offsets[start_of(c)] as usize * *threads
-                                            >= cell_total * t
-                                })
-                                .unwrap_or(chunks.len());
-                            let end = start_of(take);
-                            let (n_cells, n_pms) = (
-                                (offsets[end] - offsets[first]) as usize,
-                                end.min(m) - first.min(m),
-                            );
-                            let share = (
-                                chunks.split_off_mut(..take).expect("take <= len"),
-                                cells
-                                    .split_off_mut(..n_cells)
-                                    .expect("offsets are in range"),
-                                base.split_off_mut(..n_pms).expect("end <= locations"),
-                                obs.split_off_mut(..n_pms).expect("end <= locations"),
-                            );
-                            if take > 0 {
+                        let kernel = &kernel;
+                        for take in takes {
+                            let share: Vec<_> = shares.by_ref().take(take).collect();
+                            if !share.is_empty() {
                                 scope.spawn(move || {
-                                    evolve(first, share.0, share.1, share.2, share.3)
+                                    for (lo, chunk, obs) in share {
+                                        kernel.evolve_chunk(lo, chunk, obs);
+                                    }
                                 });
                             }
-                            first = end;
                         }
                     });
                 }
-                *primed = true;
+                *rederived_all = !*primed;
             }
+        }
+        *primed = true;
+    }
+
+    /// Whether the last [`WorkloadCore::step`] re-derived every PM's
+    /// `observed` entry: an unprimed step, or the `Shared` one-pass
+    /// re-sum. Otherwise [`WorkloadCore::for_each_rederived`] lists the
+    /// entries it wrote.
+    pub(crate) fn rederived_all(&self) -> bool {
+        self.rederived_all
+    }
+
+    /// Calls `f` with every PM whose `observed` entry the last
+    /// [`WorkloadCore::step`] found stale and re-derived, in no
+    /// particular order and possibly more than once.
+    pub(crate) fn for_each_rederived(&self, mut f: impl FnMut(usize)) {
+        match &self.mode {
+            Mode::Shared(shared) => shared.rederived.iter().for_each(|&j| f(j as usize)),
+            Mode::ClassAggregated { chunks, limbo, .. } => {
+                for chunk in chunks {
+                    for &j in chunk.refolded.iter().filter(|&&j| (j as usize) < *limbo) {
+                        f(j as usize);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The caller wrote `observed[j]` itself (a write that comes with a
+    /// membership change is already covered by [`WorkloadCore::vm_moved`]
+    /// and [`WorkloadCore::pm_crashed`]): the next step re-derives it.
+    pub(crate) fn pm_stale(&mut self, j: usize) {
+        match &mut self.mode {
+            Mode::Shared(shared) => shared.dirty.mark(j),
+            Mode::ClassAggregated { chunks, .. } => chunks[j / CLASS_PM_CHUNK].dirty.push(j as u32),
         }
     }
 
@@ -671,23 +768,21 @@ impl WorkloadCore {
         let Mode::ClassAggregated {
             classes,
             class_of,
-            offsets,
-            cells,
-            primed,
+            chunks,
+            limbo,
             seed,
             ..
         } = &mut self.mode
         else {
             return;
         };
-        *primed = false;
-        let locations = offsets.len() - 1;
-        let limbo = locations - 1;
-        let loc_of = |h: &Option<usize>| h.unwrap_or(limbo);
+        self.primed = false;
+        let locations = *limbo + 1;
+        let loc_of = |h: &Option<usize>| h.unwrap_or(*limbo);
         // Counting pass: group the VMs' class ids by location in one
         // flat array (`starts` are the per-location write cursors), then
         // sort each location's short run and emit one cell per distinct
-        // class straight into the CSR arrays.
+        // class straight into the location's chunk.
         let mut starts = vec![0u32; locations + 1];
         for h in host {
             starts[loc_of(h) + 1] += 1;
@@ -703,29 +798,34 @@ impl WorkloadCore {
         }
         // Every cursor now sits at its location's end, i.e. the next
         // location's start.
-        cells.clear();
-        offsets[0] = 0;
         let mut lo = 0usize;
-        for loc in 0..locations {
-            let hi = starts[loc] as usize;
-            let run = &mut by_loc[lo..hi];
-            run.sort_unstable();
-            let first = cells.len();
-            for &c in run.iter() {
-                match cells[first..].last_mut() {
-                    Some(cell) if cell.class == c => cell.count += 1,
-                    _ => cells.push(Cell::new(c, 1, 0, loc, *seed, classes)),
+        for (c, chunk) in chunks.iter_mut().enumerate() {
+            chunk.cells.clear();
+            for l in 0..chunk.offsets.len() - 1 {
+                let loc = c * CLASS_PM_CHUNK + l;
+                let hi = starts[loc] as usize;
+                let run = &mut by_loc[lo..hi];
+                run.sort_unstable();
+                let first = chunk.cells.len();
+                for &class in run.iter() {
+                    match chunk.cells[first..].last_mut() {
+                        Some(cell) if cell.class == class => cell.count += 1,
+                        _ => chunk
+                            .cells
+                            .push(Cell::new(class, 1, 0, loc, *seed, classes)),
+                    }
                 }
+                chunk.offsets[l + 1] = chunk.cells.len() as u32;
+                lo = hi;
             }
-            offsets[loc + 1] = cells.len() as u32;
-            lo = hi;
         }
     }
 
-    /// The CSR cell range of one location.
+    /// The cells of location `loc`.
     #[inline]
-    fn csr_range(offsets: &[u32], loc: usize) -> std::ops::Range<usize> {
-        offsets[loc] as usize..offsets[loc + 1] as usize
+    fn cells_at(chunks: &[ClassChunk], loc: usize) -> &[Cell] {
+        let chunk = &chunks[loc / CLASS_PM_CHUNK];
+        &chunk.cells[chunk.range(loc % CLASS_PM_CHUNK)]
     }
 
     /// Refreshes the `on` flags of PM `j`'s hosted VMs from its cell
@@ -737,16 +837,13 @@ impl WorkloadCore {
     pub(crate) fn class_sync_pm(&mut self, j: usize, members: &[usize]) {
         let Self { on, mode, .. } = self;
         let Mode::ClassAggregated {
-            class_of,
-            offsets,
-            cells,
-            ..
+            class_of, chunks, ..
         } = mode
         else {
             return;
         };
-        let range = Self::csr_range(offsets, j);
-        Self::class_assign_flags(on, class_of, &cells[range], members.iter().copied());
+        let cells = Self::cells_at(chunks, j);
+        Self::class_assign_flags(on, class_of, cells, members.iter().copied());
     }
 
     /// Refreshes the `on` flags of every displaced VM (`host[i] == None`)
@@ -756,21 +853,20 @@ impl WorkloadCore {
         let Self { on, mode, .. } = self;
         let Mode::ClassAggregated {
             class_of,
-            offsets,
-            cells,
+            chunks,
+            limbo,
             ..
         } = mode
         else {
             return;
         };
-        let limbo = offsets.len() - 2;
         let displaced = host
             .iter()
             .enumerate()
             .filter(|(_, h)| h.is_none())
             .map(|(i, _)| i);
-        let range = Self::csr_range(offsets, limbo);
-        Self::class_assign_flags(on, class_of, &cells[range], displaced);
+        let cells = Self::cells_at(chunks, *limbo);
+        Self::class_assign_flags(on, class_of, cells, displaced);
     }
 
     /// Shared flag-assignment pass of the two sync hooks: group `members`
@@ -810,120 +906,65 @@ impl WorkloadCore {
     }
 
     /// The engine moved VM `i` between locations (`None` = displaced).
-    /// `Shared` marks both PMs' demand sums stale. `ClassAggregated`
+    /// Both PMs' `observed` entries go stale. `ClassAggregated` also
     /// moves the VM between the locations' counters, carrying its
     /// current `on` flag — the caller must have synced `i`'s source
     /// location since the last evolution step so the flag matches the
-    /// source counters.
+    /// source counters. Each end of the move edits its own chunk only.
     pub(crate) fn vm_moved(&mut self, i: usize, from: Option<usize>, to: Option<usize>) {
-        let Self { on, mode, .. } = self;
-        let (classes, class_of, offsets, cells, chunks, seed) = match mode {
-            Mode::Shared(shared) => {
-                for j in [from, to].into_iter().flatten() {
-                    shared.dirty.mark(j);
-                }
-                return;
-            }
-            Mode::ClassAggregated {
-                classes,
-                class_of,
-                offsets,
-                cells,
-                chunks,
-                seed,
-                ..
-            } => (classes, class_of, offsets, cells, chunks, seed),
-        };
         for j in [from, to].into_iter().flatten() {
-            chunks[j / CLASS_PM_CHUNK].dirty.push(j as u32);
+            self.pm_stale(j);
         }
-        let limbo = offsets.len() - 2;
-        let c = class_of[i];
-        let was_on = on[i];
-        let src = from.unwrap_or(limbo);
-        let range = Self::csr_range(offsets, src);
-        let at = cells[range.clone()]
-            .binary_search_by_key(&c, |cell| cell.class)
-            .expect("moving VM has a source cell");
-        let idx = range.start + at;
-        cells[idx].count -= 1;
-        if was_on {
-            cells[idx].n_on -= 1;
-        }
-        if cells[idx].count == 0 {
-            cells.remove(idx);
-            for o in &mut offsets[src + 1..] {
-                *o -= 1;
-            }
-        }
-        let dst = to.unwrap_or(limbo);
-        let range = Self::csr_range(offsets, dst);
-        match cells[range.clone()].binary_search_by_key(&c, |cell| cell.class) {
-            Ok(at) => {
-                let idx = range.start + at;
-                cells[idx].count += 1;
-                cells[idx].n_on += u32::from(was_on);
-            }
-            Err(at) => {
-                cells.insert(
-                    range.start + at,
-                    Cell::new(c, 1, u32::from(was_on), dst, *seed, classes),
-                );
-                for o in &mut offsets[dst + 1..] {
-                    *o += 1;
-                }
-            }
-        }
-    }
-
-    /// PM `j` crashed and is about to lose `members`. `Shared` marks
-    /// its demand sum stale. `ClassAggregated` fixes each member's flag
-    /// from the current counters (the flags displaced VMs carry into
-    /// evacuation), then merges the PM's cells wholesale into the limbo
-    /// pool.
-    pub(crate) fn pm_crashed(&mut self, j: usize, members: &[usize]) {
-        if let Mode::Shared(shared) = &mut self.mode {
-            shared.dirty.mark(j);
-            return;
-        }
-        self.class_sync_pm(j, members);
         let Mode::ClassAggregated {
             classes,
-            offsets,
-            cells,
+            class_of,
             chunks,
+            limbo,
             seed,
             ..
         } = &mut self.mode
         else {
             return;
         };
-        chunks[j / CLASS_PM_CHUNK].dirty.push(j as u32);
-        let limbo = offsets.len() - 2;
-        let range = Self::csr_range(offsets, j);
-        let moved: Vec<Cell> = cells.drain(range.clone()).collect();
-        let removed = moved.len() as u32;
-        for o in &mut offsets[j + 1..] {
-            *o -= removed;
+        let (c, was_on) = (class_of[i], self.on[i]);
+        let src = from.unwrap_or(*limbo);
+        chunks[src / CLASS_PM_CHUNK].take_vm(src % CLASS_PM_CHUNK, c, was_on);
+        let dst = to.unwrap_or(*limbo);
+        chunks[dst / CLASS_PM_CHUNK].put(
+            dst % CLASS_PM_CHUNK,
+            Cell::new(c, 1, u32::from(was_on), dst, *seed, classes),
+        );
+    }
+
+    /// PM `j` crashed and is about to lose `members`: its `observed`
+    /// entry goes stale. `ClassAggregated` also fixes each member's flag
+    /// from the current counters (the flags displaced VMs carry into
+    /// evacuation), then merges the PM's cells wholesale into the limbo
+    /// pool.
+    pub(crate) fn pm_crashed(&mut self, j: usize, members: &[usize]) {
+        self.pm_stale(j);
+        self.class_sync_pm(j, members);
+        let Mode::ClassAggregated {
+            classes,
+            chunks,
+            limbo,
+            seed,
+            ..
+        } = &mut self.mode
+        else {
+            return;
+        };
+        let (chunk, l) = (&mut chunks[j / CLASS_PM_CHUNK], j % CLASS_PM_CHUNK);
+        let moved: Vec<Cell> = chunk.cells.drain(chunk.range(l)).collect();
+        for o in &mut chunk.offsets[l + 1..] {
+            *o -= moved.len() as u32;
         }
+        let pool = &mut chunks[*limbo / CLASS_PM_CHUNK];
         for cell in moved {
-            let pool = Self::csr_range(offsets, limbo);
-            match cells[pool.clone()].binary_search_by_key(&cell.class, |c| c.class) {
-                Ok(at) => {
-                    let idx = pool.start + at;
-                    cells[idx].count += cell.count;
-                    cells[idx].n_on += cell.n_on;
-                }
-                Err(at) => {
-                    // The limbo pool is the last location, so only the
-                    // final offset shifts.
-                    cells.insert(
-                        pool.start + at,
-                        Cell::new(cell.class, cell.count, cell.n_on, limbo, *seed, classes),
-                    );
-                    offsets[limbo + 1] += 1;
-                }
-            }
+            pool.put(
+                *limbo % CLASS_PM_CHUNK,
+                Cell::new(cell.class, cell.count, cell.n_on, *limbo, *seed, classes),
+            );
         }
     }
 
@@ -960,7 +1001,9 @@ impl WorkloadCore {
     /// loop's cost actually scales with.
     pub(crate) fn class_occupied_cells(&self) -> Option<usize> {
         match &self.mode {
-            Mode::ClassAggregated { cells, .. } => Some(cells.len()),
+            Mode::ClassAggregated { chunks, .. } => {
+                Some(chunks.iter().map(|chunk| chunk.cells.len()).sum())
+            }
             _ => None,
         }
     }
@@ -968,7 +1011,8 @@ impl WorkloadCore {
     /// Asserts that `observed` — fresh out of [`WorkloadCore::step`] — is
     /// `to_bits`-equal to the from-scratch accumulation the carried sums
     /// replace: one pass over all VMs under `Shared`, a fold of every
-    /// PM's cells under `ClassAggregated`.
+    /// PM's cells under `ClassAggregated`. This is what catches a write
+    /// to `observed` the caller did not report.
     #[cfg(test)]
     pub(crate) fn assert_observed_is_full_accumulation(
         &self,
@@ -985,13 +1029,10 @@ impl WorkloadCore {
                 }
             }
             Mode::ClassAggregated {
-                classes,
-                offsets,
-                cells,
-                ..
+                classes, chunks, ..
             } => {
                 for (j, sum) in full.iter_mut().enumerate() {
-                    for cell in &cells[Self::csr_range(offsets, j)] {
+                    for cell in Self::cells_at(chunks, j) {
                         assert_eq!(cell.loc as usize, j, "cell filed under the wrong PM");
                         let info = &classes[cell.class as usize];
                         *sum += f64::from(cell.n_on) * info.demand_on
@@ -1013,14 +1054,16 @@ impl WorkloadCore {
     pub(crate) fn snapshot_mode(&self) -> CoreSnapshot {
         match &self.mode {
             Mode::Shared(shared) => CoreSnapshot::Shared(shared.rng.state()),
-            Mode::ClassAggregated { offsets, cells, .. } => CoreSnapshot::ClassAggregated(
-                offsets
-                    .windows(2)
-                    .map(|w| {
-                        cells[w[0] as usize..w[1] as usize]
-                            .iter()
-                            .map(|c| (c.class, c.count, c.n_on))
-                            .collect()
+            Mode::ClassAggregated { chunks, .. } => CoreSnapshot::ClassAggregated(
+                chunks
+                    .iter()
+                    .flat_map(|chunk| {
+                        chunk.offsets.windows(2).map(|w| {
+                            chunk.cells[w[0] as usize..w[1] as usize]
+                                .iter()
+                                .map(|c| (c.class, c.count, c.n_on))
+                                .collect()
+                        })
                     })
                     .collect(),
             ),
@@ -1038,24 +1081,24 @@ impl WorkloadCore {
             (Mode::Shared(shared), CoreSnapshot::Shared(words)) => {
                 shared.rng = StdRng::from_state(words)
                     .ok_or_else(|| "shared rng state is the all-zero fixed point".to_string())?;
+                self.primed = false;
                 Ok(())
             }
             (
                 Mode::ClassAggregated {
                     classes,
-                    offsets,
-                    cells,
-                    primed,
+                    chunks,
+                    limbo,
                     seed,
                     ..
                 },
                 CoreSnapshot::ClassAggregated(locs),
             ) => {
-                if locs.len() != offsets.len() - 1 {
+                if locs.len() != *limbo + 1 {
                     return Err(format!(
                         "class snapshot has {} locations, core expects {}",
                         locs.len(),
-                        offsets.len() - 1
+                        *limbo + 1
                     ));
                 }
                 let mut total: u64 = 0;
@@ -1083,14 +1126,18 @@ impl WorkloadCore {
                         self.on.len()
                     ));
                 }
-                *primed = false;
-                cells.clear();
-                offsets[0] = 0;
+                self.primed = false;
+                for chunk in chunks.iter_mut() {
+                    chunk.cells.clear();
+                }
                 for (loc, src) in locs.into_iter().enumerate() {
-                    cells.extend(src.into_iter().map(|(class, count, n_on)| {
-                        Cell::new(class, count, n_on, loc, *seed, classes)
-                    }));
-                    offsets[loc + 1] = cells.len() as u32;
+                    let chunk = &mut chunks[loc / CLASS_PM_CHUNK];
+                    chunk
+                        .cells
+                        .extend(src.into_iter().map(|(class, count, n_on)| {
+                            Cell::new(class, count, n_on, loc, *seed, classes)
+                        }));
+                    chunk.offsets[loc % CLASS_PM_CHUNK + 1] = chunk.cells.len() as u32;
                 }
                 Ok(())
             }
@@ -1175,9 +1222,10 @@ mod tests {
             for (j, (a, b)) in legacy.iter().zip(&observed).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "PM {j} at step {step}");
             }
-            // The engine edits `observed` between steps; the next step
-            // must not see it.
+            // The engine edits `observed` between steps and reports
+            // the PM: the next step must not see the edit.
             observed[step as usize % m] += 1.0;
+            core.pm_stale(step as usize % m);
 
             if step == 20 {
                 // Migrations the way the engine commits them: the
@@ -1204,6 +1252,37 @@ mod tests {
             }
         }
         assert!(!hosted[9].is_sorted() && !hosted[2].is_sorted());
+    }
+
+    #[test]
+    fn an_unreported_write_to_observed_is_caught_by_the_full_accumulation() {
+        // `observed` is the carried state: an entry the caller wrote and
+        // did not report survives the next step (no VM of a fleet that
+        // never flips makes its PM stale), and the differential check
+        // every engine test runs after `step` says so.
+        let vms: Vec<VmSpec> = (0..8)
+            .map(|i| VmSpec::new(i, 2f64.powi(-53), 0.5, 1.5, 7.0))
+            .collect();
+        let (m, host) = (2, vec![Some(0); 8]);
+        let hosted = hosted_of(&host, m);
+        for layout in [RngLayout::Shared, RngLayout::ClassAggregated] {
+            for reported in [true, false] {
+                let mut core = WorkloadCore::new(&vms, m, 5, layout, 1);
+                core.class_init(&host);
+                let mut observed = vec![0.0; m];
+                core.step(0, &host, &hosted, &mut observed);
+                core.assert_observed_is_full_accumulation(&host, &observed);
+                observed[1] += 1.0;
+                if reported {
+                    core.pm_stale(1);
+                }
+                core.step(1, &host, &hosted, &mut observed);
+                let check = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    core.assert_observed_is_full_accumulation(&host, &observed)
+                }));
+                assert_eq!(check.is_ok(), reported, "{layout:?}, reported: {reported}");
+            }
+        }
     }
 
     proptest::proptest! {
@@ -1263,21 +1342,24 @@ mod tests {
     #[test]
     fn class_layout_is_thread_count_invariant() {
         // Enough PMs for several CLASS_PM_CHUNK chunks so the parallel
-        // path actually splits, plus some displaced VMs in limbo.
-        let m = 2 * CLASS_PM_CHUNK + 91;
-        let vms = class_fleet(3 * m);
-        let host: Vec<Option<usize>> = (0..vms.len())
-            .map(|i| (i % 17 != 0).then_some(i % m))
-            .collect();
-        let mut reference = None;
-        for threads in [1usize, 2, 8] {
-            let mut core = WorkloadCore::new(&vms, m, 7, RngLayout::ClassAggregated, threads);
-            core.class_init(&host);
-            let trace = run_core(&mut core, &host, m, 12);
-            let bits: Vec<u64> = trace.iter().map(|v| v.to_bits()).collect();
-            match &reference {
-                None => reference = Some(bits),
-                Some(r) => assert_eq!(r, &bits, "divergence at {threads} threads"),
+        // path actually splits, plus some displaced VMs in limbo — which
+        // shares the last chunk with PMs, or (m a multiple of the chunk
+        // width) has it to itself and no `observed` slice with it.
+        for m in [2 * CLASS_PM_CHUNK + 91, 2 * CLASS_PM_CHUNK] {
+            let vms = class_fleet(3 * m);
+            let host: Vec<Option<usize>> = (0..vms.len())
+                .map(|i| (i % 17 != 0).then_some(i % m))
+                .collect();
+            let mut reference = None;
+            for threads in [1usize, 2, 8] {
+                let mut core = WorkloadCore::new(&vms, m, 7, RngLayout::ClassAggregated, threads);
+                core.class_init(&host);
+                let trace = run_core(&mut core, &host, m, 12);
+                let bits: Vec<u64> = trace.iter().map(|v| v.to_bits()).collect();
+                match &reference {
+                    None => reference = Some(bits),
+                    Some(r) => assert_eq!(r, &bits, "m = {m}: divergence at {threads} threads"),
+                }
             }
         }
     }
@@ -1498,11 +1580,13 @@ mod tests {
             b.class_init(&host);
             b.restore_mode(a.snapshot_mode()).unwrap();
             b.on.copy_from_slice(&a.on);
-            let (mut oa, mut ob) = (vec![0.0; m], vec![0.0; m]);
+            // `a` keeps the buffer its sums are carried in; the restored,
+            // unprimed `b` derives every entry and may take any.
+            let mut ob = vec![f64::NAN; m];
             for step in 40..70 {
-                a.step(step, &host, &hosted, &mut oa);
+                a.step(step, &host, &hosted, &mut observed);
                 b.step(step, &host, &hosted, &mut ob);
-                for (x, y) in oa.iter().zip(&ob) {
+                for (x, y) in observed.iter().zip(&ob) {
                     assert_eq!(
                         x.to_bits(),
                         y.to_bits(),

@@ -449,3 +449,142 @@ const PINNED_CLASS_SNAPSHOTS: [(&str, usize, u64); 2] = [
     ("ckpt-000000000050", 8398, 12804485061167281997),
     ("ckpt-000000000100", 12782, 2467727769681659172),
 ];
+
+/// Runs `cfg` under both layouts, interrupts each run right after step
+/// `cut` and resumes it at 1 worker (and at 4 under the class layout):
+/// every resumed outcome must equal the uninterrupted run's. `at_cut`
+/// checks, on the uninterrupted outcome, that the cut lands where the
+/// caller says it does.
+fn resumed_at_cut_equals_uninterrupted(
+    vms: &[VmSpec],
+    pms: &[PmSpec],
+    placement: &Placement,
+    cfg: SimConfig,
+    cut: usize,
+    at_cut: impl Fn(&SimOutcome),
+) {
+    let policy = ObservedPolicy::rb();
+    for (layout, resume_threads) in [
+        (RngLayout::Shared, &[1usize][..]),
+        (RngLayout::ClassAggregated, &[1, 4][..]),
+    ] {
+        let cfg = SimConfig {
+            rng_layout: layout,
+            ..cfg
+        };
+        let sim = Simulator::new(vms, pms, &policy, cfg);
+        let baseline = sim.run(placement);
+        at_cut(&baseline);
+
+        let mut store = MemStore::new();
+        let run =
+            sim.run_with_checkpoints(placement, &knobs(cut, 64), &mut store, &mut NoopRecorder);
+        assert!(run.save_errors.is_empty());
+        assert_bit_identical(&baseline, &run.outcome, "hooked run");
+        let first = store.list().unwrap().into_iter().min().unwrap();
+        for name in store.list().unwrap() {
+            if name != first {
+                store.remove(&name).unwrap();
+            }
+        }
+        for &threads in resume_threads {
+            let resumed_sim = Simulator::new(vms, pms, &policy, SimConfig { threads, ..cfg });
+            let (resumed, report) = resumed_sim
+                .resume_with_checkpoints(&knobs(cut, 64), store.clone(), &mut NoopRecorder)
+                .unwrap();
+            assert_eq!(report.step, cut);
+            assert_bit_identical(
+                &baseline,
+                &resumed.outcome,
+                &format!("{layout:?} resumed at {threads}t"),
+            );
+        }
+    }
+}
+
+/// `(step, from, to)` of every migration, in order.
+fn moves(out: &SimOutcome) -> Vec<(usize, usize, usize)> {
+    out.migrations
+        .iter()
+        .map(|e| (e.step, e.from_pm, e.to_pm))
+        .collect()
+}
+
+/// A tenant that switches ON at step 0 and (in effect) never OFF again.
+fn pinned_on(id: usize, r_b: f64, r_e: f64) -> VmSpec {
+    VmSpec::new(id, 1.0, 1e-12, r_b, r_e)
+}
+
+/// Five bursty tenants filling a 100-capacity PM to 90–100: never over,
+/// never admitting a migrant, always flipping.
+fn fillers(first_id: usize) -> impl Iterator<Item = VmSpec> {
+    (first_id..first_id + 5).map(|i| VmSpec::new(i, 0.1, 0.3, 18.0, 2.0))
+}
+
+/// The lazy active-step counts are written materialised and restart from
+/// the resumed step: PM 0 is emptied by a migration at step 5 and
+/// refilled as a target at step 6 (the engine test
+/// `a_pm_emptied_by_migration_and_refilled_keeps_its_cvr_denominator`
+/// walks through the fleet), and the run is cut between the two — the
+/// snapshot holds an empty PM with six active steps to its credit, and
+/// the resumed run must count it again from pass 7 only.
+#[test]
+fn a_cut_between_a_pm_emptying_and_refilling_resumes_its_active_steps() {
+    let mut vms = vec![pinned_on(0, 50.0, 70.0)];
+    vms.extend((1..8).map(|i| pinned_on(i, 10.0, 10.0)));
+    vms.extend(fillers(8));
+    vms.extend(fillers(13));
+    let pms: Vec<PmSpec> = [100.0, 140.0, 100.0, 100.0, 100.0]
+        .into_iter()
+        .enumerate()
+        .map(|(j, cap)| PmSpec::new(j, cap))
+        .collect();
+    let placement = Placement {
+        assignment: (0..18)
+            .map(|i| {
+                Some(match i {
+                    0 => 0,
+                    1..=7 => 2,
+                    _ => 3 + (i - 8) / 5,
+                })
+            })
+            .collect(),
+        n_pms: 5,
+    };
+    let cfg = config(30, 3, false, RngLayout::Shared, 1);
+    resumed_at_cut_equals_uninterrupted(&vms, &pms, &placement, cfg, 6, |out| {
+        assert_eq!(moves(out), [(5, 0, 1), (5, 2, 1), (6, 2, 0)]);
+        assert_eq!(out.cvr_per_pm[0], (0, 6.0 / 29.0));
+    });
+}
+
+/// A copy-overhead entry in flight across the cut: PM 0 sheds a tenant at
+/// each of steps 0, 1 and 2 and each copy charges it for three steps
+/// (engine test
+/// `an_expiring_dual_entry_takes_its_pm_out_of_the_over_set_without_a_flip`),
+/// so the snapshot after step 1 holds two live entries. Nothing derived
+/// from them is persisted: the resumed run's first step re-derives every
+/// `observed` entry, charges the entries again and reports the PM stale,
+/// and the entries expire on the uninterrupted run's schedule.
+#[test]
+fn a_cut_with_a_dual_entry_in_flight_resumes_the_charge_and_its_expiry() {
+    let mut vms: Vec<VmSpec> = (0..4).map(|i| pinned_on(i, 10.0, 20.0)).collect();
+    vms.extend(fillers(4));
+    vms.extend(fillers(9));
+    let pms: Vec<PmSpec> = (0..6).map(|j| PmSpec::new(j, 100.0)).collect();
+    let placement = Placement {
+        assignment: (0..14)
+            .map(|i| Some(if i < 4 { 0 } else { 4 + (i - 4) / 5 }))
+            .collect(),
+        n_pms: 6,
+    };
+    let cfg = SimConfig {
+        dual_count_steps: 3,
+        violation_allowance: 0.0,
+        ..config(40, 3, false, RngLayout::Shared, 1)
+    };
+    resumed_at_cut_equals_uninterrupted(&vms, &pms, &placement, cfg, 2, |out| {
+        assert_eq!(moves(out), [(0, 0, 1), (1, 0, 1), (2, 0, 1)]);
+        assert_eq!(out.total_violation_steps, 3);
+    });
+}
