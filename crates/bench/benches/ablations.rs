@@ -1,35 +1,17 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! * stationary distribution by Gaussian elimination (Eq. 14) vs power
-//!   iteration (Eq. 13) — the paper chose the direct solve; quantify why;
 //! * spike-size clustering granularity (Algorithm 2's two-step placement)
 //!   vs no clustering — both cost and packing quality;
 //! * web-workload generation: exact renewal simulation vs the Gaussian
 //!   approximation used at Table-I population scales.
 
-use bursty_core::markov::{AggregateChain, OnOffChain};
+use bursty_core::markov::OnOffChain;
 use bursty_core::prelude::*;
 use bursty_core::workload::WebServerWorkload;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-
-fn bench_stationary_direct_vs_power(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_stationary_solver");
-    for k in [16usize, 48] {
-        let chain = AggregateChain::new(k, 0.01, 0.09);
-        group.bench_with_input(BenchmarkId::new("gaussian", k), &chain, |b, chain| {
-            b.iter(|| black_box(chain.stationary().unwrap()))
-        });
-        group.bench_with_input(
-            BenchmarkId::new("power_iteration", k),
-            &chain,
-            |b, chain| b.iter(|| black_box(chain.stationary_by_power().unwrap())),
-        );
-    }
-    group.finish();
-}
 
 fn bench_clustering_granularity(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_clustering_buckets");
@@ -67,52 +49,6 @@ fn bench_web_workload_exact_vs_fast(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_des_vs_stepped_engine(c: &mut Criterion) {
-    // Two substrate implementations of the same semantics: the DES skips
-    // quiet periods between events, the stepped engine touches every VM
-    // every period. The crossover depends on how rarely states switch.
-    use bursty_core::sim::des::{DesConfig, DesSimulator};
-    let mut group = c.benchmark_group("ablation_sim_engine");
-    let mut gen = FleetGenerator::new(8);
-    let vms = gen.vms(150, WorkloadPattern::EqualSpike);
-    let pms = gen.pms(150);
-    let consolidator = Consolidator::new(Scheme::Queue);
-    let placement = consolidator.place(&vms, &pms).unwrap();
-    let policy = QueuePolicy::new(QueueStrategy::build(16, 0.01, 0.09, 0.01));
-
-    group.bench_function("stepped_2000", |b| {
-        b.iter(|| {
-            let cfg = SimConfig {
-                steps: 2_000,
-                seed: 1,
-                migrations_enabled: false,
-                ..Default::default()
-            };
-            black_box(
-                Simulator::new(&vms, &pms, &policy, cfg)
-                    .run(&placement)
-                    .mean_cvr(),
-            )
-        })
-    });
-    group.bench_function("des_2000", |b| {
-        b.iter(|| {
-            let cfg = DesConfig {
-                steps: 2_000,
-                seed: 1,
-                migrations_enabled: false,
-                ..Default::default()
-            };
-            black_box(
-                DesSimulator::new(&vms, &pms, &policy, cfg)
-                    .run(&placement)
-                    .mean_cvr(),
-            )
-        })
-    });
-    group.finish();
-}
-
 fn bench_exact_vs_ffd(c: &mut Criterion) {
     use bursty_core::placement::exact::optimal_packing;
     let strategy = QueueStrategy::build(16, 0.01, 0.09, 0.01);
@@ -131,10 +67,8 @@ fn bench_exact_vs_ffd(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_stationary_direct_vs_power,
     bench_clustering_granularity,
     bench_web_workload_exact_vs_fast,
-    bench_des_vs_stepped_engine,
     bench_exact_vs_ffd
 );
 criterion_main!(benches);

@@ -42,7 +42,7 @@ fn bench_mapcal_stationary(c: &mut Criterion) {
     for k in [50usize, 200] {
         let chain = AggregateChain::new(k, 0.01, 0.09);
         group.bench_with_input(BenchmarkId::new("closed_form", k), &k, |b, _| {
-            b.iter(|| black_box(chain.stationary().unwrap()))
+            b.iter(|| black_box(chain.stationary()))
         });
         group.bench_with_input(BenchmarkId::new("gaussian_solver", k), &k, |b, _| {
             b.iter(|| black_box(chain.stationary_by_solver().unwrap()))

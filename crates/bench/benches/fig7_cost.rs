@@ -40,7 +40,7 @@ fn bench_mapcal_single_k(c: &mut Criterion) {
     for k in [16usize, 64, 128] {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             let chain = AggregateChain::new(k, 0.01, 0.09);
-            b.iter(|| black_box(chain.blocks_needed(0.01).unwrap()))
+            b.iter(|| black_box(chain.blocks_needed(0.01)))
         });
     }
     group.finish();

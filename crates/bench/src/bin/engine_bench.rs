@@ -832,7 +832,7 @@ fn main() {
     // loop MappingTable::build drives through reservation().
     let mapcal_closed = best_secs(repeats, || {
         (1..=mapcal_d)
-            .map(|k| AggregateChain::new(k, 0.01, 0.09).stationary().unwrap()[0])
+            .map(|k| AggregateChain::new(k, 0.01, 0.09).stationary()[0])
             .sum::<f64>()
     });
     let mapcal_gauss = best_secs(1, || {

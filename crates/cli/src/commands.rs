@@ -4,6 +4,7 @@ use crate::parse::Args;
 use crate::traces::{list_traces, read_trace};
 use crate::{err, CliError};
 use bursty_core::metrics::Log2Histogram;
+use bursty_core::placement::certify_exact;
 use bursty_core::placement::rounding::{round_with_policy, RoundingPolicy};
 use bursty_core::prelude::*;
 use bursty_core::workload::analysis;
@@ -36,12 +37,8 @@ pub fn reserve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     }
     let (p_on, p_off, rho) = probabilities(&args)?;
     let chain = AggregateChain::new(k, p_on, p_off);
-    let blocks = chain
-        .blocks_needed(rho)
-        .map_err(|e| err(format!("stationary solve failed: {e}")))?;
-    let cvr = chain
-        .cvr_with_blocks(blocks)
-        .map_err(|e| err(format!("stationary solve failed: {e}")))?;
+    let blocks = chain.blocks_needed(rho);
+    let cvr = chain.cvr_with_blocks(blocks);
     writeln!(
         out,
         "k = {k}, p_on = {p_on}, p_off = {p_off}, rho = {rho}: reserve {blocks} blocks \
@@ -149,6 +146,23 @@ pub fn plan(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         specs.len(),
         placement.pms_used(),
     )?;
+    // The guarantee itself, read off the fitted specs with no rounding
+    // and no simulation: how far under rho the rounded table landed.
+    let exact = certify_exact(&specs, &pms, &placement);
+    let cvrs: Vec<f64> = exact.iter().filter_map(|&(_, cvr)| cvr).collect();
+    if cvrs.len() < exact.len() {
+        writeln!(
+            out,
+            "exact stationary CVR per PM: not enumerable on {} PMs",
+            exact.len() - cvrs.len()
+        )?;
+    } else {
+        let Summary { max, mean, .. } = Summary::of(&cvrs);
+        writeln!(
+            out,
+            "exact stationary CVR per PM: max {max:.6}, mean {mean:.6} (rho {rho})"
+        )?;
+    }
     for (i, name) in names.iter().enumerate() {
         writeln!(
             out,

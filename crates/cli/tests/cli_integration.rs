@@ -67,6 +67,18 @@ fn plan_pipeline_writes_a_consistent_plan() {
     ]));
     assert!(out.contains("fitted 8 traces"), "{out}");
     assert!(out.contains("plan written"), "{out}");
+    // The exact per-PM law of the fitted fleet: the paper's guarantee,
+    // stated without simulating.
+    let exact = out
+        .lines()
+        .find_map(|l| l.strip_prefix("exact stationary CVR per PM: max "))
+        .unwrap_or_else(|| panic!("no exact-CVR line in:\n{out}"));
+    let (max, rest) = exact.split_once(", mean ").unwrap();
+    let (mean, rho) = rest.split_once(" (rho ").unwrap();
+    let max: f64 = max.parse().unwrap();
+    let mean: f64 = mean.parse().unwrap();
+    assert_eq!(rho, "0.01)");
+    assert!(mean <= max && max <= 0.01, "{exact}");
 
     let plan = fs::read_to_string(&plan_path).unwrap();
     let lines: Vec<&str> = plan.lines().collect();

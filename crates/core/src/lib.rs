@@ -39,7 +39,7 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`markov`] | ON-OFF chains, the aggregated busy-block chain (Eq. 12), binomial PMFs |
-//! | [`linalg`] | dense matrices, Gaussian elimination, power iteration |
+//! | [`linalg`] | dense matrices, Gaussian elimination (the stationary-law oracle) |
 //! | [`workload`] | VM/PM specs, workload patterns, fleet/trace/web-server generators |
 //! | [`placement`] | MapCal, QueuingFFD, the RP/RB/RB-EX baselines, online + multi-dim variants |
 //! | [`sim`] | the time-stepped data-center simulator with live migration |

@@ -71,8 +71,8 @@ pub fn run(ctx: &Ctx) -> Result<(), CtxError> {
     ]);
     for k in [4usize, 8, 16, 32] {
         let chain = AggregateChain::new(k, 0.01, 0.09);
-        let blocks = chain.blocks_needed(0.01).unwrap();
-        let m = block_system_metrics(&chain, blocks).unwrap();
+        let blocks = chain.blocks_needed(0.01);
+        let m = block_system_metrics(&chain, blocks);
         table.row(&[
             k.to_string(),
             blocks.to_string(),

@@ -37,7 +37,7 @@ pub fn run(ctx: &Ctx) -> Result<(), CtxError> {
     ]);
     for k in [4usize, 8, 16, 32] {
         let chain = AggregateChain::new(k, 0.01, 0.09);
-        let blocks = chain.blocks_needed(0.01).unwrap();
+        let blocks = chain.blocks_needed(0.01);
         let env = tolerance_envelope(k, blocks, 0.01, 0.09, 0.01);
         let survives = survives_relative_error(k, blocks, 0.01, 0.09, 0.01, 0.10);
         table.row(&[
@@ -63,8 +63,8 @@ pub fn run(ctx: &Ctx) -> Result<(), CtxError> {
     let chain = OnOffChain::new(0.01, 0.09);
     let r = chain.autocorrelation(1);
     let agg = AggregateChain::new(16, 0.01, 0.09);
-    let blocks = agg.blocks_needed(0.01).unwrap();
-    let true_cvr = agg.cvr_with_blocks(blocks).unwrap();
+    let blocks = agg.blocks_needed(0.01);
+    let true_cvr = agg.cvr_with_blocks(blocks);
     let iid_samples = samples_to_certify(true_cvr, 0.01, 0.95);
     let corrected = (iid_samples as f64 * (1.0 + r) / (1.0 - r)).ceil() as u64;
     println!(

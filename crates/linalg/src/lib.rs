@@ -1,27 +1,23 @@
 //! Minimal dense linear algebra for the burstiness-aware consolidation stack.
 //!
-//! The paper's MapCal algorithm (Algorithm 1) needs two numerical kernels:
-//!
-//! * solving the stationary-distribution system `ΠP = Π, Σπᵢ = 1` — a dense
-//!   linear solve performed here by [Gaussian elimination with partial
-//!   pivoting](solve::solve);
-//! * the defining limit `Π = lim Π₀Pᵗ` (paper Eq. 13) — implemented as
-//!   [power iteration](power::power_iteration) and used to cross-validate
-//!   the direct solve.
+//! The paper's MapCal algorithm (Algorithm 1, step 3) solves the
+//! stationary-distribution system `ΠP = Π, Σπᵢ = 1` — a dense linear
+//! solve performed here by [Gaussian elimination with partial
+//! pivoting](solve::solve). Production MapCal reads the same law off a
+//! closed-form binomial; this solve is the oracle it is checked against,
+//! and [`Matrix`] also carries the transient analysis (`Π₀Pᵗ`).
 //!
 //! Matrices are small (`(d+1)×(d+1)` with `d ≤ a few hundred`), so a simple
 //! row-major dense representation is the right tool; no external linear
 //! algebra dependency is needed.
 
 pub mod matrix;
-pub mod power;
 pub mod solve;
 pub mod stationary;
 
 pub use matrix::Matrix;
-pub use power::{power_iteration, PowerIterationOptions};
 pub use solve::{solve, LinalgError};
-pub use stationary::{stationary_by_power, stationary_distribution};
+pub use stationary::stationary_distribution;
 
 /// Default absolute tolerance used by the crate's convergence and validation
 /// checks. Stationary probabilities of interest are ≥ ρ ~ 1e-2; 1e-12 leaves

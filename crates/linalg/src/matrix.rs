@@ -133,7 +133,7 @@ impl Matrix {
 
     /// Row-vector × matrix product: `out[j] = Σᵢ v[i] · self[i][j]`.
     ///
-    /// This is the kernel of power iteration (`Π ← ΠP`).
+    /// This is one step of a chain's evolution (`Π ← ΠP`).
     ///
     /// # Panics
     /// Panics if `v.len() != self.rows()`.

@@ -11,8 +11,6 @@ pub enum LinalgError {
     Singular { pivot: f64 },
     /// Dimension mismatch between the matrix and right-hand side.
     DimensionMismatch { rows: usize, rhs: usize },
-    /// An iterative method failed to converge within its iteration budget.
-    NoConvergence { iterations: usize, residual: f64 },
 }
 
 impl fmt::Display for LinalgError {
@@ -23,15 +21,6 @@ impl fmt::Display for LinalgError {
             }
             LinalgError::DimensionMismatch { rows, rhs } => {
                 write!(f, "dimension mismatch: {rows} rows vs rhs of length {rhs}")
-            }
-            LinalgError::NoConvergence {
-                iterations,
-                residual,
-            } => {
-                write!(
-                    f,
-                    "no convergence after {iterations} iterations (residual {residual:.3e})"
-                )
             }
         }
     }
@@ -196,10 +185,7 @@ mod tests {
     fn error_display_is_informative() {
         let e = LinalgError::Singular { pivot: 1e-20 };
         assert!(e.to_string().contains("singular"));
-        let e = LinalgError::NoConvergence {
-            iterations: 10,
-            residual: 0.5,
-        };
+        let e = LinalgError::DimensionMismatch { rows: 3, rhs: 10 };
         assert!(e.to_string().contains("10"));
     }
 }

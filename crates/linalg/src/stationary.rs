@@ -6,7 +6,6 @@
 //! irreducible chain, so we overwrite the last row with the normalization
 //! equation and hand the now-nonsingular system to the direct solver.
 
-use crate::power::{power_iteration, PowerIterationOptions};
 use crate::solve::{solve, LinalgError};
 use crate::Matrix;
 
@@ -54,19 +53,6 @@ pub fn stationary_distribution(p: &Matrix) -> Result<Vec<f64>, LinalgError> {
     Ok(pi)
 }
 
-/// Computes the stationary distribution via power iteration from the point
-/// mass on state 0 — the paper's Eq. 13 taken literally. Used in tests to
-/// cross-validate [`stationary_distribution`].
-///
-/// # Errors
-/// [`LinalgError::NoConvergence`] for chains without a limiting distribution
-/// from that start (periodic chains).
-pub fn stationary_by_power(p: &Matrix) -> Result<Vec<f64>, LinalgError> {
-    let mut start = vec![0.0; p.rows()];
-    start[0] = 1.0;
-    power_iteration(p, &start, PowerIterationOptions::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,25 +70,6 @@ mod tests {
         let p = Matrix::from_vec(2, 2, vec![1.0 - p_on, p_on, p_off, 1.0 - p_off]);
         let pi = stationary_distribution(&p).unwrap();
         assert_close(&pi, &[p_off / (p_on + p_off), p_on / (p_on + p_off)], 1e-12);
-    }
-
-    #[test]
-    fn direct_and_power_agree_on_random_ergodic_chain() {
-        // Deterministic "random-looking" strictly positive chain.
-        let n = 6;
-        let p = {
-            let mut m = Matrix::from_fn(n, n, |i, j| ((i * 7 + j * 13) % 11 + 1) as f64);
-            for i in 0..n {
-                let s: f64 = m.row(i).iter().sum();
-                for j in 0..n {
-                    m[(i, j)] /= s;
-                }
-            }
-            m
-        };
-        let direct = stationary_distribution(&p).unwrap();
-        let power = stationary_by_power(&p).unwrap();
-        assert_close(&direct, &power, 1e-9);
     }
 
     #[test]
@@ -172,13 +139,5 @@ mod proptests {
             }
         }
 
-        #[test]
-        fn power_iteration_agrees_with_direct(p in stochastic_matrix(4)) {
-            let direct = stationary_distribution(&p).unwrap();
-            let power = stationary_by_power(&p).unwrap();
-            for (a, b) in direct.iter().zip(&power) {
-                prop_assert!((a - b).abs() < 1e-8);
-            }
-        }
     }
 }

@@ -16,7 +16,7 @@
 //! PM's capacity-violation ratio for any number of reserved blocks.
 
 use crate::binomial::BinomialPmf;
-use bursty_linalg::{stationary_by_power, stationary_distribution, LinalgError, Matrix};
+use bursty_linalg::{stationary_distribution, LinalgError, Matrix};
 
 /// Tie-break slack for the Eq. 15 cumulative test `Σ_{m ≤ K} π_m ≥ 1 − ρ`.
 ///
@@ -42,9 +42,9 @@ const RESERVATION_TIE_EPS: f64 = 1e-9;
 /// // Algorithm 1 in three lines: how many spike blocks must a PM with
 /// // 16 tenants reserve to keep violations under 1% of the time?
 /// let chain = AggregateChain::new(16, 0.01, 0.09);
-/// let blocks = chain.blocks_needed(0.01).unwrap();
+/// let blocks = chain.blocks_needed(0.01);
 /// assert_eq!(blocks, 5); // instead of 16 — the consolidation win
-/// assert!(chain.cvr_with_blocks(blocks).unwrap() <= 0.01);
+/// assert!(chain.cvr_with_blocks(blocks) <= 0.01);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AggregateChain {
@@ -96,9 +96,9 @@ impl AggregateChain {
 
     /// The full `(k+1) × (k+1)` one-step transition matrix `P`.
     ///
-    /// Cost `O(k³)`. Only the solver/power verification paths need it —
-    /// since [`AggregateChain::stationary`] went closed-form, building `P`
-    /// is no longer on MapCal's hot path.
+    /// Cost `O(k³)`. Only the solver oracle and the transient analysis
+    /// need it — [`AggregateChain::stationary`] is closed-form, so building
+    /// `P` is not on MapCal's path.
     pub fn transition_matrix(&self) -> Matrix {
         let n = self.k + 1;
         // Precompute the two PMF families once per row instead of per entry.
@@ -131,17 +131,13 @@ impl AggregateChain {
     /// ON-OFF chains with common switch probabilities, so its stationary
     /// law is exactly `Binomial(k, p_on / (p_on + p_off))` — each VM is ON
     /// with its own stationary probability, independently of the others.
-    /// This replaces the `O(k³)` Gaussian elimination of the original
-    /// MapCal implementation with an `O(k)` PMF evaluation; the solver is
-    /// retained as [`AggregateChain::stationary_by_solver`] for
-    /// cross-validation (a differential proptest pins the two to 1e-12).
-    ///
-    /// # Errors
-    /// Infallible for valid parameters; the `Result` is kept so callers
-    /// built against the solver-backed signature keep compiling.
-    pub fn stationary(&self) -> Result<Vec<f64>, LinalgError> {
+    /// An `O(k)` PMF evaluation, where the paper's Algorithm 1 solves an
+    /// `O(k³)` linear system; that solve is kept as the one oracle,
+    /// [`AggregateChain::stationary_by_solver`] (a differential proptest
+    /// pins the two to 1e-12).
+    pub fn stationary(&self) -> Vec<f64> {
         let q = self.p_on / (self.p_on + self.p_off);
-        Ok(BinomialPmf::new(self.k as u64, q).pmf_all())
+        BinomialPmf::new(self.k as u64, q).pmf_all()
     }
 
     /// Stationary distribution solved from the transition matrix via
@@ -156,24 +152,12 @@ impl AggregateChain {
         stationary_distribution(&self.transition_matrix())
     }
 
-    /// Stationary distribution via power iteration (paper Eq. 13) — an
-    /// independent oracle for cross-validation and ablation benches.
-    ///
-    /// # Errors
-    /// [`LinalgError::NoConvergence`] if the iteration budget is exhausted.
-    pub fn stationary_by_power(&self) -> Result<Vec<f64>, LinalgError> {
-        stationary_by_power(&self.transition_matrix())
-    }
-
     /// The capacity-violation ratio if only `blocks` serving windows are
     /// reserved: `CVR = Σ_{m > blocks} π_m` (paper Eq. 16).
-    ///
-    /// # Errors
-    /// Propagates stationary-distribution failures.
-    pub fn cvr_with_blocks(&self, blocks: usize) -> Result<f64, LinalgError> {
-        let pi = self.stationary()?;
+    pub fn cvr_with_blocks(&self, blocks: usize) -> f64 {
+        let pi = self.stationary();
         // Clamp: roundoff can leave a tail sum at -1e-17 for blocks = k.
-        Ok(pi.iter().skip(blocks + 1).sum::<f64>().max(0.0))
+        pi.iter().skip(blocks + 1).sum::<f64>().max(0.0)
     }
 
     /// The minimum number of blocks `K` with
@@ -182,13 +166,10 @@ impl AggregateChain {
     /// Always exists with `K ≤ k` because the full sum is 1; the
     /// interesting (resource-saving) case is `K < k`.
     ///
-    /// # Errors
-    /// Propagates stationary-distribution failures.
-    ///
     /// # Panics
     /// Panics unless `rho ∈ (0, 1)`.
-    pub fn blocks_needed(&self, rho: f64) -> Result<usize, LinalgError> {
-        Ok(self.reservation(rho)?.blocks)
+    pub fn blocks_needed(&self, rho: f64) -> usize {
+        self.reservation(rho).blocks
     }
 
     /// Eq. 15 and Eq. 16 answered by a *single* stationary evaluation: the
@@ -201,45 +182,24 @@ impl AggregateChain {
     /// # Knife edge
     /// When the cumulative sum `Σ_{m ≤ K} π_m` lands *exactly* on `1 − ρ`
     /// for some `K`, the raw comparison sits on a knife edge: any change
-    /// in how `π` is computed (closed form vs Gaussian solver vs power
-    /// iteration) perturbs the sum by a few ulps and could flip it, moving
-    /// `K` by one. The cumulative test therefore carries a
-    /// [`RESERVATION_TIE_EPS`] slack that is orders of magnitude above the
-    /// cross-path disagreement — both paths resolve every tie identically
-    /// (to the smaller, resource-saving `K`), which the knife-edge
-    /// differential regression test pins at exactly-representable tie
-    /// points.
-    ///
-    /// # Errors
-    /// Propagates stationary-distribution failures.
+    /// in how `π` is computed (closed form vs Gaussian solver) perturbs
+    /// the sum by a few ulps and could flip it, moving `K` by one. The
+    /// cumulative test therefore carries a [`RESERVATION_TIE_EPS`] slack
+    /// that is orders of magnitude above the cross-path disagreement —
+    /// both resolve every tie identically (to the smaller,
+    /// resource-saving `K`), which the knife-edge differential regression
+    /// test pins at exactly-representable tie points.
     ///
     /// # Panics
     /// Panics unless `rho ∈ (0, 1)`.
-    pub fn reservation(&self, rho: f64) -> Result<Reservation, LinalgError> {
-        let pi = self.stationary()?;
-        Ok(self.reservation_from_stationary(&pi, rho))
-    }
-
-    /// [`AggregateChain::reservation`] computed from the Gaussian-solver
-    /// stationary distribution instead of the closed form — the
-    /// differential oracle for the knife-edge tie-break: both paths share
-    /// the same epsilon-slackened cumulative test, so they must return the
-    /// same block count even at exact-tie parameter sets.
-    ///
-    /// # Errors
-    /// Propagates solver failures.
-    ///
-    /// # Panics
-    /// Panics unless `rho ∈ (0, 1)`.
-    pub fn reservation_by_solver(&self, rho: f64) -> Result<Reservation, LinalgError> {
-        let pi = self.stationary_by_solver()?;
-        Ok(self.reservation_from_stationary(&pi, rho))
+    pub fn reservation(&self, rho: f64) -> Reservation {
+        self.reservation_from_stationary(&self.stationary(), rho)
     }
 
     /// The shared Eq. 15/16 fold: minimal `K` with
     /// `Σ_{m ≤ K} π_m ≥ 1 − ρ − RESERVATION_TIE_EPS`, plus the certified
-    /// CVR at that `K`. Every reservation path must go through this one
-    /// comparison so a knife-edge tie cannot split them.
+    /// CVR at that `K`. The solver oracle's `π` goes through this same
+    /// comparison in the tests, so a knife-edge tie cannot split them.
     fn reservation_from_stationary(&self, pi: &[f64], rho: f64) -> Reservation {
         assert!(rho > 0.0 && rho < 1.0, "rho must be in (0,1), got {rho}");
         // Roundoff can leave the cumulative sum slightly below 1 − ρ at the
@@ -275,6 +235,12 @@ mod tests {
 
     const P_ON: f64 = 0.01;
     const P_OFF: f64 = 0.09;
+
+    /// The reservation read off the Gaussian-solver oracle's `π` through
+    /// the same Eq. 15/16 fold the closed form uses.
+    fn solver_reservation(agg: &AggregateChain, rho: f64) -> Reservation {
+        agg.reservation_from_stationary(&agg.stationary_by_solver().unwrap(), rho)
+    }
 
     #[test]
     fn k1_reduces_to_onoff_chain() {
@@ -315,7 +281,7 @@ mod tests {
         // Gaussian solver must agree with the closed form it verifies.
         let k = 10;
         let agg = AggregateChain::new(k, P_ON, P_OFF);
-        let pi = agg.stationary().unwrap();
+        let pi = agg.stationary();
         let solved = agg.stationary_by_solver().unwrap();
         let expect = BinomialPmf::new(k as u64, P_ON / (P_ON + P_OFF)).pmf_all();
         for (m, (&a, &b)) in pi.iter().zip(&expect).enumerate() {
@@ -327,41 +293,29 @@ mod tests {
     }
 
     #[test]
-    fn power_and_direct_stationary_agree() {
-        let agg = AggregateChain::new(8, 0.05, 0.2);
-        let a = agg.stationary().unwrap();
-        let b = agg.stationary_by_power().unwrap();
-        let c = agg.stationary_by_solver().unwrap();
-        for ((x, y), z) in a.iter().zip(&b).zip(&c) {
-            assert!((x - y).abs() < 1e-8);
-            assert!((x - z).abs() < 1e-10);
-        }
-    }
-
-    #[test]
     fn blocks_needed_paper_parameters() {
         // With p_on=0.01, p_off=0.09 (10% ON) and ρ=0.01, far fewer than k
         // blocks suffice — the entire point of the paper.
         let agg = AggregateChain::new(16, P_ON, P_OFF);
-        let blocks = agg.blocks_needed(0.01).unwrap();
+        let blocks = agg.blocks_needed(0.01);
         assert!(blocks < 16, "expected reduction, got K = {blocks}");
         assert!(
             blocks >= 1,
             "at 10% ON some reservation is needed, got K = {blocks}"
         );
         // Constraint actually holds…
-        assert!(agg.cvr_with_blocks(blocks).unwrap() <= 0.01 + 1e-12);
+        assert!(agg.cvr_with_blocks(blocks) <= 0.01 + 1e-12);
         // …and K is minimal.
         if blocks > 0 {
-            assert!(agg.cvr_with_blocks(blocks - 1).unwrap() > 0.01);
+            assert!(agg.cvr_with_blocks(blocks - 1) > 0.01);
         }
     }
 
     #[test]
     fn blocks_needed_monotone_in_rho() {
         let agg = AggregateChain::new(16, P_ON, P_OFF);
-        let strict = agg.blocks_needed(0.001).unwrap();
-        let loose = agg.blocks_needed(0.1).unwrap();
+        let strict = agg.blocks_needed(0.001);
+        let loose = agg.blocks_needed(0.1);
         assert!(strict >= loose, "stricter ρ must need ≥ blocks");
     }
 
@@ -369,9 +323,7 @@ mod tests {
     fn blocks_needed_monotone_in_k() {
         let mut prev = 0;
         for k in 1..=20 {
-            let b = AggregateChain::new(k, P_ON, P_OFF)
-                .blocks_needed(0.01)
-                .unwrap();
+            let b = AggregateChain::new(k, P_ON, P_OFF).blocks_needed(0.01);
             assert!(b >= prev, "k={k}: blocks {b} < previous {prev}");
             assert!(b <= k);
             prev = b;
@@ -383,9 +335,9 @@ mod tests {
         // The single-solve API must agree with the two independent ones.
         for k in [1usize, 4, 16] {
             let agg = AggregateChain::new(k, P_ON, P_OFF);
-            let res = agg.reservation(0.01).unwrap();
-            assert_eq!(res.blocks, agg.blocks_needed(0.01).unwrap());
-            let cvr = agg.cvr_with_blocks(res.blocks).unwrap();
+            let res = agg.reservation(0.01);
+            assert_eq!(res.blocks, agg.blocks_needed(0.01));
+            let cvr = agg.cvr_with_blocks(res.blocks);
             assert!((res.cvr - cvr).abs() < 1e-12, "k={k}: {} vs {cvr}", res.cvr);
             assert!(res.cvr <= 0.01 + 1e-12);
         }
@@ -394,15 +346,15 @@ mod tests {
     #[test]
     fn full_reservation_has_zero_cvr() {
         let agg = AggregateChain::new(12, P_ON, P_OFF);
-        assert_eq!(agg.cvr_with_blocks(12).unwrap(), 0.0);
+        assert_eq!(agg.cvr_with_blocks(12), 0.0);
     }
 
     #[test]
     fn zero_blocks_cvr_is_on_probability_complement() {
         let agg = AggregateChain::new(5, 0.3, 0.3);
         // CVR with 0 blocks = Pr[θ ≥ 1] = 1 − π_0.
-        let pi = agg.stationary().unwrap();
-        let cvr = agg.cvr_with_blocks(0).unwrap();
+        let pi = agg.stationary();
+        let cvr = agg.cvr_with_blocks(0);
         assert!((cvr - (1.0 - pi[0])).abs() < 1e-12);
     }
 
@@ -410,7 +362,7 @@ mod tests {
     fn heavy_on_traffic_needs_nearly_full_reservation() {
         // 90% ON: reserving much less than k must violate a tight ρ.
         let agg = AggregateChain::new(10, 0.09, 0.01);
-        let blocks = agg.blocks_needed(0.01).unwrap();
+        let blocks = agg.blocks_needed(0.01);
         assert!(
             blocks >= 9,
             "heavy traffic should need ≥ 9 blocks, got {blocks}"
@@ -441,8 +393,8 @@ mod tests {
         // epsilon tie-break must make both pick the same (smaller) K.
         for &(k, rho, tie_blocks) in &[(2usize, 0.25f64, 1usize), (4, 0.3125, 2)] {
             let agg = AggregateChain::new(k, 0.5, 0.5);
-            let closed = agg.reservation(rho).unwrap();
-            let solved = agg.reservation_by_solver(rho).unwrap();
+            let closed = agg.reservation(rho);
+            let solved = solver_reservation(&agg, rho);
             assert_eq!(
                 closed.blocks, solved.blocks,
                 "k={k} ρ={rho}: closed-form K={} vs solver K={}",
@@ -462,8 +414,8 @@ mod tests {
         for k in 1..=20 {
             let agg = AggregateChain::new(k, P_ON, P_OFF);
             for rho in [0.001, 0.01, 0.1] {
-                let closed = agg.reservation(rho).unwrap();
-                let solved = agg.reservation_by_solver(rho).unwrap();
+                let closed = agg.reservation(rho);
+                let solved = solver_reservation(&agg, rho);
                 assert_eq!(closed.blocks, solved.blocks, "k={k} ρ={rho}");
                 assert!((closed.cvr - solved.cvr).abs() < 1e-10, "k={k} ρ={rho}");
             }
@@ -492,7 +444,7 @@ mod proptests {
             k in 1usize..16, p_on in 0.01f64..0.9, p_off in 0.01f64..0.9
         ) {
             let agg = AggregateChain::new(k, p_on, p_off);
-            let pi = agg.stationary().unwrap();
+            let pi = agg.stationary();
             let q = p_on / (p_on + p_off);
             let expect = BinomialPmf::new(k as u64, q).pmf_all();
             for (a, b) in pi.iter().zip(&expect) {
@@ -508,7 +460,7 @@ mod proptests {
             k in 1usize..24, p_on in 0.005f64..0.995, p_off in 0.005f64..0.995
         ) {
             let agg = AggregateChain::new(k, p_on, p_off);
-            let closed = agg.stationary().unwrap();
+            let closed = agg.stationary();
             let solved = agg.stationary_by_solver().unwrap();
             prop_assert_eq!(closed.len(), solved.len());
             for (m, (a, b)) in closed.iter().zip(&solved).enumerate() {
@@ -524,10 +476,10 @@ mod proptests {
             k in 1usize..14, rho in 0.001f64..0.3
         ) {
             let agg = AggregateChain::new(k, 0.01, 0.09);
-            let blocks = agg.blocks_needed(rho).unwrap();
-            prop_assert!(agg.cvr_with_blocks(blocks).unwrap() <= rho + 1e-9);
+            let blocks = agg.blocks_needed(rho);
+            prop_assert!(agg.cvr_with_blocks(blocks) <= rho + 1e-9);
             if blocks > 0 {
-                prop_assert!(agg.cvr_with_blocks(blocks - 1).unwrap() > rho - 1e-9);
+                prop_assert!(agg.cvr_with_blocks(blocks - 1) > rho - 1e-9);
             }
         }
 
@@ -538,7 +490,7 @@ mod proptests {
             let agg = AggregateChain::new(k, p_on, p_off);
             let mut prev = f64::INFINITY;
             for b in 0..=k {
-                let cvr = agg.cvr_with_blocks(b).unwrap();
+                let cvr = agg.cvr_with_blocks(b);
                 prop_assert!(cvr <= prev + 1e-12);
                 prev = cvr;
             }

@@ -11,7 +11,6 @@
 //!   `Geom/Geom/k` system with no waiting room. Its stationary distribution
 //!   drives the MapCal reservation rule.
 //! * [`binomial`] — numerically robust binomial PMFs used by Eq. 12.
-
 //! * [`transient`] — finite-horizon behaviour: `Π_t = Π₀Pᵗ`, expected
 //!   violations over a window, and mixing time (the paper's "stabilized
 //!   within ~10 σ" observation, made analytic).
@@ -20,7 +19,6 @@
 
 pub mod aggregate;
 pub mod binomial;
-pub mod birthdeath;
 pub mod onoff;
 pub mod queueing;
 pub mod robustness;
@@ -28,7 +26,6 @@ pub mod transient;
 
 pub use aggregate::{AggregateChain, Reservation};
 pub use binomial::BinomialPmf;
-pub use birthdeath::BirthDeathApprox;
 pub use onoff::{OnOffChain, VmState};
 pub use queueing::{block_system_metrics, BlockSystemMetrics};
 pub use robustness::{survives_relative_error, tolerance_envelope, ToleranceEnvelope};

@@ -14,7 +14,6 @@
 
 use crate::aggregate::AggregateChain;
 use crate::binomial::BinomialPmf;
-use bursty_linalg::LinalgError;
 
 /// Loss-system measures for `k` sources sharing `blocks` serving windows.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,16 +39,9 @@ pub struct BlockSystemMetrics {
 
 /// Computes the loss-system measures for an aggregate chain with a given
 /// reservation level.
-///
-/// # Errors
-/// Propagates stationary-distribution failures (cannot occur for valid
-/// parameters).
-pub fn block_system_metrics(
-    chain: &AggregateChain,
-    blocks: usize,
-) -> Result<BlockSystemMetrics, LinalgError> {
+pub fn block_system_metrics(chain: &AggregateChain, blocks: usize) -> BlockSystemMetrics {
     let k = chain.k();
-    let pi = chain.stationary()?;
+    let pi = chain.stationary();
     let (p_on, p_off) = probe_probabilities(chain);
 
     let offered_load: f64 = pi.iter().enumerate().map(|(m, &p)| m as f64 * p).sum();
@@ -103,8 +95,8 @@ pub fn block_system_metrics(
         0.0
     };
 
-    let cvr = chain.cvr_with_blocks(blocks)?;
-    Ok(BlockSystemMetrics {
+    let cvr = chain.cvr_with_blocks(blocks);
+    BlockSystemMetrics {
         k,
         blocks,
         offered_load,
@@ -112,7 +104,7 @@ pub fn block_system_metrics(
         utilization,
         blocking_probability,
         cvr,
-    })
+    }
 }
 
 /// Recovers (p_on, p_off) from a chain by probing its `k = i` transition
@@ -148,14 +140,14 @@ mod tests {
     #[test]
     fn offered_load_is_k_times_on_fraction() {
         let chain = AggregateChain::new(10, P_ON, P_OFF);
-        let m = block_system_metrics(&chain, 3).unwrap();
+        let m = block_system_metrics(&chain, 3);
         assert!((m.offered_load - 10.0 * 0.1).abs() < 1e-9);
     }
 
     #[test]
     fn full_reservation_never_blocks() {
         let chain = AggregateChain::new(8, P_ON, P_OFF);
-        let m = block_system_metrics(&chain, 8).unwrap();
+        let m = block_system_metrics(&chain, 8);
         assert!(m.blocking_probability < 1e-12);
         assert_eq!(m.cvr, 0.0);
         assert!((m.carried_load - m.offered_load).abs() < 1e-9);
@@ -164,7 +156,7 @@ mod tests {
     #[test]
     fn zero_blocks_always_blocks() {
         let chain = AggregateChain::new(5, P_ON, P_OFF);
-        let m = block_system_metrics(&chain, 0).unwrap();
+        let m = block_system_metrics(&chain, 0);
         assert!((m.blocking_probability - 1.0).abs() < 1e-9);
         assert_eq!(m.utilization, 0.0);
         assert_eq!(m.carried_load, 0.0);
@@ -175,7 +167,7 @@ mod tests {
         let chain = AggregateChain::new(12, P_ON, P_OFF);
         let mut prev = f64::INFINITY;
         for blocks in 0..=12 {
-            let m = block_system_metrics(&chain, blocks).unwrap();
+            let m = block_system_metrics(&chain, blocks);
             assert!(
                 m.blocking_probability <= prev + 1e-12,
                 "blocks={blocks}: {} > {prev}",
@@ -189,7 +181,7 @@ mod tests {
     fn carried_never_exceeds_offered_or_capacity() {
         let chain = AggregateChain::new(16, 0.05, 0.1);
         for blocks in [1usize, 3, 8, 16] {
-            let m = block_system_metrics(&chain, blocks).unwrap();
+            let m = block_system_metrics(&chain, blocks);
             assert!(m.carried_load <= m.offered_load + 1e-12);
             assert!(m.carried_load <= blocks as f64 + 1e-12);
             assert!((0.0..=1.0 + 1e-12).contains(&m.utilization));
@@ -201,8 +193,8 @@ mod tests {
         // Blocking probability at the MapCal reservation is of the same
         // order as ρ — the loss view agrees with the time view.
         let chain = AggregateChain::new(16, P_ON, P_OFF);
-        let blocks = chain.blocks_needed(0.01).unwrap();
-        let m = block_system_metrics(&chain, blocks).unwrap();
+        let blocks = chain.blocks_needed(0.01);
+        let m = block_system_metrics(&chain, blocks);
         assert!(
             m.blocking_probability < 0.05,
             "blocking {}",
@@ -219,9 +211,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let (k, blocks) = (8usize, 2usize);
         let chain = AggregateChain::new(k, 0.05, 0.15);
-        let predicted = block_system_metrics(&chain, blocks)
-            .unwrap()
-            .blocking_probability;
+        let predicted = block_system_metrics(&chain, blocks).blocking_probability;
 
         let mut rng = StdRng::seed_from_u64(42);
         let mut on = vec![false; k];

@@ -29,9 +29,7 @@ pub struct ToleranceEnvelope {
 
 /// CVR of a `(k, blocks)` system at given true parameters.
 fn cvr_at(k: usize, blocks: usize, p_on: f64, p_off: f64) -> f64 {
-    AggregateChain::new(k, p_on, p_off)
-        .cvr_with_blocks(blocks)
-        .expect("valid parameters yield an ergodic chain")
+    AggregateChain::new(k, p_on, p_off).cvr_with_blocks(blocks)
 }
 
 /// Computes the tolerance envelope for the reservation `blocks` on a PM of
@@ -41,7 +39,7 @@ fn cvr_at(k: usize, blocks: usize, p_on: f64, p_off: f64) -> f64 {
 /// ```
 /// use bursty_markov::{tolerance_envelope, AggregateChain};
 ///
-/// let blocks = AggregateChain::new(16, 0.01, 0.09).blocks_needed(0.01).unwrap();
+/// let blocks = AggregateChain::new(16, 0.01, 0.09).blocks_needed(0.01);
 /// let env = tolerance_envelope(16, blocks, 0.01, 0.09, 0.01);
 /// // The plan survives ~29% under-estimation of the spike frequency —
 /// // comfortably covering trace-fitting error.
@@ -145,9 +143,7 @@ mod tests {
     const RHO: f64 = 0.01;
 
     fn planned_blocks(k: usize) -> usize {
-        AggregateChain::new(k, P_ON, P_OFF)
-            .blocks_needed(RHO)
-            .unwrap()
+        AggregateChain::new(k, P_ON, P_OFF).blocks_needed(RHO)
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl TransientAnalysis {
     /// Total-variation distance between the cold-start distribution at `t`
     /// and the stationary distribution.
     pub fn tv_distance_at(&self, t: u32) -> f64 {
-        let stationary = self.chain.stationary().expect("ergodic chain");
+        let stationary = self.chain.stationary();
         let dist = self.distribution_at(&self.cold_start(), t);
         0.5 * dist
             .iter()
@@ -125,7 +125,7 @@ impl TransientAnalysis {
     /// or so".
     pub fn mixing_time(&self, eps: f64, max_t: u32) -> Option<u32> {
         assert!(eps > 0.0, "eps must be positive");
-        let stationary = self.chain.stationary().expect("ergodic chain");
+        let stationary = self.chain.stationary();
         let mut dist = self.cold_start();
         for t in 0..=max_t {
             let tv = 0.5
@@ -203,21 +203,39 @@ mod tests {
     fn long_horizon_converges_to_stationary() {
         let a = analysis(8);
         let late = a.distribution_at(&a.cold_start(), 5_000);
-        let stationary = a.chain().stationary().unwrap();
+        let stationary = a.chain().stationary();
         for (x, y) in late.iter().zip(&stationary) {
             assert!((x - y).abs() < 1e-9);
         }
     }
 
     #[test]
+    fn dynamics_differ_even_if_stationary_agrees() {
+        // The stationary law is the same binomial a textbook birth-death
+        // (one event per slot) chain would give; the dense Eq. 12 matrix
+        // earns its keep in the transient. From state 0 the chain can
+        // jump straight to state 2 (two VMs spiking in one period)…
+        let agg = AggregateChain::new(8, 0.3, 0.3);
+        let p02 = agg.transition_prob(0, 2);
+        assert!(
+            p02 > 0.05,
+            "simultaneous spikes must be likely at p_on = 0.3, got {p02}"
+        );
+        // …so one step after a cold start a single reserved block can
+        // already be exceeded, which no single-event walker could do.
+        let t = TransientAnalysis::new(agg);
+        assert!(t.violation_probability_at(1, 1) > 0.0);
+    }
+
+    #[test]
     fn violation_probability_rises_from_zero_to_cvr() {
         let k = 12;
         let a = analysis(k);
-        let blocks = a.chain().blocks_needed(0.01).unwrap();
+        let blocks = a.chain().blocks_needed(0.01);
         assert_eq!(a.violation_probability_at(blocks, 0), 0.0);
         let early = a.violation_probability_at(blocks, 3);
         let late = a.violation_probability_at(blocks, 2_000);
-        let cvr = a.chain().cvr_with_blocks(blocks).unwrap();
+        let cvr = a.chain().cvr_with_blocks(blocks);
         assert!(
             early < late,
             "violation probability must grow from cold start"
@@ -234,7 +252,7 @@ mod tests {
         // starts all-OFF and only approaches stationarity from below.
         let k = 12;
         let a = analysis(k);
-        let blocks = a.chain().blocks_needed(0.01).unwrap();
+        let blocks = a.chain().blocks_needed(0.01);
         let horizon = 100;
         let expected = a.expected_violations(blocks, horizon);
         assert!(expected <= 0.01 * horizon as f64 + 1e-9);
@@ -248,7 +266,7 @@ mod tests {
         let e100 = a.expected_violations(2, 100);
         assert!(e100 > e50);
         // Increments approach the stationary per-step rate.
-        let cvr = a.chain().cvr_with_blocks(2).unwrap();
+        let cvr = a.chain().cvr_with_blocks(2);
         let tail_rate =
             (a.expected_violations(2, 2_000) - a.expected_violations(2, 1_000)) / 1_000.0;
         assert!((tail_rate - cvr).abs() < 1e-6);

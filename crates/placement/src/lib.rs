@@ -13,9 +13,11 @@
 //!   (RB-EX: FFD by `R_b` with a δ-fraction reserve).
 //! * [`pack::first_fit`] — the shared First-Fit driver; with a strategy's
 //!   decreasing order it becomes the paper's FFD family. It finds each
-//!   slot through an [`index::HeadroomIndex`] segment tree in `O(log m)`;
-//!   [`pack::first_fit_linear`] keeps the `O(m)`-scan reference the
-//!   indexed form is differentially tested against.
+//!   slot through an [`index::HeadroomIndex`] segment tree in `O(log m)`.
+//! * [`certify::certify_exact`] — the exact stationary CVR of every PM of
+//!   a placement (a convolution of the independent ON-OFF laws): the
+//!   oracle the table above and both simulator layouts are checked
+//!   against.
 //! * [`online::OnlineCluster`] — §IV-E's online arrivals/exits, including
 //!   heterogeneous-probability rounding.
 //! * [`multidim`] — §IV-E's per-dimension reservation with plain First Fit.
@@ -26,6 +28,7 @@
 //! branch-and-bound optimum for validating FFD quality on small instances.
 
 pub mod batch;
+pub mod certify;
 pub mod clustering;
 pub mod defrag;
 pub mod evacuate;
@@ -43,14 +46,12 @@ pub mod sbp;
 pub mod strategy;
 
 pub use batch::{first_fit_batch, first_fit_batch_recorded, first_fit_batch_with, PlacementState};
+pub use certify::{certify_exact, pm_cvr_exact, CAP_EPS};
 pub use evacuate::{evacuate_batch, evacuate_batch_recorded, EvacuationOutcome};
 pub use index::{HeadroomIndex, OrderedHeadroom};
 pub use load::PmLoad;
 pub use mapcal::{mapping_cache_stats, MappingCacheStats, MappingTable};
 pub use online::{round_probabilities, OnlineCluster, ReferenceOnlineCluster, StateDigest};
-pub use pack::{
-    best_fit, best_fit_linear, best_fit_recorded, first_fit, first_fit_linear, first_fit_recorded,
-    PackError,
-};
+pub use pack::{best_fit, best_fit_recorded, first_fit, first_fit_recorded, PackError};
 pub use placement::Placement;
 pub use strategy::{BaseStrategy, PeakStrategy, QueueStrategy, ReserveStrategy, Strategy};

@@ -67,9 +67,7 @@ impl MappingTable {
         for k in 1..=d {
             let chain = AggregateChain::new(k, p_on, p_off);
             // One stationary solve per k yields both quantities.
-            let res = chain
-                .reservation(rho)
-                .expect("aggregate chain of valid parameters is ergodic");
+            let res = chain.reservation(rho);
             blocks.push(res.blocks);
             cvrs.push(res.cvr);
         }
@@ -238,9 +236,8 @@ mod tests {
             assert!(t.certified_cvr(k) <= RHO + 1e-12, "k={k}");
         }
         // And they match an independent recomputation.
-        let cvr = bursty_markov::AggregateChain::new(16, P_ON, P_OFF)
-            .cvr_with_blocks(t.blocks_for(16))
-            .unwrap();
+        let cvr =
+            bursty_markov::AggregateChain::new(16, P_ON, P_OFF).cvr_with_blocks(t.blocks_for(16));
         assert!((t.certified_cvr(16) - cvr).abs() < 1e-12);
     }
 
@@ -350,8 +347,7 @@ mod proptests {
                 prop_assert!(blocks <= k);
                 // The certified CVR bound must actually hold.
                 let cvr = bursty_markov::AggregateChain::new(k, p_on, p_off)
-                    .cvr_with_blocks(blocks)
-                    .unwrap();
+                    .cvr_with_blocks(blocks);
                 prop_assert!(cvr <= rho + 1e-9, "k={k} blocks={blocks} cvr={cvr}");
                 // …and the stored certificate must be that same number.
                 prop_assert!((t.certified_cvr(k) - cvr).abs() < 1e-9);

@@ -26,7 +26,7 @@ use crate::batch::{admit_run, admit_run_empty, class_schedule, collapse_classes,
 use crate::clustering::{cluster_order, default_buckets};
 use crate::index::HeadroomIndex;
 use crate::load::PmLoad;
-use crate::pack::{probe_first_fit_recorded, PackError, PRUNE_SLACK};
+use crate::pack::{probe_first_fit, probe_first_fit_recorded, PackError, PRUNE_SLACK};
 use crate::strategy::{QueueStrategy, Strategy};
 use bursty_obs::durable::{put_f64, put_u32, put_usize, Cursor, FrameError};
 use bursty_obs::{Counter, NoopRecorder, Recorder};
@@ -254,35 +254,12 @@ impl ReferenceOnlineCluster {
     /// # Panics
     /// Panics if the VM id is already present.
     pub fn arrive(&mut self, vm: VmSpec) -> Result<usize, PackError> {
-        self.arrive_recorded(vm, &mut NoopRecorder)
-    }
-
-    /// [`arrive`](Self::arrive) with instrumentation: probe counts plus
-    /// one [`Counter::OnlineArrivals`] on success.
-    ///
-    /// # Errors
-    /// [`PackError`] if no PM admits the VM.
-    ///
-    /// # Panics
-    /// Panics if the VM id is already present.
-    pub fn arrive_recorded<R: Recorder>(
-        &mut self,
-        vm: VmSpec,
-        rec: &mut R,
-    ) -> Result<usize, PackError> {
         assert!(
             !self.vms.contains_key(&vm.id),
             "VM id {} already in the cluster",
             vm.id
         );
-        let slot = probe_first_fit_recorded(
-            &self.index,
-            &self.loads,
-            &self.pms,
-            &self.strategy,
-            &vm,
-            rec,
-        );
+        let slot = probe_first_fit(&self.index, &self.loads, &self.pms, &self.strategy, &vm);
         match slot {
             Some(j) => {
                 self.loads[j].add(&vm);
@@ -290,7 +267,6 @@ impl ReferenceOnlineCluster {
                 self.hosts.insert(vm.id, j);
                 self.members[j].push(vm.id);
                 self.vms.insert(vm.id, vm);
-                rec.counter_inc(Counter::OnlineArrivals);
                 Ok(j)
             }
             None => Err(PackError { vm_id: vm.id }),
@@ -300,16 +276,7 @@ impl ReferenceOnlineCluster {
     /// Removes a VM (§IV-E: "when a VM quits, we simply recalculate the
     /// size of the queue on the PM"). Returns its former host.
     pub fn depart(&mut self, vm_id: usize) -> Option<usize> {
-        self.depart_recorded(vm_id, &mut NoopRecorder)
-    }
-
-    /// [`depart`](Self::depart) with instrumentation: one
-    /// [`Counter::OnlineDepartures`] when the VM was present, plus the
-    /// survivor count under [`Counter::DepartRebuildVisits`] — bounded by
-    /// `d`, never the fleet size.
-    pub fn depart_recorded<R: Recorder>(&mut self, vm_id: usize, rec: &mut R) -> Option<usize> {
         let host = self.hosts.remove(&vm_id)?;
-        rec.counter_inc(Counter::OnlineDepartures);
         self.vms.remove(&vm_id);
         let list = &mut self.members[host];
         let pos = list
@@ -317,10 +284,6 @@ impl ReferenceOnlineCluster {
             .position(|&id| id == vm_id)
             .expect("departing VM must be on its host's member list");
         list.swap_remove(pos);
-        rec.counter_add(
-            Counter::DepartRebuildVisits,
-            self.members[host].len() as u64,
-        );
         // Canonical rebuild: collapse the survivors into class cells and
         // fold in class-key order, matching the fast engine bit for bit.
         let mut cells: Vec<ClassCell> = Vec::new();
@@ -349,26 +312,6 @@ impl ReferenceOnlineCluster {
     /// Panics if any batch member's id is already present, or appears
     /// twice in the batch.
     pub fn arrive_batch(&mut self, batch: Vec<VmSpec>) -> Result<Vec<(usize, usize)>, PackError> {
-        self.arrive_batch_recorded(batch, &mut NoopRecorder)
-    }
-
-    /// [`arrive_batch`](Self::arrive_batch) with instrumentation: one
-    /// [`Counter::OnlineBatches`], probe counts, plus one
-    /// [`Counter::OnlineArrivals`] per placed member (members placed
-    /// before a mid-batch failure stay counted — they stay placed).
-    ///
-    /// # Errors
-    /// [`PackError`] at the first unplaceable VM. VMs placed before the
-    /// failure stay placed (the online system cannot un-arrive them).
-    ///
-    /// # Panics
-    /// Panics if any batch member's id is already present, or appears
-    /// twice in the batch.
-    pub fn arrive_batch_recorded<R: Recorder>(
-        &mut self,
-        batch: Vec<VmSpec>,
-        rec: &mut R,
-    ) -> Result<Vec<(usize, usize)>, PackError> {
         let mut seen = HashSet::with_capacity(batch.len());
         for vm in &batch {
             assert!(
@@ -377,7 +320,6 @@ impl ReferenceOnlineCluster {
                 vm.id
             );
         }
-        rec.counter_inc(Counter::OnlineBatches);
         let order = cluster_order(&batch, default_buckets(batch.len()));
         let mut result = Vec::with_capacity(batch.len());
         // Place one by one so partial progress is recorded before an error;
@@ -385,21 +327,13 @@ impl ReferenceOnlineCluster {
         // member costs one O(log m) probe instead of an O(m) scan.
         for &i in &order {
             let vm = batch[i];
-            let slot = probe_first_fit_recorded(
-                &self.index,
-                &self.loads,
-                &self.pms,
-                &self.strategy,
-                &vm,
-                rec,
-            );
+            let slot = probe_first_fit(&self.index, &self.loads, &self.pms, &self.strategy, &vm);
             let j = slot.ok_or(PackError { vm_id: vm.id })?;
             self.loads[j].add(&vm);
             self.refresh_pm(j);
             self.hosts.insert(vm.id, j);
             self.members[j].push(vm.id);
             self.vms.insert(vm.id, vm);
-            rec.counter_inc(Counter::OnlineArrivals);
             result.push((vm.id, j));
         }
         Ok(result)
@@ -411,14 +345,6 @@ impl ReferenceOnlineCluster {
     /// moved no more than ε per component. Returns the new rounded pair,
     /// or `None` when the cluster is empty.
     pub fn recalibrate(&mut self) -> Option<(f64, f64)> {
-        self.recalibrate_recorded(&mut NoopRecorder)
-    }
-
-    /// [`recalibrate`](Self::recalibrate) with instrumentation: one
-    /// [`Counter::OnlineRecalibrations`] per pass over a non-empty
-    /// cluster, plus [`Counter::OnlineRecalibrationsSkipped`] when the
-    /// ε-gate kept the cached table.
-    pub fn recalibrate_recorded<R: Recorder>(&mut self, rec: &mut R) -> Option<(f64, f64)> {
         let mut classes: Vec<([u64; 4], f64, f64, u64)> = Vec::new();
         for v in self.vms.values() {
             let key = VmClass::of(v).key();
@@ -428,10 +354,8 @@ impl ReferenceOnlineCluster {
             }
         }
         let (p_on, p_off) = round_classed(&mut classes)?;
-        rec.counter_inc(Counter::OnlineRecalibrations);
         let current = self.strategy.mapping().probabilities();
         if (p_on - current.0).abs() <= self.epsilon && (p_off - current.1).abs() <= self.epsilon {
-            rec.counter_inc(Counter::OnlineRecalibrationsSkipped);
             return Some((p_on, p_off));
         }
         self.strategy = QueueStrategy::build(self.d, p_on, p_off, self.rho);
@@ -1572,24 +1496,6 @@ mod tests {
     }
 
     #[test]
-    fn reference_recorded_churn_counts_match_contract() {
-        let mut c = ref_cluster(&[100.0, 100.0]);
-        let mut rec = MemoryRecorder::new(0);
-        c.arrive_recorded(vm(0, 10.0, 5.0), &mut rec).unwrap();
-        c.arrive_batch_recorded(vec![vm(1, 10.0, 5.0), vm(2, 10.0, 5.0)], &mut rec)
-            .unwrap();
-        assert_eq!(rec.counter(Counter::OnlineArrivals), 3);
-        assert_eq!(rec.counter(Counter::OnlineBatches), 1);
-        assert!(rec.counter(Counter::PackProbes) >= 3);
-        assert_eq!(c.depart_recorded(1, &mut rec), Some(0));
-        assert_eq!(c.depart_recorded(99, &mut rec), None, "unknown VM");
-        assert_eq!(rec.counter(Counter::OnlineDepartures), 1);
-        c.recalibrate_recorded(&mut rec).unwrap();
-        assert_eq!(rec.counter(Counter::OnlineRecalibrations), 1);
-        c.check_consistency().unwrap();
-    }
-
-    #[test]
     #[should_panic(expected = "already in the cluster")]
     fn duplicate_arrival_panics() {
         let mut c = cluster(&[100.0]);
@@ -1635,37 +1541,27 @@ mod tests {
         // Satellite 1 regression: a departure must touch only the host
         // PM's survivors (≤ d), never the fleet — so per-departure visit
         // counts are identical at 128 and 1024 VMs.
-        for engine_is_fast in [true, false] {
-            let mut per_fleet_max: Vec<u64> = Vec::new();
-            for n in [128usize, 1024] {
-                let caps = vec![100.0; n];
-                let mut fast = cluster(&caps);
-                let mut slow = ref_cluster(&caps);
-                for i in 0..n {
-                    let v = vm(i, 6.0 + (i % 3) as f64, 4.0 + (i % 2) as f64);
-                    fast.arrive(v).unwrap();
-                    slow.arrive(v).unwrap();
-                }
-                let mut max_visits = 0u64;
-                for i in (0..n).step_by(n / 8) {
-                    let mut rec = MemoryRecorder::new(0);
-                    let host = if engine_is_fast {
-                        fast.depart_recorded(i, &mut rec)
-                    } else {
-                        slow.depart_recorded(i, &mut rec)
-                    };
-                    assert!(host.is_some());
-                    let visits = rec.counter(Counter::DepartRebuildVisits);
-                    assert!(visits <= 16, "visits {visits} exceed the d = 16 cap");
-                    max_visits = max_visits.max(visits);
-                }
-                per_fleet_max.push(max_visits);
+        let mut per_fleet_max: Vec<u64> = Vec::new();
+        for n in [128usize, 1024] {
+            let mut c = cluster(&vec![100.0; n]);
+            for i in 0..n {
+                c.arrive(vm(i, 6.0 + (i % 3) as f64, 4.0 + (i % 2) as f64))
+                    .unwrap();
             }
-            assert_eq!(
-                per_fleet_max[0], per_fleet_max[1],
-                "per-departure rebuild work must not grow with the fleet"
-            );
+            let mut max_visits = 0u64;
+            for i in (0..n).step_by(n / 8) {
+                let mut rec = MemoryRecorder::new(0);
+                assert!(c.depart_recorded(i, &mut rec).is_some());
+                let visits = rec.counter(Counter::DepartRebuildVisits);
+                assert!(visits <= 16, "visits {visits} exceed the d = 16 cap");
+                max_visits = max_visits.max(visits);
+            }
+            per_fleet_max.push(max_visits);
         }
+        assert_eq!(
+            per_fleet_max[0], per_fleet_max[1],
+            "per-departure rebuild work must not grow with the fleet"
+        );
     }
 
     #[test]
@@ -1725,10 +1621,8 @@ mod tests {
         let mut r = ref_cluster(&[1000.0]).with_recalibration_epsilon(0.05);
         r.arrive(VmSpec::new(0, 0.012, 0.092, 10.0, 5.0)).unwrap();
         r.arrive(VmSpec::new(1, 0.016, 0.096, 10.0, 5.0)).unwrap();
-        let mut rrec = MemoryRecorder::new(0);
-        let rpair = r.recalibrate_recorded(&mut rrec).unwrap();
+        let rpair = r.recalibrate().unwrap();
         assert_eq!(pair.0.to_bits(), rpair.0.to_bits());
-        assert_eq!(rrec.counter(Counter::OnlineRecalibrationsSkipped), 1);
         assert_eq!(r.strategy().mapping().probabilities(), (0.01, 0.09));
 
         // Default ε = 0: the same drift rebuilds.

@@ -1,11 +1,11 @@
 //! The shared First-Fit driver (Algorithm 2, lines 10–12) and its
 //! Best-Fit sibling, both backed by the headroom index.
 //!
-//! Every packer here comes in two forms: the indexed default
-//! ([`first_fit`], [`best_fit`], [`first_fit_in_order`]) and a retained
-//! linear-scan reference ([`first_fit_linear`], [`best_fit_linear`]) whose
-//! results the indexed form must reproduce exactly — the equivalence is
-//! property-tested below and benchmarked in `packing_scaling`.
+//! The packers ([`first_fit`], [`best_fit`], [`first_fit_in_order`]) find
+//! each slot through the index; the `O(n · m)` linear scans they replace
+//! live on in this file's test modules only, as the reference whose
+//! results the indexed form must reproduce exactly (property-tested
+//! below).
 
 use crate::index::{HeadroomIndex, OrderedHeadroom};
 use crate::load::PmLoad;
@@ -90,8 +90,7 @@ pub(crate) fn probe_first_fit_recorded<R: Recorder>(
 /// Cost: `O(n log n)` for the ordering plus `O((n + r) log m)` for
 /// placement, where `r` counts index candidates rejected by the full
 /// admission check — the segment tree finds each First-Fit slot in
-/// `O(log m)` instead of the linear reference's `O(m)` scan, with
-/// identical results (see [`first_fit_linear`]).
+/// `O(log m)` instead of an `O(m)` scan, with identical results.
 ///
 /// # Examples
 /// ```
@@ -151,37 +150,6 @@ pub fn first_fit_recorded<R: Recorder>(
     }
     if R::ENABLED {
         rec.gauge_set(Gauge::PmsUsedAtPack, placement.pms_used() as f64);
-    }
-    Ok(placement)
-}
-
-/// The linear-scan First Fit the index replaces — retained as the
-/// reference implementation for differential tests and the
-/// `packing_scaling` bench. Same results as [`first_fit`], `O(n · m)`.
-///
-/// # Errors
-/// [`PackError`] naming the first unplaceable VM.
-pub fn first_fit_linear(
-    vms: &[VmSpec],
-    pms: &[PmSpec],
-    strategy: &dyn Strategy,
-) -> Result<Placement, PackError> {
-    let mut placement = Placement::empty(vms.len(), pms.len());
-    let mut loads = vec![PmLoad::empty(); pms.len()];
-    for &i in &strategy.order(vms) {
-        let vm = &vms[i];
-        let slot = pms
-            .iter()
-            .enumerate()
-            .find(|(j, pm)| strategy.admits(&loads[*j], vm, pm.capacity))
-            .map(|(j, _)| j);
-        match slot {
-            Some(j) => {
-                loads[j].add(vm);
-                placement.assignment[i] = Some(j);
-            }
-            None => return Err(PackError { vm_id: vm.id }),
-        }
     }
     Ok(placement)
 }
@@ -248,42 +216,6 @@ pub fn best_fit_recorded<R: Recorder>(
     Ok(placement)
 }
 
-/// The linear-scan Best Fit — retained as the reference implementation for
-/// differential tests. Same results (including the lowest-index tie-break)
-/// as [`best_fit`], `O(n · m)`.
-///
-/// # Errors
-/// [`PackError`] naming the first unplaceable VM.
-pub fn best_fit_linear(
-    vms: &[VmSpec],
-    pms: &[PmSpec],
-    strategy: &dyn Strategy,
-) -> Result<Placement, PackError> {
-    let mut placement = Placement::empty(vms.len(), pms.len());
-    let mut loads = vec![PmLoad::empty(); pms.len()];
-    for &i in &strategy.order(vms) {
-        let vm = &vms[i];
-        let mut slot: Option<(f64, usize)> = None;
-        for (j, pm) in pms.iter().enumerate() {
-            if !strategy.admits(&loads[j], vm, pm.capacity) {
-                continue;
-            }
-            let h = strategy.headroom(&loads[j], pm.capacity);
-            if slot.is_none_or(|(best, _)| h.total_cmp(&best).is_lt()) {
-                slot = Some((h, j));
-            }
-        }
-        match slot {
-            Some((_, j)) => {
-                loads[j].add(vm);
-                placement.assignment[i] = Some(j);
-            }
-            None => return Err(PackError { vm_id: vm.id }),
-        }
-    }
-    Ok(placement)
-}
-
 /// First Fit over a *given* order (no re-sorting) — used by the online
 /// batch-arrival path where newcomers are ordered among themselves but the
 /// incumbent assignment is fixed. The headroom index is built from the
@@ -340,8 +272,74 @@ pub fn first_fit_in_order_recorded<R: Recorder>(
     Ok(placed)
 }
 
+/// The linear-scan packers the headroom index replaced — the references
+/// the differential tests below hold [`first_fit`] and [`best_fit`] to.
+#[cfg(test)]
+mod linear {
+    use super::*;
+
+    /// Linear-scan First Fit: same results as [`first_fit`], `O(n · m)`.
+    pub(super) fn first_fit_linear(
+        vms: &[VmSpec],
+        pms: &[PmSpec],
+        strategy: &dyn Strategy,
+    ) -> Result<Placement, PackError> {
+        let mut placement = Placement::empty(vms.len(), pms.len());
+        let mut loads = vec![PmLoad::empty(); pms.len()];
+        for &i in &strategy.order(vms) {
+            let vm = &vms[i];
+            let slot = pms
+                .iter()
+                .enumerate()
+                .find(|(j, pm)| strategy.admits(&loads[*j], vm, pm.capacity))
+                .map(|(j, _)| j);
+            match slot {
+                Some(j) => {
+                    loads[j].add(vm);
+                    placement.assignment[i] = Some(j);
+                }
+                None => return Err(PackError { vm_id: vm.id }),
+            }
+        }
+        Ok(placement)
+    }
+
+    /// Linear-scan Best Fit: same results (including the lowest-index
+    /// tie-break) as [`best_fit`], `O(n · m)`.
+    pub(super) fn best_fit_linear(
+        vms: &[VmSpec],
+        pms: &[PmSpec],
+        strategy: &dyn Strategy,
+    ) -> Result<Placement, PackError> {
+        let mut placement = Placement::empty(vms.len(), pms.len());
+        let mut loads = vec![PmLoad::empty(); pms.len()];
+        for &i in &strategy.order(vms) {
+            let vm = &vms[i];
+            let mut slot: Option<(f64, usize)> = None;
+            for (j, pm) in pms.iter().enumerate() {
+                if !strategy.admits(&loads[j], vm, pm.capacity) {
+                    continue;
+                }
+                let h = strategy.headroom(&loads[j], pm.capacity);
+                if slot.is_none_or(|(best, _)| h.total_cmp(&best).is_lt()) {
+                    slot = Some((h, j));
+                }
+            }
+            match slot {
+                Some((_, j)) => {
+                    loads[j].add(vm);
+                    placement.assignment[i] = Some(j);
+                }
+                None => return Err(PackError { vm_id: vm.id }),
+            }
+        }
+        Ok(placement)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::linear::{best_fit_linear, first_fit_linear};
     use super::*;
     use crate::strategy::{BaseStrategy, PeakStrategy, QueueStrategy};
 
@@ -547,6 +545,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::linear::{best_fit_linear, first_fit_linear};
     use super::*;
     use crate::strategy::{BaseStrategy, PeakStrategy, QueueStrategy, ReserveStrategy};
     use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};

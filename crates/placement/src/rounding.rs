@@ -128,15 +128,9 @@ mod tests {
         // The safety argument: more p_on / less p_off never needs fewer
         // blocks. Checked across a k grid.
         for k in [4usize, 8, 16] {
-            let base = AggregateChain::new(k, 0.02, 0.10)
-                .blocks_needed(0.01)
-                .unwrap();
-            let hotter = AggregateChain::new(k, 0.04, 0.10)
-                .blocks_needed(0.01)
-                .unwrap();
-            let longer = AggregateChain::new(k, 0.02, 0.05)
-                .blocks_needed(0.01)
-                .unwrap();
+            let base = AggregateChain::new(k, 0.02, 0.10).blocks_needed(0.01);
+            let hotter = AggregateChain::new(k, 0.04, 0.10).blocks_needed(0.01);
+            let longer = AggregateChain::new(k, 0.02, 0.05).blocks_needed(0.01);
             assert!(hotter >= base, "k={k}: more frequent spikes need ≥ blocks");
             assert!(longer >= base, "k={k}: longer spikes need ≥ blocks");
         }
@@ -149,13 +143,9 @@ mod tests {
         let vms = [vm(0, 0.01, 0.12), vm(1, 0.04, 0.06), vm(2, 0.02, 0.09)];
         let (p_on, p_off) = round_with_policy(&vms, RoundingPolicy::Conservative).unwrap();
         let k = 10;
-        let conservative = AggregateChain::new(k, p_on, p_off)
-            .blocks_needed(0.01)
-            .unwrap();
+        let conservative = AggregateChain::new(k, p_on, p_off).blocks_needed(0.01);
         for v in &vms {
-            let own = AggregateChain::new(k, v.p_on, v.p_off)
-                .blocks_needed(0.01)
-                .unwrap();
+            let own = AggregateChain::new(k, v.p_on, v.p_off).blocks_needed(0.01);
             assert!(
                 conservative >= own,
                 "conservative {conservative} < member {own} ({}, {})",
@@ -173,12 +163,8 @@ mod tests {
         let vms = [vm(0, 0.002, 0.3), vm(1, 0.06, 0.03)];
         let (mean_on, mean_off) = round_with_policy(&vms, RoundingPolicy::Mean).unwrap();
         let k = 12;
-        let by_mean = AggregateChain::new(k, mean_on, mean_off)
-            .blocks_needed(0.01)
-            .unwrap();
-        let hot_needs = AggregateChain::new(k, 0.06, 0.03)
-            .blocks_needed(0.01)
-            .unwrap();
+        let by_mean = AggregateChain::new(k, mean_on, mean_off).blocks_needed(0.01);
+        let hot_needs = AggregateChain::new(k, 0.06, 0.03).blocks_needed(0.01);
         assert!(
             by_mean < hot_needs,
             "expected under-reservation: mean {by_mean} vs hot {hot_needs}"

@@ -8,7 +8,7 @@ use crate::policy::{DegradedAdmission, PmRuntime, RuntimePolicy};
 use crate::workload_core::WorkloadCore;
 use bursty_metrics::TimeSeries;
 use bursty_obs::{Counter, Event, Gauge, HistId, NoopRecorder, Recorder, RetryCause};
-use bursty_placement::{evacuate_batch_recorded, HeadroomIndex, Placement, PmLoad};
+use bursty_placement::{evacuate_batch_recorded, HeadroomIndex, Placement, PmLoad, CAP_EPS};
 use bursty_workload::{PmSpec, VmSpec};
 
 /// Recovery and degradation accounting of one run. All fields stay zero
@@ -663,10 +663,6 @@ impl StepHook for NoopHook {
     #[inline(always)]
     fn after_step<R: Recorder>(&mut self, _: &Simulator<'_>, _: &RunState, _: &R) {}
 }
-
-/// Tolerance when comparing aggregate demand to capacity, so exact-fit
-/// packings are not flagged by floating-point noise.
-const CAP_EPS: f64 = 1e-9;
 
 impl<'a> Simulator<'a> {
     /// Creates a simulator. `pms` should include spare (initially empty)

@@ -24,7 +24,6 @@
 pub mod bench_api;
 pub mod checkpoint;
 pub mod config;
-pub mod des;
 pub mod energy;
 pub mod engine;
 pub mod events;

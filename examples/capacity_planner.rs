@@ -35,11 +35,8 @@ fn main() {
     ]);
     for k in [1usize, 2, 4, 8, 12, 16, 24, 32] {
         let chain = AggregateChain::new(k, p_on, p_off);
-        let blocks: Vec<usize> = rhos
-            .iter()
-            .map(|&r| chain.blocks_needed(r).unwrap())
-            .collect();
-        let cvr = chain.cvr_with_blocks(blocks[1]).unwrap();
+        let blocks: Vec<usize> = rhos.iter().map(|&r| chain.blocks_needed(r)).collect();
+        let cvr = chain.cvr_with_blocks(blocks[1]);
         table.row(&[
             k.to_string(),
             blocks[0].to_string(),

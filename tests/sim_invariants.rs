@@ -1,9 +1,8 @@
-//! Property-based fuzzing of the simulation engines: random fleets,
+//! Property-based fuzzing of the simulation engine: random fleets,
 //! placements and configurations must never violate structural invariants,
 //! whatever the workload does.
 
 use bursty_core::prelude::*;
-use bursty_core::sim::des::{DesConfig, DesSimulator};
 use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use proptest::strategy::{Just, Strategy as PropStrategy};
 
@@ -92,29 +91,6 @@ proptest! {
         // Energy is nonnegative and bounded by everything-on-at-peak.
         let max_energy = inst.pms.len() as f64 * 250.0 * 30.0 * inst.steps as f64;
         prop_assert!(out.energy_joules >= 0.0 && out.energy_joules <= max_energy);
-    }
-
-    #[test]
-    fn des_engine_invariants(inst in instance()) {
-        let policy = ObservedPolicy::rb();
-        let cfg = DesConfig {
-            steps: inst.steps,
-            seed: inst.seed,
-            migrations_enabled: true,
-            migration_duration: (inst.seed % 3) as f64 * 0.5,
-            ..Default::default()
-        };
-        let out =
-            DesSimulator::new(&inst.vms, &inst.pms, &policy, cfg).run(&inst.placement);
-        for &(pm, cvr) in &out.cvr_per_pm {
-            prop_assert!(pm < inst.pms.len());
-            prop_assert!((0.0..=1.0).contains(&cvr));
-        }
-        prop_assert_eq!(out.pms_used_series.len(), inst.steps);
-        for e in &out.migrations {
-            prop_assert!(e.step < inst.steps);
-            prop_assert!(e.from_pm != e.to_pm);
-        }
     }
 
     #[test]
