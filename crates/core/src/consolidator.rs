@@ -3,8 +3,8 @@
 use bursty_obs::durable::FsStore;
 use bursty_obs::{NoopRecorder, Recorder};
 use bursty_placement::{
-    first_fit_batch_recorded, first_fit_recorded, BaseStrategy, PackError, PeakStrategy, Placement,
-    QueueStrategy, ReserveStrategy, Strategy,
+    first_fit_auto_recorded, BaseStrategy, PackError, PeakStrategy, Placement, QueueStrategy,
+    ReserveStrategy, Strategy,
 };
 use bursty_sim::{
     CheckpointConfig, CheckpointError, CheckpointedRun, DegradedAdmission, ObservedPolicy,
@@ -150,10 +150,19 @@ impl Consolidator {
     /// Whether [`Consolidator::place`] takes the class-collapsed batch
     /// packer ([`bursty_placement::first_fit_batch`]) for this fleet: it
     /// does when the fleet collapses well (at least two VMs per distinct
-    /// class on average), and packs per VM otherwise. Both packers
-    /// produce byte-identical placements, so the choice is only about
-    /// speed; the census is one `O(n)` hashing pass — noise next to the
-    /// `O(n log n)` ordering.
+    /// class on average, `2·k ≤ n`), and packs per VM otherwise. Both
+    /// packers produce byte-identical placements, so the choice is only
+    /// about speed.
+    ///
+    /// This is the question alone, for callers that report the path
+    /// (`bursty plan`, the benchmark harness): one pass of the shared
+    /// class interner ([`bursty_workload::intern_classes`]) — a linear
+    /// scan of a small key table, no hashing, for any fleet of up to 96
+    /// classes — and about a tenth of a class-heavy `place`, so it is not
+    /// free. `place` does not call it: it reads the same rule off the
+    /// class table its packer needs anyway (see
+    /// [`Consolidator::place_recorded`]), and takes exactly the path this
+    /// names on every input.
     pub fn uses_batch(&self, vms: &[VmSpec]) -> bool {
         2 * bursty_workload::distinct_classes(vms) <= vms.len()
     }
@@ -173,6 +182,13 @@ impl Consolidator {
     /// [`Consolidator::place`] with packing counters/gauges flowing into
     /// `rec`. With [`bursty_obs::NoopRecorder`] this is exactly `place`.
     ///
+    /// The fleet is read for its classes once
+    /// ([`bursty_placement::first_fit_auto_recorded`]): the batch packer's
+    /// class table doubles as the census that picks the packer, so a
+    /// class-heavy decision costs one class pass plus work proportional
+    /// to the `(class, PM)` fills, and only a fleet of more than 96
+    /// classes is hashed to settle the rule.
+    ///
     /// # Errors
     /// [`PackError`] if some VM fits nowhere.
     pub fn place_recorded<R: Recorder>(
@@ -181,12 +197,7 @@ impl Consolidator {
         pms: &[PmSpec],
         rec: &mut R,
     ) -> Result<Placement, PackError> {
-        let strategy = self.strategy();
-        if self.uses_batch(vms) {
-            first_fit_batch_recorded(vms, pms, strategy.as_ref(), rec)
-        } else {
-            first_fit_recorded(vms, pms, strategy.as_ref(), rec)
-        }
+        first_fit_auto_recorded(vms, pms, self.strategy().as_ref(), rec)
     }
 
     /// Simulates a placed cluster under this scheme's runtime policy.
@@ -354,20 +365,22 @@ mod tests {
         let mut g = FleetGenerator::new(9);
         // Duplicate-heavy Table-I fleet: `place` must pick the batch path.
         let vms = g.vms_table_i(300, WorkloadPattern::EqualSpike);
+        // Duplicate-heavy too, but past the packer's tracked-class table
+        // (120 classes, five copies each): the batch path again, by the
+        // hashed census and the strategy's own sort.
+        let many = fleet_of_classes(600, 120);
         let pms = g.pms(250);
-        for scheme in [Scheme::Queue, Scheme::Rp, Scheme::Rb, Scheme::RbEx(0.3)] {
-            let c = Consolidator::new(scheme);
-            assert!(
-                c.uses_batch(&vms),
-                "{}: Table-I fleet collapses",
-                c.scheme.label()
-            );
-            let placed = c.place(&vms, &pms).unwrap();
-            let strategy = c.strategy();
-            let per_vm = first_fit(&vms, &pms, strategy.as_ref()).unwrap();
-            let batch = first_fit_batch(&vms, &pms, strategy.as_ref()).unwrap();
-            assert_eq!(placed, per_vm, "{}", scheme.label());
-            assert_eq!(placed, batch, "{}", scheme.label());
+        for vms in [&vms, &many] {
+            for scheme in [Scheme::Queue, Scheme::Rp, Scheme::Rb, Scheme::RbEx(0.3)] {
+                let c = Consolidator::new(scheme);
+                assert!(c.uses_batch(vms), "{}: fleet collapses", c.scheme.label());
+                let placed = c.place(vms, &pms).unwrap();
+                let strategy = c.strategy();
+                let per_vm = first_fit(vms, &pms, strategy.as_ref()).unwrap();
+                let batch = first_fit_batch(vms, &pms, strategy.as_ref()).unwrap();
+                assert_eq!(placed, per_vm, "{}", scheme.label());
+                assert_eq!(placed, batch, "{}", scheme.label());
+            }
         }
     }
 
@@ -376,6 +389,86 @@ mod tests {
         let (vms, _) = fleet(100, 4);
         let c = Consolidator::new(Scheme::Queue);
         assert!(!c.uses_batch(&vms), "uniform draws are all-distinct");
+    }
+
+    /// `n` VMs over `k` classes, class by class round-robin.
+    fn fleet_of_classes(n: usize, k: usize) -> Vec<VmSpec> {
+        (0..n)
+            .map(|i| VmSpec::new(i, 0.01, 0.09, 2.0 + (i % k) as f64 * 0.05, 3.0))
+            .collect()
+    }
+
+    /// Which packer `place` ran on this fleet, read off its recorder: the
+    /// batch packer books every VM under `BatchPlacedVms`, the per-VM
+    /// packer under `PackPlacedVms`. Also checks `place` against
+    /// `first_fit`, whichever it ran.
+    fn place_took_batch(c: &Consolidator, vms: &[VmSpec]) -> bool {
+        use bursty_obs::{Counter, MemoryRecorder};
+        let pms: Vec<PmSpec> = (0..vms.len().max(1))
+            .map(|j| PmSpec::new(j, 100.0))
+            .collect();
+        let mut rec = MemoryRecorder::new(0);
+        let placed = c.place_recorded(vms, &pms, &mut rec).unwrap();
+        let strategy = c.strategy();
+        let reference = bursty_placement::first_fit(vms, &pms, strategy.as_ref()).unwrap();
+        assert_eq!(placed, reference);
+        let n = vms.len() as u64;
+        let (batch, per_vm) = (
+            rec.counter(Counter::BatchPlacedVms),
+            rec.counter(Counter::PackPlacedVms),
+        );
+        assert!(
+            (batch, per_vm) == (n, 0) || (batch, per_vm) == (0, n),
+            "one packer places the whole fleet: batch {batch}, per-VM {per_vm} of {n}"
+        );
+        batch == n
+    }
+
+    #[test]
+    fn place_path_follows_uses_batch_at_every_census_boundary() {
+        // (n, k): the rule's own boundary (2k == n batches, 2k == n + 1
+        // does not) below, at, and past the 96-class table the packer's
+        // census tracks — where `place` stops reading the rule off the
+        // class table and counts by hashing, as `uses_batch` does.
+        let cases = [
+            (6, 3),
+            (5, 3),
+            (50, 50),
+            (191, 191),
+            (192, 96),
+            (191, 96),
+            (300, 96),
+            (194, 97),
+            (193, 97),
+            (300, 97),
+            (400, 200),
+            (399, 200),
+        ];
+        for scheme in [Scheme::Queue, Scheme::Rp, Scheme::Rb, Scheme::RbEx(0.3)] {
+            let c = Consolidator::new(scheme);
+            for (n, k) in cases {
+                let vms = fleet_of_classes(n, k);
+                assert_eq!(c.uses_batch(&vms), 2 * k <= n, "n={n} k={k}");
+                assert_eq!(
+                    place_took_batch(&c, &vms),
+                    c.uses_batch(&vms),
+                    "{}: place and uses_batch disagree at n={n} k={k}",
+                    scheme.label()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn place_path_on_an_empty_fleet_is_the_batch_packers() {
+        // Zero VMs are zero classes, `2·0 ≤ 0`: the batch path by the
+        // rule. Neither packer has anything to book, so all there is to
+        // see is that the answer stands and the placement is empty.
+        let c = Consolidator::new(Scheme::Queue);
+        assert!(c.uses_batch(&[]));
+        assert!(place_took_batch(&c, &[]));
+        let pms = [PmSpec::new(0, 100.0)];
+        assert_eq!(c.place(&[], &pms).unwrap().pms_used(), 0);
     }
 
     #[test]

@@ -18,6 +18,24 @@
 //! recording `(PM, copies)` fill segments, and a final linear pass scatters
 //! the per-VM assignments straight from those segments.
 //!
+//! # What a decision costs
+//!
+//! One class pass plus work proportional to the fills. The class pass
+//! ([`collapse_classes`], on [`bursty_workload::intern_classes`]) is a scan
+//! of a small key table per VM — no hashing up to the tracked-class cap —
+//! and it is the only time the fleet is read for its classes:
+//! [`first_fit_auto_recorded`], the entry point behind
+//! `Consolidator::place`, reads the batch-or-per-VM rule (`2·k ≤ n`) off
+//! the same table it then packs from. Every fill then needs the next
+//! admitting PM, and [`PlacementState::first_admitting`] looks before it
+//! climbs: it reads a bounded window of the flat headroom array and falls
+//! back to the lazily maintained segment tree only for a gap longer than
+//! the window, so on a consolidation-dense fleet (the 1M-VM Table-I fleet
+//! on 250k PMs: 419 091 fills, longest gap under 32 PMs) the tree is never
+//! built. [`PlacementState::last_pack`] reports the split — collapse,
+//! reset, runs, scatter, tree climbs — and `BENCH_packing.json` holds it
+//! for the measured fleets.
+//!
 //! # Why the results are byte-identical to `first_fit`
 //!
 //! Within a run every VM has the same spec, so the per-VM packer's
@@ -59,12 +77,13 @@
 
 use crate::index::HeadroomIndex;
 use crate::load::PmLoad;
-use crate::pack::{PackError, PRUNE_SLACK};
+use crate::pack::{first_fit_recorded, PackError, PRUNE_SLACK};
 use crate::placement::Placement;
 use crate::strategy::Strategy;
 use bursty_obs::durable::{put_f64, put_usize, Cursor, FrameError};
 use bursty_obs::{Counter, Gauge, Recorder};
-use bursty_workload::{class_runs, ClassRun, PmSpec, VmClass, VmSpec};
+use bursty_workload::{class_runs, distinct_classes, intern_classes, ClassRun, PmSpec, VmSpec};
+use std::time::Instant;
 
 /// Safety margin for the closed-form feasibility probe: the binary-search
 /// bracket tests `feasible(with_copies(c), capacity − BATCH_SLACK)`, so a
@@ -88,14 +107,22 @@ const BATCH_SLACK: f64 = 1e-6;
 ///   bumps `generation`, and [`PlacementState::load`] treats any PM whose
 ///   `epoch` tag is older as empty. Only the headroom array (the one the
 ///   First-Fit cursor reads) is rewritten per pack.
-/// * The headroom tree is maintained *lazily*. A reset only marks it
-///   stale; stores append to a dirty list instead of climbing the tree.
-///   The first probe that actually needs the tree rebuilds it (or replays
-///   the dirty entries, whichever is cheaper) — a pack whose candidates
-///   all come from the `O(1)` cursor check never touches the tree at all,
-///   and dirt left by the final run is never flushed. Placements are
-///   unaffected: probes flush before descending, so the tree they search
-///   is exact.
+/// * The headroom tree is maintained *lazily*, behind a bounded
+///   look-ahead. `store` keeps the flat `headrooms` array current and
+///   only appends to a dirty list; the one candidate search,
+///   [`PlacementState::first_admitting`], scans the next [`LOOKAHEAD`]
+///   entries of that array and climbs the tree only when the whole window
+///   rejects and the farm goes on past it. A fill therefore costs
+///   `O(gap)` array reads for a gap of up to `LOOKAHEAD` rejecting PMs,
+///   and `O(LOOKAHEAD + log m)` plus the deferred tree maintenance (a
+///   rebuild, or a replay of the dirty entries, whichever is cheaper)
+///   beyond. The tree is built the first time a gap outgrows the window
+///   and not before: a pack whose gaps all fit — the paper-density and
+///   all-duplicate fleets of `BENCH_packing.json` — never builds it, and
+///   dirt left by the final run is never flushed. Once it is built, the
+///   search that opens a run goes to it directly (see `first_admitting`).
+///   Placements are unaffected either way: the window and the tree
+///   search the same values for the same predicate, lowest index first.
 #[derive(Debug)]
 pub struct PlacementState {
     generation: u32,
@@ -108,7 +135,39 @@ pub struct PlacementState {
     index: HeadroomIndex,
     tree_stale: bool,
     dirty: Vec<u32>,
+    profile: PackProfile,
 }
+
+/// Where the last pack on a [`PlacementState`] spent its time — the
+/// per-phase attribution `packing_bench` writes to `BENCH_packing.json`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PackProfile {
+    /// The class pass over the fleet; off the collapsed path also the
+    /// strategy's own sort and its run-length encoding.
+    pub collapse_s: f64,
+    /// Resetting the arena to the empty farm.
+    pub reset_s: f64,
+    /// Placing the runs: candidate searches, admissions, stores.
+    pub runs_s: f64,
+    /// Scattering per-VM assignments from the fill segments (zero off the
+    /// collapsed path, which assigns while it places).
+    pub scatter_s: f64,
+    /// Candidate searches that had to climb the headroom tree: the whole
+    /// look-ahead window rejected and the farm went on past it.
+    pub tree_probes: u64,
+}
+
+/// How many PMs past the First-Fit cursor [`PlacementState::first_admitting`]
+/// reads from the flat headroom array before it pays for the tree. Chosen
+/// from the `fleets` rows of `BENCH_packing.json`, which hold this source
+/// built with 8, 16, 64 and 256 here: at paper density 8 leaves 734 tree
+/// climbs (each replaying the stores since the last) and 16 leaves 4; 64
+/// leaves none with a factor of two to spare over the longest gap
+/// measured, and is still eight cache lines — a window that rejects costs
+/// less than the descent it precedes — where 256 buys nothing more. The
+/// 0 % and 50 % duplicate fleets do not tell the widths apart: their runs
+/// start behind full PMs and go to the tree either way.
+const LOOKAHEAD: usize = 64;
 
 impl PlacementState {
     /// An empty arena; capacity grows on first use.
@@ -124,6 +183,7 @@ impl PlacementState {
             index: HeadroomIndex::new(&[]),
             tree_stale: true,
             dirty: Vec::new(),
+            profile: PackProfile::default(),
         }
     }
 
@@ -177,11 +237,41 @@ impl PlacementState {
         }
     }
 
-    /// First PM at or after `from` whose headroom reaches `threshold`,
-    /// bringing the lazy tree up to date first: a full rebuild when the
-    /// tree is stale (or the dirty backlog rivals a rebuild's cost), a
-    /// replay of the dirty entries otherwise.
+    /// First PM at or after `from` whose headroom reaches `threshold` —
+    /// the packer's only candidate search. Reads the next [`LOOKAHEAD`]
+    /// entries of the flat array first; a hit there, or a window that ran
+    /// into the end of the farm, never touches the tree. The index
+    /// returned is the one [`HeadroomIndex::first_at_least`] would return
+    /// from `from`: both look for the lowest `j ≥ from` with
+    /// `headrooms[j] ≥ threshold`.
+    ///
+    /// One search skips the window: a run's first (`from == 0`) once the
+    /// pack has had to build the tree. It starts behind every PM the
+    /// earlier runs filled, so where gaps have outgrown the window at all
+    /// — an all-distinct fleet: one run per VM, each starting over at PM
+    /// 0 — its window is the one that predictably rejects, and reading it
+    /// first would tax every run (`BENCH_packing.json`, `dup_0`).
+    fn first_admitting(&mut self, from: usize, threshold: f64) -> Option<usize> {
+        if from == 0 && !self.tree_stale {
+            return self.probe(0, threshold);
+        }
+        let end = (from + LOOKAHEAD).min(self.headrooms.len());
+        let window = &self.headrooms[from..end];
+        if let Some(at) = window.iter().position(|&h| h >= threshold) {
+            return Some(from + at);
+        }
+        if end == self.headrooms.len() {
+            return None;
+        }
+        self.probe(end, threshold)
+    }
+
+    /// [`PlacementState::first_admitting`] past its window: brings the
+    /// lazy tree up to date — a full rebuild when the tree is stale (or
+    /// the dirty backlog rivals a rebuild's cost), a replay of the dirty
+    /// entries otherwise — and descends.
     fn probe(&mut self, from: usize, threshold: f64) -> Option<usize> {
+        self.profile.tree_probes += 1;
         if self.tree_stale || 4 * self.dirty.len() >= self.headrooms.len() {
             self.index.rebuild(&self.headrooms);
             self.tree_stale = false;
@@ -192,6 +282,11 @@ impl PlacementState {
         }
         self.dirty.clear();
         self.index.first_at_least(from, threshold)
+    }
+
+    /// The phase times and tree climbs of the last pack on this arena.
+    pub fn last_pack(&self) -> PackProfile {
+        self.profile
     }
 
     /// Serializes the arena's *logical* content — the current-generation
@@ -449,12 +544,11 @@ pub(crate) fn admit_run_empty<S: Strategy + ?Sized>(
 }
 
 /// Cap on the distinct classes the collapsing pass tracks before falling
-/// back to the strategy's comparison sort: the per-VM class lookup is a
-/// linear scan over the tracked classes, so the cap bounds it at a
-/// cache-resident table. Production fleets have tens of instance types; a
-/// fleet with more distinct classes than this gains little from
-/// collapsing anyway.
-pub(crate) const MAX_TRACKED_CLASSES: usize = 96;
+/// back to the strategy's comparison sort. Production fleets have tens of
+/// instance types; a fleet with more distinct classes than this gains
+/// little from collapsing anyway, and up to here the shared interner
+/// ([`intern_classes`]) never hashes.
+const MAX_TRACKED_CLASSES: usize = 96;
 
 /// A fleet collapsed to its distinct classes: one representative spec per
 /// class (the first occurrence), per-class multiplicities, and the per-VM
@@ -468,30 +562,20 @@ pub(crate) struct ClassTable {
 /// Collapses `vms` into a [`ClassTable`], or `None` once more than
 /// [`MAX_TRACKED_CLASSES`] distinct classes appear.
 pub(crate) fn collapse_classes(vms: &[VmSpec]) -> Option<ClassTable> {
-    // Cached class keys so the per-VM scan compares plain `u64` words
-    // instead of re-deriving each tracked class's key every probe.
-    let mut keys: Vec<[u64; 4]> = Vec::new();
-    let mut reps: Vec<VmSpec> = Vec::new();
-    let mut counts: Vec<u32> = Vec::new();
-    let mut kid: Vec<u32> = Vec::with_capacity(vms.len());
-    for vm in vms {
-        let ck = VmClass::of(vm).key();
-        let slot = match keys.iter().position(|k| *k == ck) {
-            Some(slot) => slot,
-            None => {
-                if keys.len() == MAX_TRACKED_CLASSES {
-                    return None;
-                }
-                keys.push(ck);
-                reps.push(*vm);
-                counts.push(0);
-                keys.len() - 1
-            }
-        };
-        counts[slot] += 1;
-        kid.push(slot as u32);
-    }
-    Some(ClassTable { reps, counts, kid })
+    let mut table = ClassTable {
+        reps: Vec::new(),
+        counts: Vec::new(),
+        kid: Vec::with_capacity(vms.len()),
+    };
+    intern_classes(vms, MAX_TRACKED_CLASSES, |i, id| {
+        if id as usize == table.reps.len() {
+            table.reps.push(vms[i]);
+            table.counts.push(0);
+        }
+        table.counts[id as usize] += 1;
+        table.kid.push(id);
+    })?;
+    Some(table)
 }
 
 /// Class ids sorted by `(band descending, key descending)` — the order in
@@ -539,16 +623,18 @@ pub(crate) fn nth_member_id(vms: &[VmSpec], kid: &[u32], cid: u32, nth: usize) -
 ///
 /// Cost on the fast path (at most [`MAX_TRACKED_CLASSES`] distinct
 /// classes, per-class sort keys available, no cross-class key ties):
-/// `O(n·k + k log k)` ordering and scatter plus
-/// `O(u·(log d + log m))` placement, where `u` counts (run, candidate PM)
-/// encounters — for a fleet of `k` classes packing into `P` PMs, `u` is
-/// `O(k·P)` in the worst case and `O(k + P)` typically. The per-VM packer
-/// pays `O(n log n)` ordering and `n` index probes and updates instead;
-/// on duplicate-heavy fleets (`k ≪ n`) the batch packer's index work all
-/// but vanishes and throughput is dominated by the linear collapse and
-/// scatter passes. Off the fast path it degrades to the strategy's own
-/// sort with per-run placement — never worse than a small constant over
-/// per-VM packing.
+/// `O(n·k + k log k)` ordering and scatter plus `O(u·(log d + g))`
+/// placement, where `u` counts (run, candidate PM) encounters — for a
+/// fleet of `k` classes packing into `P` PMs, `u` is `O(k·P)` in the
+/// worst case and `O(k + P)` typically — and `g` is the gap to the next
+/// admitting PM, read from the flat headroom array up to the look-ahead
+/// window and found by the tree (`O(log m)` plus its deferred
+/// maintenance) beyond it. The per-VM packer pays `O(n log n)` ordering
+/// and `n` index probes and updates instead; on duplicate-heavy fleets
+/// (`k ≪ n`) the batch packer's index work vanishes and throughput is
+/// dominated by the linear collapse and scatter passes. Off the fast path
+/// it degrades to the strategy's own sort with per-run placement — never
+/// worse than a small constant over per-VM packing.
 ///
 /// # Errors
 /// [`PackError`] naming the first VM (in placement order) that fits on no
@@ -572,7 +658,86 @@ pub fn first_fit_batch_with<S: Strategy + ?Sized>(
     pms: &[PmSpec],
     strategy: &S,
 ) -> Result<Placement, PackError> {
-    let fast = collapse_classes(vms).and_then(|table| {
+    let table = timed_collapse(state, vms);
+    pack_collapsed_or_ordered(state, vms, pms, strategy, table)
+}
+
+/// First Fit through the packer the fleet's class census names: the
+/// class-collapsed batch packer when the fleet collapses at least twofold
+/// (`2·k ≤ n` for `k` distinct classes among `n` VMs), the per-VM packer
+/// ([`first_fit_recorded`]) otherwise. Both produce byte-identical
+/// placements, so the choice is only about speed.
+///
+/// The census *is* the batch packer's own class pass: the fleet is
+/// collapsed once, the decision is read off that [`ClassTable`], and the
+/// same table is handed on to the packer — a class-heavy fleet is read
+/// once and never hashed. Only a fleet that overflows the tracked table
+/// (more than [`MAX_TRACKED_CLASSES`] classes, where collapsing cannot
+/// help) pays the hashed count, [`distinct_classes`], to settle the
+/// rule.
+///
+/// On the batch path only aggregate facts are recorded, *after* the pack:
+/// [`Counter::BatchPlacedVms`] (every VM, on success) and the
+/// [`Gauge::PmsUsedAtPack`] gauge — nothing inside the run-placement hot
+/// loop.
+///
+/// # Errors
+/// [`PackError`] naming the first unplaceable VM.
+pub fn first_fit_auto_recorded<R: Recorder>(
+    vms: &[VmSpec],
+    pms: &[PmSpec],
+    strategy: &dyn Strategy,
+    rec: &mut R,
+) -> Result<Placement, PackError> {
+    let mut state = PlacementState::new();
+    let table = timed_collapse(&mut state, vms);
+    let classes = match &table {
+        Some(table) => table.reps.len(),
+        None => distinct_classes(vms),
+    };
+    if 2 * classes > vms.len() {
+        return first_fit_recorded(vms, pms, strategy, rec);
+    }
+    let placement = pack_collapsed_or_ordered(&mut state, vms, pms, strategy, table)?;
+    rec.counter_add(Counter::BatchPlacedVms, vms.len() as u64);
+    if R::ENABLED {
+        rec.gauge_set(Gauge::PmsUsedAtPack, placement.pms_used() as f64);
+    }
+    Ok(placement)
+}
+
+/// Seconds since `*since`, which moves to now: one stopwatch lap of a
+/// pack's [`PackProfile`].
+fn lap(since: &mut Instant) -> f64 {
+    let now = Instant::now();
+    let secs = now.duration_since(*since).as_secs_f64();
+    *since = now;
+    secs
+}
+
+/// The class pass that opens a pack: restarts the arena's profile with
+/// its time.
+fn timed_collapse(state: &mut PlacementState, vms: &[VmSpec]) -> Option<ClassTable> {
+    let mut clock = Instant::now();
+    let table = collapse_classes(vms);
+    state.profile = PackProfile {
+        collapse_s: lap(&mut clock),
+        ..PackProfile::default()
+    };
+    table
+}
+
+/// Packs `vms` given their class pass (`None`: too many classes to track):
+/// whole classes as single runs when the strategy can order classes
+/// without cross-class ties, the strategy's own per-VM order otherwise.
+fn pack_collapsed_or_ordered<S: Strategy + ?Sized>(
+    state: &mut PlacementState,
+    vms: &[VmSpec],
+    pms: &[PmSpec],
+    strategy: &S,
+    table: Option<ClassTable>,
+) -> Result<Placement, PackError> {
+    let fast = table.and_then(|table| {
         let keys = strategy.class_order_keys(vms.len(), &table.reps)?;
         let schedule = class_schedule(&keys)?;
         Some((table, schedule))
@@ -580,33 +745,13 @@ pub fn first_fit_batch_with<S: Strategy + ?Sized>(
     match fast {
         Some((table, schedule)) => batch_collapsed(state, vms, pms, strategy, &table, &schedule),
         None => {
+            let mut clock = Instant::now();
             let order = strategy.order(vms);
             let runs = class_runs(vms, &order);
+            state.profile.collapse_s += lap(&mut clock);
             batch_ordered(state, vms, pms, strategy, &order, &runs)
         }
     }
-}
-
-/// [`first_fit_batch`] with instrumentation. The batch packer's internals
-/// place whole class runs, not individual VMs, so only aggregate facts are
-/// recorded *after* the pack: [`Counter::BatchPlacedVms`]
-/// (every VM, on success) and the [`Gauge::PmsUsedAtPack`] gauge — nothing
-/// inside the run-placement hot loop, which stays untouched.
-///
-/// # Errors
-/// [`PackError`] naming the first unplaceable VM.
-pub fn first_fit_batch_recorded<S: Strategy + ?Sized, R: Recorder>(
-    vms: &[VmSpec],
-    pms: &[PmSpec],
-    strategy: &S,
-    rec: &mut R,
-) -> Result<Placement, PackError> {
-    let placement = first_fit_batch(vms, pms, strategy)?;
-    rec.counter_add(Counter::BatchPlacedVms, vms.len() as u64);
-    if R::ENABLED {
-        rec.gauge_set(Gauge::PmsUsedAtPack, placement.pms_used() as f64);
-    }
-    Ok(placement)
 }
 
 /// The fast path: whole classes placed as single runs, per-VM assignments
@@ -620,7 +765,9 @@ fn batch_collapsed<S: Strategy + ?Sized>(
     table: &ClassTable,
     schedule: &[u32],
 ) -> Result<Placement, PackError> {
+    let mut clock = Instant::now();
     state.reset(pms, strategy);
+    state.profile.reset_s = lap(&mut clock);
     let k = table.reps.len();
     let mut fills: Vec<(u32, u32)> = Vec::new(); // (PM, copies), per-class contiguous
     let mut fill_start = vec![0u32; k];
@@ -640,15 +787,7 @@ fn batch_collapsed<S: Strategy + ?Sized>(
         // per-VM packer could never place a later copy there either.
         let mut from = 0usize;
         while placed < want_total {
-            // The PM right at the cursor is the common hit (a farm of
-            // still-empty PMs), so test it in O(1) before paying the
-            // index flush and descent; `probe` would return it anyway.
-            let candidate = if from < state.headrooms.len() && state.headrooms[from] >= threshold {
-                Some(from)
-            } else {
-                state.probe(from, threshold)
-            };
-            let Some(j) = candidate else {
+            let Some(j) = state.first_admitting(from, threshold) else {
                 return Err(PackError {
                     vm_id: nth_member_id(vms, &table.kid, cid, placed),
                 });
@@ -683,6 +822,8 @@ fn batch_collapsed<S: Strategy + ?Sized>(
         }
     }
 
+    state.profile.runs_s = lap(&mut clock);
+
     // Scatter: VMs in original order consume their class's fill segments
     // front to back — within a class the stable sort keeps original
     // index order, so the i-th member takes the i-th filled slot.
@@ -701,6 +842,7 @@ fn batch_collapsed<S: Strategy + ?Sized>(
         assignment.push(Some(pm_cur[c] as usize));
         rem[c] -= 1;
     }
+    state.profile.scatter_s = lap(&mut clock);
     Ok(Placement {
         assignment,
         n_pms: pms.len(),
@@ -718,7 +860,9 @@ fn batch_ordered<S: Strategy + ?Sized>(
     order: &[usize],
     runs: &[ClassRun],
 ) -> Result<Placement, PackError> {
+    let mut clock = Instant::now();
     state.reset(pms, strategy);
+    state.profile.reset_s = lap(&mut clock);
     let mut placement = Placement::empty(vms.len(), pms.len());
     for run in runs {
         let template = vms[order[run.start]];
@@ -727,12 +871,7 @@ fn batch_ordered<S: Strategy + ?Sized>(
         let mut hint = 0;
         let mut from = 0;
         while placed < run.len {
-            let candidate = if from < state.headrooms.len() && state.headrooms[from] >= threshold {
-                Some(from)
-            } else {
-                state.probe(from, threshold)
-            };
-            let Some(j) = candidate else {
+            let Some(j) = state.first_admitting(from, threshold) else {
                 return Err(PackError {
                     vm_id: vms[order[run.start + placed]].id,
                 });
@@ -756,6 +895,7 @@ fn batch_ordered<S: Strategy + ?Sized>(
             from = j + 1;
         }
     }
+    state.profile.runs_s = lap(&mut clock);
     Ok(placement)
 }
 
@@ -1087,6 +1227,204 @@ mod tests {
         // Truncated images are rejected, never silently zero-filled.
         let image = state.snapshot_bytes();
         assert!(PlacementState::restore_from_snapshot(&image[..image.len() - 1]).is_err());
+    }
+
+    /// A farm where each entry of `gaps` contributes that many PMs too
+    /// small for any test VM (capacity 1 against `R_b ≥ 2`: below every
+    /// strategy's threshold even when empty) followed by one roomy PM —
+    /// so `gaps[i]` is exactly the distance the First-Fit cursor has to
+    /// cross between admitting PMs.
+    fn gapped_farm(gaps: &[usize]) -> Vec<PmSpec> {
+        let mut farm = Vec::new();
+        for &gap in gaps {
+            for _ in 0..gap {
+                farm.push(PmSpec::new(farm.len(), 1.0));
+            }
+            farm.push(PmSpec::new(farm.len(), 100.0));
+        }
+        farm
+    }
+
+    /// `per_class` copies each of three classes, interleaved in fleet
+    /// order, ids offset so an error's `vm_id` is not its index.
+    fn three_class_fleet(per_class: usize) -> Vec<VmSpec> {
+        let specs = [(9.0, 5.0), (6.0, 4.0), (3.0, 2.0)];
+        (0..3 * per_class)
+            .map(|i| vm(1000 + i, specs[i % 3].0, specs[i % 3].1))
+            .collect()
+    }
+
+    /// The four strategies' packs of `vms` on `farm` through `state`,
+    /// each checked against `first_fit`; returns the tree climbs of each.
+    fn assert_matches_first_fit(
+        state: &mut PlacementState,
+        vms: &[VmSpec],
+        farm: &[PmSpec],
+        what: &str,
+    ) -> [u64; 4] {
+        let (q, rbex) = all_strategies();
+        let strategies: [&dyn Strategy; 4] = [&q, &PeakStrategy, &BaseStrategy, &rbex];
+        strategies.map(|s| {
+            assert_eq!(
+                first_fit_batch_with(state, vms, farm, s),
+                first_fit(vms, farm, s),
+                "{what}: batch diverged for {}",
+                s.name()
+            );
+            state.last_pack().tree_probes
+        })
+    }
+
+    #[test]
+    fn lookahead_gap_boundaries_match_first_fit() {
+        // Gaps of exactly W-1, W, W+1 and > 4W rejecting PMs between
+        // admitting ones: the last gap the window covers, the first it
+        // does not, and ones far past it. A single class keeps every gap
+        // what the farm says (no PM filled by an earlier class in the
+        // way), so the tree is climbed exactly when a gap reaches W.
+        let one_class: Vec<VmSpec> = (0..40).map(|i| vm(i, 6.0, 4.0)).collect();
+        let mut state = PlacementState::new();
+        for gap in [LOOKAHEAD - 1, LOOKAHEAD, LOOKAHEAD + 1, 4 * LOOKAHEAD + 5] {
+            let farm = gapped_farm(&[gap; 8]);
+            let probes = assert_matches_first_fit(&mut state, &one_class, &farm, "one class");
+            for p in probes {
+                assert_eq!(p > 0, gap >= LOOKAHEAD, "gap {gap}: {p} tree climbs");
+            }
+            // Several classes: later ones start over at PM 0 behind PMs
+            // the earlier ones filled, with dirt pending on the tree.
+            assert_matches_first_fit(&mut state, &three_class_fleet(12), &farm, "three classes");
+        }
+        // Every boundary in one farm, window hits and tree climbs mixed.
+        let w = LOOKAHEAD;
+        let farm = gapped_farm(&[0, w - 1, w, w + 1, 4 * w + 5, w, w - 1, 0, w + 1, w]);
+        assert_matches_first_fit(&mut state, &one_class, &farm, "mixed gaps");
+        assert_matches_first_fit(&mut state, &three_class_fleet(15), &farm, "mixed gaps");
+    }
+
+    #[test]
+    fn only_the_last_pm_admits() {
+        let fleet = three_class_fleet(1);
+        let mut state = PlacementState::new();
+        for len in [1, LOOKAHEAD, LOOKAHEAD + 1, LOOKAHEAD + 2, 5 * LOOKAHEAD] {
+            let farm = gapped_farm(&[len - 1]);
+            let probes = assert_matches_first_fit(&mut state, &fleet, &farm, "last PM only");
+            // Each class finds the one roomy PM from PM 0: inside the
+            // window while the farm is no longer than it, by the tree past
+            // that — never by running off the end.
+            for p in probes {
+                assert_eq!(p > 0, len > LOOKAHEAD, "farm of {len}: {p} tree climbs");
+            }
+        }
+    }
+
+    #[test]
+    fn no_admitting_pm_names_the_vm_first_fit_names() {
+        let fleet = three_class_fleet(4);
+        let mut state = PlacementState::new();
+        for len in [1, LOOKAHEAD - 1, LOOKAHEAD, LOOKAHEAD + 1, 5 * LOOKAHEAD] {
+            let farm: Vec<PmSpec> = (0..len).map(|j| PmSpec::new(j, 1.0)).collect();
+            assert!(first_fit(&fleet, &farm, &BaseStrategy).is_err());
+            assert_matches_first_fit(&mut state, &fleet, &farm, "nothing admits");
+        }
+        // Admitting PMs that run out mid-class, the rest of the farm
+        // rejecting: by the window (short tail) and by the tree (long).
+        let big = three_class_fleet(60);
+        for tail in [3, LOOKAHEAD - 1, LOOKAHEAD, 4 * LOOKAHEAD] {
+            let mut farm = gapped_farm(&[LOOKAHEAD, 2, LOOKAHEAD + 1]);
+            let roomy_end = farm.len();
+            farm.extend((roomy_end..roomy_end + tail).map(|j| PmSpec::new(j, 1.0)));
+            assert!(first_fit(&big, &farm, &BaseStrategy).is_err());
+            assert_matches_first_fit(&mut state, &big, &farm, "farm runs out");
+        }
+    }
+
+    #[test]
+    fn arena_reused_across_gapped_farms_of_different_sizes() {
+        // A long farm that builds the tree, then a shorter one whose gaps
+        // all fit the window (the old, larger tree must not be consulted),
+        // then a longer one again.
+        let fleet = three_class_fleet(12);
+        let mut state = PlacementState::new();
+        let w = LOOKAHEAD;
+        for gaps in [
+            vec![4 * w + 5; 6],
+            vec![w - 1; 5],
+            vec![w + 1; 10],
+            vec![0; 7],
+        ] {
+            let farm = gapped_farm(&gaps);
+            assert_matches_first_fit(&mut state, &fleet, &farm, "reused arena");
+        }
+    }
+
+    #[test]
+    fn restored_arena_continues_identically() {
+        // Mid-pack state: a pack leaves loads, headrooms, a built tree and
+        // pending dirt behind. Its snapshot restores to an arena with a
+        // stale tree; every candidate search from there on — window hits,
+        // tree climbs, off-the-end — and every store must go the same way
+        // on both, and the way a linear scan goes.
+        let (q, rbex) = all_strategies();
+        let strategies: [&dyn Strategy; 4] = [&q, &PeakStrategy, &BaseStrategy, &rbex];
+        let w = LOOKAHEAD;
+        let farm = gapped_farm(&[0, w - 1, w, w + 1, 4 * w + 5, 0, w, 2 * w, 3, w + 1]);
+        let fleet = three_class_fleet(14);
+        for s in strategies {
+            let mut state = PlacementState::new();
+            first_fit_batch_with(&mut state, &fleet, &farm, s).unwrap();
+            let mut restored =
+                PlacementState::restore_from_snapshot(&state.snapshot_bytes()).unwrap();
+            let thresholds = [0.5, 2.0, 9.0, 40.0, 99.0, 101.0];
+            let search_all = |a: &mut PlacementState, b: &mut PlacementState| {
+                for from in 0..=farm.len() {
+                    for t in thresholds {
+                        let linear = (from..farm.len()).find(|&j| a.headrooms[j] >= t);
+                        assert_eq!(a.first_admitting(from, t), linear, "{}", s.name());
+                        assert_eq!(b.first_admitting(from, t), linear, "{}", s.name());
+                    }
+                }
+            };
+            search_all(&mut state, &mut restored);
+            // Continue the pack by hand: one more class, copy by copy.
+            let extra = vm(9000, 4.0, 3.0);
+            let threshold = s.demand(&extra) - PRUNE_SLACK;
+            let mut from = 0;
+            for _ in 0..25 {
+                let j = state.first_admitting(from, threshold);
+                assert_eq!(j, restored.first_admitting(from, threshold));
+                let Some(j) = j else { break };
+                assert_eq!(state.load(j), restored.load(j));
+                let (load, c) = admit_run(state.load(j), &extra, farm[j].capacity, 1, 0, s);
+                if c > 0 {
+                    let headroom = s.headroom(&load, farm[j].capacity);
+                    state.store(j, load, headroom);
+                    restored.store(j, load, headroom);
+                }
+                from = j + 1;
+            }
+            search_all(&mut state, &mut restored);
+            assert_eq!(state.snapshot_bytes(), restored.snapshot_bytes());
+        }
+    }
+
+    #[test]
+    fn paper_density_pack_stays_off_the_tree() {
+        // The benchmark's class-heavy shape at a size a debug build packs
+        // in milliseconds: Table-I VMs, four to a PM. Every gap between
+        // admitting PMs fits the window, so the tree is never built
+        // (`packing_bench` asserts the same of the full 1M-VM fleet).
+        use bursty_workload::{FleetGenerator, WorkloadPattern};
+        let q = QueueStrategy::build(16, 0.01, 0.09, 0.01);
+        let mut g = FleetGenerator::new(1);
+        let vms = g.vms_table_i(20_000, WorkloadPattern::EqualSpike);
+        let farm = g.pms(5_000);
+        let mut state = PlacementState::new();
+        assert_eq!(
+            first_fit_batch_with(&mut state, &vms, &farm, &q),
+            first_fit(&vms, &farm, &q)
+        );
+        assert_eq!(state.last_pack().tree_probes, 0);
+        assert!(state.tree_stale);
     }
 
     #[test]

@@ -45,7 +45,9 @@ pub mod rounding;
 pub mod sbp;
 pub mod strategy;
 
-pub use batch::{first_fit_batch, first_fit_batch_recorded, first_fit_batch_with, PlacementState};
+pub use batch::{
+    first_fit_auto_recorded, first_fit_batch, first_fit_batch_with, PackProfile, PlacementState,
+};
 pub use certify::{certify_exact, pm_cvr_exact, CAP_EPS};
 pub use evacuate::{evacuate_batch, evacuate_batch_recorded, EvacuationOutcome};
 pub use index::{HeadroomIndex, OrderedHeadroom};

@@ -798,6 +798,9 @@ impl OnlineCluster {
         if batch.is_empty() {
             return Ok(Vec::new());
         }
+        // One allocation for the whole batch: growing by doubling would
+        // hold the old and the new table at once at every step.
+        self.entries.reserve(batch.len());
         let fast = collapse_classes(&batch).and_then(|table| {
             let keys = self.strategy.class_order_keys(batch.len(), &table.reps)?;
             let schedule = class_schedule(&keys)?;

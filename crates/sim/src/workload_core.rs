@@ -62,7 +62,7 @@
 use crate::config::RngLayout;
 use crate::rng::binomial_table::{CacheStats, TableCache, DEFAULT_ENTRY_BUDGET};
 use crate::rng::{class_cell_key, class_hash, flip_threshold, keyed_binomial, keyed_bits};
-use bursty_workload::classes::VmClass;
+use bursty_workload::classes::{intern_classes, VmClass};
 use bursty_workload::VmSpec;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -543,22 +543,18 @@ impl WorkloadCore {
                 // first-appearance order) is what makes cell streams —
                 // and with them every outcome — invariant under the
                 // order VMs are enumerated in the fleet. Dedupe first
-                // (ids in first-appearance order, one representative VM
-                // each), then sort only the distinct keys and renumber.
-                let mut seen: std::collections::HashMap<[u64; 4], u32> =
-                    std::collections::HashMap::new();
+                // (the workload crate's interner: ids in first-appearance
+                // order, one representative VM each, no hashing for a
+                // class-heavy fleet), then sort only the distinct keys
+                // and renumber.
                 let mut distinct: Vec<([u64; 4], usize)> = Vec::new();
-                let mut class_of: Vec<u32> = vms
-                    .iter()
-                    .enumerate()
-                    .map(|(i, vm)| {
-                        let key = VmClass::of(vm).key();
-                        *seen.entry(key).or_insert_with(|| {
-                            distinct.push((key, i));
-                            (distinct.len() - 1) as u32
-                        })
-                    })
-                    .collect();
+                let mut class_of: Vec<u32> = Vec::with_capacity(vms.len());
+                intern_classes(vms, usize::MAX, |i, id| {
+                    if id as usize == distinct.len() {
+                        distinct.push((VmClass::of(&vms[i]).key(), i));
+                    }
+                    class_of.push(id);
+                });
                 let mut order: Vec<u32> = (0..distinct.len() as u32).collect();
                 order.sort_unstable_by_key(|&c| distinct[c as usize].0);
                 let mut canonical = vec![0u32; distinct.len()];

@@ -15,8 +15,10 @@
 //!   paper's cluster-by-`R_e` / sort-by-`R_b` order puts same-class VMs
 //!   next to each other, so the encoding is near-perfect there, but any
 //!   order is legal — runs just get shorter).
-//! * [`collapse`] — exact-key dedup into `(VmClass, count)` pairs in
-//!   first-appearance order, for collapse-factor decisions and reporting.
+//! * [`intern_classes`] — the one exact-key dedup pass: class ids in
+//!   first-appearance order from a bounded linear-scan table that spills
+//!   to a hash map, shared by the packer's collapse, the simulator's class
+//!   table and [`distinct_classes`].
 
 use crate::spec::VmSpec;
 use std::collections::HashMap;
@@ -115,42 +117,68 @@ pub fn class_runs(vms: &[VmSpec], order: &[usize]) -> Vec<ClassRun> {
     runs
 }
 
-/// Exact-key dedup of a fleet into `(VmClass, count)` pairs, ordered by
-/// first appearance in `vms`.
-pub fn collapse(vms: &[VmSpec]) -> Vec<(VmClass, usize)> {
-    let mut slot: HashMap<[u64; 4], usize> = HashMap::with_capacity(vms.len().min(1024));
-    let mut pairs: Vec<(VmClass, usize)> = Vec::new();
-    for vm in vms {
-        let class = VmClass::of(vm);
-        match slot.get(&class.key()) {
-            Some(&at) => pairs[at].1 += 1,
+/// Classes the interner keeps in its linear-scan table before spilling to
+/// a hash map: at this size the table (32 bytes a key) stays in L1 and a
+/// scan of plain `u64` words beats hashing every VM's key; production
+/// fleets have tens of instance types.
+const TABLE_CLASSES: usize = 96;
+
+/// Interns every VM's class key in first-appearance order — the one
+/// class-dedupe pass the packer's collapse, the simulator's class table and
+/// [`distinct_classes`] share. `visit(i, id)` is called once per VM, in
+/// fleet order, with its class id (`id` equals the number of classes seen
+/// before `vms[i]` exactly when `vms[i]` is the first member of a new
+/// class). Returns the number of distinct classes, or `None` as soon as
+/// more than `cap` have appeared — the VM that overflowed is not visited.
+///
+/// The first [`TABLE_CLASSES`] classes are found by a linear scan over
+/// their cached keys, so a class-heavy fleet costs one memory pass and is
+/// never hashed; a fleet with more classes moves the table into a
+/// `HashMap` once and hashes from there on.
+pub fn intern_classes(
+    vms: &[VmSpec],
+    cap: usize,
+    mut visit: impl FnMut(usize, u32),
+) -> Option<usize> {
+    let mut table: Vec<[u64; 4]> = Vec::new();
+    let mut spill: Option<HashMap<[u64; 4], u32>> = None;
+    let mut classes = 0usize;
+    for (i, vm) in vms.iter().enumerate() {
+        let key = VmClass::of(vm).key();
+        let known = match &spill {
+            None => table.iter().position(|k| *k == key).map(|at| at as u32),
+            Some(map) => map.get(&key).copied(),
+        };
+        let id = match known {
+            Some(id) => id,
             None => {
-                slot.insert(class.key(), pairs.len());
-                pairs.push((class, 1));
+                if classes == cap {
+                    return None;
+                }
+                let id = classes as u32;
+                if classes < TABLE_CLASSES {
+                    table.push(key);
+                } else {
+                    spill
+                        .get_or_insert_with(|| {
+                            let mut map = HashMap::with_capacity(vms.len().min(1024));
+                            map.extend(table.iter().copied().zip(0u32..));
+                            map
+                        })
+                        .insert(key, id);
+                }
+                classes += 1;
+                id
             }
-        }
+        };
+        visit(i, id);
     }
-    pairs
+    Some(classes)
 }
 
-/// Number of distinct classes in the fleet (the length of [`collapse`]
-/// without materializing the pairs).
+/// Number of distinct classes in the fleet.
 pub fn distinct_classes(vms: &[VmSpec]) -> usize {
-    let mut keys: HashMap<[u64; 4], ()> = HashMap::with_capacity(vms.len().min(1024));
-    for vm in vms {
-        keys.insert(VmClass::of(vm).key(), ());
-    }
-    keys.len()
-}
-
-/// Collapse factor `n / distinct_classes` — how many VMs the average class
-/// absorbs (1.0 for an all-distinct fleet, `n` for a single-class one).
-/// Empty fleets report 1.0.
-pub fn collapse_factor(vms: &[VmSpec]) -> f64 {
-    if vms.is_empty() {
-        return 1.0;
-    }
-    vms.len() as f64 / distinct_classes(vms) as f64
+    intern_classes(vms, usize::MAX, |_, _| {}).expect("no cap to overflow")
 }
 
 #[cfg(test)]
@@ -204,9 +232,8 @@ mod tests {
     #[test]
     fn empty_inputs() {
         assert!(class_runs(&[], &[]).is_empty());
-        assert!(collapse(&[]).is_empty());
+        assert_eq!(intern_classes(&[], 0, |_, _| unreachable!()), Some(0));
         assert_eq!(distinct_classes(&[]), 0);
-        assert_eq!(collapse_factor(&[]), 1.0);
     }
 
     #[test]
@@ -217,14 +244,39 @@ mod tests {
             vm(2, 5.0, 2.0),
             vm(3, 5.0, 2.0),
         ];
-        let pairs = collapse(&vms);
-        assert_eq!(pairs.len(), 2);
-        assert!(pairs[0].0.matches(&vms[0]));
-        assert_eq!(pairs[0].1, 3);
-        assert!(pairs[1].0.matches(&vms[1]));
-        assert_eq!(pairs[1].1, 1);
+        let mut ids = Vec::new();
+        assert_eq!(intern_classes(&vms, 2, |i, id| ids.push((i, id))), Some(2));
+        assert_eq!(ids, [(0, 0), (1, 1), (2, 0), (3, 0)]);
         assert_eq!(distinct_classes(&vms), 2);
-        assert_eq!(collapse_factor(&vms), 2.0);
+        // One class too many for the cap: the pass stops at the VM that
+        // overflowed, without visiting it.
+        ids.clear();
+        assert_eq!(intern_classes(&vms, 1, |i, id| ids.push((i, id))), None);
+        assert_eq!(ids, [(0, 0)]);
+    }
+
+    #[test]
+    fn ids_keep_first_appearance_order_across_the_spill() {
+        // More classes than the linear-scan table holds, every one met
+        // again after the hash map took over: ids must be what a plain
+        // first-appearance numbering gives, on both sides of the seam.
+        let k = TABLE_CLASSES + 40;
+        let vms: Vec<VmSpec> = (0..3 * k)
+            .map(|i| vm(i, 1.0 + (i % k) as f64 * 0.25, 1.0))
+            .collect();
+        let mut ids = Vec::new();
+        assert_eq!(
+            intern_classes(&vms, usize::MAX, |_, id| ids.push(id)),
+            Some(k)
+        );
+        assert!(ids.iter().enumerate().all(|(i, &id)| id as usize == i % k));
+        assert_eq!(intern_classes(&vms, k, |_, _| {}), Some(k));
+        assert_eq!(intern_classes(&vms, k - 1, |_, _| {}), None);
+        assert_eq!(intern_classes(&vms, TABLE_CLASSES, |_, _| {}), None);
+        assert_eq!(
+            intern_classes(&vms[..TABLE_CLASSES], TABLE_CLASSES, |_, _| {}),
+            Some(TABLE_CLASSES)
+        );
     }
 
     #[test]
@@ -235,7 +287,9 @@ mod tests {
         let vms = g.vms_table_i(1000, WorkloadPattern::EqualSpike);
         // Equal-spike Table I has three rows: (S,S), (M,M), (L,L).
         assert_eq!(distinct_classes(&vms), 3);
-        let pairs = collapse(&vms);
-        assert_eq!(pairs.iter().map(|&(_, c)| c).sum::<usize>(), 1000);
+        let mut counts = [0usize; 3];
+        intern_classes(&vms, 3, |_, id| counts[id as usize] += 1);
+        assert_eq!(counts.iter().sum::<usize>(), 1000);
+        assert!(counts.iter().all(|&c| c > 0));
     }
 }

@@ -26,7 +26,7 @@ pub mod trace;
 pub mod webserver;
 
 pub use analysis::{profile, BurstinessProfile};
-pub use classes::{class_runs, collapse, collapse_factor, distinct_classes, ClassRun, VmClass};
+pub use classes::{class_runs, distinct_classes, intern_classes, ClassRun, VmClass};
 pub use fitting::{fit_fleet, fit_trace, FitError, FittedModel};
 pub use fleet::{FleetGenerator, FleetOptions};
 pub use patterns::{SizeClass, TableIRow, WorkloadPattern, TABLE_I};
