@@ -1,7 +1,7 @@
 //! The subcommands behind the `bursty` binary.
 
 use crate::parse::Args;
-use crate::traces::{list_traces, read_trace};
+use crate::traces::{fit_dir, read_trace};
 use crate::{err, CliError};
 use bursty_core::metrics::Log2Histogram;
 use bursty_core::placement::certify_exact;
@@ -112,20 +112,7 @@ pub fn plan(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     }
     let rho = args.get_f64("rho")?.unwrap_or(DEFAULT_RHO);
 
-    // Fit every trace.
-    let files = list_traces(Path::new(dir))?;
-    let mut specs = Vec::new();
-    let mut names = Vec::new();
-    for (id, file) in files.iter().enumerate() {
-        let demands = read_trace(file)?;
-        let model = fit_trace(&demands).map_err(|e| err(format!("{}: {e}", file.display())))?;
-        specs.push(model.to_spec(id, demands.len()));
-        names.push(
-            file.file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_else(|| id.to_string()),
-        );
-    }
+    let (specs, names) = fit_dir(Path::new(dir))?;
 
     // Conservative rounding, then QueuingFFD.
     let (p_on, p_off) =
@@ -390,13 +377,7 @@ pub fn simulate(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     };
 
     // Fit and plan (same path as `plan`).
-    let files = list_traces(Path::new(dir))?;
-    let mut specs = Vec::new();
-    for (id, file) in files.iter().enumerate() {
-        let demands = read_trace(file)?;
-        let model = fit_trace(&demands).map_err(|e| err(format!("{}: {e}", file.display())))?;
-        specs.push(model.to_spec(id, demands.len()));
-    }
+    let (specs, _) = fit_dir(Path::new(dir))?;
     let (p_on, p_off) =
         round_with_policy(&specs, RoundingPolicy::Conservative).expect("at least one trace");
     let n_pms = args.get_usize("pms")?.unwrap_or(specs.len());

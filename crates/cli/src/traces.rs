@@ -1,6 +1,7 @@
 //! Reading demand traces from CSV files.
 
 use crate::{err, CliError};
+use bursty_core::prelude::{fit_trace, VmSpec};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -9,8 +10,9 @@ use std::path::{Path, PathBuf};
 /// lines and `#` comments are skipped.
 ///
 /// # Errors
-/// [`CliError`] for unreadable files, non-numeric data lines, or traces
-/// with no samples.
+/// [`CliError`] for unreadable files, data lines that are not a finite
+/// number (`nan` and `inf` parse as `f64` but are a monitor's missing
+/// value, not a demand), or traces with no samples.
 pub fn read_trace(path: &Path) -> Result<Vec<f64>, CliError> {
     let text = fs::read_to_string(path)
         .map_err(|e| err(format!("cannot read {}: {e}", path.display())))?;
@@ -22,7 +24,14 @@ pub fn read_trace(path: &Path) -> Result<Vec<f64>, CliError> {
         }
         let last = line.rsplit(',').next().unwrap_or(line).trim();
         match last.parse::<f64>() {
-            Ok(v) => out.push(v),
+            Ok(v) if v.is_finite() => out.push(v),
+            Ok(_) => {
+                return Err(err(format!(
+                    "{}:{}: `{last}` is not a finite demand",
+                    path.display(),
+                    lineno + 1
+                )))
+            }
             Err(_) if out.is_empty() && lineno == 0 => continue, // header
             Err(_) => {
                 return Err(err(format!(
@@ -56,6 +65,29 @@ pub fn list_traces(dir: &Path) -> Result<Vec<PathBuf>, CliError> {
         return Err(err(format!("no .csv traces in {}", dir.display())));
     }
     Ok(files)
+}
+
+/// Fits every trace of a directory: the specs (ids in file-name order)
+/// and the file stems that name them.
+///
+/// # Errors
+/// [`CliError`] naming the file for anything [`list_traces`],
+/// [`read_trace`] or the fit rejects.
+pub fn fit_dir(dir: &Path) -> Result<(Vec<VmSpec>, Vec<String>), CliError> {
+    let files = list_traces(dir)?;
+    let mut specs = Vec::with_capacity(files.len());
+    let mut names = Vec::with_capacity(files.len());
+    for (id, file) in files.iter().enumerate() {
+        let demands = read_trace(file)?;
+        let model = fit_trace(&demands).map_err(|e| err(format!("{}: {e}", file.display())))?;
+        specs.push(model.to_spec(id, demands.len()));
+        names.push(
+            file.file_stem()
+                .map(|s| s.to_string_lossy().into_owned())
+                .unwrap_or_else(|| id.to_string()),
+        );
+    }
+    Ok((specs, names))
 }
 
 #[cfg(test)]
@@ -99,6 +131,37 @@ mod tests {
         write(&p, "1\nnot-a-number\n");
         let e = read_trace(&p).unwrap_err().to_string();
         assert!(e.contains(":2:"), "{e}");
+    }
+
+    #[test]
+    fn non_finite_sample_reports_location() {
+        let dir = scratch("nonfinite");
+        let p = dir.join("a.csv");
+        for gap in ["nan", "NaN", "inf", "-inf"] {
+            write(
+                &p,
+                &format!("t,demand\n0,1\n# monitor restart\n1,{gap}\n2,3\n"),
+            );
+            let e = read_trace(&p).unwrap_err().to_string();
+            assert!(e.contains("a.csv:4:") && e.contains(gap), "{e}");
+        }
+        // On the first line too: it parses, so it is no header.
+        write(&p, "nan\n1\n2\n");
+        assert!(read_trace(&p).unwrap_err().to_string().contains(":1:"));
+    }
+
+    #[test]
+    fn fit_dir_fits_in_name_order_and_names_the_bad_file() {
+        let dir = scratch("fitdir");
+        write(&dir.join("b.csv"), "1\n1\n9\n9\n1\n");
+        write(&dir.join("a.csv"), "t,demand\n0,2\n1,6\n2,2\n");
+        let (specs, names) = fit_dir(&dir).unwrap();
+        assert_eq!(names, vec!["a", "b"]);
+        assert_eq!((specs[0].id, specs[0].r_b), (0, 2.0));
+        assert_eq!((specs[1].id, specs[1].r_e), (1, 8.0));
+        write(&dir.join("c.csv"), "5\n5\n5\n");
+        let e = fit_dir(&dir).unwrap_err().to_string();
+        assert!(e.contains("c.csv") && e.contains("transitions"), "{e}");
     }
 
     #[test]

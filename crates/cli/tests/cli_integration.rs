@@ -116,6 +116,43 @@ fn plan_fails_cleanly_when_capacity_too_small() {
 }
 
 #[test]
+fn a_missing_value_in_a_trace_is_refused_with_file_and_line() {
+    // One `nan` used to fit as an OFF sample, poison the OFF mean and
+    // plan as a VM with R_b = 2.2e-308 and R_e = 0 that reserves nothing;
+    // one `inf` dragged the threshold along and read as "no transitions".
+    let dir = scratch("gap");
+    write_generated_traces(&dir, 2);
+    let path = dir.join("vm01.csv");
+    for gap in ["nan", "inf"] {
+        let csv = fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<&str> = csv.lines().collect();
+        let row = format!("40,{gap}");
+        lines[41] = &row;
+        fs::write(&path, lines.join("\n")).unwrap();
+        for command in [
+            args(&["fit", path.to_str().unwrap()]),
+            args(&[
+                "plan",
+                "--traces",
+                dir.to_str().unwrap(),
+                "--capacity",
+                "90",
+            ]),
+            args(&[
+                "simulate",
+                "--traces",
+                dir.to_str().unwrap(),
+                "--capacity",
+                "90",
+            ]),
+        ] {
+            let e = run(&command, &mut Vec::new()).unwrap_err().to_string();
+            assert!(e.contains("vm01.csv:42:") && e.contains(gap), "{e}");
+        }
+    }
+}
+
+#[test]
 fn plan_rejects_missing_flags() {
     let mut buf = Vec::new();
     let e = run(&args(&["plan", "--capacity", "90"]), &mut buf).unwrap_err();

@@ -118,13 +118,13 @@ pub struct BurstinessProfile {
 }
 
 /// Profiles a demand trace. Returns `None` for traces shorter than 32
-/// samples (IDC would be meaningless).
+/// samples (IDC would be meaningless) or holding a NaN or infinite sample
+/// (every statistic would be).
 pub fn profile(demands: &[f64]) -> Option<BurstinessProfile> {
     if demands.len() < 32 {
         return None;
     }
-    let lo = demands.iter().cloned().fold(f64::INFINITY, f64::min);
-    let hi = demands.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let (lo, hi) = crate::fitting::finite_range(demands).ok()?;
     let threshold = (lo + hi) / 2.0;
     let on: Vec<bool> = demands.iter().map(|&d| d > threshold).collect();
     let m = mean(demands);
@@ -264,5 +264,8 @@ mod tests {
     fn profile_rejects_short_traces() {
         assert!(profile(&[1.0; 31]).is_none());
         assert!(profile(&[1.0; 32]).is_some());
+        let mut gap = [1.0; 40];
+        gap[33] = f64::NAN;
+        assert!(profile(&gap).is_none());
     }
 }

@@ -27,7 +27,7 @@ pub mod webserver;
 
 pub use analysis::{profile, BurstinessProfile};
 pub use classes::{class_runs, distinct_classes, intern_classes, ClassRun, VmClass};
-pub use fitting::{fit_fleet, fit_trace, FitError, FittedModel};
+pub use fitting::{fit_trace, FitError, FittedModel};
 pub use fleet::{FleetGenerator, FleetOptions};
 pub use patterns::{SizeClass, TableIRow, WorkloadPattern, TABLE_I};
 pub use spec::{PmSpec, VmSpec};
