@@ -24,6 +24,7 @@
 //! engine's sustained churn throughput to beat the reference by at least
 //! `X`× at the largest fleet size.
 
+use bursty_bench::quantile_ns;
 use bursty_core::placement::PackError;
 use bursty_core::prelude::*;
 use rand::rngs::StdRng;
@@ -214,13 +215,9 @@ impl LatencyStats {
 
     /// Exact nearest-rank quantile over the recorded samples.
     fn quantile_ns(&self, q: f64) -> u64 {
-        if self.samples.is_empty() {
-            return 0;
-        }
         let mut sorted = self.samples.clone();
         sorted.sort_unstable();
-        let idx = ((q * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
-        sorted[idx]
+        quantile_ns(&sorted, q)
     }
 
     fn p50(&self) -> u64 {

@@ -69,6 +69,7 @@
 //! quartiles per side, the pairs this side won, and — the binary exits
 //! nonzero otherwise — one outcome digest across all `2·P` children.
 
+use bursty_bench::quartiles;
 use bursty_core::prelude::*;
 use bursty_core::sim::bench_api::{class_occupancy, ClassCoreBench};
 use bursty_core::sim::rng::{class_cell_key, class_hash, keyed_binomial};
@@ -446,13 +447,6 @@ fn field<'a>(row: &'a str, name: &str) -> &'a str {
     let from = row.find(&open).expect("row has the field") + open.len();
     let len = row[from..].find([',', '}']).expect("field ends");
     &row[from..from + len]
-}
-
-/// `(q1, median, q3)` of one side's per-child timings.
-fn quartiles(secs: &[f64]) -> [f64; 3] {
-    let mut sorted = secs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    [1, 2, 3].map(|q| sorted[q * sorted.len() / 4])
 }
 
 /// The `paired` rows (module docs): this binary against `other`,

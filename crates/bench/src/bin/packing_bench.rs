@@ -48,6 +48,7 @@
 //! paper-density pack climbs the tree at all — so CI can gate on the exit
 //! code alone.
 
+use bursty_bench::quartiles;
 use bursty_core::placement::{
     first_fit, first_fit_batch_with, PackProfile, PlacementState, QueueStrategy,
 };
@@ -125,13 +126,6 @@ fn best_secs<R>(repeats: usize, mut f: impl FnMut() -> R) -> f64 {
         best = best.min(start.elapsed().as_secs_f64());
     }
     best
-}
-
-/// `[q1, median, q3]` of the samples (nearest rank).
-fn quartiles(samples: &[f64]) -> [f64; 3] {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    [1, 2, 3].map(|q| sorted[((sorted.len() - 1) * q + 2) / 4])
 }
 
 fn spread_json(samples: &[f64]) -> String {

@@ -34,6 +34,7 @@
 //! replay's end-state digest disagrees with the oracle — throughput
 //! numbers from a divergent daemon are meaningless.
 
+use bursty_bench::quantile_ns;
 use bursty_core::prelude::*;
 use bursty_server::{build_program, fetch_digest, op_request, Client, Op, ServerConfig};
 use std::fmt::Write as _;
@@ -117,15 +118,6 @@ fn parse_args() -> Args {
         }
     }
     parsed
-}
-
-/// Exact nearest-rank quantile over latency samples, in nanoseconds.
-fn quantile_ns(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((q * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
-    sorted[idx]
 }
 
 struct ServeRow {

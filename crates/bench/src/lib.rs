@@ -50,3 +50,56 @@ fn commit_led<'a>(lines: impl Iterator<Item = &'a str>) -> Vec<String> {
         .map(str::to_string)
         .collect()
 }
+
+/// `[q1, median, q3]` of the samples: the sorted sample at zero-based
+/// rank `q·n/4` (integer division) for `q = 1, 2, 3`, so an even `n`
+/// reports the upper of its two middle samples as the median. Every
+/// emitter's `q1`/`median`/`q3` keys hold this rank.
+///
+/// # Panics
+/// Panics on an empty slice.
+pub fn quartiles(samples: &[f64]) -> [f64; 3] {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    [1, 2, 3].map(|q| sorted[q * sorted.len() / 4])
+}
+
+/// Exact nearest-rank quantile of ascending latency samples, in
+/// nanoseconds: the sample at rank `round(q·(n − 1))`, 0 for no samples.
+pub fn quantile_ns(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let idx = ((q * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
+    sorted[idx]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quartiles_take_rank_q_n_over_4() {
+        // Samples are their own ranks, fed in descending order.
+        for (n, ranks) in [
+            (1, [0, 0, 0]),
+            (3, [0, 1, 2]),
+            (4, [1, 2, 3]),
+            (9, [2, 4, 6]),
+            (16, [4, 8, 12]),
+        ] {
+            let samples: Vec<f64> = (0..n).rev().map(f64::from).collect();
+            assert_eq!(quartiles(&samples), ranks.map(f64::from), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn quantile_ns_is_nearest_rank() {
+        let sorted: Vec<u64> = (0..101).collect();
+        assert_eq!(quantile_ns(&sorted, 0.5), 50);
+        assert_eq!(quantile_ns(&sorted, 0.99), 99);
+        assert_eq!(quantile_ns(&sorted, 1.0), 100);
+        assert_eq!(quantile_ns(&[7, 9], 0.5), 9, "a tie rounds up");
+        assert_eq!(quantile_ns(&[], 0.5), 0);
+    }
+}

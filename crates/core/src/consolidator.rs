@@ -7,8 +7,8 @@ use bursty_placement::{
     ReserveStrategy, Strategy,
 };
 use bursty_sim::{
-    CheckpointConfig, CheckpointError, CheckpointedRun, DegradedAdmission, ObservedPolicy,
-    PeakPolicy, QueuePolicy, RecoveryReport, RuntimePolicy, SimConfig, SimOutcome, Simulator,
+    CheckpointConfig, CheckpointError, CheckpointedRun, ObservedPolicy, PeakPolicy, QueuePolicy,
+    RecoveryReport, RuntimePolicy, SimConfig, SimOutcome, Simulator,
 };
 use bursty_workload::patterns::defaults;
 use bursty_workload::{PmSpec, VmSpec};
@@ -102,11 +102,6 @@ impl Consolidator {
         self
     }
 
-    /// The active scheme.
-    pub fn scheme(&self) -> Scheme {
-        self.scheme
-    }
-
     /// Builds the packing strategy for the scheme.
     pub fn strategy(&self) -> Box<dyn Strategy> {
         match self.scheme {
@@ -133,18 +128,6 @@ impl Consolidator {
             Scheme::Rb => Box::new(ObservedPolicy::rb()),
             Scheme::RbEx(delta) => Box::new(ObservedPolicy::rb_ex(delta)),
         }
-    }
-
-    /// Builds the scheme's admission policy relaxed by an overflow margin
-    /// `epsilon`: every PM's capacity is treated as `(1 + ε)·C` for
-    /// admission decisions. This is the degraded-mode policy the simulator
-    /// falls back to when evacuating crashed PMs into a full pool — better
-    /// a tagged, temporary overcommit than a stranded VM.
-    ///
-    /// # Panics
-    /// Panics if `epsilon` is negative or non-finite.
-    pub fn degraded_policy(&self, epsilon: f64) -> Box<dyn RuntimePolicy> {
-        Box::new(DegradedAdmission::new(self.policy(), epsilon))
     }
 
     /// Whether [`Consolidator::place`] takes the class-collapsed batch
@@ -292,7 +275,7 @@ impl Consolidator {
     ///
     /// # Errors
     /// Propagates packing failures.
-    pub fn evaluate_recorded<R: Recorder>(
+    pub(crate) fn evaluate_recorded<R: Recorder>(
         &self,
         vms: &[VmSpec],
         pms: &[PmSpec],
@@ -564,30 +547,6 @@ mod tests {
         // Exactly one build for this parameter set; the second lookup hit.
         assert_eq!(after.misses - before.misses, 1);
         assert!(after.hits - before.hits >= 1);
-    }
-
-    #[test]
-    fn degraded_policy_relaxes_admission_but_keeps_the_demand_measure() {
-        use bursty_placement::PmLoad;
-        use bursty_sim::PmRuntime;
-        let c = Consolidator::new(Scheme::Rb);
-        let vm = VmSpec::new(0, 0.01, 0.09, 10.0, 10.0);
-        let mut load = PmLoad::empty();
-        load.add(&vm);
-        let pm = PmRuntime {
-            load,
-            observed: 95.0,
-        };
-        let migrant = VmSpec::new(1, 0.01, 0.09, 8.0, 0.0);
-        // Strict RB refuses (95 + 8 > 100); a 10% margin admits.
-        assert!(!c.policy().admits(&migrant, 8.0, &pm, 100.0));
-        let degraded = c.degraded_policy(0.1);
-        assert!(degraded.admits(&migrant, 8.0, &pm, 100.0));
-        assert_eq!(degraded.name(), "DEGRADED");
-        assert_eq!(
-            degraded.demand_measure(&migrant, 8.0),
-            c.policy().demand_measure(&migrant, 8.0)
-        );
     }
 
     #[test]

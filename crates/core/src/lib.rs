@@ -54,7 +54,7 @@ pub use bursty_placement as placement;
 pub use bursty_sim as sim;
 pub use bursty_workload as workload;
 
-pub mod consolidator;
+mod consolidator;
 
 pub use consolidator::{Consolidator, Scheme};
 
@@ -62,8 +62,7 @@ pub use consolidator::{Consolidator, Scheme};
 pub mod prelude {
     pub use crate::consolidator::{Consolidator, Scheme};
     pub use bursty_markov::{
-        block_system_metrics, AggregateChain, BlockSystemMetrics, OnOffChain, TransientAnalysis,
-        VmState,
+        block_system_metrics, AggregateChain, BlockSystemMetrics, OnOffChain, VmState,
     };
     pub use bursty_metrics::{Summary, Table, TimeSeries};
     pub use bursty_obs::{
@@ -76,11 +75,10 @@ pub mod prelude {
         StateDigest, Strategy,
     };
     pub use bursty_sim::{
-        detect_stabilization, replicate, run_churn, CheckpointConfig, CheckpointError,
-        CheckpointedRun, ChurnConfig, ChurnOutcome, ConfigError, DegradedAdmission,
-        EvacuationEvent, FaultConfig, FaultEvent, FaultKind, FaultProcess, MigrationEvent,
-        ObservedPolicy, PeakPolicy, QueuePolicy, RecoveryReport, RecoveryStats, RngLayout,
-        RuntimePolicy, SimConfig, SimOutcome, Simulator, Stabilization,
+        replicate, run_churn, CheckpointConfig, CheckpointError, CheckpointedRun, ChurnConfig,
+        ChurnOutcome, ConfigError, DegradedAdmission, EvacuationEvent, FaultConfig, FaultEvent,
+        FaultKind, FaultProcess, MigrationEvent, ObservedPolicy, PeakPolicy, QueuePolicy,
+        RecoveryReport, RecoveryStats, RngLayout, RuntimePolicy, SimConfig, SimOutcome, Simulator,
     };
     pub use bursty_workload::{
         fit_trace, FittedModel, FleetGenerator, PmSpec, SizeClass, VmSpec, WorkloadPattern, TABLE_I,

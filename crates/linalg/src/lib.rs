@@ -4,22 +4,16 @@
 //! stationary-distribution system `ΠP = Π, Σπᵢ = 1` — a dense linear
 //! solve performed here by [Gaussian elimination with partial
 //! pivoting](solve::solve). Production MapCal reads the same law off a
-//! closed-form binomial; this solve is the oracle it is checked against,
-//! and [`Matrix`] also carries the transient analysis (`Π₀Pᵗ`).
+//! closed-form binomial; this solve is the oracle it is checked against.
 //!
 //! Matrices are small (`(d+1)×(d+1)` with `d ≤ a few hundred`), so a simple
 //! row-major dense representation is the right tool; no external linear
 //! algebra dependency is needed.
 
-pub mod matrix;
-pub mod solve;
-pub mod stationary;
+mod matrix;
+mod solve;
+mod stationary;
 
 pub use matrix::Matrix;
 pub use solve::{solve, LinalgError};
 pub use stationary::stationary_distribution;
-
-/// Default absolute tolerance used by the crate's convergence and validation
-/// checks. Stationary probabilities of interest are ≥ ρ ~ 1e-2; 1e-12 leaves
-/// ten orders of magnitude of headroom.
-pub const DEFAULT_TOL: f64 = 1e-12;

@@ -29,15 +29,6 @@ impl Matrix {
         }
     }
 
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Builds a matrix from a row-major vector.
     ///
     /// # Panics
@@ -49,7 +40,11 @@ impl Matrix {
     }
 
     /// Builds a matrix by evaluating `f(row, col)` at every entry.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
+    pub(crate) fn from_fn(
+        rows: usize,
+        cols: usize,
+        mut f: impl FnMut(usize, usize) -> f64,
+    ) -> Self {
         let mut m = Self::zeros(rows, cols);
         for i in 0..rows {
             for j in 0..cols {
@@ -61,74 +56,31 @@ impl Matrix {
 
     /// Number of rows.
     #[inline]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     /// Returns `true` iff the matrix is square.
     #[inline]
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
     /// Immutable view of row `i`.
     #[inline]
-    pub fn row(&self, i: usize) -> &[f64] {
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
         debug_assert!(i < self.rows);
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutable view of row `i`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        debug_assert!(i < self.rows);
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Swaps rows `a` and `b` in place.
-    pub fn swap_rows(&mut self, a: usize, b: usize) {
+    pub(crate) fn swap_rows(&mut self, a: usize, b: usize) {
         if a == b {
             return;
         }
         let (a, b) = (a.min(b), a.max(b));
         let (head, tail) = self.data.split_at_mut(b * self.cols);
         head[a * self.cols..(a + 1) * self.cols].swap_with_slice(&mut tail[..self.cols]);
-    }
-
-    /// Returns the transpose.
-    pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
-    }
-
-    /// Matrix × matrix product.
-    ///
-    /// # Panics
-    /// Panics on an inner-dimension mismatch.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "inner dimensions must agree");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        // i-k-j loop order keeps the innermost accesses contiguous for both
-        // `other` and `out`.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = other.row(k);
-                let out_row = out.row_mut(i);
-                for j in 0..other.cols {
-                    out_row[j] += a * orow[j];
-                }
-            }
-        }
-        out
     }
 
     /// Row-vector × matrix product: `out[j] = Σᵢ v[i] · self[i][j]`.
@@ -149,11 +101,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Maximum absolute entry (`∞`-norm of the entries).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |acc, x| acc.max(x.abs()))
     }
 
     /// Checks whether the matrix is row-stochastic within `tol`:
@@ -210,7 +157,7 @@ mod tests {
     fn zeros_has_requested_shape_and_is_zero() {
         let m = Matrix::zeros(3, 4);
         assert_eq!(m.rows(), 3);
-        assert_eq!(m.cols(), 4);
+        assert_eq!(m.cols, 4);
         for i in 0..3 {
             for j in 0..4 {
                 assert_eq!(m[(i, j)], 0.0);
@@ -222,14 +169,6 @@ mod tests {
     #[should_panic(expected = "nonzero")]
     fn zero_dimension_panics() {
         let _ = Matrix::zeros(0, 3);
-    }
-
-    #[test]
-    fn identity_is_identity_under_matmul() {
-        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let i = Matrix::identity(2);
-        assert_eq!(a.matmul(&i), a);
-        assert_eq!(i.matmul(&a), a);
     }
 
     #[test]
@@ -246,53 +185,13 @@ mod tests {
     }
 
     #[test]
-    fn matmul_known_product() {
-        // [1 2; 3 4] * [5 6; 7 8] = [19 22; 43 50]
-        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let b = Matrix::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]);
-        let c = a.matmul(&b);
-        assert_eq!(c[(0, 0)], 19.0);
-        assert_eq!(c[(0, 1)], 22.0);
-        assert_eq!(c[(1, 0)], 43.0);
-        assert_eq!(c[(1, 1)], 50.0);
-    }
-
-    #[test]
-    fn matmul_rectangular() {
-        // 2x3 * 3x1
-        let a = Matrix::from_vec(2, 3, vec![1.0, 0.0, 2.0, 0.0, 1.0, 1.0]);
-        let b = Matrix::from_vec(3, 1, vec![3.0, 4.0, 5.0]);
-        let c = a.matmul(&b);
-        assert_eq!(c.rows(), 2);
-        assert_eq!(c.cols(), 1);
-        assert_eq!(c[(0, 0)], 13.0);
-        assert_eq!(c[(1, 0)], 9.0);
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = Matrix::from_fn(3, 5, |i, j| (i * 17 + j * 3) as f64);
-        assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
-    fn transpose_swaps_entries() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let t = a.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.cols(), 2);
-        assert_eq!(t[(2, 0)], 3.0);
-        assert_eq!(t[(0, 1)], 4.0);
-    }
-
-    #[test]
     fn vecmul_left_matches_matmul() {
         let a = Matrix::from_fn(3, 3, |i, j| ((i + 1) * (j + 2)) as f64);
         let v = [1.0, -2.0, 0.5];
         let via_vec = a.vecmul_left(&v);
-        let vm = Matrix::from_vec(1, 3, v.to_vec()).matmul(&a);
         for j in 0..3 {
-            assert!((via_vec[j] - vm[(0, j)]).abs() < 1e-12);
+            let entry: f64 = (0..3).map(|i| v[i] * a[(i, j)]).sum();
+            assert!((via_vec[j] - entry).abs() < 1e-12);
         }
     }
 
@@ -315,11 +214,5 @@ mod tests {
         assert!(!bad.is_row_stochastic(1e-12));
         let neg = Matrix::from_vec(2, 2, vec![1.1, -0.1, 0.4, 0.6]);
         assert!(!neg.is_row_stochastic(1e-12));
-    }
-
-    #[test]
-    fn max_abs_finds_extreme() {
-        let a = Matrix::from_vec(2, 2, vec![1.0, -7.5, 3.0, 2.0]);
-        assert_eq!(a.max_abs(), 7.5);
     }
 }

@@ -99,7 +99,7 @@ mod tests {
     #[test]
     fn reducible_chain_with_two_closed_classes_is_singular() {
         // Block-diagonal: two absorbing states => no unique stationary dist.
-        let p = Matrix::identity(2);
+        let p = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
         match stationary_distribution(&p) {
             Err(LinalgError::Singular { .. }) => {}
             other => panic!("expected Singular, got {other:?}"),

@@ -73,7 +73,7 @@ impl AggregateChain {
 
     /// Number of VMs (`k`); the chain has `k + 1` states.
     #[inline]
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.k
     }
 
@@ -82,7 +82,7 @@ impl AggregateChain {
     /// `p_ij = Σ_r  Pr[O = r | θ = i] · Pr[I = j − i + r | θ = i]`
     ///
     /// with `O ~ B(i, p_off)` and `I ~ B(k − i, p_on)`.
-    pub fn transition_prob(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn transition_prob(&self, i: usize, j: usize) -> f64 {
         debug_assert!(i <= self.k && j <= self.k);
         let leave = BinomialPmf::new(i as u64, self.p_off);
         let enter = BinomialPmf::new((self.k - i) as u64, self.p_on);
@@ -96,10 +96,10 @@ impl AggregateChain {
 
     /// The full `(k+1) × (k+1)` one-step transition matrix `P`.
     ///
-    /// Cost `O(k³)`. Only the solver oracle and the transient analysis
-    /// need it — [`AggregateChain::stationary`] is closed-form, so building
-    /// `P` is not on MapCal's path.
-    pub fn transition_matrix(&self) -> Matrix {
+    /// Cost `O(k³)`. Only the solver oracle needs it —
+    /// [`AggregateChain::stationary`] is closed-form, so building `P` is
+    /// not on MapCal's path.
+    pub(crate) fn transition_matrix(&self) -> Matrix {
         let n = self.k + 1;
         // Precompute the two PMF families once per row instead of per entry.
         let mut p = Matrix::zeros(n, n);

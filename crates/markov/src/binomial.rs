@@ -45,25 +45,11 @@ fn ln_choose(n: u64, x: u64) -> f64 {
     ln_gamma(n as f64 + 1.0) - ln_gamma(x as f64 + 1.0) - ln_gamma((n - x) as f64 + 1.0)
 }
 
-/// Binomial coefficient `C(n, x)` as `f64`, saturating to `f64::INFINITY`
-/// once the true value exceeds `f64::MAX`. Returns 0 for `x > n`.
-pub fn binomial_coefficient(n: u64, x: u64) -> f64 {
-    if x > n {
-        return 0.0;
-    }
-    if x == 0 || x == n {
-        return 1.0;
-    }
-    ln_choose(n, x).exp()
-}
-
 /// The PMF of a `Binomial(n, p)` random variable.
 ///
 /// Follows the paper's convention that `C(n, x) = 0` when `x > n` (and
-/// treats negative arguments as impossible via the signed [`pmf_signed`]
+/// treats negative arguments as impossible via the signed `pmf_signed`
 /// entry point used by Eq. 12's convolution).
-///
-/// [`pmf_signed`]: BinomialPmf::pmf_signed
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BinomialPmf {
     n: u64,
@@ -81,18 +67,6 @@ impl BinomialPmf {
             "probability must be in [0,1], got {p}"
         );
         Self { n, p }
-    }
-
-    /// Number of trials.
-    #[inline]
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// Success probability.
-    #[inline]
-    pub fn p(&self) -> f64 {
-        self.p
     }
 
     /// `Pr[X = x]`. Zero for `x > n`.
@@ -120,7 +94,7 @@ impl BinomialPmf {
     /// count as `j - i + r`, which can be negative; the paper defines those
     /// terms to vanish.
     #[inline]
-    pub fn pmf_signed(&self, x: i64) -> f64 {
+    pub(crate) fn pmf_signed(&self, x: i64) -> f64 {
         if x < 0 {
             0.0
         } else {
@@ -129,20 +103,8 @@ impl BinomialPmf {
     }
 
     /// The full PMF vector `[Pr[X=0], …, Pr[X=n]]`.
-    pub fn pmf_all(&self) -> Vec<f64> {
+    pub(crate) fn pmf_all(&self) -> Vec<f64> {
         (0..=self.n).map(|x| self.pmf(x)).collect()
-    }
-
-    /// Mean `n·p`.
-    #[inline]
-    pub fn mean(&self) -> f64 {
-        self.n as f64 * self.p
-    }
-
-    /// Variance `n·p·(1−p)`.
-    #[inline]
-    pub fn variance(&self) -> f64 {
-        self.n as f64 * self.p * (1.0 - self.p)
     }
 }
 
@@ -165,23 +127,6 @@ mod tests {
         // Γ(1/2) = √π
         let got = ln_gamma(0.5).exp();
         assert!((got - std::f64::consts::PI.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn choose_small_values() {
-        assert_eq!(binomial_coefficient(5, 0), 1.0);
-        assert_eq!(binomial_coefficient(5, 5), 1.0);
-        assert!((binomial_coefficient(5, 2) - 10.0).abs() < 1e-9);
-        assert!((binomial_coefficient(10, 3) - 120.0).abs() < 1e-7);
-        assert_eq!(binomial_coefficient(3, 4), 0.0);
-    }
-
-    #[test]
-    fn choose_large_values_stay_finite_until_f64_limit() {
-        // C(300,150) ~ 9.4e88 — finite and accurate to several digits.
-        let c = binomial_coefficient(300, 150);
-        assert!(c.is_finite());
-        assert!((c.log10() - 88.9729).abs() < 1e-3);
     }
 
     #[test]
@@ -226,13 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_variance() {
-        let b = BinomialPmf::new(16, 0.01);
-        assert!((b.mean() - 0.16).abs() < 1e-12);
-        assert!((b.variance() - 16.0 * 0.01 * 0.99).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "probability")]
     fn rejects_out_of_range_probability() {
         let _ = BinomialPmf::new(3, 1.5);
@@ -258,7 +196,7 @@ mod proptests {
         fn pmf_mean_matches_analytic(n in 1u64..100, p in 0.01f64..0.99) {
             let b = BinomialPmf::new(n, p);
             let mean: f64 = b.pmf_all().iter().enumerate().map(|(x, &w)| x as f64 * w).sum();
-            prop_assert!((mean - b.mean()).abs() < 1e-8);
+            prop_assert!((mean - n as f64 * p).abs() < 1e-8);
         }
 
         #[test]

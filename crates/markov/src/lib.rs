@@ -11,22 +11,17 @@
 //!   `Geom/Geom/k` system with no waiting room. Its stationary distribution
 //!   drives the MapCal reservation rule.
 //! * [`binomial`] — numerically robust binomial PMFs used by Eq. 12.
-//! * [`transient`] — finite-horizon behaviour: `Π_t = Π₀Pᵗ`, expected
-//!   violations over a window, and mixing time (the paper's "stabilized
-//!   within ~10 σ" observation, made analytic).
-//! * [`queueing`] — loss-system measures of the block system: utilization,
-//!   carried vs offered load, spike-blocking probability.
+//! * [`block_system_metrics`] — loss-system measures of the block system:
+//!   utilization, carried vs offered load, spike-blocking probability.
 
-pub mod aggregate;
+mod aggregate;
 pub mod binomial;
-pub mod onoff;
-pub mod queueing;
+mod onoff;
+mod queueing;
 pub mod robustness;
-pub mod transient;
 
 pub use aggregate::{AggregateChain, Reservation};
 pub use binomial::BinomialPmf;
 pub use onoff::{OnOffChain, VmState};
 pub use queueing::{block_system_metrics, BlockSystemMetrics};
 pub use robustness::{survives_relative_error, tolerance_envelope, ToleranceEnvelope};
-pub use transient::TransientAnalysis;

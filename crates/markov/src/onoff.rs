@@ -37,7 +37,7 @@ impl VmState {
 /// // periods, so the VM is ON 10% of the time.
 /// let chain = OnOffChain::new(0.01, 0.09);
 /// assert!((chain.stationary_on() - 0.1).abs() < 1e-12);
-/// assert!((chain.mean_on_duration() - 11.11).abs() < 0.01);
+/// assert!((1.0 / chain.p_off() - 11.11).abs() < 0.01);
 /// // Burst persistence: lag-1 autocorrelation 0.90.
 /// assert!((chain.autocorrelation(1) - 0.9).abs() < 1e-12);
 /// ```
@@ -90,24 +90,6 @@ impl OnOffChain {
     #[inline]
     pub fn stationary_on(&self) -> f64 {
         self.p_on / (self.p_on + self.p_off)
-    }
-
-    /// Long-run fraction of time spent OFF.
-    #[inline]
-    pub fn stationary_off(&self) -> f64 {
-        1.0 - self.stationary_on()
-    }
-
-    /// Mean spike (ON-sojourn) duration in steps: geometric, `1 / p_off`.
-    #[inline]
-    pub fn mean_on_duration(&self) -> f64 {
-        1.0 / self.p_off
-    }
-
-    /// Mean OFF-sojourn duration in steps: `1 / p_on`.
-    #[inline]
-    pub fn mean_off_duration(&self) -> f64 {
-        1.0 / self.p_on
     }
 
     /// Lag-`h` autocorrelation of the ON indicator:
@@ -178,14 +160,6 @@ mod tests {
         // p_on = 0.01, p_off = 0.09 => 10% of time ON.
         let c = OnOffChain::new(0.01, 0.09);
         assert!((c.stationary_on() - 0.1).abs() < 1e-12);
-        assert!((c.stationary_off() - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn durations_are_geometric_means() {
-        let c = OnOffChain::new(0.01, 0.09);
-        assert!((c.mean_on_duration() - 1.0 / 0.09).abs() < 1e-12);
-        assert!((c.mean_off_duration() - 100.0).abs() < 1e-12);
     }
 
     #[test]
@@ -280,7 +254,6 @@ mod proptests {
             p_on in 0.001f64..1.0, p_off in 0.001f64..1.0
         ) {
             let c = OnOffChain::new(p_on, p_off);
-            prop_assert!((c.stationary_on() + c.stationary_off() - 1.0).abs() < 1e-12);
             prop_assert!(c.stationary_on() > 0.0 && c.stationary_on() < 1.0);
         }
 
@@ -290,7 +263,7 @@ mod proptests {
         ) {
             let c = OnOffChain::new(p_on, p_off);
             let p = c.transition_matrix();
-            let pi = [c.stationary_off(), c.stationary_on()];
+            let pi = [1.0 - c.stationary_on(), c.stationary_on()];
             let next = p.vecmul_left(&pi);
             prop_assert!((next[0] - pi[0]).abs() < 1e-12);
             prop_assert!((next[1] - pi[1]).abs() < 1e-12);

@@ -64,11 +64,6 @@ impl CsvWriter {
     pub fn as_str(&self) -> &str {
         &self.buf
     }
-
-    /// Consumes the writer, returning the document.
-    pub fn into_string(self) -> String {
-        self.buf
-    }
 }
 
 #[cfg(test)]
@@ -103,12 +98,5 @@ mod tests {
         let mut w = CsvWriter::new();
         w.record(&["a", "b"]);
         w.record(&["only-one"]);
-    }
-
-    #[test]
-    fn into_string_round_trip() {
-        let mut w = CsvWriter::new();
-        w.record(&["q"]);
-        assert_eq!(w.into_string(), "q\n");
     }
 }

@@ -2,47 +2,6 @@
 //! log2-bucketed histograms (used by the observability layer for latency-
 //! and size-like quantities spanning orders of magnitude).
 
-use std::fmt;
-
-/// Why two histograms cannot be merged: their bucket layouts disagree, so
-/// adding counts bin-by-bin would silently misattribute observations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum HistogramError {
-    /// The `[lo, hi)` ranges differ, so equal bin indexes cover different
-    /// value intervals.
-    RangeMismatch {
-        /// `(lo, hi)` of the receiver.
-        ours: (f64, f64),
-        /// `(lo, hi)` of the argument.
-        theirs: (f64, f64),
-    },
-    /// The bin (or bucket) counts differ, so the bin widths disagree even
-    /// over an identical range.
-    BinCountMismatch {
-        /// Bin count of the receiver.
-        ours: usize,
-        /// Bin count of the argument.
-        theirs: usize,
-    },
-}
-
-impl fmt::Display for HistogramError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HistogramError::RangeMismatch { ours, theirs } => write!(
-                f,
-                "histogram ranges differ: [{}, {}) vs [{}, {})",
-                ours.0, ours.1, theirs.0, theirs.1
-            ),
-            HistogramError::BinCountMismatch { ours, theirs } => {
-                write!(f, "histogram bin counts differ: {ours} vs {theirs}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for HistogramError {}
-
 /// A histogram with `bins` equal-width bins over `[lo, hi)`, plus overflow
 /// and underflow counters.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,44 +43,15 @@ impl Histogram {
         }
     }
 
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Observations below `lo`.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above `hi`.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
     /// Total observations, including out-of-range.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum::<u64>() + self.underflow + self.overflow
     }
 
     /// The `[start, end)` range of bin `i`.
-    pub fn bin_range(&self, i: usize) -> (f64, f64) {
+    fn bin_range(&self, i: usize) -> (f64, f64) {
         let w = (self.hi - self.lo) / self.counts.len() as f64;
         (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
-    }
-
-    /// Fraction of in-range observations at or above `x` (tail weight).
-    pub fn tail_fraction(&self, x: f64) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let above: u64 = (0..self.counts.len())
-            .filter(|&i| self.bin_range(i).0 >= x)
-            .map(|i| self.counts[i])
-            .sum::<u64>()
-            + self.overflow;
-        above as f64 / total as f64
     }
 
     /// Approximate `q`-quantile (`q` clamped to `[0, 1]`) over everything
@@ -148,35 +78,6 @@ impl Histogram {
             cum = next;
         }
         Some(self.hi)
-    }
-
-    /// Adds `other`'s counts bin-by-bin (plus under/overflow). The bucket
-    /// layouts must agree exactly — merging histograms of different ranges
-    /// or widths would misattribute every observation, so layout drift is
-    /// a typed error rather than a silent corruption.
-    ///
-    /// # Errors
-    /// [`HistogramError`] when `lo`/`hi` or the bin count differ. On error
-    /// the receiver is untouched.
-    pub fn merge(&mut self, other: &Histogram) -> Result<(), HistogramError> {
-        if self.lo.to_bits() != other.lo.to_bits() || self.hi.to_bits() != other.hi.to_bits() {
-            return Err(HistogramError::RangeMismatch {
-                ours: (self.lo, self.hi),
-                theirs: (other.lo, other.hi),
-            });
-        }
-        if self.counts.len() != other.counts.len() {
-            return Err(HistogramError::BinCountMismatch {
-                ours: self.counts.len(),
-                theirs: other.counts.len(),
-            });
-        }
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        Ok(())
     }
 }
 
@@ -230,7 +131,7 @@ impl Log2Histogram {
 
     /// The bucket a value falls into: 0 for 0, else its bit length,
     /// saturated into the last bucket.
-    pub fn bucket_of(&self, value: u64) -> usize {
+    pub(crate) fn bucket_of(&self, value: u64) -> usize {
         let b = (u64::BITS - value.leading_zeros()) as usize;
         b.min(self.counts.len() - 1)
     }
@@ -324,25 +225,6 @@ impl Log2Histogram {
         }
         last_nonempty.map(|b| self.bucket_range(b).0 as f64)
     }
-
-    /// Adds `other`'s counts bucket-by-bucket.
-    ///
-    /// # Errors
-    /// [`HistogramError::BinCountMismatch`] when the bucket counts differ
-    /// (different saturation points make bucketwise addition meaningless).
-    /// On error the receiver is untouched.
-    pub fn merge(&mut self, other: &Log2Histogram) -> Result<(), HistogramError> {
-        if self.counts.len() != other.counts.len() {
-            return Err(HistogramError::BinCountMismatch {
-                ours: self.counts.len(),
-                theirs: other.counts.len(),
-            });
-        }
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -355,7 +237,7 @@ mod tests {
         for &x in &[0.0, 0.1, 0.26, 0.5, 0.74, 0.75, 0.99] {
             h.push(x);
         }
-        assert_eq!(h.counts(), &[2, 1, 2, 2]);
+        assert_eq!(h.counts, [2, 1, 2, 2]);
         assert_eq!(h.total(), 7);
     }
 
@@ -365,8 +247,8 @@ mod tests {
         h.push(-0.5);
         h.push(1.0); // hi is exclusive
         h.push(2.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
+        assert_eq!(h.underflow, 1);
+        assert_eq!(h.overflow, 2);
         assert_eq!(h.total(), 3);
     }
 
@@ -375,22 +257,6 @@ mod tests {
         let h = Histogram::new(2.0, 6.0, 4);
         assert_eq!(h.bin_range(0), (2.0, 3.0));
         assert_eq!(h.bin_range(3), (5.0, 6.0));
-    }
-
-    #[test]
-    fn tail_fraction_counts_upper_bins() {
-        let mut h = Histogram::new(0.0, 1.0, 10);
-        for i in 0..10 {
-            h.push(i as f64 / 10.0 + 0.05);
-        }
-        assert!((h.tail_fraction(0.5) - 0.5).abs() < 1e-12);
-        assert_eq!(h.tail_fraction(0.0), 1.0);
-    }
-
-    #[test]
-    fn tail_fraction_of_empty_is_zero() {
-        let h = Histogram::new(0.0, 1.0, 3);
-        assert_eq!(h.tail_fraction(0.5), 0.0);
     }
 
     #[test]
@@ -466,50 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counts_and_flows() {
-        let mut a = Histogram::new(0.0, 1.0, 4);
-        let mut b = Histogram::new(0.0, 1.0, 4);
-        for &x in &[0.1, 0.6, -1.0, 2.0] {
-            a.push(x);
-        }
-        for &x in &[0.1, 0.9, 2.0] {
-            b.push(x);
-        }
-        a.merge(&b).unwrap();
-        assert_eq!(a.counts(), &[2, 0, 1, 1]);
-        assert_eq!(a.underflow(), 1);
-        assert_eq!(a.overflow(), 2);
-        assert_eq!(a.total(), 7);
-    }
-
-    #[test]
-    fn merge_rejects_mismatched_range() {
-        let mut a = Histogram::new(0.0, 1.0, 4);
-        let mut b = Histogram::new(0.0, 2.0, 4);
-        b.push(1.5);
-        let before = a.clone();
-        let err = a.merge(&b).unwrap_err();
-        assert_eq!(
-            err,
-            HistogramError::RangeMismatch {
-                ours: (0.0, 1.0),
-                theirs: (0.0, 2.0),
-            }
-        );
-        assert!(err.to_string().contains("ranges differ"));
-        assert_eq!(a, before, "failed merge must not corrupt the receiver");
-    }
-
-    #[test]
-    fn merge_rejects_mismatched_bin_count() {
-        let mut a = Histogram::new(0.0, 1.0, 4);
-        let b = Histogram::new(0.0, 1.0, 8);
-        let err = a.merge(&b).unwrap_err();
-        assert_eq!(err, HistogramError::BinCountMismatch { ours: 4, theirs: 8 });
-        assert!(err.to_string().contains("4 vs 8"));
-    }
-
-    #[test]
     fn log2_buckets_by_bit_length() {
         let mut h = Log2Histogram::new(Log2Histogram::MAX_BUCKETS);
         for v in [0u64, 1, 2, 3, 4, 7, 8, 1024] {
@@ -552,21 +374,5 @@ mod tests {
         assert_eq!(h.bucket_range(2), (2, 3));
         assert_eq!(h.bucket_range(4), (8, 15));
         assert_eq!(h.bucket_range(64), (1 << 63, u64::MAX));
-    }
-
-    #[test]
-    fn log2_merge_matches_fixed_width_semantics() {
-        let mut a = Log2Histogram::new(8);
-        let mut b = Log2Histogram::new(8);
-        a.record(3);
-        b.record(3);
-        b.record(100);
-        a.merge(&b).unwrap();
-        assert_eq!(a.counts()[2], 2);
-        assert_eq!(a.total(), 3);
-
-        let c = Log2Histogram::new(4);
-        let err = a.merge(&c).unwrap_err();
-        assert_eq!(err, HistogramError::BinCountMismatch { ours: 8, theirs: 4 });
     }
 }

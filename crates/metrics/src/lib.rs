@@ -6,20 +6,20 @@
 //! report; everything here is presentation-side and dependency-free.
 
 pub mod csv;
-pub mod histogram;
+mod histogram;
 pub mod inference;
 pub mod plot;
 pub mod slo;
-pub mod stats;
-pub mod table;
-pub mod timeseries;
+mod stats;
+mod table;
+mod timeseries;
 
-pub use histogram::{Histogram, HistogramError, Log2Histogram};
+pub use histogram::{Histogram, Log2Histogram};
 pub use inference::{
     certify_bound, effective_sample_size, wilson_interval, wilson_interval_fractional,
     BoundVerdict, ProportionCi,
 };
 pub use plot::{ascii_bars, ascii_series};
-pub use stats::{OnlineStats, Summary};
+pub use stats::Summary;
 pub use table::Table;
 pub use timeseries::TimeSeries;

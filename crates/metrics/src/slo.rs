@@ -5,10 +5,10 @@
 //! so a `ρ` choice can be justified in contract terms.
 
 /// Seconds in a 30-day billing month.
-pub const SECS_PER_MONTH: f64 = 30.0 * 24.0 * 3600.0;
+const SECS_PER_MONTH: f64 = 30.0 * 24.0 * 3600.0;
 
 /// Availability implied by a CVR: the fraction of time capacity holds.
-pub fn availability(cvr: f64) -> f64 {
+pub(crate) fn availability(cvr: f64) -> f64 {
     assert!(
         (0.0..=1.0).contains(&cvr),
         "CVR must be in [0,1], got {cvr}"
@@ -18,7 +18,7 @@ pub fn availability(cvr: f64) -> f64 {
 
 /// The number of leading nines in an availability figure
 /// (0.999 → 3; anything below 0.9 → 0).
-pub fn nines(availability: f64) -> u32 {
+pub(crate) fn nines(availability: f64) -> u32 {
     assert!(
         (0.0..1.0).contains(&availability) || availability == 1.0,
         "availability must be in [0,1]"

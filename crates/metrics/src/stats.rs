@@ -31,7 +31,7 @@ impl Summary {
 /// Welford's online mean/variance accumulator — O(1) memory, numerically
 /// stable, suitable for long simulation runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OnlineStats {
+struct OnlineStats {
     n: usize,
     mean: f64,
     m2: f64,
@@ -39,15 +39,9 @@ pub struct OnlineStats {
     max: f64,
 }
 
-impl Default for OnlineStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl OnlineStats {
     /// Creates an empty accumulator.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self {
             n: 0,
             mean: 0.0,
@@ -58,7 +52,7 @@ impl OnlineStats {
     }
 
     /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
+    fn push(&mut self, x: f64) {
         self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
@@ -67,15 +61,9 @@ impl OnlineStats {
         self.max = self.max.max(x);
     }
 
-    /// Number of observations so far.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Current mean (0 if empty).
     #[inline]
-    pub fn mean(&self) -> f64 {
+    fn mean(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {
@@ -84,7 +72,7 @@ impl OnlineStats {
     }
 
     /// Sample variance (0 for n < 2).
-    pub fn variance(&self) -> f64 {
+    fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -93,12 +81,12 @@ impl OnlineStats {
     }
 
     /// Sample standard deviation.
-    pub fn std(&self) -> f64 {
+    fn std(&self) -> f64 {
         self.variance().sqrt()
     }
 
     /// Snapshot as a [`Summary`].
-    pub fn summary(&self) -> Summary {
+    fn summary(&self) -> Summary {
         Summary {
             n: self.n,
             mean: self.mean(),
@@ -107,45 +95,6 @@ impl OnlineStats {
             max: self.max,
         }
     }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// The `q`-quantile (`q ∈ [0, 1]`) by linear interpolation on a sorted copy.
-/// Returns `None` for an empty slice.
-pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
-    assert!(
-        (0.0..=1.0).contains(&q),
-        "quantile must be in [0,1], got {q}"
-    );
-    if xs.is_empty() {
-        return None;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
 }
 
 #[cfg(test)]
@@ -187,60 +136,6 @@ mod tests {
         let batch_mean = xs.iter().sum::<f64>() / xs.len() as f64;
         assert!((s.mean - batch_mean).abs() < 1e-10);
     }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..500).map(|i| (i as f64).sin() * 10.0).collect();
-        let (a, b) = xs.split_at(123);
-        let mut oa = OnlineStats::new();
-        a.iter().for_each(|&x| oa.push(x));
-        let mut ob = OnlineStats::new();
-        b.iter().for_each(|&x| ob.push(x));
-        oa.merge(&ob);
-        let all = Summary::of(&xs);
-        let merged = oa.summary();
-        assert_eq!(merged.n, all.n);
-        assert!((merged.mean - all.mean).abs() < 1e-10);
-        assert!((merged.std - all.std).abs() < 1e-10);
-        assert_eq!(merged.min, all.min);
-        assert_eq!(merged.max, all.max);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(1.0);
-        a.push(2.0);
-        let before = a.summary();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.summary(), before);
-
-        let mut empty = OnlineStats::new();
-        empty.merge(&a);
-        assert_eq!(empty.summary(), before);
-    }
-
-    #[test]
-    fn quantiles() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(quantile(&xs, 0.0), Some(1.0));
-        assert_eq!(quantile(&xs, 1.0), Some(5.0));
-        assert_eq!(quantile(&xs, 0.5), Some(3.0));
-        assert_eq!(quantile(&xs, 0.25), Some(2.0));
-        assert_eq!(quantile(&[], 0.5), None);
-    }
-
-    #[test]
-    fn quantile_interpolates() {
-        let xs = [0.0, 10.0];
-        assert_eq!(quantile(&xs, 0.3), Some(3.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile")]
-    fn quantile_rejects_out_of_range() {
-        let _ = quantile(&[1.0], 1.5);
-    }
 }
 
 #[cfg(test)]
@@ -254,26 +149,6 @@ mod proptests {
             let s = Summary::of(&xs);
             prop_assert!(s.mean >= s.min - 1e-9 && s.mean <= s.max + 1e-9);
             prop_assert!(s.std >= 0.0);
-        }
-
-        #[test]
-        fn merge_is_order_independent(
-            xs in proptest::collection::vec(-1e3f64..1e3, 1..100),
-            split in 0usize..100
-        ) {
-            let split = split.min(xs.len());
-            let (a, b) = xs.split_at(split);
-            let mk = |s: &[f64]| {
-                let mut o = OnlineStats::new();
-                s.iter().for_each(|&x| o.push(x));
-                o
-            };
-            let mut ab = mk(a);
-            ab.merge(&mk(b));
-            let mut ba = mk(b);
-            ba.merge(&mk(a));
-            prop_assert!((ab.mean() - ba.mean()).abs() < 1e-9);
-            prop_assert!((ab.std() - ba.std()).abs() < 1e-9);
         }
     }
 }

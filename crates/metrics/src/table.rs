@@ -42,22 +42,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience: appends a row of displayable values.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with a separator under the header.
     pub fn render(&self) -> String {
         let ncols = self.headers.len();
@@ -115,12 +99,6 @@ impl Table {
     }
 }
 
-/// Formats a float with `prec` decimal places — tiny helper to keep the
-/// experiment binaries tidy.
-pub fn fmt_f(x: f64, prec: usize) -> String {
-    format!("{x:.prec$}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,14 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn row_display_converts() {
-        let mut t = Table::new(&["x", "y"]);
-        t.row_display(&[1.5, 2.25]);
-        assert!(t.render().contains("2.25"));
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "row width")]
     fn rejects_mismatched_row() {
         let mut t = Table::new(&["only"]);
@@ -153,15 +123,9 @@ mod tests {
     }
 
     #[test]
-    fn fmt_f_rounds() {
-        assert_eq!(fmt_f(1.23456, 2), "1.23");
-        assert_eq!(fmt_f(2.0, 0), "2");
-    }
-
-    #[test]
     fn empty_table_renders_header_only() {
         let t = Table::new(&["h1", "h2"]);
-        assert!(t.is_empty());
+        assert!(t.rows.is_empty());
         assert_eq!(t.render().lines().count(), 2);
     }
 

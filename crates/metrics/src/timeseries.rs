@@ -48,7 +48,7 @@ impl TimeSeries {
 
     /// The timestamp of sample `i`.
     #[inline]
-    pub fn time_at(&self, i: usize) -> f64 {
+    pub(crate) fn time_at(&self, i: usize) -> f64 {
         self.t0 + self.dt * i as f64
     }
 
@@ -58,11 +58,6 @@ impl TimeSeries {
             .iter()
             .enumerate()
             .map(|(i, &v)| (self.time_at(i), v))
-    }
-
-    /// The last value, if any.
-    pub fn last(&self) -> Option<f64> {
-        self.values.last().copied()
     }
 
     /// Running cumulative sum (e.g. migration events → cumulative curve).
@@ -79,25 +74,6 @@ impl TimeSeries {
         TimeSeries {
             t0: self.t0,
             dt: self.dt,
-            values,
-        }
-    }
-
-    /// Downsamples by averaging consecutive windows of `factor` samples
-    /// (the final partial window is averaged over its actual length).
-    ///
-    /// # Panics
-    /// Panics if `factor == 0`.
-    pub fn downsample_mean(&self, factor: usize) -> TimeSeries {
-        assert!(factor > 0, "factor must be positive");
-        let values = self
-            .values
-            .chunks(factor)
-            .map(|c| c.iter().sum::<f64>() / c.len() as f64)
-            .collect();
-        TimeSeries {
-            t0: self.t0,
-            dt: self.dt * factor as f64,
             values,
         }
     }
@@ -133,27 +109,6 @@ mod tests {
     fn cumulative_of_empty_is_empty() {
         let ts = TimeSeries::new(0.0, 1.0);
         assert!(ts.cumulative().is_empty());
-    }
-
-    #[test]
-    fn downsample_averages_windows() {
-        let ts = TimeSeries {
-            t0: 0.0,
-            dt: 1.0,
-            values: vec![1.0, 3.0, 5.0, 7.0, 9.0],
-        };
-        let d = ts.downsample_mean(2);
-        assert_eq!(d.values, vec![2.0, 6.0, 9.0]);
-        assert_eq!(d.dt, 2.0);
-    }
-
-    #[test]
-    fn last_returns_latest() {
-        let mut ts = TimeSeries::new(0.0, 1.0);
-        assert_eq!(ts.last(), None);
-        ts.push(4.0);
-        ts.push(5.0);
-        assert_eq!(ts.last(), Some(5.0));
     }
 
     #[test]

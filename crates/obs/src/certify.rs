@@ -20,11 +20,11 @@ pub struct CvrSeries {
 }
 
 impl CvrSeries {
-    pub fn push(&mut self, step: u64, violations: usize, active: usize) {
+    pub(crate) fn push(&mut self, step: u64, violations: usize, active: usize) {
         self.samples.push((step, violations, active));
     }
 
-    pub fn samples(&self) -> &[(u64, usize, usize)] {
+    pub(crate) fn samples(&self) -> &[(u64, usize, usize)] {
         &self.samples
     }
 
@@ -36,7 +36,7 @@ impl CvrSeries {
 
     /// Encode as a JSONL `cvr_series` record (one line; used in the trace
     /// dump ahead of the event lines).
-    pub fn to_json_line(&self) -> String {
+    pub(crate) fn to_json_line(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::from("{\"type\":\"cvr_series\",\"samples\":[");
         for (i, &(step, v, a)) in self.samples.iter().enumerate() {

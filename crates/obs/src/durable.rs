@@ -292,7 +292,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// True when the payload is fully consumed.
-    pub fn done(&self) -> bool {
+    pub(crate) fn done(&self) -> bool {
         self.at == self.bytes.len()
     }
 
@@ -501,10 +501,6 @@ impl<S: Store> FailingStore<S> {
         &self.log
     }
 
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
     pub fn inner(&self) -> &S {
         &self.inner
     }
@@ -703,7 +699,7 @@ mod tests {
 
         // Every file that verifies must be byte-identical to the
         // original; every faulted file must fail verification.
-        let inner = s.into_inner();
+        let inner = s.inner();
         for (i, fault) in log.iter().enumerate() {
             let name = format!("f{i:02}");
             match fault {

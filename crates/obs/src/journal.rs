@@ -16,7 +16,7 @@ pub enum RetryCause {
 }
 
 impl RetryCause {
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             RetryCause::Overload => "overload",
             RetryCause::Evacuation => "evacuation",
@@ -146,7 +146,7 @@ impl Event {
     }
 
     /// The PM the event concerns, when it has a single natural one.
-    pub fn pm(&self) -> Option<usize> {
+    pub(crate) fn pm(&self) -> Option<usize> {
         match *self {
             Event::Violation { pm, .. }
             | Event::MigrationFailed { pm, .. }
@@ -322,7 +322,7 @@ impl Event {
     /// Appends the event's compact binary encoding (tag byte + fields,
     /// all integers little-endian) — the checkpoint representation;
     /// [`Event::decode`] is the exact inverse.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
         use crate::durable::{put_bool, put_f64, put_u32, put_u64, put_u8, put_usize};
         match *self {
             Event::Violation {
@@ -486,7 +486,9 @@ impl Event {
 
     /// Decodes one event from a [`Cursor`](crate::durable::Cursor);
     /// inverse of [`Event::encode`].
-    pub fn decode(c: &mut crate::durable::Cursor<'_>) -> Result<Self, crate::durable::FrameError> {
+    pub(crate) fn decode(
+        c: &mut crate::durable::Cursor<'_>,
+    ) -> Result<Self, crate::durable::FrameError> {
         use crate::durable::FrameError;
         let tag = c.u8()?;
         Ok(match tag {
@@ -600,7 +602,7 @@ pub struct EventJournal {
 
 impl EventJournal {
     /// A journal holding at most `cap` events; `cap == 0` discards all.
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         EventJournal {
             buf: Vec::with_capacity(cap.min(4096)),
             head: 0,
@@ -616,7 +618,7 @@ impl EventJournal {
     ///
     /// # Panics
     /// Panics when `events.len() > cap`.
-    pub fn from_parts(cap: usize, events: Vec<Event>, dropped: u64) -> Self {
+    pub(crate) fn from_parts(cap: usize, events: Vec<Event>, dropped: u64) -> Self {
         assert!(
             events.len() <= cap,
             "{} events exceed capacity {cap}",
@@ -630,7 +632,7 @@ impl EventJournal {
         }
     }
 
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.cap
     }
 
@@ -647,7 +649,7 @@ impl EventJournal {
         self.dropped
     }
 
-    pub fn push(&mut self, event: Event) {
+    pub(crate) fn push(&mut self, event: Event) {
         if self.cap == 0 {
             self.dropped += 1;
             return;

@@ -10,10 +10,10 @@
 //!    uninstrumented entry points keep their exact historical behaviour
 //!    (the `Shared`-layout golden pins stay byte-identical by construction:
 //!    no recorder method ever touches an RNG or a simulation value).
-//! 2. [`journal`] — a bounded ring buffer of typed [`Event`]s with
+//! 2. [`EventJournal`] — a bounded ring buffer of typed [`Event`]s with
 //!    deterministic sim-time timestamps, serializable as JSONL and parsed
-//!    back by [`report`] for the `trace-report` CLI subcommand.
-//! 3. [`certify`] — per-PM CVR sampling plus a Wilson-interval check
+//!    back by [`TraceReport`] for the `trace-report` CLI subcommand.
+//! 3. [`certify_cvr`] — per-PM CVR sampling plus a Wilson-interval check
 //!    (via `metrics::inference`) that the empirical violation fraction is
 //!    statistically consistent with the analytic `certified_cvr`.
 //!
@@ -25,13 +25,13 @@
 //! fault-injecting `FailingStore`) that `sim::checkpoint` persists
 //! snapshots through.
 
-pub mod certify;
+mod certify;
 pub mod durable;
-pub mod journal;
-pub mod recorder;
-pub mod report;
+mod journal;
+mod recorder;
+mod report;
 
-pub use certify::{certify_cvr, CvrCheck, CvrSeries};
+pub use certify::{certify_cvr, CvrCheck};
 pub use durable::{
     crc64, parse_frames, FailingStore, FrameError, FrameWriter, FsStore, InjectedFault, MemStore,
     Store,

@@ -105,7 +105,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const COUNT: usize = 39;
+    pub(crate) const COUNT: usize = 39;
 
     /// Stable snake_case name used in the JSONL meta record.
     pub fn name(self) -> &'static str {
@@ -213,7 +213,7 @@ pub enum Gauge {
 }
 
 impl Gauge {
-    pub const COUNT: usize = 4;
+    pub(crate) const COUNT: usize = 4;
 
     pub fn name(self) -> &'static str {
         match self {
@@ -254,7 +254,7 @@ pub enum HistId {
 }
 
 impl HistId {
-    pub const COUNT: usize = 6;
+    pub(crate) const COUNT: usize = 6;
 
     pub fn name(self) -> &'static str {
         match self {

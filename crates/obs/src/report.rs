@@ -122,12 +122,6 @@ fn object_fields(line: &str, key: &str) -> Vec<(String, String)> {
 }
 
 impl TraceReport {
-    /// Parse a full in-memory JSONL trace. Thin wrapper over
-    /// [`TraceReport::from_reader`] for callers that already hold the text.
-    pub fn from_jsonl(text: &str) -> Result<TraceReport, String> {
-        Self::from_reader(text.as_bytes())
-    }
-
     /// Parse a JSONL trace one line at a time. Memory stays bounded by the
     /// longest single line plus the fixed-size sketches and per-name maps —
     /// never by the trace length, so multi-gigabyte `--trace-out` dumps
@@ -335,7 +329,7 @@ mod tests {
         });
         r.sample_cvr(9, &[2, 0], &[10, 10]);
 
-        let report = TraceReport::from_jsonl(&r.to_jsonl()).unwrap();
+        let report = TraceReport::from_reader(r.to_jsonl().as_bytes()).unwrap();
         assert_eq!(report.counters["steps"], 200);
         assert_eq!(report.counters["migrations"], 3);
         assert_eq!(report.gauges["final_pms_used"], 4.0);
@@ -370,7 +364,7 @@ mod tests {
         });
         let text = r.to_jsonl();
 
-        let whole = TraceReport::from_jsonl(&text).unwrap();
+        let whole = TraceReport::from_reader(text.as_bytes()).unwrap();
         // Drip the same bytes through a tiny BufReader so read_line has to
         // cross buffer boundaries mid-line.
         let streamed =
@@ -397,10 +391,11 @@ mod tests {
 
     #[test]
     fn rejects_non_trace_input() {
-        assert!(TraceReport::from_jsonl("hello world\n").is_err());
+        assert!(TraceReport::from_reader("hello world\n".as_bytes()).is_err());
         // Valid-looking events but no meta line.
         let err =
-            TraceReport::from_jsonl("{\"type\":\"recovery\",\"step\":1,\"pm\":0}\n").unwrap_err();
+            TraceReport::from_reader("{\"type\":\"recovery\",\"step\":1,\"pm\":0}\n".as_bytes())
+                .unwrap_err();
         assert!(err.contains("no meta record"));
     }
 
@@ -411,7 +406,7 @@ mod tests {
             r.record_event(Event::Recovery { step, pm: 0 });
         }
         let text = r.to_jsonl();
-        let full = TraceReport::from_jsonl(&text).unwrap();
+        let full = TraceReport::from_reader(text.as_bytes()).unwrap();
         assert_eq!(full.torn_tail, 0);
         assert!(!full.render().contains("torn"));
 
@@ -419,7 +414,7 @@ mod tests {
         // torn tail must be counted, never parsed, never a hard error.
         let last_line_start = text[..text.len() - 1].rfind('\n').unwrap() + 1;
         for cut in last_line_start + 1..text.len() {
-            let report = TraceReport::from_jsonl(&text[..cut])
+            let report = TraceReport::from_reader(&text.as_bytes()[..cut])
                 .unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
             assert_eq!(report.torn_tail, 1, "cut at {cut}");
             assert_eq!(report.events, full.events - 1, "cut at {cut}");
@@ -429,14 +424,14 @@ mod tests {
         // Truncating inside the *meta* line still fails (nothing usable),
         // but with the no-meta error, not a line-parse error.
         let meta_len = text.find('\n').unwrap();
-        let err = TraceReport::from_jsonl(&text[..meta_len - 2]).unwrap_err();
+        let err = TraceReport::from_reader(&text.as_bytes()[..meta_len - 2]).unwrap_err();
         assert!(err.contains("no meta record"), "{err}");
     }
 
     #[test]
     fn empty_meta_only_trace_is_fine() {
         let r = MemoryRecorder::new(8);
-        let report = TraceReport::from_jsonl(&r.to_jsonl()).unwrap();
+        let report = TraceReport::from_reader(r.to_jsonl().as_bytes()).unwrap();
         assert_eq!(report.events, 0);
         assert!(report.render().contains("journal events : 0"));
     }

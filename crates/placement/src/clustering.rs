@@ -19,7 +19,7 @@ use bursty_workload::VmSpec;
 ///
 /// # Panics
 /// Panics if `buckets == 0`.
-pub fn cluster_order(vms: &[VmSpec], buckets: usize) -> Vec<usize> {
+pub(crate) fn cluster_order(vms: &[VmSpec], buckets: usize) -> Vec<usize> {
     let bands = cluster_bands(vms, buckets);
     let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); buckets];
     for (i, &band) in bands.iter().enumerate() {
@@ -43,7 +43,7 @@ pub fn cluster_order(vms: &[VmSpec], buckets: usize) -> Vec<usize> {
 ///
 /// # Panics
 /// Panics if `buckets == 0`.
-pub fn cluster_bands(vms: &[VmSpec], buckets: usize) -> Vec<u32> {
+pub(crate) fn cluster_bands(vms: &[VmSpec], buckets: usize) -> Vec<u32> {
     assert!(buckets > 0, "need at least one bucket");
     if vms.is_empty() {
         return Vec::new();

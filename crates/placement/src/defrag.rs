@@ -54,11 +54,6 @@ impl DefragPlan {
             self.moves.len() as f64 / self.freed_pms.len() as f64
         }
     }
-
-    /// Whether the plan does anything.
-    pub fn is_empty(&self) -> bool {
-        self.moves.is_empty()
-    }
 }
 
 /// Plans a defragmentation of the current `assignment` (VM index → PM
@@ -333,7 +328,7 @@ mod tests {
         let farm = pms(&[10.0, 10.0, 10.0, 10.0]);
         let assignment = vec![0, 1, 2, 3];
         let plan = plan_defrag(&vms, &farm, &assignment, &BaseStrategy, 100);
-        assert!(plan.is_empty());
+        assert!(plan.moves.is_empty());
         assert_eq!(plan.moves_per_freed_pm(), 0.0);
     }
 

@@ -27,16 +27,6 @@ pub enum ExactResult {
     Infeasible,
 }
 
-impl ExactResult {
-    /// The PM count carried by the result, if any.
-    pub fn pms(&self) -> Option<usize> {
-        match self {
-            ExactResult::Optimal(n) | ExactResult::Budget(n) => Some(*n),
-            ExactResult::Infeasible => None,
-        }
-    }
-}
-
 /// Branch-and-bound minimum-PM packing of `vms` onto identical PMs of
 /// `capacity`, under `strategy`'s set feasibility.
 ///

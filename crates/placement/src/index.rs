@@ -1,20 +1,14 @@
-//! Headroom indexes for O(log m) packing.
+//! The headroom index for O(log m) packing.
 //!
-//! Both structures index one scalar per PM — the strategy's *headroom*
-//! measure ([`crate::Strategy::headroom`]) — and answer the two queries the
-//! packers need:
-//!
-//! * [`HeadroomIndex::first_at_least`] — the lowest-numbered PM (at or
-//!   after a start position) whose headroom reaches a threshold: the
-//!   First-Fit probe. A segment tree over subtree maxima descends to the
-//!   answer in `O(log m)` instead of scanning all `m` PMs.
-//! * [`OrderedHeadroom::candidates_at_least`] — all PMs with headroom at
-//!   or above a threshold in *ascending headroom* order: the Best-Fit
-//!   probe, backed by an ordered set over a total-order bit mapping of the
-//!   headroom values.
+//! It indexes one scalar per PM — the strategy's *headroom* measure
+//! ([`crate::Strategy::headroom`]) — and answers the query the packers
+//! need: [`HeadroomIndex::first_at_least`], the lowest-numbered PM (at or
+//! after a start position) whose headroom reaches a threshold — the
+//! First-Fit probe. A segment tree over subtree maxima descends to the
+//! answer in `O(log m)` instead of scanning all `m` PMs.
 //!
 //! The headroom contract (`admits ⇒ headroom ≥ demand`) makes skipped PMs
-//! provably infeasible, so these indexes only *prune*; the strategy's
+//! provably infeasible, so the index only *prunes*; the strategy's
 //! `admits` remains the sole arbiter at every returned candidate and the
 //! results stay identical to a linear scan.
 
@@ -64,16 +58,6 @@ impl HeadroomIndex {
         for i in (1..base).rev() {
             self.tree[i] = self.tree[2 * i].max(self.tree[2 * i + 1]);
         }
-    }
-
-    /// Number of indexed PMs.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the index covers no PMs.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 
     /// The current headroom value of PM `j`.
@@ -126,64 +110,6 @@ impl HeadroomIndex {
     }
 }
 
-/// Maps an `f64` to a `u64` whose unsigned order equals IEEE-754 total
-/// order (the `f64::total_cmp` order): flip all bits of negatives, flip
-/// only the sign bit of non-negatives.
-fn order_key(x: f64) -> u64 {
-    let bits = x.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | (1 << 63)
-    }
-}
-
-/// Per-PM headroom values held in an ordered set, for Best-Fit's
-/// "ascending headroom among candidates above a threshold" iteration.
-/// Entries are `(order_key(headroom), pm)`, so ties in headroom resolve to
-/// the lower PM index first — matching the linear reference's tie-break.
-#[derive(Debug, Clone)]
-pub struct OrderedHeadroom {
-    set: std::collections::BTreeSet<(u64, usize)>,
-    keys: Vec<u64>,
-}
-
-impl OrderedHeadroom {
-    /// Builds the ordered index over the given per-PM headroom values.
-    pub fn new(values: &[f64]) -> Self {
-        let keys: Vec<u64> = values.iter().map(|&v| order_key(v)).collect();
-        let set = keys.iter().enumerate().map(|(j, &k)| (k, j)).collect();
-        Self { set, keys }
-    }
-
-    /// Number of indexed PMs.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether the index covers no PMs.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Sets PM `j`'s headroom.
-    pub fn update(&mut self, j: usize, value: f64) {
-        let old = self.keys[j];
-        let new = order_key(value);
-        if old != new {
-            self.set.remove(&(old, j));
-            self.set.insert((new, j));
-            self.keys[j] = new;
-        }
-    }
-
-    /// PM indices with headroom ≥ `threshold` (total order), ascending by
-    /// `(headroom, pm index)` — the Best-Fit candidate stream.
-    pub fn candidates_at_least(&self, threshold: f64) -> impl Iterator<Item = usize> + '_ {
-        self.set.range((order_key(threshold), 0)..).map(|&(_, j)| j)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,8 +145,7 @@ mod tests {
         for n in [0usize, 1, 2, 3, 5, 6, 7, 13] {
             let values: Vec<f64> = (0..n).map(|i| i as f64).collect();
             let idx = HeadroomIndex::new(&values);
-            assert_eq!(idx.len(), n);
-            assert_eq!(idx.is_empty(), n == 0);
+            assert_eq!(idx.n, n);
             // The padding leaves must never surface.
             assert_eq!(idx.first_at_least(0, (n as f64) + 1.0), None);
             if n > 0 {
@@ -240,7 +165,7 @@ mod tests {
         ] {
             idx.rebuild(&values);
             let fresh = HeadroomIndex::new(&values);
-            assert_eq!(idx.len(), fresh.len());
+            assert_eq!(idx.n, fresh.n);
             for from in 0..=values.len() {
                 for t in [0.0, 1.5, 3.0, 8.0, 40.0] {
                     assert_eq!(
@@ -258,42 +183,5 @@ mod tests {
         let idx = HeadroomIndex::new(&[f64::NEG_INFINITY, 2.0]);
         assert_eq!(idx.first_at_least(0, f64::MIN), Some(1));
         assert_eq!(idx.first_at_least(0, -1.0), Some(1));
-    }
-
-    #[test]
-    fn order_key_is_monotone_in_total_order() {
-        let samples = [
-            f64::NEG_INFINITY,
-            -1e300,
-            -2.5,
-            -0.0,
-            0.0,
-            1e-300,
-            2.5,
-            1e300,
-            f64::INFINITY,
-        ];
-        for w in samples.windows(2) {
-            assert!(order_key(w[0]) <= order_key(w[1]), "{} vs {}", w[0], w[1]);
-        }
-        assert!(
-            order_key(-0.0) < order_key(0.0),
-            "total order separates zeros"
-        );
-    }
-
-    #[test]
-    fn ordered_headroom_streams_ascending() {
-        let mut oh = OrderedHeadroom::new(&[4.0, 2.0, 9.0, 2.0, f64::NEG_INFINITY]);
-        let got: Vec<usize> = oh.candidates_at_least(2.0).collect();
-        // Ascending headroom, ties by PM index.
-        assert_eq!(got, vec![1, 3, 0, 2]);
-        let got: Vec<usize> = oh.candidates_at_least(3.0).collect();
-        assert_eq!(got, vec![0, 2]);
-        oh.update(2, 1.0);
-        let got: Vec<usize> = oh.candidates_at_least(3.0).collect();
-        assert_eq!(got, vec![0]);
-        assert_eq!(oh.len(), 5);
-        assert!(!oh.is_empty());
     }
 }

@@ -27,33 +27,32 @@
 //! guaranteed-safe conservative probability rounding, and [`exact`] is a
 //! branch-and-bound optimum for validating FFD quality on small instances.
 
-pub mod batch;
-pub mod certify;
+mod batch;
+mod certify;
 pub mod clustering;
 pub mod defrag;
-pub mod evacuate;
+mod evacuate;
 pub mod exact;
-pub mod grouping;
-pub mod index;
-pub mod load;
-pub mod mapcal;
+mod index;
+mod load;
+mod mapcal;
 pub mod multidim;
 pub mod online;
-pub mod pack;
+mod pack;
 pub mod placement;
 pub mod rounding;
 pub mod sbp;
-pub mod strategy;
+mod strategy;
 
 pub use batch::{
     first_fit_auto_recorded, first_fit_batch, first_fit_batch_with, PackProfile, PlacementState,
 };
 pub use certify::{certify_exact, pm_cvr_exact, CAP_EPS};
 pub use evacuate::{evacuate_batch, evacuate_batch_recorded, EvacuationOutcome};
-pub use index::{HeadroomIndex, OrderedHeadroom};
+pub use index::HeadroomIndex;
 pub use load::PmLoad;
 pub use mapcal::{mapping_cache_stats, MappingCacheStats, MappingTable};
 pub use online::{round_probabilities, OnlineCluster, ReferenceOnlineCluster, StateDigest};
-pub use pack::{best_fit, best_fit_recorded, first_fit, first_fit_recorded, PackError};
+pub use pack::{first_fit, first_fit_recorded, PackError};
 pub use placement::Placement;
 pub use strategy::{BaseStrategy, PeakStrategy, QueueStrategy, ReserveStrategy, Strategy};

@@ -42,7 +42,7 @@ impl PmLoad {
 
     /// The load after adding `vm` (non-mutating — used for feasibility
     /// probes).
-    pub fn with(&self, vm: &VmSpec) -> Self {
+    pub(crate) fn with(&self, vm: &VmSpec) -> Self {
         let mut next = *self;
         next.add(vm);
         next
@@ -53,7 +53,7 @@ impl PmLoad {
     /// one at a time (unlike the closed-form [`PmLoad::with_copies`],
     /// which may differ by ulps). The online engines use this to rebuild a
     /// PM's load from its class-count cells in a canonical order.
-    pub fn add_copies(&mut self, vm: &VmSpec, c: usize) {
+    pub(crate) fn add_copies(&mut self, vm: &VmSpec, c: usize) {
         for _ in 0..c {
             self.add(vm);
         }
@@ -66,7 +66,7 @@ impl PmLoad {
     /// every quantity is monotone in `c`, which is what makes a binary
     /// search over the feasibility predicate valid (see
     /// [`crate::batch::first_fit_batch`] for how the ulp gap is closed).
-    pub fn with_copies(&self, vm: &VmSpec, c: usize) -> Self {
+    pub(crate) fn with_copies(&self, vm: &VmSpec, c: usize) -> Self {
         if c == 0 {
             return *self;
         }

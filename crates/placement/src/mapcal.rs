@@ -113,19 +113,13 @@ impl MappingTable {
 
     /// Maximum co-location count `d` the table covers.
     #[inline]
-    pub fn d(&self) -> usize {
+    pub(crate) fn d(&self) -> usize {
         self.blocks.len() - 1
-    }
-
-    /// The CVR bound the table was built for.
-    #[inline]
-    pub fn rho(&self) -> f64 {
-        self.rho
     }
 
     /// The switch probabilities the table was built for.
     #[inline]
-    pub fn probabilities(&self) -> (f64, f64) {
+    pub(crate) fn probabilities(&self) -> (f64, f64) {
         (self.p_on, self.p_off)
     }
 
@@ -158,11 +152,6 @@ impl MappingTable {
             self.d()
         );
         self.cvrs[k]
-    }
-
-    /// The whole table `[mapping(0), …, mapping(d)]`.
-    pub fn as_slice(&self) -> &[usize] {
-        &self.blocks
     }
 
     /// Blocks *saved* versus peak provisioning at co-location level `k`
@@ -280,9 +269,9 @@ mod tests {
     fn accessors_round_trip() {
         let t = MappingTable::build(5, 0.02, 0.08, 0.05);
         assert_eq!(t.d(), 5);
-        assert_eq!(t.rho(), 0.05);
+        assert_eq!(t.rho, 0.05);
         assert_eq!(t.probabilities(), (0.02, 0.08));
-        assert_eq!(t.as_slice().len(), 6);
+        assert_eq!(t.blocks.len(), 6);
     }
 
     #[test]
@@ -308,8 +297,8 @@ mod tests {
         let a = MappingTable::cached(4, 0.021, 0.079, 0.011);
         let b = MappingTable::cached(4, 0.021, 0.079, 0.012);
         assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(a.rho(), 0.011);
-        assert_eq!(b.rho(), 0.012);
+        assert_eq!(a.rho, 0.011);
+        assert_eq!(b.rho, 0.012);
     }
 
     #[test]

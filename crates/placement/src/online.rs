@@ -8,7 +8,7 @@
 //!   so a departure is a counter decrement plus a canonical `O(d)` rebuild
 //!   and one `O(log m)` index refresh — never a population scan. Batch
 //!   arrivals route through the class-collapsed closed-form packer of
-//!   [`crate::batch`], and recalibration aggregates per class (`O(k)` in
+//!   `batch.rs`, and recalibration aggregates per class (`O(k)` in
 //!   distinct classes, independent of the fleet size) with an ε-gate that
 //!   keeps the cached mapping table when the rounded pair barely moves.
 //! * [`ReferenceOnlineCluster`] — the direct per-VM implementation kept as
@@ -222,12 +222,12 @@ impl ReferenceOnlineCluster {
     }
 
     /// Number of VMs currently hosted.
-    pub fn n_vms(&self) -> usize {
+    pub(crate) fn n_vms(&self) -> usize {
         self.vms.len()
     }
 
     /// Number of PMs currently in use.
-    pub fn pms_used(&self) -> usize {
+    pub(crate) fn pms_used(&self) -> usize {
         self.loads.iter().filter(|l| !l.is_empty()).count()
     }
 

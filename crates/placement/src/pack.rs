@@ -1,13 +1,12 @@
-//! The shared First-Fit driver (Algorithm 2, lines 10–12) and its
-//! Best-Fit sibling, both backed by the headroom index.
+//! The shared First-Fit driver (Algorithm 2, lines 10–12), backed by the
+//! headroom index.
 //!
-//! The packers ([`first_fit`], [`best_fit`], [`first_fit_in_order`]) find
-//! each slot through the index; the `O(n · m)` linear scans they replace
-//! live on in this file's test modules only, as the reference whose
-//! results the indexed form must reproduce exactly (property-tested
-//! below).
+//! [`first_fit`] finds each slot through the index; the `O(n · m)` linear
+//! scan it replaces lives on in this file's test modules only, as the
+//! reference whose results the indexed form must reproduce exactly
+//! (property-tested below).
 
-use crate::index::{HeadroomIndex, OrderedHeadroom};
+use crate::index::HeadroomIndex;
 use crate::load::PmLoad;
 use crate::placement::Placement;
 use crate::strategy::Strategy;
@@ -154,126 +153,8 @@ pub fn first_fit_recorded<R: Recorder>(
     Ok(placement)
 }
 
-/// Best-Fit packing in the strategy's order: each VM goes to the admitting
-/// PM with the *least* headroom under the strategy's own measure
-/// ([`Strategy::headroom`] — peak slack for RP, base slack for RB,
-/// reserve-reduced base slack for RB-EX, residual Eq.-17 capacity for
-/// QUEUE), ties to the lower PM index. With a decreasing order this is
-/// Best-Fit-Decreasing, the classic alternative to FFD with the same
-/// asymptotic guarantee but often one PM fewer in practice.
-///
-/// The ordered headroom index streams candidates in ascending headroom, so
-/// each VM costs `O(log m)` plus one `admits` check per candidate probed
-/// before the winner.
-///
-/// # Errors
-/// [`PackError`] naming the first unplaceable VM.
-pub fn best_fit(
-    vms: &[VmSpec],
-    pms: &[PmSpec],
-    strategy: &dyn Strategy,
-) -> Result<Placement, PackError> {
-    best_fit_recorded(vms, pms, strategy, &mut NoopRecorder)
-}
-
-/// [`best_fit`] with instrumentation, mirroring [`first_fit_recorded`].
-///
-/// # Errors
-/// [`PackError`] naming the first unplaceable VM.
-pub fn best_fit_recorded<R: Recorder>(
-    vms: &[VmSpec],
-    pms: &[PmSpec],
-    strategy: &dyn Strategy,
-    rec: &mut R,
-) -> Result<Placement, PackError> {
-    let mut placement = Placement::empty(vms.len(), pms.len());
-    let mut loads = vec![PmLoad::empty(); pms.len()];
-    let mut ordered = OrderedHeadroom::new(&empty_headrooms(pms, strategy));
-    for &i in &strategy.order(vms) {
-        let vm = &vms[i];
-        let threshold = strategy.demand(vm) - PRUNE_SLACK;
-        let slot = ordered.candidates_at_least(threshold).find(|&j| {
-            rec.counter_inc(Counter::PackProbes);
-            let admitted = strategy.admits(&loads[j], vm, pms[j].capacity);
-            if !admitted {
-                rec.counter_inc(Counter::PackRejectedProbes);
-            }
-            admitted
-        });
-        match slot {
-            Some(j) => {
-                loads[j].add(vm);
-                ordered.update(j, strategy.headroom(&loads[j], pms[j].capacity));
-                placement.assignment[i] = Some(j);
-                rec.counter_inc(Counter::PackPlacedVms);
-            }
-            None => return Err(PackError { vm_id: vm.id }),
-        }
-    }
-    if R::ENABLED {
-        rec.gauge_set(Gauge::PmsUsedAtPack, placement.pms_used() as f64);
-    }
-    Ok(placement)
-}
-
-/// First Fit over a *given* order (no re-sorting) — used by the online
-/// batch-arrival path where newcomers are ordered among themselves but the
-/// incumbent assignment is fixed. The headroom index is built from the
-/// incoming `loads`, so a call over `k` VMs costs `O(m + k log m)`.
-///
-/// # Errors
-/// [`PackError`] at the first unplaceable VM; `loads` keeps the updates of
-/// the VMs placed before the failure.
-pub fn first_fit_in_order(
-    vms: &[VmSpec],
-    order: &[usize],
-    pms: &[PmSpec],
-    loads: &mut [PmLoad],
-    strategy: &dyn Strategy,
-) -> Result<Vec<(usize, usize)>, PackError> {
-    first_fit_in_order_recorded(vms, order, pms, loads, strategy, &mut NoopRecorder)
-}
-
-/// [`first_fit_in_order`] with instrumentation, mirroring
-/// [`first_fit_recorded`] (no pack gauge: this path extends an existing
-/// assignment, it does not produce a fresh packing).
-///
-/// # Errors
-/// [`PackError`] at the first unplaceable VM; `loads` keeps the updates of
-/// the VMs placed before the failure.
-pub fn first_fit_in_order_recorded<R: Recorder>(
-    vms: &[VmSpec],
-    order: &[usize],
-    pms: &[PmSpec],
-    loads: &mut [PmLoad],
-    strategy: &dyn Strategy,
-    rec: &mut R,
-) -> Result<Vec<(usize, usize)>, PackError> {
-    assert_eq!(pms.len(), loads.len(), "loads must match PMs");
-    let headrooms: Vec<f64> = loads
-        .iter()
-        .zip(pms)
-        .map(|(load, pm)| strategy.headroom(load, pm.capacity))
-        .collect();
-    let mut index = HeadroomIndex::new(&headrooms);
-    let mut placed = Vec::with_capacity(order.len());
-    for &i in order {
-        let vm = &vms[i];
-        match probe_first_fit_recorded(&index, loads, pms, strategy, vm, rec) {
-            Some(j) => {
-                loads[j].add(vm);
-                index.update(j, strategy.headroom(&loads[j], pms[j].capacity));
-                placed.push((i, j));
-                rec.counter_inc(Counter::PackPlacedVms);
-            }
-            None => return Err(PackError { vm_id: vm.id }),
-        }
-    }
-    Ok(placed)
-}
-
-/// The linear-scan packers the headroom index replaced — the references
-/// the differential tests below hold [`first_fit`] and [`best_fit`] to.
+/// The linear-scan packer the headroom index replaced — the reference
+/// the differential tests below hold [`first_fit`] to.
 #[cfg(test)]
 mod linear {
     use super::*;
@@ -303,43 +184,11 @@ mod linear {
         }
         Ok(placement)
     }
-
-    /// Linear-scan Best Fit: same results (including the lowest-index
-    /// tie-break) as [`best_fit`], `O(n · m)`.
-    pub(super) fn best_fit_linear(
-        vms: &[VmSpec],
-        pms: &[PmSpec],
-        strategy: &dyn Strategy,
-    ) -> Result<Placement, PackError> {
-        let mut placement = Placement::empty(vms.len(), pms.len());
-        let mut loads = vec![PmLoad::empty(); pms.len()];
-        for &i in &strategy.order(vms) {
-            let vm = &vms[i];
-            let mut slot: Option<(f64, usize)> = None;
-            for (j, pm) in pms.iter().enumerate() {
-                if !strategy.admits(&loads[j], vm, pm.capacity) {
-                    continue;
-                }
-                let h = strategy.headroom(&loads[j], pm.capacity);
-                if slot.is_none_or(|(best, _)| h.total_cmp(&best).is_lt()) {
-                    slot = Some((h, j));
-                }
-            }
-            match slot {
-                Some((_, j)) => {
-                    loads[j].add(vm);
-                    placement.assignment[i] = Some(j);
-                }
-                None => return Err(PackError { vm_id: vm.id }),
-            }
-        }
-        Ok(placement)
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::linear::{best_fit_linear, first_fit_linear};
+    use super::linear::first_fit_linear;
     use super::*;
     use crate::strategy::{BaseStrategy, PeakStrategy, QueueStrategy};
 
@@ -423,83 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn in_order_variant_continues_from_existing_loads() {
-        let vms = vec![vm(0, 6.0, 0.0), vm(1, 6.0, 0.0)];
-        let farm = pms(&[10.0, 20.0]);
-        let mut loads = vec![PmLoad::empty(); 2];
-        // Pre-load PM 0 with 7 units of base demand: 7 + 6 > 10, so both
-        // newcomers must go to PM 1.
-        loads[0].add(&vm(99, 7.0, 0.0));
-        let placed = first_fit_in_order(&vms, &[0, 1], &farm, &mut loads, &BaseStrategy).unwrap();
-        assert_eq!(placed, vec![(0, 1), (1, 1)]);
-        assert_eq!(loads[1].sum_rb, 12.0);
-    }
-
-    #[test]
-    fn best_fit_fills_tight_bins_first() {
-        // Capacities 10 and 7; one VM of 6. First Fit takes PM 0;
-        // Best Fit takes PM 1 (least slack).
-        let vms = vec![vm(0, 6.0, 0.0)];
-        let farm = pms(&[10.0, 7.0]);
-        let ff = first_fit(&vms, &farm, &BaseStrategy).unwrap();
-        let bf = best_fit(&vms, &farm, &BaseStrategy).unwrap();
-        assert_eq!(ff.assignment[0], Some(0));
-        assert_eq!(bf.assignment[0], Some(1));
-    }
-
-    #[test]
-    fn best_fit_ranks_rp_bins_by_peak_headroom() {
-        // Two seeded bins: PM 0 ends up peak-tight but base-loose
-        // (R_b = 1, R_e = 20), PM 1 the opposite (R_b = 10, R_e = 1). The
-        // old base-slack ranking (capacity − Σ R_b) would send the third
-        // VM to PM 1; RP's own measure — peak slack — must pick PM 0.
-        let vms = vec![vm(0, 1.0, 20.0), vm(1, 10.0, 1.0), vm(2, 5.0, 1.0)];
-        let farm = pms(&[30.0, 30.0]);
-        let p = best_fit(&vms, &farm, &PeakStrategy).unwrap();
-        assert_eq!(p.assignment[0], Some(0), "largest peak seeds PM 0");
-        assert_eq!(p.assignment[1], Some(1), "second VM no longer fits PM 0");
-        assert_eq!(
-            p.assignment[2],
-            Some(0),
-            "peak slack 9 on PM 0 beats 19 on PM 1"
-        );
-    }
-
-    #[test]
-    fn best_fit_never_worse_on_uniform_capacity_cases() {
-        // On identical capacities BFD and FFD differ only in slot choice;
-        // both must produce valid, complete packings of comparable size.
-        let vms: Vec<VmSpec> = (0..40)
-            .map(|i| vm(i, 2.0 + (i % 9) as f64 * 2.0, 1.0 + (i % 4) as f64 * 3.0))
-            .collect();
-        let farm = pms(&vec![90.0; 40]);
-        let q = QueueStrategy::build(16, 0.01, 0.09, 0.01);
-        let ff = first_fit(&vms, &farm, &q).unwrap();
-        let bf = best_fit(&vms, &farm, &q).unwrap();
-        assert!(bf.is_complete());
-        assert!(bf.validate(&vms, &farm, &q).is_ok());
-        // Heuristics may tie or differ by a PM either way; sanity-band it.
-        let (f, b) = (ff.pms_used() as i64, bf.pms_used() as i64);
-        assert!((f - b).abs() <= 2, "FFD {f} vs BFD {b}");
-    }
-
-    #[test]
-    fn best_fit_reports_unplaceable() {
-        let vms = vec![vm(7, 50.0, 0.0)];
-        let err = best_fit(&vms, &pms(&[10.0]), &BaseStrategy).unwrap_err();
-        assert_eq!(err.vm_id, 7);
-    }
-
-    #[test]
-    fn in_order_variant_reports_overflow() {
-        let vms = vec![vm(5, 30.0, 0.0)];
-        let farm = pms(&[10.0]);
-        let mut loads = vec![PmLoad::empty()];
-        let err = first_fit_in_order(&vms, &[0], &farm, &mut loads, &BaseStrategy).unwrap_err();
-        assert_eq!(err.vm_id, 5);
-    }
-
-    #[test]
     fn indexed_matches_linear_on_the_doc_example() {
         let vms: Vec<VmSpec> = (0..20).map(|i| vm(i, 10.0, 10.0)).collect();
         let farm = pms(&[100.0; 20]);
@@ -508,7 +280,6 @@ mod tests {
             first_fit(&vms, &farm, &q),
             first_fit_linear(&vms, &farm, &q)
         );
-        assert_eq!(best_fit(&vms, &farm, &q), best_fit_linear(&vms, &farm, &q));
     }
 
     #[test]
@@ -531,21 +302,12 @@ mod tests {
             rec.counter(Counter::PackRejectedProbes) + placed
         );
         assert_eq!(rec.gauge(Gauge::PmsUsedAtPack), recorded.pms_used() as f64);
-
-        let mut rec = MemoryRecorder::new(0);
-        let recorded = best_fit_recorded(&vms, &farm, &q, &mut rec).unwrap();
-        assert_eq!(recorded, best_fit(&vms, &farm, &q).unwrap());
-        assert_eq!(rec.counter(Counter::PackPlacedVms), vms.len() as u64);
-        assert_eq!(
-            rec.counter(Counter::PackProbes),
-            rec.counter(Counter::PackRejectedProbes) + vms.len() as u64
-        );
     }
 }
 
 #[cfg(test)]
 mod proptests {
-    use super::linear::{best_fit_linear, first_fit_linear};
+    use super::linear::first_fit_linear;
     use super::*;
     use crate::strategy::{BaseStrategy, PeakStrategy, QueueStrategy, ReserveStrategy};
     use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
@@ -602,8 +364,8 @@ mod proptests {
             farm in hetero_farm(),
         ) {
             // The headline equivalence: on random fleets over heterogeneous
-            // PM capacities, the indexed packers must return bit-identical
-            // results (success or failure) to the linear-scan references,
+            // PM capacities, the indexed packer must return bit-identical
+            // results (success or failure) to the linear-scan reference,
             // for all four paper strategies.
             let q = QueueStrategy::build(16, 0.01, 0.09, 0.01);
             let rbex = ReserveStrategy::new(0.3);
@@ -615,28 +377,6 @@ mod proptests {
                     first_fit_linear(&vms, &farm, strategy),
                     "first_fit diverged for {}", strategy.name()
                 );
-                prop_assert_eq!(
-                    best_fit(&vms, &farm, strategy),
-                    best_fit_linear(&vms, &farm, strategy),
-                    "best_fit diverged for {}", strategy.name()
-                );
-            }
-        }
-
-        #[test]
-        fn in_order_matches_first_fit_from_empty(vms in fleet()) {
-            // Placing everything through the in-order engine from empty
-            // loads, in first_fit's own order, must reproduce first_fit.
-            let farm: Vec<PmSpec> =
-                (0..vms.len()).map(|j| PmSpec::new(j, 100.0)).collect();
-            let q = QueueStrategy::build(16, 0.01, 0.09, 0.01);
-            let order = q.order(&vms);
-            let mut loads = vec![PmLoad::empty(); farm.len()];
-            let placed =
-                first_fit_in_order(&vms, &order, &farm, &mut loads, &q).unwrap();
-            let reference = first_fit(&vms, &farm, &q).unwrap();
-            for (i, j) in placed {
-                prop_assert_eq!(reference.assignment[i], Some(j), "VM index {}", i);
             }
         }
     }

@@ -30,7 +30,7 @@ impl Placement {
     }
 
     /// Indices of PMs hosting at least one VM.
-    pub fn used_pms(&self) -> Vec<usize> {
+    fn used_pms(&self) -> Vec<usize> {
         let mut used = vec![false; self.n_pms];
         for a in self.assignment.iter().flatten() {
             used[*a] = true;
@@ -69,11 +69,6 @@ impl Placement {
             .enumerate()
             .filter_map(|(i, a)| (*a == Some(j)).then_some(i))
             .collect()
-    }
-
-    /// Aggregate load of PM `j` under `vms`.
-    pub fn load_of(&self, j: usize, vms: &[VmSpec]) -> PmLoad {
-        PmLoad::rebuild(self.vms_on(j).iter().map(|&i| &vms[i]))
     }
 
     /// Verifies that every used PM's hosted set is feasible under
@@ -143,19 +138,6 @@ mod tests {
         assert_eq!(by_pm[3], vec![2]);
         assert!(by_pm[0].is_empty());
         assert_eq!(p.vms_on(1), vec![0, 1]);
-    }
-
-    #[test]
-    fn load_of_reflects_hosted_specs() {
-        let vms = vec![vm(0, 4.0, 1.0), vm(1, 6.0, 3.0)];
-        let p = Placement {
-            assignment: vec![Some(0), Some(0)],
-            n_pms: 1,
-        };
-        let load = p.load_of(0, &vms);
-        assert_eq!(load.count, 2);
-        assert_eq!(load.sum_rb, 10.0);
-        assert_eq!(load.max_re, 3.0);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use bursty_workload::VmSpec;
 /// The inverse standard normal CDF (Acklam's rational approximation,
 /// |relative error| < 1.15e-9 over (0, 1)).
 #[allow(clippy::excessive_precision)] // canonical Acklam coefficients
-pub fn normal_quantile(p: f64) -> f64 {
+pub(crate) fn normal_quantile(p: f64) -> f64 {
     assert!(
         p > 0.0 && p < 1.0,
         "quantile argument must be in (0,1), got {p}"
@@ -74,7 +74,7 @@ pub fn normal_quantile(p: f64) -> f64 {
 
 /// Per-instant marginal moments of an ON-OFF VM's demand:
 /// `W = R_b + Bernoulli(π_on)·R_e`.
-pub fn marginal_moments(vm: &VmSpec) -> (f64, f64) {
+pub(crate) fn marginal_moments(vm: &VmSpec) -> (f64, f64) {
     let q = vm.chain().stationary_on();
     let mean = vm.r_b + q * vm.r_e;
     let var = q * (1.0 - q) * vm.r_e * vm.r_e;
@@ -86,7 +86,6 @@ pub fn marginal_moments(vm: &VmSpec) -> (f64, f64) {
 /// `μ + z·σ` (the standard effective-size heuristic).
 #[derive(Debug, Clone, Copy)]
 pub struct SbpStrategy {
-    rho: f64,
     z: f64,
 }
 
@@ -95,22 +94,11 @@ impl SbpStrategy {
     ///
     /// # Panics
     /// Panics for `rho` outside `(0, 1)`.
-    pub fn new(rho: f64) -> Self {
+    pub(crate) fn new(rho: f64) -> Self {
         assert!(rho > 0.0 && rho < 1.0, "rho must be in (0,1), got {rho}");
         Self {
-            rho,
             z: normal_quantile(1.0 - rho),
         }
-    }
-
-    /// The overflow budget.
-    pub fn rho(&self) -> f64 {
-        self.rho
-    }
-
-    /// The `z₁₋ρ` quantile in use.
-    pub fn z(&self) -> f64 {
-        self.z
     }
 
     fn moments_of_load(load: &SbpLoad) -> (f64, f64) {
@@ -143,7 +131,7 @@ impl SbpStrategy {
     }
 
     /// Effective size of one VM under this budget.
-    pub fn effective_size(&self, vm: &VmSpec) -> f64 {
+    pub(crate) fn effective_size(&self, vm: &VmSpec) -> f64 {
         let (m, v) = marginal_moments(vm);
         m + self.z * v.sqrt()
     }

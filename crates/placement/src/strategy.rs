@@ -124,7 +124,7 @@ impl QueueStrategy {
 
     /// Creates the strategy around an already-shared mapping table (e.g.
     /// one obtained from [`MappingTable::cached`]) without copying it.
-    pub fn from_shared(mapping: Arc<MappingTable>) -> Self {
+    pub(crate) fn from_shared(mapping: Arc<MappingTable>) -> Self {
         Self {
             mapping,
             buckets: None,
@@ -162,7 +162,7 @@ impl QueueStrategy {
     /// The resources a PM with load `load` must dedicate under this
     /// strategy: reserved blocks plus base demands (the left side of
     /// Eq. 17).
-    pub fn required_capacity(&self, load: &PmLoad) -> f64 {
+    pub(crate) fn required_capacity(&self, load: &PmLoad) -> f64 {
         if load.count == 0 {
             return 0.0;
         }
@@ -208,7 +208,7 @@ impl Strategy for QueueStrategy {
 
     /// Band edges come from the min/max spike size, and every fleet
     /// member's `R_e` is some representative's `R_e` — so banding the
-    /// representatives reproduces exactly the bands [`cluster_order`]
+    /// representatives reproduces exactly the bands `cluster_order`
     /// assigns over the full fleet.
     fn class_order_keys(
         &self,
@@ -319,11 +319,6 @@ impl ReserveStrategy {
             "delta must be in [0,1), got {delta}"
         );
         Self { delta }
-    }
-
-    /// The reserve fraction.
-    pub fn delta(&self) -> f64 {
-        self.delta
     }
 }
 
@@ -448,7 +443,7 @@ mod tests {
 
     #[test]
     fn rbex_default_uses_paper_delta() {
-        assert_eq!(ReserveStrategy::default().delta(), 0.3);
+        assert_eq!(ReserveStrategy::default().delta, 0.3);
     }
 
     #[test]

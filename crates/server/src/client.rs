@@ -6,7 +6,6 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
 
 use crate::json::{Json, JsonError};
 
@@ -55,26 +54,6 @@ impl Client {
             reader: BufReader::new(stream),
             writer,
         })
-    }
-
-    /// Connects, retrying until the daemon answers `/healthz` or the
-    /// deadline passes — for harnesses that just spawned the process.
-    pub fn connect_ready(addr: SocketAddr, timeout: Duration) -> io::Result<Self> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            match Self::connect(addr).and_then(|mut c| {
-                let r = c.get("/healthz")?;
-                if r.status == 200 {
-                    Ok(c)
-                } else {
-                    Err(io::Error::other(format!("healthz answered {}", r.status)))
-                }
-            }) {
-                Ok(c) => return Ok(c),
-                Err(e) if std::time::Instant::now() >= deadline => return Err(e),
-                Err(_) => std::thread::sleep(Duration::from_millis(20)),
-            }
-        }
     }
 
     pub fn get(&mut self, path: &str) -> io::Result<Response> {

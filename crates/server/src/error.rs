@@ -15,7 +15,7 @@ pub struct ServeError {
 }
 
 impl ServeError {
-    pub fn bad_request(message: impl Into<String>) -> Self {
+    pub(crate) fn bad_request(message: impl Into<String>) -> Self {
         Self {
             status: 400,
             code: "bad_request",
@@ -23,7 +23,7 @@ impl ServeError {
         }
     }
 
-    pub fn invalid_params(message: impl Into<String>) -> Self {
+    pub(crate) fn invalid_params(message: impl Into<String>) -> Self {
         Self {
             status: 400,
             code: "invalid_params",
@@ -31,7 +31,7 @@ impl ServeError {
         }
     }
 
-    pub fn not_found(message: impl Into<String>) -> Self {
+    pub(crate) fn not_found(message: impl Into<String>) -> Self {
         Self {
             status: 404,
             code: "not_found",
@@ -39,7 +39,7 @@ impl ServeError {
         }
     }
 
-    pub fn method_not_allowed(message: impl Into<String>) -> Self {
+    pub(crate) fn method_not_allowed(message: impl Into<String>) -> Self {
         Self {
             status: 405,
             code: "method_not_allowed",
@@ -47,7 +47,7 @@ impl ServeError {
         }
     }
 
-    pub fn conflict(code: &'static str, message: impl Into<String>) -> Self {
+    pub(crate) fn conflict(code: &'static str, message: impl Into<String>) -> Self {
         Self {
             status: 409,
             code,
@@ -66,7 +66,7 @@ impl ServeError {
     /// 503: the request was *not* applied and may be retried as-is —
     /// used when a buffered seq'd op is evicted because earlier seqs
     /// never arrived.
-    pub fn unavailable(code: &'static str, message: impl Into<String>) -> Self {
+    pub(crate) fn unavailable(code: &'static str, message: impl Into<String>) -> Self {
         Self {
             status: 503,
             code,
@@ -74,7 +74,7 @@ impl ServeError {
         }
     }
 
-    pub fn internal(message: impl Into<String>) -> Self {
+    pub(crate) fn internal(message: impl Into<String>) -> Self {
         Self {
             status: 500,
             code: "internal",
@@ -83,7 +83,7 @@ impl ServeError {
     }
 
     /// The `{"error":{...}}` response body.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut msg = String::new();
         encode_string(&self.message, &mut msg);
         format!(

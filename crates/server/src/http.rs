@@ -71,7 +71,7 @@ pub enum HttpError {
 impl HttpError {
     /// The status code this framing error answers with, if the
     /// connection is still in a state where a response can be written.
-    pub fn status(&self) -> Option<u16> {
+    pub(crate) fn status(&self) -> Option<u16> {
         match self {
             HttpError::Closed | HttpError::Idle | HttpError::Io(_) => None,
             HttpError::Timeout => Some(408),
@@ -83,7 +83,7 @@ impl HttpError {
         }
     }
 
-    pub fn code(&self) -> &'static str {
+    pub(crate) fn code(&self) -> &'static str {
         match self {
             HttpError::Closed => "closed",
             HttpError::Idle => "idle",
@@ -330,7 +330,7 @@ pub fn encode_response(status: u16, content_type: &str, body: &[u8], keep_alive:
 }
 
 /// Writes a complete fixed-length response.
-pub fn write_response<W: Write>(
+pub(crate) fn write_response<W: Write>(
     w: &mut W,
     status: u16,
     content_type: &str,

@@ -88,13 +88,6 @@ impl Json {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
@@ -153,7 +146,7 @@ impl Json {
 }
 
 /// Writes `s` as a JSON string literal with the mandatory escapes.
-pub fn encode_string(s: &str, out: &mut String) {
+pub(crate) fn encode_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -414,7 +407,7 @@ impl<'a> Parser<'a> {
 }
 
 /// Convenience builder for an object literal.
-pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
+pub(crate) fn obj(pairs: Vec<(&str, Json)>) -> Json {
     Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
@@ -428,7 +421,7 @@ mod tests {
         assert_eq!(v.get("id").unwrap().as_usize(), Some(7));
         assert_eq!(v.get("p_on").unwrap().as_f64(), Some(0.01));
         assert_eq!(v.get("name").unwrap().as_str(), Some("vm-7"));
-        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
+        assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
         assert!(v.get("missing").is_none());
     }
 

@@ -40,13 +40,13 @@
 //! handle.shutdown();
 //! ```
 
-pub mod client;
-pub mod error;
+mod client;
+mod error;
 pub mod http;
-pub mod json;
-pub mod listener;
+mod json;
+mod listener;
 pub mod replay;
-pub mod routes;
+mod routes;
 pub mod state;
 
 pub use client::{Client, Response};

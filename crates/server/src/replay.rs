@@ -27,7 +27,7 @@ impl Lcg {
         Lcg(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
     }
 
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.0 = self
             .0
             .wrapping_mul(6_364_136_223_846_793_005)
@@ -41,7 +41,7 @@ impl Lcg {
     }
 
     /// Uniform in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
+    pub(crate) fn unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }

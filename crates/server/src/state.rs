@@ -435,7 +435,7 @@ fn decode_snapshot(bytes: &[u8]) -> Result<(ClusterState, u64), FrameError> {
 /// order: the connection carrying the globally smallest unapplied seq
 /// is always free to be picked up by any worker, so its arrival always
 /// releases the buffer. A seq whose predecessor never arrives (a died
-/// client) is evicted after a TTL via [`SeqWindow::evict_where`] and
+/// client) is evicted after a TTL via `SeqWindow::evict_where` and
 /// answered with a retryable 503 — eviction never advances `next`, so
 /// the evicted op can be resent once the gap fills.
 ///
@@ -463,7 +463,7 @@ pub enum SeqError {
 }
 
 impl SeqError {
-    pub fn to_serve_error(&self) -> ServeError {
+    pub(crate) fn to_serve_error(&self) -> ServeError {
         match self {
             SeqError::Replayed { seq, next } => ServeError::conflict(
                 "seq_replayed",
@@ -490,17 +490,17 @@ impl<T> SeqWindow<T> {
         }
     }
 
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next
     }
 
-    pub fn pending_len(&self) -> usize {
+    pub(crate) fn pending_len(&self) -> usize {
         self.pending.len()
     }
 
     /// Whether `seq` would be accepted right now — lets a caller
     /// reject without giving up ownership of the op it would offer.
-    pub fn check(&self, seq: u64) -> Result<(), SeqError> {
+    pub(crate) fn check(&self, seq: u64) -> Result<(), SeqError> {
         if seq < self.next {
             return Err(SeqError::Replayed {
                 seq,
@@ -544,7 +544,7 @@ impl<T> SeqWindow<T> {
     /// Removes buffered entries matching `pred` and returns them with
     /// their seqs. `next` is untouched: an evicted seq stays claimable,
     /// and the gap that stranded it still blocks later seqs.
-    pub fn evict_where(&mut self, mut pred: impl FnMut(&T) -> bool) -> Vec<(u64, T)> {
+    pub(crate) fn evict_where(&mut self, mut pred: impl FnMut(&T) -> bool) -> Vec<(u64, T)> {
         let stale: Vec<u64> = self
             .pending
             .iter()

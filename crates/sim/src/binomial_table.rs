@@ -40,7 +40,7 @@ use super::{bits_to_u01, flip_threshold, keyed_u01, walk_anchor};
 /// `guide` u32s). Typical steady state is a few hundred tables of a few
 /// dozen entries each; 2^16 entries (~0.75 MB) is far above that while
 /// keeping even a pathological churn storm bounded.
-pub const DEFAULT_ENTRY_BUDGET: usize = 1 << 16;
+pub(crate) const DEFAULT_ENTRY_BUDGET: usize = 1 << 16;
 
 /// The memoized inverse CDF of one `Binomial(n, p)` with `n ≥ 1` and
 /// `0 < p < 1`: the exact f64 partial sums of the pmf-recurrence walk,
@@ -136,7 +136,7 @@ impl BinomialTable {
 
     /// Live entries this table holds against a cache budget (`cdf` f64s
     /// plus `guide` u32s).
-    pub fn entries(&self) -> usize {
+    pub(crate) fn entries(&self) -> usize {
         self.cdf.len() + self.guide.len()
     }
 }
@@ -388,12 +388,6 @@ impl TableCache {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
-
-    /// Live table entries currently held (≤ the construction budget
-    /// plus one table).
-    pub fn live_entries(&self) -> usize {
-        self.live_entries
-    }
 }
 
 #[cfg(test)]
@@ -495,9 +489,9 @@ mod tests {
         let s = cache.stats();
         assert!(s.evictions > 0, "budget 64 must force flushes");
         assert!(
-            cache.live_entries() <= 64 + BinomialTable::build(32, 0.3).entries(),
+            cache.live_entries <= 64 + BinomialTable::build(32, 0.3).entries(),
             "live entries {} exceed budget + one table",
-            cache.live_entries()
+            cache.live_entries
         );
         // Correctness survives every flush.
         for n in 1..=32u32 {

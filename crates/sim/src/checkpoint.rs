@@ -798,7 +798,7 @@ pub struct Checkpointer<S: Store> {
 
 impl<S: Store> Checkpointer<S> {
     /// Wraps `store` with the given cadence and retention.
-    pub fn new(store: S, cfg: &CheckpointConfig) -> Self {
+    pub(crate) fn new(store: S, cfg: &CheckpointConfig) -> Self {
         Self {
             store,
             every: cfg.every,
@@ -894,11 +894,6 @@ impl<S: Store> Checkpointer<S> {
             }
         }
         Err(CheckpointError::NoUsableCheckpoint { discarded })
-    }
-
-    /// The store back, for inspection.
-    pub fn into_store(self) -> S {
-        self.store
     }
 }
 

@@ -264,7 +264,7 @@ pub struct SimConfig {
     /// Worker threads for the [`RngLayout::ClassAggregated`] hot path,
     /// the only one that threads. `0` means "use the machine's available
     /// parallelism". Ignored under [`RngLayout::Shared`], and forced to
-    /// 1 inside [`crate::replicate_seeds`] workers (replication-level
+    /// 1 inside `runner::replicate_seeds` workers (replication-level
     /// parallelism already owns the cores). Any value yields
     /// bit-identical outcomes.
     pub threads: usize,
@@ -323,11 +323,6 @@ impl SimConfig {
         }
         Ok(())
     }
-
-    /// Total simulated wall-clock time in seconds.
-    pub fn horizon_secs(&self) -> f64 {
-        self.steps as f64 * self.sigma_secs
-    }
 }
 
 #[cfg(test)]
@@ -341,7 +336,6 @@ mod tests {
         assert_eq!(c.sigma_secs, 30.0);
         assert_eq!(c.rho, 0.01);
         assert!(c.migrations_enabled);
-        assert_eq!(c.horizon_secs(), 3000.0);
         assert!(c.faults.is_none(), "faults are off by default");
         c.validate().unwrap();
     }

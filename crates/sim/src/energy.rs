@@ -8,7 +8,7 @@
 /// Linear server power model: `P(u) = idle + (peak − idle) · u` for
 /// utilization `u ∈ [0, 1]`; an unused (powered-off) PM draws nothing.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerModel {
+pub(crate) struct PowerModel {
     /// Power at zero utilization, watts.
     pub idle_watts: f64,
     /// Power at full utilization, watts.
@@ -26,28 +26,15 @@ impl Default for PowerModel {
 }
 
 impl PowerModel {
-    /// Creates a model.
-    ///
-    /// # Panics
-    /// Panics if `idle_watts < 0` or `peak_watts < idle_watts`.
-    pub fn new(idle_watts: f64, peak_watts: f64) -> Self {
-        assert!(idle_watts >= 0.0, "idle power must be nonnegative");
-        assert!(peak_watts >= idle_watts, "peak power must be ≥ idle power");
-        Self {
-            idle_watts,
-            peak_watts,
-        }
-    }
-
     /// Instantaneous power draw at utilization `u` (clamped to `[0, 1]` —
     /// an overloaded PM cannot draw more than its peak).
-    pub fn power(&self, utilization: f64) -> f64 {
+    pub(crate) fn power(&self, utilization: f64) -> f64 {
         let u = utilization.clamp(0.0, 1.0);
         self.idle_watts + (self.peak_watts - self.idle_watts) * u
     }
 
     /// Energy (joules) one PM consumes over `secs` at utilization `u`.
-    pub fn energy(&self, utilization: f64, secs: f64) -> f64 {
+    pub(crate) fn energy(&self, utilization: f64, secs: f64) -> f64 {
         self.power(utilization) * secs
     }
 }
@@ -58,7 +45,10 @@ mod tests {
 
     #[test]
     fn endpoints() {
-        let m = PowerModel::new(100.0, 200.0);
+        let m = PowerModel {
+            idle_watts: 100.0,
+            peak_watts: 200.0,
+        };
         assert_eq!(m.power(0.0), 100.0);
         assert_eq!(m.power(1.0), 200.0);
         assert_eq!(m.power(0.5), 150.0);
@@ -73,7 +63,10 @@ mod tests {
 
     #[test]
     fn energy_integrates_power() {
-        let m = PowerModel::new(100.0, 200.0);
+        let m = PowerModel {
+            idle_watts: 100.0,
+            peak_watts: 200.0,
+        };
         assert_eq!(m.energy(0.5, 30.0), 150.0 * 30.0);
     }
 
@@ -83,11 +76,5 @@ mod tests {
         // economic argument for consolidation in one assert.
         let m = PowerModel::default();
         assert!(2.0 * m.power(0.5) > m.power(1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "peak power")]
-    fn rejects_peak_below_idle() {
-        let _ = PowerModel::new(200.0, 100.0);
     }
 }

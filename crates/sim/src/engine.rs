@@ -689,12 +689,6 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Overrides the power model.
-    pub fn with_power_model(mut self, power: PowerModel) -> Self {
-        self.power = power;
-        self
-    }
-
     /// Whether demand `observed` violates PM `j`'s capacity.
     #[inline]
     fn is_over(&self, j: usize, observed: f64) -> bool {

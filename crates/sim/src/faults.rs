@@ -54,7 +54,7 @@ impl FaultConfig {
     /// # Errors
     /// [`ConfigError`] when a mean holding time is below one step or the
     /// group size is zero.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if self.mtbf_steps.is_nan() || self.mtbf_steps < 1.0 {
             return Err(ConfigError::FaultMtbfOutOfRange(self.mtbf_steps));
         }

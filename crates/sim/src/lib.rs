@@ -17,36 +17,32 @@
 //!   phenomena for RB/RB-EX;
 //! * [`policy::PeakPolicy`] admits by peak demand (never violates).
 //!
-//! [`runner`] fans replications out across threads and aggregates
+//! [`replicate`] fans replications out across threads and aggregates
 //! mean/min/max, matching the paper's 10-repetition methodology (Fig. 9).
 
 #[doc(hidden)]
 pub mod bench_api;
-pub mod checkpoint;
-pub mod config;
-pub mod energy;
-pub mod engine;
+mod checkpoint;
+mod config;
+mod energy;
+mod engine;
 pub mod events;
-pub mod faults;
+mod faults;
 pub mod migration_cost;
-pub mod multidim;
-pub mod policy;
+mod policy;
 pub mod rng;
-pub mod runner;
-pub mod scenario;
-pub mod stabilization;
+mod runner;
+mod scenario;
 mod workload_core;
 
 pub use checkpoint::{CheckpointError, CheckpointedRun, Checkpointer, RecoveryReport};
 pub use config::{CheckpointConfig, ConfigError, RngLayout, SimConfig, VictimPolicy};
-pub use energy::PowerModel;
 pub use engine::{RecoveryStats, SimOutcome, Simulator};
 pub use events::{EvacuationEvent, FaultEvent, FaultKind, MigrationEvent};
 pub use faults::{FaultConfig, FaultProcess};
-pub use migration_cost::{precopy_cost, MigrationCost, MigrationParams};
+pub use migration_cost::{MigrationCost, MigrationParams};
 pub use policy::{
     DegradedAdmission, ObservedPolicy, PeakPolicy, PmRuntime, QueuePolicy, RuntimePolicy,
 };
-pub use runner::{replicate, replicate_seeds, run_indexed};
+pub use runner::{replicate, run_indexed};
 pub use scenario::{run_churn, ChurnConfig, ChurnOutcome};
-pub use stabilization::{detect_stabilization, Stabilization};

@@ -64,7 +64,7 @@ pub struct MigrationCost {
 ///
 /// # Examples
 /// ```
-/// use bursty_sim::{precopy_cost, MigrationParams};
+/// use bursty_sim::migration_cost::{precopy_cost, MigrationParams};
 ///
 /// let cost = precopy_cost(MigrationParams::default());
 /// // A busy 1 GiB VM over 1 GbE: seconds of total time, sub-second

@@ -120,19 +120,9 @@ impl<P: RuntimePolicy> DegradedAdmission<P> {
     ///
     /// # Panics
     /// Panics for a negative (or NaN) `epsilon`.
-    pub fn new(inner: P, epsilon: f64) -> Self {
+    pub(crate) fn new(inner: P, epsilon: f64) -> Self {
         assert!(epsilon >= 0.0, "epsilon must be nonnegative, got {epsilon}");
         Self { inner, epsilon }
-    }
-
-    /// The overflow margin.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    /// The wrapped policy.
-    pub fn inner(&self) -> &P {
-        &self.inner
     }
 }
 
@@ -237,11 +227,6 @@ impl ObservedPolicy {
             headroom: delta,
             name: "RB-EX",
         }
-    }
-
-    /// The headroom fraction.
-    pub fn headroom(&self) -> f64 {
-        self.headroom
     }
 }
 
@@ -460,7 +445,7 @@ mod tests {
         let degraded = DegradedAdmission::new(rb, 0.1);
         assert!(degraded.admits(&migrant, 15.0, &pm, 100.0));
         assert_eq!(degraded.name(), "DEGRADED");
-        assert_eq!(degraded.epsilon(), 0.1);
+        assert_eq!(degraded.epsilon, 0.1);
         // ε = 0 degenerates to the wrapped policy.
         let strict = DegradedAdmission::new(ObservedPolicy::rb(), 0.0);
         assert!(!strict.admits(&migrant, 15.0, &pm, 100.0));

@@ -31,7 +31,7 @@ pub(crate) fn in_replication_worker() -> bool {
 
 /// Runs `f(i)` for every `i in 0..count`, in parallel across up to
 /// `available_parallelism` threads, returning results in ascending index
-/// order — the deterministic fan-out driver behind [`replicate_seeds`] and
+/// order — the deterministic fan-out driver behind `replicate_seeds` and
 /// the experiment sweep grids.
 ///
 /// `f` must be deterministic in its index for results to be reproducible
@@ -107,7 +107,7 @@ where
 ///
 /// # Panics
 /// Propagates worker panics exactly as [`run_indexed`] does.
-pub fn replicate_seeds<T, F>(seeds: &[u64], f: F) -> Vec<T>
+pub(crate) fn replicate_seeds<T, F>(seeds: &[u64], f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(u64) -> T + Sync,

@@ -8,7 +8,7 @@
 //! "burstiness profile".
 
 /// Sample mean.
-pub fn mean(xs: &[f64]) -> f64 {
+pub(crate) fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
@@ -16,7 +16,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Sample (population) variance.
-pub fn variance(xs: &[f64]) -> f64 {
+pub(crate) fn variance(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -28,7 +28,7 @@ pub fn variance(xs: &[f64]) -> f64 {
 ///
 /// For an ON-OFF chain this should approach `(1 − p_on − p_off)^lag`
 /// (see [`crate::spec::VmSpec::chain`] and `OnOffChain::autocorrelation`).
-pub fn autocorrelation(xs: &[f64], lag: usize) -> f64 {
+pub(crate) fn autocorrelation(xs: &[f64], lag: usize) -> f64 {
     if xs.len() <= lag || lag == 0 && xs.len() < 2 {
         return if lag == 0 { 1.0 } else { 0.0 };
     }
@@ -51,7 +51,7 @@ pub fn autocorrelation(xs: &[f64], lag: usize) -> f64 {
 /// For i.i.d. samples IDC is flat in `w`; positive temporal correlation —
 /// burstiness — makes it grow with `w`. Mi et al. use exactly this
 /// signature to verify injected burstiness.
-pub fn index_of_dispersion(xs: &[f64], window: usize) -> f64 {
+pub(crate) fn index_of_dispersion(xs: &[f64], window: usize) -> f64 {
     assert!(window > 0, "window must be positive");
     if xs.len() < 2 * window {
         return f64::NAN;
@@ -76,7 +76,7 @@ pub struct RunStats {
 }
 
 /// Computes ON-run statistics for a state sequence.
-pub fn run_stats(on: &[bool]) -> RunStats {
+pub(crate) fn run_stats(on: &[bool]) -> RunStats {
     let (mut runs, mut total, mut max_len) = (0usize, 0usize, 0usize);
     let mut current = 0usize;
     for &s in on {

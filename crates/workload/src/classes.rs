@@ -61,12 +61,6 @@ impl VmClass {
             self.r_e.to_bits(),
         ]
     }
-
-    /// Whether `vm` belongs to this class (bit-exact).
-    #[inline]
-    pub fn matches(&self, vm: &VmSpec) -> bool {
-        self.key() == Self::of(vm).key()
-    }
 }
 
 impl PartialEq for VmClass {
@@ -196,8 +190,7 @@ mod tests {
         let c = VmClass::of(&vm(1, 5.0, 2.0 + 1e-12));
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert!(a.matches(&vm(3, 5.0, 2.0)));
-        assert!(!a.matches(&vm(3, 5.0, 2.5)));
+        assert_ne!(a, VmClass::of(&vm(3, 5.0, 2.5)));
     }
 
     #[test]
@@ -215,7 +208,7 @@ mod tests {
         assert_eq!(runs.len(), 2);
         assert_eq!((runs[0].start, runs[0].len), (0, 1));
         assert_eq!((runs[1].start, runs[1].len), (1, 2));
-        assert!(runs[1].class.matches(&vms[0]));
+        assert_eq!(runs[1].class, VmClass::of(&vms[0]));
         let total: usize = runs.iter().map(|r| r.len).sum();
         assert_eq!(total, order.len());
     }

@@ -262,7 +262,7 @@ mod oracle {
         fit_trace_with_threshold(demands, (lo + hi) / 2.0)
     }
 
-    pub fn fit_trace_with_threshold(
+    pub(crate) fn fit_trace_with_threshold(
         demands: &[f64],
         threshold: f64,
     ) -> Result<FittedModel, FitError> {

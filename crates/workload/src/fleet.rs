@@ -120,12 +120,6 @@ impl FleetGenerator {
             r_e.resource_units(),
         )
     }
-
-    /// Access to the underlying RNG for callers that need extra draws tied
-    /// to the same seed.
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
 }
 
 #[cfg(test)]

@@ -5,10 +5,10 @@
 //! ([`spec::VmSpec`]); a PM is its capacity ([`spec::PmSpec`]). The three
 //! experimental workload patterns of §V ([`patterns::WorkloadPattern`]) and
 //! the Table-I size classes ([`patterns::SizeClass`]) parameterize the
-//! seeded generators in [`fleet`]. [`trace`] turns specs into demand time
-//! series `W_i(t)`; [`webserver`] reproduces §V-D's user/think-time request
-//! workload (Fig. 8); [`multidim`] carries the §IV-E multi-resource
-//! extension.
+//! seeded [`FleetGenerator`]. [`trace`] turns specs into demand time
+//! series `W_i(t)`; [`WebServerWorkload`] reproduces §V-D's
+//! user/think-time request workload (Fig. 8); [`multidim`] carries the
+//! §IV-E multi-resource extension.
 
 //! [`fitting`] estimates the four-tuple from measured traces and
 //! [`analysis`] quantifies burstiness (autocorrelation, index of
@@ -16,14 +16,13 @@
 
 pub mod analysis;
 pub mod classes;
-pub mod diurnal;
 pub mod fitting;
-pub mod fleet;
+mod fleet;
 pub mod multidim;
 pub mod patterns;
-pub mod spec;
+mod spec;
 pub mod trace;
-pub mod webserver;
+mod webserver;
 
 pub use analysis::{profile, BurstinessProfile};
 pub use classes::{class_runs, distinct_classes, intern_classes, ClassRun, VmClass};

@@ -42,16 +42,9 @@ impl ResourceVec {
     ///
     /// # Panics
     /// Panics on a dimension mismatch.
-    pub fn add(&self, other: &ResourceVec) -> ResourceVec {
+    pub(crate) fn add(&self, other: &ResourceVec) -> ResourceVec {
         assert_eq!(self.dims(), other.dims(), "dimension mismatch");
         ResourceVec(self.0.iter().zip(&other.0).map(|(a, b)| a + b).collect())
-    }
-
-    /// `true` iff every component of `self` is ≤ the matching component of
-    /// `other` (the multi-dimensional capacity test).
-    pub fn fits_within(&self, other: &ResourceVec) -> bool {
-        assert_eq!(self.dims(), other.dims(), "dimension mismatch");
-        self.0.iter().zip(&other.0).all(|(a, b)| a <= b)
     }
 
     /// Projects the vector to one dimension with the given weights —
@@ -148,20 +141,10 @@ mod tests {
     }
 
     #[test]
-    fn add_and_fits() {
+    fn add_is_componentwise() {
         let a = rv(&[1.0, 2.0]);
         let b = rv(&[3.0, 4.0]);
         assert_eq!(a.add(&b), rv(&[4.0, 6.0]));
-        assert!(a.fits_within(&b));
-        assert!(!b.fits_within(&a));
-    }
-
-    #[test]
-    fn fits_is_componentwise_not_total() {
-        // Smaller total but one oversized component must not fit.
-        let a = rv(&[5.0, 0.0]);
-        let b = rv(&[4.0, 10.0]);
-        assert!(!a.fits_within(&b));
     }
 
     #[test]

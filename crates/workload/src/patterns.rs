@@ -27,7 +27,7 @@ impl WorkloadPattern {
     ];
 
     /// The `R_b` sampling range used in the Fig.-5 packing experiments.
-    pub fn r_b_range(self) -> Range<f64> {
+    pub(crate) fn r_b_range(self) -> Range<f64> {
         match self {
             WorkloadPattern::EqualSpike => 2.0..20.0,
             WorkloadPattern::SmallSpike => 12.0..20.0,
@@ -36,7 +36,7 @@ impl WorkloadPattern {
     }
 
     /// The `R_e` sampling range used in the Fig.-5 packing experiments.
-    pub fn r_e_range(self) -> Range<f64> {
+    pub(crate) fn r_e_range(self) -> Range<f64> {
         match self {
             WorkloadPattern::EqualSpike => 2.0..20.0,
             WorkloadPattern::SmallSpike => 2.0..10.0,

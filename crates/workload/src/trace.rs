@@ -33,24 +33,6 @@ impl DemandTrace {
         Self { vm, states }
     }
 
-    /// Length of the trace in steps.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// `true` when the trace has no steps.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
-    }
-
-    /// The demand `W_i(t)` at step `t`.
-    #[inline]
-    pub fn demand_at(&self, t: usize) -> f64 {
-        self.vm.demand(self.states[t].is_on())
-    }
-
     /// The full demand series.
     pub fn demands(&self) -> Vec<f64> {
         self.states
@@ -82,12 +64,6 @@ impl DemandTrace {
     }
 }
 
-/// Sums the demands of several traces at step `t` — the PM-level aggregate
-/// load `Σᵢ xᵢⱼ Wᵢ(t)` of paper Eq. 3.
-pub fn aggregate_demand_at(traces: &[&DemandTrace], t: usize) -> f64 {
-    traces.iter().map(|tr| tr.demand_at(t)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,7 +87,7 @@ mod tests {
     fn from_off_starts_at_base_demand() {
         let mut rng = StdRng::seed_from_u64(2);
         let tr = DemandTrace::sample_from_off(vm(), 10, &mut rng);
-        assert_eq!(tr.demand_at(0), 10.0);
+        assert_eq!(tr.demands()[0], 10.0);
     }
 
     #[test]
@@ -142,7 +118,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let tr = DemandTrace::sample_from_off(vm(), 200_000, &mut rng);
         let spikes = tr.spike_count() as f64;
-        let on_steps = tr.on_fraction() * tr.len() as f64;
+        let on_steps = tr.on_fraction() * tr.states.len() as f64;
         let mean_len = on_steps / spikes;
         assert!(
             (mean_len - 1.0 / 0.09).abs() < 1.0,
@@ -151,27 +127,11 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_demand_sums_members() {
-        use VmState::{Off as F, On as N};
-        let a = DemandTrace {
-            vm: vm(),
-            states: vec![F, N],
-        };
-        let b = DemandTrace {
-            vm: VmSpec::new(1, 0.1, 0.1, 3.0, 2.0),
-            states: vec![N, N],
-        };
-        assert_eq!(aggregate_demand_at(&[&a, &b], 0), 10.0 + 5.0);
-        assert_eq!(aggregate_demand_at(&[&a, &b], 1), 15.0 + 5.0);
-    }
-
-    #[test]
     fn empty_trace_edge_cases() {
         let tr = DemandTrace {
             vm: vm(),
             states: vec![],
         };
-        assert!(tr.is_empty());
         assert_eq!(tr.on_fraction(), 0.0);
         assert_eq!(tr.spike_count(), 0);
     }

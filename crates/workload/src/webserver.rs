@@ -32,13 +32,13 @@ impl Default for WebServerOptions {
 impl WebServerOptions {
     /// Mean of the clamped think time `Y = max(floor, Exp(mean))`:
     /// `E[Y] = floor + mean · e^(−floor/mean)`.
-    pub fn mean_think(&self) -> f64 {
+    pub(crate) fn mean_think(&self) -> f64 {
         self.think_floor + self.think_mean * (-self.think_floor / self.think_mean).exp()
     }
 
     /// Variance of the clamped think time (from the closed-form second
     /// moment `E[Y²] = floor² + e^(−floor/mean)(2·floor·mean + 2·mean²)`).
-    pub fn var_think(&self) -> f64 {
+    pub(crate) fn var_think(&self) -> f64 {
         let (f, m) = (self.think_floor, self.think_mean);
         let e = (-f / m).exp();
         let m2 = f * f + e * (2.0 * f * m + 2.0 * m * m);
@@ -51,7 +51,7 @@ impl WebServerOptions {
     }
 
     /// Draws one clamped think time.
-    pub fn sample_think<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample_think<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         // Inverse-CDF exponential, then clamp.
         let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
         let x = -self.think_mean * u.ln();
@@ -93,7 +93,7 @@ impl WebServerWorkload {
 
     /// Active users in the given state.
     #[inline]
-    pub fn active_users(&self, state: VmState) -> u32 {
+    pub(crate) fn active_users(&self, state: VmState) -> u32 {
         if state.is_on() {
             self.peak_users
         } else {

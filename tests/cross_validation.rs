@@ -4,9 +4,8 @@
 
 use bursty_core::metrics::slo;
 use bursty_core::placement::multidim::{first_fit_multidim, MultiDimPmSpec};
+use bursty_core::placement::pm_cvr_exact;
 use bursty_core::prelude::*;
-use bursty_core::sim::multidim::simulate_multidim;
-use bursty_core::workload::diurnal::DiurnalSpec;
 use bursty_core::workload::multidim::{MultiDimVmSpec, ResourceVec};
 
 #[test]
@@ -17,18 +16,34 @@ fn diurnal_fit_plan_simulate_stays_conservative() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let chain = OnOffChain::new(0.01, 0.09);
-    let specs: Vec<DiurnalSpec> = (0..24)
-        .map(|i| DiurnalSpec::new(10.0 + (i % 4) as f64, 2.5, 2880.0, 10.0, chain))
-        .collect();
+    // A daily sinusoid under the bursts, which the two-level model lacks:
+    // `base + 2.5·sin(2πt/2880) + 10·[ON]`, starting OFF at phase 0.
+    let sample = |base: f64, len: usize, rng: &mut StdRng| -> Vec<f64> {
+        let mut state = VmState::Off;
+        let mut demands = Vec::with_capacity(len);
+        for t in 0..len {
+            let phase = 2.0 * std::f64::consts::PI * t as f64 / 2880.0;
+            demands.push(base + 2.5 * phase.sin() + if state.is_on() { 10.0 } else { 0.0 });
+            state = chain.step(state, rng);
+        }
+        demands
+    };
+    let bases: Vec<f64> = (0..24).map(|i| 10.0 + (i % 4) as f64).collect();
     let mut rng = StdRng::seed_from_u64(5);
-    let fitted: Vec<VmSpec> = specs
+    let fitted: Vec<VmSpec> = bases
         .iter()
         .enumerate()
-        .map(|(id, s)| {
-            let trace = s.sample(30_000, &mut rng);
+        .map(|(id, &base)| {
+            let trace = sample(base, 30_000, &mut rng);
             fit_trace(&trace).unwrap().to_spec(id, trace.len())
         })
         .collect();
+    // The midpoint threshold puts part of the crest in the "ON" class, so
+    // the fitted envelope covers crest + spike (12.5 + 10) up to slack,
+    // and the fitted base stays inside the swing (packing stays feasible).
+    let (r_b, r_e) = (fitted[0].r_b, fitted[0].r_e);
+    assert!(r_b + r_e >= 0.8 * 22.5, "fitted envelope {}", r_b + r_e);
+    assert!((7.5..=12.5).contains(&r_b), "fitted R_b {r_b}");
     let mut gen = FleetGenerator::new(6);
     let pms = gen.pms(48);
     let consolidator = Consolidator::new(Scheme::Queue);
@@ -38,7 +53,10 @@ fn diurnal_fit_plan_simulate_stays_conservative() {
     // violations manually.
     let steps = 20_000usize;
     let per_pm = placement.per_pm();
-    let traces: Vec<Vec<f64>> = specs.iter().map(|s| s.sample(steps, &mut rng)).collect();
+    let traces: Vec<Vec<f64>> = bases
+        .iter()
+        .map(|&base| sample(base, steps, &mut rng))
+        .collect();
     let mut violations = 0usize;
     let mut active = 0usize;
     #[allow(clippy::needless_range_loop)] // t indexes a column across rows
@@ -61,30 +79,64 @@ fn diurnal_fit_plan_simulate_stays_conservative() {
     );
 }
 
+/// The largest exact stationary CVR over every (PM, dimension) of a
+/// two-dimensional assignment: each dimension of a PM is a scalar PM.
+fn worst_dimension_cvr(vms: &[MultiDimVmSpec], capacity: [f64; 2], assignment: &[usize]) -> f64 {
+    let mut worst = 0.0_f64;
+    for j in 0..vms.len() {
+        for (d, &cap) in capacity.iter().enumerate() {
+            let hosted: Vec<VmSpec> = (vms.iter().zip(assignment))
+                .filter(|&(_, &host)| host == j)
+                .map(|(vm, _)| vm.dimension(d))
+                .collect();
+            worst = worst.max(pm_cvr_exact(&hosted, cap).unwrap());
+        }
+    }
+    worst
+}
+
 #[test]
-fn multidim_pack_and_simulate_close_the_loop() {
-    let vms: Vec<MultiDimVmSpec> = (0..30)
-        .map(|i| {
-            MultiDimVmSpec::new(
-                i,
-                0.01,
-                0.09,
-                ResourceVec::new(vec![8.0 + (i % 3) as f64, 5.0]),
-                ResourceVec::new(vec![6.0, 4.0 + (i % 2) as f64]),
-            )
-        })
-        .collect();
-    let pms: Vec<MultiDimPmSpec> = (0..30)
-        .map(|id| MultiDimPmSpec {
-            id,
-            capacity: ResourceVec::new(vec![70.0, 45.0]),
-        })
-        .collect();
+fn multidim_pack_honors_rho_on_every_dimension() {
+    // §IV-E asks for the constraint "on all dimensions". Three fleets: a
+    // mixed one, identical VMs, and CPU-heavy next to memory-heavy.
+    let vm = |i, r_b: [f64; 2], r_e: [f64; 2]| {
+        let (r_b, r_e) = (
+            ResourceVec::new(r_b.to_vec()),
+            ResourceVec::new(r_e.to_vec()),
+        );
+        MultiDimVmSpec::new(i, 0.01, 0.09, r_b, r_e)
+    };
+    let mixed = |i| vm(i, [8.0 + (i % 3) as f64, 5.0], [6.0, 4.0 + (i % 2) as f64]);
+    let skewed = |i| match i % 2 {
+        0 => vm(i, [20.0, 2.0], [20.0, 2.0]),
+        _ => vm(i, [2.0, 20.0], [2.0, 20.0]),
+    };
+    let fleets: [(Vec<MultiDimVmSpec>, [f64; 2]); 3] = [
+        ((0..30).map(mixed).collect(), [70.0, 45.0]),
+        (
+            (0..48).map(|i| vm(i, [10.0, 6.0], [10.0, 4.0])).collect(),
+            [100.0, 60.0],
+        ),
+        ((0..24).map(skewed).collect(), [100.0, 100.0]),
+    ];
     let mapping = MappingTable::build(16, 0.01, 0.09, 0.01);
-    let placement = first_fit_multidim(&vms, &pms, &mapping).unwrap();
-    assert!(placement.pms_used() < 30, "must consolidate");
-    let out = simulate_multidim(&vms, &pms, &placement, 20_000, 7);
-    assert!(out.mean_cvr() <= 0.012, "multidim CVR {}", out.mean_cvr());
+    for (vms, capacity) in &fleets {
+        let pms: Vec<MultiDimPmSpec> = (0..vms.len())
+            .map(|id| MultiDimPmSpec {
+                id,
+                capacity: ResourceVec::new(capacity.to_vec()),
+            })
+            .collect();
+        let placement = first_fit_multidim(vms, &pms, &mapping).unwrap();
+        assert!(placement.pms_used() < vms.len(), "must consolidate");
+        let worst = worst_dimension_cvr(vms, *capacity, &placement.assignment);
+        assert!(worst <= 0.01, "capacity {capacity:?}: exact CVR {worst}");
+    }
+    // Negative control: eight to a PM fits the skewed fleet by its scalar
+    // projection (88 of 100 on each side) and breaks the CPU dimension.
+    let (vms, capacity) = &fleets[2];
+    let by_projection: Vec<usize> = (0..24).map(|i| i / 8).collect();
+    assert!(worst_dimension_cvr(vms, *capacity, &by_projection) > 0.1);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Integration tests for the extension subsystems working together:
 //! trace fitting → rounding → consolidation, SBP comparison, exact-optimum
-//! validation, churn + stabilization, and the loss-system metrics.
+//! validation, churn to steady state, and the loss-system metrics.
 
 use bursty_core::placement::exact::{optimal_packing, ExactResult};
 use bursty_core::placement::rounding::{round_with_policy, RoundingPolicy};
@@ -117,7 +117,7 @@ fn queueing_ffd_is_near_optimal_on_small_instances() {
 }
 
 #[test]
-fn churn_then_stabilization_analysis() {
+fn churned_cluster_holds_a_six_pm_band_and_the_cvr_bound() {
     let mut gen = FleetGenerator::new(7);
     let pms = gen.pms(300);
     let policy = QueuePolicy::new(QueueStrategy::build(16, 0.01, 0.09, 0.01));
@@ -135,11 +135,9 @@ fn churn_then_stabilization_analysis() {
     );
     // Population ramps then holds; the PMs-used series must stabilize to
     // a ±3 band once arrivals ≈ departures (after ~5 mean lifetimes).
-    let stable = detect_stabilization(&out.pms_used_series.values[500..], &[], 6.0, usize::MAX);
-    assert!(
-        stable.step.is_some(),
-        "churned cluster must reach steady state"
-    );
+    let tail = out.pms_used_series.values[500..].iter();
+    let (lo, hi) = tail.fold((f64::MAX, f64::MIN), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+    assert!(hi - lo <= 6.0, "steady-state PMs used swing {lo}..{hi}");
     assert!(out.fleet_cvr() <= 0.012, "fleet CVR {}", out.fleet_cvr());
 }
 
@@ -156,25 +154,4 @@ fn block_metrics_are_consistent_with_mapcal() {
         assert!(metrics.utilization > 0.0 && metrics.utilization <= 1.0);
         assert!(metrics.carried_load <= metrics.offered_load + 1e-12);
     }
-}
-
-#[test]
-fn transient_mixing_supports_evaluation_window() {
-    // The paper evaluates over 100 σ and remarks stabilization within
-    // ~10 σ; the chain's mixing time at the paper's parameters must make
-    // that window sensible (mixed well before the horizon ends).
-    let analysis = TransientAnalysis::new(AggregateChain::new(16, 0.01, 0.09));
-    let mix = analysis.mixing_time(0.01, 1_000).unwrap();
-    assert!(
-        mix < 100,
-        "mixing time {mix} must sit inside the 100-step horizon"
-    );
-    // And expected transient violations over the paper's horizon stay
-    // under the stationary budget ρ·T.
-    let blocks = AggregateChain::new(16, 0.01, 0.09).blocks_needed(0.01);
-    let expected = analysis.expected_violations(blocks, 100);
-    assert!(
-        expected <= 1.0,
-        "expected violations over 100 steps: {expected}"
-    );
 }
