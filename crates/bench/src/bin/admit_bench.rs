@@ -9,20 +9,37 @@
 //! ```text
 //! admit-bench [--fleets N1,N2,...] [--rounds R] [--batch B] [--singles S]
 //!             [--recal-every K] [--epsilon E] [--seed SEED] [--out PATH]
-//!             [--gate-speedup X]
+//!             [--gate-speedup X] [--before PATH] [--commit LABEL]
 //! ```
 //!
 //! Defaults: fleets `10000,100000,1000000`, 24 rounds, 512-VM batches,
-//! 64 single pairs per round, recalibrate every 2 rounds, ε = 0, seed 1,
+//! 64 single pairs per round, recalibrate every round, ε = 0, seed 1,
 //! output to `BENCH_admit.json`. The fleet is duplicate-heavy Table-I
 //! EqualSpike (three VM classes), the regime the SoA engine's class cells
 //! are built for.
+//!
+//! Every other round one of the single arrivals carries jittered switch
+//! probabilities (one of [`JITTER_LEVELS`] levels, the step the system
+//! benchmark's mixed program uses), so the rounded pair moves and
+//! the recalibration that follows rebuilds the mapping table and rewrites
+//! the occupied PMs' headrooms; the round after admits the base pair only
+//! and its recalibration returns at the ε-gate. `recal_p50_ns`/`_p99_ns`
+//! cover all recalibrations, `recal_rebuild_p50_ns`/`_p99_ns` the
+//! `recal_rebuilds` of them that changed the table. (A program whose VMs
+//! all share one pair re-rounds to the bit-equal pair every time: every
+//! recalibration is the gate's few hundred nanoseconds, whatever the
+//! fleet size.)
 //!
 //! Both engines replay the *same* program, so their final states must be
 //! bit-identical; the bench always exits nonzero if hosts, loads or used-PM
 //! counts disagree. `--gate-speedup X` additionally requires the SoA
 //! engine's sustained churn throughput to beat the reference by at least
-//! `X`× at the largest fleet size.
+//! `X`× at the largest fleet size. Rows are one per line, each led by the
+//! commit it was measured at (`--commit`, default `git describe --always
+//! --dirty`); `--before OLD.json` copies OLD's rows in front of this
+//! run's, which is how the checked-in file holds a parent and a change
+//! row per engine and fleet (copy this source into a clone of the parent
+//! commit and run it there first; it uses the public API only).
 
 use bursty_bench::quantile_ns;
 use bursty_core::placement::PackError;
@@ -37,6 +54,12 @@ use std::time::Instant;
 const TEMPLATES: [(f64, f64); 3] = [(5.0, 5.0), (10.0, 10.0), (20.0, 20.0)];
 const P_ON: f64 = 0.01;
 const P_OFF: f64 = 0.09;
+/// Discrete probability jitter of the rebuild rounds' one odd VM: level
+/// `l` of `1..=8` is `(P_ON + 0.004·l/8, P_OFF + 0.01·l/8)` — the system
+/// benchmark's step, without its level 0, so the pair always moves. A
+/// continuous jitter would add a class to the engines' registries per
+/// draw.
+const JITTER_LEVELS: u64 = 8;
 const D: usize = 16;
 const RHO: f64 = 0.01;
 
@@ -73,9 +96,20 @@ fn build_program(
 ) -> Program {
     let mut live: Vec<usize> = (0..n).collect();
     let mut next_id = n;
-    let fresh = |rng: &mut StdRng, next_id: &mut usize| {
+    let fresh = |rng: &mut StdRng, next_id: &mut usize, jitter: bool| {
         let (r_b, r_e) = TEMPLATES[rng.gen_range(0..TEMPLATES.len())];
-        let vm = VmSpec::new(*next_id, P_ON, P_OFF, r_b, r_e);
+        let level = if jitter {
+            (1 + rng.gen_range(0..JITTER_LEVELS)) as f64 / JITTER_LEVELS as f64
+        } else {
+            0.0
+        };
+        let vm = VmSpec::new(
+            *next_id,
+            P_ON + 0.004 * level,
+            P_OFF + 0.01 * level,
+            r_b,
+            r_e,
+        );
         *next_id += 1;
         vm
     };
@@ -88,14 +122,16 @@ fn build_program(
         departures += victims.len() as u64;
         ops.push(ChurnOp::Departs(victims));
 
-        let arrivals: Vec<VmSpec> = (0..batch).map(|_| fresh(rng, &mut next_id)).collect();
+        let arrivals: Vec<VmSpec> = (0..batch)
+            .map(|_| fresh(rng, &mut next_id, false))
+            .collect();
         live.extend(arrivals.iter().map(|vm| vm.id));
         admissions += arrivals.len() as u64;
         ops.push(ChurnOp::Batch(arrivals));
 
-        for _ in 0..singles {
+        for single in 0..singles {
             let victim = live.swap_remove(rng.gen_range(0..live.len()));
-            let vm = fresh(rng, &mut next_id);
+            let vm = fresh(rng, &mut next_id, single == 0 && round % 2 == 0);
             live.push(vm.id);
             departures += 1;
             admissions += 1;
@@ -240,6 +276,8 @@ struct ChurnRow {
     admit: LatencyStats,
     depart: LatencyStats,
     recal: LatencyStats,
+    /// The recalibrations that rebuilt the table (the pair moved).
+    recal_rebuild: LatencyStats,
 }
 
 /// Warms the engine to the initial fleet, replays the program with per-op
@@ -249,6 +287,7 @@ fn run_engine(
     initial: Vec<VmSpec>,
     program: &Program,
     m: usize,
+    epsilon: f64,
 ) -> (ChurnRow, StateDigest) {
     let n = initial.len();
     let name = engine.name();
@@ -261,6 +300,8 @@ fn run_engine(
     let mut admit = LatencyStats::new();
     let mut depart = LatencyStats::new();
     let mut recal = LatencyStats::new();
+    let mut recal_rebuild = LatencyStats::new();
+    let mut table_for = (P_ON, P_OFF);
     let churn_start = Instant::now();
     for op in &program.ops {
         match op {
@@ -294,8 +335,16 @@ fn run_engine(
             ChurnOp::Recalibrate => {
                 let t = Instant::now();
                 let pair = engine.recalibrate();
-                recal.record(t.elapsed().as_nanos(), 1);
-                assert!(pair.is_some(), "{name}: recalibrated an empty cluster");
+                let elapsed = t.elapsed().as_nanos();
+                let pair = pair.unwrap_or_else(|| panic!("{name}: recalibrated an empty cluster"));
+                recal.record(elapsed, 1);
+                // The engines' own gate: the table is rebuilt iff the
+                // rounded pair left the ε-box around the one it holds.
+                let moved = |new: f64, held: f64| (new - held).abs() > epsilon;
+                if moved(pair.0, table_for.0) || moved(pair.1, table_for.1) {
+                    recal_rebuild.record(elapsed, 1);
+                    table_for = pair;
+                }
             }
         }
     }
@@ -318,97 +367,79 @@ fn run_engine(
         admit,
         depart,
         recal,
+        recal_rebuild,
     };
     (row, digest)
 }
 
-#[allow(clippy::type_complexity)]
-fn parse_args() -> (
-    Vec<usize>,
-    usize,
-    usize,
-    usize,
-    usize,
-    f64,
-    u64,
-    String,
-    Option<f64>,
-) {
-    let mut fleets = vec![10_000usize, 100_000, 1_000_000];
-    let mut rounds = 24usize;
-    let mut batch = 512usize;
-    let mut singles = 64usize;
-    let mut recal_every = 2usize;
-    let mut epsilon = 0.0f64;
-    let mut seed = 1u64;
-    let mut out = "BENCH_admit.json".to_string();
-    let mut gate_speedup: Option<f64> = None;
+struct Args {
+    fleets: Vec<usize>,
+    rounds: usize,
+    batch: usize,
+    singles: usize,
+    recal_every: usize,
+    epsilon: f64,
+    seed: u64,
+    out: String,
+    gate_speedup: Option<f64>,
+    before: Option<String>,
+    commit: Option<String>,
+}
+
+fn parse_args() -> Args {
+    let mut parsed = Args {
+        fleets: vec![10_000, 100_000, 1_000_000],
+        rounds: 24,
+        batch: 512,
+        singles: 64,
+        recal_every: 1,
+        epsilon: 0.0,
+        seed: 1,
+        out: "BENCH_admit.json".to_string(),
+        gate_speedup: None,
+        before: None,
+        commit: None,
+    };
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    for pair in args.chunks(2) {
+        let [flag, value] = pair else {
+            eprintln!("{} wants a value", pair[0]);
+            std::process::exit(2);
+        };
+        match flag.as_str() {
             "--fleets" => {
-                fleets = args[i + 1]
+                parsed.fleets = value
                     .split(',')
                     .map(|s| s.parse().expect("--fleets wants comma-separated sizes"))
                     .collect();
-                i += 2;
             }
-            "--rounds" => {
-                rounds = args[i + 1].parse().expect("--rounds wants an integer");
-                i += 2;
-            }
-            "--batch" => {
-                batch = args[i + 1].parse().expect("--batch wants an integer");
-                i += 2;
-            }
-            "--singles" => {
-                singles = args[i + 1].parse().expect("--singles wants an integer");
-                i += 2;
-            }
+            "--rounds" => parsed.rounds = value.parse().expect("--rounds wants an integer"),
+            "--batch" => parsed.batch = value.parse().expect("--batch wants an integer"),
+            "--singles" => parsed.singles = value.parse().expect("--singles wants an integer"),
             "--recal-every" => {
-                recal_every = args[i + 1].parse().expect("--recal-every wants an integer");
-                i += 2;
+                parsed.recal_every = value.parse().expect("--recal-every wants an integer");
             }
-            "--epsilon" => {
-                epsilon = args[i + 1].parse().expect("--epsilon wants a float");
-                i += 2;
-            }
-            "--seed" => {
-                seed = args[i + 1].parse().expect("--seed wants an integer");
-                i += 2;
-            }
-            "--out" => {
-                out = args[i + 1].clone();
-                i += 2;
-            }
+            "--epsilon" => parsed.epsilon = value.parse().expect("--epsilon wants a float"),
+            "--seed" => parsed.seed = value.parse().expect("--seed wants an integer"),
+            "--out" => parsed.out = value.clone(),
             "--gate-speedup" => {
-                gate_speedup = Some(args[i + 1].parse().expect("--gate-speedup wants a float"));
-                i += 2;
+                parsed.gate_speedup = Some(value.parse().expect("--gate-speedup wants a float"));
             }
+            "--before" => parsed.before = Some(value.clone()),
+            "--commit" => parsed.commit = Some(value.clone()),
             other => {
                 eprintln!("unknown flag: {other}");
                 std::process::exit(2);
             }
         }
     }
-    (
-        fleets,
-        rounds,
-        batch,
-        singles,
-        recal_every,
-        epsilon,
-        seed,
-        out,
-        gate_speedup,
-    )
+    parsed
 }
 
-fn push_row(json: &mut String, row: &ChurnRow, last: bool) {
-    writeln!(
-        json,
-        "    {{\"n\": {}, \"m\": {}, \"engine\": \"{}\", \"warmup_secs\": {:.6}, \"churn_secs\": {:.6}, \"ops\": {}, \"ops_per_sec\": {:.1}, \"admissions\": {}, \"admissions_per_sec\": {:.1}, \"departures\": {}, \"departures_per_sec\": {:.1}, \"admit_p50_ns\": {}, \"admit_p99_ns\": {}, \"depart_p50_ns\": {}, \"depart_p99_ns\": {}, \"recal_p50_ns\": {}, \"recal_p99_ns\": {}}}{}",
+/// One `admit` row, led by the commit it was measured at.
+fn row_json(commit: &str, row: &ChurnRow) -> String {
+    format!(
+        "{{\"commit\": \"{commit}\", \"n\": {}, \"m\": {}, \"engine\": \"{}\", \"warmup_secs\": {:.6}, \"churn_secs\": {:.6}, \"ops\": {}, \"ops_per_sec\": {:.1}, \"admissions\": {}, \"admissions_per_sec\": {:.1}, \"departures\": {}, \"departures_per_sec\": {:.1}, \"admit_p50_ns\": {}, \"admit_p99_ns\": {}, \"depart_p50_ns\": {}, \"depart_p99_ns\": {}, \"recalibrations\": {}, \"recal_p50_ns\": {}, \"recal_p99_ns\": {}, \"recal_rebuilds\": {}, \"recal_rebuild_p50_ns\": {}, \"recal_rebuild_p99_ns\": {}}}",
         row.n,
         row.m,
         row.engine,
@@ -424,29 +455,56 @@ fn push_row(json: &mut String, row: &ChurnRow, last: bool) {
         row.admit.p99(),
         row.depart.p50(),
         row.depart.p99(),
+        row.recal.count,
         row.recal.p50(),
         row.recal.p99(),
-        if last { "" } else { "," }
+        row.recal_rebuild.count,
+        row.recal_rebuild.p50(),
+        row.recal_rebuild.p99(),
     )
-    .unwrap();
+}
+
+/// A JSON array of one-per-line rows under `key`.
+fn push_section(json: &mut String, key: &str, rows: &[String], last: bool) {
+    writeln!(json, "  \"{key}\": [").unwrap();
+    for (i, row) in rows.iter().enumerate() {
+        let sep = if i + 1 == rows.len() { "" } else { "," };
+        writeln!(json, "    {row}{sep}").unwrap();
+    }
+    writeln!(json, "  ]{}", if last { "" } else { "," }).unwrap();
 }
 
 fn main() {
-    let (fleets, rounds, batch, singles, recal_every, epsilon, seed, out_path, gate_speedup) =
-        parse_args();
+    let args = parse_args();
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let commit = bursty_bench::commit_label(args.commit.clone());
 
-    let mut rows: Vec<ChurnRow> = Vec::new();
-    let mut agreements: Vec<(usize, bool)> = Vec::new();
-    let mut speedups: Vec<(usize, f64)> = Vec::new();
+    // One row per line, each led by its commit: `--before` re-reads
+    // exactly those lines of both sections.
+    let (mut rows, mut pairs) = match &args.before {
+        Some(path) => (
+            bursty_bench::section_rows_led_by_commit(path, "admit"),
+            bursty_bench::section_rows_led_by_commit(path, "pairs"),
+        ),
+        None => (Vec::new(), Vec::new()),
+    };
+    let mut disagreed = false;
+    let mut last_speedup: Option<(usize, f64)> = None;
 
-    for &n in &fleets {
+    for &n in &args.fleets {
         let m = (n / 4).max(64);
-        let mut gen = FleetGenerator::new(seed.wrapping_add(n as u64));
+        let mut gen = FleetGenerator::new(args.seed.wrapping_add(n as u64));
         let initial = gen.vms_table_i(n, WorkloadPattern::EqualSpike);
         let pms = gen.pms(m);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-        let program = build_program(n, rounds, batch, singles, recal_every, &mut rng);
+        let mut rng = StdRng::seed_from_u64(args.seed ^ 0x9e37_79b9_7f4a_7c15);
+        let program = build_program(
+            n,
+            args.rounds,
+            args.batch,
+            args.singles,
+            args.recal_every,
+            &mut rng,
+        );
 
         eprintln!(
             "admit-bench: n={n} m={m} ops={} ({} admissions, {} departures, {} recalibrations)",
@@ -460,31 +518,39 @@ fn main() {
         // 1M-VM size never holds two full clusters in memory.
         let reference = Engine::Reference(
             ReferenceOnlineCluster::new(pms.clone(), D, P_ON, P_OFF, RHO)
-                .with_recalibration_epsilon(epsilon),
+                .with_recalibration_epsilon(args.epsilon),
         );
-        let (ref_row, ref_digest) = run_engine(reference, initial.clone(), &program, m);
-        eprintln!(
-            "  reference: {:.0} ops/s (churn {:.3}s, warm-up {:.3}s)",
-            ref_row.ops_per_sec, ref_row.churn_secs, ref_row.warmup_secs
-        );
-
+        let (ref_row, ref_digest) =
+            run_engine(reference, initial.clone(), &program, m, args.epsilon);
         let soa = Engine::Soa(
-            OnlineCluster::new(pms, D, P_ON, P_OFF, RHO).with_recalibration_epsilon(epsilon),
+            OnlineCluster::new(pms, D, P_ON, P_OFF, RHO).with_recalibration_epsilon(args.epsilon),
         );
-        let (soa_row, soa_digest) = run_engine(soa, initial, &program, m);
-        eprintln!(
-            "  soa:       {:.0} ops/s (churn {:.3}s, warm-up {:.3}s)",
-            soa_row.ops_per_sec, soa_row.churn_secs, soa_row.warmup_secs
-        );
+        let (soa_row, soa_digest) = run_engine(soa, initial, &program, m, args.epsilon);
+        for row in [&ref_row, &soa_row] {
+            eprintln!(
+                "  {:<9} {:.0} ops/s (churn {:.3}s, warm-up {:.3}s, {} of {} recalibrations rebuilt, p50 {} ns)",
+                row.engine,
+                row.ops_per_sec,
+                row.churn_secs,
+                row.warmup_secs,
+                row.recal_rebuild.count,
+                row.recal.count,
+                row.recal_rebuild.p50(),
+            );
+        }
 
         let agree = ref_digest == soa_digest;
         if !agree {
             eprintln!("  DISAGREEMENT at n={n}: reference {ref_digest:?} vs soa {soa_digest:?}");
+            disagreed = true;
         }
-        agreements.push((n, agree));
-        speedups.push((n, soa_row.ops_per_sec / ref_row.ops_per_sec));
-        rows.push(ref_row);
-        rows.push(soa_row);
+        let speedup = soa_row.ops_per_sec / ref_row.ops_per_sec;
+        last_speedup = Some((n, speedup));
+        pairs.push(format!(
+            "{{\"commit\": \"{commit}\", \"n\": {n}, \"speedup\": {speedup:.2}, \"agreement\": {agree}}}"
+        ));
+        rows.push(row_json(&commit, &ref_row));
+        rows.push(row_json(&commit, &soa_row));
     }
 
     let mut json = String::new();
@@ -493,52 +559,28 @@ fn main() {
     writeln!(json, "  \"available_parallelism\": {cores},").unwrap();
     writeln!(
         json,
-        "  \"config\": {{\"rounds\": {rounds}, \"batch\": {batch}, \"singles\": {singles}, \"recal_every\": {recal_every}, \"epsilon\": {epsilon}, \"seed\": {seed}, \"d\": {D}, \"rho\": {RHO}, \"workload\": \"table_i_equal_spike\"}},"
+        "  \"config\": {{\"rounds\": {}, \"batch\": {}, \"singles\": {}, \"recal_every\": {}, \"jitter_levels\": {JITTER_LEVELS}, \"epsilon\": {}, \"seed\": {}, \"d\": {D}, \"rho\": {RHO}, \"workload\": \"table_i_equal_spike\"}},",
+        args.rounds, args.batch, args.singles, args.recal_every, args.epsilon, args.seed
     )
     .unwrap();
-    writeln!(json, "  \"admit\": [").unwrap();
-    for (i, row) in rows.iter().enumerate() {
-        push_row(&mut json, row, i + 1 == rows.len());
-    }
-    writeln!(json, "  ],").unwrap();
-    writeln!(json, "  \"speedups\": {{").unwrap();
-    for (i, (n, ratio)) in speedups.iter().enumerate() {
-        writeln!(
-            json,
-            "    \"n{n}\": {ratio:.2}{}",
-            if i + 1 == speedups.len() { "" } else { "," }
-        )
-        .unwrap();
-    }
-    writeln!(json, "  }},").unwrap();
-    writeln!(json, "  \"agreement\": {{").unwrap();
-    for (i, (n, agree)) in agreements.iter().enumerate() {
-        writeln!(
-            json,
-            "    \"n{n}\": {agree}{}",
-            if i + 1 == agreements.len() { "" } else { "," }
-        )
-        .unwrap();
-    }
-    writeln!(json, "  }}").unwrap();
+    push_section(&mut json, "admit", &rows, false);
+    push_section(&mut json, "pairs", &pairs, true);
     writeln!(json, "}}").unwrap();
 
-    std::fs::write(&out_path, &json).expect("write benchmark JSON");
-    eprintln!("admit-bench: wrote {out_path}");
+    std::fs::write(&args.out, &json).expect("write benchmark JSON");
+    eprintln!("admit-bench: wrote {}", args.out);
 
-    if agreements.iter().any(|&(_, agree)| !agree) {
+    if disagreed {
         eprintln!("admit-bench: FAIL — engines disagreed on at least one fleet size");
         std::process::exit(1);
     }
-    if let Some(gate) = gate_speedup {
-        if let Some(&(n, ratio)) = speedups.last() {
-            if ratio < gate {
-                eprintln!(
-                    "admit-bench: FAIL — churn speedup {ratio:.2}x at n={n} below the {gate}x gate"
-                );
-                std::process::exit(1);
-            }
-            eprintln!("admit-bench: speedup gate passed ({ratio:.2}x >= {gate}x at n={n})");
+    if let (Some(gate), Some((n, ratio))) = (args.gate_speedup, last_speedup) {
+        if ratio < gate {
+            eprintln!(
+                "admit-bench: FAIL — churn speedup {ratio:.2}x at n={n} below the {gate}x gate"
+            );
+            std::process::exit(1);
         }
+        eprintln!("admit-bench: speedup gate passed ({ratio:.2}x >= {gate}x at n={n})");
     }
 }

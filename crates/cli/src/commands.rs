@@ -646,7 +646,8 @@ pub fn online_replay(args: &[String], out: &mut dyn Write) -> Result<(), CliErro
         OnlineCluster::new(pms, d, p_on, p_off, rho).with_recalibration_epsilon(epsilon);
     let mut rec = trace_out.map(|_| MemoryRecorder::new(65_536));
 
-    cluster.arrive_batch(initial).map_err(|e| {
+    let warm = cluster.arrive_batch_each(initial, &mut NoopRecorder, |_, _| {});
+    warm.map_err(|e| {
         err(format!(
             "initial fleet does not fit (VM {}) — add PMs",
             e.vm_id

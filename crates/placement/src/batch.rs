@@ -27,11 +27,12 @@
 //! [`first_fit_auto_recorded`], the entry point behind
 //! `Consolidator::place`, reads the batch-or-per-VM rule (`2·k ≤ n`) off
 //! the same table it then packs from. Every fill then needs the next
-//! admitting PM, and [`PlacementState::first_admitting`] looks before it
-//! climbs: it reads a bounded window of the flat headroom array and falls
-//! back to the lazily maintained segment tree only for a gap longer than
-//! the window, so on a consolidation-dense fleet (the 1M-VM Table-I fleet
-//! on 250k PMs: 419 091 fills, longest gap under 32 PMs) the tree is never
+//! admitting PM, and the arena asks the shared lazy search,
+//! [`HeadroomIndex::first_admitting`], which looks before it climbs: it
+//! reads a bounded window of the flat headroom array and falls back to
+//! the lazily maintained segment tree only for a gap longer than the
+//! window, so on a consolidation-dense fleet (the 1M-VM Table-I fleet on
+//! 250k PMs: 419 091 fills, longest gap under 32 PMs) the tree is never
 //! built. [`PlacementState::last_pack`] reports the split — collapse,
 //! reset, runs, scatter, tree climbs — and `BENCH_packing.json` holds it
 //! for the measured fleets.
@@ -97,32 +98,24 @@ const BATCH_SLACK: f64 = 1e-6;
 /// Reusable arena for batch packing: per-PM load accounting in
 /// structure-of-arrays form plus the headroom index, all kept between
 /// packs so repeated consolidations over same-sized farms allocate
-/// nothing after the first (the index reuses its tree via
-/// [`HeadroomIndex::rebuild`]).
+/// nothing after the first.
 ///
 /// Two tricks keep the reset cost of a million-PM farm off the packing
 /// critical path:
 ///
 /// * The load arrays are *generation-tagged* rather than zeroed: a reset
 ///   bumps `generation`, and [`PlacementState::load`] treats any PM whose
-///   `epoch` tag is older as empty. Only the headroom array (the one the
-///   First-Fit cursor reads) is rewritten per pack.
+///   `epoch` tag is older as empty. Only the headroom leaves (the array
+///   the First-Fit cursor reads) are rewritten per pack.
 /// * The headroom tree is maintained *lazily*, behind a bounded
-///   look-ahead. `store` keeps the flat `headrooms` array current and
-///   only appends to a dirty list; the one candidate search,
-///   [`PlacementState::first_admitting`], scans the next [`LOOKAHEAD`]
-///   entries of that array and climbs the tree only when the whole window
-///   rejects and the farm goes on past it. A fill therefore costs
-///   `O(gap)` array reads for a gap of up to `LOOKAHEAD` rejecting PMs,
-///   and `O(LOOKAHEAD + log m)` plus the deferred tree maintenance (a
-///   rebuild, or a replay of the dirty entries, whichever is cheaper)
-///   beyond. The tree is built the first time a gap outgrows the window
-///   and not before: a pack whose gaps all fit — the paper-density and
-///   all-duplicate fleets of `BENCH_packing.json` — never builds it, and
-///   dirt left by the final run is never flushed. Once it is built, the
-///   search that opens a run goes to it directly (see `first_admitting`).
-///   Placements are unaffected either way: the window and the tree
-///   search the same values for the same predicate, lowest index first.
+///   look-ahead — the index's own lazy mode (see [`crate::index`]): a
+///   reset loads the leaves and builds nothing, `store` marks what it
+///   writes, and the one candidate search is
+///   [`HeadroomIndex::first_admitting`]. The tree is built the first time
+///   a gap outgrows the window and not before: a pack whose gaps all fit
+///   — the paper-density and all-duplicate fleets of `BENCH_packing.json`
+///   — never builds it, and what the final run marked is never flushed
+///   (the next reset discards it).
 #[derive(Debug)]
 pub struct PlacementState {
     generation: u32,
@@ -131,10 +124,7 @@ pub struct PlacementState {
     max_re: Vec<f64>,
     sum_rb: Vec<f64>,
     sum_rp: Vec<f64>,
-    headrooms: Vec<f64>,
     index: HeadroomIndex,
-    tree_stale: bool,
-    dirty: Vec<u32>,
     profile: PackProfile,
 }
 
@@ -157,18 +147,6 @@ pub struct PackProfile {
     pub tree_probes: u64,
 }
 
-/// How many PMs past the First-Fit cursor [`PlacementState::first_admitting`]
-/// reads from the flat headroom array before it pays for the tree. Chosen
-/// from the `fleets` rows of `BENCH_packing.json`, which hold this source
-/// built with 8, 16, 64 and 256 here: at paper density 8 leaves 734 tree
-/// climbs (each replaying the stores since the last) and 16 leaves 4; 64
-/// leaves none with a factor of two to spare over the longest gap
-/// measured, and is still eight cache lines — a window that rejects costs
-/// less than the descent it precedes — where 256 buys nothing more. The
-/// 0 % and 50 % duplicate fleets do not tell the widths apart: their runs
-/// start behind full PMs and go to the tree either way.
-const LOOKAHEAD: usize = 64;
-
 impl PlacementState {
     /// An empty arena; capacity grows on first use.
     pub fn new() -> Self {
@@ -179,10 +157,7 @@ impl PlacementState {
             max_re: Vec::new(),
             sum_rb: Vec::new(),
             sum_rp: Vec::new(),
-            headrooms: Vec::new(),
             index: HeadroomIndex::new(&[]),
-            tree_stale: true,
-            dirty: Vec::new(),
             profile: PackProfile::default(),
         }
     }
@@ -204,10 +179,8 @@ impl PlacementState {
             self.sum_rb.resize(m, 0.0);
             self.sum_rp.resize(m, 0.0);
         }
-        self.headrooms.clear();
-        strategy.empty_headrooms(pms, &mut self.headrooms);
-        self.tree_stale = true;
-        self.dirty.clear();
+        self.index
+            .reset_lazy(|leaves| strategy.empty_headrooms(pms, leaves));
     }
 
     /// The load of PM `j`, materialized from the arrays.
@@ -224,69 +197,22 @@ impl PlacementState {
     }
 
     /// Stores PM `j`'s new load and headroom; the tree entry is deferred
-    /// to the next probe.
+    /// to the next search that climbs.
     fn store(&mut self, j: usize, load: PmLoad, headroom: f64) {
         self.epoch[j] = self.generation;
         self.vm_count[j] = load.count;
         self.max_re[j] = load.max_re;
         self.sum_rb[j] = load.sum_rb;
         self.sum_rp[j] = load.sum_rp;
-        self.headrooms[j] = headroom;
-        if !self.tree_stale {
-            self.dirty.push(j as u32);
-        }
-    }
-
-    /// First PM at or after `from` whose headroom reaches `threshold` —
-    /// the packer's only candidate search. Reads the next [`LOOKAHEAD`]
-    /// entries of the flat array first; a hit there, or a window that ran
-    /// into the end of the farm, never touches the tree. The index
-    /// returned is the one [`HeadroomIndex::first_at_least`] would return
-    /// from `from`: both look for the lowest `j ≥ from` with
-    /// `headrooms[j] ≥ threshold`.
-    ///
-    /// One search skips the window: a run's first (`from == 0`) once the
-    /// pack has had to build the tree. It starts behind every PM the
-    /// earlier runs filled, so where gaps have outgrown the window at all
-    /// — an all-distinct fleet: one run per VM, each starting over at PM
-    /// 0 — its window is the one that predictably rejects, and reading it
-    /// first would tax every run (`BENCH_packing.json`, `dup_0`).
-    fn first_admitting(&mut self, from: usize, threshold: f64) -> Option<usize> {
-        if from == 0 && !self.tree_stale {
-            return self.probe(0, threshold);
-        }
-        let end = (from + LOOKAHEAD).min(self.headrooms.len());
-        let window = &self.headrooms[from..end];
-        if let Some(at) = window.iter().position(|&h| h >= threshold) {
-            return Some(from + at);
-        }
-        if end == self.headrooms.len() {
-            return None;
-        }
-        self.probe(end, threshold)
-    }
-
-    /// [`PlacementState::first_admitting`] past its window: brings the
-    /// lazy tree up to date — a full rebuild when the tree is stale (or
-    /// the dirty backlog rivals a rebuild's cost), a replay of the dirty
-    /// entries otherwise — and descends.
-    fn probe(&mut self, from: usize, threshold: f64) -> Option<usize> {
-        self.profile.tree_probes += 1;
-        if self.tree_stale || 4 * self.dirty.len() >= self.headrooms.len() {
-            self.index.rebuild(&self.headrooms);
-            self.tree_stale = false;
-        } else {
-            for &j in &self.dirty {
-                self.index.update(j as usize, self.headrooms[j as usize]);
-            }
-        }
-        self.dirty.clear();
-        self.index.first_at_least(from, threshold)
+        self.index.set(j, headroom);
     }
 
     /// The phase times and tree climbs of the last pack on this arena.
     pub fn last_pack(&self) -> PackProfile {
-        self.profile
+        PackProfile {
+            tree_probes: self.index.probes(),
+            ..self.profile
+        }
     }
 
     /// Serializes the arena's *logical* content — the current-generation
@@ -296,7 +222,7 @@ impl PlacementState {
     /// serializes as the empty load it logically is, so the image is a
     /// pure function of what [`PlacementState::load`] would report.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
-        let m = self.headrooms.len();
+        let m = self.index.len();
         let mut buf = Vec::with_capacity(8 + m * 40);
         put_usize(&mut buf, m);
         for j in 0..m {
@@ -305,7 +231,7 @@ impl PlacementState {
             put_f64(&mut buf, load.max_re);
             put_f64(&mut buf, load.sum_rb);
             put_f64(&mut buf, load.sum_rp);
-            put_f64(&mut buf, self.headrooms[j]);
+            put_f64(&mut buf, self.index.value(j));
         }
         buf
     }
@@ -327,15 +253,18 @@ impl PlacementState {
         state.max_re = Vec::with_capacity(m);
         state.sum_rb = Vec::with_capacity(m);
         state.sum_rp = Vec::with_capacity(m);
-        state.headrooms = Vec::with_capacity(m);
+        let mut headrooms = Vec::with_capacity(m);
         for _ in 0..m {
             state.vm_count.push(cur.usize()?);
             state.max_re.push(cur.f64()?);
             state.sum_rb.push(cur.f64()?);
             state.sum_rp.push(cur.f64()?);
-            state.headrooms.push(cur.f64()?);
+            headrooms.push(cur.f64()?);
         }
         cur.expect_done()?;
+        state
+            .index
+            .reset_lazy(|leaves| leaves.extend_from_slice(&headrooms));
         Ok(state)
     }
 }
@@ -787,7 +716,7 @@ fn batch_collapsed<S: Strategy + ?Sized>(
         // per-VM packer could never place a later copy there either.
         let mut from = 0usize;
         while placed < want_total {
-            let Some(j) = state.first_admitting(from, threshold) else {
+            let Some(j) = state.index.first_admitting(from, threshold) else {
                 return Err(PackError {
                     vm_id: nth_member_id(vms, &table.kid, cid, placed),
                 });
@@ -871,7 +800,7 @@ fn batch_ordered<S: Strategy + ?Sized>(
         let mut hint = 0;
         let mut from = 0;
         while placed < run.len {
-            let Some(j) = state.first_admitting(from, threshold) else {
+            let Some(j) = state.index.first_admitting(from, threshold) else {
                 return Err(PackError {
                     vm_id: vms[order[run.start + placed]].id,
                 });
@@ -902,6 +831,7 @@ fn batch_ordered<S: Strategy + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::LOOKAHEAD;
     use crate::pack::first_fit;
     use crate::strategy::{BaseStrategy, PeakStrategy, QueueStrategy, ReserveStrategy};
 
@@ -1209,8 +1139,8 @@ mod tests {
         let sections = parse_frames(&store.read("arena").unwrap()).unwrap();
         let restored = PlacementState::restore_from_snapshot(&sections[0].1).unwrap();
 
-        assert_eq!(restored.headrooms, state.headrooms);
         for j in 0..farm.len() {
+            assert_eq!(restored.index.value(j), state.index.value(j));
             assert_eq!(restored.load(j), state.load(j), "PM {j} load diverged");
         }
 
@@ -1378,9 +1308,9 @@ mod tests {
             let search_all = |a: &mut PlacementState, b: &mut PlacementState| {
                 for from in 0..=farm.len() {
                     for t in thresholds {
-                        let linear = (from..farm.len()).find(|&j| a.headrooms[j] >= t);
-                        assert_eq!(a.first_admitting(from, t), linear, "{}", s.name());
-                        assert_eq!(b.first_admitting(from, t), linear, "{}", s.name());
+                        let linear = (from..farm.len()).find(|&j| a.index.value(j) >= t);
+                        assert_eq!(a.index.first_admitting(from, t), linear, "{}", s.name());
+                        assert_eq!(b.index.first_admitting(from, t), linear, "{}", s.name());
                     }
                 }
             };
@@ -1390,8 +1320,8 @@ mod tests {
             let threshold = s.demand(&extra) - PRUNE_SLACK;
             let mut from = 0;
             for _ in 0..25 {
-                let j = state.first_admitting(from, threshold);
-                assert_eq!(j, restored.first_admitting(from, threshold));
+                let j = state.index.first_admitting(from, threshold);
+                assert_eq!(j, restored.index.first_admitting(from, threshold));
                 let Some(j) = j else { break };
                 assert_eq!(state.load(j), restored.load(j));
                 let (load, c) = admit_run(state.load(j), &extra, farm[j].capacity, 1, 0, s);
@@ -1424,7 +1354,7 @@ mod tests {
             first_fit(&vms, &farm, &q)
         );
         assert_eq!(state.last_pack().tree_probes, 0);
-        assert!(state.tree_stale);
+        assert!(!state.index.is_clean(), "the tree was never built");
     }
 
     #[test]

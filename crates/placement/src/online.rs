@@ -7,10 +7,18 @@
 //!   *class-count cells* keyed by the cached `[u64; 4]` class bit pattern,
 //!   so a departure is a counter decrement plus a canonical `O(d)` rebuild
 //!   and one `O(log m)` index refresh — never a population scan. Batch
-//!   arrivals route through the class-collapsed closed-form packer of
-//!   `batch.rs`, and recalibration aggregates per class (`O(k)` in
-//!   distinct classes, independent of the fleet size) with an ε-gate that
-//!   keeps the cached mapping table when the rounded pair barely moves.
+//!   arrivals route through the class-collapsed closed-form admissions of
+//!   `batch.rs` and find their PMs with the index's lazy search
+//!   ([`HeadroomIndex::first_admitting`]: a bounded look-ahead over the
+//!   leaves in front of the tree, no climb per filled PM), and
+//!   recalibration aggregates per class (`O(k)` in distinct classes,
+//!   independent of the fleet size) with an ε-gate that keeps the cached
+//!   mapping table when the rounded pair barely moves; a table that does
+//!   move rewrites the occupied PMs' leaves and repairs the tree once.
+//!   Both whole-fleet passes end with [`HeadroomIndex::flush`]: every
+//!   public `&mut self` method returns with the index flushed, so single
+//!   arrivals, departures and every `&self` reader search a tree that is
+//!   right.
 //! * [`ReferenceOnlineCluster`] — the direct per-VM implementation kept as
 //!   the differential oracle. Its only structural concession is a per-PM
 //!   member list so a departure rebuilds from the `≤ d` co-located VMs
@@ -451,10 +459,12 @@ impl ReferenceOnlineCluster {
     }
 }
 
-/// A VM's place in the fast engine: its host PM and class id.
+/// A VM's place in the fast engine: its host PM and class id. Two `u32`s
+/// beside the `usize` key make a 16-byte slot of the `entries` table, the
+/// one structure that grows with the population.
 #[derive(Debug, Clone, Copy)]
 struct VmEntry {
-    host: usize,
+    host: u32,
     class: u32,
 }
 
@@ -473,8 +483,10 @@ struct VmEntry {
 ///
 /// Per-operation costs at fleet size `n`, `m` PMs, `k` distinct classes:
 /// arrival `O(log m + d)`, departure `O(d + log m)`, batch arrival
-/// amortized `O(k·(log m + log d))` plus the linear scatter, and
-/// recalibration `O(k + occupied · log m)` — nothing scans the
+/// `O(fills · (gap + log d))` plus the linear scatter and one closing
+/// flush (`O(log m)` per filled PM while those are under `m / 4`, one
+/// `O(m)` pass beyond), and recalibration `O(k)` when the ε-gate holds,
+/// `O(k + occupied + m)` when the table is rebuilt — nothing scans the
 /// population.
 #[derive(Debug)]
 pub struct OnlineCluster {
@@ -512,7 +524,16 @@ pub struct OnlineCluster {
 impl OnlineCluster {
     /// Creates an empty cluster over `pms` with the queue strategy built
     /// from `(d, p_on, p_off, rho)`.
+    ///
+    /// # Panics
+    /// Panics if `pms` holds more than `u32::MAX` PMs (a VM's entry names
+    /// its host in 32 bits).
     pub fn new(pms: Vec<PmSpec>, d: usize, p_on: f64, p_off: f64, rho: f64) -> Self {
+        assert!(
+            u32::try_from(pms.len()).is_ok(),
+            "a pool of {} PMs exceeds the u32 host index",
+            pms.len()
+        );
         let strategy = QueueStrategy::build(d, p_on, p_off, rho);
         let loads = vec![PmLoad::empty(); pms.len()];
         let headrooms: Vec<f64> = pms
@@ -569,7 +590,7 @@ impl OnlineCluster {
 
     /// The host of a VM, if present.
     pub fn host_of(&self, vm_id: usize) -> Option<usize> {
-        self.entries.get(&vm_id).map(|e| e.host)
+        self.entries.get(&vm_id).map(|e| e.host as usize)
     }
 
     /// The load of PM `j`.
@@ -651,12 +672,14 @@ impl OnlineCluster {
         let cid = self.class_id_of(&vm);
         self.cell_add(j, cid, 1);
         self.class_pop[cid as usize] += 1;
-        self.entries.insert(
-            vm.id,
-            VmEntry {
-                host: j,
-                class: cid,
-            },
+        let entry = VmEntry {
+            host: j as u32,
+            class: cid,
+        };
+        assert!(
+            self.entries.insert(vm.id, entry).is_none(),
+            "VM id {} already in the cluster",
+            vm.id
         );
         if was_empty {
             self.occupy(j);
@@ -725,7 +748,7 @@ impl OnlineCluster {
     pub fn depart_recorded<R: Recorder>(&mut self, vm_id: usize, rec: &mut R) -> Option<usize> {
         let entry = self.entries.remove(&vm_id)?;
         rec.counter_inc(Counter::OnlineDepartures);
-        let (host, cid) = (entry.host, entry.class);
+        let (host, cid) = (entry.host as usize, entry.class);
         self.class_pop[cid as usize] -= 1;
         self.cell_remove_one(host, cid);
         rec.counter_add(Counter::DepartRebuildVisits, self.cells[host].len() as u64);
@@ -780,23 +803,40 @@ impl OnlineCluster {
     ///
     /// # Panics
     /// Panics if any batch member's id is already present, or appears
-    /// twice in the batch.
+    /// twice in the batch. The check is the insert of the VM's entry, so
+    /// the panic comes after earlier members were committed; callers that
+    /// take ids from outside validate first (the daemon answers a
+    /// duplicate with a typed 409 before the engine is reached).
     pub fn arrive_batch_recorded<R: Recorder>(
         &mut self,
         batch: Vec<VmSpec>,
         rec: &mut R,
     ) -> Result<Vec<(usize, usize)>, PackError> {
-        let mut seen = HashSet::with_capacity(batch.len());
-        for vm in &batch {
-            assert!(
-                !self.entries.contains_key(&vm.id) && seen.insert(vm.id),
-                "VM id {} already in the cluster",
-                vm.id
-            );
-        }
+        let mut result = Vec::with_capacity(batch.len());
+        self.arrive_batch_each(batch, rec, |vm_id, pm| result.push((vm_id, pm)))?;
+        Ok(result)
+    }
+
+    /// [`arrive_batch_recorded`](Self::arrive_batch_recorded) handing each
+    /// `(VM id, PM)` placement to `each` as it is committed instead of
+    /// collecting them — for the caller that does not want the pairs (a
+    /// daemon warming a million-VM fleet would build 16 MB to drop it).
+    ///
+    /// # Errors
+    /// [`PackError`] at the first unplaceable VM, after `each` saw every
+    /// member that was placed before it.
+    ///
+    /// # Panics
+    /// As [`arrive_batch_recorded`](Self::arrive_batch_recorded).
+    pub fn arrive_batch_each<R: Recorder>(
+        &mut self,
+        batch: Vec<VmSpec>,
+        rec: &mut R,
+        mut each: impl FnMut(usize, usize),
+    ) -> Result<(), PackError> {
         rec.counter_inc(Counter::OnlineBatches);
         if batch.is_empty() {
-            return Ok(Vec::new());
+            return Ok(());
         }
         // One allocation for the whole batch: growing by doubling would
         // hold the old and the new table at once at every step.
@@ -807,12 +847,15 @@ impl OnlineCluster {
             Some((table, schedule))
         });
         match fast {
-            Some((table, schedule)) => self.batch_collapsed(&batch, &table, &schedule, rec),
+            Some((table, schedule)) => {
+                let result = self.batch_collapsed(&batch, &table, &schedule, rec, each);
+                self.index.flush();
+                result
+            }
             None => {
                 // Cross-class key ties (or too many classes): the stable
                 // per-VM order is the semantics, so walk it directly.
                 let order = cluster_order(&batch, default_buckets(batch.len()));
-                let mut result = Vec::with_capacity(batch.len());
                 for &i in &order {
                     let vm = batch[i];
                     let slot = probe_first_fit_recorded(
@@ -825,9 +868,9 @@ impl OnlineCluster {
                     );
                     let j = slot.ok_or(PackError { vm_id: vm.id })?;
                     self.place_single(vm, j, rec);
-                    result.push((vm.id, j));
+                    each(vm.id, j);
                 }
-                Ok(result)
+                Ok(())
             }
         }
     }
@@ -843,7 +886,8 @@ impl OnlineCluster {
         table: &ClassTable,
         schedule: &[u32],
         rec: &mut R,
-    ) -> Result<Vec<(usize, usize)>, PackError> {
+        mut each: impl FnMut(usize, usize),
+    ) -> Result<(), PackError> {
         let k = table.reps.len();
         // Original-order member indices per class: the stable within-class
         // order that both the scatter and a partial failure must follow.
@@ -854,7 +898,6 @@ impl OnlineCluster {
         // Exact fold memo for empty-PM admissions, rebuilt per class.
         let mut chain: Vec<PmLoad> = Vec::new();
         let mut fills: Vec<(usize, u32)> = Vec::new();
-        let mut result = Vec::with_capacity(batch.len());
         for &cid in schedule {
             let template = table.reps[cid as usize];
             let want_total = table.counts[cid as usize] as usize;
@@ -868,13 +911,7 @@ impl OnlineCluster {
             let mut from = 0usize;
             let mut failed = false;
             while placed < want_total {
-                // The PM right at the cursor is the common hit; test it in
-                // O(1) before paying the index descent.
-                let candidate = if from < self.pms.len() && self.index.value(from) >= threshold {
-                    Some(from)
-                } else {
-                    self.index.first_at_least(from, threshold)
-                };
+                let candidate = self.index.first_admitting(from, threshold);
                 rec.counter_inc(Counter::PackProbes);
                 let Some(j) = candidate else {
                     failed = true;
@@ -905,7 +942,8 @@ impl OnlineCluster {
                         self.occupy(j);
                     }
                     self.loads[j] = new_load;
-                    self.refresh_pm(j);
+                    let headroom = self.strategy.headroom(&new_load, self.pms[j].capacity);
+                    self.index.set(j, headroom);
                     self.cell_add(j, gid, c as u32);
                     fills.push((j, c as u32));
                     placed += c;
@@ -922,16 +960,18 @@ impl OnlineCluster {
             for &(pm, copies) in &fills {
                 for _ in 0..copies {
                     let vm = batch[members[mi] as usize];
-                    self.entries.insert(
-                        vm.id,
-                        VmEntry {
-                            host: pm,
-                            class: gid,
-                        },
+                    let entry = VmEntry {
+                        host: pm as u32,
+                        class: gid,
+                    };
+                    assert!(
+                        self.entries.insert(vm.id, entry).is_none(),
+                        "VM id {} already in the cluster",
+                        vm.id
                     );
                     self.class_pop[gid as usize] += 1;
                     rec.counter_inc(Counter::OnlineArrivals);
-                    result.push((vm.id, pm));
+                    each(vm.id, pm);
                     mi += 1;
                 }
             }
@@ -943,17 +983,18 @@ impl OnlineCluster {
                 });
             }
         }
-        Ok(result)
+        Ok(())
     }
 
     /// Re-rounds `p_on`/`p_off` over the live class populations (`O(k)`,
     /// independent of the fleet size) and rebuilds the mapping table
     /// unless the pair moved no more than ε per component. After a
-    /// rebuild only *occupied* PMs get their index entries refreshed: an
+    /// rebuild only *occupied* PMs get their index leaves rewritten: an
     /// empty PM's headroom is exactly its capacity under every table
     /// (`count = 0` zeroes both the blocks term and the base sum), so the
-    /// stored values stay bit-correct without touching them. Returns the
-    /// new rounded pair, or `None` when the cluster is empty.
+    /// stored values stay bit-correct without touching them. The tree
+    /// above the leaves is repaired once, by the flush that ends the pass.
+    /// Returns the new rounded pair, or `None` when the cluster is empty.
     pub fn recalibrate(&mut self) -> Option<(f64, f64)> {
         self.recalibrate_recorded(&mut NoopRecorder)
     }
@@ -979,21 +1020,24 @@ impl OnlineCluster {
             return Some((p_on, p_off));
         }
         self.strategy = QueueStrategy::build(self.d, p_on, p_off, self.rho);
-        for i in 0..self.occupied.len() {
-            let j = self.occupied[i];
-            self.refresh_pm(j);
+        for &j in &self.occupied {
+            let headroom = self.strategy.headroom(&self.loads[j], self.pms[j].capacity);
+            self.index.set(j, headroom);
         }
+        self.index.flush();
         Some((p_on, p_off))
     }
 
     /// Verifies internal consistency: cells are well-formed, every cached
-    /// load matches its canonical cell fold, the index and the occupied
-    /// set agree with the loads, and per-class populations add up.
+    /// load matches its canonical cell fold, the index is flushed and its
+    /// leaves and the occupied set agree with the loads, and per-class
+    /// populations add up.
     /// Intended for tests and debug assertions.
     ///
     /// # Errors
     /// A description of the first inconsistency found.
     pub fn check_consistency(&self) -> Result<(), String> {
+        self.index.check_flushed()?;
         let mut pop_seen = vec![0u64; self.class_reps.len()];
         for j in 0..self.pms.len() {
             let mut ids = HashSet::new();
@@ -1055,7 +1099,9 @@ impl OnlineCluster {
             ));
         }
         for (&id, entry) in &self.entries {
-            let on_host = self.cells[entry.host].iter().any(|c| c.0 == entry.class);
+            let on_host = self.cells[entry.host as usize]
+                .iter()
+                .any(|c| c.0 == entry.class);
             if !on_host {
                 return Err(format!(
                     "VM {id}: host {} has no cell for its class {}",
@@ -1089,7 +1135,7 @@ impl OnlineCluster {
         digest_from(
             self.n_vms(),
             self.pms_used(),
-            ids.iter().map(|&id| (id, self.entries[&id].host)),
+            ids.iter().map(|&id| (id, self.entries[&id].host as usize)),
             &self.loads,
         )
     }
@@ -1151,7 +1197,7 @@ impl OnlineCluster {
         for id in ids {
             let entry = self.entries[&id];
             put_usize(&mut buf, id);
-            put_usize(&mut buf, entry.host);
+            put_usize(&mut buf, entry.host as usize);
             put_u32(&mut buf, entry.class);
         }
         buf
@@ -1185,6 +1231,9 @@ impl OnlineCluster {
             return Err(bad(format!("bad rho {rho}")));
         }
         let m = c.seq_len(16)?;
+        if u32::try_from(m).is_err() {
+            return Err(bad(format!("a pool of {m} PMs exceeds the u32 host index")));
+        }
         let mut pms = Vec::with_capacity(m);
         for _ in 0..m {
             let id = c.usize()?;
@@ -1282,7 +1331,11 @@ impl OnlineCluster {
                     "VM {id}: entry ({host}, {class}) out of range"
                 )));
             }
-            if entries.insert(id, VmEntry { host, class }).is_some() {
+            let entry = VmEntry {
+                host: host as u32,
+                class,
+            };
+            if entries.insert(id, entry).is_some() {
                 return Err(bad(format!("VM {id} appears twice")));
             }
         }
@@ -1511,6 +1564,63 @@ mod tests {
     fn duplicate_inside_batch_panics() {
         let mut c = cluster(&[100.0]);
         let _ = c.arrive_batch(vec![vm(0, 1.0, 1.0), vm(0, 1.0, 1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "VM id 7 already in the cluster")]
+    fn batch_member_already_hosted_panics() {
+        let mut c = cluster(&[100.0]);
+        c.arrive(vm(7, 1.0, 1.0)).unwrap();
+        let _ = c.arrive_batch(vec![vm(6, 1.0, 1.0), vm(7, 1.0, 1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "VM id 3 already in the cluster")]
+    fn duplicate_inside_batch_panics_on_the_per_vm_fallback() {
+        // More classes than the collapse tracks: the batch is placed VM by
+        // VM, and the second id 3 is caught at its insert there too.
+        let mut c = cluster(&[1000.0; 8]);
+        let mut batch: Vec<VmSpec> = (0..100)
+            .map(|i| vm(i, 1.0 + i as f64 * 0.01, 1.0))
+            .collect();
+        assert!(collapse_classes(&batch).is_none());
+        batch.push(vm(3, 0.5, 1.0));
+        let _ = c.arrive_batch(batch);
+    }
+
+    #[test]
+    fn whole_fleet_passes_stay_off_the_tree() {
+        use bursty_workload::{FleetGenerator, WorkloadPattern};
+        let mut g = FleetGenerator::new(1);
+        let fleet = g.vms_table_i(20_000, WorkloadPattern::EqualSpike);
+        let mut c = OnlineCluster::new(g.pms(5_000), 16, 0.01, 0.09, 0.01);
+        // Warm-up: every gap between admitting PMs fits the look-ahead
+        // window, and a pass that fills a quarter of the pool opens its
+        // later runs at the window too — no search climbs.
+        c.arrive_batch(fleet).unwrap();
+        assert_eq!(c.index.probes(), 0);
+        c.check_consistency().unwrap();
+        // A small batch onto the populated cluster starts behind thousands
+        // of full PMs: each class run opens at the tree, as it always has.
+        let batch: Vec<VmSpec> = (0..12)
+            .map(|i| {
+                vm(
+                    1_000_000 + i,
+                    [5.0, 10.0, 20.0][i % 3],
+                    [5.0, 10.0, 20.0][i % 3],
+                )
+            })
+            .collect();
+        c.arrive_batch(batch).unwrap();
+        assert_eq!(c.index.probes(), 3, "one climb per class run");
+        c.check_consistency().unwrap();
+        // A rebuilt table rewrites the occupied PMs' leaves — most of the
+        // pool — and repairs the tree in the one closing flush.
+        c.arrive(VmSpec::new(2_000_000, 0.2, 0.3, 5.0, 5.0))
+            .unwrap();
+        c.recalibrate().unwrap();
+        assert_eq!(c.index.probes(), 3);
+        c.check_consistency().unwrap();
     }
 
     #[test]

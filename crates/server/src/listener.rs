@@ -41,7 +41,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bursty_obs::Store;
+use bursty_obs::{NoopRecorder, Store};
 use bursty_workload::{PmSpec, VmSpec};
 use crossbeam::channel;
 
@@ -342,7 +342,10 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
         None => {
             let mut s = ClusterState::new(pms, d, p_on, p_off, rho, epsilon, journal_cap);
             if !initial.is_empty() {
-                s.cluster_mut().arrive_batch(initial).map_err(|e| {
+                let warm = s
+                    .cluster_mut()
+                    .arrive_batch_each(initial, &mut NoopRecorder, |_, _| {});
+                warm.map_err(|e| {
                     io::Error::new(
                         io::ErrorKind::InvalidInput,
                         format!("initial fleet does not fit: {e}"),
