@@ -3,16 +3,25 @@
 //! Used by the integration suite, the `serve_bench` driver, and the
 //! `bursty serve-replay` CLI — anything that needs to speak to the
 //! daemon without pulling an HTTP dependency into the tree.
+//!
+//! The connection owns the buffer a request is rendered into and the one
+//! response head lines are read through, so an exchange allocates only
+//! the [`Response::body`] it returns.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
-use crate::json::{Json, JsonError};
+use crate::http::content_length;
+use crate::json::{decimal, Json, JsonError};
 
 /// One keep-alive connection to the daemon.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The rendered request of the exchange in flight.
+    out: Vec<u8>,
+    /// The response head line being read.
+    line: String,
 }
 
 /// A decoded response: status plus raw body.
@@ -32,17 +41,19 @@ impl Response {
     }
 }
 
-/// Renders a request as wire bytes, head and body in one buffer: on a
-/// `TCP_NODELAY` socket every write is a segment of its own, and a
-/// request split in two costs the server a second read.
-fn encode_request(method: &str, path: &str, body: &str) -> Vec<u8> {
-    let mut out = format!(
-        "{method} {path} HTTP/1.1\r\nHost: bursty\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    )
-    .into_bytes();
+/// Renders a request as wire bytes over whatever `out` held, head and
+/// body in one buffer: on a `TCP_NODELAY` socket every write is a
+/// segment of its own, and a request split in two costs the server a
+/// second read.
+fn render_request(out: &mut Vec<u8>, method: &str, path: &str, body: &str) {
+    out.clear();
+    out.extend_from_slice(method.as_bytes());
+    out.push(b' ');
+    out.extend_from_slice(path.as_bytes());
+    out.extend_from_slice(b" HTTP/1.1\r\nHost: bursty\r\nContent-Length: ");
+    out.extend_from_slice(decimal(body.len() as u64, &mut [0u8; 20]).as_bytes());
+    out.extend_from_slice(b"\r\n\r\n");
     out.extend_from_slice(body.as_bytes());
-    out
 }
 
 impl Client {
@@ -53,6 +64,8 @@ impl Client {
         Ok(Self {
             reader: BufReader::new(stream),
             writer,
+            out: Vec::new(),
+            line: String::new(),
         })
     }
 
@@ -71,7 +84,9 @@ impl Client {
         path: &str,
         body: Option<&str>,
     ) -> io::Result<Response> {
-        self.send_raw(&encode_request(method, path, body.unwrap_or("")))
+        render_request(&mut self.out, method, path, body.unwrap_or(""));
+        self.writer.write_all(&self.out)?;
+        self.read_response()
     }
 
     /// Writes raw bytes and reads one response — for the malformed-input
@@ -92,19 +107,16 @@ impl Client {
         self.read_response()
     }
 
-    fn read_line(&mut self) -> io::Result<String> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
+    /// Reads one head line into `self.line` and returns it unterminated.
+    fn read_line(&mut self) -> io::Result<&str> {
+        self.line.clear();
+        if self.reader.read_line(&mut self.line)? == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
             ));
         }
-        while line.ends_with('\n') || line.ends_with('\r') {
-            line.pop();
-        }
-        Ok(line)
+        Ok(self.line.trim_end_matches(['\r', '\n']))
     }
 
     fn read_response(&mut self) -> io::Result<Response> {
@@ -119,7 +131,7 @@ impl Client {
                     format!("bad status line {status_line:?}"),
                 )
             })?;
-        let mut content_length = 0usize;
+        let mut declared = 0usize;
         loop {
             let line = self.read_line()?;
             if line.is_empty() {
@@ -127,13 +139,13 @@ impl Client {
             }
             if let Some((name, value)) = line.split_once(':') {
                 if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().map_err(|_| {
+                    declared = content_length(value.trim()).ok_or_else(|| {
                         io::Error::new(io::ErrorKind::InvalidData, "bad content-length")
                     })?;
                 }
             }
         }
-        let mut body = vec![0u8; content_length];
+        let mut body = vec![0u8; declared];
         self.reader.read_exact(&mut body)?;
         Ok(Response { status, body })
     }
@@ -145,13 +157,16 @@ mod tests {
 
     #[test]
     fn request_wire_format_is_exact() {
+        let mut out = b"whatever the last exchange left".to_vec();
+        render_request(&mut out, "POST", "/v1/depart", r#"{"id":7,"seq":3}"#);
         assert_eq!(
-            encode_request("POST", "/v1/depart", r#"{"id":7,"seq":3}"#),
+            out,
             b"POST /v1/depart HTTP/1.1\r\nHost: bursty\r\nContent-Length: 16\r\n\r\n{\"id\":7,\"seq\":3}"
         );
         // A body-less GET still declares its (zero) length.
+        render_request(&mut out, "GET", "/healthz", "");
         assert_eq!(
-            encode_request("GET", "/healthz", ""),
+            out,
             b"GET /healthz HTTP/1.1\r\nHost: bursty\r\nContent-Length: 0\r\n\r\n"
         );
     }

@@ -84,12 +84,13 @@ impl ServeError {
 
     /// The `{"error":{...}}` response body.
     pub(crate) fn to_json(&self) -> String {
-        let mut msg = String::new();
-        encode_string(&self.message, &mut msg);
-        format!(
-            "{{\"error\":{{\"code\":\"{}\",\"message\":{}}}}}",
-            self.code, msg
-        )
+        let mut out = String::with_capacity(48 + self.code.len() + self.message.len());
+        out.push_str("{\"error\":{\"code\":\"");
+        out.push_str(self.code);
+        out.push_str("\",\"message\":");
+        encode_string(&self.message, &mut out);
+        out.push_str("}}");
+        out
     }
 }
 

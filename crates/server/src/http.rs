@@ -4,12 +4,18 @@
 //! narrow: parse `METHOD /path HTTP/1.1` plus headers, honor
 //! `Content-Length` bodies up to a configured cap, and write fixed
 //! `Content-Length` responses with keep-alive. Anything outside that
-//! subset (chunked encoding, upgrades, multi-line headers) is rejected
-//! with a typed error *before* the request can reach the engine.
+//! subset (any `Transfer-Encoding`, upgrades, multi-line headers) is
+//! rejected with a typed error *before* the request can reach the engine.
+//!
+//! A request allocates what it returns: the head is scanned a line at a
+//! time out of the reader's own buffer into one `String`, the body into
+//! one `Vec`, and a response is rendered into one pre-sized `Vec`.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
+
+use crate::json::decimal;
 
 /// Upper bound on a request line or a single header line, in bytes.
 const MAX_LINE: usize = 8 * 1024;
@@ -19,23 +25,40 @@ const MAX_HEADERS: usize = 64;
 /// within this budget or the request is answered 408 — a stalled
 /// mid-request client may not pin a worker forever.
 const REQUEST_DEADLINE: Duration = Duration::from_secs(30);
+/// Initial capacity of a request's head buffer; the daemon's own client
+/// sends ~70 bytes, curl ~150.
+const HEAD_HINT: usize = 256;
 
 /// A parsed request. Header names are lower-cased at parse time.
 #[derive(Debug)]
 pub struct Request {
-    pub method: String,
-    pub path: String,
-    pub headers: Vec<(String, String)>,
+    /// The request line and the header lines as received, terminators
+    /// included, without the blank line that ends them.
+    head: String,
+    method_end: usize,
+    path_end: usize,
     pub body: Vec<u8>,
     pub keep_alive: bool,
 }
 
 impl Request {
+    pub fn method(&self) -> &str {
+        &self.head[..self.method_end]
+    }
+
+    pub fn path(&self) -> &str {
+        &self.head[self.method_end + 1..self.path_end]
+    }
+
+    /// `(name, value)` per header line, in arrival order, values trimmed.
+    pub fn headers(&self) -> impl Iterator<Item = (&str, &str)> {
+        let lines = self.head.lines().skip(1);
+        lines.filter_map(|l| l.split_once(':').map(|(k, v)| (k, v.trim())))
+    }
+
+    /// The first header called `name` (lower case).
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+        self.headers().find(|(k, _)| *k == name).map(|(_, v)| v)
     }
 }
 
@@ -57,7 +80,8 @@ pub enum HttpError {
     Truncated,
     /// The request line is not `METHOD SP PATH SP HTTP/1.x`.
     BadRequestLine,
-    /// A header line has no `:` separator or exceeds the line cap.
+    /// A header line has no `:` separator or exceeds the line cap, or
+    /// the request carries a `Transfer-Encoding`.
     BadHeader,
     /// `Content-Length` is missing on a bodied method, repeated, or not
     /// a decimal integer.
@@ -140,42 +164,33 @@ fn is_timeout(kind: io::ErrorKind) -> bool {
     matches!(kind, io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }
 
-/// Reads one CRLF- (or bare-LF-) terminated line, without the terminator.
+/// Appends one line, terminator included, to `head` — a slice of the
+/// reader's buffer at a time, never a byte — and returns where its
+/// content ends: before the `\n` and one optional `\r`.
 fn read_line<R: BufRead>(
     r: &mut R,
-    first: bool,
+    head: &mut Vec<u8>,
     shutdown: &AtomicBool,
     deadline: &mut Option<Instant>,
-) -> Result<String, HttpError> {
-    let mut buf = Vec::new();
+) -> Result<usize, HttpError> {
+    let start = head.len();
     loop {
-        let mut byte = [0u8; 1];
-        match r.read(&mut byte) {
-            Ok(0) => {
-                if first && buf.is_empty() {
-                    return Err(HttpError::Closed);
-                }
-                return Err(HttpError::Truncated);
-            }
-            Ok(_) => {
-                if deadline.is_none() {
-                    *deadline = Some(Instant::now() + REQUEST_DEADLINE);
-                }
-                if byte[0] == b'\n' {
-                    if buf.last() == Some(&b'\r') {
-                        buf.pop();
-                    }
-                    return String::from_utf8(buf).map_err(|_| HttpError::BadHeader);
-                }
-                buf.push(byte[0]);
-                if buf.len() > MAX_LINE {
-                    return Err(HttpError::BadHeader);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) if is_timeout(e.kind()) => {
-                on_timeout(!(first && buf.is_empty()), shutdown, deadline)?;
-            }
+        // One byte past the cap tells an over-long line from a full one.
+        let room = MAX_LINE + 1 - (head.len() - start);
+        let read = r.by_ref().take(room as u64).read_until(b'\n', head);
+        if deadline.is_none() && !head.is_empty() {
+            *deadline = Some(Instant::now() + REQUEST_DEADLINE);
+        }
+        match read {
+            Ok(0) if head.is_empty() => return Err(HttpError::Closed),
+            Ok(0) => return Err(HttpError::Truncated),
+            Ok(_) => match head[start..] {
+                [.., b'\r', b'\n'] => return Ok(head.len() - 2),
+                [.., b'\n'] => return Ok(head.len() - 1),
+                _ if head.len() - start > MAX_LINE => return Err(HttpError::BadHeader),
+                _ => {} // the stream ended mid-line: the next read says so
+            },
+            Err(e) if is_timeout(e.kind()) => on_timeout(!head.is_empty(), shutdown, deadline)?,
             Err(e) => return Err(HttpError::Io(e)),
         }
     }
@@ -219,82 +234,98 @@ pub fn read_request<R: BufRead>(
     shutdown: &AtomicBool,
 ) -> Result<Request, HttpError> {
     let mut deadline = None;
-    let line = read_line(r, true, shutdown, &mut deadline)?;
-    let mut parts = line.split(' ');
-    let method = parts.next().unwrap_or("").to_string();
-    let path = parts.next().unwrap_or("").to_string();
-    let version = parts.next().unwrap_or("");
+    let mut head = Vec::with_capacity(HEAD_HINT);
+    let end = read_line(r, &mut head, shutdown, &mut deadline)?;
+    let line = std::str::from_utf8(&head[..end]).map_err(|_| HttpError::BadHeader)?;
+    let mut parts = line.as_bytes().split(|&b| b == b' ');
+    let method = parts.next().unwrap_or_default();
+    let path = parts.next().unwrap_or_default();
+    let version = parts.next().unwrap_or_default();
     if method.is_empty()
         || path.is_empty()
         || parts.next().is_some()
-        || !(version == "HTTP/1.1" || version == "HTTP/1.0")
-        || !method.bytes().all(|b| b.is_ascii_uppercase())
-        || !path.starts_with('/')
+        || !(version == b"HTTP/1.1" || version == b"HTTP/1.0")
+        || !method.iter().all(|b| b.is_ascii_uppercase())
+        || path[0] != b'/'
     {
         return Err(HttpError::BadRequestLine);
     }
-    let mut headers = Vec::new();
+    let (method_end, path_end) = (method.len(), method.len() + 1 + path.len());
+    let bodied = method == b"POST" || method == b"PUT";
+    let mut keep_alive = version == b"HTTP/1.1";
+
+    // The three headers framing depends on are read off as their lines
+    // pass: the first `Connection`, any `Transfer-Encoding`, and every
+    // `Content-Length` (counted; the value matters only if it is alone).
+    let (mut n_headers, mut n_lengths) = (0, 0);
+    let (mut saw_connection, mut saw_encoding, mut length) = (false, false, None);
     loop {
-        let line = read_line(r, false, shutdown, &mut deadline)?;
-        if line.is_empty() {
+        let start = head.len();
+        let end = read_line(r, &mut head, shutdown, &mut deadline)?;
+        if end == start {
+            head.truncate(start);
             break;
         }
-        let (name, value) = line.split_once(':').ok_or(HttpError::BadHeader)?;
-        if name.is_empty() || name.contains(' ') {
+        let line = std::str::from_utf8(&head[start..end]).map_err(|_| HttpError::BadHeader)?;
+        let colon = line.bytes().position(|b| b == b':');
+        let (name, value) = match colon {
+            Some(at) if at > 0 => (&line[..at], &line[at + 1..]),
+            _ => return Err(HttpError::BadHeader),
+        };
+        n_headers += 1;
+        if name.contains(' ') || n_headers > MAX_HEADERS {
             return Err(HttpError::BadHeader);
         }
-        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
-        if headers.len() > MAX_HEADERS {
-            return Err(HttpError::BadHeader);
-        }
-    }
-
-    let mut keep_alive = version == "HTTP/1.1";
-    if let Some(c) = headers
-        .iter()
-        .find(|(k, _)| k == "connection")
-        .map(|(_, v)| v.to_ascii_lowercase())
-    {
-        if c == "close" {
-            keep_alive = false;
-        } else if c == "keep-alive" {
-            keep_alive = true;
-        }
-    }
-
-    let lengths: Vec<&str> = headers
-        .iter()
-        .filter(|(k, _)| k == "content-length")
-        .map(|(_, v)| v.as_str())
-        .collect();
-    let body = match (method.as_str(), lengths.len()) {
-        ("GET", 0) => Vec::new(),
-        (_, 0) if method != "POST" && method != "PUT" => Vec::new(),
-        (_, 1) => {
-            let declared: usize = lengths[0]
-                .parse()
-                .map_err(|_| HttpError::BadContentLength)?;
-            if declared > max_body {
-                return Err(HttpError::BodyTooLarge {
-                    declared,
-                    limit: max_body,
-                });
+        if name.eq_ignore_ascii_case("content-length") {
+            n_lengths += 1;
+            length = content_length(value.trim());
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            saw_encoding = true;
+        } else if name.eq_ignore_ascii_case("connection") && !saw_connection {
+            saw_connection = true;
+            let value = value.trim();
+            if value.eq_ignore_ascii_case("close") {
+                keep_alive = false;
+            } else if value.eq_ignore_ascii_case("keep-alive") {
+                keep_alive = true;
             }
-            let mut body = vec![0u8; declared];
-            read_full(r, &mut body, shutdown, &deadline)?;
-            body
         }
-        (_, 0) => return Err(HttpError::BadContentLength), // bodied method, no length
-        _ => return Err(HttpError::BadContentLength),      // repeated header
+        let name_end = start + name.len();
+        head[start..name_end].make_ascii_lowercase();
+    }
+    if saw_encoding {
+        return Err(HttpError::BadHeader);
+    }
+    let declared = match n_lengths {
+        0 if bodied => return Err(HttpError::BadContentLength),
+        0 => 0,
+        1 => length.ok_or(HttpError::BadContentLength)?,
+        _ => return Err(HttpError::BadContentLength), // repeated header
     };
-
+    if declared > max_body {
+        return Err(HttpError::BodyTooLarge {
+            declared,
+            limit: max_body,
+        });
+    }
+    let mut body = vec![0u8; declared];
+    read_full(r, &mut body, shutdown, &deadline)?;
     Ok(Request {
-        method,
-        path,
-        headers,
+        // Every line was validated on its own; the terminators are ASCII.
+        head: String::from_utf8(head).map_err(|_| HttpError::BadHeader)?,
+        method_end,
+        path_end,
         body,
         keep_alive,
     })
+}
+
+/// A `Content-Length` value: `1*DIGIT` (RFC 9110), so no sign, no blank.
+pub(crate) fn content_length(value: &str) -> Option<usize> {
+    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    value.parse().ok()
 }
 
 fn reason(status: u16) -> &'static str {
@@ -315,16 +346,20 @@ fn reason(status: u16) -> &'static str {
 /// Renders a complete fixed-length response as wire bytes: head and
 /// body in one buffer, so a response is one socket write.
 pub fn encode_response(status: u16, content_type: &str, body: &[u8], keep_alive: bool) -> Vec<u8> {
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
-        status,
-        reason(status),
-        content_type,
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    );
-    let mut out = Vec::with_capacity(head.len() + body.len());
-    out.extend_from_slice(head.as_bytes());
+    let mut out = Vec::with_capacity(128 + content_type.len() + body.len());
+    let mut digits = [0u8; 20];
+    out.extend_from_slice(b"HTTP/1.1 ");
+    out.extend_from_slice(decimal(status.into(), &mut digits).as_bytes());
+    out.push(b' ');
+    out.extend_from_slice(reason(status).as_bytes());
+    out.extend_from_slice(b"\r\nContent-Type: ");
+    out.extend_from_slice(content_type.as_bytes());
+    out.extend_from_slice(b"\r\nContent-Length: ");
+    out.extend_from_slice(decimal(body.len() as u64, &mut digits).as_bytes());
+    out.extend_from_slice(b"\r\nConnection: ");
+    let connection: &[u8] = if keep_alive { b"keep-alive" } else { b"close" };
+    out.extend_from_slice(connection);
+    out.extend_from_slice(b"\r\n\r\n");
     out.extend_from_slice(body);
     out
 }
@@ -340,6 +375,9 @@ pub(crate) fn write_response<W: Write>(
     w.write_all(&encode_response(status, content_type, body, keep_alive))?;
     w.flush()
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -358,8 +396,8 @@ mod tests {
             1024,
         )
         .unwrap();
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/v1/admit");
+        assert_eq!(req.method(), "POST");
+        assert_eq!(req.path(), "/v1/admit");
         assert_eq!(req.body, b"abcd");
         assert!(req.keep_alive);
         assert_eq!(req.header("host"), Some("x"));
@@ -399,6 +437,11 @@ mod tests {
             parse(b"POST /x HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 64),
             Err(HttpError::BadContentLength)
         ));
+        // `1*DIGIT`: what `usize::from_str` would also take is refused.
+        assert!(matches!(
+            parse(b"POST /x HTTP/1.1\r\nContent-Length: +4\r\n\r\nabcd", 64),
+            Err(HttpError::BadContentLength)
+        ));
         assert!(matches!(
             parse(b"POST /x HTTP/1.1\r\n\r\n", 64),
             Err(HttpError::BadContentLength)
@@ -410,6 +453,20 @@ mod tests {
             ),
             Err(HttpError::BadContentLength)
         ));
+    }
+
+    #[test]
+    fn rejects_any_transfer_encoding() {
+        // Framed by its Content-Length, the chunk header would have
+        // been handed to the engine as the body.
+        for wire in [
+            &b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\nContent-Length: 5\r\n\r\n0\r\n\r\n"[..],
+            b"GET /x HTTP/1.1\r\ntransfer-encoding: identity\r\n\r\n",
+        ] {
+            let e = parse(wire, 64).unwrap_err();
+            assert!(matches!(e, HttpError::BadHeader), "got {e:?}");
+            assert_eq!((e.status(), e.code()), (Some(400), "bad_header"));
+        }
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! module adds the missing half: a small, strict parser over a byte
 //! slice with a bounded nesting depth. Objects preserve insertion order
 //! (a `Vec` of pairs) so encode output is deterministic.
+//!
+//! Both directions allocate only what the tree owns: the parser copies a
+//! string a run at a time (one allocation when it has no escapes) and
+//! sizes an object's pair list up front; the encoder writes into one
+//! pre-sized `String`, integers without the `fmt` machinery.
 
 use std::fmt::Write as _;
 
@@ -99,7 +104,8 @@ impl Json {
     /// never round-trip through JSON anyway, and the daemon does not
     /// produce them).
     pub fn encode(&self) -> String {
-        let mut out = String::new();
+        // Every single-op reply fits; a batch reply grows from here.
+        let mut out = String::with_capacity(128);
         self.encode_into(&mut out);
         out
     }
@@ -113,7 +119,11 @@ impl Json {
                 if !n.is_finite() {
                     out.push_str("null");
                 } else if n.fract() == 0.0 && n.abs() <= 9_007_199_254_740_992.0 {
-                    let _ = write!(out, "{}", *n as i64);
+                    let int = *n as i64;
+                    if int < 0 {
+                        out.push('-');
+                    }
+                    out.push_str(decimal(int.unsigned_abs(), &mut [0u8; 20]));
                 } else {
                     let _ = write!(out, "{n}");
                 }
@@ -145,22 +155,44 @@ impl Json {
     }
 }
 
-/// Writes `s` as a JSON string literal with the mandatory escapes.
-pub(crate) fn encode_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// The decimal digits of `n`, written from the back of `buf`.
+pub(crate) fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &str {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
+    std::str::from_utf8(&buf[at..]).expect("ASCII digits")
+}
+
+/// Writes `s` as a JSON string literal with the mandatory escapes,
+/// copying the stretches between them whole.
+pub(crate) fn encode_string(s: &str, out: &mut String) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x00..=0x1F => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -248,11 +280,12 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.pos += 1; // consume '{'
-        let mut pairs = Vec::new();
         self.skip_ws();
         if self.eat(b'}') {
-            return Ok(Json::Obj(pairs));
+            return Ok(Json::Obj(Vec::new()));
         }
+        // An admit body has six members: one allocation, not three.
+        let mut pairs = Vec::with_capacity(8);
         loop {
             self.skip_ws();
             if self.peek() != Some(b'"') {
@@ -280,8 +313,19 @@ impl<'a> Parser<'a> {
         self.pos += 1; // consume '"'
         let mut out = String::new();
         loop {
-            let b = self.peek().ok_or_else(|| self.err("unterminated string"))?;
-            match b {
+            // Copy the run up to the next quote, escape or control byte.
+            let start = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            match std::str::from_utf8(&self.input[start..self.pos]) {
+                Ok(run) => out.push_str(run),
+                Err(e) => {
+                    self.pos = start + e.valid_up_to();
+                    return Err(self.err("invalid UTF-8 in string"));
+                }
+            }
+            match self.peek().ok_or_else(|| self.err("unterminated string"))? {
                 b'"' => {
                     self.pos += 1;
                     return Ok(out);
@@ -323,29 +367,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape")),
                     }
                 }
-                0x00..=0x1F => return Err(self.err("raw control character in string")),
-                _ => {
-                    // Consume one UTF-8 scalar; validate as we go.
-                    let rest = &self.input[self.pos..];
-                    let s = std::str::from_utf8(&rest[..rest.len().min(4)])
-                        .map(|s| s.chars().next())
-                        .unwrap_or_else(|e| {
-                            if e.valid_up_to() > 0 {
-                                std::str::from_utf8(&rest[..e.valid_up_to()])
-                                    .ok()
-                                    .and_then(|s| s.chars().next())
-                            } else {
-                                None
-                            }
-                        });
-                    match s {
-                        Some(c) => {
-                            out.push(c);
-                            self.pos += c.len_utf8();
-                        }
-                        None => return Err(self.err("invalid UTF-8 in string")),
-                    }
-                }
+                _ => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -355,9 +377,12 @@ impl<'a> Parser<'a> {
         if end > self.input.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let s = std::str::from_utf8(&self.input[self.pos..end])
-            .map_err(|_| self.err("non-hex \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("non-hex \\u escape"))?;
+        // Digit by digit: `from_str_radix` would take a sign.
+        let mut v = 0;
+        for &b in &self.input[self.pos..end] {
+            let digit = (b as char).to_digit(16);
+            v = v * 16 + digit.ok_or_else(|| self.err("non-hex \\u escape"))?;
+        }
         self.pos = end;
         Ok(v)
     }
@@ -414,6 +439,9 @@ pub(crate) fn obj(pairs: Vec<(&str, Json)>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn parses_flat_object() {
@@ -447,6 +475,7 @@ mod tests {
             b"{'a':1}",
             b"nul",
             b"{\"a\":\x01\"x\"}",
+            b"\"\\u+041\"",
             b"",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {:?}", bad);
@@ -472,13 +501,118 @@ mod tests {
 
     #[test]
     fn depth_limit_is_enforced() {
-        let mut deep = String::new();
-        for _ in 0..100 {
-            deep.push('[');
+        let nested = |depth: usize| format!("{}0{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(nested(MAX_DEPTH).as_bytes()).is_ok());
+        assert!(Json::parse(nested(MAX_DEPTH + 1).as_bytes()).is_err());
+        assert!(Json::parse(nested(100).as_bytes()).is_err());
+    }
+
+    /// A tree exactly `depth` containers deep: a spine to the bottom
+    /// with shallower siblings hanging off it.
+    fn tree(rng: &mut StdRng, depth: usize) -> Json {
+        if depth == 0 {
+            return match rng.gen_range(0..6) {
+                0 => Json::Null,
+                1 => Json::Bool(rng.gen_bool(0.5)),
+                2 => Json::Num(rng.gen_range(-1000i64..1000) as f64),
+                3 => Json::Num(rng.gen_range(-1e6..1e6)),
+                4 => Json::Num(
+                    Some(f64::from_bits(rng.next_u64()))
+                        .filter(|n| n.is_finite())
+                        .unwrap_or(0.5),
+                ),
+                _ => Json::Str(string(rng)),
+            };
         }
-        for _ in 0..100 {
-            deep.push(']');
+        let mut members = vec![tree(rng, depth - 1)];
+        for _ in 0..[0, 0, 1, 2, 11][rng.gen_range(0..5)] {
+            let shallower = rng.gen_range(0..depth.min(3));
+            members.push(tree(rng, shallower));
         }
-        assert!(Json::parse(deep.as_bytes()).is_err());
+        if rng.gen_bool(0.5) {
+            Json::Arr(members)
+        } else {
+            Json::Obj(members.into_iter().map(|v| (string(rng), v)).collect())
+        }
+    }
+
+    fn string(rng: &mut StdRng) -> String {
+        let pool = [
+            "a",
+            "id",
+            " ",
+            "\"",
+            "\\",
+            "/",
+            "\n",
+            "\r",
+            "\t",
+            "\u{0}",
+            "\u{1f}",
+            "\u{7f}",
+            "\u{e9}",
+            "\u{2028}",
+            "\u{1F600}",
+            "\u{10FFFF}",
+        ];
+        (0..rng.gen_range(0..12))
+            .map(|_| pool[rng.gen_range(0..pool.len())])
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn generated_trees_round_trip(seed in 0u64..u64::MAX, depth in 0usize..=MAX_DEPTH) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let v = tree(&mut rng, depth);
+            let text = v.encode();
+            prop_assert_eq!(Json::parse(text.as_bytes()), Ok(v), "through {}", text);
+            let too_deep = tree(&mut rng, MAX_DEPTH + 1).encode();
+            prop_assert!(Json::parse(too_deep.as_bytes()).is_err());
+        }
+
+        #[test]
+        fn escaped_utf16_units_decode_to_the_string(seed in 0u64..u64::MAX) {
+            let s = string(&mut StdRng::seed_from_u64(seed));
+            let units: String = s.encode_utf16().map(|u| format!("\\u{u:04X}")).collect();
+            prop_assert_eq!(Json::parse(format!("\"{units}\"").as_bytes()), Ok(Json::Str(s)));
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            data in proptest::collection::vec(0u8..=255, 0..120),
+            // Indices into a JSON-shaped alphabet: gets past the first byte.
+            shaped in proptest::collection::vec(0usize..64, 0..120),
+        ) {
+            let alphabet = b"{}[]\":,\\u0123dDeE+-. \ntruefalsn\xc3\xa9\xed\xa0\x80\xff\x00";
+            let shaped: Vec<u8> = shaped.iter().map(|&i| alphabet[i % alphabet.len()]).collect();
+            for input in [data, shaped] {
+                if let Ok(v) = Json::parse(&input) {
+                    prop_assert_eq!(Json::parse(v.encode().as_bytes()), Ok(v));
+                }
+            }
+        }
+
+        #[test]
+        fn mutated_documents_never_panic(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut text = tree(&mut rng, 6).encode().into_bytes();
+            for _ in 0..rng.gen_range(1..4) {
+                let at = rng.gen_range(0..text.len());
+                match rng.gen_range(0..3) {
+                    0 => text[at] ^= 1 << rng.gen_range(0..8),
+                    1 => text.insert(at, text[at]),
+                    _ => drop(text.remove(at)),
+                }
+                if text.is_empty() {
+                    break;
+                }
+            }
+            if let Ok(v) = Json::parse(&text) {
+                prop_assert_eq!(Json::parse(v.encode().as_bytes()), Ok(v));
+            }
+        }
     }
 }

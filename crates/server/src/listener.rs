@@ -49,7 +49,7 @@ use crate::error::ServeError;
 use crate::http::{read_request, write_response, HttpError};
 use crate::json::Json;
 use crate::routes::{route, Action};
-use crate::state::{restore_newest, ClusterState, Op, RestoreReason, SeqWindow};
+use crate::state::{metric_line, restore_newest, ClusterState, Op, RestoreReason, SeqWindow};
 
 /// Socket read timeout and worker poll interval: the granularity at
 /// which idle connections requeue and the shutdown flag and pending-seq
@@ -233,11 +233,9 @@ impl Engine {
     /// The `/metrics` page: the state's own lines plus the seq window's.
     fn metrics_text(&mut self, transport_bad: u64) -> String {
         let mut text = self.state.metrics_text(transport_bad);
-        text.push_str(&format!(
-            "serve_seq_next {}\nserve_seq_pending {}\n",
-            self.window.next_seq(),
-            self.window.pending_len()
-        ));
+        metric_line(&mut text, "serve_seq_next", "", self.window.next_seq());
+        let pending = self.window.pending_len() as u64;
+        metric_line(&mut text, "serve_seq_pending", "", pending);
         text
     }
 }

@@ -31,7 +31,7 @@ pub enum Action {
 
 /// Maps a request to an [`Action`] or a typed 4xx.
 pub fn route(req: &Request) -> Result<Action, ServeError> {
-    match (req.method.as_str(), req.path.as_str()) {
+    match (req.method(), req.path()) {
         ("GET", "/healthz") => Ok(Action::Health),
         ("GET", "/metrics") => Ok(Action::Metrics),
         ("GET", "/v1/digest") => Ok(Action::Digest),
@@ -98,7 +98,7 @@ pub fn route(req: &Request) -> Result<Action, ServeError> {
         ("POST", "/v1/shutdown") => Ok(Action::Shutdown),
         // Known path, wrong verb → 405; anything else → 404.
         (_, "/healthz" | "/metrics" | "/v1/digest" | "/v1/fleet") => Err(
-            ServeError::method_not_allowed(format!("{} expects GET", req.path)),
+            ServeError::method_not_allowed(format!("{} expects GET", req.path())),
         ),
         (
             _,
@@ -106,7 +106,7 @@ pub fn route(req: &Request) -> Result<Action, ServeError> {
             | "/v1/shutdown",
         ) => Err(ServeError::method_not_allowed(format!(
             "{} expects POST",
-            req.path
+            req.path()
         ))),
         (_, path) => Err(ServeError::not_found(format!("unknown route {path}"))),
     }
@@ -200,13 +200,13 @@ mod tests {
     use super::*;
 
     fn req(method: &str, path: &str, body: &[u8]) -> Request {
-        Request {
-            method: method.to_string(),
-            path: path.to_string(),
-            headers: Vec::new(),
-            body: body.to_vec(),
-            keep_alive: true,
-        }
+        let head = format!(
+            "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        let wire = [head.as_bytes(), body].concat();
+        let never = std::sync::atomic::AtomicBool::new(false);
+        crate::http::read_request(&mut &wire[..], 1 << 20, &never).expect("well-formed request")
     }
 
     #[test]

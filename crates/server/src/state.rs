@@ -14,6 +14,7 @@
 //! the sim checkpoints cover the daemon.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use bursty_obs::durable::{put_u64, Cursor, FrameError, FrameWriter};
 use bursty_obs::{Counter, Event, Gauge, HistId, MemoryRecorder, Recorder, Store};
@@ -21,7 +22,7 @@ use bursty_placement::{OnlineCluster, PackError};
 use bursty_workload::{PmSpec, VmSpec};
 
 use crate::error::ServeError;
-use crate::json::{obj, Json};
+use crate::json::{decimal, obj, Json};
 
 /// Section tags inside a `serve-*.ckpt` frame.
 const TAG_CLUSTER: u32 = 1;
@@ -268,36 +269,30 @@ impl ClusterState {
     /// recorder's own `serve_bad_requests` cell stays at zero.
     pub fn metrics_text(&mut self, transport_bad: u64) -> String {
         self.recorder.counter_inc(Counter::ServeRequests);
-        let mut out = String::new();
+        // One buffer for the whole page (~2 KiB, plus the seq window's
+        // lines the listener appends): this runs under the engine lock.
+        let mut out = String::with_capacity(4096);
         for c in Counter::all() {
             let v = if c == Counter::ServeBadRequests {
                 transport_bad
             } else {
                 self.recorder.counter(c)
             };
-            out.push_str(&format!("{} {}\n", c.name(), v));
+            metric_line(&mut out, c.name(), "", v);
         }
         for g in Gauge::all() {
-            out.push_str(&format!("{} {}\n", g.name(), self.recorder.gauge(g)));
+            let _ = writeln!(out, "{} {}", g.name(), self.recorder.gauge(g));
         }
         for h in HistId::all() {
-            let hist = self.recorder.histogram(h);
-            out.push_str(&format!(
-                "{}_count {}\n{}_p50 {}\n{}_p99 {}\n",
-                h.name(),
-                hist.total(),
-                h.name(),
-                hist.quantile(0.50).unwrap_or(0),
-                h.name(),
-                hist.quantile(0.99).unwrap_or(0),
-            ));
+            let (name, hist) = (h.name(), self.recorder.histogram(h));
+            metric_line(&mut out, name, "_count", hist.total());
+            metric_line(&mut out, name, "_p50", hist.quantile(0.50).unwrap_or(0));
+            metric_line(&mut out, name, "_p99", hist.quantile(0.99).unwrap_or(0));
         }
-        out.push_str(&format!("serve_applied_ops {}\n", self.applied));
-        out.push_str(&format!("serve_fleet_vms {}\n", self.cluster.n_vms()));
-        out.push_str(&format!(
-            "serve_fleet_pms_used {}\n",
-            self.cluster.pms_used()
-        ));
+        metric_line(&mut out, "serve_applied_ops", "", self.applied);
+        metric_line(&mut out, "serve_fleet_vms", "", self.cluster.n_vms() as u64);
+        let pms_used = self.cluster.pms_used() as u64;
+        metric_line(&mut out, "serve_fleet_pms_used", "", pms_used);
         out
     }
 
@@ -306,6 +301,15 @@ impl ClusterState {
         self.recorder.counter_inc(Counter::ServeRequests);
         f(self)
     }
+}
+
+/// Appends one `/metrics` line, `{name}{suffix} {value}`.
+pub(crate) fn metric_line(out: &mut String, name: &str, suffix: &str, value: u64) {
+    out.push_str(name);
+    out.push_str(suffix);
+    out.push(' ');
+    out.push_str(decimal(value, &mut [0u8; 20]));
+    out.push('\n');
 }
 
 /// `serve-{applied:020}.ckpt`.
@@ -613,6 +617,42 @@ mod tests {
         // Rejections still advance `applied` (deterministic identity ops),
         // except Snapshot, which never reaches the engine.
         assert_eq!(s.applied(), 3);
+    }
+
+    #[test]
+    fn metrics_text_is_byte_identical_for_a_fixed_state() {
+        let mut s = state();
+        s.apply(Op::Admit(vm(1, 10.0)), None, 2, 0).unwrap();
+        s.apply(Op::Admit(vm(2, 95.0)), None, 2, 0).unwrap();
+        s.apply(Op::Depart { id: 1 }, None, 2, 0).unwrap();
+        // The page as the line-at-a-time `format!` renderer produced it.
+        let golden = concat!(
+            "steps 0\nviolation_steps 0\ndegraded_violation_steps 0\nmigrations 0\n",
+            "retried_migrations 0\nfailed_migrations 0\ncrashes 0\nrecoveries 0\n",
+            "displaced_vms 0\nevacuations_placed 0\nevacuations_degraded 0\n",
+            "stranded_vm_steps 0\nretry_enqueued 0\nretry_reenqueued 0\n",
+            "retry_abandoned 0\nretry_cancelled 0\nretry_landed_overload 0\n",
+            "retry_landed_evacuation 0\nretry_residual_overload 0\n",
+            "retry_residual_evacuation 0\npack_probes 2\npack_rejected_probes 0\n",
+            "pack_placed_vms 0\nbatch_placed_vms 0\nevac_probes 0\nevac_refusals 0\n",
+            "online_arrivals 2\nonline_departures 1\nonline_recalibrations 0\n",
+            "depart_rebuild_visits 0\nonline_batches 0\n",
+            "online_recalibrations_skipped 0\nbinomial_table_hits 0\n",
+            "binomial_table_misses 0\nbinomial_table_evictions 0\nserve_requests 4\n",
+            "serve_bad_requests 7\nserve_snapshots 0\nserve_restores 0\n",
+            "pms_used_at_pack 0\npeak_pms_used 0\nfinal_pms_used 0\nenergy_joules 0\n",
+            "retry_backoff_steps_count 0\nretry_backoff_steps_p50 0\n",
+            "retry_backoff_steps_p99 0\nevacuation_batch_size_count 0\n",
+            "evacuation_batch_size_p50 0\nevacuation_batch_size_p99 0\n",
+            "violations_per_step_count 0\nviolations_per_step_p50 0\n",
+            "violations_per_step_p99 0\nonline_admit_nanos_count 0\n",
+            "online_admit_nanos_p50 0\nonline_admit_nanos_p99 0\n",
+            "online_depart_nanos_count 0\nonline_depart_nanos_p50 0\n",
+            "online_depart_nanos_p99 0\nonline_recalibrate_nanos_count 0\n",
+            "online_recalibrate_nanos_p50 0\nonline_recalibrate_nanos_p99 0\n",
+            "serve_applied_ops 3\nserve_fleet_vms 1\nserve_fleet_pms_used 1\n",
+        );
+        assert_eq!(s.metrics_text(7), golden);
     }
 
     #[test]

@@ -69,6 +69,24 @@ fn malformed_inputs_get_typed_4xx_and_never_touch_the_apply_loop() {
             "bad_content_length",
             false,
         ),
+        // Signed content-length: `usize::from_str` takes it, RFC 9110 does not.
+        (
+            b"POST /v1/admit HTTP/1.1\r\nContent-Length: +4\r\n\r\nnull".to_vec(),
+            400,
+            "bad_content_length",
+            false,
+        ),
+        // A chunked request is refused, not framed by the length beside it.
+        (
+            format!(
+                "POST /v1/admit HTTP/1.1\r\nTransfer-Encoding: chunked\r\nContent-Length: {}\r\n\r\n{vm_body}",
+                vm_body.len()
+            )
+            .into_bytes(),
+            400,
+            "bad_header",
+            false,
+        ),
         // Bodied method with no content-length at all.
         (
             b"POST /v1/admit HTTP/1.1\r\n\r\n".to_vec(),
@@ -200,9 +218,60 @@ fn malformed_inputs_get_typed_4xx_and_never_touch_the_apply_loop() {
         .find_map(|l| l.strip_prefix("serve_bad_requests "))
         .and_then(|v| v.parse().ok())
         .expect("serve_bad_requests line");
-    assert!(bad >= 12, "expected >= 12 transport rejects, saw {bad}");
+    assert!(bad >= 14, "expected >= 14 transport rejects, saw {bad}");
 
     drop(probe);
+    handle.shutdown();
+}
+
+#[test]
+fn pipelined_requests_in_one_segment_are_all_answered() {
+    // Two requests written at once land in the reader's buffer together;
+    // framing the first must leave the second where the next read — by
+    // whichever worker picks the connection up — finds it.
+    let handle = spawn(ServerConfig::new(pms(8), D, 0.01, 0.09, 0.01)).unwrap();
+    let admit = |id: usize, seq: usize| {
+        let body =
+            format!(r#"{{"id":{id},"p_on":0.01,"p_off":0.09,"r_b":10,"r_e":5,"seq":{seq}}}"#);
+        let len = body.len();
+        format!("POST /v1/admit HTTP/1.1\r\nContent-Length: {len}\r\n\r\n{body}").into_bytes()
+    };
+    let mut plain = Client::connect(handle.addr()).unwrap();
+    let two = b"GET /healthz HTTP/1.1\r\n\r\nGET /v1/fleet HTTP/1.1\r\n\r\n";
+    assert_eq!(plain.send_raw(two).unwrap().text(), r#"{"status":"ok"}"#);
+    let fleet = plain.send_raw(b"").unwrap().json().unwrap();
+    assert_eq!(fleet.get("n_vms").and_then(Json::as_u64), Some(0));
+
+    // Across a park: seq 1 waits in the window with seq 2 buffered
+    // behind it on the same connection until seq 0 arrives elsewhere.
+    let mut early = Client::connect(handle.addr()).unwrap();
+    let mut late = Client::connect(handle.addr()).unwrap();
+    let parked = std::thread::spawn(move || {
+        let wire = [admit(1, 1), admit(2, 2)].concat();
+        let first = early.send_raw(&wire).unwrap();
+        (first, early.send_raw(b"").unwrap())
+    });
+    let waited = std::time::Instant::now();
+    while !plain
+        .get("/metrics")
+        .unwrap()
+        .text()
+        .contains("serve_seq_pending 1\n")
+    {
+        assert!(waited.elapsed().as_secs() < 10, "seq 1 never parked");
+        std::thread::yield_now();
+    }
+    assert_eq!(late.send_raw(&admit(0, 0)).unwrap().status, 200);
+    let (first, second) = parked.join().unwrap();
+    for (resp, id) in [(first, 1), (second, 2)] {
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        assert_eq!(
+            resp.json().unwrap().get("id").and_then(Json::as_u64),
+            Some(id)
+        );
+    }
+    assert_eq!(digest_and_applied(&mut plain).1, 3);
+    drop((plain, late));
     handle.shutdown();
 }
 
