@@ -39,7 +39,7 @@ use crate::strategy::{QueueStrategy, Strategy};
 use bursty_obs::durable::{put_f64, put_u32, put_usize, Cursor, FrameError};
 use bursty_obs::{Counter, NoopRecorder, Recorder};
 use bursty_workload::{PmSpec, VmClass, VmSpec};
-use std::collections::{HashMap, HashSet};
+use std::collections::{hash_map::Entry, HashMap, HashSet};
 
 /// Order-independent FNV-1a style fold over an engine's observable end
 /// state: live VM→host assignments (in ascending VM id order) and every
@@ -460,12 +460,174 @@ impl ReferenceOnlineCluster {
 }
 
 /// A VM's place in the fast engine: its host PM and class id. Two `u32`s
-/// beside the `usize` key make a 16-byte slot of the `entries` table, the
-/// one structure that grows with the population.
-#[derive(Debug, Clone, Copy)]
+/// make one 8-byte slot of the [`VmTable`], the one structure that grows
+/// with the population.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct VmEntry {
     host: u32,
     class: u32,
+}
+
+impl VmEntry {
+    /// An empty dense slot. No live entry has this host: `new` and
+    /// `from_snapshot_bytes` refuse pools of more than `u32::MAX` PMs, so
+    /// the largest host index is `u32::MAX - 1`.
+    const VACANT: VmEntry = VmEntry {
+        host: u32::MAX,
+        class: u32::MAX,
+    };
+
+    fn is_live(&self) -> bool {
+        self.host != u32::MAX
+    }
+}
+
+/// The most dense slots a table may hold for a population of
+/// `population` VMs: `2·population + 1024`. Neither constant is an
+/// option; together they cap the dense part at 8 B × (2·peak + 1024)
+/// whatever ids clients send.
+fn dense_bound(population: usize) -> usize {
+    2 * population + 1024
+}
+
+/// VM id → [`VmEntry`], split by density. Every workload (and the
+/// paper's model) numbers VMs `0..n`, so the ids that matter live in
+/// `dense`, a slot vector indexed by id — an insert, lookup or removal is
+/// one array access, and [`Self::ascending`] is a sequential walk. An id
+/// past the dense part goes to `sparse`, std's keyed SipHash map: ids come
+/// off the wire, and one a client picks to collide or to sit far away
+/// costs a keyed hash, never a slot per id below it.
+///
+/// The dense part grows by doubling, or straight to a batch's largest id,
+/// and only while the new length stays within [`dense_bound`] of the live
+/// population plus the entries about to arrive. A growth moves the sparse
+/// ids it now covers into it, so each id lives in exactly one place and
+/// every sparse id is at least `dense.len()`. Since growth at least
+/// doubles the length, a table grows — and pays that move — a
+/// logarithmic number of times in its life.
+#[derive(Debug, Default)]
+struct VmTable {
+    dense: Vec<VmEntry>,
+    sparse: HashMap<usize, VmEntry>,
+    /// Live entries in both parts.
+    len: usize,
+}
+
+impl VmTable {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn get(&self, id: usize) -> Option<VmEntry> {
+        match self.dense.get(id) {
+            Some(slot) => slot.is_live().then_some(*slot),
+            None => self.sparse.get(&id).copied(),
+        }
+    }
+
+    /// The dense length that would cover `max_id` ahead of `incoming`
+    /// inserts, if the density bound allows it.
+    fn growth(&self, max_id: usize, incoming: usize) -> Option<usize> {
+        let new_len = max_id.saturating_add(1).max(2 * self.dense.len());
+        (new_len <= dense_bound(self.len + incoming)).then_some(new_len)
+    }
+
+    fn grow(&mut self, new_len: usize) {
+        self.dense.resize(new_len, VmEntry::VACANT);
+        let dense = &mut self.dense;
+        self.sparse.retain(|&id, entry| {
+            let covered = id < new_len;
+            if covered {
+                dense[id] = *entry;
+            }
+            !covered
+        });
+    }
+
+    /// Grows the dense part to cover ids up to `max_id` ahead of
+    /// `incoming` inserts, if the bound allows; otherwise leaves it as it
+    /// is and those ids go to the sparse map.
+    fn reserve(&mut self, max_id: usize, incoming: usize) {
+        if max_id >= self.dense.len() {
+            if let Some(new_len) = self.growth(max_id, incoming) {
+                self.grow(new_len);
+            }
+        }
+    }
+
+    /// Inserts `id`'s entry; `false`, with nothing changed, when `id` is
+    /// already present.
+    fn insert(&mut self, id: usize, entry: VmEntry) -> bool {
+        debug_assert!(entry.is_live());
+        if id >= self.dense.len() {
+            match self.growth(id, 1) {
+                // A present id must not grow the table for an insert that
+                // does not happen (growth is rare, so is this hash).
+                Some(_) if self.sparse.contains_key(&id) => return false,
+                Some(new_len) => self.grow(new_len),
+                None => {
+                    return match self.sparse.entry(id) {
+                        Entry::Occupied(_) => false,
+                        Entry::Vacant(slot) => {
+                            slot.insert(entry);
+                            self.len += 1;
+                            true
+                        }
+                    };
+                }
+            }
+        }
+        let slot = &mut self.dense[id];
+        if slot.is_live() {
+            return false;
+        }
+        *slot = entry;
+        self.len += 1;
+        true
+    }
+
+    fn remove(&mut self, id: usize) -> Option<VmEntry> {
+        let entry = match self.dense.get_mut(id) {
+            Some(slot) if slot.is_live() => std::mem::replace(slot, VmEntry::VACANT),
+            Some(_) => return None,
+            None => self.sparse.remove(&id)?,
+        };
+        self.len -= 1;
+        Some(entry)
+    }
+
+    /// Every entry in ascending id order: the dense slots in index order,
+    /// then the sparse ids sorted — each is at least `dense.len()`, so
+    /// only they need a sort.
+    fn ascending(&self) -> impl Iterator<Item = (usize, VmEntry)> + '_ {
+        let mut far: Vec<(usize, VmEntry)> = self.sparse.iter().map(|(&id, &e)| (id, e)).collect();
+        far.sort_unstable_by_key(|&(id, _)| id);
+        self.dense
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| slot.is_live())
+            .map(|(id, &slot)| (id, slot))
+            .chain(far)
+    }
+
+    /// The table's own invariants: no sparse id the dense part covers,
+    /// and the live count equal to the entries held.
+    fn check(&self) -> Result<(), String> {
+        if let Some(id) = self.sparse.keys().find(|&&id| id < self.dense.len()) {
+            return Err(format!(
+                "VM {id} is sparse below the dense length {}",
+                self.dense.len()
+            ));
+        }
+        let held = self.dense.iter().filter(|slot| slot.is_live()).count() + self.sparse.len();
+        if held != self.len {
+            return Err(format!(
+                "VM table holds {held} entries, counts {}",
+                self.len
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// The fleet-scale online engine (see the module docs). Storage is a
@@ -475,8 +637,9 @@ struct VmEntry {
 ///   population count);
 /// * per-PM class-count cells (`≤ d` entries, because the admission rule
 ///   caps co-location at `d`);
-/// * a `HashMap` from VM id to its `(host, class)` entry — the only
-///   per-VM state;
+/// * a [`VmTable`] from VM id to its `(host, class)` entry — the only
+///   per-VM state: a slot vector indexed by id for dense ids, a SipHash
+///   map for the rest;
 /// * the headroom segment tree, plus an explicit occupied-PM set so
 ///   whole-fleet walks (recalibration refresh, [`Self::infeasible_pms`])
 ///   touch only PMs that host something.
@@ -505,7 +668,7 @@ pub struct OnlineCluster {
     /// Class bit key → class id.
     class_lookup: HashMap<[u64; 4], u32>,
     /// Per-VM entry: host PM and class id.
-    entries: HashMap<usize, VmEntry>,
+    entries: VmTable,
     /// Cached per-PM loads.
     loads: Vec<PmLoad>,
     /// Per-PM class-count cells `(class id, copies)`; at most `d` entries
@@ -553,7 +716,7 @@ impl OnlineCluster {
             class_keys: Vec::new(),
             class_pop: Vec::new(),
             class_lookup: HashMap::new(),
-            entries: HashMap::new(),
+            entries: VmTable::default(),
             loads,
             cells,
             index,
@@ -590,7 +753,7 @@ impl OnlineCluster {
 
     /// The host of a VM, if present.
     pub fn host_of(&self, vm_id: usize) -> Option<usize> {
-        self.entries.get(&vm_id).map(|e| e.host as usize)
+        self.entries.get(vm_id).map(|e| e.host as usize)
     }
 
     /// The load of PM `j`.
@@ -677,7 +840,7 @@ impl OnlineCluster {
             class: cid,
         };
         assert!(
-            self.entries.insert(vm.id, entry).is_none(),
+            self.entries.insert(vm.id, entry),
             "VM id {} already in the cluster",
             vm.id
         );
@@ -714,7 +877,7 @@ impl OnlineCluster {
         rec: &mut R,
     ) -> Result<usize, PackError> {
         assert!(
-            !self.entries.contains_key(&vm.id),
+            self.entries.get(vm.id).is_none(),
             "VM id {} already in the cluster",
             vm.id
         );
@@ -746,7 +909,7 @@ impl OnlineCluster {
     /// [`Counter::OnlineDepartures`] when the VM was present, plus the
     /// surviving-cell count under [`Counter::DepartRebuildVisits`].
     pub fn depart_recorded<R: Recorder>(&mut self, vm_id: usize, rec: &mut R) -> Option<usize> {
-        let entry = self.entries.remove(&vm_id)?;
+        let entry = self.entries.remove(vm_id)?;
         rec.counter_inc(Counter::OnlineDepartures);
         let (host, cid) = (entry.host as usize, entry.class);
         self.class_pop[cid as usize] -= 1;
@@ -838,9 +1001,11 @@ impl OnlineCluster {
         if batch.is_empty() {
             return Ok(());
         }
-        // One allocation for the whole batch: growing by doubling would
-        // hold the old and the new table at once at every step.
-        self.entries.reserve(batch.len());
+        // Size the id table once, from the batch's largest id: a warm-up
+        // of ids `0..n` allocates its dense slots in one step and the
+        // scatter below writes them in place.
+        let max_id = batch.iter().map(|vm| vm.id).max().unwrap_or(0);
+        self.entries.reserve(max_id, batch.len());
         let fast = collapse_classes(&batch).and_then(|table| {
             let keys = self.strategy.class_order_keys(batch.len(), &table.reps)?;
             let schedule = class_schedule(&keys)?;
@@ -965,7 +1130,7 @@ impl OnlineCluster {
                         class: gid,
                     };
                     assert!(
-                        self.entries.insert(vm.id, entry).is_none(),
+                        self.entries.insert(vm.id, entry),
                         "VM id {} already in the cluster",
                         vm.id
                     );
@@ -1091,14 +1256,15 @@ impl OnlineCluster {
                 self.class_pop
             ));
         }
+        self.entries.check()?;
         let total: u64 = pop_seen.iter().sum();
         if total != self.entries.len() as u64 {
             return Err(format!(
-                "cells hold {total} VMs, entry map holds {}",
+                "cells hold {total} VMs, entry table holds {}",
                 self.entries.len()
             ));
         }
-        for (&id, entry) in &self.entries {
+        for (id, entry) in self.entries.ascending() {
             let on_host = self.cells[entry.host as usize]
                 .iter()
                 .any(|c| c.0 == entry.class);
@@ -1130,12 +1296,12 @@ impl OnlineCluster {
 
     /// The engine's observable end-state digest (see [`StateDigest`]).
     pub fn state_digest(&self) -> StateDigest {
-        let mut ids: Vec<usize> = self.entries.keys().copied().collect();
-        ids.sort_unstable();
         digest_from(
             self.n_vms(),
             self.pms_used(),
-            ids.iter().map(|&id| (id, self.entries[&id].host as usize)),
+            self.entries
+                .ascending()
+                .map(|(id, entry)| (id, entry.host as usize)),
             &self.loads,
         )
     }
@@ -1149,8 +1315,8 @@ impl OnlineCluster {
     /// churn history and a re-fold would diverge from a run that never
     /// stopped. Only occupied PMs are encoded — an empty PM's load is
     /// exactly [`PmLoad::empty`] under both paths. The image is
-    /// canonical: equal states produce equal bytes (hash maps are walked
-    /// in sorted order).
+    /// canonical: equal states produce equal bytes (VM entries go in
+    /// ascending id order, however the table splits them).
     ///
     /// [`from_snapshot_bytes`](Self::from_snapshot_bytes) restores an
     /// engine that continues bit-identically — pinned by the round-trip
@@ -1191,11 +1357,8 @@ impl OnlineCluster {
                 put_u32(&mut buf, copies);
             }
         }
-        let mut ids: Vec<usize> = self.entries.keys().copied().collect();
-        ids.sort_unstable();
-        put_usize(&mut buf, ids.len());
-        for id in ids {
-            let entry = self.entries[&id];
+        put_usize(&mut buf, self.entries.len());
+        for (id, entry) in self.entries.ascending() {
             put_usize(&mut buf, id);
             put_usize(&mut buf, entry.host as usize);
             put_u32(&mut buf, entry.class);
@@ -1321,7 +1484,7 @@ impl OnlineCluster {
             cells[j] = pm_cells;
         }
         let n_entries = c.seq_len(20)?;
-        let mut entries = HashMap::with_capacity(n_entries);
+        let mut decoded = Vec::with_capacity(n_entries);
         for _ in 0..n_entries {
             let id = c.usize()?;
             let host = c.usize()?;
@@ -1335,7 +1498,14 @@ impl OnlineCluster {
                 host: host as u32,
                 class,
             };
-            if entries.insert(id, entry).is_some() {
+            decoded.push((id, entry));
+        }
+        // Sized once from the largest id, as a batch arrival does.
+        let mut entries = VmTable::default();
+        let max_id = decoded.iter().map(|&(id, _)| id).max().unwrap_or(0);
+        entries.reserve(max_id, decoded.len());
+        for (id, entry) in decoded {
+            if !entries.insert(id, entry) {
                 return Err(bad(format!("VM {id} appears twice")));
             }
         }
@@ -1891,6 +2061,203 @@ mod tests {
         }
         a.check_consistency().unwrap();
         b.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn far_ids_stay_sparse_until_a_growth_covers_them() {
+        let entry = |h: u32| VmEntry { host: h, class: 0 };
+        let mut t = VmTable::default();
+        for id in 0..10 {
+            assert!(t.insert(id, entry(1)));
+        }
+        assert_eq!(t.dense.len(), 16, "doubling from one slot");
+        // Past the bound for 11 VMs (2·11 + 1024): sparse.
+        assert!(t.insert(5000, entry(2)));
+        assert!(t.sparse.contains_key(&5000));
+        assert!(!t.insert(5000, entry(3)), "a present sparse id");
+        assert_eq!(t.dense.len(), 16, "a refused insert never grows");
+        // A batch jump straight to its largest id, still short of 5000.
+        t.reserve(2000, 500);
+        assert_eq!(t.dense.len(), 2001);
+        assert!(t.sparse.contains_key(&5000));
+        // A growth that covers it moves it into the dense part.
+        t.reserve(6000, 2500);
+        assert_eq!(t.dense.len(), 6001);
+        assert!(t.sparse.is_empty());
+        assert_eq!(t.get(5000), Some(entry(2)));
+        assert_eq!(t.remove(5000), Some(entry(2)));
+        assert_eq!(t.get(5000), None);
+        assert_eq!(t.len(), 10);
+        t.check().unwrap();
+    }
+
+    #[test]
+    fn far_ids_round_trip_and_duplicates_are_refused() {
+        // Dense ids beside ids no density bound covers, the largest exact
+        // JSON integer among them; departures on both sides.
+        let mut c = cluster(&[100.0; 8]);
+        let far = [1usize << 32, (1 << 32) + 7, (1 << 53) - 1];
+        for id in (0..12).chain(far) {
+            c.arrive(vm(id, 5.0, 3.0)).unwrap();
+        }
+        assert!(c.depart(3).is_some());
+        assert!(c.depart(far[1]).is_some());
+        c.check_consistency().unwrap();
+        assert!(c.entries.sparse.contains_key(&far[2]));
+        let bytes = c.to_snapshot_bytes();
+        let restored = OnlineCluster::from_snapshot_bytes(&bytes).unwrap();
+        restored.check_consistency().unwrap();
+        assert_eq!(restored.state_digest(), c.state_digest());
+        assert_eq!(restored.to_snapshot_bytes(), bytes);
+        // The entries close the image, 20 bytes each, ascending: copying
+        // one id over the next makes a duplicate, dense or sparse.
+        let entry_at = |i: usize| bytes.len() - 20 * (c.n_vms() - i);
+        for (from, to) in [(0, 1), (c.n_vms() - 2, c.n_vms() - 1)] {
+            let mut torn = bytes.clone();
+            torn.copy_within(entry_at(from)..entry_at(from) + 8, entry_at(to));
+            let err = OnlineCluster::from_snapshot_bytes(&torn).unwrap_err();
+            assert!(err.to_string().contains("appears twice"), "{err}");
+        }
+    }
+
+    mod vm_table {
+        use super::*;
+        use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
+        use proptest::strategy::Strategy as PropStrategy;
+        use std::collections::BTreeMap;
+
+        const FAR_MAX: usize = (1 << 53) - 1;
+
+        /// An id from one of three bands, resolved against the table when
+        /// its op runs.
+        #[derive(Debug, Clone)]
+        enum Id {
+            /// Inside the dense part (or below 64 while it is smaller).
+            Dense(u16),
+            /// Within ±16 of the dense length.
+            Edge(i8),
+            /// Within ±16 of the bound one more insert would grow under.
+            Bound(i8),
+            /// `2^53 − 1` minus an offset; small offsets repeat.
+            Far(u64),
+            /// An id the model holds (any band), if it holds one.
+            Live(u16),
+        }
+
+        fn resolve(id: &Id, t: &VmTable, model: &BTreeMap<usize, VmEntry>) -> usize {
+            let near = |base: usize, d: i8| base.saturating_add_signed(isize::from(d) % 17);
+            match *id {
+                Id::Dense(n) => usize::from(n) % t.dense.len().max(64),
+                Id::Edge(d) => near(t.dense.len(), d),
+                Id::Bound(d) => near(dense_bound(t.len() + 1), d),
+                Id::Far(k) => FAR_MAX - (k as usize % (FAR_MAX - (1 << 32))),
+                Id::Live(n) => match model.len() {
+                    0 => 0,
+                    len => *model.keys().nth(usize::from(n) % len).unwrap(),
+                },
+            }
+        }
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Insert(Id, u32),
+            Remove(Id),
+            Get(Id),
+            /// A batch arrival: one `reserve` for its largest id, then its
+            /// absent, distinct ids inserted.
+            Batch(Vec<Id>),
+        }
+
+        fn id_gen() -> impl PropStrategy<Value = Id> {
+            (0u8..6, 0u16..=u16::MAX, -16i8..=16, 0u64..1 << 53).prop_map(|(band, n, d, far)| {
+                match band {
+                    0 => Id::Dense(n),
+                    1 => Id::Edge(d),
+                    2 => Id::Bound(d),
+                    3 => Id::Far(u64::from(n % 8)),
+                    4 => Id::Far(far),
+                    _ => Id::Live(n),
+                }
+            })
+        }
+
+        fn op_gen() -> impl PropStrategy<Value = Op> {
+            (
+                0u8..10,
+                id_gen(),
+                0u32..1000,
+                proptest::collection::vec(id_gen(), 1..40),
+            )
+                .prop_map(|(which, id, host, ids)| match which {
+                    0..=3 => Op::Insert(id, host),
+                    4..=6 => Op::Remove(id),
+                    7 | 8 => Op::Get(id),
+                    _ => Op::Batch(ids),
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+            #[test]
+            fn table_matches_an_ordered_map(
+                ops in proptest::collection::vec(op_gen(), 1..150)
+            ) {
+                let mut t = VmTable::default();
+                let mut model: BTreeMap<usize, VmEntry> = BTreeMap::new();
+                let mut peak = 0usize;
+                let entry = |host: u32| VmEntry { host, class: host / 3 };
+                for op in ops {
+                    match op {
+                        Op::Insert(id, host) => {
+                            let id = resolve(&id, &t, &model);
+                            let fresh = !model.contains_key(&id);
+                            prop_assert_eq!(t.insert(id, entry(host)), fresh);
+                            model.entry(id).or_insert(entry(host));
+                        }
+                        Op::Remove(id) => {
+                            let id = resolve(&id, &t, &model);
+                            prop_assert_eq!(t.remove(id), model.remove(&id));
+                        }
+                        Op::Get(id) => {
+                            let id = resolve(&id, &t, &model);
+                            prop_assert_eq!(t.get(id), model.get(&id).copied());
+                        }
+                        Op::Batch(ids) => {
+                            let mut fresh: Vec<usize> = Vec::new();
+                            for id in &ids {
+                                let id = resolve(id, &t, &model);
+                                if !model.contains_key(&id) && !fresh.contains(&id) {
+                                    fresh.push(id);
+                                }
+                            }
+                            if let Some(&max_id) = fresh.iter().max() {
+                                t.reserve(max_id, fresh.len());
+                            }
+                            for (i, id) in fresh.into_iter().enumerate() {
+                                let host = i as u32;
+                                prop_assert!(t.insert(id, entry(host)));
+                                model.insert(id, entry(host));
+                            }
+                        }
+                    }
+                    peak = peak.max(model.len());
+                    prop_assert_eq!(t.len(), model.len());
+                    for (&id, &e) in &model {
+                        prop_assert_eq!(t.get(id), Some(e));
+                    }
+                    let walked: Vec<(usize, VmEntry)> = t.ascending().collect();
+                    let expected: Vec<(usize, VmEntry)> =
+                        model.iter().map(|(&id, &e)| (id, e)).collect();
+                    prop_assert_eq!(walked, expected);
+                    prop_assert!(t.check().is_ok(), "{:?}", t.check());
+                    prop_assert!(
+                        t.dense.len() <= 2 * peak + 1024,
+                        "dense length {} past the bound for peak {peak}",
+                        t.dense.len()
+                    );
+                }
+            }
+        }
     }
 
     mod churn {

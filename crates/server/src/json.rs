@@ -72,10 +72,12 @@ impl Json {
     }
 
     /// The value as an exact non-negative integer (rejects fractions and
-    /// anything above 2^53, where f64 stops being exact).
+    /// anything from 2^53 up: the texts `9007199254740992` and
+    /// `9007199254740993` both parse to 2^53, so 2^53 − 1 is the largest
+    /// integer a number stands for alone).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= 9_007_199_254_740_992.0 => {
+            Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n < 9_007_199_254_740_992.0 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -487,6 +489,10 @@ mod tests {
         assert_eq!(Json::parse(b"1.5").unwrap().as_u64(), None);
         assert_eq!(Json::parse(b"-3").unwrap().as_u64(), None);
         assert_eq!(Json::parse(b"12").unwrap().as_u64(), Some(12));
+        let max = Json::parse(b"9007199254740991").unwrap();
+        assert_eq!(max.as_u64(), Some((1 << 53) - 1));
+        assert_eq!(Json::parse(b"9007199254740992").unwrap().as_u64(), None);
+        assert_eq!(Json::parse(b"9007199254740993").unwrap().as_u64(), None);
     }
 
     #[test]

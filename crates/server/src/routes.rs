@@ -5,6 +5,8 @@
 //! A request that fails validation is answered 4xx and *never* takes
 //! the engine lock — the malformed-input matrix pins that by digest.
 
+use std::collections::HashSet;
+
 use bursty_workload::VmSpec;
 
 use crate::error::ServeError;
@@ -57,13 +59,13 @@ pub fn route(req: &Request) -> Result<Action, ServeError> {
             for item in items {
                 vms.push(vm_from_json(item)?);
             }
-            for (i, vm) in vms.iter().enumerate() {
-                if vms[..i].iter().any(|v| v.id == vm.id) {
-                    return Err(ServeError::invalid_params(format!(
-                        "vm id {} repeats within the batch",
-                        vm.id
-                    )));
-                }
+            // One pass in batch order: the first id seen twice is named.
+            let mut seen = HashSet::with_capacity(vms.len());
+            if let Some(vm) = vms.iter().find(|vm| !seen.insert(vm.id)) {
+                return Err(ServeError::invalid_params(format!(
+                    "vm id {} repeats within the batch",
+                    vm.id
+                )));
             }
             Ok(Action::Apply {
                 op: Op::AdmitBatch(vms),
@@ -281,8 +283,59 @@ mod tests {
         ))
         .unwrap_err();
         assert_eq!((e.status, e.code), (400, "invalid_params"));
+        assert_eq!(e.message, "vm id 1 repeats within the batch");
         let e = route(&req("POST", "/v1/admit-batch", br#"{"vms":[]}"#)).unwrap_err();
         assert_eq!(e.status, 400);
+    }
+
+    #[test]
+    fn batch_names_the_first_repeat_among_20k_members() {
+        // As many members as a 1 MiB body holds, the repeat the last of
+        // them: the id named is the first one seen twice.
+        let member = |id: usize| format!(r#"{{"id":{id},"p_on":1,"p_off":1,"r_b":1,"r_e":0}}"#);
+        let mut members: Vec<String> = (0..19_999).map(member).collect();
+        members.push(member(12_345));
+        let body = format!(r#"{{"vms":[{}]}}"#, members.join(","));
+        let e = route(&req("POST", "/v1/admit-batch", body.as_bytes())).unwrap_err();
+        assert_eq!((e.status, e.code), (400, "invalid_params"));
+        assert_eq!(e.message, "vm id 12345 repeats within the batch");
+    }
+
+    #[test]
+    fn ids_are_exact_below_2_pow_53_only() {
+        // 2^53 and 2^53 + 1 parse to the same f64: both are refused, or
+        // two wire ids would be one VM.
+        let admit = |id: &str| {
+            let body = format!(r#"{{"id":{id},"p_on":0.01,"p_off":0.09,"r_b":1,"r_e":0}}"#);
+            route(&req("POST", "/v1/admit", body.as_bytes()))
+        };
+        let depart = |id: &str| {
+            route(&req(
+                "POST",
+                "/v1/depart",
+                format!(r#"{{"id":{id}}}"#).as_bytes(),
+            ))
+        };
+        let max = (1usize << 53) - 1;
+        match admit("9007199254740991").unwrap() {
+            Action::Apply {
+                op: Op::Admit(vm), ..
+            } => assert_eq!(vm.id, max),
+            other => panic!("unexpected action {other:?}"),
+        }
+        assert_eq!(
+            depart("9007199254740991").unwrap(),
+            Action::Apply {
+                op: Op::Depart { id: max },
+                seq: None
+            }
+        );
+        for id in ["9007199254740992", "9007199254740993"] {
+            for e in [admit(id).unwrap_err(), depart(id).unwrap_err()] {
+                assert_eq!(e.status, 400, "id {id}");
+                assert!(e.message.contains("\"id\""), "{}", e.message);
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! per-file reason — never a skewed state.
 
 use bursty_obs::{FailingStore, FsStore, MemStore, Store};
-use bursty_placement::OnlineCluster;
-use bursty_server::replay::{apply_engine, build_program, drive_http};
+use bursty_placement::{OnlineCluster, ReferenceOnlineCluster};
+use bursty_server::replay::{apply_engine, apply_reference, build_program, drive_http};
 use bursty_server::state::{restore_newest, ClusterState, Op, RestoreReason};
 use bursty_server::{op_request, spawn, Client, Json, ServerConfig};
 use bursty_workload::{PmSpec, VmSpec};
@@ -138,6 +138,76 @@ fn seqd_snapshot_mid_run_persists_its_own_seq() {
     assert_eq!(resp.status, 200, "resent seq 2 body: {}", resp.text());
     let digest = bursty_server::fetch_digest(&mut client).unwrap();
     assert_eq!(digest.n_vms, 2);
+    drop(client);
+    handle.shutdown();
+}
+
+/// Ids no density bound covers keep the contract: a program whose ids mix
+/// `0..n`, `2^32 + k` and `2^53 − 1`, departures included, served over
+/// HTTP lands on the reference digest; the snapshot it leaves holds the
+/// engine-direct run's exact image, and a daemon restored from it serves
+/// the same digest.
+#[test]
+fn mixed_far_ids_serve_snapshot_and_restore_identically() {
+    let dir = temp_dir("farids");
+    let far = |id: usize| match id % 3 {
+        0 => id,
+        1 => (1 << 32) + id,
+        _ => (1 << 53) - 2 - id / 3,
+    };
+    let top = VmSpec::new((1 << 53) - 1, P_ON, P_OFF, 5.0, 5.0);
+    let mut ops: Vec<Op> = build_program(0x5EED, 600, 0)
+        .ops
+        .into_iter()
+        .map(|op| match op {
+            Op::Admit(vm) => Op::Admit(VmSpec {
+                id: far(vm.id),
+                ..vm
+            }),
+            Op::AdmitBatch(vms) => Op::AdmitBatch(
+                vms.into_iter()
+                    .map(|vm| VmSpec {
+                        id: far(vm.id),
+                        ..vm
+                    })
+                    .collect(),
+            ),
+            Op::Depart { id } => Op::Depart { id: far(id) },
+            other => other,
+        })
+        .collect();
+    ops.push(Op::Admit(top));
+    let far_departs = ops
+        .iter()
+        .filter(|op| matches!(op, Op::Depart { id } if *id > 1 << 32))
+        .count();
+    assert!(far_departs > 0, "far ids depart too");
+    let mut reference = ReferenceOnlineCluster::new(pms(96), D, P_ON, P_OFF, RHO);
+    let expected = apply_reference(&mut reference, &ops);
+    let mut engine = OnlineCluster::new(pms(96), D, P_ON, P_OFF, RHO);
+    assert_eq!(apply_engine(&mut engine, &ops), expected);
+    assert!(engine.host_of(top.id).is_some(), "2^53 - 1 is live");
+
+    let handle = spawn(config_with_store(96, &dir, false)).unwrap();
+    let served = drive_http(handle.addr(), &ops, 2, 0).unwrap();
+    assert_eq!(served.digest, expected);
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let snap = client.post("/v1/snapshot", &Json::Obj(vec![])).unwrap();
+    assert_eq!(snap.status, 200, "snapshot failed: {}", snap.text());
+    drop(client);
+    handle.shutdown();
+
+    let outcome = restore_newest(&FsStore::open(&dir).unwrap()).unwrap();
+    let restored = outcome.state.expect("the snapshot verifies").state;
+    assert_eq!(restored.cluster().state_digest(), expected);
+    assert_eq!(
+        restored.cluster().to_snapshot_bytes(),
+        engine.to_snapshot_bytes()
+    );
+
+    let handle = spawn(config_with_store(96, &dir, true)).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    assert_eq!(bursty_server::fetch_digest(&mut client).unwrap(), expected);
     drop(client);
     handle.shutdown();
 }
