@@ -490,21 +490,27 @@ fn dense_bound(population: usize) -> usize {
     2 * population + 1024
 }
 
-/// VM id → [`VmEntry`], split by density. Every workload (and the
-/// paper's model) numbers VMs `0..n`, so the ids that matter live in
-/// `dense`, a slot vector indexed by id — an insert, lookup or removal is
-/// one array access, and [`Self::ascending`] is a sequential walk. An id
-/// past the dense part goes to `sparse`, std's keyed SipHash map: ids come
-/// off the wire, and one a client picks to collide or to sit far away
-/// costs a keyed hash, never a slot per id below it.
+/// VM id → [`VmEntry`], split by density. Ids below the density bound
+/// live in `dense`, a slot vector indexed by id — an insert, lookup or
+/// removal is one array access, and [`Self::ascending`] is a sequential
+/// walk. An id past the dense part goes to `sparse`, std's keyed SipHash
+/// map: ids come off the wire, and one a client picks to collide or to
+/// sit far away costs a keyed hash, never a slot per id below it.
 ///
-/// The dense part grows by doubling, or straight to a batch's largest id,
-/// and only while the new length stays within [`dense_bound`] of the live
-/// population plus the entries about to arrive. A growth moves the sparse
-/// ids it now covers into it, so each id lives in exactly one place and
-/// every sparse id is at least `dense.len()`. Since growth at least
-/// doubles the length, a table grows — and pays that move — a
-/// logarithmic number of times in its life.
+/// The dense part grows straight to the id (or a batch's largest id) it
+/// must cover, and only while the new length stays within
+/// [`dense_bound`] of the live population plus the entries about to
+/// arrive. A growth moves the sparse ids it now covers into it, so each id
+/// lives in exactly one place and every sparse id is at least
+/// `dense.len()`.
+///
+/// The part is indexed from id 0 and never shrinks, so the gain holds
+/// while live ids stay below `2·live + 1024`: a warm-up of `0..n` and the
+/// first turnover of rising ids after it. A fleet whose ids keep rising
+/// under churn outgrows it — each later id goes to the sparse map, and
+/// after a few turnovers most live VMs are sparse: per-op costs are then
+/// the `HashMap`'s again, and a digest or snapshot sorts the sparse ids
+/// (still fewer than all of them).
 #[derive(Debug, Default)]
 struct VmTable {
     dense: Vec<VmEntry>,
@@ -528,29 +534,48 @@ impl VmTable {
     /// The dense length that would cover `max_id` ahead of `incoming`
     /// inserts, if the density bound allows it.
     fn growth(&self, max_id: usize, incoming: usize) -> Option<usize> {
-        let new_len = max_id.saturating_add(1).max(2 * self.dense.len());
+        let new_len = max_id.saturating_add(1);
         (new_len <= dense_bound(self.len + incoming)).then_some(new_len)
     }
 
+    /// Extends the dense part to `new_len` slots and moves the sparse ids
+    /// it now covers, by probing the new slots or by one pass over the
+    /// sparse map's buckets, whichever is shorter. Only the new slots are
+    /// written; the vector's own capacity doubling amortises its moves.
     fn grow(&mut self, new_len: usize) {
+        let old_len = self.dense.len();
         self.dense.resize(new_len, VmEntry::VACANT);
-        let dense = &mut self.dense;
-        self.sparse.retain(|&id, entry| {
-            let covered = id < new_len;
-            if covered {
-                dense[id] = *entry;
+        if self.sparse.is_empty() {
+            return;
+        }
+        if self.sparse.capacity() > new_len - old_len {
+            for id in old_len..new_len {
+                if let Some(entry) = self.sparse.remove(&id) {
+                    self.dense[id] = entry;
+                }
             }
-            !covered
-        });
+        } else {
+            let dense = &mut self.dense;
+            self.sparse.retain(|&id, entry| {
+                let covered = id < new_len;
+                if covered {
+                    dense[id] = *entry;
+                }
+                !covered
+            });
+        }
     }
 
     /// Grows the dense part to cover ids up to `max_id` ahead of
     /// `incoming` inserts, if the bound allows; otherwise leaves it as it
-    /// is and those ids go to the sparse map.
+    /// is and makes room for all `incoming` in the sparse map, where the
+    /// ids past it go (no more than the `HashMap` this table replaced
+    /// reserved for them).
     fn reserve(&mut self, max_id: usize, incoming: usize) {
         if max_id >= self.dense.len() {
-            if let Some(new_len) = self.growth(max_id, incoming) {
-                self.grow(new_len);
+            match self.growth(max_id, incoming) {
+                Some(new_len) => self.grow(new_len),
+                None => self.sparse.reserve(incoming),
             }
         }
     }
@@ -562,8 +587,11 @@ impl VmTable {
         if id >= self.dense.len() {
             match self.growth(id, 1) {
                 // A present id must not grow the table for an insert that
-                // does not happen (growth is rare, so is this hash).
-                Some(_) if self.sparse.contains_key(&id) => return false,
+                // does not happen; the lookup hashes only while the
+                // sparse map holds anything.
+                Some(_) if !self.sparse.is_empty() && self.sparse.contains_key(&id) => {
+                    return false
+                }
                 Some(new_len) => self.grow(new_len),
                 None => {
                     return match self.sparse.entry(id) {
@@ -1484,8 +1512,14 @@ impl OnlineCluster {
             cells[j] = pm_cells;
         }
         let n_entries = c.seq_len(20)?;
-        let mut decoded = Vec::with_capacity(n_entries);
-        for _ in 0..n_entries {
+        // Canonical snapshots list ids in ascending order, so the dense
+        // part grows as they are inserted. Each growth counts the entries
+        // still to come, as a batch arrival's does: an image whose ids
+        // span under twice its population restores dense, instead of
+        // hashing ids until the count catches up, and the far ids of one
+        // that does not go to a sparse map sized once for them.
+        let mut entries = VmTable::default();
+        for i in 0..n_entries {
             let id = c.usize()?;
             let host = c.usize()?;
             let class = c.u32()?;
@@ -1498,13 +1532,7 @@ impl OnlineCluster {
                 host: host as u32,
                 class,
             };
-            decoded.push((id, entry));
-        }
-        // Sized once from the largest id, as a batch arrival does.
-        let mut entries = VmTable::default();
-        let max_id = decoded.iter().map(|&(id, _)| id).max().unwrap_or(0);
-        entries.reserve(max_id, decoded.len());
-        for (id, entry) in decoded {
+            entries.reserve(id, n_entries - i);
             if !entries.insert(id, entry) {
                 return Err(bad(format!("VM {id} appears twice")));
             }
@@ -2070,12 +2098,12 @@ mod tests {
         for id in 0..10 {
             assert!(t.insert(id, entry(1)));
         }
-        assert_eq!(t.dense.len(), 16, "doubling from one slot");
+        assert_eq!(t.dense.len(), 10, "each insert covers just its own id");
         // Past the bound for 11 VMs (2·11 + 1024): sparse.
         assert!(t.insert(5000, entry(2)));
         assert!(t.sparse.contains_key(&5000));
         assert!(!t.insert(5000, entry(3)), "a present sparse id");
-        assert_eq!(t.dense.len(), 16, "a refused insert never grows");
+        assert_eq!(t.dense.len(), 10, "a refused insert never grows");
         // A batch jump straight to its largest id, still short of 5000.
         t.reserve(2000, 500);
         assert_eq!(t.dense.len(), 2001);
@@ -2118,6 +2146,23 @@ mod tests {
             let err = OnlineCluster::from_snapshot_bytes(&torn).unwrap_err();
             assert!(err.to_string().contains("appears twice"), "{err}");
         }
+    }
+
+    #[test]
+    fn a_restore_within_the_bound_hashes_no_id() {
+        // 1000 live ids from 1500 up: the first few alone are past the
+        // bound, the image as a whole is not.
+        let mut c = cluster(&[100.0; 200]);
+        c.arrive_batch((0..2500).map(|id| vm(id, 1.0, 1.0)).collect())
+            .unwrap();
+        for id in 0..1500 {
+            assert!(c.depart(id).is_some());
+        }
+        let bytes = c.to_snapshot_bytes();
+        let restored = OnlineCluster::from_snapshot_bytes(&bytes).unwrap();
+        assert_eq!(restored.entries.dense.len(), 2500);
+        assert_eq!(restored.entries.sparse.capacity(), 0, "no id went sparse");
+        assert_eq!(restored.to_snapshot_bytes(), bytes);
     }
 
     mod vm_table {
