@@ -25,7 +25,9 @@
 //! the occupied PMs' headrooms; the round after admits the base pair only
 //! and its recalibration returns at the ε-gate. `recal_p50_ns`/`_p99_ns`
 //! cover all recalibrations, `recal_rebuild_p50_ns`/`_p99_ns` the
-//! `recal_rebuilds` of them that changed the table. (A program whose VMs
+//! `recal_rebuilds` of them that changed the table. `batch_p50_ns` is the
+//! median whole batch arrival, one sample per batch (the admit
+//! percentiles spread each batch over its members). (A program whose VMs
 //! all share one pair re-rounds to the bit-equal pair every time: every
 //! recalibration is the gate's few hundred nanoseconds, whatever the
 //! fleet size.)
@@ -274,6 +276,8 @@ struct ChurnRow {
     ops: u64,
     ops_per_sec: f64,
     admit: LatencyStats,
+    /// Whole batch arrivals, one sample each.
+    batch: LatencyStats,
     depart: LatencyStats,
     recal: LatencyStats,
     /// The recalibrations that rebuilt the table (the pair moved).
@@ -298,6 +302,7 @@ fn run_engine(
     let warmup_secs = warm_start.elapsed().as_secs_f64();
 
     let mut admit = LatencyStats::new();
+    let mut batch = LatencyStats::new();
     let mut depart = LatencyStats::new();
     let mut recal = LatencyStats::new();
     let mut recal_rebuild = LatencyStats::new();
@@ -313,11 +318,13 @@ fn run_engine(
                     assert!(host.is_some(), "{name}: departing VM {id} not found");
                 }
             }
-            ChurnOp::Batch(batch) => {
-                let members = batch.len() as u64;
+            ChurnOp::Batch(vms) => {
+                let members = vms.len() as u64;
                 let t = Instant::now();
-                let placed = engine.arrive_batch(batch.clone());
-                admit.record(t.elapsed().as_nanos(), members);
+                let placed = engine.arrive_batch(vms.clone());
+                let elapsed = t.elapsed().as_nanos();
+                admit.record(elapsed, members);
+                batch.record(elapsed, 1);
                 placed
                     .unwrap_or_else(|e| panic!("{name}: batch arrival rejected (VM {})", e.vm_id));
             }
@@ -365,6 +372,7 @@ fn run_engine(
         ops,
         ops_per_sec: ops as f64 / churn_secs,
         admit,
+        batch,
         depart,
         recal,
         recal_rebuild,
@@ -439,7 +447,7 @@ fn parse_args() -> Args {
 /// One `admit` row, led by the commit it was measured at.
 fn row_json(commit: &str, row: &ChurnRow) -> String {
     format!(
-        "{{\"commit\": \"{commit}\", \"n\": {}, \"m\": {}, \"engine\": \"{}\", \"warmup_secs\": {:.6}, \"churn_secs\": {:.6}, \"ops\": {}, \"ops_per_sec\": {:.1}, \"admissions\": {}, \"admissions_per_sec\": {:.1}, \"departures\": {}, \"departures_per_sec\": {:.1}, \"admit_p50_ns\": {}, \"admit_p99_ns\": {}, \"depart_p50_ns\": {}, \"depart_p99_ns\": {}, \"recalibrations\": {}, \"recal_p50_ns\": {}, \"recal_p99_ns\": {}, \"recal_rebuilds\": {}, \"recal_rebuild_p50_ns\": {}, \"recal_rebuild_p99_ns\": {}}}",
+        "{{\"commit\": \"{commit}\", \"n\": {}, \"m\": {}, \"engine\": \"{}\", \"warmup_secs\": {:.6}, \"churn_secs\": {:.6}, \"ops\": {}, \"ops_per_sec\": {:.1}, \"admissions\": {}, \"admissions_per_sec\": {:.1}, \"departures\": {}, \"departures_per_sec\": {:.1}, \"admit_p50_ns\": {}, \"admit_p99_ns\": {}, \"batch_p50_ns\": {}, \"depart_p50_ns\": {}, \"depart_p99_ns\": {}, \"recalibrations\": {}, \"recal_p50_ns\": {}, \"recal_p99_ns\": {}, \"recal_rebuilds\": {}, \"recal_rebuild_p50_ns\": {}, \"recal_rebuild_p99_ns\": {}}}",
         row.n,
         row.m,
         row.engine,
@@ -453,6 +461,7 @@ fn row_json(commit: &str, row: &ChurnRow) -> String {
         row.depart.per_sec(),
         row.admit.p50(),
         row.admit.p99(),
+        row.batch.p50(),
         row.depart.p50(),
         row.depart.p99(),
         row.recal.count,

@@ -27,15 +27,16 @@
 //! [`first_fit_auto_recorded`], the entry point behind
 //! `Consolidator::place`, reads the batch-or-per-VM rule (`2·k ≤ n`) off
 //! the same table it then packs from. Every fill then needs the next
-//! admitting PM, and the arena asks the shared lazy search,
-//! [`HeadroomIndex::first_admitting`], which looks before it climbs: it
-//! reads a bounded window of the flat headroom array and falls back to
-//! the lazily maintained segment tree only for a gap longer than the
-//! window, so on a consolidation-dense fleet (the 1M-VM Table-I fleet on
-//! 250k PMs: 419 091 fills, longest gap under 32 PMs) the tree is never
-//! built. [`PlacementState::last_pack`] reports the split — collapse,
-//! reset, runs, scatter, tree climbs — and `BENCH_packing.json` holds it
-//! for the measured fleets.
+//! admitting PM, and the run placer — [`place_run`], the one First Fit
+//! over class runs, which `OnlineCluster`'s batch arrival runs too — asks
+//! the shared lazy search, [`HeadroomIndex::first_admitting`], which looks
+//! before it climbs: it reads a bounded window of the flat headroom array
+//! and falls back to the lazily maintained segment tree only for a gap
+//! longer than the window, so on a consolidation-dense fleet (the 1M-VM
+//! Table-I fleet on 250k PMs: 419 091 fills, longest gap under 32 PMs)
+//! the tree is never built. [`PlacementState::last_pack`] reports the
+//! split — collapse, reset, runs, scatter, tree climbs — and
+//! `BENCH_packing.json` holds it for the measured fleets.
 //!
 //! # Why the results are byte-identical to `first_fit`
 //!
@@ -82,8 +83,10 @@ use crate::pack::{first_fit_recorded, PackError, PRUNE_SLACK};
 use crate::placement::Placement;
 use crate::strategy::Strategy;
 use bursty_obs::durable::{put_f64, put_usize, Cursor, FrameError};
-use bursty_obs::{Counter, Gauge, Recorder};
-use bursty_workload::{class_runs, distinct_classes, intern_classes, ClassRun, PmSpec, VmSpec};
+use bursty_obs::{Counter, Gauge, NoopRecorder, Recorder};
+use bursty_workload::{
+    class_runs, distinct_classes, intern_classes, ClassRun, PmSpec, VmClass, VmSpec,
+};
 use std::time::Instant;
 
 /// Safety margin for the closed-form feasibility probe: the binary-search
@@ -104,13 +107,13 @@ const BATCH_SLACK: f64 = 1e-6;
 /// critical path:
 ///
 /// * The load arrays are *generation-tagged* rather than zeroed: a reset
-///   bumps `generation`, and [`PlacementState::load`] treats any PM whose
+///   bumps `generation`, and the arena's `load` treats any PM whose
 ///   `epoch` tag is older as empty. Only the headroom leaves (the array
 ///   the First-Fit cursor reads) are rewritten per pack.
 /// * The headroom tree is maintained *lazily*, behind a bounded
 ///   look-ahead — the index's own lazy mode (see [`crate::index`]): a
-///   reset loads the leaves and builds nothing, `store` marks what it
-///   writes, and the one candidate search is
+///   reset loads the leaves and builds nothing, the run placer's `set`
+///   marks what a fill writes, and the one candidate search is
 ///   [`HeadroomIndex::first_admitting`]. The tree is built the first time
 ///   a gap outgrows the window and not before: a pack whose gaps all fit
 ///   — the paper-density and all-duplicate fleets of `BENCH_packing.json`
@@ -125,6 +128,8 @@ pub struct PlacementState {
     sum_rb: Vec<f64>,
     sum_rp: Vec<f64>,
     index: HeadroomIndex,
+    /// The `(PM, copies)` fills the current pack's runs committed.
+    fills: Vec<(u32, u32)>,
     profile: PackProfile,
 }
 
@@ -158,6 +163,7 @@ impl PlacementState {
             sum_rb: Vec::new(),
             sum_rp: Vec::new(),
             index: HeadroomIndex::new(&[]),
+            fills: Vec::new(),
             profile: PackProfile::default(),
         }
     }
@@ -181,30 +187,7 @@ impl PlacementState {
         }
         self.index
             .reset_lazy(|leaves| strategy.empty_headrooms(pms, leaves));
-    }
-
-    /// The load of PM `j`, materialized from the arrays.
-    fn load(&self, j: usize) -> PmLoad {
-        if self.epoch[j] != self.generation {
-            return PmLoad::empty();
-        }
-        PmLoad {
-            count: self.vm_count[j],
-            max_re: self.max_re[j],
-            sum_rb: self.sum_rb[j],
-            sum_rp: self.sum_rp[j],
-        }
-    }
-
-    /// Stores PM `j`'s new load and headroom; the tree entry is deferred
-    /// to the next search that climbs.
-    fn store(&mut self, j: usize, load: PmLoad, headroom: f64) {
-        self.epoch[j] = self.generation;
-        self.vm_count[j] = load.count;
-        self.max_re[j] = load.max_re;
-        self.sum_rb[j] = load.sum_rb;
-        self.sum_rp[j] = load.sum_rp;
-        self.index.set(j, headroom);
+        self.fills.clear();
     }
 
     /// The phase times and tree climbs of the last pack on this arena.
@@ -275,6 +258,34 @@ impl Default for PlacementState {
     }
 }
 
+impl RunPool for PlacementState {
+    fn index(&mut self) -> &mut HeadroomIndex {
+        &mut self.index
+    }
+
+    /// The load of PM `j`, materialized from the arrays.
+    fn load(&self, j: usize) -> PmLoad {
+        if self.epoch[j] != self.generation {
+            return PmLoad::empty();
+        }
+        PmLoad {
+            count: self.vm_count[j],
+            max_re: self.max_re[j],
+            sum_rb: self.sum_rb[j],
+            sum_rp: self.sum_rp[j],
+        }
+    }
+
+    fn commit(&mut self, j: usize, load: PmLoad, copies: usize) {
+        self.epoch[j] = self.generation;
+        self.vm_count[j] = load.count;
+        self.max_re[j] = load.max_re;
+        self.sum_rb[j] = load.sum_rb;
+        self.sum_rp[j] = load.sum_rp;
+        self.fills.push((j as u32, copies as u32));
+    }
+}
+
 /// The largest number of copies of `vm` (up to `want`) admissible on a PM
 /// carrying `load` under `capacity`, together with the resulting load —
 /// computed by the *exact* incremental fold at the decision boundary, so
@@ -299,12 +310,20 @@ impl Default for PlacementState {
 /// bracket in two probes instead of `O(log admitted)`. The hint only
 /// steers *where* the monotone predicate is probed — the bracket it
 /// converges to, and hence the placement, is identical for every hint.
-pub(crate) fn admit_run<S: Strategy + ?Sized>(
+///
+/// `chain` is the run's memo of exact folds from an empty load: `chain[c]`
+/// is the `c`-fold of `vm` from `PmLoad::empty()`, grown on demand (one
+/// chain per run, empty at first). An empty seed reads its folds from it
+/// instead of re-folding per PM — the identical serial `add` sequence, so
+/// a run over a farm of empty PMs folds each copy count once, and every
+/// count and load stays bit-identical to the fold.
+fn admit_run<S: Strategy + ?Sized>(
     load: PmLoad,
     vm: &VmSpec,
     capacity: f64,
     want: usize,
     hint: usize,
+    chain: &mut Vec<PmLoad>,
     strategy: &S,
 ) -> (PmLoad, usize) {
     debug_assert!(want > 0);
@@ -325,25 +344,19 @@ pub(crate) fn admit_run<S: Strategy + ?Sized>(
     // admits only a handful of copies.
     let feasible = |c: usize| strategy.feasible(&load.with_copies(vm, c), capacity - BATCH_SLACK);
     let start = hint.clamp(1, want);
-    let mut lo;
-    let mut hi;
+    let (mut lo, mut hi) = (0, start - 1);
     if feasible(start) {
-        lo = start;
-        hi = want;
-        let mut step = 1usize;
+        (lo, hi) = (start, want);
+        let mut step = 1;
         while lo < hi {
             let p = (lo + step).min(want);
-            if feasible(p) {
-                lo = p;
-                step *= 2;
-            } else {
+            if !feasible(p) {
                 hi = p - 1;
                 break;
             }
+            lo = p;
+            step *= 2;
         }
-    } else {
-        lo = 0;
-        hi = start - 1;
     }
     while lo < hi {
         let mid = lo + (hi - lo).div_ceil(2);
@@ -364,12 +377,16 @@ pub(crate) fn admit_run<S: Strategy + ?Sized>(
     let trusted = drift < BATCH_SLACK && vm.r_b >= 0.0 && vm.r_e >= 0.0;
     let skip = if trusted { lo } else { 0 };
 
-    // Phase 2: the exact fold. The first `skip` copies are admitted
+    // Phase 2: the exact fold — read from the memo chain on an empty
+    // seed, by `add` otherwise. The first `skip` copies are admitted
     // without re-testing; past the bracket every copy runs the same
     // `admits` arithmetic the per-VM packer runs.
+    let memo = load.is_empty();
     let mut current = load;
-    for _ in 0..skip {
-        current.add(vm);
+    if memo {
+        current = chain_fold(chain, vm, skip);
+    } else {
+        current.add_copies(vm, skip);
     }
     debug_assert!(
         skip == 0 || strategy.feasible(&current, capacity),
@@ -377,99 +394,104 @@ pub(crate) fn admit_run<S: Strategy + ?Sized>(
     );
     let mut placed = skip;
     while placed < want && strategy.admits(&current, vm, capacity) {
-        current.add(vm);
         placed += 1;
+        if memo {
+            current = chain_fold(chain, vm, placed);
+        } else {
+            current.add(vm);
+        }
     }
     (current, placed)
 }
 
-/// [`admit_run`] specialised to an **empty** seed load, reading its exact
-/// folds from a per-class memo chain instead of re-folding per PM.
+/// `chain[c]`, the exact `c`-fold of `vm` from an empty load, extending
+/// the chain (seeded with the empty load) as far as `c`.
+fn chain_fold(chain: &mut Vec<PmLoad>, vm: &VmSpec, c: usize) -> PmLoad {
+    while chain.len() <= c {
+        let next = chain.last().map_or(PmLoad::empty(), |last| last.with(vm));
+        chain.push(next);
+    }
+    chain[c]
+}
+
+/// The PMs a class run is placed on, as [`place_run`] sees them: the
+/// headroom index it searches and sets, each PM's load, and where a fill
+/// goes. The offline arena ([`PlacementState`]) and `OnlineCluster`
+/// implement it.
+pub(crate) trait RunPool {
+    /// The headroom index over the pool, searched and set lazily.
+    fn index(&mut self) -> &mut HeadroomIndex;
+    /// PM `j`'s current load.
+    fn load(&self, j: usize) -> PmLoad;
+    /// Commits a fill: `copies` more of the run on PM `j`, whose load is
+    /// now `load`. The pool keeps the `(PM, copies)` fills of the run in
+    /// PM order for its caller.
+    fn commit(&mut self, j: usize, load: PmLoad, copies: usize);
+}
+
+/// First Fit for one class run, and the one place that algorithm lives:
+/// both offline routes and `OnlineCluster`'s batch arrival call it.
+/// Places up to `want` copies of `vm` on `pool`, committing each fill to
+/// it, and returns the copies placed — fewer than `want` means no PM
+/// admits the next one.
 ///
-/// `chain[c]` is the exact `c`-fold of `vm` from `PmLoad::empty()` — the
-/// identical serial `add` sequence [`admit_run`]'s phase 2 would run, so
-/// every count and load this returns is bit-identical to
-/// `admit_run(PmLoad::empty(), ..)`. A run over a farm of empty PMs folds
-/// each copy count once into the chain (amortised `O(max copies per PM)`
-/// adds per class) instead of once per PM.
-pub(crate) fn admit_run_empty<S: Strategy + ?Sized>(
-    chain: &mut Vec<PmLoad>,
-    vm: &VmSpec,
-    capacity: f64,
-    want: usize,
-    hint: usize,
+/// Each fill goes to the lowest PM at or after the cursor that admits a
+/// copy ([`HeadroomIndex::first_admitting`] under the `demand −
+/// PRUNE_SLACK` threshold), with as many copies as [`admit_run`] finds
+/// room for, its count hinting the next PM's. The cursor only advances:
+/// every PM behind it rejected this class under a load that does not
+/// change while the run is placed (loads only grow, and a filled PM was
+/// filled to its maximum), so a per-VM First Fit could place no later
+/// copy there either. Each candidate PM counts one
+/// [`Counter::PackProbes`], each that admits nothing one
+/// [`Counter::PackRejectedProbes`].
+#[inline]
+pub(crate) fn place_run<P: RunPool, S: Strategy + ?Sized, R: Recorder>(
+    pool: &mut P,
+    pms: &[PmSpec],
     strategy: &S,
-) -> (PmLoad, usize) {
-    debug_assert!(want > 0);
-    debug_assert!(!chain.is_empty() && chain[0].is_empty());
-    let fold = |chain: &mut Vec<PmLoad>, c: usize| -> PmLoad {
-        while chain.len() <= c {
-            let mut next = *chain.last().expect("chain seeded with empty");
-            next.add(vm);
-            chain.push(next);
-        }
-        chain[c]
-    };
-    if want == 1 {
-        return if strategy.admits(&chain[0], vm, capacity) {
-            (fold(chain, 1), 1)
-        } else {
-            (chain[0], 0)
+    vm: &VmSpec,
+    want: usize,
+    rec: &mut R,
+) -> usize {
+    let threshold = strategy.demand(vm) - PRUNE_SLACK;
+    let mut chain = Vec::new();
+    let (mut placed, mut hint, mut from) = (0, 0, 0);
+    while placed < want {
+        let Some(j) = pool.index().first_admitting(from, threshold) else {
+            break;
         };
-    }
-
-    // Phase 1: the same margin bracket as `admit_run`, from an empty seed.
-    let empty = PmLoad::empty();
-    let feasible = |c: usize| strategy.feasible(&empty.with_copies(vm, c), capacity - BATCH_SLACK);
-    let start = hint.clamp(1, want);
-    let mut lo;
-    let mut hi;
-    if feasible(start) {
-        lo = start;
-        hi = want;
-        let mut step = 1usize;
-        while lo < hi {
-            let p = (lo + step).min(want);
-            if feasible(p) {
-                lo = p;
-                step *= 2;
-            } else {
-                hi = p - 1;
-                break;
-            }
-        }
-    } else {
-        lo = 0;
-        hi = start - 1;
-    }
-    while lo < hi {
-        let mid = lo + (hi - lo).div_ceil(2);
-        if feasible(mid) {
-            lo = mid;
+        rec.counter_inc(Counter::PackProbes);
+        let (seed, cap) = (pool.load(j), pms[j].capacity);
+        let (load, c) = admit_run(seed, vm, cap, want - placed, hint, &mut chain, strategy);
+        if c > 0 {
+            pool.commit(j, load, c);
+            pool.index().set(j, strategy.headroom(&load, cap));
+            placed += c;
+            hint = c;
         } else {
-            hi = mid - 1;
+            rec.counter_inc(Counter::PackRejectedProbes);
         }
+        from = j + 1;
     }
+    placed
+}
 
-    // Same drift bound as `admit_run` with an empty seed (zero seed sums),
-    // so the trusted skip — and hence the exact decision sequence — agrees.
-    let scale = lo as f64 * (vm.r_b.abs() + vm.r_p().abs());
-    let drift = 4.0 * (lo as f64 + 2.0) * f64::EPSILON * scale;
-    let trusted = drift < BATCH_SLACK && vm.r_b >= 0.0 && vm.r_e >= 0.0;
-    let skip = if trusted { lo } else { 0 };
-
-    // Phase 2: the exact boundary walk, with each fold memoised.
-    let mut placed = skip;
-    let mut current = fold(chain, placed);
-    debug_assert!(
-        skip == 0 || strategy.feasible(&current, capacity),
-        "margin-bracketed load must be exactly feasible"
-    );
-    while placed < want && strategy.admits(&current, vm, capacity) {
-        placed += 1;
-        current = fold(chain, placed);
+/// Hands `host` each placed member of a run, in order, with the PM its
+/// fill put it on.
+pub(crate) fn fill_hosts(
+    fills: &[(u32, u32)],
+    members: &[usize],
+    mut host: impl FnMut(usize, usize),
+) {
+    let mut rest = members;
+    for &(j, c) in fills {
+        let (filled, tail) = rest.split_at(c as usize);
+        for &i in filled {
+            host(i, j as usize);
+        }
+        rest = tail;
     }
-    (current, placed)
 }
 
 /// Cap on the distinct classes the collapsing pass tracks before falling
@@ -513,7 +535,7 @@ pub(crate) fn collapse_classes(vms: &[VmSpec]) -> Option<ClassTable> {
 /// members by original index across class boundaries, which per-class
 /// fill segments cannot express, so the caller falls back to the
 /// strategy's own sort.
-pub(crate) fn class_schedule(keys: &[(u32, f64)]) -> Option<Vec<u32>> {
+fn class_schedule(keys: &[(u32, f64)]) -> Option<Vec<u32>> {
     let mut by_key: Vec<u32> = (0..keys.len() as u32).collect();
     by_key.sort_by(|&a, &b| {
         let (band_a, key_a) = keys[a as usize];
@@ -531,7 +553,7 @@ pub(crate) fn class_schedule(keys: &[(u32, f64)]) -> Option<Vec<u32>> {
 /// The id of the `nth` (0-based) member of class `cid` in original fleet
 /// order — error-path only, so the linear rescan is fine.
 #[cold]
-pub(crate) fn nth_member_id(vms: &[VmSpec], kid: &[u32], cid: u32, nth: usize) -> usize {
+fn nth_member_id(vms: &[VmSpec], kid: &[u32], cid: u32, nth: usize) -> usize {
     let mut seen = 0usize;
     for (i, &k) in kid.iter().enumerate() {
         if k == cid {
@@ -656,6 +678,68 @@ fn timed_collapse(state: &mut PlacementState, vms: &[VmSpec]) -> Option<ClassTab
     table
 }
 
+/// The collapsed route's class table and schedule, given the class pass
+/// of `vms` — or `None`, which sends the batch to the ordered route (the
+/// strategy's own order and its class runs): too many classes to track,
+/// no per-class sort keys, or two distinct classes sharing a key. The
+/// offline packer and `OnlineCluster` choose their route here.
+fn collapsed_schedule<S: Strategy + ?Sized>(
+    vms: &[VmSpec],
+    strategy: &S,
+    table: Option<ClassTable>,
+) -> Option<(ClassTable, Vec<u32>)> {
+    let table = table?;
+    let keys = strategy.class_order_keys(vms.len(), &table.reps)?;
+    let schedule = class_schedule(&keys)?;
+    Some((table, schedule))
+}
+
+/// The ordered route's placement order: the strategy's own sort and its
+/// class runs.
+fn strategy_runs<S: Strategy + ?Sized>(
+    vms: &[VmSpec],
+    strategy: &S,
+) -> (Vec<usize>, Vec<ClassRun>) {
+    let order = strategy.order(vms);
+    let runs = class_runs(vms, &order);
+    (order, runs)
+}
+
+/// A batch's placement order as class runs, by the route
+/// [`collapsed_schedule`] picks: on the collapsed route the class
+/// schedule spelled out member by member — one run per class, members in
+/// fleet order, as a stable sort keeps them — else [`strategy_runs`].
+/// `OnlineCluster` places a batch arrival from it; the offline packer
+/// scatters from its fills instead and never builds the order.
+pub(crate) fn batch_runs<S: Strategy + ?Sized>(
+    vms: &[VmSpec],
+    strategy: &S,
+) -> (Vec<usize>, Vec<ClassRun>) {
+    let Some((table, schedule)) = collapsed_schedule(vms, strategy, collapse_classes(vms)) else {
+        return strategy_runs(vms, strategy);
+    };
+    let mut next = vec![0usize; table.reps.len()];
+    let mut runs = Vec::with_capacity(schedule.len());
+    let mut start = 0;
+    for &cid in &schedule {
+        let c = cid as usize;
+        let len = table.counts[c] as usize;
+        next[c] = start;
+        runs.push(ClassRun {
+            class: VmClass::of(&table.reps[c]),
+            start,
+            len,
+        });
+        start += len;
+    }
+    let mut order = vec![0; vms.len()];
+    for (i, &cid) in table.kid.iter().enumerate() {
+        order[next[cid as usize]] = i;
+        next[cid as usize] += 1;
+    }
+    (order, runs)
+}
+
 /// Packs `vms` given their class pass (`None`: too many classes to track):
 /// whole classes as single runs when the strategy can order classes
 /// without cross-class ties, the strategy's own per-VM order otherwise.
@@ -666,21 +750,13 @@ fn pack_collapsed_or_ordered<S: Strategy + ?Sized>(
     strategy: &S,
     table: Option<ClassTable>,
 ) -> Result<Placement, PackError> {
-    let fast = table.and_then(|table| {
-        let keys = strategy.class_order_keys(vms.len(), &table.reps)?;
-        let schedule = class_schedule(&keys)?;
-        Some((table, schedule))
-    });
-    match fast {
-        Some((table, schedule)) => batch_collapsed(state, vms, pms, strategy, &table, &schedule),
-        None => {
-            let mut clock = Instant::now();
-            let order = strategy.order(vms);
-            let runs = class_runs(vms, &order);
-            state.profile.collapse_s += lap(&mut clock);
-            batch_ordered(state, vms, pms, strategy, &order, &runs)
-        }
+    if let Some((table, schedule)) = collapsed_schedule(vms, strategy, table) {
+        return batch_collapsed(state, vms, pms, strategy, &table, &schedule);
     }
+    let mut clock = Instant::now();
+    let (order, runs) = strategy_runs(vms, strategy);
+    state.profile.collapse_s += lap(&mut clock);
+    batch_ordered(state, vms, pms, strategy, &order, &runs)
 }
 
 /// The fast path: whole classes placed as single runs, per-VM assignments
@@ -698,56 +774,17 @@ fn batch_collapsed<S: Strategy + ?Sized>(
     state.reset(pms, strategy);
     state.profile.reset_s = lap(&mut clock);
     let k = table.reps.len();
-    let mut fills: Vec<(u32, u32)> = Vec::new(); // (PM, copies), per-class contiguous
+    // The fills accumulate across classes, each class's contiguous.
     let mut fill_start = vec![0u32; k];
-    // Exact fold memo for empty-PM admissions, rebuilt per class.
-    let mut chain: Vec<PmLoad> = Vec::new();
     for &cid in schedule {
-        let template = table.reps[cid as usize];
-        let want_total = table.counts[cid as usize] as usize;
-        let threshold = strategy.demand(&template) - PRUNE_SLACK;
-        fill_start[cid as usize] = fills.len() as u32;
-        chain.clear();
-        chain.push(PmLoad::empty());
-        let mut placed = 0usize;
-        let mut hint = 0usize;
-        // First-Fit cursor: every PM before it has rejected this class
-        // under its current (and henceforth unchanging) load, so the
-        // per-VM packer could never place a later copy there either.
-        let mut from = 0usize;
-        while placed < want_total {
-            let Some(j) = state.index.first_admitting(from, threshold) else {
-                return Err(PackError {
-                    vm_id: nth_member_id(vms, &table.kid, cid, placed),
-                });
-            };
-            let seed = state.load(j);
-            let (new_load, c) = if seed.is_empty() {
-                admit_run_empty(
-                    &mut chain,
-                    &template,
-                    pms[j].capacity,
-                    want_total - placed,
-                    hint,
-                    strategy,
-                )
-            } else {
-                admit_run(
-                    seed,
-                    &template,
-                    pms[j].capacity,
-                    want_total - placed,
-                    hint,
-                    strategy,
-                )
-            };
-            if c > 0 {
-                fills.push((j as u32, c as u32));
-                placed += c;
-                hint = c;
-                state.store(j, new_load, strategy.headroom(&new_load, pms[j].capacity));
-            }
-            from = j + 1;
+        let c = cid as usize;
+        let (vm, want) = (&table.reps[c], table.counts[c] as usize);
+        fill_start[c] = state.fills.len() as u32;
+        let placed = place_run(state, pms, strategy, vm, want, &mut NoopRecorder);
+        if placed < want {
+            return Err(PackError {
+                vm_id: nth_member_id(vms, &table.kid, cid, placed),
+            });
         }
     }
 
@@ -763,7 +800,7 @@ fn batch_collapsed<S: Strategy + ?Sized>(
     for &kidx in &table.kid {
         let c = kidx as usize;
         if rem[c] == 0 {
-            let (pm, copies) = fills[next_seg[c] as usize];
+            let (pm, copies) = state.fills[next_seg[c] as usize];
             pm_cur[c] = pm;
             rem[c] = copies;
             next_seg[c] += 1;
@@ -794,34 +831,17 @@ fn batch_ordered<S: Strategy + ?Sized>(
     state.profile.reset_s = lap(&mut clock);
     let mut placement = Placement::empty(vms.len(), pms.len());
     for run in runs {
-        let template = vms[order[run.start]];
-        let threshold = strategy.demand(&template) - PRUNE_SLACK;
-        let mut placed = 0;
-        let mut hint = 0;
-        let mut from = 0;
-        while placed < run.len {
-            let Some(j) = state.index.first_admitting(from, threshold) else {
-                return Err(PackError {
-                    vm_id: vms[order[run.start + placed]].id,
-                });
-            };
-            let (new_load, c) = admit_run(
-                state.load(j),
-                &template,
-                pms[j].capacity,
-                run.len - placed,
-                hint,
-                strategy,
-            );
-            if c > 0 {
-                for &vm_pos in &order[run.start + placed..run.start + placed + c] {
-                    placement.assignment[vm_pos] = Some(j);
-                }
-                placed += c;
-                hint = c;
-                state.store(j, new_load, strategy.headroom(&new_load, pms[j].capacity));
-            }
-            from = j + 1;
+        let members = &order[run.start..run.start + run.len];
+        state.fills.clear();
+        let vm = &vms[members[0]];
+        let placed = place_run(state, pms, strategy, vm, run.len, &mut NoopRecorder);
+        fill_hosts(&state.fills, members, |i, j| {
+            placement.assignment[i] = Some(j)
+        });
+        if placed < run.len {
+            return Err(PackError {
+                vm_id: vms[members[placed]].id,
+            });
         }
     }
     state.profile.runs_s = lap(&mut clock);
@@ -878,33 +898,23 @@ mod tests {
                         count += 1;
                     }
                     // Any hint — absent, exact, low, high, out of range —
-                    // must land on the same count and load.
+                    // must land on the same count and load, bit for bit,
+                    // whatever state the memo chain arrives in.
                     for hint in [0usize, 1, count, count + 1, want / 2, want, want + 9] {
-                        let (batch_load, batch_count) =
-                            admit_run(PmLoad::empty(), &template, cap, want, hint, s);
-                        assert_eq!(
-                            batch_count,
-                            count,
-                            "{} cap={cap} want={want} hint={hint}",
-                            s.name()
-                        );
-                        assert_eq!(
-                            batch_load,
-                            refr,
-                            "{} cap={cap} want={want} hint={hint}",
-                            s.name()
-                        );
-                        // The memoised empty-seed variant must agree bit
-                        // for bit, whatever state its chain arrives in.
-                        for prefill in [1usize, count + 1, want + 2] {
-                            let mut chain = vec![PmLoad::empty()];
-                            while chain.len() < prefill {
-                                let mut next = *chain.last().unwrap();
-                                next.add(&template);
-                                chain.push(next);
+                        for prefill in [0usize, 1, count + 1, want + 2] {
+                            let mut chain = Vec::new();
+                            if prefill > 0 {
+                                chain_fold(&mut chain, &template, prefill - 1);
                             }
-                            let (memo_load, memo_count) =
-                                admit_run_empty(&mut chain, &template, cap, want, hint, s);
+                            let (memo_load, memo_count) = admit_run(
+                                PmLoad::empty(),
+                                &template,
+                                cap,
+                                want,
+                                hint,
+                                &mut chain,
+                                s,
+                            );
                             assert_eq!(
                                 (memo_count, memo_load),
                                 (count, refr),
@@ -923,7 +933,9 @@ mod tests {
         let q = QueueStrategy::build(16, 0.01, 0.09, 0.01);
         let seed = PmLoad::rebuild(&[vm(90, 11.0, 9.0), vm(91, 4.0, 2.0)]);
         let template = vm(0, 6.0, 4.0);
-        let (load, count) = admit_run(seed, &template, 95.0, 30, 4, &q);
+        let mut chain = Vec::new();
+        let (load, count) = admit_run(seed, &template, 95.0, 30, 4, &mut chain, &q);
+        assert!(chain.is_empty(), "a loaded seed never reads the memo chain");
         let mut refr = seed;
         let mut expect = 0;
         while expect < 30 && q.admits(&refr, &template, 95.0) {
@@ -1324,11 +1336,21 @@ mod tests {
                 assert_eq!(j, restored.index.first_admitting(from, threshold));
                 let Some(j) = j else { break };
                 assert_eq!(state.load(j), restored.load(j));
-                let (load, c) = admit_run(state.load(j), &extra, farm[j].capacity, 1, 0, s);
+                let (load, c) = admit_run(
+                    state.load(j),
+                    &extra,
+                    farm[j].capacity,
+                    1,
+                    0,
+                    &mut Vec::new(),
+                    s,
+                );
                 if c > 0 {
                     let headroom = s.headroom(&load, farm[j].capacity);
-                    state.store(j, load, headroom);
-                    restored.store(j, load, headroom);
+                    for arena in [&mut state, &mut restored] {
+                        arena.commit(j, load, c);
+                        arena.index.set(j, headroom);
+                    }
                 }
                 from = j + 1;
             }

@@ -15,8 +15,9 @@
 
 use crate::index::HeadroomIndex;
 use crate::load::PmLoad;
-use crate::pack::probe_first_fit;
+use crate::pack::probe_first_fit_recorded;
 use crate::strategy::Strategy;
+use bursty_obs::NoopRecorder;
 use bursty_workload::{PmSpec, VmSpec};
 
 /// One planned move.
@@ -154,7 +155,15 @@ pub fn plan_defrag(
         let mut ok = true;
         for &i in &members {
             let vm = &vms[i];
-            match probe_first_fit(&index, &tentative_loads, pms, strategy, vm) {
+            let slot = probe_first_fit_recorded(
+                &index,
+                &tentative_loads,
+                pms,
+                strategy,
+                vm,
+                &mut NoopRecorder,
+            );
+            match slot {
                 Some(j) => {
                     touched.push((j, index.value(j)));
                     tentative_loads[j].add(vm);

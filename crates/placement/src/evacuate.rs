@@ -16,14 +16,8 @@
 //! at initial packing time.
 
 use crate::index::HeadroomIndex;
-use bursty_obs::{Counter, NoopRecorder, Recorder};
-
-/// Safety margin below the demand threshold when pruning, mirroring the
-/// packers' slack: a PM is skipped only when its indexed headroom is
-/// strictly below `demand − SLACK`, so ulp-level arithmetic differences
-/// between the admission rule and its headroom measure cannot hide an
-/// admissible PM.
-const PRUNE_SLACK: f64 = 1e-6;
+use crate::pack::PRUNE_SLACK;
+use bursty_obs::{Counter, Recorder};
 
 /// Result of one evacuation batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,30 +34,23 @@ pub struct EvacuationOutcome {
 ///
 /// * `demands[slot]` — the headroom requirement of the displaced VM under
 ///   the active admission rule's demand measure; the index prunes PMs whose
-///   headroom is below it.
+///   headroom is below it, less the packers' `PRUNE_SLACK`, so ulp-level
+///   differences between the rule and its headroom measure cannot hide an
+///   admissible PM.
 /// * `place(pm, slot)` — the full admission check plus commit: returns
 ///   `Some(new_headroom)` when the PM admits the VM (the caller must have
 ///   applied the placement to its own state by the time it returns — the
 ///   updated headroom is written back into the index so the rest of the
 ///   batch sees the admission), or `None` to refuse, in which case the
 ///   probe skips ahead to the next candidate.
+/// * `rec` — counts every `place` probe ([`Counter::EvacProbes`]) and
+///   every refusal ([`Counter::EvacRefusals`]); it is an argument of its
+///   own, not captured by `place`, so the caller's closure can keep
+///   exclusive borrows of its own placement state.
 ///
 /// Slots whose demand is non-finite are reported unplaced without probing
 /// (a `NEG_INFINITY` headroom marks a PM unavailable; a non-finite demand
 /// marks a VM unplaceable).
-pub fn evacuate_batch(
-    demands: &[f64],
-    index: &mut HeadroomIndex,
-    place: impl FnMut(usize, usize) -> Option<f64>,
-) -> EvacuationOutcome {
-    evacuate_batch_recorded(demands, index, &mut NoopRecorder, place)
-}
-
-/// [`evacuate_batch`] with instrumentation: counts every `place` probe
-/// ([`Counter::EvacProbes`]) and every admission refusal
-/// ([`Counter::EvacRefusals`]) into `rec`. The recorder is passed as a
-/// separate argument (not captured by `place`) so the caller's closure can
-/// keep exclusive borrows of its own placement state.
 pub fn evacuate_batch_recorded<R: Recorder>(
     demands: &[f64],
     index: &mut HeadroomIndex,
@@ -113,6 +100,7 @@ pub fn evacuate_batch_recorded<R: Recorder>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bursty_obs::NoopRecorder;
 
     /// A toy capacity model: PMs admit while used + demand ≤ cap.
     struct Farm {
@@ -143,7 +131,7 @@ mod tests {
         let mut index = farm.index();
         let caps = farm.caps.clone();
         let used = &mut farm.used;
-        evacuate_batch(demands, &mut index, |pm, slot| {
+        evacuate_batch_recorded(demands, &mut index, &mut NoopRecorder, |pm, slot| {
             if used[pm] + demands[slot] <= caps[pm] {
                 used[pm] += demands[slot];
                 Some(caps[pm] - used[pm])
@@ -209,7 +197,9 @@ mod tests {
         // Headroom says yes everywhere, the rule vetoes PM 0: the probe
         // must move on to PM 1, not report the VM unplaced.
         let mut index = HeadroomIndex::new(&[100.0, 100.0]);
-        let out = evacuate_batch(&[10.0], &mut index, |pm, _| (pm != 0).then_some(90.0));
+        let out = evacuate_batch_recorded(&[10.0], &mut index, &mut NoopRecorder, |pm, _| {
+            (pm != 0).then_some(90.0)
+        });
         assert_eq!(out.placed, vec![(0, 1)]);
     }
 
@@ -217,13 +207,18 @@ mod tests {
     fn down_pms_marked_neg_infinity_are_never_probed() {
         let mut index = HeadroomIndex::new(&[f64::NEG_INFINITY, 25.0]);
         let mut left = 25.0;
-        let out = evacuate_batch(&[10.0, 10.0, 10.0], &mut index, |pm, _| {
-            assert_eq!(pm, 1, "the down PM must never be offered");
-            (left >= 10.0).then(|| {
-                left -= 10.0;
-                left
-            })
-        });
+        let out = evacuate_batch_recorded(
+            &[10.0, 10.0, 10.0],
+            &mut index,
+            &mut NoopRecorder,
+            |pm, _| {
+                assert_eq!(pm, 1, "the down PM must never be offered");
+                (left >= 10.0).then(|| {
+                    left -= 10.0;
+                    left
+                })
+            },
+        );
         // Only PM 1 is usable; after two commits its headroom (5) prunes
         // the third VM before `place` is even consulted.
         assert_eq!(out.placed.len(), 2);
@@ -234,10 +229,15 @@ mod tests {
     #[test]
     fn non_finite_demand_is_unplaceable() {
         let mut index = HeadroomIndex::new(&[100.0]);
-        let out = evacuate_batch(&[f64::INFINITY, 10.0], &mut index, |_, slot| {
-            assert_eq!(slot, 1);
-            Some(90.0)
-        });
+        let out = evacuate_batch_recorded(
+            &[f64::INFINITY, 10.0],
+            &mut index,
+            &mut NoopRecorder,
+            |_, slot| {
+                assert_eq!(slot, 1);
+                Some(90.0)
+            },
+        );
         assert_eq!(out.placed, vec![(1, 0)]);
         assert_eq!(out.unplaced, vec![0]);
     }
@@ -245,7 +245,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let mut index = HeadroomIndex::new(&[10.0]);
-        let out = evacuate_batch(&[], &mut index, |_, _| Some(0.0));
+        let out = evacuate_batch_recorded(&[], &mut index, &mut NoopRecorder, |_, _| Some(0.0));
         assert!(out.placed.is_empty());
         assert!(out.unplaced.is_empty());
     }

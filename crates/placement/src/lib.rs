@@ -48,7 +48,7 @@ pub use batch::{
     first_fit_auto_recorded, first_fit_batch, first_fit_batch_with, PackProfile, PlacementState,
 };
 pub use certify::{certify_exact, pm_cvr_exact, CAP_EPS};
-pub use evacuate::{evacuate_batch, evacuate_batch_recorded, EvacuationOutcome};
+pub use evacuate::{evacuate_batch_recorded, EvacuationOutcome};
 pub use index::HeadroomIndex;
 pub use load::PmLoad;
 pub use mapcal::{mapping_cache_stats, MappingCacheStats, MappingTable};

@@ -7,10 +7,11 @@
 //!   *class-count cells* keyed by the cached `[u64; 4]` class bit pattern,
 //!   so a departure is a counter decrement plus a canonical `O(d)` rebuild
 //!   and one `O(log m)` index refresh — never a population scan. Batch
-//!   arrivals route through the class-collapsed closed-form admissions of
-//!   `batch.rs` and find their PMs with the index's lazy search
-//!   ([`HeadroomIndex::first_admitting`]: a bounded look-ahead over the
-//!   leaves in front of the tree, no climb per filled PM), and
+//!   arrivals take the offline packer's route and its run placer
+//!   (`batch.rs`: class runs placed with closed-form admissions, PMs found
+//!   by the index's lazy search, [`HeadroomIndex::first_admitting`] — a
+//!   bounded look-ahead over the leaves in front of the tree, no climb per
+//!   filled PM), and
 //!   recalibration aggregates per class (`O(k)` in distinct classes,
 //!   independent of the fleet size) with an ε-gate that keeps the cached
 //!   mapping table when the rounded pair barely moves; a table that does
@@ -30,15 +31,15 @@
 //! **bit-identical** under arbitrary interleaved churn — pinned by the
 //! differential property test at the bottom of this file.
 
-use crate::batch::{admit_run, admit_run_empty, class_schedule, collapse_classes, ClassTable};
+use crate::batch::{batch_runs, fill_hosts, place_run, RunPool};
 use crate::clustering::{cluster_order, default_buckets};
 use crate::index::HeadroomIndex;
 use crate::load::PmLoad;
-use crate::pack::{probe_first_fit, probe_first_fit_recorded, PackError, PRUNE_SLACK};
+use crate::pack::{probe_first_fit_recorded, PackError};
 use crate::strategy::{QueueStrategy, Strategy};
 use bursty_obs::durable::{put_f64, put_u32, put_usize, Cursor, FrameError};
 use bursty_obs::{Counter, NoopRecorder, Recorder};
-use bursty_workload::{PmSpec, VmClass, VmSpec};
+use bursty_workload::{ClassRun, PmSpec, VmClass, VmSpec};
 use std::collections::{hash_map::Entry, HashMap, HashSet};
 
 /// Order-independent FNV-1a style fold over an engine's observable end
@@ -267,7 +268,14 @@ impl ReferenceOnlineCluster {
             "VM id {} already in the cluster",
             vm.id
         );
-        let slot = probe_first_fit(&self.index, &self.loads, &self.pms, &self.strategy, &vm);
+        let slot = probe_first_fit_recorded(
+            &self.index,
+            &self.loads,
+            &self.pms,
+            &self.strategy,
+            &vm,
+            &mut NoopRecorder,
+        );
         match slot {
             Some(j) => {
                 self.loads[j].add(&vm);
@@ -335,7 +343,14 @@ impl ReferenceOnlineCluster {
         // member costs one O(log m) probe instead of an O(m) scan.
         for &i in &order {
             let vm = batch[i];
-            let slot = probe_first_fit(&self.index, &self.loads, &self.pms, &self.strategy, &vm);
+            let slot = probe_first_fit_recorded(
+                &self.index,
+                &self.loads,
+                &self.pms,
+                &self.strategy,
+                &vm,
+                &mut NoopRecorder,
+            );
             let j = slot.ok_or(PackError { vm_id: vm.id })?;
             self.loads[j].add(&vm);
             self.refresh_pm(j);
@@ -658,6 +673,31 @@ impl VmTable {
     }
 }
 
+/// The cluster's loads and headroom index as the run placer's pool,
+/// borrowed apart from its PM specs and strategy, which the placer takes
+/// beside them, with the run's fills collected for the commit that
+/// follows.
+struct LivePool<'a> {
+    loads: &'a mut [PmLoad],
+    index: &'a mut HeadroomIndex,
+    fills: &'a mut Vec<(u32, u32)>,
+}
+
+impl RunPool for LivePool<'_> {
+    fn index(&mut self) -> &mut HeadroomIndex {
+        self.index
+    }
+
+    fn load(&self, j: usize) -> PmLoad {
+        self.loads[j]
+    }
+
+    fn commit(&mut self, j: usize, load: PmLoad, copies: usize) {
+        self.loads[j] = load;
+        self.fills.push((j as u32, copies as u32));
+    }
+}
+
 /// The fleet-scale online engine (see the module docs). Storage is a
 /// dense structure-of-arrays over *classes* rather than VMs:
 ///
@@ -854,30 +894,6 @@ impl OnlineCluster {
         }
     }
 
-    /// Commits a single VM placement onto PM `j` — the shared tail of
-    /// [`Self::arrive_recorded`] and the fallback batch path.
-    fn place_single<R: Recorder>(&mut self, vm: VmSpec, j: usize, rec: &mut R) {
-        let was_empty = self.loads[j].is_empty();
-        self.loads[j].add(&vm);
-        self.refresh_pm(j);
-        let cid = self.class_id_of(&vm);
-        self.cell_add(j, cid, 1);
-        self.class_pop[cid as usize] += 1;
-        let entry = VmEntry {
-            host: j as u32,
-            class: cid,
-        };
-        assert!(
-            self.entries.insert(vm.id, entry),
-            "VM id {} already in the cluster",
-            vm.id
-        );
-        if was_empty {
-            self.occupy(j);
-        }
-        rec.counter_inc(Counter::OnlineArrivals);
-    }
-
     /// Places a single newly-arrived VM on the first PM satisfying Eq. 17
     /// (§IV-E: "when a new VM arrives, we place it on the first PM that
     /// satisfies the constraint in Equation (17)").
@@ -917,13 +933,20 @@ impl OnlineCluster {
             &vm,
             rec,
         );
-        match slot {
-            Some(j) => {
-                self.place_single(vm, j, rec);
-                Ok(j)
-            }
-            None => Err(PackError { vm_id: vm.id }),
-        }
+        let j = slot.ok_or(PackError { vm_id: vm.id })?;
+        self.occupy(j);
+        self.loads[j].add(&vm);
+        self.refresh_pm(j);
+        let cid = self.class_id_of(&vm);
+        self.cell_add(j, cid, 1);
+        self.class_pop[cid as usize] += 1;
+        let entry = VmEntry {
+            host: j as u32,
+            class: cid,
+        };
+        self.entries.insert(vm.id, entry);
+        rec.counter_inc(Counter::OnlineArrivals);
+        Ok(j)
     }
 
     /// Removes a VM. Cost: one `O(d)` cell decrement, one canonical
@@ -966,12 +989,12 @@ impl OnlineCluster {
     }
 
     /// Places a batch of new VMs using the same cluster-and-sort scheme
-    /// as Algorithm 2. On the fast path (all of [`collapse_classes`]'s
-    /// conditions hold) whole classes are placed as closed-form runs via
-    /// [`admit_run`]/[`admit_run_empty`] — amortized ~O(1) probes per VM
-    /// on duplicate-heavy batches — and the per-VM assignments are
-    /// scattered afterwards. Placements, the returned pairs and the error
-    /// VM are identical to the per-VM reference on every input.
+    /// as Algorithm 2, through the offline packer's route choice and run
+    /// placer ([`place_run`]): whole classes as single runs when the batch
+    /// collapses without cross-class key ties, the strategy's own order in
+    /// class runs otherwise — amortized ~O(1) probes per VM on
+    /// duplicate-heavy batches. Placements, the returned pairs and the
+    /// error VM are identical to the per-VM reference on every input.
     ///
     /// # Errors
     /// [`PackError`] at the first unplaceable VM. VMs placed before the
@@ -1023,7 +1046,7 @@ impl OnlineCluster {
         &mut self,
         batch: Vec<VmSpec>,
         rec: &mut R,
-        mut each: impl FnMut(usize, usize),
+        each: impl FnMut(usize, usize),
     ) -> Result<(), PackError> {
         rec.counter_inc(Counter::OnlineBatches);
         if batch.is_empty() {
@@ -1031,148 +1054,65 @@ impl OnlineCluster {
         }
         // Size the id table once, from the batch's largest id: a warm-up
         // of ids `0..n` allocates its dense slots in one step and the
-        // scatter below writes them in place.
+        // commits below write them in place.
         let max_id = batch.iter().map(|vm| vm.id).max().unwrap_or(0);
         self.entries.reserve(max_id, batch.len());
-        let fast = collapse_classes(&batch).and_then(|table| {
-            let keys = self.strategy.class_order_keys(batch.len(), &table.reps)?;
-            let schedule = class_schedule(&keys)?;
-            Some((table, schedule))
-        });
-        match fast {
-            Some((table, schedule)) => {
-                let result = self.batch_collapsed(&batch, &table, &schedule, rec, each);
-                self.index.flush();
-                result
-            }
-            None => {
-                // Cross-class key ties (or too many classes): the stable
-                // per-VM order is the semantics, so walk it directly.
-                let order = cluster_order(&batch, default_buckets(batch.len()));
-                for &i in &order {
-                    let vm = batch[i];
-                    let slot = probe_first_fit_recorded(
-                        &self.index,
-                        &self.loads,
-                        &self.pms,
-                        &self.strategy,
-                        &vm,
-                        rec,
-                    );
-                    let j = slot.ok_or(PackError { vm_id: vm.id })?;
-                    self.place_single(vm, j, rec);
-                    each(vm.id, j);
-                }
-                Ok(())
-            }
-        }
+        let (order, runs) = batch_runs(&batch, &self.strategy);
+        let result = self.place_runs(&batch, &order, &runs, rec, each);
+        self.index.flush();
+        result
     }
 
-    /// The fast batch path: one First-Fit cursor pass per class with
-    /// closed-form run admissions, mirroring `crate::batch`'s offline
-    /// packer but against the live cluster (loads only grow during a
-    /// batch, so the cursor's "every passed PM already rejected this
-    /// class" invariant carries over unchanged).
-    fn batch_collapsed<R: Recorder>(
+    /// Places the batch's class runs in turn and commits each run's placed
+    /// members — class, cells, population, entries, `each` — before the
+    /// next run, so a failure keeps everything placed ahead of it, as the
+    /// per-VM reference does; a class none of whose members was placed is
+    /// not registered, as in [`Self::arrive`]. Loads only grow during a
+    /// batch, so the run placer's cursor argument holds on a populated
+    /// cluster too.
+    fn place_runs<R: Recorder>(
         &mut self,
         batch: &[VmSpec],
-        table: &ClassTable,
-        schedule: &[u32],
+        order: &[usize],
+        runs: &[ClassRun],
         rec: &mut R,
         mut each: impl FnMut(usize, usize),
     ) -> Result<(), PackError> {
-        let k = table.reps.len();
-        // Original-order member indices per class: the stable within-class
-        // order that both the scatter and a partial failure must follow.
-        let mut members_of: Vec<Vec<u32>> = vec![Vec::new(); k];
-        for (i, &kidx) in table.kid.iter().enumerate() {
-            members_of[kidx as usize].push(i as u32);
-        }
-        // Exact fold memo for empty-PM admissions, rebuilt per class.
-        let mut chain: Vec<PmLoad> = Vec::new();
-        let mut fills: Vec<(usize, u32)> = Vec::new();
-        for &cid in schedule {
-            let template = table.reps[cid as usize];
-            let want_total = table.counts[cid as usize] as usize;
-            let threshold = self.strategy.demand(&template) - PRUNE_SLACK;
-            let gid = self.class_id_of(&template);
-            chain.clear();
-            chain.push(PmLoad::empty());
+        let mut fills = Vec::new();
+        for run in runs {
+            let members = &order[run.start..run.start + run.len];
+            let vm = batch[members[0]];
             fills.clear();
-            let mut placed = 0usize;
-            let mut hint = 0usize;
-            let mut from = 0usize;
-            let mut failed = false;
-            while placed < want_total {
-                let candidate = self.index.first_admitting(from, threshold);
-                rec.counter_inc(Counter::PackProbes);
-                let Some(j) = candidate else {
-                    failed = true;
-                    break;
-                };
-                let seed = self.loads[j];
-                let (new_load, c) = if seed.is_empty() {
-                    admit_run_empty(
-                        &mut chain,
-                        &template,
-                        self.pms[j].capacity,
-                        want_total - placed,
-                        hint,
-                        &self.strategy,
-                    )
-                } else {
-                    admit_run(
-                        seed,
-                        &template,
-                        self.pms[j].capacity,
-                        want_total - placed,
-                        hint,
-                        &self.strategy,
-                    )
-                };
-                if c > 0 {
-                    if seed.is_empty() {
-                        self.occupy(j);
-                    }
-                    self.loads[j] = new_load;
-                    let headroom = self.strategy.headroom(&new_load, self.pms[j].capacity);
-                    self.index.set(j, headroom);
-                    self.cell_add(j, gid, c as u32);
-                    fills.push((j, c as u32));
-                    placed += c;
-                    hint = c;
-                } else {
-                    rec.counter_inc(Counter::PackRejectedProbes);
+            let mut pool = LivePool {
+                loads: &mut self.loads,
+                index: &mut self.index,
+                fills: &mut fills,
+            };
+            let placed = place_run(&mut pool, &self.pms, &self.strategy, &vm, run.len, rec);
+            if placed > 0 {
+                let cid = self.class_id_of(&vm);
+                self.class_pop[cid as usize] += placed as u64;
+                for &(j, copies) in &fills {
+                    self.occupy(j as usize);
+                    self.cell_add(j as usize, cid, copies);
                 }
-                from = j + 1;
-            }
-            // Scatter this class's placed members (original batch order)
-            // across the fill segments front to back.
-            let members = &members_of[cid as usize];
-            let mut mi = 0usize;
-            for &(pm, copies) in &fills {
-                for _ in 0..copies {
-                    let vm = batch[members[mi] as usize];
+                fill_hosts(&fills, members, |i, j| {
+                    let id = batch[i].id;
                     let entry = VmEntry {
-                        host: pm as u32,
-                        class: gid,
+                        host: j as u32,
+                        class: cid,
                     };
                     assert!(
-                        self.entries.insert(vm.id, entry),
-                        "VM id {} already in the cluster",
-                        vm.id
+                        self.entries.insert(id, entry),
+                        "VM id {id} already in the cluster"
                     );
-                    self.class_pop[gid as usize] += 1;
                     rec.counter_inc(Counter::OnlineArrivals);
-                    each(vm.id, pm);
-                    mi += 1;
-                }
+                    each(id, j);
+                });
             }
-            if failed {
-                // The first unplaced member, in the stable order — exactly
-                // the VM the per-VM reference would have failed on.
+            if placed < run.len {
                 return Err(PackError {
-                    vm_id: batch[members[placed] as usize].id,
+                    vm_id: batch[members[placed]].id,
                 });
             }
         }
@@ -1774,16 +1714,108 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "VM id 3 already in the cluster")]
-    fn duplicate_inside_batch_panics_on_the_per_vm_fallback() {
-        // More classes than the collapse tracks: the batch is placed VM by
-        // VM, and the second id 3 is caught at its insert there too.
+    fn duplicate_inside_batch_panics_on_the_ordered_route() {
+        // More classes than the collapse tracks: the batch is placed in
+        // the strategy's own order, and the second id 3 is caught at its
+        // insert there too.
         let mut c = cluster(&[1000.0; 8]);
         let mut batch: Vec<VmSpec> = (0..100)
             .map(|i| vm(i, 1.0 + i as f64 * 0.01, 1.0))
             .collect();
-        assert!(collapse_classes(&batch).is_none());
+        assert!(crate::batch::collapse_classes(&batch).is_none());
         batch.push(vm(3, 0.5, 1.0));
         let _ = c.arrive_batch(batch);
+    }
+
+    #[test]
+    fn overflow_batch_matches_reference_and_fails_partway() {
+        // Batches of 100 classes — more than the collapse tracks — take
+        // the ordered route (the strategy's own order in class runs) onto
+        // a cluster with holes: the first fits, the second runs out of
+        // room inside a run. Both engines must agree on every pair and its
+        // order, on the error VM and the members kept before it (its own
+        // run's included), and on every load and headroom bit.
+        let caps = vec![60.0; 16];
+        let mut a = cluster(&caps);
+        let mut b = ref_cluster(&caps);
+        for i in 0..40 {
+            let v = vm(i, 4.0 + (i % 5) as f64, 2.0 + (i % 3) as f64);
+            a.arrive(v).unwrap();
+            b.arrive(v).unwrap();
+        }
+        for i in (0..40).step_by(3) {
+            assert_eq!(a.depart(i), b.depart(i));
+        }
+        let batch_of = |first_id: usize, copies: usize, r_b: f64| -> Vec<VmSpec> {
+            (0..100 * copies)
+                .map(|i| {
+                    let k = i % 100;
+                    vm(first_id + i, r_b + k as f64 * 0.01, 1.0 + (k % 7) as f64)
+                })
+                .collect()
+        };
+        let fits = batch_of(100, 1, 0.5);
+        assert!(crate::batch::collapse_classes(&fits).is_none());
+        let pairs = a.arrive_batch(fits.clone()).unwrap();
+        assert_eq!(pairs, b.arrive_batch(fits).unwrap());
+
+        let overflows = batch_of(1000, 3, 3.0);
+        let mut seen = Vec::new();
+        let err = a
+            .arrive_batch_each(overflows.clone(), &mut NoopRecorder, |id, j| {
+                seen.push((id, j))
+            })
+            .unwrap_err();
+        assert_eq!(b.arrive_batch(overflows.clone()).unwrap_err(), err);
+        // The reference places in cluster order up to the VM it failed on.
+        let order = cluster_order(&overflows, default_buckets(overflows.len()));
+        let kept: Vec<(usize, usize)> = order
+            .iter()
+            .map(|&i| overflows[i].id)
+            .take_while(|&id| id != err.vm_id)
+            .map(|id| (id, b.host_of(id).expect("kept by the reference")))
+            .collect();
+        assert!(!kept.is_empty() && kept.len() < overflows.len() - 1);
+        let (last_kept, failed) = (
+            overflows[order[kept.len() - 1]],
+            overflows[order[kept.len()]],
+        );
+        assert_eq!(
+            VmClass::of(&last_kept),
+            VmClass::of(&failed),
+            "fails inside a run"
+        );
+        assert_eq!(seen, kept);
+        for v in &overflows {
+            assert_eq!(a.host_of(v.id), b.host_of(v.id), "VM {}", v.id);
+        }
+        assert_eq!(a.n_vms(), b.n_vms());
+        for j in 0..caps.len() {
+            assert_eq!(a.load(j), b.load(j), "PM {j} load");
+            assert_eq!(
+                a.index.value(j).to_bits(),
+                b.index.value(j).to_bits(),
+                "PM {j} headroom"
+            );
+        }
+        a.check_consistency().unwrap();
+        b.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn a_batch_that_places_nothing_leaves_the_snapshot_unchanged() {
+        // A run that places nothing registers no class, on either route,
+        // just as a refused single arrival registers none.
+        let mut c = cluster(&[10.0; 2]);
+        c.arrive(vm(0, 8.0, 1.0)).unwrap();
+        c.arrive(vm(1, 8.0, 1.0)).unwrap();
+        let before = c.to_snapshot_bytes();
+        let collapsed = vec![vm(2, 5.0, 1.0), vm(3, 5.0, 1.0)];
+        assert_eq!(c.arrive_batch(collapsed).unwrap_err().vm_id, 2);
+        let tied = vec![vm(4, 5.0, 1.0), VmSpec::new(5, 0.02, 0.09, 5.0, 1.0)];
+        assert_eq!(c.arrive_batch(tied).unwrap_err().vm_id, 4);
+        assert_eq!(c.to_snapshot_bytes(), before);
+        c.check_consistency().unwrap();
     }
 
     #[test]
@@ -2313,7 +2345,7 @@ mod tests {
         /// Six heterogeneous templates. Classes 0 and 2 share `(r_b,
         /// r_e)` with different probabilities, so a batch holding both
         /// has an exact cross-class key tie — `class_schedule` bails and
-        /// the fallback per-VM path gets exercised alongside the fast
+        /// the ordered route gets exercised alongside the collapsed
         /// one. Template 3 is bursty enough that recalibration tightens
         /// the table and induces infeasible incumbents.
         const TEMPLATES: [(f64, f64, f64, f64); 6] = [

@@ -47,20 +47,10 @@ fn empty_headrooms(pms: &[PmSpec], strategy: &dyn Strategy) -> Vec<f64> {
 /// The First-Fit probe over the index: lowest-numbered PM that admits
 /// `vm`, skipping (provably infeasible) PMs below the demand threshold and
 /// skipping ahead past candidates that reject on the full `admits` check.
-pub(crate) fn probe_first_fit(
-    index: &HeadroomIndex,
-    loads: &[PmLoad],
-    pms: &[PmSpec],
-    strategy: &dyn Strategy,
-    vm: &VmSpec,
-) -> Option<usize> {
-    probe_first_fit_recorded(index, loads, pms, strategy, vm, &mut NoopRecorder)
-}
-
-/// [`probe_first_fit`] with instrumentation: every full `admits` check
-/// counts as a [`Counter::PackProbes`], every rejection as a
-/// [`Counter::PackRejectedProbes`] (probes minus rejections minus
-/// placements = 0 by construction).
+/// Every full `admits` check counts as a [`Counter::PackProbes`], every
+/// rejection as a [`Counter::PackRejectedProbes`] (probes minus
+/// rejections minus placements = 0 by construction); callers that count
+/// nothing pass [`NoopRecorder`].
 pub(crate) fn probe_first_fit_recorded<R: Recorder>(
     index: &HeadroomIndex,
     loads: &[PmLoad],

@@ -1487,8 +1487,9 @@ impl<'a> Simulator<'a> {
     }
 
     /// One admission pass of [`Self::evacuate_displaced`] under `policy`,
-    /// driven by [`evacuate_batch`] over a fresh [`HeadroomIndex`] (down
-    /// PMs enter as `NEG_INFINITY` and are never probed).
+    /// driven by [`evacuate_batch_recorded`] over a fresh
+    /// [`HeadroomIndex`] (down PMs enter as `NEG_INFINITY` and are never
+    /// probed).
     #[allow(clippy::too_many_arguments)]
     fn evacuate_pass<R: Recorder>(
         &self,
