@@ -8,29 +8,25 @@
 //!
 //! ```text
 //! admit-bench [--fleets N1,N2,...] [--rounds R] [--batch B] [--singles S]
-//!             [--recal-every K] [--epsilon E] [--seed SEED] [--out PATH]
+//!             [--recal-every K] [--seed SEED] [--out PATH]
 //!             [--gate-speedup X] [--before PATH] [--commit LABEL]
 //! ```
 //!
 //! Defaults: fleets `10000,100000,1000000`, 24 rounds, 512-VM batches,
-//! 64 single pairs per round, recalibrate every round, ε = 0, seed 1,
+//! 64 single pairs per round, recalibrate every round, seed 1,
 //! output to `BENCH_admit.json`. The fleet is duplicate-heavy Table-I
 //! EqualSpike (three VM classes), the regime the SoA engine's class cells
 //! are built for.
 //!
 //! Every other round one of the single arrivals carries jittered switch
 //! probabilities (one of [`JITTER_LEVELS`] levels, the step the system
-//! benchmark's mixed program uses), so the rounded pair moves and
-//! the recalibration that follows rebuilds the mapping table and rewrites
-//! the occupied PMs' headrooms; the round after admits the base pair only
-//! and its recalibration returns at the ε-gate. `recal_p50_ns`/`_p99_ns`
-//! cover all recalibrations, `recal_rebuild_p50_ns`/`_p99_ns` the
-//! `recal_rebuilds` of them that changed the table. `batch_p50_ns` is the
-//! median whole batch arrival, one sample per batch (the admit
-//! percentiles spread each batch over its members). (A program whose VMs
-//! all share one pair re-rounds to the bit-equal pair every time: every
-//! recalibration is the gate's few hundred nanoseconds, whatever the
-//! fleet size.)
+//! benchmark's mixed program uses): the PM it lands on is priced by its
+//! hotter chain's table from then on, built on the first arrival of that
+//! level. A recalibration only names the hottest live class, so
+//! `recal_p50_ns`/`_p99_ns` are an `O(k)` walk of the class registry,
+//! whatever the fleet size. `batch_p50_ns` is the median whole batch
+//! arrival, one sample per batch (the admit percentiles spread each batch
+//! over its members).
 //!
 //! Both engines replay the *same* program, so their final states must be
 //! bit-identical; the bench always exits nonzero if hosts, loads or used-PM
@@ -56,11 +52,11 @@ use std::time::Instant;
 const TEMPLATES: [(f64, f64); 3] = [(5.0, 5.0), (10.0, 10.0), (20.0, 20.0)];
 const P_ON: f64 = 0.01;
 const P_OFF: f64 = 0.09;
-/// Discrete probability jitter of the rebuild rounds' one odd VM: level
+/// Discrete probability jitter of the odd rounds' one hot VM: level
 /// `l` of `1..=8` is `(P_ON + 0.004·l/8, P_OFF + 0.01·l/8)` — the system
-/// benchmark's step, without its level 0, so the pair always moves. A
-/// continuous jitter would add a class to the engines' registries per
-/// draw.
+/// benchmark's step, without its level 0, so the VM is always hotter
+/// than the fleet. A continuous jitter would add a class to the engines'
+/// registries per draw.
 const JITTER_LEVELS: u64 = 8;
 const D: usize = 16;
 const RHO: f64 = 0.01;
@@ -74,7 +70,7 @@ enum ChurnOp {
     Batch(Vec<VmSpec>),
     /// A single departure immediately followed by a single arrival.
     Single { victim: usize, vm: VmSpec },
-    /// Periodic probability recalibration.
+    /// Periodic recalibration: a report of the hottest live class.
     Recalibrate,
 }
 
@@ -280,8 +276,6 @@ struct ChurnRow {
     batch: LatencyStats,
     depart: LatencyStats,
     recal: LatencyStats,
-    /// The recalibrations that rebuilt the table (the pair moved).
-    recal_rebuild: LatencyStats,
 }
 
 /// Warms the engine to the initial fleet, replays the program with per-op
@@ -291,7 +285,6 @@ fn run_engine(
     initial: Vec<VmSpec>,
     program: &Program,
     m: usize,
-    epsilon: f64,
 ) -> (ChurnRow, StateDigest) {
     let n = initial.len();
     let name = engine.name();
@@ -305,8 +298,6 @@ fn run_engine(
     let mut batch = LatencyStats::new();
     let mut depart = LatencyStats::new();
     let mut recal = LatencyStats::new();
-    let mut recal_rebuild = LatencyStats::new();
-    let mut table_for = (P_ON, P_OFF);
     let churn_start = Instant::now();
     for op in &program.ops {
         match op {
@@ -342,16 +333,8 @@ fn run_engine(
             ChurnOp::Recalibrate => {
                 let t = Instant::now();
                 let pair = engine.recalibrate();
-                let elapsed = t.elapsed().as_nanos();
-                let pair = pair.unwrap_or_else(|| panic!("{name}: recalibrated an empty cluster"));
-                recal.record(elapsed, 1);
-                // The engines' own gate: the table is rebuilt iff the
-                // rounded pair left the ε-box around the one it holds.
-                let moved = |new: f64, held: f64| (new - held).abs() > epsilon;
-                if moved(pair.0, table_for.0) || moved(pair.1, table_for.1) {
-                    recal_rebuild.record(elapsed, 1);
-                    table_for = pair;
-                }
+                recal.record(t.elapsed().as_nanos(), 1);
+                assert!(pair.is_some(), "{name}: recalibrated an empty cluster");
             }
         }
     }
@@ -375,7 +358,6 @@ fn run_engine(
         batch,
         depart,
         recal,
-        recal_rebuild,
     };
     (row, digest)
 }
@@ -386,7 +368,6 @@ struct Args {
     batch: usize,
     singles: usize,
     recal_every: usize,
-    epsilon: f64,
     seed: u64,
     out: String,
     gate_speedup: Option<f64>,
@@ -401,7 +382,6 @@ fn parse_args() -> Args {
         batch: 512,
         singles: 64,
         recal_every: 1,
-        epsilon: 0.0,
         seed: 1,
         out: "BENCH_admit.json".to_string(),
         gate_speedup: None,
@@ -427,7 +407,6 @@ fn parse_args() -> Args {
             "--recal-every" => {
                 parsed.recal_every = value.parse().expect("--recal-every wants an integer");
             }
-            "--epsilon" => parsed.epsilon = value.parse().expect("--epsilon wants a float"),
             "--seed" => parsed.seed = value.parse().expect("--seed wants an integer"),
             "--out" => parsed.out = value.clone(),
             "--gate-speedup" => {
@@ -447,7 +426,7 @@ fn parse_args() -> Args {
 /// One `admit` row, led by the commit it was measured at.
 fn row_json(commit: &str, row: &ChurnRow) -> String {
     format!(
-        "{{\"commit\": \"{commit}\", \"n\": {}, \"m\": {}, \"engine\": \"{}\", \"warmup_secs\": {:.6}, \"churn_secs\": {:.6}, \"ops\": {}, \"ops_per_sec\": {:.1}, \"admissions\": {}, \"admissions_per_sec\": {:.1}, \"departures\": {}, \"departures_per_sec\": {:.1}, \"admit_p50_ns\": {}, \"admit_p99_ns\": {}, \"batch_p50_ns\": {}, \"depart_p50_ns\": {}, \"depart_p99_ns\": {}, \"recalibrations\": {}, \"recal_p50_ns\": {}, \"recal_p99_ns\": {}, \"recal_rebuilds\": {}, \"recal_rebuild_p50_ns\": {}, \"recal_rebuild_p99_ns\": {}}}",
+        "{{\"commit\": \"{commit}\", \"n\": {}, \"m\": {}, \"engine\": \"{}\", \"warmup_secs\": {:.6}, \"churn_secs\": {:.6}, \"ops\": {}, \"ops_per_sec\": {:.1}, \"admissions\": {}, \"admissions_per_sec\": {:.1}, \"departures\": {}, \"departures_per_sec\": {:.1}, \"admit_p50_ns\": {}, \"admit_p99_ns\": {}, \"batch_p50_ns\": {}, \"depart_p50_ns\": {}, \"depart_p99_ns\": {}, \"recalibrations\": {}, \"recal_p50_ns\": {}, \"recal_p99_ns\": {}}}",
         row.n,
         row.m,
         row.engine,
@@ -467,9 +446,6 @@ fn row_json(commit: &str, row: &ChurnRow) -> String {
         row.recal.count,
         row.recal.p50(),
         row.recal.p99(),
-        row.recal_rebuild.count,
-        row.recal_rebuild.p50(),
-        row.recal_rebuild.p99(),
     )
 }
 
@@ -525,26 +501,25 @@ fn main() {
 
         // Engines run one at a time (digests carry the comparison) so the
         // 1M-VM size never holds two full clusters in memory.
-        let reference = Engine::Reference(
-            ReferenceOnlineCluster::new(pms.clone(), D, P_ON, P_OFF, RHO)
-                .with_recalibration_epsilon(args.epsilon),
-        );
-        let (ref_row, ref_digest) =
-            run_engine(reference, initial.clone(), &program, m, args.epsilon);
-        let soa = Engine::Soa(
-            OnlineCluster::new(pms, D, P_ON, P_OFF, RHO).with_recalibration_epsilon(args.epsilon),
-        );
-        let (soa_row, soa_digest) = run_engine(soa, initial, &program, m, args.epsilon);
+        let reference = Engine::Reference(ReferenceOnlineCluster::new(
+            pms.clone(),
+            D,
+            P_ON,
+            P_OFF,
+            RHO,
+        ));
+        let (ref_row, ref_digest) = run_engine(reference, initial.clone(), &program, m);
+        let soa = Engine::Soa(OnlineCluster::new(pms, D, P_ON, P_OFF, RHO));
+        let (soa_row, soa_digest) = run_engine(soa, initial, &program, m);
         for row in [&ref_row, &soa_row] {
             eprintln!(
-                "  {:<9} {:.0} ops/s (churn {:.3}s, warm-up {:.3}s, {} of {} recalibrations rebuilt, p50 {} ns)",
+                "  {:<9} {:.0} ops/s (churn {:.3}s, warm-up {:.3}s, {} recalibrations, p50 {} ns)",
                 row.engine,
                 row.ops_per_sec,
                 row.churn_secs,
                 row.warmup_secs,
-                row.recal_rebuild.count,
                 row.recal.count,
-                row.recal_rebuild.p50(),
+                row.recal.p50(),
             );
         }
 
@@ -568,8 +543,8 @@ fn main() {
     writeln!(json, "  \"available_parallelism\": {cores},").unwrap();
     writeln!(
         json,
-        "  \"config\": {{\"rounds\": {}, \"batch\": {}, \"singles\": {}, \"recal_every\": {}, \"jitter_levels\": {JITTER_LEVELS}, \"epsilon\": {}, \"seed\": {}, \"d\": {D}, \"rho\": {RHO}, \"workload\": \"table_i_equal_spike\"}},",
-        args.rounds, args.batch, args.singles, args.recal_every, args.epsilon, args.seed
+        "  \"config\": {{\"rounds\": {}, \"batch\": {}, \"singles\": {}, \"recal_every\": {}, \"jitter_levels\": {JITTER_LEVELS}, \"seed\": {}, \"d\": {D}, \"rho\": {RHO}, \"workload\": \"table_i_equal_spike\"}},",
+        args.rounds, args.batch, args.singles, args.recal_every, args.seed
     )
     .unwrap();
     push_section(&mut json, "admit", &rows, false);

@@ -572,7 +572,7 @@ impl Lcg {
 }
 
 /// `bursty online-replay --vms N [--pms M] [--ops K] [--batch-every B]
-/// [--batch-size S] [--recal-every R] [--epsilon E] [--pattern ..]
+/// [--batch-size S] [--recal-every R] [--pattern ..]
 /// [--d D] [--seed S] [--p-on P] [--p-off P] [--rho R] [--trace-out FILE]`
 ///
 /// Warms an [`OnlineCluster`] to an `N`-VM Table-I fleet, then replays a
@@ -595,7 +595,6 @@ pub fn online_replay(args: &[String], out: &mut dyn Write) -> Result<(), CliErro
             "batch-every",
             "batch-size",
             "recal-every",
-            "epsilon",
             "pattern",
             "d",
             "seed",
@@ -615,7 +614,6 @@ pub fn online_replay(args: &[String], out: &mut dyn Write) -> Result<(), CliErro
     let batch_every = args.get_usize("batch-every")?.unwrap_or(64);
     let batch_size = args.get_usize("batch-size")?.unwrap_or(32);
     let recal_every = args.get_usize("recal-every")?.unwrap_or(256);
-    let epsilon = args.get_f64("epsilon")?.unwrap_or(0.0);
     let d = args.get_usize("d")?.unwrap_or(16);
     if d == 0 {
         return Err(err("--d must be at least 1"));
@@ -642,8 +640,7 @@ pub fn online_replay(args: &[String], out: &mut dyn Write) -> Result<(), CliErro
         .filter(|r| r.pattern == pattern)
         .map(|r| (r.r_b.resource_units(), r.r_e.resource_units()))
         .collect();
-    let mut cluster =
-        OnlineCluster::new(pms, d, p_on, p_off, rho).with_recalibration_epsilon(epsilon);
+    let mut cluster = OnlineCluster::new(pms, d, p_on, p_off, rho);
     let mut rec = trace_out.map(|_| MemoryRecorder::new(65_536));
 
     let warm = cluster.arrive_batch_each(initial, &mut NoopRecorder, |_, _| {});
@@ -662,16 +659,12 @@ pub fn online_replay(args: &[String], out: &mut dyn Write) -> Result<(), CliErro
     let mut admit_hist = Log2Histogram::new(Log2Histogram::MAX_BUCKETS);
     let mut depart_hist = Log2Histogram::new(Log2Histogram::MAX_BUCKETS);
     let mut recals = 0usize;
-    let mut rebuilds = 0usize;
     let mut admissions = 0usize;
     let mut departures = 0usize;
     let start = std::time::Instant::now();
     for step in 0..ops as u64 {
         let t = step as usize;
         if recal_every > 0 && t % recal_every == recal_every - 1 {
-            let skipped_before = rec
-                .as_ref()
-                .map_or(0, |r| r.counter(Counter::OnlineRecalibrationsSkipped));
             let started = std::time::Instant::now();
             let pair = match rec.as_mut() {
                 Some(r) => cluster.recalibrate_recorded(r),
@@ -680,15 +673,8 @@ pub fn online_replay(args: &[String], out: &mut dyn Write) -> Result<(), CliErro
             let nanos = started.elapsed().as_nanos() as u64;
             recals += 1;
             if let (Some((p_on, p_off)), Some(r)) = (pair, rec.as_mut()) {
-                let rebuilt = r.counter(Counter::OnlineRecalibrationsSkipped) == skipped_before;
-                rebuilds += usize::from(rebuilt);
                 r.record_value(HistId::OnlineRecalibrateNanos, nanos);
-                r.record_event(Event::Recalibration {
-                    step,
-                    p_on,
-                    p_off,
-                    rebuilt,
-                });
+                r.record_event(Event::Recalibration { step, p_on, p_off });
             }
         } else if batch_every > 0 && t % batch_every == batch_every - 1 {
             let batch: Vec<VmSpec> = (0..batch_size)
@@ -771,7 +757,7 @@ pub fn online_replay(args: &[String], out: &mut dyn Write) -> Result<(), CliErro
     writeln!(
         out,
         "replayed {total} ops ({admissions} admissions, {departures} departures, \
-         {recals} recalibrations, {rebuilds} rebuilds) in {:.1} ms — {:.0} ops/s",
+         {recals} recalibrations) in {:.1} ms — {:.0} ops/s",
         elapsed * 1e3,
         total as f64 / elapsed,
     )?;
@@ -808,15 +794,12 @@ struct ServeFleet {
     p_on: f64,
     p_off: f64,
     rho: f64,
-    epsilon: f64,
     seed: u64,
     n: usize,
 }
 
 /// The flags [`serve_fleet`] reads, shared by `serve` and `serve-replay`.
-const SERVE_FLEET_FLAGS: [&str; 9] = [
-    "vms", "pms", "pattern", "d", "seed", "p-on", "p-off", "rho", "epsilon",
-];
+const SERVE_FLEET_FLAGS: [&str; 8] = ["vms", "pms", "pattern", "d", "seed", "p-on", "p-off", "rho"];
 
 fn serve_fleet(args: &Args) -> Result<ServeFleet, CliError> {
     let n = args.get_usize("vms")?.unwrap_or(0);
@@ -825,7 +808,6 @@ fn serve_fleet(args: &Args) -> Result<ServeFleet, CliError> {
     if d == 0 {
         return Err(err("--d must be at least 1"));
     }
-    let epsilon = args.get_f64("epsilon")?.unwrap_or(0.0);
     let seed = args.get_usize("seed")?.unwrap_or(42) as u64;
     let (p_on, p_off, rho) = probabilities(args)?;
     let pattern = match args.get_str("pattern") {
@@ -852,7 +834,6 @@ fn serve_fleet(args: &Args) -> Result<ServeFleet, CliError> {
         p_on,
         p_off,
         rho,
-        epsilon,
         seed,
         n,
     })
@@ -885,7 +866,6 @@ pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let mut config =
         bursty_server::ServerConfig::new(fleet.pms, fleet.d, fleet.p_on, fleet.p_off, fleet.rho);
     config.addr = addr.to_string();
-    config.epsilon = fleet.epsilon;
     config.workers = workers.max(1);
     config.snapshot_keep = snapshot_keep;
     config.pending_ttl = std::time::Duration::from_millis(pending_ttl_ms as u64);
@@ -949,8 +929,7 @@ pub fn serve_replay(args: &[String], out: &mut dyn Write) -> Result<(), CliError
     // The oracle: identical construction and warm-up to what
     // `bursty serve` did with the same flags, then the same churn
     // program engine-direct.
-    let mut engine = OnlineCluster::new(fleet.pms, fleet.d, fleet.p_on, fleet.p_off, fleet.rho)
-        .with_recalibration_epsilon(fleet.epsilon);
+    let mut engine = OnlineCluster::new(fleet.pms, fleet.d, fleet.p_on, fleet.p_off, fleet.rho);
     if !fleet.initial.is_empty() {
         engine.arrive_batch(fleet.initial).map_err(|e| {
             err(format!(

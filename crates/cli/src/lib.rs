@@ -118,18 +118,19 @@ USAGE:
       and finishes bit-identical to a run that never stopped (the
       printed digest line is the proof)
   bursty online-replay --vms <N> [--pms M] [--ops K] [--batch-every B]
-                  [--batch-size S] [--recal-every R] [--epsilon E]
+                  [--batch-size S] [--recal-every R]
                   [--pattern equal|small|large] [--d D] [--seed S]
                   [--p-on P] [--p-off P] [--rho R] [--trace-out FILE]
       warm the fleet-scale online admission engine to an N-VM Table-I
       fleet, then replay K seeded churn ops (single arrivals and
-      departures, a class-heavy batch every B ops, a recalibration
-      every R ops with epsilon-skip) and report sustained throughput
+      departures, a class-heavy batch every B ops, a recalibration —
+      a report of the hottest live class — every R ops; each PM is
+      priced by its own hottest chain) and report sustained throughput
       plus p50/p99 per-op latency; --trace-out dumps the admission/
       departure/recalibration journal and latency histograms as JSONL
   bursty serve [--addr HOST:PORT] [--vms N] [--pms M] [--pattern ...]
                   [--d D] [--seed S] [--p-on P] [--p-off P] [--rho R]
-                  [--epsilon E] [--workers W] [--pending-ttl-ms T]
+                  [--workers W] [--pending-ttl-ms T]
                   [--state-dir DIR [--restore] [--snapshot-keep K]]
       run the placement daemon: warm an N-VM Table-I fleet into the
       online engine, then serve admit/depart/recalibrate over HTTP

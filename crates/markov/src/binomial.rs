@@ -102,9 +102,24 @@ impl BinomialPmf {
         }
     }
 
-    /// The full PMF vector `[Pr[X=0], …, Pr[X=n]]`.
+    /// The full PMF vector `[Pr[X=0], …, Pr[X=n]]`, bit-identical to
+    /// [`Self::pmf`] at each `x`: the same terms, with each `ln x!` and the
+    /// two logarithms computed once instead of per term — `ln_gamma` was
+    /// most of a MapCal table build, and the online engines build one per
+    /// distinct switch probability they are offered.
     pub(crate) fn pmf_all(&self) -> Vec<f64> {
-        (0..=self.n).map(|x| self.pmf(x)).collect()
+        let n = self.n as usize;
+        if self.p == 0.0 || self.p == 1.0 || n == 0 {
+            return (0..=self.n).map(|x| self.pmf(x)).collect();
+        }
+        let ln_fact: Vec<f64> = (0..=n).map(|i| ln_gamma(i as f64 + 1.0)).collect();
+        let (ln_p, ln_q) = (self.p.ln(), (1.0 - self.p).ln());
+        (0..=n)
+            .map(|x| {
+                let ln_choose = ln_fact[n] - ln_fact[x] - ln_fact[n - x];
+                (ln_choose + x as f64 * ln_p + (n - x) as f64 * ln_q).exp()
+            })
+            .collect()
     }
 }
 
@@ -161,6 +176,17 @@ mod tests {
         let b = BinomialPmf::new(0, 0.42);
         assert_eq!(b.pmf(0), 1.0);
         assert_eq!(b.pmf(1), 0.0);
+    }
+
+    #[test]
+    fn pmf_all_is_pmf_bit_for_bit() {
+        for (n, p) in [(1, 0.5), (16, 0.1), (200, 0.37), (1100, 0.999), (3000, 0.5)] {
+            let b = BinomialPmf::new(n, p);
+            let all = b.pmf_all();
+            for (x, &v) in all.iter().enumerate() {
+                assert_eq!(v.to_bits(), b.pmf(x as u64).to_bits(), "n {n} p {p} x {x}");
+            }
+        }
     }
 
     #[test]

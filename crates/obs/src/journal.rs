@@ -104,15 +104,9 @@ pub enum Event {
     },
     /// A VM left the online cluster (`step` is the driver's op index).
     OnlineDeparture { step: u64, vm: usize, pm: usize },
-    /// An online recalibration re-rounded the switch probabilities;
-    /// `rebuilt` is false when the pair moved less than ε and the cached
-    /// mapping table was kept.
-    Recalibration {
-        step: u64,
-        p_on: f64,
-        p_off: f64,
-        rebuilt: bool,
-    },
+    /// An online recalibration reported the hottest live class's
+    /// switch probabilities.
+    Recalibration { step: u64, p_on: f64, p_off: f64 },
     /// The placement daemon wrote a fleet snapshot (`step` is the applied
     /// op count at the checkpoint seam, `bytes` the frame size).
     Snapshot { step: u64, bytes: usize },
@@ -297,14 +291,9 @@ impl Event {
                 "{{\"type\":\"online_departure\",\"step\":{},\"vm\":{},\"pm\":{}}}\n",
                 step, vm, pm
             ),
-            Event::Recalibration {
-                step,
-                p_on,
-                p_off,
-                rebuilt,
-            } => format!(
-                "{{\"type\":\"recalibration\",\"step\":{},\"p_on\":{},\"p_off\":{},\"rebuilt\":{}}}\n",
-                step, p_on, p_off, rebuilt
+            Event::Recalibration { step, p_on, p_off } => format!(
+                "{{\"type\":\"recalibration\",\"step\":{},\"p_on\":{},\"p_off\":{}}}\n",
+                step, p_on, p_off
             ),
             Event::Snapshot { step, bytes } => format!(
                 "{{\"type\":\"snapshot\",\"step\":{},\"bytes\":{}}}\n",
@@ -459,17 +448,11 @@ impl Event {
                 put_usize(buf, vm);
                 put_usize(buf, pm);
             }
-            Event::Recalibration {
-                step,
-                p_on,
-                p_off,
-                rebuilt,
-            } => {
+            Event::Recalibration { step, p_on, p_off } => {
                 put_u8(buf, 13);
                 put_u64(buf, step);
                 put_f64(buf, p_on);
                 put_f64(buf, p_off);
-                put_bool(buf, rebuilt);
             }
             Event::Snapshot { step, bytes } => {
                 put_u8(buf, 14);
@@ -573,7 +556,6 @@ impl Event {
                 step: c.u64()?,
                 p_on: c.f64()?,
                 p_off: c.f64()?,
-                rebuilt: c.boolean()?,
             },
             14 => Event::Snapshot {
                 step: c.u64()?,

@@ -82,9 +82,6 @@ pub enum Counter {
     DepartRebuildVisits,
     /// Online batch-arrival calls.
     OnlineBatches,
-    /// Recalibrations whose rounded pair moved less than ε, so the cached
-    /// mapping table was kept and no index rebuild happened.
-    OnlineRecalibrationsSkipped,
     /// Class-aggregated binomial draws answered from a memoized CDF
     /// table (see `sim::rng::binomial_table`).
     BinomialTableHits,
@@ -105,7 +102,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub(crate) const COUNT: usize = 39;
+    pub(crate) const COUNT: usize = 38;
 
     /// Stable snake_case name used in the JSONL meta record.
     pub fn name(self) -> &'static str {
@@ -141,7 +138,6 @@ impl Counter {
             Counter::OnlineRecalibrations => "online_recalibrations",
             Counter::DepartRebuildVisits => "depart_rebuild_visits",
             Counter::OnlineBatches => "online_batches",
-            Counter::OnlineRecalibrationsSkipped => "online_recalibrations_skipped",
             Counter::BinomialTableHits => "binomial_table_hits",
             Counter::BinomialTableMisses => "binomial_table_misses",
             Counter::BinomialTableEvictions => "binomial_table_evictions",
@@ -186,7 +182,6 @@ impl Counter {
             Counter::OnlineRecalibrations,
             Counter::DepartRebuildVisits,
             Counter::OnlineBatches,
-            Counter::OnlineRecalibrationsSkipped,
             Counter::BinomialTableHits,
             Counter::BinomialTableMisses,
             Counter::BinomialTableEvictions,

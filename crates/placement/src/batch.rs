@@ -263,7 +263,10 @@ impl RunPool for PlacementState {
         &mut self.index
     }
 
-    /// The load of PM `j`, materialized from the arrays.
+    /// The load of PM `j`, materialized from the arrays. The offline
+    /// strategies price every PM with one table and never read
+    /// [`PmLoad::max_pi`], so the arena keeps no array for it (nor a
+    /// field in its image): its loads report 0 there.
     fn load(&self, j: usize) -> PmLoad {
         if self.epoch[j] != self.generation {
             return PmLoad::empty();
@@ -273,6 +276,7 @@ impl RunPool for PlacementState {
             max_re: self.max_re[j],
             sum_rb: self.sum_rb[j],
             sum_rp: self.sum_rp[j],
+            max_pi: 0.0,
         }
     }
 

@@ -15,6 +15,19 @@ pub struct PmLoad {
     pub sum_rb: f64,
     /// Sum of peak demands (`Σ R_p`).
     pub sum_rp: f64,
+    /// The hottest hosted chain: the largest stationary ON probability
+    /// `π = p_on / (p_on + p_off)` among hosted VMs, 0 when empty. Only
+    /// the online engines' per-PM rule reads it; the offline arena keeps
+    /// no copy (see [`crate::PlacementState`]).
+    pub max_pi: f64,
+}
+
+/// A VM's stationary ON probability `π = p_on / (p_on + p_off)`, computed
+/// exactly as MapCal's closed form computes it, so equal `π` bits mean
+/// bit-identical mapping tables.
+#[inline]
+pub(crate) fn stationary_on(vm: &VmSpec) -> f64 {
+    vm.p_on / (vm.p_on + vm.p_off)
 }
 
 impl PmLoad {
@@ -38,6 +51,7 @@ impl PmLoad {
         self.max_re = self.max_re.max(vm.r_e);
         self.sum_rb += vm.r_b;
         self.sum_rp += vm.r_p();
+        self.max_pi = self.max_pi.max(stationary_on(vm));
     }
 
     /// The load after adding `vm` (non-mutating — used for feasibility
@@ -75,6 +89,7 @@ impl PmLoad {
             max_re: self.max_re.max(vm.r_e),
             sum_rb: self.sum_rb + c as f64 * vm.r_b,
             sum_rp: self.sum_rp + c as f64 * vm.r_p(),
+            max_pi: self.max_pi.max(stationary_on(vm)),
         }
     }
 
@@ -102,6 +117,9 @@ mod tests {
         assert_eq!(l.max_re, 8.0);
         assert_eq!(l.sum_rb, 14.0);
         assert_eq!(l.sum_rp, 27.0);
+        assert_eq!(l.max_pi, 0.01 / (0.01 + 0.09));
+        l.add(&VmSpec::new(2, 0.5, 0.5, 1.0, 1.0));
+        assert_eq!(l.max_pi, 0.5, "the hottest chain wins");
     }
 
     #[test]
@@ -132,6 +150,7 @@ mod tests {
         let folded = base.with(&v).with(&v).with(&v);
         assert_eq!(closed.count, folded.count);
         assert_eq!(closed.max_re, folded.max_re);
+        assert_eq!(closed.max_pi, folded.max_pi);
         assert!((closed.sum_rb - folded.sum_rb).abs() < 1e-12);
         assert!((closed.sum_rp - folded.sum_rp).abs() < 1e-12);
         assert_eq!(base.with_copies(&v, 0), base);

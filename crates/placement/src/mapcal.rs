@@ -343,4 +343,52 @@ mod proptests {
             }
         }
     }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The lemma the online engines' per-PM rule rests on, plus the
+        /// two monotonicities a packer assumes: `mapping(k)` does not
+        /// decrease as `π = p_on/(p_on+p_off)` grows (d, k, ρ fixed), does
+        /// not decrease as `k` grows, and does not increase as `ρ` grows.
+        /// `d` runs to 200 and past 1029, where `k` alone stops fitting the
+        /// stationary law's naive range (the PMF is log-space throughout).
+        #[test]
+        fn blocks_are_monotone_in_pi_k_and_rho(
+            which_d in 0usize..3,
+            a in (0.0f64..1.0, 0.0f64..1.0),
+            b in (0.0f64..1.0, 0.0f64..1.0),
+            rhos in (1e-5f64..0.5, 1e-5f64..0.5),
+        ) {
+            let d = [16, 200, 1100][which_d];
+            // Probabilities anywhere in (0, 1].
+            let (mut cool, mut hot) = ((1.0 - a.0, 1.0 - a.1), (1.0 - b.0, 1.0 - b.1));
+            let pi = |(p_on, p_off): (f64, f64)| p_on / (p_on + p_off);
+            if pi(cool) > pi(hot) {
+                std::mem::swap(&mut cool, &mut hot);
+            }
+            let (strict, loose) = (rhos.0.min(rhos.1), rhos.0.max(rhos.1));
+            let base = MappingTable::build(d, cool.0, cool.1, strict);
+            let hotter = MappingTable::build(d, hot.0, hot.1, strict);
+            let looser = MappingTable::build(d, cool.0, cool.1, loose);
+            for k in 0..=d {
+                let blocks = base.blocks_for(k);
+                prop_assert!(
+                    blocks <= hotter.blocks_for(k),
+                    "d {d}, k {k}: π {} needs {blocks} blocks, π {} only {}",
+                    pi(cool), pi(hot), hotter.blocks_for(k)
+                );
+                prop_assert!(
+                    looser.blocks_for(k) <= blocks,
+                    "d {d}, k {k}: ρ {loose} needs more blocks than ρ {strict}"
+                );
+                if k < d {
+                    prop_assert!(
+                        blocks <= base.blocks_for(k + 1),
+                        "d {d}: mapping({k}) > mapping({})", k + 1
+                    );
+                }
+            }
+        }
+    }
 }

@@ -65,8 +65,6 @@ pub struct ServerConfig {
     pub p_on: f64,
     pub p_off: f64,
     pub rho: f64,
-    /// Recalibration ε (see `OnlineCluster::with_recalibration_epsilon`).
-    pub epsilon: f64,
     /// Worker threads handling connections.
     pub workers: usize,
     /// Cap on a declared request body, in bytes.
@@ -98,7 +96,6 @@ impl ServerConfig {
             p_on,
             p_off,
             rho,
-            epsilon: 0.0,
             workers: 4,
             max_body: 1 << 20,
             journal_cap: 4096,
@@ -295,7 +292,6 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
         p_on,
         p_off,
         rho,
-        epsilon,
         workers,
         max_body,
         journal_cap,
@@ -338,7 +334,7 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
     let state = match state {
         Some(s) => s,
         None => {
-            let mut s = ClusterState::new(pms, d, p_on, p_off, rho, epsilon, journal_cap);
+            let mut s = ClusterState::new(pms, d, p_on, p_off, rho, 0.0, journal_cap);
             if !initial.is_empty() {
                 let warm = s
                     .cluster_mut()

@@ -62,8 +62,8 @@ const TEMPLATES: [(f64, f64); 3] = [(5.0, 5.0), (10.0, 10.0), (20.0, 20.0)];
 /// Expands `(seed, n_ops)` into a deterministic churn program:
 /// mostly single admits, a departure of a random live VM every third
 /// op, a 12-VM batch every 64 ops, a recalibration every 256. VM
-/// probabilities jitter around (0.01, 0.09) so recalibration has
-/// something to re-round. Ids start at `id_base` so a program can run
+/// probabilities jitter around (0.01, 0.09), so PMs are priced by
+/// different hottest chains. Ids start at `id_base` so a program can run
 /// against a pre-warmed fleet without colliding.
 pub fn build_program(seed: u64, n_ops: usize, id_base: usize) -> Program {
     let mut rng = Lcg::new(seed);

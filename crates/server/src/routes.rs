@@ -150,33 +150,10 @@ fn vm_from_json(v: &Json) -> Result<VmSpec, ServeError> {
     let p_off = require_f64(v, "p_off")?;
     let r_b = require_f64(v, "r_b")?;
     let r_e = require_f64(v, "r_e")?;
-    if !(p_on.is_finite() && p_on > 0.0 && p_on <= 1.0) {
-        return Err(ServeError::invalid_params(format!(
-            "vm {id}: p_on must lie in (0, 1], got {p_on}"
-        )));
-    }
-    if !(p_off.is_finite() && p_off > 0.0 && p_off <= 1.0) {
-        return Err(ServeError::invalid_params(format!(
-            "vm {id}: p_off must lie in (0, 1], got {p_off}"
-        )));
-    }
-    if !(r_b.is_finite() && r_b > 0.0) {
-        return Err(ServeError::invalid_params(format!(
-            "vm {id}: r_b must be positive, got {r_b}"
-        )));
-    }
-    if !(r_e.is_finite() && r_e >= 0.0) {
-        return Err(ServeError::invalid_params(format!(
-            "vm {id}: r_e must be non-negative, got {r_e}"
-        )));
-    }
-    Ok(VmSpec {
-        id,
-        p_on,
-        p_off,
-        r_b,
-        r_e,
-    })
+    // The parser admits finite numbers only, so the spec's own ranges are
+    // the whole check.
+    VmSpec::try_new(id, p_on, p_off, r_b, r_e)
+        .map_err(|e| ServeError::invalid_params(format!("vm {id}: {e}")))
 }
 
 fn require_f64(v: &Json, key: &str) -> Result<f64, ServeError> {

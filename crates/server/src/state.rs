@@ -56,18 +56,21 @@ pub struct ClusterState {
 }
 
 impl ClusterState {
+    /// A fresh daemon state over `pms` (see [`OnlineCluster::new`]).
+    /// `_epsilon` is ignored: it was the retired recalibration ε, and the
+    /// parameter stays only until the callers that pass it by position
+    /// are updated.
     pub fn new(
         pms: Vec<PmSpec>,
         d: usize,
         p_on: f64,
         p_off: f64,
         rho: f64,
-        epsilon: f64,
+        _epsilon: f64,
         journal_cap: usize,
     ) -> Self {
         Self {
-            cluster: OnlineCluster::new(pms, d, p_on, p_off, rho)
-                .with_recalibration_epsilon(epsilon),
+            cluster: OnlineCluster::new(pms, d, p_on, p_off, rho),
             recorder: MemoryRecorder::new(journal_cap),
             applied: 0,
         }
@@ -167,18 +170,12 @@ impl ClusterState {
             }
             Op::Recalibrate => {
                 self.applied += 1;
-                let skipped_before = self.recorder.counter(Counter::OnlineRecalibrationsSkipped);
                 match self.cluster.recalibrate_recorded(&mut self.recorder) {
-                    Some((p_on, p_off)) => {
-                        let skipped = self.recorder.counter(Counter::OnlineRecalibrationsSkipped)
-                            > skipped_before;
-                        Ok(obj(vec![
-                            ("p_on", Json::Num(p_on)),
-                            ("p_off", Json::Num(p_off)),
-                            ("rebuilt", Json::Bool(!skipped)),
-                            ("applied", Json::Num(self.applied as f64)),
-                        ]))
-                    }
+                    Some((p_on, p_off)) => Ok(obj(vec![
+                        ("p_on", Json::Num(p_on)),
+                        ("p_off", Json::Num(p_off)),
+                        ("applied", Json::Num(self.applied as f64)),
+                    ])),
                     None => Err(ServeError::conflict(
                         "empty_cluster",
                         "recalibration needs at least one placed vm",
@@ -637,7 +634,7 @@ mod tests {
             "pack_placed_vms 0\nbatch_placed_vms 0\nevac_probes 0\nevac_refusals 0\n",
             "online_arrivals 2\nonline_departures 1\nonline_recalibrations 0\n",
             "depart_rebuild_visits 0\nonline_batches 0\n",
-            "online_recalibrations_skipped 0\nbinomial_table_hits 0\n",
+            "binomial_table_hits 0\n",
             "binomial_table_misses 0\nbinomial_table_evictions 0\nserve_requests 4\n",
             "serve_bad_requests 7\nserve_snapshots 0\nserve_restores 0\n",
             "pms_used_at_pack 0\npeak_pms_used 0\nfinal_pms_used 0\nenergy_joules 0\n",

@@ -641,13 +641,14 @@ pub(crate) fn decode_state(
     if len != m {
         return Err(bad(format!("loads length {len}, pool has {m}")).into());
     }
-    let loads = (0..m)
+    let mut loads = (0..m)
         .map(|_| {
             Ok(PmLoad {
                 count: c.usize()?,
                 max_re: c.f64()?,
                 sum_rb: c.f64()?,
                 sum_rp: c.f64()?,
+                max_pi: 0.0,
             })
         })
         .collect::<Result<Vec<PmLoad>, FrameError>>()?;
@@ -690,6 +691,11 @@ pub(crate) fn decode_state(
             }
             _ => {}
         }
+    }
+    // The hottest chain is a pure max over the hosted set, so it is
+    // refolded here rather than carried in the image.
+    for (load, vs) in loads.iter_mut().zip(&hosted) {
+        load.max_pi = PmLoad::rebuild(vs.iter().map(|&i| &sim.vms[i])).max_pi;
     }
 
     let mut c = Cursor::new(section(SEC_DUAL)?);

@@ -29,6 +29,6 @@ pub use classes::{class_runs, distinct_classes, intern_classes, ClassRun, VmClas
 pub use fitting::{fit_trace, FitError, FittedModel};
 pub use fleet::{FleetGenerator, FleetOptions};
 pub use patterns::{SizeClass, TableIRow, WorkloadPattern, TABLE_I};
-pub use spec::{PmSpec, VmSpec};
+pub use spec::{PmSpec, SpecError, VmSpec};
 pub use trace::DemandTrace;
 pub use webserver::{WebServerOptions, WebServerWorkload};

@@ -1,6 +1,46 @@
 //! VM and PM specifications (paper Eq. 1–2).
 
 use bursty_markov::OnOffChain;
+use std::fmt;
+
+/// A spec field outside its range, as [`VmSpec::try_new`] and
+/// [`PmSpec::try_new`] refuse it. NaN is outside every range.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SpecError {
+    /// The field's name in the spec: `p_on`, `p_off`, `r_b`, `r_e` or
+    /// `capacity`.
+    pub field: &'static str,
+    /// The value refused.
+    pub value: f64,
+    /// The range it missed, worded for the message.
+    range: &'static str,
+}
+
+impl fmt::Display for SpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} must {}, got {}", self.field, self.range, self.value)
+    }
+}
+
+impl std::error::Error for SpecError {}
+
+/// `value` if `within`, else the error naming `field` and its `range`.
+fn checked(
+    field: &'static str,
+    value: f64,
+    within: bool,
+    range: &'static str,
+) -> Result<f64, SpecError> {
+    if within {
+        Ok(value)
+    } else {
+        Err(SpecError {
+            field,
+            value,
+            range,
+        })
+    }
+}
 
 /// A virtual machine's workload specification — the paper's four-tuple
 /// `V_i = (p_on, p_off, R_b, R_e)` (Eq. 1).
@@ -32,25 +72,33 @@ impl VmSpec {
     ///
     /// # Panics
     /// Panics if probabilities are outside `(0, 1]`, `r_b ≤ 0`, or
-    /// `r_e < 0` (a spike-free VM is allowed with `r_e = 0`).
+    /// `r_e < 0` (a spike-free VM is allowed with `r_e = 0`) — whatever
+    /// [`VmSpec::try_new`] refuses.
     pub fn new(id: usize, p_on: f64, p_off: f64, r_b: f64, r_e: f64) -> Self {
-        assert!(
-            p_on > 0.0 && p_on <= 1.0,
-            "p_on must be in (0,1], got {p_on}"
-        );
-        assert!(
-            p_off > 0.0 && p_off <= 1.0,
-            "p_off must be in (0,1], got {p_off}"
-        );
-        assert!(r_b > 0.0, "r_b must be positive, got {r_b}");
-        assert!(r_e >= 0.0, "r_e must be nonnegative, got {r_e}");
-        Self {
+        Self::try_new(id, p_on, p_off, r_b, r_e).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a validated spec, or names the first field (in the order
+    /// `p_on`, `p_off`, `r_b`, `r_e`) outside its range.
+    ///
+    /// # Errors
+    /// [`SpecError`] for a probability outside `(0, 1]`, `r_b ≤ 0` or
+    /// `r_e < 0`.
+    pub fn try_new(
+        id: usize,
+        p_on: f64,
+        p_off: f64,
+        r_b: f64,
+        r_e: f64,
+    ) -> Result<Self, SpecError> {
+        const PROBABILITY: &str = "lie in (0, 1]";
+        Ok(Self {
             id,
-            p_on,
-            p_off,
-            r_b,
-            r_e,
-        }
+            p_on: checked("p_on", p_on, p_on > 0.0 && p_on <= 1.0, PROBABILITY)?,
+            p_off: checked("p_off", p_off, p_off > 0.0 && p_off <= 1.0, PROBABILITY)?,
+            r_b: checked("r_b", r_b, r_b > 0.0, "be positive")?,
+            r_e: checked("r_e", r_e, r_e >= 0.0, "be non-negative")?,
+        })
     }
 
     /// Peak demand `R_p = R_b + R_e`.
@@ -95,10 +143,20 @@ impl PmSpec {
     /// Creates a validated spec.
     ///
     /// # Panics
-    /// Panics if `capacity ≤ 0`.
+    /// Panics if `capacity ≤ 0` — whatever [`PmSpec::try_new`] refuses.
     pub fn new(id: usize, capacity: f64) -> Self {
-        assert!(capacity > 0.0, "capacity must be positive, got {capacity}");
-        Self { id, capacity }
+        Self::try_new(id, capacity).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a validated spec.
+    ///
+    /// # Errors
+    /// [`SpecError`] if `capacity ≤ 0`.
+    pub fn try_new(id: usize, capacity: f64) -> Result<Self, SpecError> {
+        Ok(Self {
+            id,
+            capacity: checked("capacity", capacity, capacity > 0.0, "be positive")?,
+        })
     }
 }
 
@@ -156,6 +214,21 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn rejects_nonpositive_capacity() {
         let _ = PmSpec::new(0, 0.0);
+    }
+
+    #[test]
+    fn try_new_names_the_first_field_out_of_range() {
+        let field = |r: Result<VmSpec, SpecError>| r.unwrap_err().field;
+        assert_eq!(field(VmSpec::try_new(0, 0.0, 2.0, 0.0, -1.0)), "p_on");
+        assert_eq!(field(VmSpec::try_new(0, 0.1, f64::NAN, 0.0, 1.0)), "p_off");
+        assert_eq!(field(VmSpec::try_new(0, 0.1, 1.0, -2.0, 1.0)), "r_b");
+        assert_eq!(field(VmSpec::try_new(0, 1.0, 1.0, 1.0, -0.5)), "r_e");
+        let err = PmSpec::try_new(0, f64::NAN).unwrap_err();
+        assert_eq!(err.to_string(), "capacity must be positive, got NaN");
+        assert_eq!(
+            VmSpec::try_new(7, 0.01, 0.09, 10.0, 5.0),
+            Ok(VmSpec::new(7, 0.01, 0.09, 10.0, 5.0))
+        );
     }
 
     #[test]

@@ -3,12 +3,27 @@
 
 use bursty_core::placement::clustering::default_buckets;
 use bursty_core::placement::online::OnlineCluster;
+use bursty_core::placement::pm_cvr_exact;
 use bursty_core::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn pms(m: usize, cap: f64) -> Vec<PmSpec> {
     (0..m).map(|j| PmSpec::new(j, cap)).collect()
+}
+
+/// The largest exact stationary CVR over the PMs hosting `live`.
+fn worst_exact_cvr(online: &OnlineCluster, live: &[VmSpec], farm: &[PmSpec]) -> f64 {
+    let mut hosted: Vec<Vec<VmSpec>> = vec![Vec::new(); farm.len()];
+    for vm in live {
+        hosted[online.host_of(vm.id).expect("live VM is hosted")].push(*vm);
+    }
+    hosted
+        .iter()
+        .zip(farm)
+        .filter(|(vms, _)| !vms.is_empty())
+        .map(|(vms, pm)| pm_cvr_exact(vms, pm.capacity).expect("at most 2^20 spike sums"))
+        .fold(0.0, f64::max)
 }
 
 #[test]
@@ -37,21 +52,21 @@ fn sequential_arrivals_match_first_fit_without_sorting() {
     let mut gen = FleetGenerator::new(501);
     let vms = gen.vms(60, WorkloadPattern::SmallSpike);
     let farm = pms(120, 95.0);
-    let mut online = OnlineCluster::new(farm, 16, 0.01, 0.09, 0.01);
+    let mut online = OnlineCluster::new(farm.clone(), 16, 0.01, 0.09, 0.01);
     for vm in &vms {
         online.arrive(*vm).unwrap();
     }
     online.check_consistency().unwrap();
-    assert!(online.infeasible_pms().is_empty());
+    assert!(worst_exact_cvr(&online, &vms, &farm) <= 0.01 + 1e-9);
     assert_eq!(online.n_vms(), 60);
 }
 
 #[test]
 fn churn_preserves_feasibility_invariants() {
     let farm = pms(150, 90.0);
-    let mut online = OnlineCluster::new(farm, 16, 0.01, 0.09, 0.01);
+    let mut online = OnlineCluster::new(farm.clone(), 16, 0.01, 0.09, 0.01);
     let mut rng = StdRng::seed_from_u64(99);
-    let mut live: Vec<usize> = Vec::new();
+    let mut live: Vec<VmSpec> = Vec::new();
     let mut next_id = 0usize;
     for round in 0..400 {
         if rng.gen_bool(0.55) || live.is_empty() {
@@ -64,18 +79,19 @@ fn churn_preserves_feasibility_invariants() {
             );
             next_id += 1;
             if online.arrive(vm).is_ok() {
-                live.push(vm.id);
+                live.push(vm);
             }
         } else {
             let idx = rng.gen_range(0..live.len());
-            let id = live.swap_remove(idx);
+            let id = live.swap_remove(idx).id;
             assert!(online.depart(id).is_some());
         }
         if round % 50 == 0 {
             online.check_consistency().unwrap();
+            let worst = worst_exact_cvr(&online, &live, &farm);
             assert!(
-                online.infeasible_pms().is_empty(),
-                "round {round}: every admission respected Eq. 17"
+                worst <= 0.01 + 1e-9,
+                "round {round}: every admission respected Eq. 17, yet a PM is at {worst}"
             );
         }
     }
