@@ -32,19 +32,22 @@
 //! bit-identical; the bench always exits nonzero if hosts, loads or used-PM
 //! counts disagree. `--gate-speedup X` additionally requires the SoA
 //! engine's sustained churn throughput to beat the reference by at least
-//! `X`× at the largest fleet size. Rows are one per line, each led by the
-//! commit it was measured at (`--commit`, default `git describe --always
-//! --dirty`); `--before OLD.json` copies OLD's rows in front of this
-//! run's, which is how the checked-in file holds a parent and a change
-//! row per engine and fleet (copy this source into a clone of the parent
-//! commit and run it there first; it uses the public API only).
+//! `X`× at the largest fleet size. Rows of both sections (`admit`,
+//! `pairs`) are one per line, each led by the commit it was measured at
+//! (`--commit`, default `git describe --always --dirty`) and the host's
+//! `available_parallelism`; `--before OLD.json` copies OLD's rows of both
+//! in front of this run's, which is how the checked-in file holds a
+//! parent and a change row per engine and fleet (copy `crates/bench/src`
+//! into a clone of the parent commit and run it there first; it uses the
+//! public API only). A flag that is not declared above, given twice,
+//! without a value or with an unparsable one exits 2.
 
-use bursty_bench::quantile_ns;
+use bursty_bench::{quantile_ns, timed, write_report, Before, Flags, Obj, ToJson};
 use bursty_core::placement::PackError;
 use bursty_core::prelude::*;
+use bursty_server::Json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// The Table-I EqualSpike class templates churn arrivals are drawn from
@@ -263,36 +266,20 @@ impl LatencyStats {
     }
 }
 
-struct ChurnRow {
-    n: usize,
-    m: usize,
-    engine: &'static str,
-    warmup_secs: f64,
-    churn_secs: f64,
-    ops: u64,
-    ops_per_sec: f64,
-    admit: LatencyStats,
-    /// Whole batch arrivals, one sample each.
-    batch: LatencyStats,
-    depart: LatencyStats,
-    recal: LatencyStats,
-}
-
-/// Warms the engine to the initial fleet, replays the program with per-op
-/// timing, and returns the row plus the end-state digest.
+/// Warms the engine to the initial fleet and replays the program with
+/// per-op timing; returns the engine's `admit` row, its churn ops/sec and
+/// its end-state digest.
 fn run_engine(
+    commit: &str,
     mut engine: Engine,
     initial: Vec<VmSpec>,
     program: &Program,
     m: usize,
-) -> (ChurnRow, StateDigest) {
+) -> (Json, f64, StateDigest) {
     let n = initial.len();
     let name = engine.name();
-    let warm_start = Instant::now();
-    engine
-        .arrive_batch(initial)
-        .unwrap_or_else(|e| panic!("{name}: warm-up fleet does not fit (VM {})", e.vm_id));
-    let warmup_secs = warm_start.elapsed().as_secs_f64();
+    let (warmed, warmup_secs) = timed(|| engine.arrive_batch(initial));
+    warmed.unwrap_or_else(|e| panic!("{name}: warm-up fleet does not fit (VM {})", e.vm_id));
 
     let mut admit = LatencyStats::new();
     let mut batch = LatencyStats::new();
@@ -346,150 +333,75 @@ fn run_engine(
     let digest = engine.state_digest();
 
     let ops = program.admissions + program.departures + program.recalibrations;
-    let row = ChurnRow {
-        n,
-        m,
-        engine: name,
-        warmup_secs,
-        churn_secs,
-        ops,
-        ops_per_sec: ops as f64 / churn_secs,
-        admit,
-        batch,
-        depart,
-        recal,
-    };
-    (row, digest)
-}
-
-struct Args {
-    fleets: Vec<usize>,
-    rounds: usize,
-    batch: usize,
-    singles: usize,
-    recal_every: usize,
-    seed: u64,
-    out: String,
-    gate_speedup: Option<f64>,
-    before: Option<String>,
-    commit: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        fleets: vec![10_000, 100_000, 1_000_000],
-        rounds: 24,
-        batch: 512,
-        singles: 64,
-        recal_every: 1,
-        seed: 1,
-        out: "BENCH_admit.json".to_string(),
-        gate_speedup: None,
-        before: None,
-        commit: None,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    for pair in args.chunks(2) {
-        let [flag, value] = pair else {
-            eprintln!("{} wants a value", pair[0]);
-            std::process::exit(2);
-        };
-        match flag.as_str() {
-            "--fleets" => {
-                parsed.fleets = value
-                    .split(',')
-                    .map(|s| s.parse().expect("--fleets wants comma-separated sizes"))
-                    .collect();
-            }
-            "--rounds" => parsed.rounds = value.parse().expect("--rounds wants an integer"),
-            "--batch" => parsed.batch = value.parse().expect("--batch wants an integer"),
-            "--singles" => parsed.singles = value.parse().expect("--singles wants an integer"),
-            "--recal-every" => {
-                parsed.recal_every = value.parse().expect("--recal-every wants an integer");
-            }
-            "--seed" => parsed.seed = value.parse().expect("--seed wants an integer"),
-            "--out" => parsed.out = value.clone(),
-            "--gate-speedup" => {
-                parsed.gate_speedup = Some(value.parse().expect("--gate-speedup wants a float"));
-            }
-            "--before" => parsed.before = Some(value.clone()),
-            "--commit" => parsed.commit = Some(value.clone()),
-            other => {
-                eprintln!("unknown flag: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    parsed
-}
-
-/// One `admit` row, led by the commit it was measured at.
-fn row_json(commit: &str, row: &ChurnRow) -> String {
-    format!(
-        "{{\"commit\": \"{commit}\", \"n\": {}, \"m\": {}, \"engine\": \"{}\", \"warmup_secs\": {:.6}, \"churn_secs\": {:.6}, \"ops\": {}, \"ops_per_sec\": {:.1}, \"admissions\": {}, \"admissions_per_sec\": {:.1}, \"departures\": {}, \"departures_per_sec\": {:.1}, \"admit_p50_ns\": {}, \"admit_p99_ns\": {}, \"batch_p50_ns\": {}, \"depart_p50_ns\": {}, \"depart_p99_ns\": {}, \"recalibrations\": {}, \"recal_p50_ns\": {}, \"recal_p99_ns\": {}}}",
-        row.n,
-        row.m,
-        row.engine,
-        row.warmup_secs,
-        row.churn_secs,
-        row.ops,
-        row.ops_per_sec,
-        row.admit.count,
-        row.admit.per_sec(),
-        row.depart.count,
-        row.depart.per_sec(),
-        row.admit.p50(),
-        row.admit.p99(),
-        row.batch.p50(),
-        row.depart.p50(),
-        row.depart.p99(),
-        row.recal.count,
-        row.recal.p50(),
-        row.recal.p99(),
-    )
-}
-
-/// A JSON array of one-per-line rows under `key`.
-fn push_section(json: &mut String, key: &str, rows: &[String], last: bool) {
-    writeln!(json, "  \"{key}\": [").unwrap();
-    for (i, row) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        writeln!(json, "    {row}{sep}").unwrap();
-    }
-    writeln!(json, "  ]{}", if last { "" } else { "," }).unwrap();
+    let ops_per_sec = ops as f64 / churn_secs;
+    eprintln!(
+        "  {name:<9} {ops_per_sec:.0} ops/s (churn {churn_secs:.3}s, warm-up {warmup_secs:.3}s, \
+         {} recalibrations, p50 {} ns)",
+        recal.count,
+        recal.p50(),
+    );
+    let row = bursty_bench::row(commit)
+        .field("n", n)
+        .field("m", m)
+        .field("engine", name)
+        .field("warmup_secs", warmup_secs)
+        .field("churn_secs", churn_secs)
+        .field("ops", ops)
+        .field("ops_per_sec", ops_per_sec)
+        .field("admissions", admit.count)
+        .field("admissions_per_sec", admit.per_sec())
+        .field("departures", depart.count)
+        .field("departures_per_sec", depart.per_sec())
+        .field("admit_p50_ns", admit.p50())
+        .field("admit_p99_ns", admit.p99())
+        .field("batch_p50_ns", batch.p50())
+        .field("depart_p50_ns", depart.p50())
+        .field("depart_p99_ns", depart.p99())
+        .field("recalibrations", recal.count)
+        .field("recal_p50_ns", recal.p50())
+        .field("recal_p99_ns", recal.p99());
+    (row.to_json(), ops_per_sec, digest)
 }
 
 fn main() {
-    let args = parse_args();
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let commit = bursty_bench::commit_label(args.commit.clone());
+    let flags = Flags::from_env(&[
+        "fleets",
+        "rounds",
+        "batch",
+        "singles",
+        "recal-every",
+        "seed",
+        "out",
+        "gate-speedup",
+        "before",
+        "commit",
+    ]);
+    let fleets = flags
+        .list("fleets")
+        .unwrap_or_else(|| vec![10_000, 100_000, 1_000_000]);
+    let rounds: usize = flags.get("rounds").unwrap_or(24);
+    let batch: usize = flags.get("batch").unwrap_or(512);
+    let singles: usize = flags.get("singles").unwrap_or(64);
+    let recal_every: usize = flags.get("recal-every").unwrap_or(1);
+    let seed: u64 = flags.get("seed").unwrap_or(1);
+    let out: String = flags
+        .get("out")
+        .unwrap_or_else(|| "BENCH_admit.json".into());
+    let gate_speedup: Option<f64> = flags.get("gate-speedup");
+    let before = Before::load(flags.get::<String>("before").as_deref());
+    let commit = bursty_bench::commit_label(flags.get("commit"));
 
-    // One row per line, each led by its commit: `--before` re-reads
-    // exactly those lines of both sections.
-    let (mut rows, mut pairs) = match &args.before {
-        Some(path) => (
-            bursty_bench::section_rows_led_by_commit(path, "admit"),
-            bursty_bench::section_rows_led_by_commit(path, "pairs"),
-        ),
-        None => (Vec::new(), Vec::new()),
-    };
+    let (mut rows, mut pairs) = (before.rows("admit"), before.rows("pairs"));
     let mut disagreed = false;
     let mut last_speedup: Option<(usize, f64)> = None;
 
-    for &n in &args.fleets {
+    for &n in &fleets {
         let m = (n / 4).max(64);
-        let mut gen = FleetGenerator::new(args.seed.wrapping_add(n as u64));
+        let mut gen = FleetGenerator::new(seed.wrapping_add(n as u64));
         let initial = gen.vms_table_i(n, WorkloadPattern::EqualSpike);
         let pms = gen.pms(m);
-        let mut rng = StdRng::seed_from_u64(args.seed ^ 0x9e37_79b9_7f4a_7c15);
-        let program = build_program(
-            n,
-            args.rounds,
-            args.batch,
-            args.singles,
-            args.recal_every,
-            &mut rng,
-        );
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+        let program = build_program(n, rounds, batch, singles, recal_every, &mut rng);
 
         eprintln!(
             "admit-bench: n={n} m={m} ops={} ({} admissions, {} departures, {} recalibrations)",
@@ -508,57 +420,47 @@ fn main() {
             P_OFF,
             RHO,
         ));
-        let (ref_row, ref_digest) = run_engine(reference, initial.clone(), &program, m);
+        let (ref_row, ref_ops_per_sec, ref_digest) =
+            run_engine(&commit, reference, initial.clone(), &program, m);
         let soa = Engine::Soa(OnlineCluster::new(pms, D, P_ON, P_OFF, RHO));
-        let (soa_row, soa_digest) = run_engine(soa, initial, &program, m);
-        for row in [&ref_row, &soa_row] {
-            eprintln!(
-                "  {:<9} {:.0} ops/s (churn {:.3}s, warm-up {:.3}s, {} recalibrations, p50 {} ns)",
-                row.engine,
-                row.ops_per_sec,
-                row.churn_secs,
-                row.warmup_secs,
-                row.recal.count,
-                row.recal.p50(),
-            );
-        }
+        let (soa_row, soa_ops_per_sec, soa_digest) = run_engine(&commit, soa, initial, &program, m);
 
         let agree = ref_digest == soa_digest;
         if !agree {
             eprintln!("  DISAGREEMENT at n={n}: reference {ref_digest:?} vs soa {soa_digest:?}");
             disagreed = true;
         }
-        let speedup = soa_row.ops_per_sec / ref_row.ops_per_sec;
+        let speedup = soa_ops_per_sec / ref_ops_per_sec;
         last_speedup = Some((n, speedup));
-        pairs.push(format!(
-            "{{\"commit\": \"{commit}\", \"n\": {n}, \"speedup\": {speedup:.2}, \"agreement\": {agree}}}"
-        ));
-        rows.push(row_json(&commit, &ref_row));
-        rows.push(row_json(&commit, &soa_row));
+        let pair = bursty_bench::row(&commit)
+            .field("n", n)
+            .field("speedup", speedup)
+            .field("agreement", agree);
+        pairs.push(pair.to_json());
+        rows.extend([ref_row, soa_row]);
     }
 
-    let mut json = String::new();
-    writeln!(json, "{{").unwrap();
-    writeln!(json, "  \"generated_by\": \"admit-bench\",").unwrap();
-    writeln!(json, "  \"available_parallelism\": {cores},").unwrap();
-    writeln!(
-        json,
-        "  \"config\": {{\"rounds\": {}, \"batch\": {}, \"singles\": {}, \"recal_every\": {}, \"jitter_levels\": {JITTER_LEVELS}, \"seed\": {}, \"d\": {D}, \"rho\": {RHO}, \"workload\": \"table_i_equal_spike\"}},",
-        args.rounds, args.batch, args.singles, args.recal_every, args.seed
-    )
-    .unwrap();
-    push_section(&mut json, "admit", &rows, false);
-    push_section(&mut json, "pairs", &pairs, true);
-    writeln!(json, "}}").unwrap();
-
-    std::fs::write(&args.out, &json).expect("write benchmark JSON");
-    eprintln!("admit-bench: wrote {}", args.out);
+    let config = Obj::default()
+        .field("rounds", rounds)
+        .field("batch", batch)
+        .field("singles", singles)
+        .field("recal_every", recal_every)
+        .field("jitter_levels", JITTER_LEVELS)
+        .field("seed", seed)
+        .field("d", D)
+        .field("rho", RHO)
+        .field("workload", "table_i_equal_spike");
+    let report = bursty_bench::report("admit-bench")
+        .field("config", config)
+        .field("admit", rows)
+        .field("pairs", pairs);
+    write_report(&out, report);
 
     if disagreed {
         eprintln!("admit-bench: FAIL — engines disagreed on at least one fleet size");
         std::process::exit(1);
     }
-    if let (Some(gate), Some((n, ratio))) = (args.gate_speedup, last_speedup) {
+    if let (Some(gate), Some((n, ratio))) = (gate_speedup, last_speedup) {
         if ratio < gate {
             eprintln!(
                 "admit-bench: FAIL — churn speedup {ratio:.2}x at n={n} below the {gate}x gate"

@@ -52,13 +52,16 @@
 //! beside its min/median/max. The binary exits nonzero if two repeats of
 //! a point disagree on the outcome digest.
 //!
-//! Engine, paper-density, sweep and cell-kernel rows carry the commit they
-//! were measured at (`--commit`, default `git describe --always --dirty`).
-//! `--before PATH` copies an earlier output file's paper-density, sweep
-//! and cell-kernel rows and the engine rows of the layouts this run
-//! measures in front of this run's, which
-//! is how the checked-in file carries before/after pairs: this source
-//! builds against the parent commit too (it uses the public API only).
+//! Every row of a section (`engine`, `paper_density`, `shared_flip_sweep`,
+//! `paired`, `cell_kernel`) is led by the commit it was measured at
+//! (`--commit`, default `git describe --always --dirty`) and the host's
+//! `available_parallelism`. `--before PATH` copies an earlier output
+//! file's paper-density, sweep, paired and cell-kernel rows and the
+//! engine rows of the layouts this run measures in front of this run's,
+//! which is how the checked-in file carries before/after pairs:
+//! `crates/bench/src` copied into a clone of the parent commit builds
+//! there too (it uses the public API only). A flag that is not declared
+//! above, given twice, without a value or with an unparsable one exits 2.
 //!
 //! `--pair-against BINARY` adds the `paired` section: this binary and
 //! `BINARY` (this source built at another commit, named by
@@ -69,58 +72,14 @@
 //! quartiles per side, the pairs this side won, and — the binary exits
 //! nonzero otherwise — one outcome digest across all `2·P` children.
 
-use bursty_bench::quartiles;
+use bursty_bench::{best_secs, quartiles, row, timed, write_report, Before, Flags, Obj, ToJson};
 use bursty_core::prelude::*;
 use bursty_core::sim::bench_api::{class_occupancy, ClassCoreBench};
 use bursty_core::sim::rng::{class_cell_key, class_hash, keyed_binomial};
 use bursty_core::workload::classes::VmClass;
+use bursty_server::Json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
-use std::time::Instant;
-
-struct EngineRow {
-    n: usize,
-    layout: &'static str,
-    secs: f64,
-    steps_per_sec: f64,
-    vm_steps_per_sec: f64,
-    /// `(occupied cells, cells touched per step, mean VMs per cell)` —
-    /// present on class-heavy rows only, where the kernel's cost scales
-    /// with cells rather than fleet size.
-    occupancy: Option<(usize, f64, f64)>,
-}
-
-/// One paper-density measurement (see the module docs).
-struct PaperRow {
-    n: usize,
-    m: usize,
-    pms_used: usize,
-    /// `(migrations, energy bits, violation steps)`, equal across repeats.
-    digest: (usize, u64, usize),
-    changed_cells_per_step: f64,
-    dirty_pms_per_step: f64,
-    repeats: usize,
-    secs_min: f64,
-    secs_median: f64,
-    secs_max: f64,
-    active_pm_steps: f64,
-    kernel_secs: f64,
-}
-
-/// One `shared_flip_sweep` measurement (see the module docs).
-struct SweepRow {
-    p_on: f64,
-    p_off: f64,
-    repeats: usize,
-    secs_min: f64,
-    secs_median: f64,
-    secs_max: f64,
-    flips_per_step: f64,
-    dirty_pms_per_step: f64,
-    /// `(migrations, energy bits, violation steps)`, equal across repeats.
-    digest: (usize, u64, usize),
-}
 
 /// Fleet of the flip sweep: `plan_traces`' size and host density.
 const SWEEP_VMS: usize = 4000;
@@ -140,105 +99,6 @@ const PAPER_STEPS: usize = 200;
 /// The paper-density rows never report fewer repeats than this.
 const PAPER_MIN_REPEATS: usize = 5;
 
-struct Args {
-    steps: usize,
-    fleets: Vec<usize>,
-    class_fleets: Option<Vec<usize>>,
-    repeats: usize,
-    mapcal_d: usize,
-    out: String,
-    obs_gate: Option<f64>,
-    class_gate: Option<f64>,
-    paper_fleets: Vec<usize>,
-    sweep_steps: usize,
-    before: Option<String>,
-    commit: Option<String>,
-    /// `(other binary, its commit label, pairs)`.
-    pair: Option<(String, String, usize)>,
-}
-
-/// A comma-separated list of fleet sizes.
-fn parse_sizes(value: &str, flag: &str) -> Vec<usize> {
-    value
-        .split(',')
-        .map(|s| s.trim().parse().expect(flag))
-        .collect()
-}
-
-fn parse_args() -> Args {
-    let mut steps = 200usize;
-    let mut fleets = vec![800usize];
-    let mut class_fleets: Option<Vec<usize>> = None;
-    let mut repeats = 3usize;
-    let mut mapcal_d = 200usize;
-    let mut out = "BENCH_engine.json".to_string();
-    let mut obs_gate: Option<f64> = None;
-    let mut class_gate: Option<f64> = None;
-    let mut paper_fleets: Vec<usize> = Vec::new();
-    let mut sweep_steps = 20_000usize;
-    let mut before: Option<String> = None;
-    let mut commit: Option<String> = None;
-    let (mut pair_against, mut pair_label, mut pairs) = (None, None, 10usize);
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = args.get(i + 1).unwrap_or_else(|| {
-            eprintln!("missing value for {}", args[i]);
-            std::process::exit(2);
-        });
-        match args[i].as_str() {
-            "--steps" => steps = value.parse().expect("--steps"),
-            "--fleets" => fleets = parse_sizes(value, "--fleets"),
-            "--class-fleets" => class_fleets = Some(parse_sizes(value, "--class-fleets")),
-            "--repeats" => repeats = value.parse().expect("--repeats"),
-            "--mapcal-d" => mapcal_d = value.parse().expect("--mapcal-d"),
-            "--out" => out = value.clone(),
-            "--obs-gate" => obs_gate = Some(value.parse().expect("--obs-gate")),
-            "--class-gate" => class_gate = Some(value.parse().expect("--class-gate")),
-            "--paper-fleets" => paper_fleets = parse_sizes(value, "--paper-fleets"),
-            "--sweep-steps" => sweep_steps = value.parse().expect("--sweep-steps"),
-            "--before" => before = Some(value.clone()),
-            "--commit" => commit = Some(value.clone()),
-            "--pair-against" => pair_against = Some(value.clone()),
-            "--pair-label" => pair_label = Some(value.clone()),
-            "--pairs" => pairs = value.parse().expect("--pairs"),
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 2;
-    }
-    Args {
-        steps,
-        fleets,
-        class_fleets,
-        repeats: repeats.max(1),
-        mapcal_d,
-        out,
-        obs_gate,
-        class_gate,
-        paper_fleets,
-        sweep_steps,
-        before,
-        commit,
-        pair: pair_against.map(|bin| {
-            let label = pair_label.expect("--pair-against needs --pair-label");
-            (bin, label, pairs.max(1))
-        }),
-    }
-}
-
-fn best_secs<R>(repeats: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
 /// `(migrations, energy bits, violation steps)`: what two repeats of one
 /// seeded run must agree on.
 fn outcome_digest(out: &SimOutcome) -> (usize, u64, usize) {
@@ -249,10 +109,38 @@ fn outcome_digest(out: &SimOutcome) -> (usize, u64, usize) {
     )
 }
 
-/// `(min, median, max)` of a row's repeat timings.
-fn min_median_max(mut secs: Vec<f64>) -> (f64, f64, f64) {
-    secs.sort_by(f64::total_cmp);
-    (secs[0], secs[secs.len() / 2], secs[secs.len() - 1])
+/// Times `repeats` runs of one seeded simulation and returns each run's
+/// seconds and the last run's outcome; exits nonzero when two runs
+/// disagree on the outcome digest.
+fn repeated_runs(
+    what: &str,
+    repeats: usize,
+    mut run: impl FnMut() -> SimOutcome,
+) -> (Vec<f64>, SimOutcome) {
+    let mut runs: Vec<(SimOutcome, f64)> = (0..repeats).map(|_| timed(&mut run)).collect();
+    let digests: Vec<_> = runs.iter().map(|(out, _)| outcome_digest(out)).collect();
+    if digests.iter().any(|d| *d != digests[0]) {
+        eprintln!("FAIL: {what}: repeats disagree on the digest: {digests:?}");
+        std::process::exit(1);
+    }
+    let secs = runs.iter().map(|(_, s)| *s).collect();
+    (secs, runs.pop().expect("at least one repeat").0)
+}
+
+/// A row's repeat count and the min / median / max of its timings; its
+/// rates come from the median.
+fn with_timings(row: Obj, secs: &[f64]) -> Obj {
+    let (min, max) = (f64::min, f64::max);
+    row.field("repeats", secs.len())
+        .field("secs_min", secs.iter().copied().fold(f64::INFINITY, min))
+        .field("secs_median", quartiles(secs)[1])
+        .field("secs_max", secs.iter().copied().fold(0.0, max))
+        .field("rates_from", "secs_median")
+}
+
+/// The digest's energy bits as a row writes them.
+fn energy_hex(bits: u64) -> String {
+    format!("{bits:016x}")
 }
 
 /// `(cells whose ON count moved, distinct PMs hosting one)` per step of
@@ -308,7 +196,7 @@ fn class_event_rates(
 
 /// One paper-density row at fleet size `n`; exits nonzero when two
 /// repeats of the same seeded run disagree on the outcome digest.
-fn paper_row(n: usize, repeats: usize) -> PaperRow {
+fn paper_row(commit: &str, n: usize, repeats: usize) -> Json {
     let mut gen = FleetGenerator::new(1);
     let vms = gen.vms_table_i(n, WorkloadPattern::EqualSpike);
     let pms = gen.pms((n / 4).max(1));
@@ -325,21 +213,12 @@ fn paper_row(n: usize, repeats: usize) -> PaperRow {
         ..Default::default()
     };
     let repeats = repeats.max(PAPER_MIN_REPEATS);
-    let mut secs: Vec<f64> = Vec::with_capacity(repeats);
-    let mut digests: Vec<(usize, u64, usize)> = Vec::with_capacity(repeats);
-    let mut active_pm_steps = 0.0;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        let out = consolidator.simulate(&vms, &pms, &placement, cfg);
-        secs.push(start.elapsed().as_secs_f64());
-        digests.push(outcome_digest(&out));
-        active_pm_steps = out.pms_used_series.values.iter().sum();
-    }
-    if digests.iter().any(|d| *d != digests[0]) {
-        eprintln!("FAIL: paper-density n={n}: repeats disagree on the digest: {digests:?}");
-        std::process::exit(1);
-    }
-    let (secs_min, secs_median, secs_max) = min_median_max(secs);
+    let (secs, out) = repeated_runs(&format!("paper-density n={n}"), repeats, || {
+        consolidator.simulate(&vms, &pms, &placement, cfg)
+    });
+    let (migrations, energy_bits, violation_steps) = outcome_digest(&out);
+    let active_pm_steps: f64 = out.pms_used_series.values.iter().sum();
+    let median = quartiles(&secs)[1];
     // The cell kernel alone over the same placement and horizon: what is
     // left of the run is controller, bookkeeping and set-up.
     let mut kernel = ClassCoreBench::new(&vms, pms.len(), &placement.assignment, 1, 1, true);
@@ -352,25 +231,41 @@ fn paper_row(n: usize, repeats: usize) -> PaperRow {
     });
     let (changed_cells_per_step, dirty_pms_per_step) =
         class_event_rates(&vms, &placement.assignment, 1, PAPER_STEPS);
-    PaperRow {
-        n,
-        m: pms.len(),
-        pms_used: placement.pms_used(),
-        digest: digests[0],
-        changed_cells_per_step,
-        dirty_pms_per_step,
-        repeats,
-        secs_min,
-        secs_median,
-        secs_max,
-        active_pm_steps,
-        kernel_secs,
-    }
+    let over_pms_per_step = violation_steps as f64 / PAPER_STEPS as f64;
+    let vm_steps_per_sec = (PAPER_STEPS * n) as f64 / median;
+    eprintln!(
+        "  paper density n={n} m={}: {} PMs used, {migrations} migrations, {median:.4}s median \
+         of {repeats} ({vm_steps_per_sec:.3e} vm·steps/s, kernel share {:.2}, controller \
+         {:.4}s), {changed_cells_per_step:.1} changed cells, {dirty_pms_per_step:.1} dirty PMs \
+         and {over_pms_per_step:.1} PMs over capacity per step",
+        pms.len(),
+        placement.pms_used(),
+        kernel_secs / median,
+        median - kernel_secs,
+    );
+    let row = row(commit)
+        .field("n", n)
+        .field("m", pms.len())
+        .field("pms_used", placement.pms_used())
+        .field("steps", PAPER_STEPS)
+        .field("migrations", migrations);
+    with_timings(row, &secs)
+        .field("vm_steps_per_sec", vm_steps_per_sec)
+        .field("ns_per_pm_step", median * 1e9 / active_pm_steps)
+        .field("kernel_secs", kernel_secs)
+        .field("kernel_share", kernel_secs / median)
+        .field("controller_s", median - kernel_secs)
+        .field("changed_cells_per_step", changed_cells_per_step)
+        .field("dirty_pms_per_step", dirty_pms_per_step)
+        .field("over_pms_per_step", over_pms_per_step)
+        .field("energy_bits", energy_hex(energy_bits))
+        .field("violation_steps", violation_steps)
+        .to_json()
 }
 
 /// One flip-sweep row at `(p_on, p_off)`; exits nonzero when two
 /// repeats of the same seeded run disagree on the outcome digest.
-fn sweep_row(p_on: f64, p_off: f64, steps: usize, repeats: usize) -> SweepRow {
+fn sweep_row(commit: &str, p_on: f64, p_off: f64, steps: usize, repeats: usize) -> Json {
     let n = SWEEP_VMS;
     // Demand 10 OFF, 20 ON on capacity 75: a PM violates only with all
     // four tenants ON, so the violation count moves with the point.
@@ -392,22 +287,11 @@ fn sweep_row(p_on: f64, p_off: f64, steps: usize, repeats: usize) -> SweepRow {
         rng_layout: RngLayout::Shared,
         ..Default::default()
     };
-    let repeats = repeats.max(SWEEP_MIN_REPEATS);
-    let mut secs: Vec<f64> = Vec::with_capacity(repeats);
-    let mut digests: Vec<(usize, u64, usize)> = Vec::with_capacity(repeats);
-    for _ in 0..repeats {
-        let start = Instant::now();
-        let out = consolidator.simulate(&vms, &pms, &placement, cfg);
-        secs.push(start.elapsed().as_secs_f64());
-        digests.push(outcome_digest(&out));
-    }
-    if digests.iter().any(|d| *d != digests[0]) {
-        eprintln!(
-            "FAIL: flip sweep ({p_on}, {p_off}): repeats disagree on the digest: {digests:?}"
-        );
-        std::process::exit(1);
-    }
-    let (secs_min, secs_median, secs_max) = min_median_max(secs);
+    let what = format!("flip sweep ({p_on}, {p_off})");
+    let (secs, out) = repeated_runs(&what, repeats.max(SWEEP_MIN_REPEATS), || {
+        consolidator.simulate(&vms, &pms, &placement, cfg)
+    });
+    let (migrations, energy_bits, violation_steps) = outcome_digest(&out);
     // The same chains off the same stream (the shared layout draws once
     // per VM per step, in VM order), counted: VMs that switched state,
     // and distinct PMs hosting one.
@@ -428,25 +312,31 @@ fn sweep_row(p_on: f64, p_off: f64, steps: usize, repeats: usize) -> SweepRow {
             }
         }
     }
-    SweepRow {
-        p_on,
-        p_off,
-        repeats,
-        secs_min,
-        secs_median,
-        secs_max,
-        flips_per_step: flips as f64 / steps as f64,
-        dirty_pms_per_step: dirty_pms as f64 / steps as f64,
-        digest: digests[0],
-    }
-}
-
-/// The value of `"name": value` in a one-line JSON row.
-fn field<'a>(row: &'a str, name: &str) -> &'a str {
-    let open = format!("\"{name}\": ");
-    let from = row.find(&open).expect("row has the field") + open.len();
-    let len = row[from..].find([',', '}']).expect("field ends");
-    &row[from..from + len]
+    let median = quartiles(&secs)[1];
+    let (flips_per_step, dirty_pms_per_step) =
+        (flips as f64 / steps as f64, dirty_pms as f64 / steps as f64);
+    let vm_steps_per_sec = (steps * n) as f64 / median;
+    eprintln!(
+        "  {what}: {median:.4}s median of {} ({vm_steps_per_sec:.3e} vm·steps/s), \
+         {flips_per_step:.1} flips and {dirty_pms_per_step:.1} dirty PMs per step",
+        secs.len()
+    );
+    let row = row(commit)
+        .field("n", n)
+        .field("m", n)
+        .field("pms_used", n / SWEEP_VMS_PER_PM)
+        .field("steps", steps)
+        .field("p_on", p_on)
+        .field("p_off", p_off);
+    with_timings(row, &secs)
+        .field("vm_steps_per_sec", vm_steps_per_sec)
+        .field("us_per_step", median * 1e6 / steps as f64)
+        .field("flips_per_step", flips_per_step)
+        .field("dirty_pms_per_step", dirty_pms_per_step)
+        .field("migrations", migrations)
+        .field("energy_bits", energy_hex(energy_bits))
+        .field("violation_steps", violation_steps)
+        .to_json()
 }
 
 /// The `paired` rows (module docs): this binary against `other`,
@@ -456,7 +346,7 @@ fn paired_rows(
     (other, other_label, pairs): &(String, String, usize),
     paper_fleets: &[usize],
     sweep_steps: usize,
-) -> Vec<String> {
+) -> Vec<Json> {
     let bins = [
         std::env::current_exe().expect("own path"),
         other.as_str().into(),
@@ -471,9 +361,9 @@ fn paired_rows(
         let sizes: Vec<String> = paper_fleets.iter().map(usize::to_string).collect();
         child_args += &format!(" --paper-fleets {}", sizes.join(","));
     }
-    // Measurement → (per-side child timings in pair order, digests seen).
-    type Sides = ([Vec<f64>; 2], Vec<String>);
-    let mut measured: std::collections::BTreeMap<String, Sides> = Default::default();
+    // Per measurement (its section and point, in first-seen order): the
+    // per-side child timings in pair order and the digests seen.
+    let mut measured: Vec<(Json, [Vec<f64>; 2], Vec<Json>)> = Vec::new();
     for pair in 0..*pairs {
         for side in if pair % 2 == 0 { [0, 1] } else { [1, 0] } {
             let status = std::process::Command::new(&bins[side])
@@ -483,24 +373,27 @@ fn paired_rows(
                 .status()
                 .expect("spawn the paired binary");
             assert!(status.success(), "{:?} failed", bins[side]);
-            for section in ["paper_density", "shared_flip_sweep"] {
-                for row in bursty_bench::section_rows_led_by_commit(tmp, section) {
-                    let what = if section == "paper_density" {
-                        format!("\"n\": {}", field(&row, "n"))
-                    } else {
-                        let (p_on, p_off) = (field(&row, "p_on"), field(&row, "p_off"));
-                        format!("\"p_on\": {p_on}, \"p_off\": {p_off}")
+            let child = Before::load(Some(tmp));
+            for (section, point) in [
+                ("paper_density", &["n"][..]),
+                ("shared_flip_sweep", &["p_on", "p_off"][..]),
+            ] {
+                for row in child.rows(section) {
+                    let field = |key: &str| row.get(key).cloned().unwrap_or(Json::Null);
+                    let mut what = vec![("section".to_string(), section.to_json())];
+                    what.extend(point.iter().map(|&key| (key.to_string(), field(key))));
+                    let what = Json::Obj(what);
+                    let at = match measured.iter().position(|m| m.0 == what) {
+                        Some(at) => at,
+                        None => {
+                            measured.push((what, Default::default(), Vec::new()));
+                            measured.len() - 1
+                        }
                     };
-                    let entry = measured
-                        .entry(format!("\"section\": \"{section}\", {what}"))
-                        .or_default();
-                    entry.0[side].push(field(&row, "secs_median").parse().expect("seconds"));
-                    entry.1.push(format!(
-                        "{} {} {}",
-                        field(&row, "migrations"),
-                        field(&row, "energy_bits"),
-                        field(&row, "violation_steps")
-                    ));
+                    let secs = field("secs_median").as_f64().expect("seconds");
+                    measured[at].1[side].push(secs);
+                    let digest = ["migrations", "energy_bits", "violation_steps"].map(field);
+                    measured[at].2.push(Json::Arr(digest.to_vec()));
                 }
             }
         }
@@ -509,66 +402,99 @@ fn paired_rows(
     let _ = std::fs::remove_file(tmp);
     measured
         .into_iter()
-        .map(|(what, ([ours, theirs], digests))| {
+        .map(|(what, [ours, theirs], digests)| {
+            let name = what.encode();
             if digests.iter().any(|d| *d != digests[0]) {
-                eprintln!("FAIL: paired {what}: children disagree on the digest: {digests:?}");
+                eprintln!("FAIL: paired {name}: children disagree on the digest: {digests:?}");
                 std::process::exit(1);
             }
             let won = ours.iter().zip(&theirs).filter(|(a, b)| a < b).count();
             let (q, against_q) = (quartiles(&ours), quartiles(&theirs));
+            let speedup = against_q[1] / q[1];
             eprintln!(
-                "  paired {what}: {:.4} [{:.4}, {:.4}] s against {:.4} [{:.4}, {:.4}] s \
-                 ({:.2}x), {won} of {pairs} pairs",
-                q[1],
-                q[0],
-                q[2],
-                against_q[1],
-                against_q[0],
-                against_q[2],
-                against_q[1] / q[1]
+                "  paired {name}: {:.4} [{:.4}, {:.4}] s against {:.4} [{:.4}, {:.4}] s \
+                 ({speedup:.2}x), {won} of {pairs} pairs",
+                q[1], q[0], q[2], against_q[1], against_q[0], against_q[2],
             );
-            format!(
-                "{{\"commit\": \"{commit}\", \"against\": \"{other_label}\", {what}, \
-                 \"pairs\": {pairs}, \"pairs_won\": {won}, \
-                 \"secs_q1_median_q3\": [{:.6}, {:.6}, {:.6}], \
-                 \"against_secs_q1_median_q3\": [{:.6}, {:.6}, {:.6}], \
-                 \"speedup\": {:.3}, \"digests_identical\": true}}",
-                q[0],
-                q[1],
-                q[2],
-                against_q[0],
-                against_q[1],
-                against_q[2],
-                against_q[1] / q[1]
-            )
+            let mut row = row(commit).field("against", other_label.as_str());
+            if let Json::Obj(point) = what {
+                for (key, value) in point {
+                    row.push(&key, value);
+                }
+            }
+            row.field("pairs", *pairs)
+                .field("pairs_won", won)
+                .field("secs_q1_median_q3", q)
+                .field("against_secs_q1_median_q3", against_q)
+                .field("speedup", speedup)
+                .field("digests_identical", true)
+                .to_json()
         })
         .collect()
 }
 
 fn main() {
-    let Args {
-        steps,
-        fleets,
-        class_fleets,
-        repeats,
-        mapcal_d,
-        out: out_path,
-        obs_gate,
-        class_gate,
-        paper_fleets,
-        sweep_steps,
-        before,
-        commit,
-        pair,
-    } = parse_args();
-    let class_fleets = class_fleets.unwrap_or_else(|| fleets.clone());
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let flags = Flags::from_env(&[
+        "steps",
+        "fleets",
+        "class-fleets",
+        "repeats",
+        "mapcal-d",
+        "out",
+        "obs-gate",
+        "class-gate",
+        "paper-fleets",
+        "sweep-steps",
+        "before",
+        "commit",
+        "pair-against",
+        "pair-label",
+        "pairs",
+    ]);
+    let steps: usize = flags.get("steps").unwrap_or(200);
+    let fleets = flags.list("fleets").unwrap_or_else(|| vec![800]);
+    let class_fleets = flags.list("class-fleets").unwrap_or_else(|| fleets.clone());
+    let repeats = flags.get("repeats").unwrap_or(3usize).max(1);
+    let mapcal_d: usize = flags.get("mapcal-d").unwrap_or(200);
+    let out: String = flags
+        .get("out")
+        .unwrap_or_else(|| "BENCH_engine.json".into());
+    let obs_gate: Option<f64> = flags.get("obs-gate");
+    let class_gate: Option<f64> = flags.get("class-gate");
+    let paper_fleets = flags.list("paper-fleets").unwrap_or_default();
+    let sweep_steps: usize = flags.get("sweep-steps").unwrap_or(20_000);
+    let before = Before::load(flags.get::<String>("before").as_deref());
+    let commit = bursty_bench::commit_label(flags.get("commit"));
+    // `(other binary, its commit label, pairs)`.
+    let pair = flags.get::<String>("pair-against").map(|bin| {
+        let label = flags
+            .get("pair-label")
+            .unwrap_or_else(|| bursty_bench::usage("--pair-against needs --pair-label"));
+        (bin, label, flags.get("pairs").unwrap_or(10usize).max(1))
+    });
+    let cores = bursty_bench::available_parallelism();
     eprintln!(
         "engine-bench: {steps} steps, fleets {fleets:?}, class fleets {class_fleets:?}, \
          {repeats} repeats, {cores} cores"
     );
 
-    let mut rows: Vec<EngineRow> = Vec::new();
+    // `(n, layout, best seconds)` of every engine row, and the rows.
+    let mut measured: Vec<(usize, &'static str, f64)> = Vec::new();
+    let mut engine_rows: Vec<Json> = Vec::new();
+    let mut engine_row = |n: usize, layout: &'static str, secs: f64| {
+        eprintln!(
+            "  n={n} {layout}: {secs:.4}s ({:.0} steps/s)",
+            steps as f64 / secs
+        );
+        measured.push((n, layout, secs));
+        row(&commit)
+            .field("n", n)
+            .field("layout", layout)
+            .field("threads", 1usize)
+            .field("secs", secs)
+            .field("steps_per_sec", steps as f64 / secs)
+            .field("vm_steps_per_sec", (steps * n) as f64 / secs)
+    };
     for &n in &fleets {
         let mut gen = FleetGenerator::new(n as u64);
         let vms = gen.vms(n, WorkloadPattern::EqualSpike);
@@ -586,18 +512,7 @@ fn main() {
                 .simulate(&vms, &pms, &placement, cfg)
                 .final_pms_used
         });
-        eprintln!(
-            "  n={n} shared: {secs:.4}s ({:.0} steps/s)",
-            steps as f64 / secs
-        );
-        rows.push(EngineRow {
-            n,
-            layout: "shared",
-            secs,
-            steps_per_sec: steps as f64 / secs,
-            vm_steps_per_sec: (steps * n) as f64 / secs,
-            occupancy: None,
-        });
+        engine_rows.push(engine_row(n, "shared", secs).to_json());
     }
 
     // Class-heavy fleets: the Table-I mix (three distinct classes) on a
@@ -623,7 +538,6 @@ fn main() {
             .place(&vms, &pms)
             .expect("class-heavy placement");
         let (occupied_cells, mean_cell_n) = class_occupancy(&vms, m, &placement.assignment);
-        let occupancy = Some((occupied_cells, occupied_cells as f64, mean_cell_n));
         if n == cell_n {
             cell_assignment = placement.assignment.clone();
             cell_m = m;
@@ -650,68 +564,25 @@ fn main() {
                     .simulate(&vms, &pms, &placement, cfg)
                     .final_pms_used
             });
-            eprintln!(
-                "  n={n} {layout}: {secs:.4}s ({:.0} steps/s)",
-                steps as f64 / secs
-            );
-            rows.push(EngineRow {
-                n,
-                layout,
-                secs,
-                steps_per_sec: steps as f64 / secs,
-                vm_steps_per_sec: (steps * n) as f64 / secs,
-                occupancy,
-            });
+            let row = engine_row(n, layout, secs)
+                .field("occupied_cells", occupied_cells)
+                .field("cells_per_step", occupied_cells as f64)
+                .field("mean_cell_n", mean_cell_n);
+            engine_rows.push(row.to_json());
         }
     }
 
     // Paper-density rows (module docs): the same Table-I mix at d = 16.
-    let commit = bursty_bench::commit_label(commit);
-    let paper_rows: Vec<PaperRow> = paper_fleets
+    let paper_rows: Vec<Json> = paper_fleets
         .iter()
-        .map(|&n| {
-            let r = paper_row(n, repeats);
-            eprintln!(
-                "  paper density n={n} m={}: {} PMs used, {} migrations, \
-                 {:.4}/{:.4}/{:.4}s min/median/max ({:.3e} vm·steps/s, kernel share {:.2}, \
-                 controller {:.4}s), {:.1} changed cells, {:.1} dirty PMs and {:.1} PMs over \
-                 capacity per step",
-                r.m,
-                r.pms_used,
-                r.digest.0,
-                r.secs_min,
-                r.secs_median,
-                r.secs_max,
-                (PAPER_STEPS * n) as f64 / r.secs_median,
-                r.kernel_secs / r.secs_median,
-                r.secs_median - r.kernel_secs,
-                r.changed_cells_per_step,
-                r.dirty_pms_per_step,
-                r.digest.2 as f64 / PAPER_STEPS as f64
-            );
-            r
-        })
+        .map(|&n| paper_row(&commit, n, repeats))
         .collect();
-
-    let sweep_rows: Vec<SweepRow> = if sweep_steps == 0 {
+    let sweep_rows: Vec<Json> = if sweep_steps == 0 {
         Vec::new()
     } else {
         SWEEP_POINTS
             .iter()
-            .map(|&(p_on, p_off)| {
-                let r = sweep_row(p_on, p_off, sweep_steps, repeats);
-                eprintln!(
-                    "  flip sweep ({p_on}, {p_off}): {:.4}/{:.4}/{:.4}s min/median/max \
-                     ({:.3e} vm·steps/s), {:.1} flips and {:.1} dirty PMs per step",
-                    r.secs_min,
-                    r.secs_median,
-                    r.secs_max,
-                    (sweep_steps * SWEEP_VMS) as f64 / r.secs_median,
-                    r.flips_per_step,
-                    r.dirty_pms_per_step
-                );
-                r
-            })
+            .map(|&(p_on, p_off)| sweep_row(&commit, p_on, p_off, sweep_steps, repeats))
             .collect()
     };
 
@@ -846,186 +717,97 @@ fn main() {
 
     let speedup_of = |n: usize, a: &str, b: &str| -> f64 {
         let secs = |layout: &str| {
-            rows.iter()
-                .find(|r| r.n == n && r.layout == layout)
-                .map(|r| r.secs)
-                .unwrap_or(f64::NAN)
+            measured
+                .iter()
+                .find(|r| r.0 == n && r.1 == layout)
+                .map_or(f64::NAN, |r| r.2)
         };
         secs(a) / secs(b)
     };
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"generated_by\": \"engine-bench\",");
-    let _ = writeln!(json, "  \"available_parallelism\": {cores},");
-    let _ = writeln!(json, "  \"commit\": \"{commit}\",");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"steps\": {steps}, \"repeats\": {repeats}, \"seed\": 1}},"
-    );
-    // Rows of an earlier file that go in front of this run's, per
-    // section. One row per line, each led by its commit: `--before`
-    // re-reads exactly these lines.
-    let before_rows = |section: &str| match &before {
-        Some(path) => bursty_bench::section_rows_led_by_commit(path, section),
-        None => Vec::new(),
-    };
-    let push_section = |json: &mut String, section: &str, lines: &[String]| {
-        let _ = writeln!(json, "  \"{section}\": [");
-        for (i, line) in lines.iter().enumerate() {
-            let _ = writeln!(
-                json,
-                "    {line}{}",
-                if i + 1 < lines.len() { "," } else { "" }
-            );
-        }
-        json.push_str("  ],\n");
-    };
-    // Of the earlier engine rows, those of a layout this run measures
-    // are kept: each row then has its before/after pair.
-    let mut lines = before_rows("engine");
-    lines.retain(|l| {
-        rows.iter()
-            .any(|r| l.contains(&format!("\"layout\": \"{}\"", r.layout)))
-    });
-    for r in &rows {
-        let mut line = format!(
-            "{{\"commit\": \"{commit}\", \"n\": {}, \"layout\": \"{}\", \"threads\": 1, \
-             \"secs\": {:.6}, \"steps_per_sec\": {:.1}, \"vm_steps_per_sec\": {:.1}",
-            r.n, r.layout, r.secs, r.steps_per_sec, r.vm_steps_per_sec
-        );
-        if let Some((cells, cells_per_step, mean_n)) = r.occupancy {
-            let _ = write!(
-                line,
-                ", \"occupied_cells\": {cells}, \"cells_per_step\": {cells_per_step:.1}, \
-                 \"mean_cell_n\": {mean_n:.2}"
-            );
-        }
-        line.push('}');
-        lines.push(line);
-    }
-    push_section(&mut json, "engine", &lines);
-    json.push_str("  \"speedups\": {\n");
+    let mut speedups = Obj::default();
     let mut class_ns = class_fleets.clone();
     class_ns.sort_unstable();
     class_ns.dedup();
-    for (i, &n) in class_ns.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    \"n{n}\": {{\"class_cached_over_shared_classheavy\": {:.3}}}",
-            speedup_of(n, "shared_classheavy", "class_aggregated_cached")
+    for n in class_ns {
+        let speedup = speedup_of(n, "shared_classheavy", "class_aggregated_cached");
+        speedups.push(
+            &format!("n{n}"),
+            Obj::default().field("class_cached_over_shared_classheavy", speedup),
         );
-        json.push_str(if i + 1 < class_ns.len() { ",\n" } else { "\n" });
     }
-    json.push_str("  },\n");
-    let mut lines = before_rows("paper_density");
-    if !paper_rows.is_empty() || !lines.is_empty() {
-        for r in &paper_rows {
-            lines.push(format!(
-                "{{\"commit\": \"{commit}\", \"available_parallelism\": {cores}, \
-                 \"n\": {}, \"m\": {}, \"pms_used\": {}, \"steps\": {PAPER_STEPS}, \
-                 \"migrations\": {}, \"repeats\": {}, \"secs_min\": {:.6}, \
-                 \"secs_median\": {:.6}, \"secs_max\": {:.6}, \"rates_from\": \"secs_median\", \
-                 \"vm_steps_per_sec\": {:.1}, \"ns_per_pm_step\": {:.2}, \
-                 \"kernel_secs\": {:.6}, \"kernel_share\": {:.3}, \"controller_s\": {:.6}, \
-                 \"changed_cells_per_step\": {:.2}, \"dirty_pms_per_step\": {:.2}, \
-                 \"over_pms_per_step\": {:.2}, \
-                 \"energy_bits\": \"{:016x}\", \"violation_steps\": {}}}",
-                r.n,
-                r.m,
-                r.pms_used,
-                r.digest.0,
-                r.repeats,
-                r.secs_min,
-                r.secs_median,
-                r.secs_max,
-                (PAPER_STEPS * r.n) as f64 / r.secs_median,
-                r.secs_median * 1e9 / r.active_pm_steps,
-                r.kernel_secs,
-                r.kernel_secs / r.secs_median,
-                r.secs_median - r.kernel_secs,
-                r.changed_cells_per_step,
-                r.dirty_pms_per_step,
-                r.digest.2 as f64 / PAPER_STEPS as f64,
-                r.digest.1,
-                r.digest.2
-            ));
-        }
-        push_section(&mut json, "paper_density", &lines);
-    }
-    let mut lines = before_rows("shared_flip_sweep");
-    if !sweep_rows.is_empty() || !lines.is_empty() {
-        for r in &sweep_rows {
-            lines.push(format!(
-                "{{\"commit\": \"{commit}\", \"available_parallelism\": {cores}, \
-                 \"n\": {SWEEP_VMS}, \"m\": {SWEEP_VMS}, \"pms_used\": {}, \
-                 \"steps\": {sweep_steps}, \"p_on\": {}, \"p_off\": {}, \"repeats\": {}, \
-                 \"secs_min\": {:.6}, \"secs_median\": {:.6}, \"secs_max\": {:.6}, \
-                 \"rates_from\": \"secs_median\", \"vm_steps_per_sec\": {:.1}, \
-                 \"us_per_step\": {:.3}, \"flips_per_step\": {:.2}, \
-                 \"dirty_pms_per_step\": {:.2}, \"migrations\": {}, \
-                 \"energy_bits\": \"{:016x}\", \"violation_steps\": {}}}",
-                SWEEP_VMS / SWEEP_VMS_PER_PM,
-                r.p_on,
-                r.p_off,
-                r.repeats,
-                r.secs_min,
-                r.secs_median,
-                r.secs_max,
-                (sweep_steps * SWEEP_VMS) as f64 / r.secs_median,
-                r.secs_median * 1e6 / sweep_steps as f64,
-                r.flips_per_step,
-                r.dirty_pms_per_step,
-                r.digest.0,
-                r.digest.1,
-                r.digest.2
-            ));
-        }
-        push_section(&mut json, "shared_flip_sweep", &lines);
-    }
-    let mut lines = before_rows("paired");
-    if let Some(pair) = &pair {
-        lines.extend(paired_rows(&commit, pair, &paper_fleets, sweep_steps));
-    }
-    if !lines.is_empty() {
-        push_section(&mut json, "paired", &lines);
-    }
-    let mut lines = before_rows("cell_kernel");
-    lines.push(format!(
-        "{{\"commit\": \"{commit}\", \"available_parallelism\": {cores}, \
-         \"n\": {cell_n}, \"m\": {cell_m}, \
-         \"occupied_cells\": {cell_occupied}, \"steps\": {steps}, \
-         \"walk_secs\": {cell_walk_secs:.6}, \"cached_secs\": {cell_cached_secs:.6}, \
-         \"speedup\": {:.3}, \
-         \"walk_vm_steps_per_sec\": {cell_walk_vmsps:.1}, \
-         \"cached_vm_steps_per_sec\": {cell_cached_vmsps:.1}, \
-         \"walk_cell_steps_per_sec\": {:.1}, \
-         \"cached_cell_steps_per_sec\": {:.1}, \
-         \"cache\": {{\"hits\": {cache_hits}, \"misses\": {cache_misses}, \
-         \"evictions\": {cache_evictions}, \"hit_rate\": {cache_hit_rate:.6}}}}}",
-        cell_walk_secs / cell_cached_secs,
-        (steps * cell_occupied) as f64 / cell_walk_secs,
-        (steps * cell_occupied) as f64 / cell_cached_secs
-    ));
-    push_section(&mut json, "cell_kernel", &lines);
-    let _ = writeln!(
-        json,
-        "  \"obs\": {{\"n\": {obs_n}, \"noop_secs\": {obs_noop:.6}, \
-         \"noop_recorded_secs\": {obs_noop_explicit:.6}, \"memory_secs\": {obs_memory:.6}, \
-         \"noop_overhead_pct\": {obs_noop_overhead_pct:.2}, \
-         \"memory_overhead_pct\": {obs_memory_overhead_pct:.2}}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"mapcal\": {{\"d\": {mapcal_d}, \"closed_form_secs\": {mapcal_closed:.6}, \
-         \"gaussian_secs\": {mapcal_gauss:.6}, \"speedup\": {:.1}}}",
-        mapcal_gauss / mapcal_closed
-    );
-    json.push_str("}\n");
+    let cell_row = row(&commit)
+        .field("n", cell_n)
+        .field("m", cell_m)
+        .field("occupied_cells", cell_occupied)
+        .field("steps", steps)
+        .field("walk_secs", cell_walk_secs)
+        .field("cached_secs", cell_cached_secs)
+        .field("speedup", cell_walk_secs / cell_cached_secs)
+        .field("walk_vm_steps_per_sec", cell_walk_vmsps)
+        .field("cached_vm_steps_per_sec", cell_cached_vmsps)
+        .field(
+            "walk_cell_steps_per_sec",
+            (steps * cell_occupied) as f64 / cell_walk_secs,
+        )
+        .field(
+            "cached_cell_steps_per_sec",
+            (steps * cell_occupied) as f64 / cell_cached_secs,
+        )
+        .field(
+            "cache",
+            Obj::default()
+                .field("hits", cache_hits)
+                .field("misses", cache_misses)
+                .field("evictions", cache_evictions)
+                .field("hit_rate", cache_hit_rate),
+        );
+    let paired = match &pair {
+        Some(pair) => paired_rows(&commit, pair, &paper_fleets, sweep_steps),
+        None => Vec::new(),
+    };
 
-    std::fs::write(&out_path, &json).expect("write BENCH_engine.json");
-    eprintln!("wrote {out_path}");
-
+    let config = Obj::default()
+        .field("steps", steps)
+        .field("repeats", repeats)
+        .field("seed", 1usize);
+    let mut report = bursty_bench::report("engine-bench")
+        .field("commit", commit.as_str())
+        .field("config", config);
+    // Of the earlier engine rows, those of a layout this run measures
+    // are kept: each row then has its before/after pair.
+    let mut engine = before.rows("engine");
+    engine.retain(|r| {
+        let layout = r.get("layout").and_then(Json::as_str);
+        measured.iter().any(|m| layout == Some(m.1))
+    });
+    engine.extend(engine_rows);
+    report.push("engine", engine);
+    report.push("speedups", speedups);
+    for (section, rows) in [
+        ("paper_density", paper_rows),
+        ("shared_flip_sweep", sweep_rows),
+        ("paired", paired),
+        ("cell_kernel", vec![cell_row.to_json()]),
+    ] {
+        let mut all = before.rows(section);
+        all.extend(rows);
+        if !all.is_empty() {
+            report.push(section, all);
+        }
+    }
+    let obs = Obj::default()
+        .field("n", obs_n)
+        .field("noop_secs", obs_noop)
+        .field("noop_recorded_secs", obs_noop_explicit)
+        .field("memory_secs", obs_memory)
+        .field("noop_overhead_pct", obs_noop_overhead_pct)
+        .field("memory_overhead_pct", obs_memory_overhead_pct);
+    let mapcal = Obj::default()
+        .field("d", mapcal_d)
+        .field("closed_form_secs", mapcal_closed)
+        .field("gaussian_secs", mapcal_gauss)
+        .field("speedup", mapcal_gauss / mapcal_closed);
+    write_report(&out, report.field("obs", obs).field("mapcal", mapcal));
     if let Some(gate) = obs_gate {
         if obs_noop_overhead_pct > gate {
             eprintln!(

@@ -26,9 +26,12 @@
 //! medians) and the number of candidate searches that had to climb the
 //! headroom tree. `--before PATH` copies the `fleets` rows of an earlier
 //! output in front of the new ones: that is how the checked-in file holds
-//! the parent commit's rows and the look-ahead sweep (the same source
+//! the parent commit's rows (`crates/bench/src` copied into a clone of the
+//! parent commit and run there) and the look-ahead sweep (the same source
 //! built with the private window constant set to 8, 16 and 256) beside
-//! this commit's. The shapes:
+//! this commit's. The `sizes` rows are led by the commit and the host's
+//! `available_parallelism` too, but `--before` does not carry them. The
+//! shapes:
 //!
 //! * `dup_0` / `dup_50` / `dup_100` — `--dup-n` VMs (default 100000) on
 //!   as many PMs with none, half, or all of the fleet drawn from the two
@@ -46,98 +49,18 @@
 //! differs from the per-VM packer's on the full assignment vector, if a
 //! size at n >= 1e6 falls below the 10x acceptance bar, or if the
 //! paper-density pack climbs the tree at all — so CI can gate on the exit
-//! code alone.
+//! code alone. A flag that is not declared above, given twice, without a
+//! value or with an unparsable one exits 2.
 
-use bursty_bench::quartiles;
+use bursty_bench::{
+    best_secs, quartiles, row, spread, timed, write_report, Before, Flags, Obj, ToJson,
+};
 use bursty_core::placement::{
     first_fit, first_fit_batch_with, PackProfile, PlacementState, QueueStrategy,
 };
 use bursty_core::prelude::*;
 use bursty_core::workload::SizeClass;
-use std::fmt::Write as _;
-use std::time::Instant;
-
-struct SizeRow {
-    n: usize,
-    m_pms: usize,
-    distinct_classes: usize,
-    pms_used: usize,
-    identical: bool,
-    per_vm_secs: f64,
-    batch_secs: f64,
-    speedup: f64,
-}
-
-struct Args {
-    sizes: Vec<usize>,
-    repeats: usize,
-    out: String,
-    dup_n: usize,
-    paper_n: usize,
-    before: Option<String>,
-    commit: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        sizes: vec![10_000usize, 100_000, 1_000_000],
-        repeats: 3,
-        out: "BENCH_packing.json".to_string(),
-        dup_n: 100_000,
-        paper_n: 1_000_000,
-        before: None,
-        commit: None,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = args.get(i + 1).unwrap_or_else(|| {
-            eprintln!("missing value for {}", args[i]);
-            std::process::exit(2);
-        });
-        match args[i].as_str() {
-            "--sizes" => {
-                parsed.sizes = value
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--sizes"))
-                    .collect()
-            }
-            "--repeats" => parsed.repeats = value.parse::<usize>().expect("--repeats").max(1),
-            "--out" => parsed.out = value.clone(),
-            "--dup-n" => parsed.dup_n = value.parse().expect("--dup-n"),
-            "--paper-n" => parsed.paper_n = value.parse().expect("--paper-n"),
-            "--before" => parsed.before = Some(value.clone()),
-            "--commit" => parsed.commit = Some(value.clone()),
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 2;
-    }
-    parsed
-}
-
-fn best_secs<R>(repeats: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
-fn spread_json(samples: &[f64]) -> String {
-    let [q1, median, q3] = quartiles(samples);
-    format!("{{\"q1\": {q1:.6}, \"median\": {median:.6}, \"q3\": {q3:.6}}}")
-}
-
-fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let start = Instant::now();
-    let out = std::hint::black_box(f());
-    (out, start.elapsed().as_secs_f64())
-}
+use bursty_server::Json;
 
 /// The two small Table-I classes, 50/50 — the duplicate-heavy fleet of
 /// the `sizes` rows.
@@ -151,8 +74,8 @@ fn small_rows_vm(gen: &mut FleetGenerator, id: usize) -> VmSpec {
 
 /// One measured fleet of the `fleets` section.
 struct FleetRow {
-    /// The row's JSON fields, without the leading commit.
-    fields: String,
+    /// The row, led by its commit.
+    row: Obj,
     /// Median seconds of one batch pack.
     pack_median: f64,
     /// Whether batch and per-VM agreed on the full assignment vector.
@@ -166,6 +89,7 @@ struct FleetRow {
 /// profiles. `fresh_arena` packs each repeat on a new arena (what
 /// `Consolidator::place` does) instead of the reused one.
 fn fleet_row(
+    commit: &str,
     fleet: &str,
     vms: &[VmSpec],
     pms: &[PmSpec],
@@ -201,23 +125,28 @@ fn fleet_row(
          climbs, identical={identical}",
         vms.len()
     );
-    let fields = format!(
-        "\"fleet\": \"{fleet}\", \"n\": {}, \"m_pms\": {}, \"distinct_classes\": {}, \
-         \"pms_used\": {pms_used}, \"identical_placements\": {identical}, \"repeats\": {repeats}, \
-         \"per_vm_secs\": {per_vm_secs:.6}, \"batch_secs\": {}, \"tree_probes\": {tree_probes}, \
-         \"phases_median_s\": {{\"collapse\": {:.6}, \"reset\": {:.6}, \"runs\": {:.6}, \
-         \"scatter\": {:.6}}}",
-        vms.len(),
-        pms.len(),
-        bursty_core::workload::distinct_classes(vms),
-        spread_json(&secs),
-        phase(|p| p.collapse_s),
-        phase(|p| p.reset_s),
-        phase(|p| p.runs_s),
-        phase(|p| p.scatter_s),
-    );
+    let phases = Obj::default()
+        .field("collapse", phase(|p| p.collapse_s))
+        .field("reset", phase(|p| p.reset_s))
+        .field("runs", phase(|p| p.runs_s))
+        .field("scatter", phase(|p| p.scatter_s));
+    let row = row(commit)
+        .field("fleet", fleet)
+        .field("n", vms.len())
+        .field("m_pms", pms.len())
+        .field(
+            "distinct_classes",
+            bursty_core::workload::distinct_classes(vms),
+        )
+        .field("pms_used", pms_used)
+        .field("identical_placements", identical)
+        .field("repeats", repeats)
+        .field("per_vm_secs", per_vm_secs)
+        .field("batch_secs", spread(&secs))
+        .field("tree_probes", tree_probes)
+        .field("phases_median_s", phases);
     FleetRow {
-        fields,
+        row,
         pack_median,
         identical,
         tree_probes,
@@ -225,16 +154,21 @@ fn fleet_row(
 }
 
 fn main() {
-    let Args {
-        sizes,
-        repeats,
-        out: out_path,
-        dup_n,
-        paper_n,
-        before,
-        commit,
-    } = parse_args();
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let flags = Flags::from_env(&[
+        "sizes", "repeats", "out", "dup-n", "paper-n", "before", "commit",
+    ]);
+    let sizes = flags
+        .list("sizes")
+        .unwrap_or_else(|| vec![10_000, 100_000, 1_000_000]);
+    let repeats = flags.get("repeats").unwrap_or(3usize).max(1);
+    let out: String = flags
+        .get("out")
+        .unwrap_or_else(|| "BENCH_packing.json".into());
+    let dup_n: usize = flags.get("dup-n").unwrap_or(100_000);
+    let paper_n: usize = flags.get("paper-n").unwrap_or(1_000_000);
+    let before = Before::load(flags.get::<String>("before").as_deref());
+    let commit = bursty_bench::commit_label(flags.get("commit"));
+    let cores = bursty_bench::available_parallelism();
     eprintln!("packing-bench: sizes {sizes:?}, {repeats} repeats, {cores} cores");
 
     // Build (and thereby cache) the mapping table before any timing so
@@ -242,7 +176,9 @@ fn main() {
     let strategy = QueueStrategy::build(16, 0.01, 0.09, 0.01);
     let mut arena = PlacementState::new();
 
-    let mut rows: Vec<SizeRow> = Vec::new();
+    let mut size_rows: Vec<Json> = Vec::new();
+    // `(n, identical, speedup)` per size, asserted once the file is written.
+    let mut size_checks: Vec<(usize, bool, f64)> = Vec::new();
     for &n in &sizes {
         // Duplicate-heavy fleet: the small-instance segment of Table I —
         // a 50/50 mix of the two `R_b = small` rows (small/small and
@@ -267,16 +203,17 @@ fn main() {
             "  n={n} ({distinct} classes): per-VM {per_vm_secs:.4}s vs batch {batch_secs:.4}s \
              ({speedup:.1}x), identical={identical}"
         );
-        rows.push(SizeRow {
-            n,
-            m_pms: pms.len(),
-            distinct_classes: distinct,
-            pms_used,
-            identical,
-            per_vm_secs,
-            batch_secs,
-            speedup,
-        });
+        let row = row(&commit)
+            .field("n", n)
+            .field("m_pms", pms.len())
+            .field("distinct_classes", distinct)
+            .field("pms_used", pms_used)
+            .field("identical_placements", identical)
+            .field("per_vm_secs", per_vm_secs)
+            .field("batch_secs", batch_secs)
+            .field("speedup", speedup);
+        size_rows.push(row.to_json());
+        size_checks.push((n, identical, speedup));
     }
 
     // All-distinct control: continuous demand draws give every VM its own
@@ -302,16 +239,9 @@ fn main() {
 
     // The attribution rows: duplicate ratios 0 / 50 / 100 %, then the
     // paper-density fleet.
-    let commit = bursty_bench::commit_label(commit);
     let attributed = repeats.max(5);
-    let mut fleet_lines: Vec<String> = match &before {
-        Some(path) => bursty_bench::section_rows_led_by_commit(path, "fleets"),
-        None => Vec::new(),
-    };
+    let mut fleet_rows = before.rows("fleets");
     let mut all_identical = true;
-    let lead = |fields: String| {
-        format!("{{\"commit\": \"{commit}\", \"available_parallelism\": {cores}, {fields}}}")
-    };
     for dup_pct in [0usize, 50, 100] {
         let mut gen = FleetGenerator::new(dup_n as u64 + dup_pct as u64);
         let drawn = gen.vms(dup_n, WorkloadPattern::EqualSpike);
@@ -326,16 +256,24 @@ fn main() {
             .collect();
         let pms = gen.pms(dup_n);
         let name = format!("dup_{dup_pct}");
-        let row = fleet_row(&name, &vms, &pms, &strategy, attributed, false);
+        let row = fleet_row(&commit, &name, &vms, &pms, &strategy, attributed, false);
         all_identical &= row.identical;
-        fleet_lines.push(lead(row.fields));
+        fleet_rows.push(row.row.to_json());
     }
     let mut paper_tree_probes = None;
     if paper_n > 0 {
         let mut gen = FleetGenerator::new(1);
         let vms = gen.vms_table_i(paper_n, WorkloadPattern::EqualSpike);
         let pms = gen.pms(paper_n / 4);
-        let row = fleet_row("paper_density", &vms, &pms, &strategy, attributed, true);
+        let row = fleet_row(
+            &commit,
+            "paper_density",
+            &vms,
+            &pms,
+            &strategy,
+            attributed,
+            true,
+        );
         all_identical &= row.identical;
         paper_tree_probes = Some(row.tree_probes);
         let consolidator = Consolidator::new(Scheme::Queue);
@@ -351,77 +289,43 @@ fn main() {
             quartiles(&place_secs)[1],
             quartiles(&census_secs)[1]
         );
-        fleet_lines.push(lead(format!(
-            "{}, \"place_secs\": {}, \"census_s\": {census_s:.6}, \"uses_batch_secs\": {}",
-            row.fields,
-            spread_json(&place_secs),
-            spread_json(&census_secs)
-        )));
+        let row = row
+            .row
+            .field("place_secs", spread(&place_secs))
+            .field("census_s", census_s)
+            .field("uses_batch_secs", spread(&census_secs));
+        fleet_rows.push(row.to_json());
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"generated_by\": \"packing-bench\",");
-    let _ = writeln!(json, "  \"available_parallelism\": {cores},");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"repeats\": {repeats}, \"strategy\": \"QUEUE\", \
-         \"fleet\": \"table-i r_b-small rows (small/small + small/medium, 50/50)\", \
-         \"d\": 16, \"p_on\": 0.01, \"p_off\": 0.09, \"rho\": 0.01}},"
-    );
-    json.push_str("  \"sizes\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"n\": {}, \"m_pms\": {}, \"distinct_classes\": {}, \"pms_used\": {}, \
-             \"identical_placements\": {}, \"per_vm_secs\": {:.6}, \"batch_secs\": {:.6}, \
-             \"speedup\": {:.2}}}",
-            r.n,
-            r.m_pms,
-            r.distinct_classes,
-            r.pms_used,
-            r.identical,
-            r.per_vm_secs,
-            r.batch_secs,
-            r.speedup
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"all_distinct_control\": {{\"n\": {control_n}, \"per_vm_secs\": {control_per_vm:.6}, \
-         \"batch_secs\": {control_batch:.6}, \"overhead\": {control_overhead:.2}, \
-         \"identical_placements\": {control_identical}}},"
-    );
-    json.push_str("  \"fleets\": [\n");
-    for (i, line) in fleet_lines.iter().enumerate() {
-        json.push_str("    ");
-        json.push_str(line);
-        json.push_str(if i + 1 < fleet_lines.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ]\n");
-    json.push_str("}\n");
+    let config = Obj::default()
+        .field("repeats", repeats)
+        .field("strategy", "QUEUE")
+        .field(
+            "fleet",
+            "table-i r_b-small rows (small/small + small/medium, 50/50)",
+        )
+        .field("d", 16usize)
+        .field("p_on", 0.01)
+        .field("p_off", 0.09)
+        .field("rho", 0.01);
+    let control = Obj::default()
+        .field("n", control_n)
+        .field("per_vm_secs", control_per_vm)
+        .field("batch_secs", control_batch)
+        .field("overhead", control_overhead)
+        .field("identical_placements", control_identical);
+    let report = bursty_bench::report("packing-bench")
+        .field("config", config)
+        .field("sizes", size_rows)
+        .field("all_distinct_control", control)
+        .field("fleets", fleet_rows);
+    println!("{}", write_report(&out, report));
 
-    std::fs::write(&out_path, &json).expect("write BENCH_packing.json");
-    println!("{json}");
-    eprintln!("wrote {out_path}");
-
-    for r in &rows {
+    for (n, identical, speedup) in size_checks {
+        assert!(identical, "batch placements diverged from per-VM at n={n}");
         assert!(
-            r.identical,
-            "batch placements diverged from per-VM at n={}",
-            r.n
-        );
-        assert!(
-            r.n < 1_000_000 || r.speedup >= 10.0,
-            "batch speedup {:.2}x at n={} below the 10x acceptance bar",
-            r.speedup,
-            r.n
+            n < 1_000_000 || speedup >= 10.0,
+            "batch speedup {speedup:.2}x at n={n} below the 10x acceptance bar"
         );
     }
     assert!(

@@ -82,7 +82,6 @@ use crate::load::PmLoad;
 use crate::pack::{first_fit_recorded, PackError, PRUNE_SLACK};
 use crate::placement::Placement;
 use crate::strategy::Strategy;
-use bursty_obs::durable::{put_f64, put_usize, Cursor, FrameError};
 use bursty_obs::{Counter, Gauge, NoopRecorder, Recorder};
 use bursty_workload::{
     class_runs, distinct_classes, intern_classes, ClassRun, PmSpec, VmClass, VmSpec,
@@ -196,59 +195,6 @@ impl PlacementState {
             tree_probes: self.index.probes(),
             ..self.profile
         }
-    }
-
-    /// Serializes the arena's *logical* content — the current-generation
-    /// load of every PM plus its headroom — into a flat byte image
-    /// suitable for a [`bursty_obs::durable`] section. The generation/
-    /// epoch machinery is collapsed away: a PM whose tag is stale
-    /// serializes as the empty load it logically is, so the image is a
-    /// pure function of what [`PlacementState::load`] would report.
-    pub fn snapshot_bytes(&self) -> Vec<u8> {
-        let m = self.index.len();
-        let mut buf = Vec::with_capacity(8 + m * 40);
-        put_usize(&mut buf, m);
-        for j in 0..m {
-            let load = self.load(j);
-            put_usize(&mut buf, load.count);
-            put_f64(&mut buf, load.max_re);
-            put_f64(&mut buf, load.sum_rb);
-            put_f64(&mut buf, load.sum_rp);
-            put_f64(&mut buf, self.index.value(j));
-        }
-        buf
-    }
-
-    /// Rebuilds an arena from a [`snapshot_bytes`] image. The restored
-    /// arena starts a fresh tag space (generation 1, every PM current)
-    /// with a stale tree — the first probe rebuilds it from the restored
-    /// headrooms — so continuing a pack from the restored state places
-    /// exactly as the original arena would have.
-    ///
-    /// [`snapshot_bytes`]: PlacementState::snapshot_bytes
-    pub fn restore_from_snapshot(bytes: &[u8]) -> Result<Self, FrameError> {
-        let mut cur = Cursor::new(bytes);
-        let m = cur.seq_len(40)?;
-        let mut state = Self::new();
-        state.generation = 1;
-        state.epoch = vec![1; m];
-        state.vm_count = Vec::with_capacity(m);
-        state.max_re = Vec::with_capacity(m);
-        state.sum_rb = Vec::with_capacity(m);
-        state.sum_rp = Vec::with_capacity(m);
-        let mut headrooms = Vec::with_capacity(m);
-        for _ in 0..m {
-            state.vm_count.push(cur.usize()?);
-            state.max_re.push(cur.f64()?);
-            state.sum_rb.push(cur.f64()?);
-            state.sum_rp.push(cur.f64()?);
-            headrooms.push(cur.f64()?);
-        }
-        cur.expect_done()?;
-        state
-            .index
-            .reset_lazy(|leaves| leaves.extend_from_slice(&headrooms));
-        Ok(state)
     }
 }
 
@@ -1129,52 +1075,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn arena_snapshot_round_trips_through_a_durable_store() {
-        use bursty_obs::durable::{parse_frames, FrameWriter, MemStore, Store};
-        use bursty_workload::{FleetGenerator, WorkloadPattern};
-        let q = QueueStrategy::build(16, 0.01, 0.09, 0.01);
-        let mut g = FleetGenerator::new(17);
-
-        // Two packs of different sizes leave stale epoch tags past the
-        // second farm's end; the snapshot must collapse those to the
-        // empty loads they logically are.
-        let mut state = PlacementState::new();
-        let big_vms = g.vms_table_i(150, WorkloadPattern::EqualSpike);
-        let big_farm = g.pms(120);
-        first_fit_batch_with(&mut state, &big_vms, &big_farm, &q).unwrap();
-        let vms = g.vms_table_i(60, WorkloadPattern::LargeSpike);
-        let farm = g.pms(50);
-        first_fit_batch_with(&mut state, &vms, &farm, &q).unwrap();
-
-        // Round-trip through the frame format and an atomic store.
-        let mut w = FrameWriter::new();
-        w.section(1, &state.snapshot_bytes());
-        let mut store = MemStore::new();
-        store.write_atomic("arena", &w.finish()).unwrap();
-        let sections = parse_frames(&store.read("arena").unwrap()).unwrap();
-        let restored = PlacementState::restore_from_snapshot(&sections[0].1).unwrap();
-
-        for j in 0..farm.len() {
-            assert_eq!(restored.index.value(j), state.index.value(j));
-            assert_eq!(restored.load(j), state.load(j), "PM {j} load diverged");
-        }
-
-        // The restored arena's fresh tag space must behave exactly like
-        // any other arena when reused for a further pack.
-        let mut restored = restored;
-        let next = g.vms_table_i(80, WorkloadPattern::EqualSpike);
-        let next_farm = g.pms(70);
-        assert_eq!(
-            first_fit_batch_with(&mut restored, &next, &next_farm, &q),
-            first_fit_batch(&next, &next_farm, &q),
-        );
-
-        // Truncated images are rejected, never silently zero-filled.
-        let image = state.snapshot_bytes();
-        assert!(PlacementState::restore_from_snapshot(&image[..image.len() - 1]).is_err());
-    }
-
     /// A farm where each entry of `gaps` contributes that many PMs too
     /// small for any test VM (capacity 1 against `R_b ≥ 2`: below every
     /// strategy's threshold even when empty) followed by one roomy PM —
@@ -1304,42 +1204,38 @@ mod tests {
     }
 
     #[test]
-    fn restored_arena_continues_identically() {
+    fn dirty_arena_searches_match_a_linear_scan() {
         // Mid-pack state: a pack leaves loads, headrooms, a built tree and
-        // pending dirt behind. Its snapshot restores to an arena with a
-        // stale tree; every candidate search from there on — window hits,
-        // tree climbs, off-the-end — and every store must go the same way
-        // on both, and the way a linear scan goes.
+        // pending dirt behind. Every candidate search from there on —
+        // window hits, tree climbs, off-the-end — must go the way a
+        // linear scan over the leaves goes, before and after a hand-driven
+        // continuation stores more fills.
         let (q, rbex) = all_strategies();
         let strategies: [&dyn Strategy; 4] = [&q, &PeakStrategy, &BaseStrategy, &rbex];
         let w = LOOKAHEAD;
         let farm = gapped_farm(&[0, w - 1, w, w + 1, 4 * w + 5, 0, w, 2 * w, 3, w + 1]);
         let fleet = three_class_fleet(14);
+        let thresholds = [0.5, 2.0, 9.0, 40.0, 99.0, 101.0];
+        let search_all = |state: &mut PlacementState, name: &str| {
+            for from in 0..=farm.len() {
+                for t in thresholds {
+                    let linear = (from..farm.len()).find(|&j| state.index.value(j) >= t);
+                    assert_eq!(state.index.first_admitting(from, t), linear, "{name}");
+                }
+            }
+        };
         for s in strategies {
             let mut state = PlacementState::new();
             first_fit_batch_with(&mut state, &fleet, &farm, s).unwrap();
-            let mut restored =
-                PlacementState::restore_from_snapshot(&state.snapshot_bytes()).unwrap();
-            let thresholds = [0.5, 2.0, 9.0, 40.0, 99.0, 101.0];
-            let search_all = |a: &mut PlacementState, b: &mut PlacementState| {
-                for from in 0..=farm.len() {
-                    for t in thresholds {
-                        let linear = (from..farm.len()).find(|&j| a.index.value(j) >= t);
-                        assert_eq!(a.index.first_admitting(from, t), linear, "{}", s.name());
-                        assert_eq!(b.index.first_admitting(from, t), linear, "{}", s.name());
-                    }
-                }
-            };
-            search_all(&mut state, &mut restored);
+            search_all(&mut state, s.name());
             // Continue the pack by hand: one more class, copy by copy.
             let extra = vm(9000, 4.0, 3.0);
             let threshold = s.demand(&extra) - PRUNE_SLACK;
             let mut from = 0;
             for _ in 0..25 {
-                let j = state.index.first_admitting(from, threshold);
-                assert_eq!(j, restored.index.first_admitting(from, threshold));
-                let Some(j) = j else { break };
-                assert_eq!(state.load(j), restored.load(j));
+                let Some(j) = state.index.first_admitting(from, threshold) else {
+                    break;
+                };
                 let (load, c) = admit_run(
                     state.load(j),
                     &extra,
@@ -1350,16 +1246,12 @@ mod tests {
                     s,
                 );
                 if c > 0 {
-                    let headroom = s.headroom(&load, farm[j].capacity);
-                    for arena in [&mut state, &mut restored] {
-                        arena.commit(j, load, c);
-                        arena.index.set(j, headroom);
-                    }
+                    state.commit(j, load, c);
+                    state.index.set(j, s.headroom(&load, farm[j].capacity));
                 }
                 from = j + 1;
             }
-            search_all(&mut state, &mut restored);
-            assert_eq!(state.snapshot_bytes(), restored.snapshot_bytes());
+            search_all(&mut state, s.name());
         }
     }
 

@@ -133,11 +133,6 @@ impl HeadroomIndex {
         self.tree[h ^ self.base] = self.node(2 * h).max(self.node(2 * h + 1));
     }
 
-    /// Number of indexed PMs.
-    pub(crate) fn len(&self) -> usize {
-        self.n
-    }
-
     /// The current headroom value of PM `j`.
     pub fn value(&self, j: usize) -> f64 {
         assert!(j < self.n, "PM {j} out of {}", self.n);

@@ -2282,165 +2282,12 @@ mod tests {
         }
     }
 
-    mod churn {
-        use super::*;
-        use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
-        use proptest::strategy::Strategy as PropStrategy;
-
-        /// Six heterogeneous templates. Classes 0 and 2 share `(r_b,
-        /// r_e)` with different probabilities, so a batch holding both
-        /// has an exact cross-class key tie — `class_schedule` bails and
-        /// the ordered route gets exercised alongside the collapsed
-        /// one. Template 3 is bursty enough that a PM hosting it is
-        /// priced by a much tighter table than its calm neighbours.
-        const TEMPLATES: [(f64, f64, f64, f64); 6] = [
-            (0.01, 0.09, 4.0, 3.0),
-            (0.01, 0.09, 7.0, 5.0),
-            (0.02, 0.10, 4.0, 3.0),
-            (0.30, 0.20, 10.0, 8.0),
-            (0.05, 0.15, 2.0, 6.0),
-            (0.01, 0.09, 7.0, 2.0),
-        ];
-
-        fn spec(t: u8, id: usize) -> VmSpec {
-            let (p_on, p_off, r_b, r_e) = TEMPLATES[t as usize % TEMPLATES.len()];
-            VmSpec::new(id, p_on, p_off, r_b, r_e)
-        }
-
-        #[derive(Debug, Clone)]
-        enum Op {
-            Arrive(u8),
-            Depart(u8),
-            Batch(Vec<u8>),
-            Recalibrate,
-        }
-
-        fn op_gen() -> impl PropStrategy<Value = Op> {
-            (
-                0u8..9,
-                0u8..6,
-                proptest::collection::vec(0u8..6, 1..8),
-                0u8..=255,
-            )
-                .prop_map(|(which, t, ts, sel)| match which {
-                    0..=2 => Op::Arrive(t),
-                    3..=5 => Op::Depart(sel),
-                    6 | 7 => Op::Batch(ts),
-                    _ => Op::Recalibrate,
-                })
-        }
-
-        const CAPS: [f64; 6] = [55.0, 70.0, 40.0, 90.0, 60.0, 80.0];
-
-        fn engines() -> (OnlineCluster, ReferenceOnlineCluster) {
-            let pms: Vec<PmSpec> = CAPS
-                .iter()
-                .enumerate()
-                .map(|(j, &c)| PmSpec::new(j, c))
-                .collect();
-            (
-                OnlineCluster::new(pms.clone(), 5, 0.01, 0.09, 0.01),
-                ReferenceOnlineCluster::new(pms, 5, 0.01, 0.09, 0.01),
-            )
-        }
-
-        /// The full observable state must agree after every op — hosts,
-        /// bit-identical loads and index entries, and occupancy.
-        fn compare(a: &OnlineCluster, b: &ReferenceOnlineCluster, live: &[usize]) {
-            a.check_consistency().unwrap();
-            b.check_consistency().unwrap();
-            assert_eq!(a.n_vms(), b.n_vms());
-            assert_eq!(a.pms_used(), b.pms_used());
-            for &id in live {
-                assert_eq!(a.host_of(id), b.host_of(id), "VM {id} host");
-            }
-            for j in 0..CAPS.len() {
-                assert_eq!(a.load(j), b.load(j), "PM {j} load");
-                assert_eq!(
-                    a.index.value(j).to_bits(),
-                    b.index.value(j).to_bits(),
-                    "PM {j} headroom"
-                );
-            }
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-            #[test]
-            fn interleaved_churn_matches_reference(
-                ops in proptest::collection::vec(op_gen(), 1..50)
-            ) {
-                let (mut a, mut b) = engines();
-                let mut live: Vec<usize> = Vec::new();
-                let mut next_id = 0usize;
-                for op in ops {
-                    match op {
-                        Op::Arrive(t) => {
-                            let v = spec(t, next_id);
-                            next_id += 1;
-                            let ra = a.arrive(v);
-                            let rb = b.arrive(v);
-                            prop_assert_eq!(&ra, &rb);
-                            if ra.is_ok() {
-                                live.push(v.id);
-                            }
-                        }
-                        Op::Depart(sel) => {
-                            if live.is_empty() {
-                                prop_assert_eq!(a.depart(usize::MAX), None);
-                                prop_assert_eq!(b.depart(usize::MAX), None);
-                            } else {
-                                let i = sel as usize % live.len();
-                                let id = live.swap_remove(i);
-                                let ra = a.depart(id);
-                                prop_assert_eq!(ra, b.depart(id));
-                                prop_assert!(ra.is_some());
-                            }
-                        }
-                        Op::Batch(ts) => {
-                            let batch: Vec<VmSpec> = ts
-                                .iter()
-                                .map(|&t| {
-                                    let v = spec(t, next_id);
-                                    next_id += 1;
-                                    v
-                                })
-                                .collect();
-                            let ra = a.arrive_batch(batch.clone());
-                            let rb = b.arrive_batch(batch.clone());
-                            prop_assert_eq!(&ra, &rb);
-                            // On a mid-batch failure both engines keep the
-                            // same partial placements; pick them up.
-                            for v in &batch {
-                                if a.host_of(v.id).is_some() {
-                                    live.push(v.id);
-                                }
-                            }
-                        }
-                        Op::Recalibrate => {
-                            let ra = a.recalibrate();
-                            let rb = b.recalibrate();
-                            match (ra, rb) {
-                                (None, None) => {}
-                                (Some(x), Some(y)) => {
-                                    prop_assert_eq!(x.0.to_bits(), y.0.to_bits());
-                                    prop_assert_eq!(x.1.to_bits(), y.1.to_bits());
-                                }
-                                other => prop_assert!(false, "recalibrate mismatch {:?}", other),
-                            }
-                        }
-                    }
-                    compare(&a, &b, &live);
-                }
-            }
-        }
-    }
-
     mod guarantee {
-        //! The paper's guarantee under churn, judged by the exact
-        //! stationary law ([`pm_cvr_exact`]) rather than by the table a VM
-        //! was admitted under: after every op, every occupied PM of both
-        //! engines has exact CVR ≤ ρ.
+        //! The two online engines in lock-step under churn, and the
+        //! paper's guarantee judged by the exact stationary law
+        //! ([`pm_cvr_exact`]) rather than by the table a VM was admitted
+        //! under: after every op both engines agree bit for bit, and every
+        //! occupied PM of both has exact CVR ≤ ρ.
         use super::*;
         use crate::certify::pm_cvr_exact;
         use proptest::prelude::{prop_assert, proptest, ProptestConfig};
@@ -2522,8 +2369,30 @@ mod tests {
                 })
         }
 
+        /// Six heterogeneous templates on six PMs. Templates 0 and 2
+        /// share `(R_b, R_e)` with different probabilities, so a batch
+        /// holding both has an exact cross-class key tie: `class_schedule`
+        /// bails and the ordered batch route runs beside the collapsed
+        /// one. Template 3 is bursty enough that a PM hosting it is priced
+        /// by a much tighter table than its calm neighbours.
+        fn tied_fleet() -> Fleet {
+            Fleet {
+                rho: 0.01,
+                d: 5,
+                caps: vec![55.0, 70.0, 40.0, 90.0, 60.0, 80.0],
+                templates: vec![
+                    (0.01, 0.09, 4.0, 3.0),
+                    (0.01, 0.09, 7.0, 5.0),
+                    (0.02, 0.10, 4.0, 3.0),
+                    (0.30, 0.20, 10.0, 8.0),
+                    (0.05, 0.15, 2.0, 6.0),
+                    (0.01, 0.09, 7.0, 2.0),
+                ],
+            }
+        }
+
         fn op_gen() -> impl PropStrategy<Value = Op> {
-            (0u8..12, 0u8..=255, proptest::collection::vec(0u8..4, 1..12)).prop_map(
+            (0u8..12, 0u8..=255, proptest::collection::vec(0u8..6, 1..12)).prop_map(
                 |(which, sel, ts)| match which {
                     0..=3 => Op::Arrive(sel),
                     4..=6 => Op::Depart(sel),
@@ -2534,9 +2403,10 @@ mod tests {
             )
         }
 
-        /// Runs `ops` on both engines in lock-step: equal answers and
-        /// digests, consistent internals, and every occupied PM within ρ
-        /// by its exact stationary CVR, after every op.
+        /// Runs `ops` on both engines in lock-step: equal answers,
+        /// digests, per-PM loads and index leaves (bit for bit),
+        /// consistent internals, and every occupied PM within ρ by its
+        /// exact stationary CVR, after every op.
         fn run(fleet: &Fleet, ops: &[Op]) -> Result<(), String> {
             let pms: Vec<PmSpec> = fleet
                 .caps
@@ -2568,11 +2438,11 @@ mod tests {
                         }
                     }
                     Op::Depart(sel) => {
-                        let Some(&id) = live.keys().nth(*sel as usize % live.len().max(1)) else {
-                            continue;
-                        };
+                        // With nothing live, an unknown id both must refuse.
+                        let nth = live.keys().nth(*sel as usize % live.len().max(1));
+                        let id = nth.copied().unwrap_or(usize::MAX);
                         let (ra, rb) = (a.depart(id), b.depart(id));
-                        if ra.is_none() || ra != rb {
+                        if ra.is_some() == live.is_empty() || ra != rb {
                             return Err(fail(format!("engines answered {ra:?} vs {rb:?}")));
                         }
                         live.remove(&id);
@@ -2617,6 +2487,19 @@ mod tests {
                 b.check_consistency().map_err(&fail)?;
                 if a.state_digest() != b.state_digest() {
                     return Err(fail("the engines' digests differ".into()));
+                }
+                let bits = |l: &PmLoad| {
+                    let sums = [l.max_re, l.sum_rb, l.sum_rp, l.max_pi].map(f64::to_bits);
+                    (l.count, sums)
+                };
+                for j in 0..fleet.caps.len() {
+                    let (la, lb) = (a.load(j), b.load(j));
+                    let (ha, hb) = (a.index.value(j), b.index.value(j));
+                    if bits(la) != bits(lb) || ha.to_bits() != hb.to_bits() {
+                        return Err(fail(format!(
+                            "PM {j}: loads {la:?} vs {lb:?}, headroom {ha} vs {hb}"
+                        )));
+                    }
                 }
                 let mut hosted: BTreeMap<usize, Vec<VmSpec>> = BTreeMap::new();
                 for (&id, v) in &live {
@@ -2674,6 +2557,17 @@ mod tests {
                 ops in proptest::collection::vec(op_gen(), 1..40)
             ) {
                 let outcome = run(&fleet, &ops);
+                prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+            #[test]
+            fn a_fleet_with_a_cross_class_key_tie_runs_in_lock_step(
+                ops in proptest::collection::vec(op_gen(), 1..50)
+            ) {
+                let outcome = run(&tied_fleet(), &ops);
                 prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
             }
         }

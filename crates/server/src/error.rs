@@ -55,14 +55,6 @@ impl ServeError {
         }
     }
 
-    pub fn payload_too_large(limit: usize) -> Self {
-        Self {
-            status: 413,
-            code: "payload_too_large",
-            message: format!("request body exceeds the {limit}-byte limit"),
-        }
-    }
-
     /// 503: the request was *not* applied and may be retried as-is —
     /// used when a buffered seq'd op is evicted because earlier seqs
     /// never arrived.

@@ -8,6 +8,7 @@
 //! module so they are comparing literally the same op stream.
 
 use std::net::SocketAddr;
+use std::time::Instant;
 
 use bursty_placement::{OnlineCluster, ReferenceOnlineCluster, StateDigest};
 use bursty_workload::VmSpec;
@@ -207,14 +208,35 @@ pub struct HttpReplayOutcome {
     /// 4xx responses from the engine (no-capacity, unknown id) — these
     /// still count as applied ops.
     pub rejected: usize,
+    /// VMs placed by a 2xx admit or admit-batch.
+    pub admitted: usize,
+    /// The latency of every answered request, refused ones included, in
+    /// nanoseconds, client by client.
+    pub latencies_ns: Vec<u64>,
+    /// The latency of every 2xx single admit, in nanoseconds.
+    pub admit_latencies_ns: Vec<u64>,
+    /// Seconds from spawning the first client to joining the last; the
+    /// digest read comes after.
+    pub wall_secs: f64,
+}
+
+/// What one client saw.
+#[derive(Default)]
+struct Tally {
+    ok: usize,
+    rejected: usize,
+    admitted: usize,
+    latencies_ns: Vec<u64>,
+    admit_latencies_ns: Vec<u64>,
 }
 
 /// Drives `ops` through the daemon over `clients` concurrent
-/// connections. Op `i` carries seq `seq_base + i` and goes to client
-/// `i % clients`; each client sends its share in ascending-seq order,
-/// which the daemon's reorder window serializes back into program
-/// order. Returns the daemon's end-state digest (read after every
-/// client joined).
+/// connections, timing every request. Op `i` carries seq `seq_base + i`
+/// and goes to client `i % clients`; each client sends its share in
+/// ascending-seq order, which the daemon's reorder window serializes back
+/// into program order. A 200 is ok, a 404 or 409 an engine refusal, any
+/// other status an error. Returns what the clients saw and the daemon's
+/// end-state digest (read after every client joined).
 pub fn drive_http(
     addr: SocketAddr,
     ops: &[Op],
@@ -226,17 +248,34 @@ pub fn drive_http(
     for (i, op) in ops.iter().enumerate() {
         shares[i % clients].push((seq_base + i as u64, op.clone()));
     }
+    let start = Instant::now();
     let mut joins = Vec::with_capacity(clients);
     for share in shares {
-        let handle = std::thread::spawn(move || -> std::io::Result<(usize, usize)> {
+        let handle = std::thread::spawn(move || -> std::io::Result<Tally> {
             let mut client = Client::connect(addr)?;
-            let (mut ok, mut rejected) = (0usize, 0usize);
+            let mut seen = Tally {
+                latencies_ns: Vec::with_capacity(share.len()),
+                ..Tally::default()
+            };
             for (seq, op) in share {
                 let (path, body) = op_request(&op, seq);
+                let sent = Instant::now();
                 let resp = client.post(path, &body)?;
+                let ns = sent.elapsed().as_nanos() as u64;
+                seen.latencies_ns.push(ns);
                 match resp.status {
-                    200 => ok += 1,
-                    404 | 409 => rejected += 1,
+                    200 => {
+                        seen.ok += 1;
+                        match &op {
+                            Op::Admit(_) => {
+                                seen.admitted += 1;
+                                seen.admit_latencies_ns.push(ns);
+                            }
+                            Op::AdmitBatch(vms) => seen.admitted += vms.len(),
+                            _ => {}
+                        }
+                    }
+                    404 | 409 => seen.rejected += 1,
                     s => {
                         return Err(std::io::Error::other(format!(
                             "unexpected status {s} for {path}: {}",
@@ -245,24 +284,32 @@ pub fn drive_http(
                     }
                 }
             }
-            Ok((ok, rejected))
+            Ok(seen)
         });
         joins.push(handle);
     }
-    let (mut ok, mut rejected) = (0usize, 0usize);
+    let mut total = Tally::default();
     for j in joins {
-        let (o, r) = j
+        let seen = j
             .join()
             .map_err(|_| std::io::Error::other("replay client panicked"))??;
-        ok += o;
-        rejected += r;
+        total.ok += seen.ok;
+        total.rejected += seen.rejected;
+        total.admitted += seen.admitted;
+        total.latencies_ns.extend(seen.latencies_ns);
+        total.admit_latencies_ns.extend(seen.admit_latencies_ns);
     }
+    let wall_secs = start.elapsed().as_secs_f64();
     let mut client = Client::connect(addr)?;
     let digest = fetch_digest(&mut client)?;
     Ok(HttpReplayOutcome {
         digest,
-        ok,
-        rejected,
+        ok: total.ok,
+        rejected: total.rejected,
+        admitted: total.admitted,
+        latencies_ns: total.latencies_ns,
+        admit_latencies_ns: total.admit_latencies_ns,
+        wall_secs,
     })
 }
 
