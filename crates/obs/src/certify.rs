@@ -10,6 +10,7 @@
 //! interval discounted for the ON/OFF chain's lag-1 autocorrelation
 //! (consecutive steps are correlated by design — that is the burstiness).
 
+use crate::json::{obj, Json};
 use bursty_metrics::{effective_sample_size, wilson_interval_fractional, ProportionCi};
 
 /// Cumulative CVR samples for one PM: `(step, violations, active)` with
@@ -37,16 +38,18 @@ impl CvrSeries {
     /// Encode as a JSONL `cvr_series` record (one line; used in the trace
     /// dump ahead of the event lines).
     pub(crate) fn to_json_line(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"type\":\"cvr_series\",\"samples\":[");
-        for (i, &(step, v, a)) in self.samples.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{},{},{}]", step, v, a);
-        }
-        out.push_str("]}\n");
-        out
+        let int = |n: usize| Json::Num(n as f64);
+        let samples = self
+            .samples
+            .iter()
+            .map(|&(step, v, a)| Json::Arr(vec![Json::Num(step as f64), int(v), int(a)]));
+        let mut line = obj(vec![
+            ("type", Json::Str("cvr_series".to_string())),
+            ("samples", Json::Arr(samples.collect())),
+        ])
+        .encode();
+        line.push('\n');
+        line
     }
 }
 

@@ -6,6 +6,8 @@
 //! parallel VM-evolution chunks), so the journal contents are invariant
 //! under thread count and RNG layout given the same seed.
 
+use crate::json::{obj, Json};
+
 /// Why a VM entered the retry queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetryCause {
@@ -183,127 +185,105 @@ impl Event {
         }
     }
 
-    /// One JSON object per line, `\n`-terminated. Field order is fixed so
-    /// `report::TraceReport` can parse with plain string scanning.
+    /// One JSON object per line, `\n`-terminated: `type` and `step`
+    /// first, then the variant's fields in declaration order.
     pub fn to_json_line(&self) -> String {
+        let int = |n: usize| Json::Num(n as f64);
+        let mut fields = vec![
+            ("type", Json::Str(self.kind().to_string())),
+            ("step", Json::Num(self.step() as f64)),
+        ];
         match *self {
             Event::Violation {
-                step,
                 pm,
                 observed,
                 capacity,
                 degraded,
-            } => format!(
-                "{{\"type\":\"violation\",\"step\":{},\"pm\":{},\"observed\":{},\"capacity\":{},\"degraded\":{}}}\n",
-                step, pm, observed, capacity, degraded
-            ),
+                ..
+            } => fields.extend([
+                ("pm", int(pm)),
+                ("observed", Json::Num(observed)),
+                ("capacity", Json::Num(capacity)),
+                ("degraded", Json::Bool(degraded)),
+            ]),
             Event::Migration {
-                step,
                 vm,
                 from,
                 to,
                 retried,
-            } => format!(
-                "{{\"type\":\"migration\",\"step\":{},\"vm\":{},\"from\":{},\"to\":{},\"retried\":{}}}\n",
-                step, vm, from, to, retried
-            ),
-            Event::MigrationFailed { step, vm, pm } => format!(
-                "{{\"type\":\"migration_failed\",\"step\":{},\"vm\":{},\"pm\":{}}}\n",
-                step, vm, pm
-            ),
-            Event::Crash {
-                step,
-                pm,
-                displaced,
-            } => format!(
-                "{{\"type\":\"crash\",\"step\":{},\"pm\":{},\"displaced\":{}}}\n",
-                step, pm, displaced
-            ),
-            Event::Recovery { step, pm } => format!(
-                "{{\"type\":\"recovery\",\"step\":{},\"pm\":{}}}\n",
-                step, pm
-            ),
+                ..
+            } => fields.extend([
+                ("vm", int(vm)),
+                ("from", int(from)),
+                ("to", int(to)),
+                ("retried", Json::Bool(retried)),
+            ]),
+            Event::MigrationFailed { vm, pm, .. } | Event::OnlineDeparture { vm, pm, .. } => {
+                fields.extend([("vm", int(vm)), ("pm", int(pm))])
+            }
+            Event::Crash { pm, displaced, .. } => {
+                fields.extend([("pm", int(pm)), ("displaced", int(displaced))])
+            }
+            Event::Recovery { pm, .. } => fields.push(("pm", int(pm))),
             Event::Evacuation {
-                step,
                 vm,
                 from,
                 to,
                 degraded,
-            } => match to {
-                Some(to) => format!(
-                    "{{\"type\":\"evacuation\",\"step\":{},\"vm\":{},\"from\":{},\"to\":{},\"degraded\":{}}}\n",
-                    step, vm, from, to, degraded
-                ),
-                None => format!(
-                    "{{\"type\":\"evacuation\",\"step\":{},\"vm\":{},\"from\":{},\"to\":null,\"degraded\":{}}}\n",
-                    step, vm, from, degraded
-                ),
-            },
+                ..
+            } => fields.extend([
+                ("vm", int(vm)),
+                ("from", int(from)),
+                ("to", to.map_or(Json::Null, int)),
+                ("degraded", Json::Bool(degraded)),
+            ]),
             Event::RetryEnqueued {
-                step,
                 vm,
                 cause,
                 attempts,
                 due_step,
-            } => format!(
-                "{{\"type\":\"retry_enqueued\",\"step\":{},\"vm\":{},\"cause\":\"{}\",\"attempts\":{},\"due_step\":{}}}\n",
-                step,
-                vm,
-                cause.name(),
-                attempts,
-                due_step
-            ),
-            Event::RetryAbandoned { step, vm, attempts } => format!(
-                "{{\"type\":\"retry_abandoned\",\"step\":{},\"vm\":{},\"attempts\":{}}}\n",
-                step, vm, attempts
-            ),
-            Event::RetryCancelled { step, vm } => format!(
-                "{{\"type\":\"retry_cancelled\",\"step\":{},\"vm\":{}}}\n",
-                step, vm
-            ),
+                ..
+            } => fields.extend([
+                ("vm", int(vm)),
+                ("cause", Json::Str(cause.name().to_string())),
+                ("attempts", Json::Num(attempts.into())),
+                ("due_step", Json::Num(due_step as f64)),
+            ]),
+            Event::RetryAbandoned { vm, attempts, .. } => {
+                fields.extend([("vm", int(vm)), ("attempts", Json::Num(attempts.into()))])
+            }
+            Event::RetryCancelled { vm, .. } => fields.push(("vm", int(vm))),
             Event::Admission {
-                step,
-                vm,
-                pm,
-                degraded,
-            } => format!(
-                "{{\"type\":\"admission\",\"step\":{},\"vm\":{},\"pm\":{},\"degraded\":{}}}\n",
-                step, vm, pm, degraded
-            ),
+                vm, pm, degraded, ..
+            } => fields.extend([
+                ("vm", int(vm)),
+                ("pm", int(pm)),
+                ("degraded", Json::Bool(degraded)),
+            ]),
             Event::CvrSample {
-                step,
                 pm,
                 violations,
                 active,
-            } => format!(
-                "{{\"type\":\"cvr_sample\",\"step\":{},\"pm\":{},\"violations\":{},\"active\":{}}}\n",
-                step, pm, violations, active
-            ),
+                ..
+            } => fields.extend([
+                ("pm", int(pm)),
+                ("violations", Json::Num(violations as f64)),
+                ("active", Json::Num(active as f64)),
+            ]),
             Event::Step {
-                step,
                 pms_used,
                 violations,
-            } => format!(
-                "{{\"type\":\"step\",\"step\":{},\"pms_used\":{},\"violations\":{}}}\n",
-                step, pms_used, violations
-            ),
-            Event::OnlineDeparture { step, vm, pm } => format!(
-                "{{\"type\":\"online_departure\",\"step\":{},\"vm\":{},\"pm\":{}}}\n",
-                step, vm, pm
-            ),
-            Event::Recalibration { step, p_on, p_off } => format!(
-                "{{\"type\":\"recalibration\",\"step\":{},\"p_on\":{},\"p_off\":{}}}\n",
-                step, p_on, p_off
-            ),
-            Event::Snapshot { step, bytes } => format!(
-                "{{\"type\":\"snapshot\",\"step\":{},\"bytes\":{}}}\n",
-                step, bytes
-            ),
-            Event::Restore { step, discarded } => format!(
-                "{{\"type\":\"restore\",\"step\":{},\"discarded\":{}}}\n",
-                step, discarded
-            ),
+                ..
+            } => fields.extend([("pms_used", int(pms_used)), ("violations", int(violations))]),
+            Event::Recalibration { p_on, p_off, .. } => {
+                fields.extend([("p_on", Json::Num(p_on)), ("p_off", Json::Num(p_off))])
+            }
+            Event::Snapshot { bytes, .. } => fields.push(("bytes", int(bytes))),
+            Event::Restore { discarded, .. } => fields.push(("discarded", int(discarded))),
         }
+        let mut line = obj(fields).encode();
+        line.push('\n');
+        line
     }
 }
 
@@ -735,14 +715,21 @@ mod tests {
                 due_step: 4,
             },
         ];
-        for e in &events {
-            let line = e.to_json_line();
-            assert!(line.ends_with('\n'));
-            assert!(line.contains(&format!("\"type\":\"{}\"", e.kind())));
+        let parsed: Vec<Json> = events
+            .iter()
+            .map(|e| {
+                let line = e.to_json_line();
+                assert!(line.ends_with('\n'));
+                Json::parse(line.as_bytes()).unwrap()
+            })
+            .collect();
+        for (e, record) in events.iter().zip(&parsed) {
+            assert_eq!(record.get("type").and_then(Json::as_str), Some(e.kind()));
         }
-        assert!(events[1].to_json_line().contains("\"to\":null"));
-        assert!(events[2]
-            .to_json_line()
-            .contains("\"cause\":\"evacuation\""));
+        assert_eq!(parsed[1].get("to"), Some(&Json::Null));
+        assert_eq!(
+            parsed[2].get("cause").and_then(Json::as_str),
+            Some("evacuation")
+        );
     }
 }

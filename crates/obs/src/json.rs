@@ -1,11 +1,13 @@
 //! Hand-rolled JSON value: recursive-descent parser and encoder.
 //!
-//! The vendor tree has no serde; the repo's precedent is hand-formatted
-//! JSONL (`MemoryRecorder::to_jsonl`, the bench `BENCH_*.json` writers).
-//! The daemon additionally needs to *read* JSON request bodies, so this
-//! module adds the missing half: a small, strict parser over a byte
-//! slice with a bounded nesting depth. Objects preserve insertion order
-//! (a `Vec` of pairs) so encode output is deterministic.
+//! The vendor tree has no serde, so this one module is the workspace's
+//! JSON: the `--trace-out` JSONL records are built as [`Json`] values and
+//! read back by [`TraceReport`](crate::TraceReport) through
+//! [`Json::parse`], the placement daemon parses request bodies and
+//! renders replies with it, and the bench emitters write and re-read
+//! their `BENCH_*.json` rows with it. The parser is small and strict,
+//! over a byte slice with a bounded nesting depth. Objects preserve
+//! insertion order (a `Vec` of pairs) so encode output is deterministic.
 //!
 //! Both directions allocate only what the tree owns: the parser copies a
 //! string a run at a time (one allocation when it has no escapes) and
@@ -57,6 +59,7 @@ impl Json {
     }
 
     /// Member lookup on an object; `None` on missing key or non-object.
+    #[inline]
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
@@ -64,6 +67,7 @@ impl Json {
         }
     }
 
+    #[inline]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
@@ -75,6 +79,7 @@ impl Json {
     /// anything from 2^53 up: the texts `9007199254740992` and
     /// `9007199254740993` both parse to 2^53, so 2^53 − 1 is the largest
     /// integer a number stands for alone).
+    #[inline]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n < 9_007_199_254_740_992.0 => {
@@ -84,10 +89,12 @@ impl Json {
         }
     }
 
+    #[inline]
     pub fn as_usize(&self) -> Option<usize> {
         self.as_u64().and_then(|v| usize::try_from(v).ok())
     }
 
+    #[inline]
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
@@ -95,6 +102,7 @@ impl Json {
         }
     }
 
+    #[inline]
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
@@ -158,7 +166,8 @@ impl Json {
 }
 
 /// The decimal digits of `n`, written from the back of `buf`.
-pub(crate) fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &str {
+#[inline]
+pub fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &str {
     let mut at = buf.len();
     loop {
         at -= 1;
@@ -173,7 +182,7 @@ pub(crate) fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &str {
 
 /// Writes `s` as a JSON string literal with the mandatory escapes,
 /// copying the stretches between them whole.
-pub(crate) fn encode_string(s: &str, out: &mut String) {
+pub fn encode_string(s: &str, out: &mut String) {
     out.push('"');
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
@@ -434,7 +443,8 @@ impl<'a> Parser<'a> {
 }
 
 /// Convenience builder for an object literal.
-pub(crate) fn obj(pairs: Vec<(&str, Json)>) -> Json {
+#[inline]
+pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
     Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 

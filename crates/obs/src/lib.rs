@@ -25,9 +25,15 @@
 //! fault-injecting `FailingStore`) that `sim::checkpoint` persists
 //! snapshots through.
 
+//! A fifth piece, [`json`], is the workspace's one JSON implementation:
+//! the [`json::Json`] value, its strict parser and its encoder. The trace
+//! JSONL is built and read back through it, and the placement daemon
+//! (which re-exports `Json`) parses requests and renders replies with it.
+
 mod certify;
 pub mod durable;
 mod journal;
+pub mod json;
 mod recorder;
 mod report;
 

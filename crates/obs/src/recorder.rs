@@ -9,6 +9,7 @@
 //! what the CLI's `--trace-out` and the certification tests use.
 
 use crate::journal::{Event, EventJournal};
+use crate::json::{obj, Json};
 use bursty_metrics::Log2Histogram;
 
 /// Monotonic counters. Every variant is a distinct slot in a flat array,
@@ -584,73 +585,49 @@ impl MemoryRecorder {
 
     /// Serialize the whole recorder as JSONL: one meta record carrying the
     /// counters, gauges, histograms and CVR samples, then one line per
-    /// journal event in chronological order. Hand-rolled (the workspace
-    /// has no serde); `report::TraceReport` parses this exact format back.
+    /// journal event in chronological order; `report::TraceReport` parses
+    /// it back. Each record is a [`Json`] value, so every line is JSON: a
+    /// non-finite gauge is `null`, and so is the open upper bound of the
+    /// top histogram bucket (`u64::MAX`, which a JSON number cannot hold;
+    /// counts and ids are exact below 2^53).
     pub fn to_jsonl(&self) -> String {
-        use std::fmt::Write as _;
-
-        let mut out = String::new();
-        out.push_str("{\"type\":\"meta\",\"version\":1,\"counters\":{");
-        let mut first = true;
-        for c in Counter::all() {
-            let v = self.counter(c);
-            if v == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"{}\":{}", c.name(), v);
-        }
-        out.push_str("},\"gauges\":{");
-        let mut first = true;
-        for g in Gauge::all() {
-            let v = self.gauge(g);
-            if v == 0.0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"{}\":{}", g.name(), v);
-        }
-        out.push_str("},\"histograms\":{");
-        let mut first = true;
-        for h in HistId::all() {
-            let hist = self.histogram(h);
-            if hist.total() == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"{}\":[", h.name());
-            let mut first_bucket = true;
-            for (b, &n) in hist.counts().iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                if !first_bucket {
-                    out.push(',');
-                }
-                first_bucket = false;
-                let (lo, hi) = hist.bucket_range(b);
-                let _ = write!(out, "[{},{},{}]", lo, hi, n);
-            }
-            out.push(']');
-        }
-        out.push_str("},\"journal_dropped\":");
-        let _ = write!(out, "{}", self.journal.dropped());
-        out.push_str("}\n");
-
+        let int = |n: u64| Json::Num(n as f64);
+        let counters = Counter::all()
+            .into_iter()
+            .filter(|&c| self.counter(c) != 0)
+            .map(|c| (c.name().to_string(), int(self.counter(c))));
+        let gauges = Gauge::all()
+            .into_iter()
+            .filter(|&g| self.gauge(g) != 0.0)
+            .map(|g| (g.name().to_string(), Json::Num(self.gauge(g))));
+        let histograms = HistId::all()
+            .into_iter()
+            .filter(|&h| self.histogram(h).total() != 0)
+            .map(|h| {
+                let hist = self.histogram(h);
+                let buckets = hist.counts().iter().enumerate().filter(|&(_, &n)| n != 0);
+                let buckets = buckets.map(|(b, &n)| {
+                    let (lo, hi) = hist.bucket_range(b);
+                    let hi = if hi == u64::MAX { Json::Null } else { int(hi) };
+                    Json::Arr(vec![int(lo), hi, int(n)])
+                });
+                (h.name().to_string(), Json::Arr(buckets.collect()))
+            });
+        let meta = obj(vec![
+            ("type", Json::Str("meta".to_string())),
+            ("version", int(1)),
+            ("counters", Json::Obj(counters.collect())),
+            ("gauges", Json::Obj(gauges.collect())),
+            ("histograms", Json::Obj(histograms.collect())),
+            ("journal_dropped", int(self.journal.dropped())),
+        ]);
+        let mut out = meta.encode();
+        out.push('\n');
         for series in &self.cvr_series {
-            let _ = write!(out, "{}", series.to_json_line());
+            out.push_str(&series.to_json_line());
         }
         for event in self.journal.iter() {
-            let _ = write!(out, "{}", event.to_json_line());
+            out.push_str(&event.to_json_line());
         }
         out
     }
@@ -813,6 +790,32 @@ mod tests {
         for cut in 0..bytes.len() {
             let _ = MemoryRecorder::from_snapshot_bytes(&bytes[..cut]);
         }
+    }
+
+    #[test]
+    fn non_finite_gauges_and_the_open_top_bucket_write_json() {
+        let mut r = MemoryRecorder::new(4);
+        r.gauge_set(Gauge::EnergyJoules, f64::NAN);
+        r.gauge_set(Gauge::PeakPmsUsed, f64::INFINITY);
+        r.gauge_set(Gauge::FinalPmsUsed, f64::NEG_INFINITY);
+        // A 2.2 s latency in ns is past 2^31: the last, open bucket.
+        r.record_value(HistId::OnlineAdmitNanos, 2_200_000_000);
+        r.record_event(Event::Recovery { step: 1, pm: 0 });
+        let text = r.to_jsonl();
+        for line in text.lines() {
+            crate::json::Json::parse(line.as_bytes()).unwrap_or_else(|e| panic!("{e}: {line}"));
+        }
+        let meta = text.lines().next().unwrap();
+        assert!(
+            meta.contains(
+                r#""gauges":{"peak_pms_used":null,"final_pms_used":null,"energy_joules":null}"#
+            ),
+            "{meta}"
+        );
+        assert!(
+            meta.contains(r#""online_admit_nanos":[[2147483648,null,1]]"#),
+            "{meta}"
+        );
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! [`MemoryRecorder::to_jsonl`](crate::MemoryRecorder::to_jsonl)) for the
 //! `trace-report` CLI subcommand.
 //!
-//! The workspace has no JSON library, so this parses with targeted string
-//! scanning — sufficient because we only ever read back our own writer's
-//! fixed field order, and defensive enough to reject non-trace input with
-//! a useful error.
+//! Each complete line is parsed with [`Json::parse`], the same module that
+//! wrote it, and read through its accessors: a line that is not JSON, or a
+//! record that lacks a field the report uses, is an error naming its line.
 
+use crate::json::Json;
 use bursty_metrics::{Histogram, Log2Histogram};
 use std::collections::BTreeMap;
 use std::io::BufRead;
@@ -62,71 +62,14 @@ impl Default for TraceReport {
     }
 }
 
-/// Extract `"key":<number>` from a JSON-ish line. Only handles the
-/// non-negative integers our own writer emits.
-fn int_field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{}\":", key);
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extract `"key":<number>` as an `f64` (handles the `-?d+(.d+)?(e±d+)?`
-/// forms our own writer emits).
-fn f64_field(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{}\":", key);
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extract `"key":"value"` from a JSON-ish line.
-fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{}\":\"", key);
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest.find('"')?;
-    Some(&rest[..end])
-}
-
-/// Parse the `"counters":{...}` / `"gauges":{...}` style object embedded
-/// in the meta line, returning its `name -> numeric-text` pairs.
-fn object_fields(line: &str, key: &str) -> Vec<(String, String)> {
-    let pat = format!("\"{}\":{{", key);
-    let Some(start) = line.find(&pat) else {
-        return Vec::new();
-    };
-    let body_start = start + pat.len();
-    let Some(rel_end) = line[body_start..].find('}') else {
-        return Vec::new();
-    };
-    let body = &line[body_start..body_start + rel_end];
-    let mut out = Vec::new();
-    for pair in body.split(',') {
-        let Some((name, value)) = pair.split_once(':') else {
-            continue;
-        };
-        let name = name.trim().trim_matches('"');
-        if name.is_empty() {
-            continue;
-        }
-        out.push((name.to_string(), value.trim().to_string()));
-    }
-    out
-}
-
 impl TraceReport {
     /// Parse a JSONL trace one line at a time. Memory stays bounded by the
-    /// longest single line plus the fixed-size sketches and per-name maps —
-    /// never by the trace length, so multi-gigabyte `--trace-out` dumps
-    /// report fine. Returns `Err` with a line number and reason when the
-    /// input does not look like a trace dump (or the reader fails).
+    /// longest single line (its text and its parsed tree) plus the
+    /// fixed-size sketches and per-name maps — never by the trace length,
+    /// so multi-gigabyte `--trace-out` dumps report fine. Returns `Err`
+    /// with a line number and reason when a complete line is not JSON or
+    /// lacks a field the report reads, when no meta record is found, or
+    /// when the reader fails.
     pub fn from_reader<R: BufRead>(mut input: R) -> Result<TraceReport, String> {
         let mut report = TraceReport::default();
         let mut saw_meta = false;
@@ -154,40 +97,54 @@ impl TraceReport {
             if line.is_empty() {
                 continue;
             }
-            let Some(kind) = str_field(line, "type") else {
+            let record = Json::parse(line.as_bytes()).map_err(|e| format!("line {idx}: {e}"))?;
+            let field = |key: &str| record.get(key).unwrap_or(&Json::Null);
+            let int = |key: &str| {
+                field(key)
+                    .as_u64()
+                    .ok_or_else(|| format!("line {idx}: no integer \"{key}\""))
+            };
+            let Some(kind) = field("type").as_str() else {
                 return Err(format!("line {idx}: no \"type\" field"));
             };
             match kind {
                 "meta" => {
                     saw_meta = true;
-                    for (name, value) in object_fields(line, "counters") {
-                        if let Ok(v) = value.parse::<u64>() {
-                            report.counters.insert(name, v);
-                        }
+                    let members = |key: &str| match field(key) {
+                        Json::Obj(pairs) => Ok(pairs),
+                        _ => Err(format!("line {idx}: no \"{key}\" object")),
+                    };
+                    for (name, value) in members("counters")? {
+                        let v = value
+                            .as_u64()
+                            .ok_or_else(|| format!("line {idx}: counter {name} is no integer"))?;
+                        report.counters.insert(name.clone(), v);
                     }
-                    for (name, value) in object_fields(line, "gauges") {
-                        if let Ok(v) = value.parse::<f64>() {
-                            report.gauges.insert(name, v);
-                        }
+                    for (name, value) in members("gauges")? {
+                        // The writer turns a non-finite gauge into `null`.
+                        let v = match value {
+                            Json::Null => f64::NAN,
+                            v => v
+                                .as_f64()
+                                .ok_or_else(|| format!("line {idx}: gauge {name} is no number"))?,
+                        };
+                        report.gauges.insert(name.clone(), v);
                     }
-                    report.journal_dropped = int_field(line, "journal_dropped").unwrap_or(0);
+                    report.journal_dropped = int("journal_dropped")?;
                 }
                 "cvr_series" => report.cvr_series += 1,
                 _ => {
+                    let step = int("step")?;
                     report.events += 1;
                     *report.event_counts.entry(kind.to_string()).or_insert(0) += 1;
-                    if let Some(step) = int_field(line, "step") {
-                        report.step_range = Some(match report.step_range {
-                            None => (step, step),
-                            Some((lo, hi)) => (lo.min(step), hi.max(step)),
-                        });
-                    }
+                    report.step_range = Some(match report.step_range {
+                        None => (step, step),
+                        Some((lo, hi)) => (lo.min(step), hi.max(step)),
+                    });
                     if kind == "violation" {
-                        if let Some(pm) = int_field(line, "pm") {
-                            *report.violations_by_pm.entry(pm).or_insert(0) += 1;
-                        }
+                        *report.violations_by_pm.entry(int("pm")?).or_insert(0) += 1;
                         if let (Some(observed), Some(capacity)) =
-                            (f64_field(line, "observed"), f64_field(line, "capacity"))
+                            (field("observed").as_f64(), field("capacity").as_f64())
                         {
                             if capacity > 0.0 {
                                 report.overload_ratio.push(observed / capacity);
@@ -195,9 +152,7 @@ impl TraceReport {
                         }
                     }
                     if kind == "crash" {
-                        if let Some(displaced) = int_field(line, "displaced") {
-                            report.crash_displaced.record(displaced);
-                        }
+                        report.crash_displaced.record(int("displaced")?);
                     }
                 }
             }
@@ -297,8 +252,11 @@ impl TraceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::Event;
+    use crate::journal::{Event, RetryCause};
     use crate::recorder::{Counter, Gauge, MemoryRecorder, Recorder};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn round_trips_a_memory_recorder_dump() {
@@ -390,6 +348,36 @@ mod tests {
     }
 
     #[test]
+    fn a_corrupt_complete_line_is_an_error_naming_it() {
+        let meta = MemoryRecorder::new(0).to_jsonl();
+        let cut = r#"{"type":"violation","step":7,"pm":"#;
+        for bad in [
+            cut,
+            r#"xx "type":"crash" yy"#,
+            r#"{"type":"violation","step":7}"#,
+            r#"{"type":"crash","step":-1,"pm":0,"displaced":1}"#,
+        ] {
+            let text = meta.clone() + bad + "\n";
+            let err = TraceReport::from_reader(text.as_bytes()).unwrap_err();
+            assert!(err.starts_with("line 2: "), "{bad}: {err}");
+        }
+        // Without its `\n` the same cut line is a torn tail, not an error.
+        let report = TraceReport::from_reader((meta + cut).as_bytes()).unwrap();
+        assert_eq!((report.torn_tail, report.events), (1, 0));
+    }
+
+    #[test]
+    fn a_null_gauge_reads_back_as_nan() {
+        let mut r = MemoryRecorder::new(0);
+        r.gauge_set(Gauge::EnergyJoules, f64::NAN);
+        r.gauge_set(Gauge::PeakPmsUsed, f64::INFINITY);
+        let report = TraceReport::from_reader(r.to_jsonl().as_bytes()).unwrap();
+        assert!(report.gauges["energy_joules"].is_nan());
+        assert!(report.gauges["peak_pms_used"].is_nan());
+        assert!(report.render().contains("energy_joules              NaN"));
+    }
+
+    #[test]
     fn rejects_non_trace_input() {
         assert!(TraceReport::from_reader("hello world\n".as_bytes()).is_err());
         // Valid-looking events but no meta line.
@@ -434,5 +422,157 @@ mod tests {
         let report = TraceReport::from_reader(r.to_jsonl().as_bytes()).unwrap();
         assert_eq!(report.events, 0);
         assert!(report.render().contains("journal events : 0"));
+    }
+
+    /// An integer a JSON number holds exactly, small most of the time.
+    fn id(rng: &mut StdRng) -> usize {
+        if rng.gen_bool(0.9) {
+            rng.gen_range(0..64)
+        } else {
+            rng.gen_range(0..1usize << 53)
+        }
+    }
+
+    /// Any finite `f64`, from its bits, or a plain load figure.
+    fn finite(rng: &mut StdRng) -> f64 {
+        let v = f64::from_bits(rng.next_u64());
+        if v.is_finite() && rng.gen_bool(0.5) {
+            v
+        } else {
+            rng.gen_range(0.0..200.0)
+        }
+    }
+
+    fn event(rng: &mut StdRng) -> Event {
+        let step = id(rng) as u64;
+        let (vm, pm, flag) = (id(rng), id(rng), rng.gen_bool(0.5));
+        match rng.gen_range(0..16) {
+            0 => Event::Violation {
+                step,
+                pm,
+                observed: finite(rng),
+                capacity: finite(rng),
+                degraded: flag,
+            },
+            1 => Event::Migration {
+                step,
+                vm,
+                from: pm,
+                to: id(rng),
+                retried: flag,
+            },
+            2 => Event::MigrationFailed { step, vm, pm },
+            3 => Event::Crash {
+                step,
+                pm,
+                displaced: id(rng),
+            },
+            4 => Event::Recovery { step, pm },
+            5 => Event::Evacuation {
+                step,
+                vm,
+                from: pm,
+                to: flag.then(|| id(rng)),
+                degraded: rng.gen_bool(0.5),
+            },
+            6 => Event::RetryEnqueued {
+                step,
+                vm,
+                cause: [RetryCause::Overload, RetryCause::Evacuation][flag as usize],
+                attempts: rng.gen(),
+                due_step: id(rng) as u64,
+            },
+            7 => Event::RetryAbandoned {
+                step,
+                vm,
+                attempts: rng.gen(),
+            },
+            8 => Event::RetryCancelled { step, vm },
+            9 => Event::Admission {
+                step,
+                vm,
+                pm,
+                degraded: flag,
+            },
+            10 => Event::CvrSample {
+                step,
+                pm,
+                violations: id(rng) as u64,
+                active: id(rng) as u64,
+            },
+            11 => Event::Step {
+                step,
+                pms_used: pm,
+                violations: vm,
+            },
+            12 => Event::OnlineDeparture { step, vm, pm },
+            13 => Event::Recalibration {
+                step,
+                p_on: finite(rng),
+                p_off: finite(rng),
+            },
+            14 => Event::Snapshot { step, bytes: vm },
+            _ => Event::Restore {
+                step,
+                discarded: pm,
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn a_dump_reads_back_as_a_walk_of_the_recorder(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut r = MemoryRecorder::new(rng.gen_range(0..24)).with_cvr_sampling(5);
+            for c in Counter::all() {
+                if rng.gen_bool(0.5) {
+                    r.counter_add(c, id(&mut rng) as u64);
+                }
+            }
+            for g in Gauge::all() {
+                if rng.gen_bool(0.7) {
+                    r.gauge_set(g, finite(&mut rng));
+                }
+            }
+            for _ in 0..rng.gen_range(0..40) {
+                r.record_event(event(&mut rng));
+            }
+            let pms = rng.gen_range(0..4);
+            r.sample_cvr(4, &vec![1; pms], &vec![5; pms]);
+
+            let report = TraceReport::from_reader(r.to_jsonl().as_bytes()).unwrap();
+
+            let counters: BTreeMap<String, u64> = Counter::all()
+                .into_iter()
+                .filter(|&c| r.counter(c) != 0)
+                .map(|c| (c.name().to_string(), r.counter(c)))
+                .collect();
+            let gauges: BTreeMap<String, f64> = Gauge::all()
+                .into_iter()
+                .filter(|&g| r.gauge(g) != 0.0)
+                .map(|g| (g.name().to_string(), r.gauge(g)))
+                .collect();
+            let mut event_counts = BTreeMap::new();
+            let mut violations_by_pm = BTreeMap::new();
+            for e in r.journal().iter() {
+                *event_counts.entry(e.kind().to_string()).or_insert(0) += 1;
+                if let Event::Violation { pm, .. } = *e {
+                    *violations_by_pm.entry(pm as u64).or_insert(0) += 1;
+                }
+            }
+            let steps = || r.journal().iter().map(Event::step);
+            let step_range = steps().min().zip(steps().max());
+
+            prop_assert_eq!(report.counters, counters);
+            prop_assert_eq!(report.gauges, gauges);
+            prop_assert_eq!(report.journal_dropped, r.journal().dropped());
+            prop_assert_eq!(report.event_counts, event_counts);
+            prop_assert_eq!(report.step_range, step_range);
+            prop_assert_eq!(report.violations_by_pm, violations_by_pm);
+            prop_assert_eq!(report.cvr_series, r.cvr_series().len());
+            prop_assert_eq!(report.events, r.journal().len() as u64);
+        }
     }
 }

@@ -12,7 +12,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
 use crate::http::content_length;
-use crate::json::{decimal, Json, JsonError};
+use bursty_obs::json::{decimal, Json, JsonError};
 
 /// One keep-alive connection to the daemon.
 pub struct Client {

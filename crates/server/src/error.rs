@@ -4,7 +4,7 @@
 //! so the replay client and the malformed-input matrix can assert on the
 //! machine-readable `code` rather than scraping free-text messages.
 
-use crate::json::encode_string;
+use bursty_obs::json::encode_string;
 
 /// A request failure: an HTTP status plus a stable machine-readable code.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,7 +95,7 @@ impl std::fmt::Display for ServeError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
+    use bursty_obs::json::Json;
 
     #[test]
     fn error_body_is_valid_json() {

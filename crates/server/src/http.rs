@@ -15,7 +15,7 @@ use std::io::{self, BufRead, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::json::decimal;
+use bursty_obs::json::decimal;
 
 /// Upper bound on a request line or a single header line, in bytes.
 const MAX_LINE: usize = 8 * 1024;

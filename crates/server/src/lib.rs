@@ -43,15 +43,14 @@
 mod client;
 mod error;
 pub mod http;
-mod json;
 mod listener;
 pub mod replay;
 mod routes;
 pub mod state;
 
+pub use bursty_obs::json::{Json, JsonError};
 pub use client::{Client, Response};
 pub use error::ServeError;
-pub use json::{Json, JsonError};
 pub use listener::{spawn, RestoreReport, ServerConfig, ServerHandle};
 pub use replay::{
     apply_engine, apply_reference, build_program, drive_http, fetch_digest, op_request,

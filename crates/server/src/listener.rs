@@ -47,9 +47,9 @@ use crossbeam::channel;
 
 use crate::error::ServeError;
 use crate::http::{read_request, write_response, HttpError};
-use crate::json::Json;
 use crate::routes::{route, Action};
 use crate::state::{metric_line, restore_newest, ClusterState, Op, RestoreReason, SeqWindow};
+use bursty_obs::json::Json;
 
 /// Socket read timeout and worker poll interval: the granularity at
 /// which idle connections requeue and the shutdown flag and pending-seq

@@ -14,9 +14,9 @@ use bursty_placement::{OnlineCluster, ReferenceOnlineCluster, StateDigest};
 use bursty_workload::VmSpec;
 
 use crate::client::Client;
-use crate::json::{obj, Json};
 use crate::routes::vm_to_json;
 use crate::state::Op;
+use bursty_obs::json::{obj, Json};
 
 /// Deterministic 64-bit LCG (same multiplier as the CLI's replay
 /// generator) — no `rand` dependency in the library proper.

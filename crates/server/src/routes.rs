@@ -11,8 +11,8 @@ use bursty_workload::VmSpec;
 
 use crate::error::ServeError;
 use crate::http::Request;
-use crate::json::Json;
 use crate::state::Op;
+use bursty_obs::json::Json;
 
 /// What a framed, validated request asks the daemon to do.
 #[derive(Debug, Clone, PartialEq)]
@@ -165,7 +165,7 @@ fn require_f64(v: &Json, key: &str) -> Result<f64, ServeError> {
 /// Renders a `VmSpec` as the admit-request JSON shape (shared by the
 /// replay client and the bench driver).
 pub fn vm_to_json(vm: &VmSpec) -> Json {
-    crate::json::obj(vec![
+    bursty_obs::json::obj(vec![
         ("id", Json::Num(vm.id as f64)),
         ("p_on", Json::Num(vm.p_on)),
         ("p_off", Json::Num(vm.p_off)),

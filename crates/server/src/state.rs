@@ -22,7 +22,7 @@ use bursty_placement::{OnlineCluster, PackError};
 use bursty_workload::{PmSpec, VmSpec};
 
 use crate::error::ServeError;
-use crate::json::{decimal, obj, Json};
+use bursty_obs::json::{decimal, obj, Json};
 
 /// Section tags inside a `serve-*.ckpt` frame.
 const TAG_CLUSTER: u32 = 1;
