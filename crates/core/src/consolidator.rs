@@ -42,9 +42,13 @@ impl Scheme {
 /// Configuration + scheme bundle with the paper's defaults
 /// (`ρ = 0.01`, `d = 16`, `p_on = 0.01`, `p_off = 0.09`).
 ///
-/// Switch probabilities are per-[`Consolidator`] because the mapping table
-/// (Algorithm 1) depends on them; heterogeneous fleets should be rounded
-/// first (see [`bursty_placement::online::round_probabilities`]).
+/// The switch probabilities are QUEUE's *floor*: packing and the runtime
+/// policy price each PM at the hottest chain it hosts, and never below
+/// this pair's `π = p_on/(p_on + p_off)` (see
+/// [`bursty_placement::QueueStrategy`]). A plan from fitted specs should
+/// floor at their conservative rounding
+/// ([`bursty_placement::rounding::round_with_policy`]), as `bursty plan`
+/// does: the rounded pair is the planner's margin for fit error.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Consolidator {
     scheme: Scheme,
@@ -84,10 +88,10 @@ impl Consolidator {
         self
     }
 
-    /// Overrides the uniform switch probabilities. Both must lie in
-    /// `(0, 1]` — a zero probability degenerates the ON-OFF chain (a VM
-    /// that can never switch), and anything outside `[0, 1]` is not a
-    /// probability.
+    /// Overrides the switch probabilities of QUEUE's floor pair (see
+    /// [`Consolidator`]). Both must lie in `(0, 1]` — a zero probability
+    /// degenerates the ON-OFF chain (a VM that can never switch), and
+    /// anything outside `[0, 1]` is not a probability.
     pub fn with_probabilities(mut self, p_on: f64, p_off: f64) -> Self {
         assert!(
             p_on > 0.0 && p_on <= 1.0,
@@ -118,7 +122,7 @@ impl Consolidator {
     /// scheme's knowledge model.
     pub fn policy(&self) -> Box<dyn RuntimePolicy> {
         match self.scheme {
-            // Shares the memoized mapping table with `strategy()`, so
+            // Shares the memoized floor table with `strategy()`, so
             // `evaluate` solves each (d, p_on, p_off, rho) chain family
             // exactly once per process.
             Scheme::Queue => Box::new(QueuePolicy::from_parameters(
@@ -541,7 +545,10 @@ mod tests {
         let policy = QueuePolicy::from_parameters(d, p_on, p_off, rho);
         let after = mapping_cache_stats();
         assert!(
-            std::sync::Arc::ptr_eq(strategy.mapping_arc(), policy.strategy().mapping_arc()),
+            std::sync::Arc::ptr_eq(
+                strategy.floor().unwrap(),
+                policy.strategy().floor().unwrap()
+            ),
             "packing strategy and runtime policy must share one table"
         );
         // Exactly one build for this parameter set; the second lookup hit.

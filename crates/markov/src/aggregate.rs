@@ -15,7 +15,7 @@
 //! The stationary distribution of the chain therefore directly yields the
 //! PM's capacity-violation ratio for any number of reserved blocks.
 
-use crate::binomial::BinomialPmf;
+use crate::binomial::{ln_factorials, BinomialPmf};
 use bursty_linalg::{stationary_distribution, LinalgError, Matrix};
 
 /// Tie-break slack for the Eq. 15 cumulative test `Σ_{m ≤ K} π_m ≥ 1 − ρ`.
@@ -193,30 +193,48 @@ impl AggregateChain {
     /// # Panics
     /// Panics unless `rho ∈ (0, 1)`.
     pub fn reservation(&self, rho: f64) -> Reservation {
-        self.reservation_from_stationary(&self.stationary(), rho)
+        Self::reservations(self.k, rho)(self.p_on / (self.p_on + self.p_off))
     }
 
-    /// The shared Eq. 15/16 fold: minimal `K` with
-    /// `Σ_{m ≤ K} π_m ≥ 1 − ρ − RESERVATION_TIE_EPS`, plus the certified
-    /// CVR at that `K`. The solver oracle's `π` goes through this same
-    /// comparison in the tests, so a knife-edge tie cannot split them.
-    fn reservation_from_stationary(&self, pi: &[f64], rho: f64) -> Reservation {
-        assert!(rho > 0.0 && rho < 1.0, "rho must be in (0,1), got {rho}");
-        // Roundoff can leave the cumulative sum slightly below 1 − ρ at the
-        // end; the full reservation k always satisfies the bound exactly.
-        let mut blocks = self.k;
-        let mut cum = 0.0;
-        for (m, &p) in pi.iter().enumerate() {
-            cum += p;
-            if cum >= 1.0 - rho - RESERVATION_TIE_EPS {
-                blocks = m;
-                break;
-            }
+    /// [`AggregateChain::reservation`] of `k` chains as a function of
+    /// their stationary ON probability `π ∈ [0, 1]`, whatever pair
+    /// produced it: the law reads only `π`, so this is the one entry for
+    /// every caller that prices by `π` (a pair's `reservation` goes
+    /// through it with `π = p_on/(p_on + p_off)`, bit for bit). The
+    /// `ln x!` of the law are computed once, for a caller that folds one
+    /// `k` at many `π`.
+    ///
+    /// # Panics
+    /// The returned function panics if `π ∉ [0, 1]` or `rho ∉ (0, 1)`.
+    pub fn reservations(k: usize, rho: f64) -> impl Fn(f64) -> Reservation {
+        let ln_fact = ln_factorials(k);
+        move |pi| {
+            reservation_from_stationary(&BinomialPmf::new(k as u64, pi).pmf_all_with(&ln_fact), rho)
         }
-        // Clamp: roundoff can leave a tail sum at -1e-17 for blocks = k.
-        let cvr = pi.iter().skip(blocks + 1).sum::<f64>().max(0.0);
-        Reservation { blocks, cvr }
     }
+}
+
+/// The shared Eq. 15/16 fold over a stationary law `pi` of `k + 1`
+/// states: minimal `K` with `Σ_{m ≤ K} π_m ≥ 1 − ρ − RESERVATION_TIE_EPS`,
+/// plus the certified CVR at that `K`. The solver oracle's `π` goes
+/// through this same comparison in the tests, so a knife-edge tie cannot
+/// split them.
+fn reservation_from_stationary(pi: &[f64], rho: f64) -> Reservation {
+    assert!(rho > 0.0 && rho < 1.0, "rho must be in (0,1), got {rho}");
+    // Roundoff can leave the cumulative sum slightly below 1 − ρ at the
+    // end; the full reservation k always satisfies the bound exactly.
+    let mut blocks = pi.len() - 1;
+    let mut cum = 0.0;
+    for (m, &p) in pi.iter().enumerate() {
+        cum += p;
+        if cum >= 1.0 - rho - RESERVATION_TIE_EPS {
+            blocks = m;
+            break;
+        }
+    }
+    // Clamp: roundoff can leave a tail sum at -1e-17 for blocks = k.
+    let cvr = pi.iter().skip(blocks + 1).sum::<f64>().max(0.0);
+    Reservation { blocks, cvr }
 }
 
 /// A block reservation certified by one stationary solve: the minimal
@@ -239,7 +257,7 @@ mod tests {
     /// The reservation read off the Gaussian-solver oracle's `π` through
     /// the same Eq. 15/16 fold the closed form uses.
     fn solver_reservation(agg: &AggregateChain, rho: f64) -> Reservation {
-        agg.reservation_from_stationary(&agg.stationary_by_solver().unwrap(), rho)
+        reservation_from_stationary(&agg.stationary_by_solver().unwrap(), rho)
     }
 
     #[test]

@@ -105,14 +105,18 @@ impl BinomialPmf {
     /// The full PMF vector `[Pr[X=0], …, Pr[X=n]]`, bit-identical to
     /// [`Self::pmf`] at each `x`: the same terms, with each `ln x!` and the
     /// two logarithms computed once instead of per term — `ln_gamma` was
-    /// most of a MapCal table build, and the online engines build one per
-    /// distinct switch probability they are offered.
+    /// most of a MapCal table build.
     pub(crate) fn pmf_all(&self) -> Vec<f64> {
+        self.pmf_all_with(&ln_factorials(self.n as usize))
+    }
+
+    /// [`Self::pmf_all`] over the caller's [`ln_factorials`]`(n)`, for a
+    /// caller that expands one `n` at many `p`.
+    pub(crate) fn pmf_all_with(&self, ln_fact: &[f64]) -> Vec<f64> {
         let n = self.n as usize;
         if self.p == 0.0 || self.p == 1.0 || n == 0 {
             return (0..=self.n).map(|x| self.pmf(x)).collect();
         }
-        let ln_fact: Vec<f64> = (0..=n).map(|i| ln_gamma(i as f64 + 1.0)).collect();
         let (ln_p, ln_q) = (self.p.ln(), (1.0 - self.p).ln());
         (0..=n)
             .map(|x| {
@@ -121,6 +125,11 @@ impl BinomialPmf {
             })
             .collect()
     }
+}
+
+/// `ln x!` (as `ln_gamma(x + 1)`) for `x ∈ [0, n]`.
+pub(crate) fn ln_factorials(n: usize) -> Vec<f64> {
+    (0..=n).map(|i| ln_gamma(i as f64 + 1.0)).collect()
 }
 
 #[cfg(test)]

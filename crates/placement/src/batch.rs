@@ -126,6 +126,7 @@ pub struct PlacementState {
     max_re: Vec<f64>,
     sum_rb: Vec<f64>,
     sum_rp: Vec<f64>,
+    max_pi: Vec<f64>,
     index: HeadroomIndex,
     /// The `(PM, copies)` fills the current pack's runs committed.
     fills: Vec<(u32, u32)>,
@@ -161,6 +162,7 @@ impl PlacementState {
             max_re: Vec::new(),
             sum_rb: Vec::new(),
             sum_rp: Vec::new(),
+            max_pi: Vec::new(),
             index: HeadroomIndex::new(&[]),
             fills: Vec::new(),
             profile: PackProfile::default(),
@@ -183,6 +185,7 @@ impl PlacementState {
             self.max_re.resize(m, 0.0);
             self.sum_rb.resize(m, 0.0);
             self.sum_rp.resize(m, 0.0);
+            self.max_pi.resize(m, 0.0);
         }
         self.index
             .reset_lazy(|leaves| strategy.empty_headrooms(pms, leaves));
@@ -209,10 +212,9 @@ impl RunPool for PlacementState {
         &mut self.index
     }
 
-    /// The load of PM `j`, materialized from the arrays. The offline
-    /// strategies price every PM with one table and never read
-    /// [`PmLoad::max_pi`], so the arena keeps no array for it (nor a
-    /// field in its image): its loads report 0 there.
+    /// The load of PM `j`, materialized from the arrays — its hottest
+    /// chain included, so the batch packer prices a PM as the per-VM
+    /// packer does.
     fn load(&self, j: usize) -> PmLoad {
         if self.epoch[j] != self.generation {
             return PmLoad::empty();
@@ -222,7 +224,7 @@ impl RunPool for PlacementState {
             max_re: self.max_re[j],
             sum_rb: self.sum_rb[j],
             sum_rp: self.sum_rp[j],
-            max_pi: 0.0,
+            max_pi: self.max_pi[j],
         }
     }
 
@@ -232,6 +234,7 @@ impl RunPool for PlacementState {
         self.max_re[j] = load.max_re;
         self.sum_rb[j] = load.sum_rb;
         self.sum_rp[j] = load.sum_rp;
+        self.max_pi[j] = load.max_pi;
         self.fills.push((j as u32, copies as u32));
     }
 }

@@ -6,6 +6,8 @@
 //! * [`mapcal::MappingTable`] — Algorithm 1 (*MapCal*): for every possible
 //!   co-location count `k ≤ d` it stores the minimum number of reserved
 //!   blocks `K` that keeps the PM's capacity-violation ratio under `ρ`.
+//!   Its `π`-threshold form prices a load at any stationary ON
+//!   probability `π` for one `(d, ρ)`.
 //! * [`strategy::Strategy`] — a packing/admission policy: an ordering of
 //!   VMs plus a set-feasibility predicate for a PM. Implementations:
 //!   [`QueueStrategy`] (Eq. 17), and the baselines [`PeakStrategy`] (FFD by
@@ -18,8 +20,8 @@
 //!   a placement (a convolution of the independent ON-OFF laws): the
 //!   oracle the table above and both simulator layouts are checked
 //!   against.
-//! * [`online::OnlineCluster`] — §IV-E's online arrivals/exits, including
-//!   heterogeneous-probability rounding.
+//! * [`online::OnlineCluster`] — §IV-E's online arrivals/exits, each PM
+//!   priced at the hottest chain it hosts.
 //! * [`multidim`] — §IV-E's per-dimension reservation with plain First Fit.
 //!
 //! Beyond the paper's main line: [`sbp`] implements the related-work
@@ -52,7 +54,7 @@ pub use evacuate::{evacuate_batch_recorded, EvacuationOutcome};
 pub use index::HeadroomIndex;
 pub use load::PmLoad;
 pub use mapcal::{mapping_cache_stats, MappingCacheStats, MappingTable};
-pub use online::{round_probabilities, OnlineCluster, ReferenceOnlineCluster, StateDigest};
+pub use online::{OnlineCluster, ReferenceOnlineCluster, StateDigest};
 pub use pack::{first_fit, first_fit_recorded, PackError};
 pub use placement::Placement;
 pub use strategy::{BaseStrategy, PeakStrategy, QueueStrategy, ReserveStrategy, Strategy};

@@ -16,9 +16,9 @@ pub struct PmLoad {
     /// Sum of peak demands (`Σ R_p`).
     pub sum_rp: f64,
     /// The hottest hosted chain: the largest stationary ON probability
-    /// `π = p_on / (p_on + p_off)` among hosted VMs, 0 when empty. Only
-    /// the online engines' per-PM rule reads it; the offline arena keeps
-    /// no copy (see [`crate::PlacementState`]).
+    /// `π = p_on / (p_on + p_off)` among hosted VMs, 0 when empty. QUEUE
+    /// prices the PM at it, floored at the strategy's pair
+    /// ([`crate::QueueStrategy`]).
     pub max_pi: f64,
 }
 

@@ -41,7 +41,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub struct MappingTable {
     p_on: f64,
     p_off: f64,
-    rho: f64,
+    pub(crate) rho: f64,
     /// `mapping[k]` for `k ∈ [0, d]`; `mapping[0] = 0` by convention
     /// (Algorithm 2, line 1).
     blocks: Vec<usize>,
@@ -170,6 +170,111 @@ static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
 
 fn mapping_cache() -> &'static Mutex<HashMap<CacheKey, Arc<MappingTable>>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
+/// MapCal as a function of `π` alone, for one `(d, ρ)`: row `k` holds the
+/// ascending `π` at which `K(k, ·)` — [`MappingTable`]'s `mapping(k)` at
+/// `π = p_on/(p_on+p_off)` — steps up, so `blocks(k, π)` is the number
+/// of thresholds at or below `π`. `K(k, ·)` has at most `k` steps, so
+/// the whole family is at most `d(d+1)/2` floats (136 at d = 16).
+///
+/// # Rounding up where the fold flickers
+/// In exact arithmetic `K(k, ·)` never decreases. The computed fold
+/// ([`AggregateChain::reservations`]: log-space PMF, Eq. 15 sum) does,
+/// in windows of a few hundred to a few thousand ulps around each step,
+/// where its cumulative sum is within rounding noise of `1 − ρ`
+/// (EXPERIMENTS.md, "The offline pair is a floor"). Each threshold is therefore
+/// found by bisection over f64 bit patterns with the same fold run at
+/// `ρ − margin(k)`, `margin(k) = 256·k·ε` above the measured noise
+/// (≈ `k·ε`): the point just below a crossing of the shifted fold has
+/// its cumulative sum at least `margin` above `1 − ρ`, so every `π`
+/// below it reserves fewer blocks under the real fold too. The lookup
+/// thus never reserves fewer blocks than the fold at that exact `π`,
+/// and reserves more only in a band just above a step: at most 9.1e-11
+/// of `π` wide (relative) at d = 16, ρ = 0.01, and 1.1e-7 on the d = 200
+/// rows measured at ρ = 1e-4.
+///
+/// Rows are built on first use (a row costs `k` bisections of ≤ 62 folds,
+/// each bracketed from the row's previous threshold), and one table per
+/// `(d, ρ)` is shared per process ([`PiThresholds::shared`]); both are
+/// bounded by the configurations a process prices under, not by the
+/// `π`s it is offered.
+#[derive(Debug)]
+pub(crate) struct PiThresholds {
+    pub(crate) d: usize,
+    pub(crate) rho: f64,
+    /// `rows[k]`: row `k`'s `k` ascending thresholds.
+    rows: Vec<OnceLock<Box<[f64]>>>,
+}
+
+/// Noise margin of the threshold search, in units of `k·ε`.
+const FOLD_NOISE_ULPS: f64 = 256.0;
+
+impl PiThresholds {
+    /// The process-wide table for `(d, rho)`, created (empty) on first
+    /// request.
+    ///
+    /// # Panics
+    /// Panics if `d == 0` or `rho ∉ (0, 1)`.
+    pub(crate) fn shared(d: usize, rho: f64) -> Arc<Self> {
+        type Tables = Mutex<HashMap<(usize, u64), Arc<PiThresholds>>>;
+        static TABLES: OnceLock<Tables> = OnceLock::new();
+        assert!(d >= 1 && rho > 0.0 && rho < 1.0, "bad d {d} or rho {rho}");
+        let mut tables = TABLES
+            .get_or_init(Default::default)
+            .lock()
+            .expect("threshold tables poisoned");
+        let table = tables.entry((d, rho.to_bits())).or_insert_with(|| {
+            let rows = (0..=d).map(|_| OnceLock::new()).collect();
+            Arc::new(Self { d, rho, rows })
+        });
+        Arc::clone(table)
+    }
+
+    /// `mapping(k)` for `k ≤ d` chains whose stationary ON probability is
+    /// at most `pi`. A forward scan, not a binary search: it stops at the
+    /// load's own level, a branch the predictor learns while a run fills
+    /// PMs of one `π` (about 2 ns over an indexed table per headroom at
+    /// d = 16, against 5–7 ns for `partition_point`).
+    #[inline]
+    pub(crate) fn blocks(&self, k: usize, pi: f64) -> usize {
+        self.row(k).iter().take_while(|&&t| t <= pi).count()
+    }
+
+    /// Row `k`'s thresholds, built on first use.
+    fn row(&self, k: usize) -> &[f64] {
+        self.rows[k]
+            .get_or_init(|| build_row(k, self.rho - FOLD_NOISE_ULPS * k as f64 * f64::EPSILON))
+    }
+}
+
+/// Row `k` of [`PiThresholds`] under the shifted bound `rho`: for each
+/// level `j ≤ k`, a bisection over the bit patterns between the previous
+/// threshold and 1 (where every chain is ON and `K = k`) for a point whose
+/// fold reaches `j` while the one below it does not. A step that jumps
+/// several levels gives them one threshold.
+fn build_row(k: usize, rho: f64) -> Box<[f64]> {
+    let blocks_at = AggregateChain::reservations(k, rho);
+    let mut row = Vec::with_capacity(k);
+    // π = 0 keeps every chain OFF: no blocks.
+    let (mut lo, mut at_lo) = (0u64, 0usize);
+    while row.len() < k {
+        if at_lo <= row.len() {
+            let (mut below, mut above, mut at_above) = (lo, 1.0f64.to_bits(), k);
+            while above - below > 1 {
+                let mid = below + (above - below) / 2;
+                let at = blocks_at(f64::from_bits(mid)).blocks;
+                if at > row.len() {
+                    (above, at_above) = (mid, at);
+                } else {
+                    below = mid;
+                }
+            }
+            (lo, at_lo) = (above, at_above);
+        }
+        row.push(f64::from_bits(lo));
+    }
+    row.into()
 }
 
 /// Hit/miss counters of the process-wide [`MappingTable::cached`] memo.
@@ -390,5 +495,96 @@ mod proptests {
                 }
             }
         }
+    }
+}
+
+/// Differential tests of [`PiThresholds`] against the fold it tabulates,
+/// [`AggregateChain::reservations`] at the exact `π` of each probe.
+#[cfg(test)]
+mod thresholds {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The lookup at `pi` against the fold there: never fewer blocks, and
+    /// `true` when the lookup rounds up.
+    fn rounds_up(table: &PiThresholds, k: usize, pi: f64) -> bool {
+        let got = table.blocks(k, pi);
+        let fold = AggregateChain::reservations(k, table.rho)(pi).blocks;
+        assert!(
+            got >= fold,
+            "d {}, rho {}, k {k}, pi {pi:e}: lookup {got} under the fold's {fold}",
+            table.d,
+            table.rho
+        );
+        got > fold
+    }
+
+    /// Probes every threshold of `rows` at up to `ulps` bit patterns on
+    /// either side, then 1 000 random `π` (half uniform on `[0, 1)`, half
+    /// log-uniform down to 1e-6), where the lookup must equal the fold.
+    /// Returns the probes that rounded up and the widest distance, in
+    /// ulps above a threshold, at which one did.
+    fn probe(d: usize, rho: f64, rows: &[usize], ulps: i64) -> (usize, i64) {
+        let table = PiThresholds::shared(d, rho);
+        let (mut up, mut widest) = (0, 0);
+        for &k in rows {
+            let row = table.row(k);
+            assert_eq!(row.len(), k, "row {k} has one threshold per level");
+            assert!(row[0] > 0.0 && row[k - 1] <= 1.0);
+            assert!(row.windows(2).all(|w| w[0] <= w[1]), "row {k} ascends");
+            for &t in row {
+                for delta in -ulps..=ulps {
+                    let pi = f64::from_bits((t.to_bits() as i64 + delta) as u64);
+                    if pi <= 1.0 && rounds_up(&table, k, pi) {
+                        up += 1;
+                        widest = widest.max(delta);
+                    }
+                }
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(d as u64 ^ rho.to_bits());
+        for i in 0..1000 {
+            let k = rows[rng.gen_range(0..rows.len())];
+            let u: f64 = rng.gen();
+            let pi = if i % 2 == 0 { u } else { 10f64.powf(-6.0 * u) };
+            assert!(!rounds_up(&table, k, pi), "k {k}, pi {pi:e}");
+        }
+        (up, widest)
+    }
+
+    #[test]
+    fn thresholds_never_under_reserve_at_d16() {
+        let rows: Vec<usize> = (1..=16).collect();
+        for rho in [1e-2, 1e-4] {
+            let (up, widest) = probe(16, rho, &rows, 64);
+            eprintln!("d 16, rho {rho}: {up} of 136 x 129 probes round up, up to +{widest} ulps");
+            // The pairs this workspace configures sit on no step.
+            for (p_on, p_off) in [(0.01, 0.09), (0.02, 0.08), (0.03, 0.07), (0.05, 0.05)] {
+                let pair = MappingTable::build(16, p_on, p_off, rho);
+                let table = PiThresholds::shared(16, rho);
+                for k in 0..=16 {
+                    assert_eq!(table.blocks(k, p_on / (p_on + p_off)), pair.blocks_for(k));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn thresholds_never_under_reserve_on_d200_rows() {
+        for rho in [1e-2, 1e-4] {
+            let (up, widest) = probe(200, rho, &[1, 2, 17, 100, 199, 200], 2);
+            eprintln!("d 200, rho {rho}: {up} probes round up, up to +{widest} ulps");
+        }
+    }
+
+    #[test]
+    fn one_table_per_d_and_rho() {
+        let a = PiThresholds::shared(5, 0.037);
+        assert!(Arc::ptr_eq(&a, &PiThresholds::shared(5, 0.037)));
+        assert!(!Arc::ptr_eq(&a, &PiThresholds::shared(6, 0.037)));
+        assert_eq!(a.blocks(0, 1.0), 0);
+        assert_eq!(a.blocks(5, 0.0), 0, "π = 0 keeps every chain OFF");
+        assert_eq!(a.blocks(5, 1.0), 5, "π = 1 keeps every chain ON");
     }
 }

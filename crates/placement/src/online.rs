@@ -3,13 +3,14 @@
 //!
 //! The paper rounds heterogeneous `p_on`/`p_off` to one fleet-wide pair
 //! and "periodically recalculates" it. Both engines here check Eq. 17 per
-//! PM instead (`HottestChain`): under the MapCal table of the hottest
-//! chain the PM would host — the largest `π = p_on/(p_on + p_off)` among
-//! its VMs and the newcomer. A PM's ON count is stochastically below
-//! `Binomial(k, max π)`, so every PM's exact CVR stays ≤ ρ whatever the
-//! rest of the fleet hosts, and there is no fleet-wide pair to re-round:
-//! [`OnlineCluster::recalibrate`] only reports the hottest live class
-//! (DESIGN §12).
+//! PM instead, through the one QUEUE rule ([`QueueStrategy`]) built with
+//! no floor: each PM is priced at the hottest chain it would host — the
+//! largest `π = p_on/(p_on + p_off)` among its VMs and the newcomer. A
+//! PM's ON count is stochastically below `Binomial(k, max π)`, so every
+//! PM's exact CVR stays ≤ ρ whatever the rest of the fleet hosts, and
+//! there is no fleet-wide pair to re-round: [`OnlineCluster::recalibrate`]
+//! only reports the hottest live class (DESIGN §12). The configured
+//! `(p_on, p_off)` prices nothing; a snapshot records it.
 //!
 //! Two engines implement the same contract:
 //!
@@ -41,7 +42,6 @@ use crate::batch::{batch_runs, fill_hosts, place_run, RunPool};
 use crate::clustering::{cluster_order, default_buckets};
 use crate::index::HeadroomIndex;
 use crate::load::{stationary_on, PmLoad};
-use crate::mapcal::MappingTable;
 use crate::pack::{probe_first_fit_recorded, PackError};
 use crate::strategy::{QueueStrategy, Strategy};
 use bursty_obs::durable::{put_f64, put_u32, put_usize, Cursor, FrameError};
@@ -105,21 +105,6 @@ fn digest_from(
     }
 }
 
-/// Rounds heterogeneous per-VM switch probabilities to their arithmetic
-/// mean — the paper's prescription when `p_on`/`p_off` vary among VMs.
-/// The mean can under-reserve for the hotter VMs (see
-/// [`crate::rounding`]); the online engines do not round at all, they
-/// price each PM by its hottest chain.
-pub fn round_probabilities(vms: &[VmSpec]) -> Option<(f64, f64)> {
-    if vms.is_empty() {
-        return None;
-    }
-    let n = vms.len() as f64;
-    let p_on = vms.iter().map(|v| v.p_on).sum::<f64>() / n;
-    let p_off = vms.iter().map(|v| v.p_off).sum::<f64>() / n;
-    Some((p_on, p_off))
-}
-
 /// One per-PM class cell: the class's cached bit key, a representative
 /// spec, and the number of hosted copies.
 type ClassCell = ([u64; 4], VmSpec, u32);
@@ -138,112 +123,9 @@ fn fold_cells(cells: &mut [ClassCell]) -> PmLoad {
     load
 }
 
-/// The online admission rule: Eq. 17 per PM, under the MapCal table of
-/// the hottest chain the PM would host — [`PmLoad::max_pi`] of the load
-/// under test, so the PM's own for a headroom and `max(π_PM, π_newcomer)`
-/// once a newcomer is folded in.
-///
-/// Why a PM it admits keeps ρ: MapCal's stationary law for `k` chains of
-/// one `π` is `Binomial(k, π)`, and `Bernoulli(πᵢ) ≤st Bernoulli(max π)`,
-/// so a PM's ON count is stochastically below `Binomial(k, max π)` and
-/// its spike demand is at most `max R_e · #ON`. A PM feasible under its
-/// hottest chain's table therefore has exact CVR ≤ ρ, whatever other PMs
-/// host.
-///
-/// Each index leaf is the headroom under the PM's own `π`. A hotter
-/// newcomer is priced by a table that reserves no fewer blocks
-/// (`mapping(k)` does not decrease as `π` grows — pinned in `mapcal.rs`),
-/// so the leaf bounds what any newcomer may take and is exact for one no
-/// hotter; an empty PM's leaf is its capacity under every table.
-///
-/// Tables are built per distinct `π` by [`Self::prepare`], before the
-/// probe that needs one, and kept here rather than in the process-wide
-/// [`MappingTable::cached`] memo, which never evicts.
-#[derive(Debug)]
-struct HottestChain {
-    /// The configured pair's strategy: the batch order, the pair a
-    /// snapshot records, and the table of its `π`, read without a hash,
-    /// so a fleet of that one pair never hashes.
-    base: QueueStrategy,
-    /// The bits of the configured pair's `π`.
-    base_pi: u64,
-    d: usize,
-    rho: f64,
-    /// `π` bits → the queue strategy over that `π`'s table, for every
-    /// other `π` offered.
-    tables: HashMap<u64, QueueStrategy>,
-}
-
-impl HottestChain {
-    fn new(d: usize, p_on: f64, p_off: f64, rho: f64) -> Self {
-        Self {
-            base: QueueStrategy::new(MappingTable::build(d, p_on, p_off, rho)),
-            base_pi: (p_on / (p_on + p_off)).to_bits(),
-            d,
-            rho,
-            tables: HashMap::new(),
-        }
-    }
-
-    /// Builds the table for `vm`'s chain unless its `π` has one.
-    fn prepare(&mut self, vm: &VmSpec) {
-        let pi = stationary_on(vm).to_bits();
-        if pi != self.base_pi {
-            let (d, rho) = (self.d, self.rho);
-            self.tables.entry(pi).or_insert_with(|| {
-                QueueStrategy::new(MappingTable::build(d, vm.p_on, vm.p_off, rho))
-            });
-        }
-    }
-
-    /// The strategy pricing a non-empty `load`: its hottest chain's.
-    fn priced(&self, load: &PmLoad) -> &QueueStrategy {
-        let pi = load.max_pi.to_bits();
-        if pi == self.base_pi {
-            &self.base
-        } else {
-            &self.tables[&pi]
-        }
-    }
-
-    /// The configured `(p_on, p_off)`.
-    fn pair(&self) -> (f64, f64) {
-        self.base.mapping().probabilities()
-    }
-}
-
-impl Strategy for HottestChain {
-    fn name(&self) -> &'static str {
-        self.base.name()
-    }
-
-    fn order(&self, vms: &[VmSpec]) -> Vec<usize> {
-        self.base.order(vms)
-    }
-
-    fn feasible(&self, load: &PmLoad, capacity: f64) -> bool {
-        load.is_empty() || self.priced(load).feasible(load, capacity)
-    }
-
-    fn headroom(&self, load: &PmLoad, capacity: f64) -> f64 {
-        if load.is_empty() {
-            capacity
-        } else {
-            self.priced(load).headroom(load, capacity)
-        }
-    }
-
-    fn demand(&self, vm: &VmSpec) -> f64 {
-        self.base.demand(vm)
-    }
-
-    fn class_order_keys(
-        &self,
-        fleet_size: usize,
-        representatives: &[VmSpec],
-    ) -> Option<Vec<(u32, f64)>> {
-        self.base.class_order_keys(fleet_size, representatives)
-    }
+/// Whether `p` is a switch probability, in `(0, 1]`.
+fn is_probability(p: f64) -> bool {
+    p > 0.0 && p <= 1.0
 }
 
 /// The `(p_on, p_off)` of the hottest of `classes`: the largest `π`, and
@@ -273,7 +155,7 @@ fn hottest_pair<'a>(classes: impl Iterator<Item = &'a VmSpec>) -> Option<(f64, f
 #[derive(Debug)]
 pub struct ReferenceOnlineCluster {
     pms: Vec<PmSpec>,
-    strategy: HottestChain,
+    strategy: QueueStrategy,
     /// Current VM population, keyed by VM id.
     vms: HashMap<usize, VmSpec>,
     /// Host PM index per VM id.
@@ -289,16 +171,15 @@ pub struct ReferenceOnlineCluster {
 }
 
 impl ReferenceOnlineCluster {
-    /// Creates an empty cluster over `pms` admitting by Eq. 17 with
-    /// co-location cap `d` and CVR bound `rho`; `(p_on, p_off)` is the
-    /// configured pair, whose table is built up front.
-    pub fn new(pms: Vec<PmSpec>, d: usize, p_on: f64, p_off: f64, rho: f64) -> Self {
-        let strategy = HottestChain::new(d, p_on, p_off, rho);
+    /// Creates an empty cluster over `pms` admitting by Eq. 17 per PM
+    /// with co-location cap `d` and CVR bound `rho`. The configured pair
+    /// prices nothing (see the module docs) and the reference keeps no
+    /// snapshot, so it only shares [`OnlineCluster::new`]'s signature.
+    pub fn new(pms: Vec<PmSpec>, d: usize, _p_on: f64, _p_off: f64, rho: f64) -> Self {
+        let strategy = QueueStrategy::priced(d, rho, None);
         let loads = vec![PmLoad::empty(); pms.len()];
-        let headrooms: Vec<f64> = pms
-            .iter()
-            .map(|pm| strategy.headroom(&PmLoad::empty(), pm.capacity))
-            .collect();
+        let mut headrooms = Vec::with_capacity(pms.len());
+        strategy.empty_headrooms(&pms, &mut headrooms);
         let index = HeadroomIndex::new(&headrooms);
         let members = vec![Vec::new(); pms.len()];
         Self {
@@ -356,7 +237,6 @@ impl ReferenceOnlineCluster {
 
     /// First Fit for one VM under the per-PM rule, committed on success.
     fn place(&mut self, vm: VmSpec) -> Result<usize, PackError> {
-        self.strategy.prepare(&vm);
         let slot = probe_first_fit_recorded(
             &self.index,
             &self.loads,
@@ -747,11 +627,10 @@ impl RunPool for LivePool<'_> {
 ///   map for the rest;
 /// * the headroom segment tree, plus an explicit occupied-PM set so
 ///   `pms_used` and the snapshot touch only PMs that host something;
-/// * the per-PM rule's tables, one per distinct `π` offered.
+/// * the configured `(p_on, p_off)`, which a snapshot records.
 ///
 /// Per-operation costs at fleet size `n`, `m` PMs, `k` registered
-/// classes: arrival `O(log m + d)` (plus one `O(d²)` table build the
-/// first time a `π` is offered), departure `O(d + log m)`, batch arrival
+/// classes: arrival `O(log m + d)`, departure `O(d + log m)`, batch arrival
 /// `O(fills · (gap + log d))` plus the linear scatter and one closing
 /// flush (`O(log m)` per filled PM while those are under `m / 4`, one
 /// `O(m)` pass beyond), and recalibration `O(k)` with no write — nothing
@@ -759,7 +638,9 @@ impl RunPool for LivePool<'_> {
 #[derive(Debug)]
 pub struct OnlineCluster {
     pms: Vec<PmSpec>,
-    strategy: HottestChain,
+    strategy: QueueStrategy,
+    /// The configured `(p_on, p_off)`, for snapshots only.
+    pair: (f64, f64),
     /// Representative spec per registered class (first arrival wins; only
     /// the four class-defining fields are ever read from it).
     class_reps: Vec<VmSpec>,
@@ -789,30 +670,33 @@ pub struct OnlineCluster {
 impl OnlineCluster {
     /// Creates an empty cluster over `pms` admitting by Eq. 17 per PM
     /// (see the module docs) with co-location cap `d` and CVR bound `rho`;
-    /// `(p_on, p_off)` is the configured pair, whose table is built up
-    /// front and which a snapshot records.
+    /// `(p_on, p_off)` is the configured pair, which prices nothing and
+    /// which a snapshot records.
     ///
     /// # Panics
     /// Panics if `pms` holds more than `u32::MAX` PMs (a VM's entry names
-    /// its host in 32 bits).
+    /// its host in 32 bits), or if a probability is outside `(0, 1]`.
     pub fn new(pms: Vec<PmSpec>, d: usize, p_on: f64, p_off: f64, rho: f64) -> Self {
         assert!(
             u32::try_from(pms.len()).is_ok(),
             "a pool of {} PMs exceeds the u32 host index",
             pms.len()
         );
-        let strategy = HottestChain::new(d, p_on, p_off, rho);
+        assert!(
+            is_probability(p_on) && is_probability(p_off),
+            "bad probabilities ({p_on}, {p_off})"
+        );
+        let strategy = QueueStrategy::priced(d, rho, None);
         let loads = vec![PmLoad::empty(); pms.len()];
-        let headrooms: Vec<f64> = pms
-            .iter()
-            .map(|pm| strategy.headroom(&PmLoad::empty(), pm.capacity))
-            .collect();
+        let mut headrooms = Vec::with_capacity(pms.len());
+        strategy.empty_headrooms(&pms, &mut headrooms);
         let index = HeadroomIndex::new(&headrooms);
         let cells = vec![Vec::new(); pms.len()];
         let occupied_pos = vec![usize::MAX; pms.len()];
         Self {
             pms,
             strategy,
+            pair: (p_on, p_off),
             class_reps: Vec::new(),
             class_keys: Vec::new(),
             class_pop: Vec::new(),
@@ -944,7 +828,6 @@ impl OnlineCluster {
             "VM id {} already in the cluster",
             vm.id
         );
-        self.strategy.prepare(&vm);
         let slot = probe_first_fit_recorded(
             &self.index,
             &self.loads,
@@ -1102,7 +985,6 @@ impl OnlineCluster {
         for run in runs {
             let members = &order[run.start..run.start + run.len];
             let vm = batch[members[0]];
-            self.strategy.prepare(&vm);
             fills.clear();
             let mut pool = LivePool {
                 loads: &mut self.loads,
@@ -1280,10 +1162,10 @@ impl OnlineCluster {
     /// tests below and the serving layer's crash/restore suite.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(256 + 64 * self.occupied.len() + 24 * self.entries.len());
-        put_usize(&mut buf, self.strategy.d);
-        put_f64(&mut buf, self.strategy.rho);
+        put_usize(&mut buf, self.strategy.thresholds.d);
+        put_f64(&mut buf, self.strategy.thresholds.rho);
         put_f64(&mut buf, 0.0);
-        let (p_on, p_off) = self.strategy.pair();
+        let (p_on, p_off) = self.pair;
         put_f64(&mut buf, p_on);
         put_f64(&mut buf, p_off);
         put_usize(&mut buf, self.pms.len());
@@ -1343,8 +1225,7 @@ impl OnlineCluster {
         let _retired_epsilon = c.f64()?;
         let p_on = c.f64()?;
         let p_off = c.f64()?;
-        let prob_ok = |p: f64| p > 0.0 && p <= 1.0;
-        if !prob_ok(p_on) || !prob_ok(p_off) {
+        if !is_probability(p_on) || !is_probability(p_off) {
             return Err(bad(format!("bad probabilities ({p_on}, {p_off})")));
         }
         if !(rho > 0.0 && rho < 1.0) {
@@ -1372,8 +1253,8 @@ impl OnlineCluster {
             let id = c.usize()?;
             let (p_on, p_off) = (c.f64()?, c.f64()?);
             let (r_b, r_e) = (c.f64()?, c.f64()?);
-            if !prob_ok(p_on)
-                || !prob_ok(p_off)
+            if !is_probability(p_on)
+                || !is_probability(p_off)
                 || r_b.is_nan()
                 || r_b <= 0.0
                 || r_e.is_nan()
@@ -1470,10 +1351,7 @@ impl OnlineCluster {
             }
         }
         c.expect_done()?;
-        let mut strategy = HottestChain::new(d, p_on, p_off, rho);
-        for rep in &class_reps {
-            strategy.prepare(rep);
-        }
+        let strategy = QueueStrategy::priced(d, rho, None);
         let headrooms: Vec<f64> = pms
             .iter()
             .enumerate()
@@ -1483,6 +1361,7 @@ impl OnlineCluster {
         Ok(Self {
             pms,
             strategy,
+            pair: (p_on, p_off),
             class_reps,
             class_keys,
             class_pop,
@@ -1590,18 +1469,6 @@ mod tests {
         assert_eq!(err.vm_id, 2);
         assert_eq!(c.n_vms(), 2);
         c.check_consistency().unwrap();
-    }
-
-    #[test]
-    fn rounding_averages_probabilities() {
-        let vms = vec![
-            VmSpec::new(0, 0.01, 0.05, 1.0, 1.0),
-            VmSpec::new(1, 0.03, 0.15, 1.0, 1.0),
-        ];
-        let (p_on, p_off) = round_probabilities(&vms).unwrap();
-        assert!((p_on - 0.02).abs() < 1e-12);
-        assert!((p_off - 0.10).abs() < 1e-12);
-        assert_eq!(round_probabilities(&[]), None);
     }
 
     #[test]
@@ -1985,7 +1852,7 @@ mod tests {
                 restored.index.value(j).to_bits()
             );
         }
-        assert_eq!(a.strategy.pair(), restored.strategy.pair());
+        assert_eq!(a.pair, restored.pair);
         // The image is canonical: re-snapshotting reproduces it.
         assert_eq!(restored.to_snapshot_bytes(), bytes);
         // Continuation stays bit-identical through every op kind.

@@ -3,7 +3,7 @@
 
 use crate::clustering::{cluster_bands, cluster_order, default_buckets};
 use crate::load::PmLoad;
-use crate::mapcal::MappingTable;
+use crate::mapcal::{MappingTable, PiThresholds};
 use bursty_workload::{PmSpec, VmSpec};
 use std::sync::Arc;
 
@@ -109,24 +109,47 @@ pub trait Strategy: Send + Sync {
 /// size, sort, and admit per Eq. 17 —
 /// `max R_e · mapping(|T_j|+1) + Σ R_b ≤ C_j`, subject to at most `d` VMs
 /// per PM.
+///
+/// The one QUEUE pricing rule, for the offline packers, the simulator's
+/// runtime policy and both online engines: a load is priced at
+/// `π = max(max_pi, floor)` — its hottest chain ([`PmLoad::max_pi`]),
+/// floored at the `π` of the pair the strategy was built with. A PM's ON
+/// count is stochastically below `Binomial(k, max π)` (DESIGN §12), so a
+/// PM feasible under that `π` keeps its exact CVR ≤ ρ whatever it hosts.
+/// The floor is the planner's margin: offline pairs come from
+/// conservative rounding of *fitted* specs, and pricing below it lets
+/// fit error through (EXPERIMENTS.md, "The offline pair is a floor").
+/// A load no hotter than the floor reads the pair's [`MappingTable`];
+/// a hotter one reads the shared `π`-threshold table of its `(d, ρ)`
+/// (`mapcal::PiThresholds`). The online engines build the strategy with no
+/// floor.
 #[derive(Debug, Clone)]
 pub struct QueueStrategy {
-    mapping: Arc<MappingTable>,
+    /// The floor pair's `π` and table; `None` prices every load at its
+    /// own `π`.
+    floor: Option<(f64, Arc<MappingTable>)>,
+    /// The `π`-threshold table of `(d, ρ)`.
+    pub(crate) thresholds: Arc<PiThresholds>,
     buckets: Option<usize>,
 }
 
 impl QueueStrategy {
-    /// Creates the strategy from a prebuilt mapping table. `buckets`
-    /// controls the `R_e` clustering granularity (`None` = `⌈√n⌉`).
+    /// Creates the strategy floored at a prebuilt mapping table's pair.
+    /// `buckets` controls the `R_e` clustering granularity (`None` =
+    /// `⌈√n⌉`).
     pub fn new(mapping: MappingTable) -> Self {
-        Self::from_shared(Arc::new(mapping))
+        Self::priced(mapping.d(), mapping.rho, Some(Arc::new(mapping)))
     }
 
-    /// Creates the strategy around an already-shared mapping table (e.g.
-    /// one obtained from [`MappingTable::cached`]) without copying it.
-    pub(crate) fn from_shared(mapping: Arc<MappingTable>) -> Self {
+    /// The strategy over `(d, rho)` with an optional floor table; `None`
+    /// prices every load at its own hottest chain (the online engines).
+    pub(crate) fn priced(d: usize, rho: f64, floor: Option<Arc<MappingTable>>) -> Self {
         Self {
-            mapping,
+            floor: floor.map(|table| {
+                let (p_on, p_off) = table.probabilities();
+                (p_on / (p_on + p_off), table)
+            }),
+            thresholds: PiThresholds::shared(d, rho),
             buckets: None,
         }
     }
@@ -139,24 +162,29 @@ impl QueueStrategy {
         self
     }
 
-    /// Builds the strategy directly from the parameters of Algorithm 2,
-    /// through the process-wide [`MappingTable::cached`] memo — repeated
-    /// builds over one parameter set (packing strategy + runtime policy of
-    /// the same consolidation run, replicated experiments, …) share a
-    /// single `O(d⁴)` table.
+    /// Builds the strategy floored at `(p_on, p_off)`, the pair's table
+    /// coming through the process-wide [`MappingTable::cached`] memo —
+    /// repeated builds over one parameter set (packing strategy + runtime
+    /// policy of the same consolidation run, replicated experiments, …)
+    /// share a single table.
     pub fn build(d: usize, p_on: f64, p_off: f64, rho: f64) -> Self {
-        Self::from_shared(MappingTable::cached(d, p_on, p_off, rho))
+        Self::priced(d, rho, Some(MappingTable::cached(d, p_on, p_off, rho)))
     }
 
-    /// The underlying mapping table.
-    pub fn mapping(&self) -> &MappingTable {
-        &self.mapping
+    /// The floor pair's shared table (for cache-identity checks), `None`
+    /// without a floor.
+    pub fn floor(&self) -> Option<&Arc<MappingTable>> {
+        self.floor.as_ref().map(|(_, table)| table)
     }
 
-    /// The shared handle to the mapping table (for cache-identity checks
-    /// and zero-copy sharing with runtime policies).
-    pub fn mapping_arc(&self) -> &Arc<MappingTable> {
-        &self.mapping
+    /// `mapping(count)` under the `π` that prices a load hosting chains
+    /// no hotter than `max_pi`.
+    #[inline]
+    fn blocks(&self, count: usize, max_pi: f64) -> usize {
+        match &self.floor {
+            Some((pi, table)) if max_pi <= *pi => table.blocks_for(count),
+            _ => self.thresholds.blocks(count, max_pi),
+        }
     }
 
     /// The resources a PM with load `load` must dedicate under this
@@ -166,7 +194,7 @@ impl QueueStrategy {
         if load.count == 0 {
             return 0.0;
         }
-        load.max_re * self.mapping.blocks_for(load.count) as f64 + load.sum_rb
+        load.max_re * self.blocks(load.count, load.max_pi) as f64 + load.sum_rb
     }
 }
 
@@ -181,7 +209,7 @@ impl Strategy for QueueStrategy {
     }
 
     fn feasible(&self, load: &PmLoad, capacity: f64) -> bool {
-        load.count <= self.mapping.d() && self.required_capacity(load) <= capacity
+        load.count <= self.thresholds.d && self.required_capacity(load) <= capacity
     }
 
     /// Residual *admissible base demand*: what is left of Eq. 17 once the
@@ -192,13 +220,16 @@ impl Strategy for QueueStrategy {
     /// `R_b ≤ C − Σ R_b − max R_e · mapping(count+1)` — exactly this
     /// measure, giving the contract with `demand` (and a *tight* one when
     /// the newcomer's spike does not exceed the hosted maximum, the common
-    /// case under Algorithm 2's decreasing-spike order). A PM at the `d`
-    /// cap can admit nothing regardless of capacity.
+    /// case under Algorithm 2's decreasing-spike order). The blocks are
+    /// the PM's own `π`'s: a hotter newcomer is priced at a `π` that
+    /// reserves no fewer (`mapping(k)` does not decrease as `π` grows), so
+    /// the bound holds for it too and is exact for one no hotter. A PM at
+    /// the `d` cap can admit nothing regardless of capacity.
     fn headroom(&self, load: &PmLoad, capacity: f64) -> f64 {
-        if load.count >= self.mapping.d() {
+        if load.count >= self.thresholds.d {
             return f64::NEG_INFINITY;
         }
-        let next_blocks = self.mapping.blocks_for(load.count + 1) as f64;
+        let next_blocks = self.blocks(load.count + 1, load.max_pi) as f64;
         capacity - load.sum_rb - load.max_re * next_blocks
     }
 
@@ -382,7 +413,7 @@ mod tests {
         let q = queue();
         let vms = [vm(0, 10.0, 5.0), vm(1, 8.0, 7.0)];
         let load = PmLoad::rebuild(&vms);
-        let needed = 7.0 * q.mapping().blocks_for(2) as f64 + 18.0;
+        let needed = 7.0 * q.floor().unwrap().blocks_for(2) as f64 + 18.0;
         assert!((q.required_capacity(&load) - needed).abs() < 1e-12);
         assert!(q.feasible(&load, needed));
         assert!(!q.feasible(&load, needed - 0.01));
@@ -476,8 +507,9 @@ mod tests {
         assert!((rbex.headroom(&load, 100.0) - (70.0 - 18.0)).abs() < 1e-12);
         let q = queue();
         // QUEUE charges the blocks term at the post-admission count.
-        let expected =
-            100.0 - load.sum_rb - load.max_re * q.mapping().blocks_for(load.count + 1) as f64;
+        let expected = 100.0
+            - load.sum_rb
+            - load.max_re * q.floor().unwrap().blocks_for(load.count + 1) as f64;
         assert!((q.headroom(&load, 100.0) - expected).abs() < 1e-12);
         // Never above the plain Eq.-17 slack (blocks are nondecreasing).
         assert!(q.headroom(&load, 100.0) <= 100.0 - q.required_capacity(&load) + 1e-12);
@@ -531,7 +563,7 @@ mod tests {
         let a = QueueStrategy::build(11, 0.014, 0.086, 0.023);
         let b = QueueStrategy::build(11, 0.014, 0.086, 0.023);
         assert!(
-            std::sync::Arc::ptr_eq(a.mapping_arc(), b.mapping_arc()),
+            std::sync::Arc::ptr_eq(a.floor().unwrap(), b.floor().unwrap()),
             "same parameters must share one table"
         );
     }

@@ -149,20 +149,23 @@ impl<P: RuntimePolicy> RuntimePolicy for DegradedAdmission<P> {
     }
 }
 
-/// Spec-aware admission by the paper's Eq. 17 — the QUEUE runtime.
+/// Spec-aware admission by the paper's Eq. 17 — the QUEUE runtime. A
+/// target is priced as the packer prices it: at the hottest chain it
+/// would host, migrant included ([`PmLoad::max_pi`] of
+/// [`PmRuntime::load`]), never below the strategy's floor pair.
 #[derive(Debug, Clone)]
 pub struct QueuePolicy {
     strategy: QueueStrategy,
 }
 
 impl QueuePolicy {
-    /// Wraps a queue strategy (same mapping table as the initial packing).
+    /// Wraps a queue strategy (the initial packing's rule and floor).
     pub fn new(strategy: QueueStrategy) -> Self {
         Self { strategy }
     }
 
     /// Builds the policy from the queuing parameters, sharing the
-    /// process-wide memoized mapping table — a consolidator that already
+    /// process-wide memoized floor table — a consolidator that already
     /// built its packing strategy for the same `(d, p_on, p_off, rho)`
     /// pays nothing extra here.
     pub fn from_parameters(d: usize, p_on: f64, p_off: f64, rho: f64) -> Self {
@@ -299,6 +302,30 @@ mod tests {
                 strategy.admits(&pm.load, &newcomer, cap),
             );
         }
+    }
+
+    #[test]
+    fn a_migrant_hotter_than_target_and_floor_is_priced_at_its_own_chain() {
+        use bursty_placement::{pm_cvr_exact, MappingTable};
+        // A calm tenant at the floor pair (π = 0.1) and a migrant at
+        // π = 0.9. Priced by the pair alone, the capacity that holds the
+        // two under the floor's table admitted it, and the landing broke
+        // ρ by the exact law; priced at the migrant's own chain, that PM
+        // rejects it, and one sized for that chain admits it within ρ.
+        let rho = 0.01;
+        let q = QueuePolicy::new(QueueStrategy::build(16, 0.01, 0.09, rho));
+        let hosted = [vm(0, 10.0, 10.0)];
+        let pm = runtime(&hosted, 10.0);
+        let migrant = VmSpec::new(1, 0.9, 0.1, 10.0, 10.0);
+        let landing = [hosted[0], migrant];
+        let blocks = |p_on, p_off| MappingTable::build(16, p_on, p_off, rho).blocks_for(2) as f64;
+        let by_floor = 20.0 + 10.0 * blocks(0.01, 0.09);
+        let cvr_at = |cap| pm_cvr_exact(&landing, cap).unwrap();
+        assert!(cvr_at(by_floor) > rho, "the floor's table under-reserves");
+        assert!(!q.admits(&migrant, 10.0, &pm, by_floor));
+        let by_own_chain = 20.0 + 10.0 * blocks(0.9, 0.1);
+        assert!(q.admits(&migrant, 10.0, &pm, by_own_chain));
+        assert!(cvr_at(by_own_chain) <= rho);
     }
 
     #[test]

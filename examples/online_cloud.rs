@@ -9,7 +9,8 @@
 //! cargo run --example online_cloud --release
 //! ```
 
-use bursty_core::placement::online::{round_probabilities, OnlineCluster};
+use bursty_core::placement::online::OnlineCluster;
+use bursty_core::placement::rounding::{round_with_policy, RoundingPolicy};
 use bursty_core::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -80,6 +81,6 @@ fn main() {
         VmSpec::new(0, 0.01, 0.05, 1.0, 1.0),
         VmSpec::new(1, 0.03, 0.15, 1.0, 1.0),
     ];
-    let (p_on, p_off) = round_probabilities(&sample).unwrap();
+    let (p_on, p_off) = round_with_policy(&sample, RoundingPolicy::Mean).unwrap();
     println!("rounding example: ({p_on:.3}, {p_off:.3}) from two heterogeneous VMs");
 }

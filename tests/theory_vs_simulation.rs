@@ -199,22 +199,16 @@ fn sized_fleet(gen: &mut FleetGenerator, n: usize, table_i: bool) -> Vec<VmSpec>
     vms
 }
 
-/// QueuingFFD under the probabilities `policy` rounds `vms` to; the
-/// largest exact per-PM CVR of the plan.
+/// QueuingFFD of `packed` by `consolidator`; the largest exact per-PM
+/// CVR of the plan under the fleet's true specs `vms` (`packed` is `vms`
+/// or a relabelled copy of it).
 fn worst_exact_cvr(
     vms: &[VmSpec],
+    packed: &[VmSpec],
     pms: &[PmSpec],
-    policy: RoundingPolicy,
-    rho: f64,
-    d: usize,
+    consolidator: Consolidator,
 ) -> f64 {
-    let (p_on, p_off) = round_with_policy(vms, policy).unwrap();
-    let placement = Consolidator::new(Scheme::Queue)
-        .with_probabilities(p_on, p_off)
-        .with_rho(rho)
-        .with_d(d)
-        .place(vms, pms)
-        .unwrap();
+    let placement = consolidator.place(packed, pms).unwrap();
     let exact = certify_exact(vms, pms, &placement);
     assert_eq!(exact.len(), placement.pms_used());
     exact
@@ -223,17 +217,29 @@ fn worst_exact_cvr(
         .fold(0.0, f64::max)
 }
 
+/// QUEUE at `(rho, d)` floored at the pair `policy` rounds `vms` to.
+fn rounded(vms: &[VmSpec], policy: RoundingPolicy, rho: f64, d: usize) -> Consolidator {
+    let (p_on, p_off) = round_with_policy(vms, policy).unwrap();
+    Consolidator::new(Scheme::Queue)
+        .with_probabilities(p_on, p_off)
+        .with_rho(rho)
+        .with_d(d)
+}
+
 #[test]
 fn queue_placements_honor_rho_exactly_and_mean_rounding_does_not() {
     // The paper's guarantee as a statement about the stationary law, with
     // no simulation: every PM of every QueuingFFD placement has exact CVR
-    // ≤ ρ when heterogeneous probabilities are rounded conservatively —
-    // over five probability regimes (paper-like, near 0, anywhere in
-    // (0, 1], p_off = 1, p_on = 1), ρ from 1e-4 to 0.3, d from 1 to 64,
-    // Table-I and continuous sizes. The 1e-9 is `reservation`'s tie slack.
-    // Mean rounding of the same fleets is the negative control: it
-    // promises nothing for the hotter-than-average VMs, and the oracle
-    // must say so on some of them.
+    // ≤ ρ — when heterogeneous probabilities are rounded conservatively,
+    // and when the default pair, cooler than most of these fleets, is the
+    // floor with no rounding at all (each PM is priced at its hottest
+    // chain) — over five probability regimes (paper-like, near 0,
+    // anywhere in (0, 1], p_off = 1, p_on = 1), ρ from 1e-4 to 0.3, d
+    // from 1 to 64, Table-I and continuous sizes. The 1e-9 is
+    // `reservation`'s tie slack. Mean rounding is the negative control: a
+    // copy of the fleet relabelled to the mean pair, packed and certified
+    // on the true specs, promises nothing for the hotter-than-average VMs,
+    // and the oracle must say so on some of them.
     type Regime = fn(&mut StdRng) -> (f64, f64);
     let regimes: [Regime; 5] = [
         |r| (r.gen_range(0.005..0.02), r.gen_range(0.05..0.15)),
@@ -255,14 +261,23 @@ fn queue_placements_honor_rho_exactly_and_mean_rounding_does_not() {
                         (vm.p_on, vm.p_off) = draw(&mut rng);
                     }
                     let pms = gen.pms(vms.len());
-                    let worst = worst_exact_cvr(&vms, &pms, RoundingPolicy::Conservative, rho, d);
+                    let case = format!("regime {regime}, rho {rho}, d {d}, table_i {table_i}");
+                    let conservative = rounded(&vms, RoundingPolicy::Conservative, rho, d);
+                    let worst = worst_exact_cvr(&vms, &vms, &pms, conservative);
+                    assert!(worst <= rho + 1e-9, "{case}: a PM has exact CVR {worst}");
+                    let default_pair = Consolidator::new(Scheme::Queue).with_rho(rho).with_d(d);
+                    let worst = worst_exact_cvr(&vms, &vms, &pms, default_pair);
                     assert!(
                         worst <= rho + 1e-9,
-                        "regime {regime}, rho {rho}, d {d}, table_i {table_i}: \
-                         a PM has exact CVR {worst}"
+                        "{case}, default pair: a PM has exact CVR {worst}"
                     );
                     fleets += 1;
-                    if worst_exact_cvr(&vms, &pms, RoundingPolicy::Mean, rho, d) > rho + 1e-9 {
+                    let mean = rounded(&vms, RoundingPolicy::Mean, rho, d);
+                    let relabelled: Vec<VmSpec> = vms
+                        .iter()
+                        .map(|vm| VmSpec::new(vm.id, mean.p_on, mean.p_off, vm.r_b, vm.r_e))
+                        .collect();
+                    if worst_exact_cvr(&vms, &relabelled, &pms, mean) > rho + 1e-9 {
                         mean_over += 1;
                     }
                 }
@@ -279,13 +294,40 @@ fn queue_placements_honor_rho_exactly_and_mean_rounding_does_not() {
         let mut gen = FleetGenerator::new(1);
         let vms = gen.vms_table_i(2_000, WorkloadPattern::EqualSpike);
         let pms = gen.pms(2_000);
-        let worst = worst_exact_cvr(&vms, &pms, RoundingPolicy::Conservative, rho, 16);
+        let conservative = rounded(&vms, RoundingPolicy::Conservative, rho, 16);
+        let worst = worst_exact_cvr(&vms, &vms, &pms, conservative);
         assert!(worst <= rho + 1e-9, "Table I at rho {rho}: {worst}");
         assert!(
             worst > rho / 2.0,
             "Table I at rho {rho} packs tightly: {worst}"
         );
     }
+}
+
+#[test]
+fn a_default_pair_cooler_than_a_third_of_the_fleet_holds_rho() {
+    // 600 Table-I VMs, every third at (0.03, 0.07) — π = 0.3 against the
+    // default pair's 0.1 — packed by the default `Consolidator` with no
+    // rounding. Priced by the pair alone, 23 of the 136 PMs it used had
+    // exact CVR above ρ = 0.01 (worst 9.3e-2); priced at each PM's hottest
+    // chain, none may.
+    let mut gen = FleetGenerator::new(1);
+    let mut vms = gen.vms_table_i(600, WorkloadPattern::EqualSpike);
+    for vm in vms.iter_mut().step_by(3) {
+        (vm.p_on, vm.p_off) = (0.03, 0.07);
+    }
+    let pms = gen.pms(600);
+    let placement = Consolidator::new(Scheme::Queue).place(&vms, &pms).unwrap();
+    let over: Vec<(usize, f64)> = exact_cvrs(&vms, &pms, &placement)
+        .into_iter()
+        .filter(|&(_, cvr)| cvr > 0.01 + 1e-9)
+        .collect();
+    assert!(
+        over.is_empty(),
+        "{} of {} PMs over rho: {over:?}",
+        over.len(),
+        placement.pms_used()
+    );
 }
 
 /// A 4 000-VM fleet of all seven Table-I rows on 4 000 candidate PMs.
