@@ -137,9 +137,9 @@ impl Consolidator {
     /// Whether [`Consolidator::place`] takes the class-collapsed batch
     /// packer ([`bursty_placement::first_fit_batch`]) for this fleet: it
     /// does when the fleet collapses well (at least two VMs per distinct
-    /// class on average, `2·k ≤ n`), and packs per VM otherwise. Both
-    /// packers produce byte-identical placements, so the choice is only
-    /// about speed.
+    /// class on average, [`bursty_placement::batch_pays`]), and packs per
+    /// VM otherwise. Both packers produce byte-identical placements, so
+    /// the choice is only about speed.
     ///
     /// This is the question alone, for callers that report the path
     /// (`bursty plan`, the benchmark harness): one pass of the shared
@@ -151,7 +151,7 @@ impl Consolidator {
     /// [`Consolidator::place_recorded`]), and takes exactly the path this
     /// names on every input.
     pub fn uses_batch(&self, vms: &[VmSpec]) -> bool {
-        2 * bursty_workload::distinct_classes(vms) <= vms.len()
+        bursty_placement::batch_pays(bursty_workload::distinct_classes(vms), vms.len())
     }
 
     /// Consolidates `vms` onto `pms` (paper Algorithm 2 for

@@ -79,9 +79,10 @@ pub fn run(ctx: &Ctx) -> Result<(), CtxError> {
     println!("{}", table.render());
     println!(
         "Reading: QUEUE's reservation admits slightly fewer VMs per PM but\n\
-         keeps the fleet CVR at rho with near-zero migrations even while\n\
-         the population churns; the observed-demand policies admit greedily\n\
-         and pay in violations and migration traffic."
+         keeps every PM within rho, so the migration trigger (rho per period\n\
+         plus the CUSUM allowance) stays quiet even while the population\n\
+         churns; the observed-demand policies admit greedily and pay in\n\
+         violations and migration traffic."
     );
     ctx.write_csv("churn_scenario", &csv)
 }

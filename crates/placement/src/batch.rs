@@ -566,11 +566,19 @@ pub fn first_fit_batch_with<S: Strategy + ?Sized>(
     pack_collapsed_or_ordered(state, vms, pms, strategy, table)
 }
 
+/// Whether a fleet of `n` VMs in `classes` distinct classes goes to the
+/// class-collapsed batch packer: when it collapses at least twofold,
+/// `2·k ≤ n`. The one rule [`first_fit_auto_recorded`] packs by and
+/// `Consolidator::uses_batch` reports.
+pub fn batch_pays(classes: usize, n: usize) -> bool {
+    2 * classes <= n
+}
+
 /// First Fit through the packer the fleet's class census names: the
 /// class-collapsed batch packer when the fleet collapses at least twofold
-/// (`2·k ≤ n` for `k` distinct classes among `n` VMs), the per-VM packer
-/// ([`first_fit_recorded`]) otherwise. Both produce byte-identical
-/// placements, so the choice is only about speed.
+/// ([`batch_pays`]), the per-VM packer ([`first_fit_recorded`])
+/// otherwise. Both produce byte-identical placements, so the choice is
+/// only about speed.
 ///
 /// The census *is* the batch packer's own class pass: the fleet is
 /// collapsed once, the decision is read off that [`ClassTable`], and the
@@ -599,7 +607,7 @@ pub fn first_fit_auto_recorded<R: Recorder>(
         Some(table) => table.reps.len(),
         None => distinct_classes(vms),
     };
-    if 2 * classes > vms.len() {
+    if !batch_pays(classes, vms.len()) {
         return first_fit_recorded(vms, pms, strategy, rec);
     }
     let placement = pack_collapsed_or_ordered(&mut state, vms, pms, strategy, table)?;

@@ -47,7 +47,8 @@ pub mod sbp;
 mod strategy;
 
 pub use batch::{
-    first_fit_auto_recorded, first_fit_batch, first_fit_batch_with, PackProfile, PlacementState,
+    batch_pays, first_fit_auto_recorded, first_fit_batch, first_fit_batch_with, PackProfile,
+    PlacementState,
 };
 pub use certify::{certify_exact, pm_cvr_exact, CAP_EPS};
 pub use evacuate::{evacuate_batch_recorded, EvacuationOutcome};

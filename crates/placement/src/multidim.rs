@@ -8,8 +8,8 @@
 //! and use the scalar pipeline.
 
 use crate::load::PmLoad;
-use crate::mapcal::MappingTable;
 use crate::pack::PackError;
+use crate::strategy::{QueueStrategy, Strategy};
 use bursty_workload::multidim::{MultiDimVmSpec, ResourceVec};
 
 /// A PM with a capacity per resource dimension.
@@ -19,31 +19,6 @@ pub struct MultiDimPmSpec {
     pub id: usize,
     /// Capacity per dimension.
     pub capacity: ResourceVec,
-}
-
-/// Per-PM, per-dimension load state for the multi-dimensional packer.
-#[derive(Debug, Clone)]
-struct DimLoads {
-    /// One scalar load per dimension; `count` is mirrored across them.
-    dims: Vec<PmLoad>,
-}
-
-impl DimLoads {
-    fn empty(dims: usize) -> Self {
-        Self {
-            dims: vec![PmLoad::empty(); dims],
-        }
-    }
-
-    fn count(&self) -> usize {
-        self.dims[0].count
-    }
-
-    fn add(&mut self, vm: &MultiDimVmSpec) {
-        for (d, load) in self.dims.iter_mut().enumerate() {
-            load.add(&vm.dimension(d));
-        }
-    }
 }
 
 /// The multi-dimensional packing result.
@@ -67,11 +42,12 @@ impl MultiDimPlacement {
 }
 
 /// First-Fit packing with per-dimension queuing reservation: VM `v` fits on
-/// a PM iff for *every* dimension `d`
-/// `max R_e[d] · mapping(k+1) + Σ R_b[d] ≤ C[d]`, and `k + 1 ≤ d_max`.
-///
-/// All VMs must share the switch probabilities the `mapping` table was
-/// built for (round heterogeneous values first, as in the scalar case).
+/// a PM iff for *every* dimension `d` the PM's scalar load on `d`, `v`
+/// included, is feasible under `strategy` at capacity `C[d]` — Eq. 17
+/// priced at the hottest chain the PM would host, floored at the
+/// strategy's pair, with at most `d_max` VMs per PM: the rule every QUEUE
+/// path shares ([`QueueStrategy`]), so VMs may differ in their switch
+/// probabilities.
 ///
 /// # Errors
 /// [`PackError`] at the first unplaceable VM.
@@ -81,7 +57,7 @@ impl MultiDimPlacement {
 pub fn first_fit_multidim(
     vms: &[MultiDimVmSpec],
     pms: &[MultiDimPmSpec],
-    mapping: &MappingTable,
+    strategy: &QueueStrategy,
 ) -> Result<MultiDimPlacement, PackError> {
     let dims = match vms.first() {
         Some(v) => v.dims(),
@@ -99,23 +75,21 @@ pub fn first_fit_multidim(
         assert_eq!(p.capacity.dims(), dims, "PM dimensionality mismatch");
     }
 
-    let mut loads: Vec<DimLoads> = pms.iter().map(|_| DimLoads::empty(dims)).collect();
+    // One scalar load per (PM, dimension).
+    let mut loads = vec![vec![PmLoad::empty(); dims]; pms.len()];
     let mut assignment = Vec::with_capacity(vms.len());
     for vm in vms {
         let slot = (0..pms.len()).find(|&j| {
-            let load = &loads[j];
-            if load.count() + 1 > mapping.d() {
-                return false;
-            }
-            let blocks = mapping.blocks_for(load.count() + 1) as f64;
             (0..dims).all(|d| {
-                let dl = load.dims[d].with(&vm.dimension(d));
-                dl.max_re * blocks + dl.sum_rb <= pms[j].capacity.get(d)
+                let load = loads[j][d].with(&vm.dimension(d));
+                strategy.feasible(&load, pms[j].capacity.get(d))
             })
         });
         match slot {
             Some(j) => {
-                loads[j].add(vm);
+                for (d, load) in loads[j].iter_mut().enumerate() {
+                    load.add(&vm.dimension(d));
+                }
                 assignment.push(j);
             }
             None => return Err(PackError { vm_id: vm.id }),
@@ -146,8 +120,8 @@ mod tests {
         }
     }
 
-    fn mapping() -> MappingTable {
-        MappingTable::build(16, 0.01, 0.09, 0.01)
+    fn strategy() -> QueueStrategy {
+        QueueStrategy::build(16, 0.01, 0.09, 0.01)
     }
 
     #[test]
@@ -157,7 +131,7 @@ mod tests {
             vm(1, &[10.0, 5.0], &[5.0, 2.0]),
         ];
         let pms = vec![pm(0, &[100.0, 50.0])];
-        let p = first_fit_multidim(&vms, &pms, &mapping()).unwrap();
+        let p = first_fit_multidim(&vms, &pms, &strategy()).unwrap();
         assert_eq!(p.assignment, vec![0, 0]);
         assert_eq!(p.pms_used(), 1);
     }
@@ -170,7 +144,7 @@ mod tests {
             vm(1, &[1.0, 6.0], &[1.0, 1.0]),
         ];
         let pms = vec![pm(0, &[100.0, 10.0]), pm(1, &[100.0, 10.0])];
-        let p = first_fit_multidim(&vms, &pms, &mapping()).unwrap();
+        let p = first_fit_multidim(&vms, &pms, &strategy()).unwrap();
         assert_eq!(p.pms_used(), 2, "dimension-1 contention must split them");
     }
 
@@ -179,29 +153,30 @@ mod tests {
         // One block is shared per dimension independently: the spike-heavy
         // dimension reserves big blocks, the flat one almost none.
         let vms: Vec<MultiDimVmSpec> = (0..4).map(|i| vm(i, &[5.0, 5.0], &[20.0, 0.0])).collect();
-        let m = mapping();
+        let s = strategy();
         // k=4 needs mapping(4) blocks of 20 in dim 0: 20·m(4)+20 ≤ C0.
-        let c0 = 20.0 * m.blocks_for(4) as f64 + 20.0;
+        let dim0: Vec<_> = vms.iter().map(|v| v.dimension(0)).collect();
+        let c0 = s.required_capacity(&PmLoad::rebuild(&dim0));
         let pms = vec![pm(0, &[c0, 20.0])];
-        let p = first_fit_multidim(&vms, &pms, &m).unwrap();
+        let p = first_fit_multidim(&vms, &pms, &s).unwrap();
         assert_eq!(p.pms_used(), 1);
         // Shrinking dim 0 by any margin must fail.
         let pms_tight = vec![pm(0, &[c0 - 0.5, 20.0])];
-        assert!(first_fit_multidim(&vms, &pms_tight, &m).is_err());
+        assert!(first_fit_multidim(&vms, &pms_tight, &s).is_err());
     }
 
     #[test]
     fn empty_input_is_ok() {
-        let p = first_fit_multidim(&[], &[pm(0, &[1.0])], &mapping()).unwrap();
+        let p = first_fit_multidim(&[], &[pm(0, &[1.0])], &strategy()).unwrap();
         assert_eq!(p.pms_used(), 0);
     }
 
     #[test]
     fn d_cap_applies() {
-        let m = MappingTable::build(2, 0.01, 0.09, 0.01);
+        let s = QueueStrategy::build(2, 0.01, 0.09, 0.01);
         let vms: Vec<MultiDimVmSpec> = (0..3).map(|i| vm(i, &[0.1], &[0.1])).collect();
         let pms = vec![pm(0, &[1000.0]), pm(1, &[1000.0])];
-        let p = first_fit_multidim(&vms, &pms, &m).unwrap();
+        let p = first_fit_multidim(&vms, &pms, &s).unwrap();
         assert_eq!(p.pms_used(), 2, "at most d = 2 VMs per PM");
     }
 
@@ -210,7 +185,7 @@ mod tests {
         let vms = vec![vm(9, &[50.0], &[1.0])];
         let pms = vec![pm(0, &[10.0])];
         assert_eq!(
-            first_fit_multidim(&vms, &pms, &mapping())
+            first_fit_multidim(&vms, &pms, &strategy())
                 .unwrap_err()
                 .vm_id,
             9
@@ -222,6 +197,6 @@ mod tests {
     fn mixed_dimensionality_panics() {
         let vms = vec![vm(0, &[1.0], &[1.0]), vm(1, &[1.0, 1.0], &[1.0, 1.0])];
         let pms = vec![pm(0, &[10.0])];
-        let _ = first_fit_multidim(&vms, &pms, &mapping());
+        let _ = first_fit_multidim(&vms, &pms, &strategy());
     }
 }

@@ -101,35 +101,6 @@ impl SbpStrategy {
         }
     }
 
-    fn moments_of_load(load: &SbpLoad) -> (f64, f64) {
-        (load.mean, load.var)
-    }
-}
-
-/// SBP needs the running mean/variance of a PM, which [`PmLoad`] does not
-/// carry; recomputed from the hosted set via the strategy's bookkeeping in
-/// [`Strategy::feasible`] using only `PmLoad` is impossible, so SBP tracks
-/// moments with an auxiliary structure during packing and exposes a
-/// set-level feasibility on specs.
-#[derive(Debug, Clone, Copy, Default)]
-struct SbpLoad {
-    mean: f64,
-    var: f64,
-}
-
-impl SbpStrategy {
-    /// Set-level chance-constraint check on explicit specs.
-    pub fn set_feasible(&self, vms: &[VmSpec], capacity: f64) -> bool {
-        let mut load = SbpLoad::default();
-        for vm in vms {
-            let (m, v) = marginal_moments(vm);
-            load.mean += m;
-            load.var += v;
-        }
-        let (mean, var) = Self::moments_of_load(&load);
-        mean + self.z * var.sqrt() <= capacity
-    }
-
     /// Effective size of one VM under this budget.
     pub(crate) fn effective_size(&self, vm: &VmSpec) -> f64 {
         let (m, v) = marginal_moments(vm);
@@ -229,6 +200,16 @@ pub fn pms_used(assignment: &[usize], n_pms: usize) -> usize {
 mod tests {
     use super::*;
 
+    /// The chance constraint on an explicit hosted set: its moments are
+    /// additive, so `Σμ + z·√(Σσ²) ≤ C` is exact here.
+    fn set_feasible(s: &SbpStrategy, vms: &[VmSpec], capacity: f64) -> bool {
+        let (mean, var) = vms
+            .iter()
+            .map(marginal_moments)
+            .fold((0.0, 0.0), |(m, v), (dm, dv)| (m + dm, v + dv));
+        mean + s.z * var.sqrt() <= capacity
+    }
+
     fn vm(id: usize, r_b: f64, r_e: f64) -> VmSpec {
         VmSpec::new(id, 0.01, 0.09, r_b, r_e)
     }
@@ -288,7 +269,7 @@ mod tests {
                 .filter(|&(_, &a)| a == j)
                 .map(|(v, _)| *v)
                 .collect();
-            assert!(s.set_feasible(&hosted, 100.0), "PM {j}");
+            assert!(set_feasible(&s, &hosted, 100.0), "PM {j}");
         }
     }
 
@@ -343,7 +324,7 @@ mod tests {
         for cap in [60.0, 90.0, 110.0, 150.0] {
             if s.feasible(&load, cap) {
                 assert!(
-                    s.set_feasible(&vms, cap),
+                    set_feasible(&s, &vms, cap),
                     "backstop accepted what exact rejects at {cap}"
                 );
             }

@@ -215,8 +215,10 @@ pub struct SimConfig {
     /// Wall-clock seconds per update period (`σ`). Only affects
     /// energy/time reporting, not the dynamics.
     pub sigma_secs: f64,
-    /// CVR threshold `ρ`: a PM whose running violation ratio exceeds this
-    /// triggers a live migration (when migration is enabled).
+    /// CVR threshold `ρ`: the migration trigger's per-period violation
+    /// budget — a PM sheds a VM once its violations exceed `ρ` per active
+    /// period plus [`SimConfig::violation_allowance`] (when migration is
+    /// enabled).
     pub rho: f64,
     /// RNG seed; identical configs and seeds reproduce bit-identical runs.
     pub seed: u64,
@@ -292,6 +294,15 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
+    /// Whether a PM with `violations` violating steps in `active_steps`
+    /// active ones has exceeded its compliant budget `ρ · active_steps`
+    /// plus [`SimConfig::violation_allowance`], and so sheds a VM — the
+    /// one migration trigger of the engine's controller, its retry
+    /// queue and `run_churn`.
+    pub(crate) fn sheds_vm(&self, violations: usize, active_steps: usize) -> bool {
+        violations as f64 > self.rho * active_steps as f64 + self.violation_allowance
+    }
+
     /// Validates field ranges, returning the first violation found.
     ///
     /// # Errors

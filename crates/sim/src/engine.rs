@@ -1,6 +1,6 @@
 //! The time-stepped simulation engine.
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, VictimPolicy};
 use crate::energy::PowerModel;
 use crate::events::{EvacuationEvent, FaultEvent, FaultKind, MigrationEvent};
 use crate::faults::FaultProcess;
@@ -1064,16 +1064,18 @@ impl<'a> Simulator<'a> {
             //    ratio above ρ — from evicting VMs off compliant PMs.
             if self.config.migrations_enabled {
                 for &j in overloaded.iter() {
-                    let budget = self.config.rho * indexes.active_steps_of(j) as f64
-                        + self.config.violation_allowance;
-                    if vio_steps[j] as f64 <= budget {
+                    let active = indexes.active_steps_of(j);
+                    if !self.config.sheds_vm(vio_steps[j], active) {
                         continue; // tolerated fluctuation
                     }
                     let overload = observed[j] - self.pms[j].capacity;
                     // Class mode: re-materialize this PM's per-VM ON
                     // flags from its counters before reading them.
                     core.class_sync_pm(j, &hosted[j]);
-                    let Some(victim) = self.pick_victim(&hosted[j], &core.on, overload) else {
+                    let on = &core.on;
+                    let candidates = hosted[j].iter().map(|&i| (i, &self.vms[i], on[i]));
+                    let Some(victim) = pick_victim(self.config.victim_policy, candidates, overload)
+                    else {
                         continue;
                     };
                     let vm = &self.vms[victim];
@@ -1162,9 +1164,8 @@ impl<'a> Simulator<'a> {
                         }
                         continue;
                     };
-                    let budget = self.config.rho * indexes.active_steps_of(j) as f64
-                        + self.config.violation_allowance;
-                    if vio_steps[j] as f64 <= budget {
+                    let active = indexes.active_steps_of(j);
+                    if !self.config.sheds_vm(vio_steps[j], active) {
                         rec.counter_inc(Counter::RetryCancelled);
                         if R::ENABLED {
                             rec.record_event(Event::RetryCancelled {
@@ -1596,40 +1597,6 @@ impl<'a> Simulator<'a> {
         out.unplaced.iter().map(|&slot| displaced[slot]).collect()
     }
 
-    /// Victim selection per the configured [`VictimPolicy`].
-    ///
-    /// [`VictimPolicy`]: crate::config::VictimPolicy
-    fn pick_victim(&self, hosted: &[usize], on: &[bool], overload: f64) -> Option<usize> {
-        use crate::config::VictimPolicy;
-        if hosted.is_empty() {
-            return None;
-        }
-        let largest_on = || {
-            hosted.iter().copied().max_by(|&a, &b| {
-                let key = |i: usize| (on[i] as u8, self.vms[i].demand(on[i]));
-                let (ka, kb) = (key(a), key(b));
-                ka.0.cmp(&kb.0).then(ka.1.total_cmp(&kb.1))
-            })
-        };
-        match self.config.victim_policy {
-            VictimPolicy::LargestOnDemand => largest_on(),
-            VictimPolicy::SmallestSufficient => hosted
-                .iter()
-                .copied()
-                .filter(|&i| on[i] && self.vms[i].demand(true) >= overload)
-                .min_by(|&a, &b| {
-                    self.vms[a]
-                        .demand(true)
-                        .total_cmp(&self.vms[b].demand(true))
-                })
-                .or_else(largest_on),
-            VictimPolicy::SmallestBase => hosted
-                .iter()
-                .copied()
-                .min_by(|&a, &b| self.vms[a].r_b.total_cmp(&self.vms[b].r_b)),
-        }
-    }
-
     /// Target selection: first *active* up PM (other than the source) the
     /// policy admits the VM on, else the first empty up PM in the pool.
     ///
@@ -1740,6 +1707,36 @@ impl<'a> Simulator<'a> {
                 .find(|&j| j != source && pm_up[j] && loads[j].is_empty() && admit(j))
         })
     }
+}
+
+/// The VM an overloaded PM evicts under `policy`, among its hosted
+/// `(index, spec, ON)` candidates, `overload` being its observed demand
+/// above capacity; `None` for an empty PM. Ties go to the later
+/// candidate for the largest ON demand, to the earlier for the two
+/// smallest picks. The engine and `scenario::run_churn` both decide here.
+pub(crate) fn pick_victim<'a>(
+    policy: VictimPolicy,
+    candidates: impl Iterator<Item = (usize, &'a VmSpec, bool)> + Clone,
+    overload: f64,
+) -> Option<usize> {
+    let largest_on = || {
+        candidates.clone().max_by(|&(_, a, a_on), &(_, b, b_on)| {
+            let demand = a.demand(a_on).total_cmp(&b.demand(b_on));
+            a_on.cmp(&b_on).then(demand)
+        })
+    };
+    let victim = match policy {
+        VictimPolicy::LargestOnDemand => largest_on(),
+        VictimPolicy::SmallestSufficient => candidates
+            .clone()
+            .filter(|&(_, vm, on)| on && vm.demand(true) >= overload)
+            .min_by(|(_, a, _), (_, b, _)| a.demand(true).total_cmp(&b.demand(true)))
+            .or_else(largest_on),
+        VictimPolicy::SmallestBase => candidates
+            .clone()
+            .min_by(|(_, a, _), (_, b, _)| a.r_b.total_cmp(&b.r_b)),
+    };
+    victim.map(|(i, _, _)| i)
 }
 
 #[cfg(test)]

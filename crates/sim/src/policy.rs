@@ -10,7 +10,7 @@
 //!   accepting a migrant on that evidence seeds the next overload, the
 //!   *cycle migration* feedback loop.
 
-use bursty_placement::{PmLoad, QueueStrategy, Strategy};
+use bursty_placement::{PeakStrategy, PmLoad, QueueStrategy, Strategy};
 use bursty_workload::VmSpec;
 
 /// A PM's state as visible to the runtime controller.
@@ -248,7 +248,9 @@ impl RuntimePolicy for ObservedPolicy {
 }
 
 /// Peak-demand admission (provisioning for peak at runtime): never admits
-/// a VM that could ever overload the PM. The runtime counterpart of RP.
+/// a VM that could ever overload the PM. The runtime counterpart of RP,
+/// deciding by [`PeakStrategy`]'s rule as [`QueuePolicy`] does by
+/// [`QueueStrategy`]'s.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PeakPolicy;
 
@@ -258,15 +260,15 @@ impl RuntimePolicy for PeakPolicy {
     }
 
     fn admits(&self, vm: &VmSpec, _vm_demand: f64, pm: &PmRuntime, capacity: f64) -> bool {
-        pm.load.sum_rp + vm.r_p() <= capacity
+        PeakStrategy.admits(&pm.load, vm, capacity)
     }
 
     fn headroom(&self, pm: &PmRuntime, capacity: f64) -> f64 {
-        capacity - pm.load.sum_rp
+        Strategy::headroom(&PeakStrategy, &pm.load, capacity)
     }
 
     fn demand_measure(&self, vm: &VmSpec, _vm_demand: f64) -> f64 {
-        vm.r_p()
+        Strategy::demand(&PeakStrategy, vm)
     }
 
     fn headroom_reads_observed(&self) -> bool {

@@ -35,9 +35,11 @@ fn main() {
         })
         .collect();
 
-    // Route 1 (uncorrelated dimensions): per-dimension reservation + FF.
-    let mapping = MappingTable::build(16, 0.01, 0.09, 0.01);
-    let placement = first_fit_multidim(&vms, &pms, &mapping).expect("pool suffices");
+    // Route 1 (uncorrelated dimensions): per-dimension reservation + FF,
+    // each dimension priced by the QUEUE rule (Eq. 17 at the PM's hottest
+    // chain, floored at the pair the strategy is built with).
+    let strategy = QueueStrategy::build(16, 0.01, 0.09, 0.01);
+    let placement = first_fit_multidim(&vms, &pms, &strategy).expect("pool suffices");
     println!(
         "per-dimension reservation: {} PMs for {} VMs",
         placement.pms_used(),

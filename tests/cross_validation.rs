@@ -119,7 +119,7 @@ fn multidim_pack_honors_rho_on_every_dimension() {
         ),
         ((0..24).map(skewed).collect(), [100.0, 100.0]),
     ];
-    let mapping = MappingTable::build(16, 0.01, 0.09, 0.01);
+    let strategy = QueueStrategy::build(16, 0.01, 0.09, 0.01);
     for (vms, capacity) in &fleets {
         let pms: Vec<MultiDimPmSpec> = (0..vms.len())
             .map(|id| MultiDimPmSpec {
@@ -127,7 +127,7 @@ fn multidim_pack_honors_rho_on_every_dimension() {
                 capacity: ResourceVec::new(capacity.to_vec()),
             })
             .collect();
-        let placement = first_fit_multidim(vms, &pms, &mapping).unwrap();
+        let placement = first_fit_multidim(vms, &pms, &strategy).unwrap();
         assert!(placement.pms_used() < vms.len(), "must consolidate");
         let worst = worst_dimension_cvr(vms, *capacity, &placement.assignment);
         assert!(worst <= 0.01, "capacity {capacity:?}: exact CVR {worst}");
@@ -137,6 +137,52 @@ fn multidim_pack_honors_rho_on_every_dimension() {
     let (vms, capacity) = &fleets[2];
     let by_projection: Vec<usize> = (0..24).map(|i| i / 8).collect();
     assert!(worst_dimension_cvr(vms, *capacity, &by_projection) > 0.1);
+}
+
+#[test]
+fn multidim_holds_rho_when_a_third_of_the_fleet_is_hotter_than_the_floor() {
+    // Every third VM switches at (0.03, 0.07), π = 0.3 against the floor
+    // pair's 0.1. Priced at one pair, the packer let 2 of 6, 6 of 7 and
+    // 40 of 69 PMs exceed ρ on some dimension; each dimension priced at
+    // its hottest chain keeps every one within it.
+    let vm = |i: usize, r_b: [f64; 2], r_e: [f64; 2]| {
+        let (p_on, p_off) = if i.is_multiple_of(3) {
+            (0.03, 0.07)
+        } else {
+            (0.01, 0.09)
+        };
+        let (r_b, r_e) = (
+            ResourceVec::new(r_b.to_vec()),
+            ResourceVec::new(r_e.to_vec()),
+        );
+        MultiDimVmSpec::new(i, p_on, p_off, r_b, r_e)
+    };
+    let mixed = |i| vm(i, [8.0 + (i % 3) as f64, 5.0], [6.0, 4.0 + (i % 2) as f64]);
+    let large = |i| {
+        let r_b = [4.0 + (i % 5) as f64, 3.0 + (i % 4) as f64];
+        vm(i, r_b, [6.0 + (i % 7) as f64, 5.0 + (i % 3) as f64])
+    };
+    let fleets: [(Vec<MultiDimVmSpec>, [f64; 2]); 3] = [
+        ((0..30).map(mixed).collect(), [70.0, 45.0]),
+        (
+            (0..48).map(|i| vm(i, [10.0, 6.0], [10.0, 4.0])).collect(),
+            [100.0, 60.0],
+        ),
+        ((0..600).map(large).collect(), [90.0, 80.0]),
+    ];
+    let strategy = QueueStrategy::build(16, 0.01, 0.09, 0.01);
+    for (vms, capacity) in &fleets {
+        let pms: Vec<MultiDimPmSpec> = (0..vms.len())
+            .map(|id| MultiDimPmSpec {
+                id,
+                capacity: ResourceVec::new(capacity.to_vec()),
+            })
+            .collect();
+        let placement = first_fit_multidim(vms, &pms, &strategy).unwrap();
+        assert!(placement.pms_used() < vms.len(), "must consolidate");
+        let worst = worst_dimension_cvr(vms, *capacity, &placement.assignment);
+        assert!(worst <= 0.01, "capacity {capacity:?}: exact CVR {worst}");
+    }
 }
 
 #[test]
