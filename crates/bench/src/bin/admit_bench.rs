@@ -413,13 +413,7 @@ fn main() {
 
         // Engines run one at a time (digests carry the comparison) so the
         // 1M-VM size never holds two full clusters in memory.
-        let reference = Engine::Reference(ReferenceOnlineCluster::new(
-            pms.clone(),
-            D,
-            P_ON,
-            P_OFF,
-            RHO,
-        ));
+        let reference = Engine::Reference(ReferenceOnlineCluster::new(pms.clone(), D, RHO));
         let (ref_row, ref_ops_per_sec, ref_digest) =
             run_engine(&commit, reference, initial.clone(), &program, m);
         let soa = Engine::Soa(OnlineCluster::new(pms, D, P_ON, P_OFF, RHO));

@@ -125,10 +125,10 @@ impl Consolidator {
             // Shares the memoized floor table with `strategy()`, so
             // `evaluate` solves each (d, p_on, p_off, rho) chain family
             // exactly once per process.
-            Scheme::Queue => Box::new(QueuePolicy::from_parameters(
+            Scheme::Queue => Box::new(QueuePolicy::new(QueueStrategy::build(
                 self.d, self.p_on, self.p_off, self.rho,
-            )),
-            Scheme::Rp => Box::new(PeakPolicy),
+            ))),
+            Scheme::Rp => Box::new(PeakPolicy::default()),
             Scheme::Rb => Box::new(ObservedPolicy::rb()),
             Scheme::RbEx(delta) => Box::new(ObservedPolicy::rb_ex(delta)),
         }
@@ -542,7 +542,7 @@ mod tests {
         let (d, p_on, p_off, rho) = (9, 0.017, 0.083, 0.021);
         let before = mapping_cache_stats();
         let strategy = QueueStrategy::build(d, p_on, p_off, rho);
-        let policy = QueuePolicy::from_parameters(d, p_on, p_off, rho);
+        let policy = QueuePolicy::new(QueueStrategy::build(d, p_on, p_off, rho));
         let after = mapping_cache_stats();
         assert!(
             std::sync::Arc::ptr_eq(

@@ -11,10 +11,10 @@
 //! On the fast path the packer never materializes a per-VM order at all:
 //! one linear pass collapses the fleet into a class table
 //! ([`MAX_TRACKED_CLASSES`] distinct specs at most — beyond that the
-//! collapsing cannot pay and the packer falls back to the strategy's own
-//! sort), the *classes* are sorted by the strategy's
-//! [`Strategy::class_order_keys`] (`k log k` work for `k` classes instead
-//! of `n log n` for `n` VMs), whole classes are placed as single runs
+//! collapsing cannot pay and the packer falls back to the per-VM FFD
+//! order), the *classes* are sorted by the strategy's
+//! [`Strategy::sort_keys`] of the class representatives (`k log k` work
+//! for `k` classes instead of `n log n` for `n` VMs), whole classes are placed as single runs
 //! recording `(PM, copies)` fill segments, and a final linear pass scatters
 //! the per-VM assignments straight from those segments.
 //!
@@ -62,7 +62,7 @@
 //!   their members interleaved by a stable sort, which fill segments
 //!   cannot express — [`class_schedule`] detects that (rare, bit-equal
 //!   keys across different specs) and the packer falls back to the
-//!   strategy's own sort rather than risk a divergence.
+//!   per-VM FFD order rather than risk a divergence.
 //!
 //! # The ulp gap between closed-form and folded sums
 //!
@@ -81,7 +81,7 @@ use crate::index::HeadroomIndex;
 use crate::load::PmLoad;
 use crate::pack::{first_fit_recorded, PackError, PRUNE_SLACK};
 use crate::placement::Placement;
-use crate::strategy::Strategy;
+use crate::strategy::{ffd_cmp, ffd_order, Strategy};
 use bursty_obs::{Counter, Gauge, NoopRecorder, Recorder};
 use bursty_workload::{
     class_runs, distinct_classes, intern_classes, ClassRun, PmSpec, VmClass, VmSpec,
@@ -138,7 +138,7 @@ pub struct PlacementState {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PackProfile {
     /// The class pass over the fleet; off the collapsed path also the
-    /// strategy's own sort and its run-length encoding.
+    /// per-VM FFD order and its run-length encoding.
     pub collapse_s: f64,
     /// Resetting the arena to the empty farm.
     pub reset_s: f64,
@@ -487,14 +487,10 @@ pub(crate) fn collapse_classes(vms: &[VmSpec]) -> Option<ClassTable> {
 /// share an exact `(band, key)`: a stable sort would interleave their
 /// members by original index across class boundaries, which per-class
 /// fill segments cannot express, so the caller falls back to the
-/// strategy's own sort.
+/// per-VM FFD order.
 fn class_schedule(keys: &[(u32, f64)]) -> Option<Vec<u32>> {
     let mut by_key: Vec<u32> = (0..keys.len() as u32).collect();
-    by_key.sort_by(|&a, &b| {
-        let (band_a, key_a) = keys[a as usize];
-        let (band_b, key_b) = keys[b as usize];
-        band_b.cmp(&band_a).then(key_b.total_cmp(&key_a))
-    });
+    by_key.sort_by(|&a, &b| ffd_cmp(keys[a as usize], keys[b as usize]));
     let tied = by_key.windows(2).any(|w| {
         let (band_a, key_a) = keys[w[0] as usize];
         let (band_b, key_b) = keys[w[1] as usize];
@@ -537,7 +533,7 @@ fn nth_member_id(vms: &[VmSpec], kid: &[u32], cid: u32, nth: usize) -> usize {
 /// and `n` index probes and updates instead; on duplicate-heavy fleets
 /// (`k ≪ n`) the batch packer's index work vanishes and throughput is
 /// dominated by the linear collapse and scatter passes. Off the fast path
-/// it degrades to the strategy's own sort with per-run placement — never
+/// it degrades to the per-VM FFD order with per-run placement — never
 /// worse than a small constant over per-VM packing.
 ///
 /// # Errors
@@ -641,8 +637,8 @@ fn timed_collapse(state: &mut PlacementState, vms: &[VmSpec]) -> Option<ClassTab
 
 /// The collapsed route's class table and schedule, given the class pass
 /// of `vms` — or `None`, which sends the batch to the ordered route (the
-/// strategy's own order and its class runs): too many classes to track,
-/// no per-class sort keys, or two distinct classes sharing a key. The
+/// per-VM FFD order and its class runs): too many classes to track, or
+/// two distinct classes sharing a key. The
 /// offline packer and `OnlineCluster` choose their route here.
 fn collapsed_schedule<S: Strategy + ?Sized>(
     vms: &[VmSpec],
@@ -650,18 +646,17 @@ fn collapsed_schedule<S: Strategy + ?Sized>(
     table: Option<ClassTable>,
 ) -> Option<(ClassTable, Vec<u32>)> {
     let table = table?;
-    let keys = strategy.class_order_keys(vms.len(), &table.reps)?;
-    let schedule = class_schedule(&keys)?;
+    let schedule = class_schedule(&strategy.sort_keys(vms.len(), &table.reps))?;
     Some((table, schedule))
 }
 
-/// The ordered route's placement order: the strategy's own sort and its
+/// The ordered route's placement order: the per-VM FFD order and its
 /// class runs.
 fn strategy_runs<S: Strategy + ?Sized>(
     vms: &[VmSpec],
     strategy: &S,
 ) -> (Vec<usize>, Vec<ClassRun>) {
-    let order = strategy.order(vms);
+    let order = ffd_order(strategy, vms);
     let runs = class_runs(vms, &order);
     (order, runs)
 }
@@ -702,8 +697,8 @@ pub(crate) fn batch_runs<S: Strategy + ?Sized>(
 }
 
 /// Packs `vms` given their class pass (`None`: too many classes to track):
-/// whole classes as single runs when the strategy can order classes
-/// without cross-class ties, the strategy's own per-VM order otherwise.
+/// whole classes as single runs when the strategy's keys order classes
+/// without cross-class ties, the per-VM FFD order otherwise.
 fn pack_collapsed_or_ordered<S: Strategy + ?Sized>(
     state: &mut PlacementState,
     vms: &[VmSpec],
@@ -777,7 +772,7 @@ fn batch_collapsed<S: Strategy + ?Sized>(
 }
 
 /// The general path: an explicit per-VM order and its class runs (either
-/// from the strategy's own sort, or because cross-class key ties demand
+/// from the per-VM FFD order, or because cross-class key ties demand
 /// the full stable-sort semantics).
 fn batch_ordered<S: Strategy + ?Sized>(
     state: &mut PlacementState,
@@ -837,10 +832,7 @@ mod tests {
     /// Whether the orderless collapsed path would handle this fleet.
     fn fast_path_engages<S: Strategy + ?Sized>(vms: &[VmSpec], strategy: &S) -> bool {
         collapse_classes(vms)
-            .and_then(|table| {
-                let keys = strategy.class_order_keys(vms.len(), &table.reps)?;
-                class_schedule(&keys)
-            })
+            .and_then(|table| class_schedule(&strategy.sort_keys(vms.len(), &table.reps)))
             .is_some()
     }
 

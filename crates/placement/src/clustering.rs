@@ -11,7 +11,11 @@ use bursty_workload::VmSpec;
 /// Partitions `vms` into `buckets` equal-width `R_e` bands (an `O(n)`
 /// clustering, as the paper prescribes), then returns VM *indices* ordered
 /// cluster-by-cluster: clusters by `R_e` band descending, members by `R_b`
-/// descending.
+/// descending — Algorithm 2's order spelled out bucket by bucket. The
+/// packers derive the same order from QUEUE's sort keys
+/// ([`crate::strategy::ffd_order`]); this is the oracle that
+/// `ReferenceOnlineCluster` places batches by and the tests hold the
+/// derived order to.
 ///
 /// With `buckets = 1` this degrades to plain FFD-by-`R_b`; more buckets
 /// give finer spike-size segregation. The paper leaves the clustering
@@ -35,11 +39,9 @@ pub(crate) fn cluster_order(vms: &[VmSpec], buckets: usize) -> Vec<usize> {
 }
 
 /// The equal-width `R_e` band of every VM — the cluster assignment
-/// [`cluster_order`] groups by, exposed so callers can reproduce the
-/// cluster ordering without materializing the per-bucket vectors (the
-/// batch packer's counting-sort path). `cluster_order(vms, buckets)` is
-/// exactly a stable sort of `0..n` by `(band descending, R_b descending)`
-/// over these bands.
+/// [`cluster_order`] groups by, and the band of QUEUE's sort keys.
+/// `cluster_order(vms, buckets)` is exactly a stable sort of `0..n` by
+/// `(band descending, R_b descending)` over these bands.
 ///
 /// # Panics
 /// Panics if `buckets == 0`.
@@ -79,7 +81,7 @@ mod tests {
     }
 
     #[test]
-    fn order_is_permutation() {
+    fn cluster_order_is_a_permutation() {
         let vms: Vec<VmSpec> = (0..20)
             .map(|i| vm(i, 2.0 + (i % 7) as f64, 2.0 + (i % 5) as f64))
             .collect();

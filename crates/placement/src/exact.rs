@@ -12,7 +12,7 @@
 //! partial assignment that overflows can be pruned.
 
 use crate::load::PmLoad;
-use crate::strategy::Strategy;
+use crate::strategy::{ffd_order, Strategy};
 use bursty_workload::VmSpec;
 
 /// Result of an exact search.
@@ -50,7 +50,7 @@ pub fn optimal_packing(
     }
     // Use the strategy's own decreasing order: large items first prune
     // fastest, and FFD gives the initial incumbent.
-    let order = strategy.order(vms);
+    let order = ffd_order(strategy, vms);
     let ordered: Vec<&VmSpec> = order.iter().map(|&i| &vms[i]).collect();
 
     // Initial incumbent: greedy first fit in that order.
@@ -156,7 +156,7 @@ pub fn ffd_quality_ratio(
     strategy: &dyn Strategy,
     node_budget: usize,
 ) -> Option<f64> {
-    let order = strategy.order(vms);
+    let order = ffd_order(strategy, vms);
     let ordered: Vec<&VmSpec> = order.iter().map(|&i| &vms[i]).collect();
     let ffd = greedy_count(&ordered, capacity, strategy);
     match optimal_packing(vms, capacity, strategy, node_budget) {
@@ -256,7 +256,7 @@ mod tests {
                     vm(i as usize, s, 0.0)
                 })
                 .collect();
-            let order = BaseStrategy.order(&vms);
+            let order = ffd_order(&BaseStrategy, &vms);
             let ordered: Vec<&VmSpec> = order.iter().map(|&i| &vms[i]).collect();
             let ffd = greedy_count(&ordered, 20.0, &BaseStrategy);
             match optimal_packing(&vms, 20.0, &BaseStrategy, 500_000) {

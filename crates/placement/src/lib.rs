@@ -8,8 +8,9 @@
 //!   blocks `K` that keeps the PM's capacity-violation ratio under `ρ`.
 //!   Its `π`-threshold form prices a load at any stationary ON
 //!   probability `π` for one `(d, ρ)`.
-//! * [`strategy::Strategy`] — a packing/admission policy: an ordering of
-//!   VMs plus a set-feasibility predicate for a PM. Implementations:
+//! * [`strategy::Strategy`] — a packing/admission policy: per-VM sort
+//!   keys (the FFD order is a stable sort by them) plus a
+//!   set-feasibility predicate for a PM. Implementations:
 //!   [`QueueStrategy`] (Eq. 17), and the baselines [`PeakStrategy`] (FFD by
 //!   `R_p`), [`BaseStrategy`] (FFD by `R_b`) and [`ReserveStrategy`]
 //!   (RB-EX: FFD by `R_b` with a δ-fraction reserve).

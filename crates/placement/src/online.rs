@@ -172,10 +172,9 @@ pub struct ReferenceOnlineCluster {
 
 impl ReferenceOnlineCluster {
     /// Creates an empty cluster over `pms` admitting by Eq. 17 per PM
-    /// with co-location cap `d` and CVR bound `rho`. The configured pair
-    /// prices nothing (see the module docs) and the reference keeps no
-    /// snapshot, so it only shares [`OnlineCluster::new`]'s signature.
-    pub fn new(pms: Vec<PmSpec>, d: usize, _p_on: f64, _p_off: f64, rho: f64) -> Self {
+    /// with co-location cap `d` and CVR bound `rho`, each PM priced at
+    /// the hottest chain it hosts (see the module docs).
+    pub fn new(pms: Vec<PmSpec>, d: usize, rho: f64) -> Self {
         let strategy = QueueStrategy::priced(d, rho, None);
         let loads = vec![PmLoad::empty(); pms.len()];
         let mut headrooms = Vec::with_capacity(pms.len());
@@ -1401,7 +1400,7 @@ mod tests {
             .enumerate()
             .map(|(j, &c)| PmSpec::new(j, c))
             .collect();
-        ReferenceOnlineCluster::new(pms, 16, 0.01, 0.09, 0.01)
+        ReferenceOnlineCluster::new(pms, 16, 0.01)
     }
 
     #[test]
@@ -2283,7 +2282,7 @@ mod tests {
                 .collect();
             let (p_on, p_off, _, _) = fleet.templates[0];
             let mut a = OnlineCluster::new(pms.clone(), fleet.d, p_on, p_off, fleet.rho);
-            let mut b = ReferenceOnlineCluster::new(pms, fleet.d, p_on, p_off, fleet.rho);
+            let mut b = ReferenceOnlineCluster::new(pms, fleet.d, fleet.rho);
             let spec = |t: u8, id: usize| {
                 let (p_on, p_off, r_b, r_e) = fleet.templates[t as usize % fleet.templates.len()];
                 VmSpec::new(id, p_on, p_off, r_b, r_e)

@@ -9,7 +9,7 @@
 use crate::index::HeadroomIndex;
 use crate::load::PmLoad;
 use crate::placement::Placement;
-use crate::strategy::Strategy;
+use crate::strategy::{ffd_order, Strategy};
 use bursty_obs::{Counter, Gauge, NoopRecorder, Recorder};
 use bursty_workload::{PmSpec, VmSpec};
 use std::fmt;
@@ -125,7 +125,7 @@ pub fn first_fit_recorded<R: Recorder>(
     let mut placement = Placement::empty(vms.len(), pms.len());
     let mut loads = vec![PmLoad::empty(); pms.len()];
     let mut index = HeadroomIndex::new(&empty_headrooms(pms, strategy));
-    for &i in &strategy.order(vms) {
+    for &i in &ffd_order(strategy, vms) {
         let vm = &vms[i];
         match probe_first_fit_recorded(&index, &loads, pms, strategy, vm, rec) {
             Some(j) => {
@@ -157,7 +157,7 @@ mod linear {
     ) -> Result<Placement, PackError> {
         let mut placement = Placement::empty(vms.len(), pms.len());
         let mut loads = vec![PmLoad::empty(); pms.len()];
-        for &i in &strategy.order(vms) {
+        for &i in &ffd_order(strategy, vms) {
             let vm = &vms[i];
             let slot = pms
                 .iter()

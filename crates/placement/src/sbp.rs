@@ -14,8 +14,6 @@
 //! under SBP last as long as the spikes do, and its packing ignores the
 //! paper's lower-limit protection (`R_b` is not guaranteed).
 
-use crate::load::PmLoad;
-use crate::strategy::Strategy;
 use bursty_workload::VmSpec;
 
 /// The inverse standard normal CDF (Acklam's rational approximation,
@@ -81,91 +79,49 @@ pub(crate) fn marginal_moments(vm: &VmSpec) -> (f64, f64) {
     (mean, var)
 }
 
-/// Normal-approximation stochastic bin packing: a PM is feasible when
-/// `Σμ + z₁₋ρ·√(Σσ²) ≤ C`. Ordering: FFD by effective single-VM size
-/// `μ + z·σ` (the standard effective-size heuristic).
+/// Normal-approximation stochastic bin packing's budget: a PM is feasible
+/// when `Σμ + z₁₋ρ·√(Σσ²) ≤ C`. The constraint needs the hosted set's
+/// variance sum, which [`crate::PmLoad`] does not carry, so SBP is a
+/// packer over specs ([`pack_sbp`]), not a [`crate::Strategy`].
 #[derive(Debug, Clone, Copy)]
-pub struct SbpStrategy {
+struct SbpStrategy {
     z: f64,
 }
 
 impl SbpStrategy {
-    /// Creates the strategy for overflow probability `rho ∈ (0, 1)`.
+    /// Creates the budget for overflow probability `rho ∈ (0, 1)`.
     ///
     /// # Panics
     /// Panics for `rho` outside `(0, 1)`.
-    pub(crate) fn new(rho: f64) -> Self {
+    fn new(rho: f64) -> Self {
         assert!(rho > 0.0 && rho < 1.0, "rho must be in (0,1), got {rho}");
         Self {
             z: normal_quantile(1.0 - rho),
         }
     }
 
-    /// Effective size of one VM under this budget.
-    pub(crate) fn effective_size(&self, vm: &VmSpec) -> f64 {
+    /// Effective size of one VM under this budget, `μ + z·σ`.
+    fn effective_size(&self, vm: &VmSpec) -> f64 {
         let (m, v) = marginal_moments(vm);
         m + self.z * v.sqrt()
     }
 }
 
-impl Strategy for SbpStrategy {
-    fn name(&self) -> &'static str {
-        "SBP"
-    }
-
-    fn order(&self, vms: &[VmSpec]) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..vms.len()).collect();
-        order.sort_by(|&a, &b| {
-            self.effective_size(&vms[b])
-                .total_cmp(&self.effective_size(&vms[a]))
-        });
-        order
-    }
-
-    fn feasible(&self, load: &PmLoad, capacity: f64) -> bool {
-        // `PmLoad` lacks the variance sum, but for ON-OFF marginals it is
-        // recoverable in aggregate only approximately; instead we bound
-        // conservatively with the loosest exact statement expressible in
-        // PmLoad terms: mean uses sum_rb + π·(sum_rp − sum_rb) (exact),
-        // variance is bounded by (max_re/2)²·count (π(1−π) ≤ 1/4).
-        //
-        // first_fit uses `admits`, which this strategy overrides with the
-        // exact spec-level check, so the bound here only backstops
-        // `Placement::validate`.
-        let q = 0.1; // π_on for the paper's default parameters
-        let mean = load.sum_rb + q * (load.sum_rp - load.sum_rb);
-        let var_bound = load.count as f64 * (load.max_re / 2.0) * (load.max_re / 2.0);
-        mean + self.z * var_bound.sqrt() <= capacity || load.count == 0
-    }
-
-    fn admits(&self, load: &PmLoad, vm: &VmSpec, capacity: f64) -> bool {
-        // Exact incremental check: moments are additive, and PmLoad's
-        // fields suffice to reconstruct the mean; the variance needs the
-        // spec set, so we carry it through sum_rp − sum_rb per-VM… which
-        // is again aggregate-only. The exact spec-level packing entry
-        // point is `pack_sbp`; this admits() is the same conservative
-        // backstop as feasible().
-        self.feasible(&load.with(vm), capacity)
-    }
-
-    fn headroom(&self, load: &PmLoad, capacity: f64) -> f64 {
-        // Capacity minus the load's mean only — the variance term is left
-        // out, which can only *overstate* headroom. With `demand` at its
-        // zero default the contract holds: admits ⇒ the post-add mean fits
-        // under capacity ⇒ the (smaller) pre-add mean does too.
-        let q = 0.1; // π_on for the paper's default parameters
-        capacity - (load.sum_rb + q * (load.sum_rp - load.sum_rb))
-    }
-}
-
 /// Exact SBP first-fit packing over specs (the entry point the benches
-/// use). Returns `assignment[i] = pm index`.
+/// use): FFD by effective single-VM size `μ + z·σ` (the standard
+/// effective-size heuristic), each VM onto the first PM whose exact
+/// moment sums stay within the budget. Returns `assignment[i] = pm index`.
 ///
 /// # Errors
 /// Returns the id of the first unplaceable VM.
 pub fn pack_sbp(vms: &[VmSpec], capacities: &[f64], rho: f64) -> Result<Vec<usize>, usize> {
     let strategy = SbpStrategy::new(rho);
-    let order = strategy.order(vms);
+    let mut order: Vec<usize> = (0..vms.len()).collect();
+    order.sort_by(|&a, &b| {
+        strategy
+            .effective_size(&vms[b])
+            .total_cmp(&strategy.effective_size(&vms[a]))
+    });
     let mut means = vec![0.0; capacities.len()];
     let mut vars = vec![0.0; capacities.len()];
     let mut assignment = vec![usize::MAX; vms.len()];
@@ -199,6 +155,7 @@ pub fn pms_used(assignment: &[usize], n_pms: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PmLoad, Strategy};
 
     /// The chance constraint on an explicit hosted set: its moments are
     /// additive, so `Σμ + z·√(Σσ²) ≤ C` is exact here.
@@ -309,26 +266,46 @@ mod tests {
     }
 
     #[test]
-    fn pack_sbp_errors_when_nothing_fits() {
-        let vms = vec![vm(3, 200.0, 1.0)];
-        assert_eq!(pack_sbp(&vms, &[100.0], 0.01), Err(3));
+    fn pack_sbp_holds_the_chance_constraint_on_hot_fleets() {
+        // Every PM of the packing passes the exact spec-level check,
+        // whatever the fleet's ON probability: π = 0.1, π = 0.5, and a
+        // fleet mixing the two. At π = 0.5 four (10, 10) VMs need
+        // Σμ + z·√(Σσ²) = 83.26, so an 83-capacity PM takes three.
+        let s = SbpStrategy::new(0.01);
+        let cool = |i: usize| vm(i, 4.0 + (i % 5) as f64, 6.0 + (i % 7) as f64);
+        let hot = |i: usize| VmSpec::new(i, 0.5, 0.5, 10.0, 10.0);
+        let fleets: [(&str, Vec<VmSpec>); 3] = [
+            ("pi 0.1", (0..60).map(cool).collect()),
+            ("pi 0.5", (0..60).map(hot).collect()),
+            (
+                "mixed",
+                (0..60)
+                    .map(|i| if i % 3 == 0 { hot(i) } else { cool(i) })
+                    .collect(),
+            ),
+        ];
+        for (name, vms) in &fleets {
+            let caps = vec![83.0; vms.len()];
+            let assignment = pack_sbp(vms, &caps, 0.01).unwrap();
+            for (j, &cap) in caps.iter().enumerate() {
+                let hosted: Vec<VmSpec> = vms
+                    .iter()
+                    .zip(&assignment)
+                    .filter(|&(_, &a)| a == j)
+                    .map(|(v, _)| *v)
+                    .collect();
+                assert!(set_feasible(&s, &hosted, cap), "{name}: PM {j}");
+                if *name == "pi 0.5" {
+                    assert!(hosted.len() <= 3, "PM {j} hosts {}", hosted.len());
+                }
+            }
+        }
     }
 
     #[test]
-    fn strategy_trait_backstop_is_conservative() {
-        // The PmLoad-level feasibility must never accept a set the exact
-        // spec-level check rejects (conservative in the safe direction).
-        let s = SbpStrategy::new(0.01);
-        let vms: Vec<VmSpec> = (0..8).map(|i| vm(i, 10.0, 10.0)).collect();
-        let load = PmLoad::rebuild(&vms);
-        for cap in [60.0, 90.0, 110.0, 150.0] {
-            if s.feasible(&load, cap) {
-                assert!(
-                    set_feasible(&s, &vms, cap),
-                    "backstop accepted what exact rejects at {cap}"
-                );
-            }
-        }
+    fn pack_sbp_errors_when_nothing_fits() {
+        let vms = vec![vm(3, 200.0, 1.0)];
+        assert_eq!(pack_sbp(&vms, &[100.0], 0.01), Err(3));
     }
 
     #[test]

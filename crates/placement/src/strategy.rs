@@ -1,14 +1,16 @@
 //! Packing/admission strategies: QUEUE (the paper's Eq. 17) and the
 //! baselines RP, RB and RB-EX.
 
-use crate::clustering::{cluster_bands, cluster_order, default_buckets};
+use crate::clustering::{cluster_bands, default_buckets};
 use crate::load::PmLoad;
 use crate::mapcal::{MappingTable, PiThresholds};
 use bursty_workload::{PmSpec, VmSpec};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// A consolidation strategy: how to order VMs for First-Fit-Decreasing and
-/// when a *set* of VMs fits on a PM.
+/// A consolidation strategy: its per-VM sort keys, which order the VMs
+/// for First-Fit-Decreasing, and when a *set* of VMs fits
+/// on a PM.
 ///
 /// Set feasibility (rather than an incremental admit) is the primitive
 /// because every strategy in the paper — including Eq. 17 — depends only on
@@ -18,9 +20,23 @@ pub trait Strategy: Send + Sync {
     /// Display name as used in the paper's figures (QUEUE, RP, RB, RB-EX).
     fn name(&self) -> &'static str;
 
-    /// The order (as indices into `vms`) in which First Fit should place
-    /// the VMs.
-    fn order(&self, vms: &[VmSpec]) -> Vec<usize>;
+    /// The `(cluster band, primary key)` of every VM in `vms`; the FFD
+    /// order is a *stable* sort by band descending, then key descending
+    /// by total order (the crate's `ffd_order`, behind every packer). This
+    /// is the strategy's only statement of its order.
+    ///
+    /// `fleet_size` is the full fleet's VM count `n`, of which `vms` may
+    /// be just the distinct class representatives: a key may depend on
+    /// the fleet (QUEUE's default bucket count is `⌈√n⌉`), but must be a
+    /// pure function of a VM's spec bits given the fleet, so that
+    /// bit-identical `(p_on, p_off, R_b, R_e)` specs get bit-identical
+    /// keys and a representative's key equals what its duplicates would
+    /// be assigned from the full fleet (QUEUE's band edges depend only on
+    /// the min/max spike size, a function of the *support* of the spec
+    /// distribution, which the representatives span). The batch packer
+    /// then sorts only the `k ≪ n` distinct classes and stays
+    /// byte-identical to the per-VM order.
+    fn sort_keys(&self, fleet_size: usize, vms: &[VmSpec]) -> Vec<(u32, f64)>;
 
     /// Whether a PM with aggregate load `load` is feasible under capacity
     /// `capacity`.
@@ -43,53 +59,13 @@ pub trait Strategy: Send + Sync {
     /// an ulp-level float discrepancy cannot skip an admissible PM). A PM
     /// that can admit nothing — e.g. a QUEUE PM at the `d` cap — should
     /// report `f64::NEG_INFINITY`.
-    ///
-    /// The default (`+∞`) honors the contract trivially and disables
-    /// pruning: indexed packing degrades to the linear scan, never to a
-    /// wrong answer.
-    fn headroom(&self, _load: &PmLoad, _capacity: f64) -> f64 {
-        f64::INFINITY
-    }
+    fn headroom(&self, load: &PmLoad, capacity: f64) -> f64;
 
     /// Load-independent lower bound on the headroom `vm` needs on *any*
     /// PM — the threshold the indexed packers search with. Must be
     /// conservative (never exceed the true requirement on any PM state);
-    /// see the contract on [`Strategy::headroom`]. The default (`0`)
-    /// disables pruning.
-    fn demand(&self, _vm: &VmSpec) -> f64 {
-        0.0
-    }
-
-    /// `(cluster band, primary key)` sort keys for a set of distinct VM
-    /// *class representatives*, or `None` when the strategy's order is
-    /// not expressible as per-class keys.
-    ///
-    /// `fleet_size` is the full fleet's VM count `n` — key computation
-    /// may depend on it (QUEUE's default bucket count is `⌈√n⌉`) even
-    /// though only `representatives.len()` keys are produced.
-    ///
-    /// Contract: when this returns `Some(keys)`, the key must be a pure
-    /// function of a VM's spec bits given the fleet — bit-identical
-    /// `(p_on, p_off, R_b, R_e)` specs get bit-identical keys, and a
-    /// representative's key must equal what its duplicates would be
-    /// assigned from the full fleet (QUEUE satisfies this because its
-    /// band edges depend only on the min/max spike size, a function of
-    /// the *support* of the spec distribution, which the representatives
-    /// span). Further, [`Strategy::order`] must equal a *stable* sort of
-    /// `0..n` by `(band descending, key descending by total order)` over
-    /// the per-VM keys these induce. The batch packer then reproduces the
-    /// order by sorting only the `k ≪ n` distinct classes — while staying
-    /// byte-identical to `order` (differentially property-tested in
-    /// `batch.rs`). The default (`None`) keeps arbitrary `order`
-    /// implementations correct: the batch packer falls back to calling
-    /// `order` itself.
-    fn class_order_keys(
-        &self,
-        _fleet_size: usize,
-        _representatives: &[VmSpec],
-    ) -> Option<Vec<(u32, f64)>> {
-        None
-    }
+    /// see the contract on [`Strategy::headroom`].
+    fn demand(&self, vm: &VmSpec) -> f64;
 
     /// Appends the empty-farm headroom of every PM to `out` — a batched
     /// form of `headroom(&PmLoad::empty(), pm.capacity)`. The default
@@ -103,6 +79,22 @@ pub trait Strategy: Send + Sync {
                 .map(|pm| self.headroom(&PmLoad::empty(), pm.capacity)),
         );
     }
+}
+
+/// The FFD comparator over `(band, key)` sort keys: band descending, then
+/// key descending by total order.
+pub(crate) fn ffd_cmp((band_a, key_a): (u32, f64), (band_b, key_b): (u32, f64)) -> Ordering {
+    band_b.cmp(&band_a).then(key_b.total_cmp(&key_a))
+}
+
+/// The order (as indices into `vms`) in which First Fit places the VMs
+/// under `strategy`: a stable sort of `0..n` by [`ffd_cmp`] over the
+/// strategy's [`Strategy::sort_keys`].
+pub(crate) fn ffd_order<S: Strategy + ?Sized>(strategy: &S, vms: &[VmSpec]) -> Vec<usize> {
+    let keys = strategy.sort_keys(vms.len(), vms);
+    let mut order: Vec<usize> = (0..vms.len()).collect();
+    order.sort_by(|&a, &b| ffd_cmp(keys[a], keys[b]));
+    order
 }
 
 /// The paper's burstiness-aware strategy (Algorithm 2): cluster by spike
@@ -134,9 +126,9 @@ pub struct QueueStrategy {
 }
 
 impl QueueStrategy {
-    /// Creates the strategy floored at a prebuilt mapping table's pair.
-    /// `buckets` controls the `R_e` clustering granularity (`None` =
-    /// `⌈√n⌉`).
+    /// Creates the strategy floored at a prebuilt mapping table's pair,
+    /// clustering `R_e` into the default `⌈√n⌉` bands (see
+    /// [`QueueStrategy::with_buckets`]).
     pub fn new(mapping: MappingTable) -> Self {
         Self::priced(mapping.d(), mapping.rho, Some(Arc::new(mapping)))
     }
@@ -203,9 +195,14 @@ impl Strategy for QueueStrategy {
         "QUEUE"
     }
 
-    fn order(&self, vms: &[VmSpec]) -> Vec<usize> {
-        let buckets = self.buckets.unwrap_or_else(|| default_buckets(vms.len()));
-        cluster_order(vms, buckets)
+    /// Algorithm 2's order: the `R_e` band, then `R_b`. Band edges come
+    /// from the min/max spike size, and every fleet member's `R_e` is
+    /// some representative's `R_e` — so banding the representatives
+    /// reproduces exactly the bands the full fleet gets.
+    fn sort_keys(&self, fleet_size: usize, vms: &[VmSpec]) -> Vec<(u32, f64)> {
+        let buckets = self.buckets.unwrap_or_else(|| default_buckets(fleet_size));
+        let bands = cluster_bands(vms, buckets);
+        bands.into_iter().zip(vms.iter().map(|v| v.r_b)).collect()
     }
 
     fn feasible(&self, load: &PmLoad, capacity: f64) -> bool {
@@ -236,25 +233,6 @@ impl Strategy for QueueStrategy {
     fn demand(&self, vm: &VmSpec) -> f64 {
         vm.r_b
     }
-
-    /// Band edges come from the min/max spike size, and every fleet
-    /// member's `R_e` is some representative's `R_e` — so banding the
-    /// representatives reproduces exactly the bands `cluster_order`
-    /// assigns over the full fleet.
-    fn class_order_keys(
-        &self,
-        fleet_size: usize,
-        representatives: &[VmSpec],
-    ) -> Option<Vec<(u32, f64)>> {
-        let buckets = self.buckets.unwrap_or_else(|| default_buckets(fleet_size));
-        let bands = cluster_bands(representatives, buckets);
-        Some(
-            bands
-                .into_iter()
-                .zip(representatives.iter().map(|v| v.r_b))
-                .collect(),
-        )
-    }
 }
 
 /// FFD by peak demand (`R_p`) — the paper's "RP": provisioning for peak
@@ -268,16 +246,8 @@ impl Strategy for PeakStrategy {
         "RP"
     }
 
-    fn order(&self, vms: &[VmSpec]) -> Vec<usize> {
-        sorted_desc_by(vms, |v| v.r_p())
-    }
-
-    fn class_order_keys(
-        &self,
-        _fleet_size: usize,
-        representatives: &[VmSpec],
-    ) -> Option<Vec<(u32, f64)>> {
-        Some(representatives.iter().map(|v| (0, v.r_p())).collect())
+    fn sort_keys(&self, _fleet_size: usize, vms: &[VmSpec]) -> Vec<(u32, f64)> {
+        vms.iter().map(|v| (0, v.r_p())).collect()
     }
 
     fn feasible(&self, load: &PmLoad, capacity: f64) -> bool {
@@ -304,16 +274,8 @@ impl Strategy for BaseStrategy {
         "RB"
     }
 
-    fn order(&self, vms: &[VmSpec]) -> Vec<usize> {
-        sorted_desc_by(vms, |v| v.r_b)
-    }
-
-    fn class_order_keys(
-        &self,
-        _fleet_size: usize,
-        representatives: &[VmSpec],
-    ) -> Option<Vec<(u32, f64)>> {
-        Some(representatives.iter().map(|v| (0, v.r_b)).collect())
+    fn sort_keys(&self, _fleet_size: usize, vms: &[VmSpec]) -> Vec<(u32, f64)> {
+        vms.iter().map(|v| (0, v.r_b)).collect()
     }
 
     fn feasible(&self, load: &PmLoad, capacity: f64) -> bool {
@@ -364,16 +326,8 @@ impl Strategy for ReserveStrategy {
         "RB-EX"
     }
 
-    fn order(&self, vms: &[VmSpec]) -> Vec<usize> {
-        sorted_desc_by(vms, |v| v.r_b)
-    }
-
-    fn class_order_keys(
-        &self,
-        _fleet_size: usize,
-        representatives: &[VmSpec],
-    ) -> Option<Vec<(u32, f64)>> {
-        Some(representatives.iter().map(|v| (0, v.r_b)).collect())
+    fn sort_keys(&self, _fleet_size: usize, vms: &[VmSpec]) -> Vec<(u32, f64)> {
+        vms.iter().map(|v| (0, v.r_b)).collect()
     }
 
     fn feasible(&self, load: &PmLoad, capacity: f64) -> bool {
@@ -388,12 +342,6 @@ impl Strategy for ReserveStrategy {
     fn demand(&self, vm: &VmSpec) -> f64 {
         vm.r_b
     }
-}
-
-fn sorted_desc_by(vms: &[VmSpec], key: impl Fn(&VmSpec) -> f64) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..vms.len()).collect();
-    order.sort_by(|&a, &b| key(&vms[b]).total_cmp(&key(&vms[a])));
-    order
 }
 
 #[cfg(test)]
@@ -449,7 +397,7 @@ mod tests {
         let s = PeakStrategy;
         let vms = [vm(0, 10.0, 1.0), vm(1, 5.0, 9.0), vm(2, 2.0, 2.0)];
         // Peaks: 11, 14, 4.
-        assert_eq!(s.order(&vms), vec![1, 0, 2]);
+        assert_eq!(ffd_order(&s, &vms), vec![1, 0, 2]);
         let load = PmLoad::rebuild(&vms[..2]);
         assert!(s.feasible(&load, 25.0));
         assert!(!s.feasible(&load, 24.9));
@@ -459,7 +407,7 @@ mod tests {
     fn rb_orders_by_base_and_ignores_spikes() {
         let s = BaseStrategy;
         let vms = [vm(0, 3.0, 100.0), vm(1, 5.0, 0.5)];
-        assert_eq!(s.order(&vms), vec![1, 0]);
+        assert_eq!(ffd_order(&s, &vms), vec![1, 0]);
         let load = PmLoad::rebuild(&vms);
         assert!(s.feasible(&load, 8.0), "RB must ignore the huge spike");
     }
@@ -489,7 +437,7 @@ mod tests {
     fn queue_with_one_bucket_orders_by_rb() {
         let q = queue().with_buckets(1);
         let vms = [vm(0, 2.0, 20.0), vm(1, 8.0, 2.0)];
-        assert_eq!(q.order(&vms), vec![1, 0]);
+        assert_eq!(ffd_order(&q, &vms), vec![1, 0]);
     }
 
     #[test]
@@ -583,5 +531,61 @@ mod tests {
         );
         // …but never below base provisioning.
         assert!(queue_need >= load.sum_rb);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::clustering::cluster_order;
+    use proptest::prelude::{prop_assert_eq, proptest, ProptestConfig};
+    use proptest::strategy::Strategy as PropStrategy;
+
+    /// Fleets of up to 60 VMs; on a grid fleet (half of them) `R_b` and
+    /// `R_e` take one of four values each, so keys and bands tie across most VMs and the
+    /// stable sort's index order decides.
+    fn fleet() -> impl PropStrategy<Value = Vec<VmSpec>> {
+        (
+            0u8..2,
+            proptest::collection::vec((0u8..4, 0u8..4, 1.0f64..20.0, 0.0f64..20.0), 0..60),
+        )
+            .prop_map(|(grid, raw)| {
+                raw.into_iter()
+                    .enumerate()
+                    .map(|(i, (gb, ge, rb, re))| match grid {
+                        0 => {
+                            VmSpec::new(i, 0.01, 0.09, 2.0 + 3.0 * gb as f64, 1.0 + 4.0 * ge as f64)
+                        }
+                        _ => VmSpec::new(i, 0.01, 0.09, rb, re),
+                    })
+                    .collect()
+            })
+    }
+
+    fn stable_desc_by(vms: &[VmSpec], key: impl Fn(&VmSpec) -> f64) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..vms.len()).collect();
+        order.sort_by(|&a, &b| key(&vms[b]).total_cmp(&key(&vms[a])));
+        order
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn ffd_order_matches_cluster_order_and_the_stable_key_sorts(vms in fleet()) {
+            let q = QueueStrategy::build(16, 0.01, 0.09, 0.01);
+            let queues = [
+                (1, q.clone().with_buckets(1)),
+                (5, q.clone().with_buckets(5)),
+                (default_buckets(vms.len()), q),
+            ];
+            for (buckets, q) in &queues {
+                prop_assert_eq!(ffd_order(q, &vms), cluster_order(&vms, *buckets), "{} buckets", buckets);
+            }
+            prop_assert_eq!(ffd_order(&PeakStrategy, &vms), stable_desc_by(&vms, |v| v.r_p()));
+            let by_rb = stable_desc_by(&vms, |v| v.r_b);
+            prop_assert_eq!(&ffd_order(&BaseStrategy, &vms), &by_rb);
+            prop_assert_eq!(&ffd_order(&ReserveStrategy::new(0.3), &vms), &by_rb);
+        }
     }
 }

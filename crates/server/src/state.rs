@@ -583,7 +583,7 @@ mod tests {
     #[test]
     fn apply_matches_reference_replay() {
         let mut s = state();
-        let mut oracle = ReferenceOnlineCluster::new(pms(16), 16, 0.01, 0.09, 0.01);
+        let mut oracle = ReferenceOnlineCluster::new(pms(16), 16, 0.01);
         for id in 0..30 {
             s.apply(Op::Admit(vm(id, 10.0)), None, 2, 0).unwrap();
             oracle.arrive(vm(id, 10.0)).unwrap();

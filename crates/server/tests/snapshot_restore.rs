@@ -182,7 +182,7 @@ fn mixed_far_ids_serve_snapshot_and_restore_identically() {
         .filter(|op| matches!(op, Op::Depart { id } if *id > 1 << 32))
         .count();
     assert!(far_departs > 0, "far ids depart too");
-    let mut reference = ReferenceOnlineCluster::new(pms(96), D, P_ON, P_OFF, RHO);
+    let mut reference = ReferenceOnlineCluster::new(pms(96), D, RHO);
     let expected = apply_reference(&mut reference, &ops);
     let mut engine = OnlineCluster::new(pms(96), D, P_ON, P_OFF, RHO);
     assert_eq!(apply_engine(&mut engine, &ops), expected);

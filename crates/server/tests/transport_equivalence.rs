@@ -105,7 +105,7 @@ fn http_replay_matches_engine_direct_at_1_2_and_8_clients() {
 
     let mut engine = OnlineCluster::new(pms(128), D, P_ON, P_OFF, RHO);
     let engine_digest = apply_engine(&mut engine, &program.ops);
-    let mut reference = ReferenceOnlineCluster::new(pms(128), D, P_ON, P_OFF, RHO);
+    let mut reference = ReferenceOnlineCluster::new(pms(128), D, RHO);
     let reference_digest = apply_reference(&mut reference, &program.ops);
     assert_eq!(engine_digest, reference_digest);
     assert!(engine_digest.n_vms > 0, "program must leave live VMs");
@@ -441,7 +441,7 @@ proptest! {
         assignment in proptest::collection::vec(0usize..6, 240),
     ) {
         let program = build_program(seed, assignment.len(), 0);
-        let mut reference = ReferenceOnlineCluster::new(pms(64), D, P_ON, P_OFF, RHO);
+        let mut reference = ReferenceOnlineCluster::new(pms(64), D, RHO);
         let expected = apply_reference(&mut reference, &program.ops);
 
         let handle = spawn(config(64)).expect("daemon starts");

@@ -2301,7 +2301,7 @@ mod tests {
         let rb = ObservedPolicy::rb();
         let rb_ex = ObservedPolicy::rb_ex(0.2);
         let queue = QueuePolicy::new(QueueStrategy::build(16, 0.02, 0.08, 0.01));
-        let policies: [&dyn RuntimePolicy; 4] = [&queue, &PeakPolicy, &rb, &rb_ex];
+        let policies: [&dyn RuntimePolicy; 4] = [&queue, &PeakPolicy::default(), &rb, &rb_ex];
 
         // Static sweep. Heterogeneous pool: varying capacities,
         // occupancy, up/down state, plus source exclusion — swept across

@@ -10,12 +10,15 @@
 //! The controller's target selection is where burstiness-awareness enters:
 //!
 //! * [`policy::QueuePolicy`] admits by the paper's Eq. 17 (spec-based
-//!   reservation — it knows every VM's `R_e`);
+//!   reservation — it knows every VM's `R_e`), one instance of
+//!   [`policy::SpecPolicy`], which decides by any packing strategy's own
+//!   rule;
 //! * [`policy::ObservedPolicy`] admits by *currently observed* demand, the
 //!   behaviour of a scheduler "unaware of workload burstiness" — this is
 //!   what produces the paper's *idle deception* and *cycle migration*
 //!   phenomena for RB/RB-EX;
-//! * [`policy::PeakPolicy`] admits by peak demand (never violates).
+//! * [`policy::PeakPolicy`], the other `SpecPolicy`, admits by peak
+//!   demand (never violates).
 //!
 //! [`replicate`] fans replications out across threads and aggregates
 //! mean/min/max, matching the paper's 10-repetition methodology (Fig. 9).
@@ -43,6 +46,7 @@ pub use faults::{FaultConfig, FaultProcess};
 pub use migration_cost::{MigrationCost, MigrationParams};
 pub use policy::{
     DegradedAdmission, ObservedPolicy, PeakPolicy, PmRuntime, QueuePolicy, RuntimePolicy,
+    SpecPolicy,
 };
 pub use runner::{replicate, run_indexed};
 pub use scenario::{run_churn, ChurnConfig, ChurnOutcome};

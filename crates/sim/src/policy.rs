@@ -149,40 +149,40 @@ impl<P: RuntimePolicy> RuntimePolicy for DegradedAdmission<P> {
     }
 }
 
-/// Spec-aware admission by the paper's Eq. 17 — the QUEUE runtime. A
-/// target is priced as the packer prices it: at the hottest chain it
-/// would host, migrant included ([`PmLoad::max_pi`] of
-/// [`PmRuntime::load`]), never below the strategy's floor pair.
-#[derive(Debug, Clone)]
-pub struct QueuePolicy {
-    strategy: QueueStrategy,
+/// Spec-aware admission by a packing [`Strategy`]: the runtime decides by
+/// the very rule the initial packing used, on [`PmRuntime::load`] alone
+/// (`pm.observed` plays no part). [`QueuePolicy`] is the QUEUE runtime:
+/// a target is priced as the packer prices it, at the hottest chain it
+/// would host, migrant included ([`PmLoad::max_pi`]), never below the
+/// strategy's floor pair. [`PeakPolicy`] is the runtime counterpart of
+/// RP: it never admits a VM that could ever overload the PM.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SpecPolicy<S> {
+    strategy: S,
 }
 
-impl QueuePolicy {
-    /// Wraps a queue strategy (the initial packing's rule and floor).
-    pub fn new(strategy: QueueStrategy) -> Self {
+/// The QUEUE runtime, deciding by [`QueueStrategy`]'s Eq. 17.
+pub type QueuePolicy = SpecPolicy<QueueStrategy>;
+
+/// Peak-demand admission, deciding by [`PeakStrategy`]'s rule.
+pub type PeakPolicy = SpecPolicy<PeakStrategy>;
+
+impl<S: Strategy> SpecPolicy<S> {
+    /// Wraps a strategy (for QUEUE, the initial packing's rule and floor:
+    /// [`QueueStrategy::build`] shares the process-wide memoized table).
+    pub fn new(strategy: S) -> Self {
         Self { strategy }
     }
 
-    /// Builds the policy from the queuing parameters, sharing the
-    /// process-wide memoized floor table — a consolidator that already
-    /// built its packing strategy for the same `(d, p_on, p_off, rho)`
-    /// pays nothing extra here.
-    pub fn from_parameters(d: usize, p_on: f64, p_off: f64, rho: f64) -> Self {
-        Self {
-            strategy: QueueStrategy::build(d, p_on, p_off, rho),
-        }
-    }
-
     /// The wrapped strategy.
-    pub fn strategy(&self) -> &QueueStrategy {
+    pub fn strategy(&self) -> &S {
         &self.strategy
     }
 }
 
-impl RuntimePolicy for QueuePolicy {
+impl<S: Strategy> RuntimePolicy for SpecPolicy<S> {
     fn name(&self) -> &'static str {
-        "QUEUE"
+        self.strategy.name()
     }
 
     fn admits(&self, vm: &VmSpec, _vm_demand: f64, pm: &PmRuntime, capacity: f64) -> bool {
@@ -190,11 +190,11 @@ impl RuntimePolicy for QueuePolicy {
     }
 
     fn headroom(&self, pm: &PmRuntime, capacity: f64) -> f64 {
-        Strategy::headroom(&self.strategy, &pm.load, capacity)
+        self.strategy.headroom(&pm.load, capacity)
     }
 
     fn demand_measure(&self, vm: &VmSpec, _vm_demand: f64) -> f64 {
-        Strategy::demand(&self.strategy, vm)
+        self.strategy.demand(vm)
     }
 
     fn headroom_reads_observed(&self) -> bool {
@@ -247,38 +247,10 @@ impl RuntimePolicy for ObservedPolicy {
     }
 }
 
-/// Peak-demand admission (provisioning for peak at runtime): never admits
-/// a VM that could ever overload the PM. The runtime counterpart of RP,
-/// deciding by [`PeakStrategy`]'s rule as [`QueuePolicy`] does by
-/// [`QueueStrategy`]'s.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PeakPolicy;
-
-impl RuntimePolicy for PeakPolicy {
-    fn name(&self) -> &'static str {
-        "RP"
-    }
-
-    fn admits(&self, vm: &VmSpec, _vm_demand: f64, pm: &PmRuntime, capacity: f64) -> bool {
-        PeakStrategy.admits(&pm.load, vm, capacity)
-    }
-
-    fn headroom(&self, pm: &PmRuntime, capacity: f64) -> f64 {
-        Strategy::headroom(&PeakStrategy, &pm.load, capacity)
-    }
-
-    fn demand_measure(&self, vm: &VmSpec, _vm_demand: f64) -> f64 {
-        Strategy::demand(&PeakStrategy, vm)
-    }
-
-    fn headroom_reads_observed(&self) -> bool {
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bursty_placement::{BaseStrategy, ReserveStrategy};
 
     fn vm(id: usize, r_b: f64, r_e: f64) -> VmSpec {
         VmSpec::new(id, 0.01, 0.09, r_b, r_e)
@@ -341,7 +313,7 @@ mod tests {
         let migrant = vm(9, 10.0, 10.0);
         assert!(ObservedPolicy::rb().admits(&migrant, 10.0, &pm, 100.0));
         // The peak-aware policy refuses.
-        assert!(!PeakPolicy.admits(&migrant, 10.0, &pm, 100.0));
+        assert!(!PeakPolicy::default().admits(&migrant, 10.0, &pm, 100.0));
         // And Eq. 17 refuses too (blocks for 10 VMs would not fit).
         let q = QueuePolicy::new(QueueStrategy::build(16, 0.01, 0.09, 0.01));
         assert!(!q.admits(&migrant, 10.0, &pm, 100.0));
@@ -370,7 +342,7 @@ mod tests {
     fn names() {
         assert_eq!(ObservedPolicy::rb().name(), "RB");
         assert_eq!(ObservedPolicy::rb_ex(0.3).name(), "RB-EX");
-        assert_eq!(PeakPolicy.name(), "RP");
+        assert_eq!(PeakPolicy::default().name(), "RP");
         assert_eq!(
             QueuePolicy::new(QueueStrategy::build(2, 0.1, 0.1, 0.1)).name(),
             "QUEUE"
@@ -382,7 +354,7 @@ mod tests {
         let pm = PmRuntime::default();
         let migrant = vm(0, 10.0, 10.0);
         assert!(ObservedPolicy::rb().admits(&migrant, 20.0, &pm, 25.0));
-        assert!(PeakPolicy.admits(&migrant, 20.0, &pm, 25.0));
+        assert!(PeakPolicy::default().admits(&migrant, 20.0, &pm, 25.0));
         assert!(!ObservedPolicy::rb().admits(&migrant, 30.0, &pm, 25.0));
     }
 
@@ -397,11 +369,13 @@ mod tests {
         // The pruning contract the evacuation controller's index relies
         // on, over a grid of PM states, newcomers, and capacities.
         let q = QueuePolicy::new(QueueStrategy::build(16, 0.01, 0.09, 0.01));
-        let policies: [&dyn RuntimePolicy; 4] = [
+        let policies: [&dyn RuntimePolicy; 6] = [
             &q,
             &ObservedPolicy::rb(),
             &ObservedPolicy::rb_ex(0.3),
-            &PeakPolicy,
+            &PeakPolicy::default(),
+            &SpecPolicy::new(BaseStrategy),
+            &SpecPolicy::new(ReserveStrategy::new(0.3)),
         ];
         let states: Vec<(Vec<VmSpec>, f64)> = vec![
             (vec![], 0.0),
@@ -439,7 +413,7 @@ mod tests {
         // must be true, and must survive every wrapper.
         let q = QueuePolicy::new(QueueStrategy::build(16, 0.01, 0.09, 0.01));
         let hosted: Vec<VmSpec> = (0..5).map(|i| vm(i, 8.0, 6.0)).collect();
-        let load_only: [&dyn RuntimePolicy; 2] = [&q, &PeakPolicy];
+        let load_only: [&dyn RuntimePolicy; 2] = [&q, &PeakPolicy::default()];
         for policy in load_only {
             assert!(!policy.headroom_reads_observed(), "{}", policy.name());
             let degraded = DegradedAdmission::new(policy, 0.2);
@@ -458,7 +432,8 @@ mod tests {
             assert!(policy.headroom_reads_observed());
             assert!(DegradedAdmission::new(policy, 0.2).headroom_reads_observed());
         }
-        let boxed: [Box<dyn RuntimePolicy>; 2] = [Box::new(PeakPolicy), Box::new(q.clone())];
+        let boxed: [Box<dyn RuntimePolicy>; 2] =
+            [Box::new(PeakPolicy::default()), Box::new(q.clone())];
         assert!(boxed.iter().all(|b| !b.headroom_reads_observed()));
     }
 
