@@ -145,8 +145,9 @@ impl Consolidator {
     /// (`bursty plan`, the benchmark harness): one pass of the shared
     /// class interner ([`bursty_workload::intern_classes`]) — a linear
     /// scan of a small key table, no hashing, for any fleet of up to 96
-    /// classes — and about a tenth of a class-heavy `place`, so it is not
-    /// free. `place` does not call it: it reads the same rule off the
+    /// classes — and about a fifth of a class-heavy `place` (8.8 of
+    /// 44.6 ms on the 1M-VM Table-I fleet, `BENCH_packing.json`), so it
+    /// is not free. `place` does not call it: it reads the same rule off the
     /// class table its packer needs anyway (see
     /// [`Consolidator::place_recorded`]), and takes exactly the path this
     /// names on every input.

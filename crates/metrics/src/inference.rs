@@ -4,8 +4,9 @@
 //! CVR with sampling error, so "the constraint holds" is a statistical
 //! claim. This module provides the pieces to make it honestly: Wilson
 //! score intervals for violation proportions, the run length needed to
-//! certify a bound at a given confidence, and a two-proportion comparison
-//! for A/B-style scheme comparisons.
+//! certify a bound at a given confidence, a two-proportion comparison
+//! for A/B-style scheme comparisons, and an exact sign test for paired
+//! before/after benchmark runs.
 //!
 //! Note: consecutive simulation steps are *correlated* for bursty
 //! workloads (that is the whole point of the model), so the effective
@@ -215,9 +216,76 @@ pub fn samples_to_certify(p_true: f64, bound: f64, conf: f64) -> u64 {
     hi
 }
 
+/// The exact one-sided sign test: the probability of winning at least
+/// `wins` of `pairs` paired comparisons (ties already dropped) if either
+/// side were equally likely to win each pair, `P(X ≥ wins)` for
+/// `X ~ Binomial(pairs, 1/2)`. Small means the wins are unlikely to be
+/// chance: 9 of 10 gives 11/1024 ≈ 0.0107.
+///
+/// The binomial terms are summed in log space, so any pair count works.
+///
+/// # Panics
+/// Panics if `wins > pairs`.
+pub fn sign_test(wins: u64, pairs: u64) -> f64 {
+    assert!(wins <= pairs, "won {wins} of only {pairs} pairs");
+    let n = pairs as f64;
+    // ln C(n, wins), then each next term by the ratio (n − i) / (i + 1).
+    let mut ln_term = (1..=wins)
+        .map(|j| ((n - wins as f64 + j as f64) / j as f64).ln())
+        .sum::<f64>()
+        - n * std::f64::consts::LN_2;
+    let mut tail = 0.0;
+    for i in wins..=pairs {
+        tail += ln_term.exp();
+        ln_term += ((n - i as f64) / (i as f64 + 1.0)).ln();
+    }
+    tail.min(1.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sign_test_matches_hand_computed_tails() {
+        // (wins, pairs, Σ_{i ≥ wins} C(pairs, i), as a numerator over
+        // 2^pairs).
+        let cases: [(u64, u64, u64); 12] = [
+            (0, 0, 1),
+            (0, 5, 32),
+            (5, 5, 1),
+            (4, 5, 6),
+            (3, 5, 16),
+            (9, 10, 11),
+            (10, 10, 1),
+            (8, 10, 56),
+            (12, 15, 576),
+            (15, 20, 21_700),
+            (18, 20, 211),
+            (10, 20, 616_666),
+        ];
+        for (wins, pairs, numerator) in cases {
+            let exact = numerator as f64 / 2f64.powi(pairs as i32);
+            let p = sign_test(wins, pairs);
+            assert!(
+                (p - exact).abs() <= 1e-12 * exact,
+                "{wins} of {pairs}: {p} vs {exact}"
+            );
+        }
+        // Fewer wins never make the evidence stronger.
+        for pairs in 0..=20 {
+            for wins in 1..=pairs {
+                assert!(sign_test(wins - 1, pairs) >= sign_test(wins, pairs));
+            }
+        }
+        assert!(sign_test(600, 1000) < 1e-9, "large pair counts work");
+    }
+
+    #[test]
+    #[should_panic(expected = "pairs")]
+    fn sign_test_rejects_more_wins_than_pairs() {
+        let _ = sign_test(4, 3);
+    }
 
     #[test]
     fn z_values_match_tables() {

@@ -16,7 +16,7 @@ mod timeseries;
 
 pub use histogram::{Histogram, Log2Histogram};
 pub use inference::{
-    certify_bound, effective_sample_size, wilson_interval, wilson_interval_fractional,
+    certify_bound, effective_sample_size, sign_test, wilson_interval, wilson_interval_fractional,
     BoundVerdict, ProportionCi,
 };
 pub use plot::{ascii_bars, ascii_series};

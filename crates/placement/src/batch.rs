@@ -20,22 +20,23 @@
 //!
 //! # What a decision costs
 //!
-//! One class pass plus work proportional to the fills. The class pass
-//! ([`collapse_classes`], on [`bursty_workload::intern_classes`]) is a scan
-//! of a small key table per VM — no hashing up to the tracked-class cap —
-//! and it is the only time the fleet is read for its classes:
-//! [`first_fit_auto_recorded`], the entry point behind
+//! One class pass, then work per fill. The class pass ([`collapse_classes`],
+//! on [`bursty_workload::intern_classes`]) scans a small key table per VM
+//! — without an early exit, so a randomly ordered three-class fleet does
+//! not mispredict — and is the only time the fleet
+//! is read for its classes: [`first_fit_auto_recorded`], behind
 //! `Consolidator::place`, reads the batch-or-per-VM rule (`2·k ≤ n`) off
-//! the same table it then packs from. Every fill then needs the next
-//! admitting PM, and the run placer — [`place_run`], the one First Fit
-//! over class runs, which `OnlineCluster`'s batch arrival runs too — asks
-//! the shared lazy search, [`HeadroomIndex::first_admitting`], which looks
-//! before it climbs: it reads a bounded window of the flat headroom array
-//! and falls back to the lazily maintained segment tree only for a gap
-//! longer than the window, so on a consolidation-dense fleet (the 1M-VM
-//! Table-I fleet on 250k PMs: 419 091 fills, longest gap under 32 PMs)
-//! the tree is never built. [`PlacementState::last_pack`] reports the
-//! split — collapse, reset, runs, scatter, tree climbs — and
+//! the table it then packs from. Each fill of [`place_run`] (the one First
+//! Fit over class runs, which `OnlineCluster`'s batch arrival runs too)
+//! finds its PM with [`HeadroomIndex::first_admitting`], which reads a
+//! bounded window of the flat headroom array before it climbs the lazily
+//! built tree (never built for the 1M-VM Table-I fleet on 250k PMs:
+//! 419 091 fills, no gap over 32 PMs), and its copy count from a
+//! [`RunMemo`]: a run meets few distinct PM loads, folds its VM onto each
+//! once, and gallops over that chain against the PM's
+//! [`Strategy::budget`] — no Eq. 17 evaluation per fill, except for a
+//! fill that wants one copy, which is one admission check.
+//! [`PlacementState::last_pack`] reports the split, and
 //! `BENCH_packing.json` holds it for the measured fleets.
 //!
 //! # Why the results are byte-identical to `first_fit`
@@ -51,10 +52,13 @@
 //!   is always at or after the current PM, and scanning candidates with a
 //!   monotonically advancing `from` cursor visits exactly the per-VM
 //!   slots.
-//! * On one PM, the largest admissible copy count is found by [`admit_run`]
-//!   with the *same arithmetic* the per-VM packer uses at the decision
-//!   boundary (an exact per-copy `admits` fold), so the count — and the
-//!   final stored [`PmLoad`] — match the per-VM fold bit for bit.
+//! * On one PM the per-VM packer adds copy `i` iff
+//!   `need(S_i) ≤ budget(C)`, `S_i` the seed after `i` serial `add`s. The
+//!   memo's chain is that fold, bit for bit, and its running maximum of
+//!   the needs is within the budget at step `c` iff all `c` copies were
+//!   admitted, so the largest such `c` and `S_c` are the per-VM count and
+//!   [`PmLoad`] — for any `need`, monotone or not (a NaN need leaves the
+//!   maximum NaN, which no budget admits).
 //! * The class schedule reproduces the strategy's *stable* sort: classes
 //!   are emitted in descending key order and, within one class, VMs keep
 //!   their original indices (exactly what a stable sort does with equal
@@ -63,19 +67,6 @@
 //!   cannot express — [`class_schedule`] detects that (rare, bit-equal
 //!   keys across different specs) and the packer falls back to the
 //!   per-VM FFD order rather than risk a divergence.
-//!
-//! # The ulp gap between closed-form and folded sums
-//!
-//! [`PmLoad::with_copies`] computes `Σ + c·x`, which can differ from `c`
-//! repeated additions by a few ulps — enough to flip an admission at the
-//! boundary. [`admit_run`] therefore uses the closed form only under a
-//! safety margin ([`BATCH_SLACK`]) to *bracket* the answer (binary search
-//! over the monotone Eq. 17 left-hand side), replays that many exact
-//! `add`s unchecked — justified by a worst-case rounding-drift bound
-//! checked at runtime, with a fall back to a fully checked fold when the
-//! bound is not met — and then extends copy by copy with the exact per-VM
-//! `admits` check until the true boundary. Closed form for speed, exact
-//! fold for the decision: never a diverging placement.
 
 use crate::index::HeadroomIndex;
 use crate::load::PmLoad;
@@ -88,46 +79,24 @@ use bursty_workload::{
 };
 use std::time::Instant;
 
-/// Safety margin for the closed-form feasibility probe: the binary-search
-/// bracket tests `feasible(with_copies(c), capacity − BATCH_SLACK)`, so a
-/// copy count the bracket accepts is feasible under the *exact* fold too
-/// (the fold differs from the closed form by far less than this margin —
-/// enforced by a runtime drift bound). Bracketing slightly low costs a few
-/// extra exact checks at the boundary; bracketing high would change
-/// results, and cannot happen.
-const BATCH_SLACK: f64 = 1e-6;
-
-/// Reusable arena for batch packing: per-PM load accounting in
-/// structure-of-arrays form plus the headroom index, all kept between
-/// packs so repeated consolidations over same-sized farms allocate
-/// nothing after the first.
+/// Reusable arena for batch packing: per-PM loads, the headroom index, the
+/// run memo and the fill list, all kept between packs so repeated
+/// consolidations over same-sized farms allocate nothing after the first.
 ///
-/// Two tricks keep the reset cost of a million-PM farm off the packing
-/// critical path:
-///
-/// * The load arrays are *generation-tagged* rather than zeroed: a reset
-///   bumps `generation`, and the arena's `load` treats any PM whose
-///   `epoch` tag is older as empty. Only the headroom leaves (the array
-///   the First-Fit cursor reads) are rewritten per pack.
-/// * The headroom tree is maintained *lazily*, behind a bounded
-///   look-ahead — the index's own lazy mode (see [`crate::index`]): a
-///   reset loads the leaves and builds nothing, the run placer's `set`
-///   marks what a fill writes, and the one candidate search is
-///   [`HeadroomIndex::first_admitting`]. The tree is built the first time
-///   a gap outgrows the window and not before: a pack whose gaps all fit
-///   — the paper-density and all-duplicate fleets of `BENCH_packing.json`
-///   — never builds it, and what the final run marked is never flushed
-///   (the next reset discards it).
+/// A reset rewrites the loads and the headroom leaves; the headroom tree
+/// is maintained *lazily*, behind a bounded look-ahead — the index's own
+/// lazy mode (see [`crate::index`]): a reset loads the leaves and builds
+/// nothing, the run placer's `set` marks what a fill writes, and the one
+/// candidate search is [`HeadroomIndex::first_admitting`]. The tree is
+/// built the first time a gap outgrows the window and not before: a pack
+/// whose gaps all fit — the paper-density and all-duplicate fleets of
+/// `BENCH_packing.json` — never builds it, and what the final run marked
+/// is never flushed (the next reset discards it).
 #[derive(Debug)]
 pub struct PlacementState {
-    generation: u32,
-    epoch: Vec<u32>,
-    vm_count: Vec<usize>,
-    max_re: Vec<f64>,
-    sum_rb: Vec<f64>,
-    sum_rp: Vec<f64>,
-    max_pi: Vec<f64>,
+    loads: Vec<PmLoad>,
     index: HeadroomIndex,
+    memo: RunMemo,
     /// The `(PM, copies)` fills the current pack's runs committed.
     fills: Vec<(u32, u32)>,
     profile: PackProfile,
@@ -156,14 +125,9 @@ impl PlacementState {
     /// An empty arena; capacity grows on first use.
     pub fn new() -> Self {
         Self {
-            generation: 0,
-            epoch: Vec::new(),
-            vm_count: Vec::new(),
-            max_re: Vec::new(),
-            sum_rb: Vec::new(),
-            sum_rp: Vec::new(),
-            max_pi: Vec::new(),
+            loads: Vec::new(),
             index: HeadroomIndex::new(&[]),
+            memo: RunMemo::default(),
             fills: Vec::new(),
             profile: PackProfile::default(),
         }
@@ -171,22 +135,8 @@ impl PlacementState {
 
     /// Resets the arena to an empty farm of `pms` under `strategy`.
     fn reset<S: Strategy + ?Sized>(&mut self, pms: &[PmSpec], strategy: &S) {
-        let m = pms.len();
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            // Generation wrap (once per 2³² resets): hard-clear the tags
-            // so no stale entry can collide with the restarted counter.
-            self.epoch.clear();
-            self.generation = 1;
-        }
-        if self.epoch.len() < m {
-            self.epoch.resize(m, 0);
-            self.vm_count.resize(m, 0);
-            self.max_re.resize(m, 0.0);
-            self.sum_rb.resize(m, 0.0);
-            self.sum_rp.resize(m, 0.0);
-            self.max_pi.resize(m, 0.0);
-        }
+        self.loads.clear();
+        self.loads.resize(pms.len(), PmLoad::empty());
         self.index
             .reset_lazy(|leaves| strategy.empty_headrooms(pms, leaves));
         self.fills.clear();
@@ -212,168 +162,208 @@ impl RunPool for PlacementState {
         &mut self.index
     }
 
-    /// The load of PM `j`, materialized from the arrays — its hottest
-    /// chain included, so the batch packer prices a PM as the per-VM
-    /// packer does.
+    fn memo(&mut self) -> &mut RunMemo {
+        &mut self.memo
+    }
+
     fn load(&self, j: usize) -> PmLoad {
-        if self.epoch[j] != self.generation {
-            return PmLoad::empty();
-        }
-        PmLoad {
-            count: self.vm_count[j],
-            max_re: self.max_re[j],
-            sum_rb: self.sum_rb[j],
-            sum_rp: self.sum_rp[j],
-            max_pi: self.max_pi[j],
-        }
+        self.loads[j]
     }
 
     fn commit(&mut self, j: usize, load: PmLoad, copies: usize) {
-        self.epoch[j] = self.generation;
-        self.vm_count[j] = load.count;
-        self.max_re[j] = load.max_re;
-        self.sum_rb[j] = load.sum_rb;
-        self.sum_rp[j] = load.sum_rp;
-        self.max_pi[j] = load.max_pi;
+        self.loads[j] = load;
         self.fills.push((j as u32, copies as u32));
     }
 }
 
-/// The largest number of copies of `vm` (up to `want`) admissible on a PM
-/// carrying `load` under `capacity`, together with the resulting load —
-/// computed by the *exact* incremental fold at the decision boundary, so
-/// both the count and the returned load are bit-identical to `want`
-/// capped repetitions of the per-VM `admits`-then-`add` sequence.
-///
-/// Fast path: a binary search over the closed-form
-/// [`PmLoad::with_copies`] probe under [`BATCH_SLACK`] margin brackets the
-/// answer in `O(log want)` feasibility tests — valid because every
-/// quantity in each strategy's feasibility predicate (`Σ R_b`, `Σ R_p`,
-/// `max R_e`, `mapping(count)`) is nondecreasing in the copy count. The
-/// bracketed copies are then replayed as unchecked exact `add`s: margin
-/// feasibility of the closed form plus a worst-case rounding-drift bound
-/// (checked at runtime; on failure the fold runs fully checked) implies
-/// exact feasibility of the folded load at the bracket, and since the
-/// fold's sums are nondecreasing copy over copy, every intermediate
-/// admission the per-VM packer would have tested holds as well.
-///
-/// `hint` seeds the bracket search (0 = no guess). Consecutive PMs in one
-/// run admit near-identical copy counts (capacities are similar, loads
-/// evolve in lockstep), so the previous PM's count usually pins the
-/// bracket in two probes instead of `O(log admitted)`. The hint only
-/// steers *where* the monotone predicate is probed — the bracket it
-/// converges to, and hence the placement, is identical for every hint.
-///
-/// `chain` is the run's memo of exact folds from an empty load: `chain[c]`
-/// is the `c`-fold of `vm` from `PmLoad::empty()`, grown on demand (one
-/// chain per run, empty at first). An empty seed reads its folds from it
-/// instead of re-folding per PM — the identical serial `add` sequence, so
-/// a run over a farm of empty PMs folds each copy count once, and every
-/// count and load stays bit-identical to the fold.
-fn admit_run<S: Strategy + ?Sized>(
-    load: PmLoad,
-    vm: &VmSpec,
-    capacity: f64,
-    want: usize,
-    hint: usize,
-    chain: &mut Vec<PmLoad>,
-    strategy: &S,
-) -> (PmLoad, usize) {
-    debug_assert!(want > 0);
-    if want == 1 {
-        // Single copy: the bracket machinery cannot beat one exact check.
-        return if strategy.admits(&load, vm, capacity) {
-            (load.with(vm), 1)
-        } else {
-            (load, 0)
-        };
-    }
+/// Distinct seed loads a run keeps folds from; a run that meets more
+/// recycles the oldest entry. The 1M-VM Table-I pack meets a handful per
+/// run, nearly all its fills on the empty seed.
+pub(crate) const MEMO_SEEDS: usize = 8;
 
-    // Phase 1: bracket the copy count with the margin-tightened closed
-    // form. `lo` is feasible under the margin (or 0); `lo + 1` may or may
-    // not be admissible exactly — phase 2 decides. Galloping out from the
-    // hint keeps the probe count at O(log |admitted − hint|) rather than
-    // O(log want): a run can span most of the fleet while a single PM
-    // admits only a handful of copies.
-    let feasible = |c: usize| strategy.feasible(&load.with_copies(vm, c), capacity - BATCH_SLACK);
-    let start = hint.clamp(1, want);
-    let (mut lo, mut hi) = (0, start - 1);
-    if feasible(start) {
-        (lo, hi) = (start, want);
-        let mut step = 1;
-        while lo < hi {
-            let p = (lo + step).min(want);
-            if !feasible(p) {
-                hi = p - 1;
-                break;
-            }
-            lo = p;
-            step *= 2;
-        }
-    }
-    while lo < hi {
-        let mid = lo + (hi - lo).div_ceil(2);
-        if feasible(mid) {
-            lo = mid;
-        } else {
-            hi = mid - 1;
-        }
-    }
+/// Copies a memo entry keeps the fold of. QUEUE's chains end by `d + 1`
+/// (17 at the paper's `d = 16`); a PM that takes more than this many
+/// copies (RP or RB with small VMs on large PMs) folds the rest itself.
+const CHAIN_STEPS: usize = 32;
 
-    // Trust the bracket only when the worst-case drift between the closed
-    // form and the exact fold is provably below the margin (each of the
-    // `lo` folded additions and the closed form's two operations round
-    // once, against partial sums bounded by `scale`), and the monotone
-    // replay argument applies (nonnegative demands).
-    let scale = load.sum_rb.abs() + load.sum_rp.abs() + lo as f64 * (vm.r_b.abs() + vm.r_p().abs());
-    let drift = 4.0 * (lo as f64 + 2.0) * f64::EPSILON * scale;
-    let trusted = drift < BATCH_SLACK && vm.r_b >= 0.0 && vm.r_e >= 0.0;
-    let skip = if trusted { lo } else { 0 };
-
-    // Phase 2: the exact fold — read from the memo chain on an empty
-    // seed, by `add` otherwise. The first `skip` copies are admitted
-    // without re-testing; past the bracket every copy runs the same
-    // `admits` arithmetic the per-VM packer runs.
-    let memo = load.is_empty();
-    let mut current = load;
-    if memo {
-        current = chain_fold(chain, vm, skip);
-    } else {
-        current.add_copies(vm, skip);
-    }
-    debug_assert!(
-        skip == 0 || strategy.feasible(&current, capacity),
-        "margin-bracketed load must be exactly feasible"
-    );
-    let mut placed = skip;
-    while placed < want && strategy.admits(&current, vm, capacity) {
-        placed += 1;
-        if memo {
-            current = chain_fold(chain, vm, placed);
-        } else {
-            current.add(vm);
-        }
-    }
-    (current, placed)
+/// The exact serial folds of one run's VM from the distinct seed loads the
+/// run meets, the copy-count oracle of [`place_run`]. Entries are keyed by
+/// the seed's bits and live inline, so the memo allocates nothing;
+/// [`place_run`] clears it when it starts, since the chains are folds of
+/// one VM.
+#[derive(Debug, Default)]
+pub(crate) struct RunMemo {
+    /// The seed bits of each live entry, scanned in full on every fill.
+    keys: [[u64; 5]; MEMO_SEEDS],
+    /// Entry `e`'s fold: step `c < lens[e]` is its seed after `c` serial
+    /// [`PmLoad::add`]s of the run's VM.
+    chains: [[Step; CHAIN_STEPS]; MEMO_SEEDS],
+    lens: [usize; MEMO_SEEDS],
+    /// Entries holding a fold of the current run.
+    live: usize,
+    /// The entry a miss recycles once all [`MEMO_SEEDS`] are live.
+    oldest: usize,
 }
 
-/// `chain[c]`, the exact `c`-fold of `vm` from an empty load, extending
-/// the chain (seeded with the empty load) as far as `c`.
-fn chain_fold(chain: &mut Vec<PmLoad>, vm: &VmSpec, c: usize) -> PmLoad {
-    while chain.len() <= c {
-        let next = chain.last().map_or(PmLoad::empty(), |last| last.with(vm));
-        chain.push(next);
+/// Step `c` of a fold: the load after `c` copies, and `peak`, the largest
+/// [`Strategy::need`] among steps `1..=c` (`-∞` at `c = 0`; NaN from the
+/// first NaN need on).
+#[derive(Debug, Clone, Copy, Default)]
+struct Step {
+    load: PmLoad,
+    peak: f64,
+}
+
+impl Step {
+    /// Whether every copy up to this step fits `budget`.
+    fn fits(&self, budget: f64) -> bool {
+        self.peak <= budget
     }
-    chain[c]
+
+    /// The next step of a fold of `vm`.
+    fn next<S: Strategy + ?Sized>(&self, vm: &VmSpec, strategy: &S) -> Self {
+        let load = self.load.with(vm);
+        let need = strategy.need(&load);
+        let peak = if need <= self.peak || self.peak.is_nan() {
+            self.peak
+        } else {
+            need
+        };
+        Self { load, peak }
+    }
+}
+
+impl RunMemo {
+    /// Forgets every fold: the next run folds another VM.
+    fn clear(&mut self) {
+        self.live = 0;
+        self.oldest = 0;
+    }
+
+    /// The largest number of copies of `vm`, up to `want`, that a PM
+    /// carrying `seed` under `budget` admits one at a time, and the load
+    /// they leave: bit-identical to `want` capped repetitions of the
+    /// per-VM `admits`-then-`add` sequence. `hint`, the previous fill's
+    /// count, only steers where the chain is probed: the gallop from it
+    /// lands on the same count for every hint.
+    fn fold<S: Strategy + ?Sized>(
+        &mut self,
+        seed: PmLoad,
+        vm: &VmSpec,
+        budget: f64,
+        want: usize,
+        hint: usize,
+        strategy: &S,
+    ) -> (PmLoad, usize) {
+        if want == 1 {
+            // One copy is one admission: no chain to share.
+            let load = seed.with(vm);
+            return if strategy.need(&load) <= budget {
+                (load, 1)
+            } else {
+                (seed, 0)
+            };
+        }
+        let entry = self.entry(seed);
+        let (chain, len) = (&mut self.chains[entry], &mut self.lens[entry]);
+        // Whether `c` copies fit: step `c` peaks within the budget, the
+        // chain folding on as far as `c` while its last step does.
+        let mut fit = |c: usize| {
+            while *len <= c {
+                let last = chain[*len - 1];
+                if !last.fits(budget) {
+                    return false;
+                }
+                chain[*len] = last.next(vm, strategy);
+                *len += 1;
+            }
+            chain[c].fits(budget)
+        };
+        let most = want.min(CHAIN_STEPS - 1);
+        let start = hint.clamp(1, most);
+        let (mut lo, mut hi) = (0, start - 1);
+        if fit(start) {
+            (lo, hi) = (start, most);
+            let mut step = 1;
+            while lo < hi {
+                let p = (lo + step).min(most);
+                if !fit(p) {
+                    hi = p - 1;
+                    break;
+                }
+                lo = p;
+                step *= 2;
+            }
+        }
+        while lo < hi {
+            let mid = lo + (hi - lo).div_ceil(2);
+            if fit(mid) {
+                lo = mid;
+            } else {
+                hi = mid - 1;
+            }
+        }
+        // Every memoised copy fits and more are wanted: fold on copy by
+        // copy.
+        let mut at = chain[lo];
+        if lo == CHAIN_STEPS - 1 {
+            while lo < want {
+                let next = at.next(vm, strategy);
+                if !next.fits(budget) {
+                    break;
+                }
+                at = next;
+                lo += 1;
+            }
+        }
+        (at.load, lo)
+    }
+
+    /// The entry folded from `seed`, started on a miss. The lookup reads
+    /// every live key and selects the match without branching on it: a
+    /// run's fills alternate between seeds in no predictable order.
+    fn entry(&mut self, seed: PmLoad) -> usize {
+        let key = [
+            seed.count as u64,
+            seed.max_re.to_bits(),
+            seed.sum_rb.to_bits(),
+            seed.sum_rp.to_bits(),
+            seed.max_pi.to_bits(),
+        ];
+        let mut hit = usize::MAX;
+        for (at, k) in self.keys[..self.live].iter().enumerate() {
+            let diff = k.iter().zip(&key).fold(0, |d, (a, b)| d | (a ^ b));
+            hit = if diff == 0 { at } else { hit };
+        }
+        if hit == usize::MAX {
+            hit = if self.live < MEMO_SEEDS {
+                self.live += 1;
+                self.live - 1
+            } else {
+                let at = self.oldest;
+                self.oldest = (at + 1) % MEMO_SEEDS;
+                at
+            };
+            self.keys[hit] = key;
+            self.chains[hit][0] = Step {
+                load: seed,
+                peak: f64::NEG_INFINITY,
+            };
+            self.lens[hit] = 1;
+        }
+        hit
+    }
 }
 
 /// The PMs a class run is placed on, as [`place_run`] sees them: the
-/// headroom index it searches and sets, each PM's load, and where a fill
-/// goes. The offline arena ([`PlacementState`]) and `OnlineCluster`
-/// implement it.
+/// headroom index it searches and sets, the memo it counts copies with,
+/// each PM's load, and where a fill goes. The offline arena
+/// ([`PlacementState`]) and `OnlineCluster` implement it.
 pub(crate) trait RunPool {
     /// The headroom index over the pool, searched and set lazily.
     fn index(&mut self) -> &mut HeadroomIndex;
+    /// The run memo, kept by the pool between runs.
+    fn memo(&mut self) -> &mut RunMemo;
     /// PM `j`'s current load.
     fn load(&self, j: usize) -> PmLoad;
     /// Commits a fill: `copies` more of the run on PM `j`, whose load is
@@ -390,7 +380,7 @@ pub(crate) trait RunPool {
 ///
 /// Each fill goes to the lowest PM at or after the cursor that admits a
 /// copy ([`HeadroomIndex::first_admitting`] under the `demand −
-/// PRUNE_SLACK` threshold), with as many copies as [`admit_run`] finds
+/// PRUNE_SLACK` threshold), with as many copies as the [`RunMemo`] finds
 /// room for, its count hinting the next PM's. The cursor only advances:
 /// every PM behind it rejected this class under a load that does not
 /// change while the run is placed (loads only grow, and a filled PM was
@@ -408,7 +398,7 @@ pub(crate) fn place_run<P: RunPool, S: Strategy + ?Sized, R: Recorder>(
     rec: &mut R,
 ) -> usize {
     let threshold = strategy.demand(vm) - PRUNE_SLACK;
-    let mut chain = Vec::new();
+    pool.memo().clear();
     let (mut placed, mut hint, mut from) = (0, 0, 0);
     while placed < want {
         let Some(j) = pool.index().first_admitting(from, threshold) else {
@@ -416,7 +406,10 @@ pub(crate) fn place_run<P: RunPool, S: Strategy + ?Sized, R: Recorder>(
         };
         rec.counter_inc(Counter::PackProbes);
         let (seed, cap) = (pool.load(j), pms[j].capacity);
-        let (load, c) = admit_run(seed, vm, cap, want - placed, hint, &mut chain, strategy);
+        let budget = strategy.budget(cap);
+        let (load, c) = pool
+            .memo()
+            .fold(seed, vm, budget, want - placed, hint, strategy);
         if c > 0 {
             pool.commit(j, load, c);
             pool.index().set(j, strategy.headroom(&load, cap));
@@ -729,13 +722,12 @@ fn batch_collapsed<S: Strategy + ?Sized>(
     let mut clock = Instant::now();
     state.reset(pms, strategy);
     state.profile.reset_s = lap(&mut clock);
-    let k = table.reps.len();
-    // The fills accumulate across classes, each class's contiguous.
-    let mut fill_start = vec![0u32; k];
+    // Each class's fills are contiguous, from `next_fill[c]` on.
+    let mut next_fill = [0u32; MAX_TRACKED_CLASSES];
     for &cid in schedule {
         let c = cid as usize;
         let (vm, want) = (&table.reps[c], table.counts[c] as usize);
-        fill_start[c] = state.fills.len() as u32;
+        next_fill[c] = state.fills.len() as u32;
         let placed = place_run(state, pms, strategy, vm, want, &mut NoopRecorder);
         if placed < want {
             return Err(PackError {
@@ -746,24 +738,26 @@ fn batch_collapsed<S: Strategy + ?Sized>(
 
     state.profile.runs_s = lap(&mut clock);
 
-    // Scatter: VMs in original order consume their class's fill segments
-    // front to back — within a class the stable sort keeps original
-    // index order, so the i-th member takes the i-th filled slot.
-    let mut assignment: Vec<Option<usize>> = Vec::with_capacity(vms.len());
-    let mut next_seg = fill_start;
-    let mut pm_cur = vec![0u32; k];
-    let mut rem = vec![0u32; k];
-    for &kidx in &table.kid {
-        let c = kidx as usize;
-        if rem[c] == 0 {
-            let (pm, copies) = state.fills[next_seg[c] as usize];
-            pm_cur[c] = pm;
-            rem[c] = copies;
-            next_seg[c] += 1;
-        }
-        assignment.push(Some(pm_cur[c] as usize));
-        rem[c] -= 1;
-    }
+    // Scatter: VMs in original order take their class's filled slots
+    // front to back — within a class the stable sort keeps original index
+    // order, so the i-th member takes the i-th slot. A class's cursor is
+    // its current fill and the copies of it handed out, moved on without
+    // a branch: consecutive VMs' classes follow no pattern.
+    let fills = &state.fills;
+    let mut handed = [0u32; MAX_TRACKED_CLASSES];
+    let assignment = table
+        .kid
+        .iter()
+        .map(|&cid| {
+            let c = cid as usize;
+            let (pm, copies) = fills[next_fill[c] as usize];
+            let now = handed[c] + 1;
+            let done = now == copies;
+            next_fill[c] += u32::from(done);
+            handed[c] = now * u32::from(!done);
+            Some(pm as usize)
+        })
+        .collect();
     state.profile.scatter_s = lap(&mut clock);
     Ok(Placement {
         assignment,
@@ -829,11 +823,72 @@ mod tests {
         )
     }
 
+    #[test]
+    fn a_nan_need_leaves_the_running_maximum_nan() {
+        // Once a step's need is NaN no later step may fit, whatever its
+        // own need: the per-VM packer stops at the NaN rejection.
+        let x = vm(0, 1.0, 1.0);
+        let start = Step {
+            load: PmLoad::default(),
+            peak: f64::NEG_INFINITY,
+        };
+        assert_eq!(start.next(&x, &BaseStrategy).peak, 1.0);
+        let poisoned = Step {
+            peak: f64::NAN,
+            ..start
+        };
+        let next = poisoned.next(&x, &BaseStrategy);
+        assert!(next.peak.is_nan());
+        assert!(!next.fits(f64::INFINITY));
+    }
+
     /// Whether the orderless collapsed path would handle this fleet.
     fn fast_path_engages<S: Strategy + ?Sized>(vms: &[VmSpec], strategy: &S) -> bool {
         collapse_classes(vms)
             .and_then(|table| class_schedule(&strategy.sort_keys(vms.len(), &table.reps)))
             .is_some()
+    }
+
+    /// `want` capped repetitions of the per-VM `admits`-then-`add`
+    /// sequence from `seed`: the count and load the memo must reproduce.
+    fn repeated_admits(
+        s: &dyn Strategy,
+        seed: PmLoad,
+        vm: &VmSpec,
+        cap: f64,
+        want: usize,
+    ) -> (PmLoad, usize) {
+        let (mut load, mut count) = (seed, 0);
+        while count < want && s.admits(&load, vm, cap) {
+            load.add(vm);
+            count += 1;
+        }
+        (load, count)
+    }
+
+    /// Holds a run's fold from `seed` to the per-VM sequence for every
+    /// hint, with a fresh memo, one kept across capacities as a run keeps
+    /// it across PMs, and one whose chain for `seed` was grown first under
+    /// a larger budget.
+    fn assert_run_matches_repeated_admits(s: &dyn Strategy, seed: PmLoad, template: &VmSpec) {
+        let mut kept = RunMemo::default();
+        for cap in [10.0, 33.0, 70.0, 100.0, 250.0, 1000.0] {
+            for want in [1usize, 2, 5, 40, 300] {
+                let expect = repeated_admits(s, seed, template, cap, want);
+                for hint in [0, 1, expect.1, expect.1 + 1, want / 2, want, want + 9] {
+                    let what = format!("{} cap={cap} want={want} hint={hint}", s.name());
+                    let budget = s.budget(cap);
+                    let fresh = RunMemo::default().fold(seed, template, budget, want, hint, s);
+                    assert_eq!(fresh, expect, "fresh memo: {what}");
+                    let reused = kept.fold(seed, template, budget, want, hint, s);
+                    assert_eq!(reused, expect, "kept memo: {what}");
+                    let mut primed = RunMemo::default();
+                    primed.fold(seed, template, s.budget(1000.0), 300, 0, s);
+                    let grown = primed.fold(seed, template, budget, want, hint, s);
+                    assert_eq!(grown, expect, "primed memo: {what}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -842,61 +897,59 @@ mod tests {
         let strategies: [&dyn Strategy; 4] = [&q, &PeakStrategy, &BaseStrategy, &rbex];
         let template = vm(0, 7.0, 5.0);
         for s in strategies {
-            for cap in [10.0, 33.0, 70.0, 100.0, 250.0] {
-                for want in [1usize, 2, 5, 40] {
-                    let mut refr = PmLoad::empty();
-                    let mut count = 0;
-                    while count < want && s.admits(&refr, &template, cap) {
-                        refr.add(&template);
-                        count += 1;
-                    }
-                    // Any hint — absent, exact, low, high, out of range —
-                    // must land on the same count and load, bit for bit,
-                    // whatever state the memo chain arrives in.
-                    for hint in [0usize, 1, count, count + 1, want / 2, want, want + 9] {
-                        for prefill in [0usize, 1, count + 1, want + 2] {
-                            let mut chain = Vec::new();
-                            if prefill > 0 {
-                                chain_fold(&mut chain, &template, prefill - 1);
-                            }
-                            let (memo_load, memo_count) = admit_run(
-                                PmLoad::empty(),
-                                &template,
-                                cap,
-                                want,
-                                hint,
-                                &mut chain,
-                                s,
-                            );
-                            assert_eq!(
-                                (memo_count, memo_load),
-                                (count, refr),
-                                "{} cap={cap} want={want} hint={hint} prefill={prefill}",
-                                s.name()
-                            );
-                        }
-                    }
-                }
-            }
+            assert_run_matches_repeated_admits(s, PmLoad::empty(), &template);
         }
+        // Chains well past QUEUE's d cap: RP and RB fold a hundred copies.
+        let long =
+            RunMemo::default().fold(PmLoad::empty(), &template, 1000.0, 300, 0, &BaseStrategy);
+        assert_eq!(long.1, 142);
+        assert_eq!(
+            long,
+            repeated_admits(&BaseStrategy, PmLoad::empty(), &template, 1000.0, 300)
+        );
     }
 
     #[test]
     fn admit_run_from_preloaded_pm() {
-        let q = QueueStrategy::build(16, 0.01, 0.09, 0.01);
-        let seed = PmLoad::rebuild(&[vm(90, 11.0, 9.0), vm(91, 4.0, 2.0)]);
-        let template = vm(0, 6.0, 4.0);
-        let mut chain = Vec::new();
-        let (load, count) = admit_run(seed, &template, 95.0, 30, 4, &mut chain, &q);
-        assert!(chain.is_empty(), "a loaded seed never reads the memo chain");
-        let mut refr = seed;
-        let mut expect = 0;
-        while expect < 30 && q.admits(&refr, &template, 95.0) {
-            refr.add(&template);
-            expect += 1;
+        let (q, rbex) = all_strategies();
+        let strategies: [&dyn Strategy; 4] = [&q, &PeakStrategy, &BaseStrategy, &rbex];
+        let template = vm(0, 7.0, 5.0);
+        let seeds = [
+            PmLoad::rebuild(&[vm(90, 11.0, 9.0), vm(91, 4.0, 2.0)]),
+            PmLoad::rebuild(&[template; 3]),
+        ];
+        for s in strategies {
+            for seed in seeds {
+                assert_run_matches_repeated_admits(s, seed, &template);
+            }
         }
-        assert_eq!(count, expect);
-        assert_eq!(load, refr);
+        // A loaded seed met after the empty one gets an entry of its own.
+        let mut memo = RunMemo::default();
+        let budget = q.budget(95.0);
+        memo.fold(PmLoad::empty(), &template, budget, 30, 4, &q);
+        let got = memo.fold(seeds[0], &template, budget, 30, 4, &q);
+        assert_eq!(memo.live, 2);
+        assert_eq!(got, repeated_admits(&q, seeds[0], &template, 95.0, 30));
+        assert!(got.1 > 0, "the preloaded PM still takes copies");
+    }
+
+    #[test]
+    fn runs_meeting_more_seeds_than_the_memo_holds_match_first_fit() {
+        // A big class leaves PM j with j + 1 copies (capacities 6·(j+1) +
+        // 5 under RB), so the small class that follows meets a different
+        // seed on every one of MEMO_SEEDS + 5 PMs and recycles five memo
+        // entries.
+        let pms_n = MEMO_SEEDS + 5;
+        let farm: Vec<PmSpec> = (0..pms_n)
+            .map(|j| PmSpec::new(j, 6.0 * (j + 1) as f64 + 5.0))
+            .collect();
+        let big = pms_n * (pms_n + 1) / 2;
+        let mut fleet: Vec<VmSpec> = (0..big).map(|i| vm(i, 6.0, 3.0)).collect();
+        fleet.extend((big..big + 2 * pms_n).map(|i| vm(i, 2.0, 1.0)));
+        let mut state = PlacementState::new();
+        assert_matches_first_fit(&mut state, &fleet, &farm, "memo overflow");
+        first_fit_batch_with(&mut state, &fleet, &farm, &BaseStrategy).unwrap();
+        assert_eq!((state.memo.live, state.memo.oldest), (MEMO_SEEDS, 5));
     }
 
     #[test]
@@ -1053,27 +1106,6 @@ mod tests {
                 first_fit_batch_with(&mut state, &vms, &farm, &q),
                 first_fit_batch(&vms, &farm, &q),
                 "arena reuse changed results at n={n} m={m}"
-            );
-        }
-    }
-
-    #[test]
-    fn generation_tags_survive_many_resets() {
-        // The epoch machinery must keep packs independent across many
-        // arena reuses (stale loads from an earlier pack would corrupt
-        // admission arithmetic silently).
-        use bursty_workload::{FleetGenerator, WorkloadPattern};
-        let q = QueueStrategy::build(16, 0.01, 0.09, 0.01);
-        let mut state = PlacementState::new();
-        let mut g = FleetGenerator::new(9);
-        let vms = g.vms_table_i(120, WorkloadPattern::LargeSpike);
-        let farm = g.pms(90);
-        let fresh = first_fit_batch(&vms, &farm, &q);
-        for round in 0..50 {
-            assert_eq!(
-                first_fit_batch_with(&mut state, &vms, &farm, &q),
-                fresh,
-                "drift after {round} arena reuses"
             );
         }
     }
@@ -1239,17 +1271,10 @@ mod tests {
                 let Some(j) = state.index.first_admitting(from, threshold) else {
                     break;
                 };
-                let (load, c) = admit_run(
-                    state.load(j),
-                    &extra,
-                    farm[j].capacity,
-                    1,
-                    0,
-                    &mut Vec::new(),
-                    s,
-                );
-                if c > 0 {
-                    state.commit(j, load, c);
+                let load = state.load(j);
+                if s.admits(&load, &extra, farm[j].capacity) {
+                    let load = load.with(&extra);
+                    state.commit(j, load, 1);
                     state.index.set(j, s.headroom(&load, farm[j].capacity));
                 }
                 from = j + 1;

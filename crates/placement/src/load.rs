@@ -62,34 +62,12 @@ impl PmLoad {
         next
     }
 
-    /// Adds `c` copies of `vm` by the *exact* incremental fold — `c`
-    /// repeated [`PmLoad::add`] calls, bit-identical to placing the copies
-    /// one at a time (unlike the closed-form [`PmLoad::with_copies`],
-    /// which may differ by ulps). The online engines use this to rebuild a
-    /// PM's load from its class-count cells in a canonical order.
+    /// Adds `c` copies of `vm`: `c` repeated [`PmLoad::add`] calls. The
+    /// online engines use this to rebuild a PM's load from its class-count
+    /// cells in a canonical order.
     pub(crate) fn add_copies(&mut self, vm: &VmSpec, c: usize) {
         for _ in 0..c {
             self.add(vm);
-        }
-    }
-
-    /// Closed-form load after adding `c` copies of `vm` in `O(1)` — the
-    /// probe the batch packer's binary search uses. The sums are computed
-    /// as `Σ + c · x` rather than by `c` repeated additions, so they can
-    /// differ from the incremental [`PmLoad::add`] fold by a few ulps;
-    /// every quantity is monotone in `c`, which is what makes a binary
-    /// search over the feasibility predicate valid (see
-    /// [`crate::batch::first_fit_batch`] for how the ulp gap is closed).
-    pub(crate) fn with_copies(&self, vm: &VmSpec, c: usize) -> Self {
-        if c == 0 {
-            return *self;
-        }
-        Self {
-            count: self.count + c,
-            max_re: self.max_re.max(vm.r_e),
-            sum_rb: self.sum_rb + c as f64 * vm.r_b,
-            sum_rp: self.sum_rp + c as f64 * vm.r_p(),
-            max_pi: self.max_pi.max(stationary_on(vm)),
         }
     }
 
@@ -140,20 +118,6 @@ mod tests {
             inc.add(v);
         }
         assert_eq!(rebuilt, inc);
-    }
-
-    #[test]
-    fn with_copies_matches_the_fold_semantically() {
-        let base = PmLoad::rebuild(&[vm(0, 3.0, 1.5)]);
-        let v = vm(1, 2.0, 4.0);
-        let closed = base.with_copies(&v, 3);
-        let folded = base.with(&v).with(&v).with(&v);
-        assert_eq!(closed.count, folded.count);
-        assert_eq!(closed.max_re, folded.max_re);
-        assert_eq!(closed.max_pi, folded.max_pi);
-        assert!((closed.sum_rb - folded.sum_rb).abs() < 1e-12);
-        assert!((closed.sum_rp - folded.sum_rp).abs() < 1e-12);
-        assert_eq!(base.with_copies(&v, 0), base);
     }
 
     #[test]

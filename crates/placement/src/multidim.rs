@@ -156,7 +156,7 @@ mod tests {
         let s = strategy();
         // k=4 needs mapping(4) blocks of 20 in dim 0: 20·m(4)+20 ≤ C0.
         let dim0: Vec<_> = vms.iter().map(|v| v.dimension(0)).collect();
-        let c0 = s.required_capacity(&PmLoad::rebuild(&dim0));
+        let c0 = s.need(&PmLoad::rebuild(&dim0));
         let pms = vec![pm(0, &[c0, 20.0])];
         let p = first_fit_multidim(&vms, &pms, &s).unwrap();
         assert_eq!(p.pms_used(), 1);

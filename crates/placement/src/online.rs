@@ -38,7 +38,7 @@
 //! bottom of this file, beside the one that holds every PM to ρ by its
 //! exact stationary law.
 
-use crate::batch::{batch_runs, fill_hosts, place_run, RunPool};
+use crate::batch::{batch_runs, fill_hosts, place_run, RunMemo, RunPool};
 use crate::clustering::{cluster_order, default_buckets};
 use crate::index::HeadroomIndex;
 use crate::load::{stationary_on, PmLoad};
@@ -596,12 +596,17 @@ impl VmTable {
 struct LivePool<'a> {
     loads: &'a mut [PmLoad],
     index: &'a mut HeadroomIndex,
+    memo: &'a mut RunMemo,
     fills: &'a mut Vec<(u32, u32)>,
 }
 
 impl RunPool for LivePool<'_> {
     fn index(&mut self) -> &mut HeadroomIndex {
         self.index
+    }
+
+    fn memo(&mut self) -> &mut RunMemo {
+        self.memo
     }
 
     fn load(&self, j: usize) -> PmLoad {
@@ -664,6 +669,8 @@ pub struct OnlineCluster {
     occupied_pos: Vec<usize>,
     /// Reusable cell buffer for departure rebuilds.
     scratch: Vec<ClassCell>,
+    /// The batch placer's fold memo, boxed: its chains are inline.
+    memo: Box<RunMemo>,
 }
 
 impl OnlineCluster {
@@ -707,6 +714,7 @@ impl OnlineCluster {
             occupied: Vec::new(),
             occupied_pos,
             scratch: Vec::new(),
+            memo: Box::default(),
         }
     }
 
@@ -988,6 +996,7 @@ impl OnlineCluster {
             let mut pool = LivePool {
                 loads: &mut self.loads,
                 index: &mut self.index,
+                memo: &mut self.memo,
                 fills: &mut fills,
             };
             let placed = place_run(&mut pool, &self.pms, &self.strategy, &vm, run.len, rec);
@@ -1238,10 +1247,10 @@ impl OnlineCluster {
         for _ in 0..m {
             let id = c.usize()?;
             let capacity = c.f64()?;
-            if capacity.is_nan() || capacity <= 0.0 {
-                return Err(bad(format!("PM {id}: bad capacity {capacity}")));
-            }
-            pms.push(PmSpec { id, capacity });
+            // `try_new` refuses `+∞` too: QUEUE's need past `d` is `+∞`,
+            // which an infinite budget would admit.
+            let pm = PmSpec::try_new(id, capacity).map_err(|e| bad(format!("PM {id}: {e}")))?;
+            pms.push(pm);
         }
         let k = c.seq_len(48)?;
         let mut class_reps = Vec::with_capacity(k);
@@ -1372,6 +1381,7 @@ impl OnlineCluster {
             occupied,
             occupied_pos,
             scratch: Vec::new(),
+            memo: Box::default(),
         })
     }
 }
@@ -1686,6 +1696,40 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_over_distinct_partial_pms_misses_the_memo_on_every_seed() {
+        // Each PM holds one VM of its own base demand, so one 12-VM class
+        // lands one copy per PM on twelve distinct seed loads — more than
+        // the run memo keeps — and every fill starts a fresh fold.
+        let caps = vec![60.0; 14];
+        let mut a = cluster(&caps);
+        let mut b = ref_cluster(&caps);
+        for j in 0..caps.len() {
+            let v = vm(j, 45.0 + 0.25 * j as f64, 1.0);
+            assert_eq!(a.arrive(v).unwrap(), j);
+            assert_eq!(b.arrive(v).unwrap(), j);
+        }
+        let batch: Vec<VmSpec> = (100..112).map(|i| vm(i, 8.0, 1.0)).collect();
+        let pairs = a.arrive_batch(batch.clone()).unwrap();
+        assert_eq!(pairs, b.arrive_batch(batch.clone()).unwrap());
+        let hosts: Vec<usize> = pairs.iter().map(|&(_, j)| j).collect();
+        assert_eq!(hosts, (0..12).collect::<Vec<_>>(), "one copy per PM");
+        assert!(hosts.len() > crate::batch::MEMO_SEEDS);
+        for v in &batch {
+            assert_eq!(a.host_of(v.id), b.host_of(v.id), "VM {}", v.id);
+        }
+        for j in 0..caps.len() {
+            assert_eq!(a.load(j), b.load(j), "PM {j} load");
+            assert_eq!(
+                a.index.value(j).to_bits(),
+                b.index.value(j).to_bits(),
+                "PM {j} headroom"
+            );
+        }
+        a.check_consistency().unwrap();
+        b.check_consistency().unwrap();
+    }
+
+    #[test]
     fn a_batch_that_places_nothing_leaves_the_snapshot_unchanged() {
         // A run that places nothing registers no class, on either route,
         // just as a refused single arrival registers none.
@@ -1882,6 +1926,20 @@ mod tests {
         torn.truncate(8);
         torn[0] = 0; // d = 0
         assert!(OnlineCluster::from_snapshot_bytes(&torn).is_err());
+    }
+
+    #[test]
+    fn a_snapshot_with_a_non_finite_or_non_positive_capacity_is_refused() {
+        let bytes = cluster(&[50.0, 60.0]).to_snapshot_bytes();
+        // d, rho, the retired epsilon, the pair, the PM count, PM 0's id.
+        let at = 7 * 8;
+        assert_eq!(bytes[at..at + 8], 50.0f64.to_bits().to_le_bytes());
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, -1.0] {
+            let mut torn = bytes.clone();
+            torn[at..at + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
+            let err = OnlineCluster::from_snapshot_bytes(&torn).unwrap_err();
+            assert!(err.to_string().contains("PM 0: capacity"), "{bad}: {err}");
+        }
     }
 
     #[test]

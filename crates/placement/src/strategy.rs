@@ -9,8 +9,8 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// A consolidation strategy: its per-VM sort keys, which order the VMs
-/// for First-Fit-Decreasing, and when a *set* of VMs fits
-/// on a PM.
+/// for First-Fit-Decreasing, and when a *set* of VMs fits on a PM — the
+/// set's [`Strategy::need`] is at most the PM's [`Strategy::budget`].
 ///
 /// Set feasibility (rather than an incremental admit) is the primitive
 /// because every strategy in the paper — including Eq. 17 — depends only on
@@ -38,9 +38,21 @@ pub trait Strategy: Send + Sync {
     /// byte-identical to the per-VM order.
     fn sort_keys(&self, fleet_size: usize, vms: &[VmSpec]) -> Vec<(u32, f64)>;
 
+    /// What a PM hosting `load` must have: the left side of the
+    /// strategy's feasibility rule, `+∞` for a load no capacity admits.
+    fn need(&self, load: &PmLoad) -> f64;
+
+    /// What a PM of capacity `capacity` offers against [`Strategy::need`];
+    /// the capacity itself unless the strategy holds some of it back.
+    fn budget(&self, capacity: f64) -> f64 {
+        capacity
+    }
+
     /// Whether a PM with aggregate load `load` is feasible under capacity
-    /// `capacity`.
-    fn feasible(&self, load: &PmLoad, capacity: f64) -> bool;
+    /// `capacity`: `need(load) ≤ budget(capacity)`.
+    fn feasible(&self, load: &PmLoad, capacity: f64) -> bool {
+        self.need(load) <= self.budget(capacity)
+    }
 
     /// Whether `vm` can be added to a PM currently carrying `load`.
     fn admits(&self, load: &PmLoad, vm: &VmSpec, capacity: f64) -> bool {
@@ -178,16 +190,6 @@ impl QueueStrategy {
             _ => self.thresholds.blocks(count, max_pi),
         }
     }
-
-    /// The resources a PM with load `load` must dedicate under this
-    /// strategy: reserved blocks plus base demands (the left side of
-    /// Eq. 17).
-    pub(crate) fn required_capacity(&self, load: &PmLoad) -> f64 {
-        if load.count == 0 {
-            return 0.0;
-        }
-        load.max_re * self.blocks(load.count, load.max_pi) as f64 + load.sum_rb
-    }
 }
 
 impl Strategy for QueueStrategy {
@@ -205,8 +207,14 @@ impl Strategy for QueueStrategy {
         bands.into_iter().zip(vms.iter().map(|v| v.r_b)).collect()
     }
 
-    fn feasible(&self, load: &PmLoad, capacity: f64) -> bool {
-        load.count <= self.thresholds.d && self.required_capacity(load) <= capacity
+    /// Eq. 17's left side — reserved blocks plus base demands — or `+∞`
+    /// past the `d` cap.
+    fn need(&self, load: &PmLoad) -> f64 {
+        match load.count {
+            0 => 0.0,
+            k if k > self.thresholds.d => f64::INFINITY,
+            k => load.max_re * self.blocks(k, load.max_pi) as f64 + load.sum_rb,
+        }
     }
 
     /// Residual *admissible base demand*: what is left of Eq. 17 once the
@@ -250,8 +258,8 @@ impl Strategy for PeakStrategy {
         vms.iter().map(|v| (0, v.r_p())).collect()
     }
 
-    fn feasible(&self, load: &PmLoad, capacity: f64) -> bool {
-        load.sum_rp <= capacity
+    fn need(&self, load: &PmLoad) -> f64 {
+        load.sum_rp
     }
 
     /// Peak slack: admitting a VM consumes exactly its `R_p`.
@@ -278,8 +286,8 @@ impl Strategy for BaseStrategy {
         vms.iter().map(|v| (0, v.r_b)).collect()
     }
 
-    fn feasible(&self, load: &PmLoad, capacity: f64) -> bool {
-        load.sum_rb <= capacity
+    fn need(&self, load: &PmLoad) -> f64 {
+        load.sum_rb
     }
 
     /// Base slack: admitting a VM consumes exactly its `R_b`.
@@ -330,13 +338,18 @@ impl Strategy for ReserveStrategy {
         vms.iter().map(|v| (0, v.r_b)).collect()
     }
 
-    fn feasible(&self, load: &PmLoad, capacity: f64) -> bool {
-        load.sum_rb <= (1.0 - self.delta) * capacity
+    fn need(&self, load: &PmLoad) -> f64 {
+        load.sum_rb
     }
 
-    /// Base slack against the *usable* (reserve-reduced) capacity.
+    /// The usable capacity: `δ` of it is held back for bursts.
+    fn budget(&self, capacity: f64) -> f64 {
+        (1.0 - self.delta) * capacity
+    }
+
+    /// Base slack against the usable capacity.
     fn headroom(&self, load: &PmLoad, capacity: f64) -> f64 {
-        (1.0 - self.delta) * capacity - load.sum_rb
+        self.budget(capacity) - load.sum_rb
     }
 
     fn demand(&self, vm: &VmSpec) -> f64 {
@@ -362,7 +375,7 @@ mod tests {
         let vms = [vm(0, 10.0, 5.0), vm(1, 8.0, 7.0)];
         let load = PmLoad::rebuild(&vms);
         let needed = 7.0 * q.floor().unwrap().blocks_for(2) as f64 + 18.0;
-        assert!((q.required_capacity(&load) - needed).abs() < 1e-12);
+        assert!((q.need(&load) - needed).abs() < 1e-12);
         assert!(q.feasible(&load, needed));
         assert!(!q.feasible(&load, needed - 0.01));
     }
@@ -460,7 +473,7 @@ mod tests {
             - load.max_re * q.floor().unwrap().blocks_for(load.count + 1) as f64;
         assert!((q.headroom(&load, 100.0) - expected).abs() < 1e-12);
         // Never above the plain Eq.-17 slack (blocks are nondecreasing).
-        assert!(q.headroom(&load, 100.0) <= 100.0 - q.required_capacity(&load) + 1e-12);
+        assert!(q.headroom(&load, 100.0) <= 100.0 - q.need(&load) + 1e-12);
     }
 
     #[test]
@@ -523,7 +536,7 @@ mod tests {
         let q = queue();
         let vms: Vec<VmSpec> = (0..10).map(|i| vm(i, 10.0, 10.0)).collect();
         let load = PmLoad::rebuild(&vms);
-        let queue_need = q.required_capacity(&load);
+        let queue_need = q.need(&load);
         let rp_need = load.sum_rp;
         assert!(
             queue_need < 0.75 * rp_need,

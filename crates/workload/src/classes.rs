@@ -128,7 +128,11 @@ const TABLE_CLASSES: usize = 96;
 /// The first [`TABLE_CLASSES`] classes are found by a linear scan over
 /// their cached keys, so a class-heavy fleet costs one memory pass and is
 /// never hashed; a fleet with more classes moves the table into a
-/// `HashMap` once and hashes from there on.
+/// `HashMap` once and hashes from there on. The scan reads every key and
+/// selects the match without a branch: its trip count is the class
+/// count, which changes at most [`TABLE_CLASSES`] times, so a fleet of a
+/// few classes in random order does not mispredict an exit at the match
+/// on most VMs.
 pub fn intern_classes(
     vms: &[VmSpec],
     cap: usize,
@@ -140,7 +144,7 @@ pub fn intern_classes(
     for (i, vm) in vms.iter().enumerate() {
         let key = VmClass::of(vm).key();
         let known = match &spill {
-            None => table.iter().position(|k| *k == key).map(|at| at as u32),
+            None => full_scan(&table, &key),
             Some(map) => map.get(&key).copied(),
         };
         let id = match known {
@@ -168,6 +172,18 @@ pub fn intern_classes(
         visit(i, id);
     }
     Some(classes)
+}
+
+/// The position of `key` in `table`, whose keys are distinct, read
+/// without an early exit and selected without branching on the match.
+#[inline]
+fn full_scan(table: &[[u64; 4]], key: &[u64; 4]) -> Option<u32> {
+    let mut hit = u32::MAX;
+    for (at, k) in table.iter().enumerate() {
+        let diff = (k[0] ^ key[0]) | (k[1] ^ key[1]) | (k[2] ^ key[2]) | (k[3] ^ key[3]);
+        hit = if diff == 0 { at as u32 } else { hit };
+    }
+    (hit != u32::MAX).then_some(hit)
 }
 
 /// Number of distinct classes in the fleet.
@@ -270,6 +286,33 @@ mod tests {
             intern_classes(&vms[..TABLE_CLASSES], TABLE_CLASSES, |_, _| {}),
             Some(TABLE_CLASSES)
         );
+    }
+
+    #[test]
+    fn ids_match_a_first_appearance_oracle_for_every_class_count() {
+        // k = 1..200 classes drawn in random order: the table scan and
+        // the hash map past TABLE_CLASSES must both number classes as a
+        // HashMap does.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        for k in 1..=200usize {
+            let vms: Vec<VmSpec> = (0..4 * k)
+                .map(|i| vm(i, 1.0 + rng.gen_range(0..k) as f64 * 0.5, 2.0))
+                .collect();
+            let mut oracle: HashMap<[u64; 4], u32> = HashMap::new();
+            let expect: Vec<u32> = vms
+                .iter()
+                .map(|v| {
+                    let next = oracle.len() as u32;
+                    *oracle.entry(VmClass::of(v).key()).or_insert(next)
+                })
+                .collect();
+            let mut ids = Vec::new();
+            let classes = intern_classes(&vms, usize::MAX, |_, id| ids.push(id));
+            assert_eq!(classes, Some(oracle.len()), "k = {k}");
+            assert_eq!(ids, expect, "k = {k}");
+        }
     }
 
     #[test]

@@ -71,9 +71,10 @@ impl VmSpec {
     /// Creates a validated spec.
     ///
     /// # Panics
-    /// Panics if probabilities are outside `(0, 1]`, `r_b ≤ 0`, or
-    /// `r_e < 0` (a spike-free VM is allowed with `r_e = 0`) — whatever
-    /// [`VmSpec::try_new`] refuses.
+    /// Panics if probabilities are outside `(0, 1]`, `r_b ≤ 0`, `r_e < 0`
+    /// (a spike-free VM is allowed with `r_e = 0`) or a demand is not
+    /// finite — whatever [`VmSpec::try_new`] refuses.
+    #[inline]
     pub fn new(id: usize, p_on: f64, p_off: f64, r_b: f64, r_e: f64) -> Self {
         Self::try_new(id, p_on, p_off, r_b, r_e).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -82,8 +83,9 @@ impl VmSpec {
     /// `p_on`, `p_off`, `r_b`, `r_e`) outside its range.
     ///
     /// # Errors
-    /// [`SpecError`] for a probability outside `(0, 1]`, `r_b ≤ 0` or
-    /// `r_e < 0`.
+    /// [`SpecError`] for a probability outside `(0, 1]`, `r_b ≤ 0`,
+    /// `r_e < 0` or an infinite demand.
+    #[inline]
     pub fn try_new(
         id: usize,
         p_on: f64,
@@ -96,8 +98,18 @@ impl VmSpec {
             id,
             p_on: checked("p_on", p_on, p_on > 0.0 && p_on <= 1.0, PROBABILITY)?,
             p_off: checked("p_off", p_off, p_off > 0.0 && p_off <= 1.0, PROBABILITY)?,
-            r_b: checked("r_b", r_b, r_b > 0.0, "be positive")?,
-            r_e: checked("r_e", r_e, r_e >= 0.0, "be non-negative")?,
+            r_b: checked(
+                "r_b",
+                r_b,
+                r_b > 0.0 && r_b < f64::INFINITY,
+                "be positive and finite",
+            )?,
+            r_e: checked(
+                "r_e",
+                r_e,
+                (0.0..f64::INFINITY).contains(&r_e),
+                "be non-negative and finite",
+            )?,
         })
     }
 
@@ -143,7 +155,9 @@ impl PmSpec {
     /// Creates a validated spec.
     ///
     /// # Panics
-    /// Panics if `capacity ≤ 0` — whatever [`PmSpec::try_new`] refuses.
+    /// Panics if `capacity ≤ 0` or infinite — whatever [`PmSpec::try_new`]
+    /// refuses.
+    #[inline]
     pub fn new(id: usize, capacity: f64) -> Self {
         Self::try_new(id, capacity).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -151,11 +165,15 @@ impl PmSpec {
     /// Creates a validated spec.
     ///
     /// # Errors
-    /// [`SpecError`] if `capacity ≤ 0`.
+    /// [`SpecError`] if `capacity ≤ 0` or infinite: an infinite capacity
+    /// would admit QUEUE's infinite need past the co-location cap.
+    #[inline]
     pub fn try_new(id: usize, capacity: f64) -> Result<Self, SpecError> {
+        // Two checks, so NaN is named by the range and `+∞` as infinite.
+        let positive = checked("capacity", capacity, capacity > 0.0, "be positive")?;
         Ok(Self {
             id,
-            capacity: checked("capacity", capacity, capacity > 0.0, "be positive")?,
+            capacity: checked("capacity", positive, positive.is_finite(), "be finite")?,
         })
     }
 }
@@ -228,6 +246,38 @@ mod tests {
         assert_eq!(
             VmSpec::try_new(7, 0.01, 0.09, 10.0, 5.0),
             Ok(VmSpec::new(7, 0.01, 0.09, 10.0, 5.0))
+        );
+    }
+
+    #[test]
+    fn non_finite_fields_are_refused_with_their_name() {
+        let ok = [0.01, 0.09, 10.0, 5.0];
+        let vm = |v: [f64; 4]| VmSpec::try_new(0, v[0], v[1], v[2], v[3]);
+        for (at, field) in ["p_on", "p_off", "r_b", "r_e"].into_iter().enumerate() {
+            for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+                let mut v = ok;
+                v[at] = bad;
+                let err = vm(v).unwrap_err();
+                assert_eq!(err.field, field, "{field} = {bad}");
+                assert_eq!(err.value.to_bits(), bad.to_bits(), "{field} = {bad}");
+            }
+        }
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let err = PmSpec::try_new(0, bad).unwrap_err();
+            assert_eq!(
+                (err.field, err.value.to_bits()),
+                ("capacity", bad.to_bits())
+            );
+        }
+        assert_eq!(
+            PmSpec::try_new(0, f64::INFINITY).unwrap_err().to_string(),
+            "capacity must be finite, got inf"
+        );
+        assert_eq!(
+            VmSpec::try_new(0, 0.1, 0.1, 1.0, f64::INFINITY)
+                .unwrap_err()
+                .to_string(),
+            "r_e must be non-negative and finite, got inf"
         );
     }
 
