@@ -40,10 +40,10 @@
 //!   the row) on a quarter as many PMs: the fleet of the system
 //!   benchmark's `plan_classheavy`. Its pack runs on a fresh arena, as
 //!   `Consolidator::place` does, and the row adds `place_secs` (the whole
-//!   decision), `census_s` (median `place` minus median pack: what the
-//!   decision spends on choosing the packer, beyond the pack's own class
-//!   pass) and `uses_batch_secs` (the same question asked on its own, as
-//!   the harness and `bursty plan` do).
+//!   decision: the same pack plus the strategy build and the recorder's
+//!   bookkeeping). Rows of commits before `Consolidator::place` packed
+//!   every fleet with the batch packer also carry `census_s` and
+//!   `uses_batch_secs`, the packer choice that change deleted.
 //!
 //! The process exits nonzero (assert) if any row's batch placement
 //! differs from the per-VM packer's on the full assignment vector, if a
@@ -277,23 +277,15 @@ fn main() {
         all_identical &= row.identical;
         paper_tree_probes = Some(row.tree_probes);
         let consolidator = Consolidator::new(Scheme::Queue);
-        let mut place_secs = Vec::with_capacity(attributed);
-        let mut census_secs = Vec::with_capacity(attributed);
-        for _ in 0..attributed {
-            place_secs.push(timed(|| consolidator.place(&vms, &pms)).1);
-            census_secs.push(timed(|| consolidator.uses_batch(&vms)).1);
-        }
-        let census_s = quartiles(&place_secs)[1] - row.pack_median;
+        let place_secs: Vec<f64> = (0..attributed)
+            .map(|_| timed(|| consolidator.place(&vms, &pms)).1)
+            .collect();
         eprintln!(
-            "  paper_density: place {:.4}s, of which census {census_s:.4}s; uses_batch alone {:.4}s",
+            "  paper_density: place {:.4}s, pack {:.4}s",
             quartiles(&place_secs)[1],
-            quartiles(&census_secs)[1]
+            row.pack_median
         );
-        let row = row
-            .row
-            .field("place_secs", spread(&place_secs))
-            .field("census_s", census_s)
-            .field("uses_batch_secs", spread(&census_secs));
+        let row = row.row.field("place_secs", spread(&place_secs));
         fleet_rows.push(row.to_json());
     }
 

@@ -181,10 +181,9 @@ pub fn plan(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// `bursty consolidate --vms N [--pms M] [--pattern equal|small|large]
 /// [--scheme queue|rp|rb|rbex] [--seed S] [--p-on P] [--p-off P] [--rho R]`
 ///
-/// Generates a seeded synthetic fleet and packs it. The consolidator
-/// takes the class-collapsed batch path when the fleet is
-/// duplicate-heavy and the per-VM path otherwise (the report names the
-/// one taken); both produce byte-identical placements.
+/// Generates a seeded synthetic fleet and packs it with the batch packer
+/// (`Consolidator::place`); the report counts the fleet's classes and
+/// times the pack.
 pub fn consolidate(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(
         args,
@@ -229,11 +228,6 @@ pub fn consolidate(args: &[String], out: &mut dyn Write) -> Result<(), CliError>
         .with_probabilities(p_on, p_off)
         .with_rho(rho);
     let classes = bursty_core::workload::distinct_classes(&vms);
-    let path = if consolidator.uses_batch(&vms) {
-        "class-collapsed batch"
-    } else {
-        "per-VM"
-    };
     let start = std::time::Instant::now();
     let placement = consolidator
         .place(&vms, &pms)
@@ -241,8 +235,7 @@ pub fn consolidate(args: &[String], out: &mut dyn Write) -> Result<(), CliError>
     let elapsed = start.elapsed();
     writeln!(
         out,
-        "{n} VMs ({classes} classes) packed onto {} of {n_pms} PMs by {} \
-         via the {path} path in {:.1} ms",
+        "{n} VMs ({classes} classes) packed onto {} of {n_pms} PMs by {} in {:.1} ms",
         placement.pms_used(),
         scheme.label(),
         elapsed.as_secs_f64() * 1e3,
@@ -1015,11 +1008,11 @@ mod tests {
 
     #[test]
     fn consolidate_batch_paths_agree() {
-        // A Table-I fleet collapses, so the command takes the batch
-        // path; the per-VM packer on the same seeded fleet (the command's
-        // defaults: seed 42, as many PMs as VMs) must use as many PMs.
+        // The per-VM packer on the command's seeded fleet (its defaults:
+        // seed 42, as many PMs as VMs) must use as many PMs, and the
+        // report counts the fleet's classes.
         let report = run_cmd(consolidate, &["--vms", "300"]).unwrap();
-        assert!(report.contains("class-collapsed batch"), "{report}");
+        assert!(report.contains("300 VMs (3 classes)"), "{report}");
         let mut gen = FleetGenerator::new(42);
         let vms = gen.vms_table_i(300, WorkloadPattern::EqualSpike);
         let pms = gen.pms(300);

@@ -89,10 +89,8 @@ USAGE:
   bursty consolidate --vms <N> [--pms M] [--pattern equal|small|large]
                   [--scheme queue|rp|rb|rbex] [--seed S] [--p-on P] [--p-off P]
                   [--rho R]
-      pack a seeded synthetic fleet and report PMs used, packing time
-      and the path taken: the class-collapsed batch packer when the
-      fleet is duplicate-heavy, the per-VM packer otherwise (identical
-      placements, different speed)
+      pack a seeded synthetic fleet with the batch packer and report
+      its class count, PMs used and packing time
   bursty simulate --traces <dir> --capacity <C> [--steps S] [--rho R | --availability PCT]
                   [--mtbf S [--mttr S] [--fault-group G] [--fault-seed N]]
                   [--rng-layout shared|class-aggregated [--threads T]]

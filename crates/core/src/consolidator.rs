@@ -1,10 +1,10 @@
 //! The high-level consolidation API: pick a scheme, place, simulate.
 
 use bursty_obs::durable::FsStore;
-use bursty_obs::{NoopRecorder, Recorder};
+use bursty_obs::{Counter, Gauge, NoopRecorder, Recorder};
 use bursty_placement::{
-    first_fit_auto_recorded, BaseStrategy, PackError, PeakStrategy, Placement, QueueStrategy,
-    ReserveStrategy, Strategy,
+    first_fit_batch_with, BaseStrategy, PackError, PeakStrategy, Placement, PlacementState,
+    QueueStrategy, ReserveStrategy, Strategy,
 };
 use bursty_sim::{
     CheckpointConfig, CheckpointError, CheckpointedRun, ObservedPolicy, PeakPolicy, QueuePolicy,
@@ -49,6 +49,9 @@ impl Scheme {
 /// floor at their conservative rounding
 /// ([`bursty_placement::rounding::round_with_policy`]), as `bursty plan`
 /// does: the rounded pair is the planner's margin for fit error.
+///
+/// Every fleet is placed by one First Fit, the batch packer's class-run
+/// placer (see [`Consolidator::place`]); no census picks a packer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Consolidator {
     scheme: Scheme,
@@ -134,32 +137,22 @@ impl Consolidator {
         }
     }
 
-    /// Whether [`Consolidator::place`] takes the class-collapsed batch
-    /// packer ([`bursty_placement::first_fit_batch`]) for this fleet: it
-    /// does when the fleet collapses well (at least two VMs per distinct
-    /// class on average, [`bursty_placement::batch_pays`]), and packs per
-    /// VM otherwise. Both packers produce byte-identical placements, so
-    /// the choice is only about speed.
-    ///
-    /// This is the question alone, for callers that report the path
-    /// (`bursty plan`, the benchmark harness): one pass of the shared
-    /// class interner ([`bursty_workload::intern_classes`]) — a linear
-    /// scan of a small key table, no hashing, for any fleet of up to 96
-    /// classes — and about a fifth of a class-heavy `place` (8.8 of
-    /// 44.6 ms on the 1M-VM Table-I fleet, `BENCH_packing.json`), so it
-    /// is not free. `place` does not call it: it reads the same rule off the
-    /// class table its packer needs anyway (see
-    /// [`Consolidator::place_recorded`]), and takes exactly the path this
-    /// names on every input.
-    pub fn uses_batch(&self, vms: &[VmSpec]) -> bool {
-        bursty_placement::batch_pays(bursty_workload::distinct_classes(vms), vms.len())
+    /// Whether [`Consolidator::place`] takes the batch packer
+    /// ([`bursty_placement::first_fit_batch`]) for this fleet: always
+    /// `true`, since `place` packs every fleet there. It reads nothing and
+    /// stays only for the benchmark harness, which still reports it; the
+    /// benchmark change that drops that report deletes it.
+    pub fn uses_batch(&self, _vms: &[VmSpec]) -> bool {
+        true
     }
 
     /// Consolidates `vms` onto `pms` (paper Algorithm 2 for
-    /// [`Scheme::Queue`], plain FFD otherwise) — through the
-    /// class-collapsed batch packer when the fleet collapses (see
-    /// [`Consolidator::uses_batch`]); the result is byte-identical
-    /// either way.
+    /// [`Scheme::Queue`], plain FFD otherwise) with the batch packer
+    /// ([`bursty_placement::first_fit_batch`]): whole classes as single
+    /// runs when the fleet collapses to at most 96 classes without a
+    /// cross-class key tie, the per-VM FFD order in class runs otherwise.
+    /// The placement is byte-identical to the per-VM
+    /// [`bursty_placement::first_fit`] on every input.
     ///
     /// # Errors
     /// [`PackError`] if some VM fits nowhere.
@@ -168,14 +161,13 @@ impl Consolidator {
     }
 
     /// [`Consolidator::place`] with packing counters/gauges flowing into
-    /// `rec`. With [`bursty_obs::NoopRecorder`] this is exactly `place`.
-    ///
-    /// The fleet is read for its classes once
-    /// ([`bursty_placement::first_fit_auto_recorded`]): the batch packer's
-    /// class table doubles as the census that picks the packer, so a
-    /// class-heavy decision costs one class pass plus work proportional
-    /// to the `(class, PM)` fills, and only a fleet of more than 96
-    /// classes is hashed to settle the rule.
+    /// `rec`: the packer's candidate PMs and rejections
+    /// ([`Counter::PackProbes`], [`Counter::PackRejectedProbes`], one per
+    /// (class run, candidate PM), booked on failure too), then on success
+    /// every VM under [`Counter::BatchPlacedVms`] and the
+    /// [`Gauge::PmsUsedAtPack`] gauge. Nothing is recorded inside the
+    /// run-placement loop. With [`bursty_obs::NoopRecorder`] this is
+    /// exactly `place`.
     ///
     /// # Errors
     /// [`PackError`] if some VM fits nowhere.
@@ -185,7 +177,17 @@ impl Consolidator {
         pms: &[PmSpec],
         rec: &mut R,
     ) -> Result<Placement, PackError> {
-        first_fit_auto_recorded(vms, pms, self.strategy().as_ref(), rec)
+        let mut state = PlacementState::new();
+        let packed = first_fit_batch_with(&mut state, vms, pms, self.strategy().as_ref());
+        let pack = state.last_pack();
+        rec.counter_add(Counter::PackProbes, pack.probes);
+        rec.counter_add(Counter::PackRejectedProbes, pack.rejected_probes);
+        let placement = packed?;
+        rec.counter_add(Counter::BatchPlacedVms, vms.len() as u64);
+        if R::ENABLED {
+            rec.gauge_set(Gauge::PmsUsedAtPack, placement.pms_used() as f64);
+        }
+        Ok(placement)
     }
 
     /// Simulates a placed cluster under this scheme's runtime policy.
@@ -351,17 +353,16 @@ mod tests {
     fn batch_modes_agree_on_placements() {
         use bursty_placement::{first_fit, first_fit_batch};
         let mut g = FleetGenerator::new(9);
-        // Duplicate-heavy Table-I fleet: `place` must pick the batch path.
+        // Duplicate-heavy Table-I fleet: the collapsed route.
         let vms = g.vms_table_i(300, WorkloadPattern::EqualSpike);
         // Duplicate-heavy too, but past the packer's tracked-class table
-        // (120 classes, five copies each): the batch path again, by the
-        // hashed census and the strategy's own sort.
+        // (120 classes, five copies each): the ordered route, by the
+        // strategy's own sort.
         let many = fleet_of_classes(600, 120);
         let pms = g.pms(250);
         for vms in [&vms, &many] {
             for scheme in [Scheme::Queue, Scheme::Rp, Scheme::Rb, Scheme::RbEx(0.3)] {
                 let c = Consolidator::new(scheme);
-                assert!(c.uses_batch(vms), "{}: fleet collapses", c.scheme.label());
                 let placed = c.place(vms, &pms).unwrap();
                 let strategy = c.strategy();
                 let per_vm = first_fit(vms, &pms, strategy.as_ref()).unwrap();
@@ -372,13 +373,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn auto_mode_prefers_per_vm_on_distinct_fleets() {
-        let (vms, _) = fleet(100, 4);
-        let c = Consolidator::new(Scheme::Queue);
-        assert!(!c.uses_batch(&vms), "uniform draws are all-distinct");
-    }
-
     /// `n` VMs over `k` classes, class by class round-robin.
     fn fleet_of_classes(n: usize, k: usize) -> Vec<VmSpec> {
         (0..n)
@@ -386,38 +380,38 @@ mod tests {
             .collect()
     }
 
-    /// Which packer `place` ran on this fleet, read off its recorder: the
-    /// batch packer books every VM under `BatchPlacedVms`, the per-VM
-    /// packer under `PackPlacedVms`. Also checks `place` against
-    /// `first_fit`, whichever it ran.
-    fn place_took_batch(c: &Consolidator, vms: &[VmSpec]) -> bool {
-        use bursty_obs::{Counter, MemoryRecorder};
-        let pms: Vec<PmSpec> = (0..vms.len().max(1))
-            .map(|j| PmSpec::new(j, 100.0))
-            .collect();
+    /// `place_recorded` on `vms` over a farm of `pms`, held to the per-VM
+    /// `first_fit`: the same result, every VM booked under
+    /// `BatchPlacedVms` and none under the per-VM counter, and the
+    /// candidate counts balanced — every candidate either admitted a fill
+    /// or was rejected, and each used PM took at least one fill.
+    fn assert_place_matches_first_fit(c: &Consolidator, vms: &[VmSpec], pms: &[PmSpec]) {
+        use bursty_obs::MemoryRecorder;
         let mut rec = MemoryRecorder::new(0);
-        let placed = c.place_recorded(vms, &pms, &mut rec).unwrap();
+        let placed = c.place_recorded(vms, pms, &mut rec).unwrap();
         let strategy = c.strategy();
-        let reference = bursty_placement::first_fit(vms, &pms, strategy.as_ref()).unwrap();
-        assert_eq!(placed, reference);
-        let n = vms.len() as u64;
-        let (batch, per_vm) = (
+        let reference = bursty_placement::first_fit(vms, pms, strategy.as_ref()).unwrap();
+        let label = format!("{} n={}", c.scheme.label(), vms.len());
+        assert_eq!(placed, reference, "{label}");
+        assert_eq!(
             rec.counter(Counter::BatchPlacedVms),
-            rec.counter(Counter::PackPlacedVms),
+            vms.len() as u64,
+            "{label}"
         );
+        assert_eq!(rec.counter(Counter::PackPlacedVms), 0, "{label}");
+        let fills = rec.counter(Counter::PackProbes) - rec.counter(Counter::PackRejectedProbes);
         assert!(
-            (batch, per_vm) == (n, 0) || (batch, per_vm) == (0, n),
-            "one packer places the whole fleet: batch {batch}, per-VM {per_vm} of {n}"
+            placed.pms_used() as u64 <= fills && fills <= vms.len() as u64,
+            "{label}: {fills} fills"
         );
-        batch == n
     }
 
     #[test]
-    fn place_path_follows_uses_batch_at_every_census_boundary() {
-        // (n, k): the rule's own boundary (2k == n batches, 2k == n + 1
-        // does not) below, at, and past the 96-class table the packer's
-        // census tracks — where `place` stops reading the rule off the
-        // class table and counts by hashing, as `uses_batch` does.
+    fn place_matches_first_fit_at_every_class_count() {
+        // (n, k) on both sides of 2k = n, below, at and past the
+        // 96-class table the collapsed route tracks, the empty fleet, and
+        // a 4 000-VM all-distinct fleet (uniform draws, one run per VM on
+        // the ordered route).
         let cases = [
             (6, 3),
             (5, 3),
@@ -432,31 +426,17 @@ mod tests {
             (400, 200),
             (399, 200),
         ];
+        let (distinct, distinct_pms) = fleet(4000, 4);
         for scheme in [Scheme::Queue, Scheme::Rp, Scheme::Rb, Scheme::RbEx(0.3)] {
             let c = Consolidator::new(scheme);
             for (n, k) in cases {
                 let vms = fleet_of_classes(n, k);
-                assert_eq!(c.uses_batch(&vms), 2 * k <= n, "n={n} k={k}");
-                assert_eq!(
-                    place_took_batch(&c, &vms),
-                    c.uses_batch(&vms),
-                    "{}: place and uses_batch disagree at n={n} k={k}",
-                    scheme.label()
-                );
+                let pms: Vec<PmSpec> = (0..n).map(|j| PmSpec::new(j, 100.0)).collect();
+                assert_place_matches_first_fit(&c, &vms, &pms);
             }
+            assert_place_matches_first_fit(&c, &[], &[PmSpec::new(0, 100.0)]);
+            assert_place_matches_first_fit(&c, &distinct, &distinct_pms);
         }
-    }
-
-    #[test]
-    fn place_path_on_an_empty_fleet_is_the_batch_packers() {
-        // Zero VMs are zero classes, `2·0 ≤ 0`: the batch path by the
-        // rule. Neither packer has anything to book, so all there is to
-        // see is that the answer stands and the placement is empty.
-        let c = Consolidator::new(Scheme::Queue);
-        assert!(c.uses_batch(&[]));
-        assert!(place_took_batch(&c, &[]));
-        let pms = [PmSpec::new(0, 100.0)];
-        assert_eq!(c.place(&[], &pms).unwrap().pms_used(), 0);
     }
 
     #[test]

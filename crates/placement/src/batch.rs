@@ -23,21 +23,23 @@
 //! One class pass, then work per fill. The class pass ([`collapse_classes`],
 //! on [`bursty_workload::intern_classes`]) scans a small key table per VM
 //! — without an early exit, so a randomly ordered three-class fleet does
-//! not mispredict — and is the only time the fleet
-//! is read for its classes: [`first_fit_auto_recorded`], behind
-//! `Consolidator::place`, reads the batch-or-per-VM rule (`2·k ≤ n`) off
-//! the table it then packs from. Each fill of [`place_run`] (the one First
-//! Fit over class runs, which `OnlineCluster`'s batch arrival runs too)
-//! finds its PM with [`HeadroomIndex::first_admitting`], which reads a
-//! bounded window of the flat headroom array before it climbs the lazily
-//! built tree (never built for the 1M-VM Table-I fleet on 250k PMs:
-//! 419 091 fills, no gap over 32 PMs), and its copy count from a
-//! [`RunMemo`]: a run meets few distinct PM loads, folds its VM onto each
-//! once, and gallops over that chain against the PM's
-//! [`Strategy::budget`] — no Eq. 17 evaluation per fill, except for a
-//! fill that wants one copy, which is one admission check.
-//! [`PlacementState::last_pack`] reports the split, and
-//! `BENCH_packing.json` holds it for the measured fleets.
+//! not mispredict — and is the only time the fleet is read for its
+//! classes. No census picks a packer: `Consolidator::place` packs every
+//! fleet here, one of at most [`MAX_TRACKED_CLASSES`] classes without a
+//! cross-class key tie on the collapsed route, any other on the ordered
+//! route (the per-VM FFD order in class runs; one run per VM when all are
+//! distinct, within a few percent of the per-VM packer). Each fill of
+//! [`place_run`] (the one production First Fit: `OnlineCluster`'s single
+//! and batch arrivals run it too) finds its PM with
+//! [`HeadroomIndex::first_admitting`], which reads a bounded window of the
+//! flat headroom array before it climbs the lazily built tree (never built
+//! for the 1M-VM Table-I fleet on 250k PMs: 419 091 fills, no gap over 32
+//! PMs), and its copy count from a [`RunMemo`]: a run meets few distinct
+//! PM loads, folds its VM onto each once, and gallops over that chain
+//! against the PM's [`Strategy::budget`] — no Eq. 17 evaluation per fill,
+//! except for a fill that wants one copy, which is one admission check.
+//! [`PlacementState::last_pack`] reports the split and the candidate
+//! counts, and `BENCH_packing.json` holds it for the measured fleets.
 //!
 //! # Why the results are byte-identical to `first_fit`
 //!
@@ -70,13 +72,10 @@
 
 use crate::index::HeadroomIndex;
 use crate::load::PmLoad;
-use crate::pack::{first_fit_recorded, PackError, PRUNE_SLACK};
+use crate::pack::{PackError, PRUNE_SLACK};
 use crate::placement::Placement;
 use crate::strategy::{ffd_cmp, ffd_order, Strategy};
-use bursty_obs::{Counter, Gauge, NoopRecorder, Recorder};
-use bursty_workload::{
-    class_runs, distinct_classes, intern_classes, ClassRun, PmSpec, VmClass, VmSpec,
-};
+use bursty_workload::{class_runs, intern_classes, ClassRun, PmSpec, VmClass, VmSpec};
 use std::time::Instant;
 
 /// Reusable arena for batch packing: per-PM loads, the headroom index, the
@@ -119,6 +118,13 @@ pub struct PackProfile {
     /// Candidate searches that had to climb the headroom tree: the whole
     /// look-ahead window rejected and the farm went on past it.
     pub tree_probes: u64,
+    /// Candidate PMs the run placer tried, one per (run, candidate PM):
+    /// what `Consolidator::place_recorded` books as
+    /// [`bursty_obs::Counter::PackProbes`].
+    pub probes: u64,
+    /// Candidates that admitted no copy
+    /// ([`bursty_obs::Counter::PackRejectedProbes`]).
+    pub rejected_probes: u64,
 }
 
 impl PlacementState {
@@ -173,6 +179,11 @@ impl RunPool for PlacementState {
     fn commit(&mut self, j: usize, load: PmLoad, copies: usize) {
         self.loads[j] = load;
         self.fills.push((j as u32, copies as u32));
+    }
+
+    fn probed(&mut self, candidates: u64, rejected: u64) {
+        self.profile.probes += candidates;
+        self.profile.rejected_probes += rejected;
     }
 }
 
@@ -357,8 +368,9 @@ impl RunMemo {
 
 /// The PMs a class run is placed on, as [`place_run`] sees them: the
 /// headroom index it searches and sets, the memo it counts copies with,
-/// each PM's load, and where a fill goes. The offline arena
-/// ([`PlacementState`]) and `OnlineCluster` implement it.
+/// each PM's load, where a fill goes, and where a candidate is counted.
+/// The offline arena ([`PlacementState`]) and `OnlineCluster` implement
+/// it.
 pub(crate) trait RunPool {
     /// The headroom index over the pool, searched and set lazily.
     fn index(&mut self) -> &mut HeadroomIndex;
@@ -370,13 +382,17 @@ pub(crate) trait RunPool {
     /// now `load`. The pool keeps the `(PM, copies)` fills of the run in
     /// PM order for its caller.
     fn commit(&mut self, j: usize, load: PmLoad, copies: usize);
+    /// Books a run's candidate PMs, `rejected` of which admitted no
+    /// copy: the arena tallies them in its [`PackProfile`], the online
+    /// engine books them into its caller's recorder.
+    fn probed(&mut self, candidates: u64, rejected: u64);
 }
 
-/// First Fit for one class run, and the one place that algorithm lives:
-/// both offline routes and `OnlineCluster`'s batch arrival call it.
-/// Places up to `want` copies of `vm` on `pool`, committing each fill to
-/// it, and returns the copies placed — fewer than `want` means no PM
-/// admits the next one.
+/// First Fit for one class run, and the one place that algorithm lives
+/// in production: both offline routes, `OnlineCluster`'s batch arrival
+/// and its single arrival (a one-VM run) call it. Places up to `want`
+/// copies of `vm` on `pool`, committing each fill to it, and returns the
+/// copies placed — fewer than `want` means no PM admits the next one.
 ///
 /// Each fill goes to the lowest PM at or after the cursor that admits a
 /// copy ([`HeadroomIndex::first_admitting`] under the `demand −
@@ -385,41 +401,41 @@ pub(crate) trait RunPool {
 /// every PM behind it rejected this class under a load that does not
 /// change while the run is placed (loads only grow, and a filled PM was
 /// filled to its maximum), so a per-VM First Fit could place no later
-/// copy there either. Each candidate PM counts one
-/// [`Counter::PackProbes`], each that admits nothing one
-/// [`Counter::PackRejectedProbes`].
+/// copy there either. The run's candidate PMs and rejections are booked
+/// once, at its end, through [`RunPool::probed`].
 #[inline]
-pub(crate) fn place_run<P: RunPool, S: Strategy + ?Sized, R: Recorder>(
+pub(crate) fn place_run<P: RunPool, S: Strategy + ?Sized>(
     pool: &mut P,
     pms: &[PmSpec],
     strategy: &S,
     vm: &VmSpec,
     want: usize,
-    rec: &mut R,
 ) -> usize {
     let threshold = strategy.demand(vm) - PRUNE_SLACK;
     pool.memo().clear();
     let (mut placed, mut hint, mut from) = (0, 0, 0);
+    let (mut candidates, mut rejected) = (0, 0);
     while placed < want {
         let Some(j) = pool.index().first_admitting(from, threshold) else {
             break;
         };
-        rec.counter_inc(Counter::PackProbes);
         let (seed, cap) = (pool.load(j), pms[j].capacity);
         let budget = strategy.budget(cap);
         let (load, c) = pool
             .memo()
             .fold(seed, vm, budget, want - placed, hint, strategy);
+        candidates += 1;
         if c > 0 {
             pool.commit(j, load, c);
             pool.index().set(j, strategy.headroom(&load, cap));
             placed += c;
             hint = c;
         } else {
-            rec.counter_inc(Counter::PackRejectedProbes);
+            rejected += 1;
         }
         from = j + 1;
     }
+    pool.probed(candidates, rejected);
     placed
 }
 
@@ -541,7 +557,15 @@ pub fn first_fit_batch<S: Strategy + ?Sized>(
 }
 
 /// [`first_fit_batch`] against a caller-held [`PlacementState`] arena —
-/// repeated packs over same-sized farms reuse every allocation.
+/// repeated packs over same-sized farms reuse every allocation. The
+/// arena's [`PlacementState::last_pack`] then holds the pack's phase
+/// times and candidate counts, which `Consolidator::place_recorded` books
+/// into its recorder.
+///
+/// Whole classes are placed as single runs when the fleet collapses (at
+/// most [`MAX_TRACKED_CLASSES`] classes) and the strategy's keys order
+/// them without cross-class ties; otherwise the per-VM FFD order is
+/// placed in its class runs.
 ///
 /// # Errors
 /// [`PackError`] naming the first unplaceable VM.
@@ -551,60 +575,19 @@ pub fn first_fit_batch_with<S: Strategy + ?Sized>(
     pms: &[PmSpec],
     strategy: &S,
 ) -> Result<Placement, PackError> {
-    let table = timed_collapse(state, vms);
-    pack_collapsed_or_ordered(state, vms, pms, strategy, table)
-}
-
-/// Whether a fleet of `n` VMs in `classes` distinct classes goes to the
-/// class-collapsed batch packer: when it collapses at least twofold,
-/// `2·k ≤ n`. The one rule [`first_fit_auto_recorded`] packs by and
-/// `Consolidator::uses_batch` reports.
-pub fn batch_pays(classes: usize, n: usize) -> bool {
-    2 * classes <= n
-}
-
-/// First Fit through the packer the fleet's class census names: the
-/// class-collapsed batch packer when the fleet collapses at least twofold
-/// ([`batch_pays`]), the per-VM packer ([`first_fit_recorded`])
-/// otherwise. Both produce byte-identical placements, so the choice is
-/// only about speed.
-///
-/// The census *is* the batch packer's own class pass: the fleet is
-/// collapsed once, the decision is read off that [`ClassTable`], and the
-/// same table is handed on to the packer — a class-heavy fleet is read
-/// once and never hashed. Only a fleet that overflows the tracked table
-/// (more than [`MAX_TRACKED_CLASSES`] classes, where collapsing cannot
-/// help) pays the hashed count, [`distinct_classes`], to settle the
-/// rule.
-///
-/// On the batch path only aggregate facts are recorded, *after* the pack:
-/// [`Counter::BatchPlacedVms`] (every VM, on success) and the
-/// [`Gauge::PmsUsedAtPack`] gauge — nothing inside the run-placement hot
-/// loop.
-///
-/// # Errors
-/// [`PackError`] naming the first unplaceable VM.
-pub fn first_fit_auto_recorded<R: Recorder>(
-    vms: &[VmSpec],
-    pms: &[PmSpec],
-    strategy: &dyn Strategy,
-    rec: &mut R,
-) -> Result<Placement, PackError> {
-    let mut state = PlacementState::new();
-    let table = timed_collapse(&mut state, vms);
-    let classes = match &table {
-        Some(table) => table.reps.len(),
-        None => distinct_classes(vms),
+    let mut clock = Instant::now();
+    let table = collapse_classes(vms);
+    state.profile = PackProfile {
+        collapse_s: lap(&mut clock),
+        ..PackProfile::default()
     };
-    if !batch_pays(classes, vms.len()) {
-        return first_fit_recorded(vms, pms, strategy, rec);
+    if let Some((table, schedule)) = collapsed_schedule(vms, strategy, table) {
+        return batch_collapsed(state, vms, pms, strategy, &table, &schedule);
     }
-    let placement = pack_collapsed_or_ordered(&mut state, vms, pms, strategy, table)?;
-    rec.counter_add(Counter::BatchPlacedVms, vms.len() as u64);
-    if R::ENABLED {
-        rec.gauge_set(Gauge::PmsUsedAtPack, placement.pms_used() as f64);
-    }
-    Ok(placement)
+    let mut clock = Instant::now();
+    let (order, runs) = strategy_runs(vms, strategy);
+    state.profile.collapse_s += lap(&mut clock);
+    batch_ordered(state, vms, pms, strategy, &order, &runs)
 }
 
 /// Seconds since `*since`, which moves to now: one stopwatch lap of a
@@ -614,18 +597,6 @@ fn lap(since: &mut Instant) -> f64 {
     let secs = now.duration_since(*since).as_secs_f64();
     *since = now;
     secs
-}
-
-/// The class pass that opens a pack: restarts the arena's profile with
-/// its time.
-fn timed_collapse(state: &mut PlacementState, vms: &[VmSpec]) -> Option<ClassTable> {
-    let mut clock = Instant::now();
-    let table = collapse_classes(vms);
-    state.profile = PackProfile {
-        collapse_s: lap(&mut clock),
-        ..PackProfile::default()
-    };
-    table
 }
 
 /// The collapsed route's class table and schedule, given the class pass
@@ -689,25 +660,6 @@ pub(crate) fn batch_runs<S: Strategy + ?Sized>(
     (order, runs)
 }
 
-/// Packs `vms` given their class pass (`None`: too many classes to track):
-/// whole classes as single runs when the strategy's keys order classes
-/// without cross-class ties, the per-VM FFD order otherwise.
-fn pack_collapsed_or_ordered<S: Strategy + ?Sized>(
-    state: &mut PlacementState,
-    vms: &[VmSpec],
-    pms: &[PmSpec],
-    strategy: &S,
-    table: Option<ClassTable>,
-) -> Result<Placement, PackError> {
-    if let Some((table, schedule)) = collapsed_schedule(vms, strategy, table) {
-        return batch_collapsed(state, vms, pms, strategy, &table, &schedule);
-    }
-    let mut clock = Instant::now();
-    let (order, runs) = strategy_runs(vms, strategy);
-    state.profile.collapse_s += lap(&mut clock);
-    batch_ordered(state, vms, pms, strategy, &order, &runs)
-}
-
 /// The fast path: whole classes placed as single runs, per-VM assignments
 /// scattered from the recorded `(PM, copies)` fill segments afterwards.
 /// No per-VM order ever exists.
@@ -728,7 +680,7 @@ fn batch_collapsed<S: Strategy + ?Sized>(
         let c = cid as usize;
         let (vm, want) = (&table.reps[c], table.counts[c] as usize);
         next_fill[c] = state.fills.len() as u32;
-        let placed = place_run(state, pms, strategy, vm, want, &mut NoopRecorder);
+        let placed = place_run(state, pms, strategy, vm, want);
         if placed < want {
             return Err(PackError {
                 vm_id: nth_member_id(vms, &table.kid, cid, placed),
@@ -784,7 +736,7 @@ fn batch_ordered<S: Strategy + ?Sized>(
         let members = &order[run.start..run.start + run.len];
         state.fills.clear();
         let vm = &vms[members[0]];
-        let placed = place_run(state, pms, strategy, vm, run.len, &mut NoopRecorder);
+        let placed = place_run(state, pms, strategy, vm, run.len);
         fill_hosts(&state.fills, members, |i, j| {
             placement.assignment[i] = Some(j)
         });

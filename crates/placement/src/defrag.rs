@@ -15,9 +15,8 @@
 
 use crate::index::HeadroomIndex;
 use crate::load::PmLoad;
-use crate::pack::probe_first_fit_recorded;
+use crate::pack::probe_first_fit;
 use crate::strategy::Strategy;
-use bursty_obs::NoopRecorder;
 use bursty_workload::{PmSpec, VmSpec};
 
 /// One planned move.
@@ -155,14 +154,7 @@ pub fn plan_defrag(
         let mut ok = true;
         for &i in &members {
             let vm = &vms[i];
-            let slot = probe_first_fit_recorded(
-                &index,
-                &tentative_loads,
-                pms,
-                strategy,
-                vm,
-                &mut NoopRecorder,
-            );
+            let slot = probe_first_fit(&index, &tentative_loads, pms, strategy, vm);
             match slot {
                 Some(j) => {
                     touched.push((j, index.value(j)));

@@ -21,10 +21,11 @@
 //! * **Eager** — [`HeadroomIndex::update`] writes a leaf and repairs its
 //!   path to the root, so [`HeadroomIndex::first_at_least`] works on
 //!   `&self`. The per-VM packers, evacuation, defragmentation, the
-//!   simulator and the online engine's single arrive/depart change one PM
-//!   per search and use this pair.
+//!   simulator and the online engine's departures change one PM per
+//!   search and use this pair.
 //! * **Lazy** — a pass that changes many PMs between searches (the batch
-//!   packer's runs, the online engine's batch arrival and recalibration)
+//!   packer's runs, the online engine's arrivals, single ones included:
+//!   each is a run of the same placer)
 //!   calls [`HeadroomIndex::set`], which writes the leaf and only *marks*
 //!   it, and searches with [`HeadroomIndex::first_admitting`], which looks
 //!   before it climbs: it reads the next [`LOOKAHEAD`] leaves and pays for

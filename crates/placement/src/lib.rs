@@ -14,9 +14,11 @@
 //!   [`QueueStrategy`] (Eq. 17), and the baselines [`PeakStrategy`] (FFD by
 //!   `R_p`), [`BaseStrategy`] (FFD by `R_b`) and [`ReserveStrategy`]
 //!   (RB-EX: FFD by `R_b` with a δ-fraction reserve).
-//! * [`pack::first_fit`] — the shared First-Fit driver; with a strategy's
-//!   decreasing order it becomes the paper's FFD family. It finds each
-//!   slot through an [`index::HeadroomIndex`] segment tree in `O(log m)`.
+//! * [`first_fit_batch`] — First Fit over class runs, the one production
+//!   placer (offline packs and every online arrival); with a strategy's
+//!   decreasing order it is the paper's FFD family. [`pack::first_fit`]
+//!   is the per-VM reference it is held to, each slot found through an
+//!   [`index::HeadroomIndex`] segment tree in `O(log m)`.
 //! * [`certify::certify_exact`] — the exact stationary CVR of every PM of
 //!   a placement (a convolution of the independent ON-OFF laws): the
 //!   oracle the table above and both simulator layouts are checked
@@ -47,16 +49,13 @@ pub mod rounding;
 pub mod sbp;
 mod strategy;
 
-pub use batch::{
-    batch_pays, first_fit_auto_recorded, first_fit_batch, first_fit_batch_with, PackProfile,
-    PlacementState,
-};
+pub use batch::{first_fit_batch, first_fit_batch_with, PackProfile, PlacementState};
 pub use certify::{certify_exact, pm_cvr_exact, CAP_EPS};
 pub use evacuate::{evacuate_batch_recorded, EvacuationOutcome};
 pub use index::HeadroomIndex;
 pub use load::PmLoad;
 pub use mapcal::{mapping_cache_stats, MappingCacheStats, MappingTable};
 pub use online::{OnlineCluster, ReferenceOnlineCluster, StateDigest};
-pub use pack::{first_fit, first_fit_recorded, PackError};
+pub use pack::{first_fit, PackError};
 pub use placement::Placement;
 pub use strategy::{BaseStrategy, PeakStrategy, QueueStrategy, ReserveStrategy, Strategy};

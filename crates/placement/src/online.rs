@@ -42,11 +42,11 @@ use crate::batch::{batch_runs, fill_hosts, place_run, RunMemo, RunPool};
 use crate::clustering::{cluster_order, default_buckets};
 use crate::index::HeadroomIndex;
 use crate::load::{stationary_on, PmLoad};
-use crate::pack::{probe_first_fit_recorded, PackError};
+use crate::pack::{probe_first_fit, PackError};
 use crate::strategy::{QueueStrategy, Strategy};
 use bursty_obs::durable::{put_f64, put_u32, put_usize, Cursor, FrameError};
 use bursty_obs::{Counter, NoopRecorder, Recorder};
-use bursty_workload::{ClassRun, PmSpec, VmClass, VmSpec};
+use bursty_workload::{PmSpec, VmClass, VmSpec};
 use std::collections::{hash_map::Entry, HashMap, HashSet};
 
 /// Order-independent FNV-1a style fold over an engine's observable end
@@ -236,14 +236,7 @@ impl ReferenceOnlineCluster {
 
     /// First Fit for one VM under the per-PM rule, committed on success.
     fn place(&mut self, vm: VmSpec) -> Result<usize, PackError> {
-        let slot = probe_first_fit_recorded(
-            &self.index,
-            &self.loads,
-            &self.pms,
-            &self.strategy,
-            &vm,
-            &mut NoopRecorder,
-        );
+        let slot = probe_first_fit(&self.index, &self.loads, &self.pms, &self.strategy, &vm);
         let j = slot.ok_or(PackError { vm_id: vm.id })?;
         self.loads[j].add(&vm);
         self.refresh_pm(j);
@@ -592,15 +585,16 @@ impl VmTable {
 /// The cluster's loads and headroom index as the run placer's pool,
 /// borrowed apart from its PM specs and strategy, which the placer takes
 /// beside them, with the run's fills collected for the commit that
-/// follows.
-struct LivePool<'a> {
+/// follows and its candidates booked into the caller's recorder.
+struct LivePool<'a, R> {
     loads: &'a mut [PmLoad],
     index: &'a mut HeadroomIndex,
     memo: &'a mut RunMemo,
     fills: &'a mut Vec<(u32, u32)>,
+    rec: &'a mut R,
 }
 
-impl RunPool for LivePool<'_> {
+impl<R: Recorder> RunPool for LivePool<'_, R> {
     fn index(&mut self) -> &mut HeadroomIndex {
         self.index
     }
@@ -616,6 +610,11 @@ impl RunPool for LivePool<'_> {
     fn commit(&mut self, j: usize, load: PmLoad, copies: usize) {
         self.loads[j] = load;
         self.fills.push((j as u32, copies as u32));
+    }
+
+    fn probed(&mut self, candidates: u64, rejected: u64) {
+        self.rec.counter_add(Counter::PackProbes, candidates);
+        self.rec.counter_add(Counter::PackRejectedProbes, rejected);
     }
 }
 
@@ -669,8 +668,10 @@ pub struct OnlineCluster {
     occupied_pos: Vec<usize>,
     /// Reusable cell buffer for departure rebuilds.
     scratch: Vec<ClassCell>,
-    /// The batch placer's fold memo, boxed: its chains are inline.
-    memo: Box<RunMemo>,
+    /// The run placer's fold memo and the `(PM, copies)` fills of the run
+    /// being placed, reused by every arrival; boxed, since the memo's
+    /// chains are inline.
+    run: Box<(RunMemo, Vec<(u32, u32)>)>,
 }
 
 impl OnlineCluster {
@@ -714,7 +715,7 @@ impl OnlineCluster {
             occupied: Vec::new(),
             occupied_pos,
             scratch: Vec::new(),
-            memo: Box::default(),
+            run: Box::default(),
         }
     }
 
@@ -820,6 +821,12 @@ impl OnlineCluster {
     /// [`arrive`](Self::arrive) with instrumentation: probe counts plus
     /// one [`Counter::OnlineArrivals`] on success.
     ///
+    /// The arrival is a one-VM run: the run placer ([`place_run`]) finds
+    /// its PM, the batch arrival's per-run commit records it, and the
+    /// index is flushed before returning. The run's buffers are the
+    /// engine's own, so the only allocations are the registry's for a new
+    /// class and the id table's when it grows.
+    ///
     /// # Errors
     /// [`PackError`] if no PM admits the VM.
     ///
@@ -835,28 +842,10 @@ impl OnlineCluster {
             "VM id {} already in the cluster",
             vm.id
         );
-        let slot = probe_first_fit_recorded(
-            &self.index,
-            &self.loads,
-            &self.pms,
-            &self.strategy,
-            &vm,
-            rec,
-        );
-        let j = slot.ok_or(PackError { vm_id: vm.id })?;
-        self.occupy(j);
-        self.loads[j].add(&vm);
-        self.refresh_pm(j);
-        let cid = self.class_id_of(&vm);
-        self.cell_add(j, cid, 1);
-        self.class_pop[cid as usize] += 1;
-        let entry = VmEntry {
-            host: j as u32,
-            class: cid,
-        };
-        self.entries.insert(vm.id, entry);
-        rec.counter_inc(Counter::OnlineArrivals);
-        Ok(j)
+        let mut host = 0;
+        let placed = self.place_members(std::slice::from_ref(&vm), &[0], rec, |_, j| host = j);
+        self.index.flush();
+        placed.map(|()| host)
     }
 
     /// Removes a VM. Cost: one `O(d)` cell decrement, one canonical
@@ -956,7 +945,7 @@ impl OnlineCluster {
         &mut self,
         batch: Vec<VmSpec>,
         rec: &mut R,
-        each: impl FnMut(usize, usize),
+        mut each: impl FnMut(usize, usize),
     ) -> Result<(), PackError> {
         rec.counter_inc(Counter::OnlineBatches);
         if batch.is_empty() {
@@ -968,66 +957,66 @@ impl OnlineCluster {
         let max_id = batch.iter().map(|vm| vm.id).max().unwrap_or(0);
         self.entries.reserve(max_id, batch.len());
         let (order, runs) = batch_runs(&batch, &self.strategy);
-        let result = self.place_runs(&batch, &order, &runs, rec, each);
+        let result = runs.iter().try_for_each(|run| {
+            let members = &order[run.start..run.start + run.len];
+            self.place_members(&batch, members, rec, &mut each)
+        });
         self.index.flush();
         result
     }
 
-    /// Places the batch's class runs in turn and commits each run's placed
-    /// members — class, cells, population, entries, `each` — before the
-    /// next run, so a failure keeps everything placed ahead of it, as the
-    /// per-VM reference does; a class none of whose members was placed is
-    /// not registered, as in [`Self::arrive`]. Loads only grow during a
-    /// batch, so the run placer's cursor argument holds on a populated
-    /// cluster too.
-    fn place_runs<R: Recorder>(
+    /// Places one class run — `members` of `batch`, all of one class —
+    /// with the run placer and commits its placed members (class, cells,
+    /// population, entries, `each`) before returning, so a failure keeps
+    /// everything placed ahead of it, as the per-VM reference does; a
+    /// class none of whose members was placed is not registered. Loads
+    /// only grow while runs are placed, so the run placer's cursor
+    /// argument holds on a populated cluster too. The index is left
+    /// unflushed for the caller.
+    fn place_members<R: Recorder>(
         &mut self,
         batch: &[VmSpec],
-        order: &[usize],
-        runs: &[ClassRun],
+        members: &[usize],
         rec: &mut R,
         mut each: impl FnMut(usize, usize),
     ) -> Result<(), PackError> {
-        let mut fills = Vec::new();
-        for run in runs {
-            let members = &order[run.start..run.start + run.len];
-            let vm = batch[members[0]];
-            fills.clear();
-            let mut pool = LivePool {
-                loads: &mut self.loads,
-                index: &mut self.index,
-                memo: &mut self.memo,
-                fills: &mut fills,
-            };
-            let placed = place_run(&mut pool, &self.pms, &self.strategy, &vm, run.len, rec);
-            if placed > 0 {
-                let cid = self.class_id_of(&vm);
-                self.class_pop[cid as usize] += placed as u64;
-                for &(j, copies) in &fills {
-                    self.occupy(j as usize);
-                    self.cell_add(j as usize, cid, copies);
-                }
-                fill_hosts(&fills, members, |i, j| {
-                    let id = batch[i].id;
-                    let entry = VmEntry {
-                        host: j as u32,
-                        class: cid,
-                    };
-                    assert!(
-                        self.entries.insert(id, entry),
-                        "VM id {id} already in the cluster"
-                    );
-                    rec.counter_inc(Counter::OnlineArrivals);
-                    each(id, j);
-                });
+        let vm = batch[members[0]];
+        let mut fills = std::mem::take(&mut self.run.1);
+        fills.clear();
+        let mut pool = LivePool {
+            loads: &mut self.loads,
+            index: &mut self.index,
+            memo: &mut self.run.0,
+            fills: &mut fills,
+            rec: &mut *rec,
+        };
+        let placed = place_run(&mut pool, &self.pms, &self.strategy, &vm, members.len());
+        if placed > 0 {
+            let cid = self.class_id_of(&vm);
+            self.class_pop[cid as usize] += placed as u64;
+            for &(j, copies) in &fills {
+                self.occupy(j as usize);
+                self.cell_add(j as usize, cid, copies);
             }
-            if placed < run.len {
-                return Err(PackError {
-                    vm_id: batch[members[placed]].id,
-                });
-            }
+            fill_hosts(&fills, members, |i, j| {
+                let id = batch[i].id;
+                let entry = VmEntry {
+                    host: j as u32,
+                    class: cid,
+                };
+                assert!(
+                    self.entries.insert(id, entry),
+                    "VM id {id} already in the cluster"
+                );
+                rec.counter_inc(Counter::OnlineArrivals);
+                each(id, j);
+            });
         }
-        Ok(())
+        self.run.1 = fills;
+        match members.get(placed) {
+            Some(&i) => Err(PackError { vm_id: batch[i].id }),
+            None => Ok(()),
+        }
     }
 
     /// The `(p_on, p_off)` of the hottest live class — the largest `π`
@@ -1261,22 +1250,8 @@ impl OnlineCluster {
             let id = c.usize()?;
             let (p_on, p_off) = (c.f64()?, c.f64()?);
             let (r_b, r_e) = (c.f64()?, c.f64()?);
-            if !is_probability(p_on)
-                || !is_probability(p_off)
-                || r_b.is_nan()
-                || r_b <= 0.0
-                || r_e.is_nan()
-                || r_e < 0.0
-            {
-                return Err(bad(format!("class {cid}: invalid representative spec")));
-            }
-            let rep = VmSpec {
-                id,
-                p_on,
-                p_off,
-                r_b,
-                r_e,
-            };
+            let rep = VmSpec::try_new(id, p_on, p_off, r_b, r_e)
+                .map_err(|e| bad(format!("class {cid}: {e}")))?;
             let key = VmClass::of(&rep).key();
             if class_lookup.insert(key, cid as u32).is_some() {
                 return Err(bad(format!("class {cid}: duplicate class key")));
@@ -1307,6 +1282,11 @@ impl OnlineCluster {
             let (max_re, sum_rb, sum_rp) = (c.f64()?, c.f64()?, c.f64()?);
             if count == 0 {
                 return Err(bad(format!("occupied PM {j} has an empty load")));
+            }
+            if ![max_re, sum_rb, sum_rp].iter().all(|x| x.is_finite()) {
+                return Err(bad(format!(
+                    "PM {j}: non-finite load ({max_re}, {sum_rb}, {sum_rp})"
+                )));
             }
             let n_cells = c.seq_len(8)?;
             let mut pm_cells = Vec::with_capacity(n_cells);
@@ -1381,7 +1361,7 @@ impl OnlineCluster {
             occupied,
             occupied_pos,
             scratch: Vec::new(),
-            memo: Box::default(),
+            run: Box::default(),
         })
     }
 }
@@ -1771,13 +1751,69 @@ mod tests {
         c.arrive_batch(batch).unwrap();
         assert_eq!(c.index.probes(), 3, "one climb per class run");
         c.check_consistency().unwrap();
-        // A hot arrival builds its table and touches one leaf; a
-        // recalibration touches none.
+        // A single arrival is a one-VM run and opens at the tree the same
+        // way: PM 0 is full, so its search climbs once. A recalibration
+        // touches nothing.
         c.arrive(VmSpec::new(2_000_000, 0.2, 0.3, 5.0, 5.0))
             .unwrap();
+        assert_eq!(c.index.probes(), 4, "one climb for the arrival's run");
         c.recalibrate().unwrap();
-        assert_eq!(c.index.probes(), 3);
+        assert_eq!(c.index.probes(), 4);
         c.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn a_single_arrival_rejected_at_its_first_candidate_climbs_past_the_window() {
+        // PM 0 hosts one cool VM and has the base room a hot newcomer asks
+        // for, but not the hot chain's spike blocks: it passes the headroom
+        // filter and fails Eq. 17. PMs 1..=70 are full, so the next PM that
+        // admits sits past the look-ahead window and the one-VM run climbs
+        // the tree to find it. Both engines must land it there, with the
+        // same loads and headroom leaves.
+        use crate::index::LOOKAHEAD;
+        let full = 70;
+        assert!(full > LOOKAHEAD);
+        let caps = vec![60.0; full + 10];
+        let mut a = cluster(&caps);
+        let mut b = ref_cluster(&caps);
+        let mut arrivals = vec![vm(0, 20.0, 1.0)];
+        arrivals.extend((1..=full).map(|i| vm(i, 55.0, 1.0)));
+        for (j, &v) in arrivals.iter().enumerate() {
+            assert_eq!(a.arrive(v), Ok(j));
+            assert_eq!(b.arrive(v), Ok(j));
+        }
+        let hot = VmSpec::new(1_000, 0.5, 0.5, 10.0, 20.0);
+        assert!(a.index.value(0) >= hot.r_b, "PM 0 passes the filter");
+        let mut rec = MemoryRecorder::new(0);
+        let climbs = a.index.probes();
+        assert_eq!(a.arrive_recorded(hot, &mut rec), Ok(full + 1));
+        assert_eq!(b.arrive(hot), Ok(full + 1));
+        assert_eq!(rec.counter(Counter::PackRejectedProbes), 1, "PM 0 rejects");
+        assert_eq!(rec.counter(Counter::PackProbes), 2);
+        assert_eq!(a.index.probes(), climbs + 1, "one climb past the window");
+        for v in arrivals.iter().chain([&hot]) {
+            assert_eq!(a.host_of(v.id), b.host_of(v.id), "VM {}", v.id);
+        }
+        for j in 0..caps.len() {
+            let (la, lb) = (a.load(j), b.load(j));
+            assert_eq!(
+                (la.count, la.max_re.to_bits(), la.sum_rb.to_bits()),
+                (lb.count, lb.max_re.to_bits(), lb.sum_rb.to_bits()),
+                "PM {j} load"
+            );
+            assert_eq!(
+                (la.sum_rp.to_bits(), la.max_pi.to_bits()),
+                (lb.sum_rp.to_bits(), lb.max_pi.to_bits()),
+                "PM {j} load"
+            );
+            assert_eq!(
+                a.index.value(j).to_bits(),
+                b.index.value(j).to_bits(),
+                "PM {j} headroom"
+            );
+        }
+        a.check_consistency().unwrap();
+        b.check_consistency().unwrap();
     }
 
     #[test]
@@ -1930,15 +1966,41 @@ mod tests {
 
     #[test]
     fn a_snapshot_with_a_non_finite_or_non_positive_capacity_is_refused() {
-        let bytes = cluster(&[50.0, 60.0]).to_snapshot_bytes();
+        let mut c = cluster(&[50.0, 60.0]);
+        c.arrive(vm(0, 10.0, 5.0)).unwrap();
+        let bytes = c.to_snapshot_bytes();
         // d, rho, the retired epsilon, the pair, the PM count, PM 0's id.
-        let at = 7 * 8;
-        assert_eq!(bytes[at..at + 8], 50.0f64.to_bits().to_le_bytes());
-        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, -1.0] {
-            let mut torn = bytes.clone();
-            torn[at..at + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
-            let err = OnlineCluster::from_snapshot_bytes(&torn).unwrap_err();
-            assert!(err.to_string().contains("PM 0: capacity"), "{bad}: {err}");
+        let capacity = 7 * 8;
+        // Then PM 0's capacity, PM 1, the class count, the representative's
+        // id, p_on and p_off.
+        let r_b = capacity + 8 + 16 + 8 + 3 * 8;
+        // Then r_e, the population, the occupied count, the PM and its
+        // count.
+        let max_re = r_b + 2 * 8 + 8 + 8 + 2 * 8;
+        let field = |at: usize| f64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let load = "PM 0: non-finite load";
+        let cases: [(usize, f64, &str, &[f64]); 6] = [
+            (
+                capacity,
+                50.0,
+                "PM 0: capacity",
+                &[inf, -inf, nan, 0.0, -1.0],
+            ),
+            (r_b, 10.0, "class 0: r_b", &[inf, nan]),
+            (r_b + 8, 5.0, "class 0: r_e", &[inf, nan]),
+            (max_re, 5.0, load, &[inf, -inf, nan]),
+            (max_re + 8, 10.0, load, &[inf, -inf, nan]),
+            (max_re + 16, 15.0, load, &[inf, -inf, nan]),
+        ];
+        for (at, value, refusal, bads) in cases {
+            assert_eq!(field(at), value, "layout of {refusal}");
+            for &bad in bads {
+                let mut torn = bytes.clone();
+                torn[at..at + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
+                let err = OnlineCluster::from_snapshot_bytes(&torn).unwrap_err();
+                assert!(err.to_string().contains(refusal), "{bad}: {err}");
+            }
         }
     }
 

@@ -10,7 +10,6 @@ use crate::index::HeadroomIndex;
 use crate::load::PmLoad;
 use crate::placement::Placement;
 use crate::strategy::{ffd_order, Strategy};
-use bursty_obs::{Counter, Gauge, NoopRecorder, Recorder};
 use bursty_workload::{PmSpec, VmSpec};
 use std::fmt;
 
@@ -47,26 +46,22 @@ fn empty_headrooms(pms: &[PmSpec], strategy: &dyn Strategy) -> Vec<f64> {
 /// The First-Fit probe over the index: lowest-numbered PM that admits
 /// `vm`, skipping (provably infeasible) PMs below the demand threshold and
 /// skipping ahead past candidates that reject on the full `admits` check.
-/// Every full `admits` check counts as a [`Counter::PackProbes`], every
-/// rejection as a [`Counter::PackRejectedProbes`] (probes minus
-/// rejections minus placements = 0 by construction); callers that count
-/// nothing pass [`NoopRecorder`].
-pub(crate) fn probe_first_fit_recorded<R: Recorder>(
+/// The per-VM loops that keep it — [`first_fit`] (the oracle the batch
+/// packer is held to), `ReferenceOnlineCluster` and `defrag` — count
+/// nothing; production placement is [`crate::batch::place_run`].
+pub(crate) fn probe_first_fit(
     index: &HeadroomIndex,
     loads: &[PmLoad],
     pms: &[PmSpec],
     strategy: &dyn Strategy,
     vm: &VmSpec,
-    rec: &mut R,
 ) -> Option<usize> {
     let threshold = strategy.demand(vm) - PRUNE_SLACK;
     let mut from = 0;
     while let Some(j) = index.first_at_least(from, threshold) {
-        rec.counter_inc(Counter::PackProbes);
         if strategy.admits(&loads[j], vm, pms[j].capacity) {
             return Some(j);
         }
-        rec.counter_inc(Counter::PackRejectedProbes);
         from = j + 1;
     }
     None
@@ -75,6 +70,11 @@ pub(crate) fn probe_first_fit_recorded<R: Recorder>(
 /// Places `vms` onto `pms` with First Fit in the order chosen by
 /// `strategy` — with a decreasing order this is the paper's FFD family
 /// (QueuingFFD, RP, RB, RB-EX are all instances).
+///
+/// This is the per-VM reference: one probe and one index update per VM.
+/// Production packs go through the class-run placer
+/// ([`crate::first_fit_batch`], behind `Consolidator::place`), which is
+/// held to this function's result on every input.
 ///
 /// Cost: `O(n log n)` for the ordering plus `O((n + r) log m)` for
 /// placement, where `r` counts index candidates rejected by the full
@@ -106,39 +106,16 @@ pub fn first_fit(
     pms: &[PmSpec],
     strategy: &dyn Strategy,
 ) -> Result<Placement, PackError> {
-    first_fit_recorded(vms, pms, strategy, &mut NoopRecorder)
-}
-
-/// [`first_fit`] with instrumentation: probe/rejection counts (see
-/// [`probe_first_fit_recorded`]), one [`Counter::PackPlacedVms`] per VM
-/// placed, and the [`Gauge::PmsUsedAtPack`] gauge on success. Results are
-/// identical to [`first_fit`] — the recorder is write-only.
-///
-/// # Errors
-/// [`PackError`] naming the first unplaceable VM.
-pub fn first_fit_recorded<R: Recorder>(
-    vms: &[VmSpec],
-    pms: &[PmSpec],
-    strategy: &dyn Strategy,
-    rec: &mut R,
-) -> Result<Placement, PackError> {
     let mut placement = Placement::empty(vms.len(), pms.len());
     let mut loads = vec![PmLoad::empty(); pms.len()];
     let mut index = HeadroomIndex::new(&empty_headrooms(pms, strategy));
     for &i in &ffd_order(strategy, vms) {
         let vm = &vms[i];
-        match probe_first_fit_recorded(&index, &loads, pms, strategy, vm, rec) {
-            Some(j) => {
-                loads[j].add(vm);
-                index.update(j, strategy.headroom(&loads[j], pms[j].capacity));
-                placement.assignment[i] = Some(j);
-                rec.counter_inc(Counter::PackPlacedVms);
-            }
-            None => return Err(PackError { vm_id: vm.id }),
-        }
-    }
-    if R::ENABLED {
-        rec.gauge_set(Gauge::PmsUsedAtPack, placement.pms_used() as f64);
+        let j =
+            probe_first_fit(&index, &loads, pms, strategy, vm).ok_or(PackError { vm_id: vm.id })?;
+        loads[j].add(vm);
+        index.update(j, strategy.headroom(&loads[j], pms[j].capacity));
+        placement.assignment[i] = Some(j);
     }
     Ok(placement)
 }
@@ -274,24 +251,44 @@ mod tests {
 
     #[test]
     fn recorded_packers_match_and_balance_their_probe_accounting() {
-        use bursty_obs::MemoryRecorder;
-        let vms: Vec<VmSpec> = (0..30)
-            .map(|i| vm(i, 3.0 + (i % 7) as f64 * 2.0, 1.0 + (i % 5) as f64))
-            .collect();
-        let farm = pms(&vec![40.0; 30]);
-        let q = QueueStrategy::build(16, 0.01, 0.09, 0.01);
-
-        let mut rec = MemoryRecorder::new(0);
-        let recorded = first_fit_recorded(&vms, &farm, &q, &mut rec).unwrap();
-        assert_eq!(recorded, first_fit(&vms, &farm, &q).unwrap());
-        let placed = rec.counter(Counter::PackPlacedVms);
-        assert_eq!(placed, vms.len() as u64);
-        // Every probe either placed a VM or was rejected.
-        assert_eq!(
-            rec.counter(Counter::PackProbes),
-            rec.counter(Counter::PackRejectedProbes) + placed
-        );
-        assert_eq!(rec.gauge(Gauge::PmsUsedAtPack), recorded.pms_used() as f64);
+        // The production packer counts its candidate PMs in the arena's
+        // profile (what `Consolidator::place_recorded` books), on both
+        // routes: a collapsing fleet and one past the tracked classes.
+        // Each candidate either took one fill of a run or was rejected,
+        // and a run's fills are the distinct PMs its members landed on.
+        // The small VMs sit a hair over the room the big ones leave, inside
+        // the index's pruning slack: the index offers those PMs and the
+        // admission check rejects them.
+        use crate::batch::{batch_runs, first_fit_batch_with, PlacementState};
+        let farm = pms(&[10.0; 120]);
+        let pairs = |n: usize, step: f64| -> Vec<VmSpec> {
+            (0..2 * n)
+                .map(|i| match i % 2 {
+                    0 => vm(i, 6.0 + (i / 2) as f64 * step, 1.0),
+                    _ => vm(i, 4.0 - (i / 2) as f64 * step + 5e-7, 1.0),
+                })
+                .collect()
+        };
+        for vms in [&pairs(3, 0.0), &pairs(60, 1e-4)] {
+            let mut state = PlacementState::new();
+            let packed = first_fit_batch_with(&mut state, vms, &farm, &BaseStrategy).unwrap();
+            assert_eq!(packed, first_fit(vms, &farm, &BaseStrategy).unwrap());
+            let (order, runs) = batch_runs(vms, &BaseStrategy);
+            let fills: usize = runs
+                .iter()
+                .map(|run| {
+                    let mut hosts: Vec<usize> = order[run.start..run.start + run.len]
+                        .iter()
+                        .map(|&i| packed.assignment[i].unwrap())
+                        .collect();
+                    hosts.dedup();
+                    hosts.len()
+                })
+                .sum();
+            let pack = state.last_pack();
+            assert!(pack.rejected_probes > 0, "some candidate rejects");
+            assert_eq!(pack.probes, pack.rejected_probes + fills as u64);
+        }
     }
 }
 
