@@ -41,9 +41,12 @@
 //!   benchmark's `plan_classheavy`. Its pack runs on a fresh arena, as
 //!   `Consolidator::place` does, and the row adds `place_secs` (the whole
 //!   decision: the same pack plus the strategy build and the recorder's
-//!   bookkeeping). Rows of commits before `Consolidator::place` packed
-//!   every fleet with the batch packer also carry `census_s` and
-//!   `uses_batch_secs`, the packer choice that change deleted.
+//!   bookkeeping), `strategy_build_secs` (`Consolidator::strategy()`
+//!   alone) and `pack_dyn_secs` (the fresh-arena pack through `&dyn
+//!   Strategy`, the dispatch `place` uses). Rows of commits before
+//!   `Consolidator::place` packed every fleet with the batch packer also
+//!   carry `census_s` and `uses_batch_secs`, the packer choice that
+//!   change deleted.
 //!
 //! The process exits nonzero (assert) if any row's batch placement
 //! differs from the per-VM packer's on the full assignment vector, if a
@@ -56,7 +59,7 @@ use bursty_bench::{
     best_secs, quartiles, row, spread, timed, write_report, Before, Flags, Obj, ToJson,
 };
 use bursty_core::placement::{
-    first_fit, first_fit_batch_with, PackProfile, PlacementState, QueueStrategy,
+    first_fit, first_fit_batch_with, PackProfile, PlacementState, QueueStrategy, Strategy,
 };
 use bursty_core::prelude::*;
 use bursty_core::workload::SizeClass;
@@ -280,12 +283,32 @@ fn main() {
         let place_secs: Vec<f64> = (0..attributed)
             .map(|_| timed(|| consolidator.place(&vms, &pms)).1)
             .collect();
+        // What `place` adds to the pack, one part at a time: the
+        // strategy it builds, and the same fresh-arena pack dispatched
+        // through `&dyn Strategy` as `place` does.
+        let strategy_build_secs: Vec<f64> = (0..attributed)
+            .map(|_| timed(|| consolidator.strategy()).1)
+            .collect();
+        let dyn_strategy: &dyn Strategy = &strategy;
+        let pack_dyn_secs: Vec<f64> = (0..attributed)
+            .map(|_| {
+                let mut arena = PlacementState::new();
+                timed(|| first_fit_batch_with(&mut arena, &vms, &pms, dyn_strategy)).1
+            })
+            .collect();
         eprintln!(
-            "  paper_density: place {:.4}s, pack {:.4}s",
+            "  paper_density: place {:.4}s, pack {:.4}s, pack via &dyn {:.4}s, strategy build \
+             {:.6}s",
             quartiles(&place_secs)[1],
-            row.pack_median
+            row.pack_median,
+            quartiles(&pack_dyn_secs)[1],
+            quartiles(&strategy_build_secs)[1],
         );
-        let row = row.row.field("place_secs", spread(&place_secs));
+        let row = row
+            .row
+            .field("place_secs", spread(&place_secs))
+            .field("strategy_build_secs", spread(&strategy_build_secs))
+            .field("pack_dyn_secs", spread(&pack_dyn_secs));
         fleet_rows.push(row.to_json());
     }
 

@@ -92,19 +92,40 @@ struct ClassInfo {
     slot_on: u32,
 }
 
+/// Registry of the distinct switch probabilities of `classes`, ascending:
+/// the axis the sampler caches index tables by (alongside `n`), so the
+/// hot loop never hashes.
+fn p_registry(classes: &[ClassInfo]) -> Vec<f64> {
+    let mut p_values: Vec<f64> = classes.iter().flat_map(|c| [c.p_off, c.p_on]).collect();
+    p_values.sort_by(f64::total_cmp);
+    p_values.dedup_by(|a, b| a.to_bits() == b.to_bits());
+    p_values
+}
+
 /// One `(location, class)` ON-counter of the class-aggregated layout:
 /// `count` resident VMs of `class`, `n_on` of them currently ON, and the
 /// pre-mixed stream key of the cell's binomial draws. A location is a PM
 /// or the displaced-VM limbo pool; each location's cells stay sorted by
 /// class index so evolution and demand accumulation order are canonical.
-/// `loc` (in what would be padding) is where a cell whose counter moved
-/// reports its PM's demand sum stale.
+/// The location itself is not stored: it is the chunk's CSR run the cell
+/// sits in.
+///
+/// `thr` caches the quiet test (`ClassKernel::evolve_chunk`):
+/// `quiet_thr` of the zero-outcome thresholds of the departure draw
+/// (`p_off`, `n_on`) and the arrival draw (`p_on`, `count − n_on`), as
+/// the chunk's cache stood at the end of the cell's last slow-path
+/// visit. `[0, 0]` is *stale* (no draw passes): every change of the
+/// counts and every flush of the chunk's cache resets it. Derived state,
+/// never serialized.
+///
+/// Layout: 24 bytes, no padding — `key` (8), `class`, `count`, `n_on`
+/// (4 each), `thr` (2 × 2).
 struct Cell {
+    key: u64,
     class: u32,
     count: u32,
     n_on: u32,
-    loc: u32,
-    key: u64,
+    thr: [u16; 2],
 }
 
 impl Cell {
@@ -117,13 +138,30 @@ impl Cell {
         classes: &[ClassInfo],
     ) -> Self {
         Self {
+            key: class_cell_key(seed, loc as u64, classes[class as usize].hash),
             class,
             count,
             n_on,
-            loc: loc as u32,
-            key: class_cell_key(seed, loc as u64, classes[class as usize].hash),
+            thr: STALE,
         }
     }
+}
+
+/// The cached quiet thresholds of a cell whose counts just changed, or
+/// whose chunk's cache just flushed: no draw passes.
+const STALE: [u16; 2] = [0, 0];
+
+/// How far the cached quiet test shifts a 53-bit draw: `k >> 37` is a
+/// 16-bit number.
+const QUIET_SHIFT: u32 = 37;
+
+/// A zero-outcome threshold (`TableCache::zero_threshold`) narrowed to
+/// the cached 16-bit form. Conservative: `(k >> QUIET_SHIFT) <
+/// quiet_thr(thr)` implies `k < thr`, and it gives up at most `2⁻¹⁶` of
+/// probability per draw to a needless (and harmless) slow path.
+#[inline]
+fn quiet_thr(thr: u64) -> u16 {
+    (thr >> QUIET_SHIFT).min(u64::from(u16::MAX)) as u16
 }
 
 /// What one fixed chunk of [`CLASS_PM_CHUNK`] locations owns: its cells,
@@ -179,6 +217,7 @@ impl ClassChunk {
         let cell = &mut self.cells[at];
         cell.count -= 1;
         cell.n_on -= u32::from(was_on);
+        cell.thr = STALE;
         if cell.count == 0 {
             self.cells.remove(at);
             for o in &mut self.offsets[l + 1..] {
@@ -196,6 +235,7 @@ impl ClassChunk {
                 let into = &mut self.cells[range.start + at];
                 into.count += cell.count;
                 into.n_on += cell.n_on;
+                into.thr = STALE;
             }
             Err(at) => {
                 self.cells.insert(range.start + at, cell);
@@ -207,22 +247,64 @@ impl ClassChunk {
     }
 }
 
+/// Which binomial sampler the class kernel draws through.
+#[derive(Clone, Copy)]
+enum Sampler {
+    /// The memoized tables, a quiet cell tested against its cached
+    /// thresholds (what the engine runs).
+    Tables,
+    /// The pmf-recurrence walk on every draw: the reference kernel the
+    /// tables are bit-identical to.
+    Walk,
+    /// The tables, with the quiet test's thresholds looked up in the
+    /// cache for every cell on every step: the kernel the per-cell
+    /// thresholds replaced, kept as their oracle.
+    #[cfg(test)]
+    Lookup,
+}
+
 /// One step's read-only view of the class layout, as each worker sees it.
 struct ClassKernel<'a> {
     classes: &'a [ClassInfo],
     step: u64,
-    cached: bool,
+    sampler: Sampler,
     primed: bool,
+}
+
+/// Lists, on its chunk's stale list, the location of each cell whose
+/// counter moved. Cells are visited in ascending order, so a cursor over
+/// the chunk's CSR offsets finds the location, and consecutive cells of
+/// one location list it once.
+struct StaleMarker<'a> {
+    offsets: &'a [u32],
+    /// The chunk's first location.
+    lo: usize,
+    /// The cursor: the chunk-local location of the cell marked last (0
+    /// before the first).
+    l: usize,
+    /// The chunk-local location listed last, or `usize::MAX`.
+    last: usize,
+    dirty: &'a mut Vec<u32>,
+}
+
+impl StaleMarker<'_> {
+    /// The counter of the chunk's cell `at` moved.
+    #[inline]
+    fn mark(&mut self, at: usize) {
+        while self.offsets[self.l + 1] as usize <= at {
+            self.l += 1;
+        }
+        if self.l != self.last {
+            self.last = self.l;
+            self.dirty.push((self.lo + self.l) as u32);
+        }
+    }
 }
 
 impl ClassKernel<'_> {
     /// Evolves `chunk`, whose first location is `lo`, one step; `obs` is
     /// the chunk's own slice of `observed` (the limbo pool has no
-    /// entry). A *quiet* cell — both draws under their zero-outcome
-    /// thresholds, all but a few percent of cells for bursty chains —
-    /// costs two hashes and two integer compares and is left untouched;
-    /// the rest go through the sampler, and only a stale PM's entry is
-    /// folded again (DESIGN.md §8 has both exactness arguments).
+    /// entry). Only a stale PM's entry is folded again (DESIGN.md §8).
     fn evolve_chunk(&self, lo: usize, chunk: &mut ClassChunk, obs: &mut [f64]) {
         let ClassChunk {
             cells,
@@ -231,40 +313,19 @@ impl ClassKernel<'_> {
             dirty,
             refolded,
         } = chunk;
-        let (out_at, in_at) = (2 * self.step, 2 * self.step + 1);
-        let mut quiet_hits = 0u64;
-        let mut last_dirty = u32::MAX;
-        for cell in cells.iter_mut() {
-            let info = &self.classes[cell.class as usize];
-            let (slot_off, slot_on) = (info.slot_off as usize, info.slot_on as usize);
-            let (n_on, n_off) = (cell.n_on, cell.count - cell.n_on);
-            let (out, inn) = if self.cached {
-                let (k_out, k_in) = (keyed_bits(cell.key, out_at), keyed_bits(cell.key, in_at));
-                if (k_out < cache.zero_threshold(slot_off, n_on))
-                    & (k_in < cache.zero_threshold(slot_on, n_off))
-                {
-                    quiet_hits += u64::from(n_on != 0) + u64::from(n_off != 0);
-                    continue;
-                }
-                (
-                    cache.draw_bits(slot_off, k_out, n_on),
-                    cache.draw_bits(slot_on, k_in, n_off),
-                )
-            } else {
-                (
-                    keyed_binomial(cell.key, out_at, n_on, info.p_off),
-                    keyed_binomial(cell.key, in_at, n_off, info.p_on),
-                )
-            };
-            if out != inn {
-                cell.n_on = n_on - out + inn;
-                if cell.loc != last_dirty {
-                    last_dirty = cell.loc;
-                    dirty.push(cell.loc);
-                }
-            }
+        let mut stale = StaleMarker {
+            offsets,
+            lo,
+            l: 0,
+            last: usize::MAX,
+            dirty,
+        };
+        match self.sampler {
+            Sampler::Tables => self.draw_tables(cells, cache, &mut stale),
+            Sampler::Walk => self.draw_walk(cells, &mut stale),
+            #[cfg(test)]
+            Sampler::Lookup => self.draw_lookup(cells, cache, &mut stale),
         }
-        cache.count_hits(quiet_hits);
 
         let fold = |l: usize| {
             cells[offsets[l] as usize..offsets[l + 1] as usize]
@@ -291,6 +352,111 @@ impl ClassKernel<'_> {
         }
         refolded.clear();
         std::mem::swap(dirty, refolded);
+    }
+
+    /// The memoized-table kernel. A *quiet* cell — both draws under its
+    /// cached zero-outcome thresholds, all but a few percent of cells
+    /// for bursty chains — costs two hashes and two integer compares,
+    /// reads only `key`, `thr`, `n_on` and `count`, and is left
+    /// untouched; the rest take [`ClassKernel::visit`].
+    fn draw_tables(&self, cells: &mut [Cell], cache: &mut TableCache, stale: &mut StaleMarker) {
+        let (out_at, in_at) = (2 * self.step, 2 * self.step + 1);
+        let mut quiet_hits = 0u64;
+        let mut evictions = cache.stats().evictions;
+        for at in 0..cells.len() {
+            let cell = &cells[at];
+            let (k_out, k_in) = (keyed_bits(cell.key, out_at), keyed_bits(cell.key, in_at));
+            if ((k_out >> QUIET_SHIFT) < u64::from(cell.thr[0]))
+                & ((k_in >> QUIET_SHIFT) < u64::from(cell.thr[1]))
+            {
+                quiet_hits += u64::from(cell.n_on != 0) + u64::from(cell.n_on != cell.count);
+                continue;
+            }
+            self.visit(cells, at, [k_out, k_in], cache, &mut evictions, stale);
+        }
+        cache.count_hits(quiet_hits);
+    }
+
+    /// The slow path of cell `at`: both draws through the sampler, then
+    /// the cell's thresholds cached again from the cache as it now
+    /// stands. `evictions` is the cache's eviction count as the pass last
+    /// saw it: a flush during the draws first resets every cell of the
+    /// chunk to stale, since the tables their thresholds came from are
+    /// gone. A flush that evicts nothing may go unseen: every table
+    /// built since the last flush seen would have been evicted by it, so
+    /// no cell holds a threshold from a table (the `n = 0` entry
+    /// survives flushes).
+    #[inline]
+    fn visit(
+        &self,
+        cells: &mut [Cell],
+        at: usize,
+        [k_out, k_in]: [u64; 2],
+        cache: &mut TableCache,
+        evictions: &mut u64,
+        stale: &mut StaleMarker,
+    ) {
+        let cell = &cells[at];
+        let info = &self.classes[cell.class as usize];
+        let (slot_off, slot_on) = (info.slot_off as usize, info.slot_on as usize);
+        let (n_on, n_off) = (cell.n_on, cell.count - cell.n_on);
+        let out = cache.draw_bits(slot_off, k_out, n_on);
+        let inn = cache.draw_bits(slot_on, k_in, n_off);
+        if cache.stats().evictions != *evictions {
+            *evictions = cache.stats().evictions;
+            cells.iter_mut().for_each(|cell| cell.thr = STALE);
+        }
+        let cell = &mut cells[at];
+        if out != inn {
+            cell.n_on = n_on - out + inn;
+            stale.mark(at);
+        }
+        cell.thr = [
+            quiet_thr(cache.zero_threshold(slot_off, cell.n_on)),
+            quiet_thr(cache.zero_threshold(slot_on, cell.count - cell.n_on)),
+        ];
+    }
+
+    /// The walk kernel: `keyed_binomial` on every draw, no quiet test.
+    fn draw_walk(&self, cells: &mut [Cell], stale: &mut StaleMarker) {
+        let (out_at, in_at) = (2 * self.step, 2 * self.step + 1);
+        for (at, cell) in cells.iter_mut().enumerate() {
+            let info = &self.classes[cell.class as usize];
+            let (n_on, n_off) = (cell.n_on, cell.count - cell.n_on);
+            let out = keyed_binomial(cell.key, out_at, n_on, info.p_off);
+            let inn = keyed_binomial(cell.key, in_at, n_off, info.p_on);
+            if out != inn {
+                cell.n_on = n_on - out + inn;
+                stale.mark(at);
+            }
+        }
+    }
+
+    /// The oracle of [`ClassKernel::draw_tables`]: the same quiet test,
+    /// with each threshold looked up in the cache where it is used.
+    #[cfg(test)]
+    fn draw_lookup(&self, cells: &mut [Cell], cache: &mut TableCache, stale: &mut StaleMarker) {
+        let (out_at, in_at) = (2 * self.step, 2 * self.step + 1);
+        let mut quiet_hits = 0u64;
+        for (at, cell) in cells.iter_mut().enumerate() {
+            let info = &self.classes[cell.class as usize];
+            let (slot_off, slot_on) = (info.slot_off as usize, info.slot_on as usize);
+            let (n_on, n_off) = (cell.n_on, cell.count - cell.n_on);
+            let (k_out, k_in) = (keyed_bits(cell.key, out_at), keyed_bits(cell.key, in_at));
+            if (k_out < cache.zero_threshold(slot_off, n_on))
+                & (k_in < cache.zero_threshold(slot_on, n_off))
+            {
+                quiet_hits += u64::from(n_on != 0) + u64::from(n_off != 0);
+                continue;
+            }
+            let out = cache.draw_bits(slot_off, k_out, n_on);
+            let inn = cache.draw_bits(slot_on, k_in, n_off);
+            if out != inn {
+                cell.n_on = n_on - out + inn;
+                stale.mark(at);
+            }
+        }
+        cache.count_hits(quiet_hits);
     }
 }
 
@@ -480,11 +646,10 @@ enum Mode {
         chunks: Vec<ClassChunk>,
         /// The limbo pool's location, `m`.
         limbo: usize,
-        /// `true` (always, in the engine): draws go through the
-        /// memoized tables. `false`: every draw re-runs the
-        /// pmf-recurrence walk, the reference kernel the tables are
-        /// bit-identical to (`WorkloadCore::set_cached_sampler`).
-        cached: bool,
+        /// [`Sampler::Tables`] (always, in the engine), or the walk
+        /// the tables are bit-identical to
+        /// (`WorkloadCore::set_cached_sampler`).
+        sampler: Sampler,
         /// Resolved worker count (≥ 1). Purely a throughput knob.
         threads: usize,
         seed: u64,
@@ -581,13 +746,7 @@ impl WorkloadCore {
                         }
                     })
                     .collect();
-                // Registry of distinct switch probabilities: the axis
-                // the sampler caches index tables by (alongside n), so
-                // the hot loop never hashes.
-                let mut p_values: Vec<f64> =
-                    classes.iter().flat_map(|c| [c.p_off, c.p_on]).collect();
-                p_values.sort_by(f64::total_cmp);
-                p_values.dedup_by(|a, b| a.to_bits() == b.to_bits());
+                let p_values = p_registry(&classes);
                 let slot_of = |p: f64| {
                     p_values
                         .binary_search_by(|v| v.total_cmp(&p))
@@ -618,7 +777,7 @@ impl WorkloadCore {
                         })
                         .collect(),
                     limbo: m,
-                    cached: true,
+                    sampler: Sampler::Tables,
                     threads: requested.clamp(1, chunks),
                     seed,
                 }
@@ -660,7 +819,7 @@ impl WorkloadCore {
             Mode::ClassAggregated {
                 classes,
                 chunks,
-                cached,
+                sampler,
                 threads,
                 ..
             } => {
@@ -681,7 +840,7 @@ impl WorkloadCore {
                 let kernel = ClassKernel {
                     classes,
                     step,
-                    cached: *cached,
+                    sampler: *sampler,
                     primed: *primed,
                 };
                 if *threads <= 1 {
@@ -970,8 +1129,25 @@ impl WorkloadCore {
     /// to. Only the kernel bench (`bench_api`) and this module's tests
     /// pick the walk. A no-op for the shared layout.
     pub(crate) fn set_cached_sampler(&mut self, use_tables: bool) {
-        if let Mode::ClassAggregated { cached, .. } = &mut self.mode {
-            *cached = use_tables;
+        self.set_sampler(if use_tables {
+            Sampler::Tables
+        } else {
+            Sampler::Walk
+        });
+    }
+
+    /// Switches the class kernel's sampler. Only [`Sampler::Tables`]
+    /// keeps the cells' cached thresholds current, so every cell starts
+    /// stale under the new one.
+    fn set_sampler(&mut self, to: Sampler) {
+        if let Mode::ClassAggregated {
+            sampler, chunks, ..
+        } = &mut self.mode
+        {
+            *sampler = to;
+            for cell in chunks.iter_mut().flat_map(|chunk| chunk.cells.iter_mut()) {
+                cell.thr = STALE;
+            }
         }
     }
 
@@ -1004,6 +1180,22 @@ impl WorkloadCore {
         }
     }
 
+    /// Rebuilds every chunk's sampler cache empty with a budget of
+    /// `budget` live entries, so a test can make it flush mid-chunk.
+    #[cfg(test)]
+    fn set_entry_budget(&mut self, budget: usize) {
+        if let Mode::ClassAggregated {
+            classes, chunks, ..
+        } = &mut self.mode
+        {
+            let p_values = p_registry(classes);
+            for chunk in chunks.iter_mut() {
+                chunk.cache = TableCache::new(&p_values, budget);
+                chunk.cells.iter_mut().for_each(|cell| cell.thr = STALE);
+            }
+        }
+    }
+
     /// Asserts that `observed` — fresh out of [`WorkloadCore::step`] — is
     /// `to_bits`-equal to the from-scratch accumulation the carried sums
     /// replace: one pass over all VMs under `Shared`, a fold of every
@@ -1025,12 +1217,19 @@ impl WorkloadCore {
                 }
             }
             Mode::ClassAggregated {
-                classes, chunks, ..
+                classes,
+                chunks,
+                seed,
+                ..
             } => {
                 for (j, sum) in full.iter_mut().enumerate() {
                     for cell in Self::cells_at(chunks, j) {
-                        assert_eq!(cell.loc as usize, j, "cell filed under the wrong PM");
                         let info = &classes[cell.class as usize];
+                        assert_eq!(
+                            cell.key,
+                            class_cell_key(*seed, j as u64, info.hash),
+                            "cell filed under the wrong PM"
+                        );
                         *sum += f64::from(cell.n_on) * info.demand_on
                             + f64::from(cell.count - cell.n_on) * info.demand_off;
                     }
@@ -1682,6 +1881,243 @@ mod tests {
                 core.on.iter().any(|&b| b),
                 "{layout:?}: chains must still evolve"
             );
+        }
+    }
+
+    #[test]
+    fn a_cell_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Cell>(), 24);
+    }
+
+    /// Five classes, bursty to busy, on `m` PMs at uneven density: PM
+    /// `j` hosts `j % 7` VMs of mixed classes, except every 97th (from
+    /// PM 3), which hosts 60 of one class; every 29th VM starts
+    /// displaced. Returns the fleet and its placement.
+    fn uneven_fleet(m: usize) -> (Vec<VmSpec>, Vec<Option<usize>>) {
+        const CLASSES: [(f64, f64, f64, f64); 5] = [
+            (0.02, 0.08, 8.0, 12.0),
+            (0.05, 0.05, 4.0, 20.0),
+            (0.10, 0.02, 2.0, 6.0),
+            (0.01, 0.09, 1.0, 3.0),
+            (0.3, 0.2, 5.0, 5.0),
+        ];
+        let (mut vms, mut host) = (Vec::new(), Vec::new());
+        for j in 0..m {
+            let big = j % 97 == 3;
+            for v in 0..if big { 60 } else { j % 7 } {
+                let (p_on, p_off, r_b, r_e) = CLASSES[if big { 3 } else { (j + v) % 5 }];
+                let i = vms.len();
+                vms.push(VmSpec::new(i, p_on, p_off, r_b, r_e));
+                host.push((i % 29 != 0).then_some(j));
+            }
+        }
+        (vms, host)
+    }
+
+    /// The VMs `host` places on `at` (`None`: the displaced ones).
+    fn members_at(host: &[Option<usize>], at: Option<usize>) -> Vec<usize> {
+        (0..host.len()).filter(|&i| host[i] == at).collect()
+    }
+
+    /// Two class-layout cores over one fleet, stepped side by side: one
+    /// on the per-cell cached thresholds at `threads` workers, the other
+    /// on the in-loop lookup they replaced ([`Sampler::Lookup`]) at one.
+    /// Both chunk caches hold `budget` live entries.
+    struct KernelPair {
+        cores: [WorkloadCore; 2],
+        observed: [Vec<f64>; 2],
+    }
+
+    impl KernelPair {
+        fn new(
+            vms: &[VmSpec],
+            m: usize,
+            host: &[Option<usize>],
+            threads: usize,
+            budget: usize,
+        ) -> Self {
+            let core = |threads, sampler| {
+                let mut core = WorkloadCore::new(vms, m, 17, RngLayout::ClassAggregated, threads);
+                core.set_entry_budget(budget);
+                core.set_sampler(sampler);
+                core.class_init(host);
+                core
+            };
+            Self {
+                cores: [core(threads, Sampler::Tables), core(1, Sampler::Lookup)],
+                observed: [vec![0.0; m], vec![0.0; m]],
+            }
+        }
+
+        /// Applies one edit to both cores.
+        fn edit(&mut self, f: impl FnMut(&mut WorkloadCore)) {
+            self.cores.iter_mut().for_each(f);
+        }
+
+        /// Moves `vms` from `from` to `to` in both cores, syncing the
+        /// source's flags first as the engine does, and in `host`.
+        fn move_vms(
+            &mut self,
+            host: &mut [Option<usize>],
+            vms: &[usize],
+            from: Option<usize>,
+            to: Option<usize>,
+        ) {
+            let members = members_at(host, from);
+            self.edit(|core| match from {
+                Some(j) => core.class_sync_pm(j, &members),
+                None => core.class_sync_displaced(host),
+            });
+            for &i in vms {
+                assert_eq!(host[i], from);
+                self.edit(|core| core.vm_moved(i, from, to));
+                host[i] = to;
+            }
+        }
+
+        /// Steps both cores and compares every cell's counters, every
+        /// observed sum and the cache counters.
+        fn step(&mut self, step: u64, host: &[Option<usize>]) {
+            for (core, observed) in self.cores.iter_mut().zip(&mut self.observed) {
+                core.step(step, host, &[], observed);
+                core.assert_observed_is_full_accumulation(host, observed);
+            }
+            let cells = |core: &WorkloadCore| match core.snapshot_mode() {
+                CoreSnapshot::ClassAggregated(locs) => locs,
+                CoreSnapshot::Shared(_) => unreachable!("class layout"),
+            };
+            assert!(
+                cells(&self.cores[0]) == cells(&self.cores[1]),
+                "cell counters diverged at step {step}"
+            );
+            assert_eq!(
+                self.cores[0].class_cache_stats(),
+                self.cores[1].class_cache_stats(),
+                "cache counters diverged at step {step}"
+            );
+            let bits = |observed: &[f64]| observed.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&self.observed[0]), bits(&self.observed[1]));
+        }
+    }
+
+    /// Four chunks, so four workers each take one.
+    const PAIR_PMS: usize = 4 * CLASS_PM_CHUNK - 100;
+
+    #[test]
+    fn cached_thresholds_match_the_lookup_oracle_across_mid_chunk_flushes() {
+        // A 96-entry budget flushes each chunk's cache many times per
+        // pass, after cells earlier in the chunk cached thresholds from
+        // the tables it drops: a cell after the flush must take the slow
+        // path, as the lookup finds no table for it either.
+        let (vms, host) = uneven_fleet(PAIR_PMS);
+        for threads in [1, 4] {
+            let mut pair = KernelPair::new(&vms, PAIR_PMS, &host, threads, 96);
+            let evictions =
+                |pair: &KernelPair| pair.cores[0].class_cache_stats().unwrap().evictions;
+            let mut warm = 0;
+            for step in 0..30 {
+                pair.step(step, &host);
+                if step == 20 {
+                    warm = evictions(&pair);
+                }
+            }
+            let stats = pair.cores[0].class_cache_stats().unwrap();
+            assert!(stats.hits > stats.misses, "test premise: quiet cells");
+            assert!(evictions(&pair) > warm, "test premise: flushes once warm");
+        }
+    }
+
+    #[test]
+    fn cached_thresholds_match_the_lookup_oracle_across_moves_crashes_and_landings() {
+        let (vms, host) = uneven_fleet(PAIR_PMS);
+        let bigs: Vec<usize> = (3..PAIR_PMS).step_by(97).collect();
+        for (threads, budget) in [
+            (1, DEFAULT_ENTRY_BUDGET),
+            (4, DEFAULT_ENTRY_BUDGET),
+            (4, 400),
+        ] {
+            let mut host = host.clone();
+            let mut pair = KernelPair::new(&vms, PAIR_PMS, &host, threads, budget);
+            for step in 0..40 {
+                pair.step(step, &host);
+                match step {
+                    // Each big cell drops to a count no table covers yet
+                    // (`take_vm`), and a fresh cell of 25 opens next door.
+                    12 => {
+                        for &j in &bigs {
+                            let out = members_at(&host, Some(j))[..25].to_vec();
+                            pair.move_vms(&mut host, &out, Some(j), Some(j + 1));
+                        }
+                    }
+                    // Ten of them go back into the big cell (`put` into
+                    // an occupied cell).
+                    16 => {
+                        for &j in &bigs {
+                            let back: Vec<usize> = members_at(&host, Some(j + 1))
+                                .into_iter()
+                                .filter(|&i| vms[i].p_on == 0.01)
+                                .take(10)
+                                .collect();
+                            pair.move_vms(&mut host, &back, Some(j + 1), Some(j));
+                        }
+                    }
+                    // Two crashes merge whole PMs into the limbo pool.
+                    20 => {
+                        for j in [bigs[1], 704] {
+                            let members = members_at(&host, Some(j));
+                            pair.edit(|core| core.pm_crashed(j, &members));
+                            for &i in &members {
+                                host[i] = None;
+                            }
+                        }
+                    }
+                    // Displaced VMs land, some in occupied cells.
+                    26 => {
+                        let landing: Vec<usize> =
+                            members_at(&host, None).into_iter().step_by(3).collect();
+                        for &i in &landing {
+                            pair.move_vms(&mut host, &[i], None, Some(i % PAIR_PMS));
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cached_thresholds_match_the_lookup_oracle_after_restore_and_class_init() {
+        let (vms, host) = uneven_fleet(PAIR_PMS);
+        let rotated: Vec<Option<usize>> =
+            host.iter().map(|h| h.map(|j| (j + 1) % PAIR_PMS)).collect();
+        for (threads, budget) in [
+            (1, DEFAULT_ENTRY_BUDGET),
+            (4, DEFAULT_ENTRY_BUDGET),
+            (4, 400),
+        ] {
+            let mut pair = KernelPair::new(&vms, PAIR_PMS, &host, threads, budget);
+            let mut at_10 = None;
+            for step in 0..20 {
+                if step == 10 {
+                    at_10 = Some(pair.cores[0].snapshot_mode());
+                }
+                pair.step(step, &host);
+            }
+            // Back to step 10's counters, on caches warm from step 19.
+            let CoreSnapshot::ClassAggregated(locs) = at_10.unwrap() else {
+                unreachable!("class layout")
+            };
+            pair.edit(|core| {
+                core.restore_mode(CoreSnapshot::ClassAggregated(locs.clone()))
+                    .unwrap()
+            });
+            for step in 10..20 {
+                pair.step(step, &host);
+            }
+            pair.edit(|core| core.class_init(&rotated));
+            for step in 20..30 {
+                pair.step(step, &rotated);
+            }
         }
     }
 }

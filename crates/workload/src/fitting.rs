@@ -69,6 +69,12 @@ pub struct FittedModel {
     pub on_entries: usize,
     /// Number of ON→OFF transitions observed.
     pub off_entries: usize,
+    /// Steps `i → i + 1` taken from an OFF sample: the trials `p_on`
+    /// divides `on_entries` by (`p_on` is 0 when there are none).
+    pub off_steps: usize,
+    /// Steps `i → i + 1` taken from an ON sample: the trials `p_off`
+    /// divides `off_entries` by (`p_off` is 0 when there are none).
+    pub on_steps: usize,
     /// Fraction of samples classified ON.
     pub on_fraction: f64,
 }
@@ -243,6 +249,8 @@ fn classify(demands: &[f64], threshold: f64, hi: f64) -> Result<FittedModel, Fit
         threshold,
         on_entries,
         off_entries,
+        off_steps,
+        on_steps,
         on_fraction: on_count as f64 / n as f64,
     })
 }
@@ -334,6 +342,8 @@ mod oracle {
             threshold,
             on_entries,
             off_entries,
+            off_steps,
+            on_steps,
             on_fraction: on_count as f64 / on.len() as f64,
         })
     }
@@ -461,9 +471,9 @@ mod tests {
         assert_eq!(fit_trace(&[f64::NAN]), Err(FitError::TooShort { len: 1 }));
     }
 
-    #[test]
-    fn benchmark_like_traces_fit_to_the_oracles_bits() {
-        // The `plan_traces` fleet of `benchmark/src/plan.rs`, fewer VMs.
+    /// The `plan_traces` fleet of `benchmark/src/plan.rs`, fewer VMs:
+    /// each VM with its 2 500-sample trace.
+    fn benchmark_like_traces() -> Vec<(VmSpec, Vec<f64>)> {
         use rand::Rng;
         let mut rng = StdRng::seed_from_u64(1);
         let vms: Vec<VmSpec> = (0..200)
@@ -477,8 +487,26 @@ mod tests {
                 )
             })
             .collect();
-        for vm in vms {
-            let demands = DemandTrace::sample(vm, 2500, &mut rng).demands();
+        vms.into_iter()
+            .map(|vm| (vm, DemandTrace::sample(vm, 2500, &mut rng).demands()))
+            .collect()
+    }
+
+    #[test]
+    fn step_counts_are_the_rates_denominators() {
+        for (vm, demands) in benchmark_like_traces() {
+            let fit = fit_trace(&demands).unwrap();
+            assert_eq!(fit.off_steps + fit.on_steps, demands.len() - 1);
+            let p_on = fit.on_entries as f64 / fit.off_steps as f64;
+            let p_off = fit.off_entries as f64 / fit.on_steps as f64;
+            assert_eq!(fit.p_on.to_bits(), p_on.to_bits(), "VM {}", vm.id);
+            assert_eq!(fit.p_off.to_bits(), p_off.to_bits(), "VM {}", vm.id);
+        }
+    }
+
+    #[test]
+    fn benchmark_like_traces_fit_to_the_oracles_bits() {
+        for (vm, demands) in benchmark_like_traces() {
             let fused = fit_trace(&demands).unwrap();
             let reference = oracle::fit_trace(&demands).unwrap();
             assert_eq!(fused, reference);
@@ -526,7 +554,7 @@ mod proptests {
         a.to_bits() == b.to_bits() || (a == 0.0 && b == 0.0)
     }
 
-    /// Fused and oracle agree on the error, or on all eight fields.
+    /// Fused and oracle agree on the error, or on all ten fields.
     fn agree(demands: &[f64], threshold: Option<f64>) -> Result<(), String> {
         let (fused, reference) = match threshold {
             None => (fit_trace(demands), oracle::fit_trace(demands)),
@@ -544,6 +572,8 @@ mod proptests {
                     && same_f64(a.threshold, b.threshold)
                     && a.on_entries == b.on_entries
                     && a.off_entries == b.off_entries
+                    && a.off_steps == b.off_steps
+                    && a.on_steps == b.on_steps
                     && same_f64(a.on_fraction, b.on_fraction)
             }
             (Err(a), Err(b)) => a == b,
