@@ -6,6 +6,7 @@
 //! parallel VM-evolution chunks), so the journal contents are invariant
 //! under thread count and RNG layout given the same seed.
 
+use crate::durable::{put_bool, put_f64, put_u32, put_u64, put_u8, put_usize, Cursor, FrameError};
 use crate::json::{obj, Json};
 
 /// Why a VM entered the retry queue.
@@ -17,130 +18,264 @@ pub enum RetryCause {
     Evacuation,
 }
 
-impl RetryCause {
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            RetryCause::Overload => "overload",
-            RetryCause::Evacuation => "evacuation",
-        }
+/// One event field's three encodings: its binary form (little-endian
+/// integers, `f64` as its bits, `bool` as one byte), its inverse, and its
+/// JSON value. Every field type an [`Event`] carries implements it, so
+/// the codecs below are generated per field rather than per variant.
+pub(crate) trait Field: Sized {
+    fn put(self, buf: &mut Vec<u8>);
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError>;
+    fn to_json(self) -> Json;
+}
+
+impl Field for u64 {
+    fn put(self, buf: &mut Vec<u8>) {
+        put_u64(buf, self);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+        c.u64()
+    }
+    fn to_json(self) -> Json {
+        Json::Num(self as f64)
     }
 }
 
-/// One structured simulation event. `step` is the engine's 0-based step
-/// index at emission time — the deterministic sim-time timestamp.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Event {
-    /// A PM exceeded its capacity this step.
-    Violation {
-        step: u64,
-        pm: usize,
-        /// Aggregate observed load on the PM.
-        observed: f64,
-        /// The PM's capacity.
-        capacity: f64,
-        /// Whether the PM held degraded (epsilon) admissions this step.
-        degraded: bool,
-    },
-    /// A VM moved between PMs.
-    Migration {
-        step: u64,
-        vm: usize,
-        from: usize,
-        to: usize,
-        /// True when the move landed from the retry queue.
-        retried: bool,
-    },
-    /// A triggered migration found no feasible target.
-    MigrationFailed { step: u64, vm: usize, pm: usize },
-    /// A PM crashed, evicting `displaced` VMs.
-    Crash {
-        step: u64,
-        pm: usize,
-        displaced: usize,
-    },
-    /// A crashed PM came back.
-    Recovery { step: u64, pm: usize },
-    /// A displaced VM was evacuated (`to: None` means no PM could take it
-    /// and the VM entered the retry queue).
-    Evacuation {
-        step: u64,
-        vm: usize,
-        from: usize,
-        to: Option<usize>,
-        /// Placed under the degraded (epsilon) admission rule.
-        degraded: bool,
-    },
-    /// A VM entered the retry queue.
-    RetryEnqueued {
-        step: u64,
-        vm: usize,
-        cause: RetryCause,
-        /// Prior attempts (0 on first enqueue).
-        attempts: u32,
-        /// The step at which the retry comes due.
-        due_step: u64,
-    },
-    /// An overload retry was dropped after exhausting its attempts.
-    RetryAbandoned { step: u64, vm: usize, attempts: u32 },
-    /// An overload retry became moot (VM unhosted or back under budget).
-    RetryCancelled { step: u64, vm: usize },
-    /// A VM was admitted under the degraded (epsilon) margin.
-    Admission {
-        step: u64,
-        vm: usize,
-        pm: usize,
-        degraded: bool,
-    },
-    /// Cumulative per-PM CVR inputs at a sampling point.
-    CvrSample {
-        step: u64,
-        pm: usize,
-        violations: u64,
-        active: u64,
-    },
-    /// Per-step snapshot (only when the recorder opts in — high volume).
-    Step {
-        step: u64,
-        pms_used: usize,
-        violations: usize,
-    },
-    /// A VM left the online cluster (`step` is the driver's op index).
-    OnlineDeparture { step: u64, vm: usize, pm: usize },
-    /// An online recalibration reported the hottest live class's
-    /// switch probabilities.
-    Recalibration { step: u64, p_on: f64, p_off: f64 },
-    /// The placement daemon wrote a fleet snapshot (`step` is the applied
-    /// op count at the checkpoint seam, `bytes` the frame size).
-    Snapshot { step: u64, bytes: usize },
-    /// The placement daemon restored a fleet snapshot at startup
-    /// (`discarded` counts newer snapshot files rejected as corrupt
-    /// before one verified).
-    Restore { step: u64, discarded: usize },
+impl Field for usize {
+    fn put(self, buf: &mut Vec<u8>) {
+        put_usize(buf, self);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+        c.usize()
+    }
+    fn to_json(self) -> Json {
+        Json::Num(self as f64)
+    }
+}
+
+impl Field for u32 {
+    fn put(self, buf: &mut Vec<u8>) {
+        put_u32(buf, self);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+        c.u32()
+    }
+    fn to_json(self) -> Json {
+        Json::Num(self.into())
+    }
+}
+
+impl Field for f64 {
+    fn put(self, buf: &mut Vec<u8>) {
+        put_f64(buf, self);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+        c.f64()
+    }
+    fn to_json(self) -> Json {
+        Json::Num(self)
+    }
+}
+
+impl Field for bool {
+    fn put(self, buf: &mut Vec<u8>) {
+        put_bool(buf, self);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+        c.boolean()
+    }
+    fn to_json(self) -> Json {
+        Json::Bool(self)
+    }
+}
+
+/// A presence byte, then the value when present; `null` in JSON.
+impl Field for Option<usize> {
+    fn put(self, buf: &mut Vec<u8>) {
+        self.is_some().put(buf);
+        if let Some(v) = self {
+            v.put(buf);
+        }
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+        Ok(if c.boolean()? { Some(c.usize()?) } else { None })
+    }
+    fn to_json(self) -> Json {
+        self.map_or(Json::Null, Field::to_json)
+    }
+}
+
+/// One byte, `1` for `Evacuation` (any other byte reads as `Overload`);
+/// its lower-case name in JSON.
+impl Field for RetryCause {
+    fn put(self, buf: &mut Vec<u8>) {
+        put_u8(buf, (self == RetryCause::Evacuation).into());
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+        Ok(if c.u8()? == 1 {
+            RetryCause::Evacuation
+        } else {
+            RetryCause::Overload
+        })
+    }
+    fn to_json(self) -> Json {
+        Json::Str(
+            match self {
+                RetryCause::Overload => "overload",
+                RetryCause::Evacuation => "evacuation",
+            }
+            .to_string(),
+        )
+    }
+}
+
+/// Declares [`Event`] once: each variant with its doc comment, its binary
+/// tag, its JSONL `type` string and its fields in order. Every variant
+/// starts with `step: u64`; `step()`, `kind()`, `to_json_line()`,
+/// `encode()` and `decode()` are generated from the entry, so a new event
+/// is one entry (plus its arm in the hand-written [`Event::pm`]).
+macro_rules! events {
+    ($(#[$meta:meta])* pub enum Event {
+        $($(#[$doc:meta])* $variant:ident = $tag:literal, $kind:literal {
+            $($(#[$fdoc:meta])* $field:ident: $ty:ty),* $(,)?
+        },)*
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum Event {
+            $($(#[$doc])* $variant { step: u64, $($(#[$fdoc])* $field: $ty,)* },)*
+        }
+
+        impl Event {
+            /// The event's deterministic sim-time timestamp.
+            pub fn step(&self) -> u64 {
+                match *self {
+                    $(Event::$variant { step, .. })|* => step,
+                }
+            }
+
+            /// Stable `type` tag used in the JSONL encoding.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $kind,)*
+                }
+            }
+
+            /// One JSON object per line, `\n`-terminated: `type` and `step`
+            /// first, then the variant's fields in declaration order.
+            pub fn to_json_line(&self) -> String {
+                let fields = match *self {
+                    $(Event::$variant { step, $($field,)* } => vec![
+                        ("type", Json::Str($kind.to_string())),
+                        ("step", step.to_json()),
+                        $((stringify!($field), $field.to_json()),)*
+                    ],)*
+                };
+                let mut line = obj(fields).encode();
+                line.push('\n');
+                line
+            }
+
+            /// Appends the event's compact binary encoding (tag byte, then
+            /// `step` and the fields in declaration order) — the
+            /// checkpoint representation; [`Event::decode`] is the exact
+            /// inverse.
+            pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
+                match *self {
+                    $(Event::$variant { step, $($field,)* } => {
+                        put_u8(buf, $tag);
+                        step.put(buf);
+                        $($field.put(buf);)*
+                    })*
+                }
+            }
+
+            /// Decodes one event from a [`Cursor`]; inverse of
+            /// [`Event::encode`].
+            pub(crate) fn decode(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+                Ok(match c.u8()? {
+                    $($tag => Event::$variant {
+                        step: Field::get(c)?,
+                        $($field: Field::get(c)?,)*
+                    },)*
+                    t => return Err(FrameError::Decode(format!("unknown event tag {t}"))),
+                })
+            }
+        }
+    };
+}
+
+events! {
+    /// One structured simulation event. `step` is the engine's 0-based step
+    /// index at emission time — the deterministic sim-time timestamp.
+    pub enum Event {
+        /// A PM exceeded its capacity this step.
+        Violation = 0, "violation" {
+            pm: usize,
+            /// Aggregate observed load on the PM.
+            observed: f64,
+            /// The PM's capacity.
+            capacity: f64,
+            /// Whether the PM held degraded (epsilon) admissions this step.
+            degraded: bool,
+        },
+        /// A VM moved between PMs.
+        Migration = 1, "migration" {
+            vm: usize,
+            from: usize,
+            to: usize,
+            /// True when the move landed from the retry queue.
+            retried: bool,
+        },
+        /// A triggered migration found no feasible target.
+        MigrationFailed = 2, "migration_failed" { vm: usize, pm: usize },
+        /// A PM crashed, evicting `displaced` VMs.
+        Crash = 3, "crash" { pm: usize, displaced: usize },
+        /// A crashed PM came back.
+        Recovery = 4, "recovery" { pm: usize },
+        /// A displaced VM was evacuated (`to: None` means no PM could take it
+        /// and the VM entered the retry queue).
+        Evacuation = 5, "evacuation" {
+            vm: usize,
+            from: usize,
+            to: Option<usize>,
+            /// Placed under the degraded (epsilon) admission rule.
+            degraded: bool,
+        },
+        /// A VM entered the retry queue.
+        RetryEnqueued = 6, "retry_enqueued" {
+            vm: usize,
+            cause: RetryCause,
+            /// Prior attempts (0 on first enqueue).
+            attempts: u32,
+            /// The step at which the retry comes due.
+            due_step: u64,
+        },
+        /// An overload retry was dropped after exhausting its attempts.
+        RetryAbandoned = 7, "retry_abandoned" { vm: usize, attempts: u32 },
+        /// An overload retry became moot (VM unhosted or back under budget).
+        RetryCancelled = 8, "retry_cancelled" { vm: usize },
+        /// A VM was admitted under the degraded (epsilon) margin.
+        Admission = 9, "admission" { vm: usize, pm: usize, degraded: bool },
+        /// Cumulative per-PM CVR inputs at a sampling point.
+        CvrSample = 10, "cvr_sample" { pm: usize, violations: u64, active: u64 },
+        /// Per-step snapshot (only when the recorder opts in — high volume).
+        Step = 11, "step" { pms_used: usize, violations: usize },
+        /// A VM left the online cluster (`step` is the churn program's op index).
+        OnlineDeparture = 12, "online_departure" { vm: usize, pm: usize },
+        /// An online recalibration reported the hottest live class's
+        /// switch probabilities.
+        Recalibration = 13, "recalibration" { p_on: f64, p_off: f64 },
+        /// The placement daemon wrote a fleet snapshot (`step` is the applied
+        /// op count at the checkpoint seam, `bytes` the frame size).
+        Snapshot = 14, "snapshot" { bytes: usize },
+        /// The placement daemon restored a fleet snapshot at startup
+        /// (`discarded` counts newer snapshot files rejected as corrupt
+        /// before one verified).
+        Restore = 15, "restore" { discarded: usize },
+    }
 }
 
 impl Event {
-    /// The event's deterministic sim-time timestamp.
-    pub fn step(&self) -> u64 {
-        match *self {
-            Event::Violation { step, .. }
-            | Event::Migration { step, .. }
-            | Event::MigrationFailed { step, .. }
-            | Event::Crash { step, .. }
-            | Event::Recovery { step, .. }
-            | Event::Evacuation { step, .. }
-            | Event::RetryEnqueued { step, .. }
-            | Event::RetryAbandoned { step, .. }
-            | Event::RetryCancelled { step, .. }
-            | Event::Admission { step, .. }
-            | Event::CvrSample { step, .. }
-            | Event::Step { step, .. }
-            | Event::OnlineDeparture { step, .. }
-            | Event::Recalibration { step, .. }
-            | Event::Snapshot { step, .. }
-            | Event::Restore { step, .. } => step,
-        }
-    }
-
     /// The PM the event concerns, when it has a single natural one.
     pub(crate) fn pm(&self) -> Option<usize> {
         match *self {
@@ -161,392 +296,6 @@ impl Event {
             | Event::Snapshot { .. }
             | Event::Restore { .. } => None,
         }
-    }
-
-    /// Stable `type` tag used in the JSONL encoding.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::Violation { .. } => "violation",
-            Event::Migration { .. } => "migration",
-            Event::MigrationFailed { .. } => "migration_failed",
-            Event::Crash { .. } => "crash",
-            Event::Recovery { .. } => "recovery",
-            Event::Evacuation { .. } => "evacuation",
-            Event::RetryEnqueued { .. } => "retry_enqueued",
-            Event::RetryAbandoned { .. } => "retry_abandoned",
-            Event::RetryCancelled { .. } => "retry_cancelled",
-            Event::Admission { .. } => "admission",
-            Event::CvrSample { .. } => "cvr_sample",
-            Event::Step { .. } => "step",
-            Event::OnlineDeparture { .. } => "online_departure",
-            Event::Recalibration { .. } => "recalibration",
-            Event::Snapshot { .. } => "snapshot",
-            Event::Restore { .. } => "restore",
-        }
-    }
-
-    /// One JSON object per line, `\n`-terminated: `type` and `step`
-    /// first, then the variant's fields in declaration order.
-    pub fn to_json_line(&self) -> String {
-        let int = |n: usize| Json::Num(n as f64);
-        let mut fields = vec![
-            ("type", Json::Str(self.kind().to_string())),
-            ("step", Json::Num(self.step() as f64)),
-        ];
-        match *self {
-            Event::Violation {
-                pm,
-                observed,
-                capacity,
-                degraded,
-                ..
-            } => fields.extend([
-                ("pm", int(pm)),
-                ("observed", Json::Num(observed)),
-                ("capacity", Json::Num(capacity)),
-                ("degraded", Json::Bool(degraded)),
-            ]),
-            Event::Migration {
-                vm,
-                from,
-                to,
-                retried,
-                ..
-            } => fields.extend([
-                ("vm", int(vm)),
-                ("from", int(from)),
-                ("to", int(to)),
-                ("retried", Json::Bool(retried)),
-            ]),
-            Event::MigrationFailed { vm, pm, .. } | Event::OnlineDeparture { vm, pm, .. } => {
-                fields.extend([("vm", int(vm)), ("pm", int(pm))])
-            }
-            Event::Crash { pm, displaced, .. } => {
-                fields.extend([("pm", int(pm)), ("displaced", int(displaced))])
-            }
-            Event::Recovery { pm, .. } => fields.push(("pm", int(pm))),
-            Event::Evacuation {
-                vm,
-                from,
-                to,
-                degraded,
-                ..
-            } => fields.extend([
-                ("vm", int(vm)),
-                ("from", int(from)),
-                ("to", to.map_or(Json::Null, int)),
-                ("degraded", Json::Bool(degraded)),
-            ]),
-            Event::RetryEnqueued {
-                vm,
-                cause,
-                attempts,
-                due_step,
-                ..
-            } => fields.extend([
-                ("vm", int(vm)),
-                ("cause", Json::Str(cause.name().to_string())),
-                ("attempts", Json::Num(attempts.into())),
-                ("due_step", Json::Num(due_step as f64)),
-            ]),
-            Event::RetryAbandoned { vm, attempts, .. } => {
-                fields.extend([("vm", int(vm)), ("attempts", Json::Num(attempts.into()))])
-            }
-            Event::RetryCancelled { vm, .. } => fields.push(("vm", int(vm))),
-            Event::Admission {
-                vm, pm, degraded, ..
-            } => fields.extend([
-                ("vm", int(vm)),
-                ("pm", int(pm)),
-                ("degraded", Json::Bool(degraded)),
-            ]),
-            Event::CvrSample {
-                pm,
-                violations,
-                active,
-                ..
-            } => fields.extend([
-                ("pm", int(pm)),
-                ("violations", Json::Num(violations as f64)),
-                ("active", Json::Num(active as f64)),
-            ]),
-            Event::Step {
-                pms_used,
-                violations,
-                ..
-            } => fields.extend([("pms_used", int(pms_used)), ("violations", int(violations))]),
-            Event::Recalibration { p_on, p_off, .. } => {
-                fields.extend([("p_on", Json::Num(p_on)), ("p_off", Json::Num(p_off))])
-            }
-            Event::Snapshot { bytes, .. } => fields.push(("bytes", int(bytes))),
-            Event::Restore { discarded, .. } => fields.push(("discarded", int(discarded))),
-        }
-        let mut line = obj(fields).encode();
-        line.push('\n');
-        line
-    }
-}
-
-impl Event {
-    /// Appends the event's compact binary encoding (tag byte + fields,
-    /// all integers little-endian) — the checkpoint representation;
-    /// [`Event::decode`] is the exact inverse.
-    pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
-        use crate::durable::{put_bool, put_f64, put_u32, put_u64, put_u8, put_usize};
-        match *self {
-            Event::Violation {
-                step,
-                pm,
-                observed,
-                capacity,
-                degraded,
-            } => {
-                put_u8(buf, 0);
-                put_u64(buf, step);
-                put_usize(buf, pm);
-                put_f64(buf, observed);
-                put_f64(buf, capacity);
-                put_bool(buf, degraded);
-            }
-            Event::Migration {
-                step,
-                vm,
-                from,
-                to,
-                retried,
-            } => {
-                put_u8(buf, 1);
-                put_u64(buf, step);
-                put_usize(buf, vm);
-                put_usize(buf, from);
-                put_usize(buf, to);
-                put_bool(buf, retried);
-            }
-            Event::MigrationFailed { step, vm, pm } => {
-                put_u8(buf, 2);
-                put_u64(buf, step);
-                put_usize(buf, vm);
-                put_usize(buf, pm);
-            }
-            Event::Crash {
-                step,
-                pm,
-                displaced,
-            } => {
-                put_u8(buf, 3);
-                put_u64(buf, step);
-                put_usize(buf, pm);
-                put_usize(buf, displaced);
-            }
-            Event::Recovery { step, pm } => {
-                put_u8(buf, 4);
-                put_u64(buf, step);
-                put_usize(buf, pm);
-            }
-            Event::Evacuation {
-                step,
-                vm,
-                from,
-                to,
-                degraded,
-            } => {
-                put_u8(buf, 5);
-                put_u64(buf, step);
-                put_usize(buf, vm);
-                put_usize(buf, from);
-                match to {
-                    Some(j) => {
-                        put_bool(buf, true);
-                        put_usize(buf, j);
-                    }
-                    None => put_bool(buf, false),
-                }
-                put_bool(buf, degraded);
-            }
-            Event::RetryEnqueued {
-                step,
-                vm,
-                cause,
-                attempts,
-                due_step,
-            } => {
-                put_u8(buf, 6);
-                put_u64(buf, step);
-                put_usize(buf, vm);
-                put_u8(buf, matches!(cause, RetryCause::Evacuation) as u8);
-                put_u32(buf, attempts);
-                put_u64(buf, due_step);
-            }
-            Event::RetryAbandoned { step, vm, attempts } => {
-                put_u8(buf, 7);
-                put_u64(buf, step);
-                put_usize(buf, vm);
-                put_u32(buf, attempts);
-            }
-            Event::RetryCancelled { step, vm } => {
-                put_u8(buf, 8);
-                put_u64(buf, step);
-                put_usize(buf, vm);
-            }
-            Event::Admission {
-                step,
-                vm,
-                pm,
-                degraded,
-            } => {
-                put_u8(buf, 9);
-                put_u64(buf, step);
-                put_usize(buf, vm);
-                put_usize(buf, pm);
-                put_bool(buf, degraded);
-            }
-            Event::CvrSample {
-                step,
-                pm,
-                violations,
-                active,
-            } => {
-                put_u8(buf, 10);
-                put_u64(buf, step);
-                put_usize(buf, pm);
-                put_u64(buf, violations);
-                put_u64(buf, active);
-            }
-            Event::Step {
-                step,
-                pms_used,
-                violations,
-            } => {
-                put_u8(buf, 11);
-                put_u64(buf, step);
-                put_usize(buf, pms_used);
-                put_usize(buf, violations);
-            }
-            Event::OnlineDeparture { step, vm, pm } => {
-                put_u8(buf, 12);
-                put_u64(buf, step);
-                put_usize(buf, vm);
-                put_usize(buf, pm);
-            }
-            Event::Recalibration { step, p_on, p_off } => {
-                put_u8(buf, 13);
-                put_u64(buf, step);
-                put_f64(buf, p_on);
-                put_f64(buf, p_off);
-            }
-            Event::Snapshot { step, bytes } => {
-                put_u8(buf, 14);
-                put_u64(buf, step);
-                put_usize(buf, bytes);
-            }
-            Event::Restore { step, discarded } => {
-                put_u8(buf, 15);
-                put_u64(buf, step);
-                put_usize(buf, discarded);
-            }
-        }
-    }
-
-    /// Decodes one event from a [`Cursor`](crate::durable::Cursor);
-    /// inverse of [`Event::encode`].
-    pub(crate) fn decode(
-        c: &mut crate::durable::Cursor<'_>,
-    ) -> Result<Self, crate::durable::FrameError> {
-        use crate::durable::FrameError;
-        let tag = c.u8()?;
-        Ok(match tag {
-            0 => Event::Violation {
-                step: c.u64()?,
-                pm: c.usize()?,
-                observed: c.f64()?,
-                capacity: c.f64()?,
-                degraded: c.boolean()?,
-            },
-            1 => Event::Migration {
-                step: c.u64()?,
-                vm: c.usize()?,
-                from: c.usize()?,
-                to: c.usize()?,
-                retried: c.boolean()?,
-            },
-            2 => Event::MigrationFailed {
-                step: c.u64()?,
-                vm: c.usize()?,
-                pm: c.usize()?,
-            },
-            3 => Event::Crash {
-                step: c.u64()?,
-                pm: c.usize()?,
-                displaced: c.usize()?,
-            },
-            4 => Event::Recovery {
-                step: c.u64()?,
-                pm: c.usize()?,
-            },
-            5 => Event::Evacuation {
-                step: c.u64()?,
-                vm: c.usize()?,
-                from: c.usize()?,
-                to: if c.boolean()? { Some(c.usize()?) } else { None },
-                degraded: c.boolean()?,
-            },
-            6 => Event::RetryEnqueued {
-                step: c.u64()?,
-                vm: c.usize()?,
-                cause: if c.u8()? == 1 {
-                    RetryCause::Evacuation
-                } else {
-                    RetryCause::Overload
-                },
-                attempts: c.u32()?,
-                due_step: c.u64()?,
-            },
-            7 => Event::RetryAbandoned {
-                step: c.u64()?,
-                vm: c.usize()?,
-                attempts: c.u32()?,
-            },
-            8 => Event::RetryCancelled {
-                step: c.u64()?,
-                vm: c.usize()?,
-            },
-            9 => Event::Admission {
-                step: c.u64()?,
-                vm: c.usize()?,
-                pm: c.usize()?,
-                degraded: c.boolean()?,
-            },
-            10 => Event::CvrSample {
-                step: c.u64()?,
-                pm: c.usize()?,
-                violations: c.u64()?,
-                active: c.u64()?,
-            },
-            11 => Event::Step {
-                step: c.u64()?,
-                pms_used: c.usize()?,
-                violations: c.usize()?,
-            },
-            12 => Event::OnlineDeparture {
-                step: c.u64()?,
-                vm: c.usize()?,
-                pm: c.usize()?,
-            },
-            13 => Event::Recalibration {
-                step: c.u64()?,
-                p_on: c.f64()?,
-                p_off: c.f64()?,
-            },
-            14 => Event::Snapshot {
-                step: c.u64()?,
-                bytes: c.usize()?,
-            },
-            15 => Event::Restore {
-                step: c.u64()?,
-                discarded: c.usize()?,
-            },
-            t => return Err(FrameError::Decode(format!("unknown event tag {t}"))),
-        })
     }
 }
 

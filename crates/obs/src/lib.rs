@@ -17,6 +17,12 @@
 //!    (via `metrics::inference`) that the empirical violation fraction is
 //!    statistically consistent with the analytic `certified_cvr`.
 //!
+//! Every record is declared once: [`Counter`], [`Gauge`] and [`HistId`]
+//! are each one table of variant, doc and snake_case name (`name()` and
+//! `all()` follow from it), and [`Event`] is one table of variant, doc,
+//! binary tag, JSONL `type` and fields, from which its JSONL line and its
+//! snapshot codec are generated. Adding a record is one entry.
+//!
 //! The crate depends only on `bursty-metrics`, so every other crate in the
 //! workspace can depend on it without cycles.
 

@@ -12,266 +12,161 @@ use crate::journal::{Event, EventJournal};
 use crate::json::{obj, Json};
 use bursty_metrics::Log2Histogram;
 
-/// Monotonic counters. Every variant is a distinct slot in a flat array,
-/// so `counter_add` is a single indexed add — cheap enough for per-step
-/// call sites even with a recording recorder attached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Counter {
-    /// Simulation steps executed by the engine loop.
-    Steps,
-    /// PM-steps in violation (capacity exceeded on an active PM).
-    ViolationSteps,
-    /// Subset of `ViolationSteps` attributable to degraded admissions.
-    DegradedViolationSteps,
-    /// Successful migrations (immediate trigger path).
-    Migrations,
-    /// Successful migrations that landed from the retry queue.
-    RetriedMigrations,
-    /// Migration attempts that found no feasible target.
-    FailedMigrations,
-    /// PM crash transitions.
-    Crashes,
-    /// PM recovery transitions.
-    Recoveries,
-    /// VMs evicted by crashes (displaced into evacuation).
-    DisplacedVms,
-    /// Evacuated VMs placed under the normal admission rule.
-    EvacuationsPlaced,
-    /// Evacuated VMs placed only under degraded (epsilon) admission.
-    EvacuationsDegraded,
-    /// VM-steps spent unhosted while waiting for evacuation retry.
-    StrandedVmSteps,
-    /// First-time retry enqueues (attempts == 0).
-    RetryEnqueued,
-    /// Re-enqueues after a failed retry attempt (attempts > 0).
-    RetryReenqueued,
-    /// Overload retries dropped after exhausting `max_retries`.
-    RetryAbandoned,
-    /// Overload retries cancelled because the VM was no longer hosted /
-    /// no longer over budget when the retry came due.
-    RetryCancelled,
-    /// Overload retries that landed (== `retried_migrations`).
-    RetryLandedOverload,
-    /// Evacuation retries that landed a VM on a PM.
-    RetryLandedEvacuation,
-    /// Overload entries still queued when the run ended.
-    RetryResidualOverload,
-    /// Evacuation entries still queued when the run ended.
-    RetryResidualEvacuation,
-    /// Feasibility probes made by the packing first/best-fit search.
-    PackProbes,
-    /// Probes rejected by the admission check.
-    PackRejectedProbes,
-    /// VMs placed by the offline packers.
-    PackPlacedVms,
-    /// VMs placed by the class-collapsed batch packer.
-    BatchPlacedVms,
-    /// Placement attempts made by the evacuation batch placer.
-    EvacProbes,
-    /// Evacuation placement attempts refused by the admission rule.
-    EvacRefusals,
-    /// Online arrivals admitted.
-    OnlineArrivals,
-    /// Online departures processed.
-    OnlineDepartures,
-    /// Online recalibration passes.
-    OnlineRecalibrations,
-    /// Surviving entries visited while rebuilding a PM's load after a
-    /// departure (bounded by the per-PM co-location cap `d`, never the
-    /// fleet size).
-    DepartRebuildVisits,
-    /// Online batch-arrival calls.
-    OnlineBatches,
-    /// Class-aggregated binomial draws answered from a memoized CDF
-    /// table (see `sim::rng::binomial_table`).
-    BinomialTableHits,
-    /// Class-aggregated binomial draws that built their table first.
-    BinomialTableMisses,
-    /// Memoized CDF tables dropped by cache generation flushes.
-    BinomialTableEvictions,
-    /// Requests the placement daemon served under its engine lock
-    /// (every op kind, reads included).
-    ServeRequests,
-    /// Requests rejected before reaching the engine (malformed HTTP,
-    /// bad JSON, invalid parameters, unknown routes).
-    ServeBadRequests,
-    /// Fleet snapshots written by the daemon.
-    ServeSnapshots,
-    /// Fleet restores performed at daemon startup.
-    ServeRestores,
-}
-
-impl Counter {
-    pub(crate) const COUNT: usize = 38;
-
-    /// Stable snake_case name used in the JSONL meta record.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::Steps => "steps",
-            Counter::ViolationSteps => "violation_steps",
-            Counter::DegradedViolationSteps => "degraded_violation_steps",
-            Counter::Migrations => "migrations",
-            Counter::RetriedMigrations => "retried_migrations",
-            Counter::FailedMigrations => "failed_migrations",
-            Counter::Crashes => "crashes",
-            Counter::Recoveries => "recoveries",
-            Counter::DisplacedVms => "displaced_vms",
-            Counter::EvacuationsPlaced => "evacuations_placed",
-            Counter::EvacuationsDegraded => "evacuations_degraded",
-            Counter::StrandedVmSteps => "stranded_vm_steps",
-            Counter::RetryEnqueued => "retry_enqueued",
-            Counter::RetryReenqueued => "retry_reenqueued",
-            Counter::RetryAbandoned => "retry_abandoned",
-            Counter::RetryCancelled => "retry_cancelled",
-            Counter::RetryLandedOverload => "retry_landed_overload",
-            Counter::RetryLandedEvacuation => "retry_landed_evacuation",
-            Counter::RetryResidualOverload => "retry_residual_overload",
-            Counter::RetryResidualEvacuation => "retry_residual_evacuation",
-            Counter::PackProbes => "pack_probes",
-            Counter::PackRejectedProbes => "pack_rejected_probes",
-            Counter::PackPlacedVms => "pack_placed_vms",
-            Counter::BatchPlacedVms => "batch_placed_vms",
-            Counter::EvacProbes => "evac_probes",
-            Counter::EvacRefusals => "evac_refusals",
-            Counter::OnlineArrivals => "online_arrivals",
-            Counter::OnlineDepartures => "online_departures",
-            Counter::OnlineRecalibrations => "online_recalibrations",
-            Counter::DepartRebuildVisits => "depart_rebuild_visits",
-            Counter::OnlineBatches => "online_batches",
-            Counter::BinomialTableHits => "binomial_table_hits",
-            Counter::BinomialTableMisses => "binomial_table_misses",
-            Counter::BinomialTableEvictions => "binomial_table_evictions",
-            Counter::ServeRequests => "serve_requests",
-            Counter::ServeBadRequests => "serve_bad_requests",
-            Counter::ServeSnapshots => "serve_snapshots",
-            Counter::ServeRestores => "serve_restores",
+/// Declares a record enum once: each variant with its doc comment and its
+/// stable snake_case name (the key of the JSONL meta record and of the
+/// daemon's `/metrics` text). `COUNT`, `all()` and `name()` are derived
+/// from that one list, and the `repr(usize)` discriminant is the
+/// variant's slot in the recorder's flat arrays, so a new record is one
+/// entry.
+macro_rules! records {
+    ($(#[$meta:meta])* pub enum $name:ident {
+        $($(#[$doc:meta])* $variant:ident = $label:literal,)*
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum $name {
+            $($(#[$doc])* $variant,)*
         }
-    }
 
-    /// All variants in declaration order (for reporting).
-    pub fn all() -> [Counter; Counter::COUNT] {
-        [
-            Counter::Steps,
-            Counter::ViolationSteps,
-            Counter::DegradedViolationSteps,
-            Counter::Migrations,
-            Counter::RetriedMigrations,
-            Counter::FailedMigrations,
-            Counter::Crashes,
-            Counter::Recoveries,
-            Counter::DisplacedVms,
-            Counter::EvacuationsPlaced,
-            Counter::EvacuationsDegraded,
-            Counter::StrandedVmSteps,
-            Counter::RetryEnqueued,
-            Counter::RetryReenqueued,
-            Counter::RetryAbandoned,
-            Counter::RetryCancelled,
-            Counter::RetryLandedOverload,
-            Counter::RetryLandedEvacuation,
-            Counter::RetryResidualOverload,
-            Counter::RetryResidualEvacuation,
-            Counter::PackProbes,
-            Counter::PackRejectedProbes,
-            Counter::PackPlacedVms,
-            Counter::BatchPlacedVms,
-            Counter::EvacProbes,
-            Counter::EvacRefusals,
-            Counter::OnlineArrivals,
-            Counter::OnlineDepartures,
-            Counter::OnlineRecalibrations,
-            Counter::DepartRebuildVisits,
-            Counter::OnlineBatches,
-            Counter::BinomialTableHits,
-            Counter::BinomialTableMisses,
-            Counter::BinomialTableEvictions,
-            Counter::ServeRequests,
-            Counter::ServeBadRequests,
-            Counter::ServeSnapshots,
-            Counter::ServeRestores,
-        ]
-    }
-}
+        impl $name {
+            pub(crate) const COUNT: usize = [$($name::$variant),*].len();
 
-/// Point-in-time values overwritten on each set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Gauge {
-    /// PMs in use after the initial pack.
-    PmsUsedAtPack,
-    /// Peak concurrent PMs over the run.
-    PeakPmsUsed,
-    /// PMs in use at the end of the run.
-    FinalPmsUsed,
-    /// Total energy of the run in joules.
-    EnergyJoules,
-}
+            /// Stable snake_case name used in the JSONL meta record.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($name::$variant => $label,)*
+                }
+            }
 
-impl Gauge {
-    pub(crate) const COUNT: usize = 4;
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Gauge::PmsUsedAtPack => "pms_used_at_pack",
-            Gauge::PeakPmsUsed => "peak_pms_used",
-            Gauge::FinalPmsUsed => "final_pms_used",
-            Gauge::EnergyJoules => "energy_joules",
+            /// All variants in declaration order (for reporting).
+            pub fn all() -> [$name; $name::COUNT] {
+                [$($name::$variant),*]
+            }
         }
-    }
+    };
+}
 
-    pub fn all() -> [Gauge; Gauge::COUNT] {
-        [
-            Gauge::PmsUsedAtPack,
-            Gauge::PeakPmsUsed,
-            Gauge::FinalPmsUsed,
-            Gauge::EnergyJoules,
-        ]
+records! {
+    /// Monotonic counters. Every variant is a distinct slot in a flat array,
+    /// so `counter_add` is a single indexed add — cheap enough for per-step
+    /// call sites even with a recording recorder attached.
+    pub enum Counter {
+        /// Simulation steps executed by the engine loop.
+        Steps = "steps",
+        /// PM-steps in violation (capacity exceeded on an active PM).
+        ViolationSteps = "violation_steps",
+        /// Subset of `ViolationSteps` attributable to degraded admissions.
+        DegradedViolationSteps = "degraded_violation_steps",
+        /// Successful migrations (immediate trigger path).
+        Migrations = "migrations",
+        /// Successful migrations that landed from the retry queue.
+        RetriedMigrations = "retried_migrations",
+        /// Migration attempts that found no feasible target.
+        FailedMigrations = "failed_migrations",
+        /// PM crash transitions.
+        Crashes = "crashes",
+        /// PM recovery transitions.
+        Recoveries = "recoveries",
+        /// VMs evicted by crashes (displaced into evacuation).
+        DisplacedVms = "displaced_vms",
+        /// Evacuated VMs placed under the normal admission rule.
+        EvacuationsPlaced = "evacuations_placed",
+        /// Evacuated VMs placed only under degraded (epsilon) admission.
+        EvacuationsDegraded = "evacuations_degraded",
+        /// VM-steps spent unhosted while waiting for evacuation retry.
+        StrandedVmSteps = "stranded_vm_steps",
+        /// First-time retry enqueues (attempts == 0).
+        RetryEnqueued = "retry_enqueued",
+        /// Re-enqueues after a failed retry attempt (attempts > 0).
+        RetryReenqueued = "retry_reenqueued",
+        /// Overload retries dropped after exhausting `max_retries`.
+        RetryAbandoned = "retry_abandoned",
+        /// Overload retries cancelled because the VM was no longer hosted /
+        /// no longer over budget when the retry came due.
+        RetryCancelled = "retry_cancelled",
+        /// Overload retries that landed (== `retried_migrations`).
+        RetryLandedOverload = "retry_landed_overload",
+        /// Evacuation retries that landed a VM on a PM.
+        RetryLandedEvacuation = "retry_landed_evacuation",
+        /// Overload entries still queued when the run ended.
+        RetryResidualOverload = "retry_residual_overload",
+        /// Evacuation entries still queued when the run ended.
+        RetryResidualEvacuation = "retry_residual_evacuation",
+        /// Feasibility probes made by the packing first/best-fit search.
+        PackProbes = "pack_probes",
+        /// Probes rejected by the admission check.
+        PackRejectedProbes = "pack_rejected_probes",
+        /// VMs placed by the offline packers.
+        PackPlacedVms = "pack_placed_vms",
+        /// VMs placed by the class-collapsed batch packer.
+        BatchPlacedVms = "batch_placed_vms",
+        /// Placement attempts made by the evacuation batch placer.
+        EvacProbes = "evac_probes",
+        /// Evacuation placement attempts refused by the admission rule.
+        EvacRefusals = "evac_refusals",
+        /// Online arrivals admitted.
+        OnlineArrivals = "online_arrivals",
+        /// Online departures processed.
+        OnlineDepartures = "online_departures",
+        /// Online recalibration passes.
+        OnlineRecalibrations = "online_recalibrations",
+        /// Surviving entries visited while rebuilding a PM's load after a
+        /// departure (bounded by the per-PM co-location cap `d`, never the
+        /// fleet size).
+        DepartRebuildVisits = "depart_rebuild_visits",
+        /// Online batch-arrival calls.
+        OnlineBatches = "online_batches",
+        /// Class-aggregated binomial draws answered from a memoized CDF
+        /// table (see `sim::rng::binomial_table`).
+        BinomialTableHits = "binomial_table_hits",
+        /// Class-aggregated binomial draws that built their table first.
+        BinomialTableMisses = "binomial_table_misses",
+        /// Memoized CDF tables dropped by cache generation flushes.
+        BinomialTableEvictions = "binomial_table_evictions",
+        /// Requests the placement daemon served under its engine lock
+        /// (every op kind, reads included).
+        ServeRequests = "serve_requests",
+        /// Requests rejected before reaching the engine (malformed HTTP,
+        /// bad JSON, invalid parameters, unknown routes).
+        ServeBadRequests = "serve_bad_requests",
+        /// Fleet snapshots written by the daemon.
+        ServeSnapshots = "serve_snapshots",
+        /// Fleet restores performed at daemon startup.
+        ServeRestores = "serve_restores",
     }
 }
 
-/// Log2-bucketed histograms (see `metrics::Log2Histogram`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum HistId {
-    /// Backoff delays (in steps) chosen for retry enqueues.
-    RetryBackoffSteps,
-    /// Displaced-VM batch sizes handed to the evacuator per crash step.
-    EvacuationBatchSize,
-    /// Violating-PM count per step with at least one violation.
-    ViolationsPerStep,
-    /// Per-arrival admission latency in nanoseconds (recorded by the
-    /// churn drivers, not the library — the engines stay clock-free).
-    OnlineAdmitNanos,
-    /// Per-departure latency in nanoseconds.
-    OnlineDepartNanos,
-    /// Per-recalibration latency in nanoseconds.
-    OnlineRecalibrateNanos,
+records! {
+    /// Point-in-time values overwritten on each set.
+    pub enum Gauge {
+        /// PMs in use after the initial pack.
+        PmsUsedAtPack = "pms_used_at_pack",
+        /// Peak concurrent PMs over the run.
+        PeakPmsUsed = "peak_pms_used",
+        /// PMs in use at the end of the run.
+        FinalPmsUsed = "final_pms_used",
+        /// Total energy of the run in joules.
+        EnergyJoules = "energy_joules",
+    }
 }
 
-impl HistId {
-    pub(crate) const COUNT: usize = 6;
-
-    pub fn name(self) -> &'static str {
-        match self {
-            HistId::RetryBackoffSteps => "retry_backoff_steps",
-            HistId::EvacuationBatchSize => "evacuation_batch_size",
-            HistId::ViolationsPerStep => "violations_per_step",
-            HistId::OnlineAdmitNanos => "online_admit_nanos",
-            HistId::OnlineDepartNanos => "online_depart_nanos",
-            HistId::OnlineRecalibrateNanos => "online_recalibrate_nanos",
-        }
-    }
-
-    pub fn all() -> [HistId; HistId::COUNT] {
-        [
-            HistId::RetryBackoffSteps,
-            HistId::EvacuationBatchSize,
-            HistId::ViolationsPerStep,
-            HistId::OnlineAdmitNanos,
-            HistId::OnlineDepartNanos,
-            HistId::OnlineRecalibrateNanos,
-        ]
+records! {
+    /// Log2-bucketed histograms (see `metrics::Log2Histogram`).
+    pub enum HistId {
+        /// Backoff delays (in steps) chosen for retry enqueues.
+        RetryBackoffSteps = "retry_backoff_steps",
+        /// Displaced-VM batch sizes handed to the evacuator per crash step.
+        EvacuationBatchSize = "evacuation_batch_size",
+        /// Violating-PM count per step with at least one violation.
+        ViolationsPerStep = "violations_per_step",
+        /// Per-arrival admission latency in nanoseconds (recorded by the
+        /// churn programs, not the library — the engines stay clock-free).
+        OnlineAdmitNanos = "online_admit_nanos",
+        /// Per-departure latency in nanoseconds.
+        OnlineDepartNanos = "online_depart_nanos",
+        /// Per-recalibration latency in nanoseconds.
+        OnlineRecalibrateNanos = "online_recalibrate_nanos",
     }
 }
 

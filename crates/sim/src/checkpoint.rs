@@ -36,8 +36,8 @@
 
 use crate::config::{CheckpointConfig, RngLayout, VictimPolicy};
 use crate::engine::{
-    CrashRecord, FaultState, PmIndexes, RecoveryStats, RetryEntry, RetryKind, RunState, SimOutcome,
-    Simulator, StepHook,
+    CrashRecord, FaultState, PmIndexes, RecoveryStats, RetryEntry, RunState, SimOutcome, Simulator,
+    StepHook,
 };
 use crate::events::{EvacuationEvent, FaultEvent, FaultKind, MigrationEvent};
 use crate::faults::FaultProcess;
@@ -48,7 +48,7 @@ use bursty_obs::durable::{
     parse_frames, put_bool, put_bytes, put_f64, put_u32, put_u64, put_u8, put_usize, Cursor,
     FrameError, FrameWriter, Store,
 };
-use bursty_obs::Recorder;
+use bursty_obs::{Recorder, RetryCause};
 use bursty_placement::{Placement, PmLoad};
 use std::fmt;
 
@@ -316,7 +316,7 @@ pub(crate) fn encode_state(
     put_usize(&mut fsb, fs.retry_queue.len());
     for e in &fs.retry_queue {
         put_usize(&mut fsb, e.vm);
-        put_u8(&mut fsb, matches!(e.kind, RetryKind::Evacuation).into());
+        put_u8(&mut fsb, matches!(e.cause, RetryCause::Evacuation).into());
         put_usize(&mut fsb, e.attempts);
         put_usize(&mut fsb, e.next_step);
     }
@@ -553,10 +553,10 @@ pub(crate) fn decode_state(
         .map(|_| {
             Ok(RetryEntry {
                 vm: c.usize()?,
-                kind: match c.u8()? {
-                    0 => RetryKind::Overload,
-                    1 => RetryKind::Evacuation,
-                    t => return Err(bad(format!("unknown retry kind {t}"))),
+                cause: match c.u8()? {
+                    0 => RetryCause::Overload,
+                    1 => RetryCause::Evacuation,
+                    t => return Err(bad(format!("unknown retry cause {t}"))),
                 },
                 attempts: c.usize()?,
                 next_step: c.usize()?,

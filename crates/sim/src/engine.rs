@@ -123,25 +123,18 @@ impl SimOutcome {
     }
 }
 
-/// Why a VM sits in the retry queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RetryKind {
-    /// A trigger-time migration off an over-budget PM found no target;
-    /// the VM is still hosted there. Abandoned after
-    /// [`SimConfig::max_retries`] failed re-attempts (the trigger
-    /// re-detects a persisting overload anyway).
-    Overload,
-    /// The VM was displaced by a PM crash and no PM admitted it. Never
-    /// abandoned: the backoff exponent saturates but the entry stays until
-    /// the VM lands somewhere.
-    Evacuation,
-}
-
 /// One deferred placement attempt.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RetryEntry {
     pub(crate) vm: usize,
-    pub(crate) kind: RetryKind,
+    /// `Overload`: a trigger-time migration off an over-budget PM found no
+    /// target; the VM is still hosted there. Abandoned after
+    /// [`SimConfig::max_retries`] failed re-attempts (the trigger
+    /// re-detects a persisting overload anyway). `Evacuation`: the VM was
+    /// displaced by a PM crash and no PM admitted it. Never abandoned: the
+    /// backoff exponent saturates but the entry stays until the VM lands
+    /// somewhere.
+    pub(crate) cause: RetryCause,
     /// Failed re-attempts so far (0 right after the initial failure).
     pub(crate) attempts: usize,
     /// First step at which the entry is due again.
@@ -710,6 +703,55 @@ impl<'a> Simulator<'a> {
         self.config.retry_base_steps.saturating_mul(1usize << exp)
     }
 
+    /// Queues VM `i` for a retry after `attempts` failed re-attempts (0 on
+    /// the initial failure), due one [`backoff`](Self::backoff) from
+    /// `step`. Books the enqueue (`RetryEnqueued` on the first,
+    /// `RetryReenqueued` after), the backoff and the `RetryEnqueued`
+    /// event.
+    fn enqueue_retry<R: Recorder>(
+        &self,
+        step: usize,
+        i: usize,
+        cause: RetryCause,
+        attempts: usize,
+        fs: &mut FaultState,
+        rec: &mut R,
+    ) {
+        let delay = self.backoff(attempts);
+        rec.counter_inc(if attempts == 0 {
+            Counter::RetryEnqueued
+        } else {
+            Counter::RetryReenqueued
+        });
+        rec.record_value(HistId::RetryBackoffSteps, delay as u64);
+        if R::ENABLED {
+            rec.record_event(Event::RetryEnqueued {
+                step: step as u64,
+                vm: self.vms[i].id,
+                cause,
+                attempts: attempts as u32,
+                due_step: (step + delay) as u64,
+            });
+        }
+        fs.enqueue_retry(RetryEntry {
+            vm: i,
+            cause,
+            attempts,
+            next_step: step + delay,
+        });
+    }
+
+    /// Books the cancellation of VM `i`'s overload retry.
+    fn cancel_retry<R: Recorder>(&self, step: usize, i: usize, rec: &mut R) {
+        rec.counter_inc(Counter::RetryCancelled);
+        if R::ENABLED {
+            rec.record_event(Event::RetryCancelled {
+                step: step as u64,
+                vm: self.vms[i].id,
+            });
+        }
+    }
+
     /// Runs the simulation from `initial` and returns the outcome.
     ///
     /// Every VM starts OFF (the initial placement is made at the normal
@@ -924,15 +966,9 @@ impl<'a> Simulator<'a> {
                 if !displaced.is_empty() && !fs.retry_queue.is_empty() {
                     let queue = std::mem::take(&mut fs.retry_queue);
                     for r in queue {
-                        if r.kind == RetryKind::Overload && host[r.vm].is_none() {
+                        if r.cause == RetryCause::Overload && host[r.vm].is_none() {
                             fs.in_retry[r.vm] = false;
-                            rec.counter_inc(Counter::RetryCancelled);
-                            if R::ENABLED {
-                                rec.record_event(Event::RetryCancelled {
-                                    step: step as u64,
-                                    vm: self.vms[r.vm].id,
-                                });
-                            }
+                            self.cancel_retry(step, r.vm, rec);
                         } else {
                             fs.retry_queue.push(r);
                         }
@@ -954,9 +990,6 @@ impl<'a> Simulator<'a> {
                             to_pm: None,
                             degraded: false,
                         });
-                        let delay = self.backoff(0);
-                        rec.counter_inc(Counter::RetryEnqueued);
-                        rec.record_value(HistId::RetryBackoffSteps, delay as u64);
                         if R::ENABLED {
                             rec.record_event(Event::Evacuation {
                                 step: step as u64,
@@ -965,20 +998,8 @@ impl<'a> Simulator<'a> {
                                 to: None,
                                 degraded: false,
                             });
-                            rec.record_event(Event::RetryEnqueued {
-                                step: step as u64,
-                                vm: self.vms[i].id,
-                                cause: RetryCause::Evacuation,
-                                attempts: 0,
-                                due_step: (step + delay) as u64,
-                            });
                         }
-                        fs.enqueue_retry(RetryEntry {
-                            vm: i,
-                            kind: RetryKind::Evacuation,
-                            attempts: 0,
-                            next_step: step + delay,
-                        });
+                        self.enqueue_retry(step, i, RetryCause::Evacuation, 0, fs, rec);
                     }
                 }
             }
@@ -1105,24 +1126,7 @@ impl<'a> Simulator<'a> {
                                 });
                             }
                             if self.config.max_retries > 0 && !fs.in_retry[victim] {
-                                let delay = self.backoff(0);
-                                rec.counter_inc(Counter::RetryEnqueued);
-                                rec.record_value(HistId::RetryBackoffSteps, delay as u64);
-                                if R::ENABLED {
-                                    rec.record_event(Event::RetryEnqueued {
-                                        step: step as u64,
-                                        vm: vm.id,
-                                        cause: RetryCause::Overload,
-                                        attempts: 0,
-                                        due_step: (step + delay) as u64,
-                                    });
-                                }
-                                fs.enqueue_retry(RetryEntry {
-                                    vm: victim,
-                                    kind: RetryKind::Overload,
-                                    attempts: 0,
-                                    next_step: step + delay,
-                                });
+                                self.enqueue_retry(step, victim, RetryCause::Overload, 0, fs, rec);
                             }
                         }
                     }
@@ -1144,7 +1148,7 @@ impl<'a> Simulator<'a> {
                         // Popped for processing; only another failure below
                         // re-queues it (and re-raises the flag).
                         fs.in_retry[e.vm] = false;
-                        if e.kind == RetryKind::Overload {
+                        if e.cause == RetryCause::Overload {
                             due_overload.push(e);
                         } else {
                             due_evac.push(e);
@@ -1152,27 +1156,15 @@ impl<'a> Simulator<'a> {
                     }
                 }
 
-                for mut e in due_overload {
+                for e in due_overload {
                     // Displaced meanwhile: the evacuation path owns it.
                     let Some(j) = host[e.vm] else {
-                        rec.counter_inc(Counter::RetryCancelled);
-                        if R::ENABLED {
-                            rec.record_event(Event::RetryCancelled {
-                                step: step as u64,
-                                vm: self.vms[e.vm].id,
-                            });
-                        }
+                        self.cancel_retry(step, e.vm, rec);
                         continue;
                     };
                     let active = indexes.active_steps_of(j);
                     if !self.config.sheds_vm(vio_steps[j], active) {
-                        rec.counter_inc(Counter::RetryCancelled);
-                        if R::ENABLED {
-                            rec.record_event(Event::RetryCancelled {
-                                step: step as u64,
-                                vm: self.vms[e.vm].id,
-                            });
-                        }
+                        self.cancel_retry(step, e.vm, rec);
                         continue; // overload cleared itself; cancel
                     }
                     let vm = &self.vms[e.vm];
@@ -1196,22 +1188,16 @@ impl<'a> Simulator<'a> {
                             *retried_migrations += 1;
                         }
                         None => {
-                            e.attempts += 1;
-                            if e.attempts < self.config.max_retries {
-                                let delay = self.backoff(e.attempts);
-                                e.next_step = step + delay;
-                                rec.counter_inc(Counter::RetryReenqueued);
-                                rec.record_value(HistId::RetryBackoffSteps, delay as u64);
-                                if R::ENABLED {
-                                    rec.record_event(Event::RetryEnqueued {
-                                        step: step as u64,
-                                        vm: vm.id,
-                                        cause: RetryCause::Overload,
-                                        attempts: e.attempts as u32,
-                                        due_step: e.next_step as u64,
-                                    });
-                                }
-                                fs.enqueue_retry(e);
+                            let attempts = e.attempts + 1;
+                            if attempts < self.config.max_retries {
+                                self.enqueue_retry(
+                                    step,
+                                    e.vm,
+                                    RetryCause::Overload,
+                                    attempts,
+                                    fs,
+                                    rec,
+                                );
                             } else {
                                 // Abandoned; the trigger re-detects a
                                 // persisting overload (the VM is hosted).
@@ -1220,7 +1206,7 @@ impl<'a> Simulator<'a> {
                                     rec.record_event(Event::RetryAbandoned {
                                         step: step as u64,
                                         vm: vm.id,
-                                        attempts: e.attempts as u32,
+                                        attempts: attempts as u32,
                                     });
                                 }
                             }
@@ -1247,24 +1233,7 @@ impl<'a> Simulator<'a> {
                             .expect("unplaced VM came from the due batch")
                             .attempts
                             + 1;
-                        let delay = self.backoff(attempts);
-                        rec.counter_inc(Counter::RetryReenqueued);
-                        rec.record_value(HistId::RetryBackoffSteps, delay as u64);
-                        if R::ENABLED {
-                            rec.record_event(Event::RetryEnqueued {
-                                step: step as u64,
-                                vm: self.vms[i].id,
-                                cause: RetryCause::Evacuation,
-                                attempts: attempts as u32,
-                                due_step: (step + delay) as u64,
-                            });
-                        }
-                        fs.enqueue_retry(RetryEntry {
-                            vm: i,
-                            kind: RetryKind::Evacuation,
-                            attempts,
-                            next_step: step + delay,
-                        });
+                        self.enqueue_retry(step, i, RetryCause::Evacuation, attempts, fs, rec);
                     }
                 }
             }
@@ -1340,9 +1309,9 @@ impl<'a> Simulator<'a> {
                 }
             }
             for e in &fs.retry_queue {
-                rec.counter_inc(match e.kind {
-                    RetryKind::Overload => Counter::RetryResidualOverload,
-                    RetryKind::Evacuation => Counter::RetryResidualEvacuation,
+                rec.counter_inc(match e.cause {
+                    RetryCause::Overload => Counter::RetryResidualOverload,
+                    RetryCause::Evacuation => Counter::RetryResidualEvacuation,
                 });
             }
             rec.gauge_set(Gauge::FinalPmsUsed, indexes.occupied.len() as f64);

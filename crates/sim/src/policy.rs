@@ -84,24 +84,6 @@ impl RuntimePolicy for &dyn RuntimePolicy {
     }
 }
 
-impl RuntimePolicy for Box<dyn RuntimePolicy> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn admits(&self, vm: &VmSpec, vm_demand: f64, pm: &PmRuntime, capacity: f64) -> bool {
-        (**self).admits(vm, vm_demand, pm, capacity)
-    }
-    fn headroom(&self, pm: &PmRuntime, capacity: f64) -> f64 {
-        (**self).headroom(pm, capacity)
-    }
-    fn demand_measure(&self, vm: &VmSpec, vm_demand: f64) -> f64 {
-        (**self).demand_measure(vm, vm_demand)
-    }
-    fn headroom_reads_observed(&self) -> bool {
-        (**self).headroom_reads_observed()
-    }
-}
-
 /// Degraded-mode admission: the wrapped policy's rule evaluated with every
 /// capacity inflated to `(1 + ε)·C`. This is the principled relaxation
 /// order's first stage when the pool is exhausted — the *shape* of the

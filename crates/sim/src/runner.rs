@@ -2,10 +2,9 @@
 //!
 //! The paper runs each §V-D setting ten times and reports mean/min/max.
 //! Replications are embarrassingly parallel — each one owns its RNG — so
-//! they fan out across a scoped thread pool and stream results back over a
-//! channel.
+//! they fan out across a scoped thread pool, and each worker hands its
+//! results back through its join handle.
 
-use crossbeam::channel;
 use std::any::Any;
 use std::cell::Cell;
 use std::num::NonZeroUsize;
@@ -59,29 +58,33 @@ where
     }
 
     type Payload = Box<dyn Any + Send + 'static>;
-    let (tx, rx) = channel::unbounded::<(usize, Result<T, Payload>)>();
     thread::scope(|scope| {
-        for worker in 0..threads {
-            let tx = tx.clone();
-            let f = &f;
-            scope.spawn(move || {
-                IN_REPLICATION_WORKER.with(|flag| flag.set(true));
-                // Static stride partitioning: grid-point costs are
-                // near-uniform, so striding balances without a work queue.
-                for idx in (worker..count).step_by(threads) {
-                    let result = catch_unwind(AssertUnwindSafe(|| f(idx)));
-                    let failed = result.is_err();
-                    tx.send((idx, result)).expect("collector outlives workers");
-                    if failed {
-                        break; // this worker's remaining indices are moot
+        let workers: Vec<_> = (0..threads)
+            .map(|worker| {
+                let f = &f;
+                scope.spawn(move || {
+                    IN_REPLICATION_WORKER.with(|flag| flag.set(true));
+                    // Static stride partitioning: grid-point costs are
+                    // near-uniform, so striding balances without a work queue.
+                    let mut done = Vec::new();
+                    for idx in (worker..count).step_by(threads) {
+                        let result = catch_unwind(AssertUnwindSafe(|| f(idx)));
+                        let failed = result.is_err();
+                        done.push((idx, result));
+                        if failed {
+                            break; // this worker's remaining indices are moot
+                        }
                     }
-                }
-            });
-        }
-        drop(tx);
+                    done
+                })
+            })
+            .collect();
         let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
         let mut first_panic: Option<(usize, Payload)> = None;
-        for (idx, value) in rx {
+        let results = workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("worker panics are caught"));
+        for (idx, value) in results {
             match value {
                 Ok(value) => slots[idx] = Some(value),
                 Err(payload) => {
