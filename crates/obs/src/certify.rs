@@ -10,6 +10,7 @@
 //! interval discounted for the ON/OFF chain's lag-1 autocorrelation
 //! (consecutive steps are correlated by design — that is the burstiness).
 
+use crate::durable::{Cursor, FrameError, Wire};
 use crate::json::{obj, Json};
 use bursty_metrics::{effective_sample_size, wilson_interval_fractional, ProportionCi};
 
@@ -23,10 +24,6 @@ pub struct CvrSeries {
 impl CvrSeries {
     pub(crate) fn push(&mut self, step: u64, violations: usize, active: usize) {
         self.samples.push((step, violations, active));
-    }
-
-    pub(crate) fn samples(&self) -> &[(u64, usize, usize)] {
-        &self.samples
     }
 
     /// The final cumulative `(violations, active)` pair, if any sample was
@@ -50,6 +47,17 @@ impl CvrSeries {
         .encode();
         line.push('\n');
         line
+    }
+}
+
+/// The samples' `Vec` layout.
+impl Wire for CvrSeries {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.samples.put(buf);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+        Wire::get(c).map(|samples| CvrSeries { samples })
     }
 }
 
@@ -137,6 +145,12 @@ pub fn certify_cvr(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CvrSeries {
+        pub(crate) fn samples(&self) -> &[(u64, usize, usize)] {
+            &self.samples
+        }
+    }
 
     #[test]
     fn consistent_when_analytic_inside_ci() {

@@ -185,40 +185,164 @@ pub fn parse_frames(bytes: &[u8]) -> Result<Vec<(u32, Vec<u8>)>, FrameError> {
 }
 
 // ---------------------------------------------------------------------
-// Little-endian encode/decode helpers shared by snapshot payloads.
+// The payload codec.
 // ---------------------------------------------------------------------
 
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// A value with one binary layout, written by [`put`](Wire::put) and
+/// read back by [`get`](Wire::get): integers little-endian, `usize` as
+/// `u64`, `f64` as its bits, `bool` as one byte (0 or 1), a sequence as
+/// its length then its elements, a tuple or array as its elements in
+/// order. Every snapshot image is a list of `Wire` values, so a type's
+/// layout is written once and its decoder is its exact inverse.
+pub trait Wire: Sized {
+    /// The smallest encoding of a value in bytes. `Vec<T>::get` bounds a
+    /// declared element count by the remaining payload over it
+    /// ([`Cursor::seq_len`]), so a corrupt count fails instead of
+    /// allocating; a value larger than any encoding would refuse valid
+    /// images.
+    const MIN_BYTES: usize;
+    fn put(&self, buf: &mut Vec<u8>);
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError>;
 }
 
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+macro_rules! wire_le {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = std::mem::size_of::<$ty>();
+            #[inline]
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+                Ok(<$ty>::from_le_bytes(c.take(Self::MIN_BYTES)?.try_into().expect("sized")))
+            }
+        }
+    )*};
 }
 
-pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
+wire_le!(u8, u32, u64);
+
+impl Wire for usize {
+    const MIN_BYTES: usize = 8;
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        (*self as u64).put(buf);
+    }
+    #[inline]
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+        let v = u64::get(c)?;
+        usize::try_from(v).map_err(|_| FrameError::Decode(format!("usize overflow: {v}")))
+    }
 }
 
-pub fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    buf.push(v as u8);
+impl Wire for f64 {
+    const MIN_BYTES: usize = 8;
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.to_bits().put(buf);
+    }
+    #[inline]
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+        u64::get(c).map(f64::from_bits)
+    }
 }
 
-pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(u8::from(*self));
+    }
+    #[inline]
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+        match u8::get(c)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(FrameError::Decode(format!("bad bool byte {b}"))),
+        }
+    }
 }
 
-pub fn put_usize(buf: &mut Vec<u8>, v: usize) {
-    put_u64(buf, v as u64);
+/// A presence byte, then the value only when present. (A sim checkpoint
+/// writes its optional indices fixed-width instead; see
+/// `sim::checkpoint`.)
+impl Wire for Option<usize> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.is_some().put(buf);
+        if let Some(v) = self {
+            v.put(buf);
+        }
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+        bool::get(c)?.then(|| usize::get(c)).transpose()
+    }
 }
 
-pub fn put_bytes(buf: &mut Vec<u8>, v: &[u8]) {
-    put_usize(buf, v.len());
-    buf.extend_from_slice(v);
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.len().put(buf);
+        for v in self {
+            v.put(buf);
+        }
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+        let n = c.seq_len(T::MIN_BYTES)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::get(c)?);
+        }
+        Ok(out)
+    }
 }
 
-/// Cursor over a snapshot payload; every getter fails cleanly (no
-/// panics) so corrupt payloads surface as [`FrameError::Decode`].
+impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
+    fn put(&self, buf: &mut Vec<u8>) {
+        for v in self {
+            v.put(buf);
+        }
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+        let mut out = [T::default(); N];
+        for slot in &mut out {
+            *slot = T::get(c)?;
+        }
+        Ok(out)
+    }
+}
+
+macro_rules! wire_tuple {
+    ($($t:ident . $i:tt),+) => {
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            const MIN_BYTES: usize = 0 $(+ $t::MIN_BYTES)+;
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(self.$i.put(buf);)+
+            }
+            fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+                Ok(($($t::get(c)?,)+))
+            }
+        }
+    };
+}
+
+wire_tuple!(A.0, B.1);
+wire_tuple!(A.0, B.1, C.2);
+wire_tuple!(A.0, B.1, C.2, D.3);
+
+/// Writes `items` in the layout of a `Vec<T>` (their count, then each)
+/// straight from the table that owns them, with no `Vec` built.
+pub fn write_seq<T: Wire>(buf: &mut Vec<u8>, items: impl ExactSizeIterator<Item = T>) {
+    items.len().put(buf);
+    for v in items {
+        v.put(buf);
+    }
+}
+
+/// Cursor over a snapshot payload; every read fails cleanly (no panics)
+/// so corrupt payloads surface as [`FrameError::Decode`].
 pub struct Cursor<'a> {
     bytes: &'a [u8],
     at: usize,
@@ -229,6 +353,7 @@ impl<'a> Cursor<'a> {
         Cursor { bytes, at: 0 }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
         let end = self
             .at
@@ -240,48 +365,12 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    pub fn u64(&mut self) -> Result<u64, FrameError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    pub fn u32(&mut self) -> Result<u32, FrameError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    pub fn u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub fn boolean(&mut self) -> Result<bool, FrameError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(FrameError::Decode(format!("bad bool byte {b}"))),
-        }
-    }
-
-    pub fn f64(&mut self) -> Result<f64, FrameError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub fn usize(&mut self) -> Result<usize, FrameError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| FrameError::Decode(format!("usize overflow: {v}")))
-    }
-
-    /// A length-prefixed byte run; the length is sanity-bounded by the
-    /// remaining payload, so corrupt lengths cannot trigger huge
-    /// allocations.
-    pub fn bytes(&mut self) -> Result<&'a [u8], FrameError> {
-        let n = self.usize()?;
-        self.take(n)
-    }
-
     /// Declared element count for a sequence whose elements occupy at
-    /// least `min_elem_bytes` each — bounds the count by the remaining
-    /// payload so corrupt counts fail instead of allocating.
+    /// least `min_elem_bytes` each (the element type's
+    /// [`Wire::MIN_BYTES`]) — bounds the count by the remaining payload
+    /// so corrupt counts fail instead of allocating.
     pub fn seq_len(&mut self, min_elem_bytes: usize) -> Result<usize, FrameError> {
-        let n = self.usize()?;
+        let n = usize::get(self)?;
         let remaining = self.bytes.len() - self.at;
         if min_elem_bytes > 0 && n > remaining / min_elem_bytes {
             return Err(FrameError::Decode(format!(
@@ -291,13 +380,8 @@ impl<'a> Cursor<'a> {
         Ok(n)
     }
 
-    /// True when the payload is fully consumed.
-    pub(crate) fn done(&self) -> bool {
-        self.at == self.bytes.len()
-    }
-
     pub fn expect_done(&self) -> Result<(), FrameError> {
-        if self.done() {
+        if self.at == self.bytes.len() {
             Ok(())
         } else {
             Err(FrameError::Decode("trailing bytes in payload".into()))
@@ -560,6 +644,7 @@ impl<S: Store> Store for FailingStore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RetryCause;
 
     #[test]
     fn crc64_known_vector() {
@@ -623,22 +708,75 @@ mod tests {
     #[test]
     fn cursor_round_trip_and_bounds() {
         let mut buf = Vec::new();
-        put_u64(&mut buf, 42);
-        put_f64(&mut buf, 1.5);
-        put_bool(&mut buf, true);
-        put_bytes(&mut buf, b"xy");
+        42u64.put(&mut buf);
+        1.5f64.put(&mut buf);
+        true.put(&mut buf);
+        b"xy".to_vec().put(&mut buf);
         let mut c = Cursor::new(&buf);
-        assert_eq!(c.u64().unwrap(), 42);
-        assert_eq!(c.f64().unwrap(), 1.5);
-        assert!(c.boolean().unwrap());
-        assert_eq!(c.bytes().unwrap(), b"xy");
+        assert_eq!(u64::get(&mut c).unwrap(), 42);
+        assert_eq!(f64::get(&mut c).unwrap(), 1.5);
+        assert!(bool::get(&mut c).unwrap());
+        assert_eq!(Vec::<u8>::get(&mut c).unwrap(), b"xy");
         c.expect_done().unwrap();
 
         // A corrupt length must fail, not allocate.
         let mut bad = Vec::new();
-        put_u64(&mut bad, u64::MAX);
-        assert!(Cursor::new(&bad).bytes().is_err());
+        u64::MAX.put(&mut bad);
+        assert!(Vec::<u8>::get(&mut Cursor::new(&bad)).is_err());
         assert!(Cursor::new(&bad).seq_len(8).is_err());
+        // Neither a bool nor a retry cause reads an unknown byte.
+        assert!(bool::get(&mut Cursor::new(&[2])).is_err());
+        assert!(RetryCause::get(&mut Cursor::new(&[2])).is_err());
+    }
+
+    /// Encodes `v`, checks it decodes to itself with nothing left over,
+    /// and returns its length.
+    fn encoded_len<T: Wire + PartialEq + std::fmt::Debug>(v: T) -> usize {
+        let mut buf = Vec::new();
+        v.put(&mut buf);
+        let mut c = Cursor::new(&buf);
+        assert_eq!(T::get(&mut c).unwrap(), v);
+        c.expect_done().unwrap();
+        buf.len()
+    }
+
+    #[track_caller]
+    fn fixed<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
+        assert_eq!(encoded_len(v), T::MIN_BYTES);
+    }
+
+    #[track_caller]
+    fn at_least<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
+        assert!(encoded_len(v) >= T::MIN_BYTES);
+    }
+
+    /// Every `Wire` impl a sequence holds: a `MIN_BYTES` above some
+    /// encoding would make `seq_len` refuse a valid image.
+    #[test]
+    fn min_bytes_never_exceed_an_encoding() {
+        fixed(7u8);
+        fixed(true);
+        fixed(u32::MAX);
+        fixed(u64::MAX);
+        fixed(usize::MAX);
+        fixed(-0.5f64);
+        fixed([1u64, 2, 3, 4]);
+        fixed((1u32, 2u32, 3u32));
+        fixed((1u64, 2usize, 3usize));
+        fixed((1usize, 2.5f64, 3usize));
+        fixed((1usize, 2usize, 3u32));
+        fixed(RetryCause::Overload);
+        fixed(RetryCause::Evacuation);
+        at_least(None::<usize>);
+        at_least(Some(3usize));
+        at_least(Vec::<u64>::new());
+        at_least(vec![vec![1usize, 2], vec![]]);
+        let events = crate::journal::tests::one_of_each();
+        let kinds: BTreeMap<&str, ()> = events.iter().map(|e| (e.kind(), ())).collect();
+        assert_eq!(kinds.len(), 16, "one event of each variant");
+        for event in events {
+            at_least(event);
+        }
     }
 
     #[test]

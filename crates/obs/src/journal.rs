@@ -6,7 +6,7 @@
 //! parallel VM-evolution chunks), so the journal contents are invariant
 //! under thread count and RNG layout given the same seed.
 
-use crate::durable::{put_bool, put_f64, put_u32, put_u64, put_u8, put_usize, Cursor, FrameError};
+use crate::durable::{Cursor, FrameError, Wire};
 use crate::json::{obj, Json};
 
 /// Why a VM entered the retry queue.
@@ -18,105 +18,68 @@ pub enum RetryCause {
     Evacuation,
 }
 
-/// One event field's three encodings: its binary form (little-endian
-/// integers, `f64` as its bits, `bool` as one byte), its inverse, and its
-/// JSON value. Every field type an [`Event`] carries implements it, so
-/// the codecs below are generated per field rather than per variant.
-pub(crate) trait Field: Sized {
-    fn put(self, buf: &mut Vec<u8>);
-    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError>;
+/// One byte: `0` for `Overload`, `1` for `Evacuation`; any other byte
+/// fails to decode.
+impl Wire for RetryCause {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, buf: &mut Vec<u8>) {
+        u8::from(*self == RetryCause::Evacuation).put(buf);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+        match u8::get(c)? {
+            0 => Ok(RetryCause::Overload),
+            1 => Ok(RetryCause::Evacuation),
+            t => Err(FrameError::Decode(format!("unknown retry cause {t}"))),
+        }
+    }
+}
+
+/// The JSON value of one event field; its binary form is its [`Wire`]
+/// impl. Every field type an [`Event`] carries implements both, so the
+/// codecs below are generated per field rather than per variant.
+pub(crate) trait Field: Wire {
     fn to_json(self) -> Json;
 }
 
 impl Field for u64 {
-    fn put(self, buf: &mut Vec<u8>) {
-        put_u64(buf, self);
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
-        c.u64()
-    }
     fn to_json(self) -> Json {
         Json::Num(self as f64)
     }
 }
 
 impl Field for usize {
-    fn put(self, buf: &mut Vec<u8>) {
-        put_usize(buf, self);
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
-        c.usize()
-    }
     fn to_json(self) -> Json {
         Json::Num(self as f64)
     }
 }
 
 impl Field for u32 {
-    fn put(self, buf: &mut Vec<u8>) {
-        put_u32(buf, self);
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
-        c.u32()
-    }
     fn to_json(self) -> Json {
         Json::Num(self.into())
     }
 }
 
 impl Field for f64 {
-    fn put(self, buf: &mut Vec<u8>) {
-        put_f64(buf, self);
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
-        c.f64()
-    }
     fn to_json(self) -> Json {
         Json::Num(self)
     }
 }
 
 impl Field for bool {
-    fn put(self, buf: &mut Vec<u8>) {
-        put_bool(buf, self);
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
-        c.boolean()
-    }
     fn to_json(self) -> Json {
         Json::Bool(self)
     }
 }
 
-/// A presence byte, then the value when present; `null` in JSON.
+/// `null` when absent.
 impl Field for Option<usize> {
-    fn put(self, buf: &mut Vec<u8>) {
-        self.is_some().put(buf);
-        if let Some(v) = self {
-            v.put(buf);
-        }
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
-        Ok(if c.boolean()? { Some(c.usize()?) } else { None })
-    }
     fn to_json(self) -> Json {
         self.map_or(Json::Null, Field::to_json)
     }
 }
 
-/// One byte, `1` for `Evacuation` (any other byte reads as `Overload`);
-/// its lower-case name in JSON.
+/// The cause's lower-case name.
 impl Field for RetryCause {
-    fn put(self, buf: &mut Vec<u8>) {
-        put_u8(buf, (self == RetryCause::Evacuation).into());
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
-        Ok(if c.u8()? == 1 {
-            RetryCause::Evacuation
-        } else {
-            RetryCause::Overload
-        })
-    }
     fn to_json(self) -> Json {
         Json::Str(
             match self {
@@ -130,9 +93,9 @@ impl Field for RetryCause {
 
 /// Declares [`Event`] once: each variant with its doc comment, its binary
 /// tag, its JSONL `type` string and its fields in order. Every variant
-/// starts with `step: u64`; `step()`, `kind()`, `to_json_line()`,
-/// `encode()` and `decode()` are generated from the entry, so a new event
-/// is one entry (plus its arm in the hand-written [`Event::pm`]).
+/// starts with `step: u64`; `step()`, `kind()`, `to_json_line()` and the
+/// [`Wire`] impl are generated from the entry, so a new event is one
+/// entry (plus its arm in the hand-written [`Event::pm`]).
 macro_rules! events {
     ($(#[$meta:meta])* pub enum Event {
         $($(#[$doc:meta])* $variant:ident = $tag:literal, $kind:literal {
@@ -175,27 +138,27 @@ macro_rules! events {
                 line
             }
 
-            /// Appends the event's compact binary encoding (tag byte, then
-            /// `step` and the fields in declaration order) — the
-            /// checkpoint representation; [`Event::decode`] is the exact
-            /// inverse.
-            pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
+        }
+
+        /// The checkpoint representation: the tag byte, then `step` and
+        /// the fields in declaration order.
+        impl Wire for Event {
+            /// The tag byte and `step`.
+            const MIN_BYTES: usize = 1 + 8;
+            fn put(&self, buf: &mut Vec<u8>) {
                 match *self {
                     $(Event::$variant { step, $($field,)* } => {
-                        put_u8(buf, $tag);
+                        buf.push($tag);
                         step.put(buf);
                         $($field.put(buf);)*
                     })*
                 }
             }
-
-            /// Decodes one event from a [`Cursor`]; inverse of
-            /// [`Event::encode`].
-            pub(crate) fn decode(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
-                Ok(match c.u8()? {
+            fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+                Ok(match u8::get(c)? {
                     $($tag => Event::$variant {
-                        step: Field::get(c)?,
-                        $($field: Field::get(c)?,)*
+                        step: Wire::get(c)?,
+                        $($field: Wire::get(c)?,)*
                     },)*
                     t => return Err(FrameError::Decode(format!("unknown event tag {t}"))),
                 })
@@ -299,6 +262,35 @@ impl Event {
     }
 }
 
+/// Capacity, eviction count, then the events oldest → newest (at most
+/// capacity of them) as a `Vec<Event>`. The restored journal's
+/// `iter`/`tail`/`push` behaviour is indistinguishable from the
+/// original's.
+impl Wire for EventJournal {
+    const MIN_BYTES: usize = 8 + 8 + 8;
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.cap.put(buf);
+        self.dropped.put(buf);
+        self.buf.len().put(buf);
+        for event in self.iter() {
+            event.put(buf);
+        }
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+        let (cap, dropped, buf): (usize, u64, Vec<Event>) = Wire::get(c)?;
+        if buf.len() > cap {
+            let msg = format!("{} journal events exceed capacity {cap}", buf.len());
+            return Err(FrameError::Decode(msg));
+        }
+        Ok(EventJournal {
+            buf,
+            head: 0,
+            cap,
+            dropped,
+        })
+    }
+}
+
 /// Bounded FIFO of events. When full, pushing evicts the oldest event and
 /// bumps the `dropped` count, so long runs keep the most recent history —
 /// the part a failure diagnosis needs.
@@ -320,31 +312,6 @@ impl EventJournal {
             cap,
             dropped: 0,
         }
-    }
-
-    /// Rebuilds a journal from snapshot parts: `events` oldest → newest
-    /// (at most `cap` of them) and the prior eviction count. The
-    /// restored journal's `iter`/`tail`/`push` behaviour is
-    /// indistinguishable from the original's.
-    ///
-    /// # Panics
-    /// Panics when `events.len() > cap`.
-    pub(crate) fn from_parts(cap: usize, events: Vec<Event>, dropped: u64) -> Self {
-        assert!(
-            events.len() <= cap,
-            "{} events exceed capacity {cap}",
-            events.len()
-        );
-        EventJournal {
-            buf: events,
-            head: 0,
-            cap,
-            dropped,
-        }
-    }
-
-    pub(crate) fn capacity(&self) -> usize {
-        self.cap
     }
 
     pub fn len(&self) -> usize {
@@ -397,8 +364,96 @@ impl EventJournal {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// One event of each variant, both `Option` states and both retry
+    /// causes included.
+    pub(crate) fn one_of_each() -> Vec<Event> {
+        let (step, vm, pm) = (1, 2, 3);
+        vec![
+            Event::Violation {
+                step,
+                pm,
+                observed: 55.5,
+                capacity: 50.0,
+                degraded: true,
+            },
+            Event::Migration {
+                step,
+                vm,
+                from: pm,
+                to: 4,
+                retried: false,
+            },
+            Event::MigrationFailed { step, vm, pm },
+            Event::Crash {
+                step,
+                pm,
+                displaced: 5,
+            },
+            Event::Recovery { step, pm },
+            Event::Evacuation {
+                step,
+                vm,
+                from: pm,
+                to: Some(4),
+                degraded: true,
+            },
+            Event::Evacuation {
+                step,
+                vm,
+                from: pm,
+                to: None,
+                degraded: false,
+            },
+            Event::RetryEnqueued {
+                step,
+                vm,
+                cause: RetryCause::Overload,
+                attempts: 1,
+                due_step: 9,
+            },
+            Event::RetryEnqueued {
+                step,
+                vm,
+                cause: RetryCause::Evacuation,
+                attempts: 0,
+                due_step: 4,
+            },
+            Event::RetryAbandoned {
+                step,
+                vm,
+                attempts: 6,
+            },
+            Event::RetryCancelled { step, vm },
+            Event::Admission {
+                step,
+                vm,
+                pm,
+                degraded: true,
+            },
+            Event::CvrSample {
+                step,
+                pm,
+                violations: 7,
+                active: 8,
+            },
+            Event::Step {
+                step,
+                pms_used: 9,
+                violations: 1,
+            },
+            Event::OnlineDeparture { step, vm, pm },
+            Event::Recalibration {
+                step,
+                p_on: 0.01,
+                p_off: 0.09,
+            },
+            Event::Snapshot { step, bytes: 4096 },
+            Event::Restore { step, discarded: 2 },
+        ]
+    }
 
     fn rec(step: u64, pm: usize) -> Event {
         Event::Recovery { step, pm }

@@ -26,10 +26,15 @@
 //! The crate depends only on `bursty-metrics`, so every other crate in the
 //! workspace can depend on it without cycles.
 
-//! A fourth piece, [`durable`], carries the checksummed frame format and
-//! the store abstraction (`FsStore` temp+fsync+rename, `MemStore`,
-//! fault-injecting `FailingStore`) that `sim::checkpoint` persists
-//! snapshots through.
+//! A fourth piece, [`durable`], carries the checksummed frame format, the
+//! store abstraction (`FsStore` temp+fsync+rename, `MemStore`,
+//! fault-injecting `FailingStore`) that `sim::checkpoint` and the daemon
+//! persist snapshots through, and the one payload codec inside every
+//! section: [`durable::Wire`], a type's binary layout written once (`put`
+//! beside its inverse `get`, plus `MIN_BYTES`, the smallest encoding a
+//! sequence length is bounded by). Sim checkpoints, the `OnlineCluster`
+//! image, the recorder image and the daemon's meta section are each a
+//! list of `Wire` values.
 
 //! A fifth piece, [`json`], is the workspace's one JSON implementation:
 //! the [`json::Json`] value, its strict parser and its encoder. The trace

@@ -8,6 +8,7 @@
 //! `Counter` / `Gauge` / `HistId` enums) plus an [`EventJournal`], and is
 //! what the CLI's `--trace-out` and the certification tests use.
 
+use crate::durable::{write_seq, Cursor, FrameError, Wire};
 use crate::journal::{Event, EventJournal};
 use crate::json::{obj, Json};
 use bursty_metrics::Log2Histogram;
@@ -17,7 +18,9 @@ use bursty_metrics::Log2Histogram;
 /// daemon's `/metrics` text). `COUNT`, `all()` and `name()` are derived
 /// from that one list, and the `repr(usize)` discriminant is the
 /// variant's slot in the recorder's flat arrays, so a new record is one
-/// entry.
+/// entry. A new entry goes at the end of its table: a recorder image
+/// lists each table in slot order, so an image written before the entry
+/// existed restores with the new record at zero.
 macro_rules! records {
     ($(#[$meta:meta])* pub enum $name:ident {
         $($(#[$doc:meta])* $variant:ident = $label:literal,)*
@@ -342,140 +345,54 @@ impl MemoryRecorder {
     /// [`from_snapshot_bytes`](Self::from_snapshot_bytes) restores a
     /// recorder that continues recording exactly where this one stopped.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        use crate::durable::{put_bool, put_f64, put_u64, put_usize};
         let mut buf = Vec::with_capacity(1024);
-        put_usize(&mut buf, Counter::COUNT);
-        for &c in &self.counters {
-            put_u64(&mut buf, c);
-        }
-        put_usize(&mut buf, Gauge::COUNT);
-        for &g in &self.gauges {
-            put_f64(&mut buf, g);
-        }
-        put_usize(&mut buf, self.hists.len());
-        for h in &self.hists {
-            put_usize(&mut buf, h.counts().len());
-            for &n in h.counts() {
-                put_u64(&mut buf, n);
-            }
-        }
-        put_usize(&mut buf, self.journal.capacity());
-        put_u64(&mut buf, self.journal.dropped());
-        put_usize(&mut buf, self.journal.len());
-        for event in self.journal.iter() {
-            event.encode(&mut buf);
-        }
-        match self.cvr_every {
-            Some(every) => {
-                put_bool(&mut buf, true);
-                put_usize(&mut buf, every);
-            }
-            None => put_bool(&mut buf, false),
-        }
-        put_usize(&mut buf, self.cvr_series.len());
-        for series in &self.cvr_series {
-            put_usize(&mut buf, series.samples().len());
-            for &(step, v, a) in series.samples() {
-                put_u64(&mut buf, step);
-                put_usize(&mut buf, v);
-                put_usize(&mut buf, a);
-            }
-        }
-        put_bool(&mut buf, self.step_events);
+        write_seq(&mut buf, self.counters.iter().copied());
+        write_seq(&mut buf, self.gauges.iter().copied());
+        self.hists.put(&mut buf);
+        self.journal.put(&mut buf);
+        self.cvr_every.put(&mut buf);
+        self.cvr_series.put(&mut buf);
+        self.step_events.put(&mut buf);
         buf
     }
 
     /// Restores a recorder from a
-    /// [`to_snapshot_bytes`](Self::to_snapshot_bytes) image.
-    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, crate::durable::FrameError> {
-        use crate::durable::{Cursor, FrameError};
+    /// [`to_snapshot_bytes`](Self::to_snapshot_bytes) image. An image
+    /// from a build with fewer counters, gauges or histograms (new
+    /// records are appended to their table) reads the missing ones as
+    /// zero; one with more is refused.
+    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, FrameError> {
         let mut c = Cursor::new(bytes);
-        let n_counters = c.usize()?;
-        if n_counters != Counter::COUNT {
-            return Err(FrameError::Decode(format!(
-                "snapshot has {n_counters} counters, this build has {}",
-                Counter::COUNT
-            )));
-        }
-        let mut counters = [0u64; Counter::COUNT];
-        for slot in counters.iter_mut() {
-            *slot = c.u64()?;
-        }
-        let n_gauges = c.usize()?;
-        if n_gauges != Gauge::COUNT {
-            return Err(FrameError::Decode(format!(
-                "snapshot has {n_gauges} gauges, this build has {}",
-                Gauge::COUNT
-            )));
-        }
-        let mut gauges = [0.0f64; Gauge::COUNT];
-        for slot in gauges.iter_mut() {
-            *slot = c.f64()?;
-        }
-        let n_hists = c.seq_len(8)?;
-        if n_hists != HistId::COUNT {
-            return Err(FrameError::Decode(format!(
-                "snapshot has {n_hists} histograms, this build has {}",
-                HistId::COUNT
-            )));
-        }
-        let mut hists = Vec::with_capacity(n_hists);
-        for _ in 0..n_hists {
-            let buckets = c.seq_len(8)?;
-            if buckets == 0 || buckets > Log2Histogram::MAX_BUCKETS {
-                return Err(FrameError::Decode(format!("bad bucket count {buckets}")));
+        let counters: Vec<u64> = Wire::get(&mut c)?;
+        let gauges: Vec<f64> = Wire::get(&mut c)?;
+        let hists: Vec<Log2Histogram> = Wire::get(&mut c)?;
+        for (what, n, build) in [
+            ("counters", counters.len(), Counter::COUNT),
+            ("gauges", gauges.len(), Gauge::COUNT),
+            ("histograms", hists.len(), HistId::COUNT),
+        ] {
+            if n > build {
+                let msg = format!("snapshot has {n} {what}, this build has {build}");
+                return Err(FrameError::Decode(msg));
             }
-            let mut counts = Vec::with_capacity(buckets);
-            for _ in 0..buckets {
-                counts.push(c.u64()?);
-            }
-            hists.push(Log2Histogram::from_counts(counts));
         }
-        let cap = c.usize()?;
-        let dropped = c.u64()?;
-        let n_events = c.seq_len(9)?;
-        if n_events > cap {
-            return Err(FrameError::Decode(format!(
-                "{n_events} journal events exceed capacity {cap}"
-            )));
+        let journal = Wire::get(&mut c)?;
+        let cvr_every = Wire::get(&mut c)?;
+        if cvr_every == Some(0) {
+            return Err(FrameError::Decode("zero CVR sampling interval".into()));
         }
-        let mut events = Vec::with_capacity(n_events);
-        for _ in 0..n_events {
-            events.push(Event::decode(&mut c)?);
-        }
-        let cvr_every = if c.boolean()? {
-            let every = c.usize()?;
-            if every == 0 {
-                return Err(FrameError::Decode("zero CVR sampling interval".into()));
-            }
-            Some(every)
-        } else {
-            None
-        };
-        let n_series = c.seq_len(8)?;
-        let mut cvr_series = Vec::with_capacity(n_series);
-        for _ in 0..n_series {
-            let n_samples = c.seq_len(24)?;
-            let mut series = crate::certify::CvrSeries::default();
-            for _ in 0..n_samples {
-                let step = c.u64()?;
-                let v = c.usize()?;
-                let a = c.usize()?;
-                series.push(step, v, a);
-            }
-            cvr_series.push(series);
-        }
-        let step_events = c.boolean()?;
-        c.expect_done()?;
-        Ok(MemoryRecorder {
-            counters,
-            gauges,
-            hists,
-            journal: EventJournal::from_parts(cap, events, dropped),
+        let mut r = MemoryRecorder {
+            journal,
             cvr_every,
-            cvr_series,
-            step_events,
-        })
+            cvr_series: Wire::get(&mut c)?,
+            step_events: Wire::get(&mut c)?,
+            ..MemoryRecorder::new(0)
+        };
+        c.expect_done()?;
+        r.counters[..counters.len()].copy_from_slice(&counters);
+        r.gauges[..gauges.len()].copy_from_slice(&gauges);
+        r.hists.splice(..hists.len(), hists);
+        Ok(r)
     }
 
     /// Serialize the whole recorder as JSONL: one meta record carrying the
@@ -525,6 +442,22 @@ impl MemoryRecorder {
             out.push_str(&event.to_json_line());
         }
         out
+    }
+}
+
+/// The bucket counts' `Vec` layout; a histogram has 1 to
+/// `MAX_BUCKETS` buckets.
+impl Wire for Log2Histogram {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, buf: &mut Vec<u8>) {
+        write_seq(buf, self.counts().iter().copied());
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+        let counts: Vec<u64> = Wire::get(c)?;
+        match counts.len() {
+            1..=Log2Histogram::MAX_BUCKETS => Ok(Log2Histogram::from_counts(counts)),
+            n => Err(FrameError::Decode(format!("bad bucket count {n}"))),
+        }
     }
 }
 
@@ -684,6 +617,54 @@ mod tests {
         // Corruption in the image must fail cleanly, never panic.
         for cut in 0..bytes.len() {
             let _ = MemoryRecorder::from_snapshot_bytes(&bytes[..cut]);
+        }
+    }
+
+    /// An image written before a counter, gauge or histogram was
+    /// appended to its table restores with that record at zero; an image
+    /// with one more than this build has is refused.
+    #[test]
+    fn an_image_with_fewer_records_restores_the_missing_ones_as_zero() {
+        let mut r = MemoryRecorder::new(4);
+        for c in Counter::all() {
+            r.counter_add(c, 7);
+        }
+        for g in Gauge::all() {
+            r.gauge_set(g, 1.5);
+        }
+        for h in HistId::all() {
+            r.record_value(h, 3);
+        }
+        let image = r.to_snapshot_bytes();
+        let empty = MemoryRecorder::new(4).to_snapshot_bytes();
+        let gauges_at = 8 + 8 * Counter::COUNT;
+        let hists_at = gauges_at + 8 + 8 * Gauge::COUNT;
+        let hist_bytes = 8 + 8 * MEMORY_HIST_BUCKETS;
+        let hists_end = hists_at + 8 + hist_bytes * HistId::COUNT;
+        // (where the table's count is, where it ends, one entry's size)
+        for (at, end, entry) in [
+            (0, gauges_at, 8),
+            (gauges_at, hists_at, 8),
+            (hists_at, hists_end, hist_bytes),
+        ] {
+            let n = (end - at - 8) / entry;
+            let with = |count: usize, entries: &[u8]| {
+                let mut v = image[..at].to_vec();
+                (count as u64).put(&mut v);
+                v.extend_from_slice(entries);
+                v.extend_from_slice(&image[end..]);
+                v
+            };
+            let entries = &image[at + 8..end];
+            let fewer = with(n - 1, &entries[..entries.len() - entry]);
+            let restored = MemoryRecorder::from_snapshot_bytes(&fewer).expect("an older image");
+            let mut want = image.clone();
+            want[end - entry..end].copy_from_slice(&empty[end - entry..end]);
+            assert_eq!(restored.to_snapshot_bytes(), want, "table at {at}");
+
+            let more = with(n + 1, &[entries, &entries[..entry]].concat());
+            let err = MemoryRecorder::from_snapshot_bytes(&more).unwrap_err();
+            assert!(err.to_string().contains("this build has"), "{err}");
         }
     }
 

@@ -1,5 +1,6 @@
 //! Incremental per-PM load accounting shared by all packing strategies.
 
+use bursty_obs::durable::{Cursor, FrameError, Wire};
 use bursty_workload::VmSpec;
 
 /// The aggregate quantities a packing strategy needs about the VMs already
@@ -78,6 +79,27 @@ impl PmLoad {
     }
 }
 
+/// `(count, max_re, sum_rb, sum_rp)`, the sums as their exact bits: a
+/// re-fold can differ from an incremental one by ulps, so snapshots carry
+/// them verbatim. [`PmLoad::max_pi`] is a pure max over the hosted set and
+/// is not written; it reads as 0, and the reader refolds it.
+impl Wire for PmLoad {
+    const MIN_BYTES: usize = 4 * 8;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.count, [self.max_re, self.sum_rb, self.sum_rp]).put(buf);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+        let (count, [max_re, sum_rb, sum_rp]) = Wire::get(c)?;
+        Ok(PmLoad {
+            count,
+            max_re,
+            sum_rb,
+            sum_rp,
+            max_pi: 0.0,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,6 +140,24 @@ mod tests {
             inc.add(v);
         }
         assert_eq!(rebuilt, inc);
+    }
+
+    #[test]
+    fn wire_image_is_min_bytes_and_leaves_max_pi_to_the_reader() {
+        let load = PmLoad::rebuild(&[vm(0, 3.0, 1.0), vm(1, 2.0, 4.0)]);
+        let mut buf = Vec::new();
+        load.put(&mut buf);
+        assert_eq!(buf.len(), PmLoad::MIN_BYTES);
+        let mut c = Cursor::new(&buf);
+        let back = PmLoad::get(&mut c).unwrap();
+        c.expect_done().unwrap();
+        assert_eq!(
+            back,
+            PmLoad {
+                max_pi: 0.0,
+                ..load
+            }
+        );
     }
 
     #[test]

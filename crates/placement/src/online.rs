@@ -44,7 +44,7 @@ use crate::index::HeadroomIndex;
 use crate::load::{stationary_on, PmLoad};
 use crate::pack::{probe_first_fit, PackError};
 use crate::strategy::{QueueStrategy, Strategy};
-use bursty_obs::durable::{put_f64, put_u32, put_usize, Cursor, FrameError};
+use bursty_obs::durable::{write_seq, Cursor, FrameError, Wire};
 use bursty_obs::{Counter, NoopRecorder, Recorder};
 use bursty_workload::{PmSpec, VmClass, VmSpec};
 use std::collections::{hash_map::Entry, HashMap, HashSet};
@@ -382,6 +382,10 @@ fn loads_agree(rebuilt: &PmLoad, cached: &PmLoad) -> bool {
         && (rebuilt.sum_rb - cached.sum_rb).abs() <= 1e-9
         && (rebuilt.max_re - cached.max_re).abs() <= 1e-9
 }
+
+/// One occupied PM in a snapshot image: its index, its load verbatim
+/// (`max_pi` is refolded from the cells on restore) and its cells.
+type OccupiedPm = (usize, PmLoad, Vec<(u32, u32)>);
 
 /// A VM's place in the fast engine: its host PM and class id. Two `u32`s
 /// make one 8-byte slot of the [`VmTable`], the one structure that grows
@@ -1159,45 +1163,25 @@ impl OnlineCluster {
     /// tests below and the serving layer's crash/restore suite.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(256 + 64 * self.occupied.len() + 24 * self.entries.len());
-        put_usize(&mut buf, self.strategy.thresholds.d);
-        put_f64(&mut buf, self.strategy.thresholds.rho);
-        put_f64(&mut buf, 0.0);
         let (p_on, p_off) = self.pair;
-        put_f64(&mut buf, p_on);
-        put_f64(&mut buf, p_off);
-        put_usize(&mut buf, self.pms.len());
-        for pm in &self.pms {
-            put_usize(&mut buf, pm.id);
-            put_f64(&mut buf, pm.capacity);
-        }
-        put_usize(&mut buf, self.class_reps.len());
-        for (cid, rep) in self.class_reps.iter().enumerate() {
-            put_usize(&mut buf, rep.id);
-            put_f64(&mut buf, rep.p_on);
-            put_f64(&mut buf, rep.p_off);
-            put_f64(&mut buf, rep.r_b);
-            put_f64(&mut buf, rep.r_e);
-            bursty_obs::durable::put_u64(&mut buf, self.class_pop[cid]);
-        }
-        put_usize(&mut buf, self.occupied.len());
+        let thresholds = &self.strategy.thresholds;
+        (thresholds.d, [thresholds.rho, 0.0, p_on, p_off]).put(&mut buf);
+        write_seq(&mut buf, self.pms.iter().map(|pm| (pm.id, pm.capacity)));
+        let classes = self.class_reps.iter().zip(&self.class_pop);
+        write_seq(
+            &mut buf,
+            classes.map(|(r, &pop)| (r.id, [r.p_on, r.p_off, r.r_b, r.r_e], pop)),
+        );
+        self.occupied.len().put(&mut buf);
         for &j in &self.occupied {
-            put_usize(&mut buf, j);
-            let load = &self.loads[j];
-            put_usize(&mut buf, load.count);
-            put_f64(&mut buf, load.max_re);
-            put_f64(&mut buf, load.sum_rb);
-            put_f64(&mut buf, load.sum_rp);
-            put_usize(&mut buf, self.cells[j].len());
-            for &(cid, copies) in &self.cells[j] {
-                put_u32(&mut buf, cid);
-                put_u32(&mut buf, copies);
-            }
+            // An `OccupiedPm`, written from the tables that hold it.
+            j.put(&mut buf);
+            self.loads[j].put(&mut buf);
+            self.cells[j].put(&mut buf);
         }
-        put_usize(&mut buf, self.entries.len());
+        self.entries.len().put(&mut buf);
         for (id, entry) in self.entries.ascending() {
-            put_usize(&mut buf, id);
-            put_usize(&mut buf, entry.host as usize);
-            put_u32(&mut buf, entry.class);
+            (id, entry.host as usize, entry.class).put(&mut buf);
         }
         buf
     }
@@ -1214,42 +1198,35 @@ impl OnlineCluster {
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, FrameError> {
         let bad = |msg: String| FrameError::Decode(msg);
         let mut c = Cursor::new(bytes);
-        let d = c.usize()?;
+        let (d, [rho, _retired_epsilon, p_on, p_off]): (usize, [f64; 4]) = Wire::get(&mut c)?;
         if d == 0 {
             return Err(bad("d must be at least 1".into()));
         }
-        let rho = c.f64()?;
-        let _retired_epsilon = c.f64()?;
-        let p_on = c.f64()?;
-        let p_off = c.f64()?;
         if !is_probability(p_on) || !is_probability(p_off) {
             return Err(bad(format!("bad probabilities ({p_on}, {p_off})")));
         }
         if !(rho > 0.0 && rho < 1.0) {
             return Err(bad(format!("bad rho {rho}")));
         }
-        let m = c.seq_len(16)?;
+        let m = c.seq_len(<(usize, f64)>::MIN_BYTES)?;
         if u32::try_from(m).is_err() {
             return Err(bad(format!("a pool of {m} PMs exceeds the u32 host index")));
         }
         let mut pms = Vec::with_capacity(m);
         for _ in 0..m {
-            let id = c.usize()?;
-            let capacity = c.f64()?;
+            let (id, capacity) = Wire::get(&mut c)?;
             // `try_new` refuses `+∞` too: QUEUE's need past `d` is `+∞`,
             // which an infinite budget would admit.
             let pm = PmSpec::try_new(id, capacity).map_err(|e| bad(format!("PM {id}: {e}")))?;
             pms.push(pm);
         }
-        let k = c.seq_len(48)?;
+        let k = c.seq_len(<(usize, [f64; 4], u64)>::MIN_BYTES)?;
         let mut class_reps = Vec::with_capacity(k);
         let mut class_keys = Vec::with_capacity(k);
         let mut class_pop = Vec::with_capacity(k);
         let mut class_lookup = HashMap::with_capacity(k);
         for cid in 0..k {
-            let id = c.usize()?;
-            let (p_on, p_off) = (c.f64()?, c.f64()?);
-            let (r_b, r_e) = (c.f64()?, c.f64()?);
+            let (id, [p_on, p_off, r_b, r_e], pop) = Wire::get(&mut c)?;
             let rep = VmSpec::try_new(id, p_on, p_off, r_b, r_e)
                 .map_err(|e| bad(format!("class {cid}: {e}")))?;
             let key = VmClass::of(&rep).key();
@@ -1258,9 +1235,9 @@ impl OnlineCluster {
             }
             class_reps.push(rep);
             class_keys.push(key);
-            class_pop.push(c.u64()?);
+            class_pop.push(pop);
         }
-        let n_occupied = c.seq_len(40)?;
+        let n_occupied = c.seq_len(OccupiedPm::MIN_BYTES)?;
         if n_occupied > m {
             return Err(bad(format!("{n_occupied} occupied PMs exceed pool {m}")));
         }
@@ -1269,7 +1246,7 @@ impl OnlineCluster {
         let mut occupied = Vec::with_capacity(n_occupied);
         let mut occupied_pos = vec![usize::MAX; m];
         for _ in 0..n_occupied {
-            let j = c.usize()?;
+            let (j, mut load, pm_cells): OccupiedPm = Wire::get(&mut c)?;
             if j >= m {
                 return Err(bad(format!("occupied PM {j} out of range")));
             }
@@ -1278,41 +1255,26 @@ impl OnlineCluster {
             }
             occupied_pos[j] = occupied.len();
             occupied.push(j);
-            let count = c.usize()?;
-            let (max_re, sum_rb, sum_rp) = (c.f64()?, c.f64()?, c.f64()?);
-            if count == 0 {
+            if load.count == 0 {
                 return Err(bad(format!("occupied PM {j} has an empty load")));
             }
-            if ![max_re, sum_rb, sum_rp].iter().all(|x| x.is_finite()) {
-                return Err(bad(format!(
-                    "PM {j}: non-finite load ({max_re}, {sum_rb}, {sum_rp})"
-                )));
+            let sums = [load.max_re, load.sum_rb, load.sum_rp];
+            if !sums.iter().all(|x| x.is_finite()) {
+                return Err(bad(format!("PM {j}: non-finite load {sums:?}")));
             }
-            let n_cells = c.seq_len(8)?;
-            let mut pm_cells = Vec::with_capacity(n_cells);
-            let mut max_pi = 0.0f64;
-            for _ in 0..n_cells {
-                let cid = c.u32()?;
-                let copies = c.u32()?;
+            for (i, &(cid, copies)) in pm_cells.iter().enumerate() {
                 if cid as usize >= k {
                     return Err(bad(format!("PM {j}: cell class {cid} out of range")));
                 }
-                if copies == 0 || pm_cells.iter().any(|&(other, _)| other == cid) {
+                if copies == 0 || pm_cells[..i].iter().any(|&(other, _)| other == cid) {
                     return Err(bad(format!("PM {j}: malformed cell for class {cid}")));
                 }
-                pm_cells.push((cid, copies));
-                max_pi = max_pi.max(stationary_on(&class_reps[cid as usize]));
+                load.max_pi = load.max_pi.max(stationary_on(&class_reps[cid as usize]));
             }
-            loads[j] = PmLoad {
-                count,
-                max_re,
-                sum_rb,
-                sum_rp,
-                max_pi,
-            };
+            loads[j] = load;
             cells[j] = pm_cells;
         }
-        let n_entries = c.seq_len(20)?;
+        let n_entries = c.seq_len(<(usize, usize, u32)>::MIN_BYTES)?;
         // Canonical snapshots list ids in ascending order, so the dense
         // part grows as they are inserted. Each growth counts the entries
         // still to come, as a batch arrival's does: an image whose ids
@@ -1321,9 +1283,7 @@ impl OnlineCluster {
         // that does not go to a sparse map sized once for them.
         let mut entries = VmTable::default();
         for i in 0..n_entries {
-            let id = c.usize()?;
-            let host = c.usize()?;
-            let class = c.u32()?;
+            let (id, host, class): (usize, usize, u32) = Wire::get(&mut c)?;
             if host >= m || class as usize >= k {
                 return Err(bad(format!(
                     "VM {id}: entry ({host}, {class}) out of range"

@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use bursty_obs::durable::{put_u64, Cursor, FrameError, FrameWriter};
+use bursty_obs::durable::{Cursor, FrameError, FrameWriter, Wire};
 use bursty_obs::{Counter, Event, Gauge, HistId, MemoryRecorder, Recorder, Store};
 use bursty_placement::{OnlineCluster, PackError};
 use bursty_workload::{PmSpec, VmSpec};
@@ -201,8 +201,7 @@ impl ClusterState {
     ) -> Result<Json, ServeError> {
         let name = snapshot_name(self.applied);
         let mut meta = Vec::new();
-        put_u64(&mut meta, self.applied);
-        put_u64(&mut meta, next_seq);
+        (self.applied, next_seq).put(&mut meta);
         let mut w = FrameWriter::new();
         w.section(TAG_CLUSTER, &self.cluster.to_snapshot_bytes());
         w.section(TAG_RECORDER, &self.recorder.to_snapshot_bytes());
@@ -400,20 +399,14 @@ pub fn restore_newest<S: Store + ?Sized>(store: &S) -> Result<RestoreOutcome, Se
 fn decode_snapshot(bytes: &[u8]) -> Result<(ClusterState, u64), FrameError> {
     let frames = bursty_obs::parse_frames(bytes)?;
     let sections: BTreeMap<u32, &[u8]> = frames.iter().map(|(t, p)| (*t, p.as_slice())).collect();
-    let cluster_bytes = sections
-        .get(&TAG_CLUSTER)
-        .ok_or_else(|| FrameError::Decode("missing cluster section".to_string()))?;
-    let recorder_bytes = sections
-        .get(&TAG_RECORDER)
-        .ok_or_else(|| FrameError::Decode("missing recorder section".to_string()))?;
-    let meta_bytes = sections
-        .get(&TAG_META)
-        .ok_or_else(|| FrameError::Decode("missing meta section".to_string()))?;
-    let cluster = OnlineCluster::from_snapshot_bytes(cluster_bytes)?;
-    let recorder = MemoryRecorder::from_snapshot_bytes(recorder_bytes)?;
-    let mut c = Cursor::new(meta_bytes);
-    let applied = c.u64()?;
-    let next_seq = c.u64()?;
+    let section = |tag, what| {
+        let missing = || FrameError::Decode(format!("missing {what} section"));
+        sections.get(&tag).copied().ok_or_else(missing)
+    };
+    let cluster = OnlineCluster::from_snapshot_bytes(section(TAG_CLUSTER, "cluster")?)?;
+    let recorder = MemoryRecorder::from_snapshot_bytes(section(TAG_RECORDER, "recorder")?)?;
+    let mut c = Cursor::new(section(TAG_META, "meta")?);
+    let (applied, next_seq) = Wire::get(&mut c)?;
     c.expect_done()?;
     Ok((
         ClusterState {

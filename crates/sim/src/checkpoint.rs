@@ -44,10 +44,7 @@ use crate::faults::FaultProcess;
 use crate::rng::mix64;
 use crate::workload_core::{CoreSnapshot, WorkloadCore};
 use bursty_metrics::TimeSeries;
-use bursty_obs::durable::{
-    parse_frames, put_bool, put_bytes, put_f64, put_u32, put_u64, put_u8, put_usize, Cursor,
-    FrameError, FrameWriter, Store,
-};
+use bursty_obs::durable::{parse_frames, write_seq, Cursor, FrameError, FrameWriter, Store, Wire};
 use bursty_obs::{Recorder, RetryCause};
 use bursty_placement::{Placement, PmLoad};
 use std::fmt;
@@ -215,34 +212,141 @@ pub(crate) fn fingerprint(sim: &Simulator<'_>) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Encoding.
+// Record layouts.
 // ---------------------------------------------------------------------
 
-fn put_opt_usize(buf: &mut Vec<u8>, v: Option<usize>) {
-    put_bool(buf, v.is_some());
-    put_usize(buf, v.unwrap_or(0));
-}
+/// A checkpoint's optional index: a presence byte, then the value or 0 —
+/// always 9 bytes. The journal's `Option<usize>` writes the value only
+/// when present; both forms are in existing images, so both stay.
+struct FixedIndex(Option<usize>);
 
-fn put_usize_slice(buf: &mut Vec<u8>, vs: &[usize]) {
-    put_usize(buf, vs.len());
-    for &v in vs {
-        put_usize(buf, v);
+impl Wire for FixedIndex {
+    const MIN_BYTES: usize = 1 + 8;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.0.is_some(), self.0.unwrap_or(0)).put(buf);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+        let (some, v): (bool, usize) = Wire::get(c)?;
+        Ok(FixedIndex(some.then_some(v)))
     }
 }
 
-fn put_bool_slice(buf: &mut Vec<u8>, vs: &[bool]) {
-    put_usize(buf, vs.len());
-    for &v in vs {
-        put_bool(buf, v);
+/// Writes `Vec<Option<usize>>` as a sequence of [`FixedIndex`].
+fn write_fixed(buf: &mut Vec<u8>, vs: &[Option<usize>]) {
+    write_seq(buf, vs.iter().map(|&v| FixedIndex(v)));
+}
+
+/// Reads a sequence of [`FixedIndex`] that must hold `want` entries.
+fn read_fixed(
+    c: &mut Cursor<'_>,
+    want: usize,
+    what: &str,
+) -> Result<Vec<Option<usize>>, FrameError> {
+    let vs: Vec<FixedIndex> = sized(c, want, what)?;
+    Ok(vs.into_iter().map(|v| v.0).collect())
+}
+
+/// Reads a `Vec<T>` that must hold `want` entries.
+fn sized<T: Wire>(c: &mut Cursor<'_>, want: usize, what: &str) -> Result<Vec<T>, FrameError> {
+    let vs: Vec<T> = Wire::get(c)?;
+    if vs.len() != want {
+        return Err(bad(format!(
+            "{what} has {} entries, expected {want}",
+            vs.len()
+        )));
+    }
+    Ok(vs)
+}
+
+fn bad(msg: impl Into<String>) -> FrameError {
+    FrameError::Decode(msg.into())
+}
+
+/// A layout tag byte (`0` shared; `1`, the per-VM layout, is retired
+/// and must stay unknown; `2` class-aggregated), then the layout's state.
+impl Wire for CoreSnapshot {
+    const MIN_BYTES: usize = 1 + 8;
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            CoreSnapshot::Shared(words) => (0u8, *words).put(buf),
+            CoreSnapshot::ClassAggregated(locs) => {
+                2u8.put(buf);
+                locs.put(buf);
+            }
+        }
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+        match u8::get(c)? {
+            0 => Wire::get(c).map(CoreSnapshot::Shared),
+            2 => Wire::get(c).map(CoreSnapshot::ClassAggregated),
+            t => Err(bad(format!("unknown core layout tag {t}"))),
+        }
     }
 }
 
-fn put_f64_slice(buf: &mut Vec<u8>, vs: &[f64]) {
-    put_usize(buf, vs.len());
-    for &v in vs {
-        put_f64(buf, v);
+/// One byte: `0` for a crash, `1` for a recovery.
+impl Wire for FaultKind {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, buf: &mut Vec<u8>) {
+        u8::from(*self == FaultKind::Recovery).put(buf);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+        match u8::get(c)? {
+            0 => Ok(FaultKind::Crash),
+            1 => Ok(FaultKind::Recovery),
+            t => Err(bad(format!("unknown fault kind {t}"))),
+        }
     }
 }
+
+impl Wire for EvacuationEvent {
+    const MIN_BYTES: usize = 3 * 8 + FixedIndex::MIN_BYTES + 1;
+    fn put(&self, buf: &mut Vec<u8>) {
+        let to_pm = FixedIndex(self.to_pm);
+        ([self.step, self.vm_id, self.from_pm], to_pm, self.degraded).put(buf);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+        let ([step, vm_id, from_pm], to_pm, degraded): (_, FixedIndex, _) = Wire::get(c)?;
+        Ok(EvacuationEvent {
+            step,
+            vm_id,
+            from_pm,
+            to_pm: to_pm.0,
+            degraded,
+        })
+    }
+}
+
+/// Implements [`Wire`] for each record as its fields in order.
+macro_rules! wire_records {
+    ($($ty:ident { $($field:ident: $fty:ty),* })*) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = 0 $(+ <$fty as Wire>::MIN_BYTES)*;
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(self.$field.put(buf);)*
+            }
+            fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
+                Ok($ty { $($field: <$fty>::get(c)?,)* })
+            }
+        }
+    )*};
+}
+
+wire_records! {
+    CrashRecord { pm: usize, step: usize, pending: usize }
+    RetryEntry { vm: usize, cause: RetryCause, attempts: usize, next_step: usize }
+    FaultEvent { step: usize, pm: usize, kind: FaultKind }
+    MigrationEvent { step: usize, vm_id: usize, from_pm: usize, to_pm: usize }
+    RecoveryStats {
+        crashes: usize, recoveries: usize, time_to_restore: Vec<usize>,
+        unrestored_crashes: usize, stranded_vm_steps: usize,
+        degraded_admissions: usize, degraded_violation_steps: usize
+    }
+}
+
+// ---------------------------------------------------------------------
+// Encoding.
+// ---------------------------------------------------------------------
 
 /// Serializes a [`RunState`] (plus optional recorder snapshot) into
 /// the durable frame format.
@@ -252,195 +356,65 @@ pub(crate) fn encode_state(
     rec_bytes: Option<Vec<u8>>,
 ) -> Vec<u8> {
     let mut w = FrameWriter::new();
-
-    let mut meta = Vec::new();
-    put_u64(&mut meta, fingerprint(sim));
-    w.section(SEC_META, &meta);
-
-    let mut step = Vec::new();
-    put_usize(&mut step, st.next_step);
-    w.section(SEC_STEP, &step);
-
-    let mut core = Vec::new();
-    put_bool_slice(&mut core, &st.core.on);
-    match st.core.snapshot_mode() {
-        CoreSnapshot::Shared(words) => {
-            put_u8(&mut core, 0);
-            for word in words {
-                put_u64(&mut core, word);
-            }
+    let mut section = |tag: u32, put: &dyn Fn(&mut Vec<u8>)| {
+        let mut buf = Vec::new();
+        put(&mut buf);
+        w.section(tag, &buf);
+    };
+    section(SEC_META, &|b| fingerprint(sim).put(b));
+    section(SEC_STEP, &|b| st.next_step.put(b));
+    section(SEC_CORE, &|b| {
+        st.core.on.put(b);
+        st.core.snapshot_mode().put(b);
+    });
+    section(SEC_FAULTPROC, &|b| {
+        st.fault_process.is_some().put(b);
+        if let Some(process) = &st.fault_process {
+            process.rng_state().put(b);
+            write_seq(b, process.domain_states().iter().copied());
         }
-        CoreSnapshot::ClassAggregated(locs) => {
-            put_u8(&mut core, 2);
-            put_usize(&mut core, locs.len());
-            for cells in &locs {
-                put_usize(&mut core, cells.len());
-                for &(class, count, n_on) in cells {
-                    put_u32(&mut core, class);
-                    put_u32(&mut core, count);
-                    put_u32(&mut core, n_on);
-                }
-            }
-        }
-    }
-    w.section(SEC_CORE, &core);
-
-    let mut fp = Vec::new();
-    match &st.fault_process {
-        None => put_bool(&mut fp, false),
-        Some(process) => {
-            put_bool(&mut fp, true);
-            for word in process.rng_state() {
-                put_u64(&mut fp, word);
-            }
-            put_bool_slice(&mut fp, process.domain_states());
-        }
-    }
-    w.section(SEC_FAULTPROC, &fp);
-
-    let fs = &st.fs;
-    let mut fsb = Vec::new();
-    put_bool_slice(&mut fsb, &fs.pm_up);
-    put_bool_slice(&mut fsb, &fs.vm_degraded);
-    put_usize_slice(&mut fsb, &fs.pm_overflow);
-    put_usize(&mut fsb, fs.crash_of_vm.len());
-    for &c in &fs.crash_of_vm {
-        put_opt_usize(&mut fsb, c);
-    }
-    put_usize(&mut fsb, fs.crash_records.len());
-    for r in &fs.crash_records {
-        put_usize(&mut fsb, r.pm);
-        put_usize(&mut fsb, r.step);
-        put_usize(&mut fsb, r.pending);
-    }
-    put_usize(&mut fsb, fs.retry_queue.len());
-    for e in &fs.retry_queue {
-        put_usize(&mut fsb, e.vm);
-        put_u8(&mut fsb, matches!(e.cause, RetryCause::Evacuation).into());
-        put_usize(&mut fsb, e.attempts);
-        put_usize(&mut fsb, e.next_step);
-    }
-    put_usize(&mut fsb, fs.fault_events.len());
-    for e in &fs.fault_events {
-        put_usize(&mut fsb, e.step);
-        put_usize(&mut fsb, e.pm);
-        put_u8(&mut fsb, matches!(e.kind, FaultKind::Recovery).into());
-    }
-    put_usize(&mut fsb, fs.evacuations.len());
-    for e in &fs.evacuations {
-        put_usize(&mut fsb, e.step);
-        put_usize(&mut fsb, e.vm_id);
-        put_usize(&mut fsb, e.from_pm);
-        put_opt_usize(&mut fsb, e.to_pm);
-        put_bool(&mut fsb, e.degraded);
-    }
-    let rec = &fs.recovery;
-    put_usize(&mut fsb, rec.crashes);
-    put_usize(&mut fsb, rec.recoveries);
-    put_usize_slice(&mut fsb, &rec.time_to_restore);
-    put_usize(&mut fsb, rec.unrestored_crashes);
-    put_usize(&mut fsb, rec.stranded_vm_steps);
-    put_usize(&mut fsb, rec.degraded_admissions);
-    put_usize(&mut fsb, rec.degraded_violation_steps);
-    w.section(SEC_FAULTSTATE, &fsb);
-
-    let mut place = Vec::new();
-    put_usize(&mut place, st.host.len());
-    for &h in &st.host {
-        put_opt_usize(&mut place, h);
-    }
-    put_usize(&mut place, st.hosted.len());
-    for vs in &st.hosted {
-        put_usize_slice(&mut place, vs);
-    }
+    });
+    section(SEC_FAULTSTATE, &|b| {
+        let fs = &st.fs;
+        fs.pm_up.put(b);
+        fs.vm_degraded.put(b);
+        fs.pm_overflow.put(b);
+        write_fixed(b, &fs.crash_of_vm);
+        fs.crash_records.put(b);
+        fs.retry_queue.put(b);
+        fs.fault_events.put(b);
+        fs.evacuations.put(b);
+        fs.recovery.put(b);
+    });
     // Loads are serialized field-exact, never rebuilt on load: the
     // incremental `add` fold and a fresh `rebuild` can differ by ulps,
     // and bit-identity of the resumed run hinges on these exact sums.
-    put_usize(&mut place, st.loads.len());
-    for l in &st.loads {
-        put_usize(&mut place, l.count);
-        put_f64(&mut place, l.max_re);
-        put_f64(&mut place, l.sum_rb);
-        put_f64(&mut place, l.sum_rp);
-    }
-    w.section(SEC_PLACE, &place);
-
-    let mut dual = Vec::new();
-    put_usize(&mut dual, st.dual.len());
-    for &(pm, demand, left) in &st.dual {
-        put_usize(&mut dual, pm);
-        put_f64(&mut dual, demand);
-        put_usize(&mut dual, left);
-    }
-    w.section(SEC_DUAL, &dual);
-
-    let mut acct = Vec::new();
-    put_usize_slice(&mut acct, &st.vio_steps);
-    put_usize_slice(&mut acct, &st.indexes.active_steps());
-    put_usize(&mut acct, st.migrations.len());
-    for e in &st.migrations {
-        put_usize(&mut acct, e.step);
-        put_usize(&mut acct, e.vm_id);
-        put_usize(&mut acct, e.from_pm);
-        put_usize(&mut acct, e.to_pm);
-    }
-    put_usize(&mut acct, st.failed_migrations);
-    put_usize(&mut acct, st.retried_migrations);
-    let series: Vec<f64> = st.pms_used_series.points().map(|(_, v)| v).collect();
-    put_f64_slice(&mut acct, &series);
-    put_usize(&mut acct, st.peak_pms_used);
-    put_usize(&mut acct, st.total_violation_steps);
-    put_usize_slice(&mut acct, &st.vm_violation_steps);
-    put_f64(&mut acct, st.energy);
-    put_f64_slice(&mut acct, &st.observed);
-    w.section(SEC_ACCT, &acct);
-
+    section(SEC_PLACE, &|b| {
+        write_fixed(b, &st.host);
+        st.hosted.put(b);
+        st.loads.put(b);
+    });
+    section(SEC_DUAL, &|b| st.dual.put(b));
+    section(SEC_ACCT, &|b| {
+        st.vio_steps.put(b);
+        st.indexes.active_steps().put(b);
+        st.migrations.put(b);
+        [st.failed_migrations, st.retried_migrations].put(b);
+        st.pms_used_series.values.put(b);
+        [st.peak_pms_used, st.total_violation_steps].put(b);
+        st.vm_violation_steps.put(b);
+        st.energy.put(b);
+        st.observed.put(b);
+    });
     if let Some(bytes) = rec_bytes {
-        let mut rb = Vec::new();
-        put_bytes(&mut rb, &bytes);
-        w.section(SEC_REC, &rb);
+        section(SEC_REC, &|b| bytes.put(b));
     }
-
     w.finish()
 }
 
 // ---------------------------------------------------------------------
 // Decoding.
 // ---------------------------------------------------------------------
-
-fn bad(msg: impl Into<String>) -> FrameError {
-    FrameError::Decode(msg.into())
-}
-
-fn read_opt_usize(c: &mut Cursor<'_>) -> Result<Option<usize>, FrameError> {
-    let some = c.boolean()?;
-    let v = c.usize()?;
-    Ok(some.then_some(v))
-}
-
-fn read_usize_vec(c: &mut Cursor<'_>, want: Option<usize>) -> Result<Vec<usize>, FrameError> {
-    let len = c.seq_len(8)?;
-    if want.is_some_and(|w| w != len) {
-        return Err(bad(format!("sequence length {len}, expected {want:?}")));
-    }
-    (0..len).map(|_| c.usize()).collect()
-}
-
-fn read_bool_vec(c: &mut Cursor<'_>, want: Option<usize>) -> Result<Vec<bool>, FrameError> {
-    let len = c.seq_len(1)?;
-    if want.is_some_and(|w| w != len) {
-        return Err(bad(format!("sequence length {len}, expected {want:?}")));
-    }
-    (0..len).map(|_| c.boolean()).collect()
-}
-
-fn read_f64_vec(c: &mut Cursor<'_>, want: Option<usize>) -> Result<Vec<f64>, FrameError> {
-    let len = c.seq_len(8)?;
-    if want.is_some_and(|w| w != len) {
-        return Err(bad(format!("sequence length {len}, expected {want:?}")));
-    }
-    (0..len).map(|_| c.f64()).collect()
-}
 
 /// Deserializes and validates a checkpoint file against `sim`,
 /// returning the restored [`RunState`] and the recorder snapshot bytes
@@ -452,24 +426,24 @@ pub(crate) fn decode_state(
     let n = sim.vms.len();
     let m = sim.pms.len();
     let frames = parse_frames(bytes)?;
-    let section = |tag: u32| -> Result<&[u8], CheckpointError> {
+    let section = |tag: u32| -> Result<Cursor<'_>, CheckpointError> {
         frames
             .iter()
             .find(|(t, _)| *t == tag)
-            .map(|(_, payload)| payload.as_slice())
+            .map(|(_, payload)| Cursor::new(payload))
             .ok_or_else(|| bad(format!("missing section {tag}")).into())
     };
 
-    let mut c = Cursor::new(section(SEC_META)?);
-    let found = c.u64()?;
+    let mut c = section(SEC_META)?;
+    let found = u64::get(&mut c)?;
     c.expect_done()?;
     let expected = fingerprint(sim);
     if found != expected {
         return Err(CheckpointError::FingerprintMismatch { expected, found });
     }
 
-    let mut c = Cursor::new(section(SEC_STEP)?);
-    let next_step = c.usize()?;
+    let mut c = section(SEC_STEP)?;
+    let next_step = usize::get(&mut c)?;
     c.expect_done()?;
     if next_step == 0 || next_step >= sim.config.steps {
         return Err(bad(format!(
@@ -482,26 +456,9 @@ pub(crate) fn decode_state(
     // Core: a fresh core is built from the specs, then the evolving
     // state is grafted in. `restore_mode` performs the deep structural
     // validation of the class-aggregated counters.
-    let mut c = Cursor::new(section(SEC_CORE)?);
-    let on = read_bool_vec(&mut c, Some(n))?;
-    // Tag 1 is retired with the per-VM layout; it must stay unknown.
-    let snap = match c.u8()? {
-        0 => CoreSnapshot::Shared([c.u64()?, c.u64()?, c.u64()?, c.u64()?]),
-        2 => {
-            let locs = c.seq_len(8)?;
-            let mut all = Vec::with_capacity(locs);
-            for _ in 0..locs {
-                let cells = c.seq_len(12)?;
-                all.push(
-                    (0..cells)
-                        .map(|_| Ok((c.u32()?, c.u32()?, c.u32()?)))
-                        .collect::<Result<Vec<_>, FrameError>>()?,
-                );
-            }
-            CoreSnapshot::ClassAggregated(all)
-        }
-        t => return Err(bad(format!("unknown core layout tag {t}")).into()),
-    };
+    let mut c = section(SEC_CORE)?;
+    let on: Vec<bool> = sized(&mut c, n, "on")?;
+    let snap = CoreSnapshot::get(&mut c)?;
     c.expect_done()?;
     let mut core = WorkloadCore::new(
         sim.vms,
@@ -513,13 +470,12 @@ pub(crate) fn decode_state(
     core.restore_mode(snap).map_err(bad)?;
     core.on.copy_from_slice(&on);
 
-    let mut c = Cursor::new(section(SEC_FAULTPROC)?);
-    let fault_process = if c.boolean()? {
+    let mut c = section(SEC_FAULTPROC)?;
+    let fault_process = if bool::get(&mut c)? {
         let Some(cfg) = sim.config.faults else {
             return Err(bad("snapshot has a fault process, config does not").into());
         };
-        let words = [c.u64()?, c.u64()?, c.u64()?, c.u64()?];
-        let domains = read_bool_vec(&mut c, None)?;
+        let (words, domains) = Wire::get(&mut c)?;
         Some(FaultProcess::restore(cfg, m, words, domains).map_err(bad)?)
     } else {
         if sim.config.faults.is_some() {
@@ -529,73 +485,16 @@ pub(crate) fn decode_state(
     };
     c.expect_done()?;
 
-    let mut c = Cursor::new(section(SEC_FAULTSTATE)?);
-    let pm_up = read_bool_vec(&mut c, Some(m))?;
-    let vm_degraded = read_bool_vec(&mut c, Some(n))?;
-    let pm_overflow = read_usize_vec(&mut c, Some(m))?;
-    let len = c.seq_len(9)?;
-    if len != n {
-        return Err(bad(format!("crash_of_vm length {len}, fleet has {n}")).into());
-    }
-    let crash_of_vm = (0..n)
-        .map(|_| read_opt_usize(&mut c))
-        .collect::<Result<Vec<_>, _>>()?;
-    let crash_records = (0..c.seq_len(24)?)
-        .map(|_| {
-            Ok(CrashRecord {
-                pm: c.usize()?,
-                step: c.usize()?,
-                pending: c.usize()?,
-            })
-        })
-        .collect::<Result<Vec<_>, FrameError>>()?;
-    let retry_queue = (0..c.seq_len(25)?)
-        .map(|_| {
-            Ok(RetryEntry {
-                vm: c.usize()?,
-                cause: match c.u8()? {
-                    0 => RetryCause::Overload,
-                    1 => RetryCause::Evacuation,
-                    t => return Err(bad(format!("unknown retry cause {t}"))),
-                },
-                attempts: c.usize()?,
-                next_step: c.usize()?,
-            })
-        })
-        .collect::<Result<Vec<_>, FrameError>>()?;
-    let fault_events = (0..c.seq_len(17)?)
-        .map(|_| {
-            Ok(FaultEvent {
-                step: c.usize()?,
-                pm: c.usize()?,
-                kind: match c.u8()? {
-                    0 => FaultKind::Crash,
-                    1 => FaultKind::Recovery,
-                    t => return Err(bad(format!("unknown fault kind {t}"))),
-                },
-            })
-        })
-        .collect::<Result<Vec<_>, FrameError>>()?;
-    let evacuations = (0..c.seq_len(34)?)
-        .map(|_| {
-            Ok(EvacuationEvent {
-                step: c.usize()?,
-                vm_id: c.usize()?,
-                from_pm: c.usize()?,
-                to_pm: read_opt_usize(&mut c)?,
-                degraded: c.boolean()?,
-            })
-        })
-        .collect::<Result<Vec<_>, FrameError>>()?;
-    let recovery = RecoveryStats {
-        crashes: c.usize()?,
-        recoveries: c.usize()?,
-        time_to_restore: read_usize_vec(&mut c, None)?,
-        unrestored_crashes: c.usize()?,
-        stranded_vm_steps: c.usize()?,
-        degraded_admissions: c.usize()?,
-        degraded_violation_steps: c.usize()?,
-    };
+    let mut c = section(SEC_FAULTSTATE)?;
+    let pm_up = sized(&mut c, m, "pm_up")?;
+    let vm_degraded = sized(&mut c, n, "vm_degraded")?;
+    let pm_overflow = sized(&mut c, m, "pm_overflow")?;
+    let crash_of_vm = read_fixed(&mut c, n, "crash_of_vm")?;
+    let crash_records: Vec<CrashRecord> = Wire::get(&mut c)?;
+    let retry_queue: Vec<RetryEntry> = Wire::get(&mut c)?;
+    let fault_events = Wire::get(&mut c)?;
+    let evacuations = Wire::get(&mut c)?;
+    let recovery = Wire::get(&mut c)?;
     c.expect_done()?;
 
     // Structural validation of the fault state before trusting it.
@@ -622,36 +521,10 @@ pub(crate) fn decode_state(
         }
     }
 
-    let mut c = Cursor::new(section(SEC_PLACE)?);
-    let len = c.seq_len(9)?;
-    if len != n {
-        return Err(bad(format!("host length {len}, fleet has {n}")).into());
-    }
-    let host = (0..n)
-        .map(|_| read_opt_usize(&mut c))
-        .collect::<Result<Vec<_>, _>>()?;
-    let len = c.seq_len(8)?;
-    if len != m {
-        return Err(bad(format!("hosted length {len}, pool has {m}")).into());
-    }
-    let hosted = (0..m)
-        .map(|_| read_usize_vec(&mut c, None))
-        .collect::<Result<Vec<_>, _>>()?;
-    let len = c.seq_len(32)?;
-    if len != m {
-        return Err(bad(format!("loads length {len}, pool has {m}")).into());
-    }
-    let mut loads = (0..m)
-        .map(|_| {
-            Ok(PmLoad {
-                count: c.usize()?,
-                max_re: c.f64()?,
-                sum_rb: c.f64()?,
-                sum_rp: c.f64()?,
-                max_pi: 0.0,
-            })
-        })
-        .collect::<Result<Vec<PmLoad>, FrameError>>()?;
+    let mut c = section(SEC_PLACE)?;
+    let host = read_fixed(&mut c, n, "host")?;
+    let hosted: Vec<Vec<usize>> = sized(&mut c, m, "hosted")?;
+    let mut loads: Vec<PmLoad> = sized(&mut c, m, "loads")?;
     c.expect_done()?;
 
     // host and hosted must be exact inverses — including the order of
@@ -698,45 +571,27 @@ pub(crate) fn decode_state(
         load.max_pi = PmLoad::rebuild(vs.iter().map(|&i| &sim.vms[i])).max_pi;
     }
 
-    let mut c = Cursor::new(section(SEC_DUAL)?);
-    let dual = (0..c.seq_len(24)?)
-        .map(|_| Ok((c.usize()?, c.f64()?, c.usize()?)))
-        .collect::<Result<Vec<_>, FrameError>>()?;
+    let mut c = section(SEC_DUAL)?;
+    let dual = Wire::get(&mut c)?;
     c.expect_done()?;
 
-    let mut c = Cursor::new(section(SEC_ACCT)?);
-    let vio_steps = read_usize_vec(&mut c, Some(m))?;
-    let active_steps = read_usize_vec(&mut c, Some(m))?;
-    let migrations = (0..c.seq_len(32)?)
-        .map(|_| {
-            Ok(MigrationEvent {
-                step: c.usize()?,
-                vm_id: c.usize()?,
-                from_pm: c.usize()?,
-                to_pm: c.usize()?,
-            })
-        })
-        .collect::<Result<Vec<_>, FrameError>>()?;
-    let failed_migrations = c.usize()?;
-    let retried_migrations = c.usize()?;
-    let series = read_f64_vec(&mut c, Some(next_step))?;
-    let peak_pms_used = c.usize()?;
-    let total_violation_steps = c.usize()?;
-    let vm_violation_steps = read_usize_vec(&mut c, Some(n))?;
-    let energy = c.f64()?;
-    let observed = read_f64_vec(&mut c, Some(m))?;
-    c.expect_done()?;
-
+    let mut c = section(SEC_ACCT)?;
+    let vio_steps = sized(&mut c, m, "vio_steps")?;
+    let active_steps = sized(&mut c, m, "active_steps")?;
+    let migrations = Wire::get(&mut c)?;
+    let [failed_migrations, retried_migrations] = Wire::get(&mut c)?;
     let mut pms_used_series = TimeSeries::new(0.0, sim.config.sigma_secs);
-    for v in series {
-        pms_used_series.push(v);
-    }
+    pms_used_series.values = sized(&mut c, next_step, "pms_used_series")?;
+    let [peak_pms_used, total_violation_steps] = Wire::get(&mut c)?;
+    let vm_violation_steps = sized(&mut c, n, "vm_violation_steps")?;
+    let energy = Wire::get(&mut c)?;
+    let observed = sized(&mut c, m, "observed")?;
+    c.expect_done()?;
 
-    let rec_bytes = match frames.iter().find(|(t, _)| *t == SEC_REC) {
-        None => None,
-        Some((_, payload)) => {
-            let mut c = Cursor::new(payload);
-            let bytes = c.bytes()?.to_vec();
+    let rec_bytes = match section(SEC_REC) {
+        Err(_) => None,
+        Ok(mut c) => {
+            let bytes = Wire::get(&mut c)?;
             c.expect_done()?;
             Some(bytes)
         }
@@ -947,10 +802,11 @@ impl Simulator<'_> {
     }
 
     /// Resumes from the newest verifying snapshot in `store` and runs
-    /// to the horizon, continuing to checkpoint on the way. The
-    /// recorder is restored from the snapshot when both sides support
-    /// it ([`Recorder::restore_from_snapshot`]), so journaled events
-    /// are neither lost nor duplicated across the seam.
+    /// to the horizon, continuing to checkpoint on the way. A snapshot
+    /// that carries a recorder section restores it into a recording
+    /// `rec` ([`Recorder::restore_from_snapshot`]), so journaled events
+    /// are neither lost nor duplicated across the seam; a disabled
+    /// recorder ignores the section.
     ///
     /// The snapshot fingerprint covers the config, power model, and
     /// fleet — but not the runtime policy, which is a trait object the
@@ -962,6 +818,8 @@ impl Simulator<'_> {
     /// [`CheckpointError`] when the store is unreadable or no retained
     /// snapshot verifies; the report inside
     /// [`CheckpointError::NoUsableCheckpoint`] lists every discard.
+    /// [`CheckpointError::Frame`] when `R::ENABLED` and `rec` refuses the
+    /// loaded snapshot's recorder section.
     pub fn resume_with_checkpoints<S: Store, R: Recorder>(
         &self,
         cfg: &CheckpointConfig,
@@ -972,7 +830,14 @@ impl Simulator<'_> {
         let mut ck = Checkpointer::new(store, cfg);
         let (st, rec_bytes, report) = ck.load_latest(self)?;
         if let Some(bytes) = rec_bytes {
-            rec.restore_from_snapshot(&bytes);
+            // A recording recorder that cannot take the journal the run
+            // wrote would restart its counters and events mid-run.
+            if R::ENABLED && !rec.restore_from_snapshot(&bytes) {
+                return Err(CheckpointError::Frame(bad(format!(
+                    "{}: recorder section {SEC_REC} does not restore",
+                    report.loaded
+                ))));
+            }
         }
         let outcome = self.run_from(st, rec, &mut ck);
         Ok((
@@ -1207,6 +1072,120 @@ mod tests {
             matches!(&err, CheckpointError::Frame(FrameError::Decode(msg))
                 if msg == "unknown core layout tag 1"),
             "{err}"
+        );
+    }
+
+    /// A recorder section the attached recorder refuses — here an image
+    /// with one counter more than this build has, re-framed with valid
+    /// CRCs — fails the resume instead of restarting the journal; a
+    /// disabled recorder ignores the section and resumes.
+    #[test]
+    fn a_recorder_section_that_does_not_restore_fails_the_resume() {
+        let (vms, pms) = fleet();
+        let strategy = QueueStrategy::build(16, 0.01, 0.09, 0.01);
+        let placement = first_fit(&vms, &pms, &strategy).unwrap();
+        let policy = QueuePolicy::new(strategy);
+        let sim = Simulator::new(&vms, &pms, &policy, config());
+        let mut store = MemStore::new();
+        let mut rec = MemoryRecorder::new(64);
+        sim.run_with_checkpoints(&placement, &knobs(10, 1), &mut store, &mut rec);
+        let file = store.file_mut("ckpt-000000000050").unwrap();
+        let mut w = FrameWriter::new();
+        for (tag, payload) in parse_frames(file).unwrap() {
+            if tag != SEC_REC {
+                w.section(tag, &payload);
+                continue;
+            }
+            let image: Vec<u8> = Wire::get(&mut Cursor::new(&payload)).unwrap();
+            let counters = usize::get(&mut Cursor::new(&image)).unwrap();
+            let mut longer = Vec::new();
+            (counters + 1).put(&mut longer);
+            longer.extend_from_slice(&image[8..8 + 8 * counters]);
+            0u64.put(&mut longer);
+            longer.extend_from_slice(&image[8 + 8 * counters..]);
+            let mut section = Vec::new();
+            longer.put(&mut section);
+            w.section(tag, &section);
+        }
+        *file = w.finish();
+
+        let err = sim
+            .resume_with_checkpoints(&knobs(10, 1), store.clone(), &mut MemoryRecorder::new(64))
+            .unwrap_err();
+        assert!(
+            matches!(&err, CheckpointError::Frame(FrameError::Decode(msg))
+                if msg == "ckpt-000000000050: recorder section 9 does not restore"),
+            "{err}"
+        );
+        let (_, report) = sim
+            .resume_with_checkpoints(&knobs(10, 1), store, &mut NoopRecorder)
+            .unwrap();
+        assert_eq!(report.step, 50);
+    }
+
+    fn encoded_len<T: Wire>(v: &T) -> usize {
+        let mut buf = Vec::new();
+        v.put(&mut buf);
+        let mut c = Cursor::new(&buf);
+        T::get(&mut c).unwrap();
+        c.expect_done().unwrap();
+        buf.len()
+    }
+
+    /// Every record a checkpoint holds in a sequence, in every variant:
+    /// a `MIN_BYTES` above some encoding would refuse a valid image.
+    #[test]
+    fn record_min_bytes_match_their_encodings() {
+        for to in [None, Some(3)] {
+            assert_eq!(encoded_len(&FixedIndex(to)), FixedIndex::MIN_BYTES);
+            let evacuation = EvacuationEvent {
+                step: 1,
+                vm_id: 2,
+                from_pm: 3,
+                to_pm: to,
+                degraded: to.is_some(),
+            };
+            assert_eq!(encoded_len(&evacuation), EvacuationEvent::MIN_BYTES);
+        }
+        for cause in [RetryCause::Overload, RetryCause::Evacuation] {
+            let entry = RetryEntry {
+                vm: 1,
+                cause,
+                attempts: 2,
+                next_step: 3,
+            };
+            assert_eq!(encoded_len(&entry), RetryEntry::MIN_BYTES);
+        }
+        for kind in [FaultKind::Crash, FaultKind::Recovery] {
+            let event = FaultEvent {
+                step: 1,
+                pm: 2,
+                kind,
+            };
+            assert_eq!(encoded_len(&event), FaultEvent::MIN_BYTES);
+        }
+        let crash = CrashRecord {
+            pm: 1,
+            step: 2,
+            pending: 3,
+        };
+        assert_eq!(encoded_len(&crash), CrashRecord::MIN_BYTES);
+        let migration = MigrationEvent {
+            step: 1,
+            vm_id: 2,
+            from_pm: 3,
+            to_pm: 4,
+        };
+        assert_eq!(encoded_len(&migration), MigrationEvent::MIN_BYTES);
+        for snap in [
+            CoreSnapshot::Shared([1, 2, 3, 4]),
+            CoreSnapshot::ClassAggregated(vec![vec![(1, 2, 1)], vec![]]),
+        ] {
+            assert!(encoded_len(&snap) >= CoreSnapshot::MIN_BYTES);
+        }
+        assert_eq!(
+            encoded_len(&RecoveryStats::default()),
+            RecoveryStats::MIN_BYTES
         );
     }
 
