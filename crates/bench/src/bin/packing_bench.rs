@@ -40,10 +40,16 @@
 //!   the row) on a quarter as many PMs: the fleet of the system
 //!   benchmark's `plan_classheavy`. Its pack runs on a fresh arena, as
 //!   `Consolidator::place` does, and the row adds `place_secs` (the whole
-//!   decision: the same pack plus the strategy build and the recorder's
-//!   bookkeeping), `strategy_build_secs` (`Consolidator::strategy()`
-//!   alone) and `pack_dyn_secs` (the fresh-arena pack through `&dyn
-//!   Strategy`, the dispatch `place` uses). Rows of commits before
+//!   decision: the pack through the `Box<dyn Strategy>` that
+//!   `Consolidator::strategy()` builds, plus that build and the
+//!   recorder's bookkeeping), `strategy_build_secs`
+//!   (`Consolidator::strategy()` alone) and `pack_dyn_secs` (the
+//!   fresh-arena pack of the concrete strategy behind a `&dyn Strategy`).
+//!   The concrete pack, `place` and the `&dyn` pack are timed in one loop,
+//!   each on a fresh arena, and each repeat rotates which of them goes
+//!   first, so the three medians compare like with like: host drift and
+//!   the allocator's state spread over all three instead of landing on
+//!   whichever ran in its own loop. Rows of commits before
 //!   `Consolidator::place` packed every fleet with the batch packer also
 //!   carry `census_s` and `uses_batch_secs`, the packer choice that
 //!   change deleted.
@@ -89,8 +95,11 @@ struct FleetRow {
 
 /// One `fleets` row: the batch packer against the per-VM packer on the
 /// full assignment vector, then `repeats` timed packs with their phase
-/// profiles. `fresh_arena` packs each repeat on a new arena (what
-/// `Consolidator::place` does) instead of the reused one.
+/// profiles, on one reused arena. With `beside`, each repeat packs on a
+/// new arena instead (what `Consolidator::place` does), and each of
+/// `beside`'s variants is timed once per repeat in the same loop, which
+/// one goes first rotating each repeat (the pack is variant 0); their
+/// seconds come back in `beside`'s order.
 fn fleet_row(
     commit: &str,
     fleet: &str,
@@ -98,8 +107,10 @@ fn fleet_row(
     pms: &[PmSpec],
     strategy: &QueueStrategy,
     repeats: usize,
-    fresh_arena: bool,
-) -> FleetRow {
+    beside: Option<&mut [&mut dyn FnMut() -> f64]>,
+) -> (FleetRow, Vec<Vec<f64>>) {
+    let fresh_arena = beside.is_some();
+    let beside = beside.unwrap_or_default();
     let mut arena = PlacementState::new();
     let (reference, per_vm_secs) = timed(|| first_fit(vms, pms, strategy));
     let batched = first_fit_batch_with(&mut arena, vms, pms, strategy);
@@ -107,13 +118,29 @@ fn fleet_row(
     let pms_used = reference.as_ref().map(|p| p.pms_used()).unwrap_or(0);
     let mut secs = Vec::with_capacity(repeats);
     let mut profiles: Vec<PackProfile> = Vec::with_capacity(repeats);
-    for _ in 0..repeats {
-        if fresh_arena {
-            arena = PlacementState::new();
+    let mut beside_secs = vec![Vec::with_capacity(repeats); beside.len()];
+    let variants = beside.len() + 1;
+    for r in 0..repeats {
+        // Rotated by `r`, and reversed every other cycle: each variant
+        // follows each other one as often, so none inherits a fixed
+        // predecessor's heap.
+        let mut order: Vec<usize> = (0..variants).map(|i| (i + r) % variants).collect();
+        if (r / variants) % 2 == 1 {
+            order.reverse();
         }
-        let (_, s) = timed(|| first_fit_batch_with(&mut arena, vms, pms, strategy));
-        secs.push(s);
-        profiles.push(arena.last_pack());
+        for v in order {
+            if v > 0 {
+                beside_secs[v - 1].push(beside[v - 1]());
+                continue;
+            }
+            // A fresh arena lives for its own pack only, as the variants'
+            // do, so it holds no memory while they run.
+            let mut fresh = PlacementState::new();
+            let arena = if fresh_arena { &mut fresh } else { &mut arena };
+            let (_, s) = timed(|| first_fit_batch_with(arena, vms, pms, strategy));
+            secs.push(s);
+            profiles.push(arena.last_pack());
+        }
     }
     let tree_probes = profiles[0].tree_probes;
     assert!(
@@ -148,12 +175,13 @@ fn fleet_row(
         .field("batch_secs", spread(&secs))
         .field("tree_probes", tree_probes)
         .field("phases_median_s", phases);
-    FleetRow {
+    let fleet_row = FleetRow {
         row,
         pack_median,
         identical,
         tree_probes,
-    }
+    };
+    (fleet_row, beside_secs)
 }
 
 fn main() {
@@ -259,7 +287,7 @@ fn main() {
             .collect();
         let pms = gen.pms(dup_n);
         let name = format!("dup_{dup_pct}");
-        let row = fleet_row(&commit, &name, &vms, &pms, &strategy, attributed, false);
+        let (row, _) = fleet_row(&commit, &name, &vms, &pms, &strategy, attributed, None);
         all_identical &= row.identical;
         fleet_rows.push(row.row.to_json());
     }
@@ -268,33 +296,29 @@ fn main() {
         let mut gen = FleetGenerator::new(1);
         let vms = gen.vms_table_i(paper_n, WorkloadPattern::EqualSpike);
         let pms = gen.pms(paper_n / 4);
-        let row = fleet_row(
+        let consolidator = Consolidator::new(Scheme::Queue);
+        let dyn_strategy: &dyn Strategy = &strategy;
+        // Beside the concrete pack, in the same rotating loop: the whole
+        // decision, and the same fresh-arena pack through `&dyn Strategy`.
+        let mut place = || timed(|| consolidator.place(&vms, &pms)).1;
+        let mut pack_dyn = || {
+            let mut arena = PlacementState::new();
+            timed(|| first_fit_batch_with(&mut arena, &vms, &pms, dyn_strategy)).1
+        };
+        let (row, beside) = fleet_row(
             &commit,
             "paper_density",
             &vms,
             &pms,
             &strategy,
             attributed,
-            true,
+            Some(&mut [&mut place, &mut pack_dyn]),
         );
+        let [place_secs, pack_dyn_secs] = <[Vec<f64>; 2]>::try_from(beside).unwrap();
         all_identical &= row.identical;
         paper_tree_probes = Some(row.tree_probes);
-        let consolidator = Consolidator::new(Scheme::Queue);
-        let place_secs: Vec<f64> = (0..attributed)
-            .map(|_| timed(|| consolidator.place(&vms, &pms)).1)
-            .collect();
-        // What `place` adds to the pack, one part at a time: the
-        // strategy it builds, and the same fresh-arena pack dispatched
-        // through `&dyn Strategy` as `place` does.
         let strategy_build_secs: Vec<f64> = (0..attributed)
             .map(|_| timed(|| consolidator.strategy()).1)
-            .collect();
-        let dyn_strategy: &dyn Strategy = &strategy;
-        let pack_dyn_secs: Vec<f64> = (0..attributed)
-            .map(|_| {
-                let mut arena = PlacementState::new();
-                timed(|| first_fit_batch_with(&mut arena, &vms, &pms, dyn_strategy)).1
-            })
             .collect();
         eprintln!(
             "  paper_density: place {:.4}s, pack {:.4}s, pack via &dyn {:.4}s, strategy build \

@@ -122,12 +122,12 @@ impl Consolidator {
     }
 
     /// Builds the runtime (migration-target) admission policy matching the
-    /// scheme's knowledge model.
+    /// scheme's knowledge model. QUEUE's is [`Consolidator::strategy`]'s
+    /// rule and floor, pricing through the same process-wide
+    /// `π`-threshold table of `(d, ρ)`, so packing and migration targeting
+    /// charge every load the same blocks.
     pub fn policy(&self) -> Box<dyn RuntimePolicy> {
         match self.scheme {
-            // Shares the memoized floor table with `strategy()`, so
-            // `evaluate` solves each (d, p_on, p_off, rho) chain family
-            // exactly once per process.
             Scheme::Queue => Box::new(QueuePolicy::new(QueueStrategy::build(
                 self.d, self.p_on, self.p_off, self.rho,
             ))),
@@ -516,25 +516,23 @@ mod tests {
 
     #[test]
     fn strategy_and_policy_share_one_mapping_table() {
-        use bursty_placement::{mapping_cache_stats, QueueStrategy};
-        use bursty_sim::QueuePolicy;
-        // Unique parameters so other tests' cache traffic cannot collide
-        // with this key; counters are global, so assert only on deltas.
-        let (d, p_on, p_off, rho) = (9, 0.017, 0.083, 0.021);
-        let before = mapping_cache_stats();
-        let strategy = QueueStrategy::build(d, p_on, p_off, rho);
-        let policy = QueuePolicy::new(QueueStrategy::build(d, p_on, p_off, rho));
-        let after = mapping_cache_stats();
-        assert!(
-            std::sync::Arc::ptr_eq(
-                strategy.floor().unwrap(),
-                policy.strategy().floor().unwrap()
-            ),
-            "packing strategy and runtime policy must share one table"
-        );
-        // Exactly one build for this parameter set; the second lookup hit.
-        assert_eq!(after.misses - before.misses, 1);
-        assert!(after.hits - before.hits >= 1);
+        use bursty_placement::{MappingTable, PmLoad, QueueStrategy};
+        // The packing strategy and the runtime policy `policy()` builds
+        // price a load at the floor pair by Algorithm 1's `mapping(k)`, at
+        // every k up to the d cap.
+        let c = Consolidator::new(Scheme::Queue);
+        let strategy = c.strategy();
+        let policy = QueuePolicy::new(QueueStrategy::build(c.d, c.p_on, c.p_off, c.rho));
+        let mapping = MappingTable::build(c.d, c.p_on, c.p_off, c.rho);
+        let vms: Vec<VmSpec> = (0..c.d)
+            .map(|i| VmSpec::new(i, c.p_on, c.p_off, 1.0, 2.0))
+            .collect();
+        for k in 1..=c.d {
+            let load = PmLoad::rebuild(&vms[..k]);
+            let price = 2.0 * mapping.blocks_for(k) as f64 + k as f64;
+            assert_eq!(strategy.need(&load), price, "k {k}");
+            assert_eq!(policy.strategy().need(&load), price, "k {k}");
+        }
     }
 
     #[test]

@@ -33,10 +33,13 @@ pub fn run(ctx: &Ctx) -> Result<(), CtxError> {
             let pms = gen.pms(n);
             let start = Instant::now();
             // Build the table uncached so every cell charges the full
-            // O(d^4) MapCal cost the figure is about — the process-wide
-            // memo would otherwise make all but the first cell per d free.
+            // MapCal cost the figure is about — the process-wide memo
+            // would otherwise make all but the first cell per d free. The
+            // packer prices through the strategy's shared π-threshold
+            // table, which equals this one at the default pair.
             let mapping = MappingTable::build(d, defaults::P_ON, defaults::P_OFF, defaults::RHO);
-            let strategy = QueueStrategy::new(mapping);
+            std::hint::black_box(&mapping);
+            let strategy = QueueStrategy::build(d, defaults::P_ON, defaults::P_OFF, defaults::RHO);
             let placement = first_fit(&vms, &pms, &strategy).unwrap();
             let elapsed = start.elapsed();
             assert!(placement.is_complete());

@@ -143,8 +143,12 @@ impl PlacementState {
     fn reset<S: Strategy + ?Sized>(&mut self, pms: &[PmSpec], strategy: &S) {
         self.loads.clear();
         self.loads.resize(pms.len(), PmLoad::empty());
-        self.index
-            .reset_lazy(|leaves| strategy.empty_headrooms(pms, leaves));
+        self.index.reset_lazy(|leaves| {
+            leaves.extend(
+                pms.iter()
+                    .map(|pm| strategy.headroom(&PmLoad::empty(), pm.capacity)),
+            )
+        });
         self.fills.clear();
     }
 

@@ -6,8 +6,9 @@
 //! * [`mapcal::MappingTable`] — Algorithm 1 (*MapCal*): for every possible
 //!   co-location count `k ≤ d` it stores the minimum number of reserved
 //!   blocks `K` that keeps the PM's capacity-violation ratio under `ρ`.
-//!   Its `π`-threshold form prices a load at any stationary ON
-//!   probability `π` for one `(d, ρ)`.
+//!   Its `π`-threshold form, one table per `(d, ρ)`, is what
+//!   [`QueueStrategy`] prices every load by; the table itself stays as
+//!   Algorithm 1's output and the oracle that price is pinned to.
 //! * [`strategy::Strategy`] — a packing/admission policy: per-VM sort
 //!   keys (the FFD order is a stable sort by them) plus a
 //!   set-feasibility predicate for a PM. Implementations:
@@ -54,7 +55,7 @@ pub use certify::{certify_exact, pm_cvr_exact, CAP_EPS};
 pub use evacuate::{evacuate_batch_recorded, EvacuationOutcome};
 pub use index::HeadroomIndex;
 pub use load::PmLoad;
-pub use mapcal::{mapping_cache_stats, MappingCacheStats, MappingTable};
+pub use mapcal::MappingTable;
 pub use online::{OnlineCluster, ReferenceOnlineCluster, StateDigest};
 pub use pack::{first_fit, PackError};
 pub use placement::Placement;

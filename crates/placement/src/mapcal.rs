@@ -1,9 +1,9 @@
 //! Algorithm 1 (*MapCal*) and its `mapping(k)` table, plus a process-wide
-//! memoized table cache.
+//! memoized table cache, and the same table as a function of `π`
+//! ([`PiThresholds`]), which is what QUEUE prices every load by.
 
 use bursty_markov::AggregateChain;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The `mapping(k)` table of Algorithm 2, lines 1–6: `mapping[k]` is the
@@ -20,9 +20,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// is `O(1)`. Each `k` costs exactly one stationary evaluation: the block
 /// count *and* the certified CVR are read off the same `π` (see
 /// [`MappingTable::certified_cvr`]).
-/// Repeated consolidation runs over the same parameter set should go
-/// through [`MappingTable::cached`], which memoizes built tables for the
-/// lifetime of the process.
+///
+/// The table is Algorithm 1's output (the CLI's `table`, certification,
+/// Fig. 7) and the oracle QUEUE's price is held to: `QueueStrategy` reads
+/// the same `mapping(k)` off [`PiThresholds`], which equals this table at
+/// every pair the workspace configures.
 ///
 /// # Examples
 /// ```
@@ -39,8 +41,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MappingTable {
-    p_on: f64,
-    p_off: f64,
     pub(crate) rho: f64,
     /// `mapping[k]` for `k ∈ [0, d]`; `mapping[0] = 0` by convention
     /// (Algorithm 2, line 1).
@@ -58,8 +58,7 @@ impl MappingTable {
     /// Panics if `d == 0`, probabilities are outside `(0, 1]`, or
     /// `rho ∉ (0, 1)`.
     pub fn build(d: usize, p_on: f64, p_off: f64, rho: f64) -> Self {
-        assert!(d >= 1, "d must be at least 1");
-        assert!(rho > 0.0 && rho < 1.0, "rho must be in (0,1), got {rho}");
+        check_d_and_rho(d, rho);
         let mut blocks = Vec::with_capacity(d + 1);
         let mut cvrs = Vec::with_capacity(d + 1);
         blocks.push(0);
@@ -71,20 +70,15 @@ impl MappingTable {
             blocks.push(res.blocks);
             cvrs.push(res.cvr);
         }
-        Self {
-            p_on,
-            p_off,
-            rho,
-            blocks,
-            cvrs,
-        }
+        Self { rho, blocks, cvrs }
     }
 
     /// A shared, memoized table for `(d, p_on, p_off, rho)`: builds on the
-    /// first request and hands out the same `Arc` afterwards, so every
-    /// consumer of one parameter set — `QueueStrategy` for packing,
-    /// `QueuePolicy` for runtime admission, repeated `Consolidator`
-    /// evaluations — pays the `O(d²)` build exactly once per process.
+    /// first request and hands out the same `Arc` afterwards, so repeated
+    /// lookups of one parameter set pay the `O(d²)` build once per
+    /// process. The system benchmark's certification step is its caller;
+    /// QUEUE's packing and runtime admission price through
+    /// [`PiThresholds`] instead.
     ///
     /// Keys are the exact bit patterns of the probabilities/ρ, so only
     /// bit-identical parameters share a table (no tolerance matching).
@@ -95,7 +89,6 @@ impl MappingTable {
         let key = (d, p_on.to_bits(), p_off.to_bits(), rho.to_bits());
         let cache = mapping_cache().lock().expect("mapping cache poisoned");
         if let Some(table) = cache.get(&key) {
-            CACHE_HITS.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(table);
         }
         // Build outside the lock: a table build must not serialize other
@@ -104,23 +97,13 @@ impl MappingTable {
         drop(cache);
         let built = Arc::new(Self::build(d, p_on, p_off, rho));
         let mut cache = mapping_cache().lock().expect("mapping cache poisoned");
-        let entry = cache.entry(key).or_insert_with(|| {
-            CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-            built
-        });
-        Arc::clone(entry)
+        Arc::clone(cache.entry(key).or_insert(built))
     }
 
     /// Maximum co-location count `d` the table covers.
     #[inline]
     pub(crate) fn d(&self) -> usize {
         self.blocks.len() - 1
-    }
-
-    /// The switch probabilities the table was built for.
-    #[inline]
-    pub(crate) fn probabilities(&self) -> (f64, f64) {
-        (self.p_on, self.p_off)
     }
 
     /// `mapping(k)`: blocks needed for `k` collocated VMs.
@@ -165,11 +148,15 @@ impl MappingTable {
 type CacheKey = (usize, u64, u64, u64);
 
 static CACHE: OnceLock<Mutex<HashMap<CacheKey, Arc<MappingTable>>>> = OnceLock::new();
-static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
 
 fn mapping_cache() -> &'static Mutex<HashMap<CacheKey, Arc<MappingTable>>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
+/// MapCal's refusal of a co-location cap or CVR bound it cannot table.
+fn check_d_and_rho(d: usize, rho: f64) {
+    assert!(d >= 1, "d must be at least 1");
+    assert!(rho > 0.0 && rho < 1.0, "rho must be in (0,1), got {rho}");
 }
 
 /// MapCal as a function of `π` alone, for one `(d, ρ)`: row `k` holds the
@@ -219,7 +206,7 @@ impl PiThresholds {
     pub(crate) fn shared(d: usize, rho: f64) -> Arc<Self> {
         type Tables = Mutex<HashMap<(usize, u64), Arc<PiThresholds>>>;
         static TABLES: OnceLock<Tables> = OnceLock::new();
-        assert!(d >= 1 && rho > 0.0 && rho < 1.0, "bad d {d} or rho {rho}");
+        check_d_and_rho(d, rho);
         let mut tables = TABLES
             .get_or_init(Default::default)
             .lock()
@@ -275,25 +262,6 @@ fn build_row(k: usize, rho: f64) -> Box<[f64]> {
         row.push(f64::from_bits(lo));
     }
     row.into()
-}
-
-/// Hit/miss counters of the process-wide [`MappingTable::cached`] memo.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MappingCacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that had to build a table.
-    pub misses: u64,
-}
-
-/// Snapshot of the mapping-cache counters. Counters only ever grow, so
-/// concurrent tests can assert on deltas of their own unique parameter
-/// sets without interference.
-pub fn mapping_cache_stats() -> MappingCacheStats {
-    MappingCacheStats {
-        hits: CACHE_HITS.load(Ordering::Relaxed),
-        misses: CACHE_MISSES.load(Ordering::Relaxed),
-    }
 }
 
 #[cfg(test)]
@@ -375,16 +343,13 @@ mod tests {
         let t = MappingTable::build(5, 0.02, 0.08, 0.05);
         assert_eq!(t.d(), 5);
         assert_eq!(t.rho, 0.05);
-        assert_eq!(t.probabilities(), (0.02, 0.08));
         assert_eq!(t.blocks.len(), 6);
     }
 
     #[test]
     fn cached_returns_the_same_table_once() {
-        // Parameters unique to this test so parallel tests cannot race on
-        // the entry. Two lookups must share one allocation and register at
-        // least one hit; only the first can miss.
-        let before = mapping_cache_stats();
+        // Two lookups of one parameter set share one allocation, and it
+        // holds the table a fresh build computes.
         let a = MappingTable::cached(7, 0.013, 0.087, 0.019);
         let b = MappingTable::cached(7, 0.013, 0.087, 0.019);
         assert!(
@@ -392,9 +357,6 @@ mod tests {
             "same parameter set must share one table"
         );
         assert_eq!(*a, MappingTable::build(7, 0.013, 0.087, 0.019));
-        let after = mapping_cache_stats();
-        assert!(after.hits > before.hits);
-        assert!(after.misses > before.misses);
     }
 
     #[test]
@@ -567,6 +529,48 @@ mod thresholds {
                     assert_eq!(table.blocks(k, p_on / (p_on + p_off)), pair.blocks_for(k));
                 }
             }
+        }
+    }
+
+    /// The price QUEUE charges, `blocks(k, π)` at the pair's own `π`,
+    /// against Algorithm 1's table of that pair, at every `k ≤ d`.
+    fn assert_prices_as_mapcal(d: usize, p_on: f64, p_off: f64, rho: f64) {
+        let table = PiThresholds::shared(d, rho);
+        let pair = MappingTable::build(d, p_on, p_off, rho);
+        for k in 0..=d {
+            assert_eq!(
+                table.blocks(k, p_on / (p_on + p_off)),
+                pair.blocks_for(k),
+                "d {d}, ({p_on}, {p_off}), rho {rho}, k {k}"
+            );
+        }
+    }
+
+    /// Every pair the workspace prices at: the sensitivity sweep's ρ grid
+    /// at the default pair, its d grid, and its four burst pairs over
+    /// both grids, then 3 000 seeded random pairs at the default `(d, ρ)`.
+    #[test]
+    fn thresholds_price_every_configured_pair_as_mapcal() {
+        let rhos = [0.001, 0.005, 0.01, 0.05, 0.1];
+        let ds = [4, 8, 16, 24, 32];
+        for rho in rhos {
+            assert_prices_as_mapcal(16, 0.01, 0.09, rho);
+        }
+        for d in ds {
+            assert_prices_as_mapcal(d, 0.01, 0.09, 0.01);
+        }
+        for (p_on, p_off) in [(0.02, 0.18), (0.01, 0.09), (0.005, 0.045), (0.002, 0.018)] {
+            for rho in rhos {
+                for d in ds {
+                    assert_prices_as_mapcal(d, p_on, p_off, rho);
+                }
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(17);
+        for _ in 0..3000 {
+            // Probabilities anywhere in (0, 1].
+            let (p_on, p_off) = (1.0 - rng.gen::<f64>(), 1.0 - rng.gen::<f64>());
+            assert_prices_as_mapcal(16, p_on, p_off, 0.01);
         }
     }
 

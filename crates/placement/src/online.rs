@@ -175,10 +175,12 @@ impl ReferenceOnlineCluster {
     /// with co-location cap `d` and CVR bound `rho`, each PM priced at
     /// the hottest chain it hosts (see the module docs).
     pub fn new(pms: Vec<PmSpec>, d: usize, rho: f64) -> Self {
-        let strategy = QueueStrategy::priced(d, rho, None);
+        let strategy = QueueStrategy::unfloored(d, rho);
         let loads = vec![PmLoad::empty(); pms.len()];
-        let mut headrooms = Vec::with_capacity(pms.len());
-        strategy.empty_headrooms(&pms, &mut headrooms);
+        let headrooms: Vec<f64> = pms
+            .iter()
+            .map(|pm| strategy.headroom(&PmLoad::empty(), pm.capacity))
+            .collect();
         let index = HeadroomIndex::new(&headrooms);
         let members = vec![Vec::new(); pms.len()];
         Self {
@@ -697,10 +699,12 @@ impl OnlineCluster {
             is_probability(p_on) && is_probability(p_off),
             "bad probabilities ({p_on}, {p_off})"
         );
-        let strategy = QueueStrategy::priced(d, rho, None);
+        let strategy = QueueStrategy::unfloored(d, rho);
         let loads = vec![PmLoad::empty(); pms.len()];
-        let mut headrooms = Vec::with_capacity(pms.len());
-        strategy.empty_headrooms(&pms, &mut headrooms);
+        let headrooms: Vec<f64> = pms
+            .iter()
+            .map(|pm| strategy.headroom(&PmLoad::empty(), pm.capacity))
+            .collect();
         let index = HeadroomIndex::new(&headrooms);
         let cells = vec![Vec::new(); pms.len()];
         let occupied_pos = vec![usize::MAX; pms.len()];
@@ -1299,7 +1303,7 @@ impl OnlineCluster {
             }
         }
         c.expect_done()?;
-        let strategy = QueueStrategy::priced(d, rho, None);
+        let strategy = QueueStrategy::unfloored(d, rho);
         let headrooms: Vec<f64> = pms
             .iter()
             .enumerate()

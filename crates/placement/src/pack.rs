@@ -36,13 +36,6 @@ impl std::error::Error for PackError {}
 /// one wasted probe; pruning slightly more would change results.
 pub(crate) const PRUNE_SLACK: f64 = 1e-6;
 
-/// Per-PM headroom of an empty farm under `strategy`.
-fn empty_headrooms(pms: &[PmSpec], strategy: &dyn Strategy) -> Vec<f64> {
-    let mut out = Vec::with_capacity(pms.len());
-    strategy.empty_headrooms(pms, &mut out);
-    out
-}
-
 /// The First-Fit probe over the index: lowest-numbered PM that admits
 /// `vm`, skipping (provably infeasible) PMs below the demand threshold and
 /// skipping ahead past candidates that reject on the full `admits` check.
@@ -108,7 +101,11 @@ pub fn first_fit(
 ) -> Result<Placement, PackError> {
     let mut placement = Placement::empty(vms.len(), pms.len());
     let mut loads = vec![PmLoad::empty(); pms.len()];
-    let mut index = HeadroomIndex::new(&empty_headrooms(pms, strategy));
+    let empty: Vec<f64> = pms
+        .iter()
+        .map(|pm| strategy.headroom(&PmLoad::empty(), pm.capacity))
+        .collect();
+    let mut index = HeadroomIndex::new(&empty);
     for &i in &ffd_order(strategy, vms) {
         let vm = &vms[i];
         let j =

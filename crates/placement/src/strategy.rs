@@ -3,8 +3,8 @@
 
 use crate::clustering::{cluster_bands, default_buckets};
 use crate::load::PmLoad;
-use crate::mapcal::{MappingTable, PiThresholds};
-use bursty_workload::{PmSpec, VmSpec};
+use crate::mapcal::PiThresholds;
+use bursty_workload::VmSpec;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -78,19 +78,6 @@ pub trait Strategy: Send + Sync {
     /// conservative (never exceed the true requirement on any PM state);
     /// see the contract on [`Strategy::headroom`].
     fn demand(&self, vm: &VmSpec) -> f64;
-
-    /// Appends the empty-farm headroom of every PM to `out` — a batched
-    /// form of `headroom(&PmLoad::empty(), pm.capacity)`. The default
-    /// body is monomorphized per implementing type, so the inner
-    /// `headroom` calls dispatch statically even when the strategy is
-    /// held behind `dyn`: one virtual call per farm instead of one per
-    /// PM, which matters when the batch packer resets a million-PM arena.
-    fn empty_headrooms(&self, pms: &[PmSpec], out: &mut Vec<f64>) {
-        out.extend(
-            pms.iter()
-                .map(|pm| self.headroom(&PmLoad::empty(), pm.capacity)),
-        );
-    }
 }
 
 /// The FFD comparator over `(band, key)` sort keys: band descending, then
@@ -116,43 +103,34 @@ pub(crate) fn ffd_order<S: Strategy + ?Sized>(strategy: &S, vms: &[VmSpec]) -> V
 ///
 /// The one QUEUE pricing rule, for the offline packers, the simulator's
 /// runtime policy and both online engines: a load is priced at
-/// `π = max(max_pi, floor)` — its hottest chain ([`PmLoad::max_pi`]),
-/// floored at the `π` of the pair the strategy was built with. A PM's ON
+/// `π = max(max_pi, floor_pi)` — its hottest chain ([`PmLoad::max_pi`]),
+/// floored at the `π` of the pair the strategy was built with — and
+/// reserves `mapping(k)` blocks read from the one `π`-threshold table of
+/// its `(d, ρ)` (`mapcal::PiThresholds`), which equals Algorithm 1's
+/// [`MappingTable`] at every pair the workspace configures. A PM's ON
 /// count is stochastically below `Binomial(k, max π)` (DESIGN §12), so a
 /// PM feasible under that `π` keeps its exact CVR ≤ ρ whatever it hosts.
 /// The floor is the planner's margin: offline pairs come from
 /// conservative rounding of *fitted* specs, and pricing below it lets
 /// fit error through (EXPERIMENTS.md, "The offline pair is a floor").
-/// A load no hotter than the floor reads the pair's [`MappingTable`];
-/// a hotter one reads the shared `π`-threshold table of its `(d, ρ)`
-/// (`mapcal::PiThresholds`). The online engines build the strategy with no
-/// floor.
+/// The online engines build the strategy with no floor (`floor_pi = 0`).
+///
+/// [`MappingTable`]: crate::MappingTable
 #[derive(Debug, Clone)]
 pub struct QueueStrategy {
-    /// The floor pair's `π` and table; `None` prices every load at its
-    /// own `π`.
-    floor: Option<(f64, Arc<MappingTable>)>,
+    /// The floor pair's `π`; `0.0` prices every load at its own `π`.
+    floor_pi: f64,
     /// The `π`-threshold table of `(d, ρ)`.
     pub(crate) thresholds: Arc<PiThresholds>,
     buckets: Option<usize>,
 }
 
 impl QueueStrategy {
-    /// Creates the strategy floored at a prebuilt mapping table's pair,
-    /// clustering `R_e` into the default `⌈√n⌉` bands (see
-    /// [`QueueStrategy::with_buckets`]).
-    pub fn new(mapping: MappingTable) -> Self {
-        Self::priced(mapping.d(), mapping.rho, Some(Arc::new(mapping)))
-    }
-
-    /// The strategy over `(d, rho)` with an optional floor table; `None`
-    /// prices every load at its own hottest chain (the online engines).
-    pub(crate) fn priced(d: usize, rho: f64, floor: Option<Arc<MappingTable>>) -> Self {
+    /// The strategy over `(d, rho)` with no floor: every load is priced at
+    /// its own hottest chain (the online engines).
+    pub(crate) fn unfloored(d: usize, rho: f64) -> Self {
         Self {
-            floor: floor.map(|table| {
-                let (p_on, p_off) = table.probabilities();
-                (p_on / (p_on + p_off), table)
-            }),
+            floor_pi: 0.0,
             thresholds: PiThresholds::shared(d, rho),
             buckets: None,
         }
@@ -166,29 +144,33 @@ impl QueueStrategy {
         self
     }
 
-    /// Builds the strategy floored at `(p_on, p_off)`, the pair's table
-    /// coming through the process-wide [`MappingTable::cached`] memo —
-    /// repeated builds over one parameter set (packing strategy + runtime
-    /// policy of the same consolidation run, replicated experiments, …)
-    /// share a single table.
+    /// Builds the strategy floored at `(p_on, p_off)`, clustering `R_e`
+    /// into the default `⌈√n⌉` bands (see [`QueueStrategy::with_buckets`]).
+    /// Repeated builds over one `(d, ρ)` — packing strategy and runtime
+    /// policy of one consolidation run, replicated experiments — share one
+    /// process-wide threshold table.
+    ///
+    /// # Panics
+    /// Panics where [`MappingTable::build`] does: `d == 0`, a probability
+    /// outside `(0, 1]`, or `rho ∉ (0, 1)`.
+    ///
+    /// [`MappingTable::build`]: crate::MappingTable::build
     pub fn build(d: usize, p_on: f64, p_off: f64, rho: f64) -> Self {
-        Self::priced(d, rho, Some(MappingTable::cached(d, p_on, p_off, rho)))
-    }
-
-    /// The floor pair's shared table (for cache-identity checks), `None`
-    /// without a floor.
-    pub fn floor(&self) -> Option<&Arc<MappingTable>> {
-        self.floor.as_ref().map(|(_, table)| table)
+        let strategy = Self::unfloored(d, rho);
+        for (name, p) in [("p_on", p_on), ("p_off", p_off)] {
+            assert!(p > 0.0 && p <= 1.0, "{name} must be in (0,1], got {p}");
+        }
+        Self {
+            floor_pi: p_on / (p_on + p_off),
+            ..strategy
+        }
     }
 
     /// `mapping(count)` under the `π` that prices a load hosting chains
     /// no hotter than `max_pi`.
     #[inline]
     fn blocks(&self, count: usize, max_pi: f64) -> usize {
-        match &self.floor {
-            Some((pi, table)) if max_pi <= *pi => table.blocks_for(count),
-            _ => self.thresholds.blocks(count, max_pi),
-        }
+        self.thresholds.blocks(count, max_pi.max(self.floor_pi))
     }
 }
 
@@ -360,6 +342,7 @@ impl Strategy for ReserveStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapcal::MappingTable;
 
     fn vm(id: usize, r_b: f64, r_e: f64) -> VmSpec {
         VmSpec::new(id, 0.01, 0.09, r_b, r_e)
@@ -374,10 +357,61 @@ mod tests {
         let q = queue();
         let vms = [vm(0, 10.0, 5.0), vm(1, 8.0, 7.0)];
         let load = PmLoad::rebuild(&vms);
-        let needed = 7.0 * q.floor().unwrap().blocks_for(2) as f64 + 18.0;
+        let mapping = MappingTable::build(16, 0.01, 0.09, 0.01);
+        let needed = 7.0 * mapping.blocks_for(2) as f64 + 18.0;
         assert!((q.need(&load) - needed).abs() < 1e-12);
         assert!(q.feasible(&load, needed));
         assert!(!q.feasible(&load, needed - 0.01));
+    }
+
+    #[test]
+    fn queue_prices_a_load_colder_than_its_floor_at_the_floor() {
+        // Chains at π = 0.05 under a QUEUE floored at (0.01, 0.09), π = 0.1.
+        let q = queue();
+        let floor = MappingTable::build(16, 0.01, 0.09, 0.01);
+        let own = PiThresholds::shared(16, 0.01);
+        let cold: Vec<VmSpec> = (0..16)
+            .map(|i| VmSpec::new(i, 0.05, 0.95, 2.0 + i as f64, 1.0 + (i % 4) as f64))
+            .collect();
+        let mut floor_binds = false;
+        for k in 1..=16 {
+            let load = PmLoad::rebuild(&cold[..k]);
+            assert_eq!(load.max_pi, 0.05);
+            let sum_rb: f64 = cold[..k].iter().map(|v| v.r_b).sum();
+            let by_floor = load.max_re * floor.blocks_for(k) as f64 + sum_rb;
+            assert_eq!(q.need(&load), by_floor, "k {k}");
+            let by_own_pi = load.max_re * own.blocks(k, 0.05) as f64 + sum_rb;
+            assert!(by_floor >= by_own_pi, "k {k}");
+            floor_binds |= by_floor > by_own_pi;
+        }
+        assert!(
+            floor_binds,
+            "the floor never reserved more than the load's own π"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "p_on must be in (0,1], got 0")]
+    fn queue_build_refuses_a_zero_p_on() {
+        let _ = QueueStrategy::build(16, 0.0, 0.09, 0.01);
+    }
+
+    #[test]
+    #[should_panic(expected = "p_off must be in (0,1], got 1.5")]
+    fn queue_build_refuses_a_p_off_above_one() {
+        let _ = QueueStrategy::build(16, 0.01, 1.5, 0.01);
+    }
+
+    #[test]
+    #[should_panic(expected = "d must be at least 1")]
+    fn queue_build_refuses_d_zero() {
+        let _ = QueueStrategy::build(0, 0.01, 0.09, 0.01);
+    }
+
+    #[test]
+    #[should_panic(expected = "rho must be in (0,1), got 1")]
+    fn queue_build_refuses_rho_one() {
+        let _ = QueueStrategy::build(16, 0.01, 0.09, 1.0);
     }
 
     #[test]
@@ -468,9 +502,9 @@ mod tests {
         assert!((rbex.headroom(&load, 100.0) - (70.0 - 18.0)).abs() < 1e-12);
         let q = queue();
         // QUEUE charges the blocks term at the post-admission count.
-        let expected = 100.0
-            - load.sum_rb
-            - load.max_re * q.floor().unwrap().blocks_for(load.count + 1) as f64;
+        let mapping = MappingTable::build(16, 0.01, 0.09, 0.01);
+        let expected =
+            100.0 - load.sum_rb - load.max_re * mapping.blocks_for(load.count + 1) as f64;
         assert!((q.headroom(&load, 100.0) - expected).abs() < 1e-12);
         // Never above the plain Eq.-17 slack (blocks are nondecreasing).
         assert!(q.headroom(&load, 100.0) <= 100.0 - q.need(&load) + 1e-12);
@@ -524,9 +558,13 @@ mod tests {
         let a = QueueStrategy::build(11, 0.014, 0.086, 0.023);
         let b = QueueStrategy::build(11, 0.014, 0.086, 0.023);
         assert!(
-            std::sync::Arc::ptr_eq(a.floor().unwrap(), b.floor().unwrap()),
+            Arc::ptr_eq(&a.thresholds, &b.thresholds),
             "same parameters must share one table"
         );
+        // The table is a function of (d, ρ) alone: another floor pair
+        // prices through the same one.
+        let c = QueueStrategy::build(11, 0.02, 0.08, 0.023);
+        assert!(Arc::ptr_eq(&a.thresholds, &c.thresholds));
     }
 
     #[test]

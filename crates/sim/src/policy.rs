@@ -151,7 +151,8 @@ pub type PeakPolicy = SpecPolicy<PeakStrategy>;
 
 impl<S: Strategy> SpecPolicy<S> {
     /// Wraps a strategy (for QUEUE, the initial packing's rule and floor:
-    /// [`QueueStrategy::build`] shares the process-wide memoized table).
+    /// [`QueueStrategy::build`] prices through the process-wide
+    /// `π`-threshold table of its `(d, ρ)`, the one the packer read).
     pub fn new(strategy: S) -> Self {
         Self { strategy }
     }
