@@ -1,11 +1,10 @@
 //! The subcommands behind the `bursty` binary.
 
 use crate::parse::Args;
-use crate::traces::{fit_dir, read_trace};
+use crate::traces::{fit_dir, read_trace, FIT_CONFIDENCE};
 use crate::{err, CliError};
 use bursty_core::metrics::Log2Histogram;
 use bursty_core::placement::certify_exact;
-use bursty_core::placement::rounding::{round_with_policy, RoundingPolicy};
 use bursty_core::prelude::*;
 use bursty_core::workload::analysis;
 use std::io::Write;
@@ -14,6 +13,8 @@ use std::path::Path;
 const DEFAULT_P_ON: f64 = 0.01;
 const DEFAULT_P_OFF: f64 = 0.09;
 const DEFAULT_RHO: f64 = 0.01;
+/// The one-sided level of each fit-error bound `fit_dir` prices.
+const FIT_ALPHA: f64 = (1.0 - FIT_CONFIDENCE) / 2.0;
 
 fn probabilities(args: &Args) -> Result<(f64, f64, f64), CliError> {
     let p_on = args.get_f64("p-on")?.unwrap_or(DEFAULT_P_ON);
@@ -26,6 +27,33 @@ fn probabilities(args: &Args) -> Result<(f64, f64, f64), CliError> {
         return Err(err("--rho must be in (0, 1)"));
     }
     Ok((p_on, p_off, rho))
+}
+
+fn workload_pattern(args: &Args) -> Result<WorkloadPattern, CliError> {
+    match args.get_str("pattern") {
+        None | Some("equal") => Ok(WorkloadPattern::EqualSpike),
+        Some("small") => Ok(WorkloadPattern::SmallSpike),
+        Some("large") => Ok(WorkloadPattern::LargeSpike),
+        Some(other) => Err(err(format!(
+            "unknown --pattern '{other}' (expected 'equal', 'small' or 'large')"
+        ))),
+    }
+}
+
+/// QUEUE for a fleet of bounded fitted specs, floored at its coldest
+/// spec's own pair: no PM's hottest chain is colder, so the floor never
+/// binds and each PM is priced at the hottest chain it hosts.
+fn bounded_queue(specs: &[VmSpec], rho: f64) -> Consolidator {
+    let coldest = specs
+        .iter()
+        .min_by(|a, b| {
+            let (a, b) = (a.chain().stationary_on(), b.chain().stationary_on());
+            a.total_cmp(&b)
+        })
+        .expect("at least one trace");
+    Consolidator::new(Scheme::Queue)
+        .with_probabilities(coldest.p_on, coldest.p_off)
+        .with_rho(rho)
 }
 
 /// `bursty reserve --k K [--p-on P] [--p-off P] [--rho R]`
@@ -89,6 +117,12 @@ pub fn fit(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         model.on_fraction * 100.0,
         model.on_entries,
     )?;
+    let bounded = model.to_bounded_spec(0, demands.len(), FIT_CONFIDENCE);
+    writeln!(
+        out,
+        "planned at p_on = {:.4}, p_off = {:.4} (one-sided alpha = {FIT_ALPHA:.3} Wilson bounds)",
+        bounded.p_on, bounded.p_off,
+    )?;
     if let Some(profile) = analysis::profile(&demands) {
         writeln!(
             out,
@@ -114,40 +148,44 @@ pub fn plan(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
     let (specs, names) = fit_dir(Path::new(dir))?;
 
-    // Conservative rounding, then QueuingFFD.
-    let (p_on, p_off) =
-        round_with_policy(&specs, RoundingPolicy::Conservative).expect("at least one trace");
+    // Each VM at its own fit-error bounds, then QueuingFFD.
     let n_pms = args.get_usize("pms")?.unwrap_or(specs.len());
     let pms: Vec<PmSpec> = (0..n_pms).map(|j| PmSpec::new(j, capacity)).collect();
-    let consolidator = Consolidator::new(Scheme::Queue)
-        .with_probabilities(p_on, p_off)
-        .with_rho(rho);
-    let placement = consolidator
+    let placement = bounded_queue(&specs, rho)
         .place(&specs, &pms)
         .map_err(|e| err(format!("planning failed: {e} — add PMs or capacity")))?;
 
     writeln!(
         out,
-        "fitted {} traces; rounded (p_on, p_off) = ({p_on:.4}, {p_off:.4}); \
-         plan uses {} of {n_pms} PMs at capacity {capacity}",
+        "fitted {} traces; plan uses {} of {n_pms} PMs at capacity {capacity}",
         specs.len(),
         placement.pms_used(),
     )?;
-    // The guarantee itself, read off the fitted specs with no rounding
-    // and no simulation: how far under rho the rounded table landed.
+    // CVR is monotone in p_on and antitone in p_off, so a PM whose k VMs
+    // all sit inside their 2k one-sided bounds holds rho: a union bound.
+    writeln!(
+        out,
+        "guarantee: each VM's (p_on, p_off) at its one-sided alpha = {FIT_ALPHA:.3} Wilson \
+         bounds, so a PM hosting k VMs holds rho with probability >= 1 - 2k·alpha = 1 - {:.2}·k \
+         (switch probabilities only; sizes are the envelope fit's)",
+        2.0 * FIT_ALPHA,
+    )?;
+    // The guarantee at the bounded specs, with no simulation: how far
+    // under rho each PM's exact stationary law landed.
     let exact = certify_exact(&specs, &pms, &placement);
     let cvrs: Vec<f64> = exact.iter().filter_map(|&(_, cvr)| cvr).collect();
     if cvrs.len() < exact.len() {
         writeln!(
             out,
-            "exact stationary CVR per PM: not enumerable on {} PMs",
+            "exact stationary CVR per PM at the bounded specs: not enumerable on {} PMs",
             exact.len() - cvrs.len()
         )?;
     } else {
         let Summary { max, mean, .. } = Summary::of(&cvrs);
         writeln!(
             out,
-            "exact stationary CVR per PM: max {max:.6}, mean {mean:.6} (rho {rho})"
+            "exact stationary CVR per PM at the bounded specs: max {max:.6}, mean {mean:.6} \
+             (rho {rho})"
         )?;
     }
     for (i, name) in names.iter().enumerate() {
@@ -196,16 +234,7 @@ pub fn consolidate(args: &[String], out: &mut dyn Write) -> Result<(), CliError>
     if n == 0 {
         return Err(err("--vms must be at least 1"));
     }
-    let pattern = match args.get_str("pattern") {
-        None | Some("equal") => WorkloadPattern::EqualSpike,
-        Some("small") => WorkloadPattern::SmallSpike,
-        Some("large") => WorkloadPattern::LargeSpike,
-        Some(other) => {
-            return Err(err(format!(
-                "unknown --pattern '{other}' (expected 'equal', 'small' or 'large')"
-            )))
-        }
-    };
+    let pattern = workload_pattern(&args)?;
     let scheme = match args.get_str("scheme") {
         None | Some("queue") => Scheme::Queue,
         Some("rp") => Scheme::Rp,
@@ -371,13 +400,9 @@ pub fn simulate(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
     // Fit and plan (same path as `plan`).
     let (specs, _) = fit_dir(Path::new(dir))?;
-    let (p_on, p_off) =
-        round_with_policy(&specs, RoundingPolicy::Conservative).expect("at least one trace");
     let n_pms = args.get_usize("pms")?.unwrap_or(specs.len());
     let pms: Vec<PmSpec> = (0..n_pms).map(|j| PmSpec::new(j, capacity)).collect();
-    let consolidator = Consolidator::new(Scheme::Queue)
-        .with_probabilities(p_on, p_off)
-        .with_rho(rho);
+    let consolidator = bounded_queue(&specs, rho);
     // `--trace-out` attaches a bounded-journal recorder to both phases;
     // the default path stays on the zero-cost NoopRecorder.
     let trace_out = args.get_str("trace-out");
@@ -465,9 +490,12 @@ pub fn simulate(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         )?;
     }
 
-    let r = OnOffChain::new(p_on, p_off)
-        .autocorrelation(1)
-        .clamp(0.0, 0.999);
+    // The burstiest chain's lag-1 autocorrelation discounts every step.
+    let r = specs
+        .iter()
+        .map(|vm| vm.chain().autocorrelation(1))
+        .fold(0.0, f64::max)
+        .min(0.999);
     let violations: u64 = outcome
         .cvr_per_pm
         .iter()
@@ -613,16 +641,7 @@ pub fn online_replay(args: &[String], out: &mut dyn Write) -> Result<(), CliErro
     }
     let seed = args.get_usize("seed")?.unwrap_or(42) as u64;
     let (p_on, p_off, rho) = probabilities(&args)?;
-    let pattern = match args.get_str("pattern") {
-        None | Some("equal") => WorkloadPattern::EqualSpike,
-        Some("small") => WorkloadPattern::SmallSpike,
-        Some("large") => WorkloadPattern::LargeSpike,
-        Some(other) => {
-            return Err(err(format!(
-                "unknown --pattern '{other}' (expected 'equal', 'small' or 'large')"
-            )))
-        }
-    };
+    let pattern = workload_pattern(&args)?;
     let trace_out = args.get_str("trace-out");
 
     let mut gen = FleetGenerator::new(seed);
@@ -803,16 +822,7 @@ fn serve_fleet(args: &Args) -> Result<ServeFleet, CliError> {
     }
     let seed = args.get_usize("seed")?.unwrap_or(42) as u64;
     let (p_on, p_off, rho) = probabilities(args)?;
-    let pattern = match args.get_str("pattern") {
-        None | Some("equal") => WorkloadPattern::EqualSpike,
-        Some("small") => WorkloadPattern::SmallSpike,
-        Some("large") => WorkloadPattern::LargeSpike,
-        Some(other) => {
-            return Err(err(format!(
-                "unknown --pattern '{other}' (expected 'equal', 'small' or 'large')"
-            )))
-        }
-    };
+    let pattern = workload_pattern(args)?;
     let mut gen = FleetGenerator::new(seed);
     let initial = if n > 0 {
         gen.vms_table_i(n, pattern)

@@ -67,8 +67,14 @@ pub fn list_traces(dir: &Path) -> Result<Vec<PathBuf>, CliError> {
     Ok(files)
 }
 
-/// Fits every trace of a directory: the specs (ids in file-name order)
-/// and the file stems that name them.
+/// The two-sided Wilson level [`fit_dir`] bounds every fitted switch
+/// probability at: each bound is one-sided at `α = (1 − level)/2 = 0.005`.
+pub(crate) const FIT_CONFIDENCE: f64 = 0.99;
+
+/// Fits every trace of a directory: the specs at their fit-error bounds
+/// ([`bursty_core::workload::FittedModel::to_bounded_spec`] at
+/// `FIT_CONFIDENCE`; ids in file-name order) and the file stems that
+/// name them.
 ///
 /// # Errors
 /// [`CliError`] naming the file for anything [`list_traces`],
@@ -80,7 +86,7 @@ pub fn fit_dir(dir: &Path) -> Result<(Vec<VmSpec>, Vec<String>), CliError> {
     for (id, file) in files.iter().enumerate() {
         let demands = read_trace(file)?;
         let model = fit_trace(&demands).map_err(|e| err(format!("{}: {e}", file.display())))?;
-        specs.push(model.to_spec(id, demands.len()));
+        specs.push(model.to_bounded_spec(id, demands.len(), FIT_CONFIDENCE));
         names.push(
             file.file_stem()
                 .map(|s| s.to_string_lossy().into_owned())

@@ -48,6 +48,13 @@ fn fit_command_recovers_model_from_file() {
     let out = run_ok(&args(&["fit", path.to_str().unwrap()]));
     assert!(out.contains("R_b = 10.00"), "{out}");
     assert!(out.contains("R_e = 8.00"), "{out}");
+    // The pair the planner prices sits above the point estimate's p_on.
+    let p_on = |prefix: &str| -> f64 {
+        let rest = out.split(prefix).nth(1).unwrap_or_else(|| panic!("{out}"));
+        rest.split(',').next().unwrap().parse().unwrap()
+    };
+    assert!(p_on("planned at p_on = ") > p_on(": p_on = "), "{out}");
+    assert!(out.contains("one-sided alpha = 0.005"), "{out}");
     assert!(out.contains("burstiness"), "{out}");
 }
 
@@ -67,11 +74,23 @@ fn plan_pipeline_writes_a_consistent_plan() {
     ]));
     assert!(out.contains("fitted 8 traces"), "{out}");
     assert!(out.contains("plan written"), "{out}");
-    // The exact per-PM law of the fitted fleet: the paper's guarantee,
+    // Each VM is priced at its own one-sided alpha = 0.005 fit-error
+    // bounds, and the plan states the per-PM union bound that buys.
+    let guarantee = out
+        .lines()
+        .find_map(|l| l.strip_prefix("guarantee: "))
+        .unwrap_or_else(|| panic!("no guarantee line in:\n{out}"));
+    assert!(guarantee.contains("one-sided alpha = 0.005"), "{guarantee}");
+    assert!(
+        guarantee
+            .contains("a PM hosting k VMs holds rho with probability >= 1 - 2k·alpha = 1 - 0.01·k"),
+        "{guarantee}"
+    );
+    // The exact per-PM law of the bounded fleet: the paper's guarantee,
     // stated without simulating.
     let exact = out
         .lines()
-        .find_map(|l| l.strip_prefix("exact stationary CVR per PM: max "))
+        .find_map(|l| l.strip_prefix("exact stationary CVR per PM at the bounded specs: max "))
         .unwrap_or_else(|| panic!("no exact-CVR line in:\n{out}"));
     let (max, rest) = exact.split_once(", mean ").unwrap();
     let (mean, rho) = rest.split_once(" (rho ").unwrap();

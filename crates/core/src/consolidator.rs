@@ -45,10 +45,11 @@ impl Scheme {
 /// The switch probabilities are QUEUE's *floor*: packing and the runtime
 /// policy price each PM at the hottest chain it hosts, and never below
 /// this pair's `π = p_on/(p_on + p_off)` (see
-/// [`bursty_placement::QueueStrategy`]). A plan from fitted specs should
-/// floor at their conservative rounding
-/// ([`bursty_placement::rounding::round_with_policy`]), as `bursty plan`
-/// does: the rounded pair is the planner's margin for fit error.
+/// [`bursty_placement::QueueStrategy`]). A plan from fitted specs carries
+/// its margin for fit error in the specs themselves: `bursty plan` fits
+/// each VM at its own Wilson bounds
+/// ([`bursty_workload::FittedModel::to_bounded_spec`]) and floors at the
+/// coldest bounded spec's pair, which never binds.
 ///
 /// Every fleet is placed by one First Fit, the batch packer's class-run
 /// placer (see [`Consolidator::place`]); no census picks a packer.

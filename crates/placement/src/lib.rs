@@ -29,8 +29,9 @@
 //! * [`multidim`] — §IV-E's per-dimension reservation with plain First Fit.
 //!
 //! Beyond the paper's main line: [`sbp`] implements the related-work
-//! stochastic-bin-packing baseline, [`rounding`] offers mean vs
-//! guaranteed-safe conservative probability rounding, and [`exact`] is a
+//! stochastic-bin-packing baseline, [`rounding`] keeps the fleet-wide
+//! conservative probability rounding the system benchmark still calls,
+//! and [`exact`] is a
 //! branch-and-bound optimum for validating FFD quality on small instances.
 
 mod batch;

@@ -110,10 +110,12 @@ pub(crate) fn ffd_order<S: Strategy + ?Sized>(strategy: &S, vms: &[VmSpec]) -> V
 /// [`MappingTable`] at every pair the workspace configures. A PM's ON
 /// count is stochastically below `Binomial(k, max π)` (DESIGN §12), so a
 /// PM feasible under that `π` keeps its exact CVR ≤ ρ whatever it hosts.
-/// The floor is the planner's margin: offline pairs come from
-/// conservative rounding of *fitted* specs, and pricing below it lets
-/// fit error through (EXPERIMENTS.md, "The offline pair is a floor").
-/// The online engines build the strategy with no floor (`floor_pi = 0`).
+/// Fitted specs carry their own margin for fit error (each VM at its
+/// Wilson bounds, `FittedModel::to_bounded_spec`), so `bursty plan`
+/// floors at the coldest of them and the floor never binds; pricing
+/// point estimates instead lets fit error through (EXPERIMENTS.md, "The
+/// offline pair is a floor"). The online engines build the strategy
+/// with no floor (`floor_pi = 0`).
 ///
 /// [`MappingTable`]: crate::MappingTable
 #[derive(Debug, Clone)]

@@ -8,6 +8,7 @@
 //! a data-driven entry point.
 
 use crate::spec::VmSpec;
+use bursty_metrics::wilson_interval;
 use std::fmt;
 
 /// Why a trace could not be fitted.
@@ -94,6 +95,36 @@ impl FittedModel {
             self.r_b.max(f64::MIN_POSITIVE),
             self.r_e.max(0.0),
         )
+    }
+
+    /// Converts the fit into a [`VmSpec`] at the hot edge of its own fit
+    /// error: `p_on` at the upper and `p_off` at the lower two-sided
+    /// Wilson bound at `confidence` over the exact counts (`on_entries`
+    /// of `off_steps`, `off_entries` of `on_steps`): each bound is
+    /// one-sided at `α = (1 − confidence)/2`.
+    ///
+    /// CVR is monotone in `p_on` and antitone in `p_off`, so a plan
+    /// priced at these specs holds `ρ` on a PM of `k` VMs with
+    /// probability `≥ 1 − 2kα` over the fit of the switch probabilities
+    /// (a union bound over its `2k` one-sided bounds).
+    ///
+    /// Clamped as [`FittedModel::to_spec`] clamps; a side with no trials
+    /// keeps `to_spec`'s value. Sizes are `to_spec`'s.
+    ///
+    /// # Panics
+    /// Panics if `confidence` is not in `(0, 1)`.
+    pub fn to_bounded_spec(&self, id: usize, trace_len: usize, confidence: f64) -> VmSpec {
+        let mut spec = self.to_spec(id, trace_len);
+        let floor = 1.0 / trace_len.max(2) as f64;
+        let bound =
+            |events: usize, steps: usize| wilson_interval(events as u64, steps as u64, confidence);
+        if self.off_steps > 0 {
+            spec.p_on = bound(self.on_entries, self.off_steps).hi.clamp(floor, 1.0);
+        }
+        if self.on_steps > 0 {
+            spec.p_off = bound(self.off_entries, self.on_steps).lo.clamp(floor, 1.0);
+        }
+        spec
     }
 }
 
@@ -519,6 +550,65 @@ mod tests {
                 (spec.r_e, expected.r_e),
             ] {
                 assert_eq!(a.to_bits(), b.to_bits(), "VM {}", vm.id);
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_spec_brackets_the_point_estimate() {
+        for (vm, demands) in benchmark_like_traces() {
+            let fit = fit_trace(&demands).unwrap();
+            let point = fit.to_spec(vm.id, demands.len());
+            let bounded = fit.to_bounded_spec(vm.id, demands.len(), 0.99);
+            assert_eq!(bounded.id, vm.id);
+            assert!(bounded.p_on > point.p_on, "VM {}", vm.id);
+            assert!(bounded.p_off <= point.p_off, "VM {}", vm.id);
+            assert_eq!((bounded.r_b, bounded.r_e), (point.r_b, point.r_e));
+        }
+    }
+
+    #[test]
+    fn bounded_spec_stays_a_probability_without_trials_or_events() {
+        // [OFF, ON, ON, ON]: p_on is 1 of 1, p_off 0 of 2 (no event).
+        // [ON, ON, ON, OFF]: no OFF step, so p_on has no trial.
+        // [OFF, ON]: p_off has no trial.
+        for demands in [
+            &[1.0, 9.0, 9.0, 9.0][..],
+            &[9.0, 9.0, 9.0, 1.0],
+            &[1.0, 9.0],
+        ] {
+            let fit = fit_trace(demands).unwrap();
+            let point = fit.to_spec(0, demands.len());
+            for confidence in [0.5, 0.99, 0.999_999] {
+                let s = fit.to_bounded_spec(0, demands.len(), confidence);
+                for p in [s.p_on, s.p_off] {
+                    assert!(p > 0.0 && p <= 1.0, "{demands:?} at {confidence}: {p}");
+                }
+                if fit.off_steps == 0 {
+                    assert_eq!(s.p_on, point.p_on);
+                }
+                if fit.on_steps == 0 {
+                    assert_eq!(s.p_off, point.p_off);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_higher_level_bounds_hotter() {
+        for (vm, demands) in benchmark_like_traces() {
+            let fit = fit_trace(&demands).unwrap();
+            let floor = 1.0 / demands.len() as f64;
+            let [a, b, c] = [0.9, 0.99, 0.999].map(|l| fit.to_bounded_spec(0, demands.len(), l));
+            assert!(a.p_on < b.p_on && b.p_on < c.p_on, "VM {}", vm.id);
+            for (lo, hi) in [(a, b), (b, c)] {
+                assert!(
+                    hi.p_off < lo.p_off || hi.p_off == floor,
+                    "VM {}: {} then {}",
+                    vm.id,
+                    lo.p_off,
+                    hi.p_off
+                );
             }
         }
     }

@@ -10,7 +10,6 @@
 //! ```
 
 use bursty_core::placement::online::OnlineCluster;
-use bursty_core::placement::rounding::{round_with_policy, RoundingPolicy};
 use bursty_core::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,12 +74,4 @@ fn main() {
         .check_consistency()
         .expect("cluster invariants hold");
     println!("cluster invariants verified");
-
-    // Rounding in isolation, for the curious:
-    let sample = vec![
-        VmSpec::new(0, 0.01, 0.05, 1.0, 1.0),
-        VmSpec::new(1, 0.03, 0.15, 1.0, 1.0),
-    ];
-    let (p_on, p_off) = round_with_policy(&sample, RoundingPolicy::Mean).unwrap();
-    println!("rounding example: ({p_on:.3}, {p_off:.3}) from two heterogeneous VMs");
 }

@@ -1,7 +1,8 @@
 //! Integration tests for the extension subsystems working together:
-//! trace fitting → rounding → consolidation, SBP comparison, exact-optimum
+//! trace fitting → fit-error bounds → consolidation, SBP comparison, exact-optimum
 //! validation, churn to steady state, and the loss-system metrics.
 
+use bursty_core::placement::certify_exact;
 use bursty_core::placement::exact::{optimal_packing, ExactResult};
 use bursty_core::placement::rounding::{round_with_policy, RoundingPolicy};
 use bursty_core::placement::sbp::{pack_sbp, pms_used as sbp_pms_used};
@@ -10,9 +11,27 @@ use bursty_core::workload::trace::DemandTrace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// The two-sided Wilson level `bursty plan` bounds every fitted switch
+/// probability at (one-sided alpha = 0.005 per probability).
+const FIT_CONFIDENCE: f64 = 0.99;
+
+/// QUEUE floored at the coldest spec's own pair: no PM's hottest chain is
+/// colder, so every PM is priced at the hottest chain it hosts.
+fn priced_per_pm(specs: &[VmSpec]) -> Consolidator {
+    let coldest = specs
+        .iter()
+        .min_by(|a, b| {
+            let (a, b) = (a.chain().stationary_on(), b.chain().stationary_on());
+            a.total_cmp(&b)
+        })
+        .unwrap();
+    Consolidator::new(Scheme::Queue).with_probabilities(coldest.p_on, coldest.p_off)
+}
+
 #[test]
 fn fit_round_place_simulate_pipeline_holds_the_bound() {
-    // End-to-end data-driven pipeline against the true workloads.
+    // End-to-end data-driven pipeline against the true workloads: each
+    // VM priced at its own fit-error bounds, as `bursty plan` does.
     let mut rng = StdRng::seed_from_u64(1);
     let truth: Vec<VmSpec> = (0..40)
         .map(|id| {
@@ -29,11 +48,12 @@ fn fit_round_place_simulate_pipeline_holds_the_bound() {
         .iter()
         .map(|vm| {
             let demands = DemandTrace::sample(*vm, 30_000, &mut rng).demands();
-            fit_trace(&demands).unwrap().to_spec(vm.id, demands.len())
+            fit_trace(&demands)
+                .unwrap()
+                .to_bounded_spec(vm.id, demands.len(), FIT_CONFIDENCE)
         })
         .collect();
-    let (p_on, p_off) = round_with_policy(&fitted, RoundingPolicy::Conservative).unwrap();
-    let consolidator = Consolidator::new(Scheme::Queue).with_probabilities(p_on, p_off);
+    let consolidator = priced_per_pm(&fitted);
     let mut gen = FleetGenerator::new(2);
     let pms = gen.pms(80);
     let placement = consolidator.place(&fitted, &pms).unwrap();
@@ -50,6 +70,85 @@ fn fit_round_place_simulate_pipeline_holds_the_bound() {
         out.mean_cvr() <= 0.011,
         "pipeline mean CVR {}",
         out.mean_cvr()
+    );
+}
+
+#[test]
+fn bounded_fits_hold_rho_on_the_true_specs_of_plan_traces_fleets() {
+    // `plan_traces`-shaped fleets (the system benchmark's generator
+    // ranges and 2 500-sample traces, fewer VMs) at seeds 1-10. Priced
+    // at each VM's Wilson bounds, every PM's exact stationary CVR under
+    // the *true* specs stays within rho. The point estimates, priced the
+    // same way, are the negative control: their fit error must push some
+    // PM over rho, or this test could not see a break. The conservative
+    // pair is printed for comparison (`--nocapture`).
+    const RHO: f64 = 0.01;
+    const TRACE_LEN: usize = 2_500;
+    let over = |truth: &[VmSpec], pms: &[PmSpec], placement: &Placement| {
+        let cvrs: Vec<f64> = certify_exact(truth, pms, placement)
+            .iter()
+            .map(|&(_, cvr)| cvr.expect("enumerable"))
+            .collect();
+        let n_over = cvrs.iter().filter(|&&c| c > RHO).count();
+        (n_over, cvrs.into_iter().fold(0.0, f64::max))
+    };
+    let mut point_broke = false;
+    println!("seed: PMs, over rho, worst true CVR of the conservative | bounded | point plan");
+    for seed in 1..=10u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let truth: Vec<VmSpec> = (0..1_000)
+            .map(|id| {
+                VmSpec::new(
+                    id,
+                    rng.gen_range(0.008..0.02),
+                    rng.gen_range(0.06..0.15),
+                    rng.gen_range(2.0..20.0),
+                    rng.gen_range(2.0..20.0),
+                )
+            })
+            .collect();
+        let fits: Vec<FittedModel> = truth
+            .iter()
+            .map(|vm| fit_trace(&DemandTrace::sample(*vm, TRACE_LEN, &mut rng).demands()).unwrap())
+            .collect();
+        let point: Vec<VmSpec> = fits
+            .iter()
+            .enumerate()
+            .map(|(id, fit)| fit.to_spec(id, TRACE_LEN))
+            .collect();
+        let bounded: Vec<VmSpec> = fits
+            .iter()
+            .enumerate()
+            .map(|(id, fit)| fit.to_bounded_spec(id, TRACE_LEN, FIT_CONFIDENCE))
+            .collect();
+        let pms = FleetGenerator::new(seed).pms(truth.len());
+        let plan = |specs: &[VmSpec], consolidator: Consolidator| {
+            consolidator.with_rho(RHO).place(specs, &pms).unwrap()
+        };
+
+        let b = plan(&bounded, priced_per_pm(&bounded));
+        let (b_over, b_worst) = over(&truth, &pms, &b);
+        let p = plan(&point, priced_per_pm(&point));
+        let (p_over, p_worst) = over(&truth, &pms, &p);
+        let (p_on, p_off) = round_with_policy(&point, RoundingPolicy::Conservative).unwrap();
+        let conservative = Consolidator::new(Scheme::Queue).with_probabilities(p_on, p_off);
+        let c = plan(&point, conservative);
+        let (c_over, c_worst) = over(&truth, &pms, &c);
+        println!(
+            "{seed}: {}, {c_over}, {c_worst:.2e} | {}, {b_over}, {b_worst:.2e} | {}, {p_over}, {p_worst:.2e}",
+            c.pms_used(),
+            b.pms_used(),
+            p.pms_used()
+        );
+        assert_eq!(
+            b_over, 0,
+            "seed {seed}: bounded plan breaks rho (worst {b_worst})"
+        );
+        point_broke |= p_over > 0;
+    }
+    assert!(
+        point_broke,
+        "the point-estimate plan held rho on every seed: the test sees no break"
     );
 }
 

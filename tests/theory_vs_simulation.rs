@@ -217,9 +217,8 @@ fn worst_exact_cvr(
         .fold(0.0, f64::max)
 }
 
-/// QUEUE at `(rho, d)` floored at the pair `policy` rounds `vms` to.
-fn rounded(vms: &[VmSpec], policy: RoundingPolicy, rho: f64, d: usize) -> Consolidator {
-    let (p_on, p_off) = round_with_policy(vms, policy).unwrap();
+/// QUEUE at `(rho, d)` floored at the pair `(p_on, p_off)`.
+fn floored((p_on, p_off): (f64, f64), rho: f64, d: usize) -> Consolidator {
     Consolidator::new(Scheme::Queue)
         .with_probabilities(p_on, p_off)
         .with_rho(rho)
@@ -262,7 +261,11 @@ fn queue_placements_honor_rho_exactly_and_mean_rounding_does_not() {
                     }
                     let pms = gen.pms(vms.len());
                     let case = format!("regime {regime}, rho {rho}, d {d}, table_i {table_i}");
-                    let conservative = rounded(&vms, RoundingPolicy::Conservative, rho, d);
+                    let conservative = floored(
+                        round_with_policy(&vms, RoundingPolicy::Conservative).unwrap(),
+                        rho,
+                        d,
+                    );
                     let worst = worst_exact_cvr(&vms, &vms, &pms, conservative);
                     assert!(worst <= rho + 1e-9, "{case}: a PM has exact CVR {worst}");
                     let default_pair = Consolidator::new(Scheme::Queue).with_rho(rho).with_d(d);
@@ -272,7 +275,12 @@ fn queue_placements_honor_rho_exactly_and_mean_rounding_does_not() {
                         "{case}, default pair: a PM has exact CVR {worst}"
                     );
                     fleets += 1;
-                    let mean = rounded(&vms, RoundingPolicy::Mean, rho, d);
+                    let n = vms.len() as f64;
+                    let mean_pair = (
+                        vms.iter().map(|v| v.p_on).sum::<f64>() / n,
+                        vms.iter().map(|v| v.p_off).sum::<f64>() / n,
+                    );
+                    let mean = floored(mean_pair, rho, d);
                     let relabelled: Vec<VmSpec> = vms
                         .iter()
                         .map(|vm| VmSpec::new(vm.id, mean.p_on, mean.p_off, vm.r_b, vm.r_e))
@@ -294,7 +302,11 @@ fn queue_placements_honor_rho_exactly_and_mean_rounding_does_not() {
         let mut gen = FleetGenerator::new(1);
         let vms = gen.vms_table_i(2_000, WorkloadPattern::EqualSpike);
         let pms = gen.pms(2_000);
-        let conservative = rounded(&vms, RoundingPolicy::Conservative, rho, 16);
+        let conservative = floored(
+            round_with_policy(&vms, RoundingPolicy::Conservative).unwrap(),
+            rho,
+            16,
+        );
         let worst = worst_exact_cvr(&vms, &vms, &pms, conservative);
         assert!(worst <= rho + 1e-9, "Table I at rho {rho}: {worst}");
         assert!(
