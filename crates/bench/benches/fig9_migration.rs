@@ -8,7 +8,7 @@ use std::hint::black_box;
 
 fn bench_migration_run(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig9_migration_run");
-    for scheme in [Scheme::Queue, Scheme::Rb, Scheme::RbEx(0.3)] {
+    for scheme in [Scheme::Queue, Scheme::Rb, Scheme::RbEx] {
         let mut gen = FleetGenerator::new(3);
         let vms = gen.vms_table_i(120, WorkloadPattern::EqualSpike);
         let pms = gen.pms(360);

@@ -239,7 +239,7 @@ pub fn consolidate(args: &[String], out: &mut dyn Write) -> Result<(), CliError>
         None | Some("queue") => Scheme::Queue,
         Some("rp") => Scheme::Rp,
         Some("rb") => Scheme::Rb,
-        Some("rbex") => Scheme::RbEx(0.3),
+        Some("rbex") => Scheme::RbEx,
         Some(other) => {
             return Err(err(format!(
                 "unknown --scheme '{other}' (expected 'queue', 'rp', 'rb' or 'rbex')"
@@ -511,11 +511,15 @@ pub fn simulate(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         specs.len(),
         placement.pms_used(),
     )?;
+    let nines = summary.nines.map_or_else(
+        || "no violation observed".to_string(),
+        |n| format!("{n} nines"),
+    );
     writeln!(
         out,
-        "mean CVR {:.5} (budget {rho}) → availability {:.4} ({} nines), \
+        "mean CVR {:.5} (budget {rho}) → availability {:.4} ({nines}), \
          ~{:.0} violation-min/month",
-        summary.cvr, summary.availability, summary.nines, summary.violation_mins_per_month,
+        summary.cvr, summary.availability, summary.violation_mins_per_month,
     )?;
     let verdict_str = match verdict {
         BoundVerdict::Holds => "HOLDS at 95% confidence",

@@ -23,8 +23,9 @@ pub enum Scheme {
     Rp,
     /// FFD by normal demand — provisioning for normal workload.
     Rb,
-    /// FFD by normal demand with a fixed per-PM reserve fraction `δ`.
-    RbEx(f64),
+    /// FFD by normal demand with a fixed per-PM reserve fraction
+    /// `δ = 0.3`.
+    RbEx,
 }
 
 impl Scheme {
@@ -34,7 +35,7 @@ impl Scheme {
             Scheme::Queue => "QUEUE",
             Scheme::Rp => "RP",
             Scheme::Rb => "RB",
-            Scheme::RbEx(_) => "RB-EX",
+            Scheme::RbEx => "RB-EX",
         }
     }
 }
@@ -118,7 +119,7 @@ impl Consolidator {
             )),
             Scheme::Rp => Box::new(PeakStrategy),
             Scheme::Rb => Box::new(BaseStrategy),
-            Scheme::RbEx(delta) => Box::new(ReserveStrategy::new(delta)),
+            Scheme::RbEx => Box::new(ReserveStrategy),
         }
     }
 
@@ -134,7 +135,7 @@ impl Consolidator {
             ))),
             Scheme::Rp => Box::new(PeakPolicy::default()),
             Scheme::Rb => Box::new(ObservedPolicy::rb()),
-            Scheme::RbEx(delta) => Box::new(ObservedPolicy::rb_ex(delta)),
+            Scheme::RbEx => Box::new(ObservedPolicy::rb_ex()),
         }
     }
 
@@ -322,7 +323,7 @@ mod tests {
         assert_eq!(Scheme::Queue.label(), "QUEUE");
         assert_eq!(Scheme::Rp.label(), "RP");
         assert_eq!(Scheme::Rb.label(), "RB");
-        assert_eq!(Scheme::RbEx(0.3).label(), "RB-EX");
+        assert_eq!(Scheme::RbEx.label(), "RB-EX");
     }
 
     #[test]
@@ -362,7 +363,7 @@ mod tests {
         let many = fleet_of_classes(600, 120);
         let pms = g.pms(250);
         for vms in [&vms, &many] {
-            for scheme in [Scheme::Queue, Scheme::Rp, Scheme::Rb, Scheme::RbEx(0.3)] {
+            for scheme in [Scheme::Queue, Scheme::Rp, Scheme::Rb, Scheme::RbEx] {
                 let c = Consolidator::new(scheme);
                 let placed = c.place(vms, &pms).unwrap();
                 let strategy = c.strategy();
@@ -428,7 +429,7 @@ mod tests {
             (399, 200),
         ];
         let (distinct, distinct_pms) = fleet(4000, 4);
-        for scheme in [Scheme::Queue, Scheme::Rp, Scheme::Rb, Scheme::RbEx(0.3)] {
+        for scheme in [Scheme::Queue, Scheme::Rp, Scheme::Rb, Scheme::RbEx] {
             let c = Consolidator::new(scheme);
             for (n, k) in cases {
                 let vms = fleet_of_classes(n, k);
@@ -538,7 +539,7 @@ mod tests {
 
     #[test]
     fn policies_and_strategies_share_labels() {
-        for scheme in [Scheme::Queue, Scheme::Rp, Scheme::Rb, Scheme::RbEx(0.3)] {
+        for scheme in [Scheme::Queue, Scheme::Rp, Scheme::Rb, Scheme::RbEx] {
             let c = Consolidator::new(scheme);
             assert_eq!(c.strategy().name(), scheme.label());
             assert_eq!(c.policy().name(), scheme.label());

@@ -75,10 +75,10 @@ pub mod prelude {
         StateDigest, Strategy,
     };
     pub use bursty_sim::{
-        replicate, run_churn, CheckpointConfig, CheckpointError, CheckpointedRun, ChurnConfig,
-        ChurnOutcome, ConfigError, DegradedAdmission, EvacuationEvent, FaultConfig, FaultEvent,
-        FaultKind, FaultProcess, MigrationEvent, ObservedPolicy, PeakPolicy, QueuePolicy,
-        RecoveryReport, RecoveryStats, RngLayout, RuntimePolicy, SimConfig, SimOutcome, Simulator,
+        replicate, run_churn, CheckpointConfig, CheckpointError, CheckpointedRun, ChurnOutcome,
+        ConfigError, DegradedAdmission, EvacuationEvent, FaultConfig, FaultEvent, FaultKind,
+        FaultProcess, MigrationEvent, ObservedPolicy, PeakPolicy, QueuePolicy, RecoveryReport,
+        RecoveryStats, RngLayout, RuntimePolicy, SimConfig, SimOutcome, Simulator,
     };
     pub use bursty_workload::{
         fit_trace, FittedModel, FleetGenerator, PmSpec, SizeClass, VmSpec, WorkloadPattern, TABLE_I,

@@ -46,18 +46,11 @@ pub fn run(ctx: &Ctx) -> Result<(), CtxError> {
             Box::new(QueuePolicy::new(QueueStrategy::build(16, 0.01, 0.09, 0.01))),
         ),
         ("RB", Box::new(ObservedPolicy::rb())),
-        ("RB-EX", Box::new(ObservedPolicy::rb_ex(0.3))),
+        ("RB-EX", Box::new(ObservedPolicy::rb_ex())),
     ];
 
     for (label, policy) in &policies {
-        let out = run_churn(
-            &pms,
-            policy.as_ref(),
-            sim,
-            ChurnConfig::default(),
-            0.01,
-            0.09,
-        );
+        let out = run_churn(&pms, policy.as_ref(), sim);
         let steady: f64 = out.pms_used_series.values[1_500..].iter().sum::<f64>() / 500.0;
         table.row(&[
             (*label).into(),

@@ -35,7 +35,7 @@ pub fn run(ctx: &Ctx) -> Result<(), CtxError> {
     // recovery capacity.
     const SPARES: usize = 2;
 
-    let schemes = [Scheme::Queue, Scheme::Rp, Scheme::Rb, Scheme::RbEx(0.3)];
+    let schemes = [Scheme::Queue, Scheme::Rp, Scheme::Rb, Scheme::RbEx];
     let mtbf_sweep = [250.0, 500.0, 1000.0, 2000.0];
 
     let mut table = Table::new(&[

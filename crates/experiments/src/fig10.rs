@@ -24,7 +24,7 @@ pub fn run(ctx: &Ctx) -> Result<(), CtxError> {
     csv.record(&["step", "QUEUE", "RB", "RB-EX"]);
     let mut curves: Vec<(String, Vec<f64>)> = Vec::new();
 
-    for scheme in [Scheme::Queue, Scheme::Rb, Scheme::RbEx(0.3)] {
+    for scheme in [Scheme::Queue, Scheme::Rb, Scheme::RbEx] {
         let consolidator = Consolidator::new(scheme);
         let mut gen = FleetGenerator::new(SEED);
         let vms = gen.vms_table_i(N_VMS, WorkloadPattern::EqualSpike);

@@ -18,7 +18,7 @@ use bursty_core::sim::run_indexed;
 
 const SIZES: [usize; 3] = [100, 200, 400];
 const REPS: u64 = 5;
-const SCHEMES: [Scheme; 4] = [Scheme::Queue, Scheme::Rp, Scheme::Rb, Scheme::RbEx(0.3)];
+const SCHEMES: [Scheme; 4] = [Scheme::Queue, Scheme::Rp, Scheme::Rb, Scheme::RbEx];
 
 pub fn run(ctx: &Ctx) -> Result<(), CtxError> {
     banner(

@@ -11,7 +11,7 @@ const N_VMS: usize = 120;
 const RUNS: usize = 10;
 
 fn schemes() -> [Scheme; 3] {
-    [Scheme::Queue, Scheme::Rb, Scheme::RbEx(0.3)]
+    [Scheme::Queue, Scheme::Rb, Scheme::RbEx]
 }
 
 pub fn run(ctx: &Ctx) -> Result<(), CtxError> {

@@ -17,14 +17,15 @@ pub(crate) fn availability(cvr: f64) -> f64 {
 }
 
 /// The number of leading nines in an availability figure
-/// (0.999 → 3; anything below 0.9 → 0).
-pub(crate) fn nines(availability: f64) -> u32 {
+/// (0.999 → 3; anything below 0.9 → 0), or `None` at exactly 1.0, which
+/// has no finite count.
+pub(crate) fn nines(availability: f64) -> Option<u32> {
     assert!(
-        (0.0..1.0).contains(&availability) || availability == 1.0,
+        (0.0..=1.0).contains(&availability),
         "availability must be in [0,1]"
     );
-    if availability >= 1.0 {
-        return u32::MAX;
+    if availability == 1.0 {
+        return None;
     }
     let mut count = 0;
     let mut x = availability;
@@ -35,7 +36,7 @@ pub(crate) fn nines(availability: f64) -> u32 {
             break; // beyond any meaningful precision
         }
     }
-    count
+    Some(count)
 }
 
 /// Expected violation time per 30-day month at a given CVR, in seconds.
@@ -67,8 +68,9 @@ pub struct SloSummary {
     pub cvr: f64,
     /// Implied availability.
     pub availability: f64,
-    /// Leading nines of availability.
-    pub nines: u32,
+    /// Leading nines of availability; `None` when no violation was
+    /// measured (availability 1.0).
+    pub nines: Option<u32>,
     /// Expected violation minutes per 30-day month.
     pub violation_mins_per_month: f64,
 }
@@ -81,7 +83,7 @@ pub struct SloSummary {
 ///
 /// // The paper's ρ = 1% in operator language:
 /// let s = summarize(0.01);
-/// assert_eq!(s.nines, 2);                              // 99% availability
+/// assert_eq!(s.nines, Some(2));                        // 99% availability
 /// assert_eq!(s.violation_mins_per_month.round(), 432.0); // 7.2 h/month
 /// ```
 pub fn summarize(cvr: f64) -> SloSummary {
@@ -102,20 +104,19 @@ mod tests {
     fn paper_rho_is_two_nines() {
         // ρ = 0.01 → availability 0.99 → two nines, ~7.2 h per month.
         let s = summarize(0.01);
-        assert_eq!(s.nines, 2);
+        assert_eq!(s.nines, Some(2));
         assert!((s.availability - 0.99).abs() < 1e-12);
         assert!((s.violation_mins_per_month - 432.0).abs() < 1e-9);
     }
 
     #[test]
     fn nines_counting() {
-        assert_eq!(nines(0.9), 1);
-        assert_eq!(nines(0.99), 2);
-        assert_eq!(nines(0.999), 3);
-        assert_eq!(nines(0.9995), 3);
-        assert_eq!(nines(0.89), 0);
-        assert_eq!(nines(0.0), 0);
-        assert_eq!(nines(1.0), u32::MAX);
+        assert_eq!(nines(0.9), Some(1));
+        assert_eq!(nines(0.99), Some(2));
+        assert_eq!(nines(0.999), Some(3));
+        assert_eq!(nines(0.9995), Some(3));
+        assert_eq!(nines(0.89), Some(0));
+        assert_eq!(nines(0.0), Some(0));
     }
 
     #[test]
@@ -132,7 +133,7 @@ mod tests {
     fn round_trip_budget_and_summary() {
         let budget = cvr_budget_from_availability("99.95").unwrap();
         let s = summarize(budget);
-        assert_eq!(s.nines, 3);
+        assert_eq!(s.nines, Some(3));
         assert!((s.violation_mins_per_month - 21.6).abs() < 1e-9);
     }
 
@@ -140,6 +141,7 @@ mod tests {
     fn zero_cvr_is_perfect() {
         let s = summarize(0.0);
         assert_eq!(s.availability, 1.0);
+        assert_eq!(s.nines, None, "no finite count of nines");
         assert_eq!(s.violation_mins_per_month, 0.0);
     }
 

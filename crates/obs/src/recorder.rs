@@ -83,7 +83,7 @@ records! {
         RetryEnqueued = "retry_enqueued",
         /// Re-enqueues after a failed retry attempt (attempts > 0).
         RetryReenqueued = "retry_reenqueued",
-        /// Overload retries dropped after exhausting `max_retries`.
+        /// Overload retries dropped after exhausting the retry budget.
         RetryAbandoned = "retry_abandoned",
         /// Overload retries cancelled because the VM was no longer hosted /
         /// no longer over budget when the retry came due.

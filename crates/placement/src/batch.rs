@@ -773,10 +773,7 @@ mod tests {
     }
 
     fn all_strategies() -> (QueueStrategy, ReserveStrategy) {
-        (
-            QueueStrategy::build(16, 0.01, 0.09, 0.01),
-            ReserveStrategy::new(0.3),
-        )
+        (QueueStrategy::build(16, 0.01, 0.09, 0.01), ReserveStrategy)
     }
 
     #[test]
@@ -1363,7 +1360,7 @@ mod proptests {
         farm: &[PmSpec],
     ) -> Result<(), proptest::test_runner::TestCaseError> {
         let q = QueueStrategy::build(16, 0.01, 0.09, 0.01);
-        let rbex = ReserveStrategy::new(0.3);
+        let rbex = ReserveStrategy;
         let strategies: [&dyn Strategy; 4] = [&q, &PeakStrategy, &BaseStrategy, &rbex];
         for strategy in strategies {
             prop_assert_eq!(

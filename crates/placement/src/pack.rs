@@ -352,7 +352,7 @@ mod proptests {
             // results (success or failure) to the linear-scan reference,
             // for all four paper strategies.
             let q = QueueStrategy::build(16, 0.01, 0.09, 0.01);
-            let rbex = ReserveStrategy::new(0.3);
+            let rbex = ReserveStrategy;
             let strategies: [&dyn Strategy; 4] =
                 [&q, &PeakStrategy, &BaseStrategy, &rbex];
             for strategy in strategies {

@@ -4,6 +4,7 @@
 use crate::clustering::{cluster_bands, default_buckets};
 use crate::load::PmLoad;
 use crate::mapcal::PiThresholds;
+use bursty_workload::patterns::defaults::DELTA;
 use bursty_workload::VmSpec;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -284,34 +285,12 @@ impl Strategy for BaseStrategy {
     }
 }
 
-/// The paper's RB-EX baseline: FFD by `R_b`, but a fixed `δ` fraction of
-/// every PM's capacity is kept free for burstiness — the natural policy
-/// when nothing is known about the workload except that it bursts.
-#[derive(Debug, Clone, Copy)]
-pub struct ReserveStrategy {
-    delta: f64,
-}
-
-impl ReserveStrategy {
-    /// Creates the strategy with reserve fraction `delta ∈ [0, 1)`
-    /// (the paper evaluates `δ = 0.3`).
-    ///
-    /// # Panics
-    /// Panics for `delta` outside `[0, 1)`.
-    pub fn new(delta: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&delta),
-            "delta must be in [0,1), got {delta}"
-        );
-        Self { delta }
-    }
-}
-
-impl Default for ReserveStrategy {
-    fn default() -> Self {
-        Self::new(bursty_workload::patterns::defaults::DELTA)
-    }
-}
+/// The paper's RB-EX baseline: FFD by `R_b`, but a fixed `δ = 0.3`
+/// fraction of every PM's capacity is kept free for burstiness — the
+/// natural policy when nothing is known about the workload except that
+/// it bursts.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ReserveStrategy;
 
 impl Strategy for ReserveStrategy {
     fn name(&self) -> &'static str {
@@ -328,7 +307,7 @@ impl Strategy for ReserveStrategy {
 
     /// The usable capacity: `δ` of it is held back for bursts.
     fn budget(&self, capacity: f64) -> f64 {
-        (1.0 - self.delta) * capacity
+        (1.0 - DELTA) * capacity
     }
 
     /// Base slack against the usable capacity.
@@ -463,7 +442,7 @@ mod tests {
 
     #[test]
     fn rbex_reserves_fraction() {
-        let s = ReserveStrategy::new(0.3);
+        let s = ReserveStrategy;
         let load = PmLoad::rebuild(&[vm(0, 70.0, 1.0)]);
         assert!(s.feasible(&load, 100.0));
         assert!(!s.feasible(&load, 99.0), "70 > 0.7 · 99");
@@ -471,7 +450,7 @@ mod tests {
 
     #[test]
     fn rbex_default_uses_paper_delta() {
-        assert_eq!(ReserveStrategy::default().delta, 0.3);
+        assert_eq!(ReserveStrategy.budget(100.0), 70.0);
     }
 
     #[test]
@@ -479,7 +458,7 @@ mod tests {
         assert_eq!(queue().name(), "QUEUE");
         assert_eq!(PeakStrategy.name(), "RP");
         assert_eq!(BaseStrategy.name(), "RB");
-        assert_eq!(ReserveStrategy::default().name(), "RB-EX");
+        assert_eq!(ReserveStrategy.name(), "RB-EX");
     }
 
     #[test]
@@ -490,17 +469,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "delta")]
-    fn rbex_rejects_delta_one() {
-        let _ = ReserveStrategy::new(1.0);
-    }
-
-    #[test]
     fn headroom_is_the_strategy_slack() {
         let load = PmLoad::rebuild(&[vm(0, 10.0, 5.0), vm(1, 8.0, 7.0)]);
         assert_eq!(PeakStrategy.headroom(&load, 100.0), 100.0 - 30.0);
         assert_eq!(BaseStrategy.headroom(&load, 100.0), 100.0 - 18.0);
-        let rbex = ReserveStrategy::new(0.3);
+        let rbex = ReserveStrategy;
         assert!((rbex.headroom(&load, 100.0) - (70.0 - 18.0)).abs() < 1e-12);
         let q = queue();
         // QUEUE charges the blocks term at the post-admission count.
@@ -527,8 +500,7 @@ mod tests {
         // The pruning contract the indexed packers rely on, exercised over
         // a grid of loads, newcomers, and capacities for all strategies.
         let q = queue();
-        let strategies: [&dyn Strategy; 4] =
-            [&q, &PeakStrategy, &BaseStrategy, &ReserveStrategy::new(0.3)];
+        let strategies: [&dyn Strategy; 4] = [&q, &PeakStrategy, &BaseStrategy, &ReserveStrategy];
         let hosted: Vec<Vec<VmSpec>> = vec![
             vec![],
             vec![vm(0, 12.0, 4.0)],
@@ -638,7 +610,7 @@ mod proptests {
             prop_assert_eq!(ffd_order(&PeakStrategy, &vms), stable_desc_by(&vms, |v| v.r_p()));
             let by_rb = stable_desc_by(&vms, |v| v.r_b);
             prop_assert_eq!(&ffd_order(&BaseStrategy, &vms), &by_rb);
-            prop_assert_eq!(&ffd_order(&ReserveStrategy::new(0.3), &vms), &by_rb);
+            prop_assert_eq!(&ffd_order(&ReserveStrategy, &vms), &by_rb);
         }
     }
 }

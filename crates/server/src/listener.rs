@@ -56,6 +56,15 @@ use bursty_obs::json::Json;
 /// TTL are observed.
 const TICK: Duration = Duration::from_millis(25);
 
+/// Cap on a declared request body, in bytes (1 MiB).
+const MAX_BODY: usize = 1 << 20;
+
+/// Event-journal capacity of the daemon's recorder.
+const JOURNAL_CAP: usize = 4096;
+
+/// Reorder-window width for client-supplied seq numbers.
+const SEQ_WINDOW: u64 = 4096;
+
 /// Everything the daemon needs to start.
 pub struct ServerConfig {
     /// Bind address; use port 0 to let the OS pick (tests, benches).
@@ -67,14 +76,8 @@ pub struct ServerConfig {
     pub rho: f64,
     /// Worker threads handling connections.
     pub workers: usize,
-    /// Cap on a declared request body, in bytes.
-    pub max_body: usize,
-    /// Event-journal capacity of the daemon's recorder.
-    pub journal_cap: usize,
     /// Snapshots kept after pruning.
     pub snapshot_keep: usize,
-    /// Reorder-window width for client-supplied seq numbers.
-    pub seq_window: u64,
     /// How long a buffered seq'd op may wait for its missing
     /// predecessors before it is evicted with a retryable 503 — bounds
     /// the damage of a client that dies mid-stream.
@@ -97,10 +100,7 @@ impl ServerConfig {
             p_off,
             rho,
             workers: 4,
-            max_body: 1 << 20,
-            journal_cap: 4096,
             snapshot_keep: 4,
-            seq_window: 4096,
             pending_ttl: Duration::from_secs(30),
             store: None,
             restore: false,
@@ -293,10 +293,7 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
         p_off,
         rho,
         workers,
-        max_body,
-        journal_cap,
         snapshot_keep,
-        seq_window,
         pending_ttl,
         store,
         restore,
@@ -334,7 +331,7 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
     let state = match state {
         Some(s) => s,
         None => {
-            let mut s = ClusterState::new(pms, d, p_on, p_off, rho, 0.0, journal_cap);
+            let mut s = ClusterState::new(pms, d, p_on, p_off, rho, 0.0, JOURNAL_CAP);
             if !initial.is_empty() {
                 let warm = s
                     .cluster_mut()
@@ -351,7 +348,7 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
     };
     let engine = Arc::new(Mutex::new(Engine {
         state,
-        window: SeqWindow::new(next_seq, seq_window),
+        window: SeqWindow::new(next_seq, SEQ_WINDOW),
         store,
         snapshot_keep,
         pending_ttl,
@@ -375,7 +372,6 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
             shutdown: Arc::clone(&shutdown),
             stats: Arc::clone(&stats),
             poke_addr: local_addr,
-            max_body,
         };
         let work_rx = work_rx.clone();
         worker_joins.push(
@@ -445,7 +441,6 @@ struct WorkerCtx {
     shutdown: Arc<AtomicBool>,
     stats: Arc<TransportStats>,
     poke_addr: SocketAddr,
-    max_body: usize,
 }
 
 impl WorkerCtx {
@@ -520,7 +515,7 @@ fn answer_locked(
 /// or parks itself in the seq window behind a missing predecessor.
 fn serve_conn(mut conn: Conn, ctx: &WorkerCtx) {
     loop {
-        let req = match read_request(&mut conn.reader, ctx.max_body, &ctx.shutdown) {
+        let req = match read_request(&mut conn.reader, MAX_BODY, &ctx.shutdown) {
             Ok(req) => req,
             Err(HttpError::Idle) => {
                 // No request in flight: give the connection back so this

@@ -9,7 +9,8 @@ use bursty_server::{spawn, Client, Json, ServerConfig};
 use bursty_workload::PmSpec;
 
 const D: usize = 16;
-const MAX_BODY: usize = 2048;
+/// The daemon's cap on a declared request body (1 MiB).
+const MAX_BODY: usize = 1 << 20;
 
 fn pms(m: usize) -> Vec<PmSpec> {
     (0..m).map(|j| PmSpec::new(j, 100.0)).collect()
@@ -26,9 +27,7 @@ fn digest_and_applied(client: &mut Client) -> (String, u64) {
 
 #[test]
 fn malformed_inputs_get_typed_4xx_and_never_touch_the_apply_loop() {
-    let mut config = ServerConfig::new(pms(32), D, 0.01, 0.09, 0.01);
-    config.max_body = MAX_BODY;
-    let handle = spawn(config).expect("daemon starts");
+    let handle = spawn(ServerConfig::new(pms(32), D, 0.01, 0.09, 0.01)).expect("daemon starts");
     let addr = handle.addr();
 
     // Put real state behind the daemon so "untouched" means something.

@@ -34,7 +34,10 @@
 //! validation of every section); torn, truncated, or bit-flipped
 //! files are discarded with a reason into the [`RecoveryReport`].
 
-use crate::config::{CheckpointConfig, RngLayout, VictimPolicy};
+use crate::config::{
+    CheckpointConfig, RngLayout, VictimPolicy, DEGRADED_EPSILON, MAX_RETRIES, RETRY_BASE_STEPS,
+    SIGMA_SECS, VIOLATION_ALLOWANCE,
+};
 use crate::engine::{
     CrashRecord, FaultState, PmIndexes, RecoveryStats, RetryEntry, RunState, SimOutcome, Simulator,
     StepHook,
@@ -49,14 +52,15 @@ use bursty_obs::{Recorder, RetryCause};
 use bursty_placement::{Placement, PmLoad};
 use std::fmt;
 
-// Section tags of a checkpoint file, in write order.
+// Section tags of a checkpoint file, in write order. Tag 7 is retired:
+// it held the live-migration copy charges, always empty in a file that
+// names it, and the decoder (which finds sections by tag) skips it.
 const SEC_META: u32 = 1;
 const SEC_STEP: u32 = 2;
 const SEC_CORE: u32 = 3;
 const SEC_FAULTPROC: u32 = 4;
 const SEC_FAULTSTATE: u32 = 5;
 const SEC_PLACE: u32 = 6;
-const SEC_DUAL: u32 = 7;
 const SEC_ACCT: u32 = 8;
 const SEC_REC: u32 = 9;
 
@@ -154,7 +158,9 @@ pub struct CheckpointedRun {
 
 /// Fingerprint of the scientific configuration: a mix64 chain over
 /// every config field that selects the sample path or the accounting,
-/// the power model, and the exact bit patterns of the fleet specs.
+/// the controller's constants (in the order they were once fields, so
+/// fingerprints have not moved), the power model, and the exact bit
+/// patterns of the fleet specs.
 /// `threads` is deliberately excluded — any thread count produces
 /// `to_bits`-identical results (the core's determinism contract), so a
 /// snapshot may be resumed at a different parallelism. The `dyn`
@@ -164,20 +170,20 @@ pub(crate) fn fingerprint(sim: &Simulator<'_>) -> u64 {
     let mut eat = |w: u64| h = mix64(h ^ w);
     let cfg = &sim.config;
     eat(cfg.steps as u64);
-    eat(cfg.sigma_secs.to_bits());
+    eat(SIGMA_SECS.to_bits());
     eat(cfg.rho.to_bits());
     eat(cfg.seed);
     eat(u64::from(cfg.migrations_enabled));
-    eat(cfg.dual_count_steps as u64);
+    eat(0); // the retired copy-charge window, always 0 steps
     eat(match cfg.victim_policy {
         VictimPolicy::LargestOnDemand => 0,
         VictimPolicy::SmallestSufficient => 1,
         VictimPolicy::SmallestBase => 2,
     });
-    eat(cfg.violation_allowance.to_bits());
-    eat(cfg.retry_base_steps as u64);
-    eat(cfg.max_retries as u64);
-    eat(cfg.degraded_epsilon.to_bits());
+    eat(VIOLATION_ALLOWANCE.to_bits());
+    eat(RETRY_BASE_STEPS as u64);
+    eat(MAX_RETRIES as u64);
+    eat(DEGRADED_EPSILON.to_bits());
     match &cfg.faults {
         None => eat(0),
         Some(fc) => {
@@ -394,7 +400,6 @@ pub(crate) fn encode_state(
         st.hosted.put(b);
         st.loads.put(b);
     });
-    section(SEC_DUAL, &|b| st.dual.put(b));
     section(SEC_ACCT, &|b| {
         st.vio_steps.put(b);
         st.indexes.active_steps().put(b);
@@ -571,16 +576,12 @@ pub(crate) fn decode_state(
         load.max_pi = PmLoad::rebuild(vs.iter().map(|&i| &sim.vms[i])).max_pi;
     }
 
-    let mut c = section(SEC_DUAL)?;
-    let dual = Wire::get(&mut c)?;
-    c.expect_done()?;
-
     let mut c = section(SEC_ACCT)?;
     let vio_steps = sized(&mut c, m, "vio_steps")?;
     let active_steps = sized(&mut c, m, "active_steps")?;
     let migrations = Wire::get(&mut c)?;
     let [failed_migrations, retried_migrations] = Wire::get(&mut c)?;
-    let mut pms_used_series = TimeSeries::new(0.0, sim.config.sigma_secs);
+    let mut pms_used_series = TimeSeries::new(0.0, SIGMA_SECS);
     pms_used_series.values = sized(&mut c, next_step, "pms_used_series")?;
     let [peak_pms_used, total_violation_steps] = Wire::get(&mut c)?;
     let vm_violation_steps = sized(&mut c, n, "vm_violation_steps")?;
@@ -617,7 +618,6 @@ pub(crate) fn decode_state(
                 evacuations,
                 recovery,
             },
-            dual,
             vio_steps,
             migrations,
             failed_migrations,

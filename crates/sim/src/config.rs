@@ -58,17 +58,8 @@ pub enum RngLayout {
 pub enum ConfigError {
     /// `steps == 0`: the run would observe nothing.
     ZeroSteps,
-    /// `sigma_secs ≤ 0` (or NaN): time cannot stand still or run backward.
-    NonPositiveSigma(f64),
     /// `rho ∉ (0, 1)`: the CVR budget is a proper probability.
     RhoOutOfRange(f64),
-    /// `violation_allowance < 0` (or NaN).
-    NegativeAllowance(f64),
-    /// `retry_base_steps == 0`: exponential backoff needs a positive base.
-    ZeroRetryBase,
-    /// `degraded_epsilon < 0` (or NaN): the overflow margin cannot shrink
-    /// capacity.
-    NegativeEpsilon(f64),
     /// `mtbf_steps < 1` (or NaN): a PM cannot fail more than once a step.
     FaultMtbfOutOfRange(f64),
     /// `mttr_steps < 1` (or NaN): repairs take at least one step.
@@ -103,15 +94,7 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::ZeroSteps => write!(f, "steps must be positive"),
-            Self::NonPositiveSigma(s) => write!(f, "sigma must be positive, got {s}"),
             Self::RhoOutOfRange(r) => write!(f, "rho must be in (0,1), got {r}"),
-            Self::NegativeAllowance(a) => {
-                write!(f, "violation allowance must be nonnegative, got {a}")
-            }
-            Self::ZeroRetryBase => write!(f, "retry_base_steps must be positive"),
-            Self::NegativeEpsilon(e) => {
-                write!(f, "degraded_epsilon must be nonnegative, got {e}")
-            }
             Self::FaultMtbfOutOfRange(m) => {
                 write!(f, "mtbf_steps must be at least 1, got {m}")
             }
@@ -205,56 +188,59 @@ impl CheckpointConfig {
     }
 }
 
+/// Wall-clock seconds per update period, the paper's `σ = 30 s` (§V).
+/// Only scales energy and the time axis of the series, not the dynamics.
+pub(crate) const SIGMA_SECS: f64 = 30.0;
+
+/// CUSUM-style allowance on the migration trigger: a PM migrates only
+/// once its violation count exceeds `ρ · observations + allowance`. The
+/// raw running ratio `violations / observations` sits above `ρ` after a
+/// single violation for the first `1/ρ` periods of a run, so comparing
+/// it to `ρ` directly evicts VMs from plan-compliant PMs on pure startup
+/// noise. With an allowance of `c`, a compliant PM (violation rate ≤ ρ)
+/// crosses the threshold with probability exponentially small in `c`,
+/// while a PM violating at rate `p > ρ` still triggers within about
+/// `c / (p − ρ)` periods.
+pub(crate) const VIOLATION_ALLOWANCE: f64 = 5.0;
+
+/// Base delay (in steps) of the migration retry queue: attempt `a` of a
+/// deferred placement waits `RETRY_BASE_STEPS · 2^a` steps.
+pub(crate) const RETRY_BASE_STEPS: usize = 2;
+
+/// Retry budget. An overload migration's entry is abandoned after this
+/// many failed re-attempts (the trigger re-detects a persisting overload
+/// anyway); for a crash evacuation the *backoff exponent* saturates here
+/// but the entry stays queued — a displaced VM is never silently
+/// dropped.
+pub(crate) const MAX_RETRIES: usize = 5;
+
+/// Overflow margin `ε` of degraded-mode admission: when a displaced VM
+/// fits nowhere under the active policy, admission is re-tried with
+/// every capacity inflated to `(1 + ε)·C` before the VM is queued.
+/// Violations on a PM hosting such an overflow admission are tagged
+/// degraded, not burstiness.
+pub(crate) const DEGRADED_EPSILON: f64 = 0.1;
+
 /// Parameters of one simulation run. Defaults mirror the paper's §V-D
-/// setup: `σ = 30 s` update period, an evaluation period of `100 σ`,
-/// `ρ = 0.01`.
+/// setup: an evaluation period of `100 σ` and `ρ = 0.01`; `σ` itself and
+/// the controller's allowance, retry schedule and degraded margin are
+/// the module's constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Number of update periods to simulate.
     pub steps: usize,
-    /// Wall-clock seconds per update period (`σ`). Only affects
-    /// energy/time reporting, not the dynamics.
-    pub sigma_secs: f64,
     /// CVR threshold `ρ`: the migration trigger's per-period violation
     /// budget — a PM sheds a VM once its violations exceed `ρ` per active
-    /// period plus [`SimConfig::violation_allowance`] (when migration is
-    /// enabled).
+    /// period plus the trigger's allowance of 5 violations (when
+    /// migration is enabled).
     pub rho: f64,
     /// RNG seed; identical configs and seeds reproduce bit-identical runs.
     pub seed: u64,
     /// Whether the live-migration controller is active (§V-D) or the
     /// system relies on local resizing alone (§V-C).
     pub migrations_enabled: bool,
-    /// Update periods during which a migrating VM is accounted on *both*
-    /// PMs (live-migration copy overhead). 0 = instantaneous moves.
-    pub dual_count_steps: usize,
     /// Which VM an overloaded PM evicts.
     pub victim_policy: VictimPolicy,
-    /// CUSUM-style allowance on the migration trigger: a PM migrates only
-    /// once its violation count exceeds `ρ · observations + allowance`.
-    /// The raw running ratio `violations / observations` sits above `ρ`
-    /// after a single violation for the first `1/ρ` periods of a run, so
-    /// comparing it to `ρ` directly evicts VMs from plan-compliant PMs on
-    /// pure startup noise. With an allowance of `c`, a compliant PM
-    /// (violation rate ≤ ρ) crosses the threshold with probability
-    /// exponentially small in `c`, while a PM violating at rate `p > ρ`
-    /// still triggers within about `c / (p − ρ)` periods.
-    pub violation_allowance: f64,
-    /// Base delay (in steps) of the migration retry queue: attempt `a`
-    /// of a deferred placement waits `retry_base_steps · 2^a` steps.
-    pub retry_base_steps: usize,
-    /// Retry budget. For overload migrations the entry is abandoned after
-    /// this many failed re-attempts (the trigger re-detects a persisting
-    /// overload anyway); for crash evacuations the *backoff exponent*
-    /// saturates here but the entry stays queued — a displaced VM is
-    /// never silently dropped. `0` disables retrying entirely.
-    pub max_retries: usize,
-    /// Overflow margin `ε` of degraded-mode admission: when a displaced VM
-    /// fits nowhere under the active policy, admission is re-tried with
-    /// every capacity inflated to `(1 + ε)·C` before the VM is queued.
-    /// Violations on a PM hosting such an overflow admission are tagged
-    /// degraded, not burstiness. Only exercised by the fault path.
-    pub degraded_epsilon: f64,
     /// PM crash/recovery model; `None` (the default) reproduces the
     /// fault-free engine bit for bit.
     pub faults: Option<FaultConfig>,
@@ -276,16 +262,10 @@ impl Default for SimConfig {
     fn default() -> Self {
         Self {
             steps: 100,
-            sigma_secs: 30.0,
             rho: 0.01,
             seed: 0,
             migrations_enabled: true,
-            dual_count_steps: 0,
             victim_policy: VictimPolicy::default(),
-            violation_allowance: 5.0,
-            retry_base_steps: 2,
-            max_retries: 5,
-            degraded_epsilon: 0.1,
             faults: None,
             rng_layout: RngLayout::default(),
             threads: 1,
@@ -296,38 +276,24 @@ impl Default for SimConfig {
 impl SimConfig {
     /// Whether a PM with `violations` violating steps in `active_steps`
     /// active ones has exceeded its compliant budget `ρ · active_steps`
-    /// plus [`SimConfig::violation_allowance`], and so sheds a VM — the
-    /// one migration trigger of the engine's controller, its retry
-    /// queue and `run_churn`.
+    /// plus [`VIOLATION_ALLOWANCE`], and so sheds a VM — the one
+    /// migration trigger of the engine's controller, its retry queue and
+    /// `run_churn`.
     pub(crate) fn sheds_vm(&self, violations: usize, active_steps: usize) -> bool {
-        violations as f64 > self.rho * active_steps as f64 + self.violation_allowance
+        violations as f64 > self.rho * active_steps as f64 + VIOLATION_ALLOWANCE
     }
 
     /// Validates field ranges, returning the first violation found.
     ///
     /// # Errors
-    /// [`ConfigError`] on `steps == 0`, non-positive `sigma_secs`,
-    /// `rho ∉ (0,1)`, a negative `violation_allowance` or
-    /// `degraded_epsilon`, `retry_base_steps == 0`, or an invalid
+    /// [`ConfigError`] on `steps == 0`, `rho ∉ (0,1)`, or an invalid
     /// [`FaultConfig`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.steps == 0 {
             return Err(ConfigError::ZeroSteps);
         }
-        if self.sigma_secs.is_nan() || self.sigma_secs <= 0.0 {
-            return Err(ConfigError::NonPositiveSigma(self.sigma_secs));
-        }
         if !(self.rho > 0.0 && self.rho < 1.0) {
             return Err(ConfigError::RhoOutOfRange(self.rho));
-        }
-        if self.violation_allowance.is_nan() || self.violation_allowance < 0.0 {
-            return Err(ConfigError::NegativeAllowance(self.violation_allowance));
-        }
-        if self.retry_base_steps == 0 {
-            return Err(ConfigError::ZeroRetryBase);
-        }
-        if self.degraded_epsilon.is_nan() || self.degraded_epsilon < 0.0 {
-            return Err(ConfigError::NegativeEpsilon(self.degraded_epsilon));
         }
         if let Some(faults) = &self.faults {
             faults.validate()?;
@@ -344,8 +310,12 @@ mod tests {
     fn defaults_match_paper() {
         let c = SimConfig::default();
         assert_eq!(c.steps, 100);
-        assert_eq!(c.sigma_secs, 30.0);
         assert_eq!(c.rho, 0.01);
+        assert_eq!(SIGMA_SECS, 30.0);
+        assert_eq!(VIOLATION_ALLOWANCE, 5.0);
+        assert_eq!(RETRY_BASE_STEPS, 2);
+        assert_eq!(MAX_RETRIES, 5);
+        assert_eq!(DEGRADED_EPSILON, 0.1);
         assert!(c.migrations_enabled);
         assert!(c.faults.is_none(), "faults are off by default");
         c.validate().unwrap();
@@ -378,42 +348,6 @@ mod tests {
             );
             assert!(err.to_string().contains("rho"));
         }
-    }
-
-    #[test]
-    fn bad_sigma_and_allowance_and_retry() {
-        assert_eq!(
-            SimConfig {
-                sigma_secs: 0.0,
-                ..Default::default()
-            }
-            .validate(),
-            Err(ConfigError::NonPositiveSigma(0.0))
-        );
-        assert_eq!(
-            SimConfig {
-                violation_allowance: -1.0,
-                ..Default::default()
-            }
-            .validate(),
-            Err(ConfigError::NegativeAllowance(-1.0))
-        );
-        assert_eq!(
-            SimConfig {
-                retry_base_steps: 0,
-                ..Default::default()
-            }
-            .validate(),
-            Err(ConfigError::ZeroRetryBase)
-        );
-        assert_eq!(
-            SimConfig {
-                degraded_epsilon: -0.1,
-                ..Default::default()
-            }
-            .validate(),
-            Err(ConfigError::NegativeEpsilon(-0.1))
-        );
     }
 
     #[test]

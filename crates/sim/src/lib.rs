@@ -49,4 +49,4 @@ pub use policy::{
     SpecPolicy,
 };
 pub use runner::{replicate, run_indexed};
-pub use scenario::{run_churn, ChurnConfig, ChurnOutcome};
+pub use scenario::{run_churn, ChurnOutcome};

@@ -11,6 +11,7 @@
 //!   *cycle migration* feedback loop.
 
 use bursty_placement::{PeakStrategy, PmLoad, QueueStrategy, Strategy};
+use bursty_workload::patterns::defaults::DELTA;
 use bursty_workload::VmSpec;
 
 /// A PM's state as visible to the runtime controller.
@@ -187,7 +188,7 @@ impl<S: Strategy> RuntimePolicy for SpecPolicy<S> {
 
 /// Observed-demand admission with a headroom fraction — the behaviour of a
 /// burstiness-unaware controller. `headroom = 0` models RB;
-/// `headroom = δ` models RB-EX.
+/// `headroom = δ = 0.3` (the paper's value) models RB-EX.
 #[derive(Debug, Clone, Copy)]
 pub struct ObservedPolicy {
     headroom: f64,
@@ -203,14 +204,11 @@ impl ObservedPolicy {
         }
     }
 
-    /// RB-EX: keep a `delta` fraction of capacity free at admission time.
-    ///
-    /// # Panics
-    /// Panics for `delta` outside `[0, 1)`.
-    pub fn rb_ex(delta: f64) -> Self {
-        assert!((0.0..1.0).contains(&delta), "delta must be in [0,1)");
+    /// RB-EX: keep a `δ = 0.3` fraction of capacity free at admission
+    /// time.
+    pub fn rb_ex() -> Self {
         Self {
-            headroom: delta,
+            headroom: DELTA,
             name: "RB-EX",
         }
     }
@@ -309,7 +307,7 @@ mod tests {
         let migrant = vm(1, 25.0, 5.0);
         // 50 + 25 = 75 ≤ 100 → RB admits; 75 > 0.7·100 → RB-EX refuses.
         assert!(ObservedPolicy::rb().admits(&migrant, 25.0, &pm, 100.0));
-        assert!(!ObservedPolicy::rb_ex(0.3).admits(&migrant, 25.0, &pm, 100.0));
+        assert!(!ObservedPolicy::rb_ex().admits(&migrant, 25.0, &pm, 100.0));
     }
 
     #[test]
@@ -324,7 +322,7 @@ mod tests {
     #[test]
     fn names() {
         assert_eq!(ObservedPolicy::rb().name(), "RB");
-        assert_eq!(ObservedPolicy::rb_ex(0.3).name(), "RB-EX");
+        assert_eq!(ObservedPolicy::rb_ex().name(), "RB-EX");
         assert_eq!(PeakPolicy::default().name(), "RP");
         assert_eq!(
             QueuePolicy::new(QueueStrategy::build(2, 0.1, 0.1, 0.1)).name(),
@@ -342,12 +340,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "delta")]
-    fn rb_ex_rejects_bad_delta() {
-        let _ = ObservedPolicy::rb_ex(1.0);
-    }
-
-    #[test]
     fn admits_implies_headroom_covers_demand_measure() {
         // The pruning contract the evacuation controller's index relies
         // on, over a grid of PM states, newcomers, and capacities.
@@ -355,10 +347,10 @@ mod tests {
         let policies: [&dyn RuntimePolicy; 6] = [
             &q,
             &ObservedPolicy::rb(),
-            &ObservedPolicy::rb_ex(0.3),
+            &ObservedPolicy::rb_ex(),
             &PeakPolicy::default(),
             &SpecPolicy::new(BaseStrategy),
-            &SpecPolicy::new(ReserveStrategy::new(0.3)),
+            &SpecPolicy::new(ReserveStrategy),
         ];
         let states: Vec<(Vec<VmSpec>, f64)> = vec![
             (vec![], 0.0),
@@ -411,7 +403,7 @@ mod tests {
                 );
             }
         }
-        for policy in [ObservedPolicy::rb(), ObservedPolicy::rb_ex(0.3)] {
+        for policy in [ObservedPolicy::rb(), ObservedPolicy::rb_ex()] {
             assert!(policy.headroom_reads_observed());
             assert!(DegradedAdmission::new(policy, 0.2).headroom_reads_observed());
         }

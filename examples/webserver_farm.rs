@@ -42,7 +42,7 @@ fn main() {
         "{:<6} {:>12} {:>12} {:>12} {:>12}",
         "scheme", "migrations", "final PMs", "mean CVR", "energy kWh"
     );
-    for scheme in [Scheme::Queue, Scheme::Rb, Scheme::RbEx(0.3)] {
+    for scheme in [Scheme::Queue, Scheme::Rb, Scheme::RbEx] {
         let consolidator = Consolidator::new(scheme);
         let outcomes = replicate(10, 5000, |seed| {
             let cfg = SimConfig {

@@ -78,7 +78,7 @@ fn rbex_packs_between_rb_and_peak_in_pm_count() {
         .place(&vms, &pms)
         .unwrap()
         .pms_used();
-    let rbex = Consolidator::new(Scheme::RbEx(0.3))
+    let rbex = Consolidator::new(Scheme::RbEx)
         .place(&vms, &pms)
         .unwrap()
         .pms_used();
@@ -123,7 +123,7 @@ fn migration_dynamics_rank_schemes_like_the_paper() {
 
     let (queue_migrations, queue_pms) = run(Scheme::Queue);
     let (rb_migrations, rb_pms) = run(Scheme::Rb);
-    let (rbex_migrations, _) = run(Scheme::RbEx(0.3));
+    let (rbex_migrations, _) = run(Scheme::RbEx);
 
     assert!(
         rb_migrations > 5.0 * queue_migrations.max(0.5),

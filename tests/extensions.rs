@@ -228,9 +228,6 @@ fn churned_cluster_holds_a_six_pm_band_and_the_cvr_bound() {
             seed: 8,
             ..Default::default()
         },
-        ChurnConfig::default(),
-        0.01,
-        0.09,
     );
     // Population ramps then holds; the PMs-used series must stabilize to
     // a ±3 band once arrivals ≈ departures (after ~5 mean lifetimes).
