@@ -1,7 +1,6 @@
-//! Criterion benchmark crate (see `benches/`), plus the harness the
-//! `BENCH_*.json` emitters in `src/bin/` share: declared flags, timing
-//! helpers, rows built as [`Json`] objects, and one report writer with
-//! its `--before` reader.
+//! The harness the `BENCH_*.json` emitters in `src/bin/` share:
+//! declared flags, timing helpers, rows built as [`Json`] objects, and
+//! one report writer with its `--before` reader.
 //!
 //! A report is one JSON object. Its top-level arrays are *sections*,
 //! written one row per line; every row is led by the commit it was

@@ -19,7 +19,7 @@
 //! order when clients stamp `seq` numbers, so the daemon's end state is
 //! identical to replaying the same ops on a bare `OnlineCluster`.
 //!
-//! **Invariant: no socket I/O and no channel wait while the engine lock
+//! **Invariant: no socket I/O and no queue wait while the engine lock
 //! is held.** The lock covers engine work only (the snapshot store
 //! write is engine work); replies are rendered and written after it is
 //! released, so a slow or dead client can stall nobody else.
@@ -34,16 +34,16 @@
 //! outnumber workers, and progress of the op stream must never depend
 //! on a specific connection holding a worker thread.
 
+use std::collections::VecDeque;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bursty_obs::{NoopRecorder, Store};
 use bursty_workload::{PmSpec, VmSpec};
-use crossbeam::channel;
 
 use crate::error::ServeError;
 use crate::http::{read_request, write_response, HttpError};
@@ -141,6 +141,52 @@ impl Conn {
             reader: BufReader::new(stream),
             writer,
         })
+    }
+}
+
+/// The queue of connections waiting for a worker: the accept loop and
+/// every worker push, every worker pops. Unbounded; nothing disconnects
+/// it — workers leave on the shutdown flag, seen at a [`TICK`].
+struct WorkQueue<T> {
+    items: Mutex<VecDeque<T>>,
+    ready: Condvar,
+}
+
+impl<T> WorkQueue<T> {
+    fn new() -> Self {
+        Self {
+            items: Mutex::new(VecDeque::new()),
+            ready: Condvar::new(),
+        }
+    }
+
+    fn push(&self, item: T) {
+        self.lock().push_back(item);
+        self.ready.notify_one();
+    }
+
+    /// The oldest item, waiting up to `timeout` for one to arrive.
+    fn pop_timeout(&self, timeout: Duration) -> Option<T> {
+        let deadline = Instant::now() + timeout;
+        let mut items = self.lock();
+        loop {
+            if let Some(item) = items.pop_front() {
+                return Some(item);
+            }
+            let left = deadline.checked_duration_since(Instant::now())?;
+            // A spurious or stolen wake-up re-enters the loop; the
+            // deadline bounds the total wait.
+            (items, _) = self
+                .ready
+                .wait_timeout(items, left)
+                .expect("work queue lock poisoned: a push or pop panicked");
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<T>> {
+        self.items
+            .lock()
+            .expect("work queue lock poisoned: a push or pop panicked")
     }
 }
 
@@ -359,7 +405,7 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
     let local_addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let stats = Arc::new(TransportStats::default());
-    let (work_tx, work_rx) = channel::unbounded::<Conn>();
+    let queue = Arc::new(WorkQueue::<Conn>::new());
 
     // Worker pool: each worker serves a connection's requests end to
     // end. Workers poll the shared queue with a timeout so the shutdown
@@ -368,33 +414,30 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
     for i in 0..workers.max(1) {
         let ctx = WorkerCtx {
             engine: Arc::clone(&engine),
-            work_tx: work_tx.clone(),
+            queue: Arc::clone(&queue),
             shutdown: Arc::clone(&shutdown),
             stats: Arc::clone(&stats),
             poke_addr: local_addr,
         };
-        let work_rx = work_rx.clone();
         worker_joins.push(
             std::thread::Builder::new()
                 .name(format!("bursty-worker-{i}"))
                 .spawn(move || loop {
-                    match work_rx.recv_timeout(TICK) {
-                        Ok(conn) => serve_conn(conn, &ctx),
-                        Err(channel::RecvTimeoutError::Timeout) => {
+                    match ctx.queue.pop_timeout(TICK) {
+                        Some(conn) => serve_conn(conn, &ctx),
+                        None => {
                             if ctx.shutdown.load(Ordering::SeqCst) {
                                 break;
                             }
                             ctx.evict_stale();
                         }
-                        Err(channel::RecvTimeoutError::Disconnected) => break,
                     }
                 })?,
         );
     }
-    drop(work_rx);
     drop(engine);
 
-    // Accept loop: owns the listener and the original work sender.
+    // Accept loop: owns the listener and pushes each new connection.
     let accept_shutdown = Arc::clone(&shutdown);
     let accept_join = std::thread::Builder::new()
         .name("bursty-accept".to_string())
@@ -412,12 +455,8 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
                         // ticks: idle connections requeue instead of
                         // pinning a worker, and shutdown is observed.
                         let _ = s.set_read_timeout(Some(TICK));
-                        let conn = match Conn::new(s) {
-                            Ok(c) => c,
-                            Err(_) => continue,
-                        };
-                        if work_tx.send(conn).is_err() {
-                            break;
+                        if let Ok(conn) = Conn::new(s) {
+                            queue.push(conn);
                         }
                     }
                     Err(_) => continue,
@@ -437,7 +476,7 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
 /// Everything a worker needs to serve connections.
 struct WorkerCtx {
     engine: Arc<Mutex<Engine>>,
-    work_tx: channel::Sender<Conn>,
+    queue: Arc<WorkQueue<Conn>>,
     shutdown: Arc<AtomicBool>,
     stats: Arc<TransportStats>,
     poke_addr: SocketAddr,
@@ -460,7 +499,7 @@ impl WorkerCtx {
     fn deliver(&self, due: impl IntoIterator<Item = Due>) {
         for (mut peer, out) in due {
             if answer(&mut peer.conn, out, peer.keep_alive) {
-                let _ = self.work_tx.send(peer.conn);
+                self.queue.push(peer.conn);
             }
         }
     }
@@ -521,7 +560,7 @@ fn serve_conn(mut conn: Conn, ctx: &WorkerCtx) {
                 // No request in flight: give the connection back so this
                 // worker can serve others (and drop it at shutdown).
                 if !ctx.shutdown.load(Ordering::SeqCst) {
-                    let _ = ctx.work_tx.send(conn);
+                    ctx.queue.push(conn);
                 }
                 ctx.evict_stale();
                 return;
@@ -607,5 +646,76 @@ fn serve_conn(mut conn: Conn, ctx: &WorkerCtx) {
         if !open {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
+
+    #[test]
+    fn work_queue_pops_in_push_order() {
+        let q = WorkQueue::new();
+        for i in 0..5 {
+            q.push(i);
+        }
+        let got: Vec<_> = std::iter::from_fn(|| q.pop_timeout(Duration::ZERO)).collect();
+        assert_eq!(got, [0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn work_queue_pop_on_empty_times_out() {
+        let q = WorkQueue::<u8>::new();
+        let start = Instant::now();
+        assert_eq!(q.pop_timeout(TICK), None);
+        let waited = start.elapsed();
+        assert!(waited >= TICK, "returned early, after {waited:?}");
+        assert!(waited < Duration::from_secs(5), "waited {waited:?}");
+    }
+
+    #[test]
+    fn work_queue_hands_off_every_item_exactly_once() {
+        const PUSHERS: usize = 4;
+        const POPPERS: usize = 4;
+        const EACH: usize = 250;
+        let q = WorkQueue::new();
+        let popped = AtomicUsize::new(0);
+        // Every thread starts at once, so pops race the pushes.
+        let start = Barrier::new(PUSHERS + POPPERS);
+        let mut got: Vec<usize> = std::thread::scope(|scope| {
+            let poppers: Vec<_> = (0..POPPERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let mut mine = Vec::new();
+                        while popped.load(Ordering::SeqCst) < PUSHERS * EACH {
+                            if let Some(item) = q.pop_timeout(TICK) {
+                                popped.fetch_add(1, Ordering::SeqCst);
+                                mine.push(item);
+                            }
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            for p in 0..PUSHERS {
+                let (q, start) = (&q, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..EACH {
+                        q.push(p * EACH + i);
+                    }
+                });
+            }
+            poppers
+                .into_iter()
+                .flat_map(|h| h.join().expect("popper panicked"))
+                .collect()
+        });
+        got.sort_unstable();
+        assert_eq!(got, (0..PUSHERS * EACH).collect::<Vec<_>>());
+        assert_eq!(q.pop_timeout(Duration::ZERO), None);
     }
 }

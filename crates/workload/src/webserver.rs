@@ -36,15 +36,6 @@ impl WebServerOptions {
         self.think_floor + self.think_mean * (-self.think_floor / self.think_mean).exp()
     }
 
-    /// Variance of the clamped think time (from the closed-form second
-    /// moment `E[Y²] = floor² + e^(−floor/mean)(2·floor·mean + 2·mean²)`).
-    pub(crate) fn var_think(&self) -> f64 {
-        let (f, m) = (self.think_floor, self.think_mean);
-        let e = (-f / m).exp();
-        let m2 = f * f + e * (2.0 * f * m + 2.0 * m * m);
-        m2 - self.mean_think().powi(2)
-    }
-
     /// Steady-state requests per second per user: `1 / E[Y]`.
     pub fn rate_per_user(&self) -> f64 {
         1.0 / self.mean_think()
@@ -116,21 +107,6 @@ impl WebServerWorkload {
         total
     }
 
-    /// Gaussian approximation of [`requests_exact`](Self::requests_exact):
-    /// the renewal counting process over `dt` has mean `users·dt/E[Y]` and
-    /// variance `users·dt·Var[Y]/E[Y]³`. Orders of magnitude faster for the
-    /// large populations of Table I; used by the live-migration simulator.
-    pub fn requests_fast<R: Rng + ?Sized>(&self, users: u32, dt: f64, rng: &mut R) -> u64 {
-        let mu = self.opts.mean_think();
-        let mean = users as f64 * dt / mu;
-        let var = users as f64 * dt * self.opts.var_think() / (mu * mu * mu);
-        let std = var.sqrt();
-        // Box–Muller.
-        let (u1, u2): (f64, f64) = (rng.gen::<f64>().max(f64::MIN_POSITIVE), rng.gen());
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        (mean + std * z).round().max(0.0) as u64
-    }
-
     /// Generates a Fig.-8-style trace: `(state, requests)` per interval of
     /// `dt` seconds for `len` intervals, starting OFF.
     pub fn generate_trace<R: Rng + ?Sized>(
@@ -165,8 +141,6 @@ mod tests {
         let o = WebServerOptions::default();
         // E[Y] = 0.1 + e^{-0.1} ≈ 1.004837.
         assert!((o.mean_think() - 1.0048374).abs() < 1e-6);
-        // Var from second moment ≈ 0.99095.
-        assert!((o.var_think() - 0.99095).abs() < 1e-4);
     }
 
     #[test]
@@ -199,26 +173,6 @@ mod tests {
         assert!(
             (mean - expect).abs() / expect < 0.02,
             "mean {mean} vs expected {expect}"
-        );
-    }
-
-    #[test]
-    fn fast_approximation_matches_exact_in_mean() {
-        let w = WebServerWorkload::new(400, 1200, chain());
-        let mut rng = StdRng::seed_from_u64(3);
-        let dt = 30.0;
-        let reps = 200;
-        let exact: f64 = (0..reps)
-            .map(|_| w.requests_exact(1200, dt, &mut rng) as f64)
-            .sum::<f64>()
-            / reps as f64;
-        let fast: f64 = (0..reps)
-            .map(|_| w.requests_fast(1200, dt, &mut rng) as f64)
-            .sum::<f64>()
-            / reps as f64;
-        assert!(
-            (exact - fast).abs() / exact < 0.02,
-            "exact {exact} vs fast {fast}"
         );
     }
 

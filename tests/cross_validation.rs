@@ -220,7 +220,7 @@ fn fig7_complexity_shape_holds_empirically() {
     // k ≤ d (the paper's O(d⁴) is the Gaussian solve this repo keeps only
     // as an oracle) — so quadrupling d from 8 to 32 must grow its cost
     // more than linearly. Coarse wall-clock check with generous slack —
-    // the Criterion benches carry the precise numbers. Each size is built
+    // `experiments -- fig7` prints the numbers. Each size is built
     // once untimed first: the first build in a process pays first-use
     // costs (allocator, caches) that would otherwise swamp t(8).
     use std::time::Instant;
