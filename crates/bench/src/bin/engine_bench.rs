@@ -41,7 +41,11 @@
 //! moved and distinct PMs hosting one, per step. What the run spends
 //! outside the kernel is `controller_s` (median run − kernel: the
 //! violation walk, migrations, the energy sum and set-up), beside the
-//! PMs over capacity per step that the violation walk visits.
+//! PMs over capacity per step that the violation walk visits. On Linux
+//! a row also carries `hwm_mib`, the process's peak resident set
+//! (`VmHWM`) once the row is done: a high-water mark of the whole
+//! process, so it reads one row's own peak only when nothing before it
+//! held more (a run with small `--fleets` and `--class-fleets`).
 //!
 //! The `shared_flip_sweep` rows time the shared layout where its cost
 //! depends on the input: [`SWEEP_VMS`] VMs, four to a PM on a quarter of
@@ -249,7 +253,7 @@ fn paper_row(commit: &str, n: usize, repeats: usize) -> Json {
         .field("pms_used", placement.pms_used())
         .field("steps", PAPER_STEPS)
         .field("migrations", migrations);
-    with_timings(row, &secs)
+    let row = with_timings(row, &secs)
         .field("vm_steps_per_sec", vm_steps_per_sec)
         .field("ns_per_pm_step", median * 1e9 / active_pm_steps)
         .field("kernel_secs", kernel_secs)
@@ -259,8 +263,12 @@ fn paper_row(commit: &str, n: usize, repeats: usize) -> Json {
         .field("dirty_pms_per_step", dirty_pms_per_step)
         .field("over_pms_per_step", over_pms_per_step)
         .field("energy_bits", energy_hex(energy_bits))
-        .field("violation_steps", violation_steps)
-        .to_json()
+        .field("violation_steps", violation_steps);
+    match bursty_bench::peak_rss_mib() {
+        Some(hwm_mib) => row.field("hwm_mib", hwm_mib),
+        None => row,
+    }
+    .to_json()
 }
 
 /// One flip-sweep row at `(p_on, p_off)`; exits nonzero when two

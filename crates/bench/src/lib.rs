@@ -106,6 +106,16 @@ pub fn available_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
+/// This process's peak resident set so far (`VmHWM` of
+/// `/proc/self/status`) in MiB; `None` where that file does not exist
+/// (off Linux) or does not parse.
+pub fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let field = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: f64 = field.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib / 1024.0)
+}
+
 /// `f`'s result and its wall time in seconds.
 pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let start = Instant::now();

@@ -102,11 +102,21 @@ impl HeadroomIndex {
     /// Rebuilds the index over new values in place, reusing the tree
     /// allocation whenever the required size fits.
     pub fn rebuild(&mut self, values: &[f64]) {
+        self.rebuild_with(values.len(), |leaves| leaves.extend_from_slice(values));
+    }
+
+    /// [`Self::rebuild`] over the `n` values `fill` appends to the
+    /// emptied leaf vector: a caller that derives its leaves writes them
+    /// in place instead of staging them in a vector of its own.
+    ///
+    /// # Panics
+    /// Panics if `fill` appends other than `n` values.
+    pub fn rebuild_with(&mut self, n: usize, fill: impl FnOnce(&mut Vec<f64>)) {
         // Room for the whole tree up front: one allocation, not two.
         self.tree.clear();
-        self.tree
-            .reserve_exact(2 * values.len().next_power_of_two().max(1));
-        self.reset_lazy(|leaves| leaves.extend_from_slice(values));
+        self.tree.reserve_exact(2 * n.next_power_of_two().max(1));
+        self.reset_lazy(fill);
+        assert_eq!(self.n, n, "the fill appended {} leaves, not {n}", self.n);
         self.flush();
     }
 

@@ -8,6 +8,7 @@
 //! from docs and semver-stability promises.
 
 use crate::config::RngLayout;
+use crate::members::Members;
 use crate::rng::binomial_table::CacheStats;
 use crate::workload_core::WorkloadCore;
 use bursty_workload::VmSpec;
@@ -18,7 +19,7 @@ use bursty_workload::VmSpec;
 /// cell population they were measured against.
 pub fn class_occupancy(vms: &[VmSpec], m: usize, host: &[Option<usize>]) -> (usize, f64) {
     let mut core = WorkloadCore::new(vms, m, 0, RngLayout::ClassAggregated, 1);
-    core.class_init(host);
+    core.class_init(&Members::from_assignment(host, m));
     let cells = core.class_occupied_cells().unwrap_or(0);
     let placed = host.iter().flatten().count();
     let mean = if cells == 0 {
@@ -34,7 +35,7 @@ pub fn class_occupancy(vms: &[VmSpec], m: usize, host: &[Option<usize>]) -> (usi
 /// controller stripped away.
 pub struct ClassCoreBench {
     core: WorkloadCore,
-    host: Vec<Option<usize>>,
+    members: Members,
     observed: Vec<f64>,
     next: u64,
 }
@@ -55,11 +56,11 @@ impl ClassCoreBench {
     ) -> Self {
         let mut core = WorkloadCore::new(vms, m, seed, RngLayout::ClassAggregated, threads);
         core.set_cached_sampler(cached);
-        let host = host.to_vec();
-        core.class_init(&host);
+        let members = Members::from_assignment(host, m);
+        core.class_init(&members);
         Self {
             core,
-            host,
+            members,
             observed: vec![0.0; m],
             next: 0,
         }
@@ -68,9 +69,7 @@ impl ClassCoreBench {
     /// Advances the kernel one step, returning the first PM's observed
     /// demand (a data dependency that keeps the optimizer honest).
     pub fn step(&mut self) -> f64 {
-        // The class arm never reads the per-PM member lists.
-        self.core
-            .step(self.next, &self.host, &[], &mut self.observed);
+        self.core.step(self.next, &self.members, &mut self.observed);
         self.next += 1;
         self.observed[0]
     }

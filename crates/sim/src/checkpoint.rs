@@ -44,6 +44,7 @@ use crate::engine::{
 };
 use crate::events::{EvacuationEvent, FaultEvent, FaultKind, MigrationEvent};
 use crate::faults::FaultProcess;
+use crate::members::Members;
 use crate::rng::mix64;
 use crate::workload_core::{CoreSnapshot, WorkloadCore};
 use bursty_metrics::TimeSeries;
@@ -396,8 +397,24 @@ pub(crate) fn encode_state(
     // incremental `add` fold and a fresh `rebuild` can differ by ulps,
     // and bit-identity of the resumed run hinges on these exact sums.
     section(SEC_PLACE, &|b| {
-        write_fixed(b, &st.host);
-        st.hosted.put(b);
+        let members = &st.members;
+        let m = st.loads.len();
+        write_seq(
+            b,
+            (0..members.hosts().len()).map(|i| FixedIndex(members.host(i))),
+        );
+        // The `Vec<Vec<usize>>` layout: each PM's count, then its VMs in
+        // list (arrival) order.
+        m.put(b);
+        for (j, load) in st.loads.iter().enumerate() {
+            load.count.put(b);
+            let mut listed = 0;
+            for i in members.iter(j) {
+                i.put(b);
+                listed += 1;
+            }
+            debug_assert_eq!(listed, load.count, "PM {j}'s list against its load");
+        }
         st.loads.put(b);
     });
     section(SEC_ACCT, &|b| {
@@ -528,33 +545,41 @@ pub(crate) fn decode_state(
 
     let mut c = section(SEC_PLACE)?;
     let host = read_fixed(&mut c, n, "host")?;
-    let hosted: Vec<Vec<usize>> = sized(&mut c, m, "hosted")?;
-    let mut loads: Vec<PmLoad> = sized(&mut c, m, "loads")?;
-    c.expect_done()?;
-
-    // host and hosted must be exact inverses — including the order of
-    // each hosted list, which victim tie-breaking depends on.
-    let mut seen = vec![false; n];
-    for (j, vs) in hosted.iter().enumerate() {
-        for &i in vs {
+    // The lists are rebuilt in the order they were written, and must
+    // be the exact inverse of `host` — order included, which victim
+    // tie-breaking depends on.
+    let pms = c.seq_len(usize::MIN_BYTES)?;
+    if pms != m {
+        return Err(bad(format!("hosted has {pms} entries, expected {m}")).into());
+    }
+    let mut members = Members::new(n, m);
+    let mut listed = Vec::with_capacity(m);
+    for j in 0..m {
+        let len = c.seq_len(usize::MIN_BYTES)?;
+        for _ in 0..len {
+            let i = usize::get(&mut c)?;
             if i >= n {
                 return Err(bad(format!("hosted VM {i} out of range")).into());
             }
-            if seen[i] {
+            if members.host(i).is_some() {
                 return Err(bad(format!("VM {i} hosted twice")).into());
             }
-            seen[i] = true;
             if host[i] != Some(j) {
                 return Err(
                     bad(format!("VM {i} hosted on {j} but host says {:?}", host[i])).into(),
                 );
             }
+            members.land(i, j);
         }
-        if loads[j].count != vs.len() {
+        listed.push(len);
+    }
+    let mut loads: Vec<PmLoad> = sized(&mut c, m, "loads")?;
+    c.expect_done()?;
+    for (j, (load, &len)) in loads.iter().zip(&listed).enumerate() {
+        if load.count != len {
             return Err(bad(format!(
-                "PM {j} load counts {} VMs, hosted list has {}",
-                loads[j].count,
-                vs.len()
+                "PM {j} load counts {} VMs, hosted list has {len}",
+                load.count
             ))
             .into());
         }
@@ -564,7 +589,7 @@ pub(crate) fn decode_state(
             Some(j) if *j >= m => {
                 return Err(bad(format!("VM {i} hosted on PM {j} out of range")).into())
             }
-            Some(_) if !seen[i] => {
+            Some(_) if members.host(i).is_none() => {
                 return Err(bad(format!("VM {i} hosted but missing from hosted list")).into())
             }
             _ => {}
@@ -572,8 +597,8 @@ pub(crate) fn decode_state(
     }
     // The hottest chain is a pure max over the hosted set, so it is
     // refolded here rather than carried in the image.
-    for (load, vs) in loads.iter_mut().zip(&hosted) {
-        load.max_pi = PmLoad::rebuild(vs.iter().map(|&i| &sim.vms[i])).max_pi;
+    for (j, load) in loads.iter_mut().enumerate() {
+        load.max_pi = PmLoad::rebuild(members.iter(j).map(|i| &sim.vms[i])).max_pi;
     }
 
     let mut c = section(SEC_ACCT)?;
@@ -598,13 +623,12 @@ pub(crate) fn decode_state(
         }
     };
 
-    let stranded = host.iter().filter(|h| h.is_none()).count();
+    let stranded = members.displaced().count();
     Ok((
         RunState {
             core,
             fault_process,
-            host,
-            hosted,
+            members,
             fs: FaultState {
                 pm_up,
                 vm_degraded,
@@ -1205,6 +1229,67 @@ mod tests {
         assert_same_outcome(&baseline, &run.outcome);
         assert_eq!(run.saves + run.save_errors.len(), 5);
         assert!(!run.save_errors.is_empty());
+    }
+
+    /// Re-encodes every image the run would write while a VM is
+    /// displaced: its decoded state must encode to the same bytes and
+    /// hold the same member lists.
+    struct ReEncodeWhileDisplaced {
+        checked: usize,
+    }
+
+    impl StepHook for ReEncodeWhileDisplaced {
+        fn after_step<R: Recorder>(&mut self, sim: &Simulator<'_>, st: &RunState, _: &R) {
+            if st.fs.stranded == 0 || st.next_step >= sim.config.steps {
+                return;
+            }
+            let bytes = encode_state(sim, st, None);
+            let (back, _) = decode_state(sim, &bytes).expect("the run's own image decodes");
+            assert_eq!(back.fs.stranded, st.fs.stranded);
+            for j in 0..sim.pms.len() {
+                assert!(
+                    back.members.iter(j).eq(st.members.iter(j)),
+                    "PM {j}'s list at step {}",
+                    st.next_step
+                );
+            }
+            assert!(
+                encode_state(sim, &back, None) == bytes,
+                "re-encoded image differs at step {}",
+                st.next_step
+            );
+            self.checked += 1;
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_with_displaced_vms_re_encodes_to_the_same_bytes() {
+        // Three PMs of always-ON tenants at 90 of 100 and no spares: a
+        // crash strands its VMs, since 90 + 30 is past even the
+        // degraded margin's 110, until a PM recovers.
+        let vms: Vec<VmSpec> = (0..9)
+            .map(|i| VmSpec::new(i, 1.0, 1e-12, 30.0, 0.0))
+            .collect();
+        let pms: Vec<PmSpec> = (0..3).map(|j| PmSpec::new(j, 100.0)).collect();
+        let placement = Placement {
+            assignment: (0..9).map(|i| Some(i % 3)).collect(),
+            n_pms: 3,
+        };
+        let policy = QueuePolicy::new(QueueStrategy::build(16, 0.01, 0.09, 0.01));
+        for rng_layout in [RngLayout::Shared, RngLayout::ClassAggregated] {
+            let sim = Simulator::new(
+                &vms,
+                &pms,
+                &policy,
+                SimConfig {
+                    rng_layout,
+                    ..config()
+                },
+            );
+            let mut hook = ReEncodeWhileDisplaced { checked: 0 };
+            sim.run_from(sim.init_state(&placement), &mut NoopRecorder, &mut hook);
+            assert!(hook.checked > 0, "{rng_layout:?}: the run must strand a VM");
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@ use crate::config::{
 use crate::energy::PowerModel;
 use crate::events::{EvacuationEvent, FaultEvent, FaultKind, MigrationEvent};
 use crate::faults::FaultProcess;
+use crate::members::Members;
 use crate::policy::{DegradedAdmission, PmRuntime, RuntimePolicy};
 use crate::workload_core::WorkloadCore;
 use bursty_metrics::TimeSeries;
@@ -170,7 +171,7 @@ pub(crate) struct FaultState {
     /// on push, and a displaced VM's overload entry is dropped before
     /// its evacuation entry is queued).
     pub(crate) in_retry: Vec<bool>,
-    /// Displaced VMs not yet re-placed, `|{i : host[i] == None}|`: moved
+    /// Displaced VMs not yet re-placed, `|{i : host(i) == None}|`: moved
     /// where a crash displaces and where an evacuation lands.
     pub(crate) stranded: usize,
     pub(crate) fault_events: Vec<FaultEvent>,
@@ -226,10 +227,6 @@ impl FaultState {
 pub(crate) struct TargetFinder {
     active: HeadroomIndex,
     empty: HeadroomIndex,
-    /// Leaf staging for [`TargetFinder::rebuild`], held only while the
-    /// policy needs a rebuild every step.
-    stage_active: Vec<f64>,
-    stage_empty: Vec<f64>,
     /// The step whose observed demands the leaves were last derived
     /// from.
     step: usize,
@@ -246,16 +243,9 @@ impl TargetFinder {
         let mut finder = Self {
             active: HeadroomIndex::new(&[]),
             empty: HeadroomIndex::new(&[]),
-            stage_active: Vec::new(),
-            stage_empty: Vec::new(),
             step,
         };
         finder.rebuild(sim, step, loads, observed, pm_up);
-        if !sim.policy.headroom_reads_observed() {
-            // Kept current by point updates from here on.
-            finder.stage_active = Vec::new();
-            finder.stage_empty = Vec::new();
-        }
         finder
     }
 
@@ -282,7 +272,8 @@ impl TargetFinder {
         }
     }
 
-    /// Re-derives every leaf, reusing the trees' allocations.
+    /// Re-derives every leaf straight into the trees, reusing their
+    /// allocations.
     fn rebuild(
         &mut self,
         sim: &Simulator<'_>,
@@ -291,15 +282,16 @@ impl TargetFinder {
         observed: &[f64],
         pm_up: &[bool],
     ) {
-        self.stage_active.clear();
-        self.stage_empty.clear();
-        for j in 0..loads.len() {
-            let (a, e) = Self::leaves(sim, j, loads, observed, pm_up);
-            self.stage_active.push(a);
-            self.stage_empty.push(e);
-        }
-        self.active.rebuild(&self.stage_active);
-        self.empty.rebuild(&self.stage_empty);
+        let Self { active, empty, .. } = self;
+        active.rebuild_with(loads.len(), |active| {
+            empty.rebuild_with(loads.len(), |empty| {
+                for j in 0..loads.len() {
+                    let (a, e) = Self::leaves(sim, j, loads, observed, pm_up);
+                    active.push(a);
+                    empty.push(e);
+                }
+            });
+        });
         self.step = step;
     }
 
@@ -609,10 +601,10 @@ pub struct Simulator<'a> {
 pub(crate) struct RunState {
     pub(crate) core: WorkloadCore,
     pub(crate) fault_process: Option<FaultProcess>,
-    /// `host[i] == None` marks a displaced (stranded) VM waiting in the
-    /// retry queue after a crash.
-    pub(crate) host: Vec<Option<usize>>,
-    pub(crate) hosted: Vec<Vec<usize>>,
+    /// Each VM's PM and each PM's VMs in arrival order. A displaced
+    /// (stranded) VM, waiting in the retry queue after a crash, has no
+    /// PM.
+    pub(crate) members: Members,
     pub(crate) loads: Vec<PmLoad>,
     pub(crate) fs: FaultState,
     pub(crate) vio_steps: Vec<usize>,
@@ -811,42 +803,41 @@ impl<'a> Simulator<'a> {
             self.config.rng_layout,
             self.config.threads,
         );
-
-        let host: Vec<Option<usize>> = initial
-            .assignment
-            .iter()
-            .map(|a| Some(a.expect("complete placement")))
+        let members = Members::from_assignment(&initial.assignment, m);
+        let loads: Vec<PmLoad> = (0..m)
+            .map(|j| PmLoad::rebuild(members.iter(j).map(|i| &self.vms[i])))
             .collect();
-        let mut hosted: Vec<Vec<usize>> = vec![Vec::new(); m];
-        for (i, j) in host.iter().enumerate() {
-            hosted[j.expect("fresh placement")].push(i);
-        }
+        // The run's arrays are allocated in this order, and the class
+        // counters last: the order decides where they sit in the
+        // allocator's heap, and so whether the memory a finished run
+        // frees holds one hole the size of the fleet (DESIGN.md §8,
+        // "What a paper-density run holds").
+        let vm_violation_steps = vec![0usize; n];
+        let fs = FaultState::new(n, m);
+        let vio_steps = vec![0usize; m];
+        let observed = vec![0.0f64; m];
+        let indexes = PmIndexes::new(&loads, vec![0usize; m], 0);
         // Class-aggregated layout only: build the (PM, class) counters
         // from the initial placement. A no-op for the other layouts.
-        core.class_init(&host);
-        let loads: Vec<PmLoad> = hosted
-            .iter()
-            .map(|vs| PmLoad::rebuild(vs.iter().map(|&i| &self.vms[i])))
-            .collect();
+        core.class_init(&members);
 
         RunState {
             core,
             fault_process,
-            host,
-            hosted,
-            fs: FaultState::new(n, m),
-            vio_steps: vec![0usize; m],
+            members,
+            fs,
+            vio_steps,
             migrations: Vec::new(),
             failed_migrations: 0,
             retried_migrations: 0,
             pms_used_series: TimeSeries::new(0.0, SIGMA_SECS),
             peak_pms_used: 0,
             total_violation_steps: 0,
-            vm_violation_steps: vec![0usize; n],
+            vm_violation_steps,
             energy: 0.0,
-            observed: vec![0.0f64; m],
+            observed,
             next_step: 0,
-            indexes: PmIndexes::new(&loads, vec![0usize; m], 0),
+            indexes,
             loads,
             overloaded: Vec::new(),
         }
@@ -877,8 +868,7 @@ impl<'a> Simulator<'a> {
         let RunState {
             core,
             fault_process,
-            host,
-            hosted,
+            members,
             loads,
             fs,
             vio_steps,
@@ -909,8 +899,8 @@ impl<'a> Simulator<'a> {
                             fs.recovery.crashes += 1;
                             fs.pm_up[e.pm] = false;
                             fs.pm_overflow[e.pm] = 0;
-                            core.pm_crashed(e.pm, &hosted[e.pm]);
-                            let evicted = std::mem::take(&mut hosted[e.pm]);
+                            let evicted = members.evict_all(e.pm);
+                            core.pm_crashed(e.pm, &evicted);
                             loads[e.pm] = PmLoad::empty();
                             observed[e.pm] = 0.0;
                             indexes.pm_changed(self, e.pm, loads, observed, &fs.pm_up);
@@ -934,7 +924,6 @@ impl<'a> Simulator<'a> {
                             });
                             fs.stranded += evicted.len();
                             for &i in &evicted {
-                                host[i] = None;
                                 fs.crash_of_vm[i] = Some(record);
                                 fs.vm_degraded[i] = false;
                             }
@@ -960,7 +949,7 @@ impl<'a> Simulator<'a> {
                 if !displaced.is_empty() && !fs.retry_queue.is_empty() {
                     let queue = std::mem::take(&mut fs.retry_queue);
                     for r in queue {
-                        if r.cause == RetryCause::Overload && host[r.vm].is_none() {
+                        if r.cause == RetryCause::Overload && members.host(r.vm).is_none() {
                             fs.in_retry[r.vm] = false;
                             self.cancel_retry(step, r.vm, rec);
                         } else {
@@ -971,7 +960,7 @@ impl<'a> Simulator<'a> {
                 if !displaced.is_empty() {
                     rec.record_value(HistId::EvacuationBatchSize, displaced.len() as u64);
                     let unplaced = self.evacuate_displaced(
-                        step, &displaced, core, host, hosted, loads, observed, fs, indexes, rec,
+                        step, &displaced, core, members, loads, observed, fs, indexes, rec,
                     );
                     for i in unplaced {
                         let from_pm = fs.crash_records
@@ -1006,14 +995,15 @@ impl<'a> Simulator<'a> {
             //    fault and migration decisions. Draw order and summation
             //    order per layout are the core's determinism contract
             //    (DESIGN.md §8).
-            core.step(step as u64, host, hosted, observed);
+            core.step(step as u64, members, observed);
             #[cfg(test)]
             {
                 // Every engine test doubles as a differential test of
                 // the derived state: the shared core's per-PM sums
                 // against a from-scratch accumulation, the occupied set
-                // against the scan it replaced.
-                core.assert_observed_is_full_accumulation(host, observed);
+                // against the scan it replaced, each member list's
+                // length against its PM's load.
+                core.assert_observed_is_full_accumulation(members, observed);
                 assert!(
                     indexes
                         .occupied
@@ -1022,6 +1012,13 @@ impl<'a> Simulator<'a> {
                     "occupied set stale at step {step}"
                 );
                 assert_eq!(indexes.occupied.len(), indexes.occupied.iter().count());
+                for (j, load) in loads.iter().enumerate() {
+                    assert_eq!(
+                        members.iter(j).count(),
+                        load.count,
+                        "PM {j}'s list against its load at step {step}"
+                    );
+                }
             }
             // The ledger follows `observed`: the core wrote exactly the
             // entries that anyone has written since the last update.
@@ -1056,7 +1053,7 @@ impl<'a> Simulator<'a> {
                         degraded: fs.pm_overflow[j] > 0,
                     });
                 }
-                for &i in &hosted[j] {
+                for i in members.iter(j) {
                     vm_violation_steps[i] += 1;
                 }
             }
@@ -1078,9 +1075,9 @@ impl<'a> Simulator<'a> {
                     let overload = observed[j] - self.pms[j].capacity;
                     // Class mode: re-materialize this PM's per-VM ON
                     // flags from its counters before reading them.
-                    core.class_sync_pm(j, &hosted[j]);
+                    core.class_sync_pm(j, members.iter(j));
                     let on = &core.on;
-                    let candidates = hosted[j].iter().map(|&i| (i, &self.vms[i], on[i]));
+                    let candidates = members.iter(j).map(|i| (i, &self.vms[i], on[i]));
                     let Some(victim) = pick_victim(self.config.victim_policy, candidates, overload)
                     else {
                         continue;
@@ -1098,7 +1095,7 @@ impl<'a> Simulator<'a> {
                         &fs.pm_up,
                     ) {
                         Some(target) => self.migrate(
-                            step, victim, j, target, vm_demand, false, core, host, hosted, loads,
+                            step, victim, j, target, vm_demand, false, core, members, loads,
                             observed, fs, migrations, indexes, rec,
                         ),
                         None => {
@@ -1144,7 +1141,7 @@ impl<'a> Simulator<'a> {
 
                 for e in due_overload {
                     // Displaced meanwhile: the evacuation path owns it.
-                    let Some(j) = host[e.vm] else {
+                    let Some(j) = members.host(e.vm) else {
                         self.cancel_retry(step, e.vm, rec);
                         continue;
                     };
@@ -1154,7 +1151,7 @@ impl<'a> Simulator<'a> {
                         continue; // overload cleared itself; cancel
                     }
                     let vm = &self.vms[e.vm];
-                    core.class_sync_pm(j, &hosted[j]);
+                    core.class_sync_pm(j, members.iter(j));
                     let vm_demand = vm.demand(core.on[e.vm]);
                     match self.pick_target(
                         &mut indexes.finder,
@@ -1168,7 +1165,7 @@ impl<'a> Simulator<'a> {
                     ) {
                         Some(target) => {
                             self.migrate(
-                                step, e.vm, j, target, vm_demand, true, core, host, hosted, loads,
+                                step, e.vm, j, target, vm_demand, true, core, members, loads,
                                 observed, fs, migrations, indexes, rec,
                             );
                             *retried_migrations += 1;
@@ -1204,9 +1201,9 @@ impl<'a> Simulator<'a> {
                     let vms_due: Vec<usize> = due_evac.iter().map(|e| e.vm).collect();
                     // Class mode: the limbo counters have evolved since
                     // these VMs were displaced — refresh their flags.
-                    core.class_sync_displaced(host);
+                    core.class_sync_displaced(members);
                     let unplaced = self.evacuate_displaced(
-                        step, &vms_due, core, host, hosted, loads, observed, fs, indexes, rec,
+                        step, &vms_due, core, members, loads, observed, fs, indexes, rec,
                     );
                     rec.counter_add(
                         Counter::RetryLandedEvacuation,
@@ -1231,7 +1228,7 @@ impl<'a> Simulator<'a> {
             *peak_pms_used = (*peak_pms_used).max(used);
             pms_used_series.push(used as f64);
             if fault_process.is_some() {
-                debug_assert_eq!(fs.stranded, host.iter().filter(|h| h.is_none()).count());
+                debug_assert_eq!(fs.stranded, members.displaced().count());
                 fs.recovery.stranded_vm_steps += fs.stranded;
                 rec.counter_add(Counter::StrandedVmSteps, fs.stranded as u64);
             }
@@ -1346,8 +1343,7 @@ impl<'a> Simulator<'a> {
         vm_demand: f64,
         retried: bool,
         core: &mut WorkloadCore,
-        host: &mut [Option<usize>],
-        hosted: &mut [Vec<usize>],
+        members: &mut Members,
         loads: &mut [PmLoad],
         observed: &mut [f64],
         fs: &mut FaultState,
@@ -1357,10 +1353,9 @@ impl<'a> Simulator<'a> {
     ) {
         let vm = &self.vms[victim];
         core.vm_moved(victim, Some(j), Some(target));
-        hosted[j].retain(|&i| i != victim);
-        hosted[target].push(victim);
-        host[victim] = Some(target);
-        loads[j] = PmLoad::rebuild(hosted[j].iter().map(|&i| &self.vms[i]));
+        members.leave(victim);
+        members.land(victim, target);
+        loads[j] = PmLoad::rebuild(members.iter(j).map(|i| &self.vms[i]));
         loads[target].add(vm);
         observed[j] -= vm_demand;
         observed[target] += vm_demand;
@@ -1404,8 +1399,7 @@ impl<'a> Simulator<'a> {
         step: usize,
         displaced: &[usize],
         core: &mut WorkloadCore,
-        host: &mut [Option<usize>],
-        hosted: &mut [Vec<usize>],
+        members: &mut Members,
         loads: &mut [PmLoad],
         observed: &mut [f64],
         fs: &mut FaultState,
@@ -1418,8 +1412,7 @@ impl<'a> Simulator<'a> {
             self.policy,
             false,
             core,
-            host,
-            hosted,
+            members,
             loads,
             observed,
             fs,
@@ -1431,7 +1424,7 @@ impl<'a> Simulator<'a> {
         }
         let degraded = DegradedAdmission::new(self.policy, DEGRADED_EPSILON);
         self.evacuate_pass(
-            step, &leftover, &degraded, true, core, host, hosted, loads, observed, fs, indexes, rec,
+            step, &leftover, &degraded, true, core, members, loads, observed, fs, indexes, rec,
         )
     }
 
@@ -1447,8 +1440,7 @@ impl<'a> Simulator<'a> {
         policy: &dyn RuntimePolicy,
         degraded: bool,
         core: &mut WorkloadCore,
-        host: &mut [Option<usize>],
-        hosted: &mut [Vec<usize>],
+        members: &mut Members,
         loads: &mut [PmLoad],
         observed: &mut [f64],
         fs: &mut FaultState,
@@ -1484,8 +1476,7 @@ impl<'a> Simulator<'a> {
                 return None;
             }
             core.vm_moved(i, None, Some(j));
-            hosted[j].push(i);
-            host[i] = Some(j);
+            members.land(i, j);
             loads[j].add(vm);
             observed[j] += vm_demand;
             indexes.pm_changed(self, j, loads, observed, &fs.pm_up);

@@ -31,6 +31,7 @@ mod energy;
 mod engine;
 pub mod events;
 mod faults;
+mod members;
 pub mod migration_cost;
 mod policy;
 pub mod rng;

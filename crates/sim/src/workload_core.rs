@@ -60,6 +60,7 @@
 //! [`RngLayout::ClassAggregated`]: crate::config::RngLayout::ClassAggregated
 
 use crate::config::RngLayout;
+use crate::members::Members;
 use crate::rng::binomial_table::{CacheStats, TableCache, DEFAULT_ENTRY_BUDGET};
 use crate::rng::{class_cell_key, class_hash, flip_threshold, keyed_binomial, keyed_bits};
 use bursty_workload::classes::{intern_classes, VmClass};
@@ -561,8 +562,7 @@ impl SharedState {
         &mut self,
         primed: bool,
         on: &mut [bool],
-        host: &[Option<usize>],
-        hosted: &[Vec<usize>],
+        members: &Members,
         observed: &mut [f64],
     ) -> bool {
         let Self {
@@ -592,7 +592,7 @@ impl SharedState {
         for &i in &flips[..count] {
             let i = i as usize;
             on[i] = !on[i];
-            if let Some(j) = host[i] {
+            if let Some(j) = members.host(i) {
                 dirty.mark(j);
             }
         }
@@ -602,28 +602,46 @@ impl SharedState {
         // what the one-pass accumulation computes for it — so which
         // branch runs changes no bit. Once the dirty PMs host half the
         // fleet, the one pass is the bounded way to the same sums: it
-        // reads the VMs in order and needs no member list sorted.
+        // reads the VMs in order and needs no member list sorted. The
+        // lists do not store their lengths, so the PM-by-PM re-sum
+        // counts as it goes and hands over to the one pass at that
+        // bound: it has then read under half the fleet in vain.
         let demand = |i: usize| demand_by_state[i][usize::from(on[i])];
-        let stale_vms: usize = dirty.list.iter().map(|&j| hosted[j as usize].len()).sum();
-        let all = !primed || 2 * stale_vms >= on.len();
+        let mut all = !primed;
+        let mut stale_vms = 0usize;
+        for &j in &dirty.list {
+            if all {
+                break;
+            }
+            // Fold along the list while it ascends. The list keeps
+            // arrival order (victim tie-breaking reads it), so a migrant
+            // can leave it out of VM order: then the members are sorted
+            // in a scratch and folded from `0.0` again.
+            let (mut sum, mut len, mut prev) = (0.0, 0usize, None);
+            for i in members.iter(j as usize) {
+                if prev.is_some_and(|p| p > i) {
+                    ascending.clear();
+                    ascending.extend(members.iter(j as usize));
+                    ascending.sort_unstable();
+                    len = ascending.len();
+                    sum = ascending.iter().fold(0.0, |sum, &i| sum + demand(i));
+                    break;
+                }
+                sum += demand(i);
+                len += 1;
+                prev = Some(i);
+            }
+            stale_vms += len;
+            all = 2 * stale_vms >= on.len();
+            observed[j as usize] = sum;
+        }
         if all {
             observed.fill(0.0);
-            for (i, j) in host.iter().enumerate() {
-                if let Some(j) = *j {
-                    observed[j] += demand(i);
+            for (i, &j) in members.hosts().iter().enumerate() {
+                // A displaced VM's host is past every PM.
+                if let Some(sum) = observed.get_mut(j as usize) {
+                    *sum += demand(i);
                 }
-            }
-        } else {
-            for &j in &dirty.list {
-                // `hosted[j]` keeps arrival order (victim tie-breaking
-                // reads it); a migrant can leave it non-ascending.
-                let mut members = &hosted[j as usize];
-                if !members.is_sorted() {
-                    ascending.clone_from(members);
-                    ascending.sort_unstable();
-                    members = ascending;
-                }
-                observed[j as usize] = members.iter().fold(0.0, |sum, &i| sum + demand(i));
             }
         }
         dirty.drain_into(rederived);
@@ -653,6 +671,10 @@ enum Mode {
         /// Resolved worker count (≥ 1). Purely a throughput knob.
         threads: usize,
         seed: u64,
+        /// Scratch of the sync hooks: the synced VMs as `(class, VM)`
+        /// pairs. A member list does not know its length, so a fresh
+        /// vector per sync would grow as it is filled.
+        by_class: Vec<(u32, usize)>,
     },
 }
 
@@ -780,6 +802,7 @@ impl WorkloadCore {
                     sampler: Sampler::Tables,
                     threads: requested.clamp(1, chunks),
                     seed,
+                    by_class: Vec::new(),
                 }
             }
         };
@@ -795,16 +818,10 @@ impl WorkloadCore {
     /// of hosted demands per PM. `observed` must be the buffer the
     /// previous step wrote, every caller-side write to it reported since
     /// (module docs): only stale entries are re-derived. Displaced VMs
-    /// (`host[i] == None`) still evolve — the draw sequence must not
-    /// depend on fault or migration decisions. `hosted` is the inverse
-    /// of `host` (member lists per PM); only the `Shared` arm reads it.
-    pub(crate) fn step(
-        &mut self,
-        step: u64,
-        host: &[Option<usize>],
-        hosted: &[Vec<usize>],
-        observed: &mut [f64],
-    ) {
+    /// (no host in `members`) still evolve — the draw sequence must not
+    /// depend on fault or migration decisions. Only the `Shared` arm
+    /// reads `members`.
+    pub(crate) fn step(&mut self, step: u64, members: &Members, observed: &mut [f64]) {
         let Self {
             on,
             mode,
@@ -813,7 +830,7 @@ impl WorkloadCore {
         } = self;
         match mode {
             Mode::Shared(shared) => {
-                *rederived_all = shared.step(*primed, on, host, hosted, observed);
+                *rederived_all = shared.step(*primed, on, members, observed);
             }
             Mode::ClassAggregated {
                 classes,
@@ -914,11 +931,11 @@ impl WorkloadCore {
         }
     }
 
-    /// Builds the class-aggregated counters from the initial placement
-    /// (every VM OFF, matching the all-`false` `on` vector). Must be
-    /// called once before the first [`WorkloadCore::step`] under
+    /// Builds the class-aggregated counters from the placement in
+    /// `members` (every VM OFF, matching the all-`false` `on` vector).
+    /// Must be called once before the first [`WorkloadCore::step`] under
     /// [`RngLayout::ClassAggregated`]; a no-op for the other layouts.
-    pub(crate) fn class_init(&mut self, host: &[Option<usize>]) {
+    pub(crate) fn class_init(&mut self, members: &Members) {
         let Mode::ClassAggregated {
             classes,
             class_of,
@@ -931,47 +948,31 @@ impl WorkloadCore {
             return;
         };
         self.primed = false;
-        let locations = *limbo + 1;
-        let loc_of = |h: &Option<usize>| h.unwrap_or(*limbo);
-        // Counting pass: group the VMs' class ids by location in one
-        // flat array (`starts` are the per-location write cursors), then
-        // sort each location's short run and emit one cell per distinct
-        // class straight into the location's chunk.
-        let mut starts = vec![0u32; locations + 1];
-        for h in host {
-            starts[loc_of(h) + 1] += 1;
-        }
-        for loc in 0..locations {
-            starts[loc + 1] += starts[loc];
-        }
-        let mut by_loc = vec![0u32; host.len()];
-        for (i, h) in host.iter().enumerate() {
-            let cursor = &mut starts[loc_of(h)];
-            by_loc[*cursor as usize] = class_of[i];
-            *cursor += 1;
-        }
-        // Every cursor now sits at its location's end, i.e. the next
-        // location's start.
-        let mut lo = 0usize;
+        // Location by location: sort the residents' class ids, emit one
+        // cell per distinct class into the chunk's scratch, then move
+        // the scratch's cells into an exact-capacity vector.
+        let (mut run, mut cells): (Vec<u32>, Vec<Cell>) = (Vec::new(), Vec::new());
         for (c, chunk) in chunks.iter_mut().enumerate() {
-            chunk.cells.clear();
             for l in 0..chunk.offsets.len() - 1 {
                 let loc = c * CLASS_PM_CHUNK + l;
-                let hi = starts[loc] as usize;
-                let run = &mut by_loc[lo..hi];
+                run.clear();
+                if loc == *limbo {
+                    run.extend(members.displaced().map(|i| class_of[i]));
+                } else {
+                    run.extend(members.iter(loc).map(|i| class_of[i]));
+                }
                 run.sort_unstable();
-                let first = chunk.cells.len();
-                for &class in run.iter() {
-                    match chunk.cells[first..].last_mut() {
+                let first = cells.len();
+                for &class in &run {
+                    match cells[first..].last_mut() {
                         Some(cell) if cell.class == class => cell.count += 1,
-                        _ => chunk
-                            .cells
-                            .push(Cell::new(class, 1, 0, loc, *seed, classes)),
+                        _ => cells.push(Cell::new(class, 1, 0, loc, *seed, classes)),
                     }
                 }
-                chunk.offsets[l + 1] = chunk.cells.len() as u32;
-                lo = hi;
+                chunk.offsets[l + 1] = cells.len() as u32;
             }
+            chunk.cells = Vec::with_capacity(cells.len());
+            chunk.cells.append(&mut cells);
         }
     }
 
@@ -988,39 +989,39 @@ impl WorkloadCore {
     /// indices are ON. The engine calls this before any decision that
     /// reads per-VM state (victim selection, demand queries); a no-op
     /// for the other layouts, whose `on` vector is always current.
-    pub(crate) fn class_sync_pm(&mut self, j: usize, members: &[usize]) {
-        let Self { on, mode, .. } = self;
-        let Mode::ClassAggregated {
-            class_of, chunks, ..
-        } = mode
-        else {
-            return;
-        };
-        let cells = Self::cells_at(chunks, j);
-        Self::class_assign_flags(on, class_of, cells, members.iter().copied());
-    }
-
-    /// Refreshes the `on` flags of every displaced VM (`host[i] == None`)
-    /// from the limbo-pool counters — the displaced-side counterpart of
-    /// [`WorkloadCore::class_sync_pm`], called before evacuation passes.
-    pub(crate) fn class_sync_displaced(&mut self, host: &[Option<usize>]) {
+    pub(crate) fn class_sync_pm(&mut self, j: usize, members: impl IntoIterator<Item = usize>) {
         let Self { on, mode, .. } = self;
         let Mode::ClassAggregated {
             class_of,
             chunks,
-            limbo,
+            by_class,
             ..
         } = mode
         else {
             return;
         };
-        let displaced = host
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.is_none())
-            .map(|(i, _)| i);
+        let cells = Self::cells_at(chunks, j);
+        Self::class_assign_flags(on, class_of, cells, members.into_iter(), by_class);
+    }
+
+    /// Refreshes the `on` flags of every displaced VM (no host in
+    /// `members`) from the limbo-pool counters — the displaced-side
+    /// counterpart of [`WorkloadCore::class_sync_pm`], called before
+    /// evacuation passes.
+    pub(crate) fn class_sync_displaced(&mut self, members: &Members) {
+        let Self { on, mode, .. } = self;
+        let Mode::ClassAggregated {
+            class_of,
+            chunks,
+            limbo,
+            by_class,
+            ..
+        } = mode
+        else {
+            return;
+        };
         let cells = Self::cells_at(chunks, *limbo);
-        Self::class_assign_flags(on, class_of, cells, displaced);
+        Self::class_assign_flags(on, class_of, cells, members.displaced(), by_class);
     }
 
     /// Shared flag-assignment pass of the two sync hooks: group `members`
@@ -1031,6 +1032,7 @@ impl WorkloadCore {
         class_of: &[u32],
         cells: &[Cell],
         members: impl Iterator<Item = usize>,
+        by_class: &mut Vec<(u32, usize)>,
     ) {
         if cells.is_empty() {
             return;
@@ -1038,7 +1040,8 @@ impl WorkloadCore {
         // (class, vm index) sorted: classes ascending, indices ascending
         // within a class — one pass pairs each cell with its contiguous
         // member group (cells are sorted by class too).
-        let mut by_class: Vec<(u32, usize)> = members.map(|i| (class_of[i], i)).collect();
+        by_class.clear();
+        by_class.extend(members.map(|i| (class_of[i], i)));
         by_class.sort_unstable();
         let mut pos = 0usize;
         for cell in cells {
@@ -1097,7 +1100,7 @@ impl WorkloadCore {
     /// pool.
     pub(crate) fn pm_crashed(&mut self, j: usize, members: &[usize]) {
         self.pm_stale(j);
-        self.class_sync_pm(j, members);
+        self.class_sync_pm(j, members.iter().copied());
         let Mode::ClassAggregated {
             classes,
             chunks,
@@ -1201,16 +1204,12 @@ impl WorkloadCore {
     /// PM's cells under `ClassAggregated`. This is what catches a write
     /// to `observed` the caller did not report.
     #[cfg(test)]
-    pub(crate) fn assert_observed_is_full_accumulation(
-        &self,
-        host: &[Option<usize>],
-        observed: &[f64],
-    ) {
+    pub(crate) fn assert_observed_is_full_accumulation(&self, members: &Members, observed: &[f64]) {
         let mut full = vec![0.0f64; observed.len()];
         match &self.mode {
             Mode::Shared(shared) => {
-                for (i, j) in host.iter().enumerate() {
-                    if let Some(j) = *j {
+                for i in 0..self.on.len() {
+                    if let Some(j) = members.host(i) {
                         full[j] += shared.demand_by_state[i][usize::from(self.on[i])];
                     }
                 }
@@ -1350,24 +1349,13 @@ mod tests {
             .collect()
     }
 
-    /// The per-PM member lists of `host`, ascending.
-    fn hosted_of(host: &[Option<usize>], m: usize) -> Vec<Vec<usize>> {
-        let mut hosted = vec![Vec::new(); m];
-        for (i, j) in host.iter().enumerate() {
-            if let Some(j) = *j {
-                hosted[j].push(i);
-            }
-        }
-        hosted
-    }
-
     fn run_core(core: &mut WorkloadCore, host: &[Option<usize>], m: usize, steps: u64) -> Vec<f64> {
-        let hosted = hosted_of(host, m);
+        let members = Members::from_assignment(host, m);
         let mut observed = vec![0.0; m];
         let mut trace = Vec::new();
         for step in 0..steps {
-            core.step(step, host, &hosted, &mut observed);
-            core.assert_observed_is_full_accumulation(host, &observed);
+            core.step(step, &members, &mut observed);
+            core.assert_observed_is_full_accumulation(&members, &observed);
             trace.extend_from_slice(&observed);
         }
         trace
@@ -1385,10 +1373,10 @@ mod tests {
         vms.push(VmSpec::new(n + 3, 0.5, 1.0, 2.0, 2.0));
         // PMs 9 and 10 start empty; every 11th VM is unhosted.
         let m = 11;
-        let mut host: Vec<Option<usize>> = (0..vms.len())
+        let host: Vec<Option<usize>> = (0..vms.len())
             .map(|i| (i % 11 != 5).then_some(i % 9))
             .collect();
-        let mut hosted = hosted_of(&host, m);
+        let mut members = Members::from_assignment(&host, m);
         let mut core = WorkloadCore::new(&vms, m, 99, RngLayout::Shared, 1);
 
         // Legacy loop: per-VM chain stepping off one shared StdRng, then
@@ -1406,12 +1394,12 @@ mod tests {
                 on[i] = vm.chain().step(state, &mut rng).is_on();
             }
             let mut legacy = vec![0.0; m];
-            for (i, j) in host.iter().enumerate() {
-                if let Some(j) = *j {
-                    legacy[j] += vms[i].demand(on[i]);
+            for (i, vm) in vms.iter().enumerate() {
+                if let Some(j) = members.host(i) {
+                    legacy[j] += vm.demand(on[i]);
                 }
             }
-            core.step(step, &host, &hosted, &mut observed);
+            core.step(step, &members, &mut observed);
             assert_eq!(core.on, on, "flags diverged at step {step}");
             for (j, (a, b)) in legacy.iter().zip(&observed).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "PM {j} at step {step}");
@@ -1426,26 +1414,23 @@ mod tests {
                 // migrant joins the end of the target's list, so PM 9's
                 // and PM 2's lists are no longer ascending.
                 for (i, to) in [(40usize, 9usize), (12, 9), (100, 2), (3, 2)] {
-                    let from = host[i].unwrap();
-                    core.vm_moved(i, Some(from), Some(to));
-                    hosted[from].retain(|&v| v != i);
-                    hosted[to].push(i);
-                    host[i] = Some(to);
+                    core.vm_moved(i, members.host(i), Some(to));
+                    members.leave(i);
+                    members.land(i, to);
                 }
             }
             if step == 35 {
                 // A crash empties PM 4; one displaced VM lands on PM 10.
-                core.pm_crashed(4, &hosted[4]);
-                for i in std::mem::take(&mut hosted[4]) {
-                    host[i] = None;
-                }
+                let evicted = members.evict_all(4);
+                core.pm_crashed(4, &evicted);
                 let i = 4;
                 core.vm_moved(i, None, Some(10));
-                hosted[10].push(i);
-                host[i] = Some(10);
+                members.land(i, 10);
             }
         }
-        assert!(!hosted[9].is_sorted() && !hosted[2].is_sorted());
+        for j in [9, 2] {
+            assert!(!members.iter(j).collect::<Vec<_>>().is_sorted());
+        }
     }
 
     #[test]
@@ -1457,22 +1442,22 @@ mod tests {
         let vms: Vec<VmSpec> = (0..8)
             .map(|i| VmSpec::new(i, 2f64.powi(-53), 0.5, 1.5, 7.0))
             .collect();
-        let (m, host) = (2, vec![Some(0); 8]);
-        let hosted = hosted_of(&host, m);
+        let m = 2;
+        let members = Members::from_assignment(&[Some(0); 8], m);
         for layout in [RngLayout::Shared, RngLayout::ClassAggregated] {
             for reported in [true, false] {
                 let mut core = WorkloadCore::new(&vms, m, 5, layout, 1);
-                core.class_init(&host);
+                core.class_init(&members);
                 let mut observed = vec![0.0; m];
-                core.step(0, &host, &hosted, &mut observed);
-                core.assert_observed_is_full_accumulation(&host, &observed);
+                core.step(0, &members, &mut observed);
+                core.assert_observed_is_full_accumulation(&members, &observed);
                 observed[1] += 1.0;
                 if reported {
                     core.pm_stale(1);
                 }
-                core.step(1, &host, &hosted, &mut observed);
+                core.step(1, &members, &mut observed);
                 let check = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    core.assert_observed_is_full_accumulation(&host, &observed)
+                    core.assert_observed_is_full_accumulation(&members, &observed)
                 }));
                 assert_eq!(check.is_ok(), reported, "{layout:?}, reported: {reported}");
             }
@@ -1547,7 +1532,7 @@ mod tests {
             let mut reference = None;
             for threads in [1usize, 2, 8] {
                 let mut core = WorkloadCore::new(&vms, m, 7, RngLayout::ClassAggregated, threads);
-                core.class_init(&host);
+                core.class_init(&Members::from_assignment(&host, m));
                 let trace = run_core(&mut core, &host, m, 12);
                 let bits: Vec<u64> = trace.iter().map(|v| v.to_bits()).collect();
                 match &reference {
@@ -1572,13 +1557,13 @@ mod tests {
             .map(|i| (i % 13 != 0).then_some(i % m))
             .collect();
         let mut fwd = WorkloadCore::new(&vms, m, 3, RngLayout::ClassAggregated, 1);
-        fwd.class_init(&host);
+        fwd.class_init(&Members::from_assignment(&host, m));
         let trace_fwd = run_core(&mut fwd, &host, m, 30);
 
         let vms_rev: Vec<VmSpec> = vms.iter().rev().cloned().collect();
         let host_rev: Vec<Option<usize>> = host.iter().rev().copied().collect();
         let mut rev = WorkloadCore::new(&vms_rev, m, 3, RngLayout::ClassAggregated, 1);
-        rev.class_init(&host_rev);
+        rev.class_init(&Members::from_assignment(&host_rev, m));
         let trace_rev = run_core(&mut rev, &host_rev, m, 30);
 
         for (a, b) in trace_fwd.iter().zip(&trace_rev) {
@@ -1593,14 +1578,14 @@ mod tests {
         // r_b = 1, r_e = 1 makes the observed demand k + ON count.
         let k = 50usize;
         let vms: Vec<VmSpec> = (0..k).map(|i| VmSpec::new(i, 0.3, 0.2, 1.0, 1.0)).collect();
-        let host: Vec<Option<usize>> = vec![Some(0); k];
+        let members = Members::from_assignment(&vec![Some(0); k], 1);
         let mut core = WorkloadCore::new(&vms, 1, 11, RngLayout::ClassAggregated, 1);
-        core.class_init(&host);
+        core.class_init(&members);
         let mut observed = vec![0.0; 1];
         let steps = 6000u64;
         let (mut sum, mut sum_sq) = (0.0, 0.0);
         for step in 0..steps {
-            core.step(step, &host, &[], &mut observed);
+            core.step(step, &members, &mut observed);
             let n_on = observed[0] - k as f64;
             sum += n_on;
             sum_sq += n_on * n_on;
@@ -1626,37 +1611,33 @@ mod tests {
             .collect();
         let run = |cached: bool| {
             let mut core = WorkloadCore::new(&vms, m, 13, RngLayout::ClassAggregated, 1);
+            let mut members = Members::from_assignment(&host, m);
             core.set_cached_sampler(cached);
-            core.class_init(&host);
-            let mut host = host.clone();
+            core.class_init(&members);
             let mut observed = vec![0.0; m];
             let mut trace = Vec::new();
             for step in 0..60u64 {
-                core.step(step, &host, &[], &mut observed);
-                core.assert_observed_is_full_accumulation(&host, &observed);
+                core.step(step, &members, &mut observed);
+                core.assert_observed_is_full_accumulation(&members, &observed);
                 trace.extend(observed.iter().map(|v| v.to_bits()));
                 if step == 20 {
                     // Move a few hosted VMs to their neighbouring PM.
                     for &i in &[1usize, 7, 14] {
-                        let members: Vec<usize> =
-                            (0..vms.len()).filter(|&v| host[v] == host[i]).collect();
-                        core.class_sync_pm(host[i].unwrap(), &members);
-                        let to = host[i].map(|j| (j + 1) % m);
-                        core.vm_moved(i, host[i], to);
-                        host[i] = to;
+                        let from = members.host(i).unwrap();
+                        core.class_sync_pm(from, members.iter(from));
+                        let to = (from + 1) % m;
+                        core.vm_moved(i, Some(from), Some(to));
+                        members.leave(i);
+                        members.land(i, to);
                     }
                 }
                 if step == 40 {
                     // Crash PM 3: everyone there merges into limbo.
-                    let members: Vec<usize> =
-                        (0..vms.len()).filter(|&v| host[v] == Some(3)).collect();
-                    core.pm_crashed(3, &members);
-                    for &i in &members {
-                        host[i] = None;
-                    }
+                    let evicted = members.evict_all(3);
+                    core.pm_crashed(3, &evicted);
                 }
             }
-            core.class_sync_displaced(&host);
+            core.class_sync_displaced(&members);
             (trace, core.on.clone())
         };
         let (trace_walk, on_walk) = run(false);
@@ -1677,11 +1658,12 @@ mod tests {
             .collect();
         let mut reference = None;
         for threads in [1usize, 3, 8] {
+            let members = Members::from_assignment(&host, m);
             let mut core = WorkloadCore::new(&vms, m, 7, RngLayout::ClassAggregated, threads);
-            core.class_init(&host);
+            core.class_init(&members);
             let mut observed = vec![0.0; m];
             for step in 0..10u64 {
-                core.step(step, &host, &[], &mut observed);
+                core.step(step, &members, &mut observed);
             }
             let stats = core.class_cache_stats().unwrap();
             assert!(stats.hits > 0, "steady state must hit the cache");
@@ -1700,12 +1682,13 @@ mod tests {
         let m = 4;
         let vms = class_fleet(60);
         let host: Vec<Option<usize>> = (0..vms.len()).map(|i| Some(i % m)).collect();
+        let members = Members::from_assignment(&host, m);
         let mut core = WorkloadCore::new(&vms, m, 5, RngLayout::ClassAggregated, 1);
         core.set_cached_sampler(false);
-        core.class_init(&host);
+        core.class_init(&members);
         let mut observed = vec![0.0; m];
         for step in 0..10u64 {
-            core.step(step, &host, &[], &mut observed);
+            core.step(step, &members, &mut observed);
         }
         assert_eq!(
             core.class_cache_stats(),
@@ -1721,14 +1704,15 @@ mod tests {
         let m = 2;
         let vms = class_fleet(30);
         let host: Vec<Option<usize>> = (0..vms.len()).map(|i| Some(i % m)).collect();
+        let placed = Members::from_assignment(&host, m);
         let mut core = WorkloadCore::new(&vms, m, 5, RngLayout::ClassAggregated, 1);
-        core.class_init(&host);
+        core.class_init(&placed);
         let mut observed = vec![0.0; m];
         for step in 0..20 {
-            core.step(step, &host, &[], &mut observed);
+            core.step(step, &placed, &mut observed);
         }
-        let members: Vec<usize> = (0..vms.len()).filter(|i| i % m == 0).collect();
-        core.class_sync_pm(0, &members);
+        let members: Vec<usize> = placed.iter(0).collect();
+        core.class_sync_pm(0, members.iter().copied());
         // Flag-sum == counter-sum: the demand implied by the synced
         // per-VM flags must reproduce the counter-computed observed load
         // (same addends, possibly different grouping — so approximate).
@@ -1748,7 +1732,7 @@ mod tests {
         for &i in &members {
             core.vm_moved(i, Some(1), Some(0));
         }
-        core.class_sync_pm(0, &members);
+        core.class_sync_pm(0, members.iter().copied());
         let on_after: Vec<bool> = members.iter().map(|&i| core.on[i]).collect();
         assert_eq!(on_before, on_after);
     }
@@ -1760,26 +1744,26 @@ mod tests {
         let host: Vec<Option<usize>> = (0..vms.len())
             .map(|i| (i % 13 != 0).then_some(i % m))
             .collect();
-        let hosted = hosted_of(&host, m);
+        let members = Members::from_assignment(&host, m);
         for layout in [RngLayout::Shared, RngLayout::ClassAggregated] {
             let mut a = WorkloadCore::new(&vms, m, 42, layout, 1);
-            a.class_init(&host);
+            a.class_init(&members);
             let mut observed = vec![0.0; m];
             for step in 0..40 {
-                a.step(step, &host, &hosted, &mut observed);
+                a.step(step, &members, &mut observed);
             }
             // Rebuild a fresh core from specs, then restore the evolving
             // state — exactly what checkpoint load does.
             let mut b = WorkloadCore::new(&vms, m, 42, layout, 1);
-            b.class_init(&host);
+            b.class_init(&members);
             b.restore_mode(a.snapshot_mode()).unwrap();
             b.on.copy_from_slice(&a.on);
             // `a` keeps the buffer its sums are carried in; the restored,
             // unprimed `b` derives every entry and may take any.
             let mut ob = vec![f64::NAN; m];
             for step in 40..70 {
-                a.step(step, &host, &hosted, &mut observed);
-                b.step(step, &host, &hosted, &mut ob);
+                a.step(step, &members, &mut observed);
+                b.step(step, &members, &mut ob);
                 for (x, y) in observed.iter().zip(&ob) {
                     assert_eq!(
                         x.to_bits(),
@@ -1799,20 +1783,21 @@ mod tests {
         let m = 7;
         let vms = class_fleet(150);
         let host: Vec<Option<usize>> = (0..vms.len()).map(|i| Some(i % m)).collect();
+        let members = Members::from_assignment(&host, m);
         let mut core = WorkloadCore::new(&vms, m, 42, RngLayout::ClassAggregated, 1);
-        core.class_init(&host);
+        core.class_init(&members);
         let at_5 = run_core(&mut core, &host, m, 5);
         let snap = core.snapshot_mode();
         let mut observed = vec![0.0; m];
         for step in 5..30 {
-            core.step(step, &host, &[], &mut observed);
+            core.step(step, &members, &mut observed);
         }
         core.restore_mode(snap).unwrap();
-        core.step(5, &host, &[], &mut observed);
-        core.assert_observed_is_full_accumulation(&host, &observed);
+        core.step(5, &members, &mut observed);
+        core.assert_observed_is_full_accumulation(&members, &observed);
 
         let rotated: Vec<Option<usize>> = (0..vms.len()).map(|i| Some((i + 1) % m)).collect();
-        core.class_init(&rotated);
+        core.class_init(&Members::from_assignment(&rotated, m));
         assert_eq!(run_core(&mut core, &rotated, m, 5).len(), at_5.len());
     }
 
@@ -1825,7 +1810,7 @@ mod tests {
             .restore_mode(CoreSnapshot::Shared([0, 0, 0, 0]))
             .is_err());
         let mut class = WorkloadCore::new(&vms, 3, 1, RngLayout::ClassAggregated, 1);
-        class.class_init(&host);
+        class.class_init(&Members::from_assignment(&host, 3));
         let CoreSnapshot::ClassAggregated(good) = class.snapshot_mode() else {
             panic!("wrong snapshot variant");
         };
@@ -1866,15 +1851,15 @@ mod tests {
     #[test]
     fn displaced_vms_keep_evolving_without_contributing_demand() {
         let vms = fleet(40);
-        let host = vec![None; vms.len()];
+        let members = Members::new(vms.len(), 3);
         for layout in [RngLayout::Shared, RngLayout::ClassAggregated] {
             let mut core = WorkloadCore::new(&vms, 3, 1, layout, 1);
-            core.class_init(&host);
+            core.class_init(&members);
             let mut observed = vec![1.0; 3];
             for step in 0..10 {
-                core.step(step, &host, &[], &mut observed);
+                core.step(step, &members, &mut observed);
             }
-            core.class_sync_displaced(&host);
+            core.class_sync_displaced(&members);
             assert!(observed.iter().all(|&o| o == 0.0));
             assert!(
                 core.on.iter().any(|&b| b),
@@ -1939,7 +1924,7 @@ mod tests {
                 let mut core = WorkloadCore::new(vms, m, 17, RngLayout::ClassAggregated, threads);
                 core.set_entry_budget(budget);
                 core.set_sampler(sampler);
-                core.class_init(host);
+                core.class_init(&Members::from_assignment(host, m));
                 core
             };
             Self {
@@ -1962,10 +1947,11 @@ mod tests {
             from: Option<usize>,
             to: Option<usize>,
         ) {
-            let members = members_at(host, from);
+            let m = self.observed[0].len();
+            let placed = Members::from_assignment(host, m);
             self.edit(|core| match from {
-                Some(j) => core.class_sync_pm(j, &members),
-                None => core.class_sync_displaced(host),
+                Some(j) => core.class_sync_pm(j, placed.iter(j)),
+                None => core.class_sync_displaced(&placed),
             });
             for &i in vms {
                 assert_eq!(host[i], from);
@@ -1977,9 +1963,10 @@ mod tests {
         /// Steps both cores and compares every cell's counters, every
         /// observed sum and the cache counters.
         fn step(&mut self, step: u64, host: &[Option<usize>]) {
+            let members = Members::from_assignment(host, self.observed[0].len());
             for (core, observed) in self.cores.iter_mut().zip(&mut self.observed) {
-                core.step(step, host, &[], observed);
-                core.assert_observed_is_full_accumulation(host, observed);
+                core.step(step, &members, observed);
+                core.assert_observed_is_full_accumulation(&members, observed);
             }
             let cells = |core: &WorkloadCore| match core.snapshot_mode() {
                 CoreSnapshot::ClassAggregated(locs) => locs,
@@ -2113,7 +2100,8 @@ mod tests {
             for step in 10..20 {
                 pair.step(step, &host);
             }
-            pair.edit(|core| core.class_init(&rotated));
+            let rotated_members = Members::from_assignment(&rotated, PAIR_PMS);
+            pair.edit(|core| core.class_init(&rotated_members));
             for step in 20..30 {
                 pair.step(step, &rotated);
             }
