@@ -28,8 +28,9 @@
 //! arrival, one sample per batch (the admit percentiles spread each batch
 //! over its members).
 //!
-//! Both engines replay the *same* program, so their final states must be
-//! bit-identical; the bench always exits nonzero if hosts, loads or used-PM
+//! Both engines replay the *same* program, driven through the one
+//! [`OnlineEngine`] trait with the recorder off, so their final states
+//! must be bit-identical; the bench always exits nonzero if hosts, loads or used-PM
 //! counts disagree. `--gate-speedup X` additionally requires the SoA
 //! engine's sustained churn throughput to beat the reference by at least
 //! `X`× at the largest fleet size. Rows of both sections (`admit`,
@@ -39,11 +40,11 @@
 //! in front of this run's, which is how the checked-in file holds a
 //! parent and a change row per engine and fleet (copy `crates/bench/src`
 //! into a clone of the parent commit and run it there first; it uses the
-//! public API only). A flag that is not declared above, given twice,
+//! public API only, and needs a parent that has [`OnlineEngine`]). A flag that is not declared above, given twice,
 //! without a value or with an unparsable one exits 2.
 
 use bursty_bench::{quantile_ns, timed, write_report, Before, Flags, Obj, ToJson};
-use bursty_core::placement::PackError;
+use bursty_core::placement::OnlineEngine;
 use bursty_core::prelude::*;
 use bursty_server::Json;
 use rand::rngs::StdRng;
@@ -152,65 +153,6 @@ fn build_program(
     }
 }
 
-/// Uniform driver over the two engines so the replay loop is written once.
-enum Engine {
-    Soa(OnlineCluster),
-    Reference(ReferenceOnlineCluster),
-}
-
-impl Engine {
-    fn name(&self) -> &'static str {
-        match self {
-            Engine::Soa(_) => "soa",
-            Engine::Reference(_) => "reference",
-        }
-    }
-
-    fn arrive(&mut self, vm: VmSpec) -> Result<usize, PackError> {
-        match self {
-            Engine::Soa(c) => c.arrive(vm),
-            Engine::Reference(c) => c.arrive(vm),
-        }
-    }
-
-    fn depart(&mut self, vm_id: usize) -> Option<usize> {
-        match self {
-            Engine::Soa(c) => c.depart(vm_id),
-            Engine::Reference(c) => c.depart(vm_id),
-        }
-    }
-
-    fn arrive_batch(&mut self, batch: Vec<VmSpec>) -> Result<Vec<(usize, usize)>, PackError> {
-        match self {
-            Engine::Soa(c) => c.arrive_batch(batch),
-            Engine::Reference(c) => c.arrive_batch(batch),
-        }
-    }
-
-    fn recalibrate(&mut self) -> Option<(f64, f64)> {
-        match self {
-            Engine::Soa(c) => c.recalibrate(),
-            Engine::Reference(c) => c.recalibrate(),
-        }
-    }
-
-    fn check_consistency(&self) -> Result<(), String> {
-        match self {
-            Engine::Soa(c) => c.check_consistency(),
-            Engine::Reference(c) => c.check_consistency(),
-        }
-    }
-
-    /// The engine's library [`StateDigest`] — lets the bench compare end
-    /// states without holding both engines in memory at once.
-    fn state_digest(&self) -> StateDigest {
-        match self {
-            Engine::Soa(c) => c.state_digest(),
-            Engine::Reference(c) => c.state_digest(),
-        }
-    }
-}
-
 /// Per-op latency record. Keeps every amortized per-op sample (a few tens
 /// of thousands per run — small enough to hold exactly) so the reported
 /// percentiles are true order statistics in nanoseconds, not `Log2Histogram`
@@ -269,16 +211,17 @@ impl LatencyStats {
 /// Warms the engine to the initial fleet and replays the program with
 /// per-op timing; returns the engine's `admit` row, its churn ops/sec and
 /// its end-state digest.
-fn run_engine(
+fn run_engine<E: OnlineEngine>(
     commit: &str,
-    mut engine: Engine,
+    name: &str,
+    mut engine: E,
     initial: Vec<VmSpec>,
     program: &Program,
     m: usize,
 ) -> (Json, f64, StateDigest) {
     let n = initial.len();
-    let name = engine.name();
-    let (warmed, warmup_secs) = timed(|| engine.arrive_batch(initial));
+    let rec = &mut NoopRecorder;
+    let (warmed, warmup_secs) = timed(|| engine.arrive_batch(initial, rec));
     warmed.unwrap_or_else(|e| panic!("{name}: warm-up fleet does not fit (VM {})", e.vm_id));
 
     let mut admit = LatencyStats::new();
@@ -291,7 +234,7 @@ fn run_engine(
             ChurnOp::Departs(victims) => {
                 for &id in victims {
                     let t = Instant::now();
-                    let host = engine.depart(id);
+                    let host = engine.depart(id, rec);
                     depart.record(t.elapsed().as_nanos(), 1);
                     assert!(host.is_some(), "{name}: departing VM {id} not found");
                 }
@@ -299,7 +242,7 @@ fn run_engine(
             ChurnOp::Batch(vms) => {
                 let members = vms.len() as u64;
                 let t = Instant::now();
-                let placed = engine.arrive_batch(vms.clone());
+                let placed = engine.arrive_batch(vms.clone(), rec);
                 let elapsed = t.elapsed().as_nanos();
                 admit.record(elapsed, members);
                 batch.record(elapsed, 1);
@@ -308,18 +251,18 @@ fn run_engine(
             }
             ChurnOp::Single { victim, vm } => {
                 let t = Instant::now();
-                let host = engine.depart(*victim);
+                let host = engine.depart(*victim, rec);
                 depart.record(t.elapsed().as_nanos(), 1);
                 assert!(host.is_some(), "{name}: departing VM {victim} not found");
                 let t = Instant::now();
-                let placed = engine.arrive(*vm);
+                let placed = engine.arrive(*vm, rec);
                 admit.record(t.elapsed().as_nanos(), 1);
                 placed
                     .unwrap_or_else(|e| panic!("{name}: single arrival rejected (VM {})", e.vm_id));
             }
             ChurnOp::Recalibrate => {
                 let t = Instant::now();
-                let pair = engine.recalibrate();
+                let pair = engine.recalibrate(rec);
                 recal.record(t.elapsed().as_nanos(), 1);
                 assert!(pair.is_some(), "{name}: recalibrated an empty cluster");
             }
@@ -413,11 +356,18 @@ fn main() {
 
         // Engines run one at a time (digests carry the comparison) so the
         // 1M-VM size never holds two full clusters in memory.
-        let reference = Engine::Reference(ReferenceOnlineCluster::new(pms.clone(), D, RHO));
-        let (ref_row, ref_ops_per_sec, ref_digest) =
-            run_engine(&commit, reference, initial.clone(), &program, m);
-        let soa = Engine::Soa(OnlineCluster::new(pms, D, P_ON, P_OFF, RHO));
-        let (soa_row, soa_ops_per_sec, soa_digest) = run_engine(&commit, soa, initial, &program, m);
+        let reference = ReferenceOnlineCluster::new(pms.clone(), D, RHO);
+        let (ref_row, ref_ops_per_sec, ref_digest) = run_engine(
+            &commit,
+            "reference",
+            reference,
+            initial.clone(),
+            &program,
+            m,
+        );
+        let soa = OnlineCluster::new(pms, D, P_ON, P_OFF, RHO);
+        let (soa_row, soa_ops_per_sec, soa_digest) =
+            run_engine(&commit, "soa", soa, initial, &program, m);
 
         let agree = ref_digest == soa_digest;
         if !agree {

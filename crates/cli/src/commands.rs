@@ -4,9 +4,10 @@ use crate::parse::Args;
 use crate::traces::{fit_dir, read_trace, FIT_CONFIDENCE};
 use crate::{err, CliError};
 use bursty_core::metrics::Log2Histogram;
-use bursty_core::placement::certify_exact;
+use bursty_core::placement::{certify_exact, PackError};
 use bursty_core::prelude::*;
 use bursty_core::workload::analysis;
+use bursty_server::{apply_op, Applied};
 use std::io::Write;
 use std::path::Path;
 
@@ -581,184 +582,91 @@ pub fn trace_report(args: &[String], out: &mut dyn Write) -> Result<(), CliError
     Ok(())
 }
 
-/// A tiny deterministic LCG (Knuth MMIX constants) so the replay driver
-/// needs no RNG dependency; quality only has to be good enough to spread
-/// churn across the fleet.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next_mod(&mut self, m: usize) -> usize {
-        self.0 = self
-            .0
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        (self.0 >> 33) as usize % m.max(1)
-    }
-}
-
-/// `bursty online-replay --vms N [--pms M] [--ops K] [--batch-every B]
-/// [--batch-size S] [--recal-every R] [--pattern ..]
+/// `bursty online-replay --vms N [--pms M] [--ops K] [--pattern ..]
 /// [--d D] [--seed S] [--p-on P] [--p-off P] [--rho R] [--trace-out FILE]`
 ///
-/// Warms an [`OnlineCluster`] to an `N`-VM Table-I fleet, then replays a
-/// seeded churn program: alternating single departures and arrivals, a
-/// class-heavy batch arrival every `--batch-every` ops, a recalibration
-/// every `--recal-every` ops. Reports sustained throughput and per-op
-/// p50/p99 latency.
+/// The engine-direct half of `serve-replay`: warms an [`OnlineCluster`]
+/// to the fleet `serve` builds from the same flags, then replays
+/// `serve-replay`'s program ([`bursty_server::build_program`] of `(seed,
+/// K, N)`: single admits, a departure every third op, a 12-VM batch every
+/// 64 ops, a recalibration every 256), each op timed through
+/// [`apply_op`]. Its `digest:` equals the `digest match:` that
+/// `serve-replay` prints for the same flags. Reports sustained throughput
+/// and per-op p50/p99 latency.
 ///
 /// `--trace-out <file>` attaches a [`MemoryRecorder`] and writes the
 /// journal — [`Event::Admission`], [`Event::OnlineDeparture`] and
 /// [`Event::Recalibration`] with the op index as `step` — plus the
 /// per-op latency histograms, as JSONL digestible by `trace-report`.
 pub fn online_replay(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(
-        args,
-        &[
-            "vms",
-            "pms",
-            "ops",
-            "batch-every",
-            "batch-size",
-            "recal-every",
-            "pattern",
-            "d",
-            "seed",
-            "p-on",
-            "p-off",
-            "rho",
-            "trace-out",
-        ],
-        &[],
-    )?;
-    let n = args.require_usize("vms")?;
-    if n == 0 {
+    let mut flags = SERVE_FLEET_FLAGS.to_vec();
+    flags.extend(["ops", "trace-out"]);
+    let args = Args::parse(args, &flags, &[])?;
+    if args.require_usize("vms")? == 0 {
         return Err(err("--vms must be at least 1"));
     }
-    let m = args.get_usize("pms")?.unwrap_or(n);
+    let fleet = serve_fleet(&args)?;
     let ops = args.get_usize("ops")?.unwrap_or(1024);
-    let batch_every = args.get_usize("batch-every")?.unwrap_or(64);
-    let batch_size = args.get_usize("batch-size")?.unwrap_or(32);
-    let recal_every = args.get_usize("recal-every")?.unwrap_or(256);
-    let d = args.get_usize("d")?.unwrap_or(16);
-    if d == 0 {
-        return Err(err("--d must be at least 1"));
-    }
-    let seed = args.get_usize("seed")?.unwrap_or(42) as u64;
-    let (p_on, p_off, rho) = probabilities(&args)?;
-    let pattern = workload_pattern(&args)?;
     let trace_out = args.get_str("trace-out");
 
-    let mut gen = FleetGenerator::new(seed);
-    let initial = gen.vms_table_i(n, pattern);
-    let pms = gen.pms(m);
-    let rows: Vec<(f64, f64)> = TABLE_I
-        .iter()
-        .filter(|r| r.pattern == pattern)
-        .map(|r| (r.r_b.resource_units(), r.r_e.resource_units()))
-        .collect();
-    let mut cluster = OnlineCluster::new(pms, d, p_on, p_off, rho);
+    let m = fleet.pms.len();
+    let mut cluster = OnlineCluster::new(fleet.pms, fleet.d, fleet.p_on, fleet.p_off, fleet.rho);
     let mut rec = trace_out.map(|_| MemoryRecorder::new(65_536));
+    let warm = cluster.arrive_batch_each(fleet.initial, &mut NoopRecorder, |_, _| {});
+    warm.map_err(|PackError { vm_id }| err(format!("fleet VM {vm_id} does not fit: add PMs")))?;
 
-    let warm = cluster.arrive_batch_each(initial, &mut NoopRecorder, |_, _| {});
-    warm.map_err(|e| {
-        err(format!(
-            "initial fleet does not fit (VM {}) — add PMs",
-            e.vm_id
-        ))
-    })?;
-
-    // Seeded churn: membership and specs derive only from the RNG, so a
-    // replay with the same flags reproduces the trace byte for byte.
-    let mut rng = Lcg(seed ^ 0x5851_f42d_4c95_7f2d);
-    let mut live: Vec<usize> = (0..n).collect();
-    let mut next_id = n;
+    let program = bursty_server::build_program(fleet.seed, ops, fleet.n);
+    let total = program.ops.len();
     let mut admit_hist = Log2Histogram::new(Log2Histogram::MAX_BUCKETS);
     let mut depart_hist = Log2Histogram::new(Log2Histogram::MAX_BUCKETS);
-    let mut recals = 0usize;
-    let mut admissions = 0usize;
-    let mut departures = 0usize;
+    let (mut admissions, mut departures, mut recals, mut refused) = (0, 0, 0, 0);
+    let mut placed = Vec::new();
     let start = std::time::Instant::now();
-    for step in 0..ops as u64 {
-        let t = step as usize;
-        if recal_every > 0 && t % recal_every == recal_every - 1 {
-            let started = std::time::Instant::now();
-            let pair = match rec.as_mut() {
-                Some(r) => cluster.recalibrate_recorded(r),
-                None => cluster.recalibrate(),
-            };
-            let nanos = started.elapsed().as_nanos() as u64;
-            recals += 1;
-            if let (Some((p_on, p_off)), Some(r)) = (pair, rec.as_mut()) {
-                r.record_value(HistId::OnlineRecalibrateNanos, nanos);
-                r.record_event(Event::Recalibration { step, p_on, p_off });
-            }
-        } else if batch_every > 0 && t % batch_every == batch_every - 1 {
-            let batch: Vec<VmSpec> = (0..batch_size)
-                .map(|_| {
-                    let (r_b, r_e) = rows[rng.next_mod(rows.len())];
-                    let vm = VmSpec::new(next_id, p_on, p_off, r_b, r_e);
-                    next_id += 1;
-                    vm
-                })
-                .collect();
-            live.extend(batch.iter().map(|vm| vm.id));
-            let started = std::time::Instant::now();
-            let placed = match rec.as_mut() {
-                Some(r) => cluster.arrive_batch_recorded(batch, r),
-                None => cluster.arrive_batch(batch),
-            }
-            .map_err(|e| err(format!("batch arrival rejected (VM {})", e.vm_id)))?;
-            let nanos = started.elapsed().as_nanos() / placed.len().max(1) as u128;
-            admissions += placed.len();
-            for &(vm, pm) in &placed {
-                admit_hist.record(nanos as u64);
+    for (step, op) in program.ops.into_iter().enumerate() {
+        let step = step as u64;
+        let started = std::time::Instant::now();
+        let applied = match rec.as_mut() {
+            Some(r) => apply_op(&mut cluster, op, r),
+            None => apply_op(&mut cluster, op, &mut NoopRecorder),
+        };
+        let nanos = started.elapsed().as_nanos() as u64;
+        match applied {
+            Some(Applied::Admitted { id, host }) => placed.push((id, host)),
+            Some(Applied::AdmittedBatch(vms)) => placed.extend(vms),
+            Some(Applied::Departed { id, host }) => {
+                departures += 1;
+                depart_hist.record(nanos);
                 if let Some(r) = rec.as_mut() {
-                    r.record_value(HistId::OnlineAdmitNanos, nanos as u64);
-                    r.record_event(Event::Admission {
+                    r.record_value(HistId::OnlineDepartNanos, nanos);
+                    r.record_event(Event::OnlineDeparture {
                         step,
-                        vm,
-                        pm,
-                        degraded: false,
+                        vm: id,
+                        pm: host,
                     });
                 }
             }
-        } else if t.is_multiple_of(2) && !live.is_empty() {
-            let vm = live.swap_remove(rng.next_mod(live.len()));
-            let started = std::time::Instant::now();
-            let pm = match rec.as_mut() {
-                Some(r) => cluster.depart_recorded(vm, r),
-                None => cluster.depart(vm),
+            Some(Applied::Recalibrated { p_on, p_off }) => {
+                recals += 1;
+                if let Some(r) = rec.as_mut() {
+                    r.record_value(HistId::OnlineRecalibrateNanos, nanos);
+                    r.record_event(Event::Recalibration { step, p_on, p_off });
+                }
             }
-            .expect("live VM must be in the cluster");
-            let nanos = started.elapsed().as_nanos() as u64;
-            departures += 1;
-            depart_hist.record(nanos);
-            if let Some(r) = rec.as_mut() {
-                r.record_value(HistId::OnlineDepartNanos, nanos);
-                r.record_event(Event::OnlineDeparture { step, vm, pm });
-            }
-        } else {
-            let (r_b, r_e) = rows[rng.next_mod(rows.len())];
-            let vm = VmSpec::new(next_id, p_on, p_off, r_b, r_e);
-            let vm_id = vm.id;
-            next_id += 1;
-            live.push(vm_id);
-            let started = std::time::Instant::now();
-            let pm = match rec.as_mut() {
-                Some(r) => cluster.arrive_recorded(vm, r),
-                None => cluster.arrive(vm),
-            }
-            .map_err(|e| err(format!("arrival rejected (VM {})", e.vm_id)))?;
-            let nanos = started.elapsed().as_nanos() as u64;
+            _ => refused += 1,
+        }
+        // A batch's members share its time.
+        let per_vm = nanos / placed.len().max(1) as u64;
+        for (vm, pm) in placed.drain(..) {
             admissions += 1;
-            admit_hist.record(nanos);
+            admit_hist.record(per_vm);
             if let Some(r) = rec.as_mut() {
-                r.record_value(HistId::OnlineAdmitNanos, nanos);
+                r.record_value(HistId::OnlineAdmitNanos, per_vm);
+                let degraded = false;
                 r.record_event(Event::Admission {
                     step,
-                    vm: vm_id,
+                    vm,
                     pm,
-                    degraded: false,
+                    degraded,
                 });
             }
         }
@@ -769,11 +677,10 @@ pub fn online_replay(args: &[String], out: &mut dyn Write) -> Result<(), CliErro
         .check_consistency()
         .map_err(|e| err(format!("post-replay consistency check failed: {e}")))?;
     writeln!(out, "digest: {:016x}", cluster.state_digest().combined())?;
-    let total = admissions + departures + recals;
     writeln!(
         out,
         "replayed {total} ops ({admissions} admissions, {departures} departures, \
-         {recals} recalibrations) in {:.1} ms — {:.0} ops/s",
+         {recals} recalibrations, {refused} refused) in {:.1} ms — {:.0} ops/s",
         elapsed * 1e3,
         total as f64 / elapsed,
     )?;
@@ -800,9 +707,9 @@ pub fn online_replay(args: &[String], out: &mut dyn Write) -> Result<(), CliErro
     Ok(())
 }
 
-/// Shared fleet-construction flags for `serve` and `serve-replay`: both
-/// sides must build the identical initial fleet for the
-/// transport-equivalence digest comparison to mean anything.
+/// Shared fleet-construction flags for `serve`, `serve-replay` and
+/// `online-replay`: every side must build the identical initial fleet
+/// for the transport-equivalence digest comparison to mean anything.
 struct ServeFleet {
     initial: Vec<VmSpec>,
     pms: Vec<PmSpec>,
@@ -814,7 +721,8 @@ struct ServeFleet {
     n: usize,
 }
 
-/// The flags [`serve_fleet`] reads, shared by `serve` and `serve-replay`.
+/// The flags [`serve_fleet`] reads, shared by `serve`, `serve-replay` and
+/// `online-replay`.
 const SERVE_FLEET_FLAGS: [&str; 8] = ["vms", "pms", "pattern", "d", "seed", "p-on", "p-off", "rho"];
 
 fn serve_fleet(args: &Args) -> Result<ServeFleet, CliError> {
@@ -1038,23 +946,30 @@ mod tests {
 
     #[test]
     fn online_replay_reports_sustained_churn() {
-        let s = run_cmd(
-            online_replay,
-            &[
-                "--vms",
-                "400",
-                "--ops",
-                "200",
-                "--batch-every",
-                "32",
-                "--recal-every",
-                "64",
-            ],
-        )
-        .unwrap();
+        let s = run_cmd(online_replay, &["--vms", "400", "--ops", "300"]).unwrap();
         assert!(s.contains("replayed"), "{s}");
         assert!(s.contains("recalibrations"), "{s}");
         assert!(s.contains("admit p50/p99"), "{s}");
+    }
+
+    #[test]
+    fn online_replay_digest_is_apply_engine_over_the_serve_replay_program() {
+        // 90 PMs cannot hold the program's growth, so refusals are replayed
+        // too.
+        let flags = ["--vms", "300", "--pms", "90", "--seed", "7", "--ops", "600"];
+        let report = run_cmd(online_replay, &flags).unwrap();
+        let argv: Vec<String> = flags.iter().map(|f| f.to_string()).collect();
+        let mut declared = SERVE_FLEET_FLAGS.to_vec();
+        declared.push("ops");
+        let fleet = serve_fleet(&Args::parse(&argv, &declared, &[]).unwrap()).unwrap();
+        let (d, p_on, p_off, rho) = (fleet.d, fleet.p_on, fleet.p_off, fleet.rho);
+        let mut engine = OnlineCluster::new(fleet.pms, d, p_on, p_off, rho);
+        engine.arrive_batch(fleet.initial).unwrap();
+        let program = bursty_server::build_program(7, 600, 300);
+        let expected = bursty_server::apply_engine(&mut engine, &program.ops);
+        let digest = format!("digest: {:016x}\n", expected.combined());
+        assert!(report.contains(&digest), "{report}: want {digest}");
+        assert!(!report.contains(" 0 refused"), "{report}");
     }
 
     #[test]

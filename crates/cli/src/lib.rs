@@ -115,17 +115,20 @@ USAGE:
       restarts an interrupted run from the newest verifying snapshot
       and finishes bit-identical to a run that never stopped (the
       printed digest line is the proof)
-  bursty online-replay --vms <N> [--pms M] [--ops K] [--batch-every B]
-                  [--batch-size S] [--recal-every R]
+  bursty online-replay --vms <N> [--pms M] [--ops K]
                   [--pattern equal|small|large] [--d D] [--seed S]
                   [--p-on P] [--p-off P] [--rho R] [--trace-out FILE]
-      warm the fleet-scale online admission engine to an N-VM Table-I
-      fleet, then replay K seeded churn ops (single arrivals and
-      departures, a class-heavy batch every B ops, a recalibration —
-      a report of the hottest live class — every R ops; each PM is
-      priced by its own hottest chain) and report sustained throughput
-      plus p50/p99 per-op latency; --trace-out dumps the admission/
-      departure/recalibration journal and latency histograms as JSONL
+      the engine-direct half of serve-replay: warm the fleet-scale
+      online admission engine to the fleet serve builds from the same
+      flags (N Table-I VMs on M PMs, default max(N, 64)), then apply
+      serve-replay's K-op program (single admits, a departure every
+      third op, a 12-VM batch every 64, a recalibration — a report of
+      the hottest live class — every 256; each PM is priced by its own
+      hottest chain) one op at a time, with the daemon's semantics;
+      print the end digest (equal to serve-replay's `digest match:`),
+      sustained throughput and p50/p99 per-op latency; --trace-out
+      dumps the admission/departure/recalibration journal and latency
+      histograms as JSONL
   bursty serve [--addr HOST:PORT] [--vms N] [--pms M] [--pattern ...]
                   [--d D] [--seed S] [--p-on P] [--p-off P] [--rho R]
                   [--workers W] [--pending-ttl-ms T]

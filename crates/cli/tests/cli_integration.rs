@@ -530,10 +530,6 @@ fn online_replay_trace_round_trips_through_trace_report() {
         "600",
         "--ops",
         "400",
-        "--batch-every",
-        "50",
-        "--recal-every",
-        "128",
         "--trace-out",
         trace.to_str().unwrap(),
     ]));

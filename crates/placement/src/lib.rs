@@ -57,7 +57,7 @@ pub use evacuate::{evacuate_batch_recorded, EvacuationOutcome};
 pub use index::HeadroomIndex;
 pub use load::PmLoad;
 pub use mapcal::MappingTable;
-pub use online::{OnlineCluster, ReferenceOnlineCluster, StateDigest};
+pub use online::{OnlineCluster, OnlineEngine, ReferenceOnlineCluster, StateDigest};
 pub use pack::{first_fit, PackError};
 pub use placement::Placement;
 pub use strategy::{BaseStrategy, PeakStrategy, QueueStrategy, ReserveStrategy, Strategy};

@@ -105,6 +105,50 @@ fn digest_from(
     }
 }
 
+/// The operations an online driver applies, the same over both engines:
+/// the serving layer's one op applier (`server::state::apply_op`) and the
+/// admission bench drive [`OnlineCluster`] and [`ReferenceOnlineCluster`]
+/// through it. Each method is the engine's own method of that name; the
+/// mutating ones take the recorder [`OnlineCluster`]'s `_recorded` methods
+/// take, which the reference ignores (it records nothing).
+pub trait OnlineEngine {
+    fn host_of(&self, vm_id: usize) -> Option<usize>;
+    fn arrive<R: Recorder>(&mut self, vm: VmSpec, rec: &mut R) -> Result<usize, PackError>;
+    fn arrive_batch<R: Recorder>(&mut self, batch: Vec<VmSpec>, rec: &mut R) -> ArriveBatch;
+    fn depart<R: Recorder>(&mut self, vm_id: usize, rec: &mut R) -> Option<usize>;
+    fn recalibrate<R: Recorder>(&self, rec: &mut R) -> Option<(f64, f64)>;
+    fn state_digest(&self) -> StateDigest;
+    fn check_consistency(&self) -> Result<(), String>;
+}
+
+/// What a batch arrival returns: every `(VM id, PM)` placement, or the
+/// first VM no PM admits.
+type ArriveBatch = Result<Vec<(usize, usize)>, PackError>;
+
+impl OnlineEngine for OnlineCluster {
+    fn host_of(&self, vm_id: usize) -> Option<usize> {
+        self.host_of(vm_id)
+    }
+    fn arrive<R: Recorder>(&mut self, vm: VmSpec, rec: &mut R) -> Result<usize, PackError> {
+        self.arrive_recorded(vm, rec)
+    }
+    fn arrive_batch<R: Recorder>(&mut self, batch: Vec<VmSpec>, rec: &mut R) -> ArriveBatch {
+        self.arrive_batch_recorded(batch, rec)
+    }
+    fn depart<R: Recorder>(&mut self, vm_id: usize, rec: &mut R) -> Option<usize> {
+        self.depart_recorded(vm_id, rec)
+    }
+    fn recalibrate<R: Recorder>(&self, rec: &mut R) -> Option<(f64, f64)> {
+        self.recalibrate_recorded(rec)
+    }
+    fn state_digest(&self) -> StateDigest {
+        self.state_digest()
+    }
+    fn check_consistency(&self) -> Result<(), String> {
+        self.check_consistency()
+    }
+}
+
 /// One per-PM class cell: the class's cached bit key, a representative
 /// spec, and the number of hosted copies.
 type ClassCell = ([u64; 4], VmSpec, u32);
@@ -210,11 +254,6 @@ impl ReferenceOnlineCluster {
         self.loads.iter().filter(|l| !l.is_empty()).count()
     }
 
-    /// The host of a VM, if present.
-    pub fn host_of(&self, vm_id: usize) -> Option<usize> {
-        self.hosts.get(&vm_id).copied()
-    }
-
     /// The load of PM `j`.
     pub fn load(&self, j: usize) -> &PmLoad {
         &self.loads[j]
@@ -311,6 +350,25 @@ impl ReferenceOnlineCluster {
     pub fn recalibrate(&self) -> Option<(f64, f64)> {
         hottest_pair(self.vms.values())
     }
+}
+
+impl OnlineEngine for ReferenceOnlineCluster {
+    /// The host of a VM, if present.
+    fn host_of(&self, vm_id: usize) -> Option<usize> {
+        self.hosts.get(&vm_id).copied()
+    }
+    fn arrive<R: Recorder>(&mut self, vm: VmSpec, _: &mut R) -> Result<usize, PackError> {
+        self.arrive(vm)
+    }
+    fn arrive_batch<R: Recorder>(&mut self, batch: Vec<VmSpec>, _: &mut R) -> ArriveBatch {
+        self.arrive_batch(batch)
+    }
+    fn depart<R: Recorder>(&mut self, vm_id: usize, _: &mut R) -> Option<usize> {
+        self.depart(vm_id)
+    }
+    fn recalibrate<R: Recorder>(&self, _: &mut R) -> Option<(f64, f64)> {
+        self.recalibrate()
+    }
 
     /// Verifies internal consistency: every cached load matches a rebuild
     /// from the authoritative host map, and the member lists agree with
@@ -318,7 +376,7 @@ impl ReferenceOnlineCluster {
     ///
     /// # Errors
     /// A description of the first inconsistency found.
-    pub fn check_consistency(&self) -> Result<(), String> {
+    fn check_consistency(&self) -> Result<(), String> {
         let mut member_total = 0;
         // Group hosts once so the oracle stays O(n + m); filtering the
         // whole host map per PM would make fleet-scale checks quadratic.
@@ -364,7 +422,7 @@ impl ReferenceOnlineCluster {
     }
 
     /// The engine's observable end-state digest (see [`StateDigest`]).
-    pub fn state_digest(&self) -> StateDigest {
+    fn state_digest(&self) -> StateDigest {
         let mut ids: Vec<usize> = self.hosts.keys().copied().collect();
         ids.sort_unstable();
         digest_from(

@@ -53,11 +53,11 @@ pub use client::{Client, Response};
 pub use error::ServeError;
 pub use listener::{spawn, RestoreReport, ServerConfig, ServerHandle};
 pub use replay::{
-    apply_engine, apply_reference, build_program, drive_http, fetch_digest, op_request,
-    HttpReplayOutcome, Lcg, Program,
+    apply_engine, build_program, drive_http, fetch_digest, op_request, HttpReplayOutcome, Lcg,
+    Program,
 };
 pub use routes::{route, vm_to_json, Action};
 pub use state::{
-    restore_newest, snapshot_name, ClusterState, Op, RestoreOutcome, RestoreReason, RestoredState,
-    SeqError, SeqWindow,
+    apply_op, restore_newest, snapshot_name, Applied, ClusterState, Op, RestoreOutcome,
+    RestoreReason, RestoredState, SeqError, SeqWindow,
 };

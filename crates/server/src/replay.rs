@@ -1,25 +1,30 @@
 //! Seeded churn programs and the two ways to run them: engine-direct
-//! (the oracle) and over HTTP with N concurrent seq-ordered clients.
+//! (the oracle, on either engine) and over HTTP with N concurrent
+//! seq-ordered clients.
 //!
 //! The transport-equivalence contract — the whole point of applying
 //! every op under the daemon's one engine lock — is that both runs land
-//! on the same [`StateDigest`]. The integration suite, `serve_bench`,
-//! the `serve-replay` CLI, and the CI smoke job all go through this
-//! module so they are comparing literally the same op stream.
+//! on the same [`StateDigest`]. Both apply each op through
+//! [`apply_op`](crate::state::apply_op): the daemon behind its lock,
+//! [`apply_engine`] directly. The integration suite, `serve_bench`, the
+//! `serve-replay` and `online-replay` commands and the CI smoke job all
+//! go through this module, so they compare literally the same op stream.
 
 use std::net::SocketAddr;
 use std::time::Instant;
 
-use bursty_placement::{OnlineCluster, ReferenceOnlineCluster, StateDigest};
+use bursty_obs::NoopRecorder;
+use bursty_placement::{OnlineEngine, StateDigest};
 use bursty_workload::VmSpec;
 
 use crate::client::Client;
 use crate::routes::vm_to_json;
-use crate::state::Op;
+use crate::state::{apply_op, Op};
 use bursty_obs::json::{obj, Json};
 
-/// Deterministic 64-bit LCG (same multiplier as the CLI's replay
-/// generator) — no `rand` dependency in the library proper.
+/// Deterministic 64-bit LCG (Knuth's MMIX multiplier and increment) that
+/// [`build_program`] draws from — no `rand` dependency in the library
+/// proper.
 #[derive(Clone)]
 pub struct Lcg(u64);
 
@@ -120,60 +125,14 @@ pub fn build_program(seed: u64, n_ops: usize, id_base: usize) -> Program {
     }
 }
 
-/// Applies the program engine-direct, mirroring the daemon's semantics
-/// exactly: admission failures leave earlier batch members placed,
-/// departures of unknown ids are no-ops. Returns the end-state digest.
-pub fn apply_engine(cluster: &mut OnlineCluster, ops: &[Op]) -> StateDigest {
+/// Applies the program engine-direct to either engine, each op through
+/// [`apply_op`], the daemon's own applier, with the recorder off.
+/// Returns the end-state digest.
+pub fn apply_engine<E: OnlineEngine>(engine: &mut E, ops: &[Op]) -> StateDigest {
     for op in ops {
-        match op {
-            Op::Admit(vm) => {
-                if cluster.host_of(vm.id).is_none() {
-                    let _ = cluster.arrive(*vm);
-                }
-            }
-            Op::AdmitBatch(vms) => {
-                if vms.iter().all(|v| cluster.host_of(v.id).is_none()) {
-                    let _ = cluster.arrive_batch(vms.clone());
-                }
-            }
-            Op::Depart { id } => {
-                let _ = cluster.depart(*id);
-            }
-            Op::Recalibrate => {
-                let _ = cluster.recalibrate();
-            }
-            Op::Snapshot => {}
-        }
+        apply_op(engine, op.clone(), &mut NoopRecorder);
     }
-    cluster.state_digest()
-}
-
-/// [`apply_engine`] against the per-VM oracle engine — the
-/// single-threaded replay the concurrent-client determinism proptest
-/// compares every interleaving to.
-pub fn apply_reference(cluster: &mut ReferenceOnlineCluster, ops: &[Op]) -> StateDigest {
-    for op in ops {
-        match op {
-            Op::Admit(vm) => {
-                if cluster.host_of(vm.id).is_none() {
-                    let _ = cluster.arrive(*vm);
-                }
-            }
-            Op::AdmitBatch(vms) => {
-                if vms.iter().all(|v| cluster.host_of(v.id).is_none()) {
-                    let _ = cluster.arrive_batch(vms.clone());
-                }
-            }
-            Op::Depart { id } => {
-                let _ = cluster.depart(*id);
-            }
-            Op::Recalibrate => {
-                let _ = cluster.recalibrate();
-            }
-            Op::Snapshot => {}
-        }
-    }
-    cluster.state_digest()
+    engine.state_digest()
 }
 
 /// Renders an op as its request `(path, body)`, stamping `seq`.
@@ -358,6 +317,7 @@ mod tests {
 
     #[test]
     fn engine_apply_mirrors_daemon_semantics() {
+        use bursty_placement::OnlineCluster;
         use bursty_workload::PmSpec;
         let pms: Vec<PmSpec> = (0..64).map(|j| PmSpec::new(j, 100.0)).collect();
         let program = build_program(3, 400, 0);

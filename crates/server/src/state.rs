@@ -1,5 +1,7 @@
 //! The daemon's single source of truth: a live [`OnlineCluster`] plus a
-//! [`MemoryRecorder`], mutated only through [`ClusterState::apply`].
+//! [`MemoryRecorder`], mutated only through [`ClusterState::apply`], which
+//! applies each engine op through [`apply_op`] — the one function that
+//! gives an op its meaning, over either engine.
 //!
 //! The transport never touches the engine directly — workers call into
 //! this module with validated [`Op`]s, one at a time under the
@@ -18,7 +20,7 @@ use std::fmt::Write as _;
 
 use bursty_obs::durable::{Cursor, FrameError, FrameWriter, Wire};
 use bursty_obs::{Counter, Event, Gauge, HistId, MemoryRecorder, Recorder, Store};
-use bursty_placement::{OnlineCluster, PackError};
+use bursty_placement::{OnlineCluster, OnlineEngine};
 use bursty_workload::{PmSpec, VmSpec};
 
 use crate::error::ServeError;
@@ -42,6 +44,65 @@ pub enum Op {
     Depart { id: usize },
     Recalibrate,
     Snapshot,
+}
+
+/// What one op did to an engine, as [`apply_op`] reports it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Applied {
+    /// A single admit placed VM `id` on PM `host`.
+    Admitted { id: usize, host: usize },
+    /// A batch placed every member: `(VM id, PM)` in placement order.
+    AdmittedBatch(Vec<(usize, usize)>),
+    /// VM `id` left PM `host`.
+    Departed { id: usize, host: usize },
+    /// The hottest live class's pair (see `OnlineCluster::recalibrate`).
+    Recalibrated { p_on: f64, p_off: f64 },
+    /// VM `id` of an admit is already placed; the engine was not reached.
+    DuplicateId(usize),
+    /// No PM admits VM `id`; earlier batch members stay placed.
+    NoCapacity(usize),
+    /// A departure of VM `id`, which is not placed; nothing changed.
+    UnknownId(usize),
+    /// A recalibration of a cluster that hosts no VM.
+    EmptyCluster,
+}
+
+/// Applies one op to either engine — the one place an op's semantics are
+/// written, shared by the daemon ([`ClusterState::apply`]), its oracles
+/// (`replay::apply_engine`) and `bursty online-replay`. An admit of a
+/// placed id, or a batch naming one, is refused whole before the engine
+/// is reached; a batch that runs out of room keeps the members placed
+/// before the refused one; a departure of an unknown id changes nothing.
+/// `rec` goes to the engine's recorded methods and nowhere else. `None`
+/// for [`Op::Snapshot`], which is the daemon's, not an engine's.
+pub fn apply_op<E: OnlineEngine, R: Recorder>(
+    engine: &mut E,
+    op: Op,
+    rec: &mut R,
+) -> Option<Applied> {
+    Some(match op {
+        Op::Admit(vm) if engine.host_of(vm.id).is_some() => Applied::DuplicateId(vm.id),
+        Op::Admit(vm) => match engine.arrive(vm, rec) {
+            Ok(host) => Applied::Admitted { id: vm.id, host },
+            Err(e) => Applied::NoCapacity(e.vm_id),
+        },
+        Op::AdmitBatch(vms) => match vms.iter().find(|v| engine.host_of(v.id).is_some()) {
+            Some(dup) => Applied::DuplicateId(dup.id),
+            None => match engine.arrive_batch(vms, rec) {
+                Ok(placed) => Applied::AdmittedBatch(placed),
+                Err(e) => Applied::NoCapacity(e.vm_id),
+            },
+        },
+        Op::Depart { id } => match engine.depart(id, rec) {
+            Some(host) => Applied::Departed { id, host },
+            None => Applied::UnknownId(id),
+        },
+        Op::Recalibrate => match engine.recalibrate(rec) {
+            Some((p_on, p_off)) => Applied::Recalibrated { p_on, p_off },
+            None => Applied::EmptyCluster,
+        },
+        Op::Snapshot => return None,
+    })
 }
 
 /// The engine plus its observability sidecar and the applied-op counter.
@@ -88,7 +149,8 @@ impl ClusterState {
         self.applied
     }
 
-    /// Applies one mutation and renders its JSON response.
+    /// Applies one mutation through [`apply_op`] and renders its outcome
+    /// as the JSON response (2xx) or a typed 404/409.
     ///
     /// Every call increments [`Counter::ServeRequests`] and, on reaching
     /// the engine, the applied-op counter — including engine-level
@@ -101,93 +163,49 @@ impl ClusterState {
         next_seq: u64,
     ) -> Result<Json, ServeError> {
         self.recorder.counter_inc(Counter::ServeRequests);
-        match op {
-            Op::Admit(vm) => {
-                if self.cluster.host_of(vm.id).is_some() {
-                    self.applied += 1;
-                    return Err(ServeError::conflict(
-                        "duplicate_id",
-                        format!("vm {} is already placed", vm.id),
-                    ));
-                }
-                self.applied += 1;
-                let id = vm.id;
-                match self.cluster.arrive_recorded(vm, &mut self.recorder) {
-                    Ok(host) => Ok(obj(vec![
-                        ("id", Json::Num(id as f64)),
-                        ("host", Json::Num(host as f64)),
-                        ("applied", Json::Num(self.applied as f64)),
-                    ])),
-                    Err(PackError { vm_id }) => Err(ServeError::conflict(
-                        "no_capacity",
-                        format!("vm {vm_id} fits on no PM"),
-                    )),
-                }
+        let batch = matches!(op, Op::AdmitBatch(_));
+        let Some(outcome) = apply_op(&mut self.cluster, op, &mut self.recorder) else {
+            let store = store.ok_or_else(|| {
+                ServeError::conflict("no_store", "daemon started without --state-dir")
+            })?;
+            return self.snapshot_to(store, snapshot_keep, next_seq);
+        };
+        self.applied += 1;
+        let num = |x: usize| Json::Num(x as f64);
+        let applied = ("applied", Json::Num(self.applied as f64));
+        match outcome {
+            Applied::Admitted { id, host } | Applied::Departed { id, host } => {
+                Ok(obj(vec![("id", num(id)), ("host", num(host)), applied]))
             }
-            Op::AdmitBatch(vms) => {
-                for vm in &vms {
-                    if self.cluster.host_of(vm.id).is_some() {
-                        self.applied += 1;
-                        return Err(ServeError::conflict(
-                            "duplicate_id",
-                            format!("vm {} is already placed", vm.id),
-                        ));
-                    }
-                }
-                self.applied += 1;
-                match self.cluster.arrive_batch_recorded(vms, &mut self.recorder) {
-                    Ok(placed) => {
-                        let hosts: Vec<Json> = placed
-                            .iter()
-                            .map(|(id, host)| {
-                                obj(vec![
-                                    ("id", Json::Num(*id as f64)),
-                                    ("host", Json::Num(*host as f64)),
-                                ])
-                            })
-                            .collect();
-                        Ok(obj(vec![
-                            ("placed", Json::Arr(hosts)),
-                            ("applied", Json::Num(self.applied as f64)),
-                        ]))
-                    }
-                    Err(PackError { vm_id }) => Err(ServeError::conflict(
-                        "no_capacity",
-                        format!("vm {vm_id} fits on no PM; earlier batch members stay placed"),
-                    )),
-                }
+            Applied::AdmittedBatch(placed) => {
+                let pair =
+                    |&(id, host): &(usize, usize)| obj(vec![("id", num(id)), ("host", num(host))]);
+                let hosts = Json::Arr(placed.iter().map(pair).collect());
+                Ok(obj(vec![("placed", hosts), applied]))
             }
-            Op::Depart { id } => {
-                self.applied += 1;
-                match self.cluster.depart_recorded(id, &mut self.recorder) {
-                    Some(host) => Ok(obj(vec![
-                        ("id", Json::Num(id as f64)),
-                        ("host", Json::Num(host as f64)),
-                        ("applied", Json::Num(self.applied as f64)),
-                    ])),
-                    None => Err(ServeError::not_found(format!("vm {id} is not placed"))),
-                }
+            Applied::Recalibrated { p_on, p_off } => Ok(obj(vec![
+                ("p_on", Json::Num(p_on)),
+                ("p_off", Json::Num(p_off)),
+                applied,
+            ])),
+            Applied::DuplicateId(id) => Err(ServeError::conflict(
+                "duplicate_id",
+                format!("vm {id} is already placed"),
+            )),
+            Applied::NoCapacity(vm_id) => {
+                let rest = if batch {
+                    "; earlier batch members stay placed"
+                } else {
+                    ""
+                };
+                let msg = format!("vm {vm_id} fits on no PM{rest}");
+                Err(ServeError::conflict("no_capacity", msg))
             }
-            Op::Recalibrate => {
-                self.applied += 1;
-                match self.cluster.recalibrate_recorded(&mut self.recorder) {
-                    Some((p_on, p_off)) => Ok(obj(vec![
-                        ("p_on", Json::Num(p_on)),
-                        ("p_off", Json::Num(p_off)),
-                        ("applied", Json::Num(self.applied as f64)),
-                    ])),
-                    None => Err(ServeError::conflict(
-                        "empty_cluster",
-                        "recalibration needs at least one placed vm",
-                    )),
-                }
-            }
-            Op::Snapshot => {
-                let store = store.ok_or_else(|| {
-                    ServeError::conflict("no_store", "daemon started without --state-dir")
-                })?;
-                self.snapshot_to(store, snapshot_keep, next_seq)
-            }
+            Applied::UnknownId(id) => Err(ServeError::not_found(format!("vm {id} is not placed"))),
+            Applied::EmptyCluster => Err(ServeError::conflict(
+                "empty_cluster",
+                "recalibration needs at least one placed vm",
+            )),
         }
     }
 
@@ -558,7 +576,7 @@ impl<T> SeqWindow<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bursty_obs::MemStore;
+    use bursty_obs::{MemStore, NoopRecorder};
     use bursty_placement::ReferenceOnlineCluster;
 
     fn pms(m: usize) -> Vec<PmSpec> {
@@ -592,6 +610,93 @@ mod tests {
         oracle.recalibrate().unwrap();
         assert_eq!(s.cluster().state_digest(), oracle.state_digest());
         assert_eq!(s.applied(), 30 + 10 + 1 + 1);
+    }
+
+    /// The daemon's answer to one op as (status, code, placed `(id, host)`
+    /// pairs, recalibrated pair).
+    type Answer = (u16, &'static str, Vec<(usize, usize)>, Option<(f64, f64)>);
+
+    fn daemon_answer(res: Result<Json, ServeError>) -> Answer {
+        let json = match res {
+            Ok(json) => json,
+            Err(e) => return (e.status, e.code, Vec::new(), None),
+        };
+        let pair = |v: &Json| {
+            let field = |k: &str| v.get(k).and_then(Json::as_usize).unwrap();
+            (field("id"), field("host"))
+        };
+        let hosts = match json.get("placed").and_then(Json::as_array) {
+            Some(placed) => placed.iter().map(pair).collect(),
+            None if json.get("host").is_some() => vec![pair(&json)],
+            None => Vec::new(),
+        };
+        let p = |k: &str| json.get(k).and_then(Json::as_f64);
+        (200, "", hosts, p("p_on").zip(p("p_off")))
+    }
+
+    fn oracle_answer(applied: Applied) -> Answer {
+        match applied {
+            Applied::Admitted { id, host } | Applied::Departed { id, host } => {
+                (200, "", vec![(id, host)], None)
+            }
+            Applied::AdmittedBatch(placed) => (200, "", placed, None),
+            Applied::Recalibrated { p_on, p_off } => (200, "", Vec::new(), Some((p_on, p_off))),
+            Applied::DuplicateId(_) => (409, "duplicate_id", Vec::new(), None),
+            Applied::NoCapacity(_) => (409, "no_capacity", Vec::new(), None),
+            Applied::UnknownId(_) => (404, "not_found", Vec::new(), None),
+            Applied::EmptyCluster => (409, "empty_cluster", Vec::new(), None),
+        }
+    }
+
+    #[test]
+    fn every_op_answers_as_apply_op_on_the_reference() {
+        // A 12-PM pool cannot hold the program, so single admits and batch
+        // members are refused and later departures of them miss.
+        let m = 12;
+        let mut s = ClusterState::new(pms(m), 16, 0.01, 0.09, 0.01, 0.0, 256);
+        let mut oracle = ReferenceOnlineCluster::new(pms(m), 16, 0.01);
+        let mut ops = crate::replay::build_program(5, 900, 0).ops;
+        let Op::Admit(first) = ops[0].clone() else {
+            panic!("a program opens with an admit")
+        };
+        let fresh = |id| vm(id, 5.0);
+        ops.splice(
+            1..1,
+            [
+                Op::Admit(first),
+                Op::AdmitBatch(vec![fresh(100_000), first, fresh(100_001)]),
+                Op::Depart { id: 100_000 },
+            ],
+        );
+        ops.insert(0, Op::Recalibrate);
+        for at in [40, 300, 700] {
+            ops.insert(at, Op::Depart { id: 999_999 });
+        }
+        let mut seen: Vec<&'static str> = Vec::new();
+        for (i, op) in ops.into_iter().enumerate() {
+            let want = oracle_answer(apply_op(&mut oracle, op.clone(), &mut NoopRecorder).unwrap());
+            let got = daemon_answer(s.apply(op, None, 2, 0));
+            assert_eq!(got, want, "op {i}");
+            seen.push(want.1);
+        }
+        assert_eq!(s.cluster().state_digest(), oracle.state_digest());
+        oracle.check_consistency().unwrap();
+        for code in [
+            "",
+            "duplicate_id",
+            "no_capacity",
+            "not_found",
+            "empty_cluster",
+        ] {
+            let n = seen.iter().filter(|&&c| c == code).count();
+            assert!(n > 0, "no op answered {code:?}");
+        }
+        let dups = seen.iter().filter(|&&c| c == "duplicate_id").count();
+        assert_eq!(
+            dups, 2,
+            "one single admit and one batch repeat id {}",
+            first.id
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use bursty_obs::{FailingStore, FsStore, MemStore, Store};
 use bursty_placement::{OnlineCluster, ReferenceOnlineCluster};
-use bursty_server::replay::{apply_engine, apply_reference, build_program, drive_http};
+use bursty_server::replay::{apply_engine, build_program, drive_http};
 use bursty_server::state::{restore_newest, ClusterState, Op, RestoreReason};
 use bursty_server::{op_request, spawn, Client, Json, ServerConfig};
 use bursty_workload::{PmSpec, VmSpec};
@@ -183,7 +183,7 @@ fn mixed_far_ids_serve_snapshot_and_restore_identically() {
         .count();
     assert!(far_departs > 0, "far ids depart too");
     let mut reference = ReferenceOnlineCluster::new(pms(96), D, RHO);
-    let expected = apply_reference(&mut reference, &ops);
+    let expected = apply_engine(&mut reference, &ops);
     let mut engine = OnlineCluster::new(pms(96), D, P_ON, P_OFF, RHO);
     assert_eq!(apply_engine(&mut engine, &ops), expected);
     assert!(engine.host_of(top.id).is_some(), "2^53 - 1 is live");

@@ -9,7 +9,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use bursty_placement::{OnlineCluster, ReferenceOnlineCluster};
-use bursty_server::replay::{apply_engine, apply_reference, build_program, drive_http};
+use bursty_server::replay::{apply_engine, build_program, drive_http};
 use bursty_server::{op_request, spawn, Client, Json, Op, ServerConfig};
 use bursty_workload::{PmSpec, VmSpec};
 use proptest::prelude::*;
@@ -106,7 +106,7 @@ fn http_replay_matches_engine_direct_at_1_2_and_8_clients() {
     let mut engine = OnlineCluster::new(pms(128), D, P_ON, P_OFF, RHO);
     let engine_digest = apply_engine(&mut engine, &program.ops);
     let mut reference = ReferenceOnlineCluster::new(pms(128), D, RHO);
-    let reference_digest = apply_reference(&mut reference, &program.ops);
+    let reference_digest = apply_engine(&mut reference, &program.ops);
     assert_eq!(engine_digest, reference_digest);
     assert!(engine_digest.n_vms > 0, "program must leave live VMs");
 
@@ -442,7 +442,7 @@ proptest! {
     ) {
         let program = build_program(seed, assignment.len(), 0);
         let mut reference = ReferenceOnlineCluster::new(pms(64), D, RHO);
-        let expected = apply_reference(&mut reference, &program.ops);
+        let expected = apply_engine(&mut reference, &program.ops);
 
         let handle = spawn(config(64)).expect("daemon starts");
         // Partition by the proptest-chosen assignment, preserving seq

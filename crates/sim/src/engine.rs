@@ -1306,11 +1306,16 @@ impl<'a> Simulator<'a> {
             }
         }
 
-        let cvr_per_pm = (0..m)
-            .map(|j| (j, indexes.active_steps_of(j)))
-            .filter(|&(_, active)| active > 0)
-            .map(|(j, active)| (j, vio_steps[j] as f64 / active as f64))
-            .collect();
+        // Sized by a counting pass before it is filled: a `filter` gives
+        // `collect` no size hint, and at paper density the vector (~3.7 MB)
+        // would grow by doubling at the run's memory peak (DESIGN §8).
+        let active = |j: usize| indexes.active_steps_of(j);
+        let mut cvr_per_pm = Vec::with_capacity((0..m).filter(|&j| active(j) > 0).count());
+        cvr_per_pm.extend(
+            (0..m)
+                .filter(|&j| active(j) > 0)
+                .map(|j| (j, vio_steps[j] as f64 / active(j) as f64)),
+        );
         let final_pms_used = indexes.occupied.len();
         SimOutcome {
             cvr_per_pm,
