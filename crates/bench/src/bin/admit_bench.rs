@@ -222,7 +222,7 @@ fn run_engine<E: OnlineEngine>(
     let n = initial.len();
     let rec = &mut NoopRecorder;
     let (warmed, warmup_secs) = timed(|| engine.arrive_batch(initial, rec));
-    warmed.unwrap_or_else(|e| panic!("{name}: warm-up fleet does not fit (VM {})", e.vm_id));
+    warmed.unwrap_or_else(|(e, _)| panic!("{name}: warm-up fleet does not fit (VM {})", e.vm_id));
 
     let mut admit = LatencyStats::new();
     let mut batch = LatencyStats::new();
@@ -246,8 +246,9 @@ fn run_engine<E: OnlineEngine>(
                 let elapsed = t.elapsed().as_nanos();
                 admit.record(elapsed, members);
                 batch.record(elapsed, 1);
-                placed
-                    .unwrap_or_else(|e| panic!("{name}: batch arrival rejected (VM {})", e.vm_id));
+                placed.unwrap_or_else(|(e, _)| {
+                    panic!("{name}: batch arrival rejected (VM {})", e.vm_id)
+                });
             }
             ChurnOp::Single { victim, vm } => {
                 let t = Instant::now();

@@ -57,7 +57,9 @@
 //! The process exits nonzero (assert) if any row's batch placement
 //! differs from the per-VM packer's on the full assignment vector, if a
 //! size at n >= 1e6 falls below the 10x acceptance bar, or if the
-//! paper-density pack climbs the tree at all — so CI can gate on the exit
+//! paper-density pack searches past the look-ahead window more than the
+//! three times its classes' crossings cost (one per earlier class a run
+//! passes) — so CI can gate on the exit
 //! code alone. A flag that is not declared above, given twice, without a
 //! value or with an unparsable one exits 2.
 
@@ -375,9 +377,12 @@ fn main() {
         all_identical,
         "batch placements diverged from per-VM on a `fleets` row"
     );
+    // In capacity order a run searches past the window where it crosses
+    // the stretch of PMs an earlier class filled: at most once per earlier
+    // class, k(k - 1)/2 over the Table-I fleet's k = 3 classes, at any n.
     assert!(
-        paper_tree_probes.unwrap_or(0) == 0,
-        "the paper-density pack climbed the headroom tree {paper_tree_probes:?} times: \
-         its gaps no longer fit the look-ahead window"
+        paper_tree_probes.unwrap_or(0) <= 3,
+        "the paper-density pack searched past the look-ahead window \
+         {paper_tree_probes:?} times: more gaps than the class crossings outgrew it"
     );
 }

@@ -32,9 +32,11 @@
 //! [`place_run`] (the one production First Fit: `OnlineCluster`'s single
 //! and batch arrivals run it too) finds its PM with
 //! [`HeadroomIndex::first_admitting`], which reads a bounded window of the
-//! flat headroom array before it climbs the lazily built tree (never built
-//! for the 1M-VM Table-I fleet on 250k PMs: 419 091 fills, no gap over 32
-//! PMs), and its copy count from a [`RunMemo`]: a run meets few distinct
+//! flat headroom array before it reads on or climbs the lazily built tree
+//! (never built for the 1M-VM Table-I fleet on 250k PMs: three searches
+//! leave the window, each where a run meets the stretch of PMs an earlier
+//! class filled, and read on), and its copy count from a [`RunMemo`]: a
+//! run meets few distinct
 //! PM loads, folds its VM onto each once, and gallops over that chain
 //! against the PM's [`Strategy::budget`] — no Eq. 17 evaluation per fill,
 //! except for a fill that wants one copy, which is one admission check.
@@ -72,6 +74,7 @@
 
 use crate::index::HeadroomIndex;
 use crate::load::PmLoad;
+use crate::order::PmOrder;
 use crate::pack::{PackError, PRUNE_SLACK};
 use crate::placement::Placement;
 use crate::strategy::{ffd_cmp, ffd_order, Strategy};
@@ -81,6 +84,7 @@ use std::time::Instant;
 /// Reusable arena for batch packing: per-PM loads, the headroom index, the
 /// run memo and the fill list, all kept between packs so repeated
 /// consolidations over same-sized farms allocate nothing after the first.
+/// Loads, leaves and fills are by position in the pool's [`PmOrder`].
 ///
 /// A reset rewrites the loads and the headroom leaves; the headroom tree
 /// is maintained *lazily*, behind a bounded look-ahead — the index's own
@@ -96,7 +100,9 @@ pub struct PlacementState {
     loads: Vec<PmLoad>,
     index: HeadroomIndex,
     memo: RunMemo,
-    /// The `(PM, copies)` fills the current pack's runs committed.
+    /// The `(position, copies)` fills the current pack's runs committed;
+    /// the collapsed route turns each position into its PM index before
+    /// it scatters.
     fills: Vec<(u32, u32)>,
     profile: PackProfile,
 }
@@ -139,14 +145,16 @@ impl PlacementState {
         }
     }
 
-    /// Resets the arena to an empty farm of `pms` under `strategy`.
-    fn reset<S: Strategy + ?Sized>(&mut self, pms: &[PmSpec], strategy: &S) {
+    /// Resets the arena to an empty farm of `order`'s PMs under
+    /// `strategy`.
+    fn reset<S: Strategy + ?Sized>(&mut self, order: &PmOrder, strategy: &S) {
         self.loads.clear();
-        self.loads.resize(pms.len(), PmLoad::empty());
-        self.index.reset_lazy(|leaves| {
+        self.loads.resize(order.len(), PmLoad::empty());
+        let caps = order.capacities();
+        self.index.reset_lazy(caps.len(), |leaves| {
             leaves.extend(
-                pms.iter()
-                    .map(|pm| strategy.headroom(&PmLoad::empty(), pm.capacity)),
+                caps.iter()
+                    .map(|&cap| strategy.headroom(&PmLoad::empty(), cap)),
             )
         });
         self.fills.clear();
@@ -176,13 +184,13 @@ impl RunPool for PlacementState {
         &mut self.memo
     }
 
-    fn load(&self, j: usize) -> PmLoad {
-        self.loads[j]
+    fn load(&self, p: usize) -> PmLoad {
+        self.loads[p]
     }
 
-    fn commit(&mut self, j: usize, load: PmLoad, copies: usize) {
-        self.loads[j] = load;
-        self.fills.push((j as u32, copies as u32));
+    fn commit(&mut self, p: usize, load: PmLoad, copies: usize) {
+        self.loads[p] = load;
+        self.fills.push((p as u32, copies as u32));
     }
 
     fn probed(&mut self, candidates: u64, rejected: u64) {
@@ -370,22 +378,22 @@ impl RunMemo {
     }
 }
 
-/// The PMs a class run is placed on, as [`place_run`] sees them: the
-/// headroom index it searches and sets, the memo it counts copies with,
-/// each PM's load, where a fill goes, and where a candidate is counted.
-/// The offline arena ([`PlacementState`]) and `OnlineCluster` implement
-/// it.
+/// The PMs a class run is placed on, as [`place_run`] sees them, each
+/// named by its position in the pool's [`PmOrder`]: the headroom index
+/// it searches and sets, the memo it counts copies with, each PM's load,
+/// where a fill goes, and where a candidate is counted. The offline
+/// arena ([`PlacementState`]) and `OnlineCluster` implement it.
 pub(crate) trait RunPool {
     /// The headroom index over the pool, searched and set lazily.
     fn index(&mut self) -> &mut HeadroomIndex;
     /// The run memo, kept by the pool between runs.
     fn memo(&mut self) -> &mut RunMemo;
-    /// PM `j`'s current load.
-    fn load(&self, j: usize) -> PmLoad;
-    /// Commits a fill: `copies` more of the run on PM `j`, whose load is
-    /// now `load`. The pool keeps the `(PM, copies)` fills of the run in
-    /// PM order for its caller.
-    fn commit(&mut self, j: usize, load: PmLoad, copies: usize);
+    /// Position `p`'s current load.
+    fn load(&self, p: usize) -> PmLoad;
+    /// Commits a fill: `copies` more of the run at position `p`, whose
+    /// load is now `load`. The pool keeps the `(position, copies)` fills
+    /// of the run in position order for its caller.
+    fn commit(&mut self, p: usize, load: PmLoad, copies: usize);
     /// Books a run's candidate PMs, `rejected` of which admitted no
     /// copy: the arena tallies them in its [`PackProfile`], the online
     /// engine books them into its caller's recorder.
@@ -395,11 +403,12 @@ pub(crate) trait RunPool {
 /// First Fit for one class run, and the one place that algorithm lives
 /// in production: both offline routes, `OnlineCluster`'s batch arrival
 /// and its single arrival (a one-VM run) call it. Places up to `want`
-/// copies of `vm` on `pool`, committing each fill to it, and returns the
-/// copies placed — fewer than `want` means no PM admits the next one.
+/// copies of `vm` on `pool`, whose position `p` has capacity `caps[p]`,
+/// committing each fill to it, and returns the copies placed — fewer than
+/// `want` means no PM admits the next one.
 ///
-/// Each fill goes to the lowest PM at or after the cursor that admits a
-/// copy ([`HeadroomIndex::first_admitting`] under the `demand −
+/// Each fill goes to the lowest position at or after the cursor that
+/// admits a copy ([`HeadroomIndex::first_admitting`] under the `demand −
 /// PRUNE_SLACK` threshold), with as many copies as the [`RunMemo`] finds
 /// room for, its count hinting the next PM's. The cursor only advances:
 /// every PM behind it rejected this class under a load that does not
@@ -410,7 +419,7 @@ pub(crate) trait RunPool {
 #[inline]
 pub(crate) fn place_run<P: RunPool, S: Strategy + ?Sized>(
     pool: &mut P,
-    pms: &[PmSpec],
+    caps: &[f64],
     strategy: &S,
     vm: &VmSpec,
     want: usize,
@@ -423,7 +432,7 @@ pub(crate) fn place_run<P: RunPool, S: Strategy + ?Sized>(
         let Some(j) = pool.index().first_admitting(from, threshold) else {
             break;
         };
-        let (seed, cap) = (pool.load(j), pms[j].capacity);
+        let (seed, cap) = (pool.load(j), caps[j]);
         let budget = strategy.budget(cap);
         let (load, c) = pool
             .memo()
@@ -443,8 +452,8 @@ pub(crate) fn place_run<P: RunPool, S: Strategy + ?Sized>(
     placed
 }
 
-/// Hands `host` each placed member of a run, in order, with the PM its
-/// fill put it on.
+/// Hands `host` each placed member of a run, in order, with the PM
+/// position its fill put it on.
 pub(crate) fn fill_hosts(
     fills: &[(u32, u32)],
     members: &[usize],
@@ -579,6 +588,16 @@ pub fn first_fit_batch_with<S: Strategy + ?Sized>(
     pms: &[PmSpec],
     strategy: &S,
 ) -> Result<Placement, PackError> {
+    first_fit_batch_in(state, vms, &PmOrder::of(pms), strategy)
+}
+
+/// [`first_fit_batch_with`] over the PMs in `order`.
+pub(crate) fn first_fit_batch_in<S: Strategy + ?Sized>(
+    state: &mut PlacementState,
+    vms: &[VmSpec],
+    order: &PmOrder,
+    strategy: &S,
+) -> Result<Placement, PackError> {
     let mut clock = Instant::now();
     let table = collapse_classes(vms);
     state.profile = PackProfile {
@@ -586,12 +605,12 @@ pub fn first_fit_batch_with<S: Strategy + ?Sized>(
         ..PackProfile::default()
     };
     if let Some((table, schedule)) = collapsed_schedule(vms, strategy, table) {
-        return batch_collapsed(state, vms, pms, strategy, &table, &schedule);
+        return batch_collapsed(state, vms, order, strategy, &table, &schedule);
     }
     let mut clock = Instant::now();
-    let (order, runs) = strategy_runs(vms, strategy);
+    let (members, runs) = strategy_runs(vms, strategy);
     state.profile.collapse_s += lap(&mut clock);
-    batch_ordered(state, vms, pms, strategy, &order, &runs)
+    batch_ordered(state, vms, order, strategy, &members, &runs)
 }
 
 /// Seconds since `*since`, which moves to now: one stopwatch lap of a
@@ -670,13 +689,13 @@ pub(crate) fn batch_runs<S: Strategy + ?Sized>(
 fn batch_collapsed<S: Strategy + ?Sized>(
     state: &mut PlacementState,
     vms: &[VmSpec],
-    pms: &[PmSpec],
+    order: &PmOrder,
     strategy: &S,
     table: &ClassTable,
     schedule: &[u32],
 ) -> Result<Placement, PackError> {
     let mut clock = Instant::now();
-    state.reset(pms, strategy);
+    state.reset(order, strategy);
     state.profile.reset_s = lap(&mut clock);
     // Each class's fills are contiguous, from `next_fill[c]` on.
     let mut next_fill = [0u32; MAX_TRACKED_CLASSES];
@@ -684,12 +703,16 @@ fn batch_collapsed<S: Strategy + ?Sized>(
         let c = cid as usize;
         let (vm, want) = (&table.reps[c], table.counts[c] as usize);
         next_fill[c] = state.fills.len() as u32;
-        let placed = place_run(state, pms, strategy, vm, want);
+        let placed = place_run(state, order.capacities(), strategy, vm, want);
         if placed < want {
             return Err(PackError {
                 vm_id: nth_member_id(vms, &table.kid, cid, placed),
             });
         }
+    }
+    // Positions become PM indexes once per fill, not per member.
+    for fill in &mut state.fills {
+        fill.0 = order.pm(fill.0 as usize) as u32;
     }
 
     state.profile.runs_s = lap(&mut clock);
@@ -717,7 +740,7 @@ fn batch_collapsed<S: Strategy + ?Sized>(
     state.profile.scatter_s = lap(&mut clock);
     Ok(Placement {
         assignment,
-        n_pms: pms.len(),
+        n_pms: order.len(),
     })
 }
 
@@ -727,22 +750,22 @@ fn batch_collapsed<S: Strategy + ?Sized>(
 fn batch_ordered<S: Strategy + ?Sized>(
     state: &mut PlacementState,
     vms: &[VmSpec],
-    pms: &[PmSpec],
+    order: &PmOrder,
     strategy: &S,
-    order: &[usize],
+    members: &[usize],
     runs: &[ClassRun],
 ) -> Result<Placement, PackError> {
     let mut clock = Instant::now();
-    state.reset(pms, strategy);
+    state.reset(order, strategy);
     state.profile.reset_s = lap(&mut clock);
-    let mut placement = Placement::empty(vms.len(), pms.len());
+    let mut placement = Placement::empty(vms.len(), order.len());
     for run in runs {
-        let members = &order[run.start..run.start + run.len];
+        let members = &members[run.start..run.start + run.len];
         state.fills.clear();
         let vm = &vms[members[0]];
-        let placed = place_run(state, pms, strategy, vm, run.len);
-        fill_hosts(&state.fills, members, |i, j| {
-            placement.assignment[i] = Some(j)
+        let placed = place_run(state, order.capacities(), strategy, vm, run.len);
+        fill_hosts(&state.fills, members, |i, p| {
+            placement.assignment[i] = Some(order.pm(p))
         });
         if placed < run.len {
             return Err(PackError {
@@ -758,7 +781,7 @@ fn batch_ordered<S: Strategy + ?Sized>(
 mod tests {
     use super::*;
     use crate::index::LOOKAHEAD;
-    use crate::pack::first_fit;
+    use crate::pack::{first_fit, first_fit_in};
     use crate::strategy::{BaseStrategy, PeakStrategy, QueueStrategy, ReserveStrategy};
 
     fn vm(id: usize, r_b: f64, r_e: f64) -> VmSpec {
@@ -1066,8 +1089,11 @@ mod tests {
     /// A farm where each entry of `gaps` contributes that many PMs too
     /// small for any test VM (capacity 1 against `R_b ≥ 2`: below every
     /// strategy's threshold even when empty) followed by one roomy PM —
-    /// so `gaps[i]` is exactly the distance the First-Fit cursor has to
-    /// cross between admitting PMs.
+    /// so, packed in index order ([`PmOrder::by_index`]), `gaps[i]` is
+    /// exactly the distance the First-Fit cursor has to cross between
+    /// admitting PMs. (The pool's own order puts every roomy PM first:
+    /// the window and the tree work in positions, so these tests lay the
+    /// positions out themselves.)
     fn gapped_farm(gaps: &[usize]) -> Vec<PmSpec> {
         let mut farm = Vec::new();
         for &gap in gaps {
@@ -1088,8 +1114,11 @@ mod tests {
             .collect()
     }
 
-    /// The four strategies' packs of `vms` on `farm` through `state`,
-    /// each checked against `first_fit`; returns the tree climbs of each.
+    /// The four strategies' packs of `vms` on `farm` in index order
+    /// through `state`, each checked against `first_fit` in the same
+    /// order (and, in the pool's own order, the two public packers
+    /// against each other); returns the tree climbs of each index-order
+    /// pack.
     fn assert_matches_first_fit(
         state: &mut PlacementState,
         vms: &[VmSpec],
@@ -1098,11 +1127,18 @@ mod tests {
     ) -> [u64; 4] {
         let (q, rbex) = all_strategies();
         let strategies: [&dyn Strategy; 4] = [&q, &PeakStrategy, &BaseStrategy, &rbex];
+        let by_index = PmOrder::by_index(farm);
         strategies.map(|s| {
             assert_eq!(
-                first_fit_batch_with(state, vms, farm, s),
+                first_fit_batch(vms, farm, s),
                 first_fit(vms, farm, s),
                 "{what}: batch diverged for {}",
+                s.name()
+            );
+            assert_eq!(
+                first_fit_batch_in(state, vms, &by_index, s),
+                first_fit_in(vms, &by_index, s),
+                "{what}: batch diverged in index order for {}",
                 s.name()
             );
             state.last_pack().tree_probes
@@ -1212,9 +1248,10 @@ mod tests {
                 }
             }
         };
+        let by_index = PmOrder::by_index(&farm);
         for s in strategies {
             let mut state = PlacementState::new();
-            first_fit_batch_with(&mut state, &fleet, &farm, s).unwrap();
+            first_fit_batch_in(&mut state, &fleet, &by_index, s).unwrap();
             search_all(&mut state, s.name());
             // Continue the pack by hand: one more class, copy by copy.
             let extra = vm(9000, 4.0, 3.0);
@@ -1239,9 +1276,11 @@ mod tests {
     #[test]
     fn paper_density_pack_stays_off_the_tree() {
         // The benchmark's class-heavy shape at a size a debug build packs
-        // in milliseconds: Table-I VMs, four to a PM. Every gap between
-        // admitting PMs fits the window, so the tree is never built
-        // (`packing_bench` asserts the same of the full 1M-VM fleet).
+        // in milliseconds: Table-I VMs, four to a PM. In capacity order a
+        // run searches past the window where it meets a stretch of PMs an
+        // earlier class filled (three such stretches here), and reads on
+        // there: the tree is never built. Every other gap fits the window
+        // (`packing_bench` holds the full 1M-VM fleet to the same count).
         use bursty_workload::{FleetGenerator, WorkloadPattern};
         let q = QueueStrategy::build(16, 0.01, 0.09, 0.01);
         let mut g = FleetGenerator::new(1);
@@ -1252,7 +1291,7 @@ mod tests {
             first_fit_batch_with(&mut state, &vms, &farm, &q),
             first_fit(&vms, &farm, &q)
         );
-        assert_eq!(state.last_pack().tree_probes, 0);
+        assert_eq!(state.last_pack().tree_probes, 3);
         assert!(!state.index.is_clean(), "the tree was never built");
     }
 
@@ -1283,8 +1322,8 @@ mod tests {
     }
 
     // Pinned from the current implementation; see golden_pin_table_i_queue_pack.
-    const GOLDEN_PMS_USED: usize = 119;
-    const GOLDEN_CHECKSUM: usize = 11_194_963;
+    const GOLDEN_PMS_USED: usize = 108;
+    const GOLDEN_CHECKSUM: usize = 26_050_763;
 
     #[test]
     fn all_distinct_overhead_is_bounded() {

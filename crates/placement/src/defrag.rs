@@ -15,6 +15,7 @@
 
 use crate::index::HeadroomIndex;
 use crate::load::PmLoad;
+use crate::order::PmOrder;
 use crate::pack::probe_first_fit;
 use crate::strategy::Strategy;
 use bursty_workload::{PmSpec, VmSpec};
@@ -120,10 +121,13 @@ pub fn plan_defrag(
     // some VM twice, wasting migrations.
     let mut received = vec![false; m];
 
-    // Headroom index over eligible *targets*: empty PMs (and later drained
-    // sources) carry −∞ so the probe never returns them; everything else
-    // carries the strategy's headroom for O(log m) target search.
-    let headrooms: Vec<f64> = (0..m)
+    // Headroom index over eligible *targets*, by position in the pool's
+    // First-Fit order: empty PMs (and later drained sources) carry −∞ so
+    // the probe never returns them; everything else carries the
+    // strategy's headroom for O(log m) target search.
+    let order = PmOrder::of(pms);
+    let headrooms: Vec<f64> = order
+        .pms()
         .map(|j| {
             if loads[j].is_empty() {
                 f64::NEG_INFINITY
@@ -149,17 +153,22 @@ pub fn plan_defrag(
         let mut tentative_moves = Vec::with_capacity(hosted[source].len());
         let mut members = hosted[source].clone();
         members.sort_by(|&a, &b| vms[b].r_b.total_cmp(&vms[a].r_b));
-        let mut touched = vec![(source, index.value(source))];
-        index.update(source, f64::NEG_INFINITY);
+        let at = order.position(source);
+        let mut touched = vec![(at, index.value(at))];
+        index.update(at, f64::NEG_INFINITY);
         let mut ok = true;
         for &i in &members {
             let vm = &vms[i];
-            let slot = probe_first_fit(&index, &tentative_loads, pms, strategy, vm);
+            let slot = probe_first_fit(&index, strategy.demand(vm), |p| {
+                let j = order.pm(p);
+                strategy.admits(&tentative_loads[j], vm, pms[j].capacity)
+            });
             match slot {
-                Some(j) => {
-                    touched.push((j, index.value(j)));
+                Some(p) => {
+                    let j = order.pm(p);
+                    touched.push((p, index.value(p)));
                     tentative_loads[j].add(vm);
-                    index.update(j, strategy.headroom(&tentative_loads[j], pms[j].capacity));
+                    index.update(p, strategy.headroom(&tentative_loads[j], pms[j].capacity));
                     tentative_moves.push(PlannedMove {
                         vm_id: vm.id,
                         from_pm: source,
@@ -192,8 +201,8 @@ pub fn plan_defrag(
         } else {
             // Roll back every index entry this drain touched, newest
             // first, restoring the pre-drain headrooms (and the source).
-            for (j, value) in touched.into_iter().rev() {
-                index.update(j, value);
+            for (p, value) in touched.into_iter().rev() {
+                index.update(p, value);
             }
         }
     }

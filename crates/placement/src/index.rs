@@ -2,8 +2,10 @@
 //!
 //! It indexes one scalar per PM — the strategy's *headroom* measure
 //! ([`crate::Strategy::headroom`]) — and answers the query the packers
-//! need: the lowest-numbered PM (at or after a start position) whose
-//! headroom reaches a threshold — the First-Fit probe. A segment tree over
+//! need: the lowest position (at or after a start position) whose
+//! headroom reaches a threshold — the First-Fit probe. Positions are the
+//! PMs' places in the pool's [`crate::PmOrder`]; the index knows only
+//! positions. A segment tree over
 //! subtree maxima descends to the answer in `O(log m)` instead of scanning
 //! all `m` PMs.
 //!
@@ -32,9 +34,13 @@
 //!   the tree — first [`HeadroomIndex::flush`], then the descent — only
 //!   when that whole window rejects and the farm goes on past it:
 //!   `O(gap)` reads for a gap inside the window, `O(LOOKAHEAD + log m)`
-//!   plus the deferred maintenance beyond. On a consolidation-dense fleet
-//!   (1M Table-I VMs on 250k PMs: 419 091 fills, longest gap under 32
-//!   PMs) no search climbs.
+//!   plus the deferred maintenance beyond — or, while the tree is unbuilt
+//!   or stale, by reading on past the window for as long as the leaves
+//!   read so since the reset stay under the `n` a rebuild would cost. On
+//!   a consolidation-dense fleet (1M Table-I VMs on 250k PMs) three
+//!   searches leave the window, each where a run meets the stretch of
+//!   PMs an earlier class filled, and all three read on: the tree is
+//!   never built.
 //!
 //! `flush` repairs by whichever is cheaper: it replays the marked leaves'
 //! climbs while they are few, and once a quarter of the leaves are marked
@@ -80,7 +86,12 @@ pub struct HeadroomIndex {
     /// Leaves [`Self::set`] since the internal nodes were last right;
     /// empty while `stale`, always shorter than `n / 4`.
     dirty: Vec<u32>,
-    /// Searches that climbed the tree since the last [`Self::reset_lazy`].
+    /// Leaves a stale index may still read past the window, one by one,
+    /// before a search builds the tree: `n` at a reset, so the scans
+    /// cost at most what one rebuild would.
+    scan_budget: usize,
+    /// Searches that went past the window since the last
+    /// [`Self::reset_lazy`].
     probes: u64,
 }
 
@@ -93,6 +104,7 @@ impl HeadroomIndex {
             tree: Vec::new(),
             stale: true,
             dirty: Vec::new(),
+            scan_budget: 0,
             probes: 0,
         };
         index.rebuild(values);
@@ -112,25 +124,27 @@ impl HeadroomIndex {
     /// # Panics
     /// Panics if `fill` appends other than `n` values.
     pub fn rebuild_with(&mut self, n: usize, fill: impl FnOnce(&mut Vec<f64>)) {
-        // Room for the whole tree up front: one allocation, not two.
-        self.tree.clear();
-        self.tree.reserve_exact(2 * n.next_power_of_two().max(1));
-        self.reset_lazy(fill);
+        self.reset_lazy(n, fill);
         assert_eq!(self.n, n, "the fill appended {} leaves, not {n}", self.n);
         self.flush();
     }
 
-    /// Replaces the leaves with the values `fill` appends to the emptied
-    /// vector and leaves the internal nodes unbuilt (stale) — the batch
-    /// packer's reset, which on a dense fleet never needs them — reusing
-    /// the allocation and restarting the climb count.
-    pub(crate) fn reset_lazy(&mut self, fill: impl FnOnce(&mut Vec<f64>)) {
+    /// Replaces the leaves with the `n` values `fill` appends to the
+    /// emptied vector and leaves the internal nodes unbuilt (stale) — the
+    /// batch packer's reset, which on a dense fleet needs them for a few
+    /// searches at most — reusing the allocation and restarting the climb
+    /// count. Room for the whole tree is reserved up front, so building
+    /// it later moves nothing; the pages it never writes are never
+    /// touched.
+    pub(crate) fn reset_lazy(&mut self, n: usize, fill: impl FnOnce(&mut Vec<f64>)) {
         self.tree.clear();
+        self.tree.reserve_exact(2 * n.next_power_of_two().max(1));
         fill(&mut self.tree);
         self.n = self.tree.len();
         self.base = self.n.next_power_of_two().max(1);
         self.stale = true;
         self.dirty.clear();
+        self.scan_budget = self.n;
         self.probes = 0;
     }
 
@@ -238,7 +252,10 @@ impl HeadroomIndex {
     /// [`Self::first_at_least`] for a lazy pass: the same answer, read
     /// from the next [`LOOKAHEAD`] leaves when it is there — a hit, or a
     /// window that ran into the end of the farm, never touches the tree —
-    /// and found by `flush` plus the descent otherwise.
+    /// and found past the window otherwise: by reading on while the tree
+    /// is unbuilt or stale and the leaves read so since the reset stay
+    /// under the `n` one rebuild costs, by `flush` plus the descent beyond
+    /// that.
     ///
     /// One search narrows the window to the PM at the cursor: a run's
     /// first (`from == 0`) while the tree is built. It starts behind every
@@ -270,9 +287,23 @@ impl HeadroomIndex {
     }
 
     /// [`Self::first_admitting`] past its window, out of line: one counted
-    /// climb.
-    fn climb_and_descend(&mut self, from: usize, threshold: f64) -> Option<usize> {
+    /// search. While the tree is unbuilt or stale and the leaves read past
+    /// windows since the reset add up to less than one rebuild's `n`, it
+    /// reads on linearly; once they would not, it flushes and descends.
+    fn climb_and_descend(&mut self, mut from: usize, threshold: f64) -> Option<usize> {
         self.probes += 1;
+        if self.stale && self.scan_budget > 0 {
+            let end = (from + self.scan_budget).min(self.n);
+            let found = self.tree[from..end].iter().position(|&h| h >= threshold);
+            self.scan_budget -= found.map_or(end - from, |at| at + 1);
+            if let Some(at) = found {
+                return Some(from + at);
+            }
+            if end == self.n {
+                return None;
+            }
+            from = end;
+        }
         self.flush();
         self.descend(1, 0, self.base, from, threshold)
     }
@@ -378,7 +409,8 @@ mod tests {
     #[test]
     fn lazy_writes_are_searched_through_window_and_tree() {
         // One admitting PM behind a gap the window covers, then one behind
-        // a gap it does not: the first is a leaf read, the second a climb.
+        // a gap it does not: the first is a leaf read, the second a search
+        // past the window, which the stale index answers by reading on.
         let w = LOOKAHEAD;
         let mut idx = HeadroomIndex::new(&vec![5.0; 3 * w]);
         for j in 0..3 * w {
@@ -388,12 +420,22 @@ mod tests {
         assert_eq!(idx.first_admitting(1, 9.0), Some(w - 1));
         assert_eq!(idx.probes(), 0, "inside the window: no climb");
         assert_eq!(idx.first_admitting(w, 9.0), Some(2 * w));
-        assert_eq!(idx.probes(), 1, "a gap of LOOKAHEAD climbs");
-        assert!(idx.is_clean(), "the climb flushed first");
+        assert_eq!(idx.probes(), 1, "a gap of LOOKAHEAD leaves the window");
+        assert!(!idx.is_clean(), "read on: nothing built");
+        // Each further search past the window reads on (w leaves here)
+        // until the leaves read since the reset would pass the 3w one
+        // rebuild costs: that search reads what is left, then climbs.
+        let mut searches = 0;
+        while !idx.is_clean() {
+            assert_eq!(idx.first_admitting(w, 10.0), None);
+            searches += 1;
+        }
+        assert_eq!(searches, 3, "1 + 2w leaves read before the climb");
+        assert_eq!(idx.probes(), 4);
         idx.check_flushed().unwrap();
         // A run opening at a built tree reads only the PM at the cursor.
         assert_eq!(idx.first_admitting(0, 9.0), Some(w - 1));
-        assert_eq!(idx.probes(), 2);
+        assert_eq!(idx.probes(), 5);
     }
 
     mod lazy_vs_linear {

@@ -45,6 +45,7 @@ mod load;
 mod mapcal;
 pub mod multidim;
 pub mod online;
+mod order;
 mod pack;
 pub mod placement;
 pub mod rounding;
@@ -58,6 +59,7 @@ pub use index::HeadroomIndex;
 pub use load::PmLoad;
 pub use mapcal::MappingTable;
 pub use online::{OnlineCluster, OnlineEngine, ReferenceOnlineCluster, StateDigest};
+pub use order::PmOrder;
 pub use pack::{first_fit, PackError};
 pub use placement::Placement;
 pub use strategy::{BaseStrategy, PeakStrategy, QueueStrategy, ReserveStrategy, Strategy};

@@ -42,12 +42,14 @@ use crate::batch::{batch_runs, fill_hosts, place_run, RunMemo, RunPool};
 use crate::clustering::{cluster_order, default_buckets};
 use crate::index::HeadroomIndex;
 use crate::load::{stationary_on, PmLoad};
+use crate::order::PmOrder;
 use crate::pack::{probe_first_fit, PackError};
 use crate::strategy::{QueueStrategy, Strategy};
 use bursty_obs::durable::{write_seq, Cursor, FrameError, Wire};
 use bursty_obs::{Counter, NoopRecorder, Recorder};
 use bursty_workload::{PmSpec, VmClass, VmSpec};
 use std::collections::{hash_map::Entry, HashMap, HashSet};
+use std::sync::Arc;
 
 /// Order-independent FNV-1a style fold over an engine's observable end
 /// state: live VM→host assignments (in ascending VM id order) and every
@@ -79,12 +81,13 @@ fn fnv_step(mut h: u64, v: u64) -> u64 {
     h.wrapping_mul(0x100_0000_01b3)
 }
 
-/// Shared digest fold: `pairs` must arrive in ascending VM id order.
-fn digest_from(
+/// Shared digest fold: `pairs` must arrive in ascending VM id order, and
+/// `loads` in PM index order.
+fn digest_from<'a>(
     n_vms: usize,
     pms_used: usize,
     pairs: impl Iterator<Item = (usize, usize)>,
-    loads: &[PmLoad],
+    loads: impl Iterator<Item = &'a PmLoad>,
 ) -> StateDigest {
     let mut hosts_hash = 0xcbf2_9ce4_8422_2325u64;
     for (id, host) in pairs {
@@ -108,9 +111,11 @@ fn digest_from(
 /// The operations an online driver applies, the same over both engines:
 /// the serving layer's one op applier (`server::state::apply_op`) and the
 /// admission bench drive [`OnlineCluster`] and [`ReferenceOnlineCluster`]
-/// through it. Each method is the engine's own method of that name; the
-/// mutating ones take the recorder [`OnlineCluster`]'s `_recorded` methods
-/// take, which the reference ignores (it records nothing).
+/// through it. Each method is the engine's own method of that name, but
+/// for `arrive_batch`, whose error also hands back the members placed
+/// before the refused one; the mutating ones take the recorder
+/// [`OnlineCluster`]'s `_recorded` methods take, which the reference
+/// ignores (it records nothing).
 pub trait OnlineEngine {
     fn host_of(&self, vm_id: usize) -> Option<usize>;
     fn arrive<R: Recorder>(&mut self, vm: VmSpec, rec: &mut R) -> Result<usize, PackError>;
@@ -122,8 +127,9 @@ pub trait OnlineEngine {
 }
 
 /// What a batch arrival returns: every `(VM id, PM)` placement, or the
-/// first VM no PM admits.
-type ArriveBatch = Result<Vec<(usize, usize)>, PackError>;
+/// first VM no PM admits beside the placements of the members committed
+/// before it, which stay placed.
+type ArriveBatch = Result<Vec<(usize, usize)>, (PackError, Vec<(usize, usize)>)>;
 
 impl OnlineEngine for OnlineCluster {
     fn host_of(&self, vm_id: usize) -> Option<usize> {
@@ -133,7 +139,11 @@ impl OnlineEngine for OnlineCluster {
         self.arrive_recorded(vm, rec)
     }
     fn arrive_batch<R: Recorder>(&mut self, batch: Vec<VmSpec>, rec: &mut R) -> ArriveBatch {
-        self.arrive_batch_recorded(batch, rec)
+        let mut placed = Vec::with_capacity(batch.len());
+        match self.arrive_batch_each(batch, rec, |id, pm| placed.push((id, pm))) {
+            Ok(()) => Ok(placed),
+            Err(e) => Err((e, placed)),
+        }
     }
     fn depart<R: Recorder>(&mut self, vm_id: usize, rec: &mut R) -> Option<usize> {
         self.depart_recorded(vm_id, rec)
@@ -199,6 +209,9 @@ fn hottest_pair<'a>(classes: impl Iterator<Item = &'a VmSpec>) -> Option<(f64, f
 #[derive(Debug)]
 pub struct ReferenceOnlineCluster {
     pms: Vec<PmSpec>,
+    /// The pool's First-Fit order; the index's leaves are by position in
+    /// it, everything else by PM index.
+    order: Arc<PmOrder>,
     strategy: QueueStrategy,
     /// Current VM population, keyed by VM id.
     vms: HashMap<usize, VmSpec>,
@@ -220,15 +233,18 @@ impl ReferenceOnlineCluster {
     /// the hottest chain it hosts (see the module docs).
     pub fn new(pms: Vec<PmSpec>, d: usize, rho: f64) -> Self {
         let strategy = QueueStrategy::unfloored(d, rho);
+        let order = PmOrder::of(&pms);
         let loads = vec![PmLoad::empty(); pms.len()];
-        let headrooms: Vec<f64> = pms
+        let headrooms: Vec<f64> = order
+            .capacities()
             .iter()
-            .map(|pm| strategy.headroom(&PmLoad::empty(), pm.capacity))
+            .map(|&cap| strategy.headroom(&PmLoad::empty(), cap))
             .collect();
         let index = HeadroomIndex::new(&headrooms);
         let members = vec![Vec::new(); pms.len()];
         Self {
             pms,
+            order,
             strategy,
             vms: HashMap::new(),
             hosts: HashMap::new(),
@@ -241,7 +257,7 @@ impl ReferenceOnlineCluster {
     /// Repairs the index entry of PM `j` after its load changed.
     fn refresh_pm(&mut self, j: usize) {
         let h = self.strategy.headroom(&self.loads[j], self.pms[j].capacity);
-        self.index.update(j, h);
+        self.index.update(self.order.position(j), h);
     }
 
     /// Number of VMs currently hosted.
@@ -277,8 +293,18 @@ impl ReferenceOnlineCluster {
 
     /// First Fit for one VM under the per-PM rule, committed on success.
     fn place(&mut self, vm: VmSpec) -> Result<usize, PackError> {
-        let slot = probe_first_fit(&self.index, &self.loads, &self.pms, &self.strategy, &vm);
-        let j = slot.ok_or(PackError { vm_id: vm.id })?;
+        let Self {
+            pms,
+            order,
+            strategy,
+            loads,
+            ..
+        } = self;
+        let slot = probe_first_fit(&self.index, strategy.demand(&vm), |p| {
+            let j = order.pm(p);
+            strategy.admits(&loads[j], &vm, pms[j].capacity)
+        });
+        let j = order.pm(slot.ok_or(PackError { vm_id: vm.id })?);
         self.loads[j].add(&vm);
         self.refresh_pm(j);
         self.hosts.insert(vm.id, j);
@@ -326,6 +352,11 @@ impl ReferenceOnlineCluster {
     /// Panics if any batch member's id is already present, or appears
     /// twice in the batch.
     pub fn arrive_batch(&mut self, batch: Vec<VmSpec>) -> Result<Vec<(usize, usize)>, PackError> {
+        self.arrive_batch_pairs(batch).map_err(|(e, _)| e)
+    }
+
+    /// [`Self::arrive_batch`], keeping the pairs placed before a failure.
+    fn arrive_batch_pairs(&mut self, batch: Vec<VmSpec>) -> ArriveBatch {
         let mut seen = HashSet::with_capacity(batch.len());
         for vm in &batch {
             assert!(
@@ -338,10 +369,14 @@ impl ReferenceOnlineCluster {
         // Place one by one so partial progress is recorded before an error;
         // the cluster's own index persists across the whole batch, so each
         // member costs one O(log m) probe instead of an O(m) scan.
-        order
-            .iter()
-            .map(|&i| self.place(batch[i]).map(|j| (batch[i].id, j)))
-            .collect()
+        let mut placed = Vec::with_capacity(batch.len());
+        for i in order {
+            match self.place(batch[i]) {
+                Ok(j) => placed.push((batch[i].id, j)),
+                Err(e) => return Err((e, placed)),
+            }
+        }
+        Ok(placed)
     }
 
     /// The `(p_on, p_off)` of the hottest live class (see
@@ -361,7 +396,7 @@ impl OnlineEngine for ReferenceOnlineCluster {
         self.arrive(vm)
     }
     fn arrive_batch<R: Recorder>(&mut self, batch: Vec<VmSpec>, _: &mut R) -> ArriveBatch {
-        self.arrive_batch(batch)
+        self.arrive_batch_pairs(batch)
     }
     fn depart<R: Recorder>(&mut self, vm_id: usize, _: &mut R) -> Option<usize> {
         self.depart(vm_id)
@@ -391,7 +426,7 @@ impl OnlineEngine for ReferenceOnlineCluster {
                 return Err(format!("PM {j}: cached {cached:?} != rebuilt {rebuilt:?}"));
             }
             let expected = self.strategy.headroom(cached, self.pms[j].capacity);
-            let indexed = self.index.value(j);
+            let indexed = self.index.value(self.order.position(j));
             let matches = indexed == expected || (indexed - expected).abs() < 1e-9;
             if !matches {
                 return Err(format!(
@@ -429,7 +464,7 @@ impl OnlineEngine for ReferenceOnlineCluster {
             self.n_vms(),
             self.pms_used(),
             ids.iter().map(|&id| (id, self.hosts[&id])),
-            &self.loads,
+            self.loads.iter(),
         )
     }
 }
@@ -667,13 +702,13 @@ impl<R: Recorder> RunPool for LivePool<'_, R> {
         self.memo
     }
 
-    fn load(&self, j: usize) -> PmLoad {
-        self.loads[j]
+    fn load(&self, p: usize) -> PmLoad {
+        self.loads[p]
     }
 
-    fn commit(&mut self, j: usize, load: PmLoad, copies: usize) {
-        self.loads[j] = load;
-        self.fills.push((j as u32, copies as u32));
+    fn commit(&mut self, p: usize, load: PmLoad, copies: usize) {
+        self.loads[p] = load;
+        self.fills.push((p as u32, copies as u32));
     }
 
     fn probed(&mut self, candidates: u64, rejected: u64) {
@@ -705,6 +740,11 @@ impl<R: Recorder> RunPool for LivePool<'_, R> {
 #[derive(Debug)]
 pub struct OnlineCluster {
     pms: Vec<PmSpec>,
+    /// The pool's First-Fit order, with the capacities by position. The
+    /// per-PM state below — loads, cells, index leaves, occupied set — is
+    /// by position in it; a VM's entry names its host by PM index, which
+    /// [`PmOrder::position`] turns back into the slot a departure updates.
+    order: Arc<PmOrder>,
     strategy: QueueStrategy,
     /// The configured `(p_on, p_off)`, for snapshots only.
     pair: (f64, f64),
@@ -719,15 +759,16 @@ pub struct OnlineCluster {
     class_lookup: HashMap<[u64; 4], u32>,
     /// Per-VM entry: host PM and class id.
     entries: VmTable,
-    /// Cached per-PM loads.
+    /// Cached per-PM loads, by position.
     loads: Vec<PmLoad>,
-    /// Per-PM class-count cells `(class id, copies)`; at most `d` entries
-    /// because the admission rule caps co-location.
+    /// Per-PM class-count cells `(class id, copies)`, by position; at most
+    /// `d` entries because the admission rule caps co-location.
     cells: Vec<Vec<(u32, u32)>>,
-    /// Segment tree over per-PM headroom under the current strategy.
+    /// Segment tree over per-PM headroom under the current strategy, by
+    /// position.
     index: HeadroomIndex,
-    /// Occupied PMs, unordered; `occupied_pos[j]` is `j`'s slot in it
-    /// (or `usize::MAX` when PM `j` is empty).
+    /// Positions of the occupied PMs, unordered; `occupied_pos[p]` is
+    /// `p`'s slot in it (or `usize::MAX` when that PM is empty).
     occupied: Vec<usize>,
     occupied_pos: Vec<usize>,
     /// Reusable cell buffer for departure rebuilds.
@@ -758,16 +799,19 @@ impl OnlineCluster {
             "bad probabilities ({p_on}, {p_off})"
         );
         let strategy = QueueStrategy::unfloored(d, rho);
+        let order = PmOrder::of(&pms);
         let loads = vec![PmLoad::empty(); pms.len()];
-        let headrooms: Vec<f64> = pms
+        let headrooms: Vec<f64> = order
+            .capacities()
             .iter()
-            .map(|pm| strategy.headroom(&PmLoad::empty(), pm.capacity))
+            .map(|&cap| strategy.headroom(&PmLoad::empty(), cap))
             .collect();
         let index = HeadroomIndex::new(&headrooms);
         let cells = vec![Vec::new(); pms.len()];
         let occupied_pos = vec![usize::MAX; pms.len()];
         Self {
             pms,
+            order,
             strategy,
             pair: (p_on, p_off),
             class_reps: Vec::new(),
@@ -785,10 +829,12 @@ impl OnlineCluster {
         }
     }
 
-    /// Repairs the index entry of PM `j` after its load changed.
-    fn refresh_pm(&mut self, j: usize) {
-        let h = self.strategy.headroom(&self.loads[j], self.pms[j].capacity);
-        self.index.update(j, h);
+    /// Repairs the index entry of position `p` after its load changed.
+    fn refresh_pm(&mut self, p: usize) {
+        let h = self
+            .strategy
+            .headroom(&self.loads[p], self.order.capacities()[p]);
+        self.index.update(p, h);
     }
 
     /// Number of VMs currently hosted.
@@ -808,7 +854,7 @@ impl OnlineCluster {
 
     /// The load of PM `j`.
     pub fn load(&self, j: usize) -> &PmLoad {
-        &self.loads[j]
+        &self.loads[self.order.position(j)]
     }
 
     /// The class id for `vm`'s class, registering it on first sight.
@@ -825,20 +871,21 @@ impl OnlineCluster {
         cid
     }
 
-    /// Adds `copies` of class `cid` to PM `j`'s cells (`O(d)` walk).
-    fn cell_add(&mut self, j: usize, cid: u32, copies: u32) {
-        for cell in &mut self.cells[j] {
+    /// Adds `copies` of class `cid` to position `p`'s cells (`O(d)`
+    /// walk).
+    fn cell_add(&mut self, p: usize, cid: u32, copies: u32) {
+        for cell in &mut self.cells[p] {
             if cell.0 == cid {
                 cell.1 += copies;
                 return;
             }
         }
-        self.cells[j].push((cid, copies));
+        self.cells[p].push((cid, copies));
     }
 
-    /// Removes one copy of class `cid` from PM `j`'s cells.
-    fn cell_remove_one(&mut self, j: usize, cid: u32) {
-        let cells = &mut self.cells[j];
+    /// Removes one copy of class `cid` from position `p`'s cells.
+    fn cell_remove_one(&mut self, p: usize, cid: u32) {
+        let cells = &mut self.cells[p];
         let pos = cells
             .iter()
             .position(|c| c.0 == cid)
@@ -849,21 +896,21 @@ impl OnlineCluster {
         }
     }
 
-    /// Marks PM `j` occupied (idempotent).
-    fn occupy(&mut self, j: usize) {
-        if self.occupied_pos[j] == usize::MAX {
-            self.occupied_pos[j] = self.occupied.len();
-            self.occupied.push(j);
+    /// Marks position `p` occupied (idempotent).
+    fn occupy(&mut self, p: usize) {
+        if self.occupied_pos[p] == usize::MAX {
+            self.occupied_pos[p] = self.occupied.len();
+            self.occupied.push(p);
         }
     }
 
-    /// Marks PM `j` empty (idempotent).
-    fn vacate(&mut self, j: usize) {
-        let pos = self.occupied_pos[j];
+    /// Marks position `p` empty (idempotent).
+    fn vacate(&mut self, p: usize) {
+        let pos = self.occupied_pos[p];
         if pos == usize::MAX {
             return;
         }
-        self.occupied_pos[j] = usize::MAX;
+        self.occupied_pos[p] = usize::MAX;
         self.occupied.swap_remove(pos);
         if pos < self.occupied.len() {
             let moved = self.occupied[pos];
@@ -928,9 +975,10 @@ impl OnlineCluster {
         let entry = self.entries.remove(vm_id)?;
         rec.counter_inc(Counter::OnlineDepartures);
         let (host, cid) = (entry.host as usize, entry.class);
+        let p = self.order.position(host);
         self.class_pop[cid as usize] -= 1;
-        self.cell_remove_one(host, cid);
-        rec.counter_add(Counter::DepartRebuildVisits, self.cells[host].len() as u64);
+        self.cell_remove_one(p, cid);
+        rec.counter_add(Counter::DepartRebuildVisits, self.cells[p].len() as u64);
         let load = {
             let Self {
                 cells,
@@ -940,15 +988,15 @@ impl OnlineCluster {
                 ..
             } = self;
             scratch.clear();
-            for &(c, copies) in &cells[host] {
+            for &(c, copies) in &cells[p] {
                 scratch.push((class_keys[c as usize], class_reps[c as usize], copies));
             }
             fold_cells(scratch)
         };
-        self.loads[host] = load;
-        self.refresh_pm(host);
-        if self.loads[host].is_empty() {
-            self.vacate(host);
+        self.loads[p] = load;
+        self.refresh_pm(p);
+        if self.loads[p].is_empty() {
+            self.vacate(p);
         }
         Some(host)
     }
@@ -1056,16 +1104,17 @@ impl OnlineCluster {
             fills: &mut fills,
             rec: &mut *rec,
         };
-        let placed = place_run(&mut pool, &self.pms, &self.strategy, &vm, members.len());
+        let caps = self.order.capacities();
+        let placed = place_run(&mut pool, caps, &self.strategy, &vm, members.len());
         if placed > 0 {
             let cid = self.class_id_of(&vm);
             self.class_pop[cid as usize] += placed as u64;
-            for &(j, copies) in &fills {
-                self.occupy(j as usize);
-                self.cell_add(j as usize, cid, copies);
+            for &(p, copies) in &fills {
+                self.occupy(p as usize);
+                self.cell_add(p as usize, cid, copies);
             }
-            fill_hosts(&fills, members, |i, j| {
-                let id = batch[i].id;
+            fill_hosts(&fills, members, |i, p| {
+                let (id, j) = (batch[i].id, self.order.pm(p));
                 let entry = VmEntry {
                     host: j as u32,
                     class: cid,
@@ -1121,10 +1170,10 @@ impl OnlineCluster {
     pub fn check_consistency(&self) -> Result<(), String> {
         self.index.check_flushed()?;
         let mut pop_seen = vec![0u64; self.class_reps.len()];
-        for j in 0..self.pms.len() {
+        for (p, j) in self.order.pms().enumerate() {
             let mut ids = HashSet::new();
-            let mut cells: Vec<ClassCell> = Vec::with_capacity(self.cells[j].len());
-            for &(cid, copies) in &self.cells[j] {
+            let mut cells: Vec<ClassCell> = Vec::with_capacity(self.cells[p].len());
+            for &(cid, copies) in &self.cells[p] {
                 if copies == 0 {
                     return Err(format!("PM {j}: zero-count cell for class {cid}"));
                 }
@@ -1139,19 +1188,19 @@ impl OnlineCluster {
                 ));
             }
             let rebuilt = fold_cells(&mut cells);
-            let cached = &self.loads[j];
+            let cached = &self.loads[p];
             if !loads_agree(&rebuilt, cached) {
                 return Err(format!("PM {j}: cached {cached:?} != rebuilt {rebuilt:?}"));
             }
             let expected = self.strategy.headroom(cached, self.pms[j].capacity);
-            let indexed = self.index.value(j);
+            let indexed = self.index.value(p);
             let matches = indexed == expected || (indexed - expected).abs() < 1e-9;
             if !matches {
                 return Err(format!(
                     "PM {j}: indexed headroom {indexed} != expected {expected}"
                 ));
             }
-            let occupied = self.occupied_pos[j] != usize::MAX;
+            let occupied = self.occupied_pos[p] != usize::MAX;
             if occupied == cached.is_empty() {
                 return Err(format!(
                     "PM {j}: occupied flag {occupied} but load count {}",
@@ -1159,8 +1208,9 @@ impl OnlineCluster {
                 ));
             }
         }
-        for (pos, &j) in self.occupied.iter().enumerate() {
-            if self.occupied_pos[j] != pos {
+        for (pos, &p) in self.occupied.iter().enumerate() {
+            if self.occupied_pos[p] != pos {
+                let j = self.order.pm(p);
                 return Err(format!("occupied slot {pos} (PM {j}) has stale position"));
             }
         }
@@ -1179,7 +1229,7 @@ impl OnlineCluster {
             ));
         }
         for (id, entry) in self.entries.ascending() {
-            let on_host = self.cells[entry.host as usize]
+            let on_host = self.cells[self.order.position(entry.host as usize)]
                 .iter()
                 .any(|c| c.0 == entry.class);
             if !on_host {
@@ -1200,7 +1250,7 @@ impl OnlineCluster {
             self.entries
                 .ascending()
                 .map(|(id, entry)| (id, entry.host as usize)),
-            &self.loads,
+            (0..self.pms.len()).map(|j| &self.loads[self.order.position(j)]),
         )
     }
 
@@ -1235,11 +1285,11 @@ impl OnlineCluster {
             classes.map(|(r, &pop)| (r.id, [r.p_on, r.p_off, r.r_b, r.r_e], pop)),
         );
         self.occupied.len().put(&mut buf);
-        for &j in &self.occupied {
+        for &p in &self.occupied {
             // An `OccupiedPm`, written from the tables that hold it.
-            j.put(&mut buf);
-            self.loads[j].put(&mut buf);
-            self.cells[j].put(&mut buf);
+            self.order.pm(p).put(&mut buf);
+            self.loads[p].put(&mut buf);
+            self.cells[p].put(&mut buf);
         }
         self.entries.len().put(&mut buf);
         for (id, entry) in self.entries.ascending() {
@@ -1303,6 +1353,9 @@ impl OnlineCluster {
         if n_occupied > m {
             return Err(bad(format!("{n_occupied} occupied PMs exceed pool {m}")));
         }
+        // The per-PM state is by position in the pool's order, which the
+        // capacities alone fix: the image stores none.
+        let order = PmOrder::of(&pms);
         let mut loads = vec![PmLoad::empty(); m];
         let mut cells: Vec<Vec<(u32, u32)>> = vec![Vec::new(); m];
         let mut occupied = Vec::with_capacity(n_occupied);
@@ -1312,11 +1365,12 @@ impl OnlineCluster {
             if j >= m {
                 return Err(bad(format!("occupied PM {j} out of range")));
             }
-            if occupied_pos[j] != usize::MAX {
+            let p = order.position(j);
+            if occupied_pos[p] != usize::MAX {
                 return Err(bad(format!("PM {j} occupied twice")));
             }
-            occupied_pos[j] = occupied.len();
-            occupied.push(j);
+            occupied_pos[p] = occupied.len();
+            occupied.push(p);
             if load.count == 0 {
                 return Err(bad(format!("occupied PM {j} has an empty load")));
             }
@@ -1333,8 +1387,8 @@ impl OnlineCluster {
                 }
                 load.max_pi = load.max_pi.max(stationary_on(&class_reps[cid as usize]));
             }
-            loads[j] = load;
-            cells[j] = pm_cells;
+            loads[p] = load;
+            cells[p] = pm_cells;
         }
         let n_entries = c.seq_len(<(usize, usize, u32)>::MIN_BYTES)?;
         // Canonical snapshots list ids in ascending order, so the dense
@@ -1362,14 +1416,16 @@ impl OnlineCluster {
         }
         c.expect_done()?;
         let strategy = QueueStrategy::unfloored(d, rho);
-        let headrooms: Vec<f64> = pms
+        let headrooms: Vec<f64> = order
+            .capacities()
             .iter()
-            .enumerate()
-            .map(|(j, pm)| strategy.headroom(&loads[j], pm.capacity))
+            .zip(&loads)
+            .map(|(&cap, load)| strategy.headroom(load, cap))
             .collect();
         let index = HeadroomIndex::new(&headrooms);
         Ok(Self {
             pms,
+            order,
             strategy,
             pair: (p_on, p_off),
             class_reps,
@@ -1753,11 +1809,13 @@ mod tests {
         let mut g = FleetGenerator::new(1);
         let fleet = g.vms_table_i(20_000, WorkloadPattern::EqualSpike);
         let mut c = OnlineCluster::new(g.pms(5_000), 16, 0.01, 0.09, 0.01);
-        // Warm-up: every gap between admitting PMs fits the look-ahead
-        // window, and a pass that fills a quarter of the pool opens its
-        // later runs at the window too — no search climbs.
+        // Warm-up: as in the offline pack of this fleet, a run searches
+        // past the window where it meets a stretch of PMs an earlier class
+        // filled (three such stretches), and a pass that has marked a
+        // quarter of the pool reads on there instead of building the
+        // tree; every other gap fits the look-ahead window.
         c.arrive_batch(fleet).unwrap();
-        assert_eq!(c.index.probes(), 0);
+        assert_eq!(c.index.probes(), 3);
         c.check_consistency().unwrap();
         // A small batch onto the populated cluster starts behind thousands
         // of full PMs: each class run opens at the tree, as it always has.
@@ -1771,16 +1829,16 @@ mod tests {
             })
             .collect();
         c.arrive_batch(batch).unwrap();
-        assert_eq!(c.index.probes(), 3, "one climb per class run");
+        assert_eq!(c.index.probes(), 6, "one climb per class run");
         c.check_consistency().unwrap();
         // A single arrival is a one-VM run and opens at the tree the same
         // way: PM 0 is full, so its search climbs once. A recalibration
         // touches nothing.
         c.arrive(VmSpec::new(2_000_000, 0.2, 0.3, 5.0, 5.0))
             .unwrap();
-        assert_eq!(c.index.probes(), 4, "one climb for the arrival's run");
+        assert_eq!(c.index.probes(), 7, "one climb for the arrival's run");
         c.recalibrate().unwrap();
-        assert_eq!(c.index.probes(), 4);
+        assert_eq!(c.index.probes(), 7);
         c.check_consistency().unwrap();
     }
 
@@ -1972,6 +2030,67 @@ mod tests {
     }
 
     #[test]
+    fn a_restore_mid_program_on_a_heterogeneous_pool_ends_on_the_uninterrupted_digest() {
+        // The PM order is not in the image: a restore recomputes it from
+        // the capacities. On a pool whose order is far from index order,
+        // an engine restored half-way through a churn program and fed the
+        // rest ends where the uninterrupted one does, and so does the
+        // per-VM oracle.
+        use bursty_workload::{FleetGenerator, WorkloadPattern};
+        let mut g = FleetGenerator::new(7);
+        let fleet = g.vms_table_i(1_200, WorkloadPattern::EqualSpike);
+        let pms = g.pms(400);
+        let order = PmOrder::of(&pms);
+        assert!(
+            (0..pms.len()).any(|p| order.pm(p) != p),
+            "the pool is reordered"
+        );
+        // Op `step` of the program: two arrivals, a six-VM batch and two
+        // departures of earlier arrivals in every five.
+        let drive = |c: &mut OnlineCluster,
+                     r: &mut ReferenceOnlineCluster,
+                     steps: std::ops::Range<usize>| {
+            for step in steps {
+                let vm = fleet[step];
+                match step % 5 {
+                    0 | 1 => assert_eq!(c.arrive(vm).ok(), r.arrive(vm).ok()),
+                    2 => {
+                        let batch: Vec<VmSpec> = (0..6)
+                            .map(|k| VmSpec {
+                                id: 10_000 + 6 * step + k,
+                                ..fleet[(step + 1 + k) % fleet.len()]
+                            })
+                            .collect();
+                        assert_eq!(c.arrive_batch(batch.clone()), r.arrive_batch(batch));
+                    }
+                    _ => {
+                        let id = fleet[(7 * step) % (step + 1)].id;
+                        assert_eq!(c.depart(id), r.depart(id));
+                    }
+                }
+            }
+        };
+        let fresh = || {
+            (
+                OnlineCluster::new(pms.clone(), 16, 0.01, 0.09, 0.01),
+                ReferenceOnlineCluster::new(pms.clone(), 16, 0.01),
+            )
+        };
+        let (mut live, mut oracle) = fresh();
+        drive(&mut live, &mut oracle, 0..600);
+        let (mut first, mut twin) = fresh();
+        drive(&mut first, &mut twin, 0..300);
+        let mut restored = OnlineCluster::from_snapshot_bytes(&first.to_snapshot_bytes()).unwrap();
+        restored.check_consistency().unwrap();
+        drive(&mut restored, &mut twin, 300..600);
+        restored.check_consistency().unwrap();
+        assert!(live.n_vms() > 900, "{} VMs live", live.n_vms());
+        assert_eq!(restored.state_digest(), live.state_digest());
+        assert_eq!(oracle.state_digest(), live.state_digest());
+        assert_eq!(restored.to_snapshot_bytes(), live.to_snapshot_bytes());
+    }
+
+    #[test]
     fn snapshot_corruption_fails_cleanly() {
         let (a, _) = churned_pair();
         let bytes = a.to_snapshot_bytes();
@@ -1989,7 +2108,8 @@ mod tests {
     #[test]
     fn a_snapshot_with_a_non_finite_or_non_positive_capacity_is_refused() {
         let mut c = cluster(&[50.0, 60.0]);
-        c.arrive(vm(0, 10.0, 5.0)).unwrap();
+        // The larger PM comes first: the VM lands on PM 1.
+        assert_eq!(c.arrive(vm(0, 10.0, 5.0)), Ok(1));
         let bytes = c.to_snapshot_bytes();
         // d, rho, the retired epsilon, the pair, the PM count, PM 0's id.
         let capacity = 7 * 8;
@@ -2001,7 +2121,7 @@ mod tests {
         let max_re = r_b + 2 * 8 + 8 + 8 + 2 * 8;
         let field = |at: usize| f64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
         let (inf, nan) = (f64::INFINITY, f64::NAN);
-        let load = "PM 0: non-finite load";
+        let load = "PM 1: non-finite load";
         let cases: [(usize, f64, &str, &[f64]); 6] = [
             (
                 capacity,

@@ -8,6 +8,7 @@
 
 use crate::index::HeadroomIndex;
 use crate::load::PmLoad;
+use crate::order::PmOrder;
 use crate::placement::Placement;
 use crate::strategy::{ffd_order, Strategy};
 use bursty_workload::{PmSpec, VmSpec};
@@ -36,33 +37,33 @@ impl std::error::Error for PackError {}
 /// one wasted probe; pruning slightly more would change results.
 pub(crate) const PRUNE_SLACK: f64 = 1e-6;
 
-/// The First-Fit probe over the index: lowest-numbered PM that admits
-/// `vm`, skipping (provably infeasible) PMs below the demand threshold and
-/// skipping ahead past candidates that reject on the full `admits` check.
-/// The per-VM loops that keep it — [`first_fit`] (the oracle the batch
-/// packer is held to), `ReferenceOnlineCluster` and `defrag` — count
-/// nothing; production placement is [`crate::batch::place_run`].
+/// The First-Fit probe over the index: the lowest position whose PM
+/// `admits` the VM, skipping (provably infeasible) positions below the
+/// VM's `demand` and skipping ahead past candidates that reject on the
+/// full admission check. The per-VM loops that keep it — [`first_fit`]
+/// (the oracle the batch packer is held to), `ReferenceOnlineCluster` and
+/// `defrag` — count nothing; production placement is
+/// [`crate::batch::place_run`].
 pub(crate) fn probe_first_fit(
     index: &HeadroomIndex,
-    loads: &[PmLoad],
-    pms: &[PmSpec],
-    strategy: &dyn Strategy,
-    vm: &VmSpec,
+    demand: f64,
+    mut admits: impl FnMut(usize) -> bool,
 ) -> Option<usize> {
-    let threshold = strategy.demand(vm) - PRUNE_SLACK;
+    let threshold = demand - PRUNE_SLACK;
     let mut from = 0;
-    while let Some(j) = index.first_at_least(from, threshold) {
-        if strategy.admits(&loads[j], vm, pms[j].capacity) {
-            return Some(j);
+    while let Some(p) = index.first_at_least(from, threshold) {
+        if admits(p) {
+            return Some(p);
         }
-        from = j + 1;
+        from = p + 1;
     }
     None
 }
 
 /// Places `vms` onto `pms` with First Fit in the order chosen by
 /// `strategy` — with a decreasing order this is the paper's FFD family
-/// (QueuingFFD, RP, RB, RB-EX are all instances).
+/// (QueuingFFD, RP, RB, RB-EX are all instances). PMs are tried in the
+/// pool's [`PmOrder`]: largest capacity first, ties by index.
 ///
 /// This is the per-VM reference: one probe and one index update per VM.
 /// Production packs go through the class-run placer
@@ -99,20 +100,33 @@ pub fn first_fit(
     pms: &[PmSpec],
     strategy: &dyn Strategy,
 ) -> Result<Placement, PackError> {
-    let mut placement = Placement::empty(vms.len(), pms.len());
-    let mut loads = vec![PmLoad::empty(); pms.len()];
-    let empty: Vec<f64> = pms
+    first_fit_in(vms, &PmOrder::of(pms), strategy)
+}
+
+/// [`first_fit`] over the PMs in `order`, with the loads and the index
+/// leaves by position in it.
+pub(crate) fn first_fit_in(
+    vms: &[VmSpec],
+    order: &PmOrder,
+    strategy: &dyn Strategy,
+) -> Result<Placement, PackError> {
+    let mut placement = Placement::empty(vms.len(), order.len());
+    let caps = order.capacities();
+    let mut loads = vec![PmLoad::empty(); caps.len()];
+    let empty: Vec<f64> = caps
         .iter()
-        .map(|pm| strategy.headroom(&PmLoad::empty(), pm.capacity))
+        .map(|&cap| strategy.headroom(&PmLoad::empty(), cap))
         .collect();
     let mut index = HeadroomIndex::new(&empty);
     for &i in &ffd_order(strategy, vms) {
         let vm = &vms[i];
-        let j =
-            probe_first_fit(&index, &loads, pms, strategy, vm).ok_or(PackError { vm_id: vm.id })?;
-        loads[j].add(vm);
-        index.update(j, strategy.headroom(&loads[j], pms[j].capacity));
-        placement.assignment[i] = Some(j);
+        let p = probe_first_fit(&index, strategy.demand(vm), |p| {
+            strategy.admits(&loads[p], vm, caps[p])
+        })
+        .ok_or(PackError { vm_id: vm.id })?;
+        loads[p].add(vm);
+        index.update(p, strategy.headroom(&loads[p], caps[p]));
+        placement.assignment[i] = Some(order.pm(p));
     }
     Ok(placement)
 }
@@ -123,7 +137,8 @@ pub fn first_fit(
 mod linear {
     use super::*;
 
-    /// Linear-scan First Fit: same results as [`first_fit`], `O(n · m)`.
+    /// Linear-scan First Fit: same results as [`first_fit`], `O(n · m)`,
+    /// walking the PMs by index in the pool's order.
     pub(super) fn first_fit_linear(
         vms: &[VmSpec],
         pms: &[PmSpec],
@@ -131,13 +146,12 @@ mod linear {
     ) -> Result<Placement, PackError> {
         let mut placement = Placement::empty(vms.len(), pms.len());
         let mut loads = vec![PmLoad::empty(); pms.len()];
+        let order = PmOrder::of(pms);
         for &i in &ffd_order(strategy, vms) {
             let vm = &vms[i];
-            let slot = pms
-                .iter()
-                .enumerate()
-                .find(|(j, pm)| strategy.admits(&loads[*j], vm, pm.capacity))
-                .map(|(j, _)| j);
+            let slot = order
+                .pms()
+                .find(|&j| strategy.admits(&loads[j], vm, pms[j].capacity));
             match slot {
                 Some(j) => {
                     loads[j].add(vm);

@@ -2,9 +2,12 @@
 //!
 //! Every failed request answers `{"error":{"code":...,"message":...}}`
 //! so the replay client and the malformed-input matrix can assert on the
-//! machine-readable `code` rather than scraping free-text messages.
+//! machine-readable `code` rather than scraping free-text messages. A
+//! batch admit refused part-way adds `"placed"`, the `{"id","host"}` pairs
+//! of the members it placed before the refusal.
 
 use bursty_obs::json::encode_string;
+use std::fmt::Write as _;
 
 /// A request failure: an HTTP status plus a stable machine-readable code.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -12,6 +15,8 @@ pub struct ServeError {
     pub status: u16,
     pub code: &'static str,
     pub message: String,
+    /// The `(VM id, PM)` pairs a refused batch placed, which stay placed.
+    pub placed: Option<Vec<(usize, usize)>>,
 }
 
 impl ServeError {
@@ -20,6 +25,7 @@ impl ServeError {
             status: 400,
             code: "bad_request",
             message: message.into(),
+            placed: None,
         }
     }
 
@@ -28,6 +34,7 @@ impl ServeError {
             status: 400,
             code: "invalid_params",
             message: message.into(),
+            placed: None,
         }
     }
 
@@ -36,6 +43,7 @@ impl ServeError {
             status: 404,
             code: "not_found",
             message: message.into(),
+            placed: None,
         }
     }
 
@@ -44,6 +52,7 @@ impl ServeError {
             status: 405,
             code: "method_not_allowed",
             message: message.into(),
+            placed: None,
         }
     }
 
@@ -52,6 +61,7 @@ impl ServeError {
             status: 409,
             code,
             message: message.into(),
+            placed: None,
         }
     }
 
@@ -63,6 +73,7 @@ impl ServeError {
             status: 503,
             code,
             message: message.into(),
+            placed: None,
         }
     }
 
@@ -71,6 +82,16 @@ impl ServeError {
             status: 500,
             code: "internal",
             message: message.into(),
+            placed: None,
+        }
+    }
+
+    /// The refusal of a batch that placed `placed` before it ran out of
+    /// room.
+    pub(crate) fn with_placed(self, placed: Vec<(usize, usize)>) -> Self {
+        Self {
+            placed: Some(placed),
+            ..self
         }
     }
 
@@ -81,6 +102,14 @@ impl ServeError {
         out.push_str(self.code);
         out.push_str("\",\"message\":");
         encode_string(&self.message, &mut out);
+        if let Some(placed) = &self.placed {
+            out.push_str(",\"placed\":[");
+            for (k, (id, host)) in placed.iter().enumerate() {
+                let sep = if k == 0 { "" } else { "," };
+                let _ = write!(out, "{sep}{{\"id\":{id},\"host\":{host}}}");
+            }
+            out.push(']');
+        }
         out.push_str("}}");
         out
     }

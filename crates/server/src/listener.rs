@@ -575,6 +575,7 @@ fn serve_conn(mut conn: Conn, ctx: &WorkerCtx) {
                         status,
                         code: e.code(),
                         message: e.to_string(),
+                        placed: None,
                     };
                     answer(&mut conn, Err(e), false);
                 }

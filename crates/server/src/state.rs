@@ -59,8 +59,13 @@ pub enum Applied {
     Recalibrated { p_on: f64, p_off: f64 },
     /// VM `id` of an admit is already placed; the engine was not reached.
     DuplicateId(usize),
-    /// No PM admits VM `id`; earlier batch members stay placed.
-    NoCapacity(usize),
+    /// No PM admits VM `vm_id`; the batch members placed before it stay
+    /// placed, on the PMs `placed` lists (`(VM id, PM)`, empty for a
+    /// single admit).
+    NoCapacity {
+        vm_id: usize,
+        placed: Vec<(usize, usize)>,
+    },
     /// A departure of VM `id`, which is not placed; nothing changed.
     UnknownId(usize),
     /// A recalibration of a cluster that hosts no VM.
@@ -84,13 +89,19 @@ pub fn apply_op<E: OnlineEngine, R: Recorder>(
         Op::Admit(vm) if engine.host_of(vm.id).is_some() => Applied::DuplicateId(vm.id),
         Op::Admit(vm) => match engine.arrive(vm, rec) {
             Ok(host) => Applied::Admitted { id: vm.id, host },
-            Err(e) => Applied::NoCapacity(e.vm_id),
+            Err(e) => Applied::NoCapacity {
+                vm_id: e.vm_id,
+                placed: Vec::new(),
+            },
         },
         Op::AdmitBatch(vms) => match vms.iter().find(|v| engine.host_of(v.id).is_some()) {
             Some(dup) => Applied::DuplicateId(dup.id),
             None => match engine.arrive_batch(vms, rec) {
                 Ok(placed) => Applied::AdmittedBatch(placed),
-                Err(e) => Applied::NoCapacity(e.vm_id),
+                Err((e, placed)) => Applied::NoCapacity {
+                    vm_id: e.vm_id,
+                    placed,
+                },
             },
         },
         Op::Depart { id } => match engine.depart(id, rec) {
@@ -103,6 +114,13 @@ pub fn apply_op<E: OnlineEngine, R: Recorder>(
         },
         Op::Snapshot => return None,
     })
+}
+
+/// `(VM id, PM)` placements as the JSON array the daemon answers with.
+fn hosts_json(placed: &[(usize, usize)]) -> Json {
+    let num = |x: usize| Json::Num(x as f64);
+    let pair = |&(id, host): &(usize, usize)| obj(vec![("id", num(id)), ("host", num(host))]);
+    Json::Arr(placed.iter().map(pair).collect())
 }
 
 /// The engine plus its observability sidecar and the applied-op counter.
@@ -178,10 +196,7 @@ impl ClusterState {
                 Ok(obj(vec![("id", num(id)), ("host", num(host)), applied]))
             }
             Applied::AdmittedBatch(placed) => {
-                let pair =
-                    |&(id, host): &(usize, usize)| obj(vec![("id", num(id)), ("host", num(host))]);
-                let hosts = Json::Arr(placed.iter().map(pair).collect());
-                Ok(obj(vec![("placed", hosts), applied]))
+                Ok(obj(vec![("placed", hosts_json(&placed)), applied]))
             }
             Applied::Recalibrated { p_on, p_off } => Ok(obj(vec![
                 ("p_on", Json::Num(p_on)),
@@ -192,14 +207,15 @@ impl ClusterState {
                 "duplicate_id",
                 format!("vm {id} is already placed"),
             )),
-            Applied::NoCapacity(vm_id) => {
-                let rest = if batch {
-                    "; earlier batch members stay placed"
+            Applied::NoCapacity { vm_id, placed } => {
+                let msg = format!("vm {vm_id} fits on no PM");
+                Err(if batch {
+                    // The body lists the members placed before the refusal.
+                    let msg = format!("{msg}; earlier batch members stay placed");
+                    ServeError::conflict("no_capacity", msg).with_placed(placed)
                 } else {
-                    ""
-                };
-                let msg = format!("vm {vm_id} fits on no PM{rest}");
-                Err(ServeError::conflict("no_capacity", msg))
+                    ServeError::conflict("no_capacity", msg)
+                })
             }
             Applied::UnknownId(id) => Err(ServeError::not_found(format!("vm {id} is not placed"))),
             Applied::EmptyCluster => Err(ServeError::conflict(
@@ -619,7 +635,19 @@ mod tests {
     fn daemon_answer(res: Result<Json, ServeError>) -> Answer {
         let json = match res {
             Ok(json) => json,
-            Err(e) => return (e.status, e.code, Vec::new(), None),
+            Err(e) => {
+                // The body lists what the typed error carries.
+                let body = Json::parse(e.to_json().as_bytes()).unwrap();
+                let listed = body.get("error").unwrap().get("placed").map(|placed| {
+                    let pair = |v: &Json| {
+                        let field = |k: &str| v.get(k).and_then(Json::as_usize).unwrap();
+                        (field("id"), field("host"))
+                    };
+                    placed.as_array().unwrap().iter().map(pair).collect()
+                });
+                assert_eq!(listed, e.placed);
+                return (e.status, e.code, e.placed.unwrap_or_default(), None);
+            }
         };
         let pair = |v: &Json| {
             let field = |k: &str| v.get(k).and_then(Json::as_usize).unwrap();
@@ -642,7 +670,7 @@ mod tests {
             Applied::AdmittedBatch(placed) => (200, "", placed, None),
             Applied::Recalibrated { p_on, p_off } => (200, "", Vec::new(), Some((p_on, p_off))),
             Applied::DuplicateId(_) => (409, "duplicate_id", Vec::new(), None),
-            Applied::NoCapacity(_) => (409, "no_capacity", Vec::new(), None),
+            Applied::NoCapacity { placed, .. } => (409, "no_capacity", placed, None),
             Applied::UnknownId(_) => (404, "not_found", Vec::new(), None),
             Applied::EmptyCluster => (409, "empty_cluster", Vec::new(), None),
         }
@@ -669,16 +697,23 @@ mod tests {
             ],
         );
         ops.insert(0, Op::Recalibrate);
+        // A batch the pool cannot hold whole: its first members are placed
+        // and stay, and the answer lists them.
+        let overflow = (200_000..200_080).map(|id| vm(id, 20.0)).collect();
+        ops.insert(2, Op::AdmitBatch(overflow));
         for at in [40, 300, 700] {
             ops.insert(at, Op::Depart { id: 999_999 });
         }
         let mut seen: Vec<&'static str> = Vec::new();
+        let mut short_batches = 0;
         for (i, op) in ops.into_iter().enumerate() {
             let want = oracle_answer(apply_op(&mut oracle, op.clone(), &mut NoopRecorder).unwrap());
             let got = daemon_answer(s.apply(op, None, 2, 0));
             assert_eq!(got, want, "op {i}");
             seen.push(want.1);
+            short_batches += usize::from(want.1 == "no_capacity" && !want.2.is_empty());
         }
+        assert!(short_batches > 0, "no batch was refused part-way");
         assert_eq!(s.cluster().state_digest(), oracle.state_digest());
         oracle.check_consistency().unwrap();
         for code in [

@@ -11,8 +11,11 @@ use crate::policy::{DegradedAdmission, PmRuntime, RuntimePolicy};
 use crate::workload_core::WorkloadCore;
 use bursty_metrics::TimeSeries;
 use bursty_obs::{Counter, Event, Gauge, HistId, NoopRecorder, Recorder, RetryCause};
-use bursty_placement::{evacuate_batch_recorded, HeadroomIndex, Placement, PmLoad, CAP_EPS};
+use bursty_placement::{
+    evacuate_batch_recorded, HeadroomIndex, Placement, PmLoad, PmOrder, CAP_EPS,
+};
 use bursty_workload::{PmSpec, VmSpec};
+use std::sync::Arc;
 
 /// Recovery and degradation accounting of one run. All fields stay zero
 /// when [`SimConfig::faults`] is `None` and no migration ever fails.
@@ -215,6 +218,9 @@ impl FaultState {
 /// split into *active* (hosting at least one VM) and *empty* PMs so
 /// [`Simulator::pick_target`] keeps its two-phase first-fit semantics.
 /// Down PMs carry `NEG_INFINITY` in both indexes and are never probed.
+/// Both are laid out by position in the pool's First-Fit [`PmOrder`],
+/// the order the packers walk, so a migration and a wake-up go to the
+/// largest PM that admits the VM.
 ///
 /// Derived run state: built at the first target query of a run (or of a
 /// resumed run — it is never serialized) and kept from then on. Every
@@ -225,6 +231,7 @@ impl FaultState {
 /// re-derived in place at the first query of each step
 /// ([`TargetFinder::rebuild`]).
 pub(crate) struct TargetFinder {
+    order: Arc<PmOrder>,
     active: HeadroomIndex,
     empty: HeadroomIndex,
     /// The step whose observed demands the leaves were last derived
@@ -241,6 +248,7 @@ impl TargetFinder {
         pm_up: &[bool],
     ) -> Self {
         let mut finder = Self {
+            order: PmOrder::of(sim.pms),
             active: HeadroomIndex::new(&[]),
             empty: HeadroomIndex::new(&[]),
             step,
@@ -273,7 +281,9 @@ impl TargetFinder {
     }
 
     /// Re-derives every leaf straight into the trees, reusing their
-    /// allocations.
+    /// allocations. PMs are read in index order and their leaves written
+    /// to their positions: the per-PM arrays are the larger side, so they
+    /// are the one read in sequence.
     fn rebuild(
         &mut self,
         sim: &Simulator<'_>,
@@ -282,13 +292,20 @@ impl TargetFinder {
         observed: &[f64],
         pm_up: &[bool],
     ) {
-        let Self { active, empty, .. } = self;
-        active.rebuild_with(loads.len(), |active| {
-            empty.rebuild_with(loads.len(), |empty| {
-                for j in 0..loads.len() {
-                    let (a, e) = Self::leaves(sim, j, loads, observed, pm_up);
-                    active.push(a);
-                    empty.push(e);
+        let Self {
+            order,
+            active,
+            empty,
+            ..
+        } = self;
+        let m = loads.len();
+        active.rebuild_with(m, |active| {
+            empty.rebuild_with(m, |empty| {
+                active.resize(m, f64::NEG_INFINITY);
+                empty.resize(m, f64::NEG_INFINITY);
+                for j in 0..m {
+                    let p = order.position(j);
+                    (active[p], empty[p]) = Self::leaves(sim, j, loads, observed, pm_up);
                 }
             });
         });
@@ -307,8 +324,9 @@ impl TargetFinder {
         pm_up: &[bool],
     ) {
         let (a, e) = Self::leaves(sim, j, loads, observed, pm_up);
-        self.active.update(j, a);
-        self.empty.update(j, e);
+        let p = self.order.position(j);
+        self.active.update(p, a);
+        self.empty.update(p, e);
     }
 }
 
@@ -1456,7 +1474,10 @@ impl<'a> Simulator<'a> {
             .iter()
             .map(|&i| policy.demand_measure(&self.vms[i], self.vms[i].demand(core.on[i])))
             .collect();
-        let headrooms: Vec<f64> = (0..self.pms.len())
+        // Leaves by position in the pool's First-Fit order.
+        let order = PmOrder::of(self.pms);
+        let headrooms: Vec<f64> = order
+            .pms()
             .map(|j| {
                 if !fs.pm_up[j] {
                     return f64::NEG_INFINITY;
@@ -1469,8 +1490,8 @@ impl<'a> Simulator<'a> {
             })
             .collect();
         let mut index = HeadroomIndex::new(&headrooms);
-        let out = evacuate_batch_recorded(&demands, &mut index, rec, |j, slot| {
-            let i = displaced[slot];
+        let out = evacuate_batch_recorded(&demands, &mut index, rec, |p, slot| {
+            let (i, j) = (displaced[slot], order.pm(p));
             let vm = &self.vms[i];
             let vm_demand = vm.demand(core.on[i]);
             let pm = PmRuntime {
@@ -1492,8 +1513,8 @@ impl<'a> Simulator<'a> {
             Some(policy.headroom(&pm, self.pms[j].capacity))
         });
         fs.stranded -= out.placed.len();
-        for &(slot, j) in &out.placed {
-            let i = displaced[slot];
+        for &(slot, p) in &out.placed {
+            let (i, j) = (displaced[slot], order.pm(p));
             let record = fs.crash_of_vm[i]
                 .take()
                 .expect("displaced VM has a crash record");
@@ -1592,25 +1613,26 @@ impl<'a> Simulator<'a> {
         let mut found = None;
         'search: for index in [&f.active, &f.empty] {
             let mut from = 0;
-            while let Some(j) = index.first_at_least(from, threshold) {
+            while let Some(p) = index.first_at_least(from, threshold) {
+                let j = f.order.pm(p);
                 if j != source && admit(j) {
                     found = Some(j);
                     break 'search;
                 }
-                from = j + 1;
+                from = p + 1;
             }
         }
         #[cfg(test)]
         {
             let fresh = TargetFinder::new(self, step, loads, observed, pm_up);
-            for j in 0..self.pms.len() {
+            for p in 0..self.pms.len() {
                 assert_eq!(
-                    (f.active.value(j).to_bits(), f.empty.value(j).to_bits()),
+                    (f.active.value(p).to_bits(), f.empty.value(p).to_bits()),
                     (
-                        fresh.active.value(j).to_bits(),
-                        fresh.empty.value(j).to_bits()
+                        fresh.active.value(p).to_bits(),
+                        fresh.empty.value(p).to_bits()
                     ),
-                    "kept index stale at PM {j}, step {step} ({})",
+                    "kept index stale at position {p}, step {step} ({})",
                     self.policy.name()
                 );
             }
@@ -1644,10 +1666,13 @@ impl<'a> Simulator<'a> {
             };
             self.policy.admits(vm, vm_demand, &pm, self.pms[j].capacity)
         };
-        let active = (0..self.pms.len())
+        let order = PmOrder::of(self.pms);
+        let active = order
+            .pms()
             .find(|&j| j != source && pm_up[j] && !loads[j].is_empty() && admit(j));
         active.or_else(|| {
-            (0..self.pms.len())
+            order
+                .pms()
                 .find(|&j| j != source && pm_up[j] && loads[j].is_empty() && admit(j))
         })
     }

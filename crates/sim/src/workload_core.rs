@@ -239,6 +239,14 @@ impl ClassChunk {
                 into.thr = STALE;
             }
             Err(at) => {
+                // A full chunk grows by a sixteenth, not by doubling:
+                // migrations land in chunks all over the pool, and a
+                // doubled 12k-cell chunk per landing would hold ~10 MB
+                // of empty cells at paper density. The insert already
+                // shifts the chunk's tail, so the extra copies are noise.
+                if self.cells.len() == self.cells.capacity() {
+                    self.cells.reserve_exact(self.cells.len() / 16 + 16);
+                }
                 self.cells.insert(range.start + at, cell);
                 for o in &mut self.offsets[l + 1..] {
                     *o += 1;

@@ -308,7 +308,7 @@ fn kernel_cache_counters_match_the_per_draw_kernel() {
     }
 }
 
-const PINNED_KERNEL_COUNTERS: (u64, u64, u64) = (1_930_075, 67, 0);
+const PINNED_KERNEL_COUNTERS: (u64, u64, u64) = (2_144_987, 171, 0);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
