@@ -23,8 +23,9 @@
 //! measured at (`--commit`, default `git describe --always --dirty`), with
 //! `max(R, 5)` repeats reported as q1 / median / q3, the packer's own
 //! per-phase seconds ([`PackProfile`]: collapse, reset, runs, scatter —
-//! medians) and the number of candidate searches that had to climb the
-//! headroom tree. `--before PATH` copies the `fleets` rows of an earlier
+//! medians), the number of candidate searches that went past the
+//! look-ahead window and the number of times the pack built the headroom
+//! tree. `--before PATH` copies the `fleets` rows of an earlier
 //! output in front of the new ones: that is how the checked-in file holds
 //! the parent commit's rows (`crates/bench/src` copied into a clone of the
 //! parent commit and run there) and the look-ahead sweep (the same source
@@ -57,9 +58,9 @@
 //! The process exits nonzero (assert) if any row's batch placement
 //! differs from the per-VM packer's on the full assignment vector, if a
 //! size at n >= 1e6 falls below the 10x acceptance bar, or if the
-//! paper-density pack searches past the look-ahead window more than the
-//! three times its classes' crossings cost (one per earlier class a run
-//! passes) — so CI can gate on the exit
+//! paper-density pack builds the headroom tree at all or searches past
+//! the look-ahead window more than the three times its classes' crossings
+//! cost (one per earlier class a run passes) — so CI can gate on the exit
 //! code alone. A flag that is not declared above, given twice, without a
 //! value or with an unparsable one exits 2.
 
@@ -91,8 +92,10 @@ struct FleetRow {
     pack_median: f64,
     /// Whether batch and per-VM agreed on the full assignment vector.
     identical: bool,
-    /// Tree climbs of one pack (the same on every repeat).
+    /// Past-window searches of one pack (the same on every repeat).
     tree_probes: u64,
+    /// Headroom-tree builds of one pack (the same on every repeat).
+    tree_builds: u64,
 }
 
 /// One `fleets` row: the batch packer against the per-VM packer on the
@@ -144,17 +147,19 @@ fn fleet_row(
             profiles.push(arena.last_pack());
         }
     }
-    let tree_probes = profiles[0].tree_probes;
+    let (tree_probes, tree_builds) = (profiles[0].tree_probes, profiles[0].tree_builds);
     assert!(
-        profiles.iter().all(|p| p.tree_probes == tree_probes),
-        "{fleet}: tree climbs differ between repeats of one pack"
+        profiles
+            .iter()
+            .all(|p| (p.tree_probes, p.tree_builds) == (tree_probes, tree_builds)),
+        "{fleet}: past-window searches or tree builds differ between repeats of one pack"
     );
     let phase =
         |get: fn(&PackProfile) -> f64| quartiles(&profiles.iter().map(get).collect::<Vec<_>>())[1];
     let pack_median = quartiles(&secs)[1];
     eprintln!(
-        "  {fleet} n={}: batch {pack_median:.4}s (per-VM {per_vm_secs:.4}s), {tree_probes} tree \
-         climbs, identical={identical}",
+        "  {fleet} n={}: batch {pack_median:.4}s (per-VM {per_vm_secs:.4}s), {tree_probes} \
+         past-window searches, {tree_builds} tree builds, identical={identical}",
         vms.len()
     );
     let phases = Obj::default()
@@ -176,12 +181,14 @@ fn fleet_row(
         .field("per_vm_secs", per_vm_secs)
         .field("batch_secs", spread(&secs))
         .field("tree_probes", tree_probes)
+        .field("tree_builds", tree_builds)
         .field("phases_median_s", phases);
     let fleet_row = FleetRow {
         row,
         pack_median,
         identical,
         tree_probes,
+        tree_builds,
     };
     (fleet_row, beside_secs)
 }
@@ -293,7 +300,7 @@ fn main() {
         all_identical &= row.identical;
         fleet_rows.push(row.row.to_json());
     }
-    let mut paper_tree_probes = None;
+    let mut paper_tree = None;
     if paper_n > 0 {
         let mut gen = FleetGenerator::new(1);
         let vms = gen.vms_table_i(paper_n, WorkloadPattern::EqualSpike);
@@ -318,7 +325,7 @@ fn main() {
         );
         let [place_secs, pack_dyn_secs] = <[Vec<f64>; 2]>::try_from(beside).unwrap();
         all_identical &= row.identical;
-        paper_tree_probes = Some(row.tree_probes);
+        paper_tree = Some((row.tree_probes, row.tree_builds));
         let strategy_build_secs: Vec<f64> = (0..attributed)
             .map(|_| timed(|| consolidator.strategy()).1)
             .collect();
@@ -380,9 +387,15 @@ fn main() {
     // In capacity order a run searches past the window where it crosses
     // the stretch of PMs an earlier class filled: at most once per earlier
     // class, k(k - 1)/2 over the Table-I fleet's k = 3 classes, at any n.
+    // Each such search reads on over the leaves: the tree is never built.
+    let (past_window, builds) = paper_tree.unwrap_or((0, 0));
     assert!(
-        paper_tree_probes.unwrap_or(0) <= 3,
+        builds == 0,
+        "the paper-density pack built the headroom tree {builds} times"
+    );
+    assert!(
+        past_window <= 3,
         "the paper-density pack searched past the look-ahead window \
-         {paper_tree_probes:?} times: more gaps than the class crossings outgrew it"
+         {past_window} times: more gaps than the class crossings outgrew it"
     );
 }

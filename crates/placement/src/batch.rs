@@ -121,9 +121,13 @@ pub struct PackProfile {
     /// Scattering per-VM assignments from the fill segments (zero off the
     /// collapsed path, which assigns while it places).
     pub scatter_s: f64,
-    /// Candidate searches that had to climb the headroom tree: the whole
-    /// look-ahead window rejected and the farm went on past it.
+    /// Candidate searches that went past the look-ahead window: the whole
+    /// window rejected and the farm went on past it. Each read on over
+    /// the leaves or climbed the headroom tree.
     pub tree_probes: u64,
+    /// Times the pack built the headroom tree: 0 when every search past
+    /// the window read on.
+    pub tree_builds: u64,
     /// Candidate PMs the run placer tried, one per (run, candidate PM):
     /// what `Consolidator::place_recorded` books as
     /// [`bursty_obs::Counter::PackProbes`].
@@ -160,10 +164,12 @@ impl PlacementState {
         self.fills.clear();
     }
 
-    /// The phase times and tree climbs of the last pack on this arena.
+    /// The phase times, past-window searches and tree builds of the last
+    /// pack on this arena.
     pub fn last_pack(&self) -> PackProfile {
         PackProfile {
             tree_probes: self.index.probes(),
+            tree_builds: self.index.builds(),
             ..self.profile
         }
     }
@@ -1280,7 +1286,7 @@ mod tests {
         // run searches past the window where it meets a stretch of PMs an
         // earlier class filled (three such stretches here), and reads on
         // there: the tree is never built. Every other gap fits the window
-        // (`packing_bench` holds the full 1M-VM fleet to the same count).
+        // (`packing_bench` holds the full 1M-VM fleet to the same counts).
         use bursty_workload::{FleetGenerator, WorkloadPattern};
         let q = QueueStrategy::build(16, 0.01, 0.09, 0.01);
         let mut g = FleetGenerator::new(1);
@@ -1292,7 +1298,8 @@ mod tests {
             first_fit(&vms, &farm, &q)
         );
         assert_eq!(state.last_pack().tree_probes, 3);
-        assert!(!state.index.is_clean(), "the tree was never built");
+        assert_eq!(state.last_pack().tree_builds, 0, "the tree was never built");
+        assert!(!state.index.is_clean());
     }
 
     #[test]

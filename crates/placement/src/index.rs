@@ -93,6 +93,9 @@ pub struct HeadroomIndex {
     /// Searches that went past the window since the last
     /// [`Self::reset_lazy`].
     probes: u64,
+    /// Times the internal nodes were built from the leaves since the last
+    /// [`Self::reset_lazy`].
+    builds: u64,
 }
 
 impl HeadroomIndex {
@@ -106,6 +109,7 @@ impl HeadroomIndex {
             dirty: Vec::new(),
             scan_budget: 0,
             probes: 0,
+            builds: 0,
         };
         index.rebuild(values);
         index
@@ -146,6 +150,7 @@ impl HeadroomIndex {
         self.dirty.clear();
         self.scan_budget = self.n;
         self.probes = 0;
+        self.builds = 0;
     }
 
     /// The value of heap-numbered node `h`.
@@ -180,10 +185,17 @@ impl HeadroomIndex {
         }
     }
 
-    /// Searches that had to climb the tree (the window rejected and the
-    /// farm went on past it) since the last [`Self::reset_lazy`].
+    /// Searches that went past the window (it rejected and the farm went
+    /// on past it) since the last [`Self::reset_lazy`], whether they read
+    /// on or climbed the tree.
     pub(crate) fn probes(&self) -> u64 {
         self.probes
+    }
+
+    /// Times the internal nodes were built from the leaves since the last
+    /// [`Self::reset_lazy`]: 0 for a lazy pass that never needed the tree.
+    pub(crate) fn builds(&self) -> u64 {
+        self.builds
     }
 
     /// Sets PM `j`'s headroom and repairs the path to the root (eager).
@@ -230,6 +242,7 @@ impl HeadroomIndex {
                 self.pull(h);
             }
             self.stale = false;
+            self.builds += 1;
         } else {
             for at in 0..self.dirty.len() {
                 self.climb(self.dirty[at] as usize);
@@ -432,6 +445,11 @@ mod tests {
         }
         assert_eq!(searches, 3, "1 + 2w leaves read before the climb");
         assert_eq!(idx.probes(), 4);
+        assert_eq!(
+            idx.builds(),
+            2,
+            "the eager build at `new`, then the climb's"
+        );
         idx.check_flushed().unwrap();
         // A run opening at a built tree reads only the PM at the cursor.
         assert_eq!(idx.first_admitting(0, 9.0), Some(w - 1));

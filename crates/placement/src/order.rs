@@ -11,7 +11,8 @@
 //!
 //! The packers work in *position* space: the headroom index's leaves (and,
 //! where the packer owns them, the loads) are laid out in this order, so
-//! the hot loops read them front to back; a position becomes a PM index
+//! the hot loops read them front to back (the simulator keeps its whole
+//! run state by position too); a position becomes a PM index
 //! only where an assignment or a host is written out ([`PmOrder::pm`]),
 //! and a caller that holds a PM index finds its leaf through
 //! [`PmOrder::position`].
@@ -131,7 +132,7 @@ impl PmOrder {
 
     /// The capacities in position order.
     #[inline]
-    pub(crate) fn capacities(&self) -> &[f64] {
+    pub fn capacities(&self) -> &[f64] {
         &self.caps
     }
 

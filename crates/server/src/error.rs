@@ -7,7 +7,6 @@
 //! of the members it placed before the refusal.
 
 use bursty_obs::json::encode_string;
-use std::fmt::Write as _;
 
 /// A request failure: an HTTP status plus a stable machine-readable code.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -15,80 +14,56 @@ pub struct ServeError {
     pub status: u16,
     pub code: &'static str,
     pub message: String,
-    /// The `(VM id, PM)` pairs a refused batch placed, which stay placed.
-    pub placed: Option<Vec<(usize, usize)>>,
+    /// The encoded `"placed"` array of a batch refused part-way: the
+    /// members it placed, which stay placed, in the success body's pair
+    /// format.
+    pub placed: Option<String>,
 }
 
 impl ServeError {
-    pub(crate) fn bad_request(message: impl Into<String>) -> Self {
+    pub(crate) fn new(status: u16, code: &'static str, message: impl Into<String>) -> Self {
         Self {
-            status: 400,
-            code: "bad_request",
-            message: message.into(),
-            placed: None,
-        }
-    }
-
-    pub(crate) fn invalid_params(message: impl Into<String>) -> Self {
-        Self {
-            status: 400,
-            code: "invalid_params",
-            message: message.into(),
-            placed: None,
-        }
-    }
-
-    pub(crate) fn not_found(message: impl Into<String>) -> Self {
-        Self {
-            status: 404,
-            code: "not_found",
-            message: message.into(),
-            placed: None,
-        }
-    }
-
-    pub(crate) fn method_not_allowed(message: impl Into<String>) -> Self {
-        Self {
-            status: 405,
-            code: "method_not_allowed",
-            message: message.into(),
-            placed: None,
-        }
-    }
-
-    pub(crate) fn conflict(code: &'static str, message: impl Into<String>) -> Self {
-        Self {
-            status: 409,
+            status,
             code,
             message: message.into(),
             placed: None,
         }
+    }
+
+    pub(crate) fn bad_request(message: impl Into<String>) -> Self {
+        Self::new(400, "bad_request", message)
+    }
+
+    pub(crate) fn invalid_params(message: impl Into<String>) -> Self {
+        Self::new(400, "invalid_params", message)
+    }
+
+    pub(crate) fn not_found(message: impl Into<String>) -> Self {
+        Self::new(404, "not_found", message)
+    }
+
+    pub(crate) fn method_not_allowed(message: impl Into<String>) -> Self {
+        Self::new(405, "method_not_allowed", message)
+    }
+
+    pub(crate) fn conflict(code: &'static str, message: impl Into<String>) -> Self {
+        Self::new(409, code, message)
     }
 
     /// 503: the request was *not* applied and may be retried as-is —
     /// used when a buffered seq'd op is evicted because earlier seqs
     /// never arrived.
     pub(crate) fn unavailable(code: &'static str, message: impl Into<String>) -> Self {
-        Self {
-            status: 503,
-            code,
-            message: message.into(),
-            placed: None,
-        }
+        Self::new(503, code, message)
     }
 
     pub(crate) fn internal(message: impl Into<String>) -> Self {
-        Self {
-            status: 500,
-            code: "internal",
-            message: message.into(),
-            placed: None,
-        }
+        Self::new(500, "internal", message)
     }
 
-    /// The refusal of a batch that placed `placed` before it ran out of
-    /// room.
-    pub(crate) fn with_placed(self, placed: Vec<(usize, usize)>) -> Self {
+    /// The refusal of a batch that placed the members `placed` (an
+    /// encoded JSON array) lists before it ran out of room.
+    pub(crate) fn with_placed(self, placed: String) -> Self {
         Self {
             placed: Some(placed),
             ..self
@@ -97,18 +72,16 @@ impl ServeError {
 
     /// The `{"error":{...}}` response body.
     pub(crate) fn to_json(&self) -> String {
-        let mut out = String::with_capacity(48 + self.code.len() + self.message.len());
+        let placed = self.placed.as_deref().unwrap_or_default();
+        let mut out =
+            String::with_capacity(48 + self.code.len() + self.message.len() + placed.len());
         out.push_str("{\"error\":{\"code\":\"");
         out.push_str(self.code);
         out.push_str("\",\"message\":");
         encode_string(&self.message, &mut out);
-        if let Some(placed) = &self.placed {
-            out.push_str(",\"placed\":[");
-            for (k, (id, host)) in placed.iter().enumerate() {
-                let sep = if k == 0 { "" } else { "," };
-                let _ = write!(out, "{sep}{{\"id\":{id},\"host\":{host}}}");
-            }
-            out.push(']');
+        if self.placed.is_some() {
+            out.push_str(",\"placed\":");
+            out.push_str(placed);
         }
         out.push_str("}}");
         out

@@ -571,12 +571,7 @@ fn serve_conn(mut conn: Conn, ctx: &WorkerCtx) {
                 // position is unreliable past a malformed request.
                 ctx.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
                 if let Some(status) = e.status() {
-                    let e = ServeError {
-                        status,
-                        code: e.code(),
-                        message: e.to_string(),
-                        placed: None,
-                    };
+                    let e = ServeError::new(status, e.code(), e.to_string());
                     answer(&mut conn, Err(e), false);
                 }
                 return;

@@ -218,9 +218,9 @@ impl FaultState {
 /// split into *active* (hosting at least one VM) and *empty* PMs so
 /// [`Simulator::pick_target`] keeps its two-phase first-fit semantics.
 /// Down PMs carry `NEG_INFINITY` in both indexes and are never probed.
-/// Both are laid out by position in the pool's First-Fit [`PmOrder`],
-/// the order the packers walk, so a migration and a wake-up go to the
-/// largest PM that admits the VM.
+/// Like every per-PM array of a run, they are by position in the pool's
+/// First-Fit [`PmOrder`] ([`Simulator`]), so a migration and a wake-up
+/// go to the largest PM that admits the VM.
 ///
 /// Derived run state: built at the first target query of a run (or of a
 /// resumed run — it is never serialized) and kept from then on. Every
@@ -231,7 +231,6 @@ impl FaultState {
 /// re-derived in place at the first query of each step
 /// ([`TargetFinder::rebuild`]).
 pub(crate) struct TargetFinder {
-    order: Arc<PmOrder>,
     active: HeadroomIndex,
     empty: HeadroomIndex,
     /// The step whose observed demands the leaves were last derived
@@ -248,7 +247,6 @@ impl TargetFinder {
         pm_up: &[bool],
     ) -> Self {
         let mut finder = Self {
-            order: PmOrder::of(sim.pms),
             active: HeadroomIndex::new(&[]),
             empty: HeadroomIndex::new(&[]),
             step,
@@ -272,7 +270,7 @@ impl TargetFinder {
             load: loads[j],
             observed: observed[j],
         };
-        let h = sim.policy.headroom(&pm, sim.pms[j].capacity);
+        let h = sim.policy.headroom(&pm, sim.capacity(j));
         if loads[j].is_empty() {
             (f64::NEG_INFINITY, h)
         } else {
@@ -281,9 +279,7 @@ impl TargetFinder {
     }
 
     /// Re-derives every leaf straight into the trees, reusing their
-    /// allocations. PMs are read in index order and their leaves written
-    /// to their positions: the per-PM arrays are the larger side, so they
-    /// are the one read in sequence.
+    /// allocations.
     fn rebuild(
         &mut self,
         sim: &Simulator<'_>,
@@ -292,20 +288,13 @@ impl TargetFinder {
         observed: &[f64],
         pm_up: &[bool],
     ) {
-        let Self {
-            order,
-            active,
-            empty,
-            ..
-        } = self;
-        let m = loads.len();
-        active.rebuild_with(m, |active| {
-            empty.rebuild_with(m, |empty| {
-                active.resize(m, f64::NEG_INFINITY);
-                empty.resize(m, f64::NEG_INFINITY);
-                for j in 0..m {
-                    let p = order.position(j);
-                    (active[p], empty[p]) = Self::leaves(sim, j, loads, observed, pm_up);
+        let Self { active, empty, .. } = self;
+        active.rebuild_with(loads.len(), |active| {
+            empty.rebuild_with(loads.len(), |empty| {
+                for j in 0..loads.len() {
+                    let (a, e) = Self::leaves(sim, j, loads, observed, pm_up);
+                    active.push(a);
+                    empty.push(e);
                 }
             });
         });
@@ -324,9 +313,8 @@ impl TargetFinder {
         pm_up: &[bool],
     ) {
         let (a, e) = Self::leaves(sim, j, loads, observed, pm_up);
-        let p = self.order.position(j);
-        self.active.update(p, a);
-        self.empty.update(p, e);
+        self.active.update(j, a);
+        self.empty.update(j, e);
     }
 }
 
@@ -605,6 +593,14 @@ impl PmIndexes {
 pub struct Simulator<'a> {
     pub(crate) vms: &'a [VmSpec],
     pub(crate) pms: &'a [PmSpec],
+    /// The pool's First-Fit order. A run names each PM by its position
+    /// in it — every per-PM array, the members, the workload core's
+    /// chunks, the target indexes — so the PMs a capacity-ordered
+    /// placement uses are the low positions, and a migration target
+    /// search walks the order the packers walk. A PM index goes in
+    /// (the initial placement, the fault process's crashes) or comes out
+    /// (events, [`SimOutcome`], CVR samples) through it.
+    pub(crate) order: Arc<PmOrder>,
     pub(crate) policy: &'a dyn RuntimePolicy,
     pub(crate) power: PowerModel,
     pub(crate) config: SimConfig,
@@ -684,22 +680,47 @@ impl<'a> Simulator<'a> {
         Self {
             vms,
             pms,
+            order: PmOrder::of(pms),
             policy,
             power: PowerModel::default(),
             config,
         }
     }
 
-    /// Whether demand `observed` violates PM `j`'s capacity.
+    /// The capacity of the PM at position `p`.
     #[inline]
-    fn is_over(&self, j: usize, observed: f64) -> bool {
-        observed > self.pms[j].capacity + CAP_EPS
+    fn capacity(&self, p: usize) -> f64 {
+        self.order.capacities()[p]
     }
 
-    /// Energy PM `j` consumes over one step at demand `observed`.
+    /// The index of the PM at position `p`.
+    #[inline]
+    fn pm(&self, p: usize) -> usize {
+        self.order.pm(p)
+    }
+
+    /// Per-position violation steps and the active-step counts of
+    /// `indexes`, each by PM index: what a CVR sample carries.
+    fn by_pm(&self, vio_steps: &[usize], indexes: &PmIndexes) -> (Vec<usize>, Vec<usize>) {
+        (0..vio_steps.len())
+            .map(|j| {
+                let p = self.order.position(j);
+                (vio_steps[p], indexes.active_steps_of(p))
+            })
+            .unzip()
+    }
+
+    /// Whether demand `observed` violates the capacity at position `j`.
+    #[inline]
+    fn is_over(&self, j: usize, observed: f64) -> bool {
+        observed > self.capacity(j) + CAP_EPS
+    }
+
+    /// Energy the PM at position `j` consumes over one step at demand
+    /// `observed`.
     #[inline]
     fn energy_term(&self, j: usize, observed: f64) -> f64 {
-        let util = observed / self.pms[j].capacity;
+        let util = observed / self.capacity(j);
         self.power.energy(util, SIGMA_SECS)
     }
 
@@ -821,7 +842,13 @@ impl<'a> Simulator<'a> {
             self.config.rng_layout,
             self.config.threads,
         );
-        let members = Members::from_assignment(&initial.assignment, m);
+        let members = Members::from_hosts(
+            initial
+                .assignment
+                .iter()
+                .map(|host| host.map(|j| self.order.position(j))),
+            m,
+        );
         let loads: Vec<PmLoad> = (0..m)
             .map(|j| PmLoad::rebuild(members.iter(j).map(|i| &self.vms[i])))
             .collect();
@@ -912,16 +939,18 @@ impl<'a> Simulator<'a> {
                 let events = process.step(step);
                 let mut displaced: Vec<usize> = Vec::new();
                 for e in &events {
+                    // The fault process names PMs by index.
+                    let p = self.order.position(e.pm);
                     match e.kind {
                         FaultKind::Crash => {
                             fs.recovery.crashes += 1;
-                            fs.pm_up[e.pm] = false;
-                            fs.pm_overflow[e.pm] = 0;
-                            let evicted = members.evict_all(e.pm);
-                            core.pm_crashed(e.pm, &evicted);
-                            loads[e.pm] = PmLoad::empty();
-                            observed[e.pm] = 0.0;
-                            indexes.pm_changed(self, e.pm, loads, observed, &fs.pm_up);
+                            fs.pm_up[p] = false;
+                            fs.pm_overflow[p] = 0;
+                            let evicted = members.evict_all(p);
+                            core.pm_crashed(p, &evicted);
+                            loads[p] = PmLoad::empty();
+                            observed[p] = 0.0;
+                            indexes.pm_changed(self, p, loads, observed, &fs.pm_up);
                             rec.counter_inc(Counter::Crashes);
                             rec.counter_add(Counter::DisplacedVms, evicted.len() as u64);
                             if R::ENABLED {
@@ -949,8 +978,8 @@ impl<'a> Simulator<'a> {
                         }
                         FaultKind::Recovery => {
                             fs.recovery.recoveries += 1;
-                            fs.pm_up[e.pm] = true;
-                            indexes.pm_changed(self, e.pm, loads, observed, &fs.pm_up);
+                            fs.pm_up[p] = true;
+                            indexes.pm_changed(self, p, loads, observed, &fs.pm_up);
                             rec.counter_inc(Counter::Recoveries);
                             if R::ENABLED {
                                 rec.record_event(Event::Recovery {
@@ -1065,9 +1094,9 @@ impl<'a> Simulator<'a> {
                 if R::ENABLED {
                     rec.record_event(Event::Violation {
                         step: step as u64,
-                        pm: j,
+                        pm: self.pm(j),
                         observed: observed[j],
-                        capacity: self.pms[j].capacity,
+                        capacity: self.capacity(j),
                         degraded: fs.pm_overflow[j] > 0,
                     });
                 }
@@ -1090,7 +1119,7 @@ impl<'a> Simulator<'a> {
                     if !self.config.sheds_vm(vio_steps[j], active) {
                         continue; // tolerated fluctuation
                     }
-                    let overload = observed[j] - self.pms[j].capacity;
+                    let overload = observed[j] - self.capacity(j);
                     // Class mode: re-materialize this PM's per-VM ON
                     // flags from its counters before reading them.
                     core.class_sync_pm(j, members.iter(j));
@@ -1123,7 +1152,7 @@ impl<'a> Simulator<'a> {
                                 rec.record_event(Event::MigrationFailed {
                                     step: step as u64,
                                     vm: vm.id,
-                                    pm: j,
+                                    pm: self.pm(j),
                                 });
                             }
                             if !fs.in_retry[victim] {
@@ -1263,7 +1292,8 @@ impl<'a> Simulator<'a> {
                 }
                 if let Some(every) = rec.cvr_sample_interval() {
                     if (step + 1).is_multiple_of(every) {
-                        rec.sample_cvr(step as u64, vio_steps, &indexes.active_steps());
+                        let (violations, active) = self.by_pm(vio_steps, indexes);
+                        rec.sample_cvr(step as u64, &violations, &active);
                     }
                 }
             }
@@ -1299,11 +1329,8 @@ impl<'a> Simulator<'a> {
             // depths, and the end-of-run gauges.
             if let Some(every) = rec.cvr_sample_interval() {
                 if self.config.steps > 0 && !self.config.steps.is_multiple_of(every) {
-                    rec.sample_cvr(
-                        (self.config.steps - 1) as u64,
-                        &vio_steps,
-                        &indexes.active_steps(),
-                    );
+                    let (violations, active) = self.by_pm(&vio_steps, &indexes);
+                    rec.sample_cvr((self.config.steps - 1) as u64, &violations, &active);
                 }
             }
             for e in &fs.retry_queue {
@@ -1327,12 +1354,14 @@ impl<'a> Simulator<'a> {
         // Sized by a counting pass before it is filled: a `filter` gives
         // `collect` no size hint, and at paper density the vector (~3.7 MB)
         // would grow by doubling at the run's memory peak (DESIGN §8).
-        let active = |j: usize| indexes.active_steps_of(j);
-        let mut cvr_per_pm = Vec::with_capacity((0..m).filter(|&j| active(j) > 0).count());
+        // Listed by PM index, each read at its position.
+        let active = |p: usize| indexes.active_steps_of(p);
+        let mut cvr_per_pm = Vec::with_capacity((0..m).filter(|&p| active(p) > 0).count());
         cvr_per_pm.extend(
             (0..m)
-                .filter(|&j| active(j) > 0)
-                .map(|j| (j, vio_steps[j] as f64 / active(j) as f64)),
+                .map(|j| (j, self.order.position(j)))
+                .filter(|&(_, p)| active(p) > 0)
+                .map(|(j, p)| (j, vio_steps[p] as f64 / active(p) as f64)),
         );
         let final_pms_used = indexes.occupied.len();
         SimOutcome {
@@ -1392,8 +1421,8 @@ impl<'a> Simulator<'a> {
         migrations.push(MigrationEvent {
             step,
             vm_id: vm.id,
-            from_pm: j,
-            to_pm: target,
+            from_pm: self.pm(j),
+            to_pm: self.pm(target),
         });
         rec.counter_inc(Counter::Migrations);
         if retried {
@@ -1404,8 +1433,8 @@ impl<'a> Simulator<'a> {
             rec.record_event(Event::Migration {
                 step: step as u64,
                 vm: vm.id,
-                from: j,
-                to: target,
+                from: self.pm(j),
+                to: self.pm(target),
                 retried,
             });
         }
@@ -1474,10 +1503,7 @@ impl<'a> Simulator<'a> {
             .iter()
             .map(|&i| policy.demand_measure(&self.vms[i], self.vms[i].demand(core.on[i])))
             .collect();
-        // Leaves by position in the pool's First-Fit order.
-        let order = PmOrder::of(self.pms);
-        let headrooms: Vec<f64> = order
-            .pms()
+        let headrooms: Vec<f64> = (0..self.pms.len())
             .map(|j| {
                 if !fs.pm_up[j] {
                     return f64::NEG_INFINITY;
@@ -1486,19 +1512,19 @@ impl<'a> Simulator<'a> {
                     load: loads[j],
                     observed: observed[j],
                 };
-                policy.headroom(&pm, self.pms[j].capacity)
+                policy.headroom(&pm, self.capacity(j))
             })
             .collect();
         let mut index = HeadroomIndex::new(&headrooms);
-        let out = evacuate_batch_recorded(&demands, &mut index, rec, |p, slot| {
-            let (i, j) = (displaced[slot], order.pm(p));
+        let out = evacuate_batch_recorded(&demands, &mut index, rec, |j, slot| {
+            let i = displaced[slot];
             let vm = &self.vms[i];
             let vm_demand = vm.demand(core.on[i]);
             let pm = PmRuntime {
                 load: loads[j],
                 observed: observed[j],
             };
-            if !policy.admits(vm, vm_demand, &pm, self.pms[j].capacity) {
+            if !policy.admits(vm, vm_demand, &pm, self.capacity(j)) {
                 return None;
             }
             core.vm_moved(i, None, Some(j));
@@ -1510,11 +1536,11 @@ impl<'a> Simulator<'a> {
                 load: loads[j],
                 observed: observed[j],
             };
-            Some(policy.headroom(&pm, self.pms[j].capacity))
+            Some(policy.headroom(&pm, self.capacity(j)))
         });
         fs.stranded -= out.placed.len();
-        for &(slot, p) in &out.placed {
-            let (i, j) = (displaced[slot], order.pm(p));
+        for &(slot, j) in &out.placed {
+            let i = displaced[slot];
             let record = fs.crash_of_vm[i]
                 .take()
                 .expect("displaced VM has a crash record");
@@ -1522,7 +1548,7 @@ impl<'a> Simulator<'a> {
                 step,
                 vm_id: self.vms[i].id,
                 from_pm: fs.crash_records[record].pm,
-                to_pm: Some(j),
+                to_pm: Some(self.pm(j)),
                 degraded,
             });
             rec.counter_inc(if degraded {
@@ -1535,14 +1561,14 @@ impl<'a> Simulator<'a> {
                     step: step as u64,
                     vm: self.vms[i].id,
                     from: fs.crash_records[record].pm,
-                    to: Some(j),
+                    to: Some(self.pm(j)),
                     degraded,
                 });
                 if degraded {
                     rec.record_event(Event::Admission {
                         step: step as u64,
                         vm: self.vms[i].id,
-                        pm: j,
+                        pm: self.pm(j),
                         degraded: true,
                     });
                 }
@@ -1608,31 +1634,30 @@ impl<'a> Simulator<'a> {
                 load: loads[j],
                 observed: observed[j],
             };
-            self.policy.admits(vm, vm_demand, &pm, self.pms[j].capacity)
+            self.policy.admits(vm, vm_demand, &pm, self.capacity(j))
         };
         let mut found = None;
         'search: for index in [&f.active, &f.empty] {
             let mut from = 0;
-            while let Some(p) = index.first_at_least(from, threshold) {
-                let j = f.order.pm(p);
+            while let Some(j) = index.first_at_least(from, threshold) {
                 if j != source && admit(j) {
                     found = Some(j);
                     break 'search;
                 }
-                from = p + 1;
+                from = j + 1;
             }
         }
         #[cfg(test)]
         {
             let fresh = TargetFinder::new(self, step, loads, observed, pm_up);
-            for p in 0..self.pms.len() {
+            for j in 0..self.pms.len() {
                 assert_eq!(
-                    (f.active.value(p).to_bits(), f.empty.value(p).to_bits()),
+                    (f.active.value(j).to_bits(), f.empty.value(j).to_bits()),
                     (
-                        fresh.active.value(p).to_bits(),
-                        fresh.empty.value(p).to_bits()
+                        fresh.active.value(j).to_bits(),
+                        fresh.empty.value(j).to_bits()
                     ),
-                    "kept index stale at position {p}, step {step} ({})",
+                    "kept index stale at position {j}, step {step} ({})",
                     self.policy.name()
                 );
             }
@@ -1664,15 +1689,12 @@ impl<'a> Simulator<'a> {
                 load: loads[j],
                 observed: observed[j],
             };
-            self.policy.admits(vm, vm_demand, &pm, self.pms[j].capacity)
+            self.policy.admits(vm, vm_demand, &pm, self.capacity(j))
         };
-        let order = PmOrder::of(self.pms);
-        let active = order
-            .pms()
+        let active = (0..self.pms.len())
             .find(|&j| j != source && pm_up[j] && !loads[j].is_empty() && admit(j));
         active.or_else(|| {
-            order
-                .pms()
+            (0..self.pms.len())
                 .find(|&j| j != source && pm_up[j] && loads[j].is_empty() && admit(j))
         })
     }
@@ -1813,6 +1835,67 @@ mod tests {
         let c = run(12);
         // Different seed, different sample path (overwhelmingly likely).
         assert!(a.migrations != c.migrations || a.total_violation_steps != c.total_violation_steps);
+    }
+
+    #[test]
+    fn a_run_is_its_run_on_the_pool_renumbered_by_capacity() {
+        // The engine works in PM order positions: a pool and the same pool
+        // renumbered so that index order is capacity order run the same
+        // steps, and every PM the outcome names is the first run's index
+        // of the second run's PM. Capacities repeat, so ties are crossed.
+        let pms: Vec<PmSpec> = (0..60)
+            .map(|j| PmSpec::new(j, 80.0 + ((j * 7) % 5) as f64 * 5.0))
+            .collect();
+        let order = PmOrder::of(&pms);
+        assert!(
+            (0..pms.len()).any(|p| order.pm(p) != p),
+            "the pool is reordered"
+        );
+        let renumbered: Vec<PmSpec> = order
+            .pms()
+            .enumerate()
+            .map(|(p, j)| PmSpec::new(p, pms[j].capacity))
+            .collect();
+        let vms: Vec<VmSpec> = (0..64).map(|i| vm(i, 10.0, 10.0)).collect();
+        let placement = first_fit(&vms, &pms, &BaseStrategy).unwrap();
+        let moved = Placement {
+            assignment: placement
+                .assignment
+                .iter()
+                .map(|host| host.map(|j| order.position(j)))
+                .collect(),
+            n_pms: pms.len(),
+        };
+        assert_eq!(first_fit(&vms, &renumbered, &BaseStrategy).unwrap(), moved);
+        let policy = ObservedPolicy::rb();
+        let cfg = config(300, 5, true);
+        let out = Simulator::new(&vms, &pms, &policy, cfg).run(&placement);
+        let twin = Simulator::new(&vms, &renumbered, &policy, cfg).run(&moved);
+        assert!(
+            out.total_migrations() > 10,
+            "{} migrations",
+            out.total_migrations()
+        );
+        let mut cvr: Vec<(usize, f64)> = twin
+            .cvr_per_pm
+            .iter()
+            .map(|&(p, c)| (order.pm(p), c))
+            .collect();
+        cvr.sort_by_key(|&(j, _)| j);
+        assert_eq!(out.cvr_per_pm, cvr);
+        let migrations: Vec<MigrationEvent> = twin
+            .migrations
+            .iter()
+            .map(|m| MigrationEvent {
+                from_pm: order.pm(m.from_pm),
+                to_pm: order.pm(m.to_pm),
+                ..*m
+            })
+            .collect();
+        assert_eq!(out.migrations, migrations);
+        assert_eq!(out.vm_violation_steps, twin.vm_violation_steps);
+        assert_eq!(out.energy_joules.to_bits(), twin.energy_joules.to_bits());
+        assert_eq!(out.pms_used_series.values, twin.pms_used_series.values);
     }
 
     #[test]

@@ -48,9 +48,18 @@ impl Members {
     /// The members of a placement over `m` PMs: each PM lists its VMs in
     /// ascending index order, and an unplaced VM is displaced.
     pub(crate) fn from_assignment(assignment: &[Option<usize>], m: usize) -> Self {
-        let mut members = Self::new(assignment.len(), m);
-        for (i, a) in assignment.iter().enumerate() {
-            if let Some(j) = *a {
+        Self::from_hosts(assignment.iter().copied(), m)
+    }
+
+    /// [`Self::from_assignment`] over VM `i`'s host as the `i`th item of
+    /// `hosts`.
+    pub(crate) fn from_hosts(
+        hosts: impl ExactSizeIterator<Item = Option<usize>>,
+        m: usize,
+    ) -> Self {
+        let mut members = Self::new(hosts.len(), m);
+        for (i, a) in hosts.enumerate() {
+            if let Some(j) = a {
                 members.land(i, j);
             }
         }

@@ -19,7 +19,7 @@ use crate::engine::pick_victim;
 use crate::events::MigrationEvent;
 use crate::policy::{PmRuntime, RuntimePolicy};
 use bursty_metrics::TimeSeries;
-use bursty_placement::{PmLoad, CAP_EPS};
+use bursty_placement::{PmLoad, PmOrder, CAP_EPS};
 use bursty_workload::patterns::defaults::{P_OFF, P_ON};
 use bursty_workload::{PmSpec, VmSpec};
 use rand::rngs::StdRng;
@@ -106,6 +106,7 @@ pub fn run_churn(pms: &[PmSpec], policy: &dyn RuntimePolicy, sim: SimConfig) -> 
     );
     let mut rng = StdRng::seed_from_u64(sim.seed);
     let m = pms.len();
+    let order = PmOrder::of(pms);
 
     // Live population: spec, host PM, ON flag.
     let mut live: Vec<(VmSpec, usize, bool)> = Vec::new();
@@ -167,9 +168,10 @@ pub fn run_churn(pms: &[PmSpec], policy: &dyn RuntimePolicy, sim: SimConfig) -> 
             );
             next_id += 1;
             // Newcomers start OFF and are admitted by the policy's rule
-            // on spec-aggregates and observed demand.
+            // on spec-aggregates and observed demand, First Fit over the
+            // pool's PM order.
             let observed: Vec<f64> = observed_demands(&live, &loads, m);
-            let slot = (0..m).find(|&j| {
+            let slot = order.pms().find(|&j| {
                 let pm = PmRuntime {
                     load: loads[j],
                     observed: observed[j],
@@ -216,6 +218,7 @@ pub fn run_churn(pms: &[PmSpec], policy: &dyn RuntimePolicy, sim: SimConfig) -> 
                         &mut loads,
                         &observed,
                         pms,
+                        &order,
                         policy,
                         step,
                         &mut outcome.migrations,
@@ -249,6 +252,7 @@ fn migrate_one(
     loads: &mut [PmLoad],
     observed: &[f64],
     pms: &[PmSpec],
+    order: &PmOrder,
     policy: &dyn RuntimePolicy,
     step: usize,
     migrations: &mut Vec<MigrationEvent>,
@@ -270,9 +274,9 @@ fn migrate_one(
         };
         policy.admits(&vm, vm_demand, &pm, pms[j].capacity)
     };
-    let target = (0..pms.len())
+    let target = (order.pms())
         .find(|&j| j != source && !loads[j].is_empty() && admit(j))
-        .or_else(|| (0..pms.len()).find(|&j| j != source && loads[j].is_empty() && admit(j)));
+        .or_else(|| (order.pms()).find(|&j| j != source && loads[j].is_empty() && admit(j)));
     if let Some(t) = target {
         live[vi].1 = t;
         loads[t].add(&vm);
