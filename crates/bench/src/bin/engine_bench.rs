@@ -36,9 +36,16 @@
 //! over at least five repeats, take their rates from the median, and
 //! exit nonzero if any two repeats disagree on the outcome digest
 //! (migrations, energy bits, violation steps). The cell kernel pays per
-//! cell for two hashes and per *changed* cell for the rest, so each row
-//! also carries the event rate it was measured at: cells whose ON count
-//! moved and distinct PMs hosting one, per step. What the run spends
+//! location for one compare and per *drawn* cell for the rest (a jump
+//! at a sparse cell's change, a binomial pair at each step of a dense
+//! one), so each row also carries the event rate it was measured at:
+//! cells whose ON count moved under the per-step binomial pair (rebuilt
+//! here from the public stream functions) and distinct PMs hosting one,
+//! and the cells the kernel drew for (`events_per_step`), per step.
+//! The `cell_kernel` section has a dense row (the largest class fleet,
+//! every cell dense) and, with `--paper-fleets`, a sparse one (the
+//! largest paper-density fleet), each the walk oracle against the
+//! kernel with the quartiles of its repeats. What the run spends
 //! outside the kernel is `controller_s` (median run − kernel: the
 //! violation walk, migrations, the energy sum and set-up), beside the
 //! PMs over capacity per step that the violation walk visits. On Linux
@@ -198,6 +205,104 @@ fn class_event_rates(
     )
 }
 
+/// One `cell_kernel` row: the walk oracle and the kernel over the same
+/// placement, stepped side by side first (exits nonzero if any step's
+/// output differs: the walk row would time another computation), then
+/// each timed over `repeats` runs of `steps` steps on one core that
+/// steps on (min as `walk_secs`/`cached_secs`, quartiles beside), with
+/// the cells the kernel drew for per step.
+fn cell_kernel_row(
+    commit: &str,
+    fleet: &str,
+    vms: &[VmSpec],
+    m: usize,
+    assignment: &[Option<usize>],
+    steps: usize,
+    repeats: usize,
+) -> Json {
+    let n = vms.len();
+    let kernel = |cached: bool| ClassCoreBench::new(vms, m, assignment, 1, 1, cached);
+    let (mut walk_bench, mut cached_bench) = (kernel(false), kernel(true));
+    for step in 0..steps {
+        let (walk, cached) = (walk_bench.step(), cached_bench.step());
+        if walk.to_bits() != cached.to_bits() {
+            eprintln!(
+                "FAIL: the kernel diverged from its walk at n={n} ({fleet}), step {step}: \
+                 PM 0 demand {walk} (walk) vs {cached} (kernel)"
+            );
+            std::process::exit(1);
+        }
+    }
+    let time = |cached: bool| {
+        let mut bench = kernel(cached);
+        let secs: Vec<f64> = (0..repeats.max(1))
+            .map(|_| {
+                timed(|| {
+                    let mut acc = 0.0;
+                    for _ in 0..steps {
+                        acc += bench.step();
+                    }
+                    acc
+                })
+                .1
+            })
+            .collect();
+        (secs, bench)
+    };
+    let (walk_secs, _) = time(false);
+    let (cached_secs, cached_bench) = time(true);
+    let best = |secs: &[f64]| secs.iter().copied().fold(f64::INFINITY, f64::min);
+    let (walk_best, cached_best) = (best(&walk_secs), best(&cached_secs));
+    let occupied = cached_bench.occupied_cells();
+    let events_per_step = cached_bench.events() as f64 / (cached_secs.len() * steps) as f64;
+    let (hits, misses, evictions) = cached_bench.cache_stats();
+    let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
+    eprintln!(
+        "  cell kernel ({fleet}) n={n} ({occupied} cells, {events_per_step:.1} drawn per step): \
+         walk {walk_best:.4}s vs kernel {cached_best:.4}s ({:.2}x, hit rate {hit_rate:.4})",
+        walk_best / cached_best
+    );
+    let spread = |secs: &[f64]| {
+        let [q1, median, q3] = quartiles(secs);
+        Obj::default()
+            .field("q1", q1)
+            .field("median", median)
+            .field("q3", q3)
+    };
+    row(commit)
+        .field("fleet", fleet)
+        .field("n", n)
+        .field("m", m)
+        .field("occupied_cells", occupied)
+        .field("steps", steps)
+        .field("repeats", walk_secs.len())
+        .field("walk_secs", walk_best)
+        .field("cached_secs", cached_best)
+        .field("walk_secs_spread", spread(&walk_secs))
+        .field("cached_secs_spread", spread(&cached_secs))
+        .field("speedup", walk_best / cached_best)
+        .field("walk_vm_steps_per_sec", (steps * n) as f64 / walk_best)
+        .field("cached_vm_steps_per_sec", (steps * n) as f64 / cached_best)
+        .field(
+            "walk_cell_steps_per_sec",
+            (steps * occupied) as f64 / walk_best,
+        )
+        .field(
+            "cached_cell_steps_per_sec",
+            (steps * occupied) as f64 / cached_best,
+        )
+        .field("events_per_step", events_per_step)
+        .field(
+            "cache",
+            Obj::default()
+                .field("hits", hits)
+                .field("misses", misses)
+                .field("evictions", evictions)
+                .field("hit_rate", hit_rate),
+        )
+        .to_json()
+}
+
 /// One paper-density row at fleet size `n`; exits nonzero when two
 /// repeats of the same seeded run disagree on the outcome digest.
 fn paper_row(commit: &str, n: usize, repeats: usize) -> Json {
@@ -233,6 +338,7 @@ fn paper_row(commit: &str, n: usize, repeats: usize) -> Json {
         }
         acc
     });
+    let events_per_step = kernel.events() as f64 / (repeats * PAPER_STEPS) as f64;
     let (changed_cells_per_step, dirty_pms_per_step) =
         class_event_rates(&vms, &placement.assignment, 1, PAPER_STEPS);
     let over_pms_per_step = violation_steps as f64 / PAPER_STEPS as f64;
@@ -240,8 +346,9 @@ fn paper_row(commit: &str, n: usize, repeats: usize) -> Json {
     eprintln!(
         "  paper density n={n} m={}: {} PMs used, {migrations} migrations, {median:.4}s median \
          of {repeats} ({vm_steps_per_sec:.3e} vm·steps/s, kernel share {:.2}, controller \
-         {:.4}s), {changed_cells_per_step:.1} changed cells, {dirty_pms_per_step:.1} dirty PMs \
-         and {over_pms_per_step:.1} PMs over capacity per step",
+         {:.4}s), {changed_cells_per_step:.1} changed cells, {events_per_step:.1} cells drawn \
+         for, {dirty_pms_per_step:.1} dirty PMs and {over_pms_per_step:.1} PMs over capacity \
+         per step",
         pms.len(),
         placement.pms_used(),
         kernel_secs / median,
@@ -260,6 +367,7 @@ fn paper_row(commit: &str, n: usize, repeats: usize) -> Json {
         .field("kernel_share", kernel_secs / median)
         .field("controller_s", median - kernel_secs)
         .field("changed_cells_per_step", changed_cells_per_step)
+        .field("events_per_step", events_per_step)
         .field("dirty_pms_per_step", dirty_pms_per_step)
         .field("over_pms_per_step", over_pms_per_step)
         .field("energy_bits", energy_hex(energy_bits))
@@ -596,12 +704,13 @@ fn main() {
 
     // Raw cell-kernel microbenchmark: the class-aggregated evolution
     // pass alone — controller, policies and demand bookkeeping stripped
-    // away — stepped over the largest class fleet with the walk sampler
-    // and with the memoized tables, on the same QueuingFFD placement the
-    // class rows ran (so the cell density matches the engine regime).
-    // `cell_steps_per_sec` is the kernel-native unit (cells touched per
-    // second); `vm_steps_per_sec` is the fleet-facing one the headline
-    // targets quote.
+    // away — stepped with the walk oracle and with the kernel's tables.
+    // The dense row is the largest class fleet on the QueuingFFD
+    // placement the class rows ran (~220 VMs a cell, every cell dense);
+    // the sparse row is the largest paper-density fleet (~1.8 cells a
+    // PM, a few VMs each), at its horizon. `cell_steps_per_sec` is the
+    // kernel-native unit (cells stepped per second); `vm_steps_per_sec`
+    // is the fleet-facing one the headline targets quote.
     let cell_vms = {
         let mut gen = FleetGenerator::new(cell_n as u64);
         gen.vms_table_i(cell_n, WorkloadPattern::EqualSpike)
@@ -612,49 +721,32 @@ fn main() {
         cell_m = (cell_n / 200).max(1);
         cell_assignment = (0..cell_n).map(|i| Some(i % cell_m)).collect();
     }
-    let kernel =
-        |cached: bool| ClassCoreBench::new(&cell_vms, cell_m, &cell_assignment, 1, 1, cached);
-    // The tables memoize the walk: the two kernels must agree to the bit
-    // on every step, or the walk row times a different computation.
-    let (mut walk_bench, mut cached_bench) = (kernel(false), kernel(true));
-    for step in 0..steps {
-        let (walk, cached) = (walk_bench.step(), cached_bench.step());
-        if walk.to_bits() != cached.to_bits() {
-            eprintln!(
-                "FAIL: cached sampler diverged from the walk at n={cell_n}, step {step}: \
-                 PM 0 demand {walk} (walk) vs {cached} (cached)"
-            );
-            std::process::exit(1);
-        }
+    let mut cell_rows = vec![cell_kernel_row(
+        &commit,
+        "dense",
+        &cell_vms,
+        cell_m,
+        &cell_assignment,
+        steps,
+        repeats,
+    )];
+    if let Some(&n) = paper_fleets.iter().max() {
+        let mut gen = FleetGenerator::new(1);
+        let vms = gen.vms_table_i(n, WorkloadPattern::EqualSpike);
+        let pms = gen.pms((n / 4).max(1));
+        let placement = Consolidator::new(Scheme::Queue)
+            .place(&vms, &pms)
+            .expect("paper-density placement");
+        cell_rows.push(cell_kernel_row(
+            &commit,
+            "sparse",
+            &vms,
+            pms.len(),
+            &placement.assignment,
+            PAPER_STEPS,
+            repeats,
+        ));
     }
-    let mut walk_bench = kernel(false);
-    let cell_walk_secs = best_secs(repeats, || {
-        let mut acc = 0.0;
-        for _ in 0..steps {
-            acc += walk_bench.step();
-        }
-        acc
-    });
-    let mut cached_bench = kernel(true);
-    let cell_cached_secs = best_secs(repeats, || {
-        let mut acc = 0.0;
-        for _ in 0..steps {
-            acc += cached_bench.step();
-        }
-        acc
-    });
-    let cell_occupied = cached_bench.occupied_cells();
-    let (cache_hits, cache_misses, cache_evictions) = cached_bench.cache_stats();
-    let cache_hit_rate = cache_hits as f64 / (cache_hits + cache_misses).max(1) as f64;
-    let cell_walk_vmsps = (steps * cell_n) as f64 / cell_walk_secs;
-    let cell_cached_vmsps = (steps * cell_n) as f64 / cell_cached_secs;
-    eprintln!(
-        "  cell kernel n={cell_n} ({cell_occupied} cells): walk {cell_walk_secs:.4}s \
-         ({cell_walk_vmsps:.3e} vm·steps/s) vs cached {cell_cached_secs:.4}s \
-         ({cell_cached_vmsps:.3e} vm·steps/s, {:.2}x, hit rate {:.4})",
-        cell_walk_secs / cell_cached_secs,
-        cache_hit_rate
-    );
 
     // Observability overhead: run() is the NoopRecorder monomorphization,
     // so run() vs run_recorded::<NoopRecorder> is an A/A comparison that
@@ -743,32 +835,6 @@ fn main() {
             Obj::default().field("class_cached_over_shared_classheavy", speedup),
         );
     }
-    let cell_row = row(&commit)
-        .field("n", cell_n)
-        .field("m", cell_m)
-        .field("occupied_cells", cell_occupied)
-        .field("steps", steps)
-        .field("walk_secs", cell_walk_secs)
-        .field("cached_secs", cell_cached_secs)
-        .field("speedup", cell_walk_secs / cell_cached_secs)
-        .field("walk_vm_steps_per_sec", cell_walk_vmsps)
-        .field("cached_vm_steps_per_sec", cell_cached_vmsps)
-        .field(
-            "walk_cell_steps_per_sec",
-            (steps * cell_occupied) as f64 / cell_walk_secs,
-        )
-        .field(
-            "cached_cell_steps_per_sec",
-            (steps * cell_occupied) as f64 / cell_cached_secs,
-        )
-        .field(
-            "cache",
-            Obj::default()
-                .field("hits", cache_hits)
-                .field("misses", cache_misses)
-                .field("evictions", cache_evictions)
-                .field("hit_rate", cache_hit_rate),
-        );
     let paired = match &pair {
         Some(pair) => paired_rows(&commit, pair, &paper_fleets, sweep_steps),
         None => Vec::new(),
@@ -795,7 +861,7 @@ fn main() {
         ("paper_density", paper_rows),
         ("shared_flip_sweep", sweep_rows),
         ("paired", paired),
-        ("cell_kernel", vec![cell_row.to_json()]),
+        ("cell_kernel", cell_rows),
     ] {
         let mut all = before.rows(section);
         all.extend(rows);

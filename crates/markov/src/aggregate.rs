@@ -94,19 +94,19 @@ impl AggregateChain {
         acc
     }
 
-    /// The full `(k+1) × (k+1)` one-step transition matrix `P`.
+    /// Row `i` of the one-step transition matrix: `p_ij` for every
+    /// `j ∈ 0..=k` (paper Eq. 12), each the same convolution
+    /// [`AggregateChain::transition_prob`] sums, with the two binomial
+    /// PMF families evaluated once for the row. `O(k²)`.
     ///
-    /// Cost `O(k³)`. Only the solver oracle needs it —
-    /// [`AggregateChain::stationary`] is closed-form, so building `P` is
-    /// not on MapCal's path.
-    pub(crate) fn transition_matrix(&self) -> Matrix {
-        let n = self.k + 1;
-        // Precompute the two PMF families once per row instead of per entry.
-        let mut p = Matrix::zeros(n, n);
-        for i in 0..n {
-            let leave = BinomialPmf::new(i as u64, self.p_off).pmf_all();
-            let enter = BinomialPmf::new((self.k - i) as u64, self.p_on).pmf_all();
-            for j in 0..n {
+    /// # Panics
+    /// Panics if `i > k`.
+    pub fn transition_row(&self, i: usize) -> Vec<f64> {
+        assert!(i <= self.k, "state {i} outside 0..={}", self.k);
+        let leave = BinomialPmf::new(i as u64, self.p_off).pmf_all();
+        let enter = BinomialPmf::new((self.k - i) as u64, self.p_on).pmf_all();
+        (0..=self.k)
+            .map(|j| {
                 let mut acc = 0.0;
                 for (r, &pl) in leave.iter().enumerate() {
                     let e = j as i64 - i as i64 + r as i64;
@@ -119,7 +119,23 @@ impl AggregateChain {
                     }
                     acc += pl * enter[e];
                 }
-                p[(i, j)] = acc;
+                acc
+            })
+            .collect()
+    }
+
+    /// The full `(k+1) × (k+1)` one-step transition matrix `P`, row by
+    /// row from [`AggregateChain::transition_row`].
+    ///
+    /// Cost `O(k³)`. Only the solver oracle needs it —
+    /// [`AggregateChain::stationary`] is closed-form, so building `P` is
+    /// not on MapCal's path.
+    pub(crate) fn transition_matrix(&self) -> Matrix {
+        let n = self.k + 1;
+        let mut p = Matrix::zeros(n, n);
+        for i in 0..n {
+            for (j, v) in self.transition_row(i).into_iter().enumerate() {
+                p[(i, j)] = v;
             }
         }
         p

@@ -13,15 +13,19 @@
 //! * [`binomial`] — numerically robust binomial PMFs used by Eq. 12.
 //! * [`block_system_metrics`] — loss-system measures of the block system:
 //!   utilization, carried vs offered load, spike-blocking probability.
+//! * [`ViolationLaw`] — the exact finite-horizon law of one PM's
+//!   violation count over the product of its classes' Eq. 12 chains.
 
 mod aggregate;
 pub mod binomial;
 mod onoff;
 mod queueing;
 pub mod robustness;
+mod violation;
 
 pub use aggregate::{AggregateChain, Reservation};
 pub use binomial::BinomialPmf;
 pub use onoff::{OnOffChain, VmState};
 pub use queueing::{block_system_metrics, BlockSystemMetrics};
 pub use robustness::{survives_relative_error, tolerance_envelope, ToleranceEnvelope};
+pub use violation::{ClassChain, InitialLaw, Moments, NotCertified, ViolationLaw, MAX_LAW_CELLS};

@@ -242,9 +242,166 @@ pub fn sign_test(wins: u64, pairs: u64) -> f64 {
     tail.min(1.0)
 }
 
+/// `P(χ²_df > x)`, the upper regularized gamma `Q(df/2, x/2)`: by its
+/// series below `a + 1` and its continued fraction above (Numerical
+/// Recipes' `gammq`), with `ln Γ(df/2)` summed exactly from `Γ(1) = 1`
+/// or `Γ(1/2) = √π`.
+///
+/// # Panics
+/// Panics if `df == 0`.
+pub fn chi_square_sf(x: f64, df: usize) -> f64 {
+    assert!(
+        df > 0,
+        "a chi-square law needs at least one degree of freedom"
+    );
+    if x <= 0.0 {
+        return 1.0;
+    }
+    let (a, z) = (df as f64 / 2.0, x / 2.0);
+    let even = df.is_multiple_of(2);
+    let mut ln_gamma_a = if even {
+        0.0
+    } else {
+        0.5 * std::f64::consts::PI.ln()
+    };
+    let mut t = if even { 1.0 } else { 0.5 };
+    while t < a {
+        ln_gamma_a += t.ln();
+        t += 1.0;
+    }
+    let front = (a * z.ln() - z - ln_gamma_a).exp();
+    if z < a + 1.0 {
+        let (mut term, mut sum, mut ap) = (1.0 / a, 1.0 / a, a);
+        for _ in 0..10_000 {
+            ap += 1.0;
+            term *= z / ap;
+            sum += term;
+            if term.abs() < sum.abs() * 1e-16 {
+                break;
+            }
+        }
+        (1.0 - sum * front).clamp(0.0, 1.0)
+    } else {
+        // Lentz's method on the continued fraction of Q.
+        let tiny = 1e-300;
+        let mut b = z + 1.0 - a;
+        let (mut c, mut d) = (1.0 / tiny, 1.0 / b);
+        let mut h = d;
+        for i in 1..10_000 {
+            let an = -(i as f64) * (i as f64 - a);
+            b += 2.0;
+            d = an * d + b;
+            if d.abs() < tiny {
+                d = tiny;
+            }
+            c = b + an / c;
+            if c.abs() < tiny {
+                c = tiny;
+            }
+            d = 1.0 / d;
+            let delta = d * c;
+            h *= delta;
+            if (delta - 1.0).abs() < 1e-16 {
+                break;
+            }
+        }
+        (front * h).clamp(0.0, 1.0)
+    }
+}
+
+/// A chi-square goodness-of-fit result.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ChiSquare {
+    /// `Σ (observed − expected)² / expected` over the pooled bins.
+    pub statistic: f64,
+    /// Pooled bins minus one.
+    pub df: usize,
+    /// `P(χ²_df > statistic)`.
+    pub p_value: f64,
+}
+
+/// Tests the counts `observed` against the law `probs` (same bins, `probs`
+/// summing to 1): adjacent bins are pooled left to right until each pool
+/// expects at least 5, a short last pool joins the one before it, and
+/// the statistic is referred to `χ²` with one degree fewer than pools.
+/// `None` when fewer than two pools remain.
+///
+/// # Panics
+/// Panics if the slices differ in length.
+pub fn chi_square_gof(observed: &[u64], probs: &[f64]) -> Option<ChiSquare> {
+    assert_eq!(observed.len(), probs.len(), "one probability per bin");
+    let total: u64 = observed.iter().sum();
+    let mut pools: Vec<(f64, f64)> = Vec::new();
+    let (mut obs, mut exp) = (0.0, 0.0);
+    for (&o, &p) in observed.iter().zip(probs) {
+        obs += o as f64;
+        exp += p * total as f64;
+        if exp >= 5.0 {
+            pools.push((obs, exp));
+            (obs, exp) = (0.0, 0.0);
+        }
+    }
+    if obs > 0.0 || exp > 0.0 {
+        match pools.last_mut() {
+            Some(last) => {
+                last.0 += obs;
+                last.1 += exp;
+            }
+            None => pools.push((obs, exp)),
+        }
+    }
+    if pools.len() < 2 {
+        return None;
+    }
+    let statistic = pools.iter().map(|(o, e)| (o - e).powi(2) / e).sum();
+    let df = pools.len() - 1;
+    Some(ChiSquare {
+        statistic,
+        df,
+        p_value: chi_square_sf(statistic, df),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn chi_square_tails_match_tables() {
+        // (x, df, P(χ² > x)) from standard tables.
+        for (x, df, want) in [
+            (3.841458820694124, 1, 0.05),
+            (6.634896601021213, 1, 0.01),
+            (5.991464547107979, 2, 0.05),
+            (18.307038053275146, 10, 0.05),
+            (23.209251158954356, 10, 0.01),
+            (2.0, 2, (-1.0f64).exp()),
+            (124.34211340400407, 100, 0.05),
+        ] {
+            let got = chi_square_sf(x, df);
+            assert!(
+                (got - want).abs() < 1e-9 * want.max(1e-3),
+                "x={x} df={df}: {got}"
+            );
+        }
+        assert_eq!(chi_square_sf(0.0, 3), 1.0);
+    }
+
+    #[test]
+    fn goodness_of_fit_pools_thin_bins() {
+        // Expected 50, 30, 15, 3, 1, 1: the last three make one pool
+        // of 5.
+        let probs = [0.5, 0.3, 0.15, 0.03, 0.01, 0.01];
+        let fit = chi_square_gof(&[50, 30, 15, 3, 1, 1], &probs).unwrap();
+        assert_eq!(fit.df, 3);
+        // Expected 3 past the last full pool joins it instead.
+        let short = chi_square_gof(&[50, 30, 17, 3], &[0.5, 0.3, 0.17, 0.03]).unwrap();
+        assert_eq!(short.df, 2);
+        assert!(fit.statistic.abs() < 1e-12 && fit.p_value > 0.999);
+        let off = chi_square_gof(&[20, 30, 50, 0, 0, 0], &probs).unwrap();
+        assert!(off.p_value < 1e-6, "{off:?}");
+        assert_eq!(chi_square_gof(&[3, 1], &[0.5, 0.5]), None);
+    }
 
     #[test]
     fn sign_test_matches_hand_computed_tails() {

@@ -16,8 +16,8 @@ mod timeseries;
 
 pub use histogram::{Histogram, Log2Histogram};
 pub use inference::{
-    certify_bound, effective_sample_size, sign_test, wilson_interval, wilson_interval_fractional,
-    BoundVerdict, ProportionCi,
+    certify_bound, chi_square_gof, chi_square_sf, effective_sample_size, sign_test,
+    wilson_interval, wilson_interval_fractional, BoundVerdict, ChiSquare, ProportionCi,
 };
 pub use plot::{ascii_bars, ascii_series};
 pub use stats::Summary;

@@ -44,8 +44,11 @@ impl ClassCoreBench {
     /// Builds the core under [`RngLayout::ClassAggregated`] over the
     /// given placement (`host[i]` = VM `i`'s PM) so kernel rates are
     /// measured at the cell density the engine actually runs, not a
-    /// synthetic spread. `cached` selects the memoized tables (`true`)
-    /// or the pmf-recurrence walk.
+    /// synthetic spread. `cached` selects the engine's kernel (`true`:
+    /// the due locations only, jump and binomial tables) or its walk
+    /// oracle (every cell visited, each jump row derived from Eq. 12
+    /// where it is drawn, each dense draw by the pmf-recurrence walk);
+    /// the two step to the same bits.
     pub fn new(
         vms: &[VmSpec],
         m: usize,
@@ -80,7 +83,15 @@ impl ClassCoreBench {
         self.core.class_occupied_cells().unwrap_or(0)
     }
 
-    /// Summed `(hits, misses, evictions)` of the sampler caches.
+    /// Cells the kernel drew for since construction: a jump at a
+    /// sparse cell's change, a binomial pair at each step of a dense
+    /// one.
+    pub fn events(&self) -> u64 {
+        self.core.class_events().unwrap_or(0)
+    }
+
+    /// Summed `(hits, misses, evictions)` of the sampler caches, each
+    /// jump drawn from the jump tables counted a hit.
     pub fn cache_stats(&self) -> (u64, u64, u64) {
         let CacheStats {
             hits,

@@ -86,6 +86,11 @@ pub enum CheckpointError {
         /// Fingerprint recorded in the snapshot.
         found: u64,
     },
+    /// The snapshot's class-layout cells were written by the kernel
+    /// that drew every cell on every step (core layout tag 2): they
+    /// carry no next-change steps, so the run cannot resume on the
+    /// same stream.
+    RetiredClassLayout,
     /// No retained snapshot survived verification; each discarded file
     /// is listed with the reason it was rejected.
     NoUsableCheckpoint {
@@ -103,6 +108,11 @@ impl fmt::Display for CheckpointError {
                 f,
                 "checkpoint belongs to a different experiment \
                  (fingerprint {found:#018x}, this run is {expected:#018x})"
+            ),
+            Self::RetiredClassLayout => write!(
+                f,
+                "checkpoint holds class cells without next-change steps \
+                 (core layout tag {RETIRED_CLASS_TAG}), written before the next-event kernel"
             ),
             Self::NoUsableCheckpoint { discarded } => {
                 write!(f, "no usable checkpoint ({} discarded", discarded.len())?;
@@ -269,15 +279,21 @@ fn bad(msg: impl Into<String>) -> FrameError {
     FrameError::Decode(msg.into())
 }
 
+/// The core layout tag of class-aggregated cells without next-change
+/// steps, refused on load ([`CheckpointError::RetiredClassLayout`]).
+const RETIRED_CLASS_TAG: u8 = 2;
+
 /// A layout tag byte (`0` shared; `1`, the per-VM layout, is retired
-/// and must stay unknown; `2` class-aggregated), then the layout's state.
+/// and must stay unknown; `2`, class cells as `(class, count, n_on)`,
+/// is retired and refused by [`decode_state`]; `3` class-aggregated,
+/// cells as `(class, count, n_on, next)`), then the layout's state.
 impl Wire for CoreSnapshot {
     const MIN_BYTES: usize = 1 + 8;
     fn put(&self, buf: &mut Vec<u8>) {
         match self {
             CoreSnapshot::Shared(words) => (0u8, *words).put(buf),
             CoreSnapshot::ClassAggregated(locs) => {
-                2u8.put(buf);
+                3u8.put(buf);
                 locs.put(buf);
             }
         }
@@ -285,7 +301,7 @@ impl Wire for CoreSnapshot {
     fn get(c: &mut Cursor<'_>) -> Result<Self, FrameError> {
         match u8::get(c)? {
             0 => Wire::get(c).map(CoreSnapshot::Shared),
-            2 => Wire::get(c).map(CoreSnapshot::ClassAggregated),
+            3 => Wire::get(c).map(CoreSnapshot::ClassAggregated),
             t => Err(bad(format!("unknown core layout tag {t}"))),
         }
     }
@@ -480,8 +496,31 @@ pub(crate) fn decode_state(
     // validation of the class-aggregated counters.
     let mut c = section(SEC_CORE)?;
     let on: Vec<bool> = sized(&mut c, n, "on")?;
+    // The layout tag follows the `on` flags (a length word, a byte each).
+    let tag_at = 8 + n;
+    if frames
+        .iter()
+        .find(|(t, _)| *t == SEC_CORE)
+        .and_then(|(_, payload)| payload.get(tag_at))
+        == Some(&RETIRED_CLASS_TAG)
+    {
+        return Err(CheckpointError::RetiredClassLayout);
+    }
     let snap = CoreSnapshot::get(&mut c)?;
     c.expect_done()?;
+    // A schedule is 0 (drawn at the coming step) or not yet reached.
+    if let CoreSnapshot::ClassAggregated(locs) = &snap {
+        if let Some(&(class, _, _, next)) = locs
+            .iter()
+            .flatten()
+            .find(|cell| cell.3 != 0 && (cell.3 as usize) < next_step)
+        {
+            return Err(bad(format!(
+                "a class-{class} cell is scheduled for step {next}, before the snapshot's {next_step}"
+            ))
+            .into());
+        }
+    }
     let mut core = WorkloadCore::new(
         sim.vms,
         m,
@@ -1099,6 +1138,65 @@ mod tests {
         );
     }
 
+    #[test]
+    fn class_cells_without_next_change_steps_are_refused() {
+        // A class-layout snapshot whose core section carries the retired
+        // tag 2 — cells as `(class, count, n_on)`, from the kernel that
+        // drew every cell every step — is refused with its own error,
+        // not resumed on a stream it cannot continue.
+        let (vms, pms) = fleet();
+        let strategy = QueueStrategy::build(16, 0.01, 0.09, 0.01);
+        let placement = first_fit(&vms, &pms, &strategy).unwrap();
+        let policy = QueuePolicy::new(strategy);
+        let cfg = SimConfig {
+            rng_layout: RngLayout::ClassAggregated,
+            ..config()
+        };
+        let sim = Simulator::new(&vms, &pms, &policy, cfg);
+        let mut store = MemStore::new();
+        sim.run_with_checkpoints(&placement, &knobs(10, 1), &mut store, &mut NoopRecorder);
+        let good = store.file_mut("ckpt-000000000050").unwrap().clone();
+        assert!(decode_state(&sim, &good).is_ok());
+
+        let mut w = FrameWriter::new();
+        for (tag, mut payload) in parse_frames(&good).unwrap() {
+            if tag == SEC_CORE {
+                let at = 8 + vms.len();
+                assert_eq!(payload[at], 3, "class-layout tag");
+                payload[at] = RETIRED_CLASS_TAG;
+            }
+            w.section(tag, &payload);
+        }
+        let Err(err) = decode_state(&sim, &w.finish()) else {
+            panic!("a tag-2 core section must not decode");
+        };
+        assert!(matches!(err, CheckpointError::RetiredClassLayout), "{err}");
+
+        // A cell scheduled before the snapshot's step is refused too: the
+        // first occupied location's first cell, its `next` (the tuple's
+        // last `u32`) set to step 1.
+        let mut w = FrameWriter::new();
+        for (tag, mut payload) in parse_frames(&good).unwrap() {
+            if tag == SEC_CORE {
+                let mut at = 8 + vms.len() + 1 + 8;
+                while payload[at..at + 8] == [0; 8] {
+                    at += 8;
+                }
+                let next = at + 8 + 12;
+                payload[next..next + 4].copy_from_slice(&1u32.to_le_bytes());
+            }
+            w.section(tag, &payload);
+        }
+        let Err(err) = decode_state(&sim, &w.finish()) else {
+            panic!("a schedule in the past must not decode");
+        };
+        assert!(
+            err.to_string()
+                .contains("scheduled for step 1, before the snapshot's 50"),
+            "{err}"
+        );
+    }
+
     /// A recorder section the attached recorder refuses — here an image
     /// with one counter more than this build has, re-framed with valid
     /// CRCs — fails the resume instead of restarting the journal; a
@@ -1203,7 +1301,7 @@ mod tests {
         assert_eq!(encoded_len(&migration), MigrationEvent::MIN_BYTES);
         for snap in [
             CoreSnapshot::Shared([1, 2, 3, 4]),
-            CoreSnapshot::ClassAggregated(vec![vec![(1, 2, 1)], vec![]]),
+            CoreSnapshot::ClassAggregated(vec![vec![(1, 2, 1, 7)], vec![]]),
         ] {
             assert!(encoded_len(&snap) >= CoreSnapshot::MIN_BYTES);
         }

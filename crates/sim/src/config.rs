@@ -36,12 +36,17 @@ pub enum RngLayout {
     #[default]
     Shared,
     /// Class-aggregated evolution: one ON-counter per `(PM, VM class)`
-    /// cell, stepped with two counter-based binomial draws
-    /// (`ON→OFF ~ B(n_on, p_off)`, `OFF→ON ~ B(n_off, p_on)`) keyed on
-    /// `(seed, pm, class, step)` — the superposition argument behind the
-    /// closed-form MapCal stationary, applied to the hot loop. Per-PM
-    /// demand is `counter × class demand`, so the per-step cost scales
-    /// with the number of occupied cells, not the fleet size. Outcomes
+    /// cell, evolving by the paper's Eq. 12 chain of its superposed
+    /// VMs — the superposition argument behind the closed-form MapCal
+    /// stationary, applied to the hot loop. A cell is touched only at
+    /// the steps its ON count changes: a counter-based draw of the jump
+    /// (the Eq. 12 row conditional on leaving) and one of the geometric
+    /// skip to its next change, keyed on `(seed, pm, class, counter)`;
+    /// a dense cell (a change likelier than not, or a count past the
+    /// jump tables) draws `ON→OFF ~ B(n_on, p_off)` and
+    /// `OFF→ON ~ B(n_off, p_on)` every step instead. Per-PM demand is
+    /// `counter × class demand`, so the per-step cost scales with the
+    /// PMs scanned and the cells that change, not the fleet size. Outcomes
     /// are `f64::to_bits`-identical for any thread count and invariant
     /// under class enumeration order, but individual VMs no longer own
     /// sample paths: agreement with [`RngLayout::Shared`] is
@@ -58,6 +63,9 @@ pub enum RngLayout {
 pub enum ConfigError {
     /// `steps == 0`: the run would observe nothing.
     ZeroSteps,
+    /// `steps ≥ u32::MAX` under [`RngLayout::ClassAggregated`], whose
+    /// cells schedule their next change as a `u32` step.
+    ClassHorizonTooLong(usize),
     /// `rho ∉ (0, 1)`: the CVR budget is a proper probability.
     RhoOutOfRange(f64),
     /// `mtbf_steps < 1` (or NaN): a PM cannot fail more than once a step.
@@ -94,6 +102,11 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::ZeroSteps => write!(f, "steps must be positive"),
+            Self::ClassHorizonTooLong(steps) => write!(
+                f,
+                "the class-aggregated layout runs at most {} steps, got {steps}",
+                u32::MAX - 1
+            ),
             Self::RhoOutOfRange(r) => write!(f, "rho must be in (0,1), got {r}"),
             Self::FaultMtbfOutOfRange(m) => {
                 write!(f, "mtbf_steps must be at least 1, got {m}")
@@ -286,11 +299,15 @@ impl SimConfig {
     /// Validates field ranges, returning the first violation found.
     ///
     /// # Errors
-    /// [`ConfigError`] on `steps == 0`, `rho ∉ (0,1)`, or an invalid
+    /// [`ConfigError`] on `steps == 0`, a class-aggregated horizon
+    /// past `u32::MAX − 1` steps, `rho ∉ (0,1)`, or an invalid
     /// [`FaultConfig`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.steps == 0 {
             return Err(ConfigError::ZeroSteps);
+        }
+        if self.rng_layout == RngLayout::ClassAggregated && self.steps >= u32::MAX as usize {
+            return Err(ConfigError::ClassHorizonTooLong(self.steps));
         }
         if !(self.rho > 0.0 && self.rho < 1.0) {
             return Err(ConfigError::RhoOutOfRange(self.rho));
@@ -331,6 +348,23 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, ConfigError::ZeroSteps);
         assert!(err.to_string().contains("steps"));
+    }
+
+    #[test]
+    fn a_class_horizon_past_u32_steps_is_invalid() {
+        let class = |steps| SimConfig {
+            steps,
+            rng_layout: RngLayout::ClassAggregated,
+            ..Default::default()
+        };
+        let err = class(u32::MAX as usize).validate().unwrap_err();
+        assert_eq!(err, ConfigError::ClassHorizonTooLong(u32::MAX as usize));
+        assert!(class(u32::MAX as usize - 1).validate().is_ok());
+        let shared = SimConfig {
+            rng_layout: RngLayout::Shared,
+            ..class(u32::MAX as usize)
+        };
+        assert!(shared.validate().is_ok());
     }
 
     #[test]

@@ -2510,10 +2510,11 @@ mod tests {
         }
     }
 
-    /// The run above at the commit before the ledger, per layout.
+    /// The run above per layout: the shared one at the commit before
+    /// the ledger, the class one since its next-event kernel.
     const REFILL_PINS: [(usize, u64, usize, u64); 2] = [
         (3, 4696924420420141056, 13, 9817093670488479483),
-        (3, 4696909473933950976, 13, 9817093670488479483),
+        (3, 4696917720271159296, 13, 9817093670488479483),
     ];
 
     #[test]
@@ -2572,11 +2573,12 @@ mod tests {
     }
 
     const FAULT_SEED: u64 = 0;
-    /// The run above, per layout, with its stranded VM-steps: computed
-    /// at the commit before the degraded margin became a constant, with
-    /// that margin set to the constant's 0.1.
+    /// The run above, per layout, with its stranded VM-steps: the shared
+    /// one computed at the commit before the degraded margin became a
+    /// constant, with that margin set to the constant's 0.1; the class
+    /// one since its next-event kernel.
     const FAULT_PINS: [((usize, u64, usize, u64), usize); 2] = [
         ((59, 4706795202306637824, 132, 991737271586783062), 191),
-        ((56, 4706824515458433024, 157, 8337060891849936839), 144),
+        ((56, 4706813563291828224, 145, 7625000903114606326), 172),
     ];
 }

@@ -19,12 +19,18 @@
 //!   a membership change (`SharedState`; DESIGN.md §8 has the exactness
 //!   arguments). Bursty VMs flip rarely, so most sums carry over.
 //! * [`RngLayout::ClassAggregated`] — same-class VMs on a PM share one
-//!   ON-counter cell; a step is two counter-based binomial draws per
-//!   occupied cell (`ON→OFF ~ B(n_on, p_off)`, `OFF→ON ~ B(n_off,
-//!   p_on)`) keyed on `(seed, pm, class, step)`, and per-PM demand is
-//!   `counter × class demand`. Cost scales with occupied cells, not
-//!   fleet size, and past the two hashes per cell with the cells whose
-//!   counter moved (`ClassKernel::evolve_chunk`). Thread-count invariant (each PM's demand is computed
+//!   ON-counter cell, evolving by the paper's Eq. 12 chain; per-PM
+//!   demand is `counter × class demand`. The kernel
+//!   (`ClassKernel::evolve_chunk`) is *next-event*: each cell stores the
+//!   step of its next ON-count change, each location the least of its
+//!   cells', and a step scans the locations and touches only the cells
+//!   due. At a change the cell jumps by its Eq. 12 row conditional on
+//!   leaving (one keyed draw) and draws the geometric skip to its next
+//!   change (a second); a *dense* cell — a change likelier than not, or
+//!   a count past the jump tables — draws `ON→OFF ~ B(n_on, p_off)` and
+//!   `OFF→ON ~ B(n_off, p_on)` every step instead. Every draw is keyed
+//!   on `(seed, location, class, counter)`. Cost scales with locations
+//!   scanned and cells that change, not fleet size. Thread-count invariant (each PM's demand is computed
 //!   wholly by one worker from its own cells) and invariant under class
 //!   enumeration order (the class table is sorted by content, cell keys
 //!   hash class *contents*). Individual VMs no longer own sample paths:
@@ -62,7 +68,10 @@
 use crate::config::RngLayout;
 use crate::members::Members;
 use crate::rng::binomial_table::{CacheStats, TableCache, DEFAULT_ENTRY_BUDGET};
-use crate::rng::{class_cell_key, class_hash, flip_threshold, keyed_binomial, keyed_bits};
+use crate::rng::{
+    binomial_from_u01, bits_to_u01, class_cell_key, class_hash, flip_threshold, keyed_bits,
+};
+use bursty_markov::AggregateChain;
 use bursty_workload::classes::{intern_classes, VmClass};
 use bursty_workload::VmSpec;
 use rand::rngs::StdRng;
@@ -91,6 +100,12 @@ struct ClassInfo {
     slot_off: u32,
     /// Index of `p_on` in the per-chunk table caches' `p` registry.
     slot_on: u32,
+    /// The largest cell count the jump tables cover (0 for a class with
+    /// a degenerate probability): a cell past it is dense.
+    cap: u32,
+    /// Index of the class's `(count 1, n_on 0)` entry in
+    /// [`JumpTables::entries`].
+    base: u32,
 }
 
 /// Registry of the distinct switch probabilities of `classes`, ascending:
@@ -104,29 +119,27 @@ fn p_registry(classes: &[ClassInfo]) -> Vec<f64> {
 }
 
 /// One `(location, class)` ON-counter of the class-aggregated layout:
-/// `count` resident VMs of `class`, `n_on` of them currently ON, and the
-/// pre-mixed stream key of the cell's binomial draws. A location is a PM
-/// or the displaced-VM limbo pool; each location's cells stay sorted by
-/// class index so evolution and demand accumulation order are canonical.
-/// The location itself is not stored: it is the chunk's CSR run the cell
-/// sits in.
+/// `count` resident VMs of `class`, `n_on` of them currently ON, the
+/// pre-mixed stream key of the cell's draws, and `next`, the step of the
+/// cell's next ON-count change. A location is a PM or the displaced-VM
+/// limbo pool; each location's cells stay sorted by class index so
+/// evolution and demand accumulation order are canonical. The location
+/// itself is not stored: it is the chunk's CSR run the cell sits in.
 ///
-/// `thr` caches the quiet test (`ClassKernel::evolve_chunk`):
-/// `quiet_thr` of the zero-outcome thresholds of the departure draw
-/// (`p_off`, `n_on`) and the arrival draw (`p_on`, `count − n_on`), as
-/// the chunk's cache stood at the end of the cell's last slow-path
-/// visit. `[0, 0]` is *stale* (no draw passes): every change of the
-/// counts and every flush of the chunk's cache resets it. Derived state,
-/// never serialized.
+/// `next` is [`UNSCHEDULED`] for a cell the coming step must visit
+/// whatever it draws: a dense one, and one whose counts changed since
+/// its schedule was drawn (built, moved into or out of, merged into the
+/// limbo pool), which draws its schedule then. [`NEVER`] is a schedule
+/// past any run. Run state: a checkpoint carries it.
 ///
-/// Layout: 24 bytes, no padding — `key` (8), `class`, `count`, `n_on`
-/// (4 each), `thr` (2 × 2).
+/// Layout: 24 bytes, no padding — `key` (8), `class`, `count`, `n_on`,
+/// `next` (4 each).
 struct Cell {
     key: u64,
     class: u32,
     count: u32,
     n_on: u32,
-    thr: [u16; 2],
+    next: u32,
 }
 
 impl Cell {
@@ -143,44 +156,211 @@ impl Cell {
             class,
             count,
             n_on,
-            thr: STALE,
+            next: UNSCHEDULED,
         }
     }
 }
 
-/// The cached quiet thresholds of a cell whose counts just changed, or
-/// whose chunk's cache just flushed: no draw passes.
-const STALE: [u16; 2] = [0, 0];
+/// The `next` of a cell the coming step visits and, if it is sparse,
+/// schedules: its counts changed, or it is dense. No schedule is ever
+/// left at 0: a cell scheduled for step 0 is stepped at once.
+const UNSCHEDULED: u32 = 0;
 
-/// How far the cached quiet test shifts a 53-bit draw: `k >> 37` is a
-/// 16-bit number.
-const QUIET_SHIFT: u32 = 37;
+/// The `next` of a cell whose change lies past any run, and the
+/// location step of a location without cells.
+const NEVER: u32 = u32::MAX;
 
-/// A zero-outcome threshold (`TableCache::zero_threshold`) narrowed to
-/// the cached 16-bit form. Conservative: `(k >> QUIET_SHIFT) <
-/// quiet_thr(thr)` implies `k < thr`, and it gives up at most `2⁻¹⁶` of
-/// probability per draw to a needless (and harmless) slow path.
+/// The counter space of the draws that schedule a cell afresh (its
+/// counts changed since its last draw, or it left a dense state): the
+/// high half, apart from the per-step pair `2·step`, `2·step + 1`. A
+/// cell draws at most one schedule per step, at its visit, so no
+/// counter of its stream is drawn twice.
+const RESCHEDULE: u64 = 1 << 63;
+
+/// The largest cell count a class's jump tables cover, before the
+/// fleet-wide budget below shrinks it.
+const JUMP_CAP: u32 = 32;
+
+/// The most thresholds the jump tables of a run may hold (8 MiB): a
+/// fleet of many large classes gets a lower common cap, so more of its
+/// cells are dense.
+const JUMP_BUDGET: usize = 1 << 20;
+
+/// A state that changes with probability above this in one step (an
+/// expected skip under two steps) is dense: drawing its binomial pair
+/// every step is cheaper than a jump and a skip every other step.
+const DENSE_ABOVE: f64 = 0.5;
+
+/// The threshold count of a class capped at `cap`, an upper bound (a
+/// dense state stores none): `Σ_{k ≤ cap} k·(k + 1)`.
+fn threshold_bound(cap: u32) -> usize {
+    let k = cap as usize;
+    k * (k + 1) * (k + 2) / 3
+}
+
+/// The index of state `(count, n_on)` among a class's entries, counts
+/// `1..` in order, each with its `count + 1` states.
 #[inline]
-fn quiet_thr(thr: u64) -> u16 {
-    (thr >> QUIET_SHIFT).min(u64::from(u16::MAX)) as u16
+fn state_index(count: u32, n_on: u32) -> usize {
+    let k = count as usize;
+    (k - 1) * (k + 2) / 2 + n_on as usize
+}
+
+/// Sparse state `(count, n_on)` of `info`: returns its skip factor
+/// `1 / ln_1p(−h)`, `h = Σ_{j ≠ i} p_ij` the chance its ON count
+/// changes in one step (Eq. 12 row `i`; a compensating ON and OFF flip
+/// leaves the count where it is), and appends its jump thresholds to
+/// `out`: over the `count` states a change reaches (`j ≠ n_on`,
+/// ascending), the cumulative row conditional on leaving, `p_ij / h`,
+/// in 53-bit draw units, the last `u64::MAX` so every draw lands.
+/// `None`, with nothing appended, when the state is dense: past the
+/// class's cap, a degenerate class, or `h` above [`DENSE_ABOVE`].
+fn sparse_state(info: &ClassInfo, count: u32, n_on: u32, out: &mut Vec<u64>) -> Option<f64> {
+    if count > info.cap {
+        return None;
+    }
+    let i = n_on as usize;
+    let row = AggregateChain::new(count as usize, info.p_on, info.p_off).transition_row(i);
+    let leave: f64 = row
+        .iter()
+        .enumerate()
+        .filter(|&(j, _)| j != i)
+        .map(|(_, p)| p)
+        .sum();
+    if !(leave > 0.0 && leave <= DENSE_ABOVE) {
+        return None;
+    }
+    let mut cum = 0.0;
+    for (j, p) in row.iter().enumerate() {
+        if j != i {
+            cum += p;
+            out.push(flip_threshold(cum / leave));
+        }
+    }
+    *out.last_mut().expect("a cell of one VM or more") = u64::MAX;
+    Some((-leave).ln_1p().recip())
+}
+
+/// The steps from the one a schedule is drawn for to the change it
+/// draws, from a 53-bit draw: `G ≥ 1` geometric with
+/// `P(G > g) = stay^g`, by inversion of `u = (bits + 1)·2⁻⁵³ ∈ (0, 1]`.
+/// Saturates past every run.
+#[inline]
+fn skip(bits: u64, inv_ln_stay: f64) -> u64 {
+    let u = (bits + 1) as f64 * (1.0 / (1u64 << 53) as f64);
+    (u.ln() * inv_ln_stay) as u64 + 1
+}
+
+/// The ON count a change from `n_on` lands on, by the thresholds of
+/// [`sparse_state`].
+#[inline]
+fn jump(bits: u64, thresholds: &[u64], n_on: u32) -> u32 {
+    let at = thresholds
+        .iter()
+        .position(|&t| bits < t)
+        .expect("the last threshold takes every draw") as u32;
+    at + u32::from(at >= n_on)
+}
+
+/// `step + steps` as a `next`, [`NEVER`] past a run.
+#[inline]
+fn step_plus(step: u64, steps: u64) -> u32 {
+    step.saturating_add(steps).min(u64::from(NEVER)) as u32
+}
+
+/// One state's entry in the jump tables.
+#[derive(Clone, Copy)]
+struct Jump {
+    /// [`sparse_state`]'s skip factor (unread when dense).
+    inv_ln_stay: f64,
+    /// Offset of the state's `count` thresholds in
+    /// [`JumpTables::thresholds`], or [`DENSE`].
+    off: u32,
+}
+
+/// The `off` of a dense state's entry.
+const DENSE: u32 = u32::MAX;
+
+/// Every class's jump tables, built once per run from the fleet alone
+/// ([`WorkloadCore::new`]): for each class, each count up to its cap
+/// and each ON count, the state's skip factor and the thresholds of its
+/// jump. Read-only while the kernel runs, shared by every worker.
+struct JumpTables {
+    entries: Vec<Jump>,
+    thresholds: Vec<u64>,
+}
+
+impl JumpTables {
+    /// Sets each class's `cap` and `base` from its population and builds
+    /// the tables.
+    fn build(classes: &mut [ClassInfo], class_of: &[u32]) -> Self {
+        let mut population = vec![0u32; classes.len()];
+        for &c in class_of {
+            population[c as usize] += 1;
+        }
+        let degenerate = |info: &ClassInfo| {
+            !(info.p_on > 0.0 && info.p_on < 1.0 && info.p_off > 0.0 && info.p_off < 1.0)
+        };
+        let caps = |cap: u32| {
+            classes
+                .iter()
+                .zip(&population)
+                .map(move |(info, &pop)| if degenerate(info) { 0 } else { cap.min(pop) })
+        };
+        let mut cap = JUMP_CAP;
+        while cap > 0 && caps(cap).map(threshold_bound).sum::<usize>() > JUMP_BUDGET {
+            cap -= 1;
+        }
+        let caps: Vec<u32> = caps(cap).collect();
+        let mut tables = Self {
+            entries: Vec::new(),
+            thresholds: Vec::new(),
+        };
+        for (info, cap) in classes.iter_mut().zip(caps) {
+            info.cap = cap;
+            info.base = tables.entries.len() as u32;
+            for count in 1..=cap {
+                for n_on in 0..=count {
+                    let off = tables.thresholds.len() as u32;
+                    let entry = match sparse_state(info, count, n_on, &mut tables.thresholds) {
+                        Some(inv_ln_stay) => Jump { inv_ln_stay, off },
+                        None => Jump {
+                            inv_ln_stay: f64::NAN,
+                            off: DENSE,
+                        },
+                    };
+                    tables.entries.push(entry);
+                }
+            }
+        }
+        tables
+    }
 }
 
 /// What one fixed chunk of [`CLASS_PM_CHUNK`] locations owns: its cells,
-/// its sampler and its stale-PM lists. Each chunk is evolved by exactly
-/// one worker per step, and the chunk partition is a function of `m`
-/// only, so the summed cache counters are invariant in the thread count
-/// — and a structural edit (a move, a crash) shifts one chunk's arrays,
-/// never the fleet's.
+/// its sampler, each location's next change and its stale-PM lists.
+/// Each chunk is evolved by exactly one worker per step, and the chunk
+/// partition is a function of `m` only, so the summed counters are
+/// invariant in the thread count — and a structural edit (a move, a
+/// crash) shifts one chunk's arrays, never the fleet's.
 struct ClassChunk {
     /// The chunk's cells, location by location, sorted by class within
-    /// each location. The hot loop only mutates `n_on`.
+    /// each location. The hot loop only mutates `n_on` and `next`.
     cells: Vec<Cell>,
     /// CSR offsets over `cells`, local to the chunk: the location `l`
     /// places past the chunk's first owns
     /// `cells[offsets[l] as usize..offsets[l + 1] as usize]`.
     offsets: Vec<u32>,
-    /// The chunk's memoized binomial sampler.
+    /// Per location, the least `next` of its cells ([`NEVER`] without
+    /// cells, [`UNSCHEDULED`] after an edit): the step the location is
+    /// next due. The only array a step reads in full.
+    due: Vec<u32>,
+    /// The chunk's memoized binomial sampler, for dense cells.
     cache: TableCache,
+    /// Jumps drawn from the jump tables since construction.
+    jumps: u64,
+    /// Cells drawn for since construction: jumps and dense steps.
+    events: u64,
     /// The chunk's PMs whose `observed` entry is stale: a cell changed
     /// `n_on` this step, or the engine reported a write since the last
     /// one. Duplicates are harmless (a re-fold is idempotent); handed to
@@ -196,7 +376,10 @@ impl ClassChunk {
         Self {
             cells: Vec::new(),
             offsets: vec![0; locations + 1],
+            due: vec![NEVER; locations],
             cache: TableCache::new(p_values, DEFAULT_ENTRY_BUDGET),
+            jumps: 0,
+            events: 0,
             dirty: Vec::new(),
             refolded: Vec::new(),
         }
@@ -218,7 +401,8 @@ impl ClassChunk {
         let cell = &mut self.cells[at];
         cell.count -= 1;
         cell.n_on -= u32::from(was_on);
-        cell.thr = STALE;
+        cell.next = UNSCHEDULED;
+        self.due[l] = UNSCHEDULED;
         if cell.count == 0 {
             self.cells.remove(at);
             for o in &mut self.offsets[l + 1..] {
@@ -231,12 +415,13 @@ impl ClassChunk {
     /// `l`, inserting the cell where none exists yet.
     fn put(&mut self, l: usize, cell: Cell) {
         let range = self.range(l);
+        self.due[l] = UNSCHEDULED;
         match self.cells[range.clone()].binary_search_by_key(&cell.class, |c| c.class) {
             Ok(at) => {
                 let into = &mut self.cells[range.start + at];
                 into.count += cell.count;
                 into.n_on += cell.n_on;
-                into.thr = STALE;
+                into.next = UNSCHEDULED;
             }
             Err(at) => {
                 // A full chunk grows by a sixteenth, not by doubling:
@@ -254,60 +439,131 @@ impl ClassChunk {
             }
         }
     }
+
+    /// Sets every location's `due` from its cells.
+    fn recompute_due(&mut self) {
+        for l in 0..self.due.len() {
+            self.due[l] = self.cells[self.range(l)]
+                .iter()
+                .map(|cell| cell.next)
+                .min()
+                .unwrap_or(NEVER);
+        }
+    }
 }
 
-/// Which binomial sampler the class kernel draws through.
+/// Which kernel implementation steps the class layout.
 #[derive(Clone, Copy)]
 enum Sampler {
-    /// The memoized tables, a quiet cell tested against its cached
-    /// thresholds (what the engine runs).
+    /// The jump tables and the memoized binomial tables, visiting only
+    /// the locations due (what the engine runs).
     Tables,
-    /// The pmf-recurrence walk on every draw: the reference kernel the
-    /// tables are bit-identical to.
+    /// The same stream computed the slow way: every location visited,
+    /// each jump row and skip factor derived from Eq. 12 where it is
+    /// used, each dense draw by the pmf-recurrence walk. The tables'
+    /// oracle, bit for bit.
     Walk,
-    /// The tables, with the quiet test's thresholds looked up in the
-    /// cache for every cell on every step: the kernel the per-cell
-    /// thresholds replaced, kept as their oracle.
-    #[cfg(test)]
-    Lookup,
+}
+
+/// What differs between the two kernel implementations: where a
+/// state's skip factor and jump come from, and how a dense cell draws.
+trait CellDraws {
+    /// [`sparse_state`]'s skip factor.
+    fn stay(&mut self, info: &ClassInfo, count: u32, n_on: u32) -> Option<f64>;
+    /// The ON count a change from sparse state `(count, n_on)` lands on.
+    fn jump(&mut self, info: &ClassInfo, count: u32, n_on: u32, bits: u64) -> u32;
+    /// A dense step's `B(n_on, p_off)` and `B(n_off, p_on)` draws.
+    fn pair(&mut self, info: &ClassInfo, bits: [u64; 2], n_on: u32, n_off: u32) -> (u32, u32);
+}
+
+/// [`Sampler::Tables`]' draws.
+struct TableDraws<'a> {
+    tables: &'a JumpTables,
+    cache: &'a mut TableCache,
+    jumps: u64,
+}
+
+impl TableDraws<'_> {
+    #[inline(always)]
+    fn entry(&self, info: &ClassInfo, count: u32, n_on: u32) -> Option<Jump> {
+        if count > info.cap {
+            return None;
+        }
+        let entry = self.tables.entries[info.base as usize + state_index(count, n_on)];
+        (entry.off != DENSE).then_some(entry)
+    }
+}
+
+impl CellDraws for TableDraws<'_> {
+    #[inline]
+    fn stay(&mut self, info: &ClassInfo, count: u32, n_on: u32) -> Option<f64> {
+        self.entry(info, count, n_on).map(|e| e.inv_ln_stay)
+    }
+
+    #[inline]
+    fn jump(&mut self, info: &ClassInfo, count: u32, n_on: u32, bits: u64) -> u32 {
+        let off = self.entry(info, count, n_on).expect("a sparse state").off as usize;
+        self.jumps += 1;
+        jump(
+            bits,
+            &self.tables.thresholds[off..off + count as usize],
+            n_on,
+        )
+    }
+
+    #[inline]
+    fn pair(
+        &mut self,
+        info: &ClassInfo,
+        [k_out, k_in]: [u64; 2],
+        n_on: u32,
+        n_off: u32,
+    ) -> (u32, u32) {
+        (
+            self.cache.draw_bits(info.slot_off as usize, k_out, n_on),
+            self.cache.draw_bits(info.slot_on as usize, k_in, n_off),
+        )
+    }
+}
+
+/// [`Sampler::Walk`]'s draws; `row` is the scratch a jump's thresholds
+/// are derived into.
+struct WalkDraws {
+    row: Vec<u64>,
+}
+
+impl CellDraws for WalkDraws {
+    fn stay(&mut self, info: &ClassInfo, count: u32, n_on: u32) -> Option<f64> {
+        self.row.clear();
+        sparse_state(info, count, n_on, &mut self.row)
+    }
+
+    fn jump(&mut self, info: &ClassInfo, count: u32, n_on: u32, bits: u64) -> u32 {
+        self.stay(info, count, n_on).expect("a sparse state");
+        jump(bits, &self.row, n_on)
+    }
+
+    fn pair(
+        &mut self,
+        info: &ClassInfo,
+        [k_out, k_in]: [u64; 2],
+        n_on: u32,
+        n_off: u32,
+    ) -> (u32, u32) {
+        (
+            binomial_from_u01(bits_to_u01(k_out), n_on, info.p_off),
+            binomial_from_u01(bits_to_u01(k_in), n_off, info.p_on),
+        )
+    }
 }
 
 /// One step's read-only view of the class layout, as each worker sees it.
 struct ClassKernel<'a> {
     classes: &'a [ClassInfo],
+    tables: &'a JumpTables,
     step: u64,
     sampler: Sampler,
     primed: bool,
-}
-
-/// Lists, on its chunk's stale list, the location of each cell whose
-/// counter moved. Cells are visited in ascending order, so a cursor over
-/// the chunk's CSR offsets finds the location, and consecutive cells of
-/// one location list it once.
-struct StaleMarker<'a> {
-    offsets: &'a [u32],
-    /// The chunk's first location.
-    lo: usize,
-    /// The cursor: the chunk-local location of the cell marked last (0
-    /// before the first).
-    l: usize,
-    /// The chunk-local location listed last, or `usize::MAX`.
-    last: usize,
-    dirty: &'a mut Vec<u32>,
-}
-
-impl StaleMarker<'_> {
-    /// The counter of the chunk's cell `at` moved.
-    #[inline]
-    fn mark(&mut self, at: usize) {
-        while self.offsets[self.l + 1] as usize <= at {
-            self.l += 1;
-        }
-        if self.l != self.last {
-            self.last = self.l;
-            self.dirty.push((self.lo + self.l) as u32);
-        }
-    }
 }
 
 impl ClassKernel<'_> {
@@ -318,154 +574,183 @@ impl ClassKernel<'_> {
         let ClassChunk {
             cells,
             offsets,
+            due,
             cache,
+            jumps,
+            events,
             dirty,
             refolded,
         } = chunk;
-        let mut stale = StaleMarker {
-            offsets,
-            lo,
-            l: 0,
-            last: usize::MAX,
-            dirty,
-        };
+        // The PMs the engine wrote since the last step; the step folds
+        // the ones whose counters move as it goes.
+        let marked = dirty.len();
         match self.sampler {
-            Sampler::Tables => self.draw_tables(cells, cache, &mut stale),
-            Sampler::Walk => self.draw_walk(cells, &mut stale),
-            #[cfg(test)]
-            Sampler::Lookup => self.draw_lookup(cells, cache, &mut stale),
+            Sampler::Tables => {
+                // The locations due this step, found without a branch on
+                // the test: each index is written, and kept when due.
+                let step = self.step as u32;
+                let mut list = [0u16; CLASS_PM_CHUNK];
+                let mut n = 0;
+                for (l, &next) in due.iter().enumerate() {
+                    list[n] = l as u16;
+                    n += usize::from(next <= step);
+                }
+                let mut draws = TableDraws {
+                    tables: self.tables,
+                    cache,
+                    jumps: 0,
+                };
+                *events += self.step_locations(
+                    lo,
+                    cells,
+                    offsets,
+                    due,
+                    dirty,
+                    obs,
+                    &list[..n],
+                    &mut draws,
+                );
+                *jumps += draws.jumps;
+            }
+            Sampler::Walk => {
+                let mut draws = WalkDraws { row: Vec::new() };
+                let every: Vec<u16> = (0..due.len() as u16).collect();
+                *events +=
+                    self.step_locations(lo, cells, offsets, due, dirty, obs, &every, &mut draws);
+            }
         }
 
-        let fold = |l: usize| {
-            cells[offsets[l] as usize..offsets[l + 1] as usize]
-                .iter()
-                .fold(0.0, |demand, cell| {
-                    let info = &self.classes[cell.class as usize];
-                    demand
-                        + (f64::from(cell.n_on) * info.demand_on
-                            + f64::from(cell.count - cell.n_on) * info.demand_off)
-                })
-        };
         if self.primed {
-            for &j in dirty.iter() {
+            for &j in &dirty[..marked] {
                 // The limbo pool (the last location) has no entry.
                 let l = j as usize - lo;
                 if let Some(sum) = obs.get_mut(l) {
-                    *sum = fold(l);
+                    *sum = self.fold(cells, offsets, l);
                 }
             }
         } else {
             for (l, sum) in obs.iter_mut().enumerate() {
-                *sum = fold(l);
+                *sum = self.fold(cells, offsets, l);
             }
         }
         refolded.clear();
         std::mem::swap(dirty, refolded);
     }
 
-    /// The memoized-table kernel. A *quiet* cell — both draws under its
-    /// cached zero-outcome thresholds, all but a few percent of cells
-    /// for bursty chains — costs two hashes and two integer compares,
-    /// reads only `key`, `thr`, `n_on` and `count`, and is left
-    /// untouched; the rest take [`ClassKernel::visit`].
-    fn draw_tables(&self, cells: &mut [Cell], cache: &mut TableCache, stale: &mut StaleMarker) {
-        let (out_at, in_at) = (2 * self.step, 2 * self.step + 1);
-        let mut quiet_hits = 0u64;
-        let mut evictions = cache.stats().evictions;
-        for at in 0..cells.len() {
-            let cell = &cells[at];
-            let (k_out, k_in) = (keyed_bits(cell.key, out_at), keyed_bits(cell.key, in_at));
-            if ((k_out >> QUIET_SHIFT) < u64::from(cell.thr[0]))
-                & ((k_in >> QUIET_SHIFT) < u64::from(cell.thr[1]))
-            {
-                quiet_hits += u64::from(cell.n_on != 0) + u64::from(cell.n_on != cell.count);
-                continue;
-            }
-            self.visit(cells, at, [k_out, k_in], cache, &mut evictions, stale);
-        }
-        cache.count_hits(quiet_hits);
-    }
-
-    /// The slow path of cell `at`: both draws through the sampler, then
-    /// the cell's thresholds cached again from the cache as it now
-    /// stands. `evictions` is the cache's eviction count as the pass last
-    /// saw it: a flush during the draws first resets every cell of the
-    /// chunk to stale, since the tables their thresholds came from are
-    /// gone. A flush that evicts nothing may go unseen: every table
-    /// built since the last flush seen would have been evicted by it, so
-    /// no cell holds a threshold from a table (the `n = 0` entry
-    /// survives flushes).
+    /// Location `l`'s demand: its cells' `n_on × demand_on + n_off ×
+    /// demand_off`, folded from `0.0` in class order.
     #[inline]
-    fn visit(
+    fn fold(&self, cells: &[Cell], offsets: &[u32], l: usize) -> f64 {
+        cells[offsets[l] as usize..offsets[l + 1] as usize]
+            .iter()
+            .fold(0.0, |demand, cell| {
+                let info = &self.classes[cell.class as usize];
+                demand
+                    + (f64::from(cell.n_on) * info.demand_on
+                        + f64::from(cell.count - cell.n_on) * info.demand_off)
+            })
+    }
+
+    /// Steps the due cells of `locations` (chunk-local, ascending), sets
+    /// each one's `due` again, and where a counter moved lists it stale
+    /// and, once primed, folds its `obs` entry while its cells are in
+    /// cache. Returns the cells drawn for.
+    #[allow(clippy::too_many_arguments)]
+    fn step_locations<D: CellDraws>(
         &self,
+        lo: usize,
         cells: &mut [Cell],
-        at: usize,
-        [k_out, k_in]: [u64; 2],
-        cache: &mut TableCache,
-        evictions: &mut u64,
-        stale: &mut StaleMarker,
-    ) {
-        let cell = &cells[at];
+        offsets: &[u32],
+        due: &mut [u32],
+        dirty: &mut Vec<u32>,
+        obs: &mut [f64],
+        locations: &[u16],
+        draws: &mut D,
+    ) -> u64 {
+        let step = self.step as u32;
+        let mut events = 0;
+        // When the due locations are few, their cells sit far apart:
+        // each one's first cell is loaded `LOOKAHEAD` locations early, so
+        // its cache miss is in flight while earlier ones are stepped.
+        // When most are due (dense cells) the cells stream in order and
+        // the extra loads only cost.
+        const LOOKAHEAD: usize = 12;
+        let spread = 4 * locations.len() < due.len();
+        let first_next = |cells: &[Cell], l: u16| {
+            cells
+                .get(offsets[usize::from(l)] as usize)
+                .map_or(0, |cell| cell.next)
+        };
+        let mut ahead = 0;
+        if spread {
+            for &l in &locations[..locations.len().min(LOOKAHEAD)] {
+                ahead ^= first_next(cells, l);
+            }
+        }
+        for (i, &l) in locations.iter().enumerate() {
+            if let (true, Some(&later)) = (spread, locations.get(i + LOOKAHEAD)) {
+                ahead ^= first_next(cells, later);
+            }
+            let l = usize::from(l);
+            let (mut changed, mut next) = (false, NEVER);
+            for cell in &mut cells[offsets[l] as usize..offsets[l + 1] as usize] {
+                if cell.next <= step {
+                    let n_on = cell.n_on;
+                    events += u64::from(self.visit(cell, draws));
+                    changed |= cell.n_on != n_on;
+                }
+                next = next.min(cell.next);
+            }
+            due[l] = next;
+            if changed {
+                dirty.push((lo + l) as u32);
+                if let (true, Some(sum)) = (self.primed, obs.get_mut(l)) {
+                    *sum = self.fold(cells, offsets, l);
+                }
+            }
+        }
+        std::hint::black_box(ahead);
+        events
+    }
+
+    /// Steps one cell due this step. A dense cell draws its departures
+    /// and arrivals, `B(n_on, p_off)` and `B(n_off, p_on)` at counters
+    /// `2·step` and `2·step + 1`, and stays due. A sparse one first draws
+    /// its schedule if it has none; at its change it jumps (counter
+    /// `2·step`) and draws the skip to its next change from the state it
+    /// lands in (counter `2·step + 1`). Between changes `p_ii` is fixed
+    /// by the counts, so the geometric skip is exact. Returns whether
+    /// the cell drew a step.
+    #[inline(always)]
+    fn visit<D: CellDraws>(&self, cell: &mut Cell, draws: &mut D) -> bool {
         let info = &self.classes[cell.class as usize];
-        let (slot_off, slot_on) = (info.slot_off as usize, info.slot_on as usize);
-        let (n_on, n_off) = (cell.n_on, cell.count - cell.n_on);
-        let out = cache.draw_bits(slot_off, k_out, n_on);
-        let inn = cache.draw_bits(slot_on, k_in, n_off);
-        if cache.stats().evictions != *evictions {
-            *evictions = cache.stats().evictions;
-            cells.iter_mut().for_each(|cell| cell.thr = STALE);
-        }
-        let cell = &mut cells[at];
-        if out != inn {
-            cell.n_on = n_on - out + inn;
-            stale.mark(at);
-        }
-        cell.thr = [
-            quiet_thr(cache.zero_threshold(slot_off, cell.n_on)),
-            quiet_thr(cache.zero_threshold(slot_on, cell.count - cell.n_on)),
-        ];
-    }
-
-    /// The walk kernel: `keyed_binomial` on every draw, no quiet test.
-    fn draw_walk(&self, cells: &mut [Cell], stale: &mut StaleMarker) {
-        let (out_at, in_at) = (2 * self.step, 2 * self.step + 1);
-        for (at, cell) in cells.iter_mut().enumerate() {
-            let info = &self.classes[cell.class as usize];
-            let (n_on, n_off) = (cell.n_on, cell.count - cell.n_on);
-            let out = keyed_binomial(cell.key, out_at, n_on, info.p_off);
-            let inn = keyed_binomial(cell.key, in_at, n_off, info.p_on);
-            if out != inn {
-                cell.n_on = n_on - out + inn;
-                stale.mark(at);
+        let step = self.step;
+        let Some(inv_ln_stay) = draws.stay(info, cell.count, cell.n_on) else {
+            let bits = [
+                keyed_bits(cell.key, 2 * step),
+                keyed_bits(cell.key, 2 * step + 1),
+            ];
+            let (out, inn) = draws.pair(info, bits, cell.n_on, cell.count - cell.n_on);
+            cell.n_on = cell.n_on - out + inn;
+            cell.next = UNSCHEDULED;
+            return true;
+        };
+        if cell.next == UNSCHEDULED {
+            // From this step on, the first change is `G − 1` steps away.
+            let g = skip(keyed_bits(cell.key, RESCHEDULE | step), inv_ln_stay);
+            cell.next = step_plus(step, g - 1);
+            if u64::from(cell.next) > step {
+                return false;
             }
         }
-    }
-
-    /// The oracle of [`ClassKernel::draw_tables`]: the same quiet test,
-    /// with each threshold looked up in the cache where it is used.
-    #[cfg(test)]
-    fn draw_lookup(&self, cells: &mut [Cell], cache: &mut TableCache, stale: &mut StaleMarker) {
-        let (out_at, in_at) = (2 * self.step, 2 * self.step + 1);
-        let mut quiet_hits = 0u64;
-        for (at, cell) in cells.iter_mut().enumerate() {
-            let info = &self.classes[cell.class as usize];
-            let (slot_off, slot_on) = (info.slot_off as usize, info.slot_on as usize);
-            let (n_on, n_off) = (cell.n_on, cell.count - cell.n_on);
-            let (k_out, k_in) = (keyed_bits(cell.key, out_at), keyed_bits(cell.key, in_at));
-            if (k_out < cache.zero_threshold(slot_off, n_on))
-                & (k_in < cache.zero_threshold(slot_on, n_off))
-            {
-                quiet_hits += u64::from(n_on != 0) + u64::from(n_off != 0);
-                continue;
+        cell.n_on = draws.jump(info, cell.count, cell.n_on, keyed_bits(cell.key, 2 * step));
+        cell.next = match draws.stay(info, cell.count, cell.n_on) {
+            Some(inv_ln_stay) => {
+                step_plus(step, skip(keyed_bits(cell.key, 2 * step + 1), inv_ln_stay))
             }
-            let out = cache.draw_bits(slot_off, k_out, n_on);
-            let inn = cache.draw_bits(slot_on, k_in, n_off);
-            if out != inn {
-                cell.n_on = n_on - out + inn;
-                stale.mark(at);
-            }
-        }
-        cache.count_hits(quiet_hits);
+            None => UNSCHEDULED,
+        };
+        true
     }
 }
 
@@ -662,6 +947,8 @@ enum Mode {
     ClassAggregated {
         /// Canonical class table (sorted by class key bit patterns).
         classes: Vec<ClassInfo>,
+        /// The classes' jump tables.
+        tables: JumpTables,
         /// Canonical class index per VM.
         class_of: Vec<u32>,
         /// The cells, in chunks of [`CLASS_PM_CHUNK`] locations.
@@ -673,8 +960,7 @@ enum Mode {
         /// The limbo pool's location, `m`.
         limbo: usize,
         /// [`Sampler::Tables`] (always, in the engine), or the walk
-        /// the tables are bit-identical to
-        /// (`WorkloadCore::set_cached_sampler`).
+        /// it is bit-identical to (`WorkloadCore::set_cached_sampler`).
         sampler: Sampler,
         /// Resolved worker count (≥ 1). Purely a throughput knob.
         threads: usize,
@@ -695,10 +981,11 @@ enum Mode {
 pub(crate) enum CoreSnapshot {
     /// The shared `StdRng`'s four xoshiro256++ state words.
     Shared([u64; 4]),
-    /// Per-location `(class, count, n_on)` triples in cell order
-    /// (locations `0..m` are the PMs, location `m` the limbo pool);
-    /// cell keys are rebuilt from the seed and class hashes.
-    ClassAggregated(Vec<Vec<(u32, u32, u32)>>),
+    /// Per-location `(class, count, n_on, next)` quadruples in cell
+    /// order (locations `0..m` are the PMs, location `m` the limbo
+    /// pool); cell keys are rebuilt from the seed and class hashes, each
+    /// location's `due` from its cells.
+    ClassAggregated(Vec<Vec<(u32, u32, u32, u32)>>),
 }
 
 /// The engine's per-step hot path in structure-of-arrays form.
@@ -773,6 +1060,8 @@ impl WorkloadCore {
                             hash: class_hash(k),
                             slot_off: 0,
                             slot_on: 0,
+                            cap: 0,
+                            base: 0,
                         }
                     })
                     .collect();
@@ -786,6 +1075,9 @@ impl WorkloadCore {
                     info.slot_off = slot_of(info.p_off);
                     info.slot_on = slot_of(info.p_on);
                 }
+                // Built here, before the run's other arrays and the
+                // cells (DESIGN.md §8 on the allocation order).
+                let tables = JumpTables::build(&mut classes, &class_of);
                 // One chunk per CLASS_PM_CHUNK locations (the m PMs plus
                 // the limbo pool, which rides in the last chunk).
                 let chunks = (m + 1).div_ceil(CLASS_PM_CHUNK);
@@ -799,6 +1091,7 @@ impl WorkloadCore {
                 assert!(m < u32::MAX as usize, "cells index locations with u32");
                 Mode::ClassAggregated {
                     classes,
+                    tables,
                     class_of,
                     chunks: (0..chunks)
                         .map(|c| {
@@ -842,27 +1135,30 @@ impl WorkloadCore {
             }
             Mode::ClassAggregated {
                 classes,
+                tables,
                 chunks,
                 sampler,
                 threads,
                 ..
             } => {
-                // Two binomial draws per occupied (location, class)
-                // cell: the ON→OFF departures and OFF→ON arrivals of the
-                // cell's superposed chains. Draw coordinates are pure
-                // functions of (seed, location, class, step) — counters
-                // 2·step and 2·step + 1 of the cell's keyed stream — so
-                // any thread can evolve any location, and each PM's
-                // demand is produced entirely by its own cells in
-                // canonical class order: thread-count invariance needs
-                // no reduction tree. Locations are cut into fixed
-                // CLASS_PM_CHUNK chunks (a function of m only); the
-                // limbo pool is the last location and rides in the last
-                // chunk — displaced VMs keep evolving (the draw sequence
-                // must not depend on fault decisions) but have no
-                // demand entry.
+                // Each (location, class) cell is touched only at the
+                // steps its ON count changes (and every step while
+                // dense): a jump and a skip at a change, the binomial
+                // pair of its departures and arrivals when dense. Draw
+                // coordinates are pure functions of (seed, location,
+                // class, counter), so any thread can evolve any
+                // location, and each PM's demand is produced entirely
+                // by its own cells in canonical class order:
+                // thread-count invariance needs no reduction tree.
+                // Locations are cut into fixed CLASS_PM_CHUNK chunks (a
+                // function of m only); the limbo pool is the last
+                // location and rides in the last chunk — displaced VMs
+                // keep evolving (the draw sequence must not depend on
+                // fault decisions) but have no demand entry.
+                assert!(step < u64::from(NEVER), "class cells schedule steps as u32");
                 let kernel = ClassKernel {
                     classes,
+                    tables,
                     step,
                     sampler: *sampler,
                     primed: *primed,
@@ -981,6 +1277,7 @@ impl WorkloadCore {
             }
             chunk.cells = Vec::with_capacity(cells.len());
             chunk.cells.append(&mut cells);
+            chunk.recompute_due();
         }
     }
 
@@ -1124,6 +1421,7 @@ impl WorkloadCore {
         for o in &mut chunk.offsets[l + 1..] {
             *o -= moved.len() as u32;
         }
+        chunk.due[l] = NEVER;
         let pool = &mut chunks[*limbo / CLASS_PM_CHUNK];
         for cell in moved {
             pool.put(
@@ -1133,37 +1431,26 @@ impl WorkloadCore {
         }
     }
 
-    /// Selects the class-aggregated binomial sampler: the memoized
-    /// tables (`true`, what the engine always runs) or the plain
-    /// pmf-recurrence walk, the reference the tables are bit-identical
-    /// to. Only the kernel bench (`bench_api`) and this module's tests
-    /// pick the walk. A no-op for the shared layout.
+    /// Selects the class kernel's implementation: the tables (`true`,
+    /// what the engine always runs) or the walk, the same stream
+    /// computed without them and the tables' bit-for-bit oracle. Only
+    /// the kernel bench (`bench_api`) and this module's tests pick the
+    /// walk. A no-op for the shared layout.
     pub(crate) fn set_cached_sampler(&mut self, use_tables: bool) {
-        self.set_sampler(if use_tables {
-            Sampler::Tables
-        } else {
-            Sampler::Walk
-        });
-    }
-
-    /// Switches the class kernel's sampler. Only [`Sampler::Tables`]
-    /// keeps the cells' cached thresholds current, so every cell starts
-    /// stale under the new one.
-    fn set_sampler(&mut self, to: Sampler) {
-        if let Mode::ClassAggregated {
-            sampler, chunks, ..
-        } = &mut self.mode
-        {
-            *sampler = to;
-            for cell in chunks.iter_mut().flat_map(|chunk| chunk.cells.iter_mut()) {
-                cell.thr = STALE;
-            }
+        if let Mode::ClassAggregated { sampler, .. } = &mut self.mode {
+            *sampler = if use_tables {
+                Sampler::Tables
+            } else {
+                Sampler::Walk
+            };
         }
     }
 
-    /// Summed sampler-cache counters across the per-chunk caches
-    /// (`None` for the other layouts). The chunk partition is a
-    /// function of `m` only, so the sums are thread-count invariant.
+    /// Summed sampler counters across the chunks (`None` for the other
+    /// layouts): the binomial caches' own, with every jump drawn from
+    /// the jump tables counted a hit (a draw answered from a table built
+    /// before it). The chunk partition is a function of `m` only, so the
+    /// sums are thread-count invariant.
     pub(crate) fn class_cache_stats(&self) -> Option<CacheStats> {
         let Mode::ClassAggregated { chunks, .. } = &self.mode else {
             return None;
@@ -1171,11 +1458,20 @@ impl WorkloadCore {
         Some(chunks.iter().fold(CacheStats::default(), |acc, c| {
             let s = c.cache.stats();
             CacheStats {
-                hits: acc.hits + s.hits,
+                hits: acc.hits + s.hits + c.jumps,
                 misses: acc.misses + s.misses,
                 evictions: acc.evictions + s.evictions,
             }
         }))
+    }
+
+    /// Cells the class kernel drew for since construction, summed over
+    /// the chunks (`None` for the other layouts): jumps and dense steps.
+    pub(crate) fn class_events(&self) -> Option<u64> {
+        let Mode::ClassAggregated { chunks, .. } = &self.mode else {
+            return None;
+        };
+        Some(chunks.iter().map(|chunk| chunk.events).sum())
     }
 
     /// Occupied `(location, class)` cell count under the
@@ -1201,7 +1497,6 @@ impl WorkloadCore {
             let p_values = p_registry(classes);
             for chunk in chunks.iter_mut() {
                 chunk.cache = TableCache::new(&p_values, budget);
-                chunk.cells.iter_mut().for_each(|cell| cell.thr = STALE);
             }
         }
     }
@@ -1262,7 +1557,7 @@ impl WorkloadCore {
                         chunk.offsets.windows(2).map(|w| {
                             chunk.cells[w[0] as usize..w[1] as usize]
                                 .iter()
-                                .map(|c| (c.class, c.count, c.n_on))
+                                .map(|c| (c.class, c.count, c.n_on, c.next))
                                 .collect()
                         })
                     })
@@ -1305,7 +1600,7 @@ impl WorkloadCore {
                 let mut total: u64 = 0;
                 for (loc, cs) in locs.iter().enumerate() {
                     let mut prev: Option<u32> = None;
-                    for &(class, count, n_on) in cs {
+                    for &(class, count, n_on, _) in cs {
                         if class as usize >= classes.len() {
                             return Err(format!("class index {class} out of range"));
                         }
@@ -1335,11 +1630,13 @@ impl WorkloadCore {
                     let chunk = &mut chunks[loc / CLASS_PM_CHUNK];
                     chunk
                         .cells
-                        .extend(src.into_iter().map(|(class, count, n_on)| {
-                            Cell::new(class, count, n_on, loc, *seed, classes)
+                        .extend(src.into_iter().map(|(class, count, n_on, next)| Cell {
+                            next,
+                            ..Cell::new(class, count, n_on, loc, *seed, classes)
                         }));
                     chunk.offsets[loc % CLASS_PM_CHUNK + 1] = chunk.cells.len() as u32;
                 }
+                chunks.iter_mut().for_each(ClassChunk::recompute_due);
                 Ok(())
             }
             _ => Err("snapshot layout does not match the configured rng layout".to_string()),
@@ -1911,10 +2208,10 @@ mod tests {
         (0..host.len()).filter(|&i| host[i] == at).collect()
     }
 
-    /// Two class-layout cores over one fleet, stepped side by side: one
-    /// on the per-cell cached thresholds at `threads` workers, the other
-    /// on the in-loop lookup they replaced ([`Sampler::Lookup`]) at one.
-    /// Both chunk caches hold `budget` live entries.
+    /// Two class-layout cores over one fleet, stepped side by side: the
+    /// next-event kernel on its tables at `threads` workers, and its walk
+    /// oracle ([`Sampler::Walk`]) at one. The kernel's chunk caches hold
+    /// `budget` live entries.
     struct KernelPair {
         cores: [WorkloadCore; 2],
         observed: [Vec<f64>; 2],
@@ -1928,15 +2225,15 @@ mod tests {
             threads: usize,
             budget: usize,
         ) -> Self {
-            let core = |threads, sampler| {
+            let core = |threads, tables| {
                 let mut core = WorkloadCore::new(vms, m, 17, RngLayout::ClassAggregated, threads);
                 core.set_entry_budget(budget);
-                core.set_sampler(sampler);
+                core.set_cached_sampler(tables);
                 core.class_init(&Members::from_assignment(host, m));
                 core
             };
             Self {
-                cores: [core(threads, Sampler::Tables), core(1, Sampler::Lookup)],
+                cores: [core(threads, true), core(1, false)],
                 observed: [vec![0.0; m], vec![0.0; m]],
             }
         }
@@ -1968,8 +2265,8 @@ mod tests {
             }
         }
 
-        /// Steps both cores and compares every cell's counters, every
-        /// observed sum and the cache counters.
+        /// Steps both cores and compares every cell's counters and
+        /// schedule, every observed sum and the cells drawn for.
         fn step(&mut self, step: u64, host: &[Option<usize>]) {
             let members = Members::from_assignment(host, self.observed[0].len());
             for (core, observed) in self.cores.iter_mut().zip(&mut self.observed) {
@@ -1982,12 +2279,12 @@ mod tests {
             };
             assert!(
                 cells(&self.cores[0]) == cells(&self.cores[1]),
-                "cell counters diverged at step {step}"
+                "cell counters or schedules diverged at step {step}"
             );
             assert_eq!(
-                self.cores[0].class_cache_stats(),
-                self.cores[1].class_cache_stats(),
-                "cache counters diverged at step {step}"
+                self.cores[0].class_events(),
+                self.cores[1].class_events(),
+                "cells drawn for diverged at step {step}"
             );
             let bits = |observed: &[f64]| observed.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&self.observed[0]), bits(&self.observed[1]));
@@ -1998,11 +2295,10 @@ mod tests {
     const PAIR_PMS: usize = 4 * CLASS_PM_CHUNK - 100;
 
     #[test]
-    fn cached_thresholds_match_the_lookup_oracle_across_mid_chunk_flushes() {
-        // A 96-entry budget flushes each chunk's cache many times per
-        // pass, after cells earlier in the chunk cached thresholds from
-        // the tables it drops: a cell after the flush must take the slow
-        // path, as the lookup finds no table for it either.
+    fn next_event_kernel_matches_the_walk_across_mid_chunk_flushes() {
+        // A 96-entry budget flushes each chunk's binomial cache many
+        // times per pass, between the dense cells of one chunk: a
+        // rebuilt table must draw what the walk draws.
         let (vms, host) = uneven_fleet(PAIR_PMS);
         for threads in [1, 4] {
             let mut pair = KernelPair::new(&vms, PAIR_PMS, &host, threads, 96);
@@ -2016,13 +2312,18 @@ mod tests {
                 }
             }
             let stats = pair.cores[0].class_cache_stats().unwrap();
-            assert!(stats.hits > stats.misses, "test premise: quiet cells");
+            assert!(stats.misses > 0, "test premise: dense cells");
+            let Mode::ClassAggregated { chunks, .. } = &pair.cores[0].mode else {
+                unreachable!("class layout")
+            };
+            let jumps: u64 = chunks.iter().map(|chunk| chunk.jumps).sum();
+            assert!(jumps > 0, "test premise: sparse cells jump");
             assert!(evictions(&pair) > warm, "test premise: flushes once warm");
         }
     }
 
     #[test]
-    fn cached_thresholds_match_the_lookup_oracle_across_moves_crashes_and_landings() {
+    fn next_event_kernel_matches_the_walk_across_moves_crashes_and_landings() {
         let (vms, host) = uneven_fleet(PAIR_PMS);
         let bigs: Vec<usize> = (3..PAIR_PMS).step_by(97).collect();
         for (threads, budget) in [
@@ -2035,8 +2336,9 @@ mod tests {
             for step in 0..40 {
                 pair.step(step, &host);
                 match step {
-                    // Each big cell drops to a count no table covers yet
-                    // (`take_vm`), and a fresh cell of 25 opens next door.
+                    // Each big (dense) cell loses 25 VMs (`take_vm`) to
+                    // a fresh cell next door, within the jump tables'
+                    // cap (sparse).
                     12 => {
                         for &j in &bigs {
                             let out = members_at(&host, Some(j))[..25].to_vec();
@@ -2080,7 +2382,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_thresholds_match_the_lookup_oracle_after_restore_and_class_init() {
+    fn next_event_kernel_matches_the_walk_after_restore_and_class_init() {
         let (vms, host) = uneven_fleet(PAIR_PMS);
         let rotated: Vec<Option<usize>> =
             host.iter().map(|h| h.map(|j| (j + 1) % PAIR_PMS)).collect();
@@ -2097,7 +2399,8 @@ mod tests {
                 }
                 pair.step(step, &host);
             }
-            // Back to step 10's counters, on caches warm from step 19.
+            // Back to step 10's counters and schedules, on caches warm
+            // from step 19.
             let CoreSnapshot::ClassAggregated(locs) = at_10.unwrap() else {
                 unreachable!("class layout")
             };
@@ -2114,5 +2417,91 @@ mod tests {
                 pair.step(step, &rotated);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod transient_law {
+    use super::*;
+    use bursty_markov::AggregateChain;
+    use bursty_metrics::chi_square_gof;
+
+    /// `m` PMs each hosting `count` VMs of one class (demand 1 OFF, 2
+    /// ON, so a PM's observed load is `count + n_on`), all OFF at the
+    /// start; returns each step's `n_on` per PM for `steps` steps.
+    fn run_cells(count: usize, p_on: f64, p_off: f64, m: usize, steps: u64) -> Vec<Vec<u32>> {
+        let vms: Vec<VmSpec> = (0..count * m)
+            .map(|i| VmSpec::new(i, p_on, p_off, 1.0, 1.0))
+            .collect();
+        let host: Vec<Option<usize>> = (0..vms.len()).map(|i| Some(i / count)).collect();
+        let members = Members::from_assignment(&host, m);
+        let mut core = WorkloadCore::new(&vms, m, 2024, RngLayout::ClassAggregated, 1);
+        core.class_init(&members);
+        let mut observed = vec![0.0; m];
+        (0..steps)
+            .map(|step| {
+                core.step(step, &members, &mut observed);
+                observed
+                    .iter()
+                    .map(|&o| (o - count as f64) as u32)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `v·P`.
+    fn forward(v: &[f64], p: &[Vec<f64>]) -> Vec<f64> {
+        (0..v.len())
+            .map(|j| v.iter().zip(p).map(|(vi, row)| vi * row[j]).sum())
+            .collect()
+    }
+
+    #[test]
+    fn transient_law_matches_the_eq12_matrix_power() {
+        // 20 000 independent cells started all OFF: `n_on` after steps
+        // 1, 3, 10, 40 and 150 against `e_0·P^t`, and the pair of steps
+        // (10, 11) and (150, 151) against `e_0·P^10` times `P`.
+        let m = 20_000;
+        let mut worst = f64::INFINITY;
+        for (p_on, p_off) in [(0.01, 0.09), (0.09, 0.01)] {
+            for count in [1usize, 2, 5, 16] {
+                let chain = AggregateChain::new(count, p_on, p_off);
+                let p: Vec<Vec<f64>> = (0..=count).map(|i| chain.transition_row(i)).collect();
+                let trace = run_cells(count, p_on, p_off, m, 152);
+                let mut law = vec![0.0; count + 1];
+                law[0] = 1.0;
+                let mut laws = Vec::new();
+                for _ in 0..152 {
+                    law = forward(&law, &p);
+                    laws.push(law.clone());
+                }
+                let label = format!("count {count}, ({p_on}, {p_off})");
+                let mut check = |observed: &[u64], probs: &[f64], what: &str| {
+                    let fit = chi_square_gof(observed, probs)
+                        .unwrap_or_else(|| panic!("{label}, {what}: one pooled bin"));
+                    worst = worst.min(fit.p_value);
+                    assert!(fit.p_value > 1e-4, "{label}, {what}: {fit:?}");
+                };
+                for t in [1usize, 3, 10, 40, 150] {
+                    let mut hist = vec![0u64; count + 1];
+                    for &n_on in &trace[t - 1] {
+                        hist[n_on as usize] += 1;
+                    }
+                    check(&hist, &laws[t - 1], &format!("step {t}"));
+                }
+                for t in [10usize, 150] {
+                    let states = count + 1;
+                    let mut hist = vec![0u64; states * states];
+                    for (&a, &b) in trace[t - 1].iter().zip(&trace[t]) {
+                        hist[a as usize * states + b as usize] += 1;
+                    }
+                    let probs: Vec<f64> = (0..states * states)
+                        .map(|ab| laws[t - 1][ab / states] * p[ab / states][ab % states])
+                        .collect();
+                    check(&hist, &probs, &format!("steps ({t}, {})", t + 1));
+                }
+            }
+        }
+        eprintln!("smallest chi-square p-value: {worst:.4}");
     }
 }

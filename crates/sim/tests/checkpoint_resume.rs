@@ -348,13 +348,14 @@ fn kept_target_index_is_rebuilt_on_resume_and_never_persisted() {
 }
 
 /// `(file, length, crc64)` of every snapshot the fixed run above writes,
-/// computed at the commit before the target index outlived a step.
+/// computed when the class layout's cells came to carry their next
+/// change (each cell 4 bytes longer).
 const PINNED_SNAPSHOTS: [(&str, usize, u64); 5] = [
-    ("ckpt-000000000020", 4658, 12889544743104278725),
-    ("ckpt-000000000040", 5026, 11818450237139452717),
-    ("ckpt-000000000060", 5218, 7864350834240385214),
-    ("ckpt-000000000080", 5486, 8703983961231627676),
-    ("ckpt-000000000100", 5690, 13869767429761421025),
+    ("ckpt-000000000020", 4666, 12648450863116145569),
+    ("ckpt-000000000040", 5002, 4376102720693942530),
+    ("ckpt-000000000060", 5274, 15397272631651649218),
+    ("ckpt-000000000080", 5514, 4568478254546391275),
+    ("ckpt-000000000100", 5722, 5649195391474379515),
 ];
 
 /// Both layouts carry per-PM demand sums across steps as derived state
@@ -460,11 +461,11 @@ const PINNED_SHARED_SNAPSHOTS: [(&str, usize, u64); 2] = [
     ("ckpt-000000000100", 12566, 4103400976211420776),
 ];
 
-/// The same for the class layout, computed at the commit before it
-/// carried per-PM sums.
+/// The same for the class layout, computed when its cells came to carry
+/// their next change.
 const PINNED_CLASS_SNAPSHOTS: [(&str, usize, u64); 2] = [
-    ("ckpt-000000000050", 8398, 12804485061167281997),
-    ("ckpt-000000000100", 12782, 2467727769681659172),
+    ("ckpt-000000000050", 8596, 10847444458844766584),
+    ("ckpt-000000000100", 13372, 14067513179582991553),
 ];
 
 /// Runs `cfg` under both layouts, interrupts each run right after step
