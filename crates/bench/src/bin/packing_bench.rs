@@ -24,8 +24,10 @@
 //! `max(R, 5)` repeats reported as q1 / median / q3, the packer's own
 //! per-phase seconds ([`PackProfile`]: collapse, reset, runs, scatter —
 //! medians), the number of candidate searches that went past the
-//! look-ahead window and the number of times the pack built the headroom
-//! tree. `--before PATH` copies the `fleets` rows of an earlier
+//! look-ahead window, the number of times the pack built the headroom
+//! tree, and its `fills` (admitting candidates) and `stretches` (the
+//! fills that took a search and a fold; the rest joined a stretch).
+//! `--before PATH` copies the `fleets` rows of an earlier
 //! output in front of the new ones: that is how the checked-in file holds
 //! the parent commit's rows (`crates/bench/src` copied into a clone of the
 //! parent commit and run there) and the look-ahead sweep (the same source
@@ -147,19 +149,21 @@ fn fleet_row(
             profiles.push(arena.last_pack());
         }
     }
-    let (tree_probes, tree_builds) = (profiles[0].tree_probes, profiles[0].tree_builds);
+    let counts = |p: &PackProfile| (p.tree_probes, p.tree_builds, p.stretches, p.probes);
+    let (tree_probes, tree_builds, stretches, _) = counts(&profiles[0]);
+    let fills = profiles[0].probes - profiles[0].rejected_probes;
     assert!(
-        profiles
-            .iter()
-            .all(|p| (p.tree_probes, p.tree_builds) == (tree_probes, tree_builds)),
-        "{fleet}: past-window searches or tree builds differ between repeats of one pack"
+        profiles.iter().all(|p| counts(p) == counts(&profiles[0])),
+        "{fleet}: past-window searches, tree builds or stretches differ between repeats of one \
+         pack"
     );
     let phase =
         |get: fn(&PackProfile) -> f64| quartiles(&profiles.iter().map(get).collect::<Vec<_>>())[1];
     let pack_median = quartiles(&secs)[1];
     eprintln!(
         "  {fleet} n={}: batch {pack_median:.4}s (per-VM {per_vm_secs:.4}s), {tree_probes} \
-         past-window searches, {tree_builds} tree builds, identical={identical}",
+         past-window searches, {tree_builds} tree builds, {stretches} stretches of {fills} \
+         fills, identical={identical}",
         vms.len()
     );
     let phases = Obj::default()
@@ -182,6 +186,8 @@ fn fleet_row(
         .field("batch_secs", spread(&secs))
         .field("tree_probes", tree_probes)
         .field("tree_builds", tree_builds)
+        .field("fills", fills)
+        .field("stretches", stretches)
         .field("phases_median_s", phases);
     let fleet_row = FleetRow {
         row,

@@ -40,6 +40,15 @@
 //! PM loads, folds its VM onto each once, and gallops over that chain
 //! against the PM's [`Strategy::budget`] — no Eq. 17 evaluation per fill,
 //! except for a fill that wants one copy, which is one admission check.
+//! A fill found that way starts a *stretch*: the positions after it that
+//! carry the same seed and take the same count under their own budgets
+//! (two peaks of the chain against each budget) are filled with no
+//! search and no fold, and the stretch is committed at once. The offline
+//! arena keeps its loads as stretches of equal loads
+//! ([`LoadStretches`]), so finding where a stretch ends reads bits, not
+//! loads, and committing it writes two loads however many PMs it covers;
+//! what is left per PM is a budget test, its headroom leaf and its fill.
+//! The 1M-VM Table-I pack places 475 792 fills in 13 stretches.
 //! [`PlacementState::last_pack`] reports the split and the candidate
 //! counts, and `BENCH_packing.json` holds it for the measured fleets.
 //!
@@ -63,6 +72,15 @@
 //!   admitted, so the largest such `c` and `S_c` are the per-VM count and
 //!   [`PmLoad`] — for any `need`, monotone or not (a NaN need leaves the
 //!   maximum NaN, which no budget admits).
+//! * A stretch places what a search and a fold per PM would have: a
+//!   position that takes `c ≥ 1` copies admits one, so by the headroom
+//!   contract its leaf is at or above the threshold and the search from
+//!   the position before would have returned it — the stretch skips no
+//!   PM First Fit would have tried. It carries the seed's bits, so its
+//!   fold would read the same chain, and step `c` of the chain fits its
+//!   budget while step `c + 1` does not (or `c` copies are all the run
+//!   has left), so that fold would return `c` and `S_c`. Each position a
+//!   stretch covers still counts as one candidate.
 //! * The class schedule reproduces the strategy's *stable* sort: classes
 //!   are emitted in descending key order and, within one class, VMs keep
 //!   their original indices (exactly what a stable sort does with equal
@@ -78,18 +96,23 @@ use crate::order::PmOrder;
 use crate::pack::{PackError, PRUNE_SLACK};
 use crate::placement::Placement;
 use crate::strategy::{ffd_cmp, ffd_order, Strategy};
+use crate::stretch::LoadStretches;
 use bursty_workload::{class_runs, intern_classes, ClassRun, PmSpec, VmClass, VmSpec};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Reusable arena for batch packing: per-PM loads, the headroom index, the
 /// run memo and the fill list, all kept between packs so repeated
 /// consolidations over same-sized farms allocate nothing after the first.
-/// Loads, leaves and fills are by position in the pool's [`PmOrder`].
+/// Loads, leaves and fills are by position in the pool's [`PmOrder`]; the
+/// loads are kept as stretches of equal loads (`LoadStretches`), so a
+/// stretch of fills writes its load once, not once per PM.
 ///
-/// A reset rewrites the loads and the headroom leaves; the headroom tree
-/// is maintained *lazily*, behind a bounded look-ahead — the index's own
-/// lazy mode (see [`crate::index`]): a reset loads the leaves and builds
-/// nothing, the run placer's `set` marks what a fill writes, and the one
+/// A reset makes the loads one stretch of empty loads and rewrites the
+/// headroom leaves; the headroom tree is maintained *lazily*, behind a
+/// bounded look-ahead — the index's own lazy mode (see [`crate::index`]):
+/// a reset loads the leaves and builds nothing, the run placer's `set`
+/// marks what a fill writes, and the one
 /// candidate search is [`HeadroomIndex::first_admitting`]. The tree is
 /// built the first time a gap outgrows the window and not before: a pack
 /// whose gaps all fit — the paper-density and all-duplicate fleets of
@@ -97,7 +120,7 @@ use std::time::Instant;
 /// is never flushed (the next reset discards it).
 #[derive(Debug)]
 pub struct PlacementState {
-    loads: Vec<PmLoad>,
+    loads: LoadStretches,
     index: HeadroomIndex,
     memo: RunMemo,
     /// The `(position, copies)` fills the current pack's runs committed;
@@ -135,13 +158,17 @@ pub struct PackProfile {
     /// Candidates that admitted no copy
     /// ([`bursty_obs::Counter::PackRejectedProbes`]).
     pub rejected_probes: u64,
+    /// Fills placed by a search and a fold: each starts a stretch, which
+    /// the like PMs after it join with neither (see `place_run`). The
+    /// admitting candidates less this are the fills a stretch placed.
+    pub stretches: u64,
 }
 
 impl PlacementState {
     /// An empty arena; capacity grows on first use.
     pub fn new() -> Self {
         Self {
-            loads: Vec::new(),
+            loads: LoadStretches::default(),
             index: HeadroomIndex::new(&[]),
             memo: RunMemo::default(),
             fills: Vec::new(),
@@ -152,8 +179,7 @@ impl PlacementState {
     /// Resets the arena to an empty farm of `order`'s PMs under
     /// `strategy`.
     fn reset<S: Strategy + ?Sized>(&mut self, order: &PmOrder, strategy: &S) {
-        self.loads.clear();
-        self.loads.resize(order.len(), PmLoad::empty());
+        self.loads.reset(order.len());
         let caps = order.capacities();
         self.index.reset_lazy(caps.len(), |leaves| {
             leaves.extend(
@@ -191,12 +217,30 @@ impl RunPool for PlacementState {
     }
 
     fn load(&self, p: usize) -> PmLoad {
-        self.loads[p]
+        self.loads.load(p)
     }
 
-    fn commit(&mut self, p: usize, load: PmLoad, copies: usize) {
-        self.loads[p] = load;
-        self.fills.push((p as u32, copies as u32));
+    fn like_until(&self, p: usize, _seed: &PmLoad, limit: usize) -> usize {
+        self.loads.end(p, limit)
+    }
+
+    fn commit<S: Strategy + ?Sized>(
+        &mut self,
+        at: Range<usize>,
+        load: PmLoad,
+        copies: usize,
+        caps: &[f64],
+        strategy: &S,
+    ) {
+        self.loads.write(at.clone(), load);
+        // One push per fill, not a reserving `extend`: the vector grows by
+        // doubling, whose sizes decide where later allocations land
+        // (DESIGN §8, `setup_s`).
+        for p in at {
+            self.fills.push((p as u32, copies as u32));
+            self.index.set(p, strategy.headroom(&load, caps[p]));
+        }
+        self.profile.stretches += 1;
     }
 
     fn probed(&mut self, candidates: u64, rejected: u64) {
@@ -230,6 +274,8 @@ pub(crate) struct RunMemo {
     lens: [usize; MEMO_SEEDS],
     /// Entries holding a fold of the current run.
     live: usize,
+    /// The entry the last fold of more than one copy read.
+    last: usize,
     /// The entry a miss recycles once all [`MEMO_SEEDS`] are live.
     oldest: usize,
 }
@@ -294,6 +340,7 @@ impl RunMemo {
             };
         }
         let entry = self.entry(seed);
+        self.last = entry;
         let (chain, len) = (&mut self.chains[entry], &mut self.lens[entry]);
         // Whether `c` copies fit: step `c` peaks within the budget, the
         // chain folding on as far as `c` while its last step does.
@@ -348,17 +395,21 @@ impl RunMemo {
         (at.load, lo)
     }
 
+    /// Steps `c` and `c + 1` of the chain the last fold of more than one
+    /// copy read, or `None` when that chain does not hold step `c + 1`. A
+    /// PM carrying that fold's seed takes exactly `c` copies under a
+    /// budget iff the first fits it and the second does not (or `c`
+    /// copies are all the run has left).
+    fn stretch_steps(&self, c: usize) -> Option<(Step, Step)> {
+        let (chain, len) = (&self.chains[self.last], self.lens[self.last]);
+        (len > c + 1).then(|| (chain[c], chain[c + 1]))
+    }
+
     /// The entry folded from `seed`, started on a miss. The lookup reads
     /// every live key and selects the match without branching on it: a
     /// run's fills alternate between seeds in no predictable order.
     fn entry(&mut self, seed: PmLoad) -> usize {
-        let key = [
-            seed.count as u64,
-            seed.max_re.to_bits(),
-            seed.sum_rb.to_bits(),
-            seed.sum_rp.to_bits(),
-            seed.max_pi.to_bits(),
-        ];
+        let key = seed.bits();
         let mut hit = usize::MAX;
         for (at, k) in self.keys[..self.live].iter().enumerate() {
             let diff = k.iter().zip(&key).fold(0, |d, (a, b)| d | (a ^ b));
@@ -396,10 +447,31 @@ pub(crate) trait RunPool {
     fn memo(&mut self) -> &mut RunMemo;
     /// Position `p`'s current load.
     fn load(&self, p: usize) -> PmLoad;
-    /// Commits a fill: `copies` more of the run at position `p`, whose
-    /// load is now `load`. The pool keeps the `(position, copies)` fills
-    /// of the run in position order for its caller.
-    fn commit(&mut self, p: usize, load: PmLoad, copies: usize);
+    /// The end (exclusive, at most `limit`) of the stretch of positions
+    /// from `p` on that carry `p`'s load, `seed`, bit for bit — or an
+    /// earlier end: a pool may stop at any position whose load it does
+    /// not know to be the same. By default the loads are compared one by
+    /// one; the offline arena reads the end off its [`LoadStretches`].
+    fn like_until(&self, p: usize, seed: &PmLoad, limit: usize) -> usize {
+        let key = seed.bits();
+        (p + 1..limit)
+            .find(|&q| self.load(q).bits() != key)
+            .unwrap_or(limit)
+    }
+    /// Commits a stretch of fills: `copies` more of the run at every
+    /// position of `at`, each of whose loads is now `load`, and sets their
+    /// headroom leaves under `strategy`, position `p`'s capacity being
+    /// `caps[p]`. The pool keeps the `(position, copies)` fills of the run
+    /// in position order for its caller. The offline arena writes the
+    /// loads of a stretch at once; the online engine commits PM by PM.
+    fn commit<S: Strategy + ?Sized>(
+        &mut self,
+        at: Range<usize>,
+        load: PmLoad,
+        copies: usize,
+        caps: &[f64],
+        strategy: &S,
+    );
     /// Books a run's candidate PMs, `rejected` of which admitted no
     /// copy: the arena tallies them in its [`PackProfile`], the online
     /// engine books them into its caller's recorder.
@@ -416,12 +488,16 @@ pub(crate) trait RunPool {
 /// Each fill goes to the lowest position at or after the cursor that
 /// admits a copy ([`HeadroomIndex::first_admitting`] under the `demand −
 /// PRUNE_SLACK` threshold), with as many copies as the [`RunMemo`] finds
-/// room for, its count hinting the next PM's. The cursor only advances:
-/// every PM behind it rejected this class under a load that does not
-/// change while the run is placed (loads only grow, and a filled PM was
-/// filled to its maximum), so a per-VM First Fit could place no later
-/// copy there either. The run's candidate PMs and rejections are booked
-/// once, at its end, through [`RunPool::probed`].
+/// room for, its count hinting the next PM's. The fill then runs on as a
+/// *stretch* ([`stretch_end`]) over the positions after it that carry
+/// the same seed and take the same count, with no search and no fold of
+/// their own; the stretch is committed in one [`RunPool::commit`].
+/// The cursor only advances: every PM behind it rejected this class under
+/// a load that does not change while the run is placed (loads only grow,
+/// and a filled PM was filled to its maximum), so a per-VM First Fit
+/// could place no later copy there either. The run's candidate PMs (one
+/// per position a search returned or a stretch covered) and rejections
+/// are booked once, at its end, through [`RunPool::probed`].
 #[inline]
 pub(crate) fn place_run<P: RunPool, S: Strategy + ?Sized>(
     pool: &mut P,
@@ -443,19 +519,61 @@ pub(crate) fn place_run<P: RunPool, S: Strategy + ?Sized>(
         let (load, c) = pool
             .memo()
             .fold(seed, vm, budget, want - placed, hint, strategy);
-        candidates += 1;
-        if c > 0 {
-            pool.commit(j, load, c);
-            pool.index().set(j, strategy.headroom(&load, cap));
-            placed += c;
-            hint = c;
-        } else {
+        if c == 0 {
+            candidates += 1;
             rejected += 1;
+            from = j + 1;
+            continue;
         }
-        from = j + 1;
+        let end = stretch_end(pool, caps, strategy, j, seed, c, want - placed - c);
+        pool.commit(j..end, load, c, caps, strategy);
+        candidates += (end - j) as u64;
+        placed += c * (end - j);
+        hint = c;
+        from = end;
     }
     pool.probed(candidates, rejected);
     placed
+}
+
+/// The end of the stretch that a fill of `c` copies from `seed` at
+/// position `j` starts, `left` copies of the run still to place after it:
+/// the first position past `j` that does not carry `seed` bit for bit
+/// ([`RunPool::like_until`]), does not take exactly `c` copies under its
+/// own budget (read off the memo's chain from `seed`, which the fill at
+/// `j` folded: step `c` fits, step `c + 1` does not or the run has no
+/// copies left after `c`), or would find fewer than `c` copies left — or
+/// `j + 1` where the chain does not hold step `c + 1`. Each position
+/// inside is one the per-PM loop would have searched for and found at
+/// once (it admits, so its headroom leaf is at or above the threshold),
+/// then folded from the same chain to the same count and load.
+fn stretch_end<P: RunPool, S: Strategy + ?Sized>(
+    pool: &mut P,
+    caps: &[f64],
+    strategy: &S,
+    j: usize,
+    seed: PmLoad,
+    c: usize,
+    mut left: usize,
+) -> usize {
+    let mut end = j + 1;
+    if left < c {
+        return end;
+    }
+    let Some((at_c, past_c)) = pool.memo().stretch_steps(c) else {
+        return end;
+    };
+    // Every position short of `like` has `c` copies left for it.
+    let like = pool.like_until(j, &seed, caps.len().min(end + left / c));
+    while end < like {
+        let budget = strategy.budget(caps[end]);
+        if !(at_c.fits(budget) && (left == c || !past_c.fits(budget))) {
+            break;
+        }
+        left -= c;
+        end += 1;
+    }
+    end
 }
 
 /// Hands `host` each placed member of a run, in order, with the PM
@@ -1270,8 +1388,7 @@ mod tests {
                 let load = state.load(j);
                 if s.admits(&load, &extra, farm[j].capacity) {
                     let load = load.with(&extra);
-                    state.commit(j, load, 1);
-                    state.index.set(j, s.headroom(&load, farm[j].capacity));
+                    state.commit(j..j + 1, load, 1, by_index.capacities(), s);
                 }
                 from = j + 1;
             }
@@ -1300,6 +1417,125 @@ mod tests {
         assert_eq!(state.last_pack().tree_probes, 3);
         assert_eq!(state.last_pack().tree_builds, 0, "the tree was never built");
         assert!(!state.index.is_clean());
+    }
+
+    /// The candidate PMs and rejections of a per-PM First Fit over the
+    /// runs `place_run` is given: each fill's PM is the first position at
+    /// or after the cursor whose headroom reaches the threshold, found by
+    /// a linear scan, and its copies are counted by repeated admits — one
+    /// candidate per PM, with no stretch, memo or index.
+    pub(super) fn per_pm_candidates(
+        vms: &[VmSpec],
+        order: &PmOrder,
+        s: &dyn Strategy,
+    ) -> (u64, u64) {
+        let (members, runs) = batch_runs(vms, s);
+        let caps = order.capacities();
+        let mut loads = vec![PmLoad::empty(); caps.len()];
+        let (mut candidates, mut rejected) = (0, 0);
+        for run in &runs {
+            let vm = &vms[members[run.start]];
+            let threshold = s.demand(vm) - PRUNE_SLACK;
+            let (mut placed, mut from) = (0, 0);
+            while placed < run.len {
+                let Some(j) =
+                    (from..caps.len()).find(|&p| s.headroom(&loads[p], caps[p]) >= threshold)
+                else {
+                    return (candidates, rejected);
+                };
+                let (load, c) = repeated_admits(s, loads[j], vm, caps[j], run.len - placed);
+                candidates += 1;
+                rejected += u64::from(c == 0);
+                (loads[j], placed, from) = (load, placed + c, j + 1);
+            }
+        }
+        (candidates, rejected)
+    }
+
+    /// Packs `vms` on `order` through `state` and holds the result to
+    /// `first_fit` in the same order and the candidate counts to
+    /// [`per_pm_candidates`]; returns the pack's profile.
+    fn assert_stretched_pack_matches(
+        state: &mut PlacementState,
+        vms: &[VmSpec],
+        order: &PmOrder,
+        s: &dyn Strategy,
+        what: &str,
+    ) -> PackProfile {
+        assert_eq!(
+            first_fit_batch_in(state, vms, order, s),
+            first_fit_in(vms, order, s),
+            "{what}: batch diverged for {}",
+            s.name()
+        );
+        let pack = state.last_pack();
+        assert_eq!(
+            (pack.probes, pack.rejected_probes),
+            per_pm_candidates(vms, order, s),
+            "{what}: candidate counts for {}",
+            s.name()
+        );
+        assert!(pack.stretches <= pack.probes - pack.rejected_probes);
+        pack
+    }
+
+    #[test]
+    fn table_i_fleet_fills_in_tens_of_stretches() {
+        // 10k Table-I VMs on a U(80, 100) pool: the paper-density pack's
+        // shape. Every fill that starts a stretch is a search and a fold;
+        // the like PMs after it take the same copies with neither, and
+        // still count one candidate each.
+        use bursty_workload::{FleetGenerator, WorkloadPattern};
+        let q = QueueStrategy::build(16, 0.01, 0.09, 0.01);
+        let mut g = FleetGenerator::new(1);
+        let vms = g.vms_table_i(10_000, WorkloadPattern::EqualSpike);
+        let farm = g.pms(2_500);
+        let order = PmOrder::of(&farm);
+        let mut state = PlacementState::new();
+        assert_eq!(
+            first_fit_batch_with(&mut state, &vms, &farm, &q),
+            first_fit(&vms, &farm, &q)
+        );
+        let pack = assert_stretched_pack_matches(&mut state, &vms, &order, &q, "table-i");
+        let fills = pack.probes - pack.rejected_probes;
+        assert!(fills >= 1_000, "{fills} fills");
+        assert!(
+            (10..100).contains(&pack.stretches),
+            "{} stretches of {fills} fills",
+            pack.stretches
+        );
+        let (rbex, by_index) = (ReserveStrategy, PmOrder::by_index(&farm));
+        let strategies: [&dyn Strategy; 4] = [&q, &PeakStrategy, &BaseStrategy, &rbex];
+        for s in strategies {
+            assert_stretched_pack_matches(&mut state, &vms, &order, s, "table-i");
+            assert_stretched_pack_matches(&mut state, &vms, &by_index, s, "table-i by index");
+        }
+    }
+
+    #[test]
+    fn a_run_cut_mid_stretch_ends_on_a_fold() {
+        // Ten like PMs that each take ten copies under RB. 30 copies fill
+        // three in one stretch, the last of them with exactly the copies
+        // left; 35 stretch over three and fold five onto the fourth.
+        let farm = pms(&[100.0; 10]);
+        let order = PmOrder::of(&farm);
+        let mut state = PlacementState::new();
+        for (want, stretches, fills) in [(30, 1, 3), (35, 2, 4), (1, 1, 1), (100, 1, 10)] {
+            let vms: Vec<VmSpec> = (0..want).map(|i| vm(i, 10.0, 1.0)).collect();
+            let pack =
+                assert_stretched_pack_matches(&mut state, &vms, &order, &BaseStrategy, "cut");
+            assert_eq!(
+                (pack.stretches, pack.probes, pack.rejected_probes),
+                (stretches, fills, 0),
+                "want {want}"
+            );
+        }
+        // One copy too many: the stretch covers the farm and the run
+        // fails on the copy after it, naming the VM `first_fit` names.
+        let vms: Vec<VmSpec> = (0..101).map(|i| vm(i, 10.0, 1.0)).collect();
+        let err = first_fit_batch_in(&mut state, &vms, &order, &BaseStrategy);
+        assert_eq!(err, first_fit_in(&vms, &order, &BaseStrategy));
+        assert_eq!(err.unwrap_err().vm_id, 100);
     }
 
     #[test]
@@ -1417,6 +1653,82 @@ mod proptests {
             );
         }
         Ok(())
+    }
+
+    /// A pool whose capacities repeat: a few levels, each held by a
+    /// random number of PMs in random index order, so the pool's order
+    /// lays out stretches of like PMs.
+    fn repeated_capacity_farm() -> impl PropStrategy<Value = Vec<PmSpec>> {
+        proptest::collection::vec(0usize..4, 2..120).prop_map(|levels| {
+            levels
+                .into_iter()
+                .enumerate()
+                .map(|(j, l)| PmSpec::new(j, [45.0, 60.0, 60.5, 100.0][l]))
+                .collect()
+        })
+    }
+
+    /// One to four classes of a few copies to a few hundred each, members
+    /// interleaved by index, so runs end anywhere in a stretch.
+    fn mixed_class_fleet() -> impl PropStrategy<Value = Vec<VmSpec>> {
+        const SPECS: [(f64, f64); 5] =
+            [(5.0, 3.0), (10.0, 4.0), (4.0, 9.0), (20.0, 2.0), (7.5, 7.5)];
+        proptest::collection::vec((0usize..5, 1usize..300), 1..5).prop_map(|classes| {
+            let mut picks: Vec<usize> = classes
+                .iter()
+                .flat_map(|&(spec, count)| std::iter::repeat_n(spec, count))
+                .collect();
+            // A fixed shuffle: stride through the picks by a step prime
+            // to their number.
+            let n = picks.len();
+            let gcd = |mut a: usize, mut b: usize| {
+                while b != 0 {
+                    (a, b) = (b, a % b);
+                }
+                a
+            };
+            let stride = (7..).find(|&s| gcd(s, n) == 1).unwrap();
+            picks = (0..n).map(|i| picks[(i * stride) % n]).collect();
+            picks
+                .into_iter()
+                .enumerate()
+                .map(|(i, k)| VmSpec::new(i, 0.01, 0.09, SPECS[k].0, SPECS[k].1))
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn stretches_match_first_fit_on_repeated_capacities(
+            vms in mixed_class_fleet(),
+            farm in repeated_capacity_farm(),
+        ) {
+            use crate::pack::first_fit_in;
+            let q = QueueStrategy::build(16, 0.01, 0.09, 0.01);
+            let rbex = ReserveStrategy;
+            let strategies: [&dyn Strategy; 4] = [&q, &PeakStrategy, &BaseStrategy, &rbex];
+            let (order, by_index) = (PmOrder::of(&farm), PmOrder::by_index(&farm));
+            let mut state = PlacementState::new();
+            for s in strategies {
+                for order in [&*order, &by_index] {
+                    prop_assert_eq!(
+                        first_fit_batch_in(&mut state, &vms, order, s),
+                        first_fit_in(&vms, order, s),
+                        "batch diverged for {}",
+                        s.name()
+                    );
+                    let pack = state.last_pack();
+                    prop_assert_eq!(
+                        (pack.probes, pack.rejected_probes),
+                        super::tests::per_pm_candidates(&vms, order, s),
+                        "candidate counts for {}",
+                        s.name()
+                    );
+                }
+            }
+        }
     }
 
     proptest! {

@@ -12,7 +12,11 @@
 //! The headroom contract (`admits ⇒ headroom ≥ demand`) makes skipped PMs
 //! provably infeasible, so the index only *prunes*; the strategy's
 //! `admits` remains the sole arbiter at every returned candidate and the
-//! results stay identical to a linear scan.
+//! results stay identical to a linear scan. Read the other way, a PM that
+//! admits has a leaf at or above the threshold (`demand` less a slack),
+//! so a search whose start has reached it returns it: the run placer
+//! fills a stretch of PMs that each admit without searching for them,
+//! and skips none that First Fit would have tried.
 //!
 //! # Eager and lazy callers
 //!

@@ -51,6 +51,7 @@ pub mod placement;
 pub mod rounding;
 pub mod sbp;
 mod strategy;
+mod stretch;
 
 pub use batch::{first_fit_batch, first_fit_batch_with, PackProfile, PlacementState};
 pub use certify::{certify_exact, pm_cvr_exact, CAP_EPS};

@@ -77,6 +77,32 @@ impl PmLoad {
     pub fn is_empty(&self) -> bool {
         self.count == 0
     }
+
+    /// The five fields' bits: loads with equal bits fold, price and
+    /// index alike under every strategy.
+    #[inline]
+    pub(crate) fn bits(&self) -> [u64; 5] {
+        [
+            self.count as u64,
+            self.max_re.to_bits(),
+            self.sum_rb.to_bits(),
+            self.sum_rp.to_bits(),
+            self.max_pi.to_bits(),
+        ]
+    }
+
+    /// The load whose [`PmLoad::bits`] are `bits`.
+    #[inline]
+    pub(crate) fn from_bits(bits: [u64; 5]) -> Self {
+        let [count, max_re, sum_rb, sum_rp, max_pi] = bits;
+        Self {
+            count: count as usize,
+            max_re: f64::from_bits(max_re),
+            sum_rb: f64::from_bits(sum_rb),
+            sum_rp: f64::from_bits(sum_rp),
+            max_pi: f64::from_bits(max_pi),
+        }
+    }
 }
 
 /// `(count, max_re, sum_rb, sum_rp)`, the sums as their exact bits: a

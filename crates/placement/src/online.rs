@@ -49,6 +49,7 @@ use bursty_obs::durable::{write_seq, Cursor, FrameError, Wire};
 use bursty_obs::{Counter, NoopRecorder, Recorder};
 use bursty_workload::{PmSpec, VmClass, VmSpec};
 use std::collections::{hash_map::Entry, HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Order-independent FNV-1a style fold over an engine's observable end
@@ -706,9 +707,19 @@ impl<R: Recorder> RunPool for LivePool<'_, R> {
         self.loads[p]
     }
 
-    fn commit(&mut self, p: usize, load: PmLoad, copies: usize) {
-        self.loads[p] = load;
-        self.fills.push((p as u32, copies as u32));
+    fn commit<S: Strategy + ?Sized>(
+        &mut self,
+        at: Range<usize>,
+        load: PmLoad,
+        copies: usize,
+        caps: &[f64],
+        strategy: &S,
+    ) {
+        for p in at {
+            self.loads[p] = load;
+            self.fills.push((p as u32, copies as u32));
+            self.index.set(p, strategy.headroom(&load, caps[p]));
+        }
     }
 
     fn probed(&mut self, candidates: u64, rejected: u64) {
@@ -1840,6 +1851,39 @@ mod tests {
         c.recalibrate().unwrap();
         assert_eq!(c.index.probes(), 7);
         c.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn batch_arrivals_in_stretches_end_on_the_reference_digest() {
+        // A Table-I batch on a U(80, 100) pool fills long stretches of
+        // like PMs, each after one search and one fold; a second batch
+        // then stretches over the loads the first left. The per-VM
+        // reference must place every member on the same PM and end on the
+        // same digest after each, with every candidate booked.
+        use bursty_workload::{FleetGenerator, WorkloadPattern};
+        let mut g = FleetGenerator::new(5);
+        let first = g.vms_table_i(6_000, WorkloadPattern::EqualSpike);
+        let pms = g.pms(2_500);
+        let second: Vec<VmSpec> = g
+            .vms_table_i(2_000, WorkloadPattern::LargeSpike)
+            .into_iter()
+            .map(|v| VmSpec {
+                id: v.id + 6_000,
+                ..v
+            })
+            .collect();
+        let mut a = OnlineCluster::new(pms.clone(), 16, 0.01, 0.09, 0.01);
+        let mut b = ReferenceOnlineCluster::new(pms, 16, 0.01);
+        for batch in [first, second] {
+            let mut rec = MemoryRecorder::new(0);
+            let placed = a.arrive_batch_recorded(batch.clone(), &mut rec).unwrap();
+            assert_eq!(b.arrive_batch(batch.clone()).unwrap(), placed);
+            assert_eq!(a.state_digest(), b.state_digest());
+            a.check_consistency().unwrap();
+            let fills = rec.counter(Counter::PackProbes) - rec.counter(Counter::PackRejectedProbes);
+            let used: std::collections::BTreeSet<usize> = placed.iter().map(|&(_, j)| j).collect();
+            assert!(used.len() as u64 <= fills && fills <= batch.len() as u64);
+        }
     }
 
     #[test]

@@ -53,6 +53,48 @@ fn total_order_key(x: f64) -> u64 {
     }
 }
 
+/// `0..n` by capacity descending in [`f64::total_cmp`]'s order, ties by
+/// ascending index, index `j` having capacity `cap(j)`: a stable LSD
+/// radix sort on `!total_order_key`, one byte a pass from the lowest. One
+/// read of the capacities counts all eight bytes; a byte that every key
+/// shares is skipped (a `U(80, 100)` pool sorts in seven passes, a
+/// uniform one in none). Stability across passes keeps tied capacities
+/// in index order. `spare` is the scatter buffer and comes back holding
+/// stale indexes; the keys are read again each pass rather than kept in
+/// a scratch vector, since a freed multi-megabyte temporary would raise
+/// glibc's mmap threshold and move later allocations (DESIGN §8,
+/// `setup_s`).
+fn descending(n: usize, cap: impl Fn(usize) -> f64, spare: &mut Vec<u32>) -> Vec<u32> {
+    let n = u32::try_from(n).expect("a pool of more than u32::MAX PMs");
+    let key = |j: u32| !total_order_key(cap(j as usize));
+    let mut counts = [[0usize; 256]; 8];
+    for j in 0..n {
+        let k = key(j);
+        for (byte, count) in counts.iter_mut().enumerate() {
+            count[(k >> (8 * byte) & 0xff) as usize] += 1;
+        }
+    }
+    let mut order: Vec<u32> = (0..n).collect();
+    spare.clear();
+    spare.resize(order.len(), 0);
+    for (byte, next) in counts.iter_mut().enumerate() {
+        if next.contains(&order.len()) {
+            continue;
+        }
+        let mut at = 0;
+        for slot in next.iter_mut() {
+            (*slot, at) = (at, at + *slot);
+        }
+        for &j in &order {
+            let b = (key(j) >> (8 * byte) & 0xff) as usize;
+            spare[next[b]] = j;
+            next[b] += 1;
+        }
+        std::mem::swap(&mut order, spare);
+    }
+    order
+}
+
 impl PmOrder {
     /// The order of `pms`, from the memo when it holds this pool's
     /// capacities bit for bit, else sorted and memoised.
@@ -73,11 +115,9 @@ impl PmOrder {
     fn sort(pms: &[PmSpec]) -> Self {
         let m = u32::try_from(pms.len()).expect("a pool of more than u32::MAX PMs");
         let specs = pms;
-        // With the index as the last key no two PMs tie, so an unstable
-        // sort is the stable order.
-        let mut pms: Vec<u32> = (0..m).collect();
-        pms.sort_unstable_by_key(|&j| (!total_order_key(specs[j as usize].capacity), j));
-        let mut positions = vec![0; pms.len()];
+        let mut positions = Vec::new();
+        let pms = descending(specs.len(), |j| specs[j].capacity, &mut positions);
+        positions.resize(pms.len(), 0);
         for (p, &j) in (0..m).zip(&pms) {
             positions[j as usize] = p;
         }
@@ -180,6 +220,60 @@ mod tests {
         assert_eq!(PmOrder::of(&a[..2]).len(), 2);
     }
 
+    /// The comparison sort the radix sort replaced.
+    pub(super) fn compared(caps: &[f64]) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..caps.len() as u32).collect();
+        order.sort_unstable_by_key(|&j| (!total_order_key(caps[j as usize]), j));
+        order
+    }
+
+    #[test]
+    fn the_radix_sort_is_the_comparison_sort() {
+        let tiny = f64::from_bits(1);
+        let edge: Vec<f64> = [
+            0.0,
+            -0.0,
+            tiny,
+            -tiny,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            -f64::MIN_POSITIVE,
+            1e-300,
+            90.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            90.0,
+            -0.0,
+            tiny,
+            0.0,
+        ]
+        .to_vec();
+        let mut spare = vec![7; 3];
+        for caps in [
+            vec![],
+            vec![5.0],
+            vec![80.0; 9],
+            edge.clone(),
+            edge.iter().rev().copied().collect(),
+            (0..1000)
+                .map(|i| [80.0, 95.5, 80.0 + i as f64 / 64.0][i % 3])
+                .collect(),
+        ] {
+            assert_eq!(
+                descending(caps.len(), |j| caps[j], &mut spare),
+                compared(&caps),
+                "{caps:?}"
+            );
+        }
+        // +0.0 before -0.0, each tie in index order.
+        let caps = [-0.0, 0.0, tiny, -0.0, 0.0];
+        let order = descending(caps.len(), |j| caps[j], &mut spare);
+        assert_eq!(order, [2, 1, 4, 0, 3]);
+    }
+
     #[test]
     fn the_total_order_key_sorts_as_total_cmp() {
         let xs = [
@@ -228,6 +322,11 @@ mod proptests {
             for (p, &j) in perm.iter().enumerate() {
                 prop_assert_eq!(order.position(j), p);
             }
+            let mut spare = Vec::new();
+            prop_assert_eq!(
+                descending(caps.len(), |j| caps[j], &mut spare),
+                tests::compared(&caps)
+            );
             let uniform: Vec<PmSpec> = (0..pms.len()).map(|j| PmSpec::new(j, 90.0)).collect();
             prop_assert_eq!(
                 PmOrder::of(&uniform).pms().collect::<Vec<_>>(),
