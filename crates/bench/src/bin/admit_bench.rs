@@ -26,7 +26,19 @@
 //! `recal_p50_ns`/`_p99_ns` are an `O(k)` walk of the class registry,
 //! whatever the fleet size. `batch_p50_ns` is the median whole batch
 //! arrival, one sample per batch (the admit percentiles spread each batch
-//! over its members).
+//! over its members). `new_secs` is the engine's constructor over the
+//! pool and `warmup_secs` the initial fleet's one batch arrival, which
+//! collects its pairs here.
+//!
+//! The `warm` section times what a daemon's start pays at each fleet
+//! size, [`WARM_REPEATS`] times: `OnlineCluster::new` over the row's pool
+//! (`new_secs`), then the fleet as one batch arrival that builds no
+//! pairs, as `bursty serve` warms it (`batch_secs`; their
+//! sum is `warm_secs`), each as `q1`/`median`/`q3`. `phases` holds the
+//! medians of the batch's own split (`OnlineCluster::last_batch`:
+//! collapse, runs, commit, scatter, flush), and `place_secs` the offline
+//! batch packer (`first_fit_batch` under QUEUE at the fleet's pair) on the
+//! same fleet and pool, which the row asserts uses as many PMs.
 //!
 //! Both engines replay the *same* program, driven through the one
 //! [`OnlineEngine`] trait with the recorder off, so their final states
@@ -40,8 +52,9 @@
 //! in front of this run's, which is how the checked-in file holds a
 //! parent and a change row per engine and fleet (copy `crates/bench/src`
 //! into a clone of the parent commit and run it there first; it uses the
-//! public API only, and needs a parent that has [`OnlineEngine`]). A flag that is not declared above, given twice,
-//! without a value or with an unparsable one exits 2.
+//! public API only, and needs a parent that has [`OnlineEngine`] and
+//! `OnlineCluster::last_batch`). A flag that is not declared above, given
+//! twice, without a value or with an unparsable one exits 2.
 
 use bursty_bench::{quantile_ns, timed, write_report, Before, Flags, Obj, ToJson};
 use bursty_core::placement::OnlineEngine;
@@ -64,6 +77,8 @@ const P_OFF: f64 = 0.09;
 const JITTER_LEVELS: u64 = 8;
 const D: usize = 16;
 const RHO: f64 = 0.01;
+/// Warm starts timed per fleet size in the `warm` section.
+const WARM_REPEATS: usize = 5;
 
 /// One step of the pre-generated churn program. Victim ids are fixed at
 /// generation time so both engines see the identical op sequence.
@@ -211,10 +226,12 @@ impl LatencyStats {
 /// Warms the engine to the initial fleet and replays the program with
 /// per-op timing; returns the engine's `admit` row, its churn ops/sec and
 /// its end-state digest.
+#[allow(clippy::too_many_arguments)]
 fn run_engine<E: OnlineEngine>(
     commit: &str,
     name: &str,
     mut engine: E,
+    new_secs: f64,
     initial: Vec<VmSpec>,
     program: &Program,
     m: usize,
@@ -288,6 +305,7 @@ fn run_engine<E: OnlineEngine>(
         .field("n", n)
         .field("m", m)
         .field("engine", name)
+        .field("new_secs", new_secs)
         .field("warmup_secs", warmup_secs)
         .field("churn_secs", churn_secs)
         .field("ops", ops)
@@ -305,6 +323,75 @@ fn run_engine<E: OnlineEngine>(
         .field("recal_p50_ns", recal.p50())
         .field("recal_p99_ns", recal.p99());
     (row.to_json(), ops_per_sec, digest)
+}
+
+/// The `warm` row at one fleet size: a daemon's warm start,
+/// [`WARM_REPEATS`] times, beside the offline batch packer on the same
+/// fleet (see the module docs).
+fn warm_row(commit: &str, initial: &[VmSpec], pms: &[PmSpec]) -> Json {
+    let offline = QueueStrategy::build(D, P_ON, P_OFF, RHO);
+    let (mut new, mut batch, mut warm, mut place) = (vec![], vec![], vec![], vec![]);
+    let mut phases = [const { Vec::new() }; 5];
+    let mut used = 0;
+    for _ in 0..WARM_REPEATS {
+        let (fleet, pool) = (initial.to_vec(), pms.to_vec());
+        let (mut cluster, new_secs) = timed(|| OnlineCluster::new(pool, D, P_ON, P_OFF, RHO));
+        let (warmed, batch_secs) =
+            timed(|| cluster.arrive_batch_unpaired(fleet, &mut NoopRecorder));
+        warmed.unwrap_or_else(|e| panic!("warm start: fleet does not fit (VM {})", e.vm_id));
+        let p = cluster.last_batch();
+        for (at, secs) in [p.collapse_s, p.runs_s, p.commit_s, p.scatter_s, p.flush_s]
+            .into_iter()
+            .enumerate()
+        {
+            phases[at].push(secs);
+        }
+        used = cluster.pms_used();
+        drop(cluster);
+        let (packed, place_secs) = timed(|| first_fit_batch(initial, pms, &offline));
+        let packed = packed.expect("the offline packer places the warm fleet");
+        assert_eq!(
+            packed.pms_used(),
+            used,
+            "the warm start and the offline packer use different PM counts"
+        );
+        new.push(new_secs);
+        batch.push(batch_secs);
+        warm.push(new_secs + batch_secs);
+        place.push(place_secs);
+    }
+    let median = |samples: &[f64]| bursty_bench::quartiles(samples)[1];
+    let [collapse, runs, commit_s, scatter, flush] = phases.map(|p| median(&p));
+    eprintln!(
+        "  warm      new {:.1} ms + batch {:.1} ms (collapse {:.1}, runs {:.1}, commit {:.1}, \
+         scatter {:.1}, flush {:.1}); offline place {:.1} ms",
+        1e3 * median(&new),
+        1e3 * median(&batch),
+        1e3 * collapse,
+        1e3 * runs,
+        1e3 * commit_s,
+        1e3 * scatter,
+        1e3 * flush,
+        1e3 * median(&place),
+    );
+    let phases = Obj::default()
+        .field("collapse_s", collapse)
+        .field("runs_s", runs)
+        .field("commit_s", commit_s)
+        .field("scatter_s", scatter)
+        .field("flush_s", flush);
+    bursty_bench::row(commit)
+        .field("n", initial.len())
+        .field("m", pms.len())
+        .field("repeats", WARM_REPEATS)
+        .field("pms_used", used)
+        .field("new_secs", bursty_bench::spread(&new))
+        .field("batch_secs", bursty_bench::spread(&batch))
+        .field("warm_secs", bursty_bench::spread(&warm))
+        .field("phases", phases)
+        .field("place_secs", bursty_bench::spread(&place))
+        .field("warm_over_place", median(&warm) / median(&place))
+        .to_json()
 }
 
 fn main() {
@@ -336,6 +423,7 @@ fn main() {
     let commit = bursty_bench::commit_label(flags.get("commit"));
 
     let (mut rows, mut pairs) = (before.rows("admit"), before.rows("pairs"));
+    let mut warm = before.rows("warm");
     let mut disagreed = false;
     let mut last_speedup: Option<(usize, f64)> = None;
 
@@ -357,18 +445,20 @@ fn main() {
 
         // Engines run one at a time (digests carry the comparison) so the
         // 1M-VM size never holds two full clusters in memory.
-        let reference = ReferenceOnlineCluster::new(pms.clone(), D, RHO);
+        warm.push(warm_row(&commit, &initial, &pms));
+        let (reference, new_secs) = timed(|| ReferenceOnlineCluster::new(pms.clone(), D, RHO));
         let (ref_row, ref_ops_per_sec, ref_digest) = run_engine(
             &commit,
             "reference",
             reference,
+            new_secs,
             initial.clone(),
             &program,
             m,
         );
-        let soa = OnlineCluster::new(pms, D, P_ON, P_OFF, RHO);
+        let (soa, new_secs) = timed(|| OnlineCluster::new(pms, D, P_ON, P_OFF, RHO));
         let (soa_row, soa_ops_per_sec, soa_digest) =
-            run_engine(&commit, "soa", soa, initial, &program, m);
+            run_engine(&commit, "soa", soa, new_secs, initial, &program, m);
 
         let agree = ref_digest == soa_digest;
         if !agree {
@@ -398,7 +488,8 @@ fn main() {
     let report = bursty_bench::report("admit-bench")
         .field("config", config)
         .field("admit", rows)
-        .field("pairs", pairs);
+        .field("pairs", pairs)
+        .field("warm", warm);
     write_report(&out, report);
 
     if disagreed {

@@ -612,7 +612,7 @@ pub fn online_replay(args: &[String], out: &mut dyn Write) -> Result<(), CliErro
     let m = fleet.pms.len();
     let mut cluster = OnlineCluster::new(fleet.pms, fleet.d, fleet.p_on, fleet.p_off, fleet.rho);
     let mut rec = trace_out.map(|_| MemoryRecorder::new(65_536));
-    let warm = cluster.arrive_batch_each(fleet.initial, &mut NoopRecorder, |_, _| {});
+    let warm = cluster.arrive_batch_unpaired(fleet.initial, &mut NoopRecorder);
     warm.map_err(|PackError { vm_id }| err(format!("fleet VM {vm_id} does not fit: add PMs")))?;
 
     let program = bursty_server::build_program(fleet.seed, ops, fleet.n);

@@ -97,7 +97,7 @@ use crate::pack::{PackError, PRUNE_SLACK};
 use crate::placement::Placement;
 use crate::strategy::{ffd_cmp, ffd_order, Strategy};
 use crate::stretch::LoadStretches;
-use bursty_workload::{class_runs, intern_classes, ClassRun, PmSpec, VmClass, VmSpec};
+use bursty_workload::{class_runs, intern_classes, ClassRun, PmSpec, VmSpec};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -462,8 +462,8 @@ pub(crate) trait RunPool {
     /// position of `at`, each of whose loads is now `load`, and sets their
     /// headroom leaves under `strategy`, position `p`'s capacity being
     /// `caps[p]`. The pool keeps the `(position, copies)` fills of the run
-    /// in position order for its caller. The offline arena writes the
-    /// loads of a stretch at once; the online engine commits PM by PM.
+    /// in position order for its caller. Both pools write the loads of a
+    /// stretch as one range and set its leaves one by one.
     fn commit<S: Strategy + ?Sized>(
         &mut self,
         at: Range<usize>,
@@ -598,7 +598,7 @@ pub(crate) fn fill_hosts(
 /// instance types; a fleet with more distinct classes than this gains
 /// little from collapsing anyway, and up to here the shared interner
 /// ([`intern_classes`]) never hashes.
-const MAX_TRACKED_CLASSES: usize = 96;
+pub(crate) const MAX_TRACKED_CLASSES: usize = 96;
 
 /// A fleet collapsed to its distinct classes: one representative spec per
 /// class (the first occurrence), per-class multiplicities, and the per-VM
@@ -612,6 +612,16 @@ pub(crate) struct ClassTable {
 /// Collapses `vms` into a [`ClassTable`], or `None` once more than
 /// [`MAX_TRACKED_CLASSES`] distinct classes appear.
 pub(crate) fn collapse_classes(vms: &[VmSpec]) -> Option<ClassTable> {
+    collapse_classes_seeing(vms, |_| {})
+}
+
+/// [`collapse_classes`] handing `seen` each VM it interns, in fleet order,
+/// for a caller that folds something more from the same pass
+/// (`OnlineCluster` takes the largest id that sizes its id table).
+pub(crate) fn collapse_classes_seeing(
+    vms: &[VmSpec],
+    mut seen: impl FnMut(&VmSpec),
+) -> Option<ClassTable> {
     let mut table = ClassTable {
         reps: Vec::new(),
         counts: Vec::new(),
@@ -624,8 +634,50 @@ pub(crate) fn collapse_classes(vms: &[VmSpec]) -> Option<ClassTable> {
         }
         table.counts[id as usize] += 1;
         table.kid.push(id);
+        seen(&vms[i]);
     })?;
     Some(table)
+}
+
+/// Per-class cursors into a pack's fills, for the scatter that hands
+/// each member of a collapsed fleet its slot in one fleet-order pass:
+/// class `c`'s fills are contiguous from the one its cursor starts at, and
+/// the `i`-th member of `c` in fleet order takes the `i`-th copy of them —
+/// within a class the stable sort keeps fleet order. The offline packer
+/// and `OnlineCluster`'s collapsed route scatter through it.
+pub(crate) struct FillCursors {
+    /// Class `c`'s current fill.
+    next: [u32; MAX_TRACKED_CLASSES],
+    /// Copies of that fill handed out so far.
+    handed: [u32; MAX_TRACKED_CLASSES],
+}
+
+impl FillCursors {
+    pub(crate) fn new() -> Self {
+        Self {
+            next: [0; MAX_TRACKED_CLASSES],
+            handed: [0; MAX_TRACKED_CLASSES],
+        }
+    }
+
+    /// Starts class `c`'s cursor at fill `at`.
+    pub(crate) fn start(&mut self, c: usize, at: usize) {
+        self.next[c] = at as u32;
+        self.handed[c] = 0;
+    }
+
+    /// The PM (as the fill names it) of class `c`'s next member, moving
+    /// the cursor on without a branch: consecutive members' classes follow
+    /// no pattern.
+    #[inline]
+    pub(crate) fn take(&mut self, fills: &[(u32, u32)], c: usize) -> u32 {
+        let (pm, copies) = fills[self.next[c] as usize];
+        let now = self.handed[c] + 1;
+        let done = now == copies;
+        self.next[c] += u32::from(done);
+        self.handed[c] = now * u32::from(!done);
+        pm
+    }
 }
 
 /// Class ids sorted by `(band descending, key descending)` — the order in
@@ -648,7 +700,7 @@ fn class_schedule(keys: &[(u32, f64)]) -> Option<Vec<u32>> {
 /// The id of the `nth` (0-based) member of class `cid` in original fleet
 /// order — error-path only, so the linear rescan is fine.
 #[cold]
-fn nth_member_id(vms: &[VmSpec], kid: &[u32], cid: u32, nth: usize) -> usize {
+pub(crate) fn nth_member_id(vms: &[VmSpec], kid: &[u32], cid: u32, nth: usize) -> usize {
     let mut seen = 0usize;
     for (i, &k) in kid.iter().enumerate() {
         if k == cid {
@@ -739,7 +791,7 @@ pub(crate) fn first_fit_batch_in<S: Strategy + ?Sized>(
 
 /// Seconds since `*since`, which moves to now: one stopwatch lap of a
 /// pack's [`PackProfile`].
-fn lap(since: &mut Instant) -> f64 {
+pub(crate) fn lap(since: &mut Instant) -> f64 {
     let now = Instant::now();
     let secs = now.duration_since(*since).as_secs_f64();
     *since = now;
@@ -751,7 +803,7 @@ fn lap(since: &mut Instant) -> f64 {
 /// per-VM FFD order and its class runs): too many classes to track, or
 /// two distinct classes sharing a key. The
 /// offline packer and `OnlineCluster` choose their route here.
-fn collapsed_schedule<S: Strategy + ?Sized>(
+pub(crate) fn collapsed_schedule<S: Strategy + ?Sized>(
     vms: &[VmSpec],
     strategy: &S,
     table: Option<ClassTable>,
@@ -763,7 +815,7 @@ fn collapsed_schedule<S: Strategy + ?Sized>(
 
 /// The ordered route's placement order: the per-VM FFD order and its
 /// class runs.
-fn strategy_runs<S: Strategy + ?Sized>(
+pub(crate) fn strategy_runs<S: Strategy + ?Sized>(
     vms: &[VmSpec],
     strategy: &S,
 ) -> (Vec<usize>, Vec<ClassRun>) {
@@ -776,8 +828,9 @@ fn strategy_runs<S: Strategy + ?Sized>(
 /// [`collapsed_schedule`] picks: on the collapsed route the class
 /// schedule spelled out member by member — one run per class, members in
 /// fleet order, as a stable sort keeps them — else [`strategy_runs`].
-/// `OnlineCluster` places a batch arrival from it; the offline packer
-/// scatters from its fills instead and never builds the order.
+/// Neither production route builds it on a collapsing fleet (both scatter
+/// from their fills); the tests read it as the placement order.
+#[cfg(test)]
 pub(crate) fn batch_runs<S: Strategy + ?Sized>(
     vms: &[VmSpec],
     strategy: &S,
@@ -793,7 +846,7 @@ pub(crate) fn batch_runs<S: Strategy + ?Sized>(
         let len = table.counts[c] as usize;
         next[c] = start;
         runs.push(ClassRun {
-            class: VmClass::of(&table.reps[c]),
+            class: bursty_workload::VmClass::of(&table.reps[c]),
             start,
             len,
         });
@@ -821,12 +874,11 @@ fn batch_collapsed<S: Strategy + ?Sized>(
     let mut clock = Instant::now();
     state.reset(order, strategy);
     state.profile.reset_s = lap(&mut clock);
-    // Each class's fills are contiguous, from `next_fill[c]` on.
-    let mut next_fill = [0u32; MAX_TRACKED_CLASSES];
+    let mut cursors = FillCursors::new();
     for &cid in schedule {
         let c = cid as usize;
         let (vm, want) = (&table.reps[c], table.counts[c] as usize);
-        next_fill[c] = state.fills.len() as u32;
+        cursors.start(c, state.fills.len());
         let placed = place_run(state, order.capacities(), strategy, vm, want);
         if placed < want {
             return Err(PackError {
@@ -842,24 +894,12 @@ fn batch_collapsed<S: Strategy + ?Sized>(
     state.profile.runs_s = lap(&mut clock);
 
     // Scatter: VMs in original order take their class's filled slots
-    // front to back — within a class the stable sort keeps original index
-    // order, so the i-th member takes the i-th slot. A class's cursor is
-    // its current fill and the copies of it handed out, moved on without
-    // a branch: consecutive VMs' classes follow no pattern.
+    // front to back.
     let fills = &state.fills;
-    let mut handed = [0u32; MAX_TRACKED_CLASSES];
     let assignment = table
         .kid
         .iter()
-        .map(|&cid| {
-            let c = cid as usize;
-            let (pm, copies) = fills[next_fill[c] as usize];
-            let now = handed[c] + 1;
-            let done = now == copies;
-            next_fill[c] += u32::from(done);
-            handed[c] = now * u32::from(!done);
-            Some(pm as usize)
-        })
+        .map(|&cid| Some(cursors.take(fills, cid as usize) as usize))
         .collect();
     state.profile.scatter_s = lap(&mut clock);
     Ok(Placement {

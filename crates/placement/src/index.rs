@@ -178,6 +178,12 @@ impl HeadroomIndex {
         !self.stale && self.dirty.is_empty()
     }
 
+    /// The internal nodes were never built: the state [`Self::reset_lazy`]
+    /// leaves, which the next [`Self::flush`] builds whole.
+    pub(crate) fn is_unbuilt(&self) -> bool {
+        self.stale && self.tree.len() < 2 * self.base
+    }
+
     /// [`Self::is_clean`], and every internal node is its children's max.
     pub(crate) fn check_flushed(&self) -> Result<(), String> {
         if !self.is_clean() {

@@ -6,7 +6,7 @@ use bursty_workload::VmSpec;
 /// The aggregate quantities a packing strategy needs about the VMs already
 /// placed on one PM. Adding a VM is `O(1)`; removal requires the hosted set
 /// (to recompute the max) and is provided by [`PmLoad::rebuild`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PmLoad {
     /// Number of hosted VMs (`|T_j|`).
     pub count: usize,
@@ -31,10 +31,25 @@ pub(crate) fn stationary_on(vm: &VmSpec) -> f64 {
     vm.p_on / (vm.p_on + vm.p_off)
 }
 
+impl Default for PmLoad {
+    fn default() -> Self {
+        Self::EMPTY
+    }
+}
+
 impl PmLoad {
+    /// The empty load: what every PM that hosts nothing reads.
+    pub(crate) const EMPTY: Self = Self {
+        count: 0,
+        max_re: 0.0,
+        sum_rb: 0.0,
+        sum_rp: 0.0,
+        max_pi: 0.0,
+    };
+
     /// The empty load.
     pub fn empty() -> Self {
-        Self::default()
+        Self::EMPTY
     }
 
     /// Load of a hosted set.

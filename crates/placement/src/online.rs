@@ -22,10 +22,13 @@
 //!   (`batch.rs`: class runs placed with closed-form admissions, PMs found
 //!   by the index's lazy search, [`HeadroomIndex::first_admitting`] — a
 //!   bounded look-ahead over the leaves in front of the tree, no climb per
-//!   filled PM). A batch ends with [`HeadroomIndex::flush`]: every public
-//!   `&mut self` method returns with the index flushed, so single
+//!   filled PM), and a collapsed batch is committed as the offline packer
+//!   assigns: from its fills, with one batch-order scatter and no
+//!   per-member order. A batch ends with [`HeadroomIndex::flush`]: every
+//!   public `&mut self` method returns with the index flushed, so single
 //!   arrivals, departures and every `&self` reader search a tree that is
-//!   right.
+//!   right. A new cluster holds the leaves only; its first arrival's
+//!   flush builds the tree.
 //! * [`ReferenceOnlineCluster`] — the direct per-VM implementation kept as
 //!   the differential oracle. Its only structural concession is a per-PM
 //!   member list so a departure rebuilds from the `≤ d` co-located VMs
@@ -38,7 +41,10 @@
 //! bottom of this file, beside the one that holds every PM to ρ by its
 //! exact stationary law.
 
-use crate::batch::{batch_runs, fill_hosts, place_run, RunMemo, RunPool};
+use crate::batch::{
+    collapse_classes_seeing, collapsed_schedule, fill_hosts, lap, nth_member_id, place_run,
+    strategy_runs, ClassTable, FillCursors, RunMemo, RunPool, MAX_TRACKED_CLASSES,
+};
 use crate::clustering::{cluster_order, default_buckets};
 use crate::index::HeadroomIndex;
 use crate::load::{stationary_on, PmLoad};
@@ -51,6 +57,7 @@ use bursty_workload::{PmSpec, VmClass, VmSpec};
 use std::collections::{hash_map::Entry, HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Order-independent FNV-1a style fold over an engine's observable end
 /// state: live VM→host assignments (in ascending VM id order) and every
@@ -140,10 +147,9 @@ impl OnlineEngine for OnlineCluster {
         self.arrive_recorded(vm, rec)
     }
     fn arrive_batch<R: Recorder>(&mut self, batch: Vec<VmSpec>, rec: &mut R) -> ArriveBatch {
-        let mut placed = Vec::with_capacity(batch.len());
-        match self.arrive_batch_each(batch, rec, |id, pm| placed.push((id, pm))) {
-            Ok(()) => Ok(placed),
-            Err(e) => Err((e, placed)),
+        match self.arrive_batch_with(batch, rec, true) {
+            (Ok(()), placed) => Ok(placed),
+            (Err(e), placed) => Err((e, placed)),
         }
     }
     fn depart<R: Recorder>(&mut self, vm_id: usize, rec: &mut R) -> Option<usize> {
@@ -682,12 +688,155 @@ impl VmTable {
     }
 }
 
+/// Cells a PM holds inline in a [`CellTable`]: the 1M-VM Table-I warm
+/// fleet averages 2.1 classes a PM, none more than three.
+const INLINE_CELLS: usize = 3;
+
+/// Per-PM class-count cells `(class id, copies)`, by position, each PM's
+/// in the order a `Vec` per PM would hold them: classes as they arrived,
+/// an emptied cell swap-removed. There are at most `d` per PM, because
+/// the admission rule caps co-location, and few: the first
+/// [`INLINE_CELLS`] live inline in `inline`, and only a PM hosting more
+/// classes holds the rest in a spill list. A warm fleet's commit so
+/// allocates nothing per PM, and `inline` and `spill_at` start as zeroed
+/// allocations.
+#[derive(Debug, Default)]
+struct CellTable {
+    /// `[class id, copies]` of each PM's first cells, packed to the
+    /// front; a slot of 0 copies, and every slot after it, is empty.
+    inline: Vec<[[u32; 2]; INLINE_CELLS]>,
+    /// 1 + the index in `spills` of the PM's cells past the inline ones,
+    /// or 0.
+    spill_at: Vec<u32>,
+    /// The cells past the inline ones of the PMs that host more classes;
+    /// a list a PM empties is reused.
+    spills: Vec<Vec<(u32, u32)>>,
+    /// Emptied lists of `spills`.
+    free: Vec<u32>,
+}
+
+impl CellTable {
+    /// `m` PMs hosting nothing.
+    fn new(m: usize) -> Self {
+        Self {
+            inline: vec![[[0; 2]; INLINE_CELLS]; m],
+            spill_at: vec![0; m],
+            spills: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Position `p`'s inline cells.
+    fn inline_len(&self, p: usize) -> usize {
+        self.inline[p].iter().take_while(|cell| cell[1] > 0).count()
+    }
+
+    /// Position `p`'s cells past the inline ones.
+    fn spill(&self, p: usize) -> &[(u32, u32)] {
+        match self.spill_at[p] {
+            0 => &[],
+            at => &self.spills[at as usize - 1],
+        }
+    }
+
+    /// Position `p`'s cell count.
+    fn len(&self, p: usize) -> usize {
+        self.inline_len(p) + self.spill(p).len()
+    }
+
+    /// Position `p`'s cells in order.
+    fn of(&self, p: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.inline[p]
+            .iter()
+            .take_while(|cell| cell[1] > 0)
+            .map(|&[cid, copies]| (cid, copies))
+            .chain(self.spill(p).iter().copied())
+    }
+
+    /// Adds `copies` of class `cid` to position `p` (`O(d)` walk).
+    fn add(&mut self, p: usize, cid: u32, copies: u32) {
+        for cell in &mut self.inline[p] {
+            if cell[1] == 0 {
+                *cell = [cid, copies];
+                return;
+            }
+            if cell[0] == cid {
+                cell[1] += copies;
+                return;
+            }
+        }
+        let at = match self.spill_at[p] {
+            0 => {
+                let at = self.free.pop().unwrap_or_else(|| {
+                    self.spills.push(Vec::new());
+                    self.spills.len() as u32 - 1
+                });
+                self.spill_at[p] = at + 1;
+                at as usize
+            }
+            at => at as usize - 1,
+        };
+        let spill = &mut self.spills[at];
+        match spill.iter_mut().find(|cell| cell.0 == cid) {
+            Some(cell) => cell.1 += copies,
+            None => spill.push((cid, copies)),
+        }
+    }
+
+    /// Removes one copy of class `cid` from position `p`; an emptied cell
+    /// is swap-removed: the last cell takes its place.
+    ///
+    /// # Panics
+    /// Panics if `p` has no cell of class `cid`.
+    fn remove_one(&mut self, p: usize, cid: u32) {
+        let (held, at) = (self.inline_len(p), self.spill_at[p] as usize);
+        let spilled = self.spill(p).len();
+        let pos = (0..held)
+            .find(|&i| self.inline[p][i][0] == cid)
+            .or_else(|| {
+                let spill = self.spill(p);
+                spill
+                    .iter()
+                    .position(|cell| cell.0 == cid)
+                    .map(|i| held + i)
+            })
+            .expect("departing VM's class must have a cell on its host");
+        let copies = match pos.checked_sub(held) {
+            None => &mut self.inline[p][pos][1],
+            Some(i) => &mut self.spills[at - 1][i].1,
+        };
+        *copies -= 1;
+        if *copies > 0 {
+            return;
+        }
+        let last = match at {
+            0 => std::mem::take(&mut self.inline[p][held - 1]),
+            at => {
+                let (cid, copies) = self.spills[at - 1]
+                    .pop()
+                    .expect("spill lists are not empty");
+                [cid, copies]
+            }
+        };
+        if pos + 1 < held + spilled {
+            match pos.checked_sub(held) {
+                None => self.inline[p][pos] = last,
+                Some(i) => self.spills[at - 1][i] = (last[0], last[1]),
+            }
+        }
+        if at > 0 && self.spills[at - 1].is_empty() {
+            self.spill_at[p] = 0;
+            self.free.push(at as u32 - 1);
+        }
+    }
+}
+
 /// The cluster's loads and headroom index as the run placer's pool,
 /// borrowed apart from its PM specs and strategy, which the placer takes
 /// beside them, with the run's fills collected for the commit that
 /// follows and its candidates booked into the caller's recorder.
 struct LivePool<'a, R> {
-    loads: &'a mut [PmLoad],
+    loads: &'a mut Vec<PmLoad>,
     index: &'a mut HeadroomIndex,
     memo: &'a mut RunMemo,
     fills: &'a mut Vec<(u32, u32)>,
@@ -704,7 +853,18 @@ impl<R: Recorder> RunPool for LivePool<'_, R> {
     }
 
     fn load(&self, p: usize) -> PmLoad {
-        self.loads[p]
+        *self.loads.get(p).unwrap_or(&PmLoad::EMPTY)
+    }
+
+    /// Compares the stored loads one by one; past them every position is
+    /// empty, so a stretch of empty seeds runs to `limit` unread.
+    fn like_until(&self, p: usize, seed: &PmLoad, limit: usize) -> usize {
+        let (key, len) = (seed.bits(), self.loads.len());
+        match (p + 1..limit.min(len)).find(|&q| self.loads[q].bits() != key) {
+            Some(q) => q,
+            None if len >= limit || seed.is_empty() => limit,
+            None => len.max(p + 1),
+        }
     }
 
     fn commit<S: Strategy + ?Sized>(
@@ -715,8 +875,14 @@ impl<R: Recorder> RunPool for LivePool<'_, R> {
         caps: &[f64],
         strategy: &S,
     ) {
+        // The loads as one range, the stored ones extended past their end.
+        let (len, Range { start, end }) = (self.loads.len(), at.clone());
+        self.loads[start.min(len)..end.min(len)].fill(load);
+        if end > len {
+            self.loads.resize(start.max(len), PmLoad::empty());
+            self.loads.resize(end, load);
+        }
         for p in at {
-            self.loads[p] = load;
             self.fills.push((p as u32, copies as u32));
             self.index.set(p, strategy.headroom(&load, caps[p]));
         }
@@ -728,13 +894,48 @@ impl<R: Recorder> RunPool for LivePool<'_, R> {
     }
 }
 
+/// A batch that takes the collapsed route: its class table, the schedule
+/// its classes are placed in, and its largest VM id.
+struct Collapsed<'a> {
+    batch: &'a [VmSpec],
+    table: &'a ClassTable,
+    schedule: &'a [u32],
+    max_id: usize,
+}
+
+/// Where the last batch arrival on an [`OnlineCluster`] spent its time
+/// ([`OnlineCluster::last_batch`]): the phases `admit_bench` writes to
+/// `BENCH_admit.json` for a daemon's warm start. On the ordered route
+/// (more classes than the collapse tracks, or a cross-class key tie) each
+/// run commits and hands out its members as it is placed, so `runs_s`
+/// holds all three and `commit_s` and `scatter_s` are zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct BatchProfile {
+    /// The class pass over the batch, which also finds its largest id;
+    /// on the ordered route also the per-VM FFD order and its class runs.
+    pub collapse_s: f64,
+    /// Placing the class runs: candidate searches, folds, the loads and
+    /// headroom leaves of each stretch.
+    pub runs_s: f64,
+    /// Registering the placed classes and writing their cells and the
+    /// occupied set, fill by fill.
+    pub commit_s: f64,
+    /// Sizing the id table and the one fleet-order pass that inserts each
+    /// placed member's entry and, for a caller that wants the pairs,
+    /// writes them.
+    pub scatter_s: f64,
+    /// The closing index flush (the first batch on a new cluster builds
+    /// the tree here).
+    pub flush_s: f64,
+}
+
 /// The fleet-scale online engine (see the module docs). Storage is a
 /// dense structure-of-arrays over *classes* rather than VMs:
 ///
 /// * a global class registry (`key → id`, representative spec, live
 ///   population count);
 /// * per-PM class-count cells (`≤ d` entries, because the admission rule
-///   caps co-location at `d`);
+///   caps co-location at `d`; the first three inline, see [`CellTable`]);
 /// * a [`VmTable`] from VM id to its `(host, class)` entry — the only
 ///   per-VM state: a slot vector indexed by id for dense ids, a SipHash
 ///   map for the rest;
@@ -743,11 +944,20 @@ impl<R: Recorder> RunPool for LivePool<'_, R> {
 /// * the configured `(p_on, p_off)`, which a snapshot records.
 ///
 /// Per-operation costs at fleet size `n`, `m` PMs, `k` registered
-/// classes: arrival `O(log m + d)`, departure `O(d + log m)`, batch arrival
-/// `O(fills · (gap + log d))` plus the linear scatter and one closing
-/// flush (`O(log m)` per filled PM while those are under `m / 4`, one
-/// `O(m)` pass beyond), and recalibration `O(k)` with no write — nothing
-/// scans the population.
+/// classes: arrival `O(log m + d)`, departure `O(d + log m)`, recalibration
+/// `O(k)` with no write — nothing scans the population. A batch of `b`
+/// VMs on the collapsed route costs one class pass over it (which also
+/// finds its largest id), `O(fills · (gap + log d))` to place its class
+/// runs (a stretch of like PMs writes its loads as one range), an `O(d)`
+/// commit per fill (no allocation while a PM hosts at most three
+/// classes), one batch-order pass that inserts each placed member's entry
+/// (and, for a caller that wants them, writes its pair at its rank in
+/// placement order), and one closing flush: `O(log m)` per filled PM
+/// while those are under `m / 4`, one `O(m)` pass beyond or on a new
+/// cluster, whose tree is first built there. `new` itself computes the
+/// `m` empty-PM leaves and allocates the rest zeroed. On the 1M-VM
+/// Table-I warm fleet (`BENCH_admit.json`, `warm`), `new` plus the batch
+/// is about twice the offline packer's `place` on the same fleet.
 #[derive(Debug)]
 pub struct OnlineCluster {
     pms: Vec<PmSpec>,
@@ -770,24 +980,28 @@ pub struct OnlineCluster {
     class_lookup: HashMap<[u64; 4], u32>,
     /// Per-VM entry: host PM and class id.
     entries: VmTable,
-    /// Cached per-PM loads, by position.
+    /// Cached per-PM loads, by position, up to the last position a batch
+    /// or arrival ever loaded: every position past them is empty, and
+    /// [`OnlineCluster::new`] stores none.
     loads: Vec<PmLoad>,
-    /// Per-PM class-count cells `(class id, copies)`, by position; at most
-    /// `d` entries because the admission rule caps co-location.
-    cells: Vec<Vec<(u32, u32)>>,
+    /// Per-PM class-count cells, by position.
+    cells: CellTable,
     /// Segment tree over per-PM headroom under the current strategy, by
     /// position.
     index: HeadroomIndex,
     /// Positions of the occupied PMs, unordered; `occupied_pos[p]` is
-    /// `p`'s slot in it (or `usize::MAX` when that PM is empty).
+    /// 1 + `p`'s slot in it, or 0 when that PM is empty (so a new
+    /// cluster's is one zeroed allocation).
     occupied: Vec<usize>,
-    occupied_pos: Vec<usize>,
+    occupied_pos: Vec<u32>,
     /// Reusable cell buffer for departure rebuilds.
     scratch: Vec<ClassCell>,
     /// The run placer's fold memo and the `(PM, copies)` fills of the run
     /// being placed, reused by every arrival; boxed, since the memo's
     /// chains are inline.
     run: Box<(RunMemo, Vec<(u32, u32)>)>,
+    /// The phase times of the last batch arrival.
+    profile: BatchProfile,
 }
 
 impl OnlineCluster {
@@ -811,15 +1025,19 @@ impl OnlineCluster {
         );
         let strategy = QueueStrategy::unfloored(d, rho);
         let order = PmOrder::of(&pms);
-        let loads = vec![PmLoad::empty(); pms.len()];
-        let headrooms: Vec<f64> = order
-            .capacities()
-            .iter()
-            .map(|&cap| strategy.headroom(&PmLoad::empty(), cap))
-            .collect();
-        let index = HeadroomIndex::new(&headrooms);
-        let cells = vec![Vec::new(); pms.len()];
-        let occupied_pos = vec![usize::MAX; pms.len()];
+        let loads = Vec::with_capacity(pms.len());
+        // The leaves only: the first arrival's closing flush builds the
+        // tree, as it would rebuild one built here.
+        let mut index = HeadroomIndex::new(&[]);
+        let caps = order.capacities();
+        index.reset_lazy(caps.len(), |leaves| {
+            leaves.extend(
+                caps.iter()
+                    .map(|&cap| strategy.headroom(&PmLoad::empty(), cap)),
+            )
+        });
+        let cells = CellTable::new(pms.len());
+        let occupied_pos = vec![0; pms.len()];
         Self {
             pms,
             order,
@@ -837,6 +1055,7 @@ impl OnlineCluster {
             occupied_pos,
             scratch: Vec::new(),
             run: Box::default(),
+            profile: BatchProfile::default(),
         }
     }
 
@@ -844,7 +1063,7 @@ impl OnlineCluster {
     fn refresh_pm(&mut self, p: usize) {
         let h = self
             .strategy
-            .headroom(&self.loads[p], self.order.capacities()[p]);
+            .headroom(self.load_at(p), self.order.capacities()[p]);
         self.index.update(p, h);
     }
 
@@ -865,7 +1084,12 @@ impl OnlineCluster {
 
     /// The load of PM `j`.
     pub fn load(&self, j: usize) -> &PmLoad {
-        &self.loads[self.order.position(j)]
+        self.load_at(self.order.position(j))
+    }
+
+    /// The load of position `p`.
+    fn load_at(&self, p: usize) -> &PmLoad {
+        self.loads.get(p).unwrap_or(&PmLoad::EMPTY)
     }
 
     /// The class id for `vm`'s class, registering it on first sight.
@@ -882,50 +1106,24 @@ impl OnlineCluster {
         cid
     }
 
-    /// Adds `copies` of class `cid` to position `p`'s cells (`O(d)`
-    /// walk).
-    fn cell_add(&mut self, p: usize, cid: u32, copies: u32) {
-        for cell in &mut self.cells[p] {
-            if cell.0 == cid {
-                cell.1 += copies;
-                return;
-            }
-        }
-        self.cells[p].push((cid, copies));
-    }
-
-    /// Removes one copy of class `cid` from position `p`'s cells.
-    fn cell_remove_one(&mut self, p: usize, cid: u32) {
-        let cells = &mut self.cells[p];
-        let pos = cells
-            .iter()
-            .position(|c| c.0 == cid)
-            .expect("departing VM's class must have a cell on its host");
-        cells[pos].1 -= 1;
-        if cells[pos].1 == 0 {
-            cells.swap_remove(pos);
-        }
-    }
-
     /// Marks position `p` occupied (idempotent).
     fn occupy(&mut self, p: usize) {
-        if self.occupied_pos[p] == usize::MAX {
-            self.occupied_pos[p] = self.occupied.len();
+        if self.occupied_pos[p] == 0 {
             self.occupied.push(p);
+            self.occupied_pos[p] = self.occupied.len() as u32;
         }
     }
 
     /// Marks position `p` empty (idempotent).
     fn vacate(&mut self, p: usize) {
-        let pos = self.occupied_pos[p];
-        if pos == usize::MAX {
+        let Some(pos) = (self.occupied_pos[p] as usize).checked_sub(1) else {
             return;
-        }
-        self.occupied_pos[p] = usize::MAX;
+        };
+        self.occupied_pos[p] = 0;
         self.occupied.swap_remove(pos);
         if pos < self.occupied.len() {
             let moved = self.occupied[pos];
-            self.occupied_pos[moved] = pos;
+            self.occupied_pos[moved] = pos as u32 + 1;
         }
     }
 
@@ -988,8 +1186,8 @@ impl OnlineCluster {
         let (host, cid) = (entry.host as usize, entry.class);
         let p = self.order.position(host);
         self.class_pop[cid as usize] -= 1;
-        self.cell_remove_one(p, cid);
-        rec.counter_add(Counter::DepartRebuildVisits, self.cells[p].len() as u64);
+        self.cells.remove_one(p, cid);
+        rec.counter_add(Counter::DepartRebuildVisits, self.cells.len(p) as u64);
         let load = {
             let Self {
                 cells,
@@ -999,7 +1197,7 @@ impl OnlineCluster {
                 ..
             } = self;
             scratch.clear();
-            for &(c, copies) in &cells[p] {
+            for (c, copies) in cells.of(p) {
                 scratch.push((class_keys[c as usize], class_reps[c as usize], copies));
             }
             fold_cells(scratch)
@@ -1035,6 +1233,10 @@ impl OnlineCluster {
     /// [`Counter::OnlineBatches`], probe counts, plus one
     /// [`Counter::OnlineArrivals`] per placed member.
     ///
+    /// The pairs come in placement order: the classes in the order they
+    /// are placed, and within a class its members in batch order (on the
+    /// ordered route, the strategy's per-VM order).
+    ///
     /// # Errors
     /// [`PackError`] at the first unplaceable VM. VMs placed before the
     /// failure stay placed (the online system cannot un-arrive them).
@@ -1042,52 +1244,218 @@ impl OnlineCluster {
     /// # Panics
     /// Panics if any batch member's id is already present, or appears
     /// twice in the batch. The check is the insert of the VM's entry, so
-    /// the panic comes after earlier members were committed; callers that
-    /// take ids from outside validate first (the daemon answers a
-    /// duplicate with a typed 409 before the engine is reached).
+    /// the panic comes after the batch's loads were committed; callers
+    /// that take ids from outside validate first (the daemon answers a
+    /// duplicate with a typed 409 before the engine is reached). On the
+    /// collapsed route a duplicate id panics at its batch-order insert,
+    /// on the ordered route at its run's commit.
     pub fn arrive_batch_recorded<R: Recorder>(
         &mut self,
         batch: Vec<VmSpec>,
         rec: &mut R,
     ) -> Result<Vec<(usize, usize)>, PackError> {
-        let mut result = Vec::with_capacity(batch.len());
-        self.arrive_batch_each(batch, rec, |vm_id, pm| result.push((vm_id, pm)))?;
-        Ok(result)
+        let (placed, pairs) = self.arrive_batch_with(batch, rec, true);
+        placed.map(|()| pairs)
     }
 
-    /// [`arrive_batch_recorded`](Self::arrive_batch_recorded) handing each
-    /// `(VM id, PM)` placement to `each` as it is committed instead of
-    /// collecting them — for the caller that does not want the pairs (a
-    /// daemon warming a million-VM fleet would build 16 MB to drop it).
+    /// [`arrive_batch_recorded`](Self::arrive_batch_recorded) for the
+    /// caller that wants no pairs: a daemon warming a million-VM fleet,
+    /// which would otherwise pay a pass and a 16 MB buffer to drop them.
     ///
     /// # Errors
-    /// [`PackError`] at the first unplaceable VM, after `each` saw every
-    /// member that was placed before it.
+    /// [`PackError`] at the first unplaceable VM; the members placed
+    /// before it stay placed.
     ///
     /// # Panics
     /// As [`arrive_batch_recorded`](Self::arrive_batch_recorded).
-    pub fn arrive_batch_each<R: Recorder>(
+    pub fn arrive_batch_unpaired<R: Recorder>(
         &mut self,
         batch: Vec<VmSpec>,
         rec: &mut R,
-        mut each: impl FnMut(usize, usize),
     ) -> Result<(), PackError> {
+        self.arrive_batch_with(batch, rec, false).0
+    }
+
+    /// The one batch arrival behind the public ones: its outcome, and the
+    /// `(VM id, PM)` pair of every member placed, in placement order, if
+    /// `want_pairs` (else none). On an error the pairs are those of the
+    /// members placed before the refused one.
+    fn arrive_batch_with<R: Recorder>(
+        &mut self,
+        batch: Vec<VmSpec>,
+        rec: &mut R,
+        want_pairs: bool,
+    ) -> (Result<(), PackError>, Vec<(usize, usize)>) {
         rec.counter_inc(Counter::OnlineBatches);
+        self.profile = BatchProfile::default();
         if batch.is_empty() {
-            return Ok(());
+            return (Ok(()), Vec::new());
         }
-        // Size the id table once, from the batch's largest id: a warm-up
-        // of ids `0..n` allocates its dense slots in one step and the
-        // commits below write them in place.
-        let max_id = batch.iter().map(|vm| vm.id).max().unwrap_or(0);
-        self.entries.reserve(max_id, batch.len());
-        let (order, runs) = batch_runs(&batch, &self.strategy);
-        let result = runs.iter().try_for_each(|run| {
-            let members = &order[run.start..run.start + run.len];
-            self.place_members(&batch, members, rec, &mut each)
-        });
+        let mut clock = Instant::now();
+        let mut max_id = 0;
+        let table = collapse_classes_seeing(&batch, |vm| max_id = max_id.max(vm.id));
+        let outcome = match collapsed_schedule(&batch, &self.strategy, table) {
+            Some((table, schedule)) => {
+                self.profile.collapse_s = lap(&mut clock);
+                let collapsed = Collapsed {
+                    batch: &batch,
+                    table: &table,
+                    schedule: &schedule,
+                    max_id,
+                };
+                self.arrive_collapsed(collapsed, rec, want_pairs, &mut clock)
+            }
+            None => {
+                // Size the id table once, from the batch's largest id (the
+                // collapse may have stopped before it): a warm-up of ids
+                // `0..n` allocates its dense slots in one step and the
+                // commits below write them in place.
+                let max_id = batch.iter().map(|vm| vm.id).max().unwrap_or(0);
+                self.entries.reserve(max_id, batch.len());
+                let (order, runs) = strategy_runs(&batch, &self.strategy);
+                self.profile.collapse_s = lap(&mut clock);
+                let mut pairs = Vec::with_capacity(if want_pairs { batch.len() } else { 0 });
+                let placed = runs.iter().try_for_each(|run| {
+                    let members = &order[run.start..run.start + run.len];
+                    self.place_members(&batch, members, rec, |id, j| {
+                        if want_pairs {
+                            pairs.push((id, j));
+                        }
+                    })
+                });
+                self.profile.runs_s = lap(&mut clock);
+                (placed, pairs)
+            }
+        };
         self.index.flush();
-        result
+        self.profile.flush_s = lap(&mut clock);
+        outcome
+    }
+
+    /// The collapsed route of [`arrive_batch_with`](Self::arrive_batch_with),
+    /// committed the way the offline packer assigns: every class run is
+    /// placed in schedule order (up to the first that fails), then the
+    /// placed classes are registered and their cells written in placement
+    /// order, then one batch-order pass inserts each placed member's
+    /// entry — class `c`'s `i`-th member takes the `i`-th copy of `c`'s
+    /// fills, up to the copies placed — and, if `want_pairs`, writes its
+    /// pair at its rank in placement order. A failure so commits what the
+    /// per-VM reference does: every earlier class whole, the failing
+    /// class's first placed members, nothing of later classes, which stay
+    /// unregistered. The index is left unflushed for the caller.
+    fn arrive_collapsed<R: Recorder>(
+        &mut self,
+        Collapsed {
+            batch,
+            table,
+            schedule,
+            max_id,
+        }: Collapsed<'_>,
+        rec: &mut R,
+        want_pairs: bool,
+        clock: &mut Instant,
+    ) -> (Result<(), PackError>, Vec<(usize, usize)>) {
+        let mut fills = std::mem::take(&mut self.run.1);
+        fills.clear();
+        // Class `c`'s fills are `fills[starts[c]..ends[c]]`, and
+        // `placed[c]` of its members were placed (0 for a class the
+        // batch did not reach).
+        let mut starts = [0u32; MAX_TRACKED_CLASSES];
+        let mut ends = [0u32; MAX_TRACKED_CLASSES];
+        let mut placed = [0u32; MAX_TRACKED_CLASSES];
+        let mut failed = None;
+        let mut pool = LivePool {
+            loads: &mut self.loads,
+            index: &mut self.index,
+            memo: &mut self.run.0,
+            fills: &mut fills,
+            rec: &mut *rec,
+        };
+        let caps = self.order.capacities();
+        for &cid in schedule {
+            let c = cid as usize;
+            let want = table.counts[c] as usize;
+            starts[c] = pool.fills.len() as u32;
+            let got = place_run(&mut pool, caps, &self.strategy, &table.reps[c], want);
+            ends[c] = pool.fills.len() as u32;
+            placed[c] = got as u32;
+            if got < want {
+                failed = Some(PackError {
+                    vm_id: nth_member_id(batch, &table.kid, cid, got),
+                });
+                break;
+            }
+        }
+        self.profile.runs_s = lap(clock);
+
+        // Classes, populations, cells and the occupied set in placement
+        // order, as the runs committed one by one would leave them; the
+        // fills' positions become PM indexes on the way.
+        let mut engine_cid = [0u32; MAX_TRACKED_CLASSES];
+        let mut total = 0u64;
+        for &cid in schedule {
+            let c = cid as usize;
+            if placed[c] == 0 {
+                break;
+            }
+            let ecid = self.class_id_of(&table.reps[c]);
+            engine_cid[c] = ecid;
+            self.class_pop[ecid as usize] += u64::from(placed[c]);
+            total += u64::from(placed[c]);
+            for fill in &mut fills[starts[c] as usize..ends[c] as usize] {
+                let p = fill.0 as usize;
+                self.occupy(p);
+                self.cells.add(p, ecid, fill.1);
+                fill.0 = self.order.pm(p) as u32;
+            }
+        }
+        self.profile.commit_s = lap(clock);
+
+        // One batch-order pass hands each placed member its slot and, for
+        // a caller that wants the pairs, writes its pair at its rank in
+        // placement order: class `c`'s pairs start at `first[c]`.
+        self.entries.reserve(max_id, batch.len());
+        let mut cursors = FillCursors::new();
+        let mut first = [0usize; MAX_TRACKED_CLASSES];
+        let mut at = 0;
+        for &cid in schedule {
+            let c = cid as usize;
+            cursors.start(c, starts[c] as usize);
+            first[c] = at;
+            at += placed[c] as usize;
+        }
+        let mut pairs = vec![(0, 0); if want_pairs { at } else { 0 }];
+        let mut handed = [0u32; MAX_TRACKED_CLASSES];
+        for (vm, &cid) in batch.iter().zip(&table.kid) {
+            let c = cid as usize;
+            if handed[c] == placed[c] {
+                continue;
+            }
+            let host = cursors.take(&fills, c);
+            let entry = VmEntry {
+                host,
+                class: engine_cid[c],
+            };
+            assert!(
+                self.entries.insert(vm.id, entry),
+                "VM id {} already in the cluster",
+                vm.id
+            );
+            if let Some(pair) = pairs.get_mut(first[c] + handed[c] as usize) {
+                *pair = (vm.id, host as usize);
+            }
+            handed[c] += 1;
+        }
+        rec.counter_add(Counter::OnlineArrivals, total);
+        self.profile.scatter_s = lap(clock);
+        self.run.1 = fills;
+        (failed.map_or(Ok(()), Err), pairs)
+    }
+
+    /// The phase times of the last batch arrival (all zero before the
+    /// first, and for an empty batch).
+    pub fn last_batch(&self) -> BatchProfile {
+        self.profile
     }
 
     /// Places one class run — `members` of `batch`, all of one class —
@@ -1097,7 +1465,8 @@ impl OnlineCluster {
     /// class none of whose members was placed is not registered. Loads
     /// only grow while runs are placed, so the run placer's cursor
     /// argument holds on a populated cluster too. The index is left
-    /// unflushed for the caller.
+    /// unflushed for the caller. Single arrivals (a one-VM run) and the
+    /// ordered batch route place through it.
     fn place_members<R: Recorder>(
         &mut self,
         batch: &[VmSpec],
@@ -1122,7 +1491,7 @@ impl OnlineCluster {
             self.class_pop[cid as usize] += placed as u64;
             for &(p, copies) in &fills {
                 self.occupy(p as usize);
-                self.cell_add(p as usize, cid, copies);
+                self.cells.add(p as usize, cid, copies);
             }
             fill_hosts(&fills, members, |i, p| {
                 let (id, j) = (batch[i].id, self.order.pm(p));
@@ -1171,20 +1540,23 @@ impl OnlineCluster {
     }
 
     /// Verifies internal consistency: cells are well-formed, every cached
-    /// load matches its canonical cell fold, the index is flushed and its
-    /// leaves and the occupied set agree with the loads, and per-class
-    /// populations add up.
+    /// load matches its canonical cell fold, the index is flushed (or, on
+    /// a cluster that has seen no arrival, holds its leaves and no tree
+    /// yet) and its leaves and the occupied set agree with the loads, and
+    /// per-class populations add up.
     /// Intended for tests and debug assertions.
     ///
     /// # Errors
     /// A description of the first inconsistency found.
     pub fn check_consistency(&self) -> Result<(), String> {
-        self.index.check_flushed()?;
+        if !self.index.is_unbuilt() {
+            self.index.check_flushed()?;
+        }
         let mut pop_seen = vec![0u64; self.class_reps.len()];
         for (p, j) in self.order.pms().enumerate() {
             let mut ids = HashSet::new();
-            let mut cells: Vec<ClassCell> = Vec::with_capacity(self.cells[p].len());
-            for &(cid, copies) in &self.cells[p] {
+            let mut cells: Vec<ClassCell> = Vec::with_capacity(self.cells.len(p));
+            for (cid, copies) in self.cells.of(p) {
                 if copies == 0 {
                     return Err(format!("PM {j}: zero-count cell for class {cid}"));
                 }
@@ -1199,7 +1571,7 @@ impl OnlineCluster {
                 ));
             }
             let rebuilt = fold_cells(&mut cells);
-            let cached = &self.loads[p];
+            let cached = self.load_at(p);
             if !loads_agree(&rebuilt, cached) {
                 return Err(format!("PM {j}: cached {cached:?} != rebuilt {rebuilt:?}"));
             }
@@ -1211,7 +1583,7 @@ impl OnlineCluster {
                     "PM {j}: indexed headroom {indexed} != expected {expected}"
                 ));
             }
-            let occupied = self.occupied_pos[p] != usize::MAX;
+            let occupied = self.occupied_pos[p] != 0;
             if occupied == cached.is_empty() {
                 return Err(format!(
                     "PM {j}: occupied flag {occupied} but load count {}",
@@ -1220,7 +1592,7 @@ impl OnlineCluster {
             }
         }
         for (pos, &p) in self.occupied.iter().enumerate() {
-            if self.occupied_pos[p] != pos {
+            if self.occupied_pos[p] as usize != pos + 1 {
                 let j = self.order.pm(p);
                 return Err(format!("occupied slot {pos} (PM {j}) has stale position"));
             }
@@ -1240,8 +1612,9 @@ impl OnlineCluster {
             ));
         }
         for (id, entry) in self.entries.ascending() {
-            let on_host = self.cells[self.order.position(entry.host as usize)]
-                .iter()
+            let on_host = self
+                .cells
+                .of(self.order.position(entry.host as usize))
                 .any(|c| c.0 == entry.class);
             if !on_host {
                 return Err(format!(
@@ -1261,7 +1634,7 @@ impl OnlineCluster {
             self.entries
                 .ascending()
                 .map(|(id, entry)| (id, entry.host as usize)),
-            (0..self.pms.len()).map(|j| &self.loads[self.order.position(j)]),
+            (0..self.pms.len()).map(|j| self.load(j)),
         )
     }
 
@@ -1300,7 +1673,11 @@ impl OnlineCluster {
             // An `OccupiedPm`, written from the tables that hold it.
             self.order.pm(p).put(&mut buf);
             self.loads[p].put(&mut buf);
-            self.cells[p].put(&mut buf);
+            // As the `Vec` of an `OccupiedPm` writes it.
+            self.cells.len(p).put(&mut buf);
+            for cell in self.cells.of(p) {
+                cell.put(&mut buf);
+            }
         }
         self.entries.len().put(&mut buf);
         for (id, entry) in self.entries.ascending() {
@@ -1368,20 +1745,20 @@ impl OnlineCluster {
         // capacities alone fix: the image stores none.
         let order = PmOrder::of(&pms);
         let mut loads = vec![PmLoad::empty(); m];
-        let mut cells: Vec<Vec<(u32, u32)>> = vec![Vec::new(); m];
+        let mut cells = CellTable::new(m);
         let mut occupied = Vec::with_capacity(n_occupied);
-        let mut occupied_pos = vec![usize::MAX; m];
+        let mut occupied_pos = vec![0; m];
         for _ in 0..n_occupied {
             let (j, mut load, pm_cells): OccupiedPm = Wire::get(&mut c)?;
             if j >= m {
                 return Err(bad(format!("occupied PM {j} out of range")));
             }
             let p = order.position(j);
-            if occupied_pos[p] != usize::MAX {
+            if occupied_pos[p] != 0 {
                 return Err(bad(format!("PM {j} occupied twice")));
             }
-            occupied_pos[p] = occupied.len();
             occupied.push(p);
+            occupied_pos[p] = occupied.len() as u32;
             if load.count == 0 {
                 return Err(bad(format!("occupied PM {j} has an empty load")));
             }
@@ -1399,7 +1776,9 @@ impl OnlineCluster {
                 load.max_pi = load.max_pi.max(stationary_on(&class_reps[cid as usize]));
             }
             loads[p] = load;
-            cells[p] = pm_cells;
+            for &(cid, copies) in &pm_cells {
+                cells.add(p, cid, copies);
+            }
         }
         let n_entries = c.seq_len(<(usize, usize, u32)>::MIN_BYTES)?;
         // Canonical snapshots list ids in ascending order, so the dense
@@ -1451,6 +1830,7 @@ impl OnlineCluster {
             occupied_pos,
             scratch: Vec::new(),
             run: Box::default(),
+            profile: BatchProfile::default(),
         })
     }
 }
@@ -1722,12 +2102,8 @@ mod tests {
         assert_eq!(pairs, b.arrive_batch(fits).unwrap());
 
         let overflows = batch_of(1000, 3, 3.0);
-        let mut seen = Vec::new();
-        let err = a
-            .arrive_batch_each(overflows.clone(), &mut NoopRecorder, |id, j| {
-                seen.push((id, j))
-            })
-            .unwrap_err();
+        let (err, seen) =
+            OnlineEngine::arrive_batch(&mut a, overflows.clone(), &mut NoopRecorder).unwrap_err();
         assert_eq!(b.arrive_batch(overflows.clone()).unwrap_err(), err);
         // The reference places in cluster order up to the VM it failed on.
         let order = cluster_order(&overflows, default_buckets(overflows.len()));
@@ -2240,6 +2616,131 @@ mod tests {
         b.check_consistency().unwrap();
     }
 
+    /// Arrives `batch` on `a` and on the reference `b` and holds the
+    /// collapsed route's commit to the reference's: the same outcome, the
+    /// same pairs in the same order, the same digest, and the
+    /// snapshot bytes (class registry, populations, cells, occupied set,
+    /// loads and entries) of a copy of `a` that arrives the reference's
+    /// pairs one by one instead. A second copy arriving the batch without
+    /// pairs ends on the same bytes.
+    fn assert_scatter_commits_as_the_reference(
+        a: &mut OnlineCluster,
+        b: &mut ReferenceOnlineCluster,
+        batch: &[VmSpec],
+    ) -> Result<(), PackError> {
+        let table = crate::batch::collapse_classes(batch);
+        assert!(
+            collapsed_schedule(batch, &a.strategy, table).is_some(),
+            "the batch takes the collapsed route"
+        );
+        let image = a.to_snapshot_bytes();
+        let (got, pairs) = a.arrive_batch_with(batch.to_vec(), &mut NoopRecorder, true);
+        let want = b.arrive_batch_pairs(batch.to_vec());
+        let placed = match (&got, want) {
+            (Ok(()), Ok(placed)) => placed,
+            (Err(e), Err((f, placed))) => {
+                assert_eq!(e, &f, "refused VM");
+                placed
+            }
+            (got, want) => panic!("outcomes differ: {got:?} vs {want:?}"),
+        };
+        assert_eq!(pairs, placed, "pairs in placement order");
+        assert_eq!(a.state_digest(), b.state_digest());
+        a.check_consistency().unwrap();
+
+        let mut singles = OnlineCluster::from_snapshot_bytes(&image).unwrap();
+        for &(id, j) in &pairs {
+            let vm = *batch.iter().find(|vm| vm.id == id).unwrap();
+            assert_eq!(singles.arrive(vm), Ok(j), "VM {id} arrived alone");
+        }
+        assert_eq!(singles.to_snapshot_bytes(), a.to_snapshot_bytes());
+
+        let mut unpaired = OnlineCluster::from_snapshot_bytes(&image).unwrap();
+        let quiet = unpaired.arrive_batch_unpaired(batch.to_vec(), &mut NoopRecorder);
+        assert_eq!(quiet, got);
+        assert_eq!(unpaired.to_snapshot_bytes(), a.to_snapshot_bytes());
+        got
+    }
+
+    #[test]
+    fn scatter_of_a_batch_failing_in_its_second_class_commits_what_the_reference_does() {
+        // Three interleaved classes on too few PMs: every pool size
+        // whose reference refuses a member of the second scheduled class
+        // after placing some of it, so the first class is whole, the
+        // second cut mid-run and the third never reached.
+        let batch: Vec<VmSpec> = (0..90)
+            .map(|i| match i % 3 {
+                0 => vm(i, 20.0, 20.0),
+                1 => vm(i, 10.0, 10.0),
+                _ => vm(i, 5.0, 5.0),
+            })
+            .collect();
+        let strategy = QueueStrategy::unfloored(16, 0.01);
+        let (order, runs) = crate::batch::batch_runs(&batch, &strategy);
+        assert_eq!(runs.len(), 3, "the batch collapses");
+        let second = &order[runs[1].start..runs[1].start + runs[1].len];
+        let mut cut = 0;
+        for m in 1..40 {
+            let caps = vec![100.0; m];
+            let mut probe = ref_cluster(&caps);
+            let Err(e) = probe.arrive_batch(batch.clone()) else {
+                continue;
+            };
+            let Some(at) = second.iter().position(|&i| batch[i].id == e.vm_id) else {
+                continue;
+            };
+            if at == 0 {
+                continue;
+            }
+            let (mut a, mut b) = (cluster(&caps), ref_cluster(&caps));
+            let refused = assert_scatter_commits_as_the_reference(&mut a, &mut b, &batch);
+            assert_eq!(refused, Err(e));
+            assert_eq!(a.class_reps.len(), 2, "the third class stays unregistered");
+            assert_eq!(a.class_pop, vec![runs[0].len as u64, at as u64]);
+            assert_eq!(a.n_vms(), runs[0].len + at);
+            cut += 1;
+        }
+        assert!(cut > 0, "some pool cuts the second class");
+    }
+
+    #[test]
+    fn scatter_of_a_second_warm_batch_on_a_populated_cluster_matches_the_reference() {
+        // A warm batch, some departures, then a second warm batch of the
+        // same classes plus a new one, ids interleaved with the gaps the
+        // departures left; then one that overflows the pool.
+        let caps: Vec<f64> = (0..64).map(|j| [100.0, 80.0, 60.0][j % 3]).collect();
+        let (mut a, mut b) = (cluster(&caps), ref_cluster(&caps));
+        let warm: Vec<VmSpec> = (0..120)
+            .map(|i| {
+                vm(
+                    i,
+                    [5.0, 10.0, 20.0][i * 7 % 3],
+                    [5.0, 10.0, 20.0][i * 7 % 3],
+                )
+            })
+            .collect();
+        assert_scatter_commits_as_the_reference(&mut a, &mut b, &warm).unwrap();
+        for id in (0..120).step_by(4) {
+            assert_eq!(a.depart(id), b.depart(id));
+        }
+        let second: Vec<VmSpec> = (0..60)
+            .map(|k| {
+                let id = if k % 2 == 0 { 4 * (k / 2) } else { 200 + k };
+                match k % 4 {
+                    0 => vm(id, 10.0, 10.0),
+                    1 => vm(id, 5.0, 5.0),
+                    2 => vm(id, 7.0, 3.0),
+                    _ => vm(id, 20.0, 20.0),
+                }
+            })
+            .collect();
+        assert_scatter_commits_as_the_reference(&mut a, &mut b, &second).unwrap();
+        let overflow: Vec<VmSpec> = (1000..1400)
+            .map(|i| vm(i, [5.0, 20.0][i % 2], [5.0, 20.0][i % 2]))
+            .collect();
+        assert!(assert_scatter_commits_as_the_reference(&mut a, &mut b, &overflow).is_err());
+    }
+
     #[test]
     fn far_ids_stay_sparse_until_a_growth_covers_them() {
         let entry = |h: u32| VmEntry { host: h, class: 0 };
@@ -2312,6 +2813,49 @@ mod tests {
         assert_eq!(restored.entries.dense.len(), 2500);
         assert_eq!(restored.entries.sparse.capacity(), 0, "no id went sparse");
         assert_eq!(restored.to_snapshot_bytes(), bytes);
+    }
+
+    mod cell_table {
+        use super::*;
+        use proptest::prelude::{prop_assert_eq, proptest, ProptestConfig};
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            /// Adds and removals over a few PMs and more classes than a
+            /// PM holds inline: each PM's cells, in order, are those of a
+            /// `Vec` that pushes a new class, adds to a present one and
+            /// swap-removes an emptied one; a removal of an absent class
+            /// is skipped in both.
+            #[test]
+            fn cells_match_a_vec_per_pm(
+                ops in proptest::collection::vec((0usize..3, 0u32..6, 1u32..4, 0u8..3), 0..200)
+            ) {
+                let mut table = CellTable::new(3);
+                let mut model: Vec<Vec<(u32, u32)>> = vec![Vec::new(); 3];
+                for (p, cid, copies, kind) in ops {
+                    let cells = &mut model[p];
+                    if kind > 0 {
+                        table.add(p, cid, copies);
+                        match cells.iter_mut().find(|c| c.0 == cid) {
+                            Some(cell) => cell.1 += copies,
+                            None => cells.push((cid, copies)),
+                        }
+                    } else if let Some(pos) = cells.iter().position(|c| c.0 == cid) {
+                        table.remove_one(p, cid);
+                        cells[pos].1 -= 1;
+                        if cells[pos].1 == 0 {
+                            cells.swap_remove(pos);
+                        }
+                    }
+                    for (q, cells) in model.iter().enumerate() {
+                        prop_assert_eq!(&table.of(q).collect::<Vec<_>>(), cells);
+                        prop_assert_eq!(table.len(q), cells.len());
+                    }
+                }
+                let spilled = (0..3).filter(|&q| table.spill_at[q] > 0).count();
+                prop_assert_eq!(table.spills.len(), spilled + table.free.len());
+            }
+        }
     }
 
     mod vm_table {

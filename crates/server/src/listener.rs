@@ -381,7 +381,7 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
             if !initial.is_empty() {
                 let warm = s
                     .cluster_mut()
-                    .arrive_batch_each(initial, &mut NoopRecorder, |_, _| {});
+                    .arrive_batch_unpaired(initial, &mut NoopRecorder);
                 warm.map_err(|e| {
                     io::Error::new(
                         io::ErrorKind::InvalidInput,

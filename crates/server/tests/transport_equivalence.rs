@@ -9,9 +9,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use bursty_placement::{OnlineCluster, ReferenceOnlineCluster};
-use bursty_server::replay::{apply_engine, build_program, drive_http};
+use bursty_server::replay::{apply_engine, build_program, drive_http, fetch_digest};
 use bursty_server::{op_request, spawn, Client, Json, Op, ServerConfig};
-use bursty_workload::{PmSpec, VmSpec};
+use bursty_workload::{FleetGenerator, PmSpec, VmSpec, WorkloadPattern};
 use proptest::prelude::*;
 
 const D: usize = 16;
@@ -121,6 +121,26 @@ fn http_replay_matches_engine_direct_at_1_2_and_8_clients() {
         );
         assert_eq!(outcome.ok + outcome.rejected, program.ops.len());
     }
+}
+
+/// A daemon spawned with an initial fleet warms it as one batch arrival
+/// that keeps no pairs; what it serves is the reference's state after
+/// the same batch.
+#[test]
+fn a_daemon_warmed_with_an_initial_fleet_digests_as_the_reference() {
+    let mut gen = FleetGenerator::new(7);
+    let fleet = gen.vms_table_i(2000, WorkloadPattern::EqualSpike);
+    let pool = gen.pms(600);
+    let mut reference = ReferenceOnlineCluster::new(pool.clone(), D, RHO);
+    let expected = apply_engine(&mut reference, &[Op::AdmitBatch(fleet.clone())]);
+    assert_eq!(expected.n_vms, 2000, "the warm fleet fits");
+
+    let mut c = ServerConfig::new(pool, D, P_ON, P_OFF, RHO);
+    c.initial = fleet;
+    let handle = spawn(c).expect("daemon starts");
+    let served = fetch_digest(&mut Client::connect(handle.addr()).unwrap());
+    handle.shutdown();
+    assert_eq!(served.expect("digest answers"), expected);
 }
 
 /// Review regression: seq-stamped connections outnumbering workers used
